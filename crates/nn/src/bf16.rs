@@ -1,34 +1,30 @@
-//! bf16 weight storage and the GEMM/GEMV kernels that consume it.
+//! bf16 weight storage for the `nn` kernels.
 //!
 //! bfloat16 keeps f32's 8-bit exponent and truncates the mantissa to
 //! 7 bits — a `u16` holding the upper half of the f32 bit pattern. For
-//! inference weights that halves storage and, on the memory-bound
-//! DL-solver GEMV shapes (megabytes of weights streamed per solve),
-//! halves the bytes the kernel must pull from DRAM. Activations and
-//! accumulation stay f32: only the B operand (the weights) is bf16,
-//! decoded lane-by-lane inside the kernel.
+//! inference weights that halves storage and, because the `nn` kernel
+//! reads each weight once per call whatever the cohort size, halves the
+//! bytes a solve pulls from memory. Activations and accumulation stay
+//! f32: only the B operand (the weights) is bf16.
+//!
+//! There is no bf16 kernel of its own: `u16` implements
+//! `linalg::Weight`, so [`matmul_nn_bf16`] is [`crate::linalg`]'s
+//! `k`-blocked kernel — batched and solo, AVX-512 and portable — with
+//! the weight load widened on the fly (`vpmovzxwd` + shift-left 16, the
+//! exact decode).
 //!
 //! Numerics contract: encoding is round-to-nearest-even, decoding is the
 //! exact `(u16 as u32) << 16` bit shift (every bf16 value is exactly
 //! representable in f32). Results therefore differ from the f32 kernels
 //! by the weight quantization — the engine gates the bf16 path on a
 //! *physics* tolerance (growth rate / saturation energy), not
-//! bit-identity. Within the bf16 path the kernels keep the f32 path's
-//! **row-stability** guarantee: row `i` of an `m`-row [`matmul_nn_bf16`]
-//! is bitwise identical for every `m` on a given machine, because every
-//! element is one sequential product-sum over `k` with the same
-//! contraction in the 8-row zmm tiles, the [`gemv_bf16`] remainder-row
-//! kernel and the portable tile/edge paths (no zero-skips anywhere). The
-//! ensemble scheduler batches bf16 cohorts under the same contract as
-//! f32 ones.
+//! bit-identity — and equal, bit for bit, [`crate::linalg::matmul_nn`]
+//! over the decoded weights. In particular the f32 kernel's
+//! **row-stability** carries over: row `i` of an `m`-row product is
+//! bitwise identical for every `m` on a given machine, so the ensemble
+//! scheduler batches bf16 cohorts under the same contract as f32 ones.
 
-// analyze:hot — bf16 GEMM/GEMV kernels are the reduced-precision
-// inference hot path; loop bodies here must stay allocation-free.
-
-/// Rows per register tile of the portable kernel (matches `linalg`).
-const MR: usize = 4;
-/// Columns per register tile of the portable kernel (matches `linalg`).
-const NR: usize = 16;
+use crate::linalg::{nn, nn_portable, Weight};
 
 /// Encodes one f32 as bf16 with round-to-nearest-even.
 ///
@@ -61,6 +57,31 @@ pub fn decode_bf16(src: &[u16]) -> Vec<f32> {
     src.iter().map(|&b| bf16_to_f32(b)).collect()
 }
 
+impl Weight for u16 {
+    #[inline]
+    fn to_f32(self) -> f32 {
+        bf16_to_f32(self)
+    }
+
+    /// # Safety
+    /// As [`Weight::load16`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load16(p: *const u16) -> std::arch::x86_64::__m512 {
+        use std::arch::x86_64::*;
+        // The decode adds two uops per vector, and with them the
+        // out-of-order window no longer reaches far enough down a weight
+        // row to keep its cache misses in flight (measured: bf16 passes at
+        // 15 GB/s where f32 ones stream at 22). Asking for the row 512
+        // bytes ahead restores the overlap — 20 GB/s at batch 1, and
+        // every cohort size gains.
+        _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(256) as *const i8);
+        let raw = _mm256_loadu_si256(p as *const __m256i);
+        _mm512_castsi512_ps(_mm512_slli_epi32(_mm512_cvtepu16_epi32(raw), 16))
+    }
+}
+
 /// `C = A·B` where A is `m×k` f32, B is `k×n` **bf16**, C is `m×n` f32.
 /// C is overwritten. f32 accumulation; B lanes are decoded on the fly.
 ///
@@ -70,37 +91,7 @@ pub fn decode_bf16(src: &[u16]) -> Vec<f32> {
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
 pub fn matmul_nn_bf16(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
-    if n == 0 || m == 0 {
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if n >= 16 && crate::linalg::avx512_available() {
-        let (m8, n16) = (m - m % 8, n - n % 16);
-        if m8 > 0 {
-            // SAFETY: avx512f was detected and the slice sizes were
-            // asserted.
-            unsafe { avx512::nn_main_bf16(a, b, c, m, k, n) };
-        }
-        // Remainder rows run the GEMV kernel; its per-element FMA chains
-        // match the 8-row tiles exactly (row stability).
-        for i in m8..m {
-            // SAFETY: avx512f was detected and the row slices have the
-            // lengths gemv_main_bf16 requires (asserted above).
-            unsafe {
-                avx512::gemv_main_bf16(&a[i * k..(i + 1) * k], b, &mut c[i * n..(i + 1) * n], n)
-            };
-        }
-        if n16 < n {
-            for i in 0..m {
-                edge_rows_bf16(a, b, &mut c[i * n..(i + 1) * n], i, 1, k, n, n16);
-            }
-        }
-        return;
-    }
-    matmul_nn_bf16_portable(a, b, c, m, k, n);
+    nn(a, b, c, m, k, n);
 }
 
 /// `c = a·B` for one row with bf16 weights — the batch-1 inference shape.
@@ -112,212 +103,13 @@ pub fn gemv_bf16(a: &[f32], b: &[u16], c: &mut [f32], k: usize, n: usize) {
     matmul_nn_bf16(a, b, c, 1, k, n);
 }
 
-/// The portable register-tiled path of [`matmul_nn_bf16`] — public so
-/// equivalence tests can pin the AVX-512 path against it.
+/// The portable form of [`matmul_nn_bf16`] — public so equivalence tests
+/// can pin the AVX-512 form against it.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
 pub fn matmul_nn_bf16_portable(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
-    if n == 0 || m == 0 {
-        return;
-    }
-    let main_n = n - n % NR;
-    let mut i0 = 0;
-    for c_block in c.chunks_mut(MR * n) {
-        let rows = c_block.len() / n;
-        if rows == MR {
-            let a_rows: [&[f32]; MR] = [
-                &a[i0 * k..(i0 + 1) * k],
-                &a[(i0 + 1) * k..(i0 + 2) * k],
-                &a[(i0 + 2) * k..(i0 + 3) * k],
-                &a[(i0 + 3) * k..(i0 + 4) * k],
-            ];
-            let mut j0 = 0;
-            while j0 < main_n {
-                let mut acc = [[0.0f32; NR]; MR];
-                for kk in 0..k {
-                    let braw: &[u16; NR] = b[kk * n + j0..kk * n + j0 + NR].try_into().unwrap();
-                    let mut bb = [0.0f32; NR];
-                    for (bv, &raw) in bb.iter_mut().zip(braw) {
-                        *bv = bf16_to_f32(raw);
-                    }
-                    for r in 0..MR {
-                        let av = a_rows[r][kk];
-                        for (ac, &bv) in acc[r].iter_mut().zip(&bb) {
-                            *ac += av * bv;
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    c_block[r * n + j0..r * n + j0 + NR].copy_from_slice(acc_row);
-                }
-                j0 += NR;
-            }
-            if main_n < n {
-                edge_rows_bf16(a, b, c_block, i0, rows, k, n, main_n);
-            }
-        } else {
-            edge_rows_bf16(a, b, c_block, i0, rows, k, n, 0);
-        }
-        i0 += rows;
-    }
-}
-
-/// Edge path of the portable kernel (`C_row += a_ik·B_row`), restricted
-/// to columns `j_start..n`. No zero-skip: every element must be the same
-/// sequential chain as the tile path for row stability.
-#[allow(clippy::too_many_arguments)]
-fn edge_rows_bf16(
-    a: &[f32],
-    b: &[u16],
-    c_block: &mut [f32],
-    i0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-    j_start: usize,
-) {
-    for r in 0..rows {
-        let c_row = &mut c_block[r * n + j_start..r * n + n];
-        c_row.fill(0.0);
-        let a_row = &a[(i0 + r) * k..(i0 + r + 1) * k];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            let b_row = &b[kk * n + j_start..kk * n + n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += aik * bf16_to_f32(bv);
-            }
-        }
-    }
-}
-
-/// The explicit AVX-512 bf16 micro-kernels: the f32 tiles of
-/// `linalg::avx512` with the B loads widened from bf16 on the fly
-/// (`vpmovzxwd` + shift-left 16 reinterpreted as packed f32 — the exact
-/// decode). Every output element is one sequential FMA chain over `k` in
-/// the same order in both kernels, which is what keeps
-/// [`matmul_nn_bf16`] row-stable across batch sizes.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use std::arch::x86_64::*;
-
-    /// Loads 16 bf16 lanes at `p` and widens them to packed f32.
-    ///
-    /// # Safety
-    /// `avx512f` must be available and `p..p+16` must be in bounds.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn load_bf16x16(p: *const u16) -> __m512 {
-        let raw = _mm256_loadu_si256(p as *const __m256i);
-        _mm512_castsi512_ps(_mm512_slli_epi32(_mm512_cvtepu16_epi32(raw), 16))
-    }
-
-    /// `C = A·B` main region with bf16 B: rows `0..m - m%8`, columns
-    /// `0..n - n%16`, in 8×32 (and one trailing 8×16) zmm tiles.
-    ///
-    /// # Safety
-    /// `avx512f` must be available and the slices must satisfy the
-    /// [`super::matmul_nn_bf16`] size contract.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn nn_main_bf16(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n: usize) {
-        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        let (m8, n16, n32) = (m - m % 8, n - n % 16, n - n % 32);
-        let mut i0 = 0;
-        while i0 < m8 {
-            let mut j0 = 0;
-            while j0 < n32 {
-                let mut acc0 = [_mm512_setzero_ps(); 8];
-                let mut acc1 = [_mm512_setzero_ps(); 8];
-                for kk in 0..k {
-                    let b0 = load_bf16x16(bp.add(kk * n + j0));
-                    let b1 = load_bf16x16(bp.add(kk * n + j0 + 16));
-                    for r in 0..8 {
-                        let av = _mm512_set1_ps(*ap.add((i0 + r) * k + kk));
-                        acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
-                        acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
-                    }
-                }
-                for r in 0..8 {
-                    _mm512_storeu_ps(cp.add((i0 + r) * n + j0), acc0[r]);
-                    _mm512_storeu_ps(cp.add((i0 + r) * n + j0 + 16), acc1[r]);
-                }
-                j0 += 32;
-            }
-            if j0 < n16 {
-                let mut acc = [_mm512_setzero_ps(); 8];
-                for kk in 0..k {
-                    let b0 = load_bf16x16(bp.add(kk * n + j0));
-                    for (r, ac) in acc.iter_mut().enumerate() {
-                        let av = _mm512_set1_ps(*ap.add((i0 + r) * k + kk));
-                        *ac = _mm512_fmadd_ps(av, b0, *ac);
-                    }
-                }
-                for (r, ac) in acc.iter().enumerate() {
-                    _mm512_storeu_ps(cp.add((i0 + r) * n + j0), *ac);
-                }
-            }
-            i0 += 8;
-        }
-    }
-
-    /// One-row bf16 GEMV main region: columns `0..n - n%16` of `c = a·B`,
-    /// `k`-outer / `j`-inner so the bf16 weight row streams contiguously
-    /// at half the f32 byte traffic. The accumulator row lives in `c`
-    /// (L1-resident); every element is one FMA chain over ascending `kk`
-    /// identical to a row of [`nn_main_bf16`]'s tiles. No zero-skip, for
-    /// the same reason as the f32 kernel.
-    ///
-    /// # Safety
-    /// `avx512f` must be available, `a.len() == k`, `b.len() == k·n`,
-    /// `c.len() == n`, and `n >= 16`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemv_main_bf16(a: &[f32], b: &[u16], c: &mut [f32], n: usize) {
-        let k = a.len();
-        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        let (n16, n64) = (n - n % 16, n - n % 64);
-        let mut j = 0;
-        while j < n16 {
-            _mm512_storeu_ps(cp.add(j), _mm512_setzero_ps());
-            j += 16;
-        }
-        for kk in 0..k {
-            let av = _mm512_set1_ps(*ap.add(kk));
-            let brow = bp.add(kk * n);
-            let mut j = 0;
-            // 64 columns per iteration: four independent FMA chains in
-            // flight while the bf16 row streams.
-            while j < n64 {
-                let c0 = _mm512_fmadd_ps(av, load_bf16x16(brow.add(j)), _mm512_loadu_ps(cp.add(j)));
-                let c1 = _mm512_fmadd_ps(
-                    av,
-                    load_bf16x16(brow.add(j + 16)),
-                    _mm512_loadu_ps(cp.add(j + 16)),
-                );
-                let c2 = _mm512_fmadd_ps(
-                    av,
-                    load_bf16x16(brow.add(j + 32)),
-                    _mm512_loadu_ps(cp.add(j + 32)),
-                );
-                let c3 = _mm512_fmadd_ps(
-                    av,
-                    load_bf16x16(brow.add(j + 48)),
-                    _mm512_loadu_ps(cp.add(j + 48)),
-                );
-                _mm512_storeu_ps(cp.add(j), c0);
-                _mm512_storeu_ps(cp.add(j + 16), c1);
-                _mm512_storeu_ps(cp.add(j + 32), c2);
-                _mm512_storeu_ps(cp.add(j + 48), c3);
-                j += 64;
-            }
-            while j < n16 {
-                let c0 = _mm512_fmadd_ps(av, load_bf16x16(brow.add(j)), _mm512_loadu_ps(cp.add(j)));
-                _mm512_storeu_ps(cp.add(j), c0);
-                j += 16;
-            }
-        }
-    }
+    nn_portable(a, b, c, m, k, n);
 }
 
 #[cfg(test)]
@@ -394,33 +186,45 @@ mod tests {
 
     #[test]
     fn rows_bit_identical_across_batch_sizes() {
-        // The same contract as the f32 kernels: batching m rows must
-        // reproduce each solo row bit-for-bit, so bf16 cohorts batch
-        // under the ensemble scheduler like f32 ones.
-        for &(k, n) in &[(48usize, 64usize), (37, 50), (64, 16), (20, 7), (100, 33)] {
-            const M_MAX: usize = 13;
+        // The bf16 product is the f32 kernel over the decoded weights,
+        // bit for bit, at every cohort size — so it inherits the f32
+        // contract (batching m rows reproduces each solo row) and bf16
+        // cohorts batch under the ensemble scheduler like f32 ones. The
+        // portable form has its own contraction: row stability only.
+        const M_MAX: usize = 17;
+        for &(k, n) in &[
+            (48usize, 240usize),
+            (37, 50),
+            (64, 16),
+            (20, 7),
+            (100, 33),
+            (0, 16),
+        ] {
             let a = gen(M_MAX * k, 3);
             let b = encode_bf16(&gen(k * n, 7));
+            let decoded = decode_bf16(&b);
             let mut solo = vec![0.0f32; M_MAX * n];
+            let mut solo_portable = vec![0.0f32; M_MAX * n];
             for i in 0..M_MAX {
-                gemv_bf16(
-                    &a[i * k..(i + 1) * k],
-                    &b,
-                    &mut solo[i * n..(i + 1) * n],
-                    k,
-                    n,
-                );
+                let (a_row, rows) = (&a[i * k..(i + 1) * k], i * n..(i + 1) * n);
+                gemv_bf16(a_row, &b, &mut solo[rows.clone()], k, n);
+                matmul_nn_bf16_portable(a_row, &b, &mut solo_portable[rows], 1, k, n);
             }
-            for m in [1usize, 2, 3, 5, 8, 9, 12, 13] {
-                let mut c = vec![0.0f32; m * n];
+            for m in 1..=M_MAX {
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let mut c = vec![f32::NAN; m * n];
                 matmul_nn_bf16(&a[..m * k], &b, &mut c, m, k, n);
-                for (i, (x, y)) in c.iter().zip(&solo[..m * n]).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "k={k} n={n} m={m} elem {i}: batched {x} != solo {y}"
-                    );
-                }
+                assert_eq!(bits(&c), bits(&solo[..m * n]), "k={k} n={n} m={m}");
+                let mut c32 = vec![f32::NAN; m * n];
+                crate::linalg::matmul_nn(&a[..m * k], &decoded, &mut c32, m, k, n);
+                assert_eq!(bits(&c), bits(&c32), "decoded k={k} n={n} m={m}");
+                let mut cp = vec![f32::NAN; m * n];
+                matmul_nn_bf16_portable(&a[..m * k], &b, &mut cp, m, k, n);
+                assert_eq!(
+                    bits(&cp),
+                    bits(&solo_portable[..m * n]),
+                    "portable k={k} n={n} m={m}"
+                );
             }
         }
     }

@@ -15,34 +15,51 @@
 //! * [`conv_dw_accum`] — the weight-gradient correlation `dW += dY·colsᵀ`
 //!   against the same virtual patch matrix.
 //!
-//! Two code paths exist for the `nn`/`tn`/conv kernels:
+//! The `nn`/`tn`/conv kernels each have a **portable** form (4×16 tiles
+//! of scalar accumulators, vectorized by LLVM at whatever width the
+//! target offers) and an **AVX-512** form (x86-64, runtime-detected via
+//! `avx512f`) in explicit zmm tiles — LLVM stops at 256-bit ymm even on
+//! AVX-512 hardware, leaving half the FMA width unused.
 //!
-//! * a **portable** path: cache-blocked 4×16 register tiles (64 scalar
-//!   accumulators — vectorized by LLVM at whatever width the target
-//!   offers) with axpy/dot fallbacks for edge rows/columns, and
-//! * an **AVX-512** path (x86-64 only, runtime-detected via
-//!   `avx512f`): explicit 8×32 zmm tiles. LLVM auto-vectorizes the
-//!   portable tiles to 256-bit ymm even on AVX-512 hardware, which
-//!   leaves half the FMA width and most of the register file unused —
-//!   measured on the dev machine the explicit tiles run the DL-solver
-//!   shapes at 2.3–2.4× the portable path (≈105 vs ≈45 GFLOP/s).
+//! # The `nn` kernel: stream the weights once
 //!
-//! Both paths compute every C element as one sequential product-sum over
-//! `k` in the same order; they differ only in FMA contraction (the
-//! portable path rounds after each multiply, fused multiply-add does
-//! not), so results agree to normal f32 tolerance but are not bitwise
-//! identical across machines. `nt` keeps eight 8-wide lane accumulators
-//! per 2×4 output tile so the dot-product reduction vectorizes without
-//! `-ffast-math`.
+//! In every dense layer B is the weight matrix — 16 MB at the paper's
+//! 4096×1024 first layer, 4 KiB per row — and `m` is the cohort size, 1
+//! to a few dozen rows. [`matmul_nn`] therefore runs one loop order for
+//! every `m`, in both forms: `k` in blocks of `KB` = 16 rows
+//! **outermost**, then row tiles (8 rows of zmm accumulators, or the
+//! `m % 8` remainder as one narrower tile of the same code), then column
+//! tiles, the accumulators round-tripping through `C` between blocks. A
+//! `KB`-row slab of B is read from memory once per call, contiguously,
+//! and is cache-resident for every later row tile; `C` (`m×n`) stays in
+//! L1/L2. `m = 1` is the one-row tile of the same kernel. The weight
+//! load is a type parameter (`Weight`): `f32` as stored, or bf16 decoded
+//! on the fly ([`crate::bf16`]) through the same tiles.
+//!
+//! Where that leaves the paper MLP (25.4 MB of weights, 12.7 MFLOP per
+//! row) on the Sapphire Rapids dev machine (one core: ≈ 22–26 GB/s of
+//! read bandwidth over those 25 MB, ≈ 180 GFLOP/s of FMA peak): batch-1
+//! is bandwidth-bound and sits at ≈ 0.9 of that bound (≈ 1.05 ms); a
+//! 16-row cohort needs as long for its FMAs as for its single weight
+//! pass and takes ≈ 2.6 ms, 78 GFLOP/s, the two not yet overlapped —
+//! README's roofline table has the measured numbers, before and after.
+//!
+//! # Numerics
+//!
+//! Every C element is one sequential product-sum over ascending `k`
+//! starting from `+0.0`; storing a partial sum to `C` and reloading it
+//! changes no bits. The AVX-512 form fuses each step (`fmadd`), the
+//! portable form rounds after the multiply, so the two agree to normal
+//! f32 tolerance but not bitwise. `nt` keeps eight 8-wide lane
+//! accumulators per 2×4 output tile so the dot-product reduction
+//! vectorizes without `-ffast-math`.
 //!
 //! Accumulation order is deterministic for a given shape and machine.
 //! Stronger, [`matmul_nn`] is **row-stable**: row `i` of an `m`-row
 //! product is bitwise identical for every `m` (on a given machine),
-//! because each row is always one sequential chain over `k` with the same
-//! contraction — the 8-row zmm tiles, the [`gemv`] remainder-row kernel
-//! and the portable tile/axpy paths all agree element by element. The
-//! ensemble scheduler relies on this: batching `m` concurrent DL field
-//! solves into one GEMM must reproduce each solo solve bit-for-bit.
+//! because the chain above does not depend on which tile a row lands
+//! in. The ensemble scheduler relies on this: batching `m` concurrent DL
+//! field solves into one GEMM must reproduce each solo solve bit-for-bit.
 
 // analyze:hot — GEMM/conv micro-kernels are the inference hot path; loop
 // bodies here must stay allocation-free (workspaces are caller-provided).
@@ -80,60 +97,75 @@ pub fn simd_level() -> &'static str {
     }
 }
 
+/// Rows of B per `k`-block of the `nn` kernels: 16 rows of the paper's
+/// 1024-wide layers are a 64 KiB slab, L1/L2-resident across row tiles,
+/// and amortize each tile's `C` round trip over 16 FMA steps.
+const KB: usize = 16;
+
+/// A weight-matrix element the `nn` kernels can stream as the B operand:
+/// `f32` as stored, or bf16 (`u16`, see [`crate::bf16`]) decoded on the
+/// fly. Both forms of the kernel are written once over this trait.
+pub(crate) trait Weight: Copy + Default {
+    /// The element as f32 (exact).
+    fn to_f32(self) -> f32;
+
+    /// Sixteen consecutive elements at `p` as packed f32.
+    ///
+    /// # Safety
+    /// `avx512f` must be available and `p..p + 16` must be readable.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load16(p: *const Self) -> std::arch::x86_64::__m512;
+}
+
+impl Weight for f32 {
+    #[inline]
+    fn to_f32(self) -> f32 {
+        self
+    }
+
+    /// # Safety
+    /// As [`Weight::load16`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load16(p: *const f32) -> std::arch::x86_64::__m512 {
+        std::arch::x86_64::_mm512_loadu_ps(p)
+    }
+}
+
 /// `C = A·B` where A is `m×k`, B is `k×n`, C is `m×n`. C is overwritten.
+///
+/// Row-stable (see the module docs): row `i` is bitwise identical for
+/// every `m` on a given machine.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
 pub fn matmul_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    nn(a, b, c, m, k, n);
+}
+
+/// [`matmul_nn`] over either weight type: the AVX-512 kernel when the
+/// machine has it, the portable one otherwise.
+pub(crate) fn nn<W: Weight>(a: &[f32], b: &[W], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    if n == 0 || m == 0 {
-        return;
-    }
     #[cfg(target_arch = "x86_64")]
-    if n >= 16 && avx512_available() {
-        let (m8, n16) = (m - m % 8, n - n % 16);
-        if m8 > 0 {
-            // SAFETY: avx512f was detected and the slice sizes were
-            // asserted.
-            unsafe { avx512::nn_main(a, b, c, m, k, n) };
-        }
-        // Remainder rows (m % 8, and all of m < 8) go through the GEMV
-        // kernel, whose per-element FMA chains match the 8-row tiles
-        // exactly — see the module docs on row stability.
-        for i in m8..m {
-            // SAFETY: avx512f was detected and the row slices have the
-            // lengths gemv_main requires (asserted above).
-            unsafe { avx512::gemv_main(&a[i * k..(i + 1) * k], b, &mut c[i * n..(i + 1) * n], n) };
-        }
-        if n16 < n {
-            for i in 0..m {
-                axpy_rows(a, b, &mut c[i * n..(i + 1) * n], i, 1, k, n, n16);
-            }
-        }
+    if avx512_available() {
+        // SAFETY: avx512f was detected and the slice sizes were asserted.
+        unsafe { avx512::nn(a, b, c, m, k, n) };
         return;
     }
-    matmul_nn_portable(a, b, c, m, k, n);
+    nn_portable(a, b, c, m, k, n);
 }
 
 /// `c = a·B` for one row: A is `1×k`, B is `k×n`, `c` is `1×n` — the
-/// batch-1 inference shape of the DL field solvers. On AVX-512 machines
-/// the row runs a `k`-outer streaming zmm FMA kernel whose per-element
-/// chains equal one row of the 8-row tiles (so a solo solve is bitwise
-/// identical to any row of a batched solve); elsewhere it takes the
-/// portable axpy path, which is already element-order-identical to the
-/// portable tiles.
+/// batch-1 inference shape of the DL field solvers, and the reference
+/// every row of a batched solve reproduces bit-for-bit.
 ///
-/// Measured on the dev machine vs the previous autovectorized-axpy m = 1
-/// path: +20–40% on cache-resident DL shapes (1024×256, 256×64), ~−12%
-/// on the DRAM-bound paper shape (4096×512), where any GEMV is pinned at
-/// memory bandwidth — the FMA chain there is the price of exact
-/// batchability, and the ensemble's batched GEMM (which streams the
-/// weights once for the whole fleet) is the actual lever.
-///
-/// Equivalent to `matmul_nn(a, b, c, 1, k, n)` — provided as a named
-/// entry point for the solo-inference hot path.
+/// Equivalent to `matmul_nn(a, b, c, 1, k, n)`: the one-row tile of the
+/// same kernel, which streams each weight row once, contiguously. On the
+/// paper shapes that pass is pinned at memory bandwidth.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
@@ -141,81 +173,71 @@ pub fn gemv(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
     matmul_nn(a, b, c, 1, k, n);
 }
 
-/// The portable register-tiled path of [`matmul_nn`] — public so
-/// equivalence tests can pin the AVX-512 path against it.
+/// The portable form of [`matmul_nn`] — public so equivalence tests can
+/// pin the AVX-512 form against it.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
 pub fn matmul_nn_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    nn_portable(a, b, c, m, k, n);
+}
+
+/// The portable `nn` kernel in the module docs' loop order: full 4×16
+/// tiles hold their accumulators in scalars LLVM vectorizes; edge rows
+/// and columns update `C` in place in the axpy form, the same chain.
+pub(crate) fn nn_portable<W: Weight>(
+    a: &[f32],
+    b: &[W],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
     if n == 0 || m == 0 {
         return;
     }
-    let main_n = n - n % NR;
-    let mut i0 = 0;
-    for c_block in c.chunks_mut(MR * n) {
-        let rows = c_block.len() / n;
-        if rows == MR {
-            let a_rows: [&[f32]; MR] = [
-                &a[i0 * k..(i0 + 1) * k],
-                &a[(i0 + 1) * k..(i0 + 2) * k],
-                &a[(i0 + 2) * k..(i0 + 3) * k],
-                &a[(i0 + 3) * k..(i0 + 4) * k],
-            ];
+    c.fill(0.0);
+    for k0 in (0..k).step_by(KB) {
+        let k1 = (k0 + KB).min(k);
+        for (tile, c_rows) in c.chunks_mut(MR * n).enumerate() {
+            let (i0, rows) = (tile * MR, c_rows.len() / n);
             let mut j0 = 0;
-            while j0 < main_n {
+            while rows == MR && j0 + NR <= n {
                 let mut acc = [[0.0f32; NR]; MR];
-                for kk in 0..k {
-                    let bb: &[f32; NR] = b[kk * n + j0..kk * n + j0 + NR].try_into().unwrap();
-                    for r in 0..MR {
-                        let av = a_rows[r][kk];
-                        for (ac, &bv) in acc[r].iter_mut().zip(bb) {
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    acc_row.copy_from_slice(&c_rows[r * n + j0..r * n + j0 + NR]);
+                }
+                for kk in k0..k1 {
+                    let braw: &[W; NR] = b[kk * n + j0..kk * n + j0 + NR].try_into().unwrap();
+                    let bb = braw.map(W::to_f32);
+                    for (r, acc_row) in acc.iter_mut().enumerate() {
+                        let av = a[(i0 + r) * k + kk];
+                        for (ac, &bv) in acc_row.iter_mut().zip(&bb) {
                             *ac += av * bv;
                         }
                     }
                 }
                 for (r, acc_row) in acc.iter().enumerate() {
-                    c_block[r * n + j0..r * n + j0 + NR].copy_from_slice(acc_row);
+                    c_rows[r * n + j0..r * n + j0 + NR].copy_from_slice(acc_row);
                 }
                 j0 += NR;
             }
-            if main_n < n {
-                axpy_rows(a, b, c_block, i0, rows, k, n, main_n);
-            }
-        } else {
-            axpy_rows(a, b, c_block, i0, rows, k, n, 0);
-        }
-        i0 += rows;
-    }
-}
-
-/// The pre-tiling axpy form (`C_row += a_ik·B_row`), restricted to the
-/// columns `j_start..n` — handles edge rows and edge columns of
-/// [`matmul_nn`].
-#[allow(clippy::too_many_arguments)]
-fn axpy_rows(
-    a: &[f32],
-    b: &[f32],
-    c_block: &mut [f32],
-    i0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-    j_start: usize,
-) {
-    for r in 0..rows {
-        let c_row = &mut c_block[r * n + j_start..r * n + n];
-        c_row.fill(0.0);
-        let a_row = &a[(i0 + r) * k..(i0 + r + 1) * k];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n + j_start..kk * n + n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += aik * bv;
+            for (r, c_row) in c_rows.chunks_mut(n).enumerate() {
+                for kk in k0..k1 {
+                    let av = a[(i0 + r) * k + kk];
+                    // ReLU leaves about half the activations exactly zero;
+                    // adding `0·b` to a sum that is never `-0.0` changes
+                    // no bit for finite weights, so skip the weight row.
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for (cv, &bv) in c_row[j0..].iter_mut().zip(&b[kk * n + j0..(kk + 1) * n]) {
+                        *cv += av * bv.to_f32();
+                    }
+                }
             }
         }
     }
@@ -695,125 +717,148 @@ pub fn conv_dw_accum(
 /// difference is FMA contraction.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    #[cfg(target_arch = "x86_64")]
+    use super::{Weight, KB};
     use std::arch::x86_64::*;
 
-    /// `C = A·B` main region: rows `0..m - m%8`, columns `0..n - n%16`,
-    /// in 8×32 (and one trailing 8×16) zmm tiles.
+    /// [`super::matmul_nn`], all of it, in the module docs' loop order:
+    /// `k`-blocks outermost, then row tiles of 8 (the `m % 8` remainder
+    /// as one narrower tile), then column tiles.
     ///
     /// # Safety
     /// `avx512f` must be available and the slices must satisfy the
     /// [`super::matmul_nn`] size contract.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn nn_main(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    pub unsafe fn nn<W: Weight>(a: &[f32], b: &[W], c: &mut [f32], m: usize, k: usize, n: usize) {
+        c.fill(0.0);
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        let (m8, n16, n32) = (m - m % 8, n - n % 16, n - n % 32);
-        let mut i0 = 0;
-        while i0 < m8 {
-            let mut j0 = 0;
-            while j0 < n32 {
-                let mut acc0 = [_mm512_setzero_ps(); 8];
-                let mut acc1 = [_mm512_setzero_ps(); 8];
-                for kk in 0..k {
-                    let b0 = _mm512_loadu_ps(bp.add(kk * n + j0));
-                    let b1 = _mm512_loadu_ps(bp.add(kk * n + j0 + 16));
-                    for r in 0..8 {
-                        let av = _mm512_set1_ps(*ap.add((i0 + r) * k + kk));
-                        acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
-                        acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
-                    }
+        let mut k0 = 0;
+        while k0 < k {
+            let kb = KB.min(k - k0);
+            let mut i0 = 0;
+            while i0 < m {
+                let (at, bt, ct) = (ap.add(i0 * k + k0), bp.add(k0 * n), cp.add(i0 * n));
+                match m - i0 {
+                    1 => nn_rows::<W, 1>(at, bt, ct, kb, k, n),
+                    2 => nn_rows::<W, 2>(at, bt, ct, kb, k, n),
+                    3 => nn_rows::<W, 3>(at, bt, ct, kb, k, n),
+                    4 => nn_rows::<W, 4>(at, bt, ct, kb, k, n),
+                    5 => nn_rows::<W, 5>(at, bt, ct, kb, k, n),
+                    6 => nn_rows::<W, 6>(at, bt, ct, kb, k, n),
+                    7 => nn_rows::<W, 7>(at, bt, ct, kb, k, n),
+                    _ => nn_rows::<W, 8>(at, bt, ct, kb, k, n),
                 }
-                for r in 0..8 {
-                    _mm512_storeu_ps(cp.add((i0 + r) * n + j0), acc0[r]);
-                    _mm512_storeu_ps(cp.add((i0 + r) * n + j0 + 16), acc1[r]);
-                }
-                j0 += 32;
+                i0 += 8;
             }
-            if j0 < n16 {
-                let mut acc = [_mm512_setzero_ps(); 8];
-                for kk in 0..k {
-                    let b0 = _mm512_loadu_ps(bp.add(kk * n + j0));
-                    for (r, ac) in acc.iter_mut().enumerate() {
-                        let av = _mm512_set1_ps(*ap.add((i0 + r) * k + kk));
-                        *ac = _mm512_fmadd_ps(av, b0, *ac);
-                    }
-                }
-                for (r, ac) in acc.iter().enumerate() {
-                    _mm512_storeu_ps(cp.add((i0 + r) * n + j0), *ac);
-                }
-            }
-            i0 += 8;
+            k0 += kb;
         }
     }
 
-    /// One-row GEMV main region: columns `0..n - n%16` of `c = a·B`,
-    /// iterated `k`-outer / `j`-inner so the row of B streams
-    /// **contiguously** (the DL-solver GEMV shapes put megabytes of
-    /// weights behind `b`; a column-panel loop would walk them at stride
-    /// `n` and lose half the bandwidth). The accumulator row lives in
-    /// `c` itself (L1-resident) and every element is one FMA chain over
-    /// ascending `kk` — round-tripping the partial sums through memory
-    /// changes no bits, so the chain is identical to a row of
-    /// [`nn_main`]'s 8-row register tiles, which is what makes
-    /// [`super::matmul_nn`] row-stable across batch sizes (the `n % 16`
-    /// tail columns use the same axpy form in both paths). No zero-skip:
-    /// `nn_main` has none, and `fmadd(+0, b, -0.0)` flushes a negative
-    /// zero a skip would preserve.
+    /// One R-row panel of [`nn`] over one `k`-block, in tiles as wide as
+    /// sixteen accumulator registers allow (`R·V ≤ 16`: 128 columns for
+    /// one or two rows, 64 up to four, 32 up to eight — the fewer the
+    /// rows, the longer each visit to a weight row, which is what lets
+    /// the bandwidth-bound small-`m` passes stream), then narrower tiles
+    /// for what is left and one masked tile for the `n % 16` columns.
     ///
     /// # Safety
-    /// `avx512f` must be available, `a.len() == k·1` row of A,
-    /// `b.len() == k·n`, `c.len() == n`, and `n >= 16`.
+    /// As [`nn`]; `a`, `b`, `c` point at the panel's first A element,
+    /// the block's first B row and the panel's first C row, with
+    /// `R` rows and `kb` block rows in bounds.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemv_main(a: &[f32], b: &[f32], c: &mut [f32], n: usize) {
-        let k = a.len();
-        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        let (n16, n64) = (n - n % 16, n - n % 64);
-        let mut j = 0;
-        while j < n16 {
-            _mm512_storeu_ps(cp.add(j), _mm512_setzero_ps());
-            j += 16;
+    unsafe fn nn_rows<W: Weight, const R: usize>(
+        a: *const f32,
+        b: *const W,
+        c: *mut f32,
+        kb: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let mut j0 = 0;
+        macro_rules! tiles {
+            ($v:literal) => {
+                if R * $v <= 16 {
+                    while j0 + 16 * $v <= n {
+                        nn_tile::<W, R, $v, false>(a, b.add(j0), c.add(j0), kb, k, n, 16);
+                        j0 += 16 * $v;
+                    }
+                }
+            };
         }
-        for kk in 0..k {
-            let av = _mm512_set1_ps(*ap.add(kk));
-            let brow = bp.add(kk * n);
-            let mut j = 0;
-            // 64 columns per iteration: four independent FMA chains in
-            // flight while the B row streams.
-            while j < n64 {
-                let c0 =
-                    _mm512_fmadd_ps(av, _mm512_loadu_ps(brow.add(j)), _mm512_loadu_ps(cp.add(j)));
-                let c1 = _mm512_fmadd_ps(
-                    av,
-                    _mm512_loadu_ps(brow.add(j + 16)),
-                    _mm512_loadu_ps(cp.add(j + 16)),
-                );
-                let c2 = _mm512_fmadd_ps(
-                    av,
-                    _mm512_loadu_ps(brow.add(j + 32)),
-                    _mm512_loadu_ps(cp.add(j + 32)),
-                );
-                let c3 = _mm512_fmadd_ps(
-                    av,
-                    _mm512_loadu_ps(brow.add(j + 48)),
-                    _mm512_loadu_ps(cp.add(j + 48)),
-                );
-                _mm512_storeu_ps(cp.add(j), c0);
-                _mm512_storeu_ps(cp.add(j + 16), c1);
-                _mm512_storeu_ps(cp.add(j + 32), c2);
-                _mm512_storeu_ps(cp.add(j + 48), c3);
-                j += 64;
+        tiles!(8);
+        tiles!(4);
+        tiles!(2);
+        tiles!(1);
+        if j0 < n {
+            nn_tile::<W, R, 1, true>(a, b.add(j0), c.add(j0), kb, k, n, n - j0);
+        }
+    }
+
+    /// One R×(16·V) register tile (R·V ≤ 16 accumulator registers plus
+    /// V B vectors): loads the partial sums from `C`, runs `kb` FMA
+    /// steps, stores them back. With `TAIL` the last vector covers only
+    /// `last` < 16 columns: `C` is accessed under a mask and the B lanes
+    /// past the row end read as zero.
+    ///
+    /// # Safety
+    /// As [`nn_rows`], with the tile's columns in bounds.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn nn_tile<W: Weight, const R: usize, const V: usize, const TAIL: bool>(
+        a: *const f32,
+        b: *const W,
+        c: *mut f32,
+        kb: usize,
+        k: usize,
+        n: usize,
+        last: usize,
+    ) {
+        let mask: __mmask16 = if TAIL { (1u16 << last) - 1 } else { !0 };
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, ac) in row.iter_mut().enumerate() {
+                let p = c.add(r * n + 16 * v);
+                *ac = if TAIL {
+                    _mm512_maskz_loadu_ps(mask, p)
+                } else {
+                    _mm512_loadu_ps(p)
+                };
             }
-            while j < n16 {
-                let c0 =
-                    _mm512_fmadd_ps(av, _mm512_loadu_ps(brow.add(j)), _mm512_loadu_ps(cp.add(j)));
-                _mm512_storeu_ps(cp.add(j), c0);
-                j += 16;
+        }
+        for kk in 0..kb {
+            let mut bv = [_mm512_setzero_ps(); V];
+            for (v, bx) in bv.iter_mut().enumerate() {
+                let p = b.add(kk * n + 16 * v);
+                *bx = if TAIL {
+                    let mut lanes = [W::default(); 16];
+                    std::ptr::copy_nonoverlapping(p, lanes.as_mut_ptr(), last);
+                    W::load16(lanes.as_ptr())
+                } else {
+                    W::load16(p)
+                };
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a.add(r * k + kk));
+                for (ac, &bx) in row.iter_mut().zip(&bv) {
+                    *ac = _mm512_fmadd_ps(av, bx, *ac);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &ac) in row.iter().enumerate() {
+                let p = c.add(r * n + 16 * v);
+                if TAIL {
+                    _mm512_mask_storeu_ps(p, mask, ac);
+                } else {
+                    _mm512_storeu_ps(p, ac);
+                }
             }
         }
     }
 
-    /// `C = Aᵀ·B` main region (A stored `k×m`), same tiling as
-    /// [`nn_main`].
+    /// `C = Aᵀ·B` main region (A stored `k×m`): rows `0..m - m%8`,
+    /// columns `0..n - n%16`, in 8×32 (and one trailing 8×16) zmm tiles
+    /// with `k` innermost.
     ///
     /// # Safety
     /// `avx512f` must be available and the slices must satisfy the
@@ -1274,9 +1319,9 @@ mod tests {
 
     #[test]
     fn gemv_matches_oracle() {
-        // Shapes straddling the 32/16-wide column blocks and the axpy
-        // tail, plus n < 16 (pure portable) and the DL-solver inference
-        // shapes (k = phase cells, n = hidden width).
+        // Shapes straddling the 32/16-wide column tiles and the masked
+        // tail, and the DL-solver inference shapes (k = phase cells,
+        // n = hidden width).
         for &(k, n) in &[
             (1usize, 1usize),
             (7, 5),
@@ -1296,38 +1341,81 @@ mod tests {
         }
     }
 
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} elem {i}: {x} != {y}");
+        }
+    }
+
+    /// Shapes for the bitwise kernel tests: `k` below, at and past a
+    /// multiple of the block, `k = 0`, every tile width at once (240 =
+    /// 128 + 64 + 32 + 16), `n % 32 == 16`, an `n % 16` tail and `n < 16`.
+    const BITWISE_SHAPES: [(usize, usize); 10] = [
+        (0, 32),
+        (1, 16),
+        (KB - 1, 48),
+        (KB, 64),
+        (KB + 1, 240),
+        (3 * KB + 5, 50),
+        (37, 7),
+        (20, 1),
+        (100, 33),
+        (2 * KB, 15),
+    ];
+    const M_MAX: usize = 17;
+
+    /// The AVX-512 kernel against the definition of its result, written
+    /// without any tiling: each element is one chain of fused
+    /// multiply-adds from `+0.0` over ascending `k`.
+    #[test]
+    fn avx512_nn_is_the_scalar_fma_chain_bit_for_bit() {
+        if !avx512_available() {
+            eprintln!("skipping: no avx512f on this machine");
+            return;
+        }
+        for &(k, n) in &BITWISE_SHAPES {
+            let a = gen(M_MAX * k, 3);
+            let b = gen(k * n, 7);
+            let mut chain = vec![0.0f32; M_MAX * n];
+            for (i, row) in chain.chunks_mut(n).enumerate() {
+                for (j, out) in row.iter_mut().enumerate() {
+                    *out = (0..k).fold(0.0f32, |acc, kk| a[i * k + kk].mul_add(b[kk * n + j], acc));
+                }
+            }
+            for m in 1..=M_MAX {
+                // A poisoned C shows any element the kernel fails to write.
+                let mut c = vec![f32::NAN; m * n];
+                matmul_nn(&a[..m * k], &b, &mut c, m, k, n);
+                assert_bits_eq(&c, &chain[..m * n], &format!("k={k} n={n} m={m}"));
+            }
+        }
+    }
+
     /// The contract the ensemble's batched DL inference stands on: row
     /// `i` of an `m`-row product is *bitwise* identical for every `m` —
     /// batching `m` concurrent field solves into one GEMM reproduces each
-    /// solo (m = 1) solve exactly. Exercises the 8-row zmm tiles, the
-    /// GEMV remainder rows, the axpy column tails, and the portable
-    /// tile/axpy paths on machines without AVX-512.
+    /// solo (m = 1) solve exactly, whichever row tile a row lands in.
+    /// Held by the dispatched kernel and by the portable one.
     #[test]
     fn rows_bit_identical_across_batch_sizes() {
-        for &(k, n) in &[(48usize, 64usize), (37, 50), (64, 16), (20, 7), (100, 33)] {
-            const M_MAX: usize = 13;
-            let a = gen(M_MAX * k, 3);
-            let b = gen(k * n, 7);
-            // Reference: every row computed as its own m = 1 product.
-            let mut solo = vec![0.0f32; M_MAX * n];
-            for i in 0..M_MAX {
-                gemv(
-                    &a[i * k..(i + 1) * k],
-                    &b,
-                    &mut solo[i * n..(i + 1) * n],
-                    k,
-                    n,
-                );
-            }
-            for m in [1usize, 2, 3, 5, 8, 9, 12, 13] {
-                let mut c = vec![0.0f32; m * n];
-                matmul_nn(&a[..m * k], &b, &mut c, m, k, n);
-                for (i, (x, y)) in c.iter().zip(&solo[..m * n]).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "k={k} n={n} m={m} elem {i}: batched {x} != solo {y}"
-                    );
+        type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        for (name, kernel) in [
+            ("dispatched", matmul_nn as Kernel),
+            ("portable", matmul_nn_portable as Kernel),
+        ] {
+            for &(k, n) in &BITWISE_SHAPES {
+                let a = gen(M_MAX * k, 3);
+                let b = gen(k * n, 7);
+                // Reference: every row computed as its own m = 1 product.
+                let mut solo = vec![0.0f32; M_MAX * n];
+                for (i, row) in solo.chunks_mut(n).enumerate() {
+                    kernel(&a[i * k..(i + 1) * k], &b, row, 1, k, n);
+                }
+                for m in 1..=M_MAX {
+                    let mut c = vec![f32::NAN; m * n];
+                    kernel(&a[..m * k], &b, &mut c, m, k, n);
+                    assert_bits_eq(&c, &solo[..m * n], &format!("{name} k={k} n={n} m={m}"));
                 }
             }
         }
@@ -1339,8 +1427,8 @@ mod tests {
             eprintln!("skipping: no avx512f on this machine");
             return;
         }
-        // Shapes exercising the 8x32 tile, the 8x16 trailing tile, and
-        // both edge kinds.
+        // Shapes exercising the 8x32 tile, the 8x16 trailing tile, the
+        // masked column tail and a remainder row tile.
         for &(m, k, n) in &[
             (8, 72, 1024),
             (16, 9, 48),

@@ -204,13 +204,24 @@ enum PendingRun {
     Resume(Box<Checkpoint>),
 }
 
+/// Where a finished run's summary (its whole history) is kept — once.
+enum StoredResult {
+    /// Not finished, or final without a summary (cancelled, quarantined).
+    None,
+    /// In RAM: the only copy (no spool, or the spool write failed).
+    Held(Json),
+    /// In the spool's `run-<k>.done.json`; the `results` op reads it on
+    /// demand, outside the `Shared` lock.
+    Spooled,
+}
+
 struct RunEntry {
     name: String,
     phase: Phase,
     steps_done: usize,
     steps_total: usize,
     pending: Option<PendingRun>,
-    result: Option<Json>,
+    result: StoredResult,
     error: Option<String>,
     /// Global completion order (fairness is observable, not a timing
     /// guess): the n-th run to reach a final state gets n.
@@ -754,7 +765,7 @@ fn load_spooled_job(
             steps_done: 0,
             steps_total: run.spec.as_ref().map_or(0, |s| s.n_steps),
             pending: None,
-            result: None,
+            result: StoredResult::None,
             error: Some(format!("unrecoverable after restart: {why}")),
             finish_seq: None,
             est_bytes: acct.est_bytes,
@@ -780,7 +791,9 @@ fn load_spooled_job(
                         steps_done: steps,
                         steps_total: steps.max(run.spec.as_ref().map_or(0, |s| s.n_steps)),
                         pending: None,
-                        result: Some(result),
+                        // Validated and counted; the tree is dropped
+                        // here and stays on disk only.
+                        result: StoredResult::Spooled,
                         error: None,
                         finish_seq: None,
                         est_bytes: acct.est_bytes,
@@ -804,7 +817,10 @@ fn load_spooled_job(
                     steps_total: run.spec.as_ref().map_or(0, |s| s.n_steps),
                     pending: None,
                     // Failed runs may have a stored partial summary.
-                    result: spool.read_result(&job.id, k).ok(),
+                    result: match spool.read_result(&job.id, k) {
+                        Ok(_) => StoredResult::Spooled,
+                        Err(_) => StoredResult::None,
+                    },
                     error: run.error.clone(),
                     finish_seq: None,
                     est_bytes: acct.est_bytes,
@@ -856,7 +872,7 @@ fn load_spooled_job(
                             steps_done,
                             steps_total,
                             pending: Some(pending),
-                            result: None,
+                            result: StoredResult::None,
                             error: None,
                             finish_seq: None,
                             est_bytes: acct.est_bytes,
@@ -1283,15 +1299,23 @@ impl Scheduler {
                 fields.push(("error".into(), Json::Str(error.clone().unwrap_or_default())));
                 fields.push(("partial".into(), Json::Bool(true)));
             }
-            if let Some(spool) = &self.inner.spool {
-                let _ = spool.write_result(&sh.jobs[job_idx].id, run_idx, &result);
-            }
+            // Once the spool holds the summary the daemon drops its tree.
+            let stored = match &self.inner.spool {
+                Some(spool)
+                    if spool
+                        .write_result(&sh.jobs[job_idx].id, run_idx, &result)
+                        .is_ok() =>
+                {
+                    StoredResult::Spooled
+                }
+                _ => StoredResult::Held(result),
+            };
             let seq = sh.finish_counter;
             sh.finish_counter += 1;
             let entry = &mut sh.jobs[job_idx].runs[run_idx];
             entry.phase = *phase;
             entry.steps_done = summary.steps;
-            entry.result = Some(result);
+            entry.result = stored;
             entry.error = error.clone();
             entry.finish_seq = Some(seq);
             // Feed the breaker: consecutive failures of one spec
@@ -1687,7 +1711,7 @@ fn submit(
             steps_done: 0,
             steps_total: spec.n_steps,
             pending: Some(PendingRun::Fresh(spec)),
-            result: None,
+            result: StoredResult::None,
             error: None,
             finish_seq: None,
             est_bytes: acct.est_bytes,
@@ -1988,37 +2012,58 @@ fn results(
     id: &str,
     run: Option<usize>,
 ) -> Result<Vec<(&'static str, Json)>, ProtoError> {
-    let sh = inner.shared.lock().unwrap();
-    let job = find_job(&sh, id)?;
-    let indices: Vec<usize> = match run {
-        Some(k) => {
-            if k >= job.runs.len() {
+    // Under the lock: which runs have a summary, and the summaries held
+    // in RAM. Spooled ones (`None` here) are read after it is released —
+    // a `done` file is written once, before its run turns `Spooled`.
+    let found: Vec<(usize, String, &'static str, Option<Json>)> = {
+        let sh = inner.shared.lock().unwrap();
+        let job = find_job(&sh, id)?;
+        let indices = match run {
+            Some(k) if k >= job.runs.len() => {
                 return Err(ProtoError::new(
                     "unknown-run",
                     format!("{id} has {} runs", job.runs.len()),
                 ));
             }
-            vec![k]
+            Some(k) => k..k + 1,
+            None => 0..job.runs.len(),
+        };
+        let mut found = Vec::new();
+        for k in indices {
+            let entry = &job.runs[k];
+            let held = match &entry.result {
+                StoredResult::Held(result) => Some(result.clone()),
+                StoredResult::Spooled => None,
+                StoredResult::None if run.is_some() => {
+                    return Err(ProtoError::new(
+                        "not-finished",
+                        format!("{id} run {k} is {}", entry.phase.name()),
+                    ));
+                }
+                StoredResult::None => continue,
+            };
+            found.push((k, entry.name.clone(), entry.phase.name(), held));
         }
-        None => (0..job.runs.len()).collect(),
+        found
     };
-    let mut results = Vec::new();
-    for k in indices {
-        let entry = &job.runs[k];
-        let Some(result) = &entry.result else {
-            if run.is_some() {
-                return Err(ProtoError::new(
-                    "not-finished",
-                    format!("{id} run {k} is {}", entry.phase.name()),
-                ));
-            }
-            continue;
+    let mut results = Vec::with_capacity(found.len());
+    for (k, name, state, held) in found {
+        let summary = match held {
+            Some(summary) => summary,
+            None => inner
+                .spool
+                .as_ref()
+                .ok_or_else(|| "no spool configured".to_string())
+                .and_then(|spool| spool.read_result(id, k).map_err(|e| e.to_string()))
+                .map_err(|e| {
+                    ProtoError::new("server-error", format!("{id} run {k}: stored result: {e}"))
+                })?,
         };
         results.push(obj(vec![
             ("run", Json::Num(k as f64)),
-            ("name", Json::Str(entry.name.clone())),
-            ("state", Json::Str(entry.phase.name().into())),
-            ("summary", result.clone()),
+            ("name", Json::Str(name)),
+            ("state", Json::Str(state.into())),
+            ("summary", summary),
         ]));
     }
     Ok(vec![

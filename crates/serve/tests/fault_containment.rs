@@ -373,6 +373,57 @@ fn corrupt_checkpoint_restarts_that_run_and_spares_the_rest() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
+/// With a spool the daemon keeps a finished summary in `run-<k>.done.json`
+/// only: the `result` op serves what the file holds (so a rewritten file
+/// shows through, live and after `--resume`), and a file that has become
+/// unreadable is a structured error on that run, not a panic or a hang.
+#[test]
+fn spooled_results_are_served_from_the_done_file() {
+    let spool = temp_dir("held-once");
+    let server =
+        Server::start(ServeConfig::default().spool(&spool).max_sessions(2)).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let sweep = SweepSpec::grid("two_stream", Scale::Smoke).seeds([1, 2]);
+    let job = JobRequest::sweep(sweep, Backend::Traditional1D).with_steps(8);
+    let (id, _) = client.submit(&job, "alice").expect("submit");
+    let live = client
+        .wait_for(&id, Duration::from_millis(5))
+        .expect("wait");
+    assert_eq!(history_of(&live[0].summary).len(), 9);
+
+    let done = spool.join(&id).join("run-0.done.json");
+    let on_disk = Json::parse(&std::fs::read_to_string(&done).expect("done file")).expect("json");
+    assert_eq!(on_disk, live[0].summary);
+    std::fs::write(&done, br#"{"steps":3,"marker":"from-disk"}"#).expect("rewrite");
+    let served = client.results(&id, Some(0)).expect("run 0");
+    assert_eq!(
+        served[0].summary.field("marker").and_then(Json::as_str),
+        Ok("from-disk")
+    );
+
+    client.drain().expect("drain");
+    server.wait();
+    let server = Server::start(ServeConfig::default().resume(&spool)).expect("resume");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    assert_eq!(run_states(&mut client, &id)[0], ("done".into(), 3, None));
+    let all = client.results(&id, None).expect("all results");
+    assert_eq!(all.len(), 2);
+    assert_eq!(all[1].summary, live[1].summary);
+
+    std::fs::write(&done, b"][").expect("corrupt");
+    let err = client
+        .results(&id, Some(0))
+        .expect_err("unreadable stored result");
+    let ServeError::Protocol(proto) = err else {
+        panic!("expected protocol error, got {err}");
+    };
+    assert_eq!(proto.code, "server-error");
+    assert_eq!(client.results(&id, Some(1)).expect("sibling").len(), 1);
+    client.drain().expect("drain");
+    server.wait();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
 /// A corrupt result file for a finished run cannot be re-derived: that
 /// run is quarantined as `failed` with an error naming the problem,
 /// while its sibling's result stays readable and the server serves on.

@@ -12,8 +12,9 @@
 //!   Within a wave, sessions whose field solve is phase-split (the DL
 //!   backends) are grouped into cohorts: each session prepares its
 //!   inference input row, the cohort runs **one batched inference** —
-//!   an `[m, in]` GEMM that hits the 8-row zmm micro-kernels a batch-1
-//!   solve bypasses — and each session applies its output row.
+//!   an `[m, in]` GEMM that streams the weights once for the whole
+//!   cohort instead of once per session — and each session applies its
+//!   output row.
 //!   Monolithic backends (traditional, Vlasov, distributed) run whole
 //!   steps in the same wave.
 //! * [`Ensemble::run_to_end`] distributes sessions across worker threads

@@ -47,8 +47,8 @@ fn assert_histories_equal(context: &str, got: &[EnergyHistory], want: &[EnergyHi
 #[test]
 fn ensemble_bit_identical_to_solo_for_every_backend_family() {
     // (scenario, backend, runs): DL 1-D gets 9 runs so the batched GEMM
-    // crosses the 8-row tile boundary (one full zmm tile + a GEMV
-    // remainder row); warm_two_stream has the thermal spread the
+    // crosses the 8-row tile boundary (one full zmm tile + a one-row
+    // remainder tile); warm_two_stream has the thermal spread the
     // continuum backend needs.
     let cases: Vec<(&str, Backend, Vec<u64>)> = vec![
         ("two_stream", Backend::Traditional1D, vec![1, 2, 3]),
