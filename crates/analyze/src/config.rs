@@ -61,7 +61,7 @@ pub struct Config {
 }
 
 /// The shipped rule names, in reporting order.
-pub const RULE_NAMES: [&str; 7] = [
+pub const RULE_NAMES: [&str; 8] = [
     "no-hashmap-iter-in-state",
     "no-wallclock-in-engine",
     "no-panic-in-request-path",
@@ -69,6 +69,7 @@ pub const RULE_NAMES: [&str; 7] = [
     "no-alloc-in-hot-loop",
     "phase-constants-only",
     "no-weight-clone",
+    "no-unbounded-spin",
 ];
 
 /// One-line description per rule (for `--list-rules` and SARIF output).
@@ -108,6 +109,13 @@ pub fn rule_description(rule: &str) -> &'static str {
              networks: one cloned weight set per session erases the \
              shared-fleet memory budget — share an `Arc<FrozenModel>` and \
              take handles with `Arc::clone`"
+        }
+        "no-unbounded-spin" => {
+            "a `spin_loop()` must sit in a loop with an iteration bound \
+             (`for`) or a park fallback (`park`/`wait`/`sleep` in the same \
+             `while`/`loop` body): an unbounded poll turns a descheduled \
+             partner — a withheld vCPU — into a stall that also steals the \
+             core the partner needs"
         }
         _ => "unknown rule",
     }
@@ -184,6 +192,14 @@ impl Config {
         rules.insert(
             "no-weight-clone".to_string(),
             rule(Level::Deny, &["src/engine/**", "crates/serve/src/**"]),
+        );
+        // Liveness: the worker team and everything stacked on it.
+        rules.insert(
+            "no-unbounded-spin".to_string(),
+            rule(
+                Level::Deny,
+                &["crates/core/src/**", "crates/nn/src/**", "src/engine/**"],
+            ),
         );
         Self {
             rules,

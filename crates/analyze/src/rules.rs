@@ -23,6 +23,7 @@ pub fn run_rule(rule: &str, file: &SourceFile, out: &mut Vec<RuleHit>) {
         "no-alloc-in-hot-loop" => no_alloc_in_hot_loop(file, out),
         "phase-constants-only" => phase_constants_only(file, out),
         "no-weight-clone" => no_weight_clone(file, out),
+        "no-unbounded-spin" => no_unbounded_spin(file, out),
         _ => {}
     }
 }
@@ -214,6 +215,65 @@ const ALLOC_CTOR_FNS: [&str; 3] = ["new", "with_capacity", "from"];
 const ALLOC_METHODS: [&str; 5] = ["to_vec", "to_string", "to_owned", "clone", "collect"];
 const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
 
+/// One loop body in a file's code-token stream: the positions (indices
+/// into `code`) of its braces, and whether the loop is a `for`.
+struct LoopBody {
+    open: usize,
+    close: usize,
+    is_for: bool,
+}
+
+/// Every `for`/`while`/`loop` body of the file, in order of their opening
+/// brace. After a loop keyword, the body is the first `{` at zero
+/// paren/bracket depth (Rust forbids bare struct literals in loop headers,
+/// so this is reliable without a parser).
+fn loop_bodies(file: &SourceFile, code: &[usize]) -> Vec<LoopBody> {
+    let mut bodies: Vec<LoopBody> = Vec::new();
+    let mut pending: Vec<bool> = Vec::new(); // loop keywords whose `{` we await: is_for
+    let mut header_depth = 0isize;
+    let mut open: Vec<(isize, usize)> = Vec::new(); // (brace depth, index into `bodies`)
+    let mut brace = 0isize;
+    for k in 0..code.len() {
+        let t = &file.tokens[code[k]];
+        if !pending.is_empty() {
+            if t.is_punct('(') || t.is_punct('[') {
+                header_depth += 1;
+            } else if t.is_punct(')') || t.is_punct(']') {
+                header_depth -= 1;
+            } else if t.is_punct('{') && header_depth == 0 {
+                brace += 1;
+                open.push((brace, bodies.len()));
+                bodies.push(LoopBody {
+                    open: k,
+                    close: code.len(),
+                    is_for: pending.pop().unwrap_or(false),
+                });
+                continue;
+            }
+        }
+        if t.is_punct('{') {
+            brace += 1;
+        } else if t.is_punct('}') {
+            if open.last().map(|&(depth, _)| depth) == Some(brace) {
+                if let Some((_, body)) = open.pop() {
+                    bodies[body].close = k;
+                }
+            }
+            brace -= 1;
+        } else if t.is_ident("while") || t.is_ident("loop") {
+            pending.push(false);
+            header_depth = 0;
+        } else if t.is_ident("for") && for_is_a_loop(file, code, k) {
+            // `for` also appears in `impl Trait for Type` and `for<'a>`
+            // bounds — only a header containing a top-level `in` before
+            // its `{` is a loop.
+            pending.push(true);
+            header_depth = 0;
+        }
+    }
+    bodies
+}
+
 /// `no-alloc-in-hot-loop`: in files opted in with `// analyze:hot`,
 /// flags allocation-shaped calls inside `for`/`while`/`loop` bodies.
 fn no_alloc_in_hot_loop(file: &SourceFile, out: &mut Vec<RuleHit>) {
@@ -221,49 +281,16 @@ fn no_alloc_in_hot_loop(file: &SourceFile, out: &mut Vec<RuleHit>) {
         return;
     }
     let code = file.code_indices();
-    // Loop-body tracking: after a loop keyword, the body is the first `{`
-    // at zero paren/bracket depth (Rust forbids bare struct literals in
-    // loop headers, so this is reliable without a parser).
-    let mut pending_loops = 0usize; // loop keywords whose `{` we await
-    let mut header_depth = 0isize;
-    let mut loop_stack: Vec<isize> = Vec::new(); // brace depth of each open loop body
-    let mut brace = 0isize;
+    let mut in_loop = vec![false; code.len()];
+    for body in loop_bodies(file, &code) {
+        in_loop[body.open + 1..body.close].fill(true);
+    }
 
     for k in 0..code.len() {
-        let t = &file.tokens[code[k]];
-        if pending_loops > 0 {
-            if t.is_punct('(') || t.is_punct('[') {
-                header_depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                header_depth -= 1;
-            } else if t.is_punct('{') && header_depth == 0 {
-                brace += 1;
-                loop_stack.push(brace);
-                pending_loops -= 1;
-                continue;
-            }
-        }
-        if t.is_punct('{') {
-            brace += 1;
-        } else if t.is_punct('}') {
-            if loop_stack.last() == Some(&brace) {
-                loop_stack.pop();
-            }
-            brace -= 1;
-        } else if t.is_ident("while") || t.is_ident("loop") {
-            pending_loops += 1;
-            header_depth = 0;
-        } else if t.is_ident("for") && for_is_a_loop(file, &code, k) {
-            // `for` also appears in `impl Trait for Type` and `for<'a>`
-            // bounds — only a header containing a top-level `in` before
-            // its `{` is a loop.
-            pending_loops += 1;
-            header_depth = 0;
-        }
-
-        if loop_stack.is_empty() {
+        if !in_loop[k] {
             continue;
         }
+        let t = &file.tokens[code[k]];
         let mut hit: Option<String> = None;
         // Vec::new / String::with_capacity / Box::new / Vec::from …
         if ALLOC_CTORS.iter().any(|c| t.is_ident(c))
@@ -430,6 +457,53 @@ fn no_weight_clone(file: &SourceFile, out: &mut Vec<RuleHit>) {
     }
 }
 
+/// Calls that put the thread to sleep until someone wakes it (or a
+/// timer does): what a polling loop must fall back to.
+const PARK_CALLS: [&str; 6] = [
+    "park",
+    "park_timeout",
+    "wait",
+    "wait_timeout",
+    "wait_while",
+    "sleep",
+];
+
+/// `no-unbounded-spin`: flags a `spin_loop()` whose innermost enclosing
+/// loop is a `while`/`loop` with no park call in its body. A `for` is an
+/// iteration bound; a `spin_loop()` outside any loop is one pause.
+fn no_unbounded_spin(file: &SourceFile, out: &mut Vec<RuleHit>) {
+    let code = file.code_indices();
+    let bodies = loop_bodies(file, &code);
+    for k in 0..code.len() {
+        let t = &file.tokens[code[k]];
+        if !(t.is_ident("spin_loop")
+            && k + 1 < code.len()
+            && file.tokens[code[k + 1]].is_punct('('))
+        {
+            continue;
+        }
+        // Bodies are ordered by their opening brace, so the last one that
+        // contains `k` is the innermost.
+        let Some(body) = bodies.iter().rev().find(|b| b.open < k && k < b.close) else {
+            continue;
+        };
+        let parks = code[body.open..body.close]
+            .iter()
+            .any(|&i| PARK_CALLS.iter().any(|p| file.tokens[i].is_ident(p)));
+        if !body.is_for && !parks {
+            out.push(RuleHit {
+                rule: "no-unbounded-spin",
+                line: t.line,
+                message: "`spin_loop()` in a loop with no iteration bound and no park \
+                          fallback: if the thread it waits for is descheduled, this \
+                          spins for as long as that lasts — bound the poll with a \
+                          `for`, or park (`wait`/`park`/`sleep`) in the same loop"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,6 +544,21 @@ mod tests {
         let got = hits("no-alloc-in-hot-loop", src);
         let lines: Vec<usize> = got.iter().map(|h| h.line).collect();
         assert_eq!(lines, vec![5, 6], "{got:?}");
+    }
+
+    #[test]
+    fn spin_needs_a_bound_or_a_park_in_its_innermost_loop() {
+        let src = "fn f(flag: &AtomicBool, cv: &Condvar, mut g: Guard) {\n\
+                   std::hint::spin_loop();\n\
+                   for _ in 0..64 { std::hint::spin_loop(); }\n\
+                   while !flag.load(O) { std::hint::spin_loop(); }\n\
+                   loop { if flag.load(O) { break; } spin_loop(); g = cv.wait(g).unwrap(); }\n\
+                   for _ in 0..4 { loop { spin_loop(); } }\n\
+                   loop { for _ in 0..64 { spin_loop(); } }\n\
+                   }\n";
+        let got = hits("no-unbounded-spin", src);
+        let lines: Vec<usize> = got.iter().map(|h| h.line).collect();
+        assert_eq!(lines, vec![4, 6], "{got:?}");
     }
 
     #[test]

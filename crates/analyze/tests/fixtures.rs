@@ -52,6 +52,7 @@ fn expected_hits(rule: &str) -> usize {
         "no-alloc-in-hot-loop" => 4,     // with_capacity, format!, to_vec, Box::new
         "phase-constants-only" => 2,     // string literal + computed tag
         "no-weight-clone" => 3,          // bundle, self.model_1d, net
+        "no-unbounded-spin" => 3,        // while, loop, while inside a for
         other => panic!("no fixture expectation for `{other}`"),
     }
 }

@@ -1,6 +1,7 @@
 //! Serving-tier throughput: session·steps/sec of the paper-scale 16-run
 //! DL fleet driven through a live `dlpic-serve` daemon, against the same
-//! fleet driven directly through `Ensemble::run_to_end(1)`.
+//! fleet driven directly through `Ensemble::run_to_end` on the same
+//! worker team the daemon's scheduler uses (every core of the machine).
 //!
 //! The serving tier re-batches co-resident DL sessions into the same
 //! lockstep waves as the ensemble layer, so its wave loop should be the
@@ -36,9 +37,11 @@
 
 use std::time::{Duration, Instant};
 
-use dlpic_bench::gate::{calibration_gflops, json_string_after, json_value_after, median};
+use dlpic_bench::gate::{
+    calibration_gflops, json_string_after, json_value_after, median, wake_cores,
+};
 use dlpic_nn::linalg::simd_level;
-use dlpic_repro::core::Scale;
+use dlpic_repro::core::{pool, Scale};
 use dlpic_repro::engine::json::Json;
 use dlpic_repro::engine::{self, Backend, EnergyHistory, Engine, SweepSpec};
 use dlpic_serve::client::Client;
@@ -70,18 +73,19 @@ struct FleetResult {
     steps_per_sec: f64,
 }
 
-/// Times `Ensemble::run_to_end(1)` over the fleet (construction
+/// Times `Ensemble::run_to_end(available_threads())` over the fleet (construction
 /// excluded — the daemon's meter excludes it too).
 fn bench_direct(specs: &[engine::ScenarioSpec], reps: usize) -> FleetResult {
     let engine = Engine::new();
     let total_steps: usize = specs.iter().map(|s| s.n_steps).sum();
+    wake_cores(pool::available_threads());
     let times: Vec<f64> = (0..reps)
         .map(|_| {
             let mut ensemble = engine
                 .start_ensemble(specs, Backend::Dl1D)
                 .expect("start ensemble");
             let t0 = Instant::now();
-            ensemble.run_to_end(1);
+            ensemble.run_to_end(pool::available_threads());
             let dt = t0.elapsed().as_secs_f64();
             std::hint::black_box(ensemble.is_complete());
             dt
@@ -386,7 +390,7 @@ fn main() {
 
     if args.iter().any(|a| a == "--write-bench") {
         let json = format!(
-            "{{\n  \"bench\": \"serve_throughput\",\n  \"note\": \"single-machine; compare served_vs_direct, not cross-machine absolutes. direct = Ensemble::run_to_end(1) over the same 16-run paper-scale DL fleet; served = the daemon's stepping_seconds meter over one submitted sweep job\",\n  \"current\": {}\n}}\n",
+            "{{\n  \"bench\": \"serve_throughput\",\n  \"note\": \"single-machine; compare served_vs_direct, not cross-machine absolutes. direct = Ensemble::run_to_end(available_threads()) over the same 16-run paper-scale DL fleet, i.e. on the worker team the daemon's waves use; served = the daemon's stepping_seconds meter over one submitted sweep job\",\n  \"current\": {}\n}}\n",
             measurement_json(&m, "  "),
         );
         std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");

@@ -350,6 +350,31 @@ pub mod gate {
         flops / median(times) / 1e9
     }
 
+    /// Keeps `threads` cores busy for 2.5 s. A VM host may run an idle
+    /// guest's vCPUs on one physical core and take a second or two of
+    /// load on all of them before it spreads them out again (the dev VM
+    /// does: the first ≈ 1.8 s of two-thread work after a pause run at
+    /// half speed, two threads slower than one), so a tool that times a
+    /// short multi-thread burst calls this first and measures the
+    /// machine, not the host's wake-up.
+    pub fn wake_cores(threads: usize) {
+        let until = Instant::now() + std::time::Duration::from_millis(2500);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    let mut x = 1u64;
+                    while Instant::now() < until {
+                        for _ in 0..10_000 {
+                            x = std::hint::black_box(
+                                x.wrapping_mul(6364136223846793005).wrapping_add(1),
+                            );
+                        }
+                    }
+                });
+            }
+        });
+    }
+
     /// First `"key": <number>` after position `from` in `text`.
     pub fn json_value_after(text: &str, from: usize, key: &str) -> Option<f64> {
         let needle = format!("\"{key}\":");

@@ -381,6 +381,53 @@ mod tests {
         }
     }
 
+    /// What a fleet wave on the worker team stands on: members of a
+    /// [`Team`](crate::team::Team) that each take a run of the batch's
+    /// rows through the one shared model, at once and with a workspace of
+    /// their own, reproduce the whole-batch inference bit for bit — at
+    /// every team size, for every row-tile remainder and a multi-panel
+    /// batch, in both precisions.
+    #[test]
+    fn row_runs_on_a_team_reproduce_the_whole_batch_bit_for_bit() {
+        use crate::team::Team;
+        let (in_w, out_w) = (12, 7);
+        for precision in [Precision::F32, Precision::Bf16] {
+            let model = mlp(11).freeze(precision).unwrap();
+            for size in [1usize, 2, 3, 5] {
+                let team = Team::new(size);
+                for m in (1usize..=17).chain([33]) {
+                    let batch = Tensor::new(
+                        (0..m * in_w).map(|i| (i as f32 * 0.013).sin()).collect(),
+                        &[m, in_w],
+                    );
+                    let mut ws = PredictWorkspace::new();
+                    let want = model.predict_into(&batch, &mut ws).clone();
+                    let bounds: Vec<usize> = (0..=size).map(|p| p * m / size).collect();
+                    let mut rows: Vec<Vec<f32>> =
+                        batch.data().chunks(in_w).map(Vec::from).collect();
+                    let mut parts: Vec<_> = (0..size).map(|_| PredictWorkspace::new()).collect();
+                    team.for_each_run(&mut rows, &bounds, &mut parts, |_, run, ws| {
+                        if run.is_empty() {
+                            return;
+                        }
+                        let x = Tensor::new(run.concat(), &[run.len(), in_w]);
+                        let y = model.predict_into(&x, ws);
+                        for (row, out) in run.iter_mut().zip(y.data().chunks(out_w)) {
+                            *row = out.to_vec();
+                        }
+                    });
+                    for (r, (got, want)) in rows.iter().zip(want.data().chunks(out_w)).enumerate() {
+                        let same = got
+                            .iter()
+                            .zip(want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "{precision:?} T={size} m={m} row {r}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn bf16_model_halves_dense_weight_bytes() {
         let net = mlp(5);

@@ -16,9 +16,16 @@
 //! * MAE / max-error [`metrics`] (the paper's Table I columns);
 //! * parameter [`serialize`] for model persistence.
 //!
-//! The GEMM kernels in [`linalg`] parallelize with rayon and autovectorize
-//! (AVX-512/FMA with `target-cpu=native`); everything is `f32`, matching
-//! common DL-framework defaults.
+//! The GEMM kernels in [`linalg`] are hand-tiled — explicit AVX-512
+//! register tiles where the machine has them, portable tiles LLVM
+//! vectorizes elsewhere — and serial: training and every single
+//! [`FrozenModel`] inference run on the calling thread. A frozen model
+//! is immutable and `Sync`, though, and its kernels are row-stable, so a
+//! fleet uses every core by giving each member of the worker [`team`]
+//! whole rows of the cohort to take through the one shared model —
+//! bit-identical to the whole batch on one thread. Activations and
+//! accumulation are `f32` throughout (weights optionally [`bf16`]),
+//! matching common DL-framework defaults.
 
 #![warn(missing_docs)]
 
@@ -35,6 +42,7 @@ pub mod metrics;
 pub mod network;
 pub mod optimizer;
 pub mod serialize;
+pub mod team;
 pub mod tensor;
 pub mod trainer;
 

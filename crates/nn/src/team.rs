@@ -1,0 +1,655 @@
+//! One persistent worker **team** for every multi-core path in the
+//! workspace.
+//!
+//! A [`Team`] of size `T` is the dispatching thread plus `T − 1` helper
+//! threads. [`Team::run`] hands the team a job of `parts` independent
+//! parts; every member — the dispatcher included — claims part indices
+//! from one atomic counter until none are left, so a member the host
+//! has descheduled costs the job the one part it holds, never a fixed
+//! share. The process-wide team ([`global`]) has `T =`
+//! [`available_threads`]; through `dlpic_core::pool` the ensemble wave
+//! and the serve scheduler run on it, so no layer spawns threads per
+//! call and no two layers ever oversubscribe the machine. It lives in
+//! this crate, the lowest of the workspace, so that the inference
+//! kernels can be handed to it as well; today they are serial and a
+//! wave gives each member whole rows of the cohort to take through
+//! [`crate::FrozenModel`] on its own.
+//!
+//! # Lifecycle of a helper
+//!
+//! Helpers are spawned lazily by the first dispatch that wants more than
+//! one member — a process that never runs a DL fleet wave never has a
+//! second thread. Between dispatches a helper **parks** on a condition
+//! variable: a finished job with nothing announced behind it sends it
+//! straight back to sleep. Polling happens only where the partner is
+//! known to be running, and always under a bound (`POLL_ROUNDS`
+//! `spin_loop` rounds, microseconds) with the parked wait as fallback:
+//!
+//! * the dispatcher, out of parts, polls for the helpers still inside
+//!   their last part;
+//! * a helper, out of parts while a caller has announced more dispatches
+//!   ([`Team::hold`] — the waves of one fleet run), polls for the next
+//!   one.
+//!
+//! Parking a thread here means halting a vCPU, and getting it back costs
+//! the waker ≈ 35 µs and the sleeper ≈ 100 µs on the dev VM — a tenth of
+//! a whole wave — which is why the barriers poll at all. Nothing polls
+//! without a bound, so a withheld vCPU costs a wake-up, not a stall.
+//!
+//! # Who runs what, and why results cannot depend on it
+//!
+//! Which member runs which part is not deterministic and must not matter:
+//! callers hand out parts that write disjoint outputs and whose
+//! arithmetic does not depend on the partition (see `dlpic_core::pool`).
+//! A dispatch that cannot have the team — it is already running a job
+//! (nested or concurrent dispatch), the calling thread is limited to one
+//! member ([`with_limit`]), or no helper could be spawned — runs every
+//! part inline on the caller, in order: same parts, same bits.
+//!
+//! # Panics
+//!
+//! A panic inside a part is caught on the member that ran it; the job
+//! stops handing out parts, every member leaves, and the first payload is
+//! re-raised on the dispatching thread — exactly where it would have
+//! surfaced had the job run inline.
+
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::thread::JoinHandle;
+
+/// `spin_loop` rounds a member polls at an inner barrier before it
+/// parks: at ≈ 11 ns a round on the dev machine, about 45 µs — the
+/// imbalance two members of one wave typically finish with.
+const POLL_ROUNDS: usize = 4096;
+
+/// Number of threads the machine can usefully run —
+/// `std::thread::available_parallelism`, with a serial fallback when the
+/// runtime cannot tell. The size of the [`global`] team.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// The process-wide team, [`available_threads`] members strong. Its
+/// helpers are spawned by the first dispatch that uses more than one
+/// member and live, parked, for the rest of the process.
+pub fn global() -> &'static Team {
+    static TEAM: OnceLock<Team> = OnceLock::new();
+    TEAM.get_or_init(|| Team::new(available_threads()))
+}
+
+thread_local! {
+    /// Upper bound on the members a dispatch from this thread may use.
+    static LIMIT: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// Runs `f` with dispatches from this thread limited to `limit` team
+/// members (at least one: the caller). Limits nest by taking the
+/// minimum, and the previous limit is restored when `f` returns or
+/// unwinds. `with_limit(1, …)` is "run everything on this thread".
+pub fn with_limit<R>(limit: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            LIMIT.with(|l| l.set(self.0));
+        }
+    }
+    let _restore = Restore(LIMIT.with(|l| l.replace(l.get().min(limit.max(1)))));
+    f()
+}
+
+/// Locks tolerating poisoning: nothing in this module panics while it
+/// holds a lock, and the guarded state is valid at every step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// One dispatched job: the part function, the claim counter and the
+/// first panic. Lives on the dispatcher's stack for the length of
+/// [`Team::run_shared`].
+struct Job<'a> {
+    work: &'a (dyn Fn(usize) + Sync),
+    parts: usize,
+    next: AtomicUsize,
+    poisoned: AtomicBool,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Job<'_> {
+    /// Claims and runs parts until none are left or one has panicked.
+    fn drain(&self) {
+        loop {
+            let part = self.next.fetch_add(1, Ordering::Relaxed);
+            if part >= self.parts || self.poisoned.load(Ordering::Relaxed) {
+                return;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.work)(part))) {
+                self.poisoned.store(true, Ordering::Relaxed);
+                lock(&self.panic).get_or_insert(payload);
+                return;
+            }
+        }
+    }
+}
+
+/// A published [`Job`], lifetime erased so helper threads can hold it.
+#[derive(Clone, Copy)]
+struct JobRef(*const Job<'static>);
+
+// SAFETY: a `Job` is shared state built for concurrent use — its part
+// function is `Sync`, the rest is atomics and a mutex — and the pointer
+// is only dereferenced while the dispatcher keeps the job alive (see
+// `Team::run_shared`).
+unsafe impl Send for JobRef {}
+
+/// What the helpers and the dispatcher agree on, under one lock.
+struct Slot {
+    /// The job on offer, if any.
+    job: Option<JobRef>,
+    /// Bumped with every publication, so a helper joins a job once.
+    epoch: u64,
+    /// Helpers the current job still wants.
+    seats: usize,
+    /// Helpers waiting on `Shared::work`.
+    parked: usize,
+    shutdown: bool,
+}
+
+struct Shared {
+    slot: Mutex<Slot>,
+    /// Helpers park here between dispatches.
+    work: Condvar,
+    /// The dispatcher parks here until the last helper has left its job.
+    idle: Condvar,
+    /// Mirror of `Slot::epoch` a polling helper can read without the lock.
+    epoch: AtomicU64,
+    /// Helpers inside the current job. Raised under the slot lock (a
+    /// helper joins only a published job), lowered without it.
+    busy: AtomicUsize,
+    /// Live [`Hold`]s: callers that have announced further dispatches.
+    holds: AtomicUsize,
+}
+
+/// A dispatcher plus `size − 1` lazily spawned, parked helper threads.
+/// See the module docs; most callers want [`global`].
+pub struct Team {
+    size: usize,
+    shared: Arc<Shared>,
+    /// The helper handles. Held for the whole of a dispatch, which makes
+    /// it the "one job at a time" lock as well: a second dispatcher fails
+    /// `try_lock` and runs inline.
+    helpers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Team {
+    /// A team of `size` members (at least one, the dispatcher). No thread
+    /// is spawned until a dispatch needs it.
+    pub fn new(size: usize) -> Self {
+        Self {
+            size: size.max(1),
+            shared: Arc::new(Shared {
+                slot: Mutex::new(Slot {
+                    job: None,
+                    epoch: 0,
+                    seats: 0,
+                    parked: 0,
+                    shutdown: false,
+                }),
+                work: Condvar::new(),
+                idle: Condvar::new(),
+                epoch: AtomicU64::new(0),
+                busy: AtomicUsize::new(0),
+                holds: AtomicUsize::new(0),
+            }),
+            helpers: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Members including the dispatcher.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Members a dispatch from the calling thread would use at most: the
+    /// team size under the thread's [`with_limit`].
+    pub fn members(&self) -> usize {
+        self.size.min(LIMIT.with(Cell::get))
+    }
+
+    /// Announces that the caller is about to dispatch several jobs back to
+    /// back (the waves of one fleet run): until
+    /// the returned guard drops, a helper that runs out of parts polls
+    /// briefly for the next job instead of parking at once. Purely a
+    /// latency hint — results never depend on it — and free when no helper
+    /// exists. Holds nest.
+    pub fn hold(&self) -> Hold<'_> {
+        // Relaxed: a hint read by polling helpers, it publishes nothing.
+        self.shared.holds.fetch_add(1, Ordering::Relaxed);
+        Hold { team: self }
+    }
+
+    /// Runs `work(part)` once for every `part < parts` and returns when
+    /// all have finished. Parts must be independent: they run
+    /// concurrently on up to [`Self::members`] threads, in no particular
+    /// order — or all inline on the caller when the team is not to be
+    /// had (module docs). A panic in any part is re-raised here.
+    pub fn run(&self, parts: usize, work: impl Fn(usize) + Sync) {
+        let members = self.members().min(parts);
+        if members > 1 {
+            let helpers = match self.helpers.try_lock() {
+                Ok(guard) => Some(guard),
+                Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            };
+            if let Some(mut helpers) = helpers {
+                self.spawn_helpers(&mut helpers, members - 1);
+                if !helpers.is_empty() {
+                    let panic = self.run_shared(parts, helpers.len().min(members - 1), &work);
+                    drop(helpers);
+                    if let Some(payload) = panic {
+                        resume_unwind(payload);
+                    }
+                    return;
+                }
+            }
+        }
+        for part in 0..parts {
+            work(part);
+        }
+    }
+
+    /// [`Self::run`] over a list: `work(i, &mut items[i])` once for every
+    /// item, each item handed to exactly one member.
+    pub fn for_each<T: Send>(&self, items: &mut [T], work: impl Fn(usize, &mut T) + Sync) {
+        let base = ListPtr::new(items);
+        self.run(items.len(), |i| {
+            // SAFETY: `i < items.len()`, `items` is exclusively borrowed
+            // until `run` returns, and `run` hands out each part index
+            // once, so this is the only reference to item `i`.
+            work(i, unsafe { &mut *base.get().add(i) });
+        });
+    }
+
+    /// [`Self::run`] over consecutive runs of a list, each with a state of
+    /// its own: `work(p, &mut items[bounds[p]..bounds[p + 1]], &mut
+    /// state[p])` once for every `p < state.len()`. `bounds` must ascend
+    /// and end inside `items`; items before `bounds[0]` and after the
+    /// last bound are left alone.
+    pub fn for_each_run<T: Send, U: Send>(
+        &self,
+        items: &mut [T],
+        bounds: &[usize],
+        state: &mut [U],
+        work: impl Fn(usize, &mut [T], &mut U) + Sync,
+    ) {
+        assert_eq!(bounds.len(), state.len() + 1, "one run per state");
+        assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "bounds ascend");
+        assert!(bounds[state.len()] <= items.len(), "bounds end in the list");
+        let (base, states) = (ListPtr::new(items), ListPtr::new(state));
+        self.run(state.len(), |p| {
+            // SAFETY: both lists are exclusively borrowed until `run`
+            // returns and `run` hands out each part index once; the
+            // bounds were checked to ascend inside `items`, so the runs
+            // of distinct parts are disjoint and in bounds, and
+            // `p < state.len()`.
+            let (run, state) = unsafe {
+                let run = base.get().add(bounds[p]);
+                (
+                    std::slice::from_raw_parts_mut(run, bounds[p + 1] - bounds[p]),
+                    &mut *states.get().add(p),
+                )
+            };
+            work(p, run, state);
+        });
+    }
+
+    /// Tops the helper list up to `wanted` threads; a failed spawn leaves
+    /// the team smaller, never broken.
+    fn spawn_helpers(&self, helpers: &mut Vec<JoinHandle<()>>, wanted: usize) {
+        while helpers.len() < wanted {
+            let shared = Arc::clone(&self.shared);
+            match std::thread::Builder::new()
+                .name(format!("dlpic-team-{}", helpers.len() + 1))
+                .spawn(move || helper_loop(&shared))
+            {
+                Ok(handle) => helpers.push(handle),
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Publishes the job to `seats` helpers, drains it alongside them and
+    /// retires it; returns the first panic payload, if any. The caller
+    /// holds the `helpers` lock.
+    fn run_shared(
+        &self,
+        parts: usize,
+        seats: usize,
+        work: &(dyn Fn(usize) + Sync),
+    ) -> Option<Box<dyn Any + Send>> {
+        let shared = &*self.shared;
+        let job = Job {
+            work,
+            parts,
+            next: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            panic: Mutex::new(None),
+        };
+        // Only the lifetime is erased, so helper threads can hold the
+        // pointer. A helper reaches the job through the slot alone, joins
+        // it under the slot lock and counts itself in `busy` until its
+        // last access; below, the slot is cleared under that lock and
+        // this frame does not end before `busy` is back to zero — and
+        // nothing in between can unwind (parts run under `catch_unwind`).
+        let published = JobRef((&job as *const Job<'_>).cast::<Job<'static>>());
+        let parked = {
+            let mut slot = lock(&shared.slot);
+            slot.job = Some(published);
+            slot.seats = seats;
+            slot.epoch += 1;
+            // Release: a helper that polls the new epoch then takes the
+            // lock, which orders the slot's contents anyway; the mirror
+            // only has to be seen eventually.
+            shared.epoch.store(slot.epoch, Ordering::Release);
+            slot.parked
+        };
+        for _ in 0..seats.min(parked) {
+            shared.work.notify_one();
+        }
+        job.drain();
+        // Retire: no new joiners, then wait for those inside.
+        {
+            let mut slot = lock(&shared.slot);
+            slot.job = None;
+            slot.seats = 0;
+        }
+        // Whoever is still inside is running its last part, so poll
+        // briefly before paying for a parked wait. Acquire pairs with the
+        // helpers' Release decrement: their parts' writes are visible
+        // once `busy` reads 0.
+        for _ in 0..POLL_ROUNDS {
+            if shared.busy.load(Ordering::Acquire) == 0 {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        if shared.busy.load(Ordering::Acquire) != 0 {
+            let mut slot = lock(&shared.slot);
+            while shared.busy.load(Ordering::Acquire) != 0 {
+                slot = shared.idle.wait(slot).unwrap_or_else(|p| p.into_inner());
+            }
+        }
+        let payload = lock(&job.panic).take();
+        payload
+    }
+}
+
+/// The base pointer of a list whose elements the parts of one job share
+/// out between them.
+struct ListPtr<T>(*mut T);
+
+// SAFETY: the pointer is only used to hand each element to the one
+// member that runs its part, which needs `T: Send`, no more.
+unsafe impl<T: Send> Sync for ListPtr<T> {}
+
+impl<T> ListPtr<T> {
+    fn new(items: &mut [T]) -> Self {
+        Self(items.as_mut_ptr())
+    }
+
+    fn get(&self) -> *mut T {
+        self.0
+    }
+}
+
+/// The guard of [`Team::hold`].
+pub struct Hold<'a> {
+    team: &'a Team,
+}
+
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        self.team.shared.holds.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl Drop for Team {
+    fn drop(&mut self) {
+        lock(&self.shared.slot).shutdown = true;
+        self.shared.work.notify_all();
+        let helpers = self.helpers.get_mut().unwrap_or_else(|p| p.into_inner());
+        for handle in helpers.drain(..) {
+            // A helper only runs caught parts; it has no panic to report.
+            let _ = handle.join();
+        }
+    }
+}
+
+/// A helper's life: park until a job has a seat, drain it, poll for the
+/// next if one was announced, park again.
+fn helper_loop(shared: &Shared) {
+    let mut seen = 0u64;
+    loop {
+        let job = {
+            let mut slot = lock(&shared.slot);
+            loop {
+                if slot.shutdown {
+                    return;
+                }
+                match slot.job {
+                    Some(job) if slot.seats > 0 && slot.epoch != seen => {
+                        slot.seats -= 1;
+                        seen = slot.epoch;
+                        shared.busy.fetch_add(1, Ordering::Relaxed);
+                        break job;
+                    }
+                    _ => {
+                        // Nothing to join; remember what was on offer so
+                        // the poll below waits for something newer.
+                        seen = slot.epoch;
+                        slot.parked += 1;
+                        slot = shared.work.wait(slot).unwrap_or_else(|p| p.into_inner());
+                        slot.parked -= 1;
+                    }
+                }
+            }
+        };
+        // SAFETY: joined under the slot lock while the job was published
+        // and counted in `busy`, so the dispatcher keeps it alive until
+        // the decrement below (see `Team::run_shared`).
+        unsafe { (*job.0).drain() };
+        // Release: publishes this member's part outputs to the
+        // dispatcher's Acquire load. The job is not touched after this.
+        if shared.busy.fetch_sub(1, Ordering::Release) == 1 {
+            // Taking the lock orders this notify after the dispatcher's
+            // check-then-wait, so the wake-up cannot be lost.
+            let _slot = lock(&shared.slot);
+            shared.idle.notify_one();
+        }
+        // More work announced: the dispatcher is on its way here, poll
+        // for it; otherwise (or past the bound) park at the top.
+        for _ in 0..POLL_ROUNDS {
+            if shared.holds.load(Ordering::Relaxed) == 0
+                || shared.epoch.load(Ordering::Acquire) != seen
+            {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    #[test]
+    fn every_part_runs_exactly_once_at_any_team_size() {
+        for size in [1usize, 2, 3, 5] {
+            let team = Team::new(size);
+            for parts in [0usize, 1, 2, 7, 64] {
+                let hits: Vec<AtomicUsize> = (0..parts).map(|_| AtomicUsize::new(0)).collect();
+                team.run(parts, |p| {
+                    hits[p].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "size {size}, parts {parts}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_hands_every_item_to_one_member() {
+        for size in [1usize, 2, 3] {
+            let team = Team::new(size);
+            let mut items: Vec<(usize, u32)> = (0..37).map(|i| (i, 0)).collect();
+            team.for_each(&mut items, |i, item| {
+                assert_eq!(item.0, i);
+                item.1 += 1;
+            });
+            assert!(items.iter().all(|item| item.1 == 1), "size {size}");
+        }
+    }
+
+    #[test]
+    fn for_each_run_hands_every_run_and_its_state_to_one_member() {
+        for size in [1usize, 2, 3] {
+            let team = Team::new(size);
+            let mut items = vec![0u32; 20];
+            // Runs 2..5, 5..5 (empty), 5..17; items 0..2 and 17.. untouched.
+            let bounds = [2usize, 5, 5, 17];
+            let mut sums = [0usize; 3];
+            team.for_each_run(&mut items, &bounds, &mut sums, |p, run, sum| {
+                assert_eq!(run.len(), bounds[p + 1] - bounds[p]);
+                run.iter_mut().for_each(|v| *v += 1 + p as u32);
+                *sum += run.len();
+            });
+            assert_eq!(sums, [3, 0, 12], "size {size}");
+            let want: Vec<u32> = (0..20)
+                .map(|i| match i {
+                    2..=4 => 1,
+                    5..=16 => 3,
+                    _ => 0,
+                })
+                .collect();
+            assert_eq!(items, want, "size {size}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bounds ascend")]
+    fn for_each_run_rejects_overlapping_runs() {
+        Team::new(2).for_each_run(&mut [0u8; 8], &[0, 5, 3], &mut [(), ()], |_, _, _| {});
+    }
+
+    #[test]
+    fn a_one_member_team_never_spawns_a_thread() {
+        let team = Team::new(1);
+        let caller = std::thread::current().id();
+        team.run(8, |_| assert_eq!(std::thread::current().id(), caller));
+        assert!(lock(&team.helpers).is_empty());
+        // Neither does a bigger team under a limit of one.
+        let team = Team::new(3);
+        with_limit(1, || {
+            team.run(8, |_| assert_eq!(std::thread::current().id(), caller));
+        });
+        assert!(lock(&team.helpers).is_empty());
+    }
+
+    /// Two parts that can only finish together prove two threads ran
+    /// them; the barrier forces the interleaving instead of hoping for it.
+    #[test]
+    fn parts_really_run_on_different_threads() {
+        let team = Team::new(2);
+        let barrier = Barrier::new(2);
+        let ids = Mutex::new(Vec::new());
+        team.run(2, |_| {
+            barrier.wait();
+            lock(&ids).push(std::thread::current().id());
+        });
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), 2);
+        assert_ne!(ids[0], ids[1]);
+    }
+
+    #[test]
+    fn limits_nest_by_minimum_and_are_restored() {
+        let team = Team::new(4);
+        assert_eq!(team.members(), 4);
+        with_limit(3, || {
+            assert_eq!(team.members(), 3);
+            with_limit(8, || assert_eq!(team.members(), 3));
+            with_limit(0, || assert_eq!(team.members(), 1));
+            assert_eq!(team.members(), 3);
+        });
+        let unwound = catch_unwind(|| with_limit(2, || panic!("boom")));
+        assert!(unwound.is_err());
+        assert_eq!(team.members(), 4);
+    }
+
+    #[test]
+    fn a_nested_dispatch_runs_inline_with_the_same_parts() {
+        let team = Team::new(2);
+        let total = AtomicUsize::new(0);
+        team.run(4, |_| {
+            team.run(3, |_| {
+                total.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 12);
+    }
+
+    /// The helper is made to take the panicking part (the dispatcher's
+    /// part waits until someone else has claimed the other one), and the
+    /// payload still surfaces on the dispatching thread; the team works
+    /// afterwards.
+    #[test]
+    fn a_panic_on_a_helper_is_reraised_on_the_dispatcher() {
+        let team = Team::new(2);
+        let dispatcher = std::thread::current().id();
+        let barrier = Barrier::new(2);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            team.run(2, |_| {
+                barrier.wait();
+                if std::thread::current().id() != dispatcher {
+                    panic!("helper part failed");
+                }
+            });
+        }));
+        let payload = caught.expect_err("the panic must reach the dispatcher");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("helper part failed")
+        );
+        let count = AtomicUsize::new(0);
+        team.run(16, |_| {
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 16);
+    }
+
+    #[test]
+    fn concurrent_dispatchers_share_one_team_without_losing_parts() {
+        let team = Team::new(2);
+        let total = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    for _ in 0..200 {
+                        team.run(5, |_| {
+                            total.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 3 * 200 * 5);
+    }
+}

@@ -6,8 +6,10 @@
 //! admits queued runs (round-robin across tenants, capped at
 //! `max_sessions`), steps every admitted session in lockstep waves
 //! through [`WaveBatch`] — co-resident DL runs share one batched
-//! inference per wave, exactly like an [`Ensemble`](dlpic_repro::engine::Ensemble)
-//! — then briefly takes the control-plane lock to publish progress,
+//! inference per wave, exactly like an [`Ensemble`](dlpic_repro::engine::Ensemble),
+//! prepared and solved on the engine's worker team (every core the
+//! machine has; `status` and `health` report it as `wave_threads`) —
+//! then briefly takes the control-plane lock to publish progress,
 //! stream new diagnostics rows to watchers, evaluate early-stop
 //! policies and finalize finished runs. Checkpoints flush to the spool
 //! every `spool_interval` waves and on drain, so a killed server resumes
@@ -21,12 +23,13 @@
 
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use dlpic_repro::core::pool;
 use dlpic_repro::engine::json::{obj, Json};
 use dlpic_repro::engine::{
     estimate_session, Backend, Checkpoint, Engine, RunSummary, ScenarioSpec, Session, WaveBatch,
@@ -549,6 +552,11 @@ struct Inner {
     /// handlers account submissions without the engine (which the
     /// scheduler thread owns).
     profiler: WeightProfiler,
+    /// A handle on every open client connection, by accept order, so a
+    /// drain can hang up on them: handler threads are detached and would
+    /// otherwise outlive the server, answering for a scheduler that is
+    /// gone. A handler removes its entry when it exits.
+    conns: Mutex<Vec<(u64, Conn)>>,
 }
 
 // ---------------------------------------------------------------------
@@ -572,6 +580,18 @@ impl Conn {
             Self::Tcp(s) => Self::Tcp(s.try_clone()?),
             Self::Unix(s) => Self::Unix(s.try_clone()?),
         })
+    }
+
+    /// Ends the connection from the server's side: the handler's next
+    /// read sees end-of-stream and it exits, closing the socket. Only the
+    /// read half is shut, so a response or watch event already on its way
+    /// out (the `draining` acknowledgement itself, a final `job_done`)
+    /// still reaches the client.
+    fn hang_up(&self) {
+        let _ = match self {
+            Self::Tcp(s) => s.shutdown(Shutdown::Read),
+            Self::Unix(s) => s.shutdown(Shutdown::Read),
+        };
     }
 }
 
@@ -677,6 +697,7 @@ impl Server {
             tenant_max_queued: config.tenant_max_queued,
             spool_retain: config.spool_retain,
             profiler,
+            conns: Mutex::new(Vec::new()),
         });
 
         let mut threads = Vec::new();
@@ -902,6 +923,17 @@ fn load_spooled_job(
 // The scheduler.
 // ---------------------------------------------------------------------
 
+/// One admitted run on its way to a session: its control-plane address,
+/// what to build, and everything else of its job the build needs — read
+/// under the admission lock, so building takes no lock at all.
+struct Admission {
+    job: usize,
+    run: usize,
+    pending: PendingRun,
+    backend: Backend,
+    stop: Option<StopEval>,
+}
+
 /// A session the scheduler is stepping, with its control-plane address.
 struct ActiveRun {
     job: usize,
@@ -969,6 +1001,13 @@ impl Scheduler {
                     }
                     sh.stopped = true;
                     inner.wake.notify_all();
+                    drop(sh);
+                    // Nobody is left to serve them. `stopped` was set
+                    // first, so a connection accepted from here on is
+                    // hung up on by the acceptor instead.
+                    for (_, conn) in lock_conns(&inner).iter() {
+                        conn.hang_up();
+                    }
                     return;
                 }
                 let admissions = self.admit(&mut sh);
@@ -986,8 +1025,8 @@ impl Scheduler {
 
             // Build admitted sessions without holding the lock (model
             // setup is the expensive part of a DL run's lifecycle).
-            for (job, run, pending) in admissions {
-                self.build(job, run, pending);
+            for admission in admissions {
+                self.build(admission);
             }
 
             // One lockstep wave across every active session.
@@ -1061,7 +1100,7 @@ impl Scheduler {
     /// the control plane and returns what to build. Queued runs whose
     /// spec's circuit is open are failed here (`circuit-open`) without
     /// consuming a session slot.
-    fn admit(&mut self, sh: &mut Shared) -> Vec<(usize, usize, PendingRun)> {
+    fn admit(&mut self, sh: &mut Shared) -> Vec<Admission> {
         let now = Instant::now();
         let mut admissions = Vec::new();
         while self.active.len() + admissions.len() < self.inner.max_sessions {
@@ -1155,7 +1194,14 @@ impl Scheduler {
                 .take()
                 // analyze:allow(no-panic-in-request-path): scheduler-thread invariant — a Queued run always carries its pending work (set at submit and at spool resume), and this loop is the only taker
                 .unwrap_or_else(|| unreachable!("queued run without pending work"));
-            admissions.push((j, k, pending));
+            let request = &sh.jobs[j].request;
+            admissions.push(Admission {
+                job: j,
+                run: k,
+                pending,
+                backend: request.backend,
+                stop: request.stop.as_ref().map(|p| p.evaluator()),
+            });
             sh.last_tenant = Some(tenant);
         }
         admissions
@@ -1165,25 +1211,22 @@ impl Scheduler {
     /// activates it, or records the failure. Construction runs inside
     /// `catch_unwind`, so a panicking solver build fails one run, not the
     /// scheduler thread.
-    fn build(&mut self, job: usize, run: usize, pending: PendingRun) {
+    fn build(&mut self, admission: Admission) {
+        let Admission {
+            job,
+            run,
+            pending,
+            backend,
+            stop,
+        } = admission;
         let built = contained(|| match &pending {
-            PendingRun::Fresh(spec) => {
-                let backend = {
-                    let sh = self.inner.shared.lock().unwrap();
-                    sh.jobs[job].request.backend
-                };
-                self.engine.start(spec, backend)
-            }
+            PendingRun::Fresh(spec) => self.engine.start(spec, backend),
             PendingRun::Resume(ckpt) => self.engine.resume(ckpt),
         })
         .map_err(|panic| ServeError::Protocol(ProtoError::new("server-error", panic)))
         .and_then(|r| r.map_err(ServeError::from));
         match built {
             Ok(session) => {
-                let stop = {
-                    let sh = self.inner.shared.lock().unwrap();
-                    sh.jobs[job].request.stop.as_ref().map(|p| p.evaluator())
-                };
                 // Rows restored from a checkpoint were already streamed
                 // before the restart; only new rows go out.
                 let emitted = session.history().len();
@@ -1503,6 +1546,12 @@ fn summary_to_json(summary: &RunSummary) -> Json {
 // The data plane: acceptor + per-connection handlers.
 // ---------------------------------------------------------------------
 
+/// The connection registry, tolerating a poisoned lock: the list is
+/// valid after every push and retain.
+fn lock_conns(inner: &Inner) -> std::sync::MutexGuard<'_, Vec<(u64, Conn)>> {
+    inner.conns.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 fn accept_loop(listener: Listener, inner: Arc<Inner>) {
     let set_nonblocking = |l: &Listener| match l {
         Listener::Tcp(l) => l.set_nonblocking(true),
@@ -1511,6 +1560,7 @@ fn accept_loop(listener: Listener, inner: Arc<Inner>) {
     if set_nonblocking(&listener).is_err() {
         return;
     }
+    let mut next_id = 0u64;
     loop {
         if inner.shared.lock().unwrap().stopped {
             return;
@@ -1521,14 +1571,27 @@ fn accept_loop(listener: Listener, inner: Arc<Inner>) {
         };
         match accepted {
             Ok(conn) => {
+                // Register first, check `stopped` second: a drain sets
+                // `stopped` and then hangs up on what is registered, so
+                // one of the two always catches this connection.
+                let Ok(handle) = conn.try_clone() else {
+                    continue;
+                };
+                let id = next_id;
+                next_id += 1;
+                lock_conns(&inner).push((id, handle));
+                if inner.shared.lock().unwrap().stopped {
+                    conn.hang_up();
+                }
                 let inner = Arc::clone(&inner);
-                // Handlers are detached: they die with the process, and
-                // a drained in-process server only joins scheduler +
-                // acceptor.
+                // Handlers are detached: a drained in-process server only
+                // joins scheduler + acceptor, and the drain's hang-up is
+                // what ends them.
                 let _ = std::thread::Builder::new()
                     .name("dlpic-serve-conn".into())
                     .spawn(move || {
-                        let _ = handle_connection(conn, inner);
+                        let _ = handle_connection(conn, &inner);
+                        lock_conns(&inner).retain(|(c, _)| *c != id);
                     });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -1539,14 +1602,14 @@ fn accept_loop(listener: Listener, inner: Arc<Inner>) {
     }
 }
 
-fn handle_connection(conn: Conn, inner: Arc<Inner>) -> std::io::Result<()> {
+fn handle_connection(conn: Conn, inner: &Arc<Inner>) -> std::io::Result<()> {
     let mut reader = BufReader::new(conn.try_clone()?);
     let mut writer = conn;
     while let Some(line) = protocol::read_line(&mut reader)? {
         let request = line.and_then(|text| protocol::parse_request(&text));
         match request {
             Err(e) => send_line(&mut writer, &protocol::error_response(&e))?,
-            Ok(request) => handle_request(request, &inner, &mut writer)?,
+            Ok(request) => handle_request(request, inner, &mut writer)?,
         }
     }
     Ok(())
@@ -1810,8 +1873,16 @@ fn status(inner: &Arc<Inner>, job: Option<&str>) -> Result<Vec<(&'static str, Js
         ("backlog", backlog_json(&sh)),
         ("budget", budget_json(inner, &sh)),
         ("wave_latency", sh.wave_latency.to_json()),
+        ("wave_threads", wave_threads()),
         ("jobs", Json::Arr(jobs_json)),
     ])
+}
+
+/// The worker-team members the scheduler's waves run on — the cores the
+/// daemon was given. The first thing to look at when `wave_latency` reads
+/// slow: "the daemon had one core" is an answer.
+fn wave_threads() -> Json {
+    Json::Num(pool::team().size() as f64)
 }
 
 /// Per-tenant backlog depth: every tenant in the table, with its queued
@@ -1887,7 +1958,7 @@ fn budget_json(inner: &Inner, sh: &Shared) -> Json {
 /// The `health` op: liveness/readiness plus the load signals a client or
 /// balancer needs to decide whether to send work here — session and
 /// backlog occupancy, budget occupancy, breaker state, and the wave
-/// latency distribution.
+/// latency distribution with the number of cores those waves ran on.
 fn health(inner: &Arc<Inner>) -> Result<Vec<(&'static str, Json)>, ProtoError> {
     let sh = inner.shared.lock().unwrap();
     let active = sh.active_runs();
@@ -1908,6 +1979,7 @@ fn health(inner: &Arc<Inner>) -> Result<Vec<(&'static str, Json)>, ProtoError> {
         ),
         ("breaker_trips", Json::Num(sh.breakers.total_trips() as f64)),
         ("wave_latency", sh.wave_latency.to_json()),
+        ("wave_threads", wave_threads()),
     ])
 }
 

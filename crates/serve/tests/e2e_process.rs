@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use dlpic_repro::core::Scale;
+use dlpic_repro::core::{pool, Scale};
 use dlpic_repro::engine::json::Json;
 use dlpic_repro::engine::{Backend, EnergyHistory, Engine, SweepSpec};
 use dlpic_serve::client::Client;
@@ -25,12 +25,26 @@ struct Daemon {
 
 impl Daemon {
     fn spawn(extra: &[&str]) -> Self {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_dlpic-serve"))
+        Self::spawn_under(&[], extra).expect("spawn dlpic-serve")
+    }
+
+    /// [`Self::spawn`] with the daemon launched through a wrapper command
+    /// (`taskset -c 0`, say); `Err` when the wrapper cannot be run.
+    fn spawn_under(wrapper: &[&str], extra: &[&str]) -> std::io::Result<Self> {
+        let serve = env!("CARGO_BIN_EXE_dlpic-serve");
+        let mut command = match wrapper.split_first() {
+            Some((program, args)) => {
+                let mut command = Command::new(program);
+                command.args(args).arg(serve);
+                command
+            }
+            None => Command::new(serve),
+        };
+        let mut child = command
             .args(["--listen", "127.0.0.1:0", "--spool-interval", "1"])
             .args(extra)
             .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn dlpic-serve");
+            .spawn()?;
         let stdout = child.stdout.take().expect("stdout");
         let mut line = String::new();
         BufReader::new(stdout)
@@ -41,7 +55,7 @@ impl Daemon {
             .unwrap_or_else(|| panic!("unexpected ready line {line:?}"))
             .trim()
             .to_string();
-        Self { child, addr }
+        Ok(Self { child, addr })
     }
 
     fn kill(mut self) {
@@ -196,6 +210,69 @@ fn killed_daemon_resumes_from_spool_bit_identically() {
     cli(&["drain", "--addr", &daemon.addr]);
     let _ = daemon.wait_timeout_drop();
     let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A 16-run DL job at the paper's scale — one cohort of two 8-row panels,
+/// a 25 MB model: every wave's prepare and inference go through the
+/// scheduler's worker team — ships histories equal to the direct runs,
+/// whether the daemon has every core of the machine or, pinned by
+/// `taskset`, exactly one (`available_threads() == 1`: no helper thread,
+/// every part inline). `status` says which it was.
+#[test]
+fn served_histories_equal_direct_runs_on_the_team_and_on_one_core() {
+    let seeds: Vec<u64> = (1..=16).collect();
+    let job = JobRequest::sweep(
+        SweepSpec::grid("two_stream", Scale::Paper).seeds(seeds),
+        Backend::Dl1D,
+    )
+    .with_steps(3);
+    let direct: Vec<(String, EnergyHistory)> = job
+        .expand()
+        .expect("expand")
+        .iter()
+        .map(|spec| {
+            let solo = Engine::new().run(spec, Backend::Dl1D).expect("direct run");
+            (spec.name.clone(), solo.history)
+        })
+        .collect();
+
+    let pinned: &[&str] = &["taskset", "-c", "0"];
+    for (wrapper, want_threads) in [(&[][..], pool::available_threads()), (pinned, 1)] {
+        let daemon = match Daemon::spawn_under(wrapper, &[]) {
+            Ok(daemon) => daemon,
+            Err(e) => {
+                eprintln!("skipping the {wrapper:?} half: cannot run the wrapper ({e})");
+                continue;
+            }
+        };
+        let mut client = Client::connect(&daemon.addr).expect("connect");
+        let (id, runs) = client.submit(&job, "e2e").expect("submit");
+        assert_eq!(runs, 16);
+        let results = client
+            .wait_for(&id, Duration::from_millis(10))
+            .expect("wait");
+        assert_eq!(results.len(), 16);
+        for (result, (name, history)) in results.iter().zip(&direct) {
+            assert_eq!(&result.name, name);
+            assert_eq!(result.state, "done");
+            let served = EnergyHistory::from_json_value(result.summary.field("history").unwrap())
+                .expect("history parses");
+            assert_eq!(&served, history, "{name} under {wrapper:?}");
+        }
+        let status = client.status(None).expect("status");
+        assert_eq!(
+            status.field("wave_threads").and_then(Json::as_usize),
+            Ok(want_threads),
+            "under {wrapper:?}"
+        );
+        let health = client.health().expect("health");
+        assert_eq!(
+            health.field("wave_threads").and_then(Json::as_usize),
+            Ok(want_threads)
+        );
+        client.drain().expect("drain");
+        let _ = daemon.wait_timeout_drop();
+    }
 }
 
 trait WaitTimeout {

@@ -546,70 +546,93 @@ fn read_timeout_surfaces_as_typed_timeout() {
 /// `wait_for_retry` rides out a full server restart: the poll fails while
 /// the server is down, reconnects with backoff against the same address,
 /// and returns results from the resumed fleet.
+///
+/// Twenty restarts in a row, because the failure this guards against is a
+/// race: a connection accepted in the instant before the drain used to
+/// keep its (detached) handler, which went on answering `status` for a
+/// scheduler that no longer existed — the run forever `active`, the
+/// waiter never erroring into its retry path. A drain now hangs up on
+/// every connection. The first nineteen rounds cancel the job once the
+/// waiter has crossed the restart; the last lets it finish and checks the
+/// history against the direct run.
 #[test]
 fn wait_for_retry_survives_a_server_restart() {
-    let spool = temp_dir("retry");
-    let socket = std::env::temp_dir().join(format!("dlpic-retry-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&socket);
-    let listen = format!("unix:{}", socket.display());
-
-    let server = Server::start(
-        ServeConfig::default()
-            .listen(listen.as_str())
-            .spool(&spool)
-            .spool_interval(1),
-    )
-    .expect("start");
-    let mut client = Client::connect(server.addr()).expect("connect");
+    const ROUNDS: usize = 20;
     let job = JobRequest::sweep(
         SweepSpec::grid("two_stream", Scale::Smoke).seeds([5]),
         Backend::Traditional1D,
     )
     .with_steps(20_000);
-    let (id, _) = client.submit(&job, "alice").expect("submit");
-    loop {
-        let states = run_states(&mut client, &id);
-        assert!(states.iter().all(|(s, _, _)| s != "done"), "budget");
-        if states.iter().all(|(_, steps, _)| *steps >= 1) {
-            break;
+    for round in 0..ROUNDS {
+        let spool = temp_dir(&format!("retry-{round}"));
+        let socket =
+            std::env::temp_dir().join(format!("dlpic-retry-{}-{round}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&socket);
+        let listen = format!("unix:{}", socket.display());
+
+        let server = Server::start(
+            ServeConfig::default()
+                .listen(listen.as_str())
+                .spool(&spool)
+                .spool_interval(1),
+        )
+        .expect("start");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let (id, _) = client.submit(&job, "alice").expect("submit");
+        loop {
+            let states = run_states(&mut client, &id);
+            assert!(states.iter().all(|(s, _, _)| s != "done"), "budget");
+            if states.iter().all(|(_, steps, _)| *steps >= 1) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
         }
-        std::thread::sleep(Duration::from_millis(2));
+
+        let (waiter_listen, waiter_id) = (listen.clone(), id.clone());
+        let waiter = std::thread::spawn(move || {
+            let mut client = Client::connect(&waiter_listen).expect("waiter connect");
+            client.wait_for_retry(&waiter_id, Duration::from_millis(10), Backoff::attempts(30))
+        });
+
+        // Take the server down mid-poll, then bring it back on the same
+        // address from the spool.
+        client.drain().expect("drain");
+        server.wait();
+        std::thread::sleep(Duration::from_millis(if round + 1 == ROUNDS {
+            300
+        } else {
+            30
+        }));
+        let server = Server::start(
+            ServeConfig::default()
+                .listen(listen.as_str())
+                .resume(&spool),
+        )
+        .expect("resume");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let last = round + 1 == ROUNDS;
+        if !last {
+            client.cancel(&id).expect("cancel");
+        }
+
+        let results = waiter
+            .join()
+            .expect("waiter thread")
+            .unwrap_or_else(|e| panic!("round {round}: wait_for_retry: {e}"));
+        if last {
+            assert_eq!(results.len(), 1);
+            assert_eq!(results[0].state, "done");
+            let solo = Engine::new()
+                .run(&job.expand().expect("expand")[0], Backend::Traditional1D)
+                .expect("solo");
+            assert_eq!(history_of(&results[0].summary), solo.history);
+        }
+
+        client.drain().expect("drain");
+        server.wait();
+        let _ = std::fs::remove_dir_all(&spool);
+        let _ = std::fs::remove_file(&socket);
     }
-
-    let (waiter_listen, waiter_id) = (listen.clone(), id.clone());
-    let waiter = std::thread::spawn(move || {
-        let mut client = Client::connect(&waiter_listen).expect("waiter connect");
-        client.wait_for_retry(&waiter_id, Duration::from_millis(10), Backoff::attempts(30))
-    });
-
-    // Take the server down mid-poll, then bring it back on the same
-    // address from the spool.
-    client.drain().expect("drain");
-    server.wait();
-    std::thread::sleep(Duration::from_millis(300));
-    let server = Server::start(
-        ServeConfig::default()
-            .listen(listen.as_str())
-            .resume(&spool),
-    )
-    .expect("resume");
-
-    let results = waiter
-        .join()
-        .expect("waiter thread")
-        .expect("wait_for_retry");
-    assert_eq!(results.len(), 1);
-    assert_eq!(results[0].state, "done");
-    let solo = Engine::new()
-        .run(&job.expand().expect("expand")[0], Backend::Traditional1D)
-        .expect("solo");
-    assert_eq!(history_of(&results[0].summary), solo.history);
-
-    let mut client = Client::connect(server.addr()).expect("connect");
-    client.drain().expect("drain");
-    server.wait();
-    let _ = std::fs::remove_dir_all(&spool);
-    let _ = std::fs::remove_file(&socket);
 }
 
 // ---------------------------------------------------------------------

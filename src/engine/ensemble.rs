@@ -17,21 +17,42 @@
 //!   output row.
 //!   Monolithic backends (traditional, Vlasov, distributed) run whole
 //!   steps in the same wave.
-//! * [`Ensemble::run_to_end`] distributes sessions across worker threads
-//!   (contiguous chunks via [`core::pool`](crate::core::pool); the
-//!   workspace's `rayon` is a sequential shim). Each chunk batches its
-//!   own cohorts with its own warm scratch, so there is no cross-thread
-//!   synchronization until the join.
+//! * Every wave runs on the process-wide worker **team**
+//!   ([`core::pool`](crate::core::pool): the calling thread plus parked
+//!   helpers, [`pool::available_threads`] members in all). The team sits
+//!   *under* the wave, not around it: a cohort of sixteen rows or more
+//!   (over a model big enough to be worth it) is cut into **panels** of
+//!   at least eight consecutive members, one per team member, and the
+//!   wave is one dispatch — whoever claims a panel prepares its rows,
+//!   runs their batched inference through the weights every member
+//!   shares, and applies them, with no synchronization but the barrier
+//!   that ends the wave. Each core streams the weights once for its own
+//!   rows and keeps its activations in its own cache. A smaller cohort is
+//!   a single panel on the calling thread, a solo [`Session::step`] is a
+//!   cohort of one, and a serve scheduler's [`WaveBatch`] gets the same
+//!   team with no configuration. [`Ensemble::run_to_end`]`(threads)` caps
+//!   the members its waves may use at `threads`; at 1 everything runs on
+//!   the calling thread.
 //!
 //! ## Determinism
 //!
-//! Per-run results are **bit-identical to solo runs** at any thread
-//! count: a session is driven by exactly one worker; its prepare/apply
-//! phases touch only its own state; and the batched inference is
-//! row-stable (row `i` of an `m`-row GEMM equals the 1-row product
-//! bitwise — see `nn::linalg`), so cohort composition cannot perturb any
-//! session's arithmetic. `tests/ensemble_api.rs` asserts this for every
-//! backend family at 1 and T > 1 threads.
+//! Per-run results are **bit-identical to solo runs** at any team size,
+//! because nothing a session computes depends on who computed it or in
+//! what company:
+//!
+//! * prepare and apply touch only the session's own state and its own
+//!   row of its panel's buffers — a member of the team does to a session
+//!   exactly what the serial loop did, so the claiming race decides
+//!   which core, never which bits;
+//! * the batched inference is **row-stable** (row `i` of an `m`-row GEMM
+//!   equals the 1-row product bitwise: every output element is one
+//!   sequential multiply-add chain over ascending `k` from `+0.0` — see
+//!   `nn::linalg`), so neither the cohort's composition nor the way it
+//!   is cut into panels can perturb any session's arithmetic.
+//!
+//! `tests/ensemble_api.rs` asserts this for every backend family at
+//! 1, 2 and 3 threads, across a checkpoint taken under one team size and
+//! resumed under another, and with a member panicking on a helper.
 //!
 //! Cohort batching runs every row through **one member's network**. That
 //! is sound because an engine configures at most one model per dimension,
@@ -369,19 +390,54 @@ impl SweepSpec {
 // The ensemble scheduler.
 // ---------------------------------------------------------------------
 
-/// Reusable wave buffers: the stacked inference inputs/outputs of one
-/// cohort. Warm after the first wave, so steady-state stepping performs
-/// no heap allocation.
+/// Reusable wave buffers: the wave's work lists and one
+/// [`PanelScratch`] per panel. Warm after the first wave, so steady-state
+/// stepping performs no heap allocation.
 #[derive(Default)]
 struct WaveScratch {
-    input: Vec<f32>,
-    output: Vec<f32>,
     /// `(cohort key, member indices)` work list, reused across waves.
     cohorts: Vec<(CohortKey, Vec<usize>)>,
     solo: Vec<usize>,
-    /// Cohort members whose prepare phase survived this wave (faulted
-    /// members drop out and the surviving rows compact down).
+    /// One per panel of the widest cohort seen so far.
+    panels: Vec<PanelScratch>,
+    /// Where in the session list each panel's run starts (and the last
+    /// one ends): what [`pool::Team::for_each_run`] cuts the list at.
+    bounds: Vec<usize>,
+}
+
+/// One panel's buffers: the stacked inference inputs/outputs of its rows.
+#[derive(Default)]
+struct PanelScratch {
+    input: Vec<f32>,
+    output: Vec<f32>,
+    /// Panel members whose prepare phase survived this wave (a faulted
+    /// member's row slot is reused by the next survivor).
     live: Vec<usize>,
+    /// Members that completed the step.
+    stepped: usize,
+}
+
+/// Fewest rows worth a panel of their own: one register tile of the GEMM
+/// kernels, the height from which a pass over the weights is compute- and
+/// no longer bandwidth-bound (paper model: 1.0 ms for one row, 1.7 ms for
+/// eight, 2.8 ms for sixteen).
+const PANEL_ROWS: usize = 8;
+
+/// Smallest shared model, in bytes of weights, whose cohort is cut into
+/// panels at all: below it a whole wave is shorter than the wake-up of a
+/// parked helper (the registry's smoke models are a few kilobytes).
+const MIN_PANEL_WEIGHT_BYTES: usize = 1 << 20;
+
+/// How many panels a cohort of `m` rows over `weight_bytes` of shared
+/// weights is cut into: one per team member the calling thread may use,
+/// as long as every panel gets [`PANEL_ROWS`] rows — so a cohort under
+/// sixteen rows, and any cohort under a limit of one member, is a single
+/// panel on the calling thread.
+fn panel_count(m: usize, weight_bytes: usize) -> usize {
+    if weight_bytes < MIN_PANEL_WEIGHT_BYTES {
+        return 1;
+    }
+    (m / PANEL_ROWS).clamp(1, pool::team().members())
 }
 
 /// What must agree for sessions to share one batched inference: backend
@@ -431,9 +487,116 @@ fn contained<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(panic_message)
 }
 
+/// One panel of a cohort's wave, start to finish on whichever team member
+/// claimed it. `members` are the panel's session indices (ascending), and
+/// `run` is the stretch of the session list that holds them, starting at
+/// index `base`.
+///
+/// Phase 1: every member prepares its row (and records its diagnostics
+/// sample, exactly as a monolithic step would); a member whose prepare
+/// panics is quarantined and its row slot is reused by the next survivor.
+/// Phase 2: ONE inference for the panel, through its first survivor's
+/// solver (identical weights across members by construction; row-stable
+/// kernels make each row bit-equal to a solo solve). If that shared
+/// inference panics, fall back to per-member 1-row inference —
+/// bit-identical rows again — so only the member whose own network panics
+/// is lost. Phase 3: scatter the rows back, then divergence-check the
+/// step's recorded diagnostics.
+fn step_panel<S: SessionSlot>(
+    run: &mut [S],
+    base: usize,
+    members: &[usize],
+    (in_w, out_w): (usize, usize),
+    panel: &mut PanelScratch,
+) {
+    let PanelScratch {
+        input,
+        output,
+        live,
+        stepped,
+    } = panel;
+    input.resize(members.len() * in_w, 0.0);
+    output.resize(members.len() * out_w, 0.0);
+    live.clear();
+    *stepped = 0;
+    for &i in members {
+        let r = live.len();
+        let row = &mut input[r * in_w..(r + 1) * in_w];
+        let session = run[i - base].session();
+        match contained(|| {
+            session.step_prepare(row);
+        }) {
+            Ok(()) => live.push(i),
+            Err(message) => session.set_fault(SessionFault::Panicked { message }),
+        }
+    }
+    let m = live.len();
+    if m == 0 {
+        return;
+    }
+    let batch_ok = contained(|| {
+        run[live[0] - base]
+            .session()
+            .infer_batch(&input[..m * in_w], m, &mut output[..m * out_w]);
+    })
+    .is_ok();
+    if !batch_ok {
+        for (r, &i) in live.iter().enumerate() {
+            let session = run[i - base].session();
+            if let Err(message) = contained(|| {
+                session.infer_batch(
+                    &input[r * in_w..(r + 1) * in_w],
+                    1,
+                    &mut output[r * out_w..(r + 1) * out_w],
+                );
+            }) {
+                session.set_fault(SessionFault::Panicked { message });
+            }
+        }
+    }
+    for (r, &i) in live.iter().enumerate() {
+        let session = run[i - base].session();
+        if !session.is_healthy() {
+            continue;
+        }
+        match contained(|| {
+            session.step_apply(&output[r * out_w..(r + 1) * out_w]);
+        }) {
+            Ok(()) => {
+                *stepped += 1;
+                session.check_health();
+            }
+            Err(message) => session.set_fault(SessionFault::Panicked { message }),
+        }
+    }
+}
+
+/// One whole step of a session that does not batch, panics contained and
+/// the history divergence-checked. Returns whether the step ran.
+fn step_solo(session: &mut Session) -> bool {
+    match contained(|| {
+        session.step();
+    }) {
+        Ok(()) => {
+            session.check_health();
+            true
+        }
+        Err(message) => {
+            session.set_fault(SessionFault::Panicked { message });
+            false
+        }
+    }
+}
+
 /// Steps every unfinished, healthy session in `sessions` once:
-/// phase-split sessions in batched cohorts, the rest solo. Returns how
-/// many sessions advanced.
+/// phase-split sessions in batched cohorts on the worker team, the rest
+/// solo on the calling thread. Returns how many sessions advanced.
+///
+/// A cohort is cut into [`panel_count`] panels of consecutive members and
+/// the wave is ONE dispatch to the team: each panel is prepared, inferred
+/// (one batched inference per panel, through the weights all members
+/// share) and applied by the member that claimed it ([`step_panel`]), so
+/// the wave's only synchronization is the barrier at its end.
 ///
 /// Fault containment: each session's prepare/apply/solo step runs with
 /// panics contained, and its history is divergence-checked after the
@@ -441,10 +604,10 @@ fn contained<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 /// dropped from this and every later wave with its partial history
 /// intact — and cannot perturb its cohort: surviving rows compact down
 /// (row-stable inference makes every row bit-identical at any batch
-/// height), and if the *shared* batched inference itself panics, the
-/// wave degrades to per-member 1-row inference so one poisoned network
-/// only takes down its own run.
-fn step_wave<S: SessionSlot>(sessions: &mut [S], scratch: &mut WaveScratch) -> usize {
+/// height), and if a panel's *shared* batched inference itself panics,
+/// that panel degrades to per-member 1-row inference so one poisoned
+/// network only takes down its own run.
+fn step_wave<S: SessionSlot + Send>(sessions: &mut [S], scratch: &mut WaveScratch) -> usize {
     for (_, members) in &mut scratch.cohorts {
         members.clear();
     }
@@ -466,106 +629,35 @@ fn step_wave<S: SessionSlot>(sessions: &mut [S], scratch: &mut WaveScratch) -> u
         }
     }
     let mut stepped = 0;
-    for c in 0..scratch.cohorts.len() {
-        // Move the member list out so `sessions` and the scratch buffers
-        // can be borrowed independently of the cohort list.
-        let members = std::mem::take(&mut scratch.cohorts[c].1);
-        if members.is_empty() {
-            scratch.cohorts[c].1 = members;
-            continue;
-        }
-        let (in_w, out_w) = scratch.cohorts[c].0 .2;
-        scratch.input.resize(members.len() * in_w, 0.0);
-        scratch.output.resize(members.len() * out_w, 0.0);
-        // Phase 1: every member prepares its row (and records its
-        // diagnostics sample, exactly as a monolithic step would). A
-        // member whose prepare panics is quarantined and its row slot is
-        // reused by the next survivor.
-        scratch.live.clear();
-        for &i in &members {
-            let r = scratch.live.len();
-            let row = &mut scratch.input[r * in_w..(r + 1) * in_w];
-            match contained(|| {
-                sessions[i].session().step_prepare(row);
-            }) {
-                Ok(()) => scratch.live.push(i),
-                Err(message) => sessions[i]
-                    .session()
-                    .set_fault(SessionFault::Panicked { message }),
-            }
-        }
-        let m = scratch.live.len();
+    for (key, members) in &scratch.cohorts {
+        let m = members.len();
         if m == 0 {
-            scratch.cohorts[c].1 = members;
             continue;
         }
-        // Phase 2: ONE inference for the whole cohort, through the first
-        // survivor's solver (identical weights across members by
-        // construction; row-stable kernels make each row bit-equal to a
-        // solo solve). If the shared inference panics, fall back to
-        // per-member 1-row inference — bit-identical rows again — so
-        // only the member whose own network panics is lost.
-        let leader = scratch.live[0];
-        let batch_ok = contained(|| {
-            sessions[leader].session().infer_batch(
-                &scratch.input[..m * in_w],
-                m,
-                &mut scratch.output[..m * out_w],
-            );
-        })
-        .is_ok();
-        if !batch_ok {
-            for r in 0..m {
-                let i = scratch.live[r];
-                let result = contained(|| {
-                    sessions[i].session().infer_batch(
-                        &scratch.input[r * in_w..(r + 1) * in_w],
-                        1,
-                        &mut scratch.output[r * out_w..(r + 1) * out_w],
-                    );
-                });
-                if let Err(message) = result {
-                    sessions[i]
-                        .session()
-                        .set_fault(SessionFault::Panicked { message });
-                }
-            }
+        let weight_bytes = sessions[members[0]]
+            .session()
+            .weight_storage()
+            .map_or(0, |(_, bytes)| bytes);
+        let parts = panel_count(m, weight_bytes);
+        // Panel `p` takes members `p·m/parts .. (p+1)·m/parts`; its run of
+        // the session list starts at its first member and ends where the
+        // next panel's starts.
+        let first = |p: usize| p * m / parts;
+        if scratch.panels.len() < parts {
+            scratch.panels.resize_with(parts, PanelScratch::default);
         }
-        // Phase 3: scatter the rows back, then divergence-check the
-        // step's recorded diagnostics.
-        for r in 0..m {
-            let i = scratch.live[r];
-            if !sessions[i].session().is_healthy() {
-                continue;
-            }
-            match contained(|| {
-                sessions[i]
-                    .session()
-                    .step_apply(&scratch.output[r * out_w..(r + 1) * out_w]);
-            }) {
-                Ok(()) => {
-                    stepped += 1;
-                    sessions[i].session().check_health();
-                }
-                Err(message) => sessions[i]
-                    .session()
-                    .set_fault(SessionFault::Panicked { message }),
-            }
-        }
-        scratch.cohorts[c].1 = members;
+        scratch.bounds.clear();
+        scratch.bounds.extend((0..parts).map(|p| members[first(p)]));
+        scratch.bounds.push(sessions.len());
+        let (bounds, panels) = (&scratch.bounds, &mut scratch.panels[..parts]);
+        pool::team().for_each_run(sessions, bounds, panels, |p, run, panel| {
+            let mine = &members[first(p)..first(p + 1)];
+            step_panel(run, bounds[p], mine, key.2, panel);
+        });
+        stepped += panels.iter().map(|panel| panel.stepped).sum::<usize>();
     }
     for &i in &scratch.solo {
-        match contained(|| {
-            sessions[i].session().step();
-        }) {
-            Ok(()) => {
-                stepped += 1;
-                sessions[i].session().check_health();
-            }
-            Err(message) => sessions[i]
-                .session()
-                .set_fault(SessionFault::Panicked { message }),
-        }
+        stepped += usize::from(step_solo(sessions[i].session()));
     }
     stepped
 }
@@ -575,11 +667,13 @@ fn step_wave<S: SessionSlot>(sessions: &mut [S], scratch: &mut WaveScratch) -> u
 /// (e.g. a server multiplexing many independent jobs). Each call batches
 /// the slice's phase-split sessions into DL cohorts exactly like an
 /// ensemble wave, so co-resident DL runs share one batched inference even
-/// though they belong to different owners. Scratch buffers are warm after
-/// the first wave.
+/// though they belong to different owners — and a cohort wide enough to
+/// be cut into panels runs on the worker team ([`pool::team`]), with
+/// nothing to configure. Scratch buffers are warm after the first wave.
 ///
 /// The same determinism contract applies: each session's results are
-/// bit-identical to a solo run regardless of what else shares the wave.
+/// bit-identical to a solo run regardless of what else shares the wave
+/// and of how many cores ran it.
 #[derive(Default)]
 pub struct WaveBatch {
     scratch: WaveScratch,
@@ -602,8 +696,8 @@ impl WaveBatch {
 /// A fleet of concurrently advancing sessions — the ensemble execution
 /// layer. Create with [`Engine::start_ensemble`](super::Engine::start_ensemble)
 /// or [`Engine::start_sweep`](super::Engine::start_sweep); drive with
-/// [`Self::step_wave`] (incremental, single-threaded) or
-/// [`Self::run_to_end`] (multi-core); consume with [`Self::finish`].
+/// [`Self::step_wave`] (incremental) or [`Self::run_to_end`] (to the end,
+/// on a chosen number of threads); consume with [`Self::finish`].
 ///
 /// Sessions keep their full [`Session`] capabilities: per-run histories,
 /// observers (attach via [`Self::session_mut`]), and checkpointing —
@@ -664,26 +758,40 @@ impl Ensemble {
             .collect()
     }
 
-    /// Advances every unfinished run by one step on the calling thread —
-    /// DL cohorts share one batched inference per wave. Returns how many
-    /// runs advanced (0 when complete). The incremental form of
+    /// Advances every unfinished run by one step — DL cohorts share one
+    /// batched inference per wave (per panel, on the worker team, when
+    /// the cohort is wide enough to be cut up). Returns how many runs
+    /// advanced (0 when complete). The incremental form of
     /// [`Self::run_to_end`]; between waves the caller may sample
     /// histories, checkpoint, or stop early.
     pub fn step_wave(&mut self) -> usize {
         step_wave(&mut self.sessions, &mut self.scratch)
     }
 
-    /// Runs every session to its configured end across `threads` worker
-    /// threads ([`pool::available_threads`] is the natural argument).
-    /// Sessions are partitioned into contiguous chunks, one worker per
-    /// chunk, each batching its own cohorts — no cross-thread
-    /// synchronization until the final join, and per-run results
-    /// bit-identical to solo runs at any thread count (see the module
-    /// docs).
+    /// Runs every session to its configured end on at most `threads`
+    /// members of the worker team ([`pool::available_threads`] is the
+    /// natural argument; 1 keeps everything on the calling thread).
+    /// Phase-split (DL) sessions advance in lockstep waves, the team
+    /// under each wave; sessions that do not batch share nothing with
+    /// anyone, so each runs to its end as one part of a single dispatch.
+    /// Per-run results are bit-identical to solo runs at any thread count
+    /// (see the module docs).
     pub fn run_to_end(&mut self, threads: usize) {
-        pool::for_each_chunk(threads, &mut self.sessions, |_chunk, sessions| {
-            let mut scratch = WaveScratch::default();
-            while step_wave(sessions, &mut scratch) > 0 {}
+        pool::with_limit(threads, || {
+            let mut monolithic: Vec<&mut Session> = self
+                .sessions
+                .iter_mut()
+                .filter_map(|s| s.batched_infer_shape().is_none().then_some(s))
+                .collect();
+            pool::team().for_each(&mut monolithic, |_, session| {
+                while !session.is_complete() && session.is_healthy() {
+                    step_solo(session);
+                }
+            });
+            // The waves follow each other without a pause: keep the
+            // helpers from parking between one wave and the next.
+            let _hold = pool::team().hold();
+            while step_wave(&mut self.sessions, &mut self.scratch) > 0 {}
         });
     }
 

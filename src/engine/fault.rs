@@ -13,6 +13,12 @@ use super::session::BackendSession;
 pub enum FaultKind {
     /// Panic inside the step (exercises panic containment).
     Panic,
+    /// Panic inside the batched inference phase (exercises the degraded
+    /// per-member fallback). A wave runs each shared inference through
+    /// the first live member of a panel of its cohort, so the rule only
+    /// trips on a run that leads one — and trips again in that run's own
+    /// 1-row fallback, which is what quarantines it and nobody else.
+    InferPanic,
     /// Poison the step's recorded field-energy diagnostic with NaN
     /// (exercises divergence quarantine).
     NanField,
@@ -22,6 +28,7 @@ impl FaultKind {
     fn parse(s: &str) -> Option<Self> {
         match s {
             "panic" => Some(Self::Panic),
+            "infer-panic" => Some(Self::InferPanic),
             "nan" => Some(Self::NanField),
             _ => None,
         }
@@ -43,8 +50,9 @@ pub struct FaultRule {
 
 /// A set of [`FaultRule`]s an [`Engine`](super::Engine) applies when
 /// starting sessions; parseable from the `--inject` flag syntax
-/// `NAME=KIND@STEP[;NAME=KIND@STEP…]` where `KIND` is `panic` or `nan`
-/// (`NAME` may itself contain `=`; the split is at the last one).
+/// `NAME=KIND@STEP[;NAME=KIND@STEP…]` where `KIND` is `panic`,
+/// `infer-panic` or `nan` (`NAME` may itself contain `=`; the split is at
+/// the last one).
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
@@ -92,7 +100,7 @@ impl FaultPlan {
                 .split_once('@')
                 .ok_or_else(|| bad(format!("action `{action}` is not KIND@STEP")))?;
             let kind = FaultKind::parse(kind)
-                .ok_or_else(|| bad(format!("kind `{kind}` (knows panic, nan)")))?;
+                .ok_or_else(|| bad(format!("kind `{kind}` (knows panic, infer-panic, nan)")))?;
             let at_step = step
                 .parse()
                 .map_err(|_| bad(format!("step `{step}` is not a number")))?;
@@ -199,6 +207,9 @@ impl BackendSession for FaultInjector {
     }
 
     fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]) {
+        if self.kind == FaultKind::InferPanic && self.inner.steps_done() == self.at_step {
+            panic!("injected fault: inference panic at step {}", self.at_step);
+        }
         self.inner.infer_batch(input, rows, output);
     }
 

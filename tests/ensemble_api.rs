@@ -1,16 +1,25 @@
 //! The ensemble execution layer's contracts:
 //!
 //! * an N-run ensemble's per-run histories are **bit-identical** to N
-//!   solo `Session` runs, for every backend family, at 1 and at T > 1
-//!   worker threads (batched DL inference and multi-core scheduling must
-//!   not perturb any run's arithmetic);
+//!   solo `Session` runs, for every backend family, at 1, 2 and 3 worker
+//!   threads (batched DL inference and the worker team under the wave —
+//!   a cohort cut into panels, each prepared, inferred and applied by one
+//!   member — must not perturb any run's arithmetic);
 //! * ensemble checkpoint/resume round-trips through the existing
-//!   per-session `Checkpoint` JSON format;
+//!   per-session `Checkpoint` JSON format, also when the team that
+//!   resumes is not the size of the team that checkpointed;
+//! * a member that panics on a helper thread, or takes the shared
+//!   inference down, is quarantined alone;
 //! * `SweepSpec` expands cartesian grids, explicit points and seed fans
 //!   against the registry's sweepable-parameter metadata.
 
-use dlpic_repro::core::Scale;
-use dlpic_repro::engine::{self, Backend, Checkpoint, EnergyHistory, Engine, SweepSpec};
+use dlpic_repro::core::{pool, ArchSpec, BinningShape, ModelBundle, NormStats, Scale};
+use dlpic_repro::engine::{
+    self, Backend, Checkpoint, EnergyHistory, Engine, FaultKind, FaultPlan, Observer, Sample,
+    SessionFault, SweepSpec,
+};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// A small registry scenario with a short step budget and a seed fan.
 fn fan(scenario: &str, n_steps: usize, seeds: &[u64]) -> Vec<engine::ScenarioSpec> {
@@ -67,7 +76,7 @@ fn ensemble_bit_identical_to_solo_for_every_backend_family() {
         let specs = fan(scenario, steps, &seeds);
         let solo = solo_histories(&specs, backend);
 
-        for threads in [1usize, 3] {
+        for threads in [1usize, 2, 3] {
             let engine = Engine::new();
             let mut ensemble = engine
                 .start_ensemble(&specs, backend)
@@ -92,6 +101,210 @@ fn ensemble_bit_identical_to_solo_for_every_backend_family() {
                 }
             }
         }
+    }
+}
+
+/// An untrained 1-D model on the smoke phase grid that is big enough
+/// (≈ 0.9 M weights, 3.6 MB) for its cohorts to be cut into panels on the
+/// worker team — the registry's smoke model is a few thousand weights and
+/// its waves always stay on the calling thread. Garbage physics, exact
+/// arithmetic: all these tests compare bits.
+fn wide_bundle() -> ModelBundle {
+    let spec = Scale::Smoke.phase_spec();
+    let arch = ArchSpec::Mlp {
+        input: spec.cells(),
+        hidden: vec![1024, 600],
+        output: 64,
+    };
+    let mut net = arch.build(7);
+    ModelBundle::from_network(
+        &mut net,
+        arch,
+        spec,
+        BinningShape::Ngp,
+        NormStats::identity(),
+    )
+}
+
+fn wide_solo_histories(specs: &[engine::ScenarioSpec]) -> Vec<EnergyHistory> {
+    let engine = Engine::new().with_model_1d(wide_bundle());
+    specs
+        .iter()
+        .map(|spec| {
+            let mut session = engine.start(spec, Backend::Dl1D).expect("start");
+            session.run_to_end();
+            session.finish().history
+        })
+        .collect()
+}
+
+/// The team under the wave, with a model big enough to be worth it: nine
+/// runs (under sixteen rows: one panel, whatever the team), seventeen
+/// (panels of eight and nine) and twenty-five (three panels where there
+/// are three members), each at 1, 2 and 3 threads, against solo runs.
+#[test]
+fn fleets_through_the_team_are_bit_identical_to_solo_runs() {
+    for runs in [9u64, 17, 25] {
+        let seeds: Vec<u64> = (1..=runs).collect();
+        let specs = fan("two_stream", 4, &seeds);
+        let solo = wide_solo_histories(&specs);
+        for threads in [1usize, 2, 3] {
+            let engine = Engine::new().with_model_1d(wide_bundle());
+            let mut ensemble = engine.start_ensemble(&specs, Backend::Dl1D).unwrap();
+            ensemble.run_to_end(threads);
+            assert!(ensemble.faults().is_empty());
+            let got: Vec<EnergyHistory> =
+                ensemble.finish().into_iter().map(|s| s.history).collect();
+            assert_histories_equal(&format!("{runs} runs @ {threads} threads"), &got, &solo);
+        }
+    }
+}
+
+/// A checkpoint records no trace of the team that took it: waves stepped
+/// on one thread resume on the whole team, and the other way round, to
+/// the uninterrupted histories.
+#[test]
+fn checkpoints_resume_bit_identically_under_another_team_size() {
+    let seeds: Vec<u64> = (1..=17).collect();
+    let specs = fan("two_stream", 6, &seeds);
+    let want = wide_solo_histories(&specs);
+    let engine = Engine::new().with_model_1d(wide_bundle());
+    for (before, after) in [(1usize, 3usize), (3, 1)] {
+        let mut ensemble = engine.start_ensemble(&specs, Backend::Dl1D).unwrap();
+        pool::with_limit(before, || {
+            for _ in 0..3 {
+                assert_eq!(ensemble.step_wave(), specs.len());
+            }
+        });
+        let checkpoints: Vec<Checkpoint> = ensemble
+            .checkpoints()
+            .iter()
+            .map(|c| Checkpoint::from_json(&c.to_json()).expect("checkpoint JSON round-trip"))
+            .collect();
+        drop(ensemble);
+        let mut resumed = engine.resume_ensemble(&checkpoints).unwrap();
+        resumed.run_to_end(after);
+        let got: Vec<EnergyHistory> = resumed.finish().into_iter().map(|s| s.history).collect();
+        assert_histories_equal(&format!("{before} → {after} threads"), &got, &want);
+    }
+}
+
+/// Set by the panic hook below once the prepare-phase fault has fired.
+static PREPARE_FAULT_SEEN: AtomicBool = AtomicBool::new(false);
+/// How many of those fired on a team helper thread.
+static PREPARE_FAULTS_ON_HELPERS: AtomicUsize = AtomicUsize::new(0);
+const PREPARE_FAULT_STEP: usize = 3;
+
+/// Holds the dispatching thread inside its panel's first prepare of the
+/// faulty wave until the fault has fired — so the other panel, the faulty
+/// member's, is a helper's.
+struct StallDispatcher {
+    dispatcher: std::thread::ThreadId,
+}
+
+impl Observer for StallDispatcher {
+    fn on_sample(&mut self, sample: &Sample) {
+        if sample.step == PREPARE_FAULT_STEP && std::thread::current().id() == self.dispatcher {
+            let waiting = Instant::now();
+            while !PREPARE_FAULT_SEEN.load(Ordering::SeqCst)
+                && waiting.elapsed() < Duration::from_secs(2)
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+}
+
+/// An injected panic that lands on a *helper* during its panel's prepare
+/// quarantines that one member; the survivors — of both panels — finish
+/// bit-identical to their solo runs. Which member takes which panel is
+/// the claiming race's to decide: the dispatcher, stalled in the first
+/// panel, all but settles it, yet a dispatcher that is descheduled right
+/// after publishing the wave finds the sick member's panel the only one
+/// left — so the scenario is replayed until a helper has taken it; every
+/// replay must contain the fault the same way wherever it fell.
+#[test]
+fn a_panic_on_a_helper_during_prepare_quarantines_one_member() {
+    if pool::available_threads() < 2 {
+        eprintln!("skipping: one core, no helper to panic on");
+        return;
+    }
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info
+            .payload()
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        if message == format!("injected fault: panic at step {PREPARE_FAULT_STEP}") {
+            let on_helper = std::thread::current()
+                .name()
+                .is_some_and(|name| name.starts_with("dlpic-team"));
+            PREPARE_FAULTS_ON_HELPERS.fetch_add(usize::from(on_helper), Ordering::SeqCst);
+            PREPARE_FAULT_SEEN.store(true, Ordering::SeqCst);
+        }
+        previous(info);
+    }));
+
+    // Seventeen runs on two members: panels of eight and nine. The sick
+    // member is the last of the second panel; the first panel's leader
+    // stalls the dispatcher if that is who prepares it.
+    let seeds: Vec<u64> = (1..=17).collect();
+    let specs = fan("two_stream", 6, &seeds);
+    let solo = wide_solo_histories(&specs);
+    let plan = FaultPlan::new().rule("seed=17]", FaultKind::Panic, PREPARE_FAULT_STEP);
+    let engine = Engine::new().with_model_1d(wide_bundle()).with_faults(plan);
+    for _attempt in 0..20 {
+        PREPARE_FAULT_SEEN.store(false, Ordering::SeqCst);
+        let mut fleet = engine.start_ensemble(&specs, Backend::Dl1D).unwrap();
+        fleet
+            .session_mut(0)
+            .attach_observer(Box::new(StallDispatcher {
+                dispatcher: std::thread::current().id(),
+            }));
+        fleet.run_to_end(2);
+        assert!(fleet.is_complete());
+        let faults = fleet.faults();
+        assert_eq!(faults.len(), 1, "exactly the injected run faults");
+        assert_eq!(faults[0].0, 16);
+        assert!(matches!(faults[0].1, SessionFault::Panicked { .. }));
+        let summaries = fleet.finish();
+        assert_eq!(summaries[16].history.len(), PREPARE_FAULT_STEP);
+        for i in 0..16 {
+            assert_eq!(summaries[i].history, solo[i], "survivor {i}");
+        }
+        if PREPARE_FAULTS_ON_HELPERS.load(Ordering::SeqCst) > 0 {
+            return;
+        }
+    }
+    panic!("twenty replays and the injected panic never landed on a helper thread");
+}
+
+/// The shared inference of a panel (the first eight of seventeen runs)
+/// goes down with its leader: that panel degrades to per-member 1-row
+/// inference, the leader alone is quarantined, and the sixteen survivors
+/// — now a cohort of exactly two panels — finish bit-identical to solo.
+#[test]
+fn a_panic_in_the_shared_inference_quarantines_its_leader_only() {
+    let seeds: Vec<u64> = (1..=17).collect();
+    let specs = fan("two_stream", 5, &seeds);
+    let solo = wide_solo_histories(&specs);
+    let plan = FaultPlan::new().rule("seed=1]", FaultKind::InferPanic, 2);
+    let engine = Engine::new().with_model_1d(wide_bundle()).with_faults(plan);
+    let mut fleet = engine.start_ensemble(&specs, Backend::Dl1D).unwrap();
+    fleet.run_to_end(pool::available_threads());
+    assert!(fleet.is_complete());
+    let faults = fleet.faults();
+    assert_eq!(faults.len(), 1, "exactly the leader faults");
+    assert_eq!(faults[0].0, 0);
+    assert!(
+        matches!(faults[0].1, SessionFault::Panicked { message } if message.contains("inference panic"))
+    );
+    let summaries = fleet.finish();
+    // Prepared (and recorded) step 2, never applied it.
+    assert_eq!(summaries[0].history.len(), 3);
+    for i in 1..specs.len() {
+        assert_eq!(summaries[i].history, solo[i], "survivor {i}");
     }
 }
 

@@ -323,6 +323,9 @@ mod supervision {
         assert!(FaultPlan::parse("nonsense").is_err());
         assert!(FaultPlan::parse("run=explode@3").is_err());
         assert!(FaultPlan::parse("run=panic@soon").is_err());
+        assert!(!FaultPlan::parse("seed=1]=infer-panic@2")
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

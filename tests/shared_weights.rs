@@ -125,7 +125,7 @@ fn trained_fleet_is_bit_identical_to_solo_and_shares_weights() {
         })
         .collect();
 
-    for threads in [1usize, 3] {
+    for threads in [1usize, 2, 3] {
         let engine = Engine::new().with_model_1d(bundle.clone());
         let mut ensemble = engine
             .start_ensemble(&specs, Backend::Dl1D)
