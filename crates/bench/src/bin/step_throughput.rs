@@ -28,7 +28,9 @@
 //! of any speed.
 
 use dlpic_bench::gate::{calibration_gflops, fill, indent_block, json_value_after, median};
-use dlpic_nn::linalg::{matmul_nn, matmul_nt, matmul_tn};
+use dlpic_core::normalize::NormStats;
+use dlpic_core::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
+use dlpic_nn::linalg::{live_mask, matmul_nn, matmul_nt, matmul_tn, KB};
 use dlpic_pic::init::TwoStreamInit;
 use dlpic_pic::simulation::{PicConfig, Simulation};
 use dlpic_pic::solver::TraditionalSolver;
@@ -46,13 +48,24 @@ struct StepResult {
     throughput: f64,
 }
 
-/// GFLOP/s of the four matmul shapes plus the aggregate.
+/// GFLOP/s of the four matmul shapes plus the aggregate, and the
+/// batch-1 inference shape again on a phase-space input.
 struct MatmulResult {
     nn_train: f64,
     tn_grad: f64,
     nt_grad: f64,
     nn_infer: f64,
     total: f64,
+    nn_infer_live: LiveResult,
+}
+
+/// `nn_infer`'s shape on a histogram input: the share of the weight rows
+/// the kernel has to read ([`live_mask`]), the time of one call, and the
+/// bandwidth over those live rows alone.
+struct LiveResult {
+    live_fraction: f64,
+    micros: f64,
+    live_gbps: f64,
 }
 
 struct Measurement {
@@ -131,34 +144,53 @@ fn bench_2d(steps: usize, reps: usize) -> StepResult {
     }
 }
 
-/// GFLOP/s of one kernel at shape `(m, k, n)`, median of `reps` timed
-/// batches of `iters` calls.
+/// GFLOP/s of one kernel at shape `(m, k, n)` on the A operand given,
+/// median of `reps` timed batches of `iters` calls.
 fn bench_kernel(
     kernel: impl Fn(&[f32], &[f32], &mut [f32]),
-    a_len: usize,
+    a: &[f32],
     b_len: usize,
     c_len: usize,
     flops: f64,
     iters: usize,
     reps: usize,
 ) -> f64 {
-    let mut a = vec![0.0f32; a_len];
     let mut b = vec![0.0f32; b_len];
     let mut c = vec![0.0f32; c_len];
-    fill(&mut a, 7);
     fill(&mut b, 13);
-    kernel(&a, &b, &mut c); // warm-up
+    kernel(a, &b, &mut c); // warm-up
     let times: Vec<f64> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
             for _ in 0..iters {
-                kernel(&a, &b, &mut c);
+                kernel(a, &b, &mut c);
                 std::hint::black_box(&c[0]);
             }
             t0.elapsed().as_secs_f64()
         })
         .collect();
     flops * iters as f64 / median(times) / 1e9
+}
+
+/// A dense random A operand: no zero worth the name.
+fn dense(len: usize) -> Vec<f32> {
+    let mut a = vec![0.0f32; len];
+    fill(&mut a, 7);
+    a
+}
+
+/// What the DL solver feeds its first layer: the paper's 64×64
+/// phase-space histogram of the two-stream initial condition (64 000
+/// particles, two thin beams), min–max normalised with a dataset minimum
+/// of zero so every empty bin is exactly `0.0`.
+fn phase_space_input() -> Vec<f32> {
+    let (grid, spec) = (Grid1D::paper(), PhaseGridSpec::paper());
+    let particles = TwoStreamInit::random(0.2, 0.025, 64_000, 9).build(&grid);
+    let mut hist = vec![0.0f32; spec.cells()];
+    bin_phase_space(&particles, &grid, &spec, BinningShape::Ngp, &mut hist);
+    let max = hist.iter().copied().fold(0.0, f32::max);
+    NormStats { min: 0.0, max }.apply(&mut hist);
+    hist
 }
 
 /// The four DL-solver shapes: quick-train forward (`nn`), weight gradient
@@ -170,7 +202,7 @@ fn bench_matmul(quick: bool, reps: usize) -> MatmulResult {
     let flops = 2.0 * (m * k * n) as f64;
     let nn_train = bench_kernel(
         |a, b, c| matmul_nn(a, b, c, m, k, n),
-        m * k,
+        &dense(m * k),
         k * n,
         m * n,
         flops,
@@ -182,7 +214,7 @@ fn bench_matmul(quick: bool, reps: usize) -> MatmulResult {
     let tflops = 2.0 * (tm * tk * tn) as f64;
     let tn_grad = bench_kernel(
         |a, b, c| matmul_tn(a, b, c, tm, tk, tn),
-        tk * tm,
+        &dense(tk * tm),
         tk * tn,
         tm * tn,
         tflops,
@@ -192,7 +224,7 @@ fn bench_matmul(quick: bool, reps: usize) -> MatmulResult {
     // dX = dY·Wᵀ: B is n×k.
     let nt_grad = bench_kernel(
         |a, b, c| matmul_nt(a, b, c, m, k, n),
-        m * k,
+        &dense(m * k),
         n * k,
         m * n,
         flops,
@@ -203,13 +235,35 @@ fn bench_matmul(quick: bool, reps: usize) -> MatmulResult {
     let iflops = 2.0 * (im * ik * inn) as f64;
     let nn_infer = bench_kernel(
         |a, b, c| matmul_nn(a, b, c, im, ik, inn),
-        im * ik,
+        &dense(im * ik),
         ik * inn,
         im * inn,
         iflops,
         256 / scale,
         reps,
     );
+    // The same shape on a histogram: only the live weight rows are read.
+    let hist = phase_space_input();
+    let live_rows: u32 = (0..ik)
+        .step_by(KB)
+        .map(|k0| live_mask(&hist, 1, ik, k0, KB).count_ones())
+        .sum();
+    let live_fraction = live_rows as f64 / ik as f64;
+    let live_gflops = bench_kernel(
+        |a, b, c| matmul_nn(a, b, c, im, ik, inn),
+        &hist,
+        ik * inn,
+        im * inn,
+        iflops,
+        256 / scale,
+        reps,
+    );
+    let micros = iflops / live_gflops / 1e3;
+    let nn_infer_live = LiveResult {
+        live_fraction,
+        micros,
+        live_gbps: live_fraction * (4 * ik * inn) as f64 / micros / 1e3,
+    };
     // Aggregate: total flops over total time (harmonic weighting).
     let total = 4.0 / (1.0 / nn_train + 1.0 / tn_grad + 1.0 / nt_grad + 1.0 / nn_infer);
     MatmulResult {
@@ -218,6 +272,7 @@ fn bench_matmul(quick: bool, reps: usize) -> MatmulResult {
         nt_grad,
         nn_infer,
         total,
+        nn_infer_live,
     }
 }
 
@@ -247,7 +302,7 @@ fn measurement_json(m: &Measurement, indent: &str) -> String {
         )
     };
     format!(
-        "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"step_1d\": {},\n{indent}  \"step_2d\": {},\n{indent}  \"matmul\": {{\n{indent}    \"nn_train_gflops\": {:.3},\n{indent}    \"tn_grad_gflops\": {:.3},\n{indent}    \"nt_grad_gflops\": {:.3},\n{indent}    \"nn_infer_gflops\": {:.3},\n{indent}    \"gflops_total\": {:.3}\n{indent}  }}\n{indent}}}",
+        "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"step_1d\": {},\n{indent}  \"step_2d\": {},\n{indent}  \"matmul\": {{\n{indent}    \"nn_train_gflops\": {:.3},\n{indent}    \"tn_grad_gflops\": {:.3},\n{indent}    \"nt_grad_gflops\": {:.3},\n{indent}    \"nn_infer_gflops\": {:.3},\n{indent}    \"gflops_total\": {:.3},\n{indent}    \"nn_infer_live\": {{ \"live_fraction\": {:.3}, \"micros\": {:.1}, \"live_gbps\": {:.2} }}\n{indent}  }}\n{indent}}}",
         m.calibration,
         step(&m.step_1d),
         step(&m.step_2d),
@@ -256,6 +311,9 @@ fn measurement_json(m: &Measurement, indent: &str) -> String {
         m.matmul.nt_grad,
         m.matmul.nn_infer,
         m.matmul.total,
+        m.matmul.nn_infer_live.live_fraction,
+        m.matmul.nn_infer_live.micros,
+        m.matmul.nn_infer_live.live_gbps,
     )
 }
 
@@ -275,6 +333,13 @@ fn print_human(m: &Measurement) {
     println!(
         "matmul: nn {:.2}  tn {:.2}  nt {:.2}  infer {:.2}  | total {:.2} GFLOP/s",
         m.matmul.nn_train, m.matmul.tn_grad, m.matmul.nt_grad, m.matmul.nn_infer, m.matmul.total
+    );
+    let live = &m.matmul.nn_infer_live;
+    println!(
+        "infer on a phase-space input: {:.1} % of the weight rows live, {:.1} us, {:.1} GB/s over the live rows",
+        live.live_fraction * 100.0,
+        live.micros,
+        live.live_gbps
     );
 }
 

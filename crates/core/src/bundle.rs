@@ -13,7 +13,7 @@ use crate::phase_space::{BinningShape, PhaseGridSpec};
 use bytes::{Buf, BufMut};
 use dlpic_nn::frozen::{FreezeError, FrozenModel, Precision};
 use dlpic_nn::network::Sequential;
-use dlpic_nn::serialize::{params_from_bytes, params_to_bytes};
+use dlpic_nn::serialize::{params_from_bytes, params_to_bytes, tensors_from_bytes};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -199,6 +199,13 @@ impl ModelBundle {
             return Err(BundleError::Malformed("truncated parameters"));
         }
         let params = buf[..plen].to_vec();
+        // The inference kernels skip weight rows whose activations are
+        // all zero, which is invisible only while every weight is finite
+        // (`0·inf` is NaN): that premise is checked here, at the file door.
+        let tensors = tensors_from_bytes(&params).map_err(BundleError::Params)?;
+        if tensors.iter().flatten().any(|v| !v.is_finite()) {
+            return Err(BundleError::Malformed("non-finite parameter"));
+        }
         Ok(Self {
             arch,
             spec: PhaseGridSpec::new(nx, nv, vmin, vmax),
@@ -500,5 +507,15 @@ mod tests {
             ModelBundle::decode(&blob),
             Err(BundleError::Malformed(_))
         ));
+        // A non-finite weight or bias anywhere is refused by name.
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut bundle = tiny_bundle();
+            let at = bundle.params.len() - 4;
+            bundle.params[at..].copy_from_slice(&poison.to_le_bytes());
+            assert!(matches!(
+                ModelBundle::decode(&bundle.encode()),
+                Err(BundleError::Malformed("non-finite parameter"))
+            ));
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! bfloat16 keeps f32's 8-bit exponent and truncates the mantissa to
 //! 7 bits — a `u16` holding the upper half of the f32 bit pattern. For
 //! inference weights that halves storage and, because the `nn` kernel
-//! reads each weight once per call whatever the cohort size, halves the
+//! reads each live weight once per call whatever the cohort size, halves the
 //! bytes a solve pulls from memory. Activations and accumulation stay
 //! f32: only the B operand (the weights) is bf16.
 //!
@@ -116,12 +116,7 @@ pub fn matmul_nn_bf16_portable(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k:
 mod tests {
     use super::*;
     use crate::linalg::matmul_naive;
-
-    fn gen(len: usize, s: u64) -> Vec<f32> {
-        (0..len)
-            .map(|i| (((i as u64 + s) * 2654435761 % 1000) as f32 / 500.0) - 1.0)
-            .collect()
-    }
+    use crate::linalg::tests::{bitwise_cases, gen, M_MAX};
 
     #[test]
     fn round_trip_is_exact_for_bf16_values() {
@@ -191,16 +186,10 @@ mod tests {
         // contract (batching m rows reproduces each solo row) and bf16
         // cohorts batch under the ensemble scheduler like f32 ones. The
         // portable form has its own contraction: row stability only.
-        const M_MAX: usize = 17;
-        for &(k, n) in &[
-            (48usize, 240usize),
-            (37, 50),
-            (64, 16),
-            (20, 7),
-            (100, 33),
-            (0, 16),
-        ] {
-            let a = gen(M_MAX * k, 3);
+        // Over every shape and activation case of the f32 bitwise tests
+        // (ReLU-like zeros, dead blocks, all-zero input: the weight rows
+        // the kernel skips must be as invisible here as there).
+        for (k, n, case, a) in bitwise_cases() {
             let b = encode_bf16(&gen(k * n, 7));
             let decoded = decode_bf16(&b);
             let mut solo = vec![0.0f32; M_MAX * n];
@@ -214,16 +203,16 @@ mod tests {
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 let mut c = vec![f32::NAN; m * n];
                 matmul_nn_bf16(&a[..m * k], &b, &mut c, m, k, n);
-                assert_eq!(bits(&c), bits(&solo[..m * n]), "k={k} n={n} m={m}");
+                assert_eq!(bits(&c), bits(&solo[..m * n]), "{case} k={k} n={n} m={m}");
                 let mut c32 = vec![f32::NAN; m * n];
                 crate::linalg::matmul_nn(&a[..m * k], &decoded, &mut c32, m, k, n);
-                assert_eq!(bits(&c), bits(&c32), "decoded k={k} n={n} m={m}");
+                assert_eq!(bits(&c), bits(&c32), "decoded {case} k={k} n={n} m={m}");
                 let mut cp = vec![f32::NAN; m * n];
                 matmul_nn_bf16_portable(&a[..m * k], &b, &mut cp, m, k, n);
                 assert_eq!(
                     bits(&cp),
                     bits(&solo_portable[..m * n]),
-                    "portable k={k} n={n} m={m}"
+                    "portable {case} k={k} n={n} m={m}"
                 );
             }
         }

@@ -21,12 +21,12 @@
 //! `avx512f`) in explicit zmm tiles — LLVM stops at 256-bit ymm even on
 //! AVX-512 hardware, leaving half the FMA width unused.
 //!
-//! # The `nn` kernel: stream the weights once
+//! # The `nn` kernel: stream the live weights once
 //!
 //! In every dense layer B is the weight matrix — 16 MB at the paper's
 //! 4096×1024 first layer, 4 KiB per row — and `m` is the cohort size, 1
 //! to a few dozen rows. [`matmul_nn`] therefore runs one loop order for
-//! every `m`, in both forms: `k` in blocks of `KB` = 16 rows
+//! every `m`, in both forms: `k` in blocks of [`KB`] = 16 rows
 //! **outermost**, then row tiles (8 rows of zmm accumulators, or the
 //! `m % 8` remainder as one narrower tile of the same code), then column
 //! tiles, the accumulators round-tripping through `C` between blocks. A
@@ -36,12 +36,25 @@
 //! load is a type parameter (`Weight`): `f32` as stored, or bf16 decoded
 //! on the fly ([`crate::bf16`]) through the same tiles.
 //!
+//! A weight row is only *live* for a row tile if some row of the tile has
+//! a nonzero activation in that column ([`live_mask`], 16 bits per row
+//! tile and `k`-block). A tile walks the set bits of its mask and nothing
+//! else, and a tile whose mask is empty does not touch `C` at all. There
+//! is no second kernel and no density switch: a dense input is the same
+//! code with a full mask. The inputs of the DL field solvers are far from
+//! dense — the phase-space histogram is a thin band of occupied bins
+//! (76 % exact zeros over a paper-scale two-stream run) and a ReLU layer
+//! hands on 55–60 % zeros — so the cost of an inference is a property of
+//! its input: cheap in the linear phase, dearer once the beams have mixed.
+//!
 //! Where that leaves the paper MLP (25.4 MB of weights, 12.7 MFLOP per
 //! row) on the Sapphire Rapids dev machine (one core: ≈ 22–26 GB/s of
 //! read bandwidth over those 25 MB, ≈ 180 GFLOP/s of FMA peak): batch-1
-//! is bandwidth-bound and sits at ≈ 0.9 of that bound (≈ 1.05 ms); a
-//! 16-row cohort needs as long for its FMAs as for its single weight
-//! pass and takes ≈ 2.6 ms, 78 GFLOP/s, the two not yet overlapped —
+//! is bandwidth-bound, and the bound is the *live* bytes ÷ bandwidth —
+//! 7.6 of the 25.4 MB on a two-stream run, ≈ 0.3 ms instead of the
+//! ≈ 1.05 ms a dense input costs; an 8-row tile keeps 8.9 MB live (a row
+//! is live if any member needs it), and a 16-row cohort needs as long
+//! for its FMAs as for its weight pass, the two not yet overlapped —
 //! README's roofline table has the measured numbers, before and after.
 //!
 //! # Numerics
@@ -54,12 +67,26 @@
 //! accumulators per 2×4 output tile so the dot-product reduction
 //! vectorizes without `-ffast-math`.
 //!
+//! Leaving out the steps whose activation is `±0.0` changes no bit of
+//! that chain, on one premise: **the weights are finite**. The product
+//! `±0·w` is then `±0`, and adding `±0` to a partial sum `s` returns `s`
+//! unless `s` is `-0.0` — which a chain that starts at `+0.0` never is
+//! (`+0.0 + -0.0` is `+0.0` under round-to-nearest, an exact cancellation
+//! gives `+0.0`, and only a product below 1e-45 in magnitude could round
+//! to `-0.0`). With an infinite or NaN weight `0·w` is NaN and the
+//! elision would hide it, so `ModelBundle::decode` refuses non-finite
+//! parameters at the file door; biases are added outside this kernel,
+//! unconditionally. A tile computes the steps its *mask* keeps, so a row
+//! whose own activation is zero in a live column still adds its `±0` —
+//! equally without effect. A subnormal activation is nonzero and live.
+//!
 //! Accumulation order is deterministic for a given shape and machine.
 //! Stronger, [`matmul_nn`] is **row-stable**: row `i` of an `m`-row
 //! product is bitwise identical for every `m` (on a given machine),
 //! because the chain above does not depend on which tile a row lands
-//! in. The ensemble scheduler relies on this: batching `m` concurrent DL
-//! field solves into one GEMM must reproduce each solo solve bit-for-bit.
+//! in, nor on which weight rows its tile-mates keep live. The ensemble
+//! scheduler relies on this: batching `m` concurrent DL field solves into
+//! one GEMM must reproduce each solo solve bit-for-bit.
 
 // analyze:hot — GEMM/conv micro-kernels are the inference hot path; loop
 // bodies here must stay allocation-free (workspaces are caller-provided).
@@ -100,7 +127,39 @@ pub fn simd_level() -> &'static str {
 /// Rows of B per `k`-block of the `nn` kernels: 16 rows of the paper's
 /// 1024-wide layers are a 64 KiB slab, L1/L2-resident across row tiles,
 /// and amortize each tile's `C` round trip over 16 FMA steps.
-const KB: usize = 16;
+pub const KB: usize = 16;
+
+/// Which of the `kb` ≤ 16 weight rows of the `k`-block at `k0` a row tile
+/// has to read: bit `kk` is set iff any of the tile's `rows` rows of `a`
+/// (row-major, `k` wide, starting at the tile's first row) has a nonzero
+/// activation in column `k0 + kk`. `±0.0` is dead, a subnormal is live.
+/// This is the one definition of "live": both kernel forms walk exactly
+/// these bits (the AVX-512 one computes them with a vector compare per
+/// row, pinned to this function by a test), and the bench rows that
+/// report a live fraction count them.
+#[inline]
+pub fn live_mask(a: &[f32], rows: usize, k: usize, k0: usize, kb: usize) -> u32 {
+    debug_assert!(kb <= KB);
+    let mut live = 0u32;
+    for r in 0..rows {
+        for (kk, &av) in a[r * k + k0..r * k + k0 + kb].iter().enumerate() {
+            live |= u32::from(av != 0.0) << kk;
+        }
+    }
+    live
+}
+
+/// The set bits of a [`live_mask`], ascending: the `kk` a tile visits.
+#[inline]
+fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let kk = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            kk
+        })
+    })
+}
 
 /// A weight-matrix element the `nn` kernels can stream as the B operand:
 /// `f32` as stored, or bf16 (`u16`, see [`crate::bf16`]) decoded on the
@@ -164,8 +223,8 @@ pub(crate) fn nn<W: Weight>(a: &[f32], b: &[W], c: &mut [f32], m: usize, k: usiz
 /// every row of a batched solve reproduces bit-for-bit.
 ///
 /// Equivalent to `matmul_nn(a, b, c, 1, k, n)`: the one-row tile of the
-/// same kernel, which streams each weight row once, contiguously. On the
-/// paper shapes that pass is pinned at memory bandwidth.
+/// same kernel, which streams each live weight row once, contiguously. On
+/// the paper shapes that pass is pinned at memory bandwidth.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
@@ -185,6 +244,7 @@ pub fn matmul_nn_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
 /// The portable `nn` kernel in the module docs' loop order: full 4×16
 /// tiles hold their accumulators in scalars LLVM vectorizes; edge rows
 /// and columns update `C` in place in the axpy form, the same chain.
+/// Both walk the tile's [`live_mask`] and nothing else.
 pub(crate) fn nn_portable<W: Weight>(
     a: &[f32],
     b: &[W],
@@ -201,16 +261,20 @@ pub(crate) fn nn_portable<W: Weight>(
     }
     c.fill(0.0);
     for k0 in (0..k).step_by(KB) {
-        let k1 = (k0 + KB).min(k);
+        let kb = KB.min(k - k0);
         for (tile, c_rows) in c.chunks_mut(MR * n).enumerate() {
             let (i0, rows) = (tile * MR, c_rows.len() / n);
+            let live = live_mask(&a[i0 * k..], rows, k, k0, kb);
+            if live == 0 {
+                continue;
+            }
             let mut j0 = 0;
             while rows == MR && j0 + NR <= n {
                 let mut acc = [[0.0f32; NR]; MR];
                 for (r, acc_row) in acc.iter_mut().enumerate() {
                     acc_row.copy_from_slice(&c_rows[r * n + j0..r * n + j0 + NR]);
                 }
-                for kk in k0..k1 {
+                for kk in set_bits(live).map(|kk| k0 + kk) {
                     let braw: &[W; NR] = b[kk * n + j0..kk * n + j0 + NR].try_into().unwrap();
                     let bb = braw.map(W::to_f32);
                     for (r, acc_row) in acc.iter_mut().enumerate() {
@@ -226,14 +290,8 @@ pub(crate) fn nn_portable<W: Weight>(
                 j0 += NR;
             }
             for (r, c_row) in c_rows.chunks_mut(n).enumerate() {
-                for kk in k0..k1 {
+                for kk in set_bits(live).map(|kk| k0 + kk) {
                     let av = a[(i0 + r) * k + kk];
-                    // ReLU leaves about half the activations exactly zero;
-                    // adding `0·b` to a sum that is never `-0.0` changes
-                    // no bit for finite weights, so skip the weight row.
-                    if av == 0.0 {
-                        continue;
-                    }
                     for (cv, &bv) in c_row[j0..].iter_mut().zip(&b[kk * n + j0..(kk + 1) * n]) {
                         *cv += av * bv.to_f32();
                     }
@@ -717,7 +775,7 @@ pub fn conv_dw_accum(
 /// difference is FMA contraction.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{Weight, KB};
+    use super::{set_bits, Weight, KB};
     use std::arch::x86_64::*;
 
     /// [`super::matmul_nn`], all of it, in the module docs' loop order:
@@ -736,16 +794,19 @@ mod avx512 {
             let kb = KB.min(k - k0);
             let mut i0 = 0;
             while i0 < m {
+                let rows = (m - i0).min(8);
                 let (at, bt, ct) = (ap.add(i0 * k + k0), bp.add(k0 * n), cp.add(i0 * n));
-                match m - i0 {
-                    1 => nn_rows::<W, 1>(at, bt, ct, kb, k, n),
-                    2 => nn_rows::<W, 2>(at, bt, ct, kb, k, n),
-                    3 => nn_rows::<W, 3>(at, bt, ct, kb, k, n),
-                    4 => nn_rows::<W, 4>(at, bt, ct, kb, k, n),
-                    5 => nn_rows::<W, 5>(at, bt, ct, kb, k, n),
-                    6 => nn_rows::<W, 6>(at, bt, ct, kb, k, n),
-                    7 => nn_rows::<W, 7>(at, bt, ct, kb, k, n),
-                    _ => nn_rows::<W, 8>(at, bt, ct, kb, k, n),
+                let live = live_mask(at, rows, k, kb);
+                match rows {
+                    _ if live == 0 => {}
+                    1 => nn_rows::<W, 1>(at, bt, ct, live, k, n),
+                    2 => nn_rows::<W, 2>(at, bt, ct, live, k, n),
+                    3 => nn_rows::<W, 3>(at, bt, ct, live, k, n),
+                    4 => nn_rows::<W, 4>(at, bt, ct, live, k, n),
+                    5 => nn_rows::<W, 5>(at, bt, ct, live, k, n),
+                    6 => nn_rows::<W, 6>(at, bt, ct, live, k, n),
+                    7 => nn_rows::<W, 7>(at, bt, ct, live, k, n),
+                    _ => nn_rows::<W, 8>(at, bt, ct, live, k, n),
                 }
                 i0 += 8;
             }
@@ -753,7 +814,27 @@ mod avx512 {
         }
     }
 
-    /// One R-row panel of [`nn`] over one `k`-block, in tiles as wide as
+    /// [`super::live_mask`] of the `rows × kb` activations at `a`, one
+    /// vector compare per row (the scalar form costs a dense 8-row tile
+    /// 3 % of its time); `NEQ_UQ` is Rust's `!=`, true for a NaN.
+    ///
+    /// # Safety
+    /// `avx512f` must be available and `rows` rows of `kb` ≤ 16 elements,
+    /// `k` apart, must be readable at `a`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    pub(super) unsafe fn live_mask(a: *const f32, rows: usize, k: usize, kb: usize) -> u32 {
+        let in_block = ((1u32 << kb) - 1) as __mmask16;
+        let mut live = 0;
+        for r in 0..rows {
+            let av = _mm512_maskz_loadu_ps(in_block, a.add(r * k));
+            live |= _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(av, _mm512_setzero_ps());
+        }
+        u32::from(live)
+    }
+
+    /// One R-row panel of [`nn`] over the `live` rows of one `k`-block
+    /// (a nonempty [`live_mask`] of the panel), in tiles as wide as
     /// sixteen accumulator registers allow (`R·V ≤ 16`: 128 columns for
     /// one or two rows, 64 up to four, 32 up to eight — the fewer the
     /// rows, the longer each visit to a weight row, which is what lets
@@ -763,13 +844,13 @@ mod avx512 {
     /// # Safety
     /// As [`nn`]; `a`, `b`, `c` point at the panel's first A element,
     /// the block's first B row and the panel's first C row, with
-    /// `R` rows and `kb` block rows in bounds.
+    /// `R` rows and every block row that has a bit in `live` in bounds.
     #[target_feature(enable = "avx512f")]
     unsafe fn nn_rows<W: Weight, const R: usize>(
         a: *const f32,
         b: *const W,
         c: *mut f32,
-        kb: usize,
+        live: u32,
         k: usize,
         n: usize,
     ) {
@@ -778,7 +859,7 @@ mod avx512 {
             ($v:literal) => {
                 if R * $v <= 16 {
                     while j0 + 16 * $v <= n {
-                        nn_tile::<W, R, $v, false>(a, b.add(j0), c.add(j0), kb, k, n, 16);
+                        nn_tile::<W, R, $v, false>(a, b.add(j0), c.add(j0), live, k, n, 16);
                         j0 += 16 * $v;
                     }
                 }
@@ -789,15 +870,15 @@ mod avx512 {
         tiles!(2);
         tiles!(1);
         if j0 < n {
-            nn_tile::<W, R, 1, true>(a, b.add(j0), c.add(j0), kb, k, n, n - j0);
+            nn_tile::<W, R, 1, true>(a, b.add(j0), c.add(j0), live, k, n, n - j0);
         }
     }
 
     /// One R×(16·V) register tile (R·V ≤ 16 accumulator registers plus
-    /// V B vectors): loads the partial sums from `C`, runs `kb` FMA
-    /// steps, stores them back. With `TAIL` the last vector covers only
-    /// `last` < 16 columns: `C` is accessed under a mask and the B lanes
-    /// past the row end read as zero.
+    /// V B vectors): loads the partial sums from `C`, runs one FMA step
+    /// per set bit of `live`, ascending, stores them back. With `TAIL`
+    /// the last vector covers only `last` < 16 columns: `C` is accessed
+    /// under a mask and the B lanes past the row end read as zero.
     ///
     /// # Safety
     /// As [`nn_rows`], with the tile's columns in bounds.
@@ -808,7 +889,7 @@ mod avx512 {
         a: *const f32,
         b: *const W,
         c: *mut f32,
-        kb: usize,
+        live: u32,
         k: usize,
         n: usize,
         last: usize,
@@ -825,7 +906,7 @@ mod avx512 {
                 };
             }
         }
-        for kk in 0..kb {
+        for kk in set_bits(live) {
             let mut bv = [_mm512_setzero_ps(); V];
             for (v, bx) in bv.iter_mut().enumerate() {
                 let p = b.add(kk * n + 16 * v);
@@ -1154,7 +1235,7 @@ pub fn matmul_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -1168,7 +1249,7 @@ mod tests {
         }
     }
 
-    fn gen(len: usize, s: u64) -> Vec<f32> {
+    pub(crate) fn gen(len: usize, s: u64) -> Vec<f32> {
         (0..len)
             .map(|i| (((i as u64 + s) * 2654435761 % 1000) as f32 / 500.0) - 1.0)
             .collect()
@@ -1351,7 +1432,7 @@ mod tests {
     /// Shapes for the bitwise kernel tests: `k` below, at and past a
     /// multiple of the block, `k = 0`, every tile width at once (240 =
     /// 128 + 64 + 32 + 16), `n % 32 == 16`, an `n % 16` tail and `n < 16`.
-    const BITWISE_SHAPES: [(usize, usize); 10] = [
+    pub(crate) const BITWISE_SHAPES: [(usize, usize); 10] = [
         (0, 32),
         (1, 16),
         (KB - 1, 48),
@@ -1363,19 +1444,68 @@ mod tests {
         (100, 33),
         (2 * KB, 15),
     ];
-    const M_MAX: usize = 17;
+    /// The paper MLP's first and last layers: the liveness cases only
+    /// (a dense 17-row sweep over them is minutes in a debug build).
+    pub(crate) const PAPER_SHAPES: [(usize, usize); 2] = [(4096, 1024), (1024, 64)];
+    pub(crate) const M_MAX: usize = 17;
+
+    /// The `M_MAX × k` activation matrices of the bitwise tests, by name.
+    /// `dense` has no zero worth the name. `relu` is what a ReLU layer or
+    /// the phase-space histogram hands the kernel: ≈ 70 % exact zeros in
+    /// a different pattern per row, some of them `-0.0`; rows 2 and 10
+    /// all zero inside their live tiles; the second `KB`-block dead in
+    /// every row and the first dead in the second row tile only; row 5
+    /// zero but for one subnormal, which must count as live. `zero` is
+    /// all `±0.0`: every tile skips and `C` must still come back `+0.0`.
+    pub(crate) fn activation_cases(k: usize, dense: bool) -> Vec<(&'static str, Vec<f32>)> {
+        let mut relu = gen(M_MAX * k, 3);
+        for (i, row) in relu.chunks_mut(k.max(1)).enumerate() {
+            for (kk, av) in row.iter_mut().enumerate() {
+                let h = ((i * 1_000_003 + kk) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60;
+                let dead_block = kk / KB == 1 || (kk / KB == 0 && (8..16).contains(&i));
+                match h {
+                    _ if dead_block || [2, 5, 10].contains(&i) => *av = 0.0,
+                    0..=9 => *av = 0.0,
+                    10 => *av = -0.0,
+                    _ => {}
+                }
+            }
+            if i == 5 {
+                row[0] = f32::from_bits(0x0040_0000);
+            }
+        }
+        let zero = (0..M_MAX * k)
+            .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+            .collect();
+        let mut cases = vec![("relu", relu), ("zero", zero)];
+        if dense {
+            cases.push(("dense", gen(M_MAX * k, 3)));
+        }
+        cases
+    }
+
+    /// Every (shape, activation case) of the bitwise tests.
+    pub(crate) fn bitwise_cases() -> impl Iterator<Item = (usize, usize, &'static str, Vec<f32>)> {
+        let shapes = BITWISE_SHAPES.iter().map(|&s| (s, true));
+        let paper = PAPER_SHAPES.iter().map(|&s| (s, false));
+        shapes.chain(paper).flat_map(|((k, n), dense)| {
+            activation_cases(k, dense)
+                .into_iter()
+                .map(move |(name, a)| (k, n, name, a))
+        })
+    }
 
     /// The AVX-512 kernel against the definition of its result, written
-    /// without any tiling: each element is one chain of fused
-    /// multiply-adds from `+0.0` over ascending `k`.
+    /// without any tiling and without any skipping: each element is one
+    /// chain of fused multiply-adds from `+0.0` over *every* ascending
+    /// `k` — eliding the dead weight rows must be invisible to it.
     #[test]
     fn avx512_nn_is_the_scalar_fma_chain_bit_for_bit() {
         if !avx512_available() {
             eprintln!("skipping: no avx512f on this machine");
             return;
         }
-        for &(k, n) in &BITWISE_SHAPES {
-            let a = gen(M_MAX * k, 3);
+        for (k, n, case, a) in bitwise_cases() {
             let b = gen(k * n, 7);
             let mut chain = vec![0.0f32; M_MAX * n];
             for (i, row) in chain.chunks_mut(n).enumerate() {
@@ -1387,7 +1517,7 @@ mod tests {
                 // A poisoned C shows any element the kernel fails to write.
                 let mut c = vec![f32::NAN; m * n];
                 matmul_nn(&a[..m * k], &b, &mut c, m, k, n);
-                assert_bits_eq(&c, &chain[..m * n], &format!("k={k} n={n} m={m}"));
+                assert_bits_eq(&c, &chain[..m * n], &format!("{case} k={k} n={n} m={m}"));
             }
         }
     }
@@ -1395,7 +1525,8 @@ mod tests {
     /// The contract the ensemble's batched DL inference stands on: row
     /// `i` of an `m`-row product is *bitwise* identical for every `m` —
     /// batching `m` concurrent field solves into one GEMM reproduces each
-    /// solo (m = 1) solve exactly, whichever row tile a row lands in.
+    /// solo (m = 1) solve exactly, whichever row tile a row lands in and
+    /// whichever weight rows its tile-mates keep live.
     /// Held by the dispatched kernel and by the portable one.
     #[test]
     fn rows_bit_identical_across_batch_sizes() {
@@ -1404,18 +1535,67 @@ mod tests {
             ("dispatched", matmul_nn as Kernel),
             ("portable", matmul_nn_portable as Kernel),
         ] {
-            for &(k, n) in &BITWISE_SHAPES {
-                let a = gen(M_MAX * k, 3);
+            for (k, n, case, a) in bitwise_cases() {
                 let b = gen(k * n, 7);
                 // Reference: every row computed as its own m = 1 product.
-                let mut solo = vec![0.0f32; M_MAX * n];
+                let mut solo = vec![f32::NAN; M_MAX * n];
                 for (i, row) in solo.chunks_mut(n).enumerate() {
                     kernel(&a[i * k..(i + 1) * k], &b, row, 1, k, n);
+                }
+                if case == "zero" {
+                    assert_bits_eq(&solo, &vec![0.0; M_MAX * n], &format!("{name} zero k={k}"));
                 }
                 for m in 1..=M_MAX {
                     let mut c = vec![f32::NAN; m * n];
                     kernel(&a[..m * k], &b, &mut c, m, k, n);
-                    assert_bits_eq(&c, &solo[..m * n], &format!("{name} k={k} n={n} m={m}"));
+                    let what = format!("{name} {case} k={k} n={n} m={m}");
+                    assert_bits_eq(&c, &solo[..m * n], &what);
+                }
+            }
+        }
+    }
+
+    /// `live_mask` is the any-row rule, `±0.0` dead and subnormals live.
+    #[test]
+    fn live_mask_is_any_row_nonzero() {
+        let k = KB + 3;
+        let mut a = vec![0.0f32; 3 * k];
+        a[1] = -0.0;
+        a[2] = f32::from_bits(1);
+        a[k + 5] = 1.0;
+        a[2 * k + KB + 2] = -2.0;
+        assert_eq!(live_mask(&a, 1, k, 0, KB), 0b100);
+        assert_eq!(live_mask(&a, 3, k, 0, KB), 0b10_0100);
+        assert_eq!(live_mask(&a[k..], 1, k, KB, 3), 0);
+        assert_eq!(live_mask(&a, 3, k, KB, 3), 0b100);
+    }
+
+    /// The AVX-512 kernel's vector compare is the same rule, bit for bit:
+    /// over the ReLU-like and all-zero matrices (with their `-0.0`s and
+    /// subnormal), a NaN and an infinity, every tile height, a whole block
+    /// and a short one.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx512_live_mask_is_live_mask() {
+        if !avx512_available() {
+            eprintln!("skipping: no avx512f on this machine");
+            return;
+        }
+        let k = 3 * KB + 5;
+        for (case, mut a) in activation_cases(k, true) {
+            a[7] = f32::NAN;
+            a[k + 9] = f32::NEG_INFINITY;
+            for i0 in 0..M_MAX {
+                for rows in 1..=8.min(M_MAX - i0) {
+                    for k0 in (0..k).step_by(KB) {
+                        let kb = KB.min(k - k0);
+                        let want = live_mask(&a[i0 * k..], rows, k, k0, kb);
+                        // SAFETY: avx512f was detected; rows `i0..i0 + rows`
+                        // and columns `k0..k0 + kb` lie inside `a`.
+                        let got =
+                            unsafe { avx512::live_mask(a.as_ptr().add(i0 * k + k0), rows, k, kb) };
+                        assert_eq!(got, want, "{case} i0={i0} rows={rows} k0={k0}");
+                    }
                 }
             }
         }

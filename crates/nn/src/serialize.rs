@@ -57,8 +57,8 @@ pub fn params_to_bytes(net: &mut Sequential) -> Vec<u8> {
     buf
 }
 
-/// Restores parameters into an architecturally identical network.
-pub fn params_from_bytes(net: &mut Sequential, bytes: &[u8]) -> Result<(), SerializeError> {
+/// Splits a parameter blob into its tensors, in stored order.
+pub fn tensors_from_bytes(bytes: &[u8]) -> Result<Vec<Vec<f32>>, SerializeError> {
     let mut buf = bytes;
     if buf.remaining() < 12 {
         return Err(SerializeError::Corrupt("truncated header"));
@@ -73,24 +73,31 @@ pub fn params_from_bytes(net: &mut Sequential, bytes: &[u8]) -> Result<(), Seria
         return Err(SerializeError::BadVersion(version));
     }
     let count = buf.get_u32_le() as usize;
-
-    // Decode all tensors first so a failure cannot leave the network
-    // half-overwritten.
-    let mut tensors: Vec<Vec<f32>> = Vec::with_capacity(count);
+    // Counts and lengths come from the file: bound them by the bytes that
+    // are actually there before allocating for them.
+    let mut tensors: Vec<Vec<f32>> = Vec::with_capacity(count.min(buf.remaining() / 8));
     for _ in 0..count {
         if buf.remaining() < 8 {
             return Err(SerializeError::Corrupt("truncated tensor header"));
         }
-        let len = buf.get_u64_le() as usize;
-        if buf.remaining() < 4 * len {
+        let len = buf.get_u64_le();
+        if len > (buf.remaining() / 4) as u64 {
             return Err(SerializeError::Corrupt("truncated tensor payload"));
         }
-        let mut t = Vec::with_capacity(len);
+        let mut t = Vec::with_capacity(len as usize);
         for _ in 0..len {
             t.push(buf.get_f32_le());
         }
         tensors.push(t);
     }
+    Ok(tensors)
+}
+
+/// Restores parameters into an architecturally identical network.
+pub fn params_from_bytes(net: &mut Sequential, bytes: &[u8]) -> Result<(), SerializeError> {
+    // Decode all tensors first so a failure cannot leave the network
+    // half-overwritten.
+    let tensors = tensors_from_bytes(bytes)?;
 
     // Shape check against the target network.
     let mut expected: Vec<usize> = Vec::new();

@@ -160,6 +160,33 @@ fn fleets_through_the_team_are_bit_identical_to_solo_runs() {
     }
 }
 
+/// The kernel reads only the weight rows for which some member of a row
+/// tile has a nonzero activation, so what a member's tile-mates keep live
+/// must not reach its result: seventeen members whose beams sit in
+/// different velocity bins (`v0` from 0.05 to 0.37 over bins 0.1 wide),
+/// on one thread and on two, against their solo runs.
+#[test]
+fn members_with_different_occupied_bins_stay_bit_identical_to_solo_runs() {
+    let v0s = (0..17).map(|i| 0.05 + 0.02 * i as f64);
+    let mut specs = SweepSpec::grid("two_stream", Scale::Smoke)
+        .axis("v0", v0s)
+        .specs()
+        .unwrap();
+    for spec in &mut specs {
+        spec.n_steps = 4;
+    }
+    let solo = wide_solo_histories(&specs);
+    assert!(solo.windows(2).all(|w| w[0] != w[1]), "members must differ");
+    for threads in [1usize, 2] {
+        let engine = Engine::new().with_model_1d(wide_bundle());
+        let mut ensemble = engine.start_ensemble(&specs, Backend::Dl1D).unwrap();
+        ensemble.run_to_end(threads);
+        assert!(ensemble.faults().is_empty());
+        let got: Vec<EnergyHistory> = ensemble.finish().into_iter().map(|s| s.history).collect();
+        assert_histories_equal(&format!("v0 fan @ {threads} threads"), &got, &solo);
+    }
+}
+
 /// A checkpoint records no trace of the team that took it: waves stepped
 /// on one thread resume on the whole team, and the other way round, to
 /// the uninterrupted histories.

@@ -148,7 +148,11 @@ fn binning_clamps_outliers_and_conserves_counts() {
 #[test]
 fn solver_with_nan_weights_propagates_not_panics() {
     // A poisoned model must not crash the simulation loop — NaN shows up
-    // in the diagnostics where the user can see it.
+    // in the diagnostics where the user can see it. The first element of
+    // every tensor is poisoned, biases too, and the bias is what makes it
+    // visible: the kernel skips a weight row whose activation is zero (a
+    // NaN there can hide behind an empty phase-space bin), while a bias is
+    // added to every output unconditionally.
     use dlpic_repro::core::field_solver::DlFieldSolver;
     use dlpic_repro::pic::init::TwoStreamInit;
     use dlpic_repro::pic::solver::FieldSolver;
