@@ -1,0 +1,223 @@
+//! Golden histories: every backend's `EnergyHistory`, bit for bit, against
+//! files committed under `tests/golden/` — the net under any refactor that
+//! promises "same bits out" (the code diet of ROADMAP item 6, the 1-D/2-D
+//! merge of item 5).
+//!
+//! Each run is a short registry spec resized to at least 2¹⁵ particles (per
+//! rank, for the distributed backend), so kernels whose behaviour once
+//! depended on a particle-count threshold are exercised above it. The DL
+//! backends run on the engine's seeded untrained fallback: no training, no
+//! cache, same weights every time.
+//!
+//! The files hold IEEE-754 bit patterns as hex, one value per line, so a
+//! diff names the first sample that moved. They were recorded on x86-64
+//! Linux; the particle loaders call `sin`/`ln`, so another platform's libm
+//! may legitimately differ in the last place.
+//!
+//! To re-record after an *intended* numerical change:
+//! `cargo test --release --test golden_histories -- --ignored regenerate`.
+
+use dlpic_repro::core::phase_space::{BinningShape, PhaseGridSpec};
+use dlpic_repro::core::Scale;
+use dlpic_repro::dataset::generator::{generate, GeneratorConfig};
+use dlpic_repro::dataset::spec::{SweepCombo, SweepSpec};
+use dlpic_repro::dataset::store;
+use dlpic_repro::dataset::vlasov_bridge::{generate_vlasov, VlasovDatasetConfig};
+use dlpic_repro::engine::{self, Backend, EnergyHistory, Engine, Numerics1D};
+use dlpic_repro::pic::solver::PoissonKind;
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+const STEPS: usize = 20;
+
+/// One golden case: file stem, scenario, particles per cell, numerics,
+/// backend.
+struct Case {
+    stem: &'static str,
+    scenario: &'static str,
+    ppc: usize,
+    numerics: Numerics1D,
+    backend: Backend,
+}
+
+fn cases() -> Vec<Case> {
+    let default = Numerics1D::default();
+    let spectral = Numerics1D {
+        poisson: PoissonKind::Spectral,
+        ..default
+    };
+    // 64 cells × 512 = 2¹⁵ particles in 1-D; 32×32 cells × 32 in 2-D; the
+    // two-rank run triples the load so each rank holds well over 2¹⁵.
+    let case = |stem, scenario, ppc, numerics, backend| Case {
+        stem,
+        scenario,
+        ppc,
+        numerics,
+        backend,
+    };
+    vec![
+        case(
+            "traditional_1d_cic_fd",
+            "two_stream",
+            512,
+            default,
+            Backend::Traditional1D,
+        ),
+        case(
+            "traditional_1d_ngp_fd",
+            "two_stream",
+            512,
+            Numerics1D::basic_ngp(),
+            Backend::Traditional1D,
+        ),
+        case(
+            "traditional_1d_cic_spectral",
+            "two_stream",
+            512,
+            spectral,
+            Backend::Traditional1D,
+        ),
+        case(
+            "traditional_2d",
+            "two_stream_2d",
+            32,
+            default,
+            Backend::Traditional2D,
+        ),
+        case("dl_1d_untrained", "two_stream", 512, default, Backend::Dl1D),
+        case(
+            "dl_2d_untrained",
+            "two_stream_2d",
+            32,
+            default,
+            Backend::Dl2D,
+        ),
+        case("vlasov", "two_stream", 512, default, Backend::Vlasov),
+        case(
+            "ddecomp_2ranks",
+            "two_stream",
+            1536,
+            default,
+            Backend::Ddecomp { n_ranks: 2 },
+        ),
+    ]
+}
+
+fn run(case: &Case) -> EnergyHistory {
+    let mut spec = engine::scenario(case.scenario, Scale::Smoke).unwrap();
+    spec.ppc = case.ppc;
+    spec.n_steps = STEPS;
+    assert!(spec.n_particles() >= 1 << 15);
+    Engine::new()
+        .with_numerics_1d(case.numerics)
+        .run(&spec, case.backend)
+        .unwrap_or_else(|e| panic!("{}: {e}", case.stem))
+        .history
+}
+
+/// The history as text: a `# series` header per column, then one 16-digit
+/// hex bit pattern per sample.
+fn render(history: &EnergyHistory) -> String {
+    let mut out = String::new();
+    let mut series = |name: &str, values: &[f64]| {
+        writeln!(out, "# {name}").unwrap();
+        for v in values {
+            writeln!(out, "{:016x}", v.to_bits()).unwrap();
+        }
+    };
+    series("times", &history.times);
+    series("kinetic", &history.kinetic);
+    series("field", &history.field);
+    series("total", &history.total);
+    series("momentum", &history.momentum);
+    for (mode, amps) in history.tracked_modes.iter().zip(&history.mode_amps) {
+        series(&format!("mode {mode}"), amps);
+    }
+    out
+}
+
+/// FNV-1a over a byte string: the datasets are tens of kilobytes, so their
+/// golden is a length and a hash rather than the bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `dataset::generate` and `generate_vlasov` on a two-combo sweep, as the
+/// length and hash of their `store::encode` bytes.
+fn render_datasets() -> String {
+    let sweep = SweepSpec {
+        combos: vec![
+            SweepCombo { v0: 0.2, vth: 0.0 },
+            SweepCombo {
+                v0: 0.15,
+                vth: 0.01,
+            },
+        ],
+        experiments_per_combo: 2,
+        steps: 6,
+        base_seed: 7,
+    };
+    let mut pic_cfg = GeneratorConfig::new(sweep.clone(), PhaseGridSpec::smoke());
+    pic_cfg.binning = BinningShape::Ngp;
+    pic_cfg.ppc = 512;
+    let pic = store::encode(&generate(&pic_cfg));
+    let vlasov_cfg =
+        VlasovDatasetConfig::new(sweep, PhaseGridSpec::new(32, 32, -0.8, 0.8), 64_000.0);
+    let vlasov = store::encode(&generate_vlasov(&vlasov_cfg));
+    format!(
+        "generate {} {:016x}\ngenerate_vlasov {} {:016x}\n",
+        pic.len(),
+        fnv1a(&pic),
+        vlasov.len(),
+        fnv1a(&vlasov)
+    )
+}
+
+fn golden_path(stem: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{stem}.txt"))
+}
+
+fn assert_matches_golden(stem: &str, actual: &str) {
+    let path = golden_path(stem);
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: {e} (see the module doc to record it)", path.display()));
+    if golden == actual {
+        return;
+    }
+    let line = golden
+        .lines()
+        .zip(actual.lines())
+        .position(|(g, a)| g != a)
+        .unwrap_or_else(|| golden.lines().count().min(actual.lines().count()))
+        + 1;
+    panic!(
+        "{stem}: differs from {} first at line {line}",
+        path.display()
+    );
+}
+
+#[test]
+fn every_backend_reproduces_its_golden_history() {
+    for case in cases() {
+        assert_matches_golden(case.stem, &render(&run(&case)));
+    }
+}
+
+#[test]
+fn dataset_generators_reproduce_their_golden_bytes() {
+    assert_matches_golden("datasets", &render_datasets());
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/; run by hand after an intended numerical change"]
+fn regenerate() {
+    std::fs::create_dir_all(golden_path("x").parent().unwrap()).unwrap();
+    for case in cases() {
+        std::fs::write(golden_path(case.stem), render(&run(&case))).unwrap();
+    }
+    std::fs::write(golden_path("datasets"), render_datasets()).unwrap();
+}
