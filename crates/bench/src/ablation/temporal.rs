@@ -10,8 +10,8 @@
 //! whether the extra history improves field accuracy and in-loop
 //! conservation.
 
-use crate::normalize::NormStats;
-use crate::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
+use dlpic_core::normalize::NormStats;
+use dlpic_core::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
 use dlpic_nn::network::Sequential;
 use dlpic_nn::tensor::Tensor;
 use dlpic_pic::grid::Grid1D;
@@ -89,7 +89,7 @@ pub fn windowed_pairs(traces: &[TemporalTrace], window: usize) -> (Vec<f32>, Vec
 
 /// A DL field solver that feeds the network the last `window` histograms
 /// (ring-buffered across calls). With `window = 1` it behaves exactly
-/// like [`crate::field_solver::DlFieldSolver`] with flat input.
+/// like [`dlpic_core::field_solver::DlFieldSolver`] with flat input.
 pub struct TemporalDlSolver {
     net: Sequential,
     spec: PhaseGridSpec,
@@ -175,7 +175,7 @@ impl FieldSolver for TemporalDlSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ArchSpec;
+    use dlpic_core::builder::ArchSpec;
     use dlpic_pic::init::TwoStreamInit;
     use dlpic_pic::shape::Shape;
 

@@ -23,13 +23,13 @@
 
 use dlpic_analytics::series::Table;
 use dlpic_analytics::stats;
+use dlpic_bench::physics_loss::PhysicsInformedMse;
+use dlpic_bench::temporal::{harvest_trace, windowed_pairs, TemporalDlSolver};
 use dlpic_bench::{out_dir, prepare_data, train_arch, TrainedModel};
 use dlpic_core::builder::ArchSpec;
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::{BinningShape, PhaseGridSpec};
-use dlpic_core::physics_loss::PhysicsInformedMse;
 use dlpic_core::presets::Scale;
-use dlpic_core::temporal::{harvest_trace, windowed_pairs, TemporalDlSolver};
 use dlpic_dataset::generator::{generate, GeneratorConfig};
 use dlpic_dataset::spec::SweepSpec;
 use dlpic_dataset::split::{shuffle_split, SplitSizes};

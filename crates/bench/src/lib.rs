@@ -1,10 +1,12 @@
 //! # dlpic-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper
-//! (`src/bin/`) plus Criterion performance benches (`benches/`).
+//! (`src/bin/`).
 //!
 //! This library holds the shared plumbing: dataset preparation, model
-//! training/caching, CLI parsing and output-file management. Binaries:
+//! training/caching, CLI parsing and output-file management — and, in
+//! `ablation/`, the temporal-window solver and physics-informed loss that
+//! only the `ablations` binary uses. Binaries:
 //!
 //! | binary            | reproduces                                        |
 //! |-------------------|---------------------------------------------------|
@@ -12,7 +14,6 @@
 //! | `fig4`            | Fig. 4 (phase space + E1 growth vs linear theory)  |
 //! | `fig5`            | Fig. 5 (energy/momentum, v0 = 0.2, vth = 0.025)    |
 //! | `fig6`            | Fig. 6 (cold beams v0 = 0.4: numerical stability)  |
-//! | `perf`            | §VII performance discussion (solve-stage timing)   |
 //! | `ablations`       | binning / physics-loss / architecture / grid-size / data source / temporal |
 //! | `spectral_error`  | §VII "spectral analysis of errors" follow-up       |
 //! | `ext2d`           | §VII extension: 2-D DL-PIC vs traditional 2-D      |
@@ -23,6 +24,11 @@
 //! caches. Outputs (CSVs, model bundles) land in `./out/`.
 
 #![warn(missing_docs)]
+
+#[path = "ablation/physics_loss.rs"]
+pub mod physics_loss;
+#[path = "ablation/temporal.rs"]
+pub mod temporal;
 
 use dlpic_core::builder::ArchSpec;
 use dlpic_core::bundle::ModelBundle;

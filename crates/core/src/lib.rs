@@ -17,8 +17,7 @@
 //!
 //! [`builder`] constructs the paper's §IV.A architectures (MLP: 3×1024
 //! ReLU hidden + 64 linear out; CNN: two blocks of conv→conv→pool + 3 FC), plus the
-//! residual MLP suggested in §VII. [`physics_loss`] implements the
-//! PINN-flavoured loss §VII proposes. [`bundle`] persists trained solvers;
+//! residual MLP suggested in §VII. [`bundle`] persists trained solvers;
 //! [`presets`] defines the smoke/scaled/paper experiment scales.
 
 #![warn(missing_docs)]
@@ -28,10 +27,8 @@ pub mod bundle;
 pub mod field_solver;
 pub mod normalize;
 pub mod phase_space;
-pub mod physics_loss;
 pub mod pool;
 pub mod presets;
-pub mod temporal;
 pub mod twod;
 
 pub use builder::{ArchSpec, InputKind};
@@ -39,7 +36,5 @@ pub use bundle::{BundleError, FrozenBundle, ModelBundle};
 pub use field_solver::DlFieldSolver;
 pub use normalize::NormStats;
 pub use phase_space::{bin_phase_space, phase_space_histogram, BinningShape, PhaseGridSpec};
-pub use physics_loss::PhysicsInformedMse;
 pub use presets::Scale;
-pub use temporal::TemporalDlSolver;
 pub use twod::{DensityBinning, Dl2DFieldSolver, Frozen2DModel};

@@ -15,7 +15,6 @@ use dlpic_core::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
 use dlpic_pic::presets::reduced_config;
 use dlpic_pic::simulation::Simulation;
 use dlpic_pic::solver::TraditionalSolver;
-use rayon::prelude::*;
 
 /// Generator configuration.
 #[derive(Debug, Clone)]
@@ -70,15 +69,15 @@ fn harvest_run(cfg: &GeneratorConfig, combo_idx: usize, experiment: usize) -> Ph
     out
 }
 
-/// Generates the full dataset for a sweep. Runs are independent and are
-/// executed in parallel (deterministically merged in sweep order).
+/// Generates the full dataset for a sweep: independent runs, one after
+/// another, merged in sweep order.
 pub fn generate(cfg: &GeneratorConfig) -> PhaseDataset {
     let runs: Vec<(usize, usize)> = (0..cfg.sweep.combos.len())
         .flat_map(|c| (0..cfg.sweep.experiments_per_combo).map(move |e| (c, e)))
         .collect();
 
     let harvested: Vec<PhaseDataset> = runs
-        .par_iter()
+        .iter()
         .map(|&(c, e)| {
             let ds = harvest_run(cfg, c, e);
             if cfg.verbose && e == 0 {

@@ -14,7 +14,6 @@ use crate::spec::SweepSpec;
 use dlpic_core::phase_space::{BinningShape, PhaseGridSpec};
 use dlpic_vlasov::generator::VlasovHarvest;
 use dlpic_vlasov::solver::VlasovConfig;
-use rayon::prelude::*;
 
 /// Configuration for a Vlasov-sourced dataset.
 #[derive(Debug, Clone)]
@@ -49,7 +48,7 @@ impl VlasovDatasetConfig {
     }
 }
 
-/// Runs the sweep and produces the dataset. Combos run in parallel.
+/// Runs the sweep, one combo after another, and produces the dataset.
 ///
 /// # Panics
 /// Panics if the PIC sample cadence (0.2) is not a multiple of `dt`, or
@@ -84,7 +83,7 @@ pub fn generate_vlasov(cfg: &VlasovDatasetConfig) -> PhaseDataset {
     let parts: Vec<PhaseDataset> = cfg
         .sweep
         .combos
-        .par_iter()
+        .iter()
         .map(|combo| {
             // Vlasov needs a smooth f: floor the thermal spread at one
             // fine-grid velocity cell.

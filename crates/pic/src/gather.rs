@@ -8,10 +8,6 @@
 use crate::grid::Grid1D;
 use crate::particles::Particles;
 use crate::shape::Shape;
-use rayon::prelude::*;
-
-/// Minimum particle count before the parallel path is worth spawning.
-const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Interpolates the grid field `e` to every particle position, writing into
 /// `e_part` (reused across steps to avoid per-step allocation).
@@ -53,16 +49,8 @@ pub fn gather_field(
         }
     };
 
-    if particles.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-        particles
-            .x
-            .par_iter()
-            .zip(e_part.par_iter_mut())
-            .for_each(|(&x, ep)| *ep = gather_one(x));
-    } else {
-        for (&x, ep) in particles.x.iter().zip(e_part.iter_mut()) {
-            *ep = gather_one(x);
-        }
+    for (&x, ep) in particles.x.iter().zip(e_part.iter_mut()) {
+        *ep = gather_one(x);
     }
 }
 

@@ -13,10 +13,6 @@
 
 use crate::grid::Grid1D;
 use crate::particles::Particles;
-use rayon::prelude::*;
-
-/// Minimum particle count before the parallel path is worth spawning.
-const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Advances velocities by one step: `v += (q/m)·E_p·Δt`.
 ///
@@ -28,28 +24,13 @@ pub fn push_velocities(particles: &mut Particles, e_part: &[f64], dt: f64) -> f6
     assert_eq!(e_part.len(), particles.len(), "per-particle field mismatch");
     let qm_dt = particles.charge_over_mass() * dt;
     let half_m = 0.5 * particles.mass();
-    let ke_sum: f64 = if particles.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-        particles
-            .v
-            .par_iter_mut()
-            .zip(e_part.par_iter())
-            .map(|(v, &ep)| {
-                let v_old = *v;
-                let v_new = v_old + qm_dt * ep;
-                *v = v_new;
-                v_old * v_new
-            })
-            .sum()
-    } else {
-        let mut acc = 0.0;
-        for (v, &ep) in particles.v.iter_mut().zip(e_part) {
-            let v_old = *v;
-            let v_new = v_old + qm_dt * ep;
-            *v = v_new;
-            acc += v_old * v_new;
-        }
-        acc
-    };
+    let mut ke_sum = 0.0;
+    for (v, &ep) in particles.v.iter_mut().zip(e_part) {
+        let v_old = *v;
+        let v_new = v_old + qm_dt * ep;
+        *v = v_new;
+        ke_sum += v_old * v_new;
+    }
     half_m * ke_sum
 }
 
@@ -66,16 +47,8 @@ pub fn push_positions(particles: &mut Particles, grid: &Grid1D, dt: f64) {
         }
         *x = nx;
     };
-    if particles.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-        particles
-            .x
-            .par_iter_mut()
-            .zip(particles.v.par_iter())
-            .for_each(|(x, &v)| advance(x, v));
-    } else {
-        for (x, &v) in particles.x.iter_mut().zip(particles.v.iter()) {
-            advance(x, v);
-        }
+    for (x, &v) in particles.x.iter_mut().zip(particles.v.iter()) {
+        advance(x, v);
     }
 }
 

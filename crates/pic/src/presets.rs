@@ -4,8 +4,7 @@ use crate::constants;
 use crate::grid::Grid1D;
 use crate::init::TwoStreamInit;
 use crate::shape::Shape;
-use crate::simulation::{PicConfig, Simulation};
-use crate::solver::TraditionalSolver;
+use crate::simulation::PicConfig;
 
 /// The paper's full-scale two-stream configuration: 64 cells, 1000
 /// electrons/cell (64 000 particles), Δt = 0.2, 200 steps, CIC, random
@@ -38,31 +37,11 @@ pub fn reduced_config(v0: f64, vth: f64, ppc: usize, n_steps: usize, seed: u64) 
     }
 }
 
-/// A fully assembled traditional-PIC simulation at paper scale.
-pub fn paper_simulation(v0: f64, vth: f64, seed: u64) -> Simulation {
-    Simulation::new(
-        paper_config(v0, vth, seed),
-        Box::new(TraditionalSolver::paper_default()),
-    )
-}
-
-/// The validation run of the paper's Figs. 4–5: `v0 = 0.2`, `vth = 0.025`.
-pub fn validation_simulation(seed: u64) -> Simulation {
-    paper_simulation(
-        constants::PAPER_VALIDATION_V0,
-        constants::PAPER_VALIDATION_VTH,
-        seed,
-    )
-}
-
-/// The cold-beam stress test of the paper's Fig. 6: `v0 = 0.4`, `vth = 0`.
-pub fn cold_beam_simulation(seed: u64) -> Simulation {
-    paper_simulation(constants::PAPER_COLD_BEAM_V0, 0.0, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulation::Simulation;
+    use crate::solver::TraditionalSolver;
 
     #[test]
     fn paper_config_matches_section_iii() {

@@ -8,7 +8,7 @@
 //! deposit→Poisson→gradient pipeline; the DL solver lives in `dlpic-core`
 //! and implements the same trait.
 
-use crate::deposit::{add_uniform_background, deposit_charge_with_scratch, DepositScratch};
+use crate::deposit::{add_uniform_background, deposit_charge};
 use crate::efield::efield_from_phi;
 use crate::grid::Grid1D;
 use crate::particles::Particles;
@@ -115,7 +115,6 @@ pub struct TraditionalSolver {
     background: f64,
     rho: Vec<f64>,
     phi: Vec<f64>,
-    deposit_scratch: DepositScratch,
 }
 
 impl TraditionalSolver {
@@ -133,7 +132,6 @@ impl TraditionalSolver {
             background,
             rho: Vec::new(),
             phi: Vec::new(),
-            deposit_scratch: DepositScratch::new(),
         }
     }
 
@@ -175,13 +173,7 @@ impl FieldSolver for TraditionalSolver {
         self.rho.resize(n, 0.0);
         self.phi.clear();
         self.phi.resize(n, 0.0);
-        deposit_charge_with_scratch(
-            particles,
-            grid,
-            self.shape,
-            &mut self.rho,
-            &mut self.deposit_scratch,
-        );
+        deposit_charge(particles, grid, self.shape, &mut self.rho);
         add_uniform_background(&mut self.rho, self.background);
         self.poisson.solve(grid, &self.rho, &mut self.phi);
         efield_from_phi(grid, &self.phi, e);

@@ -7,65 +7,19 @@
 
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
-use dlpic_pic::deposit::{scatter_reduce_parallel, DepositScratch, PAR_THRESHOLD};
+use dlpic_pic::fused::wrap_cell;
 use dlpic_pic::shape::Shape;
 
 /// Deposits macro-particle charge onto the node array `rho`
-/// (units: charge / area — node density). Allocates fresh partial grids
-/// when the parallel path fires; stepping loops use
-/// [`deposit_charge_with_scratch`] to reuse a caller-owned scratch.
+/// (units: charge / area — node density), sequentially in particle order.
+/// Node indices wrap by compare-and-fold ([`wrap_cell`]) — the same values
+/// `wrap_ix`/`wrap_iy` produce, without the per-node integer division.
 ///
 /// # Panics
 /// Panics if `rho` length differs from the grid node count.
 pub fn deposit_charge(particles: &Particles2D, grid: &Grid2D, shape: Shape, rho: &mut [f64]) {
-    let mut scratch = DepositScratch::new();
-    deposit_charge_with_scratch(particles, grid, shape, rho, &mut scratch);
-}
-
-/// [`deposit_charge`] with a caller-owned scratch: the parallel path
-/// scatters into the scratch's reused per-worker partial grids and
-/// reduces them into `rho`, performing no allocation once the scratch is
-/// warm. The sequential path ignores the scratch entirely.
-///
-/// # Panics
-/// Panics if `rho` length differs from the grid node count.
-pub fn deposit_charge_with_scratch(
-    particles: &Particles2D,
-    grid: &Grid2D,
-    shape: Shape,
-    rho: &mut [f64],
-    scratch: &mut DepositScratch,
-) {
     assert_eq!(rho.len(), grid.nodes(), "rho length mismatch");
     let q_over_area = particles.charge() / grid.cell_area();
-    if particles.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-        scatter_reduce_parallel(particles.len(), rho, scratch, |range, partial| {
-            scatter_chunk(
-                &particles.x[range.clone()],
-                &particles.y[range],
-                grid,
-                shape,
-                q_over_area,
-                partial,
-            )
-        });
-    } else {
-        scatter_chunk(&particles.x, &particles.y, grid, shape, q_over_area, rho);
-    }
-}
-
-/// Sequential scatter of one chunk of positions. Node indices wrap by
-/// compare-and-fold (`wrap_cell`) — the same values `wrap_ix`/`wrap_iy`
-/// produce, without the per-node integer division.
-fn scatter_chunk(
-    xs: &[f64],
-    ys: &[f64],
-    grid: &Grid2D,
-    shape: Shape,
-    q_over_area: f64,
-    rho: &mut [f64],
-) {
-    use dlpic_pic::fused::wrap_cell;
     let inv_dx = 1.0 / grid.dx();
     let inv_dy = 1.0 / grid.dy();
     let nx = grid.nx();
@@ -73,7 +27,7 @@ fn scatter_chunk(
     let nyi = grid.ny() as i64;
     let support = shape.support();
 
-    for (&x, &y) in xs.iter().zip(ys) {
+    for (&x, &y) in particles.x.iter().zip(&particles.y) {
         let ax = shape.assign(x * inv_dx);
         let ay = shape.assign(y * inv_dy);
         for jy in 0..support {

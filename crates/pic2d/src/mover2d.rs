@@ -8,10 +8,6 @@
 
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
-use rayon::prelude::*;
-
-/// Minimum particle count before the parallel path is worth spawning.
-const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Advances both velocity components by one step and returns the
 /// time-centred kinetic energy `½·m·Σ(vx⁻·vx⁺ + vy⁻·vy⁺)` — the standard
@@ -37,30 +33,13 @@ pub fn push_velocities(
         v_old * v_new
     };
 
-    let ke_sum: f64 = if particles.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-        let kx: f64 = particles
-            .vx
-            .par_iter_mut()
-            .zip(ex_part.par_iter())
-            .map(|(v, &ep)| advance(v, ep))
-            .sum();
-        let ky: f64 = particles
-            .vy
-            .par_iter_mut()
-            .zip(ey_part.par_iter())
-            .map(|(v, &ep)| advance(v, ep))
-            .sum();
-        kx + ky
-    } else {
-        let mut acc = 0.0;
-        for (v, &ep) in particles.vx.iter_mut().zip(ex_part) {
-            acc += advance(v, ep);
-        }
-        for (v, &ep) in particles.vy.iter_mut().zip(ey_part) {
-            acc += advance(v, ep);
-        }
-        acc
-    };
+    let mut ke_sum = 0.0;
+    for (v, &ep) in particles.vx.iter_mut().zip(ex_part) {
+        ke_sum += advance(v, ep);
+    }
+    for (v, &ep) in particles.vy.iter_mut().zip(ey_part) {
+        ke_sum += advance(v, ep);
+    }
     half_m * ke_sum
 }
 
@@ -77,24 +56,11 @@ pub fn push_positions(particles: &mut Particles2D, grid: &Grid2D, dt: f64) {
         }
         *pos = np;
     };
-    if particles.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-        particles
-            .x
-            .par_iter_mut()
-            .zip(particles.vx.par_iter())
-            .for_each(|(x, &v)| advance(x, v, lx));
-        particles
-            .y
-            .par_iter_mut()
-            .zip(particles.vy.par_iter())
-            .for_each(|(y, &v)| advance(y, v, ly));
-    } else {
-        for (x, &v) in particles.x.iter_mut().zip(particles.vx.iter()) {
-            advance(x, v, lx);
-        }
-        for (y, &v) in particles.y.iter_mut().zip(particles.vy.iter()) {
-            advance(y, v, ly);
-        }
+    for (x, &v) in particles.x.iter_mut().zip(particles.vx.iter()) {
+        advance(x, v, lx);
+    }
+    for (y, &v) in particles.y.iter_mut().zip(particles.vy.iter()) {
+        advance(y, v, ly);
     }
 }
 

@@ -1,12 +1,11 @@
 //! The 2-D field-solver abstraction — the seam where a DL 2-D field
 //! solver plugs in, mirroring the 1-D `FieldSolver` trait.
 
-use crate::deposit2d::{add_uniform_background, deposit_charge_with_scratch};
+use crate::deposit2d::{add_uniform_background, deposit_charge};
 use crate::efield2d::efield_from_phi;
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
 use crate::poisson2d::{make_solver, Poisson2DKind, Poisson2DSolver};
-use dlpic_pic::deposit::DepositScratch;
 use dlpic_pic::shape::Shape;
 
 /// Computes the node electric field from the 2-D particle state.
@@ -64,7 +63,6 @@ pub struct TraditionalSolver2D {
     background: f64,
     rho: Vec<f64>,
     phi: Vec<f64>,
-    deposit_scratch: DepositScratch,
 }
 
 impl TraditionalSolver2D {
@@ -77,7 +75,6 @@ impl TraditionalSolver2D {
             background,
             rho: Vec::new(),
             phi: Vec::new(),
-            deposit_scratch: DepositScratch::new(),
         }
     }
 
@@ -112,13 +109,7 @@ impl FieldSolver2D for TraditionalSolver2D {
         self.rho.resize(n, 0.0);
         self.phi.clear();
         self.phi.resize(n, 0.0);
-        deposit_charge_with_scratch(
-            particles,
-            grid,
-            self.shape,
-            &mut self.rho,
-            &mut self.deposit_scratch,
-        );
+        deposit_charge(particles, grid, self.shape, &mut self.rho);
         add_uniform_background(&mut self.rho, self.background);
         self.poisson.solve(grid, &self.rho, &mut self.phi);
         efield_from_phi(grid, &self.phi, ex, ey);

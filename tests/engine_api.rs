@@ -70,7 +70,7 @@ fn every_compatible_pairing_runs_at_smoke_scale() {
 
 #[test]
 fn traditional_and_dl_swap_is_one_enum_value() {
-    // The acceptance criterion of the facade: same spec, two backends,
+    // The acceptance test of the facade: same spec, two backends,
     // nothing else changes.
     let spec = engine::scenario("two_stream", Scale::Smoke).unwrap();
     let trad = engine::run(&spec, Backend::Traditional1D).unwrap();

@@ -17,7 +17,7 @@
 //! To re-record after an *intended* numerical change:
 //! `cargo test --release --test golden_histories -- --ignored regenerate`.
 
-use dlpic_repro::core::phase_space::{BinningShape, PhaseGridSpec};
+use dlpic_repro::core::phase_space::PhaseGridSpec;
 use dlpic_repro::core::Scale;
 use dlpic_repro::dataset::generator::{generate, GeneratorConfig};
 use dlpic_repro::dataset::spec::{SweepCombo, SweepSpec};
@@ -31,87 +31,44 @@ use std::path::PathBuf;
 const STEPS: usize = 20;
 
 /// One golden case: file stem, scenario, particles per cell, numerics,
-/// backend.
-struct Case {
-    stem: &'static str,
-    scenario: &'static str,
-    ppc: usize,
-    numerics: Numerics1D,
-    backend: Backend,
-}
+/// backend. 64 cells × 512 = 2¹⁵ particles in 1-D; 32×32 cells × 32 in
+/// 2-D; the two-rank run triples the load so each rank holds well over 2¹⁵.
+type Case = (
+    &'static str,
+    &'static str,
+    usize,
+    fn() -> Numerics1D,
+    Backend,
+);
 
-fn cases() -> Vec<Case> {
-    let default = Numerics1D::default();
-    let spectral = Numerics1D {
+#[rustfmt::skip]
+const CASES: [Case; 8] = [
+    ("traditional_1d_cic_fd", "two_stream", 512, Numerics1D::default, Backend::Traditional1D),
+    ("traditional_1d_ngp_fd", "two_stream", 512, Numerics1D::basic_ngp, Backend::Traditional1D),
+    ("traditional_1d_cic_spectral", "two_stream", 512, spectral, Backend::Traditional1D),
+    ("traditional_2d", "two_stream_2d", 32, Numerics1D::default, Backend::Traditional2D),
+    ("dl_1d_untrained", "two_stream", 512, Numerics1D::default, Backend::Dl1D),
+    ("dl_2d_untrained", "two_stream_2d", 32, Numerics1D::default, Backend::Dl2D),
+    ("vlasov", "two_stream", 512, Numerics1D::default, Backend::Vlasov),
+    ("ddecomp_2ranks", "two_stream", 1536, Numerics1D::default, Backend::Ddecomp { n_ranks: 2 }),
+];
+
+fn spectral() -> Numerics1D {
+    Numerics1D {
         poisson: PoissonKind::Spectral,
-        ..default
-    };
-    // 64 cells × 512 = 2¹⁵ particles in 1-D; 32×32 cells × 32 in 2-D; the
-    // two-rank run triples the load so each rank holds well over 2¹⁵.
-    let case = |stem, scenario, ppc, numerics, backend| Case {
-        stem,
-        scenario,
-        ppc,
-        numerics,
-        backend,
-    };
-    vec![
-        case(
-            "traditional_1d_cic_fd",
-            "two_stream",
-            512,
-            default,
-            Backend::Traditional1D,
-        ),
-        case(
-            "traditional_1d_ngp_fd",
-            "two_stream",
-            512,
-            Numerics1D::basic_ngp(),
-            Backend::Traditional1D,
-        ),
-        case(
-            "traditional_1d_cic_spectral",
-            "two_stream",
-            512,
-            spectral,
-            Backend::Traditional1D,
-        ),
-        case(
-            "traditional_2d",
-            "two_stream_2d",
-            32,
-            default,
-            Backend::Traditional2D,
-        ),
-        case("dl_1d_untrained", "two_stream", 512, default, Backend::Dl1D),
-        case(
-            "dl_2d_untrained",
-            "two_stream_2d",
-            32,
-            default,
-            Backend::Dl2D,
-        ),
-        case("vlasov", "two_stream", 512, default, Backend::Vlasov),
-        case(
-            "ddecomp_2ranks",
-            "two_stream",
-            1536,
-            default,
-            Backend::Ddecomp { n_ranks: 2 },
-        ),
-    ]
+        ..Numerics1D::default()
+    }
 }
 
-fn run(case: &Case) -> EnergyHistory {
-    let mut spec = engine::scenario(case.scenario, Scale::Smoke).unwrap();
-    spec.ppc = case.ppc;
+fn run(&(stem, scenario, ppc, numerics, backend): &Case) -> EnergyHistory {
+    let mut spec = engine::scenario(scenario, Scale::Smoke).unwrap();
+    spec.ppc = ppc;
     spec.n_steps = STEPS;
     assert!(spec.n_particles() >= 1 << 15);
     Engine::new()
-        .with_numerics_1d(case.numerics)
-        .run(&spec, case.backend)
-        .unwrap_or_else(|e| panic!("{}: {e}", case.stem))
+        .with_numerics_1d(numerics())
+        .run(&spec, backend)
+        .unwrap_or_else(|e| panic!("{stem}: {e}"))
         .history
 }
 
@@ -160,7 +117,6 @@ fn render_datasets() -> String {
         base_seed: 7,
     };
     let mut pic_cfg = GeneratorConfig::new(sweep.clone(), PhaseGridSpec::smoke());
-    pic_cfg.binning = BinningShape::Ngp;
     pic_cfg.ppc = 512;
     let pic = store::encode(&generate(&pic_cfg));
     let vlasov_cfg =
@@ -202,8 +158,8 @@ fn assert_matches_golden(stem: &str, actual: &str) {
 
 #[test]
 fn every_backend_reproduces_its_golden_history() {
-    for case in cases() {
-        assert_matches_golden(case.stem, &render(&run(&case)));
+    for case in &CASES {
+        assert_matches_golden(case.0, &render(&run(case)));
     }
 }
 
@@ -215,9 +171,8 @@ fn dataset_generators_reproduce_their_golden_bytes() {
 #[test]
 #[ignore = "rewrites tests/golden/; run by hand after an intended numerical change"]
 fn regenerate() {
-    std::fs::create_dir_all(golden_path("x").parent().unwrap()).unwrap();
-    for case in cases() {
-        std::fs::write(golden_path(case.stem), render(&run(&case))).unwrap();
+    for case in &CASES {
+        std::fs::write(golden_path(case.0), render(&run(case))).unwrap();
     }
     std::fs::write(golden_path("datasets"), render_datasets()).unwrap();
 }
