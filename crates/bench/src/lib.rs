@@ -25,6 +25,8 @@
 
 #![warn(missing_docs)]
 
+// Grouped on disk beside the study that uses them; the module paths (and
+// so the test names) stay as flat as they were in `dlpic_core`.
 #[path = "ablation/physics_loss.rs"]
 pub mod physics_loss;
 #[path = "ablation/temporal.rs"]

@@ -72,13 +72,9 @@ fn harvest_run(cfg: &GeneratorConfig, combo_idx: usize, experiment: usize) -> Ph
 /// Generates the full dataset for a sweep: independent runs, one after
 /// another, merged in sweep order.
 pub fn generate(cfg: &GeneratorConfig) -> PhaseDataset {
-    let runs: Vec<(usize, usize)> = (0..cfg.sweep.combos.len())
+    let harvested: Vec<PhaseDataset> = (0..cfg.sweep.combos.len())
         .flat_map(|c| (0..cfg.sweep.experiments_per_combo).map(move |e| (c, e)))
-        .collect();
-
-    let harvested: Vec<PhaseDataset> = runs
-        .iter()
-        .map(|&(c, e)| {
+        .map(|(c, e)| {
             let ds = harvest_run(cfg, c, e);
             if cfg.verbose && e == 0 {
                 let combo = cfg.sweep.combos[c];

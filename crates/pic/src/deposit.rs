@@ -59,7 +59,7 @@ pub fn deposit_charge(particles: &Particles, grid: &Grid1D, shape: Shape, rho: &
 
 /// Carries nothing: the argument type of [`deposit_charge_with_scratch`].
 #[doc(hidden)]
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct DepositScratch;
 
 impl DepositScratch {
