@@ -23,8 +23,7 @@ use dlpic_pic::simulation::{PicConfig, Simulation};
 use dlpic_pic::solver::TraditionalSolver;
 use dlpic_pic::{Grid1D, Shape};
 use dlpic_pic2d::init2d::TwoStream2DInit;
-use dlpic_pic2d::simulation2d::Pic2DConfig;
-use dlpic_pic2d::{Grid2D, Simulation2D, TraditionalSolver2D};
+use dlpic_pic2d::{Grid2D, TraditionalSolver2D};
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::{self, Backend, LoadingSpec};
 use std::time::Instant;
@@ -135,19 +134,19 @@ fn main() {
     let oh_1d = paired_overhead_pct(&mut run_direct_1d, &mut run_engine_1d);
     let oh_session_1d = paired_overhead_pct(&mut run_direct_1d, &mut run_session_1d);
 
-    // --- 2-D: engine vs pic2d::Simulation2D. ---------------------------
+    // --- 2-D: engine vs pic::Simulation<Grid2D>. -----------------------
     let mut run_direct_2d = || {
         let grid = Grid2D::default_square();
         let n = grid.nx() * grid.ny() * PPC_2D;
-        let cfg = Pic2DConfig {
+        let cfg = PicConfig {
             grid,
-            init: TwoStream2DInit::quiet(0.2, 0.0, n, 1e-3, 9),
+            init: Some(TwoStream2DInit::quiet(0.2, 0.0, n, 1e-3, 9)),
             dt: 0.2,
             n_steps: STEPS_2D,
             gather_shape: Shape::Cic,
             tracked_modes: vec![(1, 0), (2, 0)],
         };
-        let mut sim = Simulation2D::new(cfg, Box::new(TraditionalSolver2D::default_config()));
+        let mut sim = Simulation::new(cfg, Box::new(TraditionalSolver2D::default_config()));
         sim.run();
         std::hint::black_box(sim.history().len());
     };
@@ -187,7 +186,7 @@ fn main() {
         "2-D ({} particles, {STEPS_2D} steps, median of {REPS}):",
         32 * 32 * PPC_2D
     );
-    println!("  direct Simulation2D    : {:.2} ms", direct_2d * 1e3);
+    println!("  direct Simulation<Grid2D>: {:.2} ms", direct_2d * 1e3);
     println!(
         "  engine facade          : {:.2} ms  ({oh_2d:+.2}%)",
         engine_2d * 1e3

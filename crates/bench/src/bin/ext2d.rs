@@ -17,9 +17,9 @@ use dlpic_bench::{out_dir, Cli};
 use dlpic_core::presets::Scale;
 use dlpic_core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
 use dlpic_pic::shape::Shape;
+use dlpic_pic::simulation::{PicConfig, Simulation};
 use dlpic_pic2d::grid2d::Grid2D;
 use dlpic_pic2d::init2d::TwoStream2DInit;
-use dlpic_pic2d::simulation2d::{Pic2DConfig, Simulation2D};
 use dlpic_pic2d::solver2d::TraditionalSolver2D;
 
 /// Experiment sizes per scale: (cells per axis, particles, train seeds,
@@ -32,13 +32,13 @@ fn sizing(scale: Scale) -> (usize, usize, usize, usize, usize) {
     }
 }
 
-fn config(grid: &Grid2D, n_part: usize, v0: f64, vth: f64, seed: u64) -> Pic2DConfig {
+fn config(grid: &Grid2D, n_part: usize, v0: f64, vth: f64, seed: u64) -> PicConfig<Grid2D> {
     // Seed amplitude 3e-3: large enough that the instability signal rises
     // above the DL model's prediction floor early (the paper's own Fig. 4
     // shows the DL curve riding a higher floor for the same reason).
-    Pic2DConfig {
+    PicConfig {
         grid: grid.clone(),
-        init: TwoStream2DInit::quiet(v0, vth, n_part, 3e-3, seed),
+        init: Some(TwoStream2DInit::quiet(v0, vth, n_part, 3e-3, seed)),
         dt: 0.2,
         n_steps: 200,
         gather_shape: Shape::Cic,
@@ -98,27 +98,23 @@ fn main() {
     // traditional run at the evaluation parameters and compare the DL
     // prediction against the Poisson field on the same states.
     let (field_mae, field_scale) = {
-        use dlpic_pic2d::solver2d::FieldSolver2D;
-        let mut probe = Simulation2D::new(
+        use dlpic_pic::solver::FieldSolver;
+        let mut probe = Simulation::new(
             config(&grid, n_part, v0, vth, seed + 1),
             Box::new(TraditionalSolver2D::default_config()),
         );
         let mut err_sum = 0.0f64;
         let mut count = 0usize;
         let mut scale = 0.0f64;
-        let mut ex_dl = grid.zeros();
-        let mut ey_dl = grid.zeros();
+        let mut e_dl = vec![0.0; 2 * grid.nodes()];
         for step in 0..200 {
             probe.step();
             if step % 10 != 0 {
                 continue;
             }
-            solver.solve(probe.particles(), &grid, &mut ex_dl, &mut ey_dl);
-            for (a, b) in ex_dl
-                .iter()
-                .zip(probe.ex())
-                .chain(ey_dl.iter().zip(probe.ey()))
-            {
+            solver.solve(probe.particles(), &grid, &mut e_dl);
+            // Both fields are `[Ex | Ey]` stacked.
+            for (a, b) in e_dl.iter().zip(probe.efield()) {
                 err_sum += (a - b).abs();
                 scale = scale.max(b.abs());
                 count += 1;
@@ -128,20 +124,21 @@ fn main() {
     };
     eprintln!("held-out field MAE {field_mae:.2e} (max |E| = {field_scale:.3})");
     eprintln!("running traditional 2-D PIC (v0 = {v0}, vth = {vth})...");
-    let mut trad = Simulation2D::new(
+    let mut trad = Simulation::new(
         config(&grid, n_part, v0, vth, seed),
         Box::new(TraditionalSolver2D::default_config()),
     );
     trad.run();
     eprintln!("running DL-based 2-D PIC...");
-    let mut dl = Simulation2D::new(config(&grid, n_part, v0, vth, seed), Box::new(solver));
+    let mut dl = Simulation::new(config(&grid, n_part, v0, vth, seed), Box::new(solver));
     dl.run();
 
     // 4. Report: growth of the streaming (1,0) mode vs 1-D linear theory.
     let theory = TwoStreamDispersion::new(v0).growth_rate(3.06);
-    let series = |sim: &Simulation2D, name: &str| -> TimeSeries {
-        let (t, a) = sim.history().mode_series((1, 0)).expect("mode tracked");
-        TimeSeries::from_data(name, t.to_vec(), a.to_vec())
+    let series = |sim: &Simulation<Grid2D>, name: &str| -> TimeSeries {
+        let mut series = sim.history().mode_series((1, 0)).expect("mode tracked");
+        series.name = name.into();
+        series
     };
     let e_trad = series(&trad, "E10-traditional");
     let e_dl = series(&dl, "E10-dl");
@@ -172,7 +169,7 @@ fn main() {
         format!("{g_dl:.4} (r²={r2_dl:.3})"),
     ]);
 
-    let energy_var = |sim: &Simulation2D| -> f64 {
+    let energy_var = |sim: &Simulation<Grid2D>| -> f64 {
         let tot = &sim.history().total;
         stats::relative_variation(tot)
     };
@@ -182,8 +179,8 @@ fn main() {
         format!("{:.2}%", 100.0 * energy_var(&trad)),
         format!("{:.2}%", 100.0 * energy_var(&dl)),
     ]);
-    let mom_drift = |sim: &Simulation2D| -> f64 {
-        let px = &sim.history().momentum_x;
+    let mom_drift = |sim: &Simulation<Grid2D>| -> f64 {
+        let px = &sim.history().momentum;
         px.iter().fold(0.0f64, |m, p| m.max((p - px[0]).abs()))
     };
     table.row(&[

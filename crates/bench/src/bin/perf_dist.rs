@@ -197,10 +197,8 @@ fn main() {
                 };
                 Box::new(ReplicatedDl::new(DlFieldSolver::new(
                     arch.build(0),
-                    spec,
-                    BinningShape::Ngp,
+                    (spec, BinningShape::Ngp, arch.input_kind()),
                     NormStats::identity(),
-                    arch.input_kind(),
                     "dl-mlp",
                 )))
             } else {

@@ -2,7 +2,7 @@
 //! fig4-scale 1-D and fig6/ext2d-scale 2-D PIC cycles, plus `nn::linalg`
 //! matmul GFLOP/s on DL-solver training/inference shapes.
 //!
-//! The workloads go through `Simulation::step` / `Simulation2D::step` —
+//! The workloads go through `Simulation::step` at `Grid1D` and at `Grid2D` —
 //! the exact per-step path the figure binaries and the engine facade
 //! drive — so the recorded numbers track the real hot loop, diagnostics
 //! included.
@@ -36,8 +36,7 @@ use dlpic_pic::simulation::{PicConfig, Simulation};
 use dlpic_pic::solver::TraditionalSolver;
 use dlpic_pic::{Grid1D, Shape};
 use dlpic_pic2d::init2d::TwoStream2DInit;
-use dlpic_pic2d::simulation2d::Pic2DConfig;
-use dlpic_pic2d::{Grid2D, Simulation2D, TraditionalSolver2D};
+use dlpic_pic2d::{Grid2D, TraditionalSolver2D};
 use std::time::Instant;
 
 /// One timed stepping workload.
@@ -109,7 +108,7 @@ fn bench_1d(steps: usize, reps: usize) -> StepResult {
     }
 }
 
-/// Times `steps` calls of `Simulation2D::step` on the ext2d/fig6-scale
+/// Times `steps` calls of `Simulation::<Grid2D>::step` on the ext2d/fig6-scale
 /// 2-D workload: 64×64 grid, 16 ppc (65 536 particles), CIC, spectral
 /// Poisson, two tracked modes.
 fn bench_2d(steps: usize, reps: usize) -> StepResult {
@@ -117,15 +116,15 @@ fn bench_2d(steps: usize, reps: usize) -> StepResult {
     let particles = grid_n * grid_n * 16;
     let times: Vec<f64> = (0..reps)
         .map(|_| {
-            let cfg = Pic2DConfig {
+            let cfg = PicConfig {
                 grid: Grid2D::new(grid_n, grid_n, 2.0532, 2.0532),
-                init: TwoStream2DInit::quiet(0.2, 0.0, particles, 1e-3, 9),
+                init: Some(TwoStream2DInit::quiet(0.2, 0.0, particles, 1e-3, 9)),
                 dt: 0.2,
                 n_steps: steps,
                 gather_shape: Shape::Cic,
                 tracked_modes: vec![(1, 0), (0, 1)],
             };
-            let mut sim = Simulation2D::new(cfg, Box::new(TraditionalSolver2D::default_config()));
+            let mut sim = Simulation::new(cfg, Box::new(TraditionalSolver2D::default_config()));
             let t0 = Instant::now();
             for _ in 0..steps {
                 sim.step();

@@ -250,10 +250,8 @@ impl ModelBundle {
     pub fn solver(&self) -> Result<DlFieldSolver, BundleError> {
         Ok(DlFieldSolver::new(
             self.build_network()?,
-            self.spec,
-            self.binning,
+            (self.spec, self.binning, self.arch.input_kind()),
             self.norm,
-            self.arch.input_kind(),
             self.solver_name(),
         )
         .with_reference_mass(self.reference_mass))
@@ -306,10 +304,8 @@ impl FrozenBundle {
     pub fn solver(&self) -> DlFieldSolver {
         DlFieldSolver::shared(
             Arc::clone(&self.model),
-            self.spec,
-            self.binning,
+            (self.spec, self.binning, self.input_kind),
             self.norm,
-            self.input_kind,
             self.name,
         )
         .with_reference_mass(self.reference_mass)

@@ -6,17 +6,25 @@
 //! interpolation step and particle mover are untouched, exactly as the
 //! paper describes. Each PIC cycle it
 //!
-//! 1. bins the electron phase space into a 2-D histogram,
+//! 1. bins the particle state into the network's input histogram,
 //! 2. normalizes it with the *training-set* min/max (paper Eq. 5),
 //! 3. runs one network inference,
 //! 4. writes the predicted electric field onto the grid nodes.
+//!
+//! The solver is written once over the geometry: `DlFieldSolver` (the
+//! parameter defaults to [`Grid1D`]) bins the `(x, v)` phase space as the
+//! paper does, `DlFieldSolver<Grid2D>` the configuration-space density
+//! (see [`crate::twod`]). Step 1 — [`InputBinning`] — is the only place
+//! the two differ; the predicted field components come back stacked in one
+//! output row either way.
 
 use crate::builder::InputKind;
 use crate::normalize::NormStats;
 use crate::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
-use dlpic_nn::frozen::FrozenModel;
+use dlpic_nn::frozen::{FreezeError, FrozenModel, Precision};
 use dlpic_nn::network::{PredictWorkspace, Sequential};
 use dlpic_nn::tensor::Tensor;
+use dlpic_pic::geometry::Geometry;
 use dlpic_pic::grid::Grid1D;
 use dlpic_pic::particles::Particles;
 use dlpic_pic::solver::{FieldSolver, PhasedFieldSolver};
@@ -27,7 +35,7 @@ use std::sync::Arc;
 /// immutable [`FrozenModel`] so whole fleets read one weight allocation.
 /// At f32 the two paths run the same row-stable kernels and are
 /// bit-identical.
-pub(crate) enum NetExec {
+enum NetExec {
     /// A private network copy (mutable; the historical path).
     Owned(Sequential),
     /// A shared frozen snapshot (read-only; `Arc` clones are cheap).
@@ -35,7 +43,7 @@ pub(crate) enum NetExec {
 }
 
 impl NetExec {
-    pub(crate) fn predict_batch_into<'w>(
+    fn predict_batch_into<'w>(
         &mut self,
         input: &Tensor,
         workspace: &'w mut PredictWorkspace,
@@ -50,7 +58,7 @@ impl NetExec {
     /// `Arc` pointer (equal across all sharers) and the frozen model's
     /// actual storage; owned solvers report their own address (never
     /// deduplicated) and the f32 parameter footprint.
-    pub(crate) fn weight_storage(&self) -> (usize, usize) {
+    fn weight_storage(&self) -> (usize, usize) {
         match self {
             Self::Owned(net) => (self as *const Self as usize, net.param_count() * 4),
             Self::Shared(model) => (Arc::as_ptr(model) as usize, model.weight_bytes()),
@@ -58,41 +66,89 @@ impl NetExec {
     }
 }
 
+/// The one per-dimension piece of a DL field solve: how a geometry's
+/// particle state becomes the network's input row. Everything after it —
+/// mass rescaling, normalization, inference, the field write — is
+/// [`DlFieldSolver`]'s and is the same in every dimension.
+pub trait InputBinning: Geometry {
+    /// What parameterises the binning: the phase grid, binning order and
+    /// input layout in 1-D; the density-binning order in 2-D.
+    type Binner: Send;
+
+    /// Width of one input row on `grid`.
+    fn input_len(binner: &Self::Binner, grid: &Self) -> usize;
+
+    /// Bins the particles into `dst` (`input_len` raw counts, overwritten)
+    /// and returns the particle count — the histogram's total mass.
+    fn bin(
+        binner: &Self::Binner,
+        particles: &Self::Particles,
+        grid: &Self,
+        dst: &mut [f32],
+    ) -> usize;
+
+    /// Shapes the reusable input tensor for `rows` stacked rows of `width`
+    /// values each: flat, unless the architecture wants an image.
+    fn shape_batch(_binner: &Self::Binner, input: &mut Tensor, rows: usize, width: usize) {
+        input.resize_in_place(&[rows, width]);
+    }
+}
+
+/// The paper's input: the `(x, v)` phase-space histogram, flat for the MLP
+/// or as a one-channel image for the CNN.
+impl InputBinning for Grid1D {
+    type Binner = (PhaseGridSpec, BinningShape, InputKind);
+
+    fn input_len((spec, ..): &Self::Binner, _grid: &Grid1D) -> usize {
+        spec.cells()
+    }
+
+    fn bin(
+        (spec, shape, _): &Self::Binner,
+        particles: &Particles,
+        grid: &Grid1D,
+        dst: &mut [f32],
+    ) -> usize {
+        bin_phase_space(particles, grid, spec, *shape, dst);
+        particles.len()
+    }
+
+    fn shape_batch((spec, _, kind): &Self::Binner, input: &mut Tensor, rows: usize, width: usize) {
+        assert_eq!(width, spec.cells(), "histogram size mismatch");
+        match kind {
+            InputKind::Flat => input.resize_in_place(&[rows, width]),
+            InputKind::Image => input.resize_in_place(&[rows, 1, spec.nv, spec.nx]),
+        }
+    }
+}
+
 /// A neural-network-backed electric-field solver.
-pub struct DlFieldSolver {
+pub struct DlFieldSolver<G: InputBinning = Grid1D> {
     net: NetExec,
-    spec: PhaseGridSpec,
-    binning: BinningShape,
+    binner: G::Binner,
     norm: NormStats,
-    input_kind: InputKind,
     name: &'static str,
     reference_mass: f32,
     scratch: Vec<f32>,
     out_scratch: Vec<f32>,
     input: Tensor,
     workspace: PredictWorkspace,
-    /// Output width of the wrapped network, learned at the first
-    /// inference (0 = not inferred yet). Every simulation performs its
-    /// initial field solve during construction, so the value is known by
-    /// the time an external scheduler asks.
-    out_cells: usize,
+    /// Input and output row widths, learned at the first solve (0 = not
+    /// solved yet). Every simulation performs its initial field solve
+    /// during construction, so both are known by the time an external
+    /// scheduler asks.
+    in_len: usize,
+    out_len: usize,
 }
 
-impl DlFieldSolver {
+impl<G: InputBinning> DlFieldSolver<G> {
     /// Wraps a trained network.
     ///
     /// `norm` must be the statistics of the network's *training* inputs;
-    /// `input_kind` must match the architecture (flat for MLP, image for
-    /// CNN).
-    pub fn new(
-        net: Sequential,
-        spec: PhaseGridSpec,
-        binning: BinningShape,
-        norm: NormStats,
-        input_kind: InputKind,
-        name: &'static str,
-    ) -> Self {
-        Self::with_exec(NetExec::Owned(net), spec, binning, norm, input_kind, name)
+    /// the binner's input layout must match the architecture (flat for
+    /// MLP, image for CNN).
+    pub fn new(net: Sequential, binner: G::Binner, norm: NormStats, name: &'static str) -> Self {
+        Self::with_exec(NetExec::Owned(net), binner, norm, name)
     }
 
     /// Wraps an `Arc`-shared frozen model: the fleet path, where N
@@ -101,44 +157,26 @@ impl DlFieldSolver {
     /// [`Self::new`] on the network the model was frozen from.
     pub fn shared(
         model: Arc<FrozenModel>,
-        spec: PhaseGridSpec,
-        binning: BinningShape,
+        binner: G::Binner,
         norm: NormStats,
-        input_kind: InputKind,
         name: &'static str,
     ) -> Self {
-        Self::with_exec(
-            NetExec::Shared(model),
-            spec,
-            binning,
-            norm,
-            input_kind,
-            name,
-        )
+        Self::with_exec(NetExec::Shared(model), binner, norm, name)
     }
 
-    fn with_exec(
-        net: NetExec,
-        spec: PhaseGridSpec,
-        binning: BinningShape,
-        norm: NormStats,
-        input_kind: InputKind,
-        name: &'static str,
-    ) -> Self {
-        let scratch = vec![0.0f32; spec.cells()];
+    fn with_exec(net: NetExec, binner: G::Binner, norm: NormStats, name: &'static str) -> Self {
         Self {
             net,
-            spec,
-            binning,
+            binner,
             norm,
-            input_kind,
             name,
             reference_mass: 0.0,
-            scratch,
+            scratch: Vec::new(),
             out_scratch: Vec::new(),
             input: Tensor::zeros(&[0]),
             workspace: PredictWorkspace::new(),
-            out_cells: 0,
+            in_len: 0,
+            out_len: 0,
         }
     }
 
@@ -153,14 +191,20 @@ impl DlFieldSolver {
         self
     }
 
-    /// The phase-grid geometry this solver bins into.
-    pub fn spec(&self) -> &PhaseGridSpec {
-        &self.spec
+    /// What parameterises this solver's input binning (1-D: the phase
+    /// grid, binning order and input layout).
+    pub fn binner(&self) -> &G::Binner {
+        &self.binner
     }
 
-    /// The binning order used for the phase-space histogram.
-    pub fn binning(&self) -> BinningShape {
-        self.binning
+    /// The training-input normalization statistics.
+    pub fn norm(&self) -> NormStats {
+        self.norm
+    }
+
+    /// The training histograms' total mass (0 = unknown).
+    pub fn reference_mass(&self) -> f32 {
+        self.reference_mass
     }
 
     /// Immutable access to the wrapped network, when this solver owns a
@@ -191,46 +235,22 @@ impl DlFieldSolver {
         }
     }
 
-    /// Completes a solve from a *raw* (unnormalized) histogram binned
-    /// elsewhere: rescales it to the training mass, applies the
-    /// training-set normalization (paper Eq. 5), runs inference and
-    /// writes the field. `total_mass` is the histogram's total count.
-    ///
-    /// This is the distributed-memory path (crate `dlpic-ddecomp`): each
-    /// rank bins its local particles, the summed global histogram arrives
-    /// via an all-reduce, and every rank finishes the solve locally with
-    /// its replicated network.
-    ///
-    /// # Panics
-    /// Panics if the histogram size mismatches the phase grid or the
-    /// network output width mismatches `e`.
-    pub fn solve_from_raw_histogram(&mut self, histogram: &[f32], total_mass: f32, e: &mut [f64]) {
-        assert_eq!(
-            histogram.len(),
-            self.spec.cells(),
-            "histogram size mismatch"
-        );
-        self.scratch.clear();
-        self.scratch.extend_from_slice(histogram);
-        if self.reference_mass > 0.0 && (total_mass - self.reference_mass).abs() > 0.5 {
-            let factor = self.reference_mass / total_mass;
-            for v in self.scratch.iter_mut() {
-                *v *= factor;
-            }
+    /// The network as an `Arc`-shareable frozen model: an owned network is
+    /// frozen at `precision`; on the shared path the existing allocation
+    /// is re-shared (its stored precision wins — re-quantizing without
+    /// the f32 source is impossible).
+    pub fn freeze_model(&self, precision: Precision) -> Result<Arc<FrozenModel>, FreezeError> {
+        match &self.net {
+            NetExec::Owned(net) => Ok(Arc::new(net.freeze(precision)?)),
+            NetExec::Shared(model) => Ok(Arc::clone(model)),
         }
-        self.norm.apply(&mut self.scratch);
-        self.infer_scratch_into(e);
     }
 
     /// Runs one inference from an already-binned, already-normalized
     /// histogram (the inner step of [`FieldSolver::solve`], exposed for
-    /// benchmarking the pure inference cost).
+    /// benchmarking the pure inference cost); returns the predicted field
+    /// components stacked.
     pub fn predict_from_histogram(&mut self, histogram: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            histogram.len(),
-            self.spec.cells(),
-            "histogram size mismatch"
-        );
         self.stage_input(histogram, 1);
         self.net
             .predict_batch_into(&self.input, &mut self.workspace)
@@ -241,13 +261,8 @@ impl DlFieldSolver {
     /// Copies `rows` prepared histograms into the reusable input tensor
     /// with the architecture's batch shape.
     fn stage_input(&mut self, data: &[f32], rows: usize) {
-        assert_eq!(data.len(), rows * self.spec.cells(), "batch input size");
-        match self.input_kind {
-            InputKind::Flat => self.input.resize_in_place(&[rows, self.spec.cells()]),
-            InputKind::Image => self
-                .input
-                .resize_in_place(&[rows, 1, self.spec.nv, self.spec.nx]),
-        }
+        assert_eq!(data.len() % rows, 0, "batch input size");
+        G::shape_batch(&self.binner, &mut self.input, rows, data.len() / rows);
         self.input.data_mut().copy_from_slice(data);
     }
 
@@ -266,15 +281,43 @@ impl DlFieldSolver {
     }
 }
 
-impl FieldSolver for DlFieldSolver {
-    fn solve(&mut self, particles: &Particles, grid: &Grid1D, e: &mut [f64]) {
+impl DlFieldSolver {
+    /// Completes a solve from a *raw* (unnormalized) histogram binned
+    /// elsewhere: rescales it to the training mass, applies the
+    /// training-set normalization (paper Eq. 5), runs inference and
+    /// writes the field. `total_mass` is the histogram's total count.
+    ///
+    /// This is the distributed-memory path (crate `dlpic-ddecomp`): each
+    /// rank bins its local particles, the summed global histogram arrives
+    /// via an all-reduce, and every rank finishes the solve locally with
+    /// its replicated network.
+    ///
+    /// # Panics
+    /// Panics if the histogram size mismatches the phase grid or the
+    /// network output width mismatches `e`.
+    pub fn solve_from_raw_histogram(&mut self, histogram: &[f32], total_mass: f32, e: &mut [f64]) {
+        self.scratch.clear();
+        self.scratch.extend_from_slice(histogram);
+        if self.reference_mass > 0.0 && (total_mass - self.reference_mass).abs() > 0.5 {
+            let factor = self.reference_mass / total_mass;
+            for v in self.scratch.iter_mut() {
+                *v *= factor;
+            }
+        }
+        self.norm.apply(&mut self.scratch);
+        self.infer_scratch_into(e);
+    }
+}
+
+impl<G: InputBinning> FieldSolver<G> for DlFieldSolver<G> {
+    fn solve(&mut self, particles: &G::Particles, grid: &G, e: &mut [f64]) {
         // The same three phases the ensemble scheduler drives externally:
         // prepare (bin + mass-rescale + normalize), one m = 1 inference,
         // apply. Allocation-free once the reusable buffers are warm, and
         // bit-identical to a batched solve of the same state (row-stable
         // GEMM kernels).
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.resize(self.spec.cells(), 0.0);
+        scratch.resize(G::input_len(&self.binner, grid), 0.0);
         self.prepare_input(particles, grid, &mut scratch);
         self.scratch = scratch;
         self.infer_scratch_into(e);
@@ -284,7 +327,7 @@ impl FieldSolver for DlFieldSolver {
         self.name
     }
 
-    fn phased(&mut self) -> Option<&mut dyn PhasedFieldSolver> {
+    fn phased(&mut self) -> Option<&mut dyn PhasedFieldSolver<G>> {
         Some(self)
     }
 
@@ -293,33 +336,35 @@ impl FieldSolver for DlFieldSolver {
     }
 }
 
-impl PhasedFieldSolver for DlFieldSolver {
+impl<G: InputBinning> PhasedFieldSolver<G> for DlFieldSolver<G> {
     fn input_len(&self) -> usize {
-        self.spec.cells()
+        assert!(
+            self.in_len > 0,
+            "input width is unknown before the first solve"
+        );
+        self.in_len
     }
 
     fn output_len(&self) -> usize {
         assert!(
-            self.out_cells > 0,
+            self.out_len > 0,
             "output width is unknown before the first inference"
         );
-        self.out_cells
+        self.out_len
     }
 
-    fn prepare_input(&mut self, particles: &Particles, grid: &Grid1D, dst: &mut [f32]) {
+    fn prepare_input(&mut self, particles: &G::Particles, grid: &G, dst: &mut [f32]) {
         // 1-2. Bin, rescale to the training mass, and normalize (paper
         // Eq. 5) — everything `solve` does before the network.
-        bin_phase_space(particles, grid, &self.spec, self.binning, dst);
-        if self.reference_mass > 0.0 {
-            let mass = particles.len() as f32;
-            if (mass - self.reference_mass).abs() > 0.5 {
-                let factor = self.reference_mass / mass;
-                for v in dst.iter_mut() {
-                    *v *= factor;
-                }
+        let mass = G::bin(&self.binner, particles, grid, dst) as f32;
+        if self.reference_mass > 0.0 && (mass - self.reference_mass).abs() > 0.5 {
+            let factor = self.reference_mass / mass;
+            for v in dst.iter_mut() {
+                *v *= factor;
             }
         }
         self.norm.apply(dst);
+        self.in_len = dst.len();
     }
 
     fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]) {
@@ -337,15 +382,15 @@ impl PhasedFieldSolver for DlFieldSolver {
             output.len(),
         );
         output.copy_from_slice(pred.data());
-        self.out_cells = pred.len() / rows;
+        self.out_len = pred.len() / rows;
     }
 
     fn apply_output(&mut self, row: &[f32], e: &mut [f64]) {
-        // 4. Write the predicted electric field onto the grid nodes.
+        // 4. Write the predicted field components onto the grid nodes.
         assert_eq!(
             row.len(),
             e.len(),
-            "network output width {} does not match grid cells {}",
+            "network output width {} does not match the {} field values",
             row.len(),
             e.len()
         );
@@ -371,10 +416,8 @@ mod tests {
         };
         DlFieldSolver::new(
             arch.build(0),
-            spec,
-            BinningShape::Ngp,
+            (spec, BinningShape::Ngp, arch.input_kind()),
             NormStats::identity(),
-            arch.input_kind(),
             "dl-mlp",
         )
     }
@@ -412,12 +455,10 @@ mod tests {
             hidden: vec![16],
             output: 64,
         };
-        let mut solver = DlFieldSolver::new(
+        let mut solver = DlFieldSolver::<Grid1D>::new(
             arch.build(1),
-            spec,
-            BinningShape::Cic,
+            (spec, BinningShape::Cic, arch.input_kind()),
             NormStats::identity(),
-            arch.input_kind(),
             "dl-cnn",
         );
         let hist = vec![0.5f32; spec.cells()];
@@ -437,21 +478,17 @@ mod tests {
         };
         let model = Arc::new(arch.build(4).freeze(Precision::F32).unwrap());
         let mk_shared = |m: Arc<dlpic_nn::FrozenModel>| {
-            DlFieldSolver::shared(
+            DlFieldSolver::<Grid1D>::shared(
                 m,
-                PhaseGridSpec::smoke(),
-                BinningShape::Cic,
+                (PhaseGridSpec::smoke(), BinningShape::Cic, arch.input_kind()),
                 NormStats::identity(),
-                arch.input_kind(),
                 "dl-mlp",
             )
         };
-        let mut owned = DlFieldSolver::new(
+        let mut owned = DlFieldSolver::<Grid1D>::new(
             arch.build(4),
-            PhaseGridSpec::smoke(),
-            BinningShape::Cic,
+            (PhaseGridSpec::smoke(), BinningShape::Cic, arch.input_kind()),
             NormStats::identity(),
-            arch.input_kind(),
             "dl-mlp",
         );
         let mut s1 = mk_shared(Arc::clone(&model));
@@ -486,12 +523,10 @@ mod tests {
             hidden: vec![4],
             output: 32,
         };
-        let mut solver = DlFieldSolver::new(
+        let mut solver = DlFieldSolver::<Grid1D>::new(
             arch.build(0),
-            spec,
-            BinningShape::Ngp,
+            (spec, BinningShape::Ngp, arch.input_kind()),
             NormStats::identity(),
-            arch.input_kind(),
             "dl-mlp",
         );
         let grid = Grid1D::paper(); // 64 cells ≠ 32 outputs

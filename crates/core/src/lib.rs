@@ -13,7 +13,9 @@
 //! 3. [`field_solver::DlFieldSolver`] — a neural-network inference that
 //!    maps the histogram to the 64-cell electric field. It implements
 //!    `dlpic_pic::solver::FieldSolver`, so the *same* simulation loop runs
-//!    both methods.
+//!    both methods. The solver is generic over the geometry; its one
+//!    per-dimension piece is [`field_solver::InputBinning`], and [`twod`]
+//!    supplies the 2-D instantiation's binning, training and frozen model.
 //!
 //! [`builder`] constructs the paper's §IV.A architectures (MLP: 3×1024
 //! ReLU hidden + 64 linear out; CNN: two blocks of conv→conv→pool + 3 FC), plus the
@@ -33,8 +35,8 @@ pub mod twod;
 
 pub use builder::{ArchSpec, InputKind};
 pub use bundle::{BundleError, FrozenBundle, ModelBundle};
-pub use field_solver::DlFieldSolver;
+pub use field_solver::{DlFieldSolver, InputBinning};
 pub use normalize::NormStats;
 pub use phase_space::{bin_phase_space, phase_space_histogram, BinningShape, PhaseGridSpec};
 pub use presets::Scale;
-pub use twod::{DensityBinning, Dl2DFieldSolver, Frozen2DModel};
+pub use twod::{DensityBinning, Frozen2DModel};

@@ -17,23 +17,26 @@
 //! The rest of the method is unchanged: histograms are min–max normalized
 //! with the training-set statistics (paper Eq. 5), the network is an MLP
 //! with ReLU hidden layers and a linear output trained with Adam on MSE,
-//! and the solver drops into the shared 2-D simulation loop behind
-//! [`FieldSolver2D`].
+//! and the solver is the one [`DlFieldSolver`], instantiated at
+//! [`Grid2D`]: this module supplies its input binning ([`bin_density`]
+//! behind [`InputBinning`]), the harvest/train pipeline and the frozen
+//! shareable model; inference, normalization and the field write are the
+//! code the 1-D solver runs.
 
 use crate::builder::ArchSpec;
-use crate::field_solver::NetExec;
+use crate::field_solver::{DlFieldSolver, InputBinning};
 use crate::normalize::NormStats;
 use dlpic_nn::data::Dataset;
 use dlpic_nn::frozen::{FreezeError, FrozenModel, Precision};
 use dlpic_nn::loss::Mse;
-use dlpic_nn::network::{PredictWorkspace, Sequential};
 use dlpic_nn::optimizer::adam::Adam;
 use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig, TrainHistory};
+use dlpic_pic::simulation::{PicConfig, Simulation};
+use dlpic_pic::solver::FieldSolver;
 use dlpic_pic2d::grid2d::Grid2D;
 use dlpic_pic2d::particles2d::Particles2D;
-use dlpic_pic2d::simulation2d::{Pic2DConfig, Simulation2D};
-use dlpic_pic2d::solver2d::{FieldSolver2D, PhasedFieldSolver2D, TraditionalSolver2D};
+use dlpic_pic2d::solver2d::TraditionalSolver2D;
 use std::sync::Arc;
 
 /// Binning order for the 2-D density histogram (mirrors the 1-D
@@ -90,6 +93,25 @@ pub fn bin_density(particles: &Particles2D, grid: &Grid2D, shape: DensityBinning
     }
 }
 
+/// The 2-D input: the configuration-space density histogram, always flat.
+impl InputBinning for Grid2D {
+    type Binner = DensityBinning;
+
+    fn input_len(_binning: &DensityBinning, grid: &Grid2D) -> usize {
+        grid.nodes()
+    }
+
+    fn bin(
+        binning: &DensityBinning,
+        particles: &Particles2D,
+        grid: &Grid2D,
+        dst: &mut [f32],
+    ) -> usize {
+        bin_density(particles, grid, *binning, dst);
+        particles.len()
+    }
+}
+
 /// One training sample of the 2-D extension: a density histogram and the
 /// associated field components.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,11 +127,11 @@ pub struct Sample2D {
 /// Runs a traditional 2-D PIC simulation and harvests one sample every
 /// `stride` steps (stride 1 = every step), mirroring the paper's 1-D
 /// harvesting procedure.
-pub fn harvest_2d(cfg: Pic2DConfig, binning: DensityBinning, stride: usize) -> Vec<Sample2D> {
+pub fn harvest_2d(cfg: PicConfig<Grid2D>, binning: DensityBinning, stride: usize) -> Vec<Sample2D> {
     assert!(stride > 0, "stride must be positive");
     let n_steps = cfg.n_steps;
     let grid = cfg.grid.clone();
-    let mut sim = Simulation2D::new(cfg, Box::new(TraditionalSolver2D::default_config()));
+    let mut sim = Simulation::new(cfg, Box::new(TraditionalSolver2D::default_config()));
     let mut samples = Vec::with_capacity(n_steps / stride + 1);
     let mut hist = vec![0.0f32; grid.nodes()];
     for step in 0..n_steps {
@@ -118,10 +140,11 @@ pub fn harvest_2d(cfg: Pic2DConfig, binning: DensityBinning, stride: usize) -> V
             continue;
         }
         bin_density(sim.particles(), &grid, binning, &mut hist);
+        let (ex, ey) = sim.efield().split_at(grid.nodes());
         samples.push(Sample2D {
             hist: hist.clone(),
-            ex: sim.ex().iter().map(|&v| v as f32).collect(),
-            ey: sim.ey().iter().map(|&v| v as f32).collect(),
+            ex: ex.iter().map(|&v| v as f32).collect(),
+            ey: ey.iter().map(|&v| v as f32).collect(),
         });
     }
     samples
@@ -200,7 +223,7 @@ pub fn train_2d_solver(
     samples: &[Sample2D],
     binning: DensityBinning,
     cfg: &Train2DConfig,
-) -> (Dl2DFieldSolver, TrainHistory) {
+) -> (DlFieldSolver<Grid2D>, TrainHistory) {
     let (dataset, norm) = build_dataset_2d(samples);
     let arch = arch_2d(grid, cfg.hidden.clone());
     let mut net = arch.build(cfg.seed);
@@ -214,7 +237,7 @@ pub fn train_2d_solver(
     let history = train(&mut net, &Mse, &mut opt, &dataset, None, &tc);
     let reference_mass: f32 = samples[0].hist.iter().sum();
     let solver =
-        Dl2DFieldSolver::new(net, binning, norm, "dl-2d-mlp").with_reference_mass(reference_mass);
+        DlFieldSolver::new(net, binning, norm, "dl-2d-mlp").with_reference_mass(reference_mass);
     (solver, history)
 }
 
@@ -232,29 +255,11 @@ pub struct Frozen2DModel {
 }
 
 impl Frozen2DModel {
-    /// Freezes a trained network into a shareable 2-D model.
-    pub fn from_network(
-        net: &Sequential,
-        binning: DensityBinning,
-        norm: NormStats,
-        reference_mass: f32,
-        name: &'static str,
-        precision: Precision,
-    ) -> Result<Self, FreezeError> {
-        Ok(Self {
-            model: Arc::new(net.freeze(precision)?),
-            binning,
-            norm,
-            reference_mass,
-            name,
-        })
-    }
-
     /// Mints one fleet member over the shared weight allocation. At
     /// [`Precision::F32`] the member is bit-identical to the solver the
     /// model was frozen from.
-    pub fn solver(&self) -> Dl2DFieldSolver {
-        Dl2DFieldSolver::shared(Arc::clone(&self.model), self.binning, self.norm, self.name)
+    pub fn solver(&self) -> DlFieldSolver<Grid2D> {
+        DlFieldSolver::shared(Arc::clone(&self.model), self.binning, self.norm, self.name)
             .with_reference_mass(self.reference_mass)
     }
 
@@ -269,243 +274,17 @@ impl Frozen2DModel {
     }
 }
 
-/// A neural-network-backed 2-D field solver (density histogram in,
-/// `[Ex | Ey]` out), pluggable into [`Simulation2D`].
-pub struct Dl2DFieldSolver {
-    net: NetExec,
-    binning: DensityBinning,
-    norm: NormStats,
-    name: &'static str,
-    reference_mass: f32,
-    scratch: Vec<f32>,
-    out_scratch: Vec<f32>,
-    input: Tensor,
-    workspace: PredictWorkspace,
-    /// Input/output widths, learned at the first solve (0 = unknown; the
-    /// initial field solve during simulation construction fills them).
-    in_nodes: usize,
-    out_len: usize,
-}
-
-impl Dl2DFieldSolver {
-    /// Wraps a trained network. `norm` must be the training-input
-    /// statistics.
-    pub fn new(
-        net: Sequential,
-        binning: DensityBinning,
-        norm: NormStats,
-        name: &'static str,
-    ) -> Self {
-        Self::with_exec(NetExec::Owned(net), binning, norm, name)
-    }
-
-    /// Wraps an `Arc`-shared frozen model (see [`Frozen2DModel`]).
-    pub fn shared(
-        model: Arc<FrozenModel>,
-        binning: DensityBinning,
-        norm: NormStats,
-        name: &'static str,
-    ) -> Self {
-        Self::with_exec(NetExec::Shared(model), binning, norm, name)
-    }
-
-    fn with_exec(
-        net: NetExec,
-        binning: DensityBinning,
-        norm: NormStats,
-        name: &'static str,
-    ) -> Self {
-        Self {
-            net,
-            binning,
-            norm,
-            name,
-            reference_mass: 0.0,
-            scratch: Vec::new(),
-            out_scratch: Vec::new(),
-            input: Tensor::zeros(&[0]),
-            workspace: PredictWorkspace::new(),
-            in_nodes: 0,
-            out_len: 0,
-        }
-    }
-
-    /// Sets the training histograms' total mass; inference histograms are
-    /// rescaled to it (same extensivity argument as the 1-D solver).
-    pub fn with_reference_mass(mut self, mass: f32) -> Self {
-        self.reference_mass = mass;
-        self
-    }
-
-    /// Immutable access to the wrapped network, when this solver owns a
-    /// private copy (`None` on the `Arc`-shared frozen path).
-    pub fn network(&self) -> Option<&Sequential> {
-        match &self.net {
-            NetExec::Owned(net) => Some(net),
-            NetExec::Shared(_) => None,
-        }
-    }
-
-    /// Mutable access to the owned network (parameter serialization and
-    /// benchmark reuse); `None` on the shared frozen path.
-    pub fn network_mut(&mut self) -> Option<&mut Sequential> {
-        match &mut self.net {
-            NetExec::Owned(net) => Some(net),
-            NetExec::Shared(_) => None,
-        }
-    }
-
-    /// The shared frozen model, when this solver runs on one.
-    pub fn frozen(&self) -> Option<&Arc<FrozenModel>> {
-        match &self.net {
-            NetExec::Owned(_) => None,
-            NetExec::Shared(model) => Some(model),
-        }
-    }
-
-    /// Freezes this solver's network into a shareable [`Frozen2DModel`].
-    /// On the shared path the existing allocation is re-shared (its
-    /// stored precision wins — re-quantizing without the f32 source is
-    /// impossible).
+impl DlFieldSolver<Grid2D> {
+    /// Freezes this solver into a shareable [`Frozen2DModel`] (see
+    /// [`DlFieldSolver::freeze_model`] for which precision wins).
     pub fn freeze(&self, precision: Precision) -> Result<Frozen2DModel, FreezeError> {
-        let model = match &self.net {
-            NetExec::Owned(net) => Arc::new(net.freeze(precision)?),
-            NetExec::Shared(model) => Arc::clone(model),
-        };
         Ok(Frozen2DModel {
-            model,
-            binning: self.binning,
-            norm: self.norm,
-            reference_mass: self.reference_mass,
-            name: self.name,
+            model: self.freeze_model(precision)?,
+            binning: *self.binner(),
+            norm: self.norm(),
+            reference_mass: self.reference_mass(),
+            name: self.name(),
         })
-    }
-
-    /// The training-input normalization statistics.
-    pub fn norm(&self) -> NormStats {
-        self.norm
-    }
-
-    /// The training histograms' total mass (0 = unknown).
-    pub fn reference_mass(&self) -> f32 {
-        self.reference_mass
-    }
-
-    /// Runs one inference from an already-normalized histogram; returns
-    /// the stacked `[Ex | Ey]` prediction.
-    pub fn predict_from_histogram(&mut self, histogram: &[f32]) -> Vec<f32> {
-        self.input.resize_in_place(&[1, histogram.len()]);
-        self.input.data_mut().copy_from_slice(histogram);
-        self.net
-            .predict_batch_into(&self.input, &mut self.workspace)
-            .data()
-            .to_vec()
-    }
-
-    /// Inference + field write from the prepared `self.scratch` — phases
-    /// 2–3 on the solver's own buffers (the in-process solo path).
-    fn infer_scratch_into(&mut self, ex: &mut [f64], ey: &mut [f64]) {
-        let scratch = std::mem::take(&mut self.scratch);
-        let mut out = std::mem::take(&mut self.out_scratch);
-        out.resize(2 * ex.len(), 0.0);
-        self.infer_batch(&scratch, 1, &mut out);
-        self.apply_output(&out, ex, ey);
-        self.scratch = scratch;
-        self.out_scratch = out;
-    }
-}
-
-impl FieldSolver2D for Dl2DFieldSolver {
-    fn solve(&mut self, particles: &Particles2D, grid: &Grid2D, ex: &mut [f64], ey: &mut [f64]) {
-        // The same three phases the ensemble scheduler drives externally:
-        // prepare (bin + mass-rescale + normalize), one m = 1 inference,
-        // apply — bit-identical to a batched solve of the same state.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.resize(grid.nodes(), 0.0);
-        self.prepare_input(particles, grid, &mut scratch);
-        self.scratch = scratch;
-        self.infer_scratch_into(ex, ey);
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn phased(&mut self) -> Option<&mut dyn PhasedFieldSolver2D> {
-        Some(self)
-    }
-
-    fn weight_storage(&self) -> Option<(usize, usize)> {
-        Some(self.net.weight_storage())
-    }
-}
-
-impl PhasedFieldSolver2D for Dl2DFieldSolver {
-    fn input_len(&self) -> usize {
-        assert!(
-            self.in_nodes > 0,
-            "input width is unknown before the first solve"
-        );
-        self.in_nodes
-    }
-
-    fn output_len(&self) -> usize {
-        assert!(
-            self.out_len > 0,
-            "output width is unknown before the first inference"
-        );
-        self.out_len
-    }
-
-    fn prepare_input(&mut self, particles: &Particles2D, grid: &Grid2D, dst: &mut [f32]) {
-        bin_density(particles, grid, self.binning, dst);
-        if self.reference_mass > 0.0 {
-            let mass = particles.len() as f32;
-            if (mass - self.reference_mass).abs() > 0.5 {
-                let factor = self.reference_mass / mass;
-                for v in dst.iter_mut() {
-                    *v *= factor;
-                }
-            }
-        }
-        self.norm.apply(dst);
-        self.in_nodes = grid.nodes();
-    }
-
-    fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]) {
-        assert_eq!(input.len() % rows, 0, "batch input size");
-        self.input.resize_in_place(&[rows, input.len() / rows]);
-        self.input.data_mut().copy_from_slice(input);
-        let pred = self
-            .net
-            .predict_batch_into(&self.input, &mut self.workspace);
-        assert_eq!(
-            pred.len(),
-            output.len(),
-            "network output width {} does not match the requested {} values ({rows} rows)",
-            pred.len(),
-            output.len(),
-        );
-        output.copy_from_slice(pred.data());
-        self.out_len = pred.len() / rows;
-    }
-
-    fn apply_output(&mut self, row: &[f32], ex: &mut [f64], ey: &mut [f64]) {
-        let nodes = ex.len();
-        assert_eq!(
-            row.len(),
-            2 * nodes,
-            "network output width {} does not match 2·nodes = {}",
-            row.len(),
-            2 * nodes
-        );
-        for (dst, &src) in ex.iter_mut().zip(&row[..nodes]) {
-            *dst = src as f64;
-        }
-        for (dst, &src) in ey.iter_mut().zip(&row[nodes..]) {
-            *dst = src as f64;
-        }
     }
 }
 
@@ -549,9 +328,9 @@ mod tests {
 
     #[test]
     fn harvest_produces_expected_sample_count() {
-        let cfg = Pic2DConfig {
+        let cfg = PicConfig {
             grid: tiny_grid(),
-            init: TwoStream2DInit::quiet(0.2, 0.0, 1024, 1e-3, 0),
+            init: Some(TwoStream2DInit::quiet(0.2, 0.0, 1024, 1e-3, 0)),
             dt: 0.2,
             n_steps: 10,
             gather_shape: Shape::Cic,
@@ -594,17 +373,16 @@ mod tests {
     fn untrained_solver_writes_finite_fields() {
         let grid = tiny_grid();
         let arch = arch_2d(&grid, vec![16]);
-        let mut solver = Dl2DFieldSolver::new(
+        let mut solver = DlFieldSolver::new(
             arch.build(0),
             DensityBinning::Ngp,
             NormStats::identity(),
             "dl-2d",
         );
         let p = TwoStream2DInit::random(0.2, 0.0, 512, 1).build(&grid);
-        let mut ex = grid.zeros();
-        let mut ey = grid.zeros();
-        solver.solve(&p, &grid, &mut ex, &mut ey);
-        assert!(ex.iter().chain(ey.iter()).all(|v| v.is_finite()));
+        let mut e = vec![0.0; 2 * grid.nodes()];
+        solver.solve(&p, &grid, &mut e);
+        assert!(e.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -612,9 +390,9 @@ mod tests {
         // A minimal learning sanity check: after a few epochs the MSE on
         // the training samples must drop well below the untrained level.
         let grid = tiny_grid();
-        let cfg = Pic2DConfig {
+        let cfg = PicConfig {
             grid: grid.clone(),
-            init: TwoStream2DInit::quiet(0.2, 0.0, 2048, 1e-2, 0),
+            init: Some(TwoStream2DInit::quiet(0.2, 0.0, 2048, 1e-2, 0)),
             dt: 0.2,
             n_steps: 30,
             gather_shape: Shape::Cic,
@@ -641,7 +419,7 @@ mod tests {
     fn frozen_2d_solver_is_bit_identical_to_owned() {
         let grid = tiny_grid();
         let arch = arch_2d(&grid, vec![16]);
-        let mut owned = Dl2DFieldSolver::new(
+        let mut owned = DlFieldSolver::new(
             arch.build(3),
             DensityBinning::Cic,
             NormStats::identity(),
@@ -653,10 +431,10 @@ mod tests {
         let mut m2 = frozen.solver();
         let p = TwoStream2DInit::random(0.2, 0.01, 512, 5).build(&grid);
 
-        let solve = |s: &mut Dl2DFieldSolver, grid: &Grid2D| {
-            let mut ex = grid.zeros();
-            let mut ey = grid.zeros();
-            s.solve(&p, grid, &mut ex, &mut ey);
+        let solve = |s: &mut DlFieldSolver<Grid2D>, grid: &Grid2D| {
+            let mut ex = vec![0.0; 2 * grid.nodes()];
+            s.solve(&p, grid, &mut ex);
+            let ey = ex.split_off(grid.nodes());
             (ex, ey)
         };
         let (ex0, ey0) = solve(&mut owned, &grid);
@@ -682,21 +460,21 @@ mod tests {
     fn solver_plugs_into_simulation_2d() {
         let grid = tiny_grid();
         let arch = arch_2d(&grid, vec![16]);
-        let solver = Dl2DFieldSolver::new(
+        let solver = DlFieldSolver::new(
             arch.build(0),
             DensityBinning::Ngp,
             NormStats::identity(),
             "dl-2d",
         );
-        let cfg = Pic2DConfig {
+        let cfg = PicConfig {
             grid,
-            init: TwoStream2DInit::quiet(0.2, 0.0, 1024, 1e-3, 0),
+            init: Some(TwoStream2DInit::quiet(0.2, 0.0, 1024, 1e-3, 0)),
             dt: 0.2,
             n_steps: 5,
             gather_shape: Shape::Cic,
             tracked_modes: vec![(1, 0)],
         };
-        let mut sim = Simulation2D::new(cfg, Box::new(solver));
+        let mut sim = Simulation::new(cfg, Box::new(solver));
         sim.run();
         assert_eq!(sim.history().len(), 6);
         assert!(sim.history().total.iter().all(|e| e.is_finite()));

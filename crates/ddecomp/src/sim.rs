@@ -235,6 +235,7 @@ impl DistSimulation {
                 kinetic,
                 field: fe,
                 momentum,
+                momentum_y: None,
             },
             &amps,
         );
@@ -300,6 +301,7 @@ impl DistSimulation {
                 kinetic,
                 field: fe,
                 momentum,
+                momentum_y: None,
             },
             &amps,
         );

@@ -203,8 +203,7 @@ impl DistFieldStrategy for ReplicatedDl {
         topo: &Topology,
         fabric: &mut Fabric,
     ) {
-        let spec = *self.solver.spec();
-        let binning = self.solver.binning();
+        let (spec, binning, _) = *self.solver.binner();
         let cells = spec.cells();
         let cpr = topo.cells_per_rank();
         let n = grid.ncells();
@@ -279,10 +278,8 @@ mod tests {
         };
         DlFieldSolver::new(
             arch.build(0),
-            spec,
-            BinningShape::Ngp,
+            (spec, BinningShape::Ngp, arch.input_kind()),
             NormStats::identity(),
-            arch.input_kind(),
             "dl-mlp",
         )
     }

@@ -12,8 +12,10 @@ pub struct EnergyReport {
     pub kinetic: f64,
     /// Electrostatic field energy.
     pub field: f64,
-    /// Total momentum `m·Σv`.
+    /// Total momentum `m·Σv` (the `x` component in 2-D).
     pub momentum: f64,
+    /// The `y` momentum component; `None` in 1-D.
+    pub momentum_y: Option<f64>,
 }
 
 impl EnergyReport {
@@ -31,6 +33,7 @@ pub fn instantaneous_report(particles: &Particles, grid: &Grid1D, e: &[f64]) -> 
         kinetic: particles.kinetic_energy(),
         field: field_energy(grid, e),
         momentum: particles.total_momentum(),
+        momentum_y: None,
     }
 }
 

@@ -31,8 +31,11 @@ pub struct StepMoments {
     /// Time-centred kinetic energy `½·m·Σ v⁻·v⁺` at the starting time
     /// level (the same estimate [`crate::mover::push_velocities`] returns).
     pub centred_kinetic: f64,
-    /// Total momentum `m·Σ v⁺` right after the velocity push.
+    /// Total momentum `m·Σ v⁺` right after the velocity push (the `x`
+    /// component in 2-D).
     pub momentum: f64,
+    /// The `y` momentum component; `None` in 1-D.
+    pub momentum_y: Option<f64>,
 }
 
 /// Folds an unwrapped support index into `[0, n)`.
@@ -138,6 +141,7 @@ pub fn fused_gather_push_move(
     StepMoments {
         centred_kinetic: half_m * ke,
         momentum: mass * mom,
+        momentum_y: None,
     }
 }
 

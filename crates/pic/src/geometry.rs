@@ -1,0 +1,131 @@
+//! What the PIC cycle needs from a dimension.
+//!
+//! [`Simulation`](crate::simulation::Simulation), its config and history,
+//! the [`FieldSolver`](crate::solver::FieldSolver) seam, the DL solver in
+//! `dlpic-core` and the engine's PIC session are each written once over
+//! [`Geometry`]; the kernels behind it (deposit, gather, mover, fused
+//! push, Poisson) stay specialised per dimension. [`Grid1D`] implements
+//! it here, `Grid2D` in `dlpic-pic2d`. Dispatch is static: the generic
+//! cycle monomorphises to the same kernel calls a hand-written one makes.
+//!
+//! The node field is one flat buffer of `FIELD_NAMES.len()` components
+//! stacked back to back, each [`Geometry::nodes`] long — `[E]` in 1-D,
+//! `[Ex | Ey]` in 2-D — so solve, checkpoint and restore keep one
+//! signature in every dimension.
+
+use crate::diagnostics::{field_mode_amplitude, instantaneous_report, EnergyReport};
+use crate::efield::field_energy;
+use crate::fused::{fused_gather_push_move, StepMoments};
+use crate::gather::gather_field;
+use crate::grid::Grid1D;
+use crate::init::TwoStreamInit;
+use crate::mover::half_step_back;
+use crate::particles::Particles;
+use crate::shape::Shape;
+use std::fmt;
+
+/// A periodic field grid together with the per-dimension kernels of the
+/// PIC cycle.
+pub trait Geometry: Clone + fmt::Debug + Send + 'static {
+    /// The particle store.
+    type Particles: Send;
+    /// Key of one tracked field mode (`m` in 1-D, `(mx, my)` in 2-D).
+    type Mode: Copy + PartialEq + fmt::Debug + Send;
+    /// The initial condition a `PicConfig` may carry.
+    type Init: Clone + fmt::Debug + Send;
+
+    /// Names of the field components, in the order they are stacked in
+    /// the flat node field (and keyed in checkpoints).
+    const FIELD_NAMES: &'static [&'static str];
+
+    /// Nodes per field component.
+    fn nodes(&self) -> usize;
+
+    /// Loads `init` on this grid.
+    fn load(&self, init: &Self::Init) -> Self::Particles;
+
+    /// Sets up the leap-frog stagger: gathers `e` and rewinds velocities
+    /// by half a step, `v⁰ → v^{-1/2}`.
+    fn half_step_back(&self, particles: &mut Self::Particles, shape: Shape, e: &[f64], dt: f64);
+
+    /// The fused gather → velocity push → position push over all
+    /// particles, with the step's diagnostics moments.
+    fn fused_push(
+        &self,
+        particles: &mut Self::Particles,
+        shape: Shape,
+        e: &[f64],
+        dt: f64,
+    ) -> StepMoments;
+
+    /// Electrostatic energy of the stacked field.
+    fn field_energy(&self, e: &[f64]) -> f64;
+
+    /// Amplitude of one field mode (of the first component).
+    fn mode_amplitude(&self, e: &[f64], mode: Self::Mode) -> f64;
+
+    /// Instantaneous (not time-centred) diagnostics of the current state.
+    fn instantaneous_report(&self, particles: &Self::Particles, e: &[f64]) -> EnergyReport;
+
+    /// The particle state as named `f64` columns in checkpoint order:
+    /// positions first, then velocities, axis by axis (`x, v` in 1-D;
+    /// `x, y, vx, vy` in 2-D).
+    fn columns(particles: &Self::Particles) -> Vec<(&'static str, &[f64])>;
+
+    /// The same columns, writable, in the same order.
+    fn columns_mut(particles: &mut Self::Particles) -> Vec<&mut [f64]>;
+}
+
+impl Geometry for Grid1D {
+    type Particles = Particles;
+    type Mode = usize;
+    type Init = TwoStreamInit;
+
+    const FIELD_NAMES: &'static [&'static str] = &["e"];
+
+    fn nodes(&self) -> usize {
+        self.ncells()
+    }
+
+    fn load(&self, init: &TwoStreamInit) -> Particles {
+        init.build(self)
+    }
+
+    fn half_step_back(&self, particles: &mut Particles, shape: Shape, e: &[f64], dt: f64) {
+        // The per-particle buffer lives only for this set-up gather; the
+        // stepping loop is fused and needs none.
+        let mut e_part = vec![0.0; particles.len()];
+        gather_field(particles, self, shape, e, &mut e_part);
+        half_step_back(particles, &e_part, dt);
+    }
+
+    fn fused_push(
+        &self,
+        particles: &mut Particles,
+        shape: Shape,
+        e: &[f64],
+        dt: f64,
+    ) -> StepMoments {
+        fused_gather_push_move(particles, self, shape, e, dt)
+    }
+
+    fn field_energy(&self, e: &[f64]) -> f64 {
+        field_energy(self, e)
+    }
+
+    fn mode_amplitude(&self, e: &[f64], mode: usize) -> f64 {
+        field_mode_amplitude(e, mode)
+    }
+
+    fn instantaneous_report(&self, particles: &Particles, e: &[f64]) -> EnergyReport {
+        instantaneous_report(particles, self, e)
+    }
+
+    fn columns(particles: &Particles) -> Vec<(&'static str, &[f64])> {
+        vec![("x", &particles.x), ("v", &particles.v)]
+    }
+
+    fn columns_mut(particles: &mut Particles) -> Vec<&mut [f64]> {
+        vec![&mut particles.x, &mut particles.v]
+    }
+}

@@ -2,12 +2,13 @@
 
 use crate::diagnostics::EnergyReport;
 use dlpic_analytics::series::TimeSeries;
+use std::fmt;
 
 /// One recorded diagnostics row in the shape shared by every solver
-/// family's history type (1-D, 2-D, distributed) — the common currency the
-/// engine facade's sessions consume, so per-backend adapters don't each
-/// re-spell the column-to-field mapping. The 2-D history reports its `x`
-/// momentum component here.
+/// family (1-D, 2-D, distributed) — the common currency the engine
+/// facade's sessions consume, so per-backend adapters don't each re-spell
+/// the column-to-field mapping. A 2-D run reports its `x` momentum
+/// component here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleRow {
     /// Sample time.
@@ -22,9 +23,10 @@ pub struct SampleRow {
     pub mode_amps: Vec<f64>,
 }
 
-/// Accumulated per-step diagnostics of one simulation run.
-#[derive(Debug, Clone, Default)]
-pub struct History {
+/// Accumulated per-step diagnostics of one simulation run, keyed by the
+/// geometry's mode type `M` (`usize` in 1-D, `(mx, my)` in 2-D).
+#[derive(Debug, Clone)]
+pub struct History<M = usize> {
     /// Sample times.
     pub times: Vec<f64>,
     /// Kinetic energy per step.
@@ -33,22 +35,29 @@ pub struct History {
     pub field: Vec<f64>,
     /// Total energy per step.
     pub total: Vec<f64>,
-    /// Total momentum per step.
+    /// Total momentum per step (the `x` component in 2-D).
     pub momentum: Vec<f64>,
+    /// The `y` momentum component per step; stays empty in 1-D.
+    pub momentum_y: Vec<f64>,
     /// Which field modes are tracked.
-    pub tracked_modes: Vec<usize>,
+    pub tracked_modes: Vec<M>,
     /// Mode amplitudes: `mode_amps[i][step]` follows `tracked_modes[i]`.
     pub mode_amps: Vec<Vec<f64>>,
 }
 
-impl History {
+impl<M: Copy + PartialEq + fmt::Debug> History<M> {
     /// Creates a history tracking the given field modes.
-    pub fn new(tracked_modes: Vec<usize>) -> Self {
+    pub fn new(tracked_modes: Vec<M>) -> Self {
         let slots = tracked_modes.len();
         Self {
+            times: Vec::new(),
+            kinetic: Vec::new(),
+            field: Vec::new(),
+            total: Vec::new(),
+            momentum: Vec::new(),
+            momentum_y: Vec::new(),
             tracked_modes,
             mode_amps: vec![Vec::new(); slots],
-            ..Self::default()
         }
     }
 
@@ -60,6 +69,7 @@ impl History {
         self.field.reserve(additional);
         self.total.reserve(additional);
         self.momentum.reserve(additional);
+        self.momentum_y.reserve(additional);
         for slot in &mut self.mode_amps {
             slot.reserve(additional);
         }
@@ -80,6 +90,7 @@ impl History {
         self.field.push(report.field);
         self.total.push(report.total());
         self.momentum.push(report.momentum);
+        self.momentum_y.extend(report.momentum_y);
         for (slot, &a) in self.mode_amps.iter_mut().zip(amps) {
             slot.push(a);
         }
@@ -108,11 +119,11 @@ impl History {
         })
     }
 
-    /// The amplitude history of grid mode `m`, if tracked.
-    pub fn mode_series(&self, mode: usize) -> Option<TimeSeries> {
+    /// The amplitude history of grid mode `mode`, if tracked.
+    pub fn mode_series(&self, mode: M) -> Option<TimeSeries> {
         let idx = self.tracked_modes.iter().position(|&m| m == mode)?;
         Some(TimeSeries::from_data(
-            format!("E{mode}"),
+            format!("E{mode:?}"),
             self.times.clone(),
             self.mode_amps[idx].clone(),
         ))
@@ -138,6 +149,7 @@ mod tests {
             kinetic: k,
             field: f,
             momentum: p,
+            momentum_y: None,
         }
     }
 

@@ -22,6 +22,12 @@
 //! boxes of the paper's Fig. 2 — while sharing the same mover, gather and
 //! diagnostics.
 //!
+//! The cycle itself ([`simulation::Simulation`], its config and
+//! [`history::History`], both solver traits) is written once over the
+//! [`geometry::Geometry`] of a grid and defaults to this crate's
+//! [`Grid1D`]; `dlpic-pic2d` supplies the 2-D grid and kernels and reuses
+//! the driver.
+//!
 //! ## Units
 //!
 //! Everything is dimensionless with electron plasma frequency `ω_p = 1`,
@@ -37,6 +43,7 @@ pub mod diagnostics;
 pub mod efield;
 pub mod fused;
 pub mod gather;
+pub mod geometry;
 pub mod grid;
 pub mod history;
 pub mod init;
@@ -49,6 +56,7 @@ pub mod simulation;
 pub mod solver;
 
 pub use fused::{fused_gather_push_move, StepMoments};
+pub use geometry::Geometry;
 pub use grid::Grid1D;
 pub use history::{History, SampleRow};
 pub use init::{BeamSpec, Loading, MultiBeamInit, TwoStreamInit};

@@ -6,6 +6,11 @@
 //! PIC — mover, gather and diagnostics are shared, exactly as in the
 //! paper's design where only the grey boxes of Fig. 2 change.
 //!
+//! The cycle is written once over a [`Geometry`]: `Simulation` (the
+//! parameter defaults to [`Grid1D`]) is the paper's 1-D system,
+//! `Simulation<Grid2D>` the §VII two-dimensional one, and both run this
+//! file's loop over their own dimension's kernels.
+//!
 //! ## Stepping and diagnostics convention
 //!
 //! Velocities are staggered half a step behind positions (leap-frog). Each
@@ -19,28 +24,24 @@
 //! [`Simulation::run`] appends one final snapshot (instantaneous kinetic
 //! energy) at `t_end`, so a 200-step run yields 201 samples.
 
-use crate::diagnostics::{field_mode_amplitude, instantaneous_report, EnergyReport};
-use crate::efield::field_energy;
-use crate::fused::fused_gather_push_move;
-use crate::gather::gather_field;
+use crate::diagnostics::EnergyReport;
+use crate::geometry::Geometry;
 use crate::grid::Grid1D;
-use crate::history::History;
+use crate::history::{History, SampleRow};
 use crate::init::TwoStreamInit;
-use crate::mover::half_step_back;
-use crate::particles::Particles;
 use crate::shape::Shape;
 use crate::solver::FieldSolver;
 
 /// Full configuration of a PIC run.
 #[derive(Debug, Clone)]
-pub struct PicConfig {
+pub struct PicConfig<G: Geometry = Grid1D> {
     /// The periodic field grid.
-    pub grid: Grid1D,
+    pub grid: G,
     /// Two-stream initial condition. Required by [`Simulation::new`];
     /// `None` for runs that bring their own particle load through
     /// [`Simulation::from_particles`] (e.g. bump-on-tail, which
     /// [`TwoStreamInit`] cannot express).
-    pub init: Option<TwoStreamInit>,
+    pub init: Option<G::Init>,
     /// Time step.
     pub dt: f64,
     /// Number of steps a [`Simulation::run`] performs.
@@ -48,36 +49,48 @@ pub struct PicConfig {
     /// Shape function used to gather E to the particles (the solver has its
     /// own deposition shape; keep them equal for momentum conservation).
     pub gather_shape: Shape,
-    /// Field modes whose amplitudes are recorded each step (e.g. `[1, 2]`).
-    pub tracked_modes: Vec<usize>,
+    /// Field modes whose amplitudes are recorded each step (e.g. `[1, 2]`;
+    /// `(mx, my)` modes of `Ex` in 2-D).
+    pub tracked_modes: Vec<G::Mode>,
 }
 
 /// A running PIC simulation (traditional or DL-based, depending on the
 /// injected field solver).
-pub struct Simulation {
-    cfg: PicConfig,
-    particles: Particles,
-    solver: Box<dyn FieldSolver>,
+pub struct Simulation<G: Geometry = Grid1D> {
+    cfg: PicConfig<G>,
+    particles: G::Particles,
+    solver: Box<dyn FieldSolver<G>>,
+    /// The node field, components stacked (see [`Geometry::FIELD_NAMES`]).
     e: Vec<f64>,
-    history: History,
+    history: History<G::Mode>,
     amps_scratch: Vec<f64>,
     time: f64,
     steps_done: usize,
 }
 
-impl Simulation {
+/// Amplitudes of the tracked modes of `e`, in tracking order.
+fn mode_amps<'a, G: Geometry>(
+    cfg: &'a PicConfig<G>,
+    e: &'a [f64],
+) -> impl Iterator<Item = f64> + 'a {
+    cfg.tracked_modes
+        .iter()
+        .map(move |&m| cfg.grid.mode_amplitude(e, m))
+}
+
+impl<G: Geometry> Simulation<G> {
     /// Initializes the simulation: loads particles, performs the initial
     /// field solve and sets up the leap-frog stagger.
     ///
     /// # Panics
     /// Panics if `cfg.init` is `None`; bring-your-own-load runs go through
     /// [`Self::from_particles`].
-    pub fn new(cfg: PicConfig, solver: Box<dyn FieldSolver>) -> Self {
-        let particles = cfg
+    pub fn new(cfg: PicConfig<G>, solver: Box<dyn FieldSolver<G>>) -> Self {
+        let init = cfg
             .init
             .as_ref()
-            .expect("PicConfig.init is required by Simulation::new")
-            .build(&cfg.grid);
+            .expect("PicConfig.init is required by Simulation::new");
+        let particles = cfg.grid.load(init);
         Self::from_particles(cfg, particles, solver)
     }
 
@@ -86,16 +99,16 @@ impl Simulation {
     /// species (e.g. bump-on-tail) that [`TwoStreamInit`] cannot express.
     /// `cfg.init` is not consulted (and is typically `None`).
     pub fn from_particles(
-        cfg: PicConfig,
-        particles: Particles,
-        solver: Box<dyn FieldSolver>,
+        cfg: PicConfig<G>,
+        particles: G::Particles,
+        solver: Box<dyn FieldSolver<G>>,
     ) -> Self {
         let mut history = History::new(cfg.tracked_modes.clone());
         // One sample per step plus the final snapshot: reserving up front
         // keeps the per-step path free of reallocation.
         history.reserve(cfg.n_steps + 1);
         let mut sim = Self {
-            e: cfg.grid.zeros(),
+            e: vec![0.0; G::FIELD_NAMES.len() * cfg.grid.nodes()],
             history,
             amps_scratch: Vec::with_capacity(cfg.tracked_modes.len()),
             particles,
@@ -106,17 +119,10 @@ impl Simulation {
         };
         // E⁰ from the initial particle state.
         sim.solver.solve(&sim.particles, &sim.cfg.grid, &mut sim.e);
-        // v⁰ → v^{-1/2}. The per-particle buffer lives only for this
-        // set-up gather; the stepping loop is fused and needs none.
-        let mut e_part = vec![0.0; sim.particles.len()];
-        gather_field(
-            &sim.particles,
-            &sim.cfg.grid,
-            sim.cfg.gather_shape,
-            &sim.e,
-            &mut e_part,
-        );
-        half_step_back(&mut sim.particles, &e_part, sim.cfg.dt);
+        // v⁰ → v^{-1/2}.
+        sim.cfg
+            .grid
+            .half_step_back(&mut sim.particles, sim.cfg.gather_shape, &sim.e, sim.cfg.dt);
         sim
     }
 
@@ -139,27 +145,20 @@ impl Simulation {
     /// pre-solve → solve → post-solve sequence is exactly [`Self::step`].
     pub fn step_pre_solve(&mut self) {
         let grid = &self.cfg.grid;
-        let dt = self.cfg.dt;
 
         // Diagnostics tied to tⁿ: field energy and mode amplitudes of Eⁿ.
-        let fe = field_energy(grid, &self.e);
+        let fe = grid.field_energy(&self.e);
         self.amps_scratch.clear();
-        self.amps_scratch.extend(
-            self.cfg
-                .tracked_modes
-                .iter()
-                .map(|&m| field_mode_amplitude(&self.e, m)),
-        );
+        self.amps_scratch.extend(mode_amps(&self.cfg, &self.e));
 
         // Fused gather → velocity push → position push: one pass over the
         // particles, arithmetically identical to the unfused pipeline
         // (gather_field + push_velocities + push_positions).
-        let moments = fused_gather_push_move(
+        let moments = grid.fused_push(
             &mut self.particles,
-            grid,
             self.cfg.gather_shape,
             &self.e,
-            dt,
+            self.cfg.dt,
         );
 
         self.history.push(
@@ -168,6 +167,7 @@ impl Simulation {
                 kinetic: moments.centred_kinetic,
                 field: fe,
                 momentum: moments.momentum,
+                momentum_y: moments.momentum_y,
             },
             &self.amps_scratch,
         );
@@ -185,7 +185,7 @@ impl Simulation {
     /// (between [`Self::step_pre_solve`] and [`Self::step_post_solve`]):
     /// the injected solver, the pushed particle state, the grid, and the
     /// field buffer to fill.
-    pub fn split_for_solve(&mut self) -> (&mut dyn FieldSolver, &Particles, &Grid1D, &mut [f64]) {
+    pub fn split_for_solve(&mut self) -> (&mut dyn FieldSolver<G>, &G::Particles, &G, &mut [f64]) {
         (
             self.solver.as_mut(),
             &self.particles,
@@ -209,15 +209,23 @@ impl Simulation {
     /// engine facade, benchmarks) call it once at the end to reproduce the
     /// `n + 1`-sample convention.
     pub fn finish(&mut self) {
-        let report = instantaneous_report(&self.particles, &self.cfg.grid, &self.e);
+        let report = self.cfg.grid.instantaneous_report(&self.particles, &self.e);
         self.amps_scratch.clear();
-        self.amps_scratch.extend(
-            self.cfg
-                .tracked_modes
-                .iter()
-                .map(|&m| field_mode_amplitude(&self.e, m)),
-        );
+        self.amps_scratch.extend(mode_amps(&self.cfg, &self.e));
         self.history.push(self.time, report, &self.amps_scratch);
+    }
+
+    /// Instantaneous diagnostics of the current state — the row
+    /// [`Self::finish`] would record right now — without recording it.
+    pub fn sample(&self) -> SampleRow {
+        let report = self.cfg.grid.instantaneous_report(&self.particles, &self.e);
+        SampleRow {
+            time: self.time,
+            kinetic: report.kinetic,
+            field: report.field,
+            momentum: report.momentum,
+            mode_amps: mode_amps(&self.cfg, &self.e).collect(),
+        }
     }
 
     /// Current simulation time.
@@ -231,27 +239,28 @@ impl Simulation {
     }
 
     /// The particle state.
-    pub fn particles(&self) -> &Particles {
+    pub fn particles(&self) -> &G::Particles {
         &self.particles
     }
 
-    /// The current grid electric field.
+    /// The current node electric field, components stacked (`[E]` in 1-D,
+    /// `[Ex | Ey]` in 2-D).
     pub fn efield(&self) -> &[f64] {
         &self.e
     }
 
     /// The field grid.
-    pub fn grid(&self) -> &Grid1D {
+    pub fn grid(&self) -> &G {
         &self.cfg.grid
     }
 
     /// The run configuration.
-    pub fn config(&self) -> &PicConfig {
+    pub fn config(&self) -> &PicConfig<G> {
         &self.cfg
     }
 
     /// Accumulated diagnostics history.
-    pub fn history(&self) -> &History {
+    pub fn history(&self) -> &History<G::Mode> {
         &self.history
     }
 
@@ -260,21 +269,23 @@ impl Simulation {
         self.solver.name()
     }
 
-    /// The injected field solver (mirrors `Simulation2D::solver`).
-    pub fn solver(&self) -> &dyn FieldSolver {
+    /// The injected field solver.
+    pub fn solver(&self) -> &dyn FieldSolver<G> {
         self.solver.as_ref()
     }
 
     /// Phase-space snapshot `(x, v)` — the scatter data of the paper's
-    /// Figs. 4/6 top panels.
+    /// Figs. 4/6 top panels (the `(x, vx)` projection in 2-D).
     pub fn phase_space(&self) -> (&[f64], &[f64]) {
-        (&self.particles.x, &self.particles.v)
+        let columns = G::columns(&self.particles);
+        (columns[0].1, columns[columns.len() / 2].1)
     }
 
     /// Overwrites the mutable state with a checkpointed snapshot: particle
-    /// phase space (velocities at their staggered `v^{n−1/2}` level — no
-    /// leap-frog set-up is re-applied), grid field, clock and step
-    /// counter. The internal diagnostics history is *not* rewound; a
+    /// phase space (one slice per [`Geometry::columns`] entry, in that
+    /// order; velocities at their staggered `v^{n−1/2}` level — no
+    /// leap-frog set-up is re-applied), the stacked grid field, clock and
+    /// step counter. The internal diagnostics history is *not* rewound; a
     /// restored simulation records from the restore point onward, and
     /// external drivers (the engine's sessions) keep the authoritative
     /// pre-restore record.
@@ -282,12 +293,17 @@ impl Simulation {
     /// # Panics
     /// Panics if the buffer lengths do not match the simulation's particle
     /// count or grid.
-    pub fn restore_state(&mut self, x: &[f64], v: &[f64], e: &[f64], time: f64, steps_done: usize) {
-        assert_eq!(x.len(), self.particles.len(), "particle count mismatch");
-        assert_eq!(v.len(), self.particles.len(), "particle count mismatch");
+    pub fn restore_state(&mut self, columns: &[Vec<f64>], e: &[f64], time: f64, steps_done: usize) {
+        let mut state = G::columns_mut(&mut self.particles);
+        assert_eq!(columns.len(), state.len(), "particle column mismatch");
+        assert!(
+            columns.iter().zip(&state).all(|(c, s)| c.len() == s.len()),
+            "particle count mismatch"
+        );
         assert_eq!(e.len(), self.e.len(), "grid size mismatch");
-        self.particles.x.copy_from_slice(x);
-        self.particles.v.copy_from_slice(v);
+        for (dst, src) in state.iter_mut().zip(columns) {
+            dst.copy_from_slice(src);
+        }
         self.e.copy_from_slice(e);
         self.time = time;
         self.steps_done = steps_done;
@@ -400,27 +416,6 @@ mod tests {
         assert!(drift < 1e-10, "TSC momentum drift {drift}");
         let var = dlpic_analytics::stats::relative_variation(&sim.history().total);
         assert!(var < 0.05, "TSC energy variation {var}");
-    }
-
-    #[test]
-    fn restore_state_resumes_bit_identically() {
-        let mut straight = small_sim(0.2, 0.01, 20);
-        for _ in 0..8 {
-            straight.step();
-        }
-        let x = straight.phase_space().0.to_vec();
-        let v = straight.phase_space().1.to_vec();
-        let e = straight.efield().to_vec();
-        let mut resumed = small_sim(0.2, 0.01, 20);
-        resumed.restore_state(&x, &v, &e, straight.time(), straight.steps_done());
-        assert_eq!(resumed.steps_done(), 8);
-        for _ in 0..12 {
-            straight.step();
-            resumed.step();
-        }
-        assert_eq!(straight.phase_space(), resumed.phase_space());
-        assert_eq!(straight.efield(), resumed.efield());
-        assert_eq!(straight.time(), resumed.time());
     }
 
     #[test]

@@ -7,18 +7,25 @@
 //! produce the electric field on the nodes. [`TraditionalSolver`] is the
 //! deposit→Poisson→gradient pipeline; the DL solver lives in `dlpic-core`
 //! and implements the same trait.
+//!
+//! Both traits are written once over a [`Geometry`] that defaults to
+//! [`Grid1D`]: `dyn FieldSolver` is the 1-D seam, `dyn FieldSolver<Grid2D>`
+//! the 2-D one (`dlpic-pic2d`), with the field one flat buffer of stacked
+//! components in either.
 
 use crate::deposit::{add_uniform_background, deposit_charge};
 use crate::efield::efield_from_phi;
+use crate::geometry::Geometry;
 use crate::grid::Grid1D;
 use crate::particles::Particles;
 use crate::poisson::{FdPoisson, PoissonSolver, SpectralPoisson};
 use crate::shape::Shape;
 
 /// Computes the node electric field from the particle state.
-pub trait FieldSolver: Send {
-    /// Fills `e` (length = grid nodes) from the current particle state.
-    fn solve(&mut self, particles: &Particles, grid: &Grid1D, e: &mut [f64]);
+pub trait FieldSolver<G: Geometry = Grid1D>: Send {
+    /// Fills `e` (the geometry's stacked field components, each of grid
+    /// nodes length) from the current particle state.
+    fn solve(&mut self, particles: &G::Particles, grid: &G, e: &mut [f64]);
 
     /// Human-readable name for logs/benchmarks.
     fn name(&self) -> &'static str;
@@ -28,7 +35,7 @@ pub trait FieldSolver: Send {
     /// driver can batch across many simulations (the DL solvers).
     /// `None` (the default) for monolithic solvers like the traditional
     /// deposit→Poisson pipeline.
-    fn phased(&mut self) -> Option<&mut dyn PhasedFieldSolver> {
+    fn phased(&mut self) -> Option<&mut dyn PhasedFieldSolver<G>> {
         None
     }
 
@@ -67,11 +74,11 @@ pub trait FieldSolver: Send {
 /// instances hold identical network parameters; the engine's ensemble
 /// guarantees that by construction (one engine configures at most one
 /// model per dimension) and runs the whole batch through one instance.
-pub trait PhasedFieldSolver {
+pub trait PhasedFieldSolver<G: Geometry = Grid1D> {
     /// Width of one inference input row.
     fn input_len(&self) -> usize;
 
-    /// Width of one inference output row.
+    /// Width of one inference output row (the stacked field components).
     fn output_len(&self) -> usize;
 
     /// Phase 1: bins/normalizes the particle state into `dst`
@@ -79,7 +86,7 @@ pub trait PhasedFieldSolver {
     ///
     /// # Panics
     /// Panics if `dst.len() != self.input_len()`.
-    fn prepare_input(&mut self, particles: &Particles, grid: &Grid1D, dst: &mut [f32]);
+    fn prepare_input(&mut self, particles: &G::Particles, grid: &G, dst: &mut [f32]);
 
     /// Phase 2: one inference over `rows` stacked input rows
     /// (`rows × input_len` values) into `rows × output_len` outputs.

@@ -5,26 +5,7 @@ use crate::efield2d::field_energy;
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
 use dlpic_analytics::dft2;
-
-/// One snapshot of the conserved-quantity diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyReport2D {
-    /// Kinetic energy (time-centred when produced by the mover).
-    pub kinetic: f64,
-    /// Electrostatic field energy (both components).
-    pub field: f64,
-    /// Total momentum along `x`.
-    pub momentum_x: f64,
-    /// Total momentum along `y`.
-    pub momentum_y: f64,
-}
-
-impl EnergyReport2D {
-    /// Total energy.
-    pub fn total(&self) -> f64 {
-        self.kinetic + self.field
-    }
-}
+use dlpic_pic::diagnostics::EnergyReport;
 
 /// Computes an instantaneous report from the current state (used at
 /// `t = 0`; later steps use the mover's time-centred kinetic energy).
@@ -33,13 +14,13 @@ pub fn instantaneous_report(
     grid: &Grid2D,
     ex: &[f64],
     ey: &[f64],
-) -> EnergyReport2D {
+) -> EnergyReport {
     let (px, py) = particles.total_momentum();
-    EnergyReport2D {
+    EnergyReport {
         kinetic: particles.kinetic_energy(),
         field: field_energy(grid, ex, ey),
-        momentum_x: px,
-        momentum_y: py,
+        momentum: px,
+        momentum_y: Some(py),
     }
 }
 
@@ -75,8 +56,8 @@ mod tests {
         assert!((r.kinetic - 2.5).abs() < 1e-12);
         assert!((r.field - 0.5 * 0.25 * grid.area()).abs() < 1e-12);
         assert!((r.total() - r.kinetic - r.field).abs() < 1e-15);
-        assert!(r.momentum_x.abs() < 1e-15);
-        assert!((r.momentum_y - 2.0).abs() < 1e-15);
+        assert!(r.momentum.abs() < 1e-15);
+        assert!((r.momentum_y.unwrap() - 2.0).abs() < 1e-15);
     }
 
     #[test]

@@ -21,24 +21,15 @@
 
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
-use dlpic_pic::fused::{advance_position, wrap_cell};
+use dlpic_pic::fused::{advance_position, wrap_cell, StepMoments};
 use dlpic_pic::shape::Shape;
-
-/// Diagnostics moments accumulated by the fused 2-D pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepMoments2D {
-    /// Time-centred kinetic energy `½·m·Σ(vx⁻·vx⁺ + vy⁻·vy⁺)`.
-    pub centred_kinetic: f64,
-    /// Total `x` momentum `m·Σ vx⁺` right after the velocity push.
-    pub momentum_x: f64,
-    /// Total `y` momentum `m·Σ vy⁺` right after the velocity push.
-    pub momentum_y: f64,
-}
 
 /// One fused step of the 2-D particle pipeline: gather `(ex, ey)` at
 /// every particle, push both velocity components, push both position
 /// components with periodic wrap — a single pass, no per-particle field
-/// buffers.
+/// buffers. The moments are the time-centred kinetic energy
+/// `½·m·Σ(vx⁻·vx⁺ + vy⁻·vy⁺)` and both momentum components `m·Σ v⁺`
+/// right after the velocity push.
 ///
 /// # Panics
 /// Panics if the field lengths differ from the grid node count.
@@ -49,7 +40,7 @@ pub fn fused_gather_push_move(
     ex: &[f64],
     ey: &[f64],
     dt: f64,
-) -> StepMoments2D {
+) -> StepMoments {
     assert_eq!(ex.len(), grid.nodes(), "ex length mismatch");
     assert_eq!(ey.len(), grid.nodes(), "ey length mismatch");
     let inv_dx = 1.0 / grid.dx();
@@ -107,10 +98,10 @@ pub fn fused_gather_push_move(
         *x = advance_position(*x, vx_new, dt, lx);
         *y = advance_position(*y, vy_new, dt, ly);
     }
-    StepMoments2D {
+    StepMoments {
         centred_kinetic: half_m * ke,
-        momentum_x: mass * mom_x,
-        momentum_y: mass * mom_y,
+        momentum: mass * mom_x,
+        momentum_y: Some(mass * mom_y),
     }
 }
 
@@ -161,8 +152,8 @@ mod tests {
             assert_eq!(pf.y, pu.y, "{shape:?} y");
             assert_eq!(pf.vx, pu.vx, "{shape:?} vx");
             assert_eq!(pf.vy, pu.vy, "{shape:?} vy");
-            assert_eq!(m.momentum_x, px, "{shape:?} px");
-            assert_eq!(m.momentum_y, py, "{shape:?} py");
+            assert_eq!(m.momentum, px, "{shape:?} px");
+            assert_eq!(m.momentum_y, Some(py), "{shape:?} py");
             // The KE sum interleaves x/y contributions per particle, so it
             // may differ from the unfused order by rounding only.
             let tol = 1e-14 * (1.0 + ke.abs());

@@ -16,8 +16,13 @@
 //! 4. **Field solve** — periodic 2-D Poisson solve (spectral or SOR) and
 //!    `E = −∇Φ` by central differences ([`poisson2d`], [`efield2d`]).
 //!
-//! Steps 3–4 hide behind [`solver2d::FieldSolver2D`] so the DL-based field
-//! solver of `dlpic-core` can replace them, mirroring the 1-D seam.
+//! This crate holds the 2-D kernels and no driver of its own:
+//! [`geometry2d`] implements `dlpic_pic`'s [`Geometry`](dlpic_pic::Geometry)
+//! for [`Grid2D`], so the cycle is `dlpic_pic::Simulation<Grid2D>` and
+//! steps 3–4 hide behind `dyn FieldSolver<Grid2D>` — the same seam, written
+//! once, that lets the DL-based field solver of `dlpic-core` replace them
+//! in either dimension. The node field is `[Ex | Ey]` stacked in one flat
+//! buffer.
 //!
 //! ## Units and layout
 //!
@@ -40,18 +45,17 @@ pub mod diagnostics2d;
 pub mod efield2d;
 pub mod fused2d;
 pub mod gather2d;
+pub mod geometry2d;
 pub mod grid2d;
 pub mod init2d;
 pub mod mover2d;
 pub mod particles2d;
 pub mod poisson2d;
-pub mod simulation2d;
 pub mod solver2d;
 
-pub use fused2d::{fused_gather_push_move, StepMoments2D};
+pub use fused2d::fused_gather_push_move;
 pub use grid2d::Grid2D;
 pub use init2d::TwoStream2DInit;
 pub use particles2d::Particles2D;
 pub use poisson2d::{Poisson2DSolver, SorPoisson2D, SpectralPoisson2D};
-pub use simulation2d::{Pic2DConfig, Simulation2D};
-pub use solver2d::{FieldSolver2D, TraditionalSolver2D};
+pub use solver2d::TraditionalSolver2D;

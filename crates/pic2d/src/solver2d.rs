@@ -1,5 +1,6 @@
-//! The 2-D field-solver abstraction — the seam where a DL 2-D field
-//! solver plugs in, mirroring the 1-D `FieldSolver` trait.
+//! The traditional 2-D field solver behind the shared
+//! [`FieldSolver`] seam (`FieldSolver<Grid2D>`; the DL 2-D solver in
+//! `dlpic-core` implements the same instantiation).
 
 use crate::deposit2d::{add_uniform_background, deposit_charge};
 use crate::efield2d::efield_from_phi;
@@ -7,53 +8,7 @@ use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
 use crate::poisson2d::{make_solver, Poisson2DKind, Poisson2DSolver};
 use dlpic_pic::shape::Shape;
-
-/// Computes the node electric field from the 2-D particle state.
-pub trait FieldSolver2D: Send {
-    /// Fills `ex`/`ey` (length = grid nodes) from the particle state.
-    fn solve(&mut self, particles: &Particles2D, grid: &Grid2D, ex: &mut [f64], ey: &mut [f64]);
-
-    /// Human-readable name for logs/benchmarks.
-    fn name(&self) -> &'static str;
-
-    /// The phase-split view of this solver, when its `solve` decomposes
-    /// into prepare-input / infer / apply-output stages an external
-    /// driver can batch across many simulations (the DL solver). `None`
-    /// (the default) for monolithic solvers.
-    fn phased(&mut self) -> Option<&mut dyn PhasedFieldSolver2D> {
-        None
-    }
-
-    /// Identity and size of this solver's model-weight allocation, when
-    /// it has one: `(id, bytes)`, with the same contract as
-    /// `dlpic_pic::solver::FieldSolver::weight_storage` — equal ids mean
-    /// one shared allocation, and fleet accounting charges each distinct
-    /// id once. `None` (the default) for solvers without model weights.
-    fn weight_storage(&self) -> Option<(usize, usize)> {
-        None
-    }
-}
-
-/// The 2-D analogue of `dlpic_pic::solver::PhasedFieldSolver`: a field
-/// solve split into prepare / batched-infer / apply phases, with the same
-/// bit-identity contract (prepare + 1-row infer + apply ≡ `solve`; row
-/// `i` of an `m`-row infer ≡ a 1-row infer of that row).
-pub trait PhasedFieldSolver2D {
-    /// Width of one inference input row.
-    fn input_len(&self) -> usize;
-
-    /// Width of one inference output row (`[Ex | Ey]` stacked).
-    fn output_len(&self) -> usize;
-
-    /// Phase 1: bins/normalizes the particle state into `dst`.
-    fn prepare_input(&mut self, particles: &Particles2D, grid: &Grid2D, dst: &mut [f32]);
-
-    /// Phase 2: one inference over `rows` stacked input rows.
-    fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]);
-
-    /// Phase 3: writes one stacked `[Ex | Ey]` output row onto the grid.
-    fn apply_output(&mut self, row: &[f32], ex: &mut [f64], ey: &mut [f64]);
-}
+use dlpic_pic::solver::FieldSolver;
 
 /// The traditional 2-D field solver: deposit ρ, add the neutralizing ion
 /// background, solve Poisson for Φ, take `E = −∇Φ`.
@@ -100,11 +55,11 @@ impl TraditionalSolver2D {
     }
 }
 
-impl FieldSolver2D for TraditionalSolver2D {
-    fn solve(&mut self, particles: &Particles2D, grid: &Grid2D, ex: &mut [f64], ey: &mut [f64]) {
+impl FieldSolver<Grid2D> for TraditionalSolver2D {
+    fn solve(&mut self, particles: &Particles2D, grid: &Grid2D, e: &mut [f64]) {
         let n = grid.nodes();
-        assert_eq!(ex.len(), n, "ex length mismatch");
-        assert_eq!(ey.len(), n, "ey length mismatch");
+        assert_eq!(e.len(), 2 * n, "stacked field length mismatch");
+        let (ex, ey) = e.split_at_mut(n);
         self.rho.clear();
         self.rho.resize(n, 0.0);
         self.phi.clear();
@@ -123,6 +78,18 @@ impl FieldSolver2D for TraditionalSolver2D {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One solve into a stacked field, handed back as `(Ex, Ey)`.
+    fn solve(
+        mut solver: TraditionalSolver2D,
+        p: &Particles2D,
+        grid: &Grid2D,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut ex = vec![0.0; 2 * grid.nodes()];
+        solver.solve(p, grid, &mut ex);
+        let ey = ex.split_off(grid.nodes());
+        (ex, ey)
+    }
 
     /// A quiet electron lattice displaced sinusoidally along `x` produces
     /// the Gauss-law field `Ex = A·lx·sin(kx·x)`, independent of `y`
@@ -145,10 +112,7 @@ mod tests {
         }
         let n = xs.len();
         let p = Particles2D::electrons_normalized(xs, ys, vec![0.0; n], vec![0.0; n], grid.area());
-        let mut solver = TraditionalSolver2D::default_config();
-        let mut ex = grid.zeros();
-        let mut ey = grid.zeros();
-        solver.solve(&p, &grid, &mut ex, &mut ey);
+        let (ex, ey) = solve(TraditionalSolver2D::default_config(), &p, &grid);
 
         let expect = amp * grid.lx();
         let measured = crate::diagnostics2d::field_mode_amplitude(&ex, &grid, 1, 0);
@@ -176,10 +140,7 @@ mod tests {
         let n = xs.len();
         let p = Particles2D::electrons_normalized(xs, ys, vec![0.0; n], vec![0.0; n], grid.area());
         for kind in [Poisson2DKind::Spectral, Poisson2DKind::Sor] {
-            let mut solver = TraditionalSolver2D::new(Shape::Cic, kind, 1.0);
-            let mut ex = grid.zeros();
-            let mut ey = grid.zeros();
-            solver.solve(&p, &grid, &mut ex, &mut ey);
+            let (ex, ey) = solve(TraditionalSolver2D::new(Shape::Cic, kind, 1.0), &p, &grid);
             let peak = ex
                 .iter()
                 .chain(ey.iter())
@@ -203,9 +164,7 @@ mod tests {
         }
         let p = Particles2D::electrons_normalized(xs, ys, vec![0.0; n], vec![0.0; n], grid.area());
         let mut solver = TraditionalSolver2D::default_config();
-        let mut ex = grid.zeros();
-        let mut ey = grid.zeros();
-        solver.solve(&p, &grid, &mut ex, &mut ey);
+        solver.solve(&p, &grid, &mut vec![0.0; 2 * grid.nodes()]);
         assert_eq!(solver.rho().len(), 64);
         assert_eq!(solver.phi().len(), 64);
         assert!(solver.rho().iter().all(|r| r.abs() < 1e-9));
@@ -228,14 +187,10 @@ mod tests {
         }
         let n = xs.len();
         let p = Particles2D::electrons_normalized(xs, ys, vec![0.0; n], vec![0.0; n], grid.area());
-        let mut ex_s = grid.zeros();
-        let mut ey_s = grid.zeros();
-        let mut ex_f = grid.zeros();
-        let mut ey_f = grid.zeros();
-        TraditionalSolver2D::new(Shape::Cic, Poisson2DKind::Spectral, 1.0)
-            .solve(&p, &grid, &mut ex_s, &mut ey_s);
-        TraditionalSolver2D::new(Shape::Cic, Poisson2DKind::Sor, 1.0)
-            .solve(&p, &grid, &mut ex_f, &mut ey_f);
+        let spectral = TraditionalSolver2D::new(Shape::Cic, Poisson2DKind::Spectral, 1.0);
+        let sor = TraditionalSolver2D::new(Shape::Cic, Poisson2DKind::Sor, 1.0);
+        let (ex_s, _) = solve(spectral, &p, &grid);
+        let (ex_f, _) = solve(sor, &p, &grid);
         let scale = ex_s.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         for (a, b) in ex_s.iter().zip(&ex_f) {
             assert!((a - b).abs() < 0.02 * scale + 1e-12);

@@ -20,18 +20,18 @@ use crate::core::normalize::NormStats;
 use crate::core::phase_space::BinningShape;
 use crate::core::presets::Scale;
 use crate::core::twod::{
-    arch_2d, harvest_2d, train_2d_solver, DensityBinning, Dl2DFieldSolver, Frozen2DModel,
-    Train2DConfig,
+    arch_2d, harvest_2d, train_2d_solver, DensityBinning, Frozen2DModel, Train2DConfig,
 };
 use crate::core::{DlFieldSolver, FrozenBundle, ModelBundle};
 use crate::nn::frozen::{FrozenModel, Precision};
 use crate::nn::serialize::{params_from_bytes, params_to_bytes};
-use crate::pic2d::{Grid2D, Pic2DConfig};
+use crate::pic::PicConfig;
+use crate::pic2d::Grid2D;
 use std::sync::{Arc, Mutex};
 
 /// A persisted-in-memory 2-D DL model (the 2-D analogue of
-/// [`ModelBundle`]): enough to rebuild a [`Dl2DFieldSolver`] any number of
-/// times.
+/// [`ModelBundle`]): enough to rebuild a `DlFieldSolver<Grid2D>` any number
+/// of times.
 #[derive(Debug, Clone)]
 pub struct Dl2DModel {
     /// Hidden-layer widths of the MLP.
@@ -49,7 +49,7 @@ pub struct Dl2DModel {
 impl Dl2DModel {
     /// Rebuilds the solver for the given grid. Fails if the grid's node
     /// count mismatches the trained parameter shapes.
-    pub fn into_solver(&self, grid: &Grid2D) -> Result<Dl2DFieldSolver, EngineError> {
+    pub fn into_solver(&self, grid: &Grid2D) -> Result<DlFieldSolver<Grid2D>, EngineError> {
         let arch = arch_2d(grid, self.hidden.clone());
         let mut net = arch.build(0);
         params_from_bytes(&mut net, &self.params).map_err(|_| EngineError::InvalidSpec {
@@ -61,7 +61,7 @@ impl Dl2DModel {
             ),
         })?;
         Ok(
-            Dl2DFieldSolver::new(net, self.binning, self.norm, "dl-2d-mlp")
+            DlFieldSolver::new(net, self.binning, self.norm, "dl-2d-mlp")
                 .with_reference_mass(self.reference_mass),
         )
     }
@@ -76,23 +76,10 @@ pub fn hidden_2d(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// An untrained 1-D DL solver with the scale's MLP architecture. The
-/// network output width is the paper's 64 cells, so the scenario domain
-/// must match (checked by the engine before building).
-pub fn untrained_1d(scale: Scale) -> DlFieldSolver {
-    let arch = scale.mlp_arch();
-    DlFieldSolver::new(
-        arch.build(0xD15E),
-        scale.phase_spec(),
-        BinningShape::Ngp,
-        NormStats::identity(),
-        arch.input_kind(),
-        "dl-mlp-untrained",
-    )
-}
-
-/// The frozen weight allocation behind [`untrained_1d`]: same seed, same
-/// architecture, one `Arc` a whole fleet of untrained sessions shares.
+/// The frozen weight allocation of the untrained 1-D fallback: the scale's
+/// MLP architecture at a fixed seed, one `Arc` a whole fleet of untrained
+/// sessions shares. The network output width is the paper's 64 cells, so
+/// the scenario domain must match (checked by the engine before building).
 pub fn untrained_frozen_1d(scale: Scale) -> Arc<FrozenModel> {
     let net = scale.mlp_arch().build(0xD15E);
     Arc::new(
@@ -102,32 +89,19 @@ pub fn untrained_frozen_1d(scale: Scale) -> Arc<FrozenModel> {
 }
 
 /// One untrained fleet member over a shared weight allocation from
-/// [`untrained_frozen_1d`]. Bit-identical to [`untrained_1d`] at the same
-/// scale.
+/// [`untrained_frozen_1d`].
 pub fn untrained_1d_shared(scale: Scale, model: Arc<FrozenModel>) -> DlFieldSolver {
     let arch = scale.mlp_arch();
     DlFieldSolver::shared(
         model,
-        scale.phase_spec(),
-        BinningShape::Ngp,
+        (scale.phase_spec(), BinningShape::Ngp, arch.input_kind()),
         NormStats::identity(),
-        arch.input_kind(),
         "dl-mlp-untrained",
     )
 }
 
-/// An untrained 2-D DL solver sized for the grid.
-pub fn untrained_2d(scale: Scale, grid: &Grid2D) -> Dl2DFieldSolver {
-    let arch = arch_2d(grid, hidden_2d(scale));
-    Dl2DFieldSolver::new(
-        arch.build(0xD15E),
-        DensityBinning::Ngp,
-        NormStats::identity(),
-        "dl-2d-mlp-untrained",
-    )
-}
-
-/// The frozen weight allocation behind [`untrained_2d`] for this grid.
+/// The frozen weight allocation of the untrained 2-D fallback, sized for
+/// this grid.
 pub fn untrained_frozen_2d(scale: Scale, grid: &Grid2D) -> Arc<FrozenModel> {
     let net = arch_2d(grid, hidden_2d(scale)).build(0xD15E);
     Arc::new(
@@ -137,20 +111,14 @@ pub fn untrained_frozen_2d(scale: Scale, grid: &Grid2D) -> Arc<FrozenModel> {
 }
 
 /// One untrained 2-D fleet member over a shared allocation from
-/// [`untrained_frozen_2d`]. Bit-identical to [`untrained_2d`] on the same
-/// grid.
-pub fn untrained_2d_shared(model: Arc<FrozenModel>) -> Dl2DFieldSolver {
-    Dl2DFieldSolver::shared(
+/// [`untrained_frozen_2d`].
+pub fn untrained_2d_shared(model: Arc<FrozenModel>) -> DlFieldSolver<Grid2D> {
+    DlFieldSolver::shared(
         model,
         DensityBinning::Ngp,
         NormStats::identity(),
         "dl-2d-mlp-untrained",
     )
-}
-
-/// Output width (field cells) of a 1-D bundle's network.
-pub fn bundle_output_cells(bundle: &ModelBundle) -> usize {
-    bundle.arch.output_len()
 }
 
 /// Trains a 1-D MLP field solver from scratch at the given scale — the
@@ -206,9 +174,9 @@ pub fn quick_train_2d(spec: &ScenarioSpec, seed: u64) -> Result<Dl2DModel, Engin
         scenario: spec.name.clone(),
         what: "2-D training harvest needs a symmetric two-beam species".into(),
     })?;
-    let cfg = Pic2DConfig {
+    let cfg = PicConfig {
         grid: grid.clone(),
-        init,
+        init: Some(init),
         dt: spec.dt,
         n_steps: spec.n_steps,
         gather_shape: crate::pic::Shape::Cic,

@@ -17,7 +17,7 @@ use super::error::EngineError;
 use super::fault::FaultPlan;
 use super::observer::{Observer, RunSummary};
 use super::session::{
-    BackendSession, Checkpoint, DdecompSession, Pic1DSession, Pic2DSession, Session, VlasovSession,
+    BackendSession, Checkpoint, DdecompSession, PicSession, Session, VlasovSession,
 };
 use super::spec::ScenarioSpec;
 use crate::core::builder::ArchSpec;
@@ -26,9 +26,8 @@ use crate::core::twod::Frozen2DModel;
 use crate::core::{FrozenBundle, ModelBundle};
 use crate::nn::frozen::{FrozenModel, Precision};
 use crate::pic::solver::{FieldSolver, PoissonKind, TraditionalSolver};
-use crate::pic::Shape;
-use crate::pic2d::solver2d::FieldSolver2D;
-use crate::pic2d::TraditionalSolver2D;
+use crate::pic::{Grid1D, Shape};
+use crate::pic2d::{Grid2D, TraditionalSolver2D};
 use std::sync::{Arc, Mutex};
 
 /// Numerical options of the 1-D particle backends that the paper's figure
@@ -185,12 +184,12 @@ impl Engine {
         // analyze:allow(no-wallclock-in-engine): feeds only the wall_seconds diagnostic in RunSummary, never simulation state — checkpoints exclude it
         let started = std::time::Instant::now();
         let inner: Box<dyn BackendSession> = match backend {
-            Backend::Traditional1D | Backend::Dl1D => Box::new(Pic1DSession::new(
+            Backend::Traditional1D | Backend::Dl1D => Box::new(PicSession::<Grid1D>::new(
                 spec,
                 self.build_1d_solver(spec, backend)?,
                 self.numerics_1d.gather_shape,
             )),
-            Backend::Traditional2D | Backend::Dl2D => Box::new(Pic2DSession::new(
+            Backend::Traditional2D | Backend::Dl2D => Box::new(PicSession::<Grid2D>::new(
                 spec,
                 self.build_2d_solver(spec, backend)?,
             )),
@@ -320,7 +319,7 @@ impl Engine {
             Backend::Dl1D => {
                 let ncells = spec.domain.cells();
                 let output = match &self.model_1d {
-                    Some(bundle) => dl::bundle_output_cells(bundle),
+                    Some(bundle) => bundle.arch.output_len(),
                     None => spec.scale.mlp_arch().output_len(),
                 };
                 if output != ncells {
@@ -370,7 +369,7 @@ impl Engine {
         &self,
         spec: &ScenarioSpec,
         backend: Backend,
-    ) -> Result<Box<dyn FieldSolver2D>, EngineError> {
+    ) -> Result<Box<dyn FieldSolver<Grid2D>>, EngineError> {
         match backend {
             Backend::Traditional2D => Ok(Box::new(TraditionalSolver2D::default_config())),
             Backend::Dl2D => {

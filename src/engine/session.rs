@@ -38,10 +38,8 @@ use crate::ddecomp::strategy::GatherScatter;
 use crate::pic::history::SampleRow;
 use crate::pic::simulation::{PicConfig, Simulation};
 use crate::pic::solver::FieldSolver;
-use crate::pic::Shape;
-use crate::pic2d::simulation2d::Pic2DConfig;
-use crate::pic2d::solver2d::FieldSolver2D;
-use crate::pic2d::Simulation2D;
+use crate::pic::{Geometry, Grid1D, Shape};
+use crate::pic2d::Grid2D;
 use crate::vlasov::{VlasovConfig, VlasovSolver};
 
 /// Smallest thermal spread the continuum backend accepts: below this the
@@ -197,16 +195,18 @@ fn check_solver_name(state: &Json, built: &str) -> Result<(), EngineError> {
 }
 
 // ---------------------------------------------------------------------
-// 1-D particle backends (traditional and DL share the session; only the
-// injected field solver differs).
+// Particle backends: one session over the geometry-generic PIC driver.
+// Traditional and DL share it (only the injected field solver differs),
+// and so do 1-D and 2-D (only the constructors differ).
 // ---------------------------------------------------------------------
 
-/// Session of the 1-D PIC backends (`Traditional1D` and `Dl1D`).
-pub struct Pic1DSession {
-    sim: Simulation,
+/// Session of the PIC backends: `Traditional1D`/`Dl1D` at [`Grid1D`],
+/// `Traditional2D`/`Dl2D` at [`Grid2D`].
+pub struct PicSession<G: Geometry> {
+    sim: Simulation<G>,
 }
 
-impl Pic1DSession {
+impl PicSession<Grid1D> {
     pub(crate) fn new(spec: &ScenarioSpec, solver: Box<dyn FieldSolver>, gather: Shape) -> Self {
         let grid = spec.grid_1d();
         // The general multi-beam loading covers every 1-D species; the
@@ -230,39 +230,44 @@ impl Pic1DSession {
     }
 }
 
-impl BackendSession for Pic1DSession {
+impl PicSession<Grid2D> {
+    /// Tracked mode `m` maps to the `(m, 0)` mode of `Ex` — the family
+    /// carrying the 1-D physics.
+    pub(crate) fn new(spec: &ScenarioSpec, solver: Box<dyn FieldSolver<Grid2D>>) -> Self {
+        let cfg = PicConfig {
+            grid: spec.grid_2d(),
+            init: Some(spec.init_2d().expect("compatibility checked")),
+            dt: spec.dt,
+            n_steps: spec.n_steps,
+            gather_shape: Shape::Cic,
+            tracked_modes: spec.tracked_modes.iter().map(|&m| (m, 0)).collect(),
+        };
+        Self {
+            sim: Simulation::new(cfg, solver),
+        }
+    }
+}
+
+impl<G: Geometry> PicSession<G> {
+    fn last_row(&self, step: usize) -> Sample {
+        let row = self.sim.history().last_sample().expect("row just recorded");
+        sample_from_row(step, row)
+    }
+}
+
+impl<G: Geometry> BackendSession for PicSession<G> {
     fn step(&mut self) -> Sample {
         self.sim.step();
-        let row = self.sim.history().last_sample().expect("row just recorded");
-        sample_from_row(self.sim.steps_done() - 1, row)
+        self.last_row(self.sim.steps_done() - 1)
     }
 
     fn sample(&mut self) -> Sample {
-        let report = crate::pic::diagnostics::instantaneous_report(
-            self.sim.particles(),
-            self.sim.grid(),
-            self.sim.efield(),
-        );
-        Sample {
-            step: self.sim.steps_done(),
-            time: self.sim.time(),
-            kinetic: report.kinetic,
-            field: report.field,
-            momentum: report.momentum,
-            mode_amps: self
-                .sim
-                .config()
-                .tracked_modes
-                .iter()
-                .map(|&m| crate::pic::diagnostics::field_mode_amplitude(self.sim.efield(), m))
-                .collect(),
-        }
+        sample_from_row(self.sim.steps_done(), self.sim.sample())
     }
 
     fn finish(&mut self) -> Sample {
         self.sim.finish();
-        let row = self.sim.history().last_sample().expect("row just recorded");
-        sample_from_row(self.sim.steps_done(), row)
+        self.last_row(self.sim.steps_done())
     }
 
     fn time(&self) -> f64 {
@@ -286,19 +291,21 @@ impl BackendSession for Pic1DSession {
     }
 
     fn state_checkpoint(&self) -> Json {
-        let (x, v) = self.sim.phase_space();
-        obj(vec![
-            ("solver", Json::Str(self.sim.solver_name().into())),
-            ("x", Json::num_arr(x)),
-            ("v", Json::num_arr(v)),
-            ("e", Json::num_arr(self.sim.efield())),
-            ("time", Json::Num(self.sim.time())),
-            ("steps_done", Json::Num(self.sim.steps_done() as f64)),
-        ])
+        let mut fields = vec![("solver", Json::Str(self.sim.solver_name().into()))];
+        for (name, column) in G::columns(self.sim.particles()) {
+            fields.push((name, Json::num_arr(column)));
+        }
+        let components = self.sim.efield().chunks_exact(self.sim.grid().nodes());
+        for (name, component) in G::FIELD_NAMES.iter().zip(components) {
+            fields.push((name, Json::num_arr(component)));
+        }
+        fields.push(("time", Json::Num(self.sim.time())));
+        fields.push(("steps_done", Json::Num(self.sim.steps_done() as f64)));
+        obj(fields)
     }
 
     fn infer_shape(&mut self) -> Option<(usize, usize)> {
-        let (solver, _, _, _) = self.sim.split_for_solve();
+        let (solver, ..) = self.sim.split_for_solve();
         solver.phased().map(|p| (p.input_len(), p.output_len()))
     }
 
@@ -309,14 +316,13 @@ impl BackendSession for Pic1DSession {
             .phased()
             .expect("step_prepare on a non-phased solver")
             .prepare_input(particles, grid, input);
-        let row = self.sim.history().last_sample().expect("row just recorded");
         // step_post_solve has not run yet, so steps_done is still the
         // step index `step` would report as `steps_done() - 1`.
-        sample_from_row(self.sim.steps_done(), row)
+        self.last_row(self.sim.steps_done())
     }
 
     fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]) {
-        let (solver, _, _, _) = self.sim.split_for_solve();
+        let (solver, ..) = self.sim.split_for_solve();
         solver
             .phased()
             .expect("infer_batch on a non-phased solver")
@@ -334,199 +340,33 @@ impl BackendSession for Pic1DSession {
 
     fn restore(&mut self, state: &Json) -> Result<(), EngineError> {
         check_solver_name(state, self.sim.solver_name())?;
-        let x = state.field("x")?.as_f64_vec()?;
-        let v = state.field("v")?.as_f64_vec()?;
-        let e = state.field("e")?.as_f64_vec()?;
-        let n = self.sim.particles().len();
-        if x.len() != n || v.len() != n {
-            return Err(bad_checkpoint(format!(
-                "1-D state holds {} particles but the spec loads {n}",
-                x.len()
-            )));
+        let mut columns = Vec::new();
+        for (name, live) in G::columns(self.sim.particles()) {
+            let column = state.field(name)?.as_f64_vec()?;
+            if column.len() != live.len() {
+                return Err(bad_checkpoint(format!(
+                    "state column `{name}` holds {} particles but the spec loads {}",
+                    column.len(),
+                    live.len()
+                )));
+            }
+            columns.push(column);
         }
-        if e.len() != self.sim.efield().len() {
-            return Err(bad_checkpoint(format!(
-                "1-D field has {} nodes but the grid has {}",
-                e.len(),
-                self.sim.efield().len()
-            )));
+        let nodes = self.sim.grid().nodes();
+        let mut e = Vec::with_capacity(self.sim.efield().len());
+        for name in G::FIELD_NAMES {
+            let component = state.field(name)?.as_f64_vec()?;
+            if component.len() != nodes {
+                return Err(bad_checkpoint(format!(
+                    "field `{name}` has {} nodes but the grid has {nodes}",
+                    component.len()
+                )));
+            }
+            e.extend(component);
         }
         self.sim.restore_state(
-            &x,
-            &v,
+            &columns,
             &e,
-            state.field("time")?.as_f64()?,
-            state.field("steps_done")?.as_usize()?,
-        );
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2-D particle backends.
-// ---------------------------------------------------------------------
-
-/// Session of the 2-D PIC backends (`Traditional2D` and `Dl2D`). Tracked
-/// mode `m` maps to the `(m, 0)` mode of `Ex` — the family carrying the
-/// 1-D physics.
-pub struct Pic2DSession {
-    sim: Simulation2D,
-}
-
-impl Pic2DSession {
-    pub(crate) fn new(spec: &ScenarioSpec, solver: Box<dyn FieldSolver2D>) -> Self {
-        let init = spec.init_2d().expect("compatibility checked");
-        let cfg = Pic2DConfig {
-            grid: spec.grid_2d(),
-            init,
-            dt: spec.dt,
-            n_steps: spec.n_steps,
-            gather_shape: Shape::Cic,
-            tracked_modes: spec.tracked_modes.iter().map(|&m| (m, 0)).collect(),
-        };
-        Self {
-            sim: Simulation2D::new(cfg, solver),
-        }
-    }
-}
-
-impl BackendSession for Pic2DSession {
-    fn step(&mut self) -> Sample {
-        self.sim.step();
-        let row = self.sim.history().last_sample().expect("row just recorded");
-        sample_from_row(self.sim.steps_done() - 1, row)
-    }
-
-    fn sample(&mut self) -> Sample {
-        let grid = &self.sim.config().grid;
-        let report = crate::pic2d::diagnostics2d::instantaneous_report(
-            self.sim.particles(),
-            grid,
-            self.sim.ex(),
-            self.sim.ey(),
-        );
-        Sample {
-            step: self.sim.steps_done(),
-            time: self.sim.time(),
-            kinetic: report.kinetic,
-            field: report.field,
-            momentum: report.momentum_x,
-            mode_amps: self
-                .sim
-                .config()
-                .tracked_modes
-                .iter()
-                .map(|&(mx, my)| {
-                    crate::pic2d::diagnostics2d::field_mode_amplitude(self.sim.ex(), grid, mx, my)
-                })
-                .collect(),
-        }
-    }
-
-    fn finish(&mut self) -> Sample {
-        self.sim.finish();
-        let row = self.sim.history().last_sample().expect("row just recorded");
-        sample_from_row(self.sim.steps_done(), row)
-    }
-
-    fn time(&self) -> f64 {
-        self.sim.time()
-    }
-
-    fn steps_done(&self) -> usize {
-        self.sim.steps_done()
-    }
-
-    fn phase_space(&self) -> Option<PhaseSpace> {
-        let p = self.sim.particles();
-        Some(PhaseSpace {
-            x: p.x.clone(),
-            v: p.vx.clone(),
-        })
-    }
-
-    fn weight_storage(&self) -> Option<(usize, usize)> {
-        self.sim.solver().weight_storage()
-    }
-
-    fn state_checkpoint(&self) -> Json {
-        let p = self.sim.particles();
-        obj(vec![
-            ("solver", Json::Str(self.sim.solver().name().into())),
-            ("x", Json::num_arr(&p.x)),
-            ("y", Json::num_arr(&p.y)),
-            ("vx", Json::num_arr(&p.vx)),
-            ("vy", Json::num_arr(&p.vy)),
-            ("ex", Json::num_arr(self.sim.ex())),
-            ("ey", Json::num_arr(self.sim.ey())),
-            ("time", Json::Num(self.sim.time())),
-            ("steps_done", Json::Num(self.sim.steps_done() as f64)),
-        ])
-    }
-
-    fn infer_shape(&mut self) -> Option<(usize, usize)> {
-        let (solver, _, _, _, _) = self.sim.split_for_solve();
-        solver.phased().map(|p| (p.input_len(), p.output_len()))
-    }
-
-    fn step_prepare(&mut self, input: &mut [f32]) -> Sample {
-        self.sim.step_pre_solve();
-        let (solver, particles, grid, _ex, _ey) = self.sim.split_for_solve();
-        solver
-            .phased()
-            .expect("step_prepare on a non-phased solver")
-            .prepare_input(particles, grid, input);
-        let row = self.sim.history().last_sample().expect("row just recorded");
-        sample_from_row(self.sim.steps_done(), row)
-    }
-
-    fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]) {
-        let (solver, _, _, _, _) = self.sim.split_for_solve();
-        solver
-            .phased()
-            .expect("infer_batch on a non-phased solver")
-            .infer_batch(input, rows, output);
-    }
-
-    fn step_apply(&mut self, output: &[f32]) {
-        let (solver, _, _, ex, ey) = self.sim.split_for_solve();
-        solver
-            .phased()
-            .expect("step_apply on a non-phased solver")
-            .apply_output(output, ex, ey);
-        self.sim.step_post_solve();
-    }
-
-    fn restore(&mut self, state: &Json) -> Result<(), EngineError> {
-        check_solver_name(state, self.sim.solver().name())?;
-        let x = state.field("x")?.as_f64_vec()?;
-        let y = state.field("y")?.as_f64_vec()?;
-        let vx = state.field("vx")?.as_f64_vec()?;
-        let vy = state.field("vy")?.as_f64_vec()?;
-        let ex = state.field("ex")?.as_f64_vec()?;
-        let ey = state.field("ey")?.as_f64_vec()?;
-        let n = self.sim.particles().len();
-        if x.len() != n || y.len() != n || vx.len() != n || vy.len() != n {
-            return Err(bad_checkpoint(format!(
-                "2-D state holds {} particles but the spec loads {n}",
-                x.len()
-            )));
-        }
-        let nodes = self.sim.ex().len();
-        if ex.len() != nodes || ey.len() != nodes {
-            return Err(bad_checkpoint(format!(
-                "2-D fields have {}/{} nodes but the grid has {nodes}",
-                ex.len(),
-                ey.len()
-            )));
-        }
-        self.sim.restore_state(
-            &x,
-            &y,
-            &vx,
-            &vy,
-            &ex,
-            &ey,
             state.field("time")?.as_f64()?,
             state.field("steps_done")?.as_usize()?,
         );

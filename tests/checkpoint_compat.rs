@@ -26,9 +26,21 @@ use std::path::PathBuf;
 type Case = (&'static str, &'static str, Backend, usize, usize);
 
 const CASES: [Case; 4] = [
-    ("traditional_1d", "two_stream", Backend::Traditional1D, 5, 12),
+    (
+        "traditional_1d",
+        "two_stream",
+        Backend::Traditional1D,
+        5,
+        12,
+    ),
     ("dl_1d", "two_stream", Backend::Dl1D, 4, 10),
-    ("traditional_2d", "two_stream_2d", Backend::Traditional2D, 3, 8),
+    (
+        "traditional_2d",
+        "two_stream_2d",
+        Backend::Traditional2D,
+        3,
+        8,
+    ),
     ("dl_2d", "two_stream_2d", Backend::Dl2D, 2, 6),
 ];
 

@@ -116,10 +116,8 @@ fn tiny_dl_solver() -> DlFieldSolver {
     };
     DlFieldSolver::new(
         arch.build(0),
-        spec,
-        BinningShape::Ngp,
+        (spec, BinningShape::Ngp, arch.input_kind()),
         NormStats::identity(),
-        arch.input_kind(),
         "dl-mlp",
     )
 }

@@ -7,19 +7,20 @@ use dlpic_repro::analytics::dispersion::TwoStreamDispersion;
 use dlpic_repro::analytics::fit::{fit_growth_rate, GrowthFitOptions};
 use dlpic_repro::core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
 use dlpic_repro::pic::shape::Shape;
+use dlpic_repro::pic::simulation::{PicConfig, Simulation};
+use dlpic_repro::pic::solver::FieldSolver;
 use dlpic_repro::pic2d::grid2d::Grid2D;
 use dlpic_repro::pic2d::init2d::TwoStream2DInit;
-use dlpic_repro::pic2d::simulation2d::{Pic2DConfig, Simulation2D};
 use dlpic_repro::pic2d::solver2d::TraditionalSolver2D;
 
 fn grid() -> Grid2D {
     Grid2D::new(16, 16, 2.0532, 2.0532)
 }
 
-fn config(v0: f64, vth: f64, n_steps: usize, seed: u64) -> Pic2DConfig {
-    Pic2DConfig {
+fn config(v0: f64, vth: f64, n_steps: usize, seed: u64) -> PicConfig<Grid2D> {
+    PicConfig {
         grid: grid(),
-        init: TwoStream2DInit::quiet(v0, vth, 16_384, 1e-3, seed),
+        init: Some(TwoStream2DInit::quiet(v0, vth, 16_384, 1e-3, seed)),
         dt: 0.2,
         n_steps,
         gather_shape: Shape::Cic,
@@ -53,7 +54,7 @@ fn trained_2d_solver_reproduces_two_stream_growth() {
     assert!(final_loss.is_finite() && final_loss > 0.0);
 
     // Evaluate in the loop on an unseen seed.
-    let mut dl = Simulation2D::new(config(0.2, 0.0, 160, 99), Box::new(solver));
+    let mut dl = Simulation::new(config(0.2, 0.0, 160, 99), Box::new(solver));
     dl.run();
     let h = dl.history();
     assert!(
@@ -62,8 +63,8 @@ fn trained_2d_solver_reproduces_two_stream_growth() {
     );
 
     let theory = TwoStreamDispersion::new(0.2).growth_rate(3.06);
-    let (times, amps) = h.mode_series((1, 0)).unwrap();
-    let fit = fit_growth_rate(times, amps, GrowthFitOptions::default())
+    let e10 = h.mode_series((1, 0)).unwrap();
+    let fit = fit_growth_rate(&e10.times, &e10.values, GrowthFitOptions::default())
         .expect("growth phase detected in DL-PIC 2D");
     let rel = (fit.gamma - theory).abs() / theory;
     assert!(
@@ -98,7 +99,7 @@ fn dl_2d_field_error_is_small_against_traditional() {
     let (mut solver, _) = train_2d_solver(&g, &samples, DensityBinning::Cic, &tc);
 
     // Drive a traditional run and query both solvers on the same states.
-    let mut sim = Simulation2D::new(
+    let mut sim = Simulation::new(
         config(0.2, 0.0, 120, 42),
         Box::new(TraditionalSolver2D::default_config()),
     );
@@ -110,11 +111,10 @@ fn dl_2d_field_error_is_small_against_traditional() {
         if step % 10 != 0 {
             continue;
         }
-        let mut ex_dl = g.zeros();
-        let mut ey_dl = g.zeros();
-        use dlpic_repro::pic2d::solver2d::FieldSolver2D;
-        solver.solve(sim.particles(), &g, &mut ex_dl, &mut ey_dl);
-        for (a, b) in ex_dl.iter().zip(sim.ex()).chain(ey_dl.iter().zip(sim.ey())) {
+        // Both fields are `[Ex | Ey]` stacked.
+        let mut e_dl = vec![0.0; 2 * g.nodes()];
+        solver.solve(sim.particles(), &g, &mut e_dl);
+        for (a, b) in e_dl.iter().zip(sim.efield()) {
             abs_err_sum += (a - b).abs();
             field_scale = field_scale.max(b.abs());
             count += 1;

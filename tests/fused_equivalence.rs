@@ -1,5 +1,5 @@
-//! The fused-pipeline acceptance tests: a full `Simulation` /
-//! `Simulation2D` run (which steps through the fused
+//! The fused-pipeline acceptance tests: a full `Simulation` run at
+//! `Grid1D` and at `Grid2D` (which steps through the fused
 //! gather→accelerate→move kernel) must reproduce the trajectories of the
 //! unfused three-pass pipeline — `gather_field` → `push_velocities` →
 //! `push_positions` → field solve, the pre-fusion step structure kept as
@@ -15,9 +15,7 @@ use dlpic_repro::pic::solver::{FieldSolver, PoissonKind, TraditionalSolver};
 use dlpic_repro::pic::{Grid1D, Shape, TwoStreamInit};
 use dlpic_repro::pic2d::gather2d;
 use dlpic_repro::pic2d::mover2d;
-use dlpic_repro::pic2d::simulation2d::Pic2DConfig;
-use dlpic_repro::pic2d::solver2d::FieldSolver2D;
-use dlpic_repro::pic2d::{Grid2D, Simulation2D, TwoStream2DInit};
+use dlpic_repro::pic2d::{Grid2D, TwoStream2DInit};
 
 const TOL: f64 = 1e-15;
 
@@ -84,14 +82,14 @@ fn check_1d(shape: Shape, n_steps: usize) {
     assert_close("momentum", &sim.history().momentum[..n_steps], &momentum);
 }
 
-/// 2-D: `Simulation2D` (fused stepping) against the manual unfused
+/// 2-D: `Simulation<Grid2D>` (fused stepping) against the manual unfused
 /// driver.
 fn check_2d(shape: Shape, n_steps: usize) {
     let grid = Grid2D::new(16, 16, 2.0532, 2.0532);
     let init = TwoStream2DInit::quiet(0.2, 0.0, 4_096, 1e-3, 3);
-    let cfg = Pic2DConfig {
+    let cfg = PicConfig {
         grid: grid.clone(),
-        init: init.clone(),
+        init: Some(init.clone()),
         dt: 0.2,
         n_steps,
         gather_shape: shape,
@@ -104,45 +102,31 @@ fn check_2d(shape: Shape, n_steps: usize) {
             1.0,
         )
     };
-    let mut sim = Simulation2D::new(cfg, Box::new(solver_for()));
+    let mut sim = Simulation::new(cfg, Box::new(solver_for()));
 
     let mut solver = solver_for();
     let mut particles = init.build(&grid);
     let n = particles.len();
-    let mut ex = grid.zeros();
-    let mut ey = grid.zeros();
+    // The solver seam's field: `[Ex | Ey]` stacked.
+    let mut e = vec![0.0; 2 * grid.nodes()];
     let (mut ex_part, mut ey_part) = (vec![0.0; n], vec![0.0; n]);
-    solver.solve(&particles, &grid, &mut ex, &mut ey);
-    gather2d::gather_field(
-        &particles,
-        &grid,
-        shape,
-        &ex,
-        &ey,
-        &mut ex_part,
-        &mut ey_part,
-    );
+    solver.solve(&particles, &grid, &mut e);
+    let (ex, ey) = e.split_at(grid.nodes());
+    gather2d::gather_field(&particles, &grid, shape, ex, ey, &mut ex_part, &mut ey_part);
     mover2d::half_step_back(&mut particles, &ex_part, &ey_part, 0.2);
 
     let mut momentum_x = Vec::new();
     let mut momentum_y = Vec::new();
     for _ in 0..n_steps {
         sim.step();
-        gather2d::gather_field(
-            &particles,
-            &grid,
-            shape,
-            &ex,
-            &ey,
-            &mut ex_part,
-            &mut ey_part,
-        );
+        let (ex, ey) = e.split_at(grid.nodes());
+        gather2d::gather_field(&particles, &grid, shape, ex, ey, &mut ex_part, &mut ey_part);
         mover2d::push_velocities(&mut particles, &ex_part, &ey_part, 0.2);
         let (px, py) = particles.total_momentum();
         momentum_x.push(px);
         momentum_y.push(py);
         mover2d::push_positions(&mut particles, &grid, 0.2);
-        solver.solve(&particles, &grid, &mut ex, &mut ey);
+        solver.solve(&particles, &grid, &mut e);
     }
 
     let p = sim.particles();
@@ -150,11 +134,12 @@ fn check_2d(shape: Shape, n_steps: usize) {
     assert_close("y", &p.y, &particles.y);
     assert_close("vx", &p.vx, &particles.vx);
     assert_close("vy", &p.vy, &particles.vy);
-    assert_close("Ex", sim.ex(), &ex);
-    assert_close("Ey", sim.ey(), &ey);
+    let (ex, ey) = e.split_at(grid.nodes());
+    assert_close("Ex", &sim.efield()[..grid.nodes()], ex);
+    assert_close("Ey", &sim.efield()[grid.nodes()..], ey);
     assert_close(
         "momentum_x",
-        &sim.history().momentum_x[..n_steps],
+        &sim.history().momentum[..n_steps],
         &momentum_x,
     );
     assert_close(

@@ -6,22 +6,22 @@
 use dlpic_repro::analytics::dispersion::TwoStreamDispersion;
 use dlpic_repro::analytics::fit::{fit_growth_rate, GrowthFitOptions};
 use dlpic_repro::pic::shape::Shape;
+use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic2d::grid2d::Grid2D;
 use dlpic_repro::pic2d::init2d::TwoStream2DInit;
-use dlpic_repro::pic2d::simulation2d::{Pic2DConfig, Simulation2D};
 use dlpic_repro::pic2d::solver2d::TraditionalSolver2D;
 
-fn two_stream_2d(v0: f64, vth: f64, n_steps: usize, seed: u64) -> Simulation2D {
+fn two_stream_2d(v0: f64, vth: f64, n_steps: usize, seed: u64) -> Simulation<Grid2D> {
     let grid = Grid2D::new(32, 32, 2.0532, 2.0532);
-    let cfg = Pic2DConfig {
+    let cfg = PicConfig {
         grid,
-        init: TwoStream2DInit::quiet(v0, vth, 65_536, 1e-4, seed),
+        init: Some(TwoStream2DInit::quiet(v0, vth, 65_536, 1e-4, seed)),
         dt: 0.2,
         n_steps,
         gather_shape: Shape::Cic,
         tracked_modes: vec![(1, 0), (2, 0), (0, 1)],
     };
-    Simulation2D::new(cfg, Box::new(TraditionalSolver2D::default_config()))
+    Simulation::new(cfg, Box::new(TraditionalSolver2D::default_config()))
 }
 
 #[test]
@@ -34,9 +34,9 @@ fn two_stream_growth_rate_matches_1d_linear_theory() {
     let theory = TwoStreamDispersion::new(0.2).growth_rate(3.06);
     assert!((theory - 0.3536).abs() < 1e-3, "theory sanity");
 
-    let (times, amps) = sim.history().mode_series((1, 0)).expect("mode tracked");
-    let fit =
-        fit_growth_rate(times, amps, GrowthFitOptions::default()).expect("growth phase detected");
+    let e10 = sim.history().mode_series((1, 0)).expect("mode tracked");
+    let fit = fit_growth_rate(&e10.times, &e10.values, GrowthFitOptions::default())
+        .expect("growth phase detected");
     let rel_err = (fit.gamma - theory).abs() / theory;
     assert!(
         rel_err < 0.2,
@@ -55,8 +55,8 @@ fn transverse_modes_stay_quiet() {
     let mut sim = two_stream_2d(0.2, 0.0, 150, 13);
     sim.run();
     let h = sim.history();
-    let (_, streaming) = h.mode_series((1, 0)).unwrap();
-    let (_, transverse) = h.mode_series((0, 1)).unwrap();
+    let streaming = h.mode_series((1, 0)).unwrap().values;
+    let transverse = h.mode_series((0, 1)).unwrap().values;
     let growth = streaming.last().unwrap() / streaming.first().unwrap().max(1e-300);
     assert!(growth > 50.0, "two-stream mode barely grew: ×{growth}");
     let max_transverse = transverse.iter().cloned().fold(0.0f64, f64::max);
@@ -84,8 +84,8 @@ fn energy_bounded_and_momentum_conserved_through_saturation() {
     // starts at a small nonzero momentum, which must then stay *constant*
     // to round-off.
     let p_scale = 65_536.0 * sim.particles().mass() * 0.2;
-    let (px0, py0) = (h.momentum_x[0], h.momentum_y[0]);
-    for (px, py) in h.momentum_x.iter().zip(&h.momentum_y) {
+    let (px0, py0) = (h.momentum[0], h.momentum_y[0]);
+    for (px, py) in h.momentum.iter().zip(&h.momentum_y) {
         assert!(
             (px - px0).abs() < 1e-8 * p_scale.max(1.0),
             "Δpx = {}",
@@ -105,7 +105,7 @@ fn stable_beams_do_not_grow() {
     // cold-beam premise of the paper's Fig. 6.
     let mut sim = two_stream_2d(0.4, 0.0, 100, 19);
     sim.run();
-    let (_, amps) = sim.history().mode_series((1, 0)).unwrap();
+    let amps = sim.history().mode_series((1, 0)).unwrap().values;
     let start = amps[..10].iter().cloned().fold(0.0f64, f64::max);
     let end = amps[amps.len() - 10..]
         .iter()

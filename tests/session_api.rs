@@ -202,42 +202,86 @@ fn checkpoint_roundtrip_ddecomp() {
     );
 }
 
+/// Cuts the last element off the JSON array keyed `key` in a pretty
+/// checkpoint document (one element per line, as `to_json` writes them).
+fn truncate_array(text: &str, key: &str) -> String {
+    let open = text
+        .find(&format!("\"{key}\": ["))
+        .unwrap_or_else(|| panic!("no `{key}` array in the state"));
+    let close = open + text[open..].find(']').unwrap();
+    let last_comma = text[..close].rfind(',').unwrap();
+    assert!(last_comma > open, "`{key}` holds fewer than two values");
+    format!("{}{}", &text[..last_comma], &text[close..])
+}
+
+fn expect_checkpoint_error(result: Result<engine::Session, EngineError>, case: &str) {
+    match result {
+        Err(EngineError::Checkpoint { .. }) => {}
+        Err(other) => panic!("{case}: expected a checkpoint error, got {other}"),
+        Ok(_) => panic!("{case}: mismatched checkpoint was accepted"),
+    }
+}
+
 #[test]
 fn checkpoint_rejects_state_spec_mismatches() {
-    let spec = small_spec("two_stream", 8);
-    let mut session = engine::start(&spec, Backend::Traditional1D).unwrap();
-    session.step();
-    let mut checkpoint = session.checkpoint();
+    // The same mismatches in both dimensions: `(spec, backend, solver
+    // name, last field component)`. Every one must be a typed
+    // `EngineError::Checkpoint`, never a panic in `restore_state`.
+    let mut spec_2d = small_spec("two_stream_2d", 8);
+    spec_2d.ppc = 4;
+    let cases = [
+        (
+            small_spec("two_stream", 8),
+            Backend::Traditional1D,
+            "traditional",
+            "e",
+        ),
+        (spec_2d, Backend::Traditional2D, "traditional-2d", "ey"),
+    ];
+    for (spec, backend, solver, field) in cases {
+        let mut session = engine::start(&spec, backend).unwrap();
+        session.step();
+        let mut checkpoint = session.checkpoint();
 
-    // A different particle count than the state was taken from.
-    checkpoint.spec.ppc += 2;
-    match Engine::new().resume(&checkpoint) {
-        Err(EngineError::Checkpoint { .. }) => {}
-        Err(other) => panic!("expected a checkpoint error, got {other}"),
-        Ok(_) => panic!("mismatched checkpoint was accepted"),
-    }
+        // A different particle count than the state was taken from.
+        checkpoint.spec.ppc += 2;
+        expect_checkpoint_error(
+            Engine::new().resume(&checkpoint),
+            &format!("{backend}: particle count"),
+        );
 
-    // A corrupted header clock that disagrees with the state is refused.
-    let mut skewed = session.checkpoint();
-    skewed.time += 0.5;
-    assert!(matches!(
-        Engine::new().resume(&skewed),
-        Err(EngineError::Checkpoint { .. })
-    ));
+        // A field array shorter than the grid.
+        let text = session.checkpoint().to_json();
+        let short = Checkpoint::from_json(&truncate_array(&text, field)).unwrap();
+        expect_checkpoint_error(
+            Engine::new().resume(&short),
+            &format!("{backend}: truncated `{field}`"),
+        );
 
-    // A checkpoint taken with a different field solver is refused — a DL
-    // run resumed in an engine without its model would otherwise
-    // silently continue on the untrained fallback.
-    let text = session.checkpoint().to_json();
-    let tampered = text.replace("\"solver\": \"traditional\"", "\"solver\": \"dl-mlp\"");
-    assert_ne!(text, tampered, "solver fingerprint missing from the state");
-    let foreign = Checkpoint::from_json(&tampered).unwrap();
-    match Engine::new().resume(&foreign) {
-        Err(EngineError::Checkpoint { what }) => {
-            assert!(what.contains("dl-mlp"), "unhelpful message: {what}")
+        // A corrupted header clock that disagrees with the state is refused.
+        let mut skewed = session.checkpoint();
+        skewed.time += 0.5;
+        expect_checkpoint_error(
+            Engine::new().resume(&skewed),
+            &format!("{backend}: skewed clock"),
+        );
+
+        // A checkpoint taken with a different field solver is refused — a DL
+        // run resumed in an engine without its model would otherwise
+        // silently continue on the untrained fallback.
+        let tampered = text.replace(
+            &format!("\"solver\": \"{solver}\""),
+            "\"solver\": \"dl-mlp\"",
+        );
+        assert_ne!(text, tampered, "solver fingerprint missing from the state");
+        let foreign = Checkpoint::from_json(&tampered).unwrap();
+        match Engine::new().resume(&foreign) {
+            Err(EngineError::Checkpoint { what }) => {
+                assert!(what.contains("dl-mlp"), "unhelpful message: {what}")
+            }
+            Err(other) => panic!("expected a checkpoint error, got {other}"),
+            Ok(_) => panic!("foreign-solver checkpoint was accepted"),
         }
-        Err(other) => panic!("expected a checkpoint error, got {other}"),
-        Ok(_) => panic!("foreign-solver checkpoint was accepted"),
     }
 
     // Garbage text and wrong formats are typed errors, not panics.
