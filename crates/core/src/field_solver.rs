@@ -236,10 +236,11 @@ impl<G: InputBinning> DlFieldSolver<G> {
     }
 
     /// The network as an `Arc`-shareable frozen model: an owned network is
-    /// frozen at `precision`; on the shared path the existing allocation
-    /// is re-shared (its stored precision wins — re-quantizing without
-    /// the f32 source is impossible).
-    pub fn freeze_model(&self, precision: Precision) -> Result<Arc<FrozenModel>, FreezeError> {
+    /// frozen at `precision`, a shared one re-shared as it is.
+    pub(crate) fn freeze_model(
+        &self,
+        precision: Precision,
+    ) -> Result<Arc<FrozenModel>, FreezeError> {
         match &self.net {
             NetExec::Owned(net) => Ok(Arc::new(net.freeze(precision)?)),
             NetExec::Shared(model) => Ok(Arc::clone(model)),

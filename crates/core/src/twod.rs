@@ -275,8 +275,10 @@ impl Frozen2DModel {
 }
 
 impl DlFieldSolver<Grid2D> {
-    /// Freezes this solver into a shareable [`Frozen2DModel`] (see
-    /// [`DlFieldSolver::freeze_model`] for which precision wins).
+    /// Freezes this solver's network into a shareable [`Frozen2DModel`].
+    /// On the shared path the existing allocation is re-shared (its
+    /// stored precision wins — re-quantizing without the f32 source is
+    /// impossible).
     pub fn freeze(&self, precision: Precision) -> Result<Frozen2DModel, FreezeError> {
         Ok(Frozen2DModel {
             model: self.freeze_model(precision)?,

@@ -13,7 +13,7 @@
 //!   `Traditional2D`, `Dl2D`, `Vlasov` or `Ddecomp`. Any compatible
 //!   pairing is one enum value away.
 //! * [`Observer`] + [`RunSummary`]/[`EnergyHistory`] — one diagnostics
-//!   shape for all backends, adapting `pic::History`, `pic2d::History2D`
+//!   shape for all backends, adapting `pic::History<M>` (1-D and 2-D)
 //!   and the Vlasov/distributed diagnostics, directly consumable by
 //!   [`crate::analytics`].
 //! * [`Session`] — the incremental primitive underneath
@@ -42,8 +42,8 @@
 //! # Ok::<(), dlpic_repro::engine::EngineError>(())
 //! ```
 //!
-//! The old per-crate entry points (`pic::PicConfig`, `pic2d::Pic2DConfig`,
-//! `vlasov::VlasovConfig`, `ddecomp::DistConfig`) remain available but are
+//! The old per-crate entry points (`pic::PicConfig<G>` for either
+//! dimension, `vlasov::VlasovConfig`, `ddecomp::DistConfig`) remain available but are
 //! implementation detail; new code should target this module. See the
 //! README for a migration table.
 

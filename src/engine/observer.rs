@@ -37,7 +37,7 @@ impl Sample {
 }
 
 /// Per-run diagnostics history in one shape for all backends — the
-/// common denominator of `pic::History`, `pic2d::History2D` and the
+/// common denominator of `pic::History<M>` (1-D and 2-D) and the
 /// Vlasov/distributed diagnostics, directly consumable by `analytics`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyHistory {

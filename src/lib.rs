@@ -42,13 +42,17 @@
 //! The engine drives the workspace members, re-exported here for direct
 //! (lower-level) use:
 //!
-//! * [`pic`] — the traditional explicit electrostatic 1-D PIC method.
-//! * [`pic2d`] — the 2-D electrostatic PIC (paper §VII's
-//!   "two-dimensional systems" extension).
+//! * [`pic`] — the traditional explicit electrostatic PIC method: the
+//!   1-D kernels, and the one driver (`Simulation<G>`, `FieldSolver<G>`,
+//!   `History<M>`) written over [`pic::Geometry`].
+//! * [`pic2d`] — the 2-D kernels and `impl Geometry for Grid2D` (paper
+//!   §VII's "two-dimensional systems" extension); its cycle is
+//!   `pic::Simulation<Grid2D>`.
 //! * [`nn`] — the from-scratch neural-network library (MLP/CNN + Adam).
 //! * [`core`] — the DL-based PIC method (phase-space binning + DL field
-//!   solver), the paper's contribution; includes the 2-D DL solver
-//!   (`core::twod`).
+//!   solver), the paper's contribution; the solver is generic over the
+//!   geometry and `core::twod` supplies its 2-D input binning and
+//!   training pipeline.
 //! * [`dataset`] — the training-data pipeline.
 //! * [`analytics`] — FFT, dispersion relation, growth-rate fits, plots.
 //! * [`vlasov`] — a continuum Vlasov–Poisson solver (the paper's §VII
@@ -57,8 +61,8 @@
 //!   accounting (paper §VII's distributed-memory discussion, made
 //!   measurable).
 //!
-//! Their per-crate config structs (`pic::PicConfig`, `pic2d::Pic2DConfig`,
-//! `vlasov::VlasovConfig`, `ddecomp::sim::DistConfig`) are implementation
+//! Their per-crate config structs (`pic::PicConfig<G>` — one for both
+//! dimensions — `vlasov::VlasovConfig`, `ddecomp::sim::DistConfig`) are implementation
 //! detail behind [`engine::ScenarioSpec`]; the README carries the
 //! migration table.
 
