@@ -259,6 +259,19 @@ impl<G: InputBinning> DlFieldSolver<G> {
             .to_vec()
     }
 
+    /// Rescales a raw histogram of total count `mass` to the training mass
+    /// (when one is set) and applies the training-set normalization
+    /// (paper Eq. 5).
+    fn normalize(&self, mass: f32, histogram: &mut [f32]) {
+        if self.reference_mass > 0.0 && (mass - self.reference_mass).abs() > 0.5 {
+            let factor = self.reference_mass / mass;
+            for v in histogram.iter_mut() {
+                *v *= factor;
+            }
+        }
+        self.norm.apply(histogram);
+    }
+
     /// Copies `rows` prepared histograms into the reusable input tensor
     /// with the architecture's batch shape.
     fn stage_input(&mut self, data: &[f32], rows: usize) {
@@ -297,15 +310,11 @@ impl DlFieldSolver {
     /// Panics if the histogram size mismatches the phase grid or the
     /// network output width mismatches `e`.
     pub fn solve_from_raw_histogram(&mut self, histogram: &[f32], total_mass: f32, e: &mut [f64]) {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(histogram);
-        if self.reference_mass > 0.0 && (total_mass - self.reference_mass).abs() > 0.5 {
-            let factor = self.reference_mass / total_mass;
-            for v in self.scratch.iter_mut() {
-                *v *= factor;
-            }
-        }
-        self.norm.apply(&mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend_from_slice(histogram);
+        self.normalize(total_mass, &mut scratch);
+        self.scratch = scratch;
         self.infer_scratch_into(e);
     }
 }
@@ -358,13 +367,7 @@ impl<G: InputBinning> PhasedFieldSolver<G> for DlFieldSolver<G> {
         // 1-2. Bin, rescale to the training mass, and normalize (paper
         // Eq. 5) — everything `solve` does before the network.
         let mass = G::bin(&self.binner, particles, grid, dst) as f32;
-        if self.reference_mass > 0.0 && (mass - self.reference_mass).abs() > 0.5 {
-            let factor = self.reference_mass / mass;
-            for v in dst.iter_mut() {
-                *v *= factor;
-            }
-        }
-        self.norm.apply(dst);
+        self.normalize(mass, dst);
         self.in_len = dst.len();
     }
 
