@@ -413,8 +413,11 @@ fn phase_constants_only(file: &SourceFile, out: &mut Vec<RuleHit>) {
 }
 
 /// Identifier fragments that name a weight-carrying value. Matched
-/// case-insensitively as substrings (`model_1d`, `trained_bundle`, …);
-/// `net` alone is matched exactly to avoid `planet`/`netmask` noise.
+/// case-insensitively as substrings (`owned_bundle`, `trained_model`, …);
+/// `net` alone is matched exactly to avoid `planet`/`netmask` noise. The
+/// rule sees names, not types: whatever holds an owned `ModelBundle` or
+/// `Sequential` must be named so that it matches (the engine's one such
+/// field is `owned_bundle`).
 const WEIGHT_NAMES: [&str; 3] = ["bundle", "model", "network"];
 
 /// `no-weight-clone`: flags `<ident>.clone()` where the receiver names a
@@ -422,7 +425,8 @@ const WEIGHT_NAMES: [&str; 3] = ["bundle", "model", "network"];
 /// weight allocation per session — the shared-fleet memory wins depend on
 /// every session holding the same `Arc<FrozenModel>`. `Arc::clone(&x)`
 /// (path syntax, no `.`) is the sanctioned way to take another handle and
-/// is structurally exempt.
+/// is structurally exempt; so is cloning a `FrozenBundle` — one `Arc` bump
+/// plus a few words of metadata — which is why those are called `frozen`.
 fn no_weight_clone(file: &SourceFile, out: &mut Vec<RuleHit>) {
     let code = file.code_indices();
     for k in 2..code.len() {

@@ -3,6 +3,7 @@
 
 pub struct Engine {
     model_1d: Bundle,
+    owned_bundle: Option<Bundle>,
 }
 
 impl Engine {
@@ -11,6 +12,8 @@ impl Engine {
         let also_mine = self.model_1d.clone();
         let trained_network = net.clone();
         let _ = trained_network;
+        let per_session = self.owned_bundle.clone();
+        let _ = per_session;
         vec![mine, also_mine]
     }
 }

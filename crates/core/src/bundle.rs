@@ -4,18 +4,20 @@
 //! inference step requires the architecture, the phase-grid geometry, the
 //! binning order and the training-set normalization statistics (Eq. 5).
 //! [`ModelBundle`] packages all of them into one self-describing binary
-//! blob so experiment binaries can train once and reload.
+//! blob so experiment binaries can train once and reload. It is the 1-D
+//! model *file*; what runs is the [`DlFieldSolver`] it rebuilds
+//! ([`ModelBundle::solver`]) or, shared across a fleet, that solver's
+//! [`FrozenBundle`] ([`ModelBundle::freeze`]).
 
-use crate::builder::{ArchSpec, InputKind};
-use crate::field_solver::DlFieldSolver;
+use crate::builder::ArchSpec;
+use crate::field_solver::{DlFieldSolver, FrozenBundle};
 use crate::normalize::NormStats;
 use crate::phase_space::{BinningShape, PhaseGridSpec};
 use bytes::{Buf, BufMut};
-use dlpic_nn::frozen::{FreezeError, FrozenModel, Precision};
+use dlpic_nn::frozen::{FreezeError, Precision};
 use dlpic_nn::network::Sequential;
 use dlpic_nn::serialize::{params_from_bytes, params_to_bytes, tensors_from_bytes};
 use std::path::Path;
-use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"DLPB";
 /// v3 appends one inference-precision byte; v2 bundles (no byte) still
@@ -237,19 +239,15 @@ impl ModelBundle {
         }
     }
 
-    /// Rebuilds the trained network (architecture + restored parameters).
-    fn build_network(&self) -> Result<Sequential, BundleError> {
+    /// Reconstructs a ready-to-run field solver with its **own** network
+    /// copy (architecture + restored parameters), without consuming the
+    /// bundle (fleets that want one shared allocation use [`Self::freeze`]
+    /// instead).
+    pub fn solver(&self) -> Result<DlFieldSolver, BundleError> {
         let mut net = self.arch.build(0);
         params_from_bytes(&mut net, &self.params).map_err(BundleError::Params)?;
-        Ok(net)
-    }
-
-    /// Reconstructs a ready-to-run field solver with its **own** network
-    /// copy, without consuming the bundle (fleets that want one shared
-    /// allocation use [`Self::freeze`] instead).
-    pub fn solver(&self) -> Result<DlFieldSolver, BundleError> {
         Ok(DlFieldSolver::new(
-            self.build_network()?,
+            net,
             (self.spec, self.binning, self.arch.input_kind()),
             self.norm,
             self.solver_name(),
@@ -268,67 +266,9 @@ impl ModelBundle {
     /// the layer) on architectures without a frozen inference form — the
     /// CNN — which callers handle by falling back to [`Self::solver`].
     pub fn freeze(&self) -> Result<FrozenBundle, BundleError> {
-        let net = self.build_network()?;
-        let model = net.freeze(self.precision).map_err(BundleError::Freeze)?;
-        Ok(FrozenBundle {
-            model: Arc::new(model),
-            spec: self.spec,
-            binning: self.binning,
-            norm: self.norm,
-            reference_mass: self.reference_mass,
-            input_kind: self.arch.input_kind(),
-            name: self.solver_name(),
-        })
-    }
-}
-
-/// A frozen, `Arc`-shareable snapshot of a [`ModelBundle`]: the immutable
-/// model plus the inference-time metadata needed to mint fleet members
-/// that all read **one** weight allocation. Cloning is cheap (one `Arc`
-/// bump) and every [`Self::solver`] shares the same weights.
-#[derive(Debug, Clone)]
-pub struct FrozenBundle {
-    model: Arc<FrozenModel>,
-    spec: PhaseGridSpec,
-    binning: BinningShape,
-    norm: NormStats,
-    reference_mass: f32,
-    input_kind: InputKind,
-    name: &'static str,
-}
-
-impl FrozenBundle {
-    /// Mints one fleet member over the shared weight allocation. At
-    /// [`Precision::F32`] the member is bit-identical to
-    /// [`ModelBundle::solver`] on the source bundle.
-    pub fn solver(&self) -> DlFieldSolver {
-        DlFieldSolver::shared(
-            Arc::clone(&self.model),
-            (self.spec, self.binning, self.input_kind),
-            self.norm,
-            self.name,
-        )
-        .with_reference_mass(self.reference_mass)
-    }
-
-    /// The shared frozen model.
-    pub fn model(&self) -> &Arc<FrozenModel> {
-        &self.model
-    }
-
-    /// The phase-grid geometry members bin into.
-    pub fn spec(&self) -> &PhaseGridSpec {
-        &self.spec
-    }
-
-    /// The weight storage precision.
-    pub fn precision(&self) -> Precision {
-        self.model.precision()
-    }
-
-    /// Bytes of the one shared weight allocation.
-    pub fn weight_bytes(&self) -> usize {
-        self.model.weight_bytes()
+        self.solver()?
+            .freeze(self.precision)
+            .map_err(BundleError::Freeze)
     }
 }
 
@@ -455,7 +395,7 @@ mod tests {
         let (id2, _) = m2.weight_storage().unwrap();
         assert_eq!(id1, id2, "members must share one allocation");
         assert_eq!(bytes, frozen.weight_bytes());
-        assert_eq!(frozen.precision(), Precision::F32);
+        assert_eq!(frozen.model().precision(), Precision::F32);
         assert_eq!(m1.name(), "dl-mlp");
     }
 

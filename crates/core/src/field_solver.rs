@@ -17,6 +17,12 @@
 //! (see [`crate::twod`]). Step 1 — [`InputBinning`] — is the only place
 //! the two differ; the predicted field components come back stacked in one
 //! output row either way.
+//!
+//! [`FrozenBundle`] is the solver's shareable form — the `Arc`-shared
+//! frozen weights plus the binner, normalization, reference mass and name —
+//! in both dimensions: [`DlFieldSolver::freeze`] makes one from any solver,
+//! `ModelBundle::freeze` from a model file, and every
+//! [`FrozenBundle::solver`] reads the one weight allocation.
 
 use crate::builder::InputKind;
 use crate::normalize::NormStats;
@@ -72,8 +78,9 @@ impl NetExec {
 /// [`DlFieldSolver`]'s and is the same in every dimension.
 pub trait InputBinning: Geometry {
     /// What parameterises the binning: the phase grid, binning order and
-    /// input layout in 1-D; the density-binning order in 2-D.
-    type Binner: Send;
+    /// input layout in 1-D; the density-binning order in 2-D. Plain data:
+    /// a [`FrozenBundle`] carries one and hands a copy to every member.
+    type Binner: Clone + std::fmt::Debug + Send + Sync + 'static;
 
     /// Width of one input row on `grid`.
     fn input_len(binner: &Self::Binner, grid: &Self) -> usize;
@@ -197,11 +204,6 @@ impl<G: InputBinning> DlFieldSolver<G> {
         &self.binner
     }
 
-    /// The training-input normalization statistics.
-    pub fn norm(&self) -> NormStats {
-        self.norm
-    }
-
     /// The training histograms' total mass (0 = unknown).
     pub fn reference_mass(&self) -> f32 {
         self.reference_mass
@@ -216,16 +218,6 @@ impl<G: InputBinning> DlFieldSolver<G> {
         }
     }
 
-    /// Mutable access to the owned network (parameter serialization and
-    /// benchmark reuse); `None` on the shared frozen path, whose weights
-    /// are immutable by construction.
-    pub fn network_mut(&mut self) -> Option<&mut Sequential> {
-        match &mut self.net {
-            NetExec::Owned(net) => Some(net),
-            NetExec::Shared(_) => None,
-        }
-    }
-
     /// The shared frozen model, when this solver runs on one (`None` on
     /// the owned path).
     pub fn frozen(&self) -> Option<&Arc<FrozenModel>> {
@@ -235,16 +227,22 @@ impl<G: InputBinning> DlFieldSolver<G> {
         }
     }
 
-    /// The network as an `Arc`-shareable frozen model: an owned network is
-    /// frozen at `precision`, a shared one re-shared as it is.
-    pub(crate) fn freeze_model(
-        &self,
-        precision: Precision,
-    ) -> Result<Arc<FrozenModel>, FreezeError> {
-        match &self.net {
-            NetExec::Owned(net) => Ok(Arc::new(net.freeze(precision)?)),
-            NetExec::Shared(model) => Ok(Arc::clone(model)),
-        }
+    /// Snapshots this solver into a shareable [`FrozenBundle`]: an owned
+    /// network is frozen at `precision`, a shared one re-shared as it is
+    /// (its stored precision wins — re-quantizing without the f32 source
+    /// is impossible).
+    pub fn freeze(&self, precision: Precision) -> Result<FrozenBundle<G>, FreezeError> {
+        let model = match &self.net {
+            NetExec::Owned(net) => Arc::new(net.freeze(precision)?),
+            NetExec::Shared(model) => Arc::clone(model),
+        };
+        Ok(FrozenBundle {
+            model,
+            binner: self.binner.clone(),
+            norm: self.norm,
+            reference_mass: self.reference_mass,
+            name: self.name,
+        })
     }
 
     /// Runs one inference from an already-binned, already-normalized
@@ -292,6 +290,52 @@ impl<G: InputBinning> DlFieldSolver<G> {
         self.apply_output(&out, e);
         self.scratch = scratch;
         self.out_scratch = out;
+    }
+}
+
+/// A frozen, `Arc`-shareable snapshot of a DL field solver: the immutable
+/// model plus the inference-time metadata needed to mint fleet members
+/// that all read **one** weight allocation. Cloning is cheap (one `Arc`
+/// bump) and every [`Self::solver`] shares the same weights. This is the
+/// one thing an engine session runs on, in either dimension.
+#[derive(Debug, Clone)]
+pub struct FrozenBundle<G: InputBinning = Grid1D> {
+    model: Arc<FrozenModel>,
+    binner: G::Binner,
+    norm: NormStats,
+    reference_mass: f32,
+    name: &'static str,
+}
+
+impl<G: InputBinning> FrozenBundle<G> {
+    /// Mints one fleet member over the shared weight allocation. At
+    /// [`Precision::F32`] the member is bit-identical to the solver the
+    /// bundle was frozen from.
+    pub fn solver(&self) -> DlFieldSolver<G> {
+        DlFieldSolver::shared(
+            Arc::clone(&self.model),
+            self.binner.clone(),
+            self.norm,
+            self.name,
+        )
+        .with_reference_mass(self.reference_mass)
+    }
+
+    /// The shared frozen model.
+    pub fn model(&self) -> &Arc<FrozenModel> {
+        &self.model
+    }
+
+    /// Bytes of the one shared weight allocation.
+    pub fn weight_bytes(&self) -> usize {
+        self.model.weight_bytes()
+    }
+}
+
+impl FrozenBundle {
+    /// The phase-grid geometry members bin into.
+    pub fn spec(&self) -> &PhaseGridSpec {
+        &self.binner.0
     }
 }
 

@@ -15,11 +15,12 @@
 //!    `dlpic_pic::solver::FieldSolver`, so the *same* simulation loop runs
 //!    both methods. The solver is generic over the geometry; its one
 //!    per-dimension piece is [`field_solver::InputBinning`], and [`twod`]
-//!    supplies the 2-D instantiation's binning, training and frozen model.
+//!    supplies the 2-D instantiation's binning and training. Its shareable
+//!    form, [`FrozenBundle`], is what fleets run on in either dimension.
 //!
 //! [`builder`] constructs the paper's §IV.A architectures (MLP: 3×1024
 //! ReLU hidden + 64 linear out; CNN: two blocks of conv→conv→pool + 3 FC), plus the
-//! residual MLP suggested in §VII. [`bundle`] persists trained solvers;
+//! residual MLP suggested in §VII. [`bundle`] persists trained 1-D solvers;
 //! [`presets`] defines the smoke/scaled/paper experiment scales.
 
 #![warn(missing_docs)]
@@ -34,9 +35,9 @@ pub mod presets;
 pub mod twod;
 
 pub use builder::{ArchSpec, InputKind};
-pub use bundle::{BundleError, FrozenBundle, ModelBundle};
-pub use field_solver::{DlFieldSolver, InputBinning};
+pub use bundle::{BundleError, ModelBundle};
+pub use field_solver::{DlFieldSolver, FrozenBundle, InputBinning};
 pub use normalize::NormStats;
 pub use phase_space::{bin_phase_space, phase_space_histogram, BinningShape, PhaseGridSpec};
 pub use presets::Scale;
-pub use twod::{DensityBinning, Frozen2DModel};
+pub use twod::DensityBinning;

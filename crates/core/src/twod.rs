@@ -19,25 +19,23 @@
 //! with ReLU hidden layers and a linear output trained with Adam on MSE,
 //! and the solver is the one [`DlFieldSolver`], instantiated at
 //! [`Grid2D`]: this module supplies its input binning ([`bin_density`]
-//! behind [`InputBinning`]), the harvest/train pipeline and the frozen
-//! shareable model; inference, normalization and the field write are the
-//! code the 1-D solver runs.
+//! behind [`InputBinning`]) and the harvest/train pipeline; inference,
+//! normalization, the field write and the frozen shareable form
+//! (`FrozenBundle<Grid2D>`, from [`DlFieldSolver::freeze`]) are the code the
+//! 1-D solver runs.
 
 use crate::builder::ArchSpec;
 use crate::field_solver::{DlFieldSolver, InputBinning};
 use crate::normalize::NormStats;
 use dlpic_nn::data::Dataset;
-use dlpic_nn::frozen::{FreezeError, FrozenModel, Precision};
 use dlpic_nn::loss::Mse;
 use dlpic_nn::optimizer::adam::Adam;
 use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig, TrainHistory};
 use dlpic_pic::simulation::{PicConfig, Simulation};
-use dlpic_pic::solver::FieldSolver;
 use dlpic_pic2d::grid2d::Grid2D;
 use dlpic_pic2d::particles2d::Particles2D;
 use dlpic_pic2d::solver2d::TraditionalSolver2D;
-use std::sync::Arc;
 
 /// Binning order for the 2-D density histogram (mirrors the 1-D
 /// `BinningShape`).
@@ -179,11 +177,11 @@ pub fn build_dataset_2d(samples: &[Sample2D]) -> (Dataset, NormStats) {
 /// The default 2-D architecture: an MLP from `nodes` density bins to
 /// `2·nodes` field values, with the same ReLU-hidden / linear-output
 /// structure as the paper's 1-D MLP.
-pub fn arch_2d(grid: &Grid2D, hidden: Vec<usize>) -> ArchSpec {
+pub fn arch_2d(nodes: usize, hidden: Vec<usize>) -> ArchSpec {
     ArchSpec::Mlp {
-        input: grid.nodes(),
+        input: nodes,
         hidden,
-        output: 2 * grid.nodes(),
+        output: 2 * nodes,
     }
 }
 
@@ -225,7 +223,7 @@ pub fn train_2d_solver(
     cfg: &Train2DConfig,
 ) -> (DlFieldSolver<Grid2D>, TrainHistory) {
     let (dataset, norm) = build_dataset_2d(samples);
-    let arch = arch_2d(grid, cfg.hidden.clone());
+    let arch = arch_2d(grid.nodes(), cfg.hidden.clone());
     let mut net = arch.build(cfg.seed);
     let mut opt = Adam::new(cfg.learning_rate);
     let tc = TrainConfig {
@@ -241,59 +239,12 @@ pub fn train_2d_solver(
     (solver, history)
 }
 
-/// A frozen, `Arc`-shareable snapshot of a trained 2-D solver: the
-/// immutable model plus the inference-time metadata needed to mint
-/// fleet members that all read **one** weight allocation (the 2-D
-/// analogue of the 1-D `FrozenBundle`).
-#[derive(Debug, Clone)]
-pub struct Frozen2DModel {
-    model: Arc<FrozenModel>,
-    binning: DensityBinning,
-    norm: NormStats,
-    reference_mass: f32,
-    name: &'static str,
-}
-
-impl Frozen2DModel {
-    /// Mints one fleet member over the shared weight allocation. At
-    /// [`Precision::F32`] the member is bit-identical to the solver the
-    /// model was frozen from.
-    pub fn solver(&self) -> DlFieldSolver<Grid2D> {
-        DlFieldSolver::shared(Arc::clone(&self.model), self.binning, self.norm, self.name)
-            .with_reference_mass(self.reference_mass)
-    }
-
-    /// The shared frozen model.
-    pub fn model(&self) -> &Arc<FrozenModel> {
-        &self.model
-    }
-
-    /// Bytes of the one shared weight allocation.
-    pub fn weight_bytes(&self) -> usize {
-        self.model.weight_bytes()
-    }
-}
-
-impl DlFieldSolver<Grid2D> {
-    /// Freezes this solver's network into a shareable [`Frozen2DModel`].
-    /// On the shared path the existing allocation is re-shared (its
-    /// stored precision wins — re-quantizing without the f32 source is
-    /// impossible).
-    pub fn freeze(&self, precision: Precision) -> Result<Frozen2DModel, FreezeError> {
-        Ok(Frozen2DModel {
-            model: self.freeze_model(precision)?,
-            binning: *self.binner(),
-            norm: self.norm(),
-            reference_mass: self.reference_mass(),
-            name: self.name(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlpic_nn::frozen::Precision;
     use dlpic_pic::shape::Shape;
+    use dlpic_pic::solver::FieldSolver;
     use dlpic_pic2d::init2d::TwoStream2DInit;
 
     fn tiny_grid() -> Grid2D {
@@ -374,7 +325,7 @@ mod tests {
     #[test]
     fn untrained_solver_writes_finite_fields() {
         let grid = tiny_grid();
-        let arch = arch_2d(&grid, vec![16]);
+        let arch = arch_2d(grid.nodes(), vec![16]);
         let mut solver = DlFieldSolver::new(
             arch.build(0),
             DensityBinning::Ngp,
@@ -420,7 +371,7 @@ mod tests {
     #[test]
     fn frozen_2d_solver_is_bit_identical_to_owned() {
         let grid = tiny_grid();
-        let arch = arch_2d(&grid, vec![16]);
+        let arch = arch_2d(grid.nodes(), vec![16]);
         let mut owned = DlFieldSolver::new(
             arch.build(3),
             DensityBinning::Cic,
@@ -461,7 +412,7 @@ mod tests {
     #[test]
     fn solver_plugs_into_simulation_2d() {
         let grid = tiny_grid();
-        let arch = arch_2d(&grid, vec![16]);
+        let arch = arch_2d(grid.nodes(), vec![16]);
         let solver = DlFieldSolver::new(
             arch.build(0),
             DensityBinning::Ngp,

@@ -270,6 +270,16 @@ impl FrozenModel {
         self.layers.iter().map(FrozenLayer::weight_bytes).sum()
     }
 
+    /// Width of one output row: the last dense layer's `out_features`
+    /// (`None` for a model with no dense layer, whose output is as wide
+    /// as its input).
+    pub fn output_len(&self) -> Option<usize> {
+        self.layers.iter().rev().find_map(|layer| match layer {
+            FrozenLayer::Dense { out_features, .. } => Some(*out_features),
+            FrozenLayer::Relu | FrozenLayer::Flatten => None,
+        })
+    }
+
     /// Inference through the reusable ping-pong `workspace` — the
     /// `&self` twin of [`Sequential::predict_into`](crate::Sequential::predict_into), identical buffer
     /// choreography and (at [`Precision::F32`]) identical kernels, so
@@ -343,6 +353,7 @@ mod tests {
         let mut net = mlp(3);
         let frozen = net.freeze(Precision::F32).unwrap();
         assert_eq!(frozen.param_count(), net.param_count());
+        assert_eq!(frozen.output_len(), Some(7));
         assert_eq!(frozen.weight_bytes(), net.param_count() * 4);
         for m in [1usize, 3, 8, 11] {
             let x = Tensor::new(
@@ -476,6 +487,7 @@ mod tests {
     fn empty_model_copies_input() {
         let net = Sequential::new();
         let frozen = net.freeze(Precision::F32).unwrap();
+        assert_eq!(frozen.output_len(), None);
         let x = Tensor::new(vec![1.0, -2.0], &[1, 2]);
         let mut ws = PredictWorkspace::new();
         let y = frozen.predict_into(&x, &mut ws);

@@ -241,7 +241,7 @@ struct RunEntry {
     /// `weight_key` is `None`.
     weight_bytes: usize,
     /// The engine's weight-sharing fingerprint
-    /// ([`Engine::weight_profile`](dlpic_repro::engine::Engine::weight_profile)):
+    /// ([`WeightProfiler::profile`]):
     /// active runs with equal keys read one allocation. `None` for
     /// model-free backends and per-copy models.
     weight_key: Option<String>,

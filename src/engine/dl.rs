@@ -1,74 +1,118 @@
 //! DL model plumbing for the engine's `Dl1D`/`Dl2D` backends.
 //!
-//! Three ways to get a model into an [`Engine`](super::Engine):
+//! A session runs on one thing in both dimensions: a
+//! [`FrozenBundle<G>`](FrozenBundle) — `Arc`-shared frozen weights plus the
+//! input binner, normalization, reference mass and solver name — from which
+//! every session mints its own `DlFieldSolver<G>` over the one weight
+//! allocation. [`DlGeometry`] names what differs per dimension on the way
+//! there (the backend, the default architecture and binner for a spec, the
+//! quick-train pipeline); everything else — the engine's ladder, the
+//! [`ModelRegistry`], the untrained fallback, the grid check and the
+//! weight-sharing key — is written once over it.
 //!
-//! 1. **Bring a trained bundle** — `engine.with_model_1d(bundle)` with a
-//!    [`ModelBundle`] from `dlpic-bench` or [`quick_train_1d`].
-//! 2. **Quick-train here** — [`quick_train_1d`]/[`quick_train_2d`] run the
-//!    full harvest→train pipeline at the spec's scale (seconds at
-//!    `Scale::Smoke`).
-//! 3. **Untrained fallback** — with no model configured, the engine builds
-//!    an untrained network of the scale's architecture. The produced
-//!    fields are physically meaningless (finite, near-zero) but every
-//!    plumbing path is exercised; runs report the solver name
-//!    `dl-*-untrained` so nobody mistakes them for physics.
+//! Three ways to get a model into an [`Engine`](super::Engine), tried in
+//! this order:
+//!
+//! 1. **Bring a trained model** — `engine.with_model_1d(bundle)` with a
+//!    [`ModelBundle`] from `dlpic-bench` or [`quick_train_1d`];
+//!    `engine.with_model_2d(frozen)` with
+//!    `quick_train_2d(&spec, seed)?.freeze(Precision::F32)?`.
+//! 2. **Get-or-train through a registry** — `engine.with_registry(..)`:
+//!    [`ModelRegistry::model`] runs the quick-train pipeline (the full
+//!    harvest→train at the spec's scale, seconds at `Scale::Smoke`) once
+//!    per (scenario, scale, seed) and dimension.
+//! 3. **Untrained fallback** — with neither, the engine builds an
+//!    untrained network of the default architecture. The produced fields
+//!    are physically meaningless (finite, near-zero) but every plumbing
+//!    path is exercised; runs report the solver name `dl-*-untrained` so
+//!    nobody mistakes them for physics.
 
 use super::backend::Backend;
 use super::error::EngineError;
 use super::spec::ScenarioSpec;
+use crate::core::builder::{ArchSpec, InputKind};
+use crate::core::bundle::BundleError;
 use crate::core::normalize::NormStats;
 use crate::core::phase_space::BinningShape;
 use crate::core::presets::Scale;
-use crate::core::twod::{
-    arch_2d, harvest_2d, train_2d_solver, DensityBinning, Frozen2DModel, Train2DConfig,
-};
-use crate::core::{DlFieldSolver, FrozenBundle, ModelBundle};
-use crate::nn::frozen::{FrozenModel, Precision};
-use crate::nn::serialize::{params_from_bytes, params_to_bytes};
-use crate::pic::PicConfig;
+use crate::core::twod::{arch_2d, harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
+use crate::core::{DlFieldSolver, FrozenBundle, InputBinning, ModelBundle};
+use crate::nn::frozen::Precision;
+use crate::pic::{Grid1D, PicConfig};
 use crate::pic2d::Grid2D;
+use std::any::Any;
 use std::sync::{Arc, Mutex};
 
-/// A persisted-in-memory 2-D DL model (the 2-D analogue of
-/// [`ModelBundle`]): enough to rebuild a `DlFieldSolver<Grid2D>` any number
-/// of times.
-#[derive(Debug, Clone)]
-pub struct Dl2DModel {
-    /// Hidden-layer widths of the MLP.
-    pub hidden: Vec<usize>,
-    /// Serialized network parameters.
-    pub params: Vec<u8>,
-    /// Density-binning order used in training.
-    pub binning: DensityBinning,
-    /// Training-input normalization statistics.
-    pub norm: NormStats,
-    /// Total mass of the training histograms (0 disables rescaling).
-    pub reference_mass: f32,
+/// What differs per dimension between a scenario spec and the DL model a
+/// session of it runs on. Implemented for [`Grid1D`] and [`Grid2D`];
+/// dispatch is static.
+pub trait DlGeometry: InputBinning {
+    /// The DL backend that runs on this geometry.
+    const BACKEND: Backend;
+
+    /// Solver name of the untrained fallback.
+    const UNTRAINED_NAME: &'static str;
+
+    /// The architecture the engine builds for `spec` when it is not handed
+    /// a model: what the quick-train pipeline trains and what the
+    /// untrained fallback leaves at its seeded initialisation.
+    fn default_arch(spec: &ScenarioSpec) -> ArchSpec;
+
+    /// The input binner that goes with [`Self::default_arch`].
+    fn default_binner(spec: &ScenarioSpec) -> Self::Binner;
+
+    /// Runs the quick-train pipeline for `spec` (seeded by `spec.seed`)
+    /// and freezes the result at `precision`.
+    fn quick_train(
+        spec: &ScenarioSpec,
+        precision: Precision,
+    ) -> Result<FrozenBundle<Self>, EngineError>;
 }
 
-impl Dl2DModel {
-    /// Rebuilds the solver for the given grid. Fails if the grid's node
-    /// count mismatches the trained parameter shapes.
-    pub fn into_solver(&self, grid: &Grid2D) -> Result<DlFieldSolver<Grid2D>, EngineError> {
-        let arch = arch_2d(grid, self.hidden.clone());
-        let mut net = arch.build(0);
-        params_from_bytes(&mut net, &self.params).map_err(|_| EngineError::InvalidSpec {
-            scenario: String::new(),
-            what: format!(
-                "2-D model parameters do not fit a {}×{} grid",
-                grid.nx(),
-                grid.ny()
-            ),
-        })?;
-        Ok(
-            DlFieldSolver::new(net, self.binning, self.norm, "dl-2d-mlp")
-                .with_reference_mass(self.reference_mass),
-        )
+impl DlGeometry for Grid1D {
+    const BACKEND: Backend = Backend::Dl1D;
+    const UNTRAINED_NAME: &'static str = "dl-mlp-untrained";
+
+    /// The scale's MLP; its output is the paper's 64 cells whatever the
+    /// spec's domain says (the engine rejects any other).
+    fn default_arch(spec: &ScenarioSpec) -> ArchSpec {
+        spec.scale.mlp_arch()
+    }
+
+    fn default_binner(spec: &ScenarioSpec) -> Self::Binner {
+        (spec.scale.phase_spec(), BinningShape::Ngp, InputKind::Flat)
+    }
+
+    fn quick_train(spec: &ScenarioSpec, precision: Precision) -> Result<FrozenBundle, EngineError> {
+        let trained = quick_train_1d(spec.scale, spec.seed).with_precision(precision);
+        Ok(trained.freeze()?)
+    }
+}
+
+impl DlGeometry for Grid2D {
+    const BACKEND: Backend = Backend::Dl2D;
+    const UNTRAINED_NAME: &'static str = "dl-2d-mlp-untrained";
+
+    fn default_arch(spec: &ScenarioSpec) -> ArchSpec {
+        arch_2d(spec.domain.cells(), hidden_2d(spec.scale))
+    }
+
+    fn default_binner(_spec: &ScenarioSpec) -> DensityBinning {
+        DensityBinning::Ngp
+    }
+
+    fn quick_train(
+        spec: &ScenarioSpec,
+        precision: Precision,
+    ) -> Result<FrozenBundle<Grid2D>, EngineError> {
+        quick_train_2d(spec, spec.seed)?
+            .freeze(precision)
+            .map_err(|e| BundleError::Freeze(e).into())
     }
 }
 
 /// Hidden widths of the default 2-D architecture at each scale.
-pub fn hidden_2d(scale: Scale) -> Vec<usize> {
+fn hidden_2d(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Smoke => vec![32, 32],
         Scale::Scaled => vec![256, 256],
@@ -76,49 +120,76 @@ pub fn hidden_2d(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// The frozen weight allocation of the untrained 1-D fallback: the scale's
-/// MLP architecture at a fixed seed, one `Arc` a whole fleet of untrained
-/// sessions shares. The network output width is the paper's 64 cells, so
-/// the scenario domain must match (checked by the engine before building).
-pub fn untrained_frozen_1d(scale: Scale) -> Arc<FrozenModel> {
-    let net = scale.mlp_arch().build(0xD15E);
-    Arc::new(
-        net.freeze(Precision::F32)
-            .expect("the scale MLP architectures have frozen forms"),
-    )
-}
-
-/// One untrained fleet member over a shared weight allocation from
-/// [`untrained_frozen_1d`].
-pub fn untrained_1d_shared(scale: Scale, model: Arc<FrozenModel>) -> DlFieldSolver {
-    let arch = scale.mlp_arch();
-    DlFieldSolver::shared(
-        model,
-        (scale.phase_spec(), BinningShape::Ngp, arch.input_kind()),
+/// The untrained fallback for `spec`: the default architecture at a fixed
+/// seed, the default binner and the identity normalization, frozen at f32
+/// into one allocation a whole fleet of untrained sessions shares.
+pub(crate) fn untrained<G: DlGeometry>(spec: &ScenarioSpec) -> FrozenBundle<G> {
+    DlFieldSolver::<G>::new(
+        G::default_arch(spec).build(0xD15E),
+        G::default_binner(spec),
         NormStats::identity(),
-        "dl-mlp-untrained",
+        G::UNTRAINED_NAME,
     )
+    .freeze(Precision::F32)
+    .expect("the default MLP architectures have frozen forms")
 }
 
-/// The frozen weight allocation of the untrained 2-D fallback, sized for
-/// this grid.
-pub fn untrained_frozen_2d(scale: Scale, grid: &Grid2D) -> Arc<FrozenModel> {
-    let net = arch_2d(grid, hidden_2d(scale)).build(0xD15E);
-    Arc::new(
-        net.freeze(Precision::F32)
-            .expect("the 2-D MLP architecture has a frozen form"),
-    )
+/// Checks that a model whose output row is `output_len` values wide serves
+/// `spec`'s domain: one value per field cell and field component. Every
+/// tier of the engine's ladder goes through it, in both dimensions, so a
+/// mis-sized model is a structured error before the first solve.
+pub(crate) fn check_cells<G: DlGeometry>(
+    spec: &ScenarioSpec,
+    output_len: Option<usize>,
+) -> Result<(), EngineError> {
+    let components = G::FIELD_NAMES.len();
+    let (have, want) = (output_len.unwrap_or(0), spec.domain.cells() * components);
+    if have == want {
+        return Ok(());
+    }
+    Err(EngineError::Incompatible {
+        scenario: spec.name.clone(),
+        backend: G::BACKEND.name(),
+        why: format!(
+            "the DL model predicts {} field cells ({have} values per solve) but the domain \
+             has {} ({want} values); a model serves only the grid it was trained for",
+            have / components,
+            want / components
+        ),
+    })
 }
 
-/// One untrained 2-D fleet member over a shared allocation from
-/// [`untrained_frozen_2d`].
-pub fn untrained_2d_shared(model: Arc<FrozenModel>) -> DlFieldSolver<Grid2D> {
-    DlFieldSolver::shared(
-        model,
-        DensityBinning::Ngp,
-        NormStats::identity(),
-        "dl-2d-mlp-untrained",
-    )
+/// Where a DL session's model comes from: the tiers of the engine's
+/// ladder, in the order it tries them.
+#[derive(Clone, Copy)]
+pub(crate) enum ModelTier {
+    /// `Engine::with_model_1d` / `with_model_2d`.
+    Explicit,
+    /// Get-or-train through the attached [`ModelRegistry`].
+    Registry,
+    /// The seeded untrained fallback.
+    Untrained,
+}
+
+/// The one definition of which DL sessions read one weight allocation:
+/// sessions of one engine with equal keys share it. It keys the registry's
+/// entries, the engine's untrained cache and the serve tier's budget
+/// (`WeightProfiler::profile`). Compared for equality only, never
+/// persisted.
+pub(crate) fn weight_key<G: DlGeometry>(tier: ModelTier, spec: &ScenarioSpec) -> String {
+    let dim = G::BACKEND.name();
+    match tier {
+        ModelTier::Explicit => format!("{dim}|model"),
+        ModelTier::Registry => {
+            format!("{dim}|reg|{}|{:?}|{}", spec.name, spec.scale, spec.seed)
+        }
+        // Exactly what `untrained` builds from.
+        ModelTier::Untrained => format!(
+            "{dim}|untrained|{:?}|{:?}",
+            G::default_arch(spec),
+            G::default_binner(spec)
+        ),
+    }
 }
 
 /// Trains a 1-D MLP field solver from scratch at the given scale — the
@@ -159,8 +230,12 @@ pub fn quick_train_1d(scale: Scale, seed: u64) -> ModelBundle {
 }
 
 /// Trains a 2-D DL field solver by harvesting a traditional 2-D run of the
-/// given scenario, then fitting the scale's MLP.
-pub fn quick_train_2d(spec: &ScenarioSpec, seed: u64) -> Result<Dl2DModel, EngineError> {
+/// given scenario, then fitting the scale's MLP. `.freeze(..)` the result
+/// for [`Engine::with_model_2d`](super::Engine::with_model_2d).
+pub fn quick_train_2d(
+    spec: &ScenarioSpec,
+    seed: u64,
+) -> Result<DlFieldSolver<Grid2D>, EngineError> {
     let grid = match spec.dim() {
         super::spec::Dim::TwoD => spec.grid_2d(),
         super::spec::Dim::OneD => {
@@ -182,7 +257,7 @@ pub fn quick_train_2d(spec: &ScenarioSpec, seed: u64) -> Result<Dl2DModel, Engin
         gather_shape: crate::pic::Shape::Cic,
         tracked_modes: vec![],
     };
-    let binning = DensityBinning::Ngp;
+    let binning = Grid2D::default_binner(spec);
     let samples = harvest_2d(cfg, binning, 1);
     let tc = Train2DConfig {
         hidden: hidden_2d(spec.scale),
@@ -195,20 +270,7 @@ pub fn quick_train_2d(spec: &ScenarioSpec, seed: u64) -> Result<Dl2DModel, Engin
         batch_size: 32,
         seed,
     };
-    let (mut solver, _history) = train_2d_solver(&grid, &samples, binning, &tc);
-    let reference_mass: f32 = samples.first().map(|s| s.hist.iter().sum()).unwrap_or(0.0);
-    let params = params_to_bytes(
-        solver
-            .network_mut()
-            .expect("a freshly trained solver owns its network"),
-    );
-    Ok(Dl2DModel {
-        hidden: hidden_2d(spec.scale),
-        params,
-        binning,
-        norm: solver.norm(),
-        reference_mass,
-    })
+    Ok(train_2d_solver(&grid, &samples, binning, &tc).0)
 }
 
 /// Observable counters of a [`ModelRegistry`].
@@ -222,56 +284,38 @@ pub struct RegistryStats {
     pub evictions: u64,
     /// Bundles currently resident.
     pub entries: usize,
-    /// Bytes currently resident (serialized parameters plus the frozen
-    /// inference copy).
+    /// Bytes currently resident: the frozen weight allocations the
+    /// entries pin — each exactly what a session minted from it reports
+    /// as its `weight_storage()` bytes.
     pub bytes: usize,
     /// The configured byte capacity.
     pub capacity_bytes: usize,
 }
 
-/// What one registry lookup is keyed by: train once per (scenario, scale,
-/// seed) per dimension, share everywhere.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RegistryKey {
-    two_d: bool,
-    scenario: String,
-    scale: Scale,
-    seed: u64,
-}
-
-enum RegistryPayload {
-    OneD {
-        bundle: Arc<ModelBundle>,
-        frozen: Option<FrozenBundle>,
-    },
-    TwoD {
-        model: Arc<Dl2DModel>,
-        frozen: Option<Frozen2DModel>,
-        nodes: usize,
-    },
-}
-
+/// One cached model: a `FrozenBundle<G>` behind `Any`, under the
+/// [`weight_key`] that names its dimension.
 struct RegistryEntry {
-    key: RegistryKey,
-    payload: RegistryPayload,
+    key: String,
+    frozen: Box<dyn Any + Send + Sync>,
     bytes: usize,
     last_used: u64,
 }
 
-/// A get-or-train cache of DL model bundles keyed by
-/// `(scenario, scale, seed)`: the first lookup runs the quick-train
-/// pipeline, every later lookup for the same key returns the **same**
-/// `Arc`-shared bundle plus its frozen inference snapshot, so fleets and
-/// serve runs share one weight allocation per distinct model instead of
-/// retraining (or re-deserializing) per session.
+/// A get-or-train cache of DL models keyed by `(scenario, scale, seed)`
+/// per dimension: the first lookup runs the quick-train pipeline, every
+/// later lookup for the same key returns a handle on the **same**
+/// `Arc`-shared frozen weights, so fleets and serve runs share one weight
+/// allocation per distinct model instead of retraining per session. An
+/// entry holds the [`FrozenBundle`] alone — the serialized training
+/// parameters are dropped once frozen.
 ///
 /// The cache is LRU-bounded by bytes ([`ResourceEstimate`]
 /// currency): inserting past `capacity_bytes` evicts the
-/// least-recently-used entries, never the one just inserted. A cache hit
-/// whose trained architecture cannot serve the requesting spec — the
-/// domain was resized after the model was trained — is rejected with
-/// [`EngineError::Incompatible`] naming both shapes rather than silently
-/// returning a mis-sized network.
+/// least-recently-used entries, never the one just inserted. A lookup the
+/// model cannot serve — the domain was resized after the model was
+/// trained, or never fitted the default architecture — is rejected with
+/// [`EngineError::Incompatible`] naming both shapes before anything is
+/// trained, counted or returned.
 ///
 /// [`ResourceEstimate`]: super::resources::ResourceEstimate
 pub struct ModelRegistry {
@@ -318,96 +362,43 @@ impl ModelRegistry {
         self
     }
 
-    /// Gets (or trains) the 1-D bundle for this spec. The frozen
-    /// snapshot is `None` only for architectures without a frozen form
-    /// (the CNN); callers then fall back to per-session owned networks.
-    pub fn model_1d(
+    /// Gets (or trains) the model for this spec in dimension `G`
+    /// (`model::<Grid1D>` / `model::<Grid2D>`).
+    pub fn model<G: DlGeometry>(
         &mut self,
         spec: &ScenarioSpec,
-    ) -> Result<(Arc<ModelBundle>, Option<FrozenBundle>), EngineError> {
-        let key = self.key_for(spec, false);
+    ) -> Result<FrozenBundle<G>, EngineError> {
+        let key = weight_key::<G>(ModelTier::Registry, spec);
         self.clock += 1;
-        if let Some(idx) = self.entries.iter().position(|e| e.key == key) {
-            let (cells, want) = match &self.entries[idx].payload {
-                RegistryPayload::OneD { bundle, .. } => {
-                    (bundle.arch.output_len(), spec.domain.cells())
-                }
-                RegistryPayload::TwoD { .. } => unreachable!("1-D key holds a 2-D payload"),
-            };
-            if cells != want {
-                return Err(self.arch_mismatch(spec, Backend::Dl1D, cells, want));
-            }
+        // The key names the dimension, so the downcast is to the type the
+        // entry was stored as.
+        let cached = self
+            .entries
+            .iter_mut()
+            .find(|e| e.key == key)
+            .and_then(|e| {
+                let frozen = e.frozen.downcast_ref::<FrozenBundle<G>>()?;
+                Some((frozen, &mut e.last_used))
+            });
+        if let Some((frozen, last_used)) = cached {
+            check_cells::<G>(spec, frozen.model().output_len())?;
             self.hits += 1;
-            self.entries[idx].last_used = self.clock;
-            match &self.entries[idx].payload {
-                RegistryPayload::OneD { bundle, frozen } => {
-                    return Ok((Arc::clone(bundle), frozen.clone()))
-                }
-                RegistryPayload::TwoD { .. } => unreachable!(),
-            }
+            *last_used = self.clock;
+            return Ok(frozen.clone());
         }
+        // Nothing is trained (or cached) for a domain the default
+        // architecture cannot serve.
+        check_cells::<G>(spec, Some(G::default_arch(spec).output_len()))?;
         self.misses += 1;
-        let bundle = quick_train_1d(spec.scale, spec.seed).with_precision(self.precision);
-        let frozen = bundle.freeze().ok();
-        let bundle = Arc::new(bundle);
-        let bytes = bundle.params.len() + frozen.as_ref().map(|f| f.weight_bytes()).unwrap_or(0);
+        let frozen = G::quick_train(spec, self.precision)?;
         self.entries.push(RegistryEntry {
             key,
-            payload: RegistryPayload::OneD {
-                bundle: Arc::clone(&bundle),
-                frozen: frozen.clone(),
-            },
-            bytes,
+            frozen: Box::new(frozen.clone()),
+            bytes: frozen.weight_bytes(),
             last_used: self.clock,
         });
         self.evict_over_capacity();
-        Ok((bundle, frozen))
-    }
-
-    /// Gets (or trains) the 2-D model for this spec.
-    pub fn model_2d(
-        &mut self,
-        spec: &ScenarioSpec,
-    ) -> Result<(Arc<Dl2DModel>, Option<Frozen2DModel>), EngineError> {
-        let key = self.key_for(spec, true);
-        self.clock += 1;
-        if let Some(idx) = self.entries.iter().position(|e| e.key == key) {
-            let (nodes, want) = match &self.entries[idx].payload {
-                RegistryPayload::TwoD { nodes, .. } => (*nodes, spec.domain.cells()),
-                RegistryPayload::OneD { .. } => unreachable!("2-D key holds a 1-D payload"),
-            };
-            if nodes != want {
-                return Err(self.arch_mismatch(spec, Backend::Dl2D, nodes, want));
-            }
-            self.hits += 1;
-            self.entries[idx].last_used = self.clock;
-            match &self.entries[idx].payload {
-                RegistryPayload::TwoD { model, frozen, .. } => {
-                    return Ok((Arc::clone(model), frozen.clone()))
-                }
-                RegistryPayload::OneD { .. } => unreachable!(),
-            }
-        }
-        self.misses += 1;
-        let nodes = spec.domain.cells();
-        let model = Arc::new(quick_train_2d(spec, spec.seed)?);
-        let frozen = model
-            .into_solver(&spec.grid_2d())
-            .ok()
-            .and_then(|s| s.freeze(self.precision).ok());
-        let bytes = model.params.len() + frozen.as_ref().map(|f| f.weight_bytes()).unwrap_or(0);
-        self.entries.push(RegistryEntry {
-            key,
-            payload: RegistryPayload::TwoD {
-                model: Arc::clone(&model),
-                frozen: frozen.clone(),
-                nodes,
-            },
-            bytes,
-            last_used: self.clock,
-        });
-        self.evict_over_capacity();
-        Ok((model, frozen))
+        Ok(frozen)
     }
 
     /// Drops every cached entry, returning how many were released.
@@ -429,33 +420,6 @@ impl ModelRegistry {
             entries: self.entries.len(),
             bytes: self.resident_bytes(),
             capacity_bytes: self.capacity_bytes,
-        }
-    }
-
-    fn key_for(&self, spec: &ScenarioSpec, two_d: bool) -> RegistryKey {
-        RegistryKey {
-            two_d,
-            scenario: spec.name.clone(),
-            scale: spec.scale,
-            seed: spec.seed,
-        }
-    }
-
-    fn arch_mismatch(
-        &self,
-        spec: &ScenarioSpec,
-        backend: Backend,
-        cached: usize,
-        want: usize,
-    ) -> EngineError {
-        EngineError::Incompatible {
-            scenario: spec.name.clone(),
-            backend: backend.name(),
-            why: format!(
-                "registry entry for this (scenario, scale, seed) was trained for {cached} \
-                 field cells but the requesting domain has {want}; prune the registry or \
-                 match the training grid"
-            ),
         }
     }
 

@@ -64,7 +64,7 @@ pub mod spec;
 
 pub use backend::{compatible_backends, Backend};
 pub use compare::{lockstep, ComparisonReport, LockstepDiff};
-pub use dl::{shared_registry, Dl2DModel, ModelRegistry, RegistryStats, SharedModelRegistry};
+pub use dl::{shared_registry, ModelRegistry, RegistryStats, SharedModelRegistry};
 pub use ensemble::{Ensemble, SweepSpec, WaveBatch};
 pub use error::EngineError;
 pub use fault::{FaultKind, FaultPlan, FaultRule};
@@ -74,7 +74,7 @@ pub use registry::{
     all_scenarios, apply_sweep_param, names, scenario, sweep_params, sweepable_params, SweepParam,
     SCENARIO_NAMES,
 };
-pub use resources::{estimate_session, weight_fingerprint, ResourceEstimate};
+pub use resources::{estimate_session, ResourceEstimate};
 pub use runner::{run, run_scenario, start, Engine, Numerics1D, WeightProfiler};
 pub use session::{BackendSession, Checkpoint, Session};
 pub use spec::{Dim, DomainSpec, LoadingSpec, ScenarioSpec, SpeciesSpec};

@@ -7,17 +7,20 @@
 //! [`Ensemble`](super::Ensemble) fleets: a paper-scale DL session owns
 //! ~25 MB of MLP weights alone, so a thousand-session fleet is a
 //! ~25 GB commitment that should be rejected up front, not discovered
-//! by the OOM killer. Numbers are derived from the same backend × scale
-//! tables the builders use ([`Scale::mlp_arch`], [`hidden_2d`],
-//! the Vlasov velocity-grid table), so the estimate tracks the real
-//! allocation shape — it is a budget figure, accurate to the dominant
-//! buffers, not a byte-exact audit of every allocation.
+//! by the OOM killer. Numbers are derived from what the builders
+//! themselves read ([`DlGeometry::default_arch`], the Vlasov session's
+//! velocity-grid table), so the estimate tracks the real allocation
+//! shape — it is a budget figure, accurate to the dominant buffers, not a
+//! byte-exact audit of every allocation. Which sessions share one weight
+//! allocation is the engine's to say:
+//! [`WeightProfiler::profile`](super::WeightProfiler::profile).
 
 use super::backend::Backend;
-use super::dl::hidden_2d;
+use super::dl::DlGeometry;
+use super::session::vlasov_nv;
 use super::spec::{Dim, ScenarioSpec};
-use crate::core::builder::ArchSpec;
-use crate::core::presets::Scale;
+use crate::pic::Grid1D;
+use crate::pic2d::Grid2D;
 
 /// Bytes per f64 diagnostic/field/particle lane.
 const F64: usize = 8;
@@ -64,36 +67,6 @@ impl ResourceEstimate {
     }
 }
 
-/// Parameter count of the DL architecture the engine would build for this
-/// spec × backend, or 0 for non-DL backends.
-fn model_params(spec: &ScenarioSpec, backend: Backend) -> usize {
-    match backend {
-        Backend::Dl1D => spec.scale.mlp_arch().param_count(),
-        Backend::Dl2D => {
-            // Mirrors `core::twod::arch_2d`: flat nodes in, 2 field
-            // components per node out.
-            let nodes = spec.domain.cells();
-            ArchSpec::Mlp {
-                input: nodes,
-                hidden: hidden_2d(spec.scale),
-                output: 2 * nodes,
-            }
-            .param_count()
-        }
-        _ => 0,
-    }
-}
-
-/// Velocity-grid points of the continuum Vlasov solver at each scale
-/// (mirrors the session builder's table).
-fn vlasov_nv(scale: Scale) -> usize {
-    match scale {
-        Scale::Smoke => 64,
-        Scale::Scaled => 256,
-        Scale::Paper => 512,
-    }
-}
-
 /// Estimates the memory a [`Session`](super::Session) for `spec` on
 /// `backend` holds while running. See the module docs for what the
 /// figure covers.
@@ -128,8 +101,14 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
     // DL weights (f32) doubled for the inference workspace, plus the
     // phase-space deposit image the 1-D surrogate consumes. One of the
     // two weight-sized slices is the parameter allocation itself — the
-    // slice an `Arc`-shared frozen model amortizes across a cohort.
-    let shared_weight_bytes = model_params(spec, backend) * F32;
+    // slice an `Arc`-shared frozen model amortizes across a cohort. Sized
+    // by the architecture the engine would build for this spec.
+    let shared_weight_bytes = F32
+        * match backend {
+            Backend::Dl1D => Grid1D::default_arch(spec).param_count(),
+            Backend::Dl2D => Grid2D::default_arch(spec).param_count(),
+            _ => 0,
+        };
     let model_bytes = match backend {
         Backend::Dl1D => {
             let phase = spec.scale.phase_spec();
@@ -152,29 +131,10 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
     }
 }
 
-/// The weight-sharing fingerprint of a spec × backend pairing under the
-/// default engine configuration: two admitted runs with equal
-/// fingerprints read one weight allocation, so a budget should charge
-/// [`ResourceEstimate::shared_weight_bytes`] once per distinct
-/// fingerprint. `None` for model-free backends (nothing shareable).
-/// Engines with an explicit model or a registry refine this via
-/// `Engine::weight_profile`; this free function covers the untrained
-/// fallback, whose weights are keyed by dimension and scale alone.
-pub fn weight_fingerprint(spec: &ScenarioSpec, backend: Backend) -> Option<String> {
-    match backend {
-        Backend::Dl1D => Some(format!("dl1d|untrained|{:?}", spec.scale)),
-        Backend::Dl2D => Some(format!(
-            "dl2d|untrained|{:?}|{}",
-            spec.scale,
-            spec.domain.cells()
-        )),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::presets::Scale;
     use crate::engine::registry;
 
     #[test]
@@ -203,9 +163,6 @@ mod tests {
             est.without_shared_weights() + est.shared_weight_bytes,
             est.total()
         );
-        // Fingerprints exist exactly where there are weights to share.
-        assert!(weight_fingerprint(&spec, Backend::Dl1D).is_some());
-        assert!(weight_fingerprint(&spec, Backend::Traditional1D).is_none());
         assert_eq!(
             estimate_session(&spec, Backend::Traditional1D).shared_weight_bytes,
             0

@@ -11,7 +11,7 @@
 //! (models, numerics, observers) and solver construction.
 
 use super::backend::Backend;
-use super::dl::{self, Dl2DModel, SharedModelRegistry};
+use super::dl::{self, DlGeometry, ModelTier, SharedModelRegistry};
 use super::ensemble::{Ensemble, SweepSpec};
 use super::error::EngineError;
 use super::fault::FaultPlan;
@@ -20,15 +20,12 @@ use super::session::{
     BackendSession, Checkpoint, DdecompSession, PicSession, Session, VlasovSession,
 };
 use super::spec::ScenarioSpec;
-use crate::core::builder::ArchSpec;
 use crate::core::presets::Scale;
-use crate::core::twod::Frozen2DModel;
-use crate::core::{FrozenBundle, ModelBundle};
-use crate::nn::frozen::{FrozenModel, Precision};
+use crate::core::{DlFieldSolver, FrozenBundle, ModelBundle};
 use crate::pic::solver::{FieldSolver, PoissonKind, TraditionalSolver};
 use crate::pic::{Grid1D, Shape};
 use crate::pic2d::{Grid2D, TraditionalSolver2D};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Numerical options of the 1-D particle backends that the paper's figure
 /// experiments vary; the scenario spec stays purely physical. Defaults
@@ -72,37 +69,58 @@ impl Numerics1D {
 /// [`Session`]s for any compatible scenario×backend pairing, and runs them
 /// to completion on request.
 ///
-/// DL sessions built by one engine share weights: a configured model is
-/// frozen once into an `Arc`-shared allocation and every session minted
-/// from it reads the same memory (the f32 path is bit-identical to a
-/// per-session copy). The untrained fallback shares per (scale, grid)
-/// the same way, and a [`ModelRegistry`](super::ModelRegistry) attached
+/// DL sessions built by one engine share weights: every tier of the
+/// model ladder ([`dl`]) ends in a [`FrozenBundle`] — one `Arc`-shared
+/// allocation — and every session minted from it reads the same memory
+/// (the f32 path is bit-identical to a per-session copy). An explicit
+/// model is shared as given, the untrained fallback per default
+/// architecture, and a [`ModelRegistry`](super::ModelRegistry) attached
 /// via [`Self::with_registry`] extends sharing to quick-trained models
 /// keyed by (scenario, scale, seed).
 #[derive(Default)]
 pub struct Engine {
-    model_1d: Option<ModelBundle>,
-    /// Frozen snapshot of `model_1d`, computed once at configuration.
-    /// `None` with `model_1d` set means the architecture has no frozen
-    /// form (the CNN) and sessions fall back to per-copy owned networks.
-    frozen_1d: Option<FrozenBundle>,
-    model_2d: Option<Dl2DModel>,
-    /// Lazily frozen snapshots of `model_2d`, keyed by grid node count
-    /// (one trained parameter set can only ever fit one grid, but the
-    /// key keeps lookups honest).
-    frozen_2d: Mutex<Vec<(usize, Frozen2DModel)>>,
-    /// Shared untrained 1-D weight allocations, keyed by scale.
-    untrained_1d: Mutex<FrozenCache<Scale>>,
-    /// Shared untrained 2-D weight allocations, keyed by (scale, nodes).
-    untrained_2d: Mutex<FrozenCache<(Scale, usize)>>,
+    dl_1d: DlSlot<Grid1D>,
+    dl_2d: DlSlot<Grid2D>,
+    /// An explicit 1-D model whose architecture has no frozen form (the
+    /// CNN): the one model the engine keeps as an owned bundle, rebuilt
+    /// into a private network per session.
+    owned_bundle: Option<ModelBundle>,
     registry: Option<SharedModelRegistry>,
     numerics_1d: Numerics1D,
     observers: Vec<Box<dyn Observer>>,
     faults: FaultPlan,
 }
 
-/// A tiny keyed cache of `Arc`-shared frozen weight allocations.
-type FrozenCache<K> = Vec<(K, Arc<FrozenModel>)>;
+/// The models of one dimension the engine itself holds: the explicit one,
+/// if configured, and the untrained fallbacks minted so far, each under
+/// its [`dl::weight_key`].
+struct DlSlot<G: DlGeometry> {
+    explicit: Option<FrozenBundle<G>>,
+    untrained: Mutex<Vec<(String, FrozenBundle<G>)>>,
+}
+
+impl<G: DlGeometry> Default for DlSlot<G> {
+    fn default() -> Self {
+        Self {
+            explicit: None,
+            untrained: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<G: DlGeometry> DlSlot<G> {
+    /// The untrained fallback for `spec`, built once per distinct key.
+    fn untrained(&self, spec: &ScenarioSpec) -> FrozenBundle<G> {
+        let key = dl::weight_key::<G>(ModelTier::Untrained, spec);
+        let mut cache = lock(&self.untrained);
+        if let Some((_, frozen)) = cache.iter().find(|(k, _)| *k == key) {
+            return frozen.clone();
+        }
+        let frozen = dl::untrained::<G>(spec);
+        cache.push((key, frozen.clone()));
+        frozen
+    }
+}
 
 /// Locks tolerating poisoning: a panicked holder leaves a cache of
 /// immutable `Arc`s, which is still safe to read.
@@ -117,17 +135,22 @@ impl Engine {
     }
 
     /// Uses this trained 1-D bundle for `Backend::Dl1D` runs. The bundle
-    /// is frozen here, once — every session shares the allocation.
+    /// is frozen here, once — every session shares the allocation, and
+    /// the serialized bundle is dropped. Only a bundle that does not
+    /// freeze (the CNN) is kept, and copied per session.
     pub fn with_model_1d(mut self, bundle: ModelBundle) -> Self {
-        self.frozen_1d = bundle.freeze().ok();
-        self.model_1d = Some(bundle);
+        (self.dl_1d.explicit, self.owned_bundle) = match bundle.freeze() {
+            Ok(frozen) => (Some(frozen), None),
+            Err(_) => (None, Some(bundle)),
+        };
         self
     }
 
-    /// Uses this trained 2-D model for `Backend::Dl2D` runs.
-    pub fn with_model_2d(mut self, model: Dl2DModel) -> Self {
-        *lock(&self.frozen_2d) = Vec::new();
-        self.model_2d = Some(model);
+    /// Uses this trained 2-D model for `Backend::Dl2D` runs — e.g.
+    /// `dl::quick_train_2d(&spec, seed)?.freeze(Precision::F32)?`, or a
+    /// handle from [`ModelRegistry::model`](super::ModelRegistry::model).
+    pub fn with_model_2d(mut self, frozen: FrozenBundle<Grid2D>) -> Self {
+        self.dl_2d.explicit = Some(frozen);
         self
     }
 
@@ -161,11 +184,6 @@ impl Engine {
         self
     }
 
-    /// True when a trained 1-D model is configured.
-    pub fn has_model_1d(&self) -> bool {
-        self.model_1d.is_some()
-    }
-
     /// Injects deterministic faults into matching sessions (supervision
     /// tests and `dlpic-serve --inject`).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
@@ -183,15 +201,25 @@ impl Engine {
         // construction, matching the pre-session Engine::run.
         // analyze:allow(no-wallclock-in-engine): feeds only the wall_seconds diagnostic in RunSummary, never simulation state — checkpoints exclude it
         let started = std::time::Instant::now();
+        let n = &self.numerics_1d;
         let inner: Box<dyn BackendSession> = match backend {
-            Backend::Traditional1D | Backend::Dl1D => Box::new(PicSession::<Grid1D>::new(
+            Backend::Traditional1D => Box::new(PicSession::<Grid1D>::new(
                 spec,
-                self.build_1d_solver(spec, backend)?,
-                self.numerics_1d.gather_shape,
+                Box::new(TraditionalSolver::new(n.deposit_shape, n.poisson, 1.0)),
+                n.gather_shape,
             )),
-            Backend::Traditional2D | Backend::Dl2D => Box::new(PicSession::<Grid2D>::new(
+            Backend::Dl1D => Box::new(PicSession::<Grid1D>::new(
                 spec,
-                self.build_2d_solver(spec, backend)?,
+                self.dl_1d_solver(spec)?,
+                n.gather_shape,
+            )),
+            Backend::Traditional2D => Box::new(PicSession::<Grid2D>::new(
+                spec,
+                Box::new(TraditionalSolver2D::default_config()),
+            )),
+            Backend::Dl2D => Box::new(PicSession::<Grid2D>::new(
+                spec,
+                Box::new(self.dl_solver(&self.dl_2d, spec)?),
             )),
             Backend::Vlasov => Box::new(VlasovSession::new(spec)),
             Backend::Ddecomp { n_ranks } => {
@@ -278,149 +306,48 @@ impl Engine {
         Ok(summary)
     }
 
-    /// How a DL session for this spec × backend stores its weights under
-    /// the current configuration: `Some((fingerprint, bytes))` means
-    /// sessions with equal fingerprints read **one** `bytes`-sized shared
-    /// allocation (charge it once per distinct fingerprint); `None` means
-    /// every session owns a private copy (model-free backends, or an
-    /// unfreezable explicit model). This is the accounting contract the
-    /// serve tier's budget admission keys on.
-    pub fn weight_profile(&self, spec: &ScenarioSpec, backend: Backend) -> Option<(String, usize)> {
-        self.weight_profiler().profile(spec, backend)
-    }
-
     /// A `Send + Sync` snapshot of the engine's weight-sharing
-    /// configuration, answering [`Self::weight_profile`] without the
+    /// configuration, answering [`WeightProfiler::profile`] without the
     /// engine — the serve tier's request handlers hold one while the
     /// scheduler thread owns the engine itself. The snapshot is taken at
     /// configuration time and stays valid because models and registry
     /// attachment are builder-time decisions.
     pub fn weight_profiler(&self) -> WeightProfiler {
         WeightProfiler {
-            frozen_1d_bytes: self.frozen_1d.as_ref().map(FrozenBundle::weight_bytes),
-            has_model_1d: self.model_1d.is_some(),
-            model_2d_hidden: self.model_2d.as_ref().map(|m| m.hidden.clone()),
+            explicit_1d: self.dl_1d.explicit.as_ref().map(FrozenBundle::weight_bytes),
+            explicit_2d: self.dl_2d.explicit.as_ref().map(FrozenBundle::weight_bytes),
+            owned_1d: self.owned_bundle.is_some(),
             has_registry: self.registry.is_some(),
         }
     }
 
-    fn build_1d_solver(
+    /// The model ladder, once for both dimensions: the explicit model,
+    /// else the registry's, else the untrained fallback — each a
+    /// [`FrozenBundle`] checked against the domain, from which the session
+    /// mints its solver over the shared allocation.
+    fn dl_solver<G: DlGeometry>(
         &self,
+        slot: &DlSlot<G>,
         spec: &ScenarioSpec,
-        backend: Backend,
-    ) -> Result<Box<dyn FieldSolver>, EngineError> {
-        let n = &self.numerics_1d;
-        match backend {
-            Backend::Traditional1D => Ok(Box::new(TraditionalSolver::new(
-                n.deposit_shape,
-                n.poisson,
-                1.0,
-            ))),
-            Backend::Dl1D => {
-                let ncells = spec.domain.cells();
-                let output = match &self.model_1d {
-                    Some(bundle) => bundle.arch.output_len(),
-                    None => spec.scale.mlp_arch().output_len(),
-                };
-                if output != ncells {
-                    return Err(EngineError::Incompatible {
-                        scenario: spec.name.clone(),
-                        backend: backend.name(),
-                        why: format!(
-                            "DL solver predicts {output} cells but the domain has {ncells}"
-                        ),
-                    });
-                }
-                if let Some(frozen) = &self.frozen_1d {
-                    // Explicit model, frozen form: every session shares
-                    // the one allocation.
-                    return Ok(Box::new(frozen.solver()));
-                }
-                if let Some(bundle) = &self.model_1d {
-                    // Unfreezable (CNN) explicit model: per-session copy.
-                    return Ok(Box::new(bundle.solver()?));
-                }
-                if let Some(registry) = &self.registry {
-                    let (bundle, frozen) = lock(registry).model_1d(spec)?;
-                    return match frozen {
-                        Some(frozen) => Ok(Box::new(frozen.solver())),
-                        None => Ok(Box::new(bundle.solver()?)),
-                    };
-                }
-                // Untrained fallback, shared per scale.
-                let model = {
-                    let mut cache = lock(&self.untrained_1d);
-                    match cache.iter().find(|(s, _)| *s == spec.scale) {
-                        Some((_, model)) => Arc::clone(model),
-                        None => {
-                            let model = dl::untrained_frozen_1d(spec.scale);
-                            cache.push((spec.scale, Arc::clone(&model)));
-                            model
-                        }
-                    }
-                };
-                Ok(Box::new(dl::untrained_1d_shared(spec.scale, model)))
-            }
-            _ => unreachable!("1-D solver for non-1-D backend"),
-        }
+    ) -> Result<DlFieldSolver<G>, EngineError> {
+        let frozen = match (&slot.explicit, &self.registry) {
+            (Some(frozen), _) => frozen.clone(),
+            (None, Some(registry)) => lock(registry).model::<G>(spec)?,
+            (None, None) => slot.untrained(spec),
+        };
+        dl::check_cells::<G>(spec, frozen.model().output_len())?;
+        Ok(frozen.solver())
     }
 
-    fn build_2d_solver(
-        &self,
-        spec: &ScenarioSpec,
-        backend: Backend,
-    ) -> Result<Box<dyn FieldSolver<Grid2D>>, EngineError> {
-        match backend {
-            Backend::Traditional2D => Ok(Box::new(TraditionalSolver2D::default_config())),
-            Backend::Dl2D => {
-                let nodes = spec.domain.cells();
-                if let Some(model) = &self.model_2d {
-                    let frozen = {
-                        let cache = lock(&self.frozen_2d);
-                        cache
-                            .iter()
-                            .find(|(n, _)| *n == nodes)
-                            .map(|(_, f)| f.clone())
-                    };
-                    let frozen = match frozen {
-                        Some(frozen) => Some(frozen),
-                        None => {
-                            // Freeze once per grid; `into_solver` still
-                            // validates the parameter shapes.
-                            let solver = model.into_solver(&spec.grid_2d())?;
-                            match solver.freeze(Precision::F32) {
-                                Ok(frozen) => {
-                                    lock(&self.frozen_2d).push((nodes, frozen.clone()));
-                                    Some(frozen)
-                                }
-                                Err(_) => return Ok(Box::new(solver)),
-                            }
-                        }
-                    };
-                    return Ok(Box::new(frozen.expect("frozen or early-returned").solver()));
-                }
-                if let Some(registry) = &self.registry {
-                    let (model, frozen) = lock(registry).model_2d(spec)?;
-                    return match frozen {
-                        Some(frozen) => Ok(Box::new(frozen.solver())),
-                        None => Ok(Box::new(model.into_solver(&spec.grid_2d())?)),
-                    };
-                }
-                // Untrained fallback, shared per (scale, grid).
-                let model = {
-                    let mut cache = lock(&self.untrained_2d);
-                    match cache.iter().find(|(k, _)| *k == (spec.scale, nodes)) {
-                        Some((_, model)) => Arc::clone(model),
-                        None => {
-                            let model = dl::untrained_frozen_2d(spec.scale, &spec.grid_2d());
-                            cache.push(((spec.scale, nodes), Arc::clone(&model)));
-                            model
-                        }
-                    }
-                };
-                Ok(Box::new(dl::untrained_2d_shared(model)))
+    /// [`Self::dl_solver`] behind the one 1-D-only arm: an explicit model
+    /// without a frozen form gets a private network copy per session.
+    fn dl_1d_solver(&self, spec: &ScenarioSpec) -> Result<Box<dyn FieldSolver>, EngineError> {
+        match &self.owned_bundle {
+            Some(bundle) => {
+                dl::check_cells::<Grid1D>(spec, Some(bundle.arch.output_len()))?;
+                Ok(Box::new(bundle.solver()?))
             }
-            _ => unreachable!("2-D solver for non-2-D backend"),
+            None => Ok(Box::new(self.dl_solver(&self.dl_1d, spec)?)),
         }
     }
 }
@@ -431,60 +358,46 @@ impl Engine {
 /// the engine.
 #[derive(Debug, Clone)]
 pub struct WeightProfiler {
-    frozen_1d_bytes: Option<usize>,
-    has_model_1d: bool,
-    model_2d_hidden: Option<Vec<usize>>,
+    /// Weight bytes of the explicit frozen model, per dimension.
+    explicit_1d: Option<usize>,
+    explicit_2d: Option<usize>,
+    /// An explicit 1-D model without a frozen form is configured.
+    owned_1d: bool,
     has_registry: bool,
 }
 
 impl WeightProfiler {
-    /// See [`Engine::weight_profile`] for the `Some((fingerprint,
-    /// bytes))` contract.
+    /// How a DL session for this spec × backend stores its weights under
+    /// the engine's configuration: `Some((fingerprint, bytes))` means
+    /// sessions with equal fingerprints read **one** `bytes`-sized shared
+    /// allocation (charge it once per distinct fingerprint); `None` means
+    /// every session owns a private copy (model-free backends, or an
+    /// unfreezable explicit model). This is the accounting contract the
+    /// serve tier's budget admission keys on.
     pub fn profile(&self, spec: &ScenarioSpec, backend: Backend) -> Option<(String, usize)> {
         match backend {
-            Backend::Dl1D => {
-                if let Some(bytes) = self.frozen_1d_bytes {
-                    Some(("dl1d|model".to_string(), bytes))
-                } else if self.has_model_1d {
-                    // Unfreezable (CNN) explicit model: per-session copies.
-                    None
-                } else {
-                    let bytes = spec.scale.mlp_arch().param_count() * 4;
-                    let key = if self.has_registry {
-                        format!("dl1d|reg|{}|{:?}|{}", spec.name, spec.scale, spec.seed)
-                    } else {
-                        format!("dl1d|untrained|{:?}", spec.scale)
-                    };
-                    Some((key, bytes))
-                }
-            }
-            Backend::Dl2D => {
-                let nodes = spec.domain.cells();
-                let hidden = match &self.model_2d_hidden {
-                    Some(hidden) => hidden.clone(),
-                    None => dl::hidden_2d(spec.scale),
-                };
-                let bytes = ArchSpec::Mlp {
-                    input: nodes,
-                    hidden,
-                    output: 2 * nodes,
-                }
-                .param_count()
-                    * 4;
-                let key = if self.model_2d_hidden.is_some() {
-                    "dl2d|model".to_string()
-                } else if self.has_registry {
-                    format!(
-                        "dl2d|reg|{}|{:?}|{}|{}",
-                        spec.name, spec.scale, spec.seed, nodes
-                    )
-                } else {
-                    format!("dl2d|untrained|{:?}|{}", spec.scale, nodes)
-                };
-                Some((key, bytes))
-            }
+            Backend::Dl1D if self.owned_1d => None,
+            Backend::Dl1D => Some(self.shared::<Grid1D>(self.explicit_1d, spec)),
+            Backend::Dl2D => Some(self.shared::<Grid2D>(self.explicit_2d, spec)),
             _ => None,
         }
+    }
+
+    /// The tier [`Engine`]'s ladder would stop at, as a key and a size:
+    /// the explicit model's actual bytes, else the default architecture's
+    /// f32 footprint.
+    fn shared<G: DlGeometry>(
+        &self,
+        explicit_bytes: Option<usize>,
+        spec: &ScenarioSpec,
+    ) -> (String, usize) {
+        let tier = match explicit_bytes {
+            Some(_) => ModelTier::Explicit,
+            None if self.has_registry => ModelTier::Registry,
+            None => ModelTier::Untrained,
+        };
+        let bytes = explicit_bytes.unwrap_or_else(|| G::default_arch(spec).param_count() * 4);
+        (dl::weight_key::<G>(tier, spec), bytes)
     }
 }
 

@@ -49,7 +49,7 @@ use crate::vlasov::{VlasovConfig, VlasovSolver};
 pub(crate) const VLASOV_MIN_VTH: f64 = 0.01;
 
 /// Velocity-space resolution of the continuum backend per scale.
-fn vlasov_nv(scale: Scale) -> usize {
+pub(crate) fn vlasov_nv(scale: Scale) -> usize {
     match scale {
         Scale::Smoke => 64,
         Scale::Scaled => 256,
