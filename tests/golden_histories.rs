@@ -9,6 +9,12 @@
 //! backends run on the engine's seeded untrained fallback: no training, no
 //! cache, same weights every time.
 //!
+//! Training has its own golden, `trained.txt`: the smoke MLP, ResMlp and
+//! CNN, each trained for two epochs of batch 64 on the smoke training
+//! sweep, as the length and hash of their `params_to_bytes` (after a line
+//! pinning the sweep's own bytes). Any kernel on the training path — the
+//! `tn`/`nt` GEMMs, the conv kernels, Adam — must leave it untouched.
+//!
 //! The files hold IEEE-754 bit patterns as hex, one value per line, so a
 //! diff names the first sample that moved. They were recorded on x86-64
 //! Linux; the particle loaders call `sin`/`ln`, so another platform's libm
@@ -18,12 +24,15 @@
 //! `cargo test --release --test golden_histories -- --ignored regenerate`.
 
 use dlpic_repro::core::phase_space::PhaseGridSpec;
-use dlpic_repro::core::Scale;
+use dlpic_repro::core::{ArchSpec, Scale};
 use dlpic_repro::dataset::generator::{generate, GeneratorConfig};
 use dlpic_repro::dataset::spec::{SweepCombo, SweepSpec};
 use dlpic_repro::dataset::store;
 use dlpic_repro::dataset::vlasov_bridge::{generate_vlasov, VlasovDatasetConfig};
+use dlpic_repro::dataset::PhaseDataset;
 use dlpic_repro::engine::{self, Backend, EnergyHistory, Engine, Numerics1D};
+use dlpic_repro::nn::serialize::params_to_bytes;
+use dlpic_repro::nn::{train, Adam, Mse, Sequential, TrainConfig};
 use dlpic_repro::pic::solver::PoissonKind;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -131,6 +140,55 @@ fn render_datasets() -> String {
     )
 }
 
+/// Seed of every trained golden network's initialisation and shuffles.
+const TRAIN_SEED: u64 = 3;
+
+/// The smoke training sweep, as `quick_train_1d` harvests it at
+/// `Scale::Smoke`: 320 samples on the 16×16 phase grid.
+fn smoke_training_set() -> PhaseDataset {
+    let scale = Scale::Smoke;
+    let mut cfg = GeneratorConfig::new(SweepSpec::training_for(scale), scale.phase_spec());
+    cfg.ppc = scale.dataset_ppc();
+    generate(&cfg)
+}
+
+/// `arch` at `TRAIN_SEED`, trained for two epochs of batch-64 Adam on
+/// `data` (normalised as the engine normalises it).
+fn train_smoke(arch: &ArchSpec, data: &PhaseDataset) -> Sequential {
+    let train_set = data.to_nn_dataset(&data.input_norm_stats(), arch.input_kind());
+    let mut net = arch.build(TRAIN_SEED);
+    let cfg = TrainConfig {
+        epochs: 2,
+        batch_size: 64,
+        shuffle_seed: TRAIN_SEED,
+        log_every: 0,
+    };
+    let mut opt = Adam::new(Scale::Smoke.learning_rate());
+    train(&mut net, &Mse, &mut opt, &train_set, None, &cfg);
+    net
+}
+
+/// The smoke sweep's bytes, then each smoke architecture's trained
+/// parameters, as lengths and hashes.
+fn render_trained() -> String {
+    let data = smoke_training_set();
+    let bytes = store::encode(&data);
+    let mut out = format!("dataset {} {:016x}\n", bytes.len(), fnv1a(&bytes));
+    let scale = Scale::Smoke;
+    for arch in [scale.mlp_arch(), scale.resmlp_arch(), scale.cnn_arch()] {
+        let params = params_to_bytes(&mut train_smoke(&arch, &data));
+        writeln!(
+            out,
+            "{} {} {:016x}",
+            arch.kind_name(),
+            params.len(),
+            fnv1a(&params)
+        )
+        .unwrap();
+    }
+    out
+}
+
 fn golden_path(stem: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -169,10 +227,60 @@ fn dataset_generators_reproduce_their_golden_bytes() {
 }
 
 #[test]
+fn training_reproduces_its_golden_parameters() {
+    assert_matches_golden("trained", &render_trained());
+}
+
+/// ROADMAP item 4's premise, pinned: an input bin that is empty in every
+/// training sample normalises to exactly `0.0`, so the first-layer weight
+/// row it multiplies gets a `+0.0` gradient in every batch, and Adam (no
+/// weight decay) leaves it where the initialisation put it — bit for bit.
+#[test]
+fn never_occupied_bins_keep_their_initial_first_layer_rows() {
+    let data = smoke_training_set();
+    let arch = Scale::Smoke.mlp_arch();
+    let train_set = data.to_nn_dataset(&data.input_norm_stats(), arch.input_kind());
+    let cells = arch.input_len();
+    let never: Vec<usize> = (0..cells)
+        .filter(|&i| (0..train_set.len()).all(|r| train_set.x.row(r)[i] == 0.0))
+        .collect();
+    assert!(!never.is_empty(), "the smoke sweep occupies every bin");
+    assert!(never.len() < cells, "the smoke sweep occupies no bin");
+
+    // The first visited parameter is the first layer's `[in, out]` weights.
+    let first_weights = |net: &mut Sequential| {
+        let mut w = None;
+        net.visit_params(&mut |p, _| {
+            w.get_or_insert_with(|| p.to_vec());
+        });
+        w.expect("the MLP has parameters")
+    };
+    let initial = first_weights(&mut arch.build(TRAIN_SEED));
+    let trained = first_weights(&mut train_smoke(&arch, &data));
+    let width = initial.len() / cells;
+    let row = |w: &[f32], i: usize| {
+        w[i * width..(i + 1) * width]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    for &i in &never {
+        assert_eq!(
+            row(&trained, i),
+            row(&initial, i),
+            "never-occupied bin {i} moved"
+        );
+    }
+    // And training did move the others.
+    assert!((0..cells).any(|i| row(&trained, i) != row(&initial, i)));
+}
+
+#[test]
 #[ignore = "rewrites tests/golden/; run by hand after an intended numerical change"]
 fn regenerate() {
     for case in &CASES {
         std::fs::write(golden_path(case.0), render(&run(case))).unwrap();
     }
     std::fs::write(golden_path("datasets"), render_datasets()).unwrap();
+    std::fs::write(golden_path("trained"), render_trained()).unwrap();
 }
