@@ -23,11 +23,18 @@
 //!   (`DLPIC_PERF_MAX_REGRESSION`, default 0.25). Committed numbers are
 //!   rescaled to this machine by the `matmul_naive` calibration anchor,
 //!   exactly like the step gate.
+//!
+//! Every measurement also carries a `paper_setup` section: the DL
+//! workloads' set-up recipe (`benchmark/src/model.rs`) timed stage by
+//! stage, with the trained parameters' FNV-1a so a "same bits" claim can
+//! be checked on any machine. It is reported, never gated.
 
 use dlpic_bench::gate::{
     calibration_gflops, fill, indent_block, json_string_after, json_value_after, median,
 };
 use dlpic_core::presets::Scale;
+use dlpic_core::ModelBundle;
+use dlpic_dataset::{generate, GeneratorConfig, SweepSpec};
 use dlpic_nn::data::Dataset;
 use dlpic_nn::init::Init;
 use dlpic_nn::layer::Layer;
@@ -37,6 +44,7 @@ use dlpic_nn::optimizer::Adam;
 use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig};
 use dlpic_pic::grid::Grid1D;
+use dlpic_repro::engine::Engine;
 use dlpic_vlasov::solver::{VlasovConfig, VlasovSolver};
 use std::time::Instant;
 
@@ -57,6 +65,115 @@ struct Measurement {
     mlp: Throughput,
     cnn: Throughput,
     vlasov: Throughput,
+    setup: PaperSetup,
+}
+
+/// The benchmark's set-up recipe, stage by stage (medians over the reps).
+/// The stages sum to the benchmark's `dataset.generate_s` + `nn.train_s`
+/// plus the `Engine::with_model_1d` share of its first build.
+struct PaperSetup {
+    /// `dataset::generate` of the smoke sweep on the paper phase grid.
+    generate_s: f64,
+    /// Norm stats, `to_nn_dataset` and `arch.build`: all before batch 1.
+    init_s: f64,
+    /// `trainer::train`: six epochs of batch-64 Adam.
+    train_loop_s: f64,
+    /// `ModelBundle::from_network` (the 25 MB `params_to_bytes`).
+    capture_s: f64,
+    /// `Engine::new().with_model_1d(bundle.clone())`: clone, load, freeze.
+    load_s: f64,
+    /// Length and FNV-1a of the trained `params_to_bytes`.
+    params_bytes: usize,
+    params_fnv: u64,
+}
+
+impl PaperSetup {
+    fn total_s(&self) -> f64 {
+        self.generate_s + self.init_s + self.train_loop_s + self.capture_s + self.load_s
+    }
+}
+
+/// FNV-1a, the hash `tests/golden/*.txt` record.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Times `benchmark/src/model.rs::train_model` stage by stage, then the
+/// load the DL workloads' engine build starts with. The constants mirror
+/// that file's (this crate may not depend on the benchmark); a drift shows
+/// as a different FNV-1a from the benchmark's own trained bundle.
+fn bench_paper_setup(reps: usize) -> PaperSetup {
+    const MODEL_SEED: u64 = 5;
+    const EPOCHS: usize = 6;
+    const LEARNING_RATE: f32 = 1e-4;
+    const DATASET_PPC: usize = 1000;
+    let runs: Vec<PaperSetup> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            let mut cfg = GeneratorConfig::new(
+                SweepSpec::training_for(Scale::Smoke),
+                Scale::Paper.phase_spec(),
+            );
+            cfg.ppc = DATASET_PPC;
+            let data = generate(&cfg);
+            let generate_s = t.elapsed().as_secs_f64();
+
+            let t = Instant::now();
+            let norm = data.input_norm_stats();
+            let arch = Scale::Paper.mlp_arch();
+            let train_set = data.to_nn_dataset(&norm, arch.input_kind());
+            let mut net = arch.build(MODEL_SEED);
+            let init_s = t.elapsed().as_secs_f64();
+
+            let t = Instant::now();
+            let config = TrainConfig {
+                epochs: EPOCHS,
+                batch_size: 64,
+                shuffle_seed: MODEL_SEED,
+                log_every: 0,
+            };
+            let mut opt = Adam::new(LEARNING_RATE);
+            train(&mut net, &Mse, &mut opt, &train_set, None, &config);
+            let train_loop_s = t.elapsed().as_secs_f64();
+
+            let t = Instant::now();
+            let reference_mass: f32 = data.input_row(0).iter().sum();
+            let bundle = ModelBundle::from_network(&mut net, arch, data.spec, data.binning, norm)
+                .with_reference_mass(reference_mass);
+            let capture_s = t.elapsed().as_secs_f64();
+
+            let t = Instant::now();
+            let engine = Engine::new().with_model_1d(bundle.clone());
+            let load_s = t.elapsed().as_secs_f64();
+            drop(std::hint::black_box(engine));
+
+            PaperSetup {
+                generate_s,
+                init_s,
+                train_loop_s,
+                capture_s,
+                load_s,
+                params_bytes: bundle.params.len(),
+                params_fnv: fnv1a(&bundle.params),
+            }
+        })
+        .collect();
+    assert!(
+        runs.iter().all(|r| r.params_fnv == runs[0].params_fnv),
+        "training is not deterministic"
+    );
+    let stage = |f: fn(&PaperSetup) -> f64| median(runs.iter().map(f).collect());
+    PaperSetup {
+        generate_s: stage(|r| r.generate_s),
+        init_s: stage(|r| r.init_s),
+        train_loop_s: stage(|r| r.train_loop_s),
+        capture_s: stage(|r| r.capture_s),
+        load_s: stage(|r| r.load_s),
+        params_bytes: runs[0].params_bytes,
+        params_fnv: runs[0].params_fnv,
+    }
 }
 
 /// Forward(training)+backward throughput of the four conv layers of the
@@ -248,6 +365,9 @@ fn measure(quick: bool) -> Measurement {
     let vlasov_steps = if quick { 20 } else { 60 };
     eprintln!("measuring Vlasov step ({vlasov_steps} steps x {reps} reps)...");
     let vlasov = bench_vlasov(vlasov_steps, reps);
+    let setup_reps = if quick { 1 } else { 3 };
+    eprintln!("measuring the benchmark's paper set-up ({setup_reps} reps)...");
+    let setup = bench_paper_setup(setup_reps);
     Measurement {
         calibration,
         simd: dlpic_nn::linalg::simd_level(),
@@ -255,6 +375,7 @@ fn measure(quick: bool) -> Measurement {
         mlp,
         cnn,
         vlasov,
+        setup,
     }
 }
 
@@ -265,8 +386,20 @@ fn measurement_json(m: &Measurement, indent: &str) -> String {
             t.units, t.seconds, t.per_sec
         )
     };
+    let s = &m.setup;
+    let setup = format!(
+        "{{\n{indent}    \"generate_s\": {:.4},\n{indent}    \"init_s\": {:.4},\n{indent}    \"train_loop_s\": {:.4},\n{indent}    \"capture_s\": {:.4},\n{indent}    \"load_freeze_s\": {:.4},\n{indent}    \"total_s\": {:.4},\n{indent}    \"params_bytes\": {},\n{indent}    \"params_fnv1a\": \"{:016x}\"\n{indent}  }}",
+        s.generate_s,
+        s.init_s,
+        s.train_loop_s,
+        s.capture_s,
+        s.load_s,
+        s.total_s(),
+        s.params_bytes,
+        s.params_fnv,
+    );
     format!(
-        "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"simd\": \"{}\",\n{indent}  \"conv2d\": {},\n{indent}  \"mlp_epoch\": {},\n{indent}  \"cnn_epoch\": {},\n{indent}  \"vlasov\": {}\n{indent}}}",
+        "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"simd\": \"{}\",\n{indent}  \"conv2d\": {},\n{indent}  \"mlp_epoch\": {},\n{indent}  \"cnn_epoch\": {},\n{indent}  \"vlasov\": {},\n{indent}  \"paper_setup\": {setup}\n{indent}}}",
         m.calibration,
         m.simd,
         tp(&m.conv, "fwd_bwd_samples_per_sec"),
@@ -292,6 +425,19 @@ fn print_human(m: &Measurement) {
     println!(
         "Vlasov 128x256 : {:.2} steps/s ({} steps in {:.3}s)",
         m.vlasov.per_sec, m.vlasov.units, m.vlasov.seconds
+    );
+    let s = &m.setup;
+    println!(
+        "paper set-up   : {:.3}s = generate {:.3} + init {:.3} + train loop {:.3} + capture {:.3} \
+         + load/freeze {:.3} (ungated); trained params {} B, FNV-1a {:016x}",
+        s.total_s(),
+        s.generate_s,
+        s.init_s,
+        s.train_loop_s,
+        s.capture_s,
+        s.load_s,
+        s.params_bytes,
+        s.params_fnv
     );
 }
 
@@ -420,8 +566,14 @@ fn main() {
         let Some((bc, bm, bn, bv)) = section_metrics(&baseline, "conv2d") else {
             panic!("baseline {baseline_path} is not a train_throughput measurement");
         };
+        // A baseline from before the section existed has no set-up ratio.
+        let setup = baseline
+            .find("\"paper_setup\"")
+            .and_then(|at| json_value_after(&baseline, at, "total_s"))
+            .map(|bs| format!(",\n    \"paper_setup\": {:.3}", bs / m.setup.total_s()))
+            .unwrap_or_default();
         let json = format!(
-            "{{\n  \"bench\": \"train_throughput\",\n  \"note\": \"single-core; compare the speedup ratios, not cross-machine absolutes\",\n  \"baseline\": {},\n  \"current\": {},\n  \"speedup\": {{\n    \"conv2d_fwd_bwd\": {:.3},\n    \"mlp_epoch\": {:.3},\n    \"cnn_epoch\": {:.3},\n    \"vlasov_step\": {:.3}\n  }}\n}}\n",
+            "{{\n  \"bench\": \"train_throughput\",\n  \"note\": \"single-core; compare the speedup ratios, not cross-machine absolutes; paper_setup is reported, not gated\",\n  \"baseline\": {},\n  \"current\": {},\n  \"speedup\": {{\n    \"conv2d_fwd_bwd\": {:.3},\n    \"mlp_epoch\": {:.3},\n    \"cnn_epoch\": {:.3},\n    \"vlasov_step\": {:.3}{setup}\n  }}\n}}\n",
             indent_block(baseline.trim_end()),
             measurement_json(&m, "  "),
             m.conv.per_sec / bc,
