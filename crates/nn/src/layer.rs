@@ -10,7 +10,10 @@ use crate::tensor::Tensor;
 /// gradient w.r.t. the layer *output*, accumulates parameter gradients
 /// internally (`+=`, so callers zero them between optimizer steps via
 /// [`Layer::zero_grads`]) and returns the gradient w.r.t. the layer
-/// *input*.
+/// *input*. The first layer of a training step has no one to hand that
+/// input gradient to, so the trainer calls [`Layer::backward_params`]
+/// there instead: the same parameter gradients, bit for bit, and no
+/// input gradient.
 pub trait Layer: Send {
     /// Computes the layer output. With `training = true` the activation
     /// cache for backprop is retained.
@@ -47,6 +50,17 @@ pub trait Layer: Send {
     /// [`Layer::backward`]; every built-in layer overrides it.
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
         *grad_in = self.backward(grad_out);
+    }
+
+    /// Backpropagation that only accumulates parameter gradients — what
+    /// [`crate::Sequential::compute_gradients_into`] runs on the network's
+    /// first layer, whose input gradient nobody reads. The parameter
+    /// gradients must be bit-identical to [`Layer::backward_into`]'s;
+    /// `scratch` is a workspace slot the layer may use or leave alone.
+    /// The default runs [`Layer::backward_into`] into `scratch`; a layer
+    /// whose input gradient costs real work (dense) overrides it.
+    fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Tensor) {
+        self.backward_into(grad_out, scratch);
     }
 
     /// Visits each (parameter, gradient) pair in a stable order. Layers

@@ -205,7 +205,10 @@ impl Sequential {
     /// the way up, the gradient ping-pongs through the third on the way
     /// down, so a warm workspace makes the whole step allocation-free —
     /// the per-batch path of [`crate::trainer::train`]. Numerically
-    /// identical to [`Sequential::compute_gradients`].
+    /// identical to [`Sequential::compute_gradients`], and every
+    /// parameter gradient to `forward(.., true)` + loss +
+    /// [`Sequential::backward`]; unlike `backward`, it computes no input
+    /// gradient ([`Layer::backward_params`] on the first layer).
     pub fn compute_gradients_into(
         &mut self,
         loss: &dyn Loss,
@@ -234,12 +237,18 @@ impl Sequential {
         grad.resize_in_place(pred.shape());
         let value = loss.loss_and_grad(pred, y, grad);
         // Backward: bufs[2] → the freed activation slot → bufs[2] → …
+        // The first layer's input gradient has no reader: it only
+        // accumulates its parameter gradients.
         let free = 1 - cur;
         let mut g = 2;
-        for layer in self.layers.iter_mut().rev() {
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let dst = if g == 2 { free } else { 2 };
             let (src, out) = two_slots(&mut workspace.bufs, g, dst);
-            layer.backward_into(src, out);
+            if i == 0 {
+                layer.backward_params(src, out);
+            } else {
+                layer.backward_into(src, out);
+            }
             g = dst;
         }
         value
@@ -343,6 +352,109 @@ mod tests {
         }
         let last = net.compute_gradients(&loss, &x, &y);
         assert!(last < first * 0.05, "loss {first} -> {last}");
+    }
+
+    /// Every (parameter, gradient) pair as bit patterns, in visit order.
+    fn param_grad_bits(net: &mut Sequential) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect();
+        let mut out = Vec::new();
+        net.visit_params(&mut |p, g| out.push((bits(p), bits(g))));
+        out
+    }
+
+    /// `compute_gradients_into` skips the first layer's input gradient;
+    /// every parameter gradient must still be bit-equal to the reference
+    /// path — `forward(.., true)` + `loss_and_grad` + `backward` — and
+    /// `backward` must keep returning the input gradient.
+    #[test]
+    fn skipping_the_input_gradient_changes_no_parameter_gradient() {
+        use crate::layers::{Conv2d, Flatten, MaxPool2, ResidualDense};
+        use crate::linalg::matmul_nt;
+        use crate::linalg::tests::gen;
+        let (batch, out) = (9, 5);
+        // Features 0..8 are zero in every sample (a dead 8-row tile of the
+        // first weight gradient), and every third entry besides.
+        let input = |shape: &[usize]| {
+            let width: usize = shape[1..].iter().product();
+            let mut data = gen(batch * width, 17);
+            for (i, v) in data.iter_mut().enumerate() {
+                if i % width < 8 || i % 3 == 0 {
+                    *v = 0.0;
+                }
+            }
+            Tensor::new(data, shape)
+        };
+        let cases = [
+            (
+                "dense",
+                Sequential::new().push(Dense::new(16, out, Init::HeNormal, 1)),
+                vec![batch, 16],
+            ),
+            (
+                "mlp",
+                Sequential::new()
+                    .push(Dense::new(16, 24, Init::HeNormal, 2))
+                    .push(Relu::new())
+                    .push(Dense::new(24, 24, Init::HeNormal, 3))
+                    .push(Relu::new())
+                    .push(Dense::new(24, out, Init::GlorotUniform, 4)),
+                vec![batch, 16],
+            ),
+            (
+                "resmlp",
+                Sequential::new()
+                    .push(Dense::new(16, 24, Init::HeNormal, 5))
+                    .push(Relu::new())
+                    .push(ResidualDense::new(24, Init::HeNormal, 6))
+                    .push(ResidualDense::new(24, Init::HeNormal, 7))
+                    .push(Dense::new(24, out, Init::GlorotUniform, 8)),
+                vec![batch, 16],
+            ),
+            (
+                "cnn",
+                Sequential::new()
+                    .push(Conv2d::new(1, 3, 3, Init::HeNormal, 9))
+                    .push(Relu::new())
+                    .push(MaxPool2::new())
+                    .push(Flatten::new())
+                    .push(Dense::new(3 * 2 * 2, out, Init::GlorotUniform, 10)),
+                vec![batch, 1, 4, 4],
+            ),
+        ];
+        let y = Tensor::new(gen(batch * out, 23), &[batch, out]);
+        for (name, mut net, shape) in cases {
+            let x = input(&shape);
+            net.zero_grads();
+            let pred = net.forward(&x, true);
+            let mut grad = Tensor::zeros(pred.shape());
+            let loss = Mse.loss_and_grad(&pred, &y, &mut grad);
+            let dx = net.backward(&grad);
+            assert_eq!(dx.shape(), x.shape(), "{name}: input gradient shape");
+            assert!(
+                dx.data().iter().any(|&v| v != 0.0),
+                "{name}: no input gradient"
+            );
+            let reference = param_grad_bits(&mut net);
+            if name == "dense" {
+                // The one layer is the first layer: `backward` still runs
+                // its `dX = dY·Wᵀ`.
+                let mut w = Vec::new();
+                net.visit_params(&mut |p, _| w.push(p.to_vec()));
+                let mut want = vec![f32::NAN; batch * 16];
+                matmul_nt(grad.data(), &w[0], &mut want, batch, out, 16);
+                assert_eq!(dx.data(), &want[..], "dense: input gradient");
+            }
+            // Twice through one workspace: cold, then warm.
+            let mut ws = TrainWorkspace::new();
+            for pass in 0..2 {
+                let got = net.compute_gradients_into(&Mse, &x, &y, &mut ws);
+                assert_eq!(got.to_bits(), loss.to_bits(), "{name} pass {pass}: loss");
+                assert!(
+                    param_grad_bits(&mut net) == reference,
+                    "{name} pass {pass}: a parameter gradient moved"
+                );
+            }
+        }
     }
 
     #[test]
