@@ -181,6 +181,19 @@ impl ArchSpec {
     /// Panics for invalid geometry (e.g. CNN spatial dims not divisible by
     /// 4 — two pooling stages).
     pub fn build(&self, seed: u64) -> Sequential {
+        self.build_with(Some(seed))
+    }
+
+    /// The one architecture table: builds the network He/Glorot-initialised
+    /// from `seed`, or, with `None`, zero-initialised — for a network whose
+    /// every parameter is restored right after (`ModelBundle::solver`),
+    /// which then skips drawing millions of random weights for nothing.
+    ///
+    /// # Panics
+    /// As [`Self::build`].
+    pub(crate) fn build_with(&self, seed: Option<u64>) -> Sequential {
+        let init = |scheme: Init| if seed.is_some() { scheme } else { Init::Zeros };
+        let seed = seed.unwrap_or(0);
         match self {
             ArchSpec::Mlp {
                 input,
@@ -193,7 +206,7 @@ impl ArchSpec {
                     net.push_boxed(Box::new(Dense::new(
                         prev,
                         h,
-                        Init::HeNormal,
+                        init(Init::HeNormal),
                         seed + i as u64,
                     )));
                     net.push_boxed(Box::new(Relu::new()));
@@ -202,7 +215,7 @@ impl ArchSpec {
                 net.push_boxed(Box::new(Dense::new(
                     prev,
                     *output,
-                    Init::GlorotUniform,
+                    init(Init::GlorotUniform),
                     seed + hidden.len() as u64,
                 )));
                 net
@@ -223,7 +236,13 @@ impl ArchSpec {
                 let mut net = Sequential::new();
                 let mut s = seed;
                 let mut push_conv = |net: &mut Sequential, ic: usize, oc: usize| {
-                    net.push_boxed(Box::new(Conv2d::new(ic, oc, *kernel, Init::HeNormal, s)));
+                    net.push_boxed(Box::new(Conv2d::new(
+                        ic,
+                        oc,
+                        *kernel,
+                        init(Init::HeNormal),
+                        s,
+                    )));
                     net.push_boxed(Box::new(Relu::new()));
                     s += 1;
                 };
@@ -239,12 +258,17 @@ impl ArchSpec {
                 // Dense head.
                 let mut prev = c2 * (nv / 4) * (nx / 4);
                 for &h in hidden {
-                    net.push_boxed(Box::new(Dense::new(prev, h, Init::HeNormal, s)));
+                    net.push_boxed(Box::new(Dense::new(prev, h, init(Init::HeNormal), s)));
                     net.push_boxed(Box::new(Relu::new()));
                     s += 1;
                     prev = h;
                 }
-                net.push_boxed(Box::new(Dense::new(prev, *output, Init::GlorotUniform, s)));
+                net.push_boxed(Box::new(Dense::new(
+                    prev,
+                    *output,
+                    init(Init::GlorotUniform),
+                    s,
+                )));
                 net
             }
             ArchSpec::ResMlp {
@@ -254,19 +278,24 @@ impl ArchSpec {
                 output,
             } => {
                 let mut net = Sequential::new();
-                net.push_boxed(Box::new(Dense::new(*input, *width, Init::HeNormal, seed)));
+                net.push_boxed(Box::new(Dense::new(
+                    *input,
+                    *width,
+                    init(Init::HeNormal),
+                    seed,
+                )));
                 net.push_boxed(Box::new(Relu::new()));
                 for i in 0..*blocks {
                     net.push_boxed(Box::new(ResidualDense::new(
                         *width,
-                        Init::HeNormal,
+                        init(Init::HeNormal),
                         seed + 1 + i as u64,
                     )));
                 }
                 net.push_boxed(Box::new(Dense::new(
                     *width,
                     *output,
-                    Init::GlorotUniform,
+                    init(Init::GlorotUniform),
                     seed + 1 + *blocks as u64,
                 )));
                 net
@@ -446,6 +475,43 @@ mod tests {
                 "{}: spec-level count disagrees with the built network",
                 spec.kind_name()
             );
+        }
+    }
+
+    /// The load path's zeroed build has exactly the seeded build's
+    /// parameter layout (so a restore fills it the same way) and no weight.
+    #[test]
+    fn zeroed_build_has_the_seeded_layout_and_zero_weights() {
+        let specs = [
+            ArchSpec::Mlp {
+                input: 48,
+                hidden: vec![32, 32],
+                output: 16,
+            },
+            ArchSpec::Cnn {
+                nv: 8,
+                nx: 8,
+                channels: (2, 4),
+                kernel: 3,
+                hidden: vec![16],
+                output: 8,
+            },
+            ArchSpec::ResMlp {
+                input: 24,
+                width: 16,
+                blocks: 2,
+                output: 8,
+            },
+        ];
+        let layout = |net: &mut Sequential| {
+            let mut lens = Vec::new();
+            net.visit_params(&mut |p, _| lens.push(p.len()));
+            lens
+        };
+        for spec in specs {
+            let mut zeroed = spec.build_with(None);
+            assert_eq!(layout(&mut zeroed), layout(&mut spec.build(7)));
+            zeroed.visit_params(&mut |p, _| assert!(p.iter().all(|v| v.to_bits() == 0)));
         }
     }
 

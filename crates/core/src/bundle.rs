@@ -244,7 +244,8 @@ impl ModelBundle {
     /// bundle (fleets that want one shared allocation use [`Self::freeze`]
     /// instead).
     pub fn solver(&self) -> Result<DlFieldSolver, BundleError> {
-        let mut net = self.arch.build(0);
+        // Zero-initialised: the restore overwrites every parameter.
+        let mut net = self.arch.build_with(None);
         params_from_bytes(&mut net, &self.params).map_err(BundleError::Params)?;
         Ok(DlFieldSolver::new(
             net,
