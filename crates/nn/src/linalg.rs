@@ -971,6 +971,8 @@ mod avx512 {
         let (m8, n16, n32) = (m - m % 8, n - n % 16, n - n % 32);
         let mut i0 = 0;
         while i0 < m8 {
+            // In bounds: `i0 + 8 <= m`, so the tile's `k` rows of 8 at
+            // `a + kk·m + i0` lie in A and its C rows' first `n16` in C.
             if live_mask(ap.add(i0), k, m, 8) == 0 {
                 for r in 0..8 {
                     std::ptr::write_bytes(cp.add((i0 + r) * n), 0, n16);
