@@ -1,37 +1,40 @@
-//! Single-core training-pipeline throughput benchmark: conv2d
-//! forward+backward, one MLP and one CNN training epoch, and the Vlasov
-//! data-generator step, plus the shared `matmul_naive` calibration anchor.
+//! Single-core throughput gate of the kernels the benchmark (`benchmark/`)
+//! does not time one by one: conv2d forward+backward, one MLP and one CNN
+//! training epoch, the Vlasov data-generator step, the three `nn::linalg`
+//! training GEMM shapes, and bf16 against f32 weight storage on the solo
+//! inference shape, plus the shared `matmul_naive` calibration anchor.
 //!
-//! The companion of `step_throughput`: that bench gates the *simulate*
-//! half of the paper's workflow, this one gates the *train* half — the
-//! layers, the mini-batch loop, and the Vlasov solver that generates the
-//! noise-free training data (§VII).
+//! Two more sections are reported and never gated: the batch-1 inference
+//! layer on a dense input and on a phase-space histogram (the live-row
+//! kernel's record), and `paper_setup`, the DL workloads' set-up recipe
+//! (`benchmark/src/model.rs`) timed stage by stage, with the trained
+//! parameters' FNV-1a so a "same bits" claim can be checked on any
+//! machine.
 //!
-//! Usage mirrors `step_throughput`:
+//! Usage:
 //!
 //! * `train_throughput` — full measurement, JSON printed to stdout.
 //! * `--out FILE` — also write the raw measurement JSON to `FILE`
 //!   (used to capture a baseline before an optimization lands).
 //! * `--write-bench BASELINE` — measure, read a previously captured
 //!   measurement from `BASELINE`, and write `BENCH_train.json` with
-//!   `baseline` + `current` sections and the speedup ratios.
-//! * `--quick` — smaller workloads (CI-sized; per-unit metrics stay
-//!   comparable because the workload *shapes* are unchanged).
+//!   `baseline` + `current` sections and the speedup ratios of every
+//!   entry the baseline has.
+//! * `--quick` — fewer repetitions of the same workloads (CI-sized).
 //! * `--check` — measure (honours `--quick`), compare against the
-//!   committed `BENCH_train.json`, print deltas and exit non-zero on a
-//!   throughput regression beyond the tolerance
-//!   (`DLPIC_PERF_MAX_REGRESSION`, default 0.25). Committed numbers are
-//!   rescaled to this machine by the `matmul_naive` calibration anchor,
-//!   exactly like the step gate.
-//!
-//! Every measurement also carries a `paper_setup` section: the DL
-//! workloads' set-up recipe (`benchmark/src/model.rs`) timed stage by
-//! stage, with the trained parameters' FNV-1a so a "same bits" claim can
-//! be checked on any machine. It is reported, never gated.
+//!   committed `BENCH_train.json`, print deltas and exit non-zero when a
+//!   gated throughput regresses beyond the tolerance
+//!   (`DLPIC_PERF_MAX_REGRESSION`, default 0.25) or bf16 inference falls
+//!   below [`BF16_MIN_SPEEDUP`] times f32. Committed throughputs are
+//!   rescaled to this machine by the `matmul_naive` calibration anchor;
+//!   the bf16 ratio needs no anchor, both sides are timed live.
 
 use dlpic_bench::gate::{
     calibration_gflops, fill, indent_block, json_string_after, json_value_after, median,
 };
+use dlpic_core::builder::ArchSpec;
+use dlpic_core::normalize::NormStats;
+use dlpic_core::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
 use dlpic_core::presets::Scale;
 use dlpic_core::ModelBundle;
 use dlpic_dataset::{generate, GeneratorConfig, SweepSpec};
@@ -39,20 +42,81 @@ use dlpic_nn::data::Dataset;
 use dlpic_nn::init::Init;
 use dlpic_nn::layer::Layer;
 use dlpic_nn::layers::Conv2d;
+use dlpic_nn::linalg::{live_mask, matmul_nn, matmul_nt, matmul_tn, KB};
 use dlpic_nn::loss::Mse;
 use dlpic_nn::optimizer::Adam;
 use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig};
+use dlpic_nn::{FrozenModel, Precision, PredictWorkspace};
 use dlpic_pic::grid::Grid1D;
+use dlpic_pic::init::TwoStreamInit;
 use dlpic_repro::engine::Engine;
 use dlpic_vlasov::solver::{VlasovConfig, VlasovSolver};
 use std::time::Instant;
+
+/// bf16 weight storage exists to beat f32 on the memory-bound solo
+/// inference; below this ratio it no longer pays for its precision loss.
+const BF16_MIN_SPEEDUP: f64 = 1.3;
+
+/// Interleaved f32/bf16 timing pairs behind the bf16 ratio.
+const BF16_PAIRS: usize = 11;
+
+/// The gated throughputs, in [`Measurement::gated`] order: name, JSON
+/// section and key, and whether the f32 kernels bound it (derated on a
+/// kernel-path mismatch; the Vlasov step is f64 solver code).
+const GATED: [(&str, &str, &str, bool); 7] = [
+    ("conv2d", "conv2d", "fwd_bwd_samples_per_sec", true),
+    ("mlp_epoch", "mlp_epoch", "samples_per_sec", true),
+    ("cnn_epoch", "cnn_epoch", "samples_per_sec", true),
+    ("vlasov", "vlasov", "steps_per_sec", false),
+    ("nn_train", "gemm", "nn_train_gflops", true),
+    ("tn_grad", "gemm", "tn_grad_gflops", true),
+    ("nt_grad", "gemm", "nt_grad_gflops", true),
+];
 
 /// One throughput measurement: work units processed per second.
 struct Throughput {
     units: usize,
     seconds: f64,
     per_sec: f64,
+}
+
+impl Throughput {
+    fn new(units: usize, seconds: f64) -> Self {
+        Self {
+            units,
+            seconds,
+            per_sec: units as f64 / seconds,
+        }
+    }
+}
+
+/// GFLOP/s of the training GEMM shapes: batch-64 forward (`nn`), weight
+/// gradient (`tn`) and input gradient (`nt`) with 512-wide hiddens.
+struct Gemm {
+    nn_train: f64,
+    tn_grad: f64,
+    nt_grad: f64,
+}
+
+/// The batch-1 inference layer at the paper's 4096-cell input (4096×512):
+/// GFLOP/s on a dense input, and on a phase-space histogram the share of
+/// weight rows the kernel has to read ([`live_mask`]), the time of one
+/// call and the bandwidth over those live rows alone.
+struct InferB1 {
+    dense_gflops: f64,
+    live_fraction: f64,
+    live_us: f64,
+    live_gbps: f64,
+}
+
+/// bf16 against f32 storage of the paper MLP on the solo shape (m = 1):
+/// GFLOP/s-equivalent of each (nominal 2·params FLOPs per solve; bf16 does
+/// the same arithmetic in f32 after decode) and the median per-pair ratio.
+struct Bf16 {
+    f32_gflops: f64,
+    bf16_gflops: f64,
+    speedup: f64,
 }
 
 struct Measurement {
@@ -65,7 +129,25 @@ struct Measurement {
     mlp: Throughput,
     cnn: Throughput,
     vlasov: Throughput,
+    gemm: Gemm,
+    infer: InferB1,
+    bf16: Bf16,
     setup: PaperSetup,
+}
+
+impl Measurement {
+    /// The gated throughputs, in [`GATED`] order.
+    fn gated(&self) -> [f64; 7] {
+        [
+            self.conv.per_sec,
+            self.mlp.per_sec,
+            self.cnn.per_sec,
+            self.vlasov.per_sec,
+            self.gemm.nn_train,
+            self.gemm.tn_grad,
+            self.gemm.nt_grad,
+        ]
+    }
 }
 
 /// The benchmark's set-up recipe, stage by stage (medians over the reps).
@@ -196,26 +278,15 @@ fn bench_conv(iters: usize, reps: usize) -> Throughput {
     let inputs: Vec<Tensor> = shapes
         .iter()
         .enumerate()
-        .map(|(i, &(ic, _, h, w))| {
-            let mut data = vec![0.0f32; batch * ic * h * w];
-            fill(&mut data, 17 + i as u64);
-            Tensor::new(data, &[batch, ic, h, w])
-        })
+        .map(|(i, &(ic, _, h, w))| random(&[batch, ic, h, w], 17 + i as u64))
         .collect();
     let grads: Vec<Tensor> = shapes
         .iter()
         .enumerate()
-        .map(|(i, &(_, oc, h, w))| {
-            let mut data = vec![0.0f32; batch * oc * h * w];
-            fill(&mut data, 29 + i as u64);
-            Tensor::new(data, &[batch, oc, h, w])
-        })
+        .map(|(i, &(_, oc, h, w))| random(&[batch, oc, h, w], 29 + i as u64))
         .collect();
     // Reusable output/gradient buffers — the same train_forward_into /
-    // backward_into path the trainer drives per batch. (The committed
-    // baseline predates these entry points; it ran the then-only
-    // allocating forward/backward, so the speedup ratio includes the
-    // allocation elimination — which is the point.)
+    // backward_into path the trainer drives per batch.
     let mut out = Tensor::zeros(&[0]);
     let mut gx = Tensor::zeros(&[0]);
     // Warm-up.
@@ -238,34 +309,29 @@ fn bench_conv(iters: usize, reps: usize) -> Throughput {
             t0.elapsed().as_secs_f64()
         })
         .collect();
-    let seconds = median(times);
-    let units = batch * iters;
-    Throughput {
-        units,
-        seconds,
-        per_sec: units as f64 / seconds,
-    }
+    Throughput::new(batch * iters, median(times))
+}
+
+/// A tensor of the given shape, filled by [`fill`]: dense, no zero worth
+/// the name.
+fn random(shape: &[usize], seed: u64) -> Tensor {
+    let mut data = vec![0.0f32; shape.iter().product()];
+    fill(&mut data, seed);
+    Tensor::new(data, shape)
 }
 
 /// A synthetic regression dataset with the given input shape.
 fn synth_dataset(n: usize, in_shape: &[usize], out_w: usize, seed: u64) -> Dataset {
-    let in_w: usize = in_shape.iter().product();
-    let mut xs = vec![0.0f32; n * in_w];
-    let mut ys = vec![0.0f32; n * out_w];
-    fill(&mut xs, seed);
-    fill(&mut ys, seed + 1);
-    let mut x_shape = vec![n];
-    x_shape.extend_from_slice(in_shape);
-    Dataset::new(Tensor::new(xs, &x_shape), Tensor::new(ys, &[n, out_w]))
+    let x_shape: Vec<usize> = std::iter::once(n).chain(in_shape.iter().copied()).collect();
+    Dataset::new(random(&x_shape, seed), random(&[n, out_w], seed + 1))
 }
 
 /// Samples/second of full training epochs (shuffle + batching + forward +
-/// loss + backward + Adam) on the `Scale::Scaled` MLP (1024-256³-64).
-fn bench_mlp_epoch(samples: usize, epochs: usize, reps: usize) -> Throughput {
-    let data = synth_dataset(samples, &[1024], 64, 41);
+/// loss + backward + Adam) of `arch` on `data`.
+fn bench_epoch(arch: &ArchSpec, data: &Dataset, epochs: usize, reps: usize) -> Throughput {
     let times: Vec<f64> = (0..reps)
         .map(|_| {
-            let mut net = Scale::Scaled.mlp_arch().build(7);
+            let mut net = arch.build(7);
             let mut opt = Adam::new(1e-3);
             let cfg = TrainConfig {
                 epochs,
@@ -274,49 +340,13 @@ fn bench_mlp_epoch(samples: usize, epochs: usize, reps: usize) -> Throughput {
                 log_every: 0,
             };
             let t0 = Instant::now();
-            let hist = train(&mut net, &Mse, &mut opt, &data, None, &cfg);
+            let hist = train(&mut net, &Mse, &mut opt, data, None, &cfg);
             let dt = t0.elapsed().as_secs_f64();
             std::hint::black_box(hist.final_loss());
             dt
         })
         .collect();
-    let seconds = median(times);
-    let units = samples * epochs;
-    Throughput {
-        units,
-        seconds,
-        per_sec: units as f64 / seconds,
-    }
-}
-
-/// Samples/second of full training epochs on the `Scale::Scaled` CNN
-/// (1→8→8 pool 8→16→16 pool, 128³ dense head) over 32×32 images.
-fn bench_cnn_epoch(samples: usize, epochs: usize, reps: usize) -> Throughput {
-    let data = synth_dataset(samples, &[1, 32, 32], 64, 53);
-    let times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let mut net = Scale::Scaled.cnn_arch().build(7);
-            let mut opt = Adam::new(1e-3);
-            let cfg = TrainConfig {
-                epochs,
-                batch_size: 64,
-                shuffle_seed: 3,
-                log_every: 0,
-            };
-            let t0 = Instant::now();
-            let hist = train(&mut net, &Mse, &mut opt, &data, None, &cfg);
-            let dt = t0.elapsed().as_secs_f64();
-            std::hint::black_box(hist.final_loss());
-            dt
-        })
-        .collect();
-    let seconds = median(times);
-    let units = samples * epochs;
-    Throughput {
-        units,
-        seconds,
-        per_sec: units as f64 / seconds,
-    }
+    Throughput::new(data.len() * epochs, median(times))
 }
 
 /// Steps/second of the Vlasov solver at the dataset-bridge resolution
@@ -341,31 +371,198 @@ fn bench_vlasov(steps: usize, reps: usize) -> Throughput {
             dt
         })
         .collect();
-    let seconds = median(times);
-    Throughput {
-        units: steps,
-        seconds,
-        per_sec: steps as f64 / seconds,
+    Throughput::new(steps, median(times))
+}
+
+/// GFLOP/s of one kernel call on the A operand given, median of `reps`
+/// timed batches of `iters` calls.
+fn bench_kernel(
+    kernel: impl Fn(&[f32], &[f32], &mut [f32]),
+    a: &[f32],
+    b_len: usize,
+    c_len: usize,
+    flops: f64,
+    iters: usize,
+    reps: usize,
+) -> f64 {
+    let mut b = vec![0.0f32; b_len];
+    let mut c = vec![0.0f32; c_len];
+    fill(&mut b, 13);
+    kernel(a, &b, &mut c); // warm-up
+    let times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                kernel(a, &b, &mut c);
+                std::hint::black_box(&c[0]);
+            }
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    flops * iters as f64 / median(times) / 1e9
+}
+
+/// The training GEMM shapes on dense operands.
+fn bench_gemm(iters: usize, reps: usize) -> Gemm {
+    let (m, k, n) = (64, 512, 512);
+    let flops = 2.0 * (m * k * n) as f64;
+    let nn_train = bench_kernel(
+        |a, b, c| matmul_nn(a, b, c, m, k, n),
+        random(&[m * k], 7).data(),
+        k * n,
+        m * n,
+        flops,
+        iters,
+        reps,
+    );
+    // dW = Xᵀ·dY: A is k×m (batch-major), output m×n.
+    let (tm, tk, tn) = (512, 64, 512);
+    let tn_grad = bench_kernel(
+        |a, b, c| matmul_tn(a, b, c, tm, tk, tn),
+        random(&[tk * tm], 7).data(),
+        tk * tn,
+        tm * tn,
+        2.0 * (tm * tk * tn) as f64,
+        iters,
+        reps,
+    );
+    // dX = dY·Wᵀ: B is n×k.
+    let nt_grad = bench_kernel(
+        |a, b, c| matmul_nt(a, b, c, m, k, n),
+        random(&[m * k], 7).data(),
+        n * k,
+        m * n,
+        flops,
+        iters,
+        reps,
+    );
+    Gemm {
+        nn_train,
+        tn_grad,
+        nt_grad,
+    }
+}
+
+/// What the DL solver feeds its first layer: the paper's 64×64
+/// phase-space histogram of the two-stream initial condition (64 000
+/// particles, two thin beams), min–max normalised with a dataset minimum
+/// of zero so every empty bin is exactly `0.0`.
+fn phase_space_input() -> Vec<f32> {
+    let (grid, spec) = (Grid1D::paper(), PhaseGridSpec::paper());
+    let particles = TwoStreamInit::random(0.2, 0.025, 64_000, 9).build(&grid);
+    let mut hist = vec![0.0f32; spec.cells()];
+    bin_phase_space(&particles, &grid, &spec, BinningShape::Ngp, &mut hist);
+    let max = hist.iter().copied().fold(0.0, f32::max);
+    NormStats { min: 0.0, max }.apply(&mut hist);
+    hist
+}
+
+/// The batch-1 inference layer on a dense input, then on a histogram,
+/// where only the live weight rows are read.
+fn bench_infer_b1(iters: usize, reps: usize) -> InferB1 {
+    let (k, n) = (4096, 512);
+    let flops = 2.0 * (k * n) as f64;
+    let infer = |a: &[f32]| {
+        bench_kernel(
+            |a, b, c| matmul_nn(a, b, c, 1, k, n),
+            a,
+            k * n,
+            n,
+            flops,
+            iters,
+            reps,
+        )
+    };
+    let dense_gflops = infer(random(&[k], 7).data());
+    let hist = phase_space_input();
+    let live_rows: u32 = (0..k)
+        .step_by(KB)
+        .map(|k0| live_mask(&hist, 1, k, k0, KB).count_ones())
+        .sum();
+    let live_fraction = live_rows as f64 / k as f64;
+    let live_us = flops / infer(&hist) / 1e3;
+    InferB1 {
+        dense_gflops,
+        live_fraction,
+        live_us,
+        live_gbps: live_fraction * (4 * k * n) as f64 / live_us / 1e3,
+    }
+}
+
+/// bf16 against f32 on the untrained paper MLP and a dense input:
+/// [`BF16_PAIRS`] pairs, each timing a batch of f32 calls and then a batch
+/// of bf16 calls, so that a slow phase of the host lands on both sides of
+/// one ratio; the speedup is the median of the per-pair ratios.
+fn bench_bf16() -> Bf16 {
+    const ITERS: usize = 20;
+    let arch = Scale::Paper.mlp_arch();
+    let net = arch.build(0xD15E);
+    let freeze = |precision| {
+        net.freeze(precision)
+            .expect("the paper MLP has a frozen form")
+    };
+    let (f32_model, bf16_model) = (freeze(Precision::F32), freeze(Precision::Bf16));
+    let input = arch.input_len();
+    let x = Tensor::new(
+        (0..input).map(|i| (i as f32 * 0.013).sin()).collect(),
+        &[1, input],
+    );
+    let mut ws = PredictWorkspace::new();
+    let mut time = |model: &FrozenModel| {
+        let t0 = Instant::now();
+        for _ in 0..ITERS {
+            std::hint::black_box(model.predict_into(&x, &mut ws));
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    time(&f32_model);
+    time(&bf16_model); // warm-up
+    let (f32_times, bf16_times): (Vec<f64>, Vec<f64>) = (0..BF16_PAIRS)
+        .map(|_| (time(&f32_model), time(&bf16_model)))
+        .unzip();
+    let speedup = median(
+        f32_times
+            .iter()
+            .zip(&bf16_times)
+            .map(|(f, b)| f / b)
+            .collect(),
+    );
+    let gflops =
+        |times: Vec<f64>| 2.0 * arch.param_count() as f64 * ITERS as f64 / median(times) / 1e9;
+    Bf16 {
+        f32_gflops: gflops(f32_times),
+        bf16_gflops: gflops(bf16_times),
+        speedup,
     }
 }
 
 fn measure(quick: bool) -> Measurement {
-    let reps = if quick { 3 } else { 5 };
+    // `--quick` repeats the same workloads fewer times: every timed window
+    // stays a full run's length (each well under a second), since shorter
+    // windows only let the host's noise through.
+    let (reps, setup_reps) = if quick { (3, 1) } else { (5, 3) };
     eprintln!("measuring calibration anchor...");
     let calibration = calibration_gflops(reps);
-    let conv_iters = if quick { 4 } else { 16 };
-    eprintln!("measuring conv2d forward+backward ({conv_iters} iters x {reps} reps)...");
-    let conv = bench_conv(conv_iters, reps);
-    let (mlp_samples, mlp_epochs) = if quick { (512, 1) } else { (2048, 2) };
-    eprintln!("measuring MLP training epoch ({mlp_samples} samples x {mlp_epochs} epochs)...");
-    let mlp = bench_mlp_epoch(mlp_samples, mlp_epochs, reps);
-    let (cnn_samples, cnn_epochs) = if quick { (128, 1) } else { (256, 2) };
-    eprintln!("measuring CNN training epoch ({cnn_samples} samples x {cnn_epochs} epochs)...");
-    let cnn = bench_cnn_epoch(cnn_samples, cnn_epochs, reps);
-    let vlasov_steps = if quick { 20 } else { 60 };
-    eprintln!("measuring Vlasov step ({vlasov_steps} steps x {reps} reps)...");
-    let vlasov = bench_vlasov(vlasov_steps, reps);
-    let setup_reps = if quick { 1 } else { 3 };
+    eprintln!("measuring conv2d forward+backward (16 iters x {reps} reps)...");
+    let conv = bench_conv(16, reps);
+    // The `Scale::Scaled` MLP (1024-256³-64) and CNN (1→8→8 pool 8→16→16
+    // pool, 128³ dense head over 32×32 images) on synthetic data.
+    eprintln!("measuring MLP training epoch (2048 samples x 2 epochs x {reps} reps)...");
+    let mlp_data = synth_dataset(2048, &[1024], 64, 41);
+    let mlp = bench_epoch(&Scale::Scaled.mlp_arch(), &mlp_data, 2, reps);
+    eprintln!("measuring CNN training epoch (256 samples x 2 epochs x {reps} reps)...");
+    let cnn_data = synth_dataset(256, &[1, 32, 32], 64, 53);
+    let cnn = bench_epoch(&Scale::Scaled.cnn_arch(), &cnn_data, 2, reps);
+    eprintln!("measuring Vlasov step (60 steps x {reps} reps)...");
+    let vlasov = bench_vlasov(60, reps);
+    eprintln!("measuring training GEMMs (48 calls x {reps} reps)...");
+    let gemm = bench_gemm(48, reps);
+    eprintln!(
+        "measuring batch-1 inference, dense and phase-space inputs (256 calls x {reps} reps)..."
+    );
+    let infer = bench_infer_b1(256, reps);
+    eprintln!("measuring bf16 vs f32 solo inference ({BF16_PAIRS} interleaved pairs)...");
+    let bf16 = bench_bf16();
     eprintln!("measuring the benchmark's paper set-up ({setup_reps} reps)...");
     let setup = bench_paper_setup(setup_reps);
     Measurement {
@@ -375,6 +572,9 @@ fn measure(quick: bool) -> Measurement {
         mlp,
         cnn,
         vlasov,
+        gemm,
+        infer,
+        bf16,
         setup,
     }
 }
@@ -386,6 +586,18 @@ fn measurement_json(m: &Measurement, indent: &str) -> String {
             t.units, t.seconds, t.per_sec
         )
     };
+    let gemm = format!(
+        "{{\n{indent}    \"nn_train_gflops\": {:.3},\n{indent}    \"tn_grad_gflops\": {:.3},\n{indent}    \"nt_grad_gflops\": {:.3}\n{indent}  }}",
+        m.gemm.nn_train, m.gemm.tn_grad, m.gemm.nt_grad
+    );
+    let infer = format!(
+        "{{\n{indent}    \"dense_gflops\": {:.3},\n{indent}    \"live_fraction\": {:.3},\n{indent}    \"live_us\": {:.1},\n{indent}    \"live_gbps\": {:.2}\n{indent}  }}",
+        m.infer.dense_gflops, m.infer.live_fraction, m.infer.live_us, m.infer.live_gbps
+    );
+    let bf16 = format!(
+        "{{\n{indent}    \"f32_gflops\": {:.3},\n{indent}    \"bf16_gflops\": {:.3},\n{indent}    \"bf16_vs_f32\": {:.3}\n{indent}  }}",
+        m.bf16.f32_gflops, m.bf16.bf16_gflops, m.bf16.speedup
+    );
     let s = &m.setup;
     let setup = format!(
         "{{\n{indent}    \"generate_s\": {:.4},\n{indent}    \"init_s\": {:.4},\n{indent}    \"train_loop_s\": {:.4},\n{indent}    \"capture_s\": {:.4},\n{indent}    \"load_freeze_s\": {:.4},\n{indent}    \"total_s\": {:.4},\n{indent}    \"params_bytes\": {},\n{indent}    \"params_fnv1a\": \"{:016x}\"\n{indent}  }}",
@@ -399,7 +611,7 @@ fn measurement_json(m: &Measurement, indent: &str) -> String {
         s.params_fnv,
     );
     format!(
-        "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"simd\": \"{}\",\n{indent}  \"conv2d\": {},\n{indent}  \"mlp_epoch\": {},\n{indent}  \"cnn_epoch\": {},\n{indent}  \"vlasov\": {},\n{indent}  \"paper_setup\": {setup}\n{indent}}}",
+        "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"simd\": \"{}\",\n{indent}  \"conv2d\": {},\n{indent}  \"mlp_epoch\": {},\n{indent}  \"cnn_epoch\": {},\n{indent}  \"vlasov\": {},\n{indent}  \"gemm\": {gemm},\n{indent}  \"infer_b1\": {infer},\n{indent}  \"bf16\": {bf16},\n{indent}  \"paper_setup\": {setup}\n{indent}}}",
         m.calibration,
         m.simd,
         tp(&m.conv, "fwd_bwd_samples_per_sec"),
@@ -426,6 +638,24 @@ fn print_human(m: &Measurement) {
         "Vlasov 128x256 : {:.2} steps/s ({} steps in {:.3}s)",
         m.vlasov.per_sec, m.vlasov.units, m.vlasov.seconds
     );
+    println!(
+        "training GEMMs : nn {:.2}  tn {:.2}  nt {:.2} GFLOP/s",
+        m.gemm.nn_train, m.gemm.tn_grad, m.gemm.nt_grad
+    );
+    let i = &m.infer;
+    println!(
+        "infer 4096x512 : dense {:.2} GFLOP/s; phase-space input: {:.1} % of the weight rows live, \
+         {:.1} us, {:.1} GB/s over the live rows (ungated)",
+        i.dense_gflops,
+        i.live_fraction * 100.0,
+        i.live_us,
+        i.live_gbps
+    );
+    println!(
+        "bf16 solo infer: {:.2}x f32, median of {BF16_PAIRS} interleaved pairs \
+         ({:.2} vs {:.2} GFLOP/s-eq)",
+        m.bf16.speedup, m.bf16.bf16_gflops, m.bf16.f32_gflops
+    );
     let s = &m.setup;
     println!(
         "paper set-up   : {:.3}s = generate {:.3} + init {:.3} + train loop {:.3} + capture {:.3} \
@@ -441,46 +671,59 @@ fn print_human(m: &Measurement) {
     );
 }
 
-/// First `"key": "<string>"` after position `from` in `text`.
-/// The four throughput metrics of a measurement starting at `section`.
-fn section_metrics(text: &str, section: &str) -> Option<(f64, f64, f64, f64)> {
-    let at = text.find(&format!("\"{section}\""))?;
-    let conv_at = at + text[at..].find("\"conv2d\"")?;
-    let conv = json_value_after(text, conv_at, "fwd_bwd_samples_per_sec")?;
-    let mlp_at = at + text[at..].find("\"mlp_epoch\"")?;
-    let mlp = json_value_after(text, mlp_at, "samples_per_sec")?;
-    let cnn_at = at + text[at..].find("\"cnn_epoch\"")?;
-    let cnn = json_value_after(text, cnn_at, "samples_per_sec")?;
-    let vl_at = at + text[at..].find("\"vlasov\"")?;
-    let vlasov = json_value_after(text, vl_at, "steps_per_sec")?;
-    Some((conv, mlp, cnn, vlasov))
+/// `key` in `section` of the measurement that starts at `from`.
+fn value_in(text: &str, from: usize, section: &str, key: &str) -> Option<f64> {
+    let at = from + text[from..].find(&format!("\"{section}\""))?;
+    json_value_after(text, at, key)
+}
+
+/// Everything `--check` reads from the `current` section of a committed
+/// `BENCH_train.json`.
+struct Committed {
+    calibration: f64,
+    simd: String,
+    /// In [`GATED`] order.
+    gated: [f64; 7],
+    bf16_vs_f32: f64,
+}
+
+impl Committed {
+    /// Parses `text`, naming the first entry it lacks.
+    fn parse(text: &str) -> Result<Self, String> {
+        let cur = text.find("\"current\"").ok_or("no \"current\" section")?;
+        let missing = |entry: &str| format!("\"current\" has no parsable {entry}");
+        let mut gated = [0.0; 7];
+        for (slot, (_, section, key, _)) in gated.iter_mut().zip(GATED) {
+            *slot = value_in(text, cur, section, key)
+                .ok_or_else(|| missing(&format!("{section}.{key}")))?;
+        }
+        Ok(Self {
+            calibration: json_value_after(text, cur, "calibration_gflops")
+                .ok_or_else(|| missing("calibration_gflops"))?,
+            simd: json_string_after(text, cur, "simd").ok_or_else(|| missing("simd"))?,
+            gated,
+            bf16_vs_f32: value_in(text, cur, "bf16", "bf16_vs_f32")
+                .ok_or_else(|| missing("bf16.bf16_vs_f32"))?,
+        })
+    }
 }
 
 fn check(m: &Measurement) -> i32 {
-    let text = match std::fs::read_to_string("BENCH_train.json") {
-        Ok(t) => t,
+    let committed = match std::fs::read_to_string("BENCH_train.json")
+        .map_err(|e| e.to_string())
+        .and_then(|text| Committed::parse(&text))
+    {
+        Ok(c) => c,
         Err(e) => {
-            eprintln!("cannot read BENCH_train.json: {e}");
+            eprintln!("BENCH_train.json: {e}");
             return 2;
         }
     };
-    let Some((cc, cm, cn, cv)) = section_metrics(&text, "current") else {
-        eprintln!("BENCH_train.json has no parsable \"current\" section");
-        return 2;
-    };
-    let cur_at = text.find("\"current\"").unwrap_or(0);
-    let scale = match json_value_after(&text, cur_at, "calibration_gflops") {
-        Some(committed_cal) if committed_cal > 0.0 => {
-            let s = m.calibration / committed_cal;
-            println!(
-                "calibration: committed {committed_cal:.2} GFLOP/s, this machine {:.2} \
-                 (scale {s:.2}x)",
-                m.calibration
-            );
-            s
-        }
-        _ => 1.0,
-    };
+    let scale = m.calibration / committed.calibration;
+    println!(
+        "calibration: committed {:.2} GFLOP/s, this machine {:.2} (scale {scale:.2}x)",
+        committed.calibration, m.calibration
+    );
     // The f32 kernels dispatch on AVX-512 at runtime; the matmul_naive
     // anchor (f64, never explicitly vectorized) cannot see that
     // difference. When the committed numbers come from the stronger
@@ -489,32 +732,26 @@ fn check(m: &Measurement) -> i32 {
     // hardware it does not have (≈2.5x measured path gap; derate by 3x
     // keeps a real-regression net). The opposite mismatch — portable
     // numbers committed, AVX-512 machine measuring — needs no derate:
-    // the faster path can only beat the expectation. The Vlasov metric
-    // is f64 solver code on both paths and is compared at full
-    // strength either way.
-    let committed_simd = json_string_after(&text, cur_at, "simd");
-    let kernel_derate = match committed_simd.as_deref() {
-        Some("avx512f") if m.simd == "portable" => {
-            println!(
-                "kernel path mismatch: committed \"avx512f\", this machine \"portable\" — \
-                 derating kernel-bound expectations 3x"
-            );
-            1.0 / 3.0
-        }
-        _ => 1.0,
+    // the faster path can only beat the expectation.
+    let kernel_derate = if committed.simd == "avx512f" && m.simd == "portable" {
+        println!(
+            "kernel path mismatch: committed \"avx512f\", this machine \"portable\" — \
+             derating kernel-bound expectations 3x"
+        );
+        1.0 / 3.0
+    } else {
+        1.0
     };
     let tolerance: f64 = std::env::var("DLPIC_PERF_MAX_REGRESSION")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.25);
     let mut failed = false;
-    for (name, measured, committed) in [
-        ("conv2d", m.conv.per_sec, cc * scale * kernel_derate),
-        ("mlp_epoch", m.mlp.per_sec, cm * scale * kernel_derate),
-        ("cnn_epoch", m.cnn.per_sec, cn * scale * kernel_derate),
-        ("vlasov", m.vlasov.per_sec, cv * scale),
-    ] {
-        let delta = measured / committed - 1.0;
+    for ((name, _, _, kernel), (measured, base)) in
+        GATED.iter().zip(m.gated().into_iter().zip(committed.gated))
+    {
+        let expected = base * scale * if *kernel { kernel_derate } else { 1.0 };
+        let delta = measured / expected - 1.0;
         let verdict = if delta < -tolerance {
             failed = true;
             "REGRESSION"
@@ -522,19 +759,30 @@ fn check(m: &Measurement) -> i32 {
             "ok"
         };
         println!(
-            "{name:>9}: expected {committed:.3e}, measured {measured:.3e} ({delta:+.1}%) {verdict}",
+            "{name:>9}: expected {expected:.3e}, measured {measured:.3e} ({delta:+.1}%) {verdict}",
             delta = delta * 100.0
         );
     }
+    let bf16 = m.bf16.speedup;
+    let verdict = if bf16 < BF16_MIN_SPEEDUP {
+        failed = true;
+        "REGRESSION"
+    } else {
+        "ok"
+    };
+    println!(
+        "bf16/f32 solo inference: {bf16:.2}x (committed {:.2}x; floor {BF16_MIN_SPEEDUP:.2}x) {verdict}",
+        committed.bf16_vs_f32
+    );
     if failed {
         println!(
-            "FAIL: training throughput regressed more than {:.0}%",
+            "FAIL: a throughput regressed more than {:.0}% or bf16 fell below its floor",
             tolerance * 100.0
         );
         1
     } else {
         println!(
-            "PASS: within {:.0}% of committed numbers",
+            "PASS: within {:.0}% of committed numbers, bf16 above its floor",
             tolerance * 100.0
         );
         0
@@ -563,35 +811,63 @@ fn main() {
     if let Some(baseline_path) = flag_value("--write-bench") {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let Some((bc, bm, bn, bv)) = section_metrics(&baseline, "conv2d") else {
-            panic!("baseline {baseline_path} is not a train_throughput measurement");
-        };
-        // A baseline from before the section existed has no set-up ratio.
+        // Ratios for what the baseline measured: a baseline from before an
+        // entry existed has no ratio for it.
         let setup = baseline
             .find("\"paper_setup\"")
             .and_then(|at| json_value_after(&baseline, at, "total_s"))
-            .map(|bs| format!(",\n    \"paper_setup\": {:.3}", bs / m.setup.total_s()))
-            .unwrap_or_default();
+            .map(|b| ("paper_setup", b / m.setup.total_s()));
+        let speedups: Vec<(&str, f64)> = GATED
+            .iter()
+            .zip(m.gated())
+            .filter_map(|((name, section, key, _), now)| {
+                value_in(&baseline, 0, section, key).map(|b| (*name, now / b))
+            })
+            .chain(setup)
+            .collect();
+        assert!(
+            !speedups.is_empty(),
+            "baseline {baseline_path} is not a train_throughput measurement"
+        );
+        let speedup_json: Vec<String> = speedups
+            .iter()
+            .map(|(name, r)| format!("    \"{name}\": {r:.3}"))
+            .collect();
         let json = format!(
-            "{{\n  \"bench\": \"train_throughput\",\n  \"note\": \"single-core; compare the speedup ratios, not cross-machine absolutes; paper_setup is reported, not gated\",\n  \"baseline\": {},\n  \"current\": {},\n  \"speedup\": {{\n    \"conv2d_fwd_bwd\": {:.3},\n    \"mlp_epoch\": {:.3},\n    \"cnn_epoch\": {:.3},\n    \"vlasov_step\": {:.3}{setup}\n  }}\n}}\n",
+            "{{\n  \"bench\": \"train_throughput\",\n  \"note\": \"single-core; compare the speedup ratios, not cross-machine absolutes; infer_b1 and paper_setup are reported, not gated\",\n  \"baseline\": {},\n  \"current\": {},\n  \"speedup\": {{\n{}\n  }}\n}}\n",
             indent_block(baseline.trim_end()),
             measurement_json(&m, "  "),
-            m.conv.per_sec / bc,
-            m.mlp.per_sec / bm,
-            m.cnn.per_sec / bn,
-            m.vlasov.per_sec / bv,
+            speedup_json.join(",\n"),
         );
         std::fs::write("BENCH_train.json", &json).expect("write BENCH_train.json");
-        println!(
-            "wrote BENCH_train.json (speedups: conv {:.2}x, MLP {:.2}x, CNN {:.2}x, Vlasov {:.2}x)",
-            m.conv.per_sec / bc,
-            m.mlp.per_sec / bm,
-            m.cnn.per_sec / bn,
-            m.vlasov.per_sec / bv,
-        );
+        let summary: Vec<String> = speedups
+            .iter()
+            .map(|(name, r)| format!("{name} {r:.2}x"))
+            .collect();
+        println!("wrote BENCH_train.json (speedups: {})", summary.join(", "));
     }
 
     if do_check {
         std::process::exit(check(&m));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A re-record that drops an entry `--check` reads fails here, in
+    /// tier-1, rather than in CI's perf step.
+    #[test]
+    fn committed_bench_train_has_every_entry_the_check_reads() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_train.json at the repo root");
+        let committed = Committed::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(committed.calibration > 0.0);
+        assert!(["avx512f", "portable"].contains(&committed.simd.as_str()));
+        for ((name, ..), value) in GATED.iter().zip(committed.gated) {
+            assert!(value > 0.0, "{name}: {value}");
+        }
+        assert!(committed.bf16_vs_f32 > 0.0);
     }
 }
