@@ -306,11 +306,10 @@ mod tests {
     }
 }
 
-/// Shared plumbing of the throughput-gate binaries (`step_throughput`,
-/// `train_throughput`, `ensemble_throughput`): the calibration anchor,
-/// timing medians and the minimal JSON scraping of the committed
-/// `BENCH_*.json` files. One copy, so an anchor or gate-policy change
-/// cannot silently diverge between the gates.
+/// Plumbing of the `train_throughput` gate binary: the calibration
+/// anchor, timing medians and the minimal JSON scraping of the committed
+/// `BENCH_train.json`. Every other throughput figure comes from the
+/// benchmark (`benchmark/`, declared in `BENCHMARK.json`).
 pub mod gate {
     use dlpic_nn::linalg::matmul_naive;
     use std::time::Instant;
@@ -356,31 +355,6 @@ pub mod gate {
             })
             .collect();
         flops / median(times) / 1e9
-    }
-
-    /// Keeps `threads` cores busy for 2.5 s. A VM host may run an idle
-    /// guest's vCPUs on one physical core and take a second or two of
-    /// load on all of them before it spreads them out again (the dev VM
-    /// does: the first ≈ 1.8 s of two-thread work after a pause run at
-    /// half speed, two threads slower than one), so a tool that times a
-    /// short multi-thread burst calls this first and measures the
-    /// machine, not the host's wake-up.
-    pub fn wake_cores(threads: usize) {
-        let until = Instant::now() + std::time::Duration::from_millis(2500);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut x = 1u64;
-                    while Instant::now() < until {
-                        for _ in 0..10_000 {
-                            x = std::hint::black_box(
-                                x.wrapping_mul(6364136223846793005).wrapping_add(1),
-                            );
-                        }
-                    }
-                });
-            }
-        });
     }
 
     /// First `"key": <number>` after position `from` in `text`.

@@ -429,11 +429,11 @@ struct Shared {
     /// Cumulative seconds the scheduler spent stepping waves and doing
     /// post-wave work (streaming, finalizing, spooling) — the serving
     /// tier's whole per-step cost, excluding session construction and
-    /// idle waits. `serve_throughput` gates on this.
+    /// idle waits. The benchmark's `serve.*.stepping_s_per_job` and
+    /// `idle_share` read it.
     stepping_seconds: f64,
     /// Per-wave latency distribution (same interval `stepping_seconds`
-    /// accumulates); `status`/`health` surface it and the perf gate
-    /// bounds its p99.
+    /// accumulates); `status`/`health` surface it.
     wave_latency: LatencyHistogram,
     /// Poison-job circuit breakers, keyed by spec fingerprint. The
     /// scheduler records outcomes; `submit` consults them.

@@ -463,7 +463,7 @@ fn bf16_growth_rate_within_tolerance_and_deterministic() {
     let bundle = trained_smoke_bundle();
 
     // Physics tolerance: bf16 weight storage may perturb bits, not the
-    // instability. Same contract (and tolerance) as the bench gate.
+    // instability: README's precision contract, 5 % of the f32 rate.
     let g_f32 = two_stream_growth(bundle.clone());
     let g_bf16 = two_stream_growth(bundle.clone().with_precision(Precision::Bf16));
     assert!(g_f32 > 0.0, "f32 run must show growth (gamma = {g_f32})");
