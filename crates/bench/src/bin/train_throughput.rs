@@ -61,17 +61,20 @@ const BF16_MIN_SPEEDUP: f64 = 1.3;
 /// Interleaved f32/bf16 timing pairs behind the bf16 ratio.
 const BF16_PAIRS: usize = 11;
 
-/// The gated throughputs, in [`Measurement::gated`] order: name, JSON
-/// section and key, and whether the f32 kernels bound it (derated on a
-/// kernel-path mismatch; the Vlasov step is f64 solver code).
-const GATED: [(&str, &str, &str, bool); 7] = [
-    ("conv2d", "conv2d", "fwd_bwd_samples_per_sec", true),
-    ("mlp_epoch", "mlp_epoch", "samples_per_sec", true),
-    ("cnn_epoch", "cnn_epoch", "samples_per_sec", true),
-    ("vlasov", "vlasov", "steps_per_sec", false),
-    ("nn_train", "gemm", "nn_train_gflops", true),
-    ("tn_grad", "gemm", "tn_grad_gflops", true),
-    ("nt_grad", "gemm", "nt_grad_gflops", true),
+/// The gated throughputs: name, JSON section and key, whether the f32
+/// kernels bound it (derated on a kernel-path mismatch; the Vlasov step is
+/// f64 solver code), and where a measurement holds it.
+#[rustfmt::skip]
+type Gated = (&'static str, &'static str, &'static str, bool, fn(&Measurement) -> f64);
+#[rustfmt::skip]
+const GATED: [Gated; 7] = [
+    ("conv2d", "conv2d", "fwd_bwd_samples_per_sec", true, |m| m.conv.per_sec),
+    ("mlp_epoch", "mlp_epoch", "samples_per_sec", true, |m| m.mlp.per_sec),
+    ("cnn_epoch", "cnn_epoch", "samples_per_sec", true, |m| m.cnn.per_sec),
+    ("vlasov", "vlasov", "steps_per_sec", false, |m| m.vlasov.per_sec),
+    ("nn_train", "gemm", "nn_train_gflops", true, |m| m.gemm.nn_train),
+    ("tn_grad", "gemm", "tn_grad_gflops", true, |m| m.gemm.tn_grad),
+    ("nt_grad", "gemm", "nt_grad_gflops", true, |m| m.gemm.nt_grad),
 ];
 
 /// One throughput measurement: work units processed per second.
@@ -133,21 +136,6 @@ struct Measurement {
     infer: InferB1,
     bf16: Bf16,
     setup: PaperSetup,
-}
-
-impl Measurement {
-    /// The gated throughputs, in [`GATED`] order.
-    fn gated(&self) -> [f64; 7] {
-        [
-            self.conv.per_sec,
-            self.mlp.per_sec,
-            self.cnn.per_sec,
-            self.vlasov.per_sec,
-            self.gemm.nn_train,
-            self.gemm.tn_grad,
-            self.gemm.nt_grad,
-        ]
-    }
 }
 
 /// The benchmark's set-up recipe, stage by stage (medians over the reps).
@@ -515,8 +503,9 @@ fn bench_bf16() -> Bf16 {
         }
         t0.elapsed().as_secs_f64()
     };
+    // Warm-up.
     time(&f32_model);
-    time(&bf16_model); // warm-up
+    time(&bf16_model);
     let (f32_times, bf16_times): (Vec<f64>, Vec<f64>) = (0..BF16_PAIRS)
         .map(|_| (time(&f32_model), time(&bf16_model)))
         .unzip();
@@ -693,7 +682,7 @@ impl Committed {
         let cur = text.find("\"current\"").ok_or("no \"current\" section")?;
         let missing = |entry: &str| format!("\"current\" has no parsable {entry}");
         let mut gated = [0.0; 7];
-        for (slot, (_, section, key, _)) in gated.iter_mut().zip(GATED) {
+        for (slot, (_, section, key, ..)) in gated.iter_mut().zip(GATED) {
             *slot = value_in(text, cur, section, key)
                 .ok_or_else(|| missing(&format!("{section}.{key}")))?;
         }
@@ -747,9 +736,8 @@ fn check(m: &Measurement) -> i32 {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.25);
     let mut failed = false;
-    for ((name, _, _, kernel), (measured, base)) in
-        GATED.iter().zip(m.gated().into_iter().zip(committed.gated))
-    {
+    for ((name, _, _, kernel, measured), base) in GATED.iter().zip(committed.gated) {
+        let measured = measured(m);
         let expected = base * scale * if *kernel { kernel_derate } else { 1.0 };
         let delta = measured / expected - 1.0;
         let verdict = if delta < -tolerance {
@@ -819,9 +807,8 @@ fn main() {
             .map(|b| ("paper_setup", b / m.setup.total_s()));
         let speedups: Vec<(&str, f64)> = GATED
             .iter()
-            .zip(m.gated())
-            .filter_map(|((name, section, key, _), now)| {
-                value_in(&baseline, 0, section, key).map(|b| (*name, now / b))
+            .filter_map(|(name, section, key, _, measured)| {
+                value_in(&baseline, 0, section, key).map(|b| (*name, measured(&m) / b))
             })
             .chain(setup)
             .collect();
