@@ -15,6 +15,7 @@
 
 use bytes::{Buf, BufMut};
 use dlpic_nn::init::Init;
+use dlpic_nn::layer::Layer;
 use dlpic_nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu, ResidualDense};
 use dlpic_nn::network::Sequential;
 
@@ -25,6 +26,82 @@ pub enum InputKind {
     Flat,
     /// Single-channel image `[batch, 1, nv, nx]` (CNN).
     Image,
+}
+
+/// One row of an architecture's layer table ([`ArchSpec::layers`]): the
+/// layer, its shape and how its weights start.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LayerSpec {
+    Dense {
+        input: usize,
+        output: usize,
+        init: Init,
+        seed: u64,
+    },
+    Conv2d {
+        ic: usize,
+        oc: usize,
+        kernel: usize,
+        init: Init,
+        seed: u64,
+    },
+    ResidualDense {
+        width: usize,
+        init: Init,
+        seed: u64,
+    },
+    Relu,
+    MaxPool2,
+    Flatten,
+}
+
+impl LayerSpec {
+    fn build(self) -> Box<dyn Layer> {
+        match self {
+            Self::Dense {
+                input,
+                output,
+                init,
+                seed,
+            } => Box::new(Dense::new(input, output, init, seed)),
+            Self::Conv2d {
+                ic,
+                oc,
+                kernel,
+                init,
+                seed,
+            } => Box::new(Conv2d::new(ic, oc, kernel, init, seed)),
+            Self::ResidualDense { width, init, seed } => {
+                Box::new(ResidualDense::new(width, init, seed))
+            }
+            Self::Relu => Box::new(Relu::new()),
+            Self::MaxPool2 => Box::new(MaxPool2::new()),
+            Self::Flatten => Box::new(Flatten::new()),
+        }
+    }
+
+    /// The built layer's [`Layer::name`].
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Self::Dense { .. } => "dense",
+            Self::Conv2d { .. } => "conv2d",
+            Self::ResidualDense { .. } => "residual-dense",
+            Self::Relu => "relu",
+            Self::MaxPool2 => "maxpool2",
+            Self::Flatten => "flatten",
+        }
+    }
+
+    /// Lengths of the layer's weight and bias tensors, in the order the
+    /// parameter blob stores them (`None`: the layer has no parameters).
+    fn param_lens(self) -> Option<[usize; 2]> {
+        match self {
+            Self::Dense { input, output, .. } => Some([input * output, output]),
+            Self::Conv2d { ic, oc, kernel, .. } => Some([oc * ic * kernel * kernel, oc]),
+            Self::ResidualDense { width, .. } => Some([width * width, width]),
+            Self::Relu | Self::MaxPool2 | Self::Flatten => None,
+        }
+    }
 }
 
 /// A serializable description of a network architecture.
@@ -131,48 +208,17 @@ impl ArchSpec {
     /// estimates: an f32 network occupies `4 * param_count()` bytes of
     /// weight storage.
     pub fn param_count(&self) -> usize {
-        let dense = |inp: usize, out: usize| inp * out + out;
-        match self {
-            ArchSpec::Mlp {
-                input,
-                hidden,
-                output,
-            } => {
-                let mut prev = *input;
-                let mut total = 0usize;
-                for &h in hidden {
-                    total += dense(prev, h);
-                    prev = h;
-                }
-                total + dense(prev, *output)
-            }
-            ArchSpec::Cnn {
-                nv,
-                nx,
-                channels,
-                kernel,
-                hidden,
-                output,
-            } => {
-                let (c1, c2) = *channels;
-                let conv = |ic: usize, oc: usize| ic * oc * kernel * kernel + oc;
-                // Two blocks of [conv, conv, pool], then the dense head on
-                // the twice-pooled image.
-                let mut total = conv(1, c1) + conv(c1, c1) + conv(c1, c2) + conv(c2, c2);
-                let mut prev = c2 * (nv / 4) * (nx / 4);
-                for &h in hidden {
-                    total += dense(prev, h);
-                    prev = h;
-                }
-                total + dense(prev, *output)
-            }
-            ArchSpec::ResMlp {
-                input,
-                width,
-                blocks,
-                output,
-            } => dense(*input, *width) + blocks * dense(*width, *width) + dense(*width, *output),
-        }
+        self.param_lens().iter().sum()
+    }
+
+    /// Lengths of the network's parameter tensors, in the order a
+    /// parameter blob stores them.
+    pub(crate) fn param_lens(&self) -> Vec<usize> {
+        self.layers(None)
+            .into_iter()
+            .filter_map(LayerSpec::param_lens)
+            .flatten()
+            .collect()
     }
 
     /// Builds the network with deterministic initialization from `seed`.
@@ -184,7 +230,7 @@ impl ArchSpec {
         self.build_with(Some(seed))
     }
 
-    /// The one architecture table: builds the network He/Glorot-initialised
+    /// Builds the network of [`Self::layers`]`(seed)`: He/Glorot-initialised
     /// from `seed`, or, with `None`, zero-initialised — for a network whose
     /// every parameter is restored right after (`ModelBundle::solver`),
     /// which then skips drawing millions of random weights for nothing.
@@ -192,33 +238,51 @@ impl ArchSpec {
     /// # Panics
     /// As [`Self::build`].
     pub(crate) fn build_with(&self, seed: Option<u64>) -> Sequential {
+        if let ArchSpec::Cnn { nv, nx, .. } = self {
+            assert!(
+                nv % 4 == 0 && nx % 4 == 0,
+                "CNN needs spatial dims divisible by 4 (two pools), got {nv}x{nx}"
+            );
+        }
+        let mut net = Sequential::new();
+        for layer in self.layers(seed) {
+            net.push_boxed(layer.build());
+        }
+        net
+    }
+
+    /// The one architecture table: the network's layers in order, with
+    /// their shapes and their initialisation from `seed` (`None`: zeros).
+    /// [`Self::build_with`] builds it; `ModelBundle::freeze` freezes it
+    /// straight from a bundle's parameter bytes.
+    pub(crate) fn layers(&self, seed: Option<u64>) -> Vec<LayerSpec> {
         let init = |scheme: Init| if seed.is_some() { scheme } else { Init::Zeros };
         let seed = seed.unwrap_or(0);
+        let dense = |input: usize, output: usize, scheme: Init, seed: u64| LayerSpec::Dense {
+            input,
+            output,
+            init: init(scheme),
+            seed,
+        };
+        let mut layers = Vec::new();
         match self {
             ArchSpec::Mlp {
                 input,
                 hidden,
                 output,
             } => {
-                let mut net = Sequential::new();
                 let mut prev = *input;
                 for (i, &h) in hidden.iter().enumerate() {
-                    net.push_boxed(Box::new(Dense::new(
-                        prev,
-                        h,
-                        init(Init::HeNormal),
-                        seed + i as u64,
-                    )));
-                    net.push_boxed(Box::new(Relu::new()));
+                    layers.push(dense(prev, h, Init::HeNormal, seed + i as u64));
+                    layers.push(LayerSpec::Relu);
                     prev = h;
                 }
-                net.push_boxed(Box::new(Dense::new(
+                layers.push(dense(
                     prev,
                     *output,
-                    init(Init::GlorotUniform),
+                    Init::GlorotUniform,
                     seed + hidden.len() as u64,
-                )));
-                net
+                ));
             }
             ArchSpec::Cnn {
                 nv,
@@ -228,48 +292,37 @@ impl ArchSpec {
                 hidden,
                 output,
             } => {
-                assert!(
-                    nv % 4 == 0 && nx % 4 == 0,
-                    "CNN needs spatial dims divisible by 4 (two pools), got {nv}x{nx}"
-                );
                 let (c1, c2) = *channels;
-                let mut net = Sequential::new();
                 let mut s = seed;
-                let mut push_conv = |net: &mut Sequential, ic: usize, oc: usize| {
-                    net.push_boxed(Box::new(Conv2d::new(
+                let mut conv = |layers: &mut Vec<LayerSpec>, ic: usize, oc: usize| {
+                    layers.push(LayerSpec::Conv2d {
                         ic,
                         oc,
-                        *kernel,
-                        init(Init::HeNormal),
-                        s,
-                    )));
-                    net.push_boxed(Box::new(Relu::new()));
+                        kernel: *kernel,
+                        init: init(Init::HeNormal),
+                        seed: s,
+                    });
+                    layers.push(LayerSpec::Relu);
                     s += 1;
                 };
                 // Block 1.
-                push_conv(&mut net, 1, c1);
-                push_conv(&mut net, c1, c1);
-                net.push_boxed(Box::new(MaxPool2::new()));
+                conv(&mut layers, 1, c1);
+                conv(&mut layers, c1, c1);
+                layers.push(LayerSpec::MaxPool2);
                 // Block 2.
-                push_conv(&mut net, c1, c2);
-                push_conv(&mut net, c2, c2);
-                net.push_boxed(Box::new(MaxPool2::new()));
-                net.push_boxed(Box::new(Flatten::new()));
+                conv(&mut layers, c1, c2);
+                conv(&mut layers, c2, c2);
+                layers.push(LayerSpec::MaxPool2);
+                layers.push(LayerSpec::Flatten);
                 // Dense head.
                 let mut prev = c2 * (nv / 4) * (nx / 4);
                 for &h in hidden {
-                    net.push_boxed(Box::new(Dense::new(prev, h, init(Init::HeNormal), s)));
-                    net.push_boxed(Box::new(Relu::new()));
+                    layers.push(dense(prev, h, Init::HeNormal, s));
+                    layers.push(LayerSpec::Relu);
                     s += 1;
                     prev = h;
                 }
-                net.push_boxed(Box::new(Dense::new(
-                    prev,
-                    *output,
-                    init(Init::GlorotUniform),
-                    s,
-                )));
-                net
+                layers.push(dense(prev, *output, Init::GlorotUniform, s));
             }
             ArchSpec::ResMlp {
                 input,
@@ -277,30 +330,24 @@ impl ArchSpec {
                 blocks,
                 output,
             } => {
-                let mut net = Sequential::new();
-                net.push_boxed(Box::new(Dense::new(
-                    *input,
-                    *width,
-                    init(Init::HeNormal),
-                    seed,
-                )));
-                net.push_boxed(Box::new(Relu::new()));
+                layers.push(dense(*input, *width, Init::HeNormal, seed));
+                layers.push(LayerSpec::Relu);
                 for i in 0..*blocks {
-                    net.push_boxed(Box::new(ResidualDense::new(
-                        *width,
-                        init(Init::HeNormal),
-                        seed + 1 + i as u64,
-                    )));
+                    layers.push(LayerSpec::ResidualDense {
+                        width: *width,
+                        init: init(Init::HeNormal),
+                        seed: seed + 1 + i as u64,
+                    });
                 }
-                net.push_boxed(Box::new(Dense::new(
+                layers.push(dense(
                     *width,
                     *output,
-                    init(Init::GlorotUniform),
+                    Init::GlorotUniform,
                     seed + 1 + *blocks as u64,
-                )));
-                net
+                ));
             }
         }
+        layers
     }
 
     /// Binary encoding (for model bundles).
@@ -479,7 +526,8 @@ mod tests {
     }
 
     /// The load path's zeroed build has exactly the seeded build's
-    /// parameter layout (so a restore fills it the same way) and no weight.
+    /// parameter layout (so a restore fills it the same way), the table's
+    /// layout, and no weight.
     #[test]
     fn zeroed_build_has_the_seeded_layout_and_zero_weights() {
         let specs = [
@@ -511,6 +559,8 @@ mod tests {
         for spec in specs {
             let mut zeroed = spec.build_with(None);
             assert_eq!(layout(&mut zeroed), layout(&mut spec.build(7)));
+            // ...which is the table's, the layout a frozen load decodes to.
+            assert_eq!(layout(&mut zeroed), spec.param_lens());
             zeroed.visit_params(&mut |p, _| assert!(p.iter().all(|v| v.to_bits() == 0)));
         }
     }

@@ -6,18 +6,20 @@
 //! [`ModelBundle`] packages all of them into one self-describing binary
 //! blob so experiment binaries can train once and reload. It is the 1-D
 //! model *file*; what runs is the [`DlFieldSolver`] it rebuilds
-//! ([`ModelBundle::solver`]) or, shared across a fleet, that solver's
-//! [`FrozenBundle`] ([`ModelBundle::freeze`]).
+//! ([`ModelBundle::solver`]) or, shared across a fleet, the
+//! [`FrozenBundle`] it loads into without a trainable network
+//! ([`ModelBundle::freeze`]).
 
-use crate::builder::ArchSpec;
+use crate::builder::{ArchSpec, InputKind, LayerSpec};
 use crate::field_solver::{DlFieldSolver, FrozenBundle};
 use crate::normalize::NormStats;
 use crate::phase_space::{BinningShape, PhaseGridSpec};
 use bytes::{Buf, BufMut};
-use dlpic_nn::frozen::{FreezeError, Precision};
+use dlpic_nn::frozen::{FreezeError, FrozenLayer, FrozenModel, Precision};
 use dlpic_nn::network::Sequential;
-use dlpic_nn::serialize::{params_from_bytes, params_to_bytes, tensors_from_bytes};
+use dlpic_nn::serialize::{param_values, params_from_bytes, params_to_bytes, tensors_from_bytes};
 use std::path::Path;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"DLPB";
 /// v3 appends one inference-precision byte; v2 bundles (no byte) still
@@ -203,9 +205,12 @@ impl ModelBundle {
         let params = buf[..plen].to_vec();
         // The inference kernels skip weight rows whose activations are
         // all zero, which is invisible only while every weight is finite
-        // (`0·inf` is NaN): that premise is checked here, at the file door.
-        let tensors = tensors_from_bytes(&params).map_err(BundleError::Params)?;
-        if tensors.iter().flatten().any(|v| !v.is_finite()) {
+        // (`0·inf` is NaN): that premise is checked here, at the file door,
+        // by a scan of the bytes in place.
+        if param_values(&params)
+            .map_err(BundleError::Params)?
+            .any(|v| !v.is_finite())
+        {
             return Err(BundleError::Malformed("non-finite parameter"));
         }
         Ok(Self {
@@ -247,13 +252,14 @@ impl ModelBundle {
         // Zero-initialised: the restore overwrites every parameter.
         let mut net = self.arch.build_with(None);
         params_from_bytes(&mut net, &self.params).map_err(BundleError::Params)?;
-        Ok(DlFieldSolver::new(
-            net,
-            (self.spec, self.binning, self.arch.input_kind()),
-            self.norm,
-            self.solver_name(),
+        Ok(
+            DlFieldSolver::new(net, self.binner(), self.norm, self.solver_name())
+                .with_reference_mass(self.reference_mass),
         )
-        .with_reference_mass(self.reference_mass))
+    }
+
+    fn binner(&self) -> (PhaseGridSpec, BinningShape, InputKind) {
+        (self.spec, self.binning, self.arch.input_kind())
     }
 
     /// Reconstructs a ready-to-run field solver from the bundle.
@@ -265,26 +271,78 @@ impl ModelBundle {
     /// bundle's `precision`, so any number of fleet members mint solvers
     /// over one weight allocation. Errs ([`BundleError::Freeze`], naming
     /// the layer) on architectures without a frozen inference form — the
-    /// CNN — which callers handle by falling back to [`Self::solver`].
+    /// CNN and the ResMlp — which callers handle by falling back to
+    /// [`Self::solver`].
+    ///
+    /// No trainable network is built: the architecture's layer table is
+    /// frozen straight from the parameter bytes, each tensor decoded once
+    /// and, at f32, moved into its frozen layer as it is. Predictions are
+    /// bit-identical to [`Self::solver`]'s.
     pub fn freeze(&self) -> Result<FrozenBundle, BundleError> {
-        self.solver()?
-            .freeze(self.precision)
-            .map_err(BundleError::Freeze)
+        let table = self.arch.layers(None);
+        // Refused by the architecture alone, before a byte is decoded.
+        let unfrozen = table.iter().position(|layer| {
+            !matches!(
+                layer,
+                LayerSpec::Dense { .. } | LayerSpec::Relu | LayerSpec::Flatten
+            )
+        });
+        if let Some(layer_index) = unfrozen {
+            return Err(BundleError::Freeze(FreezeError {
+                layer_index,
+                layer_name: table[layer_index].name(),
+            }));
+        }
+        let mut tensors = tensors_from_bytes(&self.params, &self.arch.param_lens())
+            .map_err(BundleError::Params)?
+            .into_iter();
+        let mut next = || {
+            tensors
+                .next()
+                .expect("tensor lengths checked against the table")
+        };
+        let layers = table
+            .into_iter()
+            .map(|layer| match layer {
+                LayerSpec::Dense { input, output, .. } => {
+                    FrozenLayer::dense(input, output, next(), next(), self.precision)
+                }
+                LayerSpec::Relu => FrozenLayer::Relu,
+                LayerSpec::Flatten => FrozenLayer::Flatten,
+                other => unreachable!("`{}` was refused above", other.name()),
+            })
+            .collect();
+        Ok(FrozenBundle {
+            model: Arc::new(FrozenModel::from_layers(layers, self.precision)),
+            binner: self.binner(),
+            norm: self.norm,
+            reference_mass: self.reference_mass,
+            name: self.solver_name(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlpic_nn::network::PredictWorkspace;
+    use dlpic_nn::serialize::SerializeError;
+    use dlpic_nn::tensor::Tensor;
     use dlpic_pic::grid::Grid1D;
     use dlpic_pic::init::TwoStreamInit;
-    use dlpic_pic::solver::FieldSolver as _;
+    use dlpic_pic::solver::{FieldSolver as _, PhasedFieldSolver as _};
 
     fn tiny_bundle() -> ModelBundle {
+        mlp_bundle(vec![8])
+    }
+
+    /// A smoke-grid MLP bundle with the given hidden widths, weights
+    /// seeded 77.
+    fn mlp_bundle(hidden: Vec<usize>) -> ModelBundle {
         let spec = PhaseGridSpec::smoke();
         let arch = ArchSpec::Mlp {
             input: spec.cells(),
-            hidden: vec![8],
+            hidden,
             output: 64,
         };
         let mut net = arch.build(77);
@@ -373,9 +431,24 @@ mod tests {
         assert_eq!(decoded.arch, bundle.arch);
     }
 
+    /// `rows` half-sparse input rows of the bundle's width: zero and
+    /// nonzero activations both cross the live-row kernel.
+    fn input_rows(bundle: &ModelBundle, rows: usize) -> Vec<f32> {
+        (0..rows * bundle.spec.cells())
+            .map(|i| (i as f32 * 0.37).sin().max(0.0))
+            .collect()
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}, value {i}: {a} != {b}");
+        }
+    }
+
     #[test]
     fn frozen_bundle_members_share_weights_and_match_owned_solver() {
-        let bundle = tiny_bundle();
+        let bundle = mlp_bundle(vec![24, 16]);
         let frozen = bundle.freeze().unwrap();
         let grid = Grid1D::paper();
         let p = TwoStreamInit::random(0.2, 0.01, 1_000, 6).build(&grid);
@@ -396,8 +469,86 @@ mod tests {
         let (id2, _) = m2.weight_storage().unwrap();
         assert_eq!(id1, id2, "members must share one allocation");
         assert_eq!(bytes, frozen.weight_bytes());
+        assert_eq!(frozen.weight_bytes(), 4 * bundle.arch.param_count());
         assert_eq!(frozen.model().precision(), Precision::F32);
         assert_eq!(m1.name(), "dl-mlp");
+
+        // Batched rows: solo, one 8-row tile plus one, two tiles plus one.
+        for m in [1usize, 9, 17] {
+            let input = input_rows(&bundle, m);
+            let mut want = vec![0.0f32; m * 64];
+            let mut got = vec![0.0f32; m * 64];
+            owned.infer_batch(&input, m, &mut want);
+            m1.infer_batch(&input, m, &mut got);
+            assert_same_bits(&got, &want, &format!("f32, m = {m}"));
+        }
+
+        // bf16: the same bits as freezing the restored network at bf16.
+        let bf16 = bundle
+            .clone()
+            .with_precision(Precision::Bf16)
+            .freeze()
+            .unwrap();
+        let reference = owned.network().unwrap().freeze(Precision::Bf16).unwrap();
+        assert_eq!(bf16.model().precision(), Precision::Bf16);
+        assert_eq!(bf16.weight_bytes(), reference.weight_bytes());
+        for m in [1usize, 9, 17] {
+            let x = Tensor::new(input_rows(&bundle, m), &[m, bundle.spec.cells()]);
+            let (mut ws_got, mut ws_want) = (PredictWorkspace::new(), PredictWorkspace::new());
+            assert_same_bits(
+                bf16.model().predict_into(&x, &mut ws_got).data(),
+                reference.predict_into(&x, &mut ws_want).data(),
+                &format!("bf16, m = {m}"),
+            );
+        }
+    }
+
+    /// A parameter blob in the `dlpic_nn::serialize` layout, built by hand
+    /// so a test can drop or resize a tensor.
+    fn blob(tensors: &[Vec<f32>]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_slice(b"DLNN");
+        buf.put_u32_le(1);
+        buf.put_u32_le(tensors.len() as u32);
+        for t in tensors {
+            buf.put_u64_le(t.len() as u64);
+            t.iter().for_each(|&v| buf.put_f32_le(v));
+        }
+        buf
+    }
+
+    #[test]
+    fn params_that_do_not_fit_the_arch_fail_freeze_as_they_fail_solver() {
+        let bundle = mlp_bundle(vec![24, 16]);
+        let mut tensors = Vec::new();
+        bundle
+            .arch
+            .build(77)
+            .visit_params(&mut |p, _| tensors.push(p.to_vec()));
+        assert_eq!(blob(&tensors), bundle.params, "the hand-built layout");
+
+        let missing = tensors[..tensors.len() - 1].to_vec();
+        let mut resized = tensors.clone();
+        resized[2].push(0.5);
+        for (params, message) in [
+            (missing, "tensor count does not match architecture"),
+            (resized, "tensor size does not match architecture"),
+        ] {
+            let bad = ModelBundle {
+                params: blob(&params),
+                ..bundle.clone()
+            };
+            let Err(BundleError::Params(want)) = bad.solver() else {
+                panic!("solver() accepted params that do not fit");
+            };
+            match bad.freeze() {
+                Err(BundleError::Params(got)) => {
+                    assert_eq!(got, SerializeError::Corrupt(message));
+                    assert_eq!(got, want);
+                }
+                other => panic!("expected a params error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -411,20 +562,35 @@ mod tests {
             hidden: vec![8],
             output: 64,
         };
-        let mut net = arch.build(2);
-        let bundle = ModelBundle::from_network(
-            &mut net,
-            arch,
-            spec,
-            BinningShape::Cic,
-            NormStats::identity(),
-        );
-        match bundle.freeze() {
-            Err(BundleError::Freeze(e)) => assert!(e.to_string().contains("conv2d"), "{e}"),
-            other => panic!("expected a freeze error, got {other:?}"),
+        let res_arch = ArchSpec::ResMlp {
+            input: spec.cells(),
+            width: 8,
+            blocks: 2,
+            output: 64,
+        };
+        for (arch, index, name) in [(arch, 0, "conv2d"), (res_arch, 2, "residual-dense")] {
+            let mut net = arch.build(2);
+            // What freezing the built network reports, as the load did
+            // when it went through one.
+            let want = net.freeze(Precision::F32).unwrap_err();
+            assert_eq!((want.layer_index, want.layer_name), (index, name));
+            let bundle = ModelBundle::from_network(
+                &mut net,
+                arch,
+                spec,
+                BinningShape::Cic,
+                NormStats::identity(),
+            );
+            match bundle.freeze() {
+                Err(BundleError::Freeze(e)) => {
+                    assert_eq!(e, want);
+                    assert!(e.to_string().contains(name), "{e}");
+                }
+                other => panic!("expected a freeze error, got {other:?}"),
+            }
+            // The owned fallback still works.
+            assert!(bundle.solver().is_ok());
         }
-        // The owned fallback still works.
-        assert!(bundle.solver().is_ok());
     }
 
     #[test]

@@ -300,11 +300,11 @@ impl<G: InputBinning> DlFieldSolver<G> {
 /// one thing an engine session runs on, in either dimension.
 #[derive(Debug, Clone)]
 pub struct FrozenBundle<G: InputBinning = Grid1D> {
-    model: Arc<FrozenModel>,
-    binner: G::Binner,
-    norm: NormStats,
-    reference_mass: f32,
-    name: &'static str,
+    pub(crate) model: Arc<FrozenModel>,
+    pub(crate) binner: G::Binner,
+    pub(crate) norm: NormStats,
+    pub(crate) reference_mass: f32,
+    pub(crate) name: &'static str,
 }
 
 impl<G: InputBinning> FrozenBundle<G> {

@@ -89,25 +89,26 @@ pub enum FrozenLayer {
 }
 
 impl FrozenLayer {
-    /// A frozen dense layer from its weight/bias slices.
+    /// A frozen dense layer over its weight/bias buffers: at
+    /// [`Precision::F32`] the weights move in as they are, without a copy.
     pub fn dense(
         in_features: usize,
         out_features: usize,
-        w: &[f32],
-        b: &[f32],
+        w: Vec<f32>,
+        b: Vec<f32>,
         precision: Precision,
     ) -> Self {
         assert_eq!(w.len(), in_features * out_features, "weight size");
         assert_eq!(b.len(), out_features, "bias size");
         let w = match precision {
-            Precision::F32 => DenseWeights::F32(w.to_vec()),
-            Precision::Bf16 => DenseWeights::Bf16(encode_bf16(w)),
+            Precision::F32 => DenseWeights::F32(w),
+            Precision::Bf16 => DenseWeights::Bf16(encode_bf16(&w)),
         };
         Self::Dense {
             in_features,
             out_features,
             w,
-            b: b.to_vec(),
+            b,
         }
     }
 

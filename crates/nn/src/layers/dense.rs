@@ -177,8 +177,8 @@ impl Layer for Dense {
         Some(FrozenLayer::dense(
             self.in_features,
             self.out_features,
-            &self.w,
-            &self.b,
+            self.w.clone(),
+            self.b.clone(),
             precision,
         ))
     }

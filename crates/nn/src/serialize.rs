@@ -57,8 +57,9 @@ pub fn params_to_bytes(net: &mut Sequential) -> Vec<u8> {
     buf
 }
 
-/// Splits a parameter blob into its tensors, in stored order.
-pub fn tensors_from_bytes(bytes: &[u8]) -> Result<Vec<Vec<f32>>, SerializeError> {
+/// Splits a parameter blob into its tensors' stored bytes (`4·len`
+/// little-endian f32 each), in stored order, without copying them.
+fn payloads(bytes: &[u8]) -> Result<Vec<&[u8]>, SerializeError> {
     let mut buf = bytes;
     if buf.remaining() < 12 {
         return Err(SerializeError::Corrupt("truncated header"));
@@ -75,7 +76,7 @@ pub fn tensors_from_bytes(bytes: &[u8]) -> Result<Vec<Vec<f32>>, SerializeError>
     let count = buf.get_u32_le() as usize;
     // Counts and lengths come from the file: bound them by the bytes that
     // are actually there before allocating for them.
-    let mut tensors: Vec<Vec<f32>> = Vec::with_capacity(count.min(buf.remaining() / 8));
+    let mut payloads = Vec::with_capacity(count.min(buf.remaining() / 8));
     for _ in 0..count {
         if buf.remaining() < 8 {
             return Err(SerializeError::Corrupt("truncated tensor header"));
@@ -84,40 +85,59 @@ pub fn tensors_from_bytes(bytes: &[u8]) -> Result<Vec<Vec<f32>>, SerializeError>
         if len > (buf.remaining() / 4) as u64 {
             return Err(SerializeError::Corrupt("truncated tensor payload"));
         }
-        let mut t = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            t.push(buf.get_f32_le());
-        }
-        tensors.push(t);
+        let (payload, rest) = buf.split_at(len as usize * 4);
+        payloads.push(payload);
+        buf = rest;
     }
-    Ok(tensors)
+    Ok(payloads)
 }
 
-/// Restores parameters into an architecturally identical network.
-pub fn params_from_bytes(net: &mut Sequential, bytes: &[u8]) -> Result<(), SerializeError> {
-    // Decode all tensors first so a failure cannot leave the network
-    // half-overwritten.
-    let tensors = tensors_from_bytes(bytes)?;
+fn f32s(payload: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    payload
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+}
 
-    // Shape check against the target network.
-    let mut expected: Vec<usize> = Vec::new();
-    net.visit_params(&mut |p, _| expected.push(p.len()));
-    if expected.len() != tensors.len() {
+/// Every stored parameter value in stored order, read in place: a scan
+/// of the blob that copies nothing.
+pub fn param_values(bytes: &[u8]) -> Result<impl Iterator<Item = f32> + '_, SerializeError> {
+    Ok(payloads(bytes)?.into_iter().flat_map(f32s))
+}
+
+/// Splits a parameter blob into its tensors, in stored order, once its
+/// tensor lengths are checked against the `expected` ones of the target
+/// architecture (a blob that does not fit is refused before anything is
+/// decoded). Each tensor is decoded once, into a buffer of its exact size.
+pub fn tensors_from_bytes(
+    bytes: &[u8],
+    expected: &[usize],
+) -> Result<Vec<Vec<f32>>, SerializeError> {
+    let payloads = payloads(bytes)?;
+    if payloads.len() != expected.len() {
         return Err(SerializeError::Corrupt(
             "tensor count does not match architecture",
         ));
     }
-    if expected.iter().zip(&tensors).any(|(&e, t)| e != t.len()) {
+    if expected
+        .iter()
+        .zip(&payloads)
+        .any(|(&e, p)| p.len() != 4 * e)
+    {
         return Err(SerializeError::Corrupt(
             "tensor size does not match architecture",
         ));
     }
+    Ok(payloads.into_iter().map(|p| f32s(p).collect()).collect())
+}
 
-    let mut it = tensors.into_iter();
-    net.visit_params(&mut |p, _| {
-        let t = it.next().expect("counted above");
-        p.copy_from_slice(&t);
-    });
+/// Restores parameters into an architecturally identical network.
+pub fn params_from_bytes(net: &mut Sequential, bytes: &[u8]) -> Result<(), SerializeError> {
+    let mut expected: Vec<usize> = Vec::new();
+    net.visit_params(&mut |p, _| expected.push(p.len()));
+    // Decode all tensors first so a failure cannot leave the network
+    // half-overwritten.
+    let mut tensors = tensors_from_bytes(bytes, &expected)?.into_iter();
+    net.visit_params(&mut |p, _| p.copy_from_slice(&tensors.next().expect("counted above")));
     Ok(())
 }
 
@@ -180,6 +200,20 @@ mod tests {
         let mut smaller = Sequential::new().push(Dense::new(4, 2, Init::Zeros, 0));
         let err = params_from_bytes(&mut smaller, &blob).unwrap_err();
         assert!(matches!(err, SerializeError::Corrupt(_)));
+    }
+
+    #[test]
+    fn in_place_scan_and_decoded_tensors_agree_with_the_network() {
+        let mut net = make_net(3);
+        let blob = params_to_bytes(&mut net);
+        let mut want: Vec<Vec<f32>> = Vec::new();
+        net.visit_params(&mut |p, _| want.push(p.to_vec()));
+        let lens: Vec<usize> = want.iter().map(Vec::len).collect();
+        let got = tensors_from_bytes(&blob, &lens).unwrap();
+        assert_eq!(got, want);
+        assert!(got.iter().zip(&lens).all(|(t, &n)| t.capacity() == n));
+        let scanned: Vec<f32> = param_values(&blob).unwrap().collect();
+        assert_eq!(scanned, want.concat());
     }
 
     #[test]

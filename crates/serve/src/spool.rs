@@ -120,6 +120,17 @@ impl Spool {
         if format.as_str().map_err(ProtoError::from)? != MANIFEST_FORMAT {
             return Err(name_file("not a dlpic-serve spool manifest".into()));
         }
+        // A manifest of another version may lay its jobs out differently:
+        // refuse it rather than misread it.
+        let version = doc
+            .field("version")
+            .and_then(Json::as_f64)
+            .map_err(|e| name_file(e.message.clone()))?;
+        if version != MANIFEST_VERSION {
+            return Err(name_file(format!(
+                "unsupported manifest version {version} (this build reads {MANIFEST_VERSION})"
+            )));
+        }
         let next_job = doc
             .field("next_job")
             .and_then(Json::as_u64)
