@@ -131,7 +131,8 @@ impl Config {
             paths: paths.iter().map(|s| s.to_string()).collect(),
         };
         // Determinism: serialization paths that feed checkpoint files,
-        // the spool, or wire-visible status documents.
+        // the spool, or wire-visible status documents, and the serve
+        // modules that hold or order the control-plane state behind them.
         rules.insert(
             "no-hashmap-iter-in-state".to_string(),
             rule(
@@ -139,6 +140,11 @@ impl Config {
                 &[
                     "crates/serve/src/spool.rs",
                     "crates/serve/src/server.rs",
+                    "crates/serve/src/table.rs",
+                    "crates/serve/src/admission.rs",
+                    "crates/serve/src/scheduler.rs",
+                    "crates/serve/src/handlers.rs",
+                    "crates/serve/src/resume.rs",
                     "crates/serve/src/stats.rs",
                     "crates/serve/src/protocol.rs",
                     "src/engine/session.rs",
@@ -358,9 +364,24 @@ mod tests {
     #[test]
     fn repo_default_scopes_rules() {
         let cfg = Config::repo_default();
-        let serve = cfg.rules_for("crates/serve/src/server.rs");
-        assert!(serve.iter().any(|(r, _)| *r == "no-panic-in-request-path"));
-        assert!(serve.iter().any(|(r, _)| *r == "no-hashmap-iter-in-state"));
+        for module in [
+            "server",
+            "table",
+            "admission",
+            "scheduler",
+            "handlers",
+            "resume",
+        ] {
+            let serve = cfg.rules_for(&format!("crates/serve/src/{module}.rs"));
+            assert!(
+                serve.iter().any(|(r, _)| *r == "no-panic-in-request-path"),
+                "{module}"
+            );
+            assert!(
+                serve.iter().any(|(r, _)| *r == "no-hashmap-iter-in-state"),
+                "{module}"
+            );
+        }
         let bin = cfg.rules_for("crates/serve/src/bin/dlpic-cli.rs");
         assert!(!bin.iter().any(|(r, _)| *r == "no-panic-in-request-path"));
         assert!(cfg.is_excluded("target/debug/build/x.rs"));

@@ -10,9 +10,7 @@
 //! reconnect through transient failures with a bounded exponential
 //! [`Backoff`].
 
-use std::io::{BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::os::unix::net::UnixStream;
+use std::io::BufReader;
 use std::time::Duration;
 
 use dlpic_repro::engine::json::{obj, Json};
@@ -20,6 +18,7 @@ use dlpic_repro::engine::json::{obj, Json};
 use crate::error::ServeError;
 use crate::job::JobRequest;
 use crate::protocol::{self, ProtoError, WatchPolicy, DEFAULT_WATCH_QUEUE};
+use crate::transport::{write_line, Conn};
 
 /// A bounded exponential-backoff schedule for reconnects: sleeps
 /// `initial`, doubling per attempt up to `max`, for at most `attempts`
@@ -84,53 +83,14 @@ fn retry_jitter(key: &str, attempt: usize, advised_ms: u64) -> u64 {
     h % cap
 }
 
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Self::Tcp(s) => Self::Tcp(s.try_clone()?),
-            Self::Unix(s) => Self::Unix(s.try_clone()?),
-        })
-    }
-}
-
-impl std::io::Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.read(buf),
-            Self::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.write(buf),
-            Self::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.flush(),
-            Self::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// A connection to a `dlpic-serve` daemon. One request at a time; the
 /// connection is reusable across requests (including after a completed
 /// `watch`).
 pub struct Client {
     addr: String,
     timeout: Option<Duration>,
-    writer: Stream,
-    reader: BufReader<Stream>,
+    writer: Conn,
+    reader: BufReader<Conn>,
 }
 
 /// Reads one `\n`-terminated line without the server's [`MAX_LINE`]
@@ -175,43 +135,7 @@ impl Client {
     /// write: a dead or wedged server surfaces as [`ServeError::Timeout`]
     /// instead of hanging the caller forever.
     pub fn connect_with(addr: &str, timeout: Option<Duration>) -> Result<Self, ServeError> {
-        let stream = match addr.strip_prefix("unix:") {
-            Some(path) => {
-                let s = UnixStream::connect(path)?;
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)?;
-                Stream::Unix(s)
-            }
-            None => {
-                let s = match timeout {
-                    None => TcpStream::connect(addr)?,
-                    Some(t) => {
-                        let mut last: Option<std::io::Error> = None;
-                        let mut connected = None;
-                        for sa in addr.to_socket_addrs()? {
-                            match TcpStream::connect_timeout(&sa, t) {
-                                Ok(s) => {
-                                    connected = Some(s);
-                                    break;
-                                }
-                                Err(e) => last = Some(e),
-                            }
-                        }
-                        match connected {
-                            Some(s) => s,
-                            None => {
-                                return Err(last
-                                    .map(ServeError::from)
-                                    .unwrap_or(ServeError::Disconnected))
-                            }
-                        }
-                    }
-                };
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)?;
-                Stream::Tcp(s)
-            }
-        };
+        let stream = Conn::connect(addr, timeout)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
             addr: addr.to_string(),
@@ -231,9 +155,7 @@ impl Client {
     /// Sends one raw request line and returns the parsed `ok` response
     /// document (protocol errors become [`ServeError::Protocol`]).
     pub fn request(&mut self, line: &str) -> Result<Json, ServeError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line)?;
         self.read_response()
     }
 

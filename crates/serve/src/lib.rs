@@ -14,12 +14,19 @@
 //!   requests/responses/events, structured errors, hard line-length cap.
 //! * [`job`] — what a client submits: a scenario or sweep, a backend, an
 //!   optional step budget and an optional server-side early-stop policy.
-//! * [`server`] — the daemon: acceptor + per-connection handlers + one
-//!   scheduler thread that owns every session.
+//! * [`server`] — the daemon: its configuration, the [`server::Server`]
+//!   handle and the acceptor, over five private modules: `table` (the
+//!   job/run table, watch queues, and the one place a run is finalised),
+//!   `admission` (which queued runs get a session next), `scheduler` (the
+//!   thread that owns every session), `handlers` (one thread per
+//!   connection, one function per op) and `resume` (rebuilding the table
+//!   from the spool).
 //! * [`spool`] — crash-safe persistence: atomic checkpoint files plus a
 //!   `meta.json` fleet manifest, reloaded by `dlpic-serve --resume`.
 //! * [`client`] — a blocking client library; the `dlpic-cli` binary is a
 //!   thin wrapper over it.
+//! * `transport` (private) — the TCP/Unix stream, listener and line
+//!   writer the server and the client share.
 //! * [`stats`] — overload-governance instrumentation: the scheduler's
 //!   log-bucketed wave-latency histogram and per-spec circuit breakers
 //!   backing budgeted admission and load shedding.
@@ -45,6 +52,12 @@ pub mod server;
 pub mod spool;
 pub mod stats;
 
+mod admission;
 mod error;
+mod handlers;
+mod resume;
+mod scheduler;
+mod table;
+mod transport;
 
 pub use error::ServeError;

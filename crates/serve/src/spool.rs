@@ -25,6 +25,7 @@ use dlpic_repro::engine::{Checkpoint, ScenarioSpec};
 use crate::error::ServeError;
 use crate::job::JobRequest;
 use crate::protocol::ProtoError;
+use crate::table::Phase;
 
 const MANIFEST_FORMAT: &str = "dlpic-serve-spool";
 const MANIFEST_VERSION: f64 = 1.0;
@@ -103,46 +104,18 @@ impl Spool {
         atomic_write(&self.dir.join("meta.json"), &doc.to_pretty())
     }
 
-    /// Loads the fleet manifest; `(next_job, jobs)`. Every failure names
-    /// the offending file — "bad-json" alone is useless when the operator
-    /// is deciding which spool file to inspect or delete.
+    /// Loads the fleet manifest; `(next_job, jobs)`. Every failure is
+    /// `bad-spool` and names the offending file — "bad-json" alone is
+    /// useless when the operator is deciding which spool file to inspect
+    /// or delete.
     pub fn load_manifest(&self) -> Result<(u64, Vec<SpoolJob>), ServeError> {
         let path = self.dir.join("meta.json");
-        let name_file = |what: String| -> ServeError {
-            ProtoError::new("bad-spool", format!("{}: {what}", path.display())).into()
-        };
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| name_file(format!("cannot read manifest: {e}")))?;
-        let doc = Json::parse(&text).map_err(|e| name_file(format!("bad json: {}", e.message)))?;
-        let format = doc
-            .field("format")
-            .map_err(|e| name_file(e.message.clone()))?;
-        if format.as_str().map_err(ProtoError::from)? != MANIFEST_FORMAT {
-            return Err(name_file("not a dlpic-serve spool manifest".into()));
-        }
-        // A manifest of another version may lay its jobs out differently:
-        // refuse it rather than misread it.
-        let version = doc
-            .field("version")
-            .and_then(Json::as_f64)
-            .map_err(|e| name_file(e.message.clone()))?;
-        if version != MANIFEST_VERSION {
-            return Err(name_file(format!(
-                "unsupported manifest version {version} (this build reads {MANIFEST_VERSION})"
-            )));
-        }
-        let next_job = doc
-            .field("next_job")
-            .and_then(Json::as_u64)
-            .map_err(ProtoError::from)?;
-        let jobs = doc
-            .field("jobs")
-            .and_then(Json::as_arr)
-            .map_err(ProtoError::from)?
-            .iter()
-            .map(job_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((next_job, jobs))
+        std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read manifest: {e}"))
+            .and_then(|text| manifest_from_str(&text))
+            .map_err(|what| {
+                ProtoError::new("bad-spool", format!("{}: {what}", path.display())).into()
+            })
     }
 
     /// Atomically writes a run's mid-flight checkpoint.
@@ -281,51 +254,83 @@ fn job_to_json(job: &SpoolJob) -> Json {
     obj(fields)
 }
 
-fn job_from_json(doc: &Json) -> Result<SpoolJob, ServeError> {
-    let run_from_json = |doc: &Json| -> Result<SpoolRun, ServeError> {
+/// Parses a manifest's text; the error says what is wrong and where.
+fn manifest_from_str(text: &str) -> Result<(u64, Vec<SpoolJob>), String> {
+    let doc = Json::parse(text).map_err(|e| format!("bad json: {}", e.message))?;
+    let format = doc
+        .field("format")
+        .and_then(Json::as_str)
+        .map_err(|e| e.message)?;
+    if format != MANIFEST_FORMAT {
+        return Err("not a dlpic-serve spool manifest".into());
+    }
+    // A manifest of another version may lay its jobs out differently:
+    // refuse it rather than misread it.
+    let version = doc
+        .field("version")
+        .and_then(Json::as_f64)
+        .map_err(|e| e.message)?;
+    if version != MANIFEST_VERSION {
+        return Err(format!(
+            "unsupported manifest version {version} (this build reads {MANIFEST_VERSION})"
+        ));
+    }
+    let next_job = doc
+        .field("next_job")
+        .and_then(Json::as_u64)
+        .map_err(|e| e.message)?;
+    let jobs = doc
+        .field("jobs")
+        .and_then(Json::as_arr)
+        .map_err(|e| e.message)?
+        .iter()
+        .enumerate()
+        .map(|(i, job)| job_from_json(job).map_err(|e| format!("job {i}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((next_job, jobs))
+}
+
+fn job_from_json(doc: &Json) -> Result<SpoolJob, String> {
+    let text = |doc: &Json, key: &str| -> Result<String, String> {
+        doc.field(key)
+            .and_then(Json::as_str)
+            .map(str::to_string)
+            .map_err(|e| e.message)
+    };
+    let optional = |doc: &Json, key: &str| -> Result<Option<String>, String> {
+        doc.get(key)
+            .map(|v| v.as_str().map(str::to_string).map_err(|e| e.message))
+            .transpose()
+    };
+    let run_from_json = |doc: &Json| -> Result<SpoolRun, String> {
+        let state = text(doc, "state")?;
+        if Phase::parse(&state).is_none() {
+            return Err(format!("unknown state `{state}`"));
+        }
         Ok(SpoolRun {
-            name: doc
-                .field("name")
-                .and_then(Json::as_str)
-                .map_err(ProtoError::from)?
-                .to_string(),
-            state: doc
-                .field("state")
-                .and_then(Json::as_str)
-                .map_err(ProtoError::from)?
-                .to_string(),
-            spec: match doc.get("spec") {
-                Some(spec) => Some(ScenarioSpec::from_json_value(spec)?),
-                None => None,
-            },
-            error: match doc.get("error") {
-                Some(e) => Some(e.as_str().map_err(ProtoError::from)?.to_string()),
-                None => None,
-            },
+            name: text(doc, "name")?,
+            state,
+            spec: doc
+                .get("spec")
+                .map(ScenarioSpec::from_json_value)
+                .transpose()
+                .map_err(|e| format!("spec: {e}"))?,
+            error: optional(doc, "error")?,
         })
     };
     Ok(SpoolJob {
-        id: doc
-            .field("id")
-            .and_then(Json::as_str)
-            .map_err(ProtoError::from)?
-            .to_string(),
-        tenant: doc
-            .field("tenant")
-            .and_then(Json::as_str)
-            .map_err(ProtoError::from)?
-            .to_string(),
-        request: JobRequest::from_json_value(doc.field("request").map_err(ProtoError::from)?)?,
-        job_key: match doc.get("job_key") {
-            Some(k) => Some(k.as_str().map_err(ProtoError::from)?.to_string()),
-            None => None,
-        },
+        id: text(doc, "id")?,
+        tenant: text(doc, "tenant")?,
+        request: JobRequest::from_json_value(doc.field("request").map_err(|e| e.message)?)
+            .map_err(|e| format!("request: {e}"))?,
+        job_key: optional(doc, "job_key")?,
         runs: doc
             .field("runs")
             .and_then(Json::as_arr)
-            .map_err(ProtoError::from)?
+            .map_err(|e| e.message)?
             .iter()
-            .map(run_from_json)
+            .enumerate()
+            .map(|(k, run)| run_from_json(run).map_err(|e| format!("run {k}: {e}")))
             .collect::<Result<Vec<_>, _>>()?,
     })
 }

@@ -107,28 +107,53 @@ fn v1_manifest_fixture_loads_and_writes_back_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Loads `text` as a spool manifest and expects `bad-spool` naming the
+/// file and mentioning `needle`.
+fn assert_refused(tag: &str, text: &str, needle: &str) {
+    let dir = temp_spool(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("meta.json"), text).unwrap();
+    match Spool::open(&dir).unwrap().load_manifest() {
+        Err(ServeError::Protocol(e)) => {
+            assert_eq!(e.code, "bad-spool", "{tag}: {e:?}");
+            assert!(e.message.contains("meta.json"), "{tag}: {}", e.message);
+            assert!(e.message.contains(needle), "{tag}: {}", e.message);
+        }
+        other => panic!("{tag}: expected bad-spool, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the fixture's one occurrence of `from`.
+fn fixture_with(from: &str, to: &str) -> String {
+    let fixture = read_fixture();
+    assert_eq!(fixture.matches(from).count(), 1, "fixture layout changed");
+    fixture.replace(from, to)
+}
+
 #[test]
 fn unknown_manifest_version_is_refused_naming_the_file() {
-    let fixture = read_fixture();
     let v1 = "\"version\": 1,";
-    assert!(fixture.contains(v1), "fixture layout changed");
-    for (tag, text) in [
-        ("v2", fixture.replace(v1, "\"version\": 2,")),
-        ("none", fixture.replace(v1, "")),
-    ] {
-        let dir = temp_spool(tag);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("meta.json"), text).unwrap();
-        match Spool::open(&dir).unwrap().load_manifest() {
-            Err(ServeError::Protocol(e)) => {
-                assert_eq!(e.code, "bad-spool", "{tag}: {e:?}");
-                assert!(e.message.contains("meta.json"), "{tag}: {}", e.message);
-                assert!(e.message.contains("version"), "{tag}: {}", e.message);
-            }
-            other => panic!("{tag}: expected bad-spool, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    assert_refused("v2", &fixture_with(v1, "\"version\": 2,"), "version");
+    assert_refused("none", &fixture_with(v1, ""), "version");
+}
+
+/// A run state that names no lifecycle phase, and a malformed job entry,
+/// are refused like a bad version — not re-queued, not reported under
+/// the entry's own code without the file.
+#[test]
+fn bad_run_state_and_bad_job_entry_are_refused_naming_the_file() {
+    let queued = "\"state\": \"queued\"";
+    assert_refused(
+        "state",
+        &fixture_with(queued, "\"state\": \"bogus\""),
+        "job 0: run 1: unknown state `bogus`",
+    );
+    assert_refused(
+        "axis",
+        &fixture_with("\"name\": \"v0\",", ""),
+        "job 0: request: bad-job",
+    );
 }
 
 #[test]
