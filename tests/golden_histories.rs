@@ -14,6 +14,10 @@
 //! sweep, as the length and hash of their `params_to_bytes` (after a line
 //! pinning the sweep's own bytes). Any kernel on the training path — the
 //! `tn`/`nt` GEMMs, the conv kernels, Adam — must leave it untouched.
+//! Beside it, `table_i.txt` holds the paper's Table I columns for the same
+//! three trained networks on the smoke set — `metrics::evaluate`'s MAE and
+//! max error, and `per_output_mae` — so the inference path (dense, relu,
+//! conv, max-pool, flatten, residual) is pinned bit for bit too.
 //!
 //! The files hold IEEE-754 bit patterns as hex, one value per line, so a
 //! diff names the first sample that moved. They were recorded on x86-64
@@ -31,8 +35,9 @@ use dlpic_repro::dataset::store;
 use dlpic_repro::dataset::vlasov_bridge::{generate_vlasov, VlasovDatasetConfig};
 use dlpic_repro::dataset::PhaseDataset;
 use dlpic_repro::engine::{self, Backend, EnergyHistory, Engine, Numerics1D};
+use dlpic_repro::nn::metrics::{evaluate, per_output_mae};
 use dlpic_repro::nn::serialize::params_to_bytes;
-use dlpic_repro::nn::{train, Adam, Mse, Sequential, TrainConfig};
+use dlpic_repro::nn::{train, Adam, Dataset, Mse, Sequential, TrainConfig};
 use dlpic_repro::pic::solver::PoissonKind;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -152,10 +157,15 @@ fn smoke_training_set() -> PhaseDataset {
     generate(&cfg)
 }
 
+/// `data` normalised as the engine normalises it, in `arch`'s input layout.
+fn smoke_nn_set(arch: &ArchSpec, data: &PhaseDataset) -> Dataset {
+    data.to_nn_dataset(&data.input_norm_stats(), arch.input_kind())
+}
+
 /// `arch` at `TRAIN_SEED`, trained for two epochs of batch-64 Adam on
-/// `data` (normalised as the engine normalises it).
+/// `data`.
 fn train_smoke(arch: &ArchSpec, data: &PhaseDataset) -> Sequential {
-    let train_set = data.to_nn_dataset(&data.input_norm_stats(), arch.input_kind());
+    let train_set = smoke_nn_set(arch, data);
     let mut net = arch.build(TRAIN_SEED);
     let cfg = TrainConfig {
         epochs: 2,
@@ -185,6 +195,33 @@ fn render_trained() -> String {
             fnv1a(&params)
         )
         .unwrap();
+    }
+    out
+}
+
+/// The paper's Table I columns for each trained smoke architecture on the
+/// smoke set: `evaluate`'s MAE and max error as f32 bit patterns, then
+/// `per_output_mae`, one f64 bit pattern per output cell. Batches of 100
+/// leave a short last batch (320 = 3·100 + 20).
+fn render_table_i() -> String {
+    let data = smoke_training_set();
+    let scale = Scale::Smoke;
+    let mut out = String::new();
+    for arch in [scale.mlp_arch(), scale.resmlp_arch(), scale.cnn_arch()] {
+        let mut net = train_smoke(&arch, &data);
+        let set = smoke_nn_set(&arch, &data);
+        let (mae, max) = evaluate(&mut net, &set, 100);
+        writeln!(
+            out,
+            "# {} mae {:08x} max {:08x}",
+            arch.kind_name(),
+            mae.to_bits(),
+            max.to_bits()
+        )
+        .unwrap();
+        for v in per_output_mae(&mut net, &set, 100) {
+            writeln!(out, "{:016x}", v.to_bits()).unwrap();
+        }
     }
     out
 }
@@ -231,6 +268,11 @@ fn training_reproduces_its_golden_parameters() {
     assert_matches_golden("trained", &render_trained());
 }
 
+#[test]
+fn evaluation_reproduces_its_golden_table_i() {
+    assert_matches_golden("table_i", &render_table_i());
+}
+
 /// ROADMAP item 4's premise, pinned: an input bin that is empty in every
 /// training sample normalises to exactly `0.0`, so the first-layer weight
 /// row it multiplies gets a `+0.0` gradient in every batch, and Adam (no
@@ -239,7 +281,7 @@ fn training_reproduces_its_golden_parameters() {
 fn never_occupied_bins_keep_their_initial_first_layer_rows() {
     let data = smoke_training_set();
     let arch = Scale::Smoke.mlp_arch();
-    let train_set = data.to_nn_dataset(&data.input_norm_stats(), arch.input_kind());
+    let train_set = smoke_nn_set(&arch, &data);
     let cells = arch.input_len();
     let never: Vec<usize> = (0..cells)
         .filter(|&i| (0..train_set.len()).all(|r| train_set.x.row(r)[i] == 0.0))
@@ -283,4 +325,5 @@ fn regenerate() {
     }
     std::fs::write(golden_path("datasets"), render_datasets()).unwrap();
     std::fs::write(golden_path("trained"), render_trained()).unwrap();
+    std::fs::write(golden_path("table_i"), render_table_i()).unwrap();
 }
