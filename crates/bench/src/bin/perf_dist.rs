@@ -123,7 +123,7 @@ fn main() {
         let bundle = bundle.clone();
         results.push(run(n_ranks, n_part, n_steps, move || {
             Box::new(ReplicatedDl::new(
-                bundle.clone().into_solver().expect("bundle -> solver"),
+                bundle.solver().expect("bundle -> solver"),
             ))
         }));
     }

@@ -23,7 +23,7 @@ use dlpic_nn::loss::Mse;
 
 /// Mean per-mode amplitude of the prediction error over a dataset.
 fn error_spectrum(bundle: &ModelBundle, data: &PhaseDataset) -> Vec<f64> {
-    let mut solver = bundle.clone().into_solver().expect("bundle -> solver");
+    let mut solver = bundle.solver().expect("bundle -> solver");
     let n_modes = data.e_cells / 2 + 1;
     let mut acc = vec![0.0f64; n_modes];
     let mut hist = vec![0.0f32; data.spec.cells()];

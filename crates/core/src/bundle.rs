@@ -262,11 +262,6 @@ impl ModelBundle {
         (self.spec, self.binning, self.arch.input_kind())
     }
 
-    /// Reconstructs a ready-to-run field solver from the bundle.
-    pub fn into_solver(self) -> Result<DlFieldSolver, BundleError> {
-        self.solver()
-    }
-
     /// Snapshots the bundle into an `Arc`-shared [`FrozenBundle`] at the
     /// bundle's `precision`, so any number of fleet members mint solvers
     /// over one weight allocation. Errs ([`BundleError::Freeze`], naming
@@ -377,10 +372,10 @@ mod tests {
         let grid = Grid1D::paper();
         let p = TwoStreamInit::random(0.2, 0.01, 1_000, 5).build(&grid);
 
-        let mut s1 = bundle.clone().into_solver().unwrap();
+        let mut s1 = bundle.solver().unwrap();
         let mut s2 = ModelBundle::decode(&bundle.encode())
             .unwrap()
-            .into_solver()
+            .solver()
             .unwrap();
         let mut e1 = grid.zeros();
         let mut e2 = grid.zeros();

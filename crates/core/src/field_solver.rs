@@ -49,14 +49,14 @@ enum NetExec {
 }
 
 impl NetExec {
-    fn predict_batch_into<'w>(
+    fn predict_into<'w>(
         &mut self,
         input: &Tensor,
         workspace: &'w mut PredictWorkspace,
     ) -> &'w Tensor {
         match self {
-            Self::Owned(net) => net.predict_batch_into(input, workspace),
-            Self::Shared(model) => model.predict_batch_into(input, workspace),
+            Self::Owned(net) => net.predict_into(input, workspace),
+            Self::Shared(model) => model.predict_into(input, workspace),
         }
     }
 
@@ -252,7 +252,7 @@ impl<G: InputBinning> DlFieldSolver<G> {
     pub fn predict_from_histogram(&mut self, histogram: &[f32]) -> Vec<f32> {
         self.stage_input(histogram, 1);
         self.net
-            .predict_batch_into(&self.input, &mut self.workspace)
+            .predict_into(&self.input, &mut self.workspace)
             .data()
             .to_vec()
     }
@@ -419,9 +419,7 @@ impl<G: InputBinning> PhasedFieldSolver<G> for DlFieldSolver<G> {
         // 3. One batched inference through the reusable input/activation
         // buffers (ping-pong workspace; allocation-free once warm).
         self.stage_input(input, rows);
-        let pred = self
-            .net
-            .predict_batch_into(&self.input, &mut self.workspace);
+        let pred = self.net.predict_into(&self.input, &mut self.workspace);
         assert_eq!(
             pred.len(),
             output.len(),

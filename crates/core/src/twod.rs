@@ -316,7 +316,7 @@ mod tests {
         assert_eq!(ds.len(), 2);
         // Min 0, max 4 → normalized inputs within [0, 1].
         assert!((norm.span() - 4.0).abs() < 1e-6);
-        let (x, y) = ds.batch(0, 2);
+        let (x, y) = (&ds.x, &ds.y);
         assert_eq!(x.shape(), &[2, 2]);
         assert_eq!(y.shape(), &[2, 4]);
         assert!(x.data().iter().all(|&v| (0.0..=1.0).contains(&v)));

@@ -94,15 +94,6 @@ pub fn matmul_nn_bf16(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n
     nn(a, b, c, m, k, n);
 }
 
-/// `c = a·B` for one row with bf16 weights — the batch-1 inference shape.
-/// Equivalent to `matmul_nn_bf16(a, b, c, 1, k, n)`.
-///
-/// # Panics
-/// Panics if slice lengths disagree with the dimensions.
-pub fn gemv_bf16(a: &[f32], b: &[u16], c: &mut [f32], k: usize, n: usize) {
-    matmul_nn_bf16(a, b, c, 1, k, n);
-}
-
 /// The portable form of [`matmul_nn_bf16`] — public so equivalence tests
 /// can pin the AVX-512 form against it.
 ///
@@ -196,7 +187,7 @@ mod tests {
             let mut solo_portable = vec![0.0f32; M_MAX * n];
             for i in 0..M_MAX {
                 let (a_row, rows) = (&a[i * k..(i + 1) * k], i * n..(i + 1) * n);
-                gemv_bf16(a_row, &b, &mut solo[rows.clone()], k, n);
+                matmul_nn_bf16(a_row, &b, &mut solo[rows.clone()], 1, k, n);
                 matmul_nn_bf16_portable(a_row, &b, &mut solo_portable[rows], 1, k, n);
             }
             for m in 1..=M_MAX {

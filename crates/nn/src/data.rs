@@ -45,10 +45,10 @@ impl Dataset {
     }
 
     /// Gathers the given rows into caller-owned batch tensors (resized in
-    /// place) — the allocation-free counterpart of
-    /// [`Dataset::batch`]: once `x`/`y` are warm, no heap allocation
-    /// happens. Gathering `shuffle_permutation`'s output in consecutive
-    /// chunks reproduces `self.shuffled(seed)` batching exactly.
+    /// place) — the allocation-free counterpart of [`Dataset::select`]:
+    /// once `x`/`y` are warm, no heap allocation happens. Gathering
+    /// `shuffle_permutation`'s output in consecutive chunks reproduces
+    /// `self.shuffled(seed)` batching exactly.
     pub fn gather_into(&self, indices: &[usize], x: &mut Tensor, y: &mut Tensor) {
         let (xw, yw) = (self.x.row_len(), self.y.row_len());
         x.resize_like(&self.x, indices.len());
@@ -97,15 +97,6 @@ impl Dataset {
             start += s;
         }
         out
-    }
-
-    /// Copies rows `[start, start+size)` into a batch pair (clamped to the
-    /// end of the data).
-    pub fn batch(&self, start: usize, size: usize) -> (Tensor, Tensor) {
-        let end = (start + size).min(self.len());
-        let idx: Vec<usize> = (start..end).collect();
-        let d = self.select(&idx);
-        (d.x, d.y)
     }
 
     /// Ranges covering the dataset in batches of `batch_size` (the last
@@ -192,14 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_extraction() {
-        let d = seq_dataset(5);
-        let (bx, by) = d.batch(3, 4); // clamped to 2 rows
-        assert_eq!(bx.shape(), &[2, 2]);
-        assert_eq!(by.data(), &[3.0, 4.0]);
-    }
-
-    #[test]
     fn multidim_inputs_keep_trailing_shape() {
         let x = Tensor::zeros(&[6, 1, 4, 4]);
         let y = Tensor::zeros(&[6, 3]);
@@ -229,12 +212,13 @@ mod tests {
         let mut bx = Tensor::zeros(&[0]);
         let mut by = Tensor::zeros(&[0]);
         for (start, size) in d.batch_ranges(7) {
-            let (ex, ey) = shuffled.batch(start, size);
+            let rows: Vec<usize> = (start..start + size).collect();
+            let expect = shuffled.select(&rows);
             d.gather_into(&perm[start..start + size], &mut bx, &mut by);
-            assert_eq!(bx.shape(), ex.shape());
-            assert_eq!(bx.data(), ex.data());
-            assert_eq!(by.shape(), ey.shape());
-            assert_eq!(by.data(), ey.data());
+            assert_eq!(bx.shape(), expect.x.shape());
+            assert_eq!(bx.data(), expect.x.data());
+            assert_eq!(by.shape(), expect.y.shape());
+            assert_eq!(by.data(), expect.y.data());
         }
     }
 }

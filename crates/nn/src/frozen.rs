@@ -8,26 +8,32 @@
 //! sessions can share one weight allocation behind an `Arc`** instead of
 //! each cloning megabytes of identical parameters.
 //!
-//! Two storage precisions:
+//! A frozen layer and its trainable source run the same code: dense, relu
+//! and flatten inference are each one function (in [`crate::layers`]),
+//! and [`Sequential::predict_into`](crate::Sequential::predict_into) and
+//! [`FrozenModel::predict_into`] are one ping-pong loop over the two
+//! buffers of a [`PredictWorkspace`]. Two storage precisions:
 //!
-//! * [`Precision::F32`] — the dense weights are copied verbatim and
-//!   inference runs the exact kernel sequence of
-//!   [`Sequential::predict_into`](crate::Sequential::predict_into) (`matmul_nn` + `add_bias` per dense
-//!   layer), so a frozen f32 model is **bit-identical** to the network
-//!   it was frozen from, solo or batched, at any `Arc` sharing degree.
+//! * [`Precision::F32`] — the dense weights are copied verbatim, so a
+//!   frozen f32 model is **bit-identical** to the network it was frozen
+//!   from, solo or batched, at any `Arc` sharing degree.
 //! * [`Precision::Bf16`] — dense weights are stored bf16
-//!   (round-to-nearest-even) and inference runs the
-//!   [`crate::bf16`] kernels with f32 accumulation: half the weight
-//!   bytes and roughly half the GEMV memory traffic, accurate to the
-//!   weight quantization (callers gate on a task-level tolerance).
+//!   (round-to-nearest-even) and the same dense function streams them
+//!   through the `nn` kernel decoded on the fly, with f32 accumulation
+//!   ([`crate::bf16`]): half the weight bytes and roughly half the GEMV
+//!   memory traffic, accurate to the weight quantization (callers gate on
+//!   a task-level tolerance).
 //!
 //! Only inference-path layers freeze (dense / relu / flatten — the
 //! paper's MLP); [`Sequential::freeze`](crate::Sequential::freeze) reports the first unsupported
 //! layer by name so callers can fall back to an owned network (the CNN
 //! keeps its per-session copy).
 
-use crate::bf16::{encode_bf16, matmul_nn_bf16};
-use crate::linalg::{add_bias, matmul_nn};
+// analyze:hot — the one inference loop every DL field solve runs; its body
+// must stay allocation-free (the workspace buffers are caller-owned).
+
+use crate::bf16::encode_bf16;
+use crate::layers::{dense, flatten, relu};
 use crate::network::PredictWorkspace;
 use crate::tensor::Tensor;
 
@@ -140,61 +146,16 @@ impl FrozenLayer {
         }
     }
 
-    /// Inference for one layer, mirroring the corresponding
-    /// [`crate::Layer::infer_into`] implementation exactly (f32 dense:
-    /// the same `resize` + `matmul_nn` + `add_bias` sequence, so frozen
-    /// f32 inference is bit-identical to the mutable path).
+    /// Inference for one layer: the function its trainable source's
+    /// [`crate::Layer::infer_into`] runs, at the stored precision.
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
         match self {
-            Self::Dense {
-                in_features,
-                out_features,
-                w,
-                b,
-            } => {
-                let batch = input.batch();
-                assert_eq!(
-                    input.row_len(),
-                    *in_features,
-                    "frozen dense expected {} features, got {:?}",
-                    in_features,
-                    input.shape()
-                );
-                out.resize_in_place(&[batch, *out_features]);
-                match w {
-                    DenseWeights::F32(w) => {
-                        matmul_nn(
-                            input.data(),
-                            w,
-                            out.data_mut(),
-                            batch,
-                            *in_features,
-                            *out_features,
-                        );
-                    }
-                    DenseWeights::Bf16(w) => {
-                        matmul_nn_bf16(
-                            input.data(),
-                            w,
-                            out.data_mut(),
-                            batch,
-                            *in_features,
-                            *out_features,
-                        );
-                    }
-                }
-                add_bias(out.data_mut(), b, batch, *out_features);
-            }
-            Self::Relu => {
-                out.resize_in_place(input.shape());
-                for (o, &v) in out.data_mut().iter_mut().zip(input.data()) {
-                    *o = v.max(0.0);
-                }
-            }
-            Self::Flatten => {
-                out.resize_in_place(&[input.batch(), input.row_len()]);
-                out.data_mut().copy_from_slice(input.data());
-            }
+            Self::Dense { w, b, .. } => match w {
+                DenseWeights::F32(w) => dense::infer(input, w, b, out),
+                DenseWeights::Bf16(w) => dense::infer(input, w, b, out),
+            },
+            Self::Relu => relu::infer(input, out),
+            Self::Flatten => flatten::infer(input, out),
         }
     }
 }
@@ -282,48 +243,63 @@ impl FrozenModel {
     }
 
     /// Inference through the reusable ping-pong `workspace` — the
-    /// `&self` twin of [`Sequential::predict_into`](crate::Sequential::predict_into), identical buffer
-    /// choreography and (at [`Precision::F32`]) identical kernels, so
-    /// results are bit-identical to the source network's.
+    /// `&self` twin of [`Sequential::predict_into`](crate::Sequential::predict_into):
+    /// the same loop over the same layer functions, so at
+    /// [`Precision::F32`] results are bit-identical to the source
+    /// network's.
     pub fn predict_into<'w>(
         &self,
         input: &Tensor,
         workspace: &'w mut PredictWorkspace,
     ) -> &'w Tensor {
-        if self.layers.is_empty() {
-            workspace.a.resize_in_place(input.shape());
-            workspace.a.data_mut().copy_from_slice(input.data());
-            return &workspace.a;
-        }
-        let mut out_is_a = true;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (src, dst) = if out_is_a {
-                (&workspace.b, &mut workspace.a)
-            } else {
-                (&workspace.a, &mut workspace.b)
-            };
-            let src = if i == 0 { input } else { src };
-            layer.infer_into(src, dst);
-            out_is_a = !out_is_a;
-        }
-        if out_is_a {
-            &workspace.b
-        } else {
-            &workspace.a
-        }
+        ping_pong(&self.layers, input, workspace, FrozenLayer::infer_into)
     }
 
-    /// Batched inference: identical math to [`Self::predict_into`] (the
-    /// kernels are row-stable, so row `i` of an `m`-row batch is bitwise
-    /// identical to running that row alone). Kept as a separate entry
-    /// point so callers hold distinct warm workspaces for solo and
-    /// batched shapes, mirroring [`Sequential::predict_batch_into`](crate::Sequential::predict_batch_into).
+    /// [`Self::predict_into`] under a second name, for callers that keep
+    /// one warm workspace per batch shape; the kernels are row-stable, so
+    /// row `i` of an `m`-row batch is bitwise identical to that row alone.
     pub fn predict_batch_into<'w>(
         &self,
         batch: &Tensor,
         workspace: &'w mut PredictWorkspace,
     ) -> &'w Tensor {
         self.predict_into(batch, workspace)
+    }
+}
+
+/// The one inference loop, shared by [`Sequential::predict_into`](crate::Sequential::predict_into)
+/// and [`FrozenModel::predict_into`]: layer 0 reads `input` and writes the
+/// workspace's `a`, every later layer reads the buffer its predecessor
+/// wrote and writes the other, and the last output is returned (a copy of
+/// `input` when there are no layers). Generic over the layer type, so the
+/// frozen loop calls [`FrozenLayer`]'s inference with no `dyn` dispatch;
+/// once the two buffers are warm it allocates nothing.
+pub(crate) fn ping_pong<'w, L>(
+    layers: impl IntoIterator<Item = L>,
+    input: &Tensor,
+    workspace: &'w mut PredictWorkspace,
+    mut infer: impl FnMut(L, &Tensor, &mut Tensor),
+) -> &'w Tensor {
+    let PredictWorkspace { a, b } = workspace;
+    let mut layers = layers.into_iter();
+    let Some(first) = layers.next() else {
+        a.copy_from(input);
+        return a;
+    };
+    infer(first, input, a);
+    let mut out_is_a = true;
+    for layer in layers {
+        if out_is_a {
+            infer(layer, a, b);
+        } else {
+            infer(layer, b, a);
+        }
+        out_is_a = !out_is_a;
+    }
+    if out_is_a {
+        a
+    } else {
+        b
     }
 }
 

@@ -40,7 +40,7 @@ pub fn check_gradients(
     net.visit_params(&mut |_, g| analytic.push(g.to_vec()));
 
     let eval = |net: &mut Sequential| -> f64 {
-        let pred = net.forward(x, false);
+        let pred = net.predict(x);
         let mut scratch = Tensor::zeros(pred.shape());
         loss.loss_and_grad(&pred, y, &mut scratch) as f64
     };

@@ -5,52 +5,30 @@ use crate::tensor::Tensor;
 
 /// A differentiable layer.
 ///
-/// The backward contract: [`Layer::forward`] with `training = true` caches
-/// whatever the backward pass needs; [`Layer::backward`] consumes the
-/// gradient w.r.t. the layer *output*, accumulates parameter gradients
-/// internally (`+=`, so callers zero them between optimizer steps via
-/// [`Layer::zero_grads`]) and returns the gradient w.r.t. the layer
-/// *input*. The first layer of a training step has no one to hand that
-/// input gradient to, so the trainer calls [`Layer::backward_params`]
-/// there instead: the same parameter gradients, bit for bit, and no
-/// input gradient.
+/// Every pass writes into a caller-owned tensor, resized in place, so a
+/// warm buffer makes repeated calls allocation-free. The backward
+/// contract: [`Layer::train_forward_into`] caches whatever the backward
+/// pass needs; [`Layer::backward_into`] consumes the gradient w.r.t. the
+/// layer *output*, accumulates parameter gradients internally (`+=`, so
+/// callers zero them between optimizer steps via [`Layer::zero_grads`])
+/// and writes the gradient w.r.t. the layer *input*. The first layer of a
+/// training step has no one to hand that input gradient to, so the
+/// trainer calls [`Layer::backward_params`] there instead: the same
+/// parameter gradients, bit for bit, and no input gradient.
 pub trait Layer: Send {
-    /// Computes the layer output. With `training = true` the activation
-    /// cache for backprop is retained.
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor;
+    /// Inference into `out`, retaining no activation cache — the per-step
+    /// path of the DL field solvers.
+    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor);
 
-    /// Backpropagates: accumulates parameter gradients and returns the
-    /// input gradient. Must be preceded by a `forward(.., true)`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Training-time forward into `out`: the same output as
+    /// [`Layer::infer_into`], with the activation cache for backprop
+    /// retained — the per-batch path of `nn::trainer`.
+    fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor);
 
-    /// Inference into a caller-owned output tensor, retaining no
-    /// activation cache. Implementations resize `out` in place and reuse
-    /// its buffer, so repeated calls perform no heap allocation once the
-    /// buffer is warm — the per-step path of the DL field solvers. The
-    /// default falls back to the allocating [`Layer::forward`]; layers on
-    /// the inference hot path (dense, relu, flatten) override it.
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        *out = self.forward(input, false);
-    }
-
-    /// Training-time forward into a caller-owned output tensor: same
-    /// contract as `forward(.., true)` (the activation cache is
-    /// retained), but the output buffer is resized in place and reused,
-    /// so repeated calls perform no heap allocation once warm — the
-    /// per-batch path of `nn::trainer`. The default falls back to the
-    /// allocating [`Layer::forward`]; every built-in layer overrides it.
-    fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        *out = self.forward(input, true);
-    }
-
-    /// Backpropagation into a caller-owned gradient tensor: same
-    /// contract as [`Layer::backward`] (parameter gradients accumulate
-    /// internally) with the input-gradient buffer resized in place and
-    /// reused. The default falls back to the allocating
-    /// [`Layer::backward`]; every built-in layer overrides it.
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
-        *grad_in = self.backward(grad_out);
-    }
+    /// Backpropagation: accumulates parameter gradients and writes the
+    /// input gradient into `grad_in`. Must be preceded by a
+    /// [`Layer::train_forward_into`].
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor);
 
     /// Backpropagation that only accumulates parameter gradients — what
     /// [`crate::Sequential::compute_gradients_into`] runs on the network's
@@ -73,8 +51,8 @@ pub trait Layer: Send {
     /// The immutable inference form of this layer at the given weight
     /// precision, or `None` when the layer has no frozen form (the
     /// default) — then [`crate::Sequential::freeze`] fails and callers
-    /// keep an owned network. Frozen inference must match
-    /// [`Layer::infer_into`] exactly at [`Precision::F32`].
+    /// keep an owned network. A frozen layer runs the same inference
+    /// function as [`Layer::infer_into`].
     fn freeze(&self, _precision: Precision) -> Option<FrozenLayer> {
         None
     }
@@ -95,5 +73,33 @@ pub(crate) fn cache_input(slot: &mut Option<Tensor>, input: &Tensor) {
     match slot {
         Some(t) => t.copy_from(input),
         None => *slot = Some(input.clone()),
+    }
+}
+
+/// One-call wrappers over the `_into` passes for the layer unit tests.
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::Layer;
+    use crate::tensor::Tensor;
+
+    /// [`Layer::infer_into`] into a fresh tensor.
+    pub(crate) fn infer(layer: &mut dyn Layer, input: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(&[0]);
+        layer.infer_into(input, &mut out);
+        out
+    }
+
+    /// [`Layer::train_forward_into`] into a fresh tensor.
+    pub(crate) fn train_forward(layer: &mut dyn Layer, input: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(&[0]);
+        layer.train_forward_into(input, &mut out);
+        out
+    }
+
+    /// [`Layer::backward_into`] into a fresh tensor.
+    pub(crate) fn backward(layer: &mut dyn Layer, grad_out: &Tensor) -> Tensor {
+        let mut grad_in = Tensor::zeros(&[0]);
+        layer.backward_into(grad_out, &mut grad_in);
+        grad_in
     }
 }

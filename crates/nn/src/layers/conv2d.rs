@@ -149,14 +149,63 @@ impl Conv2d {
             cache_input(&mut self.cached_input, input);
         }
     }
+}
 
-    /// Shared backward: accumulates `dW`/`db`, writes the input gradient
-    /// into `grad_in` (resized in place).
-    fn backward_core(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
+/// Copies a `[ch, h, w]` sample into the interior of a zero-padded
+/// `[ch, h+2p, w+2p]` buffer (whose borders are already zero). Rows are
+/// copied in fixed 16-element chunks plus a scalar tail: the rows are
+/// short (one image line), so `memcpy`'s per-call overhead would
+/// dominate a `copy_from_slice` per row.
+fn pad_sample(dst: &mut [f32], sample: &[f32], ch: usize, h: usize, w: usize, p: usize) {
+    let (ph, pw) = (h + 2 * p, w + 2 * p);
+    debug_assert_eq!(dst.len(), ch * ph * pw);
+    debug_assert_eq!(sample.len(), ch * h * w);
+    let main_w = w - w % 16;
+    for c in 0..ch {
+        for y in 0..h {
+            let at = (c * ph + y + p) * pw + p;
+            let src = &sample[(c * h + y) * w..(c * h + y + 1) * w];
+            let mut j = 0;
+            while j < main_w {
+                let chunk: &[f32; 16] = src[j..j + 16].try_into().unwrap();
+                dst[at + j..at + j + 16].copy_from_slice(chunk);
+                j += 16;
+            }
+            if j < w {
+                dst[at + j..at + w].copy_from_slice(&src[j..]);
+            }
+        }
+    }
+}
+
+/// Base offsets of the virtual patch rows: entry `(c·k + ky)·k + kx`
+/// points at `pad[c][ky][kx]` of a `[ch, ph, pw]` padded buffer.
+fn patch_offsets(ch: usize, k: usize, ph: usize, pw: usize) -> Vec<usize> {
+    let mut boff = Vec::with_capacity(ch * k * k);
+    for c in 0..ch {
+        for ky in 0..k {
+            for kx in 0..k {
+                boff.push((c * ph + ky) * pw + kx);
+            }
+        }
+    }
+    boff
+}
+
+impl Layer for Conv2d {
+    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
+        self.forward_core(input, out, false);
+    }
+
+    fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
+        self.forward_core(input, out, true);
+    }
+
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
         let input = self
             .cached_input
             .take()
-            .expect("backward before forward(training)");
+            .expect("backward before train_forward_into");
         let (batch, h, w) = self.dims(&input);
         let hw = h * w;
         let kk = self.k * self.k;
@@ -222,73 +271,6 @@ impl Conv2d {
         }
         self.cached_input = Some(input);
     }
-}
-
-/// Copies a `[ch, h, w]` sample into the interior of a zero-padded
-/// `[ch, h+2p, w+2p]` buffer (whose borders are already zero). Rows are
-/// copied in fixed 16-element chunks plus a scalar tail: the rows are
-/// short (one image line), so `memcpy`'s per-call overhead would
-/// dominate a `copy_from_slice` per row.
-fn pad_sample(dst: &mut [f32], sample: &[f32], ch: usize, h: usize, w: usize, p: usize) {
-    let (ph, pw) = (h + 2 * p, w + 2 * p);
-    debug_assert_eq!(dst.len(), ch * ph * pw);
-    debug_assert_eq!(sample.len(), ch * h * w);
-    let main_w = w - w % 16;
-    for c in 0..ch {
-        for y in 0..h {
-            let at = (c * ph + y + p) * pw + p;
-            let src = &sample[(c * h + y) * w..(c * h + y + 1) * w];
-            let mut j = 0;
-            while j < main_w {
-                let chunk: &[f32; 16] = src[j..j + 16].try_into().unwrap();
-                dst[at + j..at + j + 16].copy_from_slice(chunk);
-                j += 16;
-            }
-            if j < w {
-                dst[at + j..at + w].copy_from_slice(&src[j..]);
-            }
-        }
-    }
-}
-
-/// Base offsets of the virtual patch rows: entry `(c·k + ky)·k + kx`
-/// points at `pad[c][ky][kx]` of a `[ch, ph, pw]` padded buffer.
-fn patch_offsets(ch: usize, k: usize, ph: usize, pw: usize) -> Vec<usize> {
-    let mut boff = Vec::with_capacity(ch * k * k);
-    for c in 0..ch {
-        for ky in 0..k {
-            for kx in 0..k {
-                boff.push((c * ph + ky) * pw + kx);
-            }
-        }
-    }
-    boff
-}
-
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_core(input, &mut out, training);
-        out
-    }
-
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        self.forward_core(input, out, false);
-    }
-
-    fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        self.forward_core(input, out, true);
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(&[0]);
-        self.backward_core(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
-        self.backward_core(grad_out, grad_in);
-    }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(&mut self.w, &mut self.dw);
@@ -312,6 +294,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward, infer, train_forward};
 
     /// Reference direct convolution — the 6-deep-loop oracle.
     // The eight arguments are the convolution geometry; a struct would
@@ -408,7 +391,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 3, Init::Zeros, 0);
         conv.w[4] = 1.0; // center tap
         let x = Tensor::new(pseudo(16, 3), &[1, 1, 4, 4]);
-        let y = conv.forward(&x, false);
+        let y = infer(&mut conv, &x);
         assert_eq!(y.shape(), &[1, 1, 4, 4]);
         for (a, b) in y.data().iter().zip(x.data()) {
             assert!((a - b).abs() < 1e-6);
@@ -421,7 +404,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 3, Init::Zeros, 0);
         conv.w[3] = 1.0; // row 1, col 0 → ix = ox - 1
         let x = Tensor::new((0..16).map(|i| i as f32).collect(), &[1, 1, 4, 4]);
-        let y = conv.forward(&x, false);
+        let y = infer(&mut conv, &x);
         // Column 0 sees padding (zero); column j>0 sees input col j-1.
         for row in 0..4 {
             assert_eq!(y.data()[row * 4], 0.0);
@@ -439,7 +422,7 @@ mod tests {
         conv.b.copy_from_slice(&pseudo(out_ch, 13));
         let x_data = pseudo(in_ch * h * w, 17);
         let x = Tensor::new(x_data.clone(), &[1, in_ch, h, w]);
-        let y = conv.forward(&x, false);
+        let y = infer(&mut conv, &x);
         let oracle = conv_naive(&x_data, &conv.w, &conv.b, in_ch, out_ch, k, h, w);
         for (i, (a, b)) in y.data().iter().zip(&oracle).enumerate() {
             assert!((a - b).abs() < 1e-4, "elem {i}: {a} vs {b}");
@@ -464,7 +447,7 @@ mod tests {
             conv.b.copy_from_slice(&pseudo(out_ch, 31));
             let x_data = pseudo(in_ch * h * w, 43);
             let x = Tensor::new(x_data.clone(), &[1, in_ch, h, w]);
-            let y = conv.forward(&x, false);
+            let y = infer(&mut conv, &x);
             let oracle = conv_naive(&x_data, &conv.w, &conv.b, in_ch, out_ch, k, h, w);
             for (i, (a, b)) in y.data().iter().zip(&oracle).enumerate() {
                 assert!(
@@ -490,8 +473,8 @@ mod tests {
             let x_data = pseudo(in_ch * h * w, 47);
             let dy_data = pseudo(out_ch * h * w, 53);
             let x = Tensor::new(x_data.clone(), &[1, in_ch, h, w]);
-            let _ = conv.forward(&x, true);
-            let gx = conv.backward(&Tensor::new(dy_data.clone(), &[1, out_ch, h, w]));
+            let _ = train_forward(&mut conv, &x);
+            let gx = backward(&mut conv, &Tensor::new(dy_data.clone(), &[1, out_ch, h, w]));
             let (dw_o, db_o, dx_o) =
                 conv_naive_backward(&x_data, &conv.w, &dy_data, in_ch, out_ch, k, h, w);
             let scale = |v: f32| 1.0 + v.abs();
@@ -519,9 +502,9 @@ mod tests {
         let a = pseudo(9, 1);
         let b = pseudo(9, 2);
         let both = Tensor::new([a.clone(), b.clone()].concat(), &[2, 1, 3, 3]);
-        let ya = conv.forward(&Tensor::new(a, &[1, 1, 3, 3]), false);
-        let yb = conv.forward(&Tensor::new(b, &[1, 1, 3, 3]), false);
-        let yab = conv.forward(&both, false);
+        let ya = infer(&mut conv, &Tensor::new(a, &[1, 1, 3, 3]));
+        let yb = infer(&mut conv, &Tensor::new(b, &[1, 1, 3, 3]));
+        let yab = infer(&mut conv, &both);
         for (i, v) in ya.data().iter().enumerate() {
             assert!((yab.data()[i] - v).abs() < 1e-6);
         }
@@ -538,7 +521,7 @@ mod tests {
         conv.w[4] = 1.0; // identity kernel
         for &(h, w) in &[(4usize, 4usize), (6, 2), (2, 6), (4, 4)] {
             let x = Tensor::new(pseudo(h * w, (h * 31 + w) as u64), &[1, 1, h, w]);
-            let y = conv.forward(&x, false);
+            let y = infer(&mut conv, &x);
             for (a, b) in y.data().iter().zip(x.data()) {
                 assert!((a - b).abs() < 1e-6, "{h}x{w}");
             }
@@ -549,9 +532,9 @@ mod tests {
     fn backward_bias_gradient_is_output_sum() {
         let mut conv = Conv2d::new(1, 2, 3, Init::HeNormal, 7);
         let x = Tensor::new(pseudo(2 * 16, 3), &[2, 1, 4, 4]);
-        let _ = conv.forward(&x, true);
+        let _ = train_forward(&mut conv, &x);
         let gy = Tensor::full(&[2, 2, 4, 4], 1.0);
-        let _ = conv.backward(&gy);
+        let _ = backward(&mut conv, &gy);
         // Each bias sees 2 samples × 16 pixels of unit gradient.
         assert!((conv.db[0] - 32.0).abs() < 1e-4);
         assert!((conv.db[1] - 32.0).abs() < 1e-4);
@@ -565,7 +548,7 @@ mod tests {
         conv.b.copy_from_slice(&pseudo(out_ch, 29));
         let x_data = pseudo(in_ch * h * w, 31);
         let x = Tensor::new(x_data.clone(), &[1, in_ch, h, w]);
-        let y = conv.forward(&x, false);
+        let y = infer(&mut conv, &x);
         let oracle = conv_naive(&x_data, &conv.w, &conv.b, in_ch, out_ch, k, h, w);
         for (i, (a, b)) in y.data().iter().zip(&oracle).enumerate() {
             assert!((a - b).abs() < 1e-4, "elem {i}: {a} vs {b}");
@@ -578,13 +561,13 @@ mod tests {
         // for a quadratic loss L = ½Σy².
         let mut conv = Conv2d::new(1, 1, 3, Init::HeNormal, 41);
         let x = Tensor::new(pseudo(2 * 25, 43), &[2, 1, 5, 5]);
-        let y = conv.forward(&x, true);
+        let y = train_forward(&mut conv, &x);
         let gy = y.clone(); // dL/dy = y for L = ½Σy²
-        let _ = conv.backward(&gy);
+        let _ = backward(&mut conv, &gy);
         let analytic = conv.dw[4];
 
         let loss = |c: &mut Conv2d| -> f64 {
-            let out = c.forward(&x, false);
+            let out = infer(c, &x);
             out.data()
                 .iter()
                 .map(|&v| 0.5 * (v as f64) * (v as f64))
@@ -603,6 +586,8 @@ mod tests {
         );
     }
 
+    /// The `_into` passes give the same bits into fresh (allocating)
+    /// tensors as into warm reused ones.
     #[test]
     fn into_variants_match_allocating_calls() {
         let (in_ch, out_ch, k, h, w) = (2, 4, 3, 8, 8);
@@ -615,8 +600,8 @@ mod tests {
         let gy = Tensor::new(pseudo(3 * out_ch * h * w, 71), &[3, out_ch, h, w]);
 
         let mut a = make();
-        let ya = a.forward(&x, true);
-        let gxa = a.backward(&gy);
+        let ya = train_forward(&mut a, &x);
+        let gxa = backward(&mut a, &gy);
 
         let mut b = make();
         let mut yb = Tensor::zeros(&[0]);
@@ -631,7 +616,7 @@ mod tests {
         assert_eq!(ya.data(), yb.data());
         assert_eq!(gxa.shape(), gxb.shape());
         assert_eq!(gxa.data(), gxb.data());
-        // One allocating backward vs two accumulating ones: dW doubles.
+        // One backward vs two accumulating ones: dW doubles.
         let mut dwa = Vec::new();
         a.visit_params(&mut |p, g| {
             if p.len() > out_ch {

@@ -3,8 +3,26 @@
 use crate::frozen::{FrozenLayer, Precision};
 use crate::init::Init;
 use crate::layer::{cache_input, Layer};
-use crate::linalg::{add_bias, col_sums_into, matmul_nn, matmul_nt, matmul_tn};
+use crate::linalg::{add_bias, col_sums_into, matmul_nt, matmul_tn, nn, Weight};
 use crate::tensor::Tensor;
+
+/// Dense inference, `out = X·W + b` (resized in place) for weights stored
+/// `[in, out]` row-major: the one implementation that [`Dense`] and a
+/// frozen dense layer run, over f32 weights or bf16 ones (`W = u16`)
+/// through the same `nn` kernel.
+pub(crate) fn infer<W: Weight>(input: &Tensor, w: &[W], b: &[f32], out: &mut Tensor) {
+    let (batch, n) = (input.batch(), b.len());
+    let k = w.len() / n;
+    assert_eq!(
+        input.row_len(),
+        k,
+        "dense expected {k} features, got {:?}",
+        input.shape()
+    );
+    out.resize_in_place(&[batch, n]);
+    nn(input.data(), w, out.data_mut(), batch, k, n);
+    add_bias(out.data_mut(), b, batch, n);
+}
 
 /// A dense (fully connected) layer with weights stored `[in, out]`
 /// row-major.
@@ -60,37 +78,13 @@ impl Dense {
     pub fn bias(&self) -> &[f32] {
         &self.b
     }
-}
-
-impl Dense {
-    /// Shared forward: `out = X·W + b`, resized in place.
-    fn forward_core(&mut self, input: &Tensor, out: &mut Tensor) {
-        let batch = input.batch();
-        assert_eq!(
-            input.row_len(),
-            self.in_features,
-            "dense expected {} features, got {:?}",
-            self.in_features,
-            input.shape()
-        );
-        out.resize_in_place(&[batch, self.out_features]);
-        matmul_nn(
-            input.data(),
-            &self.w,
-            out.data_mut(),
-            batch,
-            self.in_features,
-            self.out_features,
-        );
-        add_bias(out.data_mut(), &self.b, batch, self.out_features);
-    }
 
     /// Accumulates `dW`/`db` from the cached input and `dY`.
     fn param_grads(&mut self, grad_out: &Tensor) {
         let input = self
             .cached_input
             .as_ref()
-            .expect("backward before forward(training)");
+            .expect("backward before train_forward_into");
         let batch = input.batch();
         assert_eq!(
             grad_out.shape(),
@@ -118,12 +112,20 @@ impl Dense {
         // db += column sums of dY.
         col_sums_into(grad_out.data(), &mut self.db, batch, self.out_features);
     }
+}
 
-    /// Shared backward: accumulates `dW`/`db`, writes `dX` into
-    /// `grad_in` (resized in place).
-    fn backward_core(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
+impl Layer for Dense {
+    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
+        infer(input, &self.w, &self.b, out);
+    }
+
+    fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
+        infer(input, &self.w, &self.b, out);
+        cache_input(&mut self.cached_input, input);
+    }
+
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
         self.param_grads(grad_out);
-
         // dX = dY·Wᵀ.
         let batch = grad_out.batch();
         grad_in.resize_in_place(&[batch, self.in_features]);
@@ -135,36 +137,6 @@ impl Dense {
             self.out_features,
             self.in_features,
         );
-    }
-}
-
-impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_core(input, &mut out);
-        if training {
-            cache_input(&mut self.cached_input, input);
-        }
-        out
-    }
-
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        self.forward_core(input, out);
-    }
-
-    fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        self.forward_core(input, out);
-        cache_input(&mut self.cached_input, input);
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(&[0]);
-        self.backward_core(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
-        self.backward_core(grad_out, grad_in);
     }
 
     /// `dW`/`db` only: no `dX = dY·Wᵀ` — for the paper MLP's first layer
@@ -205,6 +177,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward, infer, train_forward};
 
     fn tiny_dense() -> Dense {
         // 2 -> 3 with hand-set weights.
@@ -218,7 +191,7 @@ mod tests {
     fn forward_matches_hand_computation() {
         let mut d = tiny_dense();
         let x = Tensor::new(vec![1.0, -1.0], &[1, 2]);
-        let y = d.forward(&x, false);
+        let y = infer(&mut d, &x);
         // y = [1*1 + (-1)*4, 1*2 + (-1)*5, 1*3 + (-1)*6] + b
         assert_eq!(y.data(), &[-3.0 + 0.1, -3.0 + 0.2, -3.0 + 0.3]);
     }
@@ -227,9 +200,9 @@ mod tests {
     fn backward_computes_expected_gradients() {
         let mut d = tiny_dense();
         let x = Tensor::new(vec![1.0, -1.0], &[1, 2]);
-        let _ = d.forward(&x, true);
+        let _ = train_forward(&mut d, &x);
         let gy = Tensor::new(vec![1.0, 0.0, -1.0], &[1, 3]);
-        let gx = d.backward(&gy);
+        let gx = backward(&mut d, &gy);
         // dX = gy · Wᵀ: [1*1 + 0*2 + (-1)*3, 1*4 + 0*5 + (-1)*6] = [-2, -2]
         assert_eq!(gx.data(), &[-2.0, -2.0]);
         // dW = Xᵀ·gy: [[1],[−1]]·[1,0,−1] = [[1,0,−1],[−1,0,1]]
@@ -242,10 +215,10 @@ mod tests {
         let mut d = tiny_dense();
         let x = Tensor::new(vec![1.0, 0.0], &[1, 2]);
         let gy = Tensor::new(vec![1.0, 1.0, 1.0], &[1, 3]);
-        let _ = d.forward(&x, true);
-        let _ = d.backward(&gy);
-        let _ = d.forward(&x, true);
-        let _ = d.backward(&gy);
+        let _ = train_forward(&mut d, &x);
+        let _ = backward(&mut d, &gy);
+        let _ = train_forward(&mut d, &x);
+        let _ = backward(&mut d, &gy);
         assert_eq!(&d.db, &[2.0, 2.0, 2.0]);
         d.zero_grads();
         assert!(d.db.iter().all(|&g| g == 0.0));
@@ -256,7 +229,7 @@ mod tests {
     fn batch_forward_shape() {
         let mut d = Dense::new(4, 2, Init::HeNormal, 1);
         let x = Tensor::zeros(&[5, 4]);
-        let y = d.forward(&x, false);
+        let y = infer(&mut d, &x);
         assert_eq!(y.shape(), &[5, 2]);
         assert_eq!(d.param_count(), 4 * 2 + 2);
     }
@@ -266,6 +239,6 @@ mod tests {
     fn wrong_input_width_rejected() {
         let mut d = tiny_dense();
         let x = Tensor::zeros(&[1, 5]);
-        let _ = d.forward(&x, false);
+        let _ = infer(&mut d, &x);
     }
 }

@@ -70,12 +70,6 @@ impl MaxPool2 {
 }
 
 impl Layer for MaxPool2 {
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_core(input, &mut out, training);
-        out
-    }
-
     fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
         self.forward_core(input, out, false);
     }
@@ -84,17 +78,11 @@ impl Layer for MaxPool2 {
         self.forward_core(input, out, true);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(&[0]);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
         assert_eq!(
             grad_out.len(),
             self.argmax.len(),
-            "backward before forward(training)"
+            "backward before train_forward_into"
         );
         grad_in.resize_in_place(&self.input_shape);
         let gi = grad_in.data_mut();
@@ -112,6 +100,7 @@ impl Layer for MaxPool2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward, infer, train_forward};
 
     #[test]
     fn forward_picks_block_maxima() {
@@ -124,7 +113,7 @@ mod tests {
             9.0, 10.0, 11.0, 12.0,
             13.0, 14.0, 15.0, 16.0,
         ], &[1, 1, 4, 4]);
-        let y = pool.forward(&x, false);
+        let y = infer(&mut pool, &x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
     }
@@ -133,8 +122,8 @@ mod tests {
     fn backward_routes_gradient_to_argmax() {
         let mut pool = MaxPool2::new();
         let x = Tensor::new(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let _ = pool.forward(&x, true);
-        let gx = pool.backward(&Tensor::new(vec![5.0], &[1, 1, 1, 1]));
+        let _ = train_forward(&mut pool, &x);
+        let gx = backward(&mut pool, &Tensor::new(vec![5.0], &[1, 1, 1, 1]));
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0]);
     }
 
@@ -142,8 +131,8 @@ mod tests {
     fn ties_route_to_first_maximum() {
         let mut pool = MaxPool2::new();
         let x = Tensor::new(vec![7.0, 7.0, 7.0, 7.0], &[1, 1, 2, 2]);
-        let _ = pool.forward(&x, true);
-        let gx = pool.backward(&Tensor::new(vec![1.0], &[1, 1, 1, 1]));
+        let _ = train_forward(&mut pool, &x);
+        let gx = backward(&mut pool, &Tensor::new(vec![1.0], &[1, 1, 1, 1]));
         assert_eq!(gx.data(), &[1.0, 0.0, 0.0, 0.0]);
     }
 
@@ -157,7 +146,7 @@ mod tests {
             ],
             &[1, 2, 2, 2],
         );
-        let y = pool.forward(&x, false);
+        let y = infer(&mut pool, &x);
         assert_eq!(y.data(), &[1.0, 9.0]);
     }
 
@@ -165,6 +154,6 @@ mod tests {
     #[should_panic(expected = "even spatial dims")]
     fn odd_dims_rejected() {
         let mut pool = MaxPool2::new();
-        let _ = pool.forward(&Tensor::zeros(&[1, 1, 3, 4]), false);
+        let _ = infer(&mut pool, &Tensor::zeros(&[1, 1, 3, 4]));
     }
 }

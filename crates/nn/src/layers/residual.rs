@@ -14,8 +14,7 @@ use crate::tensor::Tensor;
 pub struct ResidualDense {
     inner: Dense,
     mask: Vec<bool>,
-    // Reusable scratch for the dense-branch activation (forward) and the
-    // ReLU-masked gradient (backward).
+    // Reusable scratch for the ReLU-masked gradient (backward).
     scratch: Tensor,
 }
 
@@ -31,16 +30,6 @@ impl ResidualDense {
 }
 
 impl Layer for ResidualDense {
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        let mut y = self.inner.forward(input, training);
-        y.add_assign(input);
-        if training {
-            self.mask.clear();
-            self.mask.extend(y.data().iter().map(|&v| v > 0.0));
-        }
-        y.map(|v| v.max(0.0))
-    }
-
     fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
         self.inner.infer_into(input, out);
         for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
@@ -58,17 +47,11 @@ impl Layer for ResidualDense {
         }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(&[0]);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
         assert_eq!(
             grad_out.len(),
             self.mask.len(),
-            "backward before forward(training)"
+            "backward before train_forward_into"
         );
         // Through the ReLU.
         self.scratch.resize_in_place(grad_out.shape());
@@ -106,12 +89,13 @@ impl Layer for ResidualDense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward, infer, train_forward};
 
     #[test]
     fn zero_weights_reduce_to_relu_identity() {
         let mut block = ResidualDense::new(3, Init::Zeros, 0);
         let x = Tensor::new(vec![1.0, -2.0, 0.5], &[1, 3]);
-        let y = block.forward(&x, false);
+        let y = infer(&mut block, &x);
         assert_eq!(y.data(), &[1.0, 0.0, 0.5]);
     }
 
@@ -119,8 +103,8 @@ mod tests {
     fn skip_connection_carries_gradient() {
         let mut block = ResidualDense::new(2, Init::Zeros, 0);
         let x = Tensor::new(vec![1.0, 2.0], &[1, 2]); // all positive → mask open
-        let _ = block.forward(&x, true);
-        let gx = block.backward(&Tensor::new(vec![1.0, 1.0], &[1, 2]));
+        let _ = train_forward(&mut block, &x);
+        let gx = backward(&mut block, &Tensor::new(vec![1.0, 1.0], &[1, 2]));
         // Zero weights: gradient flows only through the skip → identity.
         assert_eq!(gx.data(), &[1.0, 1.0]);
     }

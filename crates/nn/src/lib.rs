@@ -16,6 +16,15 @@
 //! * MAE / max-error [`metrics`] (the paper's Table I columns);
 //! * parameter [`serialize`] for model persistence.
 //!
+//! Every operation has one implementation and one entry point. A
+//! [`Layer`] runs inference, the training forward and backprop into
+//! caller-owned tensors (`infer_into`, `train_forward_into`,
+//! `backward_into`), so a warm buffer makes each pass allocation-free; a
+//! [`FrozenModel`]'s layers call the same dense / relu / flatten
+//! functions, and [`Sequential`] and [`FrozenModel`] share one ping-pong
+//! inference loop ([`frozen`]) — which is why a frozen f32 model is
+//! bit-identical to the network it came from.
+//!
 //! The GEMM kernels in [`linalg`] are hand-tiled — explicit AVX-512
 //! register tiles where the machine has them, portable tiles LLVM
 //! vectorizes elsewhere — and serial: training and every single

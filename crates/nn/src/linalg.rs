@@ -230,20 +230,6 @@ pub(crate) fn nn<W: Weight>(a: &[f32], b: &[W], c: &mut [f32], m: usize, k: usiz
     nn_portable(a, b, c, m, k, n);
 }
 
-/// `c = a·B` for one row: A is `1×k`, B is `k×n`, `c` is `1×n` — the
-/// batch-1 inference shape of the DL field solvers, and the reference
-/// every row of a batched solve reproduces bit-for-bit.
-///
-/// Equivalent to `matmul_nn(a, b, c, 1, k, n)`: the one-row tile of the
-/// same kernel, which streams each live weight row once, contiguously. On
-/// the paper shapes that pass is pinned at memory bandwidth.
-///
-/// # Panics
-/// Panics if slice lengths disagree with the dimensions.
-pub fn gemv(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
-    matmul_nn(a, b, c, 1, k, n);
-}
-
 /// The portable form of [`matmul_nn`] — public so equivalence tests can
 /// pin the AVX-512 form against it.
 ///
@@ -1447,7 +1433,7 @@ pub(crate) mod tests {
             let a = gen(k, 5);
             let b = gen(k * n, 9);
             let mut c = vec![0.0f32; n];
-            gemv(&a, &b, &mut c, k, n);
+            matmul_nn(&a, &b, &mut c, 1, k, n);
             assert_close(&c, &matmul_naive(&a, &b, 1, k, n), 1e-4);
         }
     }

@@ -1,7 +1,7 @@
 //! Evaluation metrics — the two numbers of the paper's Table I.
 
 use crate::data::Dataset;
-use crate::network::Sequential;
+use crate::network::{PredictWorkspace, Sequential};
 use crate::tensor::Tensor;
 
 /// Mean Absolute Error over all elements (paper Eq. 6).
@@ -33,40 +33,62 @@ pub fn max_abs_error(pred: &Tensor, target: &Tensor) -> f32 {
         .fold(0.0, f32::max)
 }
 
-/// MAE and max error of a network over a dataset, evaluated in batches.
-pub fn evaluate(net: &mut Sequential, data: &Dataset, batch_size: usize) -> (f32, f32) {
+/// Runs `net` over `data` in consecutive batches, handing each
+/// (prediction, target) pair to `f`; the batch and activation buffers are
+/// reused from one batch to the next.
+///
+/// # Panics
+/// Panics on an empty dataset.
+fn for_each_batch(
+    net: &mut Sequential,
+    data: &Dataset,
+    batch_size: usize,
+    mut f: impl FnMut(&Tensor, &Tensor),
+) {
     assert!(!data.is_empty(), "empty dataset");
+    let rows: Vec<usize> = (0..data.len()).collect();
+    let (mut bx, mut by) = (Tensor::zeros(&[0]), Tensor::zeros(&[0]));
+    let mut workspace = PredictWorkspace::new();
+    for (start, size) in data.batch_ranges(batch_size) {
+        data.gather_into(&rows[start..start + size], &mut bx, &mut by);
+        f(net.predict_into(&bx, &mut workspace), &by);
+    }
+}
+
+/// MAE and max error of a network over a dataset, evaluated in batches.
+///
+/// # Panics
+/// Panics on an empty dataset.
+pub fn evaluate(net: &mut Sequential, data: &Dataset, batch_size: usize) -> (f32, f32) {
     let mut abs_sum = 0.0f64;
     let mut worst = 0.0f32;
     let mut count = 0usize;
-    for (start, size) in data.batch_ranges(batch_size) {
-        let (bx, by) = data.batch(start, size);
-        let pred = net.predict(&bx);
-        for (&p, &t) in pred.data().iter().zip(by.data()) {
+    for_each_batch(net, data, batch_size, |pred, target| {
+        for (&p, &t) in pred.data().iter().zip(target.data()) {
             abs_sum += (p - t).abs() as f64;
             worst = worst.max((p - t).abs());
         }
         count += pred.len();
-    }
+    });
     ((abs_sum / count as f64) as f32, worst)
 }
 
 /// Per-output-element mean absolute error (length = output width). Feeding
 /// the result to an FFT gives the paper-§VII "spectral analysis of errors".
+///
+/// # Panics
+/// Panics on an empty dataset.
 pub fn per_output_mae(net: &mut Sequential, data: &Dataset, batch_size: usize) -> Vec<f64> {
-    let out_w = data.y.row_len();
-    let mut acc = vec![0.0f64; out_w];
+    let mut acc = vec![0.0f64; data.y.row_len()];
     let mut count = 0usize;
-    for (start, size) in data.batch_ranges(batch_size) {
-        let (bx, by) = data.batch(start, size);
-        let pred = net.predict(&bx);
+    for_each_batch(net, data, batch_size, |pred, target| {
         for r in 0..pred.batch() {
-            for (a, (&p, &t)) in acc.iter_mut().zip(pred.row(r).iter().zip(by.row(r))) {
+            for (a, (&p, &t)) in acc.iter_mut().zip(pred.row(r).iter().zip(target.row(r))) {
                 *a += (p - t).abs() as f64;
             }
         }
-        count += size;
-    }
+        count += pred.batch();
+    });
     for a in &mut acc {
         *a /= count as f64;
     }
@@ -126,5 +148,15 @@ mod tests {
         let per = per_output_mae(&mut net, &data, 8);
         assert!(per[0] < 1e-9);
         assert!((per[1] - 1.5).abs() < 1e-6);
+    }
+
+    /// An empty dataset has no mean: refused, as `evaluate` refuses it,
+    /// instead of a NaN in every slot.
+    #[test]
+    #[should_panic(expected = "empty dataset")]
+    fn per_output_mae_refuses_an_empty_dataset() {
+        let mut net = Sequential::new().push(Dense::new(2, 2, Init::Zeros, 0));
+        let data = Dataset::new(Tensor::zeros(&[0, 2]), Tensor::zeros(&[0, 2]));
+        let _ = per_output_mae(&mut net, &data, 8);
     }
 }

@@ -1,6 +1,6 @@
 //! Sequential network container.
 
-use crate::frozen::{FreezeError, FrozenModel, Precision};
+use crate::frozen::{ping_pong, FreezeError, FrozenModel, Precision};
 use crate::layer::Layer;
 use crate::loss::Loss;
 use crate::tensor::Tensor;
@@ -12,11 +12,9 @@ pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }
 
-/// Reusable ping-pong activation buffers for
-/// [`Sequential::predict_into`]: once warm, repeated inference performs
-/// no heap allocation (for layer stacks whose members implement
-/// [`Layer::infer_into`]; others fall back to the allocating path but
-/// still reuse the workspace slots).
+/// Reusable ping-pong activation buffers for [`Sequential::predict_into`]
+/// and [`FrozenModel::predict_into`]: once warm, repeated inference
+/// performs no heap allocation.
 pub struct PredictWorkspace {
     pub(crate) a: Tensor,
     pub(crate) b: Tensor,
@@ -113,82 +111,30 @@ impl Sequential {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
 
-    /// Forward pass. `training = true` retains activation caches for a
-    /// subsequent [`Sequential::backward`].
-    pub fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, training);
-        }
-        x
-    }
-
-    /// Inference without caching.
+    /// Inference into a fresh output tensor: [`Sequential::predict_into`]
+    /// through a workspace of its own.
     pub fn predict(&mut self, input: &Tensor) -> Tensor {
-        self.forward(input, false)
+        self.predict_into(input, &mut PredictWorkspace::new())
+            .clone()
     }
 
     /// Inference into the reusable `workspace`, returning a reference to
     /// the output activation. Layers alternate between the workspace's
     /// two buffers, so a warm workspace makes repeated inference
-    /// allocation-free — the per-step path of the DL field solvers.
+    /// allocation-free — the per-step path of the DL field solvers. The
+    /// layer stack treats rows as independent samples and the kernels are
+    /// row-stable, so row `i` of an `m`-row batch (`[m, in]`, or
+    /// `[m, c, h, w]` for image inputs) is **bitwise identical** to that
+    /// row run alone — what the engine's ensemble scheduler relies on
+    /// when it folds `m` concurrent DL field solves into one GEMM.
     pub fn predict_into<'w>(
         &mut self,
         input: &Tensor,
         workspace: &'w mut PredictWorkspace,
     ) -> &'w Tensor {
-        if self.layers.is_empty() {
-            workspace.a.resize_in_place(input.shape());
-            workspace.a.data_mut().copy_from_slice(input.data());
-            return &workspace.a;
-        }
-        let mut out_is_a = true;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let (src, dst) = if out_is_a {
-                (&workspace.b, &mut workspace.a)
-            } else {
-                (&workspace.a, &mut workspace.b)
-            };
-            let src = if i == 0 { input } else { src };
-            layer.infer_into(src, dst);
-            out_is_a = !out_is_a;
-        }
-        // The last layer wrote the buffer `out_is_a` now points away from.
-        if out_is_a {
-            &workspace.b
-        } else {
-            &workspace.a
-        }
-    }
-
-    /// Batched inference: one forward pass over an `m`-row batch (shape
-    /// `[m, in]` for flat inputs, `[m, c, h, w]` for image inputs) through
-    /// the reusable ping-pong `workspace`. The layer stack treats rows as
-    /// independent samples, and the `nn`/GEMV kernels are row-stable, so
-    /// row `i` of the batched output is **bitwise identical** to running
-    /// that row alone through [`Self::predict_into`] — the property the
-    /// engine's ensemble scheduler relies on when it folds `m` concurrent
-    /// DL field solves into one GEMM that hits the 8-row zmm tiles.
-    ///
-    /// Identical math to [`Self::predict_into`]; kept as a separate entry
-    /// point so callers hold distinct warm workspaces for their solo and
-    /// batched shapes (a workspace regrown every call would reallocate).
-    pub fn predict_batch_into<'w>(
-        &mut self,
-        batch: &Tensor,
-        workspace: &'w mut PredictWorkspace,
-    ) -> &'w Tensor {
-        self.predict_into(batch, workspace)
-    }
-
-    /// Backward pass from the output gradient; accumulates parameter
-    /// gradients and returns the input gradient.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        ping_pong(&mut self.layers, input, workspace, |layer, src, dst| {
+            layer.infer_into(src, dst)
+        })
     }
 
     /// One training step's gradient computation: zeroes gradients, runs
@@ -204,11 +150,10 @@ impl Sequential {
     /// `workspace`: activations ping-pong between two workspace slots on
     /// the way up, the gradient ping-pongs through the third on the way
     /// down, so a warm workspace makes the whole step allocation-free —
-    /// the per-batch path of [`crate::trainer::train`]. Numerically
-    /// identical to [`Sequential::compute_gradients`], and every
-    /// parameter gradient to `forward(.., true)` + loss +
-    /// [`Sequential::backward`]; unlike `backward`, it computes no input
-    /// gradient ([`Layer::backward_params`] on the first layer).
+    /// the per-batch path of [`crate::trainer::train`]. Every parameter
+    /// gradient is bit-identical to [`Layer::train_forward_into`] + loss +
+    /// [`Layer::backward_into`] through every layer; the first layer's
+    /// input gradient is not computed ([`Layer::backward_params`]).
     pub fn compute_gradients_into(
         &mut self,
         loss: &dyn Loss,
@@ -328,7 +273,7 @@ mod tests {
     fn forward_shapes_flow_through() {
         let mut net = tiny_net();
         let x = Tensor::zeros(&[3, 2]);
-        let y = net.forward(&x, false);
+        let y = net.predict(&x);
         assert_eq!(y.shape(), &[3, 1]);
         assert_eq!(net.len(), 3);
         assert_eq!(net.param_count(), (2 * 4 + 4) + (4 + 1));
@@ -364,8 +309,9 @@ mod tests {
 
     /// `compute_gradients_into` skips the first layer's input gradient;
     /// every parameter gradient must still be bit-equal to the reference
-    /// path — `forward(.., true)` + `loss_and_grad` + `backward` — and
-    /// `backward` must keep returning the input gradient.
+    /// path — `train_forward_into` through every layer, `loss_and_grad`,
+    /// then `backward_into` through every layer, the first included — and
+    /// that path must keep producing the input gradient.
     #[test]
     fn skipping_the_input_gradient_changes_no_parameter_gradient() {
         use crate::layers::{Conv2d, Flatten, MaxPool2, ResidualDense};
@@ -425,10 +371,20 @@ mod tests {
         for (name, mut net, shape) in cases {
             let x = input(&shape);
             net.zero_grads();
-            let pred = net.forward(&x, true);
+            let mut pred = x.clone();
+            for layer in &mut net.layers {
+                let mut out = Tensor::zeros(&[0]);
+                layer.train_forward_into(&pred, &mut out);
+                pred = out;
+            }
             let mut grad = Tensor::zeros(pred.shape());
             let loss = Mse.loss_and_grad(&pred, &y, &mut grad);
-            let dx = net.backward(&grad);
+            let mut dx = grad.clone();
+            for layer in net.layers.iter_mut().rev() {
+                let mut grad_in = Tensor::zeros(&[0]);
+                layer.backward_into(&dx, &mut grad_in);
+                dx = grad_in;
+            }
             assert_eq!(dx.shape(), x.shape(), "{name}: input gradient shape");
             assert!(
                 dx.data().iter().any(|&v| v != 0.0),
@@ -436,8 +392,8 @@ mod tests {
             );
             let reference = param_grad_bits(&mut net);
             if name == "dense" {
-                // The one layer is the first layer: `backward` still runs
-                // its `dX = dY·Wᵀ`.
+                // The one layer is the first layer: `backward_into` still
+                // runs its `dX = dY·Wᵀ`.
                 let mut w = Vec::new();
                 net.visit_params(&mut |p, _| w.push(p.to_vec()));
                 let mut want = vec![f32::NAN; batch * 16];
@@ -488,7 +444,7 @@ mod tests {
                 &[m, 6],
             );
             let mut batch_ws = PredictWorkspace::new();
-            let out = net.predict_batch_into(&batch, &mut batch_ws).clone();
+            let out = net.predict_into(&batch, &mut batch_ws).clone();
             assert_eq!(out.shape(), &[m, 17]);
             for r in 0..m {
                 let row = Tensor::new(batch.data()[r * 6..(r + 1) * 6].to_vec(), &[1, 6]);

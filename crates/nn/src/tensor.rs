@@ -142,17 +142,6 @@ impl Tensor {
         self.data.extend_from_slice(&src.data);
     }
 
-    /// Returns a tensor with the same data and a new shape.
-    ///
-    /// # Panics
-    /// Panics if the element count changes.
-    pub fn reshape(mut self, shape: &[usize]) -> Self {
-        let expect: usize = shape.iter().product();
-        assert_eq!(self.data.len(), expect, "reshape changes element count");
-        self.shape = shape.to_vec();
-        self
-    }
-
     /// Element-wise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Self {
@@ -219,20 +208,6 @@ mod tests {
     fn zeros_and_full() {
         assert!(Tensor::zeros(&[3, 4]).data().iter().all(|&v| v == 0.0));
         assert!(Tensor::full(&[2, 2], 7.0).data().iter().all(|&v| v == 7.0));
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::new((0..24).map(|i| i as f32).collect(), &[2, 3, 4]);
-        let r = t.clone().reshape(&[6, 4]);
-        assert_eq!(r.shape(), &[6, 4]);
-        assert_eq!(r.data(), t.data());
-    }
-
-    #[test]
-    #[should_panic(expected = "reshape changes element count")]
-    fn reshape_rejects_size_change() {
-        let _ = Tensor::zeros(&[2, 3]).reshape(&[7]);
     }
 
     #[test]

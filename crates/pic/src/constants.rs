@@ -38,12 +38,6 @@ pub fn paper_box_length() -> f64 {
     2.0 * std::f64::consts::PI / PAPER_K1
 }
 
-/// Theoretical maximum two-stream growth rate `γ = 1/(2√2)` in units of
-/// `ω_p` — the slope of the "Linear Theory" line in the paper's Fig. 4.
-pub fn gamma_max() -> f64 {
-    0.125f64.sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

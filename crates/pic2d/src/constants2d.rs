@@ -23,15 +23,6 @@ pub const DEFAULT_NX: usize = 32;
 /// Default cells along `y`.
 pub const DEFAULT_NY: usize = 32;
 
-/// Default macro-electrons per cell.
-pub const DEFAULT_PARTICLES_PER_CELL: usize = 128;
-
-/// Default time step (the paper's Δt).
-pub const DEFAULT_DT: f64 = dlpic_pic::constants::PAPER_DT;
-
-/// Default number of steps (the paper's 200 → t_end = 40).
-pub const DEFAULT_NSTEPS: usize = 200;
-
 /// Box length along the streaming direction: `Lx = 2π/3.06`.
 pub fn box_length_x() -> f64 {
     dlpic_pic::constants::paper_box_length()

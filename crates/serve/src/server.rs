@@ -188,7 +188,6 @@ pub(crate) struct Inner {
 /// and [`Self::wait`].
 pub struct Server {
     addr: String,
-    inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -243,30 +242,18 @@ impl Server {
                     .spawn(move || Scheduler::new(inner, engine).run())?,
             );
         }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("dlpic-serve-acceptor".into())
-                    .spawn(move || accept_loop(listener, inner))?,
-            );
-        }
-        Ok(Self {
-            addr,
-            inner,
-            threads,
-        })
+        threads.push(
+            std::thread::Builder::new()
+                .name("dlpic-serve-acceptor".into())
+                .spawn(move || accept_loop(listener, inner))?,
+        );
+        Ok(Self { addr, threads })
     }
 
     /// The bound address clients connect to (`host:port` with the real
     /// port for TCP, the `unix:<path>` string for Unix sockets).
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    /// True once a drain completed and the scheduler exited.
-    pub fn is_stopped(&self) -> bool {
-        self.inner.shared.lock().unwrap().stopped
     }
 
     /// Blocks until the server drains (scheduler and acceptor exited).

@@ -155,11 +155,6 @@ impl Spool {
         Ok(Json::parse(&text).map_err(ProtoError::from)?)
     }
 
-    /// True when the run has a finished summary on disk.
-    pub fn has_result(&self, job: &str, run: usize) -> bool {
-        self.done_path(job, run).exists()
-    }
-
     /// Drops a run's spool files (cancelled runs keep the spool clean).
     pub fn remove_run(&self, job: &str, run: usize) {
         let _ = std::fs::remove_file(self.checkpoint_path(job, run));

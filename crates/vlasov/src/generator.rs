@@ -9,7 +9,6 @@
 //! PIC/Vlasov data ablation need no special cases.
 
 use crate::solver::{VlasovConfig, VlasovSolver};
-use dlpic_pic::grid::Grid1D;
 
 /// One Vlasov-generated training sample.
 #[derive(Debug, Clone)]
@@ -87,14 +86,10 @@ impl VlasovHarvest {
     }
 }
 
-/// Convenience: the spatial grid a harvest writes fields for.
-pub fn field_grid(harvest: &VlasovHarvest) -> &Grid1D {
-    &harvest.config.grid
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlpic_pic::grid::Grid1D;
 
     fn tiny_harvest() -> VlasovHarvest {
         let mut cfg = VlasovConfig::two_stream(0.2, 0.02);

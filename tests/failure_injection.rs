@@ -76,7 +76,7 @@ fn bundle_round_trips_unharmed() {
     let bytes = valid_bundle_bytes();
     let decoded = ModelBundle::decode(&bytes).expect("valid bundle decodes");
     assert_eq!(decoded.encode(), bytes, "re-encode is byte-identical");
-    assert!(decoded.into_solver().is_ok());
+    assert!(decoded.solver().is_ok());
 }
 
 // ---------------------------------------------------------------------
