@@ -16,7 +16,7 @@
 //! * MAE / max-error [`metrics`] (the paper's Table I columns);
 //! * parameter [`serialize`] for model persistence.
 //!
-//! Every operation has one implementation and one entry point. A
+//! Each layer pass has one implementation. A
 //! [`Layer`] runs inference, the training forward and backprop into
 //! caller-owned tensors (`infer_into`, `train_forward_into`,
 //! `backward_into`), so a warm buffer makes each pass allocation-free; a
