@@ -150,7 +150,8 @@ struct PaperSetup {
     train_loop_s: f64,
     /// `ModelBundle::from_network` (the 25 MB `params_to_bytes`).
     capture_s: f64,
-    /// `Engine::new().with_model_1d(bundle.clone())`: clone, load, freeze.
+    /// `Engine::new().with_model_1d(bundle.clone())`: clone (a handle on
+    /// the shared parameter blob), load, freeze.
     load_s: f64,
     /// Length and FNV-1a of the trained `params_to_bytes`.
     params_bytes: usize,

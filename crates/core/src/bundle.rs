@@ -18,6 +18,7 @@ use bytes::{Buf, BufMut};
 use dlpic_nn::frozen::{FreezeError, FrozenLayer, FrozenModel, Precision};
 use dlpic_nn::network::Sequential;
 use dlpic_nn::serialize::{param_values, params_from_bytes, params_to_bytes, tensors_from_bytes};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -42,8 +43,10 @@ pub struct ModelBundle {
     /// "unknown" and disables inference-time mass rescaling.
     pub reference_mass: f32,
     /// Serialized network parameters (`dlpic_nn::serialize` format —
-    /// always full-precision f32, regardless of `precision`).
-    pub params: Vec<u8>,
+    /// always full-precision f32, regardless of `precision`). Immutable
+    /// and shared: a clone of the bundle takes another handle on the same
+    /// blob rather than copying it.
+    pub params: Arc<Vec<u8>>,
     /// Weight storage precision [`Self::freeze`] snapshots into. The
     /// serialized `params` stay f32 either way, so the choice is
     /// revisable after the fact; bf16 is opt-in per bundle and gated on
@@ -93,7 +96,7 @@ impl ModelBundle {
         norm: NormStats,
     ) -> Self {
         Self {
-            params: params_to_bytes(net),
+            params: Arc::new(params_to_bytes(net)),
             arch,
             spec,
             binning,
@@ -143,8 +146,20 @@ impl ModelBundle {
         buf
     }
 
-    /// Deserializes a bundle.
+    /// Deserializes a bundle, copying its parameter region out of `bytes`
+    /// once ([`Self::load`] keeps the file's own buffer instead).
     pub fn decode(bytes: &[u8]) -> Result<Self, BundleError> {
+        let (bundle, params) = Self::decode_in_place(bytes)?;
+        Ok(Self {
+            params: Arc::new(bytes[params].to_vec()),
+            ..bundle
+        })
+    }
+
+    /// The one decoder: every field of the bundle but its parameter blob,
+    /// and where that blob sits in `bytes` — checked to be a finite
+    /// parameter blob, not copied. The returned bundle's `params` is empty.
+    fn decode_in_place(bytes: &[u8]) -> Result<(Self, Range<usize>), BundleError> {
         let mut buf = bytes;
         if buf.remaining() < 8 {
             return Err(BundleError::Malformed("truncated header"));
@@ -202,26 +217,27 @@ impl ModelBundle {
         if buf.remaining() < plen {
             return Err(BundleError::Malformed("truncated parameters"));
         }
-        let params = buf[..plen].to_vec();
+        let start = bytes.len() - buf.remaining();
         // The inference kernels skip weight rows whose activations are
         // all zero, which is invisible only while every weight is finite
         // (`0·inf` is NaN): that premise is checked here, at the file door,
         // by a scan of the bytes in place.
-        if param_values(&params)
+        if param_values(&buf[..plen])
             .map_err(BundleError::Params)?
             .any(|v| !v.is_finite())
         {
             return Err(BundleError::Malformed("non-finite parameter"));
         }
-        Ok(Self {
+        let bundle = Self {
             arch,
             spec: PhaseGridSpec::new(nx, nv, vmin, vmax),
             binning,
             norm,
             reference_mass,
-            params,
+            params: Arc::default(),
             precision,
-        })
+        };
+        Ok((bundle, start..start + plen))
     }
 
     /// Writes the bundle to a file.
@@ -230,9 +246,18 @@ impl ModelBundle {
         Ok(())
     }
 
-    /// Reads a bundle from a file.
+    /// Reads a bundle from a file. The file's buffer becomes the
+    /// parameter blob: the header is drained off its front in place, so
+    /// the bundle holds one copy of the file, not two.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, BundleError> {
-        Self::decode(&std::fs::read(path)?)
+        let mut bytes = std::fs::read(path)?;
+        let (bundle, params) = Self::decode_in_place(&bytes)?;
+        bytes.truncate(params.end);
+        bytes.drain(..params.start);
+        Ok(Self {
+            params: Arc::new(bytes),
+            ..bundle
+        })
     }
 
     /// The solver name this bundle's architecture maps to.
@@ -289,12 +314,12 @@ impl ModelBundle {
             }));
         }
         let mut tensors = tensors_from_bytes(&self.params, &self.arch.param_lens())
-            .map_err(BundleError::Params)?
-            .into_iter();
+            .map_err(BundleError::Params)?;
         let mut next = || {
             tensors
                 .next()
                 .expect("tensor lengths checked against the table")
+                .collect()
         };
         let layers = table
             .into_iter()
@@ -394,6 +419,13 @@ mod tests {
         bundle.save(&path).unwrap();
         let loaded = ModelBundle::load(&path).unwrap();
         assert_eq!(loaded.params, bundle.params);
+        assert_eq!(loaded.encode(), bundle.encode());
+        // Bytes after the parameter region are ignored, as `decode`
+        // ignores them.
+        let mut trailing = bundle.encode();
+        trailing.extend_from_slice(b"tail");
+        std::fs::write(&path, &trailing).unwrap();
+        assert_eq!(ModelBundle::load(&path).unwrap().params, bundle.params);
         std::fs::remove_file(&path).ok();
     }
 
@@ -520,7 +552,7 @@ mod tests {
             .arch
             .build(77)
             .visit_params(&mut |p, _| tensors.push(p.to_vec()));
-        assert_eq!(blob(&tensors), bundle.params, "the hand-built layout");
+        assert_eq!(blob(&tensors), *bundle.params, "the hand-built layout");
 
         let missing = tensors[..tensors.len() - 1].to_vec();
         let mut resized = tensors.clone();
@@ -530,7 +562,7 @@ mod tests {
             (resized, "tensor size does not match architecture"),
         ] {
             let bad = ModelBundle {
-                params: blob(&params),
+                params: Arc::new(blob(&params)),
                 ..bundle.clone()
             };
             let Err(BundleError::Params(want)) = bad.solver() else {
@@ -608,8 +640,9 @@ mod tests {
         // A non-finite weight or bias anywhere is refused by name.
         for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let mut bundle = tiny_bundle();
-            let at = bundle.params.len() - 4;
-            bundle.params[at..].copy_from_slice(&poison.to_le_bytes());
+            let params = Arc::make_mut(&mut bundle.params);
+            let at = params.len() - 4;
+            params[at..].copy_from_slice(&poison.to_le_bytes());
             assert!(matches!(
                 ModelBundle::decode(&bundle.encode()),
                 Err(BundleError::Malformed("non-finite parameter"))

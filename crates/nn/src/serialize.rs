@@ -39,21 +39,19 @@ impl std::fmt::Display for SerializeError {
 
 impl std::error::Error for SerializeError {}
 
-/// Serializes all parameters of a network.
+/// Serializes all parameters of a network, each tensor encoded straight
+/// from the network into one buffer of the blob's exact size.
 pub fn params_to_bytes(net: &mut Sequential) -> Vec<u8> {
-    let mut tensors: Vec<Vec<f32>> = Vec::new();
-    net.visit_params(&mut |p, _| tensors.push(p.to_vec()));
-    let payload: usize = tensors.iter().map(|t| 8 + 4 * t.len()).sum();
-    let mut buf = Vec::with_capacity(12 + payload);
+    let mut tensors = 0usize;
+    net.visit_params(&mut |_, _| tensors += 1);
+    let mut buf = Vec::with_capacity(12 + 8 * tensors + 4 * net.param_count());
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
-    buf.put_u32_le(tensors.len() as u32);
-    for t in &tensors {
-        buf.put_u64_le(t.len() as u64);
-        for &v in t {
-            buf.put_f32_le(v);
-        }
-    }
+    buf.put_u32_le(tensors as u32);
+    net.visit_params(&mut |p, _| {
+        buf.put_u64_le(p.len() as u64);
+        p.iter().for_each(|&v| buf.put_f32_le(v));
+    });
     buf
 }
 
@@ -92,7 +90,7 @@ fn payloads(bytes: &[u8]) -> Result<Vec<&[u8]>, SerializeError> {
     Ok(payloads)
 }
 
-fn f32s(payload: &[u8]) -> impl Iterator<Item = f32> + '_ {
+fn f32s(payload: &[u8]) -> impl ExactSizeIterator<Item = f32> + '_ {
     payload
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -107,11 +105,12 @@ pub fn param_values(bytes: &[u8]) -> Result<impl Iterator<Item = f32> + '_, Seri
 /// Splits a parameter blob into its tensors, in stored order, once its
 /// tensor lengths are checked against the `expected` ones of the target
 /// architecture (a blob that does not fit is refused before anything is
-/// decoded). Each tensor is decoded once, into a buffer of its exact size.
-pub fn tensors_from_bytes(
-    bytes: &[u8],
+/// decoded). Each tensor is an exact-size iterator over its values, decoded
+/// in place wherever the caller puts them.
+pub fn tensors_from_bytes<'a>(
+    bytes: &'a [u8],
     expected: &[usize],
-) -> Result<Vec<Vec<f32>>, SerializeError> {
+) -> Result<impl Iterator<Item = impl ExactSizeIterator<Item = f32> + 'a>, SerializeError> {
     let payloads = payloads(bytes)?;
     if payloads.len() != expected.len() {
         return Err(SerializeError::Corrupt(
@@ -127,17 +126,22 @@ pub fn tensors_from_bytes(
             "tensor size does not match architecture",
         ));
     }
-    Ok(payloads.into_iter().map(|p| f32s(p).collect()).collect())
+    Ok(payloads.into_iter().map(f32s))
 }
 
-/// Restores parameters into an architecturally identical network.
+/// Restores parameters into an architecturally identical network,
+/// decoding each tensor straight into the network's own storage.
 pub fn params_from_bytes(net: &mut Sequential, bytes: &[u8]) -> Result<(), SerializeError> {
     let mut expected: Vec<usize> = Vec::new();
     net.visit_params(&mut |p, _| expected.push(p.len()));
-    // Decode all tensors first so a failure cannot leave the network
-    // half-overwritten.
-    let mut tensors = tensors_from_bytes(bytes, &expected)?.into_iter();
-    net.visit_params(&mut |p, _| p.copy_from_slice(&tensors.next().expect("counted above")));
+    // Every count and length is checked before the first value is
+    // written, and nothing after the check can fail, so a refused blob
+    // leaves the network untouched.
+    let mut tensors = tensors_from_bytes(bytes, &expected)?;
+    net.visit_params(&mut |p, _| {
+        let values = tensors.next().expect("counted above");
+        p.iter_mut().zip(values).for_each(|(dst, v)| *dst = v);
+    });
     Ok(())
 }
 
@@ -162,6 +166,7 @@ mod tests {
         let x = Tensor::new((0..16).map(|i| i as f32 / 16.0).collect(), &[1, 1, 4, 4]);
         let before = net.predict(&x);
         let blob = params_to_bytes(&mut net);
+        assert_eq!(blob.capacity(), blob.len(), "sized exactly up front");
 
         let mut restored = make_net(999); // different init, same architecture
         assert_ne!(restored.predict(&x).data(), before.data());
@@ -209,7 +214,10 @@ mod tests {
         let mut want: Vec<Vec<f32>> = Vec::new();
         net.visit_params(&mut |p, _| want.push(p.to_vec()));
         let lens: Vec<usize> = want.iter().map(Vec::len).collect();
-        let got = tensors_from_bytes(&blob, &lens).unwrap();
+        let got: Vec<Vec<f32>> = tensors_from_bytes(&blob, &lens)
+            .unwrap()
+            .map(Iterator::collect)
+            .collect();
         assert_eq!(got, want);
         assert!(got.iter().zip(&lens).all(|(t, &n)| t.capacity() == n));
         let scanned: Vec<f32> = param_values(&blob).unwrap().collect();

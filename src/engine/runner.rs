@@ -136,8 +136,10 @@ impl Engine {
 
     /// Uses this trained 1-D bundle for `Backend::Dl1D` runs. The bundle
     /// is frozen here, once — every session shares the allocation, and
-    /// the serialized bundle is dropped. Only a bundle that does not
-    /// freeze (the CNN) is kept, and copied per session.
+    /// the serialized bundle is dropped. A bundle clone shares its
+    /// parameter blob, so passing `bundle.clone()` copies no weights.
+    /// Only a bundle that does not freeze (the CNN) is kept, and copied
+    /// per session.
     pub fn with_model_1d(mut self, bundle: ModelBundle) -> Self {
         (self.dl_1d.explicit, self.owned_bundle) = match bundle.freeze() {
             Ok(frozen) => (Some(frozen), None),

@@ -1,13 +1,21 @@
-//! Loading a model bundle into its frozen form holds one copy of the
-//! weights: `ModelBundle::freeze` decodes each parameter tensor once and
-//! moves it into its frozen layer, building no trainable network, no
-//! gradient buffer and no second decoded copy on the way.
+//! Every step between a trained network and its running solver holds one
+//! copy of the weights at a time:
+//! - `ModelBundle::from_network` encodes straight from the network into
+//!   the blob;
+//! - a clone of the bundle shares that blob;
+//! - `ModelBundle::load` keeps the file's buffer as the blob;
+//! - `ModelBundle::freeze` (and so `Engine::with_model_1d`) decodes each
+//!   parameter tensor once and moves it into its frozen layer, building no
+//!   trainable network, no gradient buffer and no second decoded copy;
+//! - `ModelBundle::solver` decodes straight into the network it builds.
 //!
-//! A counting global allocator measures the call. It counts only on the
-//! thread that turns it on, and this is the binary's only test, so it
-//! sees nothing but the freeze.
+//! A counting global allocator measures each call. It counts only on the
+//! thread that turns it on, and its counters are global, so the cases run
+//! one after another in this binary's only test, each from zeroed
+//! counters.
 
 use dlpic_repro::core::{ArchSpec, BinningShape, ModelBundle, NormStats, PhaseGridSpec};
+use dlpic_repro::engine::Engine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -58,8 +66,33 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Slack for everything that is not a weight: the layer table, the
-/// tensor list, the `Arc` and the bundle's metadata.
+/// tensor list, the `Arc`, the bundle's metadata and the engine's tables.
 const SLACK: usize = 64 << 10;
+
+/// What one call allocated: bytes requested in total, the most held at
+/// once, and what was still held when it returned.
+struct Usage {
+    total: usize,
+    peak: usize,
+    live: usize,
+}
+
+/// Runs `f` from zeroed counters and reports what it allocated. The
+/// result is returned, so dropping it is not counted.
+fn measure<T>(f: impl FnOnce() -> T) -> (T, Usage) {
+    TOTAL.store(0, Ordering::Relaxed);
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let value = f();
+    COUNTING.with(|c| c.set(false));
+    let usage = Usage {
+        total: TOTAL.load(Ordering::Relaxed),
+        peak: PEAK.load(Ordering::Relaxed) as usize,
+        live: LIVE.load(Ordering::Relaxed) as usize,
+    };
+    (value, usage)
+}
 
 #[test]
 fn freeze_allocates_one_copy_of_the_weights() {
@@ -70,32 +103,76 @@ fn freeze_allocates_one_copy_of_the_weights() {
         hidden: vec![512, 512],
         output: 64,
     };
-    let mut net = arch.build(5);
-    let bundle = ModelBundle::from_network(
-        &mut net,
-        arch,
-        spec,
-        BinningShape::Ngp,
-        NormStats::identity(),
-    );
+    // What one trainable network holds: weights and their gradients.
+    let (mut net, built) = measure(|| arch.build(5));
+    let network_bytes = built.live;
+    let weights = 4 * arch.param_count();
+
+    let (bundle, captured) = measure(|| {
+        ModelBundle::from_network(
+            &mut net,
+            arch.clone(),
+            spec,
+            BinningShape::Ngp,
+            NormStats::identity(),
+        )
+    });
     drop(net);
-
-    COUNTING.with(|c| c.set(true));
-    let frozen = bundle.freeze().expect("an MLP freezes");
-    COUNTING.with(|c| c.set(false));
-
-    let weights = frozen.weight_bytes();
-    assert_eq!(weights, 4 * bundle.arch.param_count());
-    let total = TOTAL.load(Ordering::Relaxed);
-    let peak = PEAK.load(Ordering::Relaxed) as usize;
+    let blob = bundle.params.len();
     assert!(
-        total <= bundle.params.len() + SLACK,
-        "freeze allocated {total} B in total for {weights} B of weights \
-         ({} B of parameter bytes)",
-        bundle.params.len()
+        captured.total <= blob + SLACK,
+        "from_network allocated {} B in total for a {blob} B blob",
+        captured.total
+    );
+
+    let (copy, cloned) = measure(|| bundle.clone());
+    drop(copy);
+    assert!(
+        cloned.total < 1 << 10,
+        "a bundle clone allocated {} B for a {blob} B blob",
+        cloned.total
+    );
+
+    let (frozen, froze) = measure(|| bundle.freeze().expect("an MLP freezes"));
+    assert_eq!(frozen.weight_bytes(), weights);
+    assert!(
+        froze.total <= blob + SLACK,
+        "freeze allocated {} B in total for {weights} B of weights \
+         ({blob} B of parameter bytes)",
+        froze.total
     );
     assert!(
-        peak <= weights + SLACK,
-        "freeze held {peak} B at its peak for {weights} B of weights"
+        froze.peak <= weights + SLACK,
+        "freeze held {} B at its peak for {weights} B of weights",
+        froze.peak
+    );
+    drop(frozen);
+
+    let (engine, engined) = measure(|| Engine::new().with_model_1d(bundle.clone()));
+    drop(engine);
+    assert!(
+        engined.total <= weights + SLACK,
+        "with_model_1d(bundle.clone()) allocated {} B in total for {weights} B of weights",
+        engined.total
+    );
+
+    let path = std::env::temp_dir().join(format!("dlpic-alloc-{}.dlpb", std::process::id()));
+    bundle.save(&path).expect("bundle written");
+    let file = std::fs::metadata(&path).expect("bundle file").len() as usize;
+    let (loaded, read) = measure(|| ModelBundle::load(&path));
+    std::fs::remove_file(&path).ok();
+    assert_eq!(loaded.expect("bundle loads").params, bundle.params);
+    assert!(
+        read.total <= file + SLACK,
+        "load allocated {} B in total for a {file} B file",
+        read.total
+    );
+
+    let (solver, solved) = measure(|| bundle.solver().expect("an MLP restores"));
+    drop(solver);
+    assert!(
+        solved.peak <= network_bytes + SLACK,
+        "solver held {} B at its peak for a {network_bytes} B network",
+        solved.peak
     );
 }
