@@ -413,11 +413,12 @@ fn phase_constants_only(file: &SourceFile, out: &mut Vec<RuleHit>) {
 }
 
 /// Identifier fragments that name a weight-carrying value. Matched
-/// case-insensitively as substrings (`owned_bundle`, `trained_model`, …);
+/// case-insensitively as substrings (`cached_bundle`, `trained_model`, …);
 /// `net` alone is matched exactly to avoid `planet`/`netmask` noise. The
 /// rule sees names, not types: whatever holds an owned `ModelBundle` or
-/// `Sequential` must be named so that it matches (the engine's one such
-/// field is `owned_bundle`).
+/// `Sequential` must be named so that it matches. The engine holds none:
+/// a DL solver is built only from a `FrozenBundle`, so a per-session
+/// weight copy is a type error before it is a finding.
 const WEIGHT_NAMES: [&str; 3] = ["bundle", "model", "network"];
 
 /// `no-weight-clone`: flags `<ident>.clone()` where the receiver names a

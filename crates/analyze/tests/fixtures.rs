@@ -51,7 +51,7 @@ fn expected_hits(rule: &str) -> usize {
         "safety-comment-required" => 2,  // unsafe fn + unsafe block
         "no-alloc-in-hot-loop" => 4,     // with_capacity, format!, to_vec, Box::new
         "phase-constants-only" => 2,     // string literal + computed tag
-        "no-weight-clone" => 4,          // bundle, self.model_1d, net, self.owned_bundle
+        "no-weight-clone" => 4,          // bundle, self.model_1d, net, the Option<Bundle> field
         "no-unbounded-spin" => 3,        // while, loop, while inside a for
         other => panic!("no fixture expectation for `{other}`"),
     }

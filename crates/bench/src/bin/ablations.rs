@@ -73,7 +73,7 @@ fn parse_args() -> (Scale, Option<String>) {
 }
 
 fn run_dl_pic_momentum_drift(model: &TrainedModel) -> f64 {
-    let solver = model.bundle.solver().expect("bundle -> solver");
+    let solver = model.bundle.freeze().expect("an MLP freezes").solver();
     let mut sim = Simulation::new(paper_config(0.2, 0.025, 99), Box::new(solver));
     sim.run();
     stats::max_drift(&sim.history().momentum)

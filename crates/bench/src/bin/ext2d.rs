@@ -16,6 +16,7 @@ use dlpic_analytics::stats;
 use dlpic_bench::{out_dir, Cli};
 use dlpic_core::presets::Scale;
 use dlpic_core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
+use dlpic_nn::frozen::Precision;
 use dlpic_pic::shape::Shape;
 use dlpic_pic::simulation::{PicConfig, Simulation};
 use dlpic_pic2d::grid2d::Grid2D;
@@ -83,7 +84,9 @@ fn main() {
         batch_size: 32,
         seed: 7,
     };
-    let (mut solver, history) = train_2d_solver(&grid, &samples, DensityBinning::Cic, &tc);
+    let (frozen, history) =
+        train_2d_solver(&grid, &samples, DensityBinning::Cic, &tc, Precision::F32);
+    let mut solver = frozen.solver();
     eprintln!(
         "  final MSE {:.3e} ({:.1}s)",
         history.final_loss().unwrap_or(f64::NAN),

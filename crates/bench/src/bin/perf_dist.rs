@@ -23,12 +23,13 @@
 use dlpic_analytics::series::Table;
 use dlpic_bench::{get_or_train_mlp, out_dir, Cli};
 use dlpic_core::builder::ArchSpec;
-use dlpic_core::field_solver::DlFieldSolver;
+use dlpic_core::field_solver::FrozenBundle;
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::BinningShape;
 use dlpic_core::presets::Scale;
 use dlpic_ddecomp::sim::{DistConfig, DistSimulation};
 use dlpic_ddecomp::strategy::{DistFieldStrategy, GatherScatter, ReplicatedDl};
+use dlpic_nn::frozen::Precision;
 use dlpic_pic::grid::Grid1D;
 use dlpic_pic::init::TwoStreamInit;
 use dlpic_pic::shape::Shape;
@@ -109,7 +110,9 @@ fn main() {
 
     // The DL strategy runs the real trained model of the 1-D experiments
     // so its histogram size matches the published pipeline.
-    let bundle = get_or_train_mlp(cli.scale, cli.retrain, true);
+    let frozen = get_or_train_mlp(cli.scale, cli.retrain, true)
+        .freeze()
+        .expect("the 1-D MLP freezes");
     let hist_cells = cli.scale.phase_spec().cells();
     eprintln!("model loaded ({hist_cells}-bin histogram all-reduce)\n");
 
@@ -120,11 +123,8 @@ fn main() {
             Box::new(GatherScatter::new(Shape::Cic, 1.0))
         }));
         eprintln!("ranks = {n_ranks}: replicated-dl...");
-        let bundle = bundle.clone();
-        results.push(run(n_ranks, n_part, n_steps, move || {
-            Box::new(ReplicatedDl::new(
-                bundle.solver().expect("bundle -> solver"),
-            ))
+        results.push(run(n_ranks, n_part, n_steps, || {
+            Box::new(ReplicatedDl::new(frozen.solver()))
         }));
     }
 
@@ -195,12 +195,15 @@ fn main() {
                     hidden: vec![16],
                     output: ncells,
                 };
-                Box::new(ReplicatedDl::new(DlFieldSolver::new(
-                    arch.build(0),
-                    (spec, BinningShape::Ngp, arch.input_kind()),
+                let frozen = FrozenBundle::from_network(
+                    &arch.build(0),
+                    (spec, BinningShape::Ngp),
                     NormStats::identity(),
                     "dl-mlp",
-                )))
+                    Precision::F32,
+                )
+                .expect("an MLP freezes");
+                Box::new(ReplicatedDl::new(frozen.solver()))
             } else {
                 Box::new(GatherScatter::new(Shape::Cic, 1.0))
             };

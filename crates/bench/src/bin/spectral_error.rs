@@ -16,22 +16,36 @@ use dlpic_analytics::dft::mode_amplitudes;
 use dlpic_analytics::plot::{line_plot, PlotOptions};
 use dlpic_analytics::series::{write_csv, Table, TimeSeries};
 use dlpic_bench::{out_dir, prepare_data, train_arch, Cli, DataBundle};
+use dlpic_core::builder::InputKind;
 use dlpic_core::bundle::ModelBundle;
 use dlpic_core::phase_space::BinningShape;
 use dlpic_dataset::sample::PhaseDataset;
 use dlpic_nn::loss::Mse;
+use dlpic_nn::network::PredictWorkspace;
+use dlpic_nn::serialize::params_from_bytes;
+use dlpic_nn::tensor::Tensor;
 
-/// Mean per-mode amplitude of the prediction error over a dataset.
+/// Mean per-mode amplitude of the prediction error over a dataset, one
+/// sample at a time through the trained network (pure inference: the CNN
+/// has no frozen form, so no field solver runs here).
 fn error_spectrum(bundle: &ModelBundle, data: &PhaseDataset) -> Vec<f64> {
-    let mut solver = bundle.solver().expect("bundle -> solver");
+    // Any seed: the restore overwrites every parameter.
+    let mut net = bundle.arch.build(0);
+    params_from_bytes(&mut net, &bundle.params).expect("bundle -> network");
+    let spec = data.spec;
+    let shape = match bundle.arch.input_kind() {
+        InputKind::Flat => vec![1, spec.cells()],
+        InputKind::Image => vec![1, 1, spec.nv, spec.nx],
+    };
+    let mut workspace = PredictWorkspace::new();
     let n_modes = data.e_cells / 2 + 1;
     let mut acc = vec![0.0f64; n_modes];
-    let mut hist = vec![0.0f32; data.spec.cells()];
     for i in 0..data.len() {
-        hist.copy_from_slice(data.input_row(i));
+        let mut hist = data.input_row(i).to_vec();
         bundle.norm.apply(&mut hist);
-        let pred = solver.predict_from_histogram(&hist);
+        let pred = net.predict_into(&Tensor::new(hist, &shape), &mut workspace);
         let err: Vec<f64> = pred
+            .data()
             .iter()
             .zip(data.target_row(i))
             .map(|(&p, &t)| (p - t) as f64)

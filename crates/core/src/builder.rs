@@ -232,8 +232,8 @@ impl ArchSpec {
 
     /// Builds the network of [`Self::layers`]`(seed)`: He/Glorot-initialised
     /// from `seed`, or, with `None`, zero-initialised — for a network whose
-    /// every parameter is restored right after (`ModelBundle::solver`),
-    /// which then skips drawing millions of random weights for nothing.
+    /// every parameter is restored right after, which then skips drawing
+    /// millions of random weights for nothing.
     ///
     /// # Panics
     /// As [`Self::build`].

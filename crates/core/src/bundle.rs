@@ -5,19 +5,18 @@
 //! binning order and the training-set normalization statistics (Eq. 5).
 //! [`ModelBundle`] packages all of them into one self-describing binary
 //! blob so experiment binaries can train once and reload. It is the 1-D
-//! model *file*; what runs is the [`DlFieldSolver`] it rebuilds
-//! ([`ModelBundle::solver`]) or, shared across a fleet, the
-//! [`FrozenBundle`] it loads into without a trainable network
-//! ([`ModelBundle::freeze`]).
+//! model *file*; what runs is the [`FrozenBundle`] it loads into without a
+//! trainable network ([`ModelBundle::freeze`]), whose
+//! [`FrozenBundle::solver`]s share one weight allocation.
 
-use crate::builder::{ArchSpec, InputKind, LayerSpec};
-use crate::field_solver::{DlFieldSolver, FrozenBundle};
+use crate::builder::{ArchSpec, LayerSpec};
+use crate::field_solver::FrozenBundle;
 use crate::normalize::NormStats;
 use crate::phase_space::{BinningShape, PhaseGridSpec};
 use bytes::{Buf, BufMut};
 use dlpic_nn::frozen::{FreezeError, FrozenLayer, FrozenModel, Precision};
 use dlpic_nn::network::Sequential;
-use dlpic_nn::serialize::{param_values, params_from_bytes, params_to_bytes, tensors_from_bytes};
+use dlpic_nn::serialize::{param_values, params_to_bytes, tensors_from_bytes};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -54,8 +53,9 @@ pub struct ModelBundle {
     pub precision: Precision,
 }
 
-/// Bundle (de)serialization failure.
-#[derive(Debug)]
+/// Bundle (de)serialization failure. Cloneable, so an engine can hand the
+/// same refusal to every session it is asked to start.
+#[derive(Debug, Clone)]
 pub enum BundleError {
     /// Not a bundle / wrong version / truncated.
     Malformed(&'static str),
@@ -64,7 +64,7 @@ pub enum BundleError {
     /// The architecture has a layer without a frozen inference form.
     Freeze(FreezeError),
     /// Filesystem error.
-    Io(std::io::Error),
+    Io(Arc<std::io::Error>),
 }
 
 impl std::fmt::Display for BundleError {
@@ -82,7 +82,7 @@ impl std::error::Error for BundleError {}
 
 impl From<std::io::Error> for BundleError {
     fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
+        Self::Io(Arc::new(e))
     }
 }
 
@@ -107,7 +107,7 @@ impl ModelBundle {
     }
 
     /// Builder-style setter for the training histogram mass (see
-    /// [`DlFieldSolver::with_reference_mass`]).
+    /// [`FrozenBundle::with_reference_mass`]).
     pub fn with_reference_mass(mut self, mass: f32) -> Self {
         self.reference_mass = mass;
         self
@@ -197,6 +197,11 @@ impl ModelBundle {
             min: buf.get_f32_le(),
             max: buf.get_f32_le(),
         };
+        // A non-finite bound turns every normalized input into NaN or 0,
+        // and ReLU maps NaN to 0: the model would ignore the plasma.
+        if !(norm.min.is_finite() && norm.max.is_finite()) {
+            return Err(BundleError::Malformed("bad normalization"));
+        }
         let reference_mass = buf.get_f32_le();
         // NaN-rejecting form: `reference_mass < 0.0` would accept NaN.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -269,35 +274,17 @@ impl ModelBundle {
         }
     }
 
-    /// Reconstructs a ready-to-run field solver with its **own** network
-    /// copy (architecture + restored parameters), without consuming the
-    /// bundle (fleets that want one shared allocation use [`Self::freeze`]
-    /// instead).
-    pub fn solver(&self) -> Result<DlFieldSolver, BundleError> {
-        // Zero-initialised: the restore overwrites every parameter.
-        let mut net = self.arch.build_with(None);
-        params_from_bytes(&mut net, &self.params).map_err(BundleError::Params)?;
-        Ok(
-            DlFieldSolver::new(net, self.binner(), self.norm, self.solver_name())
-                .with_reference_mass(self.reference_mass),
-        )
-    }
-
-    fn binner(&self) -> (PhaseGridSpec, BinningShape, InputKind) {
-        (self.spec, self.binning, self.arch.input_kind())
-    }
-
     /// Snapshots the bundle into an `Arc`-shared [`FrozenBundle`] at the
     /// bundle's `precision`, so any number of fleet members mint solvers
-    /// over one weight allocation. Errs ([`BundleError::Freeze`], naming
-    /// the layer) on architectures without a frozen inference form — the
-    /// CNN and the ResMlp — which callers handle by falling back to
-    /// [`Self::solver`].
+    /// over one weight allocation — the only way a bundle becomes a
+    /// solver: `bundle.freeze()?.solver()`. Errs ([`BundleError::Freeze`],
+    /// naming the layer) on architectures without a frozen inference form
+    /// — the CNN and the ResMlp — which no DL field solver runs.
     ///
     /// No trainable network is built: the architecture's layer table is
     /// frozen straight from the parameter bytes, each tensor decoded once
     /// and, at f32, moved into its frozen layer as it is. Predictions are
-    /// bit-identical to [`Self::solver`]'s.
+    /// bit-identical to the captured network's `Sequential::predict_into`.
     pub fn freeze(&self) -> Result<FrozenBundle, BundleError> {
         let table = self.arch.layers(None);
         // Refused by the architecture alone, before a byte is decoded.
@@ -334,7 +321,7 @@ impl ModelBundle {
             .collect();
         Ok(FrozenBundle {
             model: Arc::new(FrozenModel::from_layers(layers, self.precision)),
-            binner: self.binner(),
+            binner: (self.spec, self.binning),
             norm: self.norm,
             reference_mass: self.reference_mass,
             name: self.solver_name(),
@@ -346,7 +333,7 @@ impl ModelBundle {
 mod tests {
     use super::*;
     use dlpic_nn::network::PredictWorkspace;
-    use dlpic_nn::serialize::SerializeError;
+    use dlpic_nn::serialize::{params_from_bytes, SerializeError};
     use dlpic_nn::tensor::Tensor;
     use dlpic_pic::grid::Grid1D;
     use dlpic_pic::init::TwoStreamInit;
@@ -397,11 +384,12 @@ mod tests {
         let grid = Grid1D::paper();
         let p = TwoStreamInit::random(0.2, 0.01, 1_000, 5).build(&grid);
 
-        let mut s1 = bundle.solver().unwrap();
+        let mut s1 = bundle.freeze().unwrap().solver();
         let mut s2 = ModelBundle::decode(&bundle.encode())
             .unwrap()
-            .solver()
-            .unwrap();
+            .freeze()
+            .unwrap()
+            .solver();
         let mut e1 = grid.zeros();
         let mut e2 = grid.zeros();
         s1.solve(&p, &grid, &mut e1);
@@ -476,21 +464,30 @@ mod tests {
     #[test]
     fn frozen_bundle_members_share_weights_and_match_owned_solver() {
         let bundle = mlp_bundle(vec![24, 16]);
+        // The network `mlp_bundle` captured.
+        let mut net = bundle.arch.build(77);
         let frozen = bundle.freeze().unwrap();
         let grid = Grid1D::paper();
         let p = TwoStreamInit::random(0.2, 0.01, 1_000, 6).build(&grid);
 
-        let mut owned = bundle.solver().unwrap();
         let mut m1 = frozen.solver();
         let mut m2 = frozen.clone().solver();
-        let mut e0 = grid.zeros();
         let mut e1 = grid.zeros();
         let mut e2 = grid.zeros();
-        owned.solve(&p, &grid, &mut e0);
         m1.solve(&p, &grid, &mut e1);
         m2.solve(&p, &grid, &mut e2);
-        assert_eq!(e0, e1);
         assert_eq!(e1, e2);
+        let cells = bundle.spec.cells();
+        let mut row = vec![0.0f32; cells];
+        m1.prepare_input(&p, &grid, &mut row);
+        let x = Tensor::new(row, &[1, cells]);
+        let e0: Vec<f64> = net
+            .predict_into(&x, &mut PredictWorkspace::new())
+            .data()
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
+        assert_eq!(e0, e1);
 
         let (id1, bytes) = m1.weight_storage().unwrap();
         let (id2, _) = m2.weight_storage().unwrap();
@@ -503,24 +500,25 @@ mod tests {
         // Batched rows: solo, one 8-row tile plus one, two tiles plus one.
         for m in [1usize, 9, 17] {
             let input = input_rows(&bundle, m);
-            let mut want = vec![0.0f32; m * 64];
+            let x = Tensor::new(input.clone(), &[m, cells]);
             let mut got = vec![0.0f32; m * 64];
-            owned.infer_batch(&input, m, &mut want);
             m1.infer_batch(&input, m, &mut got);
-            assert_same_bits(&got, &want, &format!("f32, m = {m}"));
+            let mut workspace = PredictWorkspace::new();
+            let want = net.predict_into(&x, &mut workspace);
+            assert_same_bits(&got, want.data(), &format!("f32, m = {m}"));
         }
 
-        // bf16: the same bits as freezing the restored network at bf16.
+        // bf16: the same bits as freezing the source network at bf16.
         let bf16 = bundle
             .clone()
             .with_precision(Precision::Bf16)
             .freeze()
             .unwrap();
-        let reference = owned.network().unwrap().freeze(Precision::Bf16).unwrap();
+        let reference = net.freeze(Precision::Bf16).unwrap();
         assert_eq!(bf16.model().precision(), Precision::Bf16);
         assert_eq!(bf16.weight_bytes(), reference.weight_bytes());
         for m in [1usize, 9, 17] {
-            let x = Tensor::new(input_rows(&bundle, m), &[m, bundle.spec.cells()]);
+            let x = Tensor::new(input_rows(&bundle, m), &[m, cells]);
             let (mut ws_got, mut ws_want) = (PredictWorkspace::new(), PredictWorkspace::new());
             assert_same_bits(
                 bf16.model().predict_into(&x, &mut ws_got).data(),
@@ -565,9 +563,9 @@ mod tests {
                 params: Arc::new(blob(&params)),
                 ..bundle.clone()
             };
-            let Err(BundleError::Params(want)) = bad.solver() else {
-                panic!("solver() accepted params that do not fit");
-            };
+            // What restoring the blob into the architecture's network says.
+            let want = params_from_bytes(&mut bad.arch.build_with(None), &bad.params)
+                .expect_err("a restore accepted params that do not fit");
             match bad.freeze() {
                 Err(BundleError::Params(got)) => {
                     assert_eq!(got, SerializeError::Corrupt(message));
@@ -615,8 +613,6 @@ mod tests {
                 }
                 other => panic!("expected a freeze error, got {other:?}"),
             }
-            // The owned fallback still works.
-            assert!(bundle.solver().is_ok());
         }
     }
 
@@ -647,6 +643,34 @@ mod tests {
                 ModelBundle::decode(&bundle.encode()),
                 Err(BundleError::Malformed("non-finite parameter"))
             ));
+        }
+        // So is a non-finite normalization bound: every input would
+        // normalize to NaN or 0.
+        for norm in [
+            NormStats {
+                min: f32::NAN,
+                max: 37.5,
+            },
+            NormStats {
+                min: f32::NEG_INFINITY,
+                max: 37.5,
+            },
+            NormStats {
+                min: 0.0,
+                max: f32::INFINITY,
+            },
+        ] {
+            let bundle = ModelBundle {
+                norm,
+                ..tiny_bundle()
+            };
+            assert!(
+                matches!(
+                    ModelBundle::decode(&bundle.encode()),
+                    Err(BundleError::Malformed("bad normalization"))
+                ),
+                "{norm:?}"
+            );
         }
     }
 }

@@ -18,13 +18,13 @@
 //! the two differ; the predicted field components come back stacked in one
 //! output row either way.
 //!
-//! [`FrozenBundle`] is the solver's shareable form — the `Arc`-shared
-//! frozen weights plus the binner, normalization, reference mass and name —
-//! in both dimensions: [`DlFieldSolver::freeze`] makes one from any solver,
-//! `ModelBundle::freeze` from a model file, and every
-//! [`FrozenBundle::solver`] reads the one weight allocation.
+//! What a solver runs is a [`FrozenBundle`] — the `Arc`-shared frozen
+//! weights plus the binner, normalization, reference mass and name — in
+//! both dimensions. [`FrozenBundle::from_network`] freezes one from a
+//! trained network, `ModelBundle::freeze` from a model file, and only
+//! [`FrozenBundle::solver`] mints a solver: the bundle plus its per-session
+//! scratch, reading the one weight allocation.
 
-use crate::builder::InputKind;
 use crate::normalize::NormStats;
 use crate::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
 use dlpic_nn::frozen::{FreezeError, FrozenModel, Precision};
@@ -36,49 +36,13 @@ use dlpic_pic::particles::Particles;
 use dlpic_pic::solver::{FieldSolver, PhasedFieldSolver};
 use std::sync::Arc;
 
-/// How a DL solver executes its network: an owned, per-solver
-/// [`Sequential`] (training output, CNN fallback) or an `Arc`-shared
-/// immutable [`FrozenModel`] so whole fleets read one weight allocation.
-/// At f32 the two paths run the same row-stable kernels and are
-/// bit-identical.
-enum NetExec {
-    /// A private network copy (mutable; the historical path).
-    Owned(Sequential),
-    /// A shared frozen snapshot (read-only; `Arc` clones are cheap).
-    Shared(Arc<FrozenModel>),
-}
-
-impl NetExec {
-    fn predict_into<'w>(
-        &mut self,
-        input: &Tensor,
-        workspace: &'w mut PredictWorkspace,
-    ) -> &'w Tensor {
-        match self {
-            Self::Owned(net) => net.predict_into(input, workspace),
-            Self::Shared(model) => model.predict_into(input, workspace),
-        }
-    }
-
-    /// `(id, bytes)` of the weight allocation: shared solvers report the
-    /// `Arc` pointer (equal across all sharers) and the frozen model's
-    /// actual storage; owned solvers report their own address (never
-    /// deduplicated) and the f32 parameter footprint.
-    fn weight_storage(&self) -> (usize, usize) {
-        match self {
-            Self::Owned(net) => (self as *const Self as usize, net.param_count() * 4),
-            Self::Shared(model) => (Arc::as_ptr(model) as usize, model.weight_bytes()),
-        }
-    }
-}
-
 /// The one per-dimension piece of a DL field solve: how a geometry's
 /// particle state becomes the network's input row. Everything after it —
 /// mass rescaling, normalization, inference, the field write — is
 /// [`DlFieldSolver`]'s and is the same in every dimension.
 pub trait InputBinning: Geometry {
-    /// What parameterises the binning: the phase grid, binning order and
-    /// input layout in 1-D; the density-binning order in 2-D. Plain data:
+    /// What parameterises the binning: the phase grid and binning order in
+    /// 1-D; the density-binning order in 2-D. Plain data:
     /// a [`FrozenBundle`] carries one and hands a copy to every member.
     type Binner: Clone + std::fmt::Debug + Send + Sync + 'static;
 
@@ -93,25 +57,18 @@ pub trait InputBinning: Geometry {
         grid: &Self,
         dst: &mut [f32],
     ) -> usize;
-
-    /// Shapes the reusable input tensor for `rows` stacked rows of `width`
-    /// values each: flat, unless the architecture wants an image.
-    fn shape_batch(_binner: &Self::Binner, input: &mut Tensor, rows: usize, width: usize) {
-        input.resize_in_place(&[rows, width]);
-    }
 }
 
-/// The paper's input: the `(x, v)` phase-space histogram, flat for the MLP
-/// or as a one-channel image for the CNN.
+/// The paper's input: the `(x, v)` phase-space histogram, one flat row.
 impl InputBinning for Grid1D {
-    type Binner = (PhaseGridSpec, BinningShape, InputKind);
+    type Binner = (PhaseGridSpec, BinningShape);
 
     fn input_len((spec, ..): &Self::Binner, _grid: &Grid1D) -> usize {
         spec.cells()
     }
 
     fn bin(
-        (spec, shape, _): &Self::Binner,
+        (spec, shape): &Self::Binner,
         particles: &Particles,
         grid: &Grid1D,
         dst: &mut [f32],
@@ -119,23 +76,14 @@ impl InputBinning for Grid1D {
         bin_phase_space(particles, grid, spec, *shape, dst);
         particles.len()
     }
-
-    fn shape_batch((spec, _, kind): &Self::Binner, input: &mut Tensor, rows: usize, width: usize) {
-        assert_eq!(width, spec.cells(), "histogram size mismatch");
-        match kind {
-            InputKind::Flat => input.resize_in_place(&[rows, width]),
-            InputKind::Image => input.resize_in_place(&[rows, 1, spec.nv, spec.nx]),
-        }
-    }
 }
 
-/// A neural-network-backed electric-field solver.
+/// A neural-network-backed electric-field solver: one session's handle on
+/// a [`FrozenBundle`] plus the scratch its solves reuse. Only
+/// [`FrozenBundle::solver`] makes one, so every solver reads a shared
+/// frozen model; none holds weights of its own.
 pub struct DlFieldSolver<G: InputBinning = Grid1D> {
-    net: NetExec,
-    binner: G::Binner,
-    norm: NormStats,
-    name: &'static str,
-    reference_mass: f32,
+    bundle: FrozenBundle<G>,
     scratch: Vec<f32>,
     out_scratch: Vec<f32>,
     input: Tensor,
@@ -149,133 +97,29 @@ pub struct DlFieldSolver<G: InputBinning = Grid1D> {
 }
 
 impl<G: InputBinning> DlFieldSolver<G> {
-    /// Wraps a trained network.
-    ///
-    /// `norm` must be the statistics of the network's *training* inputs;
-    /// the binner's input layout must match the architecture (flat for
-    /// MLP, image for CNN).
-    pub fn new(net: Sequential, binner: G::Binner, norm: NormStats, name: &'static str) -> Self {
-        Self::with_exec(NetExec::Owned(net), binner, norm, name)
-    }
-
-    /// Wraps an `Arc`-shared frozen model: the fleet path, where N
-    /// sessions hold N of these solvers over **one** weight allocation.
-    /// At [`dlpic_nn::Precision::F32`] this is bit-identical to
-    /// [`Self::new`] on the network the model was frozen from.
-    pub fn shared(
-        model: Arc<FrozenModel>,
-        binner: G::Binner,
-        norm: NormStats,
-        name: &'static str,
-    ) -> Self {
-        Self::with_exec(NetExec::Shared(model), binner, norm, name)
-    }
-
-    fn with_exec(net: NetExec, binner: G::Binner, norm: NormStats, name: &'static str) -> Self {
-        Self {
-            net,
-            binner,
-            norm,
-            name,
-            reference_mass: 0.0,
-            scratch: Vec::new(),
-            out_scratch: Vec::new(),
-            input: Tensor::zeros(&[0]),
-            workspace: PredictWorkspace::new(),
-            in_len: 0,
-            out_len: 0,
-        }
-    }
-
-    /// Sets the total histogram mass (= particle count) of the *training*
-    /// histograms. When set (> 0), inference histograms are rescaled to
-    /// this mass before normalization, so a model trained at one
-    /// macro-particle count stays calibrated at any other — a count
-    /// histogram is an extensive quantity, and Eq. 5's min–max statistics
-    /// only transfer between runs of equal mass.
-    pub fn with_reference_mass(mut self, mass: f32) -> Self {
-        self.reference_mass = mass;
-        self
-    }
-
     /// What parameterises this solver's input binning (1-D: the phase
-    /// grid, binning order and input layout).
+    /// grid and binning order).
     pub fn binner(&self) -> &G::Binner {
-        &self.binner
+        &self.bundle.binner
     }
 
     /// The training histograms' total mass (0 = unknown).
     pub fn reference_mass(&self) -> f32 {
-        self.reference_mass
-    }
-
-    /// Immutable access to the wrapped network, when this solver owns a
-    /// private copy (`None` on the `Arc`-shared frozen path).
-    pub fn network(&self) -> Option<&Sequential> {
-        match &self.net {
-            NetExec::Owned(net) => Some(net),
-            NetExec::Shared(_) => None,
-        }
-    }
-
-    /// The shared frozen model, when this solver runs on one (`None` on
-    /// the owned path).
-    pub fn frozen(&self) -> Option<&Arc<FrozenModel>> {
-        match &self.net {
-            NetExec::Owned(_) => None,
-            NetExec::Shared(model) => Some(model),
-        }
-    }
-
-    /// Snapshots this solver into a shareable [`FrozenBundle`]: an owned
-    /// network is frozen at `precision`, a shared one re-shared as it is
-    /// (its stored precision wins — re-quantizing without the f32 source
-    /// is impossible).
-    pub fn freeze(&self, precision: Precision) -> Result<FrozenBundle<G>, FreezeError> {
-        let model = match &self.net {
-            NetExec::Owned(net) => Arc::new(net.freeze(precision)?),
-            NetExec::Shared(model) => Arc::clone(model),
-        };
-        Ok(FrozenBundle {
-            model,
-            binner: self.binner.clone(),
-            norm: self.norm,
-            reference_mass: self.reference_mass,
-            name: self.name,
-        })
-    }
-
-    /// Runs one inference from an already-binned, already-normalized
-    /// histogram (the inner step of [`FieldSolver::solve`], exposed for
-    /// benchmarking the pure inference cost); returns the predicted field
-    /// components stacked.
-    pub fn predict_from_histogram(&mut self, histogram: &[f32]) -> Vec<f32> {
-        self.stage_input(histogram, 1);
-        self.net
-            .predict_into(&self.input, &mut self.workspace)
-            .data()
-            .to_vec()
+        self.bundle.reference_mass
     }
 
     /// Rescales a raw histogram of total count `mass` to the training mass
     /// (when one is set) and applies the training-set normalization
     /// (paper Eq. 5).
     fn normalize(&self, mass: f32, histogram: &mut [f32]) {
-        if self.reference_mass > 0.0 && (mass - self.reference_mass).abs() > 0.5 {
-            let factor = self.reference_mass / mass;
+        let reference_mass = self.bundle.reference_mass;
+        if reference_mass > 0.0 && (mass - reference_mass).abs() > 0.5 {
+            let factor = reference_mass / mass;
             for v in histogram.iter_mut() {
                 *v *= factor;
             }
         }
-        self.norm.apply(histogram);
-    }
-
-    /// Copies `rows` prepared histograms into the reusable input tensor
-    /// with the architecture's batch shape.
-    fn stage_input(&mut self, data: &[f32], rows: usize) {
-        assert_eq!(data.len() % rows, 0, "batch input size");
-        G::shape_batch(&self.binner, &mut self.input, rows, data.len() / rows);
-        self.input.data_mut().copy_from_slice(data);
+        self.bundle.norm.apply(histogram);
     }
 
     /// Inference + field write from the prepared `self.scratch` — phases
@@ -293,11 +137,11 @@ impl<G: InputBinning> DlFieldSolver<G> {
     }
 }
 
-/// A frozen, `Arc`-shareable snapshot of a DL field solver: the immutable
-/// model plus the inference-time metadata needed to mint fleet members
-/// that all read **one** weight allocation. Cloning is cheap (one `Arc`
-/// bump) and every [`Self::solver`] shares the same weights. This is the
-/// one thing an engine session runs on, in either dimension.
+/// The one thing a DL field solve runs, in either dimension: the
+/// immutable, `Arc`-shared model plus the inference-time metadata — input
+/// binner, training-set normalization, reference mass and name. Cloning is
+/// cheap (one `Arc` bump), and every [`Self::solver`] reads the same
+/// weight allocation.
 #[derive(Debug, Clone)]
 pub struct FrozenBundle<G: InputBinning = Grid1D> {
     pub(crate) model: Arc<FrozenModel>,
@@ -308,17 +152,50 @@ pub struct FrozenBundle<G: InputBinning = Grid1D> {
 }
 
 impl<G: InputBinning> FrozenBundle<G> {
-    /// Mints one fleet member over the shared weight allocation. At
-    /// [`Precision::F32`] the member is bit-identical to the solver the
-    /// bundle was frozen from.
+    /// Freezes a trained network at `precision`. `norm` must be the
+    /// statistics of the network's *training* inputs, and `binner` must
+    /// produce the flat input row the network reads. Errs, naming the
+    /// layer, on a network without a frozen inference form.
+    pub fn from_network(
+        net: &Sequential,
+        binner: G::Binner,
+        norm: NormStats,
+        name: &'static str,
+        precision: Precision,
+    ) -> Result<Self, FreezeError> {
+        Ok(Self {
+            model: Arc::new(net.freeze(precision)?),
+            binner,
+            norm,
+            reference_mass: 0.0,
+            name,
+        })
+    }
+
+    /// Sets the total histogram mass (= particle count) of the *training*
+    /// histograms. When set (> 0), inference histograms are rescaled to
+    /// this mass before normalization, so a model trained at one
+    /// macro-particle count stays calibrated at any other — a count
+    /// histogram is an extensive quantity, and Eq. 5's min–max statistics
+    /// only transfer between runs of equal mass.
+    pub fn with_reference_mass(mut self, mass: f32) -> Self {
+        self.reference_mass = mass;
+        self
+    }
+
+    /// Mints one solver over the shared weight allocation: the one way to
+    /// make a [`DlFieldSolver`]. At [`Precision::F32`] it predicts the
+    /// same bits as the network the bundle was frozen from.
     pub fn solver(&self) -> DlFieldSolver<G> {
-        DlFieldSolver::shared(
-            Arc::clone(&self.model),
-            self.binner.clone(),
-            self.norm,
-            self.name,
-        )
-        .with_reference_mass(self.reference_mass)
+        DlFieldSolver {
+            bundle: self.clone(),
+            scratch: Vec::new(),
+            out_scratch: Vec::new(),
+            input: Tensor::zeros(&[0]),
+            workspace: PredictWorkspace::new(),
+            in_len: 0,
+            out_len: 0,
+        }
     }
 
     /// The shared frozen model.
@@ -371,14 +248,14 @@ impl<G: InputBinning> FieldSolver<G> for DlFieldSolver<G> {
         // bit-identical to a batched solve of the same state (row-stable
         // GEMM kernels).
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.resize(G::input_len(&self.binner, grid), 0.0);
+        scratch.resize(G::input_len(&self.bundle.binner, grid), 0.0);
         self.prepare_input(particles, grid, &mut scratch);
         self.scratch = scratch;
         self.infer_scratch_into(e);
     }
 
     fn name(&self) -> &'static str {
-        self.name
+        self.bundle.name
     }
 
     fn phased(&mut self) -> Option<&mut dyn PhasedFieldSolver<G>> {
@@ -386,7 +263,8 @@ impl<G: InputBinning> FieldSolver<G> for DlFieldSolver<G> {
     }
 
     fn weight_storage(&self) -> Option<(usize, usize)> {
-        Some(self.net.weight_storage())
+        let model = &self.bundle.model;
+        Some((Arc::as_ptr(model) as usize, model.weight_bytes()))
     }
 }
 
@@ -410,7 +288,7 @@ impl<G: InputBinning> PhasedFieldSolver<G> for DlFieldSolver<G> {
     fn prepare_input(&mut self, particles: &G::Particles, grid: &G, dst: &mut [f32]) {
         // 1-2. Bin, rescale to the training mass, and normalize (paper
         // Eq. 5) — everything `solve` does before the network.
-        let mass = G::bin(&self.binner, particles, grid, dst) as f32;
+        let mass = G::bin(&self.bundle.binner, particles, grid, dst) as f32;
         self.normalize(mass, dst);
         self.in_len = dst.len();
     }
@@ -418,8 +296,13 @@ impl<G: InputBinning> PhasedFieldSolver<G> for DlFieldSolver<G> {
     fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]) {
         // 3. One batched inference through the reusable input/activation
         // buffers (ping-pong workspace; allocation-free once warm).
-        self.stage_input(input, rows);
-        let pred = self.net.predict_into(&self.input, &mut self.workspace);
+        assert_eq!(input.len() % rows, 0, "batch input size");
+        self.input.resize_in_place(&[rows, input.len() / rows]);
+        self.input.data_mut().copy_from_slice(input);
+        let pred = self
+            .bundle
+            .model
+            .predict_into(&self.input, &mut self.workspace);
         assert_eq!(
             pred.len(),
             output.len(),
@@ -453,26 +336,30 @@ mod tests {
     use dlpic_pic::init::TwoStreamInit;
     use dlpic_pic::simulation::{two_stream_config, Simulation};
 
-    fn tiny_solver() -> DlFieldSolver {
+    /// A smoke-grid MLP with one hidden layer of `hidden` and `output`
+    /// outputs, frozen at f32.
+    fn tiny_bundle(hidden: usize, output: usize, shape: BinningShape) -> FrozenBundle {
         let spec = PhaseGridSpec::smoke();
         let arch = ArchSpec::Mlp {
             input: spec.cells(),
-            hidden: vec![8],
-            output: 64,
+            hidden: vec![hidden],
+            output,
         };
-        DlFieldSolver::new(
-            arch.build(0),
-            (spec, BinningShape::Ngp, arch.input_kind()),
+        FrozenBundle::from_network(
+            &arch.build(0),
+            (spec, shape),
             NormStats::identity(),
             "dl-mlp",
+            Precision::F32,
         )
+        .unwrap()
     }
 
     #[test]
     fn solver_writes_finite_field_of_grid_size() {
         let grid = Grid1D::paper();
         let p = TwoStreamInit::random(0.2, 0.0, 2_000, 1).build(&grid);
-        let mut solver = tiny_solver();
+        let mut solver = tiny_bundle(8, 64, BinningShape::Ngp).solver();
         let mut e = grid.zeros();
         FieldSolver::solve(&mut solver, &p, &grid, &mut e);
         assert_eq!(e.len(), 64);
@@ -483,7 +370,8 @@ mod tests {
     fn plugs_into_the_shared_simulation_loop() {
         let init = TwoStreamInit::random(0.2, 0.0, 2_000, 2);
         let cfg = two_stream_config(init, 5);
-        let mut sim = Simulation::new(cfg, Box::new(tiny_solver()));
+        let solver = tiny_bundle(8, 64, BinningShape::Ngp).solver();
+        let mut sim = Simulation::new(cfg, Box::new(solver));
         sim.run();
         assert_eq!(sim.history().len(), 6);
         assert_eq!(sim.solver_name(), "dl-mlp");
@@ -491,30 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn cnn_input_kind_reshapes_to_image() {
-        let spec = PhaseGridSpec::new(16, 16, -0.8, 0.8);
-        let arch = ArchSpec::Cnn {
-            nv: 16,
-            nx: 16,
-            channels: (2, 2),
-            kernel: 3,
-            hidden: vec![16],
-            output: 64,
-        };
-        let mut solver = DlFieldSolver::<Grid1D>::new(
-            arch.build(1),
-            (spec, BinningShape::Cic, arch.input_kind()),
-            NormStats::identity(),
-            "dl-cnn",
-        );
-        let hist = vec![0.5f32; spec.cells()];
-        let out = solver.predict_from_histogram(&hist);
-        assert_eq!(out.len(), 64);
-    }
-
-    #[test]
     fn shared_frozen_solver_is_bit_identical_to_owned() {
-        use dlpic_nn::frozen::Precision;
         let grid = Grid1D::paper();
         let p = TwoStreamInit::random(0.2, 0.01, 2_000, 9).build(&grid);
         let arch = ArchSpec::Mlp {
@@ -522,59 +387,45 @@ mod tests {
             hidden: vec![8],
             output: 64,
         };
-        let model = Arc::new(arch.build(4).freeze(Precision::F32).unwrap());
-        let mk_shared = |m: Arc<dlpic_nn::FrozenModel>| {
-            DlFieldSolver::<Grid1D>::shared(
-                m,
-                (PhaseGridSpec::smoke(), BinningShape::Cic, arch.input_kind()),
-                NormStats::identity(),
-                "dl-mlp",
-            )
-        };
-        let mut owned = DlFieldSolver::<Grid1D>::new(
-            arch.build(4),
-            (PhaseGridSpec::smoke(), BinningShape::Cic, arch.input_kind()),
+        let mut net = arch.build(4);
+        let frozen = FrozenBundle::from_network(
+            &net,
+            (PhaseGridSpec::smoke(), BinningShape::Cic),
             NormStats::identity(),
             "dl-mlp",
-        );
-        let mut s1 = mk_shared(Arc::clone(&model));
-        let mut s2 = mk_shared(model);
+            Precision::F32,
+        )
+        .unwrap();
+        let mut s1 = frozen.solver();
+        let mut s2 = frozen.solver();
 
-        let mut e_owned = grid.zeros();
         let mut e1 = grid.zeros();
         let mut e2 = grid.zeros();
-        FieldSolver::solve(&mut owned, &p, &grid, &mut e_owned);
         FieldSolver::solve(&mut s1, &p, &grid, &mut e1);
         FieldSolver::solve(&mut s2, &p, &grid, &mut e2);
-        assert_eq!(e_owned, e1);
         assert_eq!(e1, e2);
 
-        // Sharers report one weight allocation; the owned copy its own.
+        // The same bits as the source network on the row the solver saw.
+        let mut row = vec![0.0f32; arch.input_len()];
+        s1.prepare_input(&p, &grid, &mut row);
+        let x = Tensor::new(row, &[1, arch.input_len()]);
+        let mut workspace = PredictWorkspace::new();
+        let owned = net.predict_into(&x, &mut workspace);
+        let e_owned: Vec<f64> = owned.data().iter().map(|&v| v as f64).collect();
+        assert_eq!(e_owned, e1);
+
+        // Sharers report one weight allocation.
         let (id1, b1) = FieldSolver::weight_storage(&s1).unwrap();
         let (id2, b2) = FieldSolver::weight_storage(&s2).unwrap();
-        let (id0, _) = FieldSolver::weight_storage(&owned).unwrap();
         assert_eq!(id1, id2);
         assert_eq!(b1, b2);
-        assert_ne!(id0, id1);
-        assert!(owned.network().is_some() && owned.frozen().is_none());
-        assert!(s1.network().is_none() && s1.frozen().is_some());
+        assert_eq!(id1, Arc::as_ptr(frozen.model()) as usize);
     }
 
     #[test]
     #[should_panic(expected = "network output width")]
     fn output_width_mismatch_detected() {
-        let spec = PhaseGridSpec::smoke();
-        let arch = ArchSpec::Mlp {
-            input: spec.cells(),
-            hidden: vec![4],
-            output: 32,
-        };
-        let mut solver = DlFieldSolver::<Grid1D>::new(
-            arch.build(0),
-            (spec, BinningShape::Ngp, arch.input_kind()),
-            NormStats::identity(),
-            "dl-mlp",
-        );
+        let mut solver = tiny_bundle(4, 32, BinningShape::Ngp).solver();
         let grid = Grid1D::paper(); // 64 cells ≠ 32 outputs
         let p = TwoStreamInit::random(0.2, 0.0, 100, 0).build(&grid);
         let mut e = grid.zeros();

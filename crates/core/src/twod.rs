@@ -17,17 +17,17 @@
 //! The rest of the method is unchanged: histograms are min–max normalized
 //! with the training-set statistics (paper Eq. 5), the network is an MLP
 //! with ReLU hidden layers and a linear output trained with Adam on MSE,
-//! and the solver is the one [`DlFieldSolver`], instantiated at
-//! [`Grid2D`]: this module supplies its input binning ([`bin_density`]
-//! behind [`InputBinning`]) and the harvest/train pipeline; inference,
-//! normalization, the field write and the frozen shareable form
-//! (`FrozenBundle<Grid2D>`, from [`DlFieldSolver::freeze`]) are the code the
-//! 1-D solver runs.
+//! and the solver is the one `DlFieldSolver`, instantiated at [`Grid2D`]:
+//! this module supplies its input binning ([`bin_density`] behind
+//! [`InputBinning`]) and the harvest/train pipeline, which ends in a
+//! `FrozenBundle<Grid2D>`; inference, normalization and the field write
+//! are the code the 1-D solver runs.
 
 use crate::builder::ArchSpec;
-use crate::field_solver::{DlFieldSolver, InputBinning};
+use crate::field_solver::{FrozenBundle, InputBinning};
 use crate::normalize::NormStats;
 use dlpic_nn::data::Dataset;
+use dlpic_nn::frozen::Precision;
 use dlpic_nn::loss::Mse;
 use dlpic_nn::optimizer::adam::Adam;
 use dlpic_nn::tensor::Tensor;
@@ -212,7 +212,8 @@ impl Default for Train2DConfig {
     }
 }
 
-/// Trains a 2-D DL field solver on harvested samples.
+/// Trains a 2-D DL field solver on harvested samples and freezes it at
+/// `precision`.
 ///
 /// # Panics
 /// Panics on an empty sample list.
@@ -221,7 +222,8 @@ pub fn train_2d_solver(
     samples: &[Sample2D],
     binning: DensityBinning,
     cfg: &Train2DConfig,
-) -> (DlFieldSolver<Grid2D>, TrainHistory) {
+    precision: Precision,
+) -> (FrozenBundle<Grid2D>, TrainHistory) {
     let (dataset, norm) = build_dataset_2d(samples);
     let arch = arch_2d(grid.nodes(), cfg.hidden.clone());
     let mut net = arch.build(cfg.seed);
@@ -234,21 +236,38 @@ pub fn train_2d_solver(
     };
     let history = train(&mut net, &Mse, &mut opt, &dataset, None, &tc);
     let reference_mass: f32 = samples[0].hist.iter().sum();
-    let solver =
-        DlFieldSolver::new(net, binning, norm, "dl-2d-mlp").with_reference_mass(reference_mass);
-    (solver, history)
+    let frozen = FrozenBundle::from_network(&net, binning, norm, "dl-2d-mlp", precision)
+        .expect("the 2-D MLP has a frozen form")
+        .with_reference_mass(reference_mass);
+    (frozen, history)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlpic_nn::frozen::Precision;
+    use crate::field_solver::DlFieldSolver;
+    use dlpic_nn::network::PredictWorkspace;
+    use dlpic_nn::tensor::Tensor;
     use dlpic_pic::shape::Shape;
-    use dlpic_pic::solver::FieldSolver;
+    use dlpic_pic::solver::{FieldSolver, PhasedFieldSolver};
     use dlpic_pic2d::init2d::TwoStream2DInit;
 
     fn tiny_grid() -> Grid2D {
         Grid2D::new(8, 8, 2.0532, 2.0532)
+    }
+
+    /// An untrained `tiny_grid` MLP with one hidden layer of 16, frozen at
+    /// f32.
+    fn tiny_frozen(seed: u64, binning: DensityBinning) -> FrozenBundle<Grid2D> {
+        let arch = arch_2d(tiny_grid().nodes(), vec![16]);
+        FrozenBundle::from_network(
+            &arch.build(seed),
+            binning,
+            NormStats::identity(),
+            "dl-2d",
+            Precision::F32,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -325,13 +344,7 @@ mod tests {
     #[test]
     fn untrained_solver_writes_finite_fields() {
         let grid = tiny_grid();
-        let arch = arch_2d(grid.nodes(), vec![16]);
-        let mut solver = DlFieldSolver::new(
-            arch.build(0),
-            DensityBinning::Ngp,
-            NormStats::identity(),
-            "dl-2d",
-        );
+        let mut solver = tiny_frozen(0, DensityBinning::Ngp).solver();
         let p = TwoStream2DInit::random(0.2, 0.0, 512, 1).build(&grid);
         let mut e = vec![0.0; 2 * grid.nodes()];
         solver.solve(&p, &grid, &mut e);
@@ -359,7 +372,8 @@ mod tests {
             batch_size: 8,
             seed: 1,
         };
-        let (_, history) = train_2d_solver(&grid, &samples, DensityBinning::Ngp, &tc);
+        let (_, history) =
+            train_2d_solver(&grid, &samples, DensityBinning::Ngp, &tc, Precision::F32);
         let first = history.train_loss.first().copied().unwrap();
         let last = history.final_loss().unwrap();
         assert!(
@@ -371,15 +385,8 @@ mod tests {
     #[test]
     fn frozen_2d_solver_is_bit_identical_to_owned() {
         let grid = tiny_grid();
-        let arch = arch_2d(grid.nodes(), vec![16]);
-        let mut owned = DlFieldSolver::new(
-            arch.build(3),
-            DensityBinning::Cic,
-            NormStats::identity(),
-            "dl-2d",
-        )
-        .with_reference_mass(512.0);
-        let frozen = owned.freeze(Precision::F32).unwrap();
+        let mut net = arch_2d(grid.nodes(), vec![16]).build(3);
+        let frozen = tiny_frozen(3, DensityBinning::Cic).with_reference_mass(512.0);
         let mut m1 = frozen.solver();
         let mut m2 = frozen.solver();
         let p = TwoStream2DInit::random(0.2, 0.01, 512, 5).build(&grid);
@@ -390,20 +397,29 @@ mod tests {
             let ey = ex.split_off(grid.nodes());
             (ex, ey)
         };
-        let (ex0, ey0) = solve(&mut owned, &grid);
         let (ex1, ey1) = solve(&mut m1, &grid);
         let (ex2, ey2) = solve(&mut m2, &grid);
-        assert_eq!(ex0, ex1);
-        assert_eq!(ey0, ey1);
         assert_eq!(ex1, ex2);
         assert_eq!(ey1, ey2);
 
-        // One allocation across sharers, distinct from the owned copy.
+        // The same bits as the source network on the row the solver saw.
+        let mut row = vec![0.0f32; grid.nodes()];
+        m1.prepare_input(&p, &grid, &mut row);
+        let x = Tensor::new(row, &[1, grid.nodes()]);
+        let mut ex0: Vec<f64> = net
+            .predict_into(&x, &mut PredictWorkspace::new())
+            .data()
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
+        let ey0 = ex0.split_off(grid.nodes());
+        assert_eq!(ex0, ex1);
+        assert_eq!(ey0, ey1);
+
+        // One allocation across sharers.
         let (id1, bytes1) = m1.weight_storage().unwrap();
         let (id2, _) = m2.weight_storage().unwrap();
-        let (id0, _) = owned.weight_storage().unwrap();
         assert_eq!(id1, id2);
-        assert_ne!(id0, id1);
         assert_eq!(bytes1, frozen.weight_bytes());
         assert_eq!(m1.name(), "dl-2d");
         assert_eq!(m1.reference_mass(), 512.0);
@@ -412,13 +428,7 @@ mod tests {
     #[test]
     fn solver_plugs_into_simulation_2d() {
         let grid = tiny_grid();
-        let arch = arch_2d(grid.nodes(), vec![16]);
-        let solver = DlFieldSolver::new(
-            arch.build(0),
-            DensityBinning::Ngp,
-            NormStats::identity(),
-            "dl-2d",
-        );
+        let solver = tiny_frozen(0, DensityBinning::Ngp).solver();
         let cfg = PicConfig {
             grid,
             init: Some(TwoStream2DInit::quiet(0.2, 0.0, 1024, 1e-3, 0)),

@@ -184,11 +184,6 @@ impl ReplicatedDl {
         }
     }
 
-    /// The wrapped DL solver.
-    pub fn solver(&self) -> &DlFieldSolver {
-        &self.solver
-    }
-
     /// The most recent global E prediction (diagnostics only).
     pub fn e_global(&self) -> &[f64] {
         &self.e_global
@@ -203,7 +198,7 @@ impl DistFieldStrategy for ReplicatedDl {
         topo: &Topology,
         fabric: &mut Fabric,
     ) {
-        let (spec, binning, _) = *self.solver.binner();
+        let (spec, binning) = *self.solver.binner();
         let cells = spec.cells();
         let cpr = topo.cells_per_rank();
         let n = grid.ncells();
@@ -266,8 +261,10 @@ mod tests {
     use super::*;
     use crate::sim::RankState;
     use dlpic_core::builder::ArchSpec;
+    use dlpic_core::field_solver::FrozenBundle;
     use dlpic_core::normalize::NormStats;
     use dlpic_core::phase_space::{BinningShape, PhaseGridSpec};
+    use dlpic_nn::frozen::Precision;
 
     fn tiny_dl_solver() -> DlFieldSolver {
         let spec = PhaseGridSpec::smoke();
@@ -276,12 +273,15 @@ mod tests {
             hidden: vec![8],
             output: 64,
         };
-        DlFieldSolver::new(
-            arch.build(0),
-            (spec, BinningShape::Ngp, arch.input_kind()),
+        FrozenBundle::from_network(
+            &arch.build(0),
+            (spec, BinningShape::Ngp),
             NormStats::identity(),
             "dl-mlp",
+            Precision::F32,
         )
+        .unwrap()
+        .solver()
     }
 
     fn make_states(grid: &Grid1D, topo: &Topology, per_rank: usize) -> Vec<RankState> {

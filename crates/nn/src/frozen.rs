@@ -26,8 +26,8 @@
 //!
 //! Only inference-path layers freeze (dense / relu / flatten — the
 //! paper's MLP); [`Sequential::freeze`](crate::Sequential::freeze) reports the first unsupported
-//! layer by name so callers can fall back to an owned network (the CNN
-//! keeps its per-session copy).
+//! layer by name. A network that does not freeze (the CNN) runs only
+//! through `Sequential::predict_into`, outside any DL field solver.
 
 // analyze:hot — the one inference loop every DL field solve runs; its body
 // must stay allocation-free (the workspace buffers are caller-owned).

@@ -50,9 +50,9 @@ pub trait Layer: Send {
 
     /// The immutable inference form of this layer at the given weight
     /// precision, or `None` when the layer has no frozen form (the
-    /// default) — then [`crate::Sequential::freeze`] fails and callers
-    /// keep an owned network. A frozen layer runs the same inference
-    /// function as [`Layer::infer_into`].
+    /// default) — then [`crate::Sequential::freeze`] fails, naming the
+    /// layer. A frozen layer runs the same inference function as
+    /// [`Layer::infer_into`].
     fn freeze(&self, _precision: Precision) -> Option<FrozenLayer> {
         None
     }

@@ -206,8 +206,8 @@ impl Sequential {
     /// state (gradients, caches) stays behind; the network is unchanged.
     ///
     /// Fails on the first layer without a frozen form (conv / pooling /
-    /// residual blocks), naming it, so callers can fall back to an
-    /// owned per-session network.
+    /// residual blocks), naming it: such a network runs only through
+    /// [`Self::predict_into`], never inside a DL field solver.
     pub fn freeze(&self, precision: Precision) -> Result<FrozenModel, FreezeError> {
         let mut layers = Vec::with_capacity(self.layers.len());
         for (i, layer) in self.layers.iter().enumerate() {

@@ -17,7 +17,7 @@ const MAGIC: &[u8; 4] = b"DLNN";
 const VERSION: u32 = 1;
 
 /// Serialization / deserialization failure.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SerializeError {
     /// The byte stream does not start with the expected magic.
     BadMagic,

@@ -119,8 +119,8 @@ pub(crate) struct RunAccounting {
     /// The run's *private* resource estimate charged against the memory
     /// budget while it steps: [`estimate_session`] total minus the
     /// shared-weight slice when `weight_key` is `Some` (the weights are
-    /// charged separately, once per distinct key), the full total when
-    /// the run owns its model.
+    /// charged separately, once per distinct key), the full total for a
+    /// model-free run.
     pub(crate) est_bytes: usize,
     /// Bytes of the shared weight allocation this run reads, charged
     /// **once per distinct `weight_key`** across all active runs. 0 when
@@ -129,7 +129,7 @@ pub(crate) struct RunAccounting {
     /// The engine's weight-sharing fingerprint
     /// ([`WeightProfiler::profile`]):
     /// active runs with equal keys read one allocation. `None` for
-    /// model-free backends and per-copy models.
+    /// model-free backends.
     pub(crate) weight_key: Option<String>,
     /// Circuit-breaker key ([`spec_fingerprint`]).
     pub(crate) fingerprint: String,

@@ -77,7 +77,7 @@ fn main() -> Result<(), EngineError> {
 
     println!("training a quick DL field solver for the replicated strategy...");
     let bundle = engine::dl::quick_train_1d(Scale::Smoke, 7);
-    let dl_solver = bundle.solver()?;
+    let dl_solver = bundle.freeze()?.solver();
     let start = std::time::Instant::now();
     let mut dl = DistSimulation::new(config(), Box::new(ReplicatedDl::new(dl_solver)));
     dl.run();

@@ -16,7 +16,7 @@
 //! 1. **Bring a trained model** — `engine.with_model_1d(bundle)` with a
 //!    [`ModelBundle`] from `dlpic-bench` or [`quick_train_1d`];
 //!    `engine.with_model_2d(frozen)` with
-//!    `quick_train_2d(&spec, seed)?.freeze(Precision::F32)?`.
+//!    `quick_train_2d(&spec, seed, Precision::F32)?`.
 //! 2. **Get-or-train through a registry** — `engine.with_registry(..)`:
 //!    [`ModelRegistry::model`] runs the quick-train pipeline (the full
 //!    harvest→train at the spec's scale, seconds at `Scale::Smoke`) once
@@ -30,13 +30,12 @@
 use super::backend::Backend;
 use super::error::EngineError;
 use super::spec::ScenarioSpec;
-use crate::core::builder::{ArchSpec, InputKind};
-use crate::core::bundle::BundleError;
+use crate::core::builder::ArchSpec;
 use crate::core::normalize::NormStats;
 use crate::core::phase_space::BinningShape;
 use crate::core::presets::Scale;
 use crate::core::twod::{arch_2d, harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
-use crate::core::{DlFieldSolver, FrozenBundle, InputBinning, ModelBundle};
+use crate::core::{FrozenBundle, InputBinning, ModelBundle};
 use crate::nn::frozen::Precision;
 use crate::pic::{Grid1D, PicConfig};
 use crate::pic2d::Grid2D;
@@ -80,7 +79,7 @@ impl DlGeometry for Grid1D {
     }
 
     fn default_binner(spec: &ScenarioSpec) -> Self::Binner {
-        (spec.scale.phase_spec(), BinningShape::Ngp, InputKind::Flat)
+        (spec.scale.phase_spec(), BinningShape::Ngp)
     }
 
     fn quick_train(spec: &ScenarioSpec, precision: Precision) -> Result<FrozenBundle, EngineError> {
@@ -105,9 +104,7 @@ impl DlGeometry for Grid2D {
         spec: &ScenarioSpec,
         precision: Precision,
     ) -> Result<FrozenBundle<Grid2D>, EngineError> {
-        quick_train_2d(spec, spec.seed)?
-            .freeze(precision)
-            .map_err(|e| BundleError::Freeze(e).into())
+        quick_train_2d(spec, spec.seed, precision)
     }
 }
 
@@ -124,13 +121,13 @@ fn hidden_2d(scale: Scale) -> Vec<usize> {
 /// seed, the default binner and the identity normalization, frozen at f32
 /// into one allocation a whole fleet of untrained sessions shares.
 pub(crate) fn untrained<G: DlGeometry>(spec: &ScenarioSpec) -> FrozenBundle<G> {
-    DlFieldSolver::<G>::new(
-        G::default_arch(spec).build(0xD15E),
+    FrozenBundle::from_network(
+        &G::default_arch(spec).build(0xD15E),
         G::default_binner(spec),
         NormStats::identity(),
         G::UNTRAINED_NAME,
+        Precision::F32,
     )
-    .freeze(Precision::F32)
     .expect("the default MLP architectures have frozen forms")
 }
 
@@ -230,12 +227,13 @@ pub fn quick_train_1d(scale: Scale, seed: u64) -> ModelBundle {
 }
 
 /// Trains a 2-D DL field solver by harvesting a traditional 2-D run of the
-/// given scenario, then fitting the scale's MLP. `.freeze(..)` the result
-/// for [`Engine::with_model_2d`](super::Engine::with_model_2d).
+/// given scenario, then fitting the scale's MLP, frozen at `precision` for
+/// [`Engine::with_model_2d`](super::Engine::with_model_2d).
 pub fn quick_train_2d(
     spec: &ScenarioSpec,
     seed: u64,
-) -> Result<DlFieldSolver<Grid2D>, EngineError> {
+    precision: Precision,
+) -> Result<FrozenBundle<Grid2D>, EngineError> {
     let grid = match spec.dim() {
         super::spec::Dim::TwoD => spec.grid_2d(),
         super::spec::Dim::OneD => {
@@ -270,7 +268,7 @@ pub fn quick_train_2d(
         batch_size: 32,
         seed,
     };
-    Ok(train_2d_solver(&grid, &samples, binning, &tc).0)
+    Ok(train_2d_solver(&grid, &samples, binning, &tc, precision).0)
 }
 
 /// Observable counters of a [`ModelRegistry`].

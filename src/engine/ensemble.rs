@@ -814,32 +814,6 @@ impl Ensemble {
         self.sessions.iter().map(Session::backend).collect()
     }
 
-    /// Estimated total memory footprint of the fleet — the figure to
-    /// compare against a host's memory before launching (the serving
-    /// tier budgets admission the same way). Cohort-aware: sessions
-    /// whose [`Session::weight_storage`] ids match read **one** shared
-    /// weight allocation, so its bytes are charged once per distinct
-    /// model rather than once per run; everything else is the per-run
-    /// [`estimate_session`](super::resources::estimate_session).
-    pub fn estimated_bytes(&self) -> usize {
-        let mut total = 0usize;
-        let mut seen_models: Vec<usize> = Vec::new();
-        for s in &self.sessions {
-            let est = super::resources::estimate_session(s.spec(), s.backend());
-            match s.weight_storage() {
-                Some((id, bytes)) => {
-                    total += est.total() - est.shared_weight_bytes;
-                    if !seen_models.contains(&id) {
-                        seen_models.push(id);
-                        total += bytes;
-                    }
-                }
-                None => total += est.total(),
-            }
-        }
-        total
-    }
-
     /// The fleet's resident weight allocations: `(distinct_models,
     /// weight_bytes)` where `weight_bytes` sums each shared allocation
     /// once (what the whole fleet actually holds in model weights).

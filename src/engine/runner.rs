@@ -20,9 +20,10 @@ use super::session::{
     BackendSession, Checkpoint, DdecompSession, PicSession, Session, VlasovSession,
 };
 use super::spec::ScenarioSpec;
+use crate::core::bundle::BundleError;
 use crate::core::presets::Scale;
 use crate::core::{DlFieldSolver, FrozenBundle, ModelBundle};
-use crate::pic::solver::{FieldSolver, PoissonKind, TraditionalSolver};
+use crate::pic::solver::{PoissonKind, TraditionalSolver};
 use crate::pic::{Grid1D, Shape};
 use crate::pic2d::{Grid2D, TraditionalSolver2D};
 use std::sync::Mutex;
@@ -71,20 +72,15 @@ impl Numerics1D {
 ///
 /// DL sessions built by one engine share weights: every tier of the
 /// model ladder ([`dl`]) ends in a [`FrozenBundle`] — one `Arc`-shared
-/// allocation — and every session minted from it reads the same memory
-/// (the f32 path is bit-identical to a per-session copy). An explicit
-/// model is shared as given, the untrained fallback per default
-/// architecture, and a [`ModelRegistry`](super::ModelRegistry) attached
-/// via [`Self::with_registry`] extends sharing to quick-trained models
-/// keyed by (scenario, scale, seed).
+/// allocation — and every session minted from it reads the same memory.
+/// An explicit model is shared as given, the untrained fallback per
+/// default architecture, and a [`ModelRegistry`](super::ModelRegistry)
+/// attached via [`Self::with_registry`] extends sharing to quick-trained
+/// models keyed by (scenario, scale, seed).
 #[derive(Default)]
 pub struct Engine {
     dl_1d: DlSlot<Grid1D>,
     dl_2d: DlSlot<Grid2D>,
-    /// An explicit 1-D model whose architecture has no frozen form (the
-    /// CNN): the one model the engine keeps as an owned bundle, rebuilt
-    /// into a private network per session.
-    owned_bundle: Option<ModelBundle>,
     registry: Option<SharedModelRegistry>,
     numerics_1d: Numerics1D,
     observers: Vec<Box<dyn Observer>>,
@@ -92,10 +88,10 @@ pub struct Engine {
 }
 
 /// The models of one dimension the engine itself holds: the explicit one,
-/// if configured, and the untrained fallbacks minted so far, each under
-/// its [`dl::weight_key`].
+/// if configured — or why it was refused — and the untrained fallbacks
+/// minted so far, each under its [`dl::weight_key`].
 struct DlSlot<G: DlGeometry> {
-    explicit: Option<FrozenBundle<G>>,
+    explicit: Option<Result<FrozenBundle<G>, BundleError>>,
     untrained: Mutex<Vec<(String, FrozenBundle<G>)>>,
 }
 
@@ -109,6 +105,14 @@ impl<G: DlGeometry> Default for DlSlot<G> {
 }
 
 impl<G: DlGeometry> DlSlot<G> {
+    /// Weight bytes of the explicit model, when one froze.
+    fn explicit_bytes(&self) -> Option<usize> {
+        match &self.explicit {
+            Some(Ok(frozen)) => Some(frozen.weight_bytes()),
+            _ => None,
+        }
+    }
+
     /// The untrained fallback for `spec`, built once per distinct key.
     fn untrained(&self, spec: &ScenarioSpec) -> FrozenBundle<G> {
         let key = dl::weight_key::<G>(ModelTier::Untrained, spec);
@@ -138,21 +142,19 @@ impl Engine {
     /// is frozen here, once — every session shares the allocation, and
     /// the serialized bundle is dropped. A bundle clone shares its
     /// parameter blob, so passing `bundle.clone()` copies no weights.
-    /// Only a bundle that does not freeze (the CNN) is kept, and copied
-    /// per session.
+    /// A bundle that does not freeze (the CNN) is kept only as its
+    /// [`BundleError`]: every `Dl1D` start then returns it, and the other
+    /// backends run as before.
     pub fn with_model_1d(mut self, bundle: ModelBundle) -> Self {
-        (self.dl_1d.explicit, self.owned_bundle) = match bundle.freeze() {
-            Ok(frozen) => (Some(frozen), None),
-            Err(_) => (None, Some(bundle)),
-        };
+        self.dl_1d.explicit = Some(bundle.freeze());
         self
     }
 
     /// Uses this trained 2-D model for `Backend::Dl2D` runs — e.g.
-    /// `dl::quick_train_2d(&spec, seed)?.freeze(Precision::F32)?`, or a
+    /// `dl::quick_train_2d(&spec, seed, Precision::F32)?`, or a
     /// handle from [`ModelRegistry::model`](super::ModelRegistry::model).
     pub fn with_model_2d(mut self, frozen: FrozenBundle<Grid2D>) -> Self {
-        self.dl_2d.explicit = Some(frozen);
+        self.dl_2d.explicit = Some(Ok(frozen));
         self
     }
 
@@ -212,7 +214,7 @@ impl Engine {
             )),
             Backend::Dl1D => Box::new(PicSession::<Grid1D>::new(
                 spec,
-                self.dl_1d_solver(spec)?,
+                Box::new(self.dl_solver(&self.dl_1d, spec)?),
                 n.gather_shape,
             )),
             Backend::Traditional2D => Box::new(PicSession::<Grid2D>::new(
@@ -316,9 +318,8 @@ impl Engine {
     /// attachment are builder-time decisions.
     pub fn weight_profiler(&self) -> WeightProfiler {
         WeightProfiler {
-            explicit_1d: self.dl_1d.explicit.as_ref().map(FrozenBundle::weight_bytes),
-            explicit_2d: self.dl_2d.explicit.as_ref().map(FrozenBundle::weight_bytes),
-            owned_1d: self.owned_bundle.is_some(),
+            explicit_1d: self.dl_1d.explicit_bytes(),
+            explicit_2d: self.dl_2d.explicit_bytes(),
             has_registry: self.registry.is_some(),
         }
     }
@@ -333,24 +334,13 @@ impl Engine {
         spec: &ScenarioSpec,
     ) -> Result<DlFieldSolver<G>, EngineError> {
         let frozen = match (&slot.explicit, &self.registry) {
-            (Some(frozen), _) => frozen.clone(),
+            (Some(Ok(frozen)), _) => frozen.clone(),
+            (Some(Err(refused)), _) => return Err(refused.clone().into()),
             (None, Some(registry)) => lock(registry).model::<G>(spec)?,
             (None, None) => slot.untrained(spec),
         };
         dl::check_cells::<G>(spec, frozen.model().output_len())?;
         Ok(frozen.solver())
-    }
-
-    /// [`Self::dl_solver`] behind the one 1-D-only arm: an explicit model
-    /// without a frozen form gets a private network copy per session.
-    fn dl_1d_solver(&self, spec: &ScenarioSpec) -> Result<Box<dyn FieldSolver>, EngineError> {
-        match &self.owned_bundle {
-            Some(bundle) => {
-                dl::check_cells::<Grid1D>(spec, Some(bundle.arch.output_len()))?;
-                Ok(Box::new(bundle.solver()?))
-            }
-            None => Ok(Box::new(self.dl_solver(&self.dl_1d, spec)?)),
-        }
     }
 }
 
@@ -363,8 +353,6 @@ pub struct WeightProfiler {
     /// Weight bytes of the explicit frozen model, per dimension.
     explicit_1d: Option<usize>,
     explicit_2d: Option<usize>,
-    /// An explicit 1-D model without a frozen form is configured.
-    owned_1d: bool,
     has_registry: bool,
 }
 
@@ -373,12 +361,11 @@ impl WeightProfiler {
     /// the engine's configuration: `Some((fingerprint, bytes))` means
     /// sessions with equal fingerprints read **one** `bytes`-sized shared
     /// allocation (charge it once per distinct fingerprint); `None` means
-    /// every session owns a private copy (model-free backends, or an
-    /// unfreezable explicit model). This is the accounting contract the
-    /// serve tier's budget admission keys on.
+    /// the backend holds no model. Every DL session reads a shared frozen
+    /// model, so there is no per-session weight copy to charge. This is
+    /// the accounting contract the serve tier's budget admission keys on.
     pub fn profile(&self, spec: &ScenarioSpec, backend: Backend) -> Option<(String, usize)> {
         match backend {
-            Backend::Dl1D if self.owned_1d => None,
             Backend::Dl1D => Some(self.shared::<Grid1D>(self.explicit_1d, spec)),
             Backend::Dl2D => Some(self.shared::<Grid2D>(self.explicit_2d, spec)),
             _ => None,

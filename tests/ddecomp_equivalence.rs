@@ -5,11 +5,12 @@
 //! a fixed-size histogram all-reduce and nothing else.
 
 use dlpic_repro::core::builder::ArchSpec;
-use dlpic_repro::core::field_solver::DlFieldSolver;
+use dlpic_repro::core::field_solver::{DlFieldSolver, FrozenBundle};
 use dlpic_repro::core::normalize::NormStats;
 use dlpic_repro::core::phase_space::{BinningShape, PhaseGridSpec};
 use dlpic_repro::ddecomp::sim::{DistConfig, DistSimulation};
 use dlpic_repro::ddecomp::strategy::{GatherScatter, ReplicatedDl};
+use dlpic_repro::nn::Precision;
 use dlpic_repro::pic::grid::Grid1D;
 use dlpic_repro::pic::init::TwoStreamInit;
 use dlpic_repro::pic::shape::Shape;
@@ -114,12 +115,15 @@ fn tiny_dl_solver() -> DlFieldSolver {
         hidden: vec![8],
         output: 64,
     };
-    DlFieldSolver::new(
-        arch.build(0),
-        (spec, BinningShape::Ngp, arch.input_kind()),
+    FrozenBundle::from_network(
+        &arch.build(0),
+        (spec, BinningShape::Ngp),
         NormStats::identity(),
         "dl-mlp",
+        Precision::F32,
     )
+    .unwrap()
+    .solver()
 }
 
 #[test]

@@ -6,6 +6,7 @@
 use dlpic_repro::analytics::dispersion::TwoStreamDispersion;
 use dlpic_repro::analytics::fit::{fit_growth_rate, GrowthFitOptions};
 use dlpic_repro::core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
+use dlpic_repro::nn::Precision;
 use dlpic_repro::pic::shape::Shape;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic::solver::FieldSolver;
@@ -49,12 +50,12 @@ fn trained_2d_solver_reproduces_two_stream_growth() {
         seed: 7,
     };
     let g = grid();
-    let (solver, history) = train_2d_solver(&g, &samples, DensityBinning::Cic, &tc);
+    let (frozen, history) = train_2d_solver(&g, &samples, DensityBinning::Cic, &tc, Precision::F32);
     let final_loss = history.final_loss().unwrap();
     assert!(final_loss.is_finite() && final_loss > 0.0);
 
     // Evaluate in the loop on an unseen seed.
-    let mut dl = Simulation::new(config(0.2, 0.0, 160, 99), Box::new(solver));
+    let mut dl = Simulation::new(config(0.2, 0.0, 160, 99), Box::new(frozen.solver()));
     dl.run();
     let h = dl.history();
     assert!(
@@ -96,7 +97,8 @@ fn dl_2d_field_error_is_small_against_traditional() {
         batch_size: 32,
         seed: 3,
     };
-    let (mut solver, _) = train_2d_solver(&g, &samples, DensityBinning::Cic, &tc);
+    let (frozen, _) = train_2d_solver(&g, &samples, DensityBinning::Cic, &tc, Precision::F32);
+    let mut solver = frozen.solver();
 
     // Drive a traditional run and query both solvers on the same states.
     let mut sim = Simulation::new(

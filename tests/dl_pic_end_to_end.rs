@@ -47,9 +47,9 @@ fn train_smoke_bundle() -> ModelBundle {
 fn dl_pic_runs_stably_and_tracks_the_instability() {
     let bundle = train_smoke_bundle();
 
-    // Serialize → deserialize → solver: the full deployment path.
+    // Serialize → deserialize → freeze → solver: the full deployment path.
     let decoded = ModelBundle::decode(&bundle.encode()).expect("bundle round trip");
-    let dl_solver = decoded.solver().expect("bundle -> solver");
+    let dl_solver = decoded.freeze().expect("bundle -> frozen").solver();
 
     let seed = 77;
     let (ppc, steps) = (200, 150);
@@ -112,8 +112,8 @@ fn dl_pic_runs_stably_and_tracks_the_instability() {
 #[test]
 fn dl_solver_predictions_are_deterministic() {
     let bundle = train_smoke_bundle();
-    let mut s1 = bundle.solver().unwrap();
-    let mut s2 = bundle.solver().unwrap();
+    let mut s1 = bundle.freeze().unwrap().solver();
+    let mut s2 = bundle.freeze().unwrap().solver();
     use dlpic_repro::pic::solver::FieldSolver as _;
     let grid = dlpic_repro::pic::Grid1D::paper();
     let p = dlpic_repro::pic::TwoStreamInit::random(0.2, 0.0, 2_000, 3).build(&grid);
@@ -131,7 +131,7 @@ fn dl_and_traditional_share_the_simulation_harness() {
     // identical.
     let bundle = train_smoke_bundle();
     let cfg = reduced_config(0.15, 0.005, 100, 20, 5);
-    let mut dl = Simulation::new(cfg.clone(), Box::new(bundle.solver().unwrap()));
+    let mut dl = Simulation::new(cfg.clone(), Box::new(bundle.freeze().unwrap().solver()));
     let mut trad = Simulation::new(cfg, Box::new(TraditionalSolver::paper_default()));
     dl.run();
     trad.run();

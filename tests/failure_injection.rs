@@ -76,7 +76,7 @@ fn bundle_round_trips_unharmed() {
     let bytes = valid_bundle_bytes();
     let decoded = ModelBundle::decode(&bytes).expect("valid bundle decodes");
     assert_eq!(decoded.encode(), bytes, "re-encode is byte-identical");
-    assert!(decoded.solver().is_ok());
+    assert!(decoded.freeze().is_ok());
 }
 
 // ---------------------------------------------------------------------
@@ -153,7 +153,8 @@ fn solver_with_nan_weights_propagates_not_panics() {
     // visible: the kernel skips a weight row whose activation is zero (a
     // NaN there can hide behind an empty phase-space bin), while a bias is
     // added to every output unconditionally.
-    use dlpic_repro::core::field_solver::DlFieldSolver;
+    use dlpic_repro::core::field_solver::FrozenBundle;
+    use dlpic_repro::nn::Precision;
     use dlpic_repro::pic::init::TwoStreamInit;
     use dlpic_repro::pic::solver::FieldSolver;
 
@@ -169,12 +170,15 @@ fn solver_with_nan_weights_propagates_not_panics() {
             *first = f32::NAN;
         }
     });
-    let mut solver = DlFieldSolver::new(
-        net,
-        (spec, BinningShape::Ngp, arch.input_kind()),
+    let mut solver = FrozenBundle::from_network(
+        &net,
+        (spec, BinningShape::Ngp),
         NormStats::identity(),
         "poisoned",
-    );
+        Precision::F32,
+    )
+    .unwrap()
+    .solver();
     let grid = Grid1D::paper();
     let p = TwoStreamInit::random(0.2, 0.0, 1_000, 0).build(&grid);
     let mut e = grid.zeros();

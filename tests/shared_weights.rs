@@ -16,7 +16,10 @@
 //!   came from and is rejected, by scenario name, on a grid it does not fit;
 //! * `WeightProfiler::profile` — the serve tier's admission key — names
 //!   one allocation per explicit model, per registry entry and per
-//!   untrained architecture, and none for per-copy or model-free runs;
+//!   untrained architecture, and none for model-free runs;
+//! * an engine given a model with no frozen form refuses every 1-D DL
+//!   session with a structured error naming the layer, and runs every
+//!   other backend;
 //! * bf16 weight storage is an accuracy contract, not a bit-identity one:
 //!   the two-stream growth rate stays within tolerance of f32 and the
 //!   bf16 run itself is bit-exactly deterministic across repeats.
@@ -24,11 +27,11 @@
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dlpic_repro::analytics::fit::{fit_growth_rate, GrowthFitOptions};
-use dlpic_repro::core::{ModelBundle, Scale};
+use dlpic_repro::core::{BundleError, ModelBundle, Scale};
 use dlpic_repro::engine::{
     self, dl, Backend, DomainSpec, EnergyHistory, Engine, EngineError, ModelRegistry, ScenarioSpec,
 };
-use dlpic_repro::nn::Precision;
+use dlpic_repro::nn::{FreezeError, Precision};
 use dlpic_repro::pic::Grid1D;
 use dlpic_repro::pic2d::Grid2D;
 
@@ -350,7 +353,8 @@ fn weight_profiler_keys_name_what_sessions_share() {
         Some((key, bytes))
     );
 
-    // Explicit CNN: no frozen form, every session owns a copy.
+    // Explicit CNN: no frozen form, so no DL session starts — one or a
+    // fleet — and the refusal names the layer. Other backends still run.
     let arch = Scale::Smoke.cnn_arch();
     let mut net = arch.build(1);
     let cnn = ModelBundle::from_network(
@@ -360,14 +364,27 @@ fn weight_profiler_keys_name_what_sessions_share() {
         bundle.binning,
         bundle.norm,
     );
-    let per_copy = Engine::new().with_model_1d(cnn).weight_profiler();
-    assert_eq!(per_copy.profile(&spec_1d, Backend::Dl1D), None);
+    let refusing = Engine::new().with_model_1d(cnn);
+    let fleet = [spec_1d.clone(), reseeded(&spec_1d)];
+    for refused in [
+        refusing.start(&spec_1d, Backend::Dl1D).err(),
+        refusing.start_ensemble(&fleet, Backend::Dl1D).err(),
+    ] {
+        match refused {
+            Some(EngineError::Bundle(BundleError::Freeze(e))) => assert_eq!(
+                e,
+                FreezeError {
+                    layer_index: 0,
+                    layer_name: "conv2d"
+                }
+            ),
+            other => panic!("expected the conv2d freeze refusal, got {other:?}"),
+        }
+    }
+    assert!(refusing.start(&spec_1d, Backend::Traditional1D).is_ok());
 
     // Explicit 2-D model: one key, its actual bytes.
-    let frozen_2d = dl::quick_train_2d(&spec_2d, 3)
-        .expect("train 2-D")
-        .freeze(Precision::F32)
-        .expect("freeze 2-D");
+    let frozen_2d = dl::quick_train_2d(&spec_2d, 3, Precision::F32).expect("train 2-D");
     let explicit_2d = Engine::new()
         .with_model_2d(frozen_2d.clone())
         .weight_profiler();
