@@ -19,7 +19,8 @@ pub struct Complex64 {
 
 impl Complex64 {
     /// Imaginary unit.
-    pub const I: Self = Self { re: 0.0, im: 1.0 };
+    #[cfg(test)]
+    const I: Self = Self { re: 0.0, im: 1.0 };
     /// Additive identity.
     pub const ZERO: Self = Self { re: 0.0, im: 0.0 };
     /// Multiplicative identity.
@@ -51,7 +52,7 @@ impl Complex64 {
 
     /// Squared magnitude `re² + im²`.
     #[inline]
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 

@@ -5,7 +5,7 @@
 //! * [`fft_in_place`] — an iterative radix-2 Cooley–Tukey FFT for
 //!   power-of-two lengths. This is what the hot paths use (the PIC grid has
 //!   64 cells, the paper's phase-space grids are powers of two).
-//! * [`dft_naive`] — the O(n²) textbook definition, kept as the oracle for
+//! * `dft_naive` — the O(n²) textbook definition, kept as the oracle for
 //!   property tests and as a fallback for non-power-of-two lengths.
 //!
 //! The convention is the engineering one: forward transform
@@ -26,7 +26,7 @@ pub fn is_power_of_two(n: usize) -> bool {
 
 /// Naive O(n²) DFT of a complex signal. Oracle for tests; correct for any
 /// length.
-pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
+pub(crate) fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
     let n = input.len();
     let mut out = vec![Complex64::ZERO; n];
     for (k, out_k) in out.iter_mut().enumerate() {
@@ -101,7 +101,7 @@ pub fn ifft_in_place(data: &mut [Complex64]) {
 
 /// Forward transform of a real signal. Uses the FFT when the length is a
 /// power of two, the naive DFT otherwise.
-pub fn rdft(signal: &[f64]) -> Vec<Complex64> {
+fn rdft(signal: &[f64]) -> Vec<Complex64> {
     let data: Vec<Complex64> = signal.iter().map(|&x| Complex64::from_real(x)).collect();
     if is_power_of_two(data.len()) {
         let mut d = data;
@@ -173,7 +173,8 @@ pub fn mode_amplitude(signal: &[f64], k: usize) -> f64 {
 
 /// Total spectral power `Σ|X_k|²` — used for Parseval checks and for the
 /// spectral error analysis the paper's §VII calls for.
-pub fn spectral_power(signal: &[f64]) -> f64 {
+#[cfg(test)]
+fn spectral_power(signal: &[f64]) -> f64 {
     rdft(signal).iter().map(|z| z.norm_sqr()).sum()
 }
 

@@ -13,14 +13,16 @@ use crate::dft::{fft_in_place, ifft_in_place, is_power_of_two};
 /// # Panics
 /// Panics when `data.len() != nx * ny` or either dimension is not a power
 /// of two.
-pub fn fft2_in_place(data: &mut [Complex64], nx: usize, ny: usize) {
+#[cfg(test)]
+fn fft2_in_place(data: &mut [Complex64], nx: usize, ny: usize) {
     let mut col = Vec::new();
     fft2_in_place_scratch(data, nx, ny, &mut col);
 }
 
-/// [`fft2_in_place`] with a caller-owned column scratch (grown to `ny` on
-/// first use) so repeated transforms perform no allocation — the per-step
-/// path of the 2-D spectral Poisson solver.
+/// In-place 2-D FFT of a row-major `ny × nx` array (`data[iy * nx + ix]`)
+/// with a caller-owned column scratch (grown to `ny` on first use), so
+/// repeated transforms perform no allocation — the per-step path of the
+/// 2-D spectral Poisson solver.
 pub fn fft2_in_place_scratch(
     data: &mut [Complex64],
     nx: usize,
@@ -39,13 +41,14 @@ pub fn fft2_in_place_scratch(
 ///
 /// # Panics
 /// Panics on dimension mismatch or non-power-of-two sizes.
-pub fn ifft2_in_place(data: &mut [Complex64], nx: usize, ny: usize) {
+#[cfg(test)]
+fn ifft2_in_place(data: &mut [Complex64], nx: usize, ny: usize) {
     let mut col = Vec::new();
     ifft2_in_place_scratch(data, nx, ny, &mut col);
 }
 
-/// [`ifft2_in_place`] with a caller-owned column scratch (see
-/// [`fft2_in_place_scratch`]).
+/// In-place inverse 2-D FFT (normalized so that it inverts
+/// [`fft2_in_place_scratch`]), with a caller-owned column scratch.
 pub fn ifft2_in_place_scratch(
     data: &mut [Complex64],
     nx: usize,
@@ -60,7 +63,8 @@ pub fn ifft2_in_place_scratch(
 }
 
 /// Forward 2-D DFT of a real row-major array.
-pub fn rdft2(signal: &[f64], nx: usize, ny: usize) -> Vec<Complex64> {
+#[cfg(test)]
+fn rdft2(signal: &[f64], nx: usize, ny: usize) -> Vec<Complex64> {
     check_dims(signal.len(), nx, ny);
     let mut data: Vec<Complex64> = signal.iter().map(|&v| Complex64::new(v, 0.0)).collect();
     fft2_in_place(&mut data, nx, ny);
@@ -99,7 +103,7 @@ pub fn mode_amplitude2(signal: &[f64], nx: usize, ny: usize, mx: usize, my: usiz
 /// # Panics
 /// Panics when `signal.len() != nx * ny` (any sizes are accepted — no
 /// power-of-two requirement).
-pub fn single_mode_dft2(signal: &[f64], nx: usize, ny: usize, mx: usize, my: usize) -> Complex64 {
+fn single_mode_dft2(signal: &[f64], nx: usize, ny: usize, mx: usize, my: usize) -> Complex64 {
     assert_eq!(signal.len(), nx * ny, "array length != {nx}×{ny}");
     let omega_y = 2.0 * std::f64::consts::PI * my as f64 / ny as f64;
     let mut acc = Complex64::ZERO;

@@ -31,11 +31,8 @@
 //! cold-beam run `v0 = 0.4` at `k·v0 = 1.224 > 1`, which is linearly
 //! *stable* (anything growing there is a numerical artifact; paper Fig. 6).
 //!
-//! A general N-beam solver based on polynomial root finding
-//! (Durand–Kerner) is also provided and cross-checked against the closed
-//! form by property tests.
-
-use crate::complex::Complex64;
+//! The tests cross-check the closed form against a general N-beam solver
+//! based on polynomial root finding (Durand–Kerner).
 
 /// Dispersion relation for two symmetric counter-streaming cold beams with
 /// total plasma frequency `ω_p = 1`.
@@ -43,18 +40,6 @@ use crate::complex::Complex64;
 pub struct TwoStreamDispersion {
     /// Beam drift speed (each beam at ±v0).
     pub v0: f64,
-}
-
-/// Result of evaluating the two branches `u± = ω²` of the reduced
-/// dispersion relation at one wavenumber.
-#[derive(Debug, Clone, Copy)]
-pub struct Branches {
-    /// The `+` branch of `ω²` (always real and positive: stable
-    /// plasma-oscillation branch).
-    pub u_plus: f64,
-    /// The `-` branch of `ω²`; negative values mean instability with
-    /// `γ = sqrt(-u_minus)`.
-    pub u_minus: f64,
 }
 
 impl TwoStreamDispersion {
@@ -67,46 +52,22 @@ impl TwoStreamDispersion {
         Self { v0 }
     }
 
-    /// Evaluates both `ω²` branches at wavenumber `k`.
-    pub fn branches(&self, k: f64) -> Branches {
+    /// The `-` branch `u₋ = ω²` of the reduced dispersion relation at
+    /// wavenumber `k`; negative values mean instability with
+    /// `γ = sqrt(-u₋)`.
+    fn u_minus(&self, k: f64) -> f64 {
         let s = (k * self.v0).powi(2);
-        let disc = (8.0 * s + 1.0).sqrt();
-        Branches {
-            u_plus: (2.0 * s + 1.0 + disc) / 2.0,
-            u_minus: (2.0 * s + 1.0 - disc) / 2.0,
-        }
+        (2.0 * s + 1.0 - (8.0 * s + 1.0).sqrt()) / 2.0
     }
 
     /// Linear growth rate `γ(k)`; zero for stable wavenumbers.
     pub fn growth_rate(&self, k: f64) -> f64 {
-        let u = self.branches(k).u_minus;
+        let u = self.u_minus(k);
         if u < 0.0 {
             (-u).sqrt()
         } else {
             0.0
         }
-    }
-
-    /// Real oscillation frequency of the stable branch at `k`.
-    pub fn stable_frequency(&self, k: f64) -> f64 {
-        self.branches(k).u_plus.sqrt()
-    }
-
-    /// True if wavenumber `k` is linearly unstable (`k·v0 < ω_p`).
-    pub fn is_unstable(&self, k: f64) -> bool {
-        let kv = (k * self.v0).abs();
-        kv > 0.0 && kv < 1.0
-    }
-
-    /// The instability band `(0, k_cutoff)`: modes with `k < 1/v0` grow.
-    pub fn unstable_band(&self) -> (f64, f64) {
-        (0.0, 1.0 / self.v0)
-    }
-
-    /// The fastest-growing wavenumber and its growth rate:
-    /// `k_max = sqrt(3/8)/v0`, `γ_max = 1/(2√2)`.
-    pub fn most_unstable(&self) -> (f64, f64) {
-        ((3.0f64 / 8.0).sqrt() / self.v0, 0.125f64.sqrt())
     }
 
     /// Growth rate of grid mode `m` in a periodic box of length `box_len`
@@ -117,168 +78,190 @@ impl TwoStreamDispersion {
     }
 }
 
-// ---------------------------------------------------------------------------
-// General multi-beam dispersion via polynomial root finding.
-// ---------------------------------------------------------------------------
-
-/// A cold beam population: fractional density weight (so that weights sum to
-/// 1 for total `ω_p = 1`) and drift velocity.
-#[derive(Debug, Clone, Copy)]
-pub struct Beam {
-    /// Density fraction (`ω_b² = weight · ω_p²`).
-    pub weight: f64,
-    /// Drift velocity.
-    pub velocity: f64,
-}
-
-/// Real-coefficient polynomial, ascending order (`coeffs[i]·x^i`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Poly(pub Vec<f64>);
-
-impl Poly {
-    /// The constant polynomial `c`.
-    pub fn constant(c: f64) -> Self {
-        Poly(vec![c])
-    }
-
-    /// The monic linear factor `x - r`.
-    pub fn linear(r: f64) -> Self {
-        Poly(vec![-r, 1.0])
-    }
-
-    /// Degree (0 for constants; trailing zeros are not trimmed).
-    pub fn degree(&self) -> usize {
-        self.0.len().saturating_sub(1)
-    }
-
-    /// Polynomial product.
-    pub fn mul(&self, other: &Poly) -> Poly {
-        let mut out = vec![0.0; self.0.len() + other.0.len() - 1];
-        for (i, &a) in self.0.iter().enumerate() {
-            for (j, &b) in other.0.iter().enumerate() {
-                out[i + j] += a * b;
-            }
-        }
-        Poly(out)
-    }
-
-    /// Polynomial difference `self - other`.
-    pub fn sub(&self, other: &Poly) -> Poly {
-        let n = self.0.len().max(other.0.len());
-        let mut out = vec![0.0; n];
-        for (i, o) in out.iter_mut().enumerate() {
-            let a = self.0.get(i).copied().unwrap_or(0.0);
-            let b = other.0.get(i).copied().unwrap_or(0.0);
-            *o = a - b;
-        }
-        Poly(out)
-    }
-
-    /// Scales all coefficients.
-    pub fn scale(&self, s: f64) -> Poly {
-        Poly(self.0.iter().map(|c| c * s).collect())
-    }
-
-    /// Evaluates at a complex point (Horner).
-    pub fn eval(&self, z: Complex64) -> Complex64 {
-        let mut acc = Complex64::ZERO;
-        for &c in self.0.iter().rev() {
-            acc = acc * z + Complex64::from_real(c);
-        }
-        acc
-    }
-
-    /// All complex roots by the Durand–Kerner (Weierstrass) iteration.
-    ///
-    /// Robust enough for the low-degree, well-scaled polynomials produced by
-    /// dispersion relations. Returns `degree` roots.
-    ///
-    /// # Panics
-    /// Panics if the leading coefficient is (numerically) zero.
-    pub fn roots(&self) -> Vec<Complex64> {
-        let mut coeffs = self.0.clone();
-        while coeffs.len() > 1 && coeffs.last().copied().unwrap_or(0.0).abs() < 1e-300 {
-            coeffs.pop();
-        }
-        let n = coeffs.len() - 1;
-        if n == 0 {
-            return Vec::new();
-        }
-        let lead = *coeffs.last().expect("nonempty");
-        assert!(lead.abs() > 0.0, "zero polynomial has no roots");
-        let monic: Vec<f64> = coeffs.iter().map(|c| c / lead).collect();
-        let poly = Poly(monic.clone());
-
-        // Radius bound: 1 + max |a_i| (Cauchy bound for monic polynomials).
-        let radius = 1.0 + monic[..n].iter().fold(0.0f64, |acc, c| acc.max(c.abs()));
-
-        // Start from non-real, non-symmetric seeds inside the root bound.
-        let seed = Complex64::new(0.4, 0.9);
-        let mut roots: Vec<Complex64> = (0..n)
-            .map(|i| seed.powi(i as i32 + 1) * radius * 0.5)
-            .collect();
-
-        for _ in 0..400 {
-            let mut max_step = 0.0f64;
-            for i in 0..n {
-                let mut denom = Complex64::ONE;
-                for j in 0..n {
-                    if i != j {
-                        denom *= roots[i] - roots[j];
-                    }
-                }
-                let step = poly.eval(roots[i]) / denom;
-                roots[i] -= step;
-                max_step = max_step.max(step.abs());
-            }
-            if max_step < 1e-13 {
-                break;
-            }
-        }
-        roots
-    }
-}
-
-/// Builds the dispersion polynomial `Π_b (ω - k·v_b)² - Σ_b w_b·Π_{c≠b}(ω - k·v_c)²`
-/// whose roots are the mode frequencies of an arbitrary set of cold beams.
-pub fn dispersion_polynomial(beams: &[Beam], k: f64) -> Poly {
-    assert!(!beams.is_empty(), "need at least one beam");
-    // Π over all beams of (ω - k v_b)².
-    let mut full = Poly::constant(1.0);
-    for b in beams {
-        let lin = Poly::linear(k * b.velocity);
-        full = full.mul(&lin).mul(&lin);
-    }
-    // Σ_b w_b Π_{c≠b} (ω - k v_c)².
-    let mut rhs = Poly::constant(0.0);
-    for (i, b) in beams.iter().enumerate() {
-        let mut partial = Poly::constant(b.weight);
-        for (j, c) in beams.iter().enumerate() {
-            if i != j {
-                let lin = Poly::linear(k * c.velocity);
-                partial = partial.mul(&lin).mul(&lin);
-            }
-        }
-        rhs = rhs.sub(&partial.scale(-1.0)); // rhs += partial
-    }
-    full.sub(&rhs)
-}
-
-/// Growth rate of an arbitrary cold multi-beam system at wavenumber `k`:
-/// the largest imaginary part over all roots of the dispersion polynomial.
-pub fn multi_beam_growth_rate(beams: &[Beam], k: f64) -> f64 {
-    let poly = dispersion_polynomial(beams, k);
-    poly.roots()
-        .iter()
-        .map(|r| r.im)
-        .fold(0.0f64, f64::max)
-        .max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::Complex64;
     use proptest::prelude::*;
+
+    /// The closed form's other landmarks, checked below against the
+    /// growth rate and the general multi-beam solver.
+    impl TwoStreamDispersion {
+        /// Real oscillation frequency of the stable branch at `k`.
+        fn stable_frequency(&self, k: f64) -> f64 {
+            let s = (k * self.v0).powi(2);
+            ((2.0 * s + 1.0 + (8.0 * s + 1.0).sqrt()) / 2.0).sqrt()
+        }
+
+        /// True if wavenumber `k` is linearly unstable (`k·v0 < ω_p`).
+        fn is_unstable(&self, k: f64) -> bool {
+            let kv = (k * self.v0).abs();
+            kv > 0.0 && kv < 1.0
+        }
+
+        /// The instability band `(0, k_cutoff)`: modes with `k < 1/v0` grow.
+        fn unstable_band(&self) -> (f64, f64) {
+            (0.0, 1.0 / self.v0)
+        }
+
+        /// The fastest-growing wavenumber and its growth rate:
+        /// `k_max = sqrt(3/8)/v0`, `γ_max = 1/(2√2)`.
+        fn most_unstable(&self) -> (f64, f64) {
+            ((3.0f64 / 8.0).sqrt() / self.v0, 0.125f64.sqrt())
+        }
+    }
+
+    // General multi-beam dispersion via polynomial root finding: the
+    // independent cross-check of the closed form.
+
+    /// A cold beam population: fractional density weight (so that weights sum to
+    /// 1 for total `ω_p = 1`) and drift velocity.
+    #[derive(Debug, Clone, Copy)]
+    struct Beam {
+        /// Density fraction (`ω_b² = weight · ω_p²`).
+        pub weight: f64,
+        /// Drift velocity.
+        pub velocity: f64,
+    }
+
+    /// Real-coefficient polynomial, ascending order (`coeffs[i]·x^i`).
+    #[derive(Debug, Clone, PartialEq)]
+    struct Poly(pub Vec<f64>);
+
+    impl Poly {
+        /// The constant polynomial `c`.
+        fn constant(c: f64) -> Self {
+            Poly(vec![c])
+        }
+
+        /// The monic linear factor `x - r`.
+        fn linear(r: f64) -> Self {
+            Poly(vec![-r, 1.0])
+        }
+
+        /// Polynomial product.
+        pub fn mul(&self, other: &Poly) -> Poly {
+            let mut out = vec![0.0; self.0.len() + other.0.len() - 1];
+            for (i, &a) in self.0.iter().enumerate() {
+                for (j, &b) in other.0.iter().enumerate() {
+                    out[i + j] += a * b;
+                }
+            }
+            Poly(out)
+        }
+
+        /// Polynomial difference `self - other`.
+        pub fn sub(&self, other: &Poly) -> Poly {
+            let n = self.0.len().max(other.0.len());
+            let mut out = vec![0.0; n];
+            for (i, o) in out.iter_mut().enumerate() {
+                let a = self.0.get(i).copied().unwrap_or(0.0);
+                let b = other.0.get(i).copied().unwrap_or(0.0);
+                *o = a - b;
+            }
+            Poly(out)
+        }
+
+        /// Scales all coefficients.
+        pub fn scale(&self, s: f64) -> Poly {
+            Poly(self.0.iter().map(|c| c * s).collect())
+        }
+
+        /// Evaluates at a complex point (Horner).
+        pub fn eval(&self, z: Complex64) -> Complex64 {
+            let mut acc = Complex64::ZERO;
+            for &c in self.0.iter().rev() {
+                acc = acc * z + Complex64::from_real(c);
+            }
+            acc
+        }
+
+        /// All complex roots by the Durand–Kerner (Weierstrass) iteration.
+        ///
+        /// Robust enough for the low-degree, well-scaled polynomials produced by
+        /// dispersion relations. Returns `degree` roots.
+        ///
+        /// # Panics
+        /// Panics if the leading coefficient is (numerically) zero.
+        fn roots(&self) -> Vec<Complex64> {
+            let mut coeffs = self.0.clone();
+            while coeffs.len() > 1 && coeffs.last().copied().unwrap_or(0.0).abs() < 1e-300 {
+                coeffs.pop();
+            }
+            let n = coeffs.len() - 1;
+            if n == 0 {
+                return Vec::new();
+            }
+            let lead = *coeffs.last().expect("nonempty");
+            assert!(lead.abs() > 0.0, "zero polynomial has no roots");
+            let monic: Vec<f64> = coeffs.iter().map(|c| c / lead).collect();
+            let poly = Poly(monic.clone());
+
+            // Radius bound: 1 + max |a_i| (Cauchy bound for monic polynomials).
+            let radius = 1.0 + monic[..n].iter().fold(0.0f64, |acc, c| acc.max(c.abs()));
+
+            // Start from non-real, non-symmetric seeds inside the root bound.
+            let seed = Complex64::new(0.4, 0.9);
+            let mut roots: Vec<Complex64> = (0..n)
+                .map(|i| seed.powi(i as i32 + 1) * radius * 0.5)
+                .collect();
+
+            for _ in 0..400 {
+                let mut max_step = 0.0f64;
+                for i in 0..n {
+                    let mut denom = Complex64::ONE;
+                    for j in 0..n {
+                        if i != j {
+                            denom *= roots[i] - roots[j];
+                        }
+                    }
+                    let step = poly.eval(roots[i]) / denom;
+                    roots[i] -= step;
+                    max_step = max_step.max(step.abs());
+                }
+                if max_step < 1e-13 {
+                    break;
+                }
+            }
+            roots
+        }
+    }
+
+    /// Builds the dispersion polynomial `Π_b (ω - k·v_b)² - Σ_b w_b·Π_{c≠b}(ω - k·v_c)²`
+    /// whose roots are the mode frequencies of an arbitrary set of cold beams.
+    fn dispersion_polynomial(beams: &[Beam], k: f64) -> Poly {
+        assert!(!beams.is_empty(), "need at least one beam");
+        // Π over all beams of (ω - k v_b)².
+        let mut full = Poly::constant(1.0);
+        for b in beams {
+            let lin = Poly::linear(k * b.velocity);
+            full = full.mul(&lin).mul(&lin);
+        }
+        // Σ_b w_b Π_{c≠b} (ω - k v_c)².
+        let mut rhs = Poly::constant(0.0);
+        for (i, b) in beams.iter().enumerate() {
+            let mut partial = Poly::constant(b.weight);
+            for (j, c) in beams.iter().enumerate() {
+                if i != j {
+                    let lin = Poly::linear(k * c.velocity);
+                    partial = partial.mul(&lin).mul(&lin);
+                }
+            }
+            rhs = rhs.sub(&partial.scale(-1.0)); // rhs += partial
+        }
+        full.sub(&rhs)
+    }
+
+    /// Growth rate of an arbitrary cold multi-beam system at wavenumber `k`:
+    /// the largest imaginary part over all roots of the dispersion polynomial.
+    fn multi_beam_growth_rate(beams: &[Beam], k: f64) -> f64 {
+        let poly = dispersion_polynomial(beams, k);
+        poly.roots()
+            .iter()
+            .map(|r| r.im)
+            .fold(0.0f64, f64::max)
+            .max(0.0)
+    }
 
     const GAMMA_MAX: f64 = 0.353_553_390_593_273_8; // 1/(2*sqrt(2))
 

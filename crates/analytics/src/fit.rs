@@ -57,7 +57,7 @@ impl std::error::Error for FitError {}
 
 /// Ordinary least-squares line fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinFit {
+struct LinFit {
     /// Slope of the fitted line.
     pub slope: f64,
     /// Intercept of the fitted line.
@@ -70,12 +70,13 @@ pub struct LinFit {
 ///
 /// Returns `None` on any [`FitError`]; use [`try_linear_fit`] for the
 /// reason.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinFit> {
+#[cfg(test)]
+fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinFit> {
     try_linear_fit(xs, ys).ok()
 }
 
 /// Fits `y = slope·x + intercept` by least squares, reporting failures.
-pub fn try_linear_fit(xs: &[f64], ys: &[f64]) -> Result<LinFit, FitError> {
+fn try_linear_fit(xs: &[f64], ys: &[f64]) -> Result<LinFit, FitError> {
     if xs.len() != ys.len() {
         return Err(FitError::LengthMismatch {
             xs: xs.len(),
@@ -156,7 +157,8 @@ pub struct GrowthFit {
 
 impl GrowthFit {
     /// Evaluates the fitted exponential at time `t`.
-    pub fn amplitude_at(&self, t: f64) -> f64 {
+    #[cfg(test)]
+    fn amplitude_at(&self, t: f64) -> f64 {
         (self.log_intercept + self.gamma * t).exp()
     }
 }

@@ -59,7 +59,8 @@ impl TimeSeries {
     }
 
     /// Minimum and maximum value, or `None` when empty.
-    pub fn value_range(&self) -> Option<(f64, f64)> {
+    #[cfg(test)]
+    fn value_range(&self) -> Option<(f64, f64)> {
         if self.is_empty() {
             return None;
         }
@@ -90,7 +91,7 @@ pub fn write_csv(path: impl AsRef<Path>, series: &[&TimeSeries]) -> io::Result<(
 }
 
 /// Same as [`write_csv`] but to any writer (testable without a filesystem).
-pub fn write_csv_to<W: Write>(w: &mut W, series: &[&TimeSeries]) -> io::Result<()> {
+fn write_csv_to<W: Write>(w: &mut W, series: &[&TimeSeries]) -> io::Result<()> {
     assert!(!series.is_empty(), "no series given");
     let n = series[0].len();
     for s in series {
@@ -138,7 +139,8 @@ impl Table {
     }
 
     /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
+    #[cfg(test)]
+    fn n_rows(&self) -> usize {
         self.rows.len()
     }
 

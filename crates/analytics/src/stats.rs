@@ -13,7 +13,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population variance. Returns 0 for slices with fewer than two elements.
-pub fn variance(xs: &[f64]) -> f64 {
+fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -51,7 +51,8 @@ pub fn mae(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics on length mismatch.
-pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+#[cfg(test)]
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     a.iter()
         .zip(b)
@@ -63,7 +64,8 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics on length mismatch or empty input.
-pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
+#[cfg(test)]
+fn rmse(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     assert!(!a.is_empty(), "empty input");
     (a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>() / a.len() as f64).sqrt()

@@ -61,7 +61,7 @@ pub struct Config {
 }
 
 /// The shipped rule names, in reporting order.
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 9] = [
     "no-hashmap-iter-in-state",
     "no-wallclock-in-engine",
     "no-panic-in-request-path",
@@ -70,6 +70,7 @@ pub const RULE_NAMES: [&str; 8] = [
     "phase-constants-only",
     "no-weight-clone",
     "no-unbounded-spin",
+    "pub-reach",
 ];
 
 /// One-line description per rule (for `--list-rules` and SARIF output).
@@ -116,6 +117,12 @@ pub fn rule_description(rule: &str) -> &'static str {
              `while`/`loop` body): an unbounded poll turns a descheduled \
              partner — a withheld vCPU — into a stall that also steals the \
              core the partner needs"
+        }
+        "pub-reach" => {
+            "a `pub` item must be named by another file's non-test code \
+             (`pub use` re-exports do not count; `benchmark/src` does): \
+             narrow the rest to private or `pub(crate)`, move test-only \
+             items into `#[cfg(test)]`, or delete them"
         }
         _ => "unknown rule",
     }
@@ -207,6 +214,13 @@ impl Config {
                 &["crates/core/src/**", "crates/nn/src/**", "src/engine/**"],
             ),
         );
+        // Surface: every product crate's non-test code. The index that
+        // decides reach spans src, crates, tests, examples and
+        // benchmark/src (see `reach`).
+        rules.insert(
+            "pub-reach".to_string(),
+            rule(Level::Deny, &["src/**", "crates/*/src/**"]),
+        );
         Self {
             rules,
             exclude: vec![
@@ -221,9 +235,9 @@ impl Config {
         }
     }
 
-    /// A config with every shipped rule applying to every path at `deny`
-    /// — what the fixture tests use.
-    pub fn all_paths() -> Self {
+    /// A config with every shipped rule applying to every path at `deny`.
+    #[cfg(test)]
+    pub(crate) fn all_paths() -> Self {
         let mut cfg = Self::repo_default();
         for rc in cfg.rules.values_mut() {
             rc.paths = vec!["**".to_string()];
@@ -300,7 +314,7 @@ fn split_list(value: &str) -> Vec<String> {
 /// Matches `path` against `pattern`. Both are `/`-separated. `**` spans
 /// any number of segments (including zero), `*` matches any run of
 /// characters within one segment, `?` one character.
-pub fn glob_match(pattern: &str, path: &str) -> bool {
+fn glob_match(pattern: &str, path: &str) -> bool {
     let pat: Vec<&str> = pattern.split('/').collect();
     let segs: Vec<&str> = path.split('/').collect();
     match_segments(&pat, &segs)

@@ -6,6 +6,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::config::{Config, Level};
+use crate::reach::ReachIndex;
 use crate::report::{Baseline, Finding, Report};
 use crate::rules::run_rule;
 use crate::source::SourceFile;
@@ -14,7 +15,7 @@ use crate::source::SourceFile;
 /// does not exclude, as workspace-relative `/`-separated paths, sorted —
 /// scan order (and therefore report order) is deterministic by
 /// construction.
-pub fn collect_files(root: &Path, config: &Config) -> Result<Vec<String>, String> {
+fn collect_files(root: &Path, config: &Config) -> Result<Vec<String>, String> {
     let mut out = Vec::new();
     walk(root, root, config, &mut out)?;
     out.sort();
@@ -54,10 +55,11 @@ fn relative(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Analyzes one already-loaded source file. Exposed for the fixture
-/// tests; [`analyze_tree`] is the production entry point.
-pub fn analyze_source(
+/// Runs the configured rules on one file and files the surviving hits in
+/// `report`; `reach` is the tree's identifier index for `pub-reach`.
+fn check_file(
     file: &SourceFile,
+    reach: &ReachIndex,
     config: &Config,
     baseline: &Baseline,
     report: &mut Report,
@@ -65,7 +67,7 @@ pub fn analyze_source(
     let rules = config.rules_for(&file.path);
     let mut hits = Vec::new();
     for (rule, _) in &rules {
-        run_rule(rule, file, &mut hits);
+        run_rule(rule, file, reach, &mut hits);
     }
     // A typo'd `analyze:allow` must not silently disable anything.
     for &line in &file.malformed_allows {
@@ -105,16 +107,20 @@ pub fn analyze_source(
     }
 }
 
-/// Analyzes the whole tree under `root`.
+/// Analyzes the whole tree under `root`: every rule, `pub-reach` included
+/// (its identifier index is built over all scanned files first).
 pub fn analyze_tree(root: &Path, config: &Config, baseline: &Baseline) -> Result<Report, String> {
-    let files = collect_files(root, config)?;
-    let mut report = Report::default();
-    for rel in files {
+    let mut files = Vec::new();
+    for rel in collect_files(root, config)? {
         let abs = root.join(&rel);
         let source =
             fs::read_to_string(&abs).map_err(|e| format!("read {}: {e}", abs.display()))?;
-        let file = SourceFile::parse(&rel, &source);
-        analyze_source(&file, config, baseline, &mut report);
+        files.push(SourceFile::parse(&rel, &source));
+    }
+    let reach = ReachIndex::build(&files);
+    let mut report = Report::default();
+    for file in &files {
+        check_file(file, &reach, config, baseline, &mut report);
         report.files_scanned += 1;
     }
     report
@@ -137,7 +143,13 @@ mod tests {
         let file = SourceFile::parse("state.rs", src);
         let cfg = Config::all_paths();
         let mut report = Report::default();
-        analyze_source(&file, &cfg, &Baseline::default(), &mut report);
+        check_file(
+            &file,
+            &ReachIndex::default(),
+            &cfg,
+            &Baseline::default(),
+            &mut report,
+        );
         // Line 1 fires, line 3 is suppressed, line 4 is malformed.
         assert_eq!(report.suppressed, 1);
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
@@ -159,7 +171,7 @@ mod tests {
             Baseline::parse("no-hashmap-iter-in-state\tstate.rs\tuse std::collections::HashMap;\n")
                 .unwrap();
         let mut report = Report::default();
-        analyze_source(&file, &cfg, &baseline, &mut report);
+        check_file(&file, &ReachIndex::default(), &cfg, &baseline, &mut report);
         assert_eq!(report.findings.len(), 1);
         assert!(report.findings[0].baselined);
         assert_eq!(report.deny_count(), 0);

@@ -16,6 +16,7 @@
 //! | `safety-comment-required` | every `unsafe` carries its justification |
 //! | `no-alloc-in-hot-loop` | the allocation-free stepping wins stay won |
 //! | `phase-constants-only` | `KNOWN_PHASES` can never drift from emitters |
+//! | `pub-reach` | every `pub` item is named by some other file's non-test code |
 //!
 //! The implementation is a lightweight token scanner ([`lexer`]) plus a
 //! rule engine ([`rules`], [`engine`]) with per-rule allow/warn/deny
@@ -27,11 +28,12 @@
 pub mod config;
 pub mod engine;
 pub mod lexer;
+pub mod reach;
 pub mod report;
 pub mod rules;
 pub mod source;
 
 pub use config::{Config, Level};
-pub use engine::{analyze_source, analyze_tree, collect_files};
+pub use engine::analyze_tree;
 pub use report::{Baseline, Finding, Report};
 pub use source::SourceFile;

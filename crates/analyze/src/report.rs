@@ -137,7 +137,7 @@ impl Report {
 
 /// JSON string escaping (std-only; the analyzer deliberately has zero
 /// dependencies, including on the workspace's own json module).
-pub fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

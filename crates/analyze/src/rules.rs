@@ -2,6 +2,7 @@
 //! (test-masked and comment tokens already excluded) and emits findings;
 //! the engine applies levels, inline suppressions, and the baseline.
 
+use crate::reach::ReachIndex;
 use crate::source::SourceFile;
 
 /// A raw rule hit, before suppression/baseline filtering.
@@ -12,9 +13,10 @@ pub struct RuleHit {
     pub message: String,
 }
 
-/// Runs `rule` (by name) against `file`. Unknown names produce nothing —
-/// the config layer validates names before this is reached.
-pub fn run_rule(rule: &str, file: &SourceFile, out: &mut Vec<RuleHit>) {
+/// Runs `rule` (by name) against `file`; `reach` indexes the whole tree
+/// for `pub-reach`. Unknown names produce nothing — the config layer
+/// validates names before this is reached.
+pub fn run_rule(rule: &str, file: &SourceFile, reach: &ReachIndex, out: &mut Vec<RuleHit>) {
     match rule {
         "no-hashmap-iter-in-state" => no_hashmap_in_state(file, out),
         "no-wallclock-in-engine" => no_wallclock(file, out),
@@ -24,6 +26,7 @@ pub fn run_rule(rule: &str, file: &SourceFile, out: &mut Vec<RuleHit>) {
         "phase-constants-only" => phase_constants_only(file, out),
         "no-weight-clone" => no_weight_clone(file, out),
         "no-unbounded-spin" => no_unbounded_spin(file, out),
+        "pub-reach" => reach.check(file, out),
         _ => {}
     }
 }
@@ -517,7 +520,7 @@ mod tests {
     fn hits(rule: &str, src: &str) -> Vec<RuleHit> {
         let f = SourceFile::parse("x.rs", src);
         let mut out = Vec::new();
-        run_rule(rule, &f, &mut out);
+        run_rule(rule, &f, &ReachIndex::default(), &mut out);
         out
     }
 

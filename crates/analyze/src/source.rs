@@ -6,13 +6,12 @@ use crate::lexer::{lex, Token};
 
 /// An inline suppression parsed from a comment.
 #[derive(Debug, Clone)]
-pub struct AllowAnnotation {
+struct AllowAnnotation {
     /// Line of the comment.
-    pub line: usize,
-    /// The suppressed rule name.
-    pub rule: String,
-    /// The mandatory justification after `):`.
-    pub reason: String,
+    line: usize,
+    /// The suppressed rule name (its mandatory reason is checked at
+    /// parse time and not kept).
+    rule: String,
 }
 
 /// A file ready for rule checks.
@@ -24,12 +23,13 @@ pub struct SourceFile {
     pub lines: Vec<String>,
     /// Full token stream, comments included.
     pub tokens: Vec<Token>,
-    /// Per-token: true when the token sits inside `#[cfg(test)] mod … { }`
-    /// or a `#[test] fn … { }` body. Rules skip masked tokens — test
-    /// code may unwrap, allocate, and fake phases at will.
+    /// Per-token: true when the token sits inside a `#[cfg(test)]` item
+    /// with a body (`mod`, `fn`, `impl`, `struct`, …) or a `#[test] fn`.
+    /// Rules skip masked tokens — test code may unwrap, allocate, and
+    /// fake phases at will.
     pub test_mask: Vec<bool>,
     /// Parsed `analyze:allow` suppressions.
-    pub allows: Vec<AllowAnnotation>,
+    allows: Vec<AllowAnnotation>,
     /// Comments containing `analyze:allow` that did not parse — reported
     /// so a typo'd suppression cannot silently reopen a hole.
     pub malformed_allows: Vec<usize>,
@@ -55,10 +55,9 @@ impl SourceFile {
                 hot = true;
             } else if body.starts_with("analyze:allow") {
                 match parse_allow(body) {
-                    Some((rule, reason)) => allows.push(AllowAnnotation {
+                    Some(rule) => allows.push(AllowAnnotation {
                         line: tok.line,
                         rule,
-                        reason,
                     }),
                     None => malformed_allows.push(tok.line),
                 }
@@ -112,7 +111,7 @@ fn directive(comment: &str) -> Option<&str> {
 
 /// Parses `analyze:allow(rule-name): reason`, requiring a non-empty
 /// reason — an unjustified suppression is a malformed one.
-fn parse_allow(text: &str) -> Option<(String, String)> {
+fn parse_allow(text: &str) -> Option<String> {
     let rest = text.strip_prefix("analyze:allow")?.trim_start();
     let rest = rest.strip_prefix('(')?;
     let close = rest.find(')')?;
@@ -122,12 +121,12 @@ fn parse_allow(text: &str) -> Option<(String, String)> {
     if rule.is_empty() || reason.is_empty() {
         return None;
     }
-    Some((rule.to_string(), reason.to_string()))
+    Some(rule.to_string())
 }
 
-/// Marks every token inside `#[cfg(test)] mod … { }` blocks and
-/// `#[test] fn … { }` bodies. Works on the token stream, so braces in
-/// strings or comments cannot unbalance it.
+/// Marks every token inside `#[cfg(test)]` items with a body (`mod`,
+/// `fn`, `impl`, `struct`, `enum`, `trait`) and `#[test] fn` bodies, on
+/// the token stream: braces in strings or comments cannot unbalance it.
 fn compute_test_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let code: Vec<usize> = (0..tokens.len())
@@ -213,9 +212,9 @@ fn compute_test_mask(tokens: &[Token]) -> Vec<bool> {
                 }
             }
             let is_item = j < code.len()
-                && (tokens[code[j]].is_ident("mod")
-                    || tokens[code[j]].is_ident("fn")
-                    || tokens[code[j]].is_ident("pub"));
+                && ["mod", "fn", "pub", "impl", "struct", "enum", "trait"]
+                    .iter()
+                    .any(|kw| tokens[code[j]].is_ident(kw));
             if is_item {
                 // Find the item's opening `{` at zero bracket depth, then
                 // mask to its matching `}`.
@@ -279,6 +278,7 @@ mod tests {
     fn cfg_test_mod_is_masked() {
         let src = "fn live() { x.unwrap(); }\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { y.unwrap(); }\n}\n\
+                   #[cfg(test)]\nimpl S {\n    fn u() { z.unwrap(); }\n}\n\
                    fn also_live() {}\n";
         let f = SourceFile::parse("x.rs", src);
         let unwraps: Vec<usize> = f
@@ -288,9 +288,10 @@ mod tests {
             .filter(|(_, t)| t.is_ident("unwrap"))
             .map(|(i, _)| i)
             .collect();
-        assert_eq!(unwraps.len(), 2);
+        assert_eq!(unwraps.len(), 3);
         assert!(!f.test_mask[unwraps[0]], "live code stays unmasked");
         assert!(f.test_mask[unwraps[1]], "test-mod code is masked");
+        assert!(f.test_mask[unwraps[2]], "a test-only impl is masked");
         let live: Vec<&str> = f
             .code_indices()
             .into_iter()

@@ -1,33 +1,50 @@
-//! The fixture corpus: one positive (`bad.rs`) and one negative
-//! (`good.rs`) case per shipped rule, plus the malformed-suppression
-//! pair. Each `bad.rs` must fire its rule the expected number of times
-//! and each `good.rs` must stay silent — both under the single rule and
-//! under the full rule set, so fixtures also prove the rules do not
-//! interfere with each other.
+//! The fixture corpus: one positive (`bad`) and one negative (`good`)
+//! case per shipped rule, plus the malformed-suppression pair. A case is a
+//! single file (`<rule>/bad.rs`) or, for the cross-file `pub-reach`, a
+//! small tree (`pub-reach/bad/`). Each `bad` case must fire its rule the
+//! expected number of times and each `good` case must stay silent — both
+//! under the single rule and under the full rule set, so fixtures also
+//! prove the rules do not interfere with each other. Every case runs
+//! through [`analyze_tree`], the production entry point.
 
-use std::fs;
 use std::path::PathBuf;
 
+use dlpic_analyze::analyze_tree;
 use dlpic_analyze::config::{Config, Level, RULE_NAMES};
-use dlpic_analyze::engine::analyze_source;
 use dlpic_analyze::report::{Baseline, Report};
-use dlpic_analyze::source::SourceFile;
 
-/// Loads `tests/fixtures/<dir>/<which>.rs` as a parsed [`SourceFile`].
-fn fixture(dir: &str, which: &str) -> SourceFile {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(dir)
-        .join(format!("{which}.rs"));
-    let source =
-        fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    SourceFile::parse(&format!("fixtures/{dir}/{which}.rs"), &source)
+/// Every shipped rule at `deny` on every path, nothing excluded.
+fn all_paths() -> Config {
+    let mut cfg = Config::repo_default();
+    for rc in cfg.rules.values_mut() {
+        rc.paths = vec!["**".to_string()];
+    }
+    cfg.exclude.clear();
+    cfg
 }
 
-/// Analyzes `file` with only `rule` active (every other rule at allow);
-/// pass `None` to run the full rule set.
-fn analyze(file: &SourceFile, only: Option<&str>) -> Report {
-    let mut cfg = Config::all_paths();
+/// Analyzes fixture case `which` (`bad` or `good`) of `dir` under `cfg`:
+/// the tree `tests/fixtures/<dir>/<which>/` when it exists, else the
+/// file `tests/fixtures/<dir>/<which>.rs` alone.
+fn analyze_case(dir: &str, which: &str, mut cfg: Config, baseline: &Baseline) -> Report {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(dir);
+    let tree = dir.join(which);
+    let root = if tree.is_dir() {
+        tree
+    } else {
+        let other = if which == "bad" { "good" } else { "bad" };
+        cfg.exclude = vec![format!("{other}.rs"), format!("{other}/**")];
+        dir
+    };
+    analyze_tree(&root, &cfg, baseline).unwrap_or_else(|e| panic!("{}: {e}", root.display()))
+}
+
+/// Analyzes a fixture case with only `rule` active (every other rule at
+/// allow); pass `None` to run the full rule set.
+fn analyze(dir: &str, which: &str, only: Option<&str>) -> Report {
+    let mut cfg = all_paths();
     if let Some(rule) = only {
         for (name, rc) in cfg.rules.iter_mut() {
             rc.level = if name == rule {
@@ -37,12 +54,10 @@ fn analyze(file: &SourceFile, only: Option<&str>) -> Report {
             };
         }
     }
-    let mut report = Report::default();
-    analyze_source(file, &cfg, &Baseline::default(), &mut report);
-    report
+    analyze_case(dir, which, cfg, &Baseline::default())
 }
 
-/// Expected finding count of each rule's `bad.rs`.
+/// Expected finding count of each rule's `bad` case.
 fn expected_hits(rule: &str) -> usize {
     match rule {
         "no-hashmap-iter-in-state" => 2, // the `use` and the field type
@@ -53,6 +68,7 @@ fn expected_hits(rule: &str) -> usize {
         "phase-constants-only" => 2,     // string literal + computed tag
         "no-weight-clone" => 4,          // bundle, self.model_1d, net, the Option<Bundle> field
         "no-unbounded-spin" => 3,        // while, loop, while inside a for
+        "pub-reach" => 4,                // own file, `pub use`, integration test, unit test
         other => panic!("no fixture expectation for `{other}`"),
     }
 }
@@ -60,7 +76,7 @@ fn expected_hits(rule: &str) -> usize {
 #[test]
 fn every_rule_fires_on_its_bad_fixture() {
     for rule in RULE_NAMES {
-        let report = analyze(&fixture(rule, "bad"), Some(rule));
+        let report = analyze(rule, "bad", Some(rule));
         assert_eq!(
             report.findings.len(),
             expected_hits(rule),
@@ -79,7 +95,7 @@ fn every_rule_fires_on_its_bad_fixture() {
 #[test]
 fn every_good_fixture_is_silent_under_its_rule() {
     for rule in RULE_NAMES {
-        let report = analyze(&fixture(rule, "good"), Some(rule));
+        let report = analyze(rule, "good", Some(rule));
         assert!(
             report.findings.is_empty(),
             "{rule}/good.rs should be clean:\n{}",
@@ -93,7 +109,7 @@ fn good_fixtures_survive_the_full_rule_set() {
     // Cross-rule interference check: a negative case for one rule must
     // not trip any *other* rule either.
     for rule in RULE_NAMES {
-        let report = analyze(&fixture(rule, "good"), None);
+        let report = analyze(rule, "good", None);
         assert_eq!(
             report.deny_count(),
             0,
@@ -108,7 +124,15 @@ fn wallclock_good_fixture_is_suppressed_not_unflagged() {
     // The negative wallclock case contains a real `Instant::now()` behind
     // an inline allow — prove the suppression (not rule blindness) is
     // what keeps it clean.
-    let report = analyze(&fixture("no-wallclock-in-engine", "good"), None);
+    let report = analyze("no-wallclock-in-engine", "good", None);
+    assert_eq!(report.suppressed, 1, "{}", report.to_text());
+}
+
+#[test]
+fn pub_reach_good_fixture_is_suppressed_not_unflagged() {
+    // The oracle in the negative tree is named by no other file: the
+    // reasoned allow, not a blind spot, keeps it clean.
+    let report = analyze("pub-reach", "good", None);
     assert_eq!(report.suppressed, 1, "{}", report.to_text());
 }
 
@@ -116,17 +140,11 @@ fn wallclock_good_fixture_is_suppressed_not_unflagged() {
 fn malformed_suppressions_are_deny_findings() {
     // Even with every rule switched off, a typo'd `analyze:allow` is a
     // deny-level finding — it can never silently suppress nothing.
-    let mut cfg = Config::all_paths();
+    let mut cfg = all_paths();
     for rc in cfg.rules.values_mut() {
         rc.level = Level::Allow;
     }
-    let mut report = Report::default();
-    analyze_source(
-        &fixture("malformed-suppression", "bad"),
-        &cfg,
-        &Baseline::default(),
-        &mut report,
-    );
+    let report = analyze_case("malformed-suppression", "bad", cfg, &Baseline::default());
     assert_eq!(report.findings.len(), 2, "{}", report.to_text());
     assert!(report
         .findings
@@ -134,7 +152,7 @@ fn malformed_suppressions_are_deny_findings() {
         .all(|f| f.rule == "malformed-suppression"));
     assert_eq!(report.deny_count(), 2);
 
-    let good = analyze(&fixture("malformed-suppression", "good"), None);
+    let good = analyze("malformed-suppression", "good", None);
     assert_eq!(good.deny_count(), 0, "{}", good.to_text());
 }
 
@@ -143,21 +161,20 @@ fn baseline_covers_bad_fixture_findings() {
     // Round-trip: render a baseline from the hashmap fixture's findings,
     // re-analyze against it, and the same findings stop counting toward
     // --deny while still being reported.
-    let file = fixture("no-hashmap-iter-in-state", "bad");
-    let first = analyze(&file, Some("no-hashmap-iter-in-state"));
+    let rule = "no-hashmap-iter-in-state";
+    let first = analyze(rule, "bad", Some(rule));
     let baseline = Baseline::parse(&Baseline::render(&first.findings)).expect("round-trip");
     assert_eq!(baseline.len(), first.findings.len());
 
-    let mut cfg = Config::all_paths();
+    let mut cfg = all_paths();
     for (name, rc) in cfg.rules.iter_mut() {
-        rc.level = if name == "no-hashmap-iter-in-state" {
+        rc.level = if name == rule {
             Level::Deny
         } else {
             Level::Allow
         };
     }
-    let mut second = Report::default();
-    analyze_source(&file, &cfg, &baseline, &mut second);
+    let second = analyze_case(rule, "bad", cfg, &baseline);
     assert_eq!(second.findings.len(), first.findings.len());
     assert!(second.findings.iter().all(|f| f.baselined));
     assert_eq!(second.deny_count(), 0);

@@ -29,9 +29,7 @@
 //!   rescaled to this machine by the `matmul_naive` calibration anchor;
 //!   the bf16 ratio needs no anchor, both sides are timed live.
 
-use dlpic_bench::gate::{
-    calibration_gflops, fill, indent_block, json_string_after, json_value_after, median,
-};
+use dlpic_bench::gate::{calibration_gflops, fill, indent_block, median};
 use dlpic_core::builder::ArchSpec;
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
@@ -50,6 +48,7 @@ use dlpic_nn::trainer::{train, TrainConfig};
 use dlpic_nn::{FrozenModel, Precision, PredictWorkspace};
 use dlpic_pic::grid::Grid1D;
 use dlpic_pic::init::TwoStreamInit;
+use dlpic_repro::engine::json::Json;
 use dlpic_repro::engine::Engine;
 use dlpic_vlasov::solver::{VlasovConfig, VlasovSolver};
 use std::time::Instant;
@@ -661,10 +660,9 @@ fn print_human(m: &Measurement) {
     );
 }
 
-/// `key` in `section` of the measurement that starts at `from`.
-fn value_in(text: &str, from: usize, section: &str, key: &str) -> Option<f64> {
-    let at = from + text[from..].find(&format!("\"{section}\""))?;
-    json_value_after(text, at, key)
+/// The number at `section.key` of a measurement.
+fn value_in(measurement: &Json, section: &str, key: &str) -> Option<f64> {
+    measurement.get(section)?.get(key)?.as_f64().ok()
 }
 
 /// Everything `--check` reads from the `current` section of a committed
@@ -680,19 +678,26 @@ struct Committed {
 impl Committed {
     /// Parses `text`, naming the first entry it lacks.
     fn parse(text: &str) -> Result<Self, String> {
-        let cur = text.find("\"current\"").ok_or("no \"current\" section")?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        let cur = doc.get("current").ok_or("no \"current\" section")?;
         let missing = |entry: &str| format!("\"current\" has no parsable {entry}");
         let mut gated = [0.0; 7];
         for (slot, (_, section, key, ..)) in gated.iter_mut().zip(GATED) {
-            *slot = value_in(text, cur, section, key)
-                .ok_or_else(|| missing(&format!("{section}.{key}")))?;
+            *slot =
+                value_in(cur, section, key).ok_or_else(|| missing(&format!("{section}.{key}")))?;
         }
         Ok(Self {
-            calibration: json_value_after(text, cur, "calibration_gflops")
+            calibration: cur
+                .get("calibration_gflops")
+                .and_then(|v| v.as_f64().ok())
                 .ok_or_else(|| missing("calibration_gflops"))?,
-            simd: json_string_after(text, cur, "simd").ok_or_else(|| missing("simd"))?,
+            simd: cur
+                .get("simd")
+                .and_then(|v| v.as_str().ok())
+                .ok_or_else(|| missing("simd"))?
+                .to_string(),
             gated,
-            bf16_vs_f32: value_in(text, cur, "bf16", "bf16_vs_f32")
+            bf16_vs_f32: value_in(cur, "bf16", "bf16_vs_f32")
                 .ok_or_else(|| missing("bf16.bf16_vs_f32"))?,
         })
     }
@@ -800,16 +805,16 @@ fn main() {
     if let Some(baseline_path) = flag_value("--write-bench") {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
+        let base = Json::parse(&baseline)
+            .unwrap_or_else(|e| panic!("baseline {baseline_path} is not JSON: {e}"));
         // Ratios for what the baseline measured: a baseline from before an
         // entry existed has no ratio for it.
-        let setup = baseline
-            .find("\"paper_setup\"")
-            .and_then(|at| json_value_after(&baseline, at, "total_s"))
+        let setup = value_in(&base, "paper_setup", "total_s")
             .map(|b| ("paper_setup", b / m.setup.total_s()));
         let speedups: Vec<(&str, f64)> = GATED
             .iter()
             .filter_map(|(name, section, key, _, measured)| {
-                value_in(&baseline, 0, section, key).map(|b| (*name, measured(&m) / b))
+                value_in(&base, section, key).map(|b| (*name, measured(&m) / b))
             })
             .chain(setup)
             .collect();

@@ -357,25 +357,6 @@ pub mod gate {
         flops / median(times) / 1e9
     }
 
-    /// First `"key": <number>` after position `from` in `text`.
-    pub fn json_value_after(text: &str, from: usize, key: &str) -> Option<f64> {
-        let needle = format!("\"{key}\":");
-        let at = text[from..].find(&needle)? + from + needle.len();
-        let rest = text[at..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-
-    /// First `"key": "<string>"` after position `from` in `text`.
-    pub fn json_string_after(text: &str, from: usize, key: &str) -> Option<String> {
-        let needle = format!("\"{key}\":");
-        let at = text[from..].find(&needle)? + from + needle.len();
-        let rest = text[at..].trim_start().strip_prefix('"')?;
-        Some(rest[..rest.find('"')?].to_string())
-    }
-
     /// Re-indents a captured measurement JSON by two spaces for
     /// embedding as a `baseline` section.
     pub fn indent_block(block: &str) -> String {

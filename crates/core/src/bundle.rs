@@ -183,9 +183,10 @@ impl ModelBundle {
         let nv = buf.get_u32_le() as usize;
         let vmin = buf.get_f64_le();
         let vmax = buf.get_f64_le();
-        // NaN-rejecting form: `vmax <= vmin` would accept NaN bounds.
+        // NaN-rejecting form: `vmax <= vmin` would accept NaN bounds. An
+        // infinite window passes that test but makes `dv` infinite.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if nx == 0 || nv == 0 || !(vmax > vmin) {
+        if nx == 0 || nv == 0 || !(vmax > vmin) || !(vmax - vmin).is_finite() {
             return Err(BundleError::Malformed("bad phase-grid geometry"));
         }
         let binning = match buf.get_u8() {
@@ -643,6 +644,19 @@ mod tests {
                 ModelBundle::decode(&bundle.encode()),
                 Err(BundleError::Malformed("non-finite parameter"))
             ));
+        }
+        // So is an infinite velocity window: `dv` would be infinite.
+        for (vmin, vmax) in [(f64::NEG_INFINITY, f64::INFINITY), (-1.0, f64::INFINITY)] {
+            let mut bundle = tiny_bundle();
+            bundle.spec.vmin = vmin;
+            bundle.spec.vmax = vmax;
+            assert!(
+                matches!(
+                    ModelBundle::decode(&bundle.encode()),
+                    Err(BundleError::Malformed("bad phase-grid geometry"))
+                ),
+                "[{vmin}, {vmax}]"
+            );
         }
         // So is a non-finite normalization bound: every input would
         // normalize to NaN or 0.

@@ -38,6 +38,6 @@ pub use builder::{ArchSpec, InputKind};
 pub use bundle::{BundleError, ModelBundle};
 pub use field_solver::{DlFieldSolver, FrozenBundle, InputBinning};
 pub use normalize::NormStats;
-pub use phase_space::{bin_phase_space, phase_space_histogram, BinningShape, PhaseGridSpec};
+pub use phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
 pub use presets::Scale;
 pub use twod::DensityBinning;

@@ -58,7 +58,8 @@ impl NormStats {
     }
 
     /// Inverts Eq. 5 in place.
-    pub fn invert(&self, data: &mut [f32]) {
+    #[cfg(test)]
+    fn invert(&self, data: &mut [f32]) {
         let span = self.span();
         for v in data.iter_mut() {
             *v = *v * span + self.min;

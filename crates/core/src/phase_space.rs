@@ -132,7 +132,8 @@ pub fn bin_phase_space(
 }
 
 /// Convenience wrapper returning a fresh histogram.
-pub fn phase_space_histogram(
+#[cfg(test)]
+fn phase_space_histogram(
     particles: &Particles,
     grid: &Grid1D,
     spec: &PhaseGridSpec,

@@ -25,7 +25,7 @@
 //! over ascending `k` from `+0.0` whatever batch its row is computed in,
 //! so the partition decides who computes a row, never how.
 
-pub use dlpic_nn::team::{available_threads, with_limit, Hold, Team};
+pub use dlpic_nn::team::{available_threads, with_limit, Team};
 
 /// The process-wide team ([`available_threads`] members; helpers are
 /// spawned by the first dispatch that uses more than one).

@@ -47,11 +47,23 @@ impl Scale {
 
     /// Reads `DLPIC_SCALE` from the environment with a caller-chosen
     /// default (examples default to `Smoke` so they finish in seconds).
+    /// The default applies only when the variable is unset: an unknown
+    /// value exits with status 2, as an unknown `--scale` does.
     pub fn from_env_or(default: Self) -> Self {
-        std::env::var("DLPIC_SCALE")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or(default)
+        let value = std::env::var_os("DLPIC_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Self::from_var(value.as_deref(), default).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
+    }
+
+    /// `DLPIC_SCALE`'s value parsed, or `default` when it is unset.
+    fn from_var(value: Option<&str>, default: Self) -> Result<Self, String> {
+        match value {
+            None => Ok(default),
+            Some(v) => Self::parse(v)
+                .ok_or_else(|| format!("unknown DLPIC_SCALE `{v}`; use smoke|scaled|paper")),
+        }
     }
 
     /// Display name.
@@ -194,6 +206,18 @@ mod tests {
         assert_eq!(Scale::parse("smoke"), Some(Scale::Smoke));
         assert_eq!(Scale::parse("huge"), None);
         assert_eq!(Scale::Paper.name(), "paper");
+    }
+
+    #[test]
+    fn env_default_applies_only_when_unset() {
+        assert_eq!(Scale::from_var(None, Scale::Smoke), Ok(Scale::Smoke));
+        assert_eq!(
+            Scale::from_var(Some("Paper"), Scale::Smoke),
+            Ok(Scale::Paper)
+        );
+        let typo = Scale::from_var(Some("papr"), Scale::Smoke).unwrap_err();
+        assert!(typo.contains("`papr`"), "{typo}");
+        assert!(Scale::from_var(Some(""), Scale::Smoke).is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! with the training-set statistics (paper Eq. 5), the network is an MLP
 //! with ReLU hidden layers and a linear output trained with Adam on MSE,
 //! and the solver is the one `DlFieldSolver`, instantiated at [`Grid2D`]:
-//! this module supplies its input binning ([`bin_density`] behind
+//! this module supplies its input binning (`bin_density` behind
 //! [`InputBinning`]) and the harvest/train pipeline, which ends in a
 //! `FrozenBundle<Grid2D>`; inference, normalization and the field write
 //! are the code the 1-D solver runs.
@@ -54,7 +54,7 @@ pub enum DensityBinning {
 ///
 /// # Panics
 /// Panics if `out` length differs from the grid node count.
-pub fn bin_density(particles: &Particles2D, grid: &Grid2D, shape: DensityBinning, out: &mut [f32]) {
+fn bin_density(particles: &Particles2D, grid: &Grid2D, shape: DensityBinning, out: &mut [f32]) {
     assert_eq!(out.len(), grid.nodes(), "density buffer size mismatch");
     out.fill(0.0);
     let (nx, ny) = (grid.nx(), grid.ny());
@@ -154,7 +154,7 @@ pub fn harvest_2d(cfg: PicConfig<Grid2D>, binning: DensityBinning, stride: usize
 ///
 /// # Panics
 /// Panics on an empty sample list.
-pub fn build_dataset_2d(samples: &[Sample2D]) -> (Dataset, NormStats) {
+fn build_dataset_2d(samples: &[Sample2D]) -> (Dataset, NormStats) {
     assert!(!samples.is_empty(), "no samples");
     let in_len = samples[0].hist.len();
     let out_len = samples[0].ex.len() + samples[0].ey.len();

@@ -17,16 +17,16 @@
 use dlpic_core::presets::Scale;
 
 /// The paper's training beam speeds.
-pub const PAPER_V0S: [f64; 5] = [0.05, 0.1, 0.15, 0.18, 0.3];
+const PAPER_V0S: [f64; 5] = [0.05, 0.1, 0.15, 0.18, 0.3];
 
 /// The paper's training thermal speeds.
-pub const PAPER_VTHS: [f64; 4] = [0.0, 0.001, 0.005, 0.01];
+const PAPER_VTHS: [f64; 4] = [0.0, 0.001, 0.005, 0.01];
 
 /// Beam speeds *not* in the training sweep, for Test Set II.
-pub const UNSEEN_V0S: [f64; 3] = [0.12, 0.2, 0.25];
+const UNSEEN_V0S: [f64; 3] = [0.12, 0.2, 0.25];
 
 /// Thermal speeds *not* in the training sweep, for Test Set II.
-pub const UNSEEN_VTHS: [f64; 2] = [0.002, 0.025];
+const UNSEEN_VTHS: [f64; 2] = [0.002, 0.025];
 
 /// One (v0, vth) configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +53,7 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// Cartesian product of the given parameter lists.
-    pub fn cross(v0s: &[f64], vths: &[f64], experiments: usize, steps: usize, seed: u64) -> Self {
+    fn cross(v0s: &[f64], vths: &[f64], experiments: usize, steps: usize, seed: u64) -> Self {
         let mut combos = Vec::with_capacity(v0s.len() * vths.len());
         for &v0 in v0s {
             for &vth in vths {
@@ -68,20 +68,16 @@ impl SweepSpec {
         }
     }
 
-    /// The paper's full training sweep: 20 combos × 10 experiments × 200
-    /// steps = 40,000 samples.
-    pub fn paper_training() -> Self {
-        Self::cross(&PAPER_V0S, &PAPER_VTHS, 10, 200, 0x5eed_0001)
-    }
-
-    /// Training sweep for the given scale. `Scaled` keeps all 20 combos
+    /// Training sweep for the given scale. `Paper` is the paper's full
+    /// sweep: 20 combos × 10 experiments × 200 steps = 40,000 samples.
+    /// `Scaled` keeps all 20 combos
     /// (coverage of parameter space matters more than augmentation depth on
     /// one core) with 3 seeded experiments each — enough augmentation for
     /// the DL-PIC loop to stay well-conditioned on unseen noise
     /// realizations (12,000 samples; the paper used 40,000).
     pub fn training_for(scale: Scale) -> Self {
         match scale {
-            Scale::Paper => Self::paper_training(),
+            Scale::Paper => Self::cross(&PAPER_V0S, &PAPER_VTHS, 10, 200, 0x5eed_0001),
             Scale::Scaled => Self::cross(&PAPER_V0S, &PAPER_VTHS, 3, 200, 0x5eed_0001),
             // 80 steps so the instability develops real field structure
             // (40 steps of Δt = 0.2 is still deep in the linear phase).
@@ -100,14 +96,9 @@ impl SweepSpec {
         }
     }
 
-    /// Total number of simulation runs.
-    pub fn total_runs(&self) -> usize {
-        self.combos.len() * self.experiments_per_combo
-    }
-
     /// Total number of samples the sweep yields.
     pub fn total_samples(&self) -> usize {
-        self.total_runs() * self.steps
+        self.combos.len() * self.experiments_per_combo * self.steps
     }
 
     /// Deterministic seed of run (`combo_idx`, `experiment`).
@@ -130,17 +121,16 @@ mod tests {
 
     #[test]
     fn paper_training_sweep_is_forty_thousand_samples() {
-        let s = SweepSpec::paper_training();
+        let s = SweepSpec::training_for(Scale::Paper);
         assert_eq!(s.combos.len(), 20);
         assert_eq!(s.experiments_per_combo, 10);
         assert_eq!(s.steps, 200);
         assert_eq!(s.total_samples(), 40_000);
-        assert_eq!(s.total_runs(), 200);
     }
 
     #[test]
     fn test_set_ii_uses_only_unseen_parameters() {
-        let train = SweepSpec::paper_training();
+        let train = SweepSpec::training_for(Scale::Paper);
         let test2 = SweepSpec::test_set_ii_for(Scale::Paper);
         for tc in &test2.combos {
             for trc in &train.combos {
@@ -166,7 +156,7 @@ mod tests {
 
     #[test]
     fn run_seeds_are_distinct() {
-        let s = SweepSpec::paper_training();
+        let s = SweepSpec::training_for(Scale::Paper);
         let mut seeds = std::collections::HashSet::new();
         for c in 0..s.combos.len() {
             for e in 0..s.experiments_per_combo {

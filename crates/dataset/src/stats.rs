@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 
 /// Aggregate statistics of a dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DatasetStats {
+struct DatasetStats {
     /// Number of samples.
     pub n: usize,
     /// Minimum histogram count.
@@ -23,7 +23,7 @@ pub struct DatasetStats {
 }
 
 /// Computes aggregate statistics.
-pub fn compute(ds: &PhaseDataset) -> DatasetStats {
+fn compute(ds: &PhaseDataset) -> DatasetStats {
     let mut input_min = f32::INFINITY;
     let mut input_max = f32::NEG_INFINITY;
     let mut all_finite = true;

@@ -90,9 +90,10 @@ pub fn decode(bytes: &[u8]) -> Result<PhaseDataset, StoreError> {
     let nv = buf.get_u32_le() as usize;
     let vmin = buf.get_f64_le();
     let vmax = buf.get_f64_le();
-    // NaN-rejecting form: `vmax <= vmin` would accept NaN bounds.
+    // NaN-rejecting form: `vmax <= vmin` would accept NaN bounds. An
+    // infinite window passes that test but makes `dv` infinite.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if nx == 0 || nv == 0 || !(vmax > vmin) {
+    if nx == 0 || nv == 0 || !(vmax > vmin) || !(vmax - vmin).is_finite() {
         return Err(StoreError::Malformed("bad phase-grid geometry"));
     }
     let binning = match buf.get_u8() {
@@ -105,8 +106,12 @@ pub fn decode(bytes: &[u8]) -> Result<PhaseDataset, StoreError> {
         return Err(StoreError::Malformed("bad field width"));
     }
     let n = buf.get_u64_le() as usize;
-    let need = 4 * n * (nx * nv + e_cells);
-    if buf.remaining() < need {
+    // Checked: a crafted count must not overflow the size it implies.
+    let need = (nx.checked_mul(nv))
+        .and_then(|cells| cells.checked_add(e_cells))
+        .and_then(|row| row.checked_mul(n))
+        .and_then(|values| values.checked_mul(4));
+    if need.is_none_or(|need| buf.remaining() < need) {
         return Err(StoreError::Malformed("truncated payload"));
     }
 
@@ -196,9 +201,35 @@ mod tests {
         let mut bad_magic = blob.clone();
         bad_magic[1] = b'X';
         assert!(matches!(decode(&bad_magic), Err(StoreError::Malformed(_))));
-        let mut truncated = blob;
+        let mut truncated = blob.clone();
         truncated.truncate(truncated.len() - 2);
         assert!(matches!(decode(&truncated), Err(StoreError::Malformed(_))));
+
+        // A 45-byte header claiming 2^62 one-cell samples: the payload size
+        // it implies overflows, and must be refused, not computed.
+        let mut huge = blob[..8].to_vec();
+        huge.extend_from_slice(&1u32.to_le_bytes()); // nx
+        huge.extend_from_slice(&1u32.to_le_bytes()); // nv
+        huge.extend_from_slice(&(-1.0f64).to_le_bytes());
+        huge.extend_from_slice(&1.0f64.to_le_bytes());
+        huge.push(0); // NGP
+        huge.extend_from_slice(&3u32.to_le_bytes()); // e_cells
+        huge.extend_from_slice(&(1u64 << 62).to_le_bytes()); // n
+        assert_eq!(huge.len(), 45);
+        assert!(matches!(
+            decode(&huge),
+            Err(StoreError::Malformed("truncated payload"))
+        ));
+
+        // An infinite velocity window would make `dv` infinite.
+        let mut infinite = huge;
+        infinite[16..24].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
+        infinite[24..32].copy_from_slice(&f64::INFINITY.to_le_bytes());
+        infinite[37..45].copy_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(
+            decode(&infinite),
+            Err(StoreError::Malformed("bad phase-grid geometry"))
+        ));
     }
 
     #[test]

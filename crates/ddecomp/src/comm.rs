@@ -25,7 +25,7 @@ pub struct CommStats {
 
 impl CommStats {
     /// Adds another counter into this one.
-    pub fn merge(&mut self, other: CommStats) {
+    fn merge(&mut self, other: CommStats) {
         self.messages += other.messages;
         self.bytes += other.bytes;
     }
@@ -110,14 +110,14 @@ impl Fabric {
         self.mailboxes.iter().map(|m| m.len()).sum()
     }
 
-    /// Aggregate traffic counters since construction (or the last
-    /// [`Fabric::reset_stats`]).
+    /// Aggregate traffic counters since construction.
     pub fn stats(&self) -> CommStats {
         self.total
     }
 
     /// Traffic of one class.
-    pub fn phase_stats(&self, phase: Phase) -> CommStats {
+    #[cfg(test)]
+    pub(crate) fn phase_stats(&self, phase: Phase) -> CommStats {
         self.phases
             .iter()
             .find(|(p, _)| *p == phase)
@@ -131,7 +131,8 @@ impl Fabric {
     }
 
     /// Clears the counters (not the queued messages).
-    pub fn reset_stats(&mut self) {
+    #[cfg(test)]
+    fn reset_stats(&mut self) {
         self.total = CommStats::default();
         self.phases.clear();
     }
@@ -165,7 +166,7 @@ pub const PHASE_HIST_BCAST: Phase = "hist-bcast";
 /// added through them is one line away from being restorable; sending
 /// under an ad-hoc string still works but will not survive a
 /// checkpoint round-trip.
-pub const KNOWN_PHASES: [Phase; 6] = [
+const KNOWN_PHASES: [Phase; 6] = [
     PHASE_DEPOSIT_HALO,
     PHASE_RHO_GATHER,
     PHASE_E_SCATTER,

@@ -133,7 +133,8 @@ pub fn recv_halo_from_right(
 
 /// Runs the complete two-round reduction over all ranks' buffers (the
 /// BSP driver's halo phase).
-pub fn reduce_halos(topo: &Topology, fabric: &mut Fabric, buffers: &mut [Vec<f64>]) {
+#[cfg(test)]
+fn reduce_halos(topo: &Topology, fabric: &mut Fabric, buffers: &mut [Vec<f64>]) {
     assert_eq!(buffers.len(), topo.n_ranks(), "one buffer per rank");
     for rank in topo.ranks() {
         send_halo_right(rank, topo, fabric, &buffers[rank]);

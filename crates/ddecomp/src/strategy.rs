@@ -76,7 +76,8 @@ impl GatherScatter {
 
     /// The most recent globally assembled E field (valid on "rank 0"
     /// after a solve; diagnostics only).
-    pub fn e_global(&self) -> &[f64] {
+    #[cfg(test)]
+    fn e_global(&self) -> &[f64] {
         &self.e_global
     }
 }
@@ -185,7 +186,8 @@ impl ReplicatedDl {
     }
 
     /// The most recent global E prediction (diagnostics only).
-    pub fn e_global(&self) -> &[f64] {
+    #[cfg(test)]
+    fn e_global(&self) -> &[f64] {
         &self.e_global
     }
 }

@@ -54,13 +54,14 @@ impl Topology {
 
     /// One-past-the-last owned node of `rank`.
     #[inline]
-    pub fn slab_end(&self, rank: usize) -> usize {
+    #[cfg(test)]
+    fn slab_end(&self, rank: usize) -> usize {
         self.slab_start(rank) + self.cells_per_rank()
     }
 
     /// The rank owning global node `cell`.
     #[inline]
-    pub fn rank_of_cell(&self, cell: usize) -> usize {
+    fn rank_of_cell(&self, cell: usize) -> usize {
         debug_assert!(cell < self.ncells);
         cell / self.cells_per_rank()
     }

@@ -8,7 +8,7 @@
 //! f32: only the B operand (the weights) is bf16.
 //!
 //! There is no bf16 kernel of its own: `u16` implements
-//! `linalg::Weight`, so [`matmul_nn_bf16`] is [`crate::linalg`]'s
+//! `linalg::Weight`, so bf16 weights run through [`crate::linalg`]'s
 //! `k`-blocked kernel — batched and solo, AVX-512 and portable — with
 //! the weight load widened on the fly (`vpmovzxwd` + shift-left 16, the
 //! exact decode).
@@ -24,14 +24,16 @@
 //! bitwise identical for every `m` on a given machine, so the ensemble
 //! scheduler batches bf16 cohorts under the same contract as f32 ones.
 
-use crate::linalg::{nn, nn_portable, Weight};
+use crate::linalg::Weight;
+#[cfg(test)]
+use crate::linalg::{nn, nn_portable};
 
 /// Encodes one f32 as bf16 with round-to-nearest-even.
 ///
 /// NaNs are quieted (the mantissa MSB is forced on) so a truncated NaN
 /// cannot collapse to infinity.
 #[inline]
-pub fn f32_to_bf16(x: f32) -> u16 {
+fn f32_to_bf16(x: f32) -> u16 {
     let bits = x.to_bits();
     if x.is_nan() {
         return ((bits >> 16) as u16) | 0x0040;
@@ -43,7 +45,7 @@ pub fn f32_to_bf16(x: f32) -> u16 {
 
 /// Decodes one bf16 back to f32 (exact).
 #[inline]
-pub fn bf16_to_f32(b: u16) -> f32 {
+fn bf16_to_f32(b: u16) -> f32 {
     f32::from_bits((b as u32) << 16)
 }
 
@@ -53,7 +55,8 @@ pub fn encode_bf16(src: &[f32]) -> Vec<u16> {
 }
 
 /// Decodes a bf16 slice back to f32 (exact).
-pub fn decode_bf16(src: &[u16]) -> Vec<f32> {
+#[cfg(test)]
+fn decode_bf16(src: &[u16]) -> Vec<f32> {
     src.iter().map(|&b| bf16_to_f32(b)).collect()
 }
 
@@ -90,7 +93,8 @@ impl Weight for u16 {
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
-pub fn matmul_nn_bf16(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n: usize) {
+#[cfg(test)]
+fn matmul_nn_bf16(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n: usize) {
     nn(a, b, c, m, k, n);
 }
 
@@ -99,7 +103,8 @@ pub fn matmul_nn_bf16(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
-pub fn matmul_nn_bf16_portable(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n: usize) {
+#[cfg(test)]
+fn matmul_nn_bf16_portable(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n: usize) {
     nn_portable(a, b, c, m, k, n);
 }
 

@@ -38,7 +38,8 @@ impl Dataset {
 
     /// Returns a new dataset with rows permuted by a seeded Fisher–Yates
     /// shuffle.
-    pub fn shuffled(&self, seed: u64) -> Self {
+    #[cfg(test)]
+    fn shuffled(&self, seed: u64) -> Self {
         let mut perm = Vec::new();
         shuffle_permutation(&mut perm, self.len(), seed);
         self.select(&perm)
@@ -115,8 +116,8 @@ impl Dataset {
 }
 
 /// Fills `perm` (resized in place) with the seeded Fisher–Yates
-/// permutation of `0..n` that [`Dataset::shuffled`] applies — shared so
-/// the trainer can shuffle indices without copying the dataset.
+/// permutation of `0..n`, so the trainer can shuffle indices without
+/// copying the dataset.
 pub fn shuffle_permutation(perm: &mut Vec<usize>, n: usize, seed: u64) {
     perm.clear();
     perm.extend(0..n);

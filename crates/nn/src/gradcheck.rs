@@ -12,7 +12,7 @@ use crate::tensor::Tensor;
 
 /// Result of a gradient check.
 #[derive(Debug, Clone, Copy)]
-pub struct GradCheckReport {
+pub(crate) struct GradCheckReport {
     /// Worst relative error across checked parameters.
     pub max_rel_error: f64,
     /// Number of parameters checked.
@@ -24,7 +24,7 @@ pub struct GradCheckReport {
 /// `stride` controls sampling: every `stride`-th parameter is perturbed
 /// (1 = all). Relative error uses `|analytic - numeric| / max(|analytic|,
 /// |numeric|, floor)` with a small floor to avoid 0/0.
-pub fn check_gradients(
+pub(crate) fn check_gradients(
     net: &mut Sequential,
     loss: &dyn Loss,
     x: &Tensor,

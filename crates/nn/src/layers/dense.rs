@@ -69,11 +69,6 @@ impl Dense {
         self.out_features
     }
 
-    /// Immutable weight access (tests, inspection).
-    pub fn weights(&self) -> &[f32] {
-        &self.w
-    }
-
     /// Immutable bias access.
     pub fn bias(&self) -> &[f32] {
         &self.b

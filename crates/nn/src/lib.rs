@@ -7,10 +7,10 @@
 //! far more aggressively than a paper appendix would be:
 //!
 //! * dense and convolutional layers with hand-written backprop, checked
-//!   against central finite differences ([`gradcheck`]);
+//!   against central finite differences (the `gradcheck` tests);
 //! * ReLU / max-pool / flatten / residual blocks;
-//! * MSE loss, [`optimizer::Adam`] (the paper's optimizer, lr 1e-4,
-//!   batch 64) and SGD;
+//! * MSE loss and [`optimizer::Adam`] (the paper's optimizer, lr 1e-4,
+//!   batch 64);
 //! * a deterministic mini-batch [`trainer`] with shuffling and validation
 //!   tracking;
 //! * MAE / max-error [`metrics`] (the paper's Table I columns);
@@ -41,7 +41,8 @@
 pub mod bf16;
 pub mod data;
 pub mod frozen;
-pub mod gradcheck;
+#[cfg(test)]
+mod gradcheck;
 pub mod init;
 pub mod layer;
 pub mod layers;
@@ -62,6 +63,6 @@ pub use layer::Layer;
 pub use layers::{Conv2d, Dense, Flatten, MaxPool2, Relu, ResidualDense};
 pub use loss::{Loss, Mse};
 pub use network::{PredictWorkspace, Sequential};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::Adam;
 pub use tensor::Tensor;
 pub use trainer::{train, TrainConfig, TrainHistory};

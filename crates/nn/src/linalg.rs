@@ -114,7 +114,7 @@ const LANES: usize = 8;
 /// off x86-64). The first call pays a `cpuid`; the result is cached by
 /// `std`.
 #[inline]
-pub fn avx512_available() -> bool {
+pub(crate) fn avx512_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         is_x86_feature_detected!("avx512f")
@@ -235,7 +235,8 @@ pub(crate) fn nn<W: Weight>(a: &[f32], b: &[W], c: &mut [f32], m: usize, k: usiz
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
-pub fn matmul_nn_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+#[cfg(test)]
+fn matmul_nn_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     nn_portable(a, b, c, m, k, n);
 }
 
@@ -339,7 +340,7 @@ pub fn matmul_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
-pub fn matmul_tn_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+fn matmul_tn_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
@@ -952,7 +953,14 @@ mod avx512 {
     /// `avx512f` must be available and the slices must satisfy the
     /// [`super::matmul_tn`] size contract.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn tn_main(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    pub(super) unsafe fn tn_main(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
         let (m8, n16, n32) = (m - m % 8, n - n % 16, n - n % 32);
         let mut i0 = 0;
@@ -1014,7 +1022,7 @@ mod avx512 {
     /// `pad` (asserted by the dispatching wrapper).
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn conv_main(
+    pub(super) unsafe fn conv_main(
         a: &[f32],
         pad: &[f32],
         boff: &[usize],
@@ -1120,7 +1128,7 @@ mod avx512 {
     /// `pad` (asserted by the dispatching wrapper).
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn dw_main(
+    pub(super) unsafe fn dw_main(
         dy: &[f32],
         pad: &[f32],
         boff: &[usize],

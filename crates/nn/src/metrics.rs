@@ -24,7 +24,8 @@ pub fn mae(pred: &Tensor, target: &Tensor) -> f32 {
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn max_abs_error(pred: &Tensor, target: &Tensor) -> f32 {
+#[cfg(test)]
+fn max_abs_error(pred: &Tensor, target: &Tensor) -> f32 {
     assert_eq!(pred.shape(), target.shape(), "shape mismatch");
     pred.data()
         .iter()
@@ -78,6 +79,7 @@ pub fn evaluate(net: &mut Sequential, data: &Dataset, batch_size: usize) -> (f32
 ///
 /// # Panics
 /// Panics on an empty dataset.
+// analyze:allow(pub-reach): Table I's per-output column, pinned bit for bit by tests/golden/table_i.txt
 pub fn per_output_mae(net: &mut Sequential, data: &Dataset, batch_size: usize) -> Vec<f64> {
     let mut acc = vec![0.0f64; data.y.row_len()];
     let mut count = 0usize;

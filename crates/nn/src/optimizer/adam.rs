@@ -3,7 +3,6 @@
 //! of 0.0001" (§IV.A).
 
 use crate::network::Sequential;
-use crate::optimizer::Optimizer;
 
 /// Adam with bias-corrected first/second moment estimates.
 pub struct Adam {
@@ -41,10 +40,10 @@ impl Adam {
     pub fn steps(&self) -> u32 {
         self.t
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, net: &mut Sequential) {
+    /// Applies one update from the gradients `net` has accumulated (the
+    /// caller zeroes them via the next `compute_gradients`).
+    pub fn step(&mut self, net: &mut Sequential) {
         self.t += 1;
         let (b1, b2, eps) = (self.beta1, self.beta2, self.eps);
         // Bias-correction scalars hoisted out of the per-element loop:
@@ -74,10 +73,6 @@ impl Optimizer for Adam {
             idx += 1;
         });
     }
-
-    fn name(&self) -> &'static str {
-        "adam"
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +81,6 @@ mod tests {
     use crate::init::Init;
     use crate::layers::{Dense, Relu};
     use crate::loss::Mse;
-    use crate::optimizer::Sgd;
     use crate::tensor::Tensor;
 
     /// An ill-conditioned two-feature regression: one feature is 100×
@@ -110,15 +104,20 @@ mod tests {
         let run = |use_adam: bool| -> f32 {
             let mut net = Sequential::new().push(Dense::new(2, 1, Init::Zeros, 0));
             let mut adam = Adam::new(0.05);
-            // SGD lr is capped by the large feature: 1e-5 is near the
-            // stability limit for this data.
-            let mut sgd = Sgd::new(1e-5);
+            // Plain gradient descent, `p ← p − lr·g`. Its lr is capped by
+            // the large feature: 1e-5 is near the stability limit for
+            // this data.
+            let lr = 1e-5;
             for _ in 0..400 {
                 net.compute_gradients(&Mse, &x, &y);
                 if use_adam {
                     adam.step(&mut net);
                 } else {
-                    sgd.step(&mut net);
+                    net.visit_params(&mut |p, g| {
+                        for (pv, gv) in p.iter_mut().zip(g.iter()) {
+                            *pv -= lr * gv;
+                        }
+                    });
                 }
             }
             net.compute_gradients(&Mse, &x, &y)

@@ -1,24 +1,6 @@
-//! Optimizers.
-//!
-//! [`Adam`] with learning rate 1e-4 is the paper's training configuration
-//! (§IV.A); [`Sgd`] exists as a baseline and for tests that contrast the
-//! two on ill-conditioned problems.
+//! Optimizers: [`Adam`] with learning rate 1e-4 is the paper's training
+//! configuration (§IV.A), and the only one the trainer takes.
 
 pub mod adam;
-pub mod sgd;
 
 pub use adam::Adam;
-pub use sgd::Sgd;
-
-use crate::network::Sequential;
-
-/// An optimizer updates network parameters from their accumulated
-/// gradients (then the caller zeroes the gradients via the next
-/// `compute_gradients`).
-pub trait Optimizer {
-    /// Applies one update step.
-    fn step(&mut self, net: &mut Sequential);
-
-    /// Optimizer name for logs.
-    fn name(&self) -> &'static str;
-}

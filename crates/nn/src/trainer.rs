@@ -4,7 +4,7 @@ use crate::data::{shuffle_permutation, Dataset};
 use crate::loss::Loss;
 use crate::metrics::evaluate;
 use crate::network::{Sequential, TrainWorkspace};
-use crate::optimizer::Optimizer;
+use crate::optimizer::Adam;
 use crate::tensor::Tensor;
 
 /// Training-loop configuration (the paper trains with batch 64; 150 epochs
@@ -50,7 +50,8 @@ impl TrainHistory {
     }
 
     /// Best (lowest) validation MAE seen.
-    pub fn best_val_mae(&self) -> Option<f64> {
+    #[cfg(test)]
+    fn best_val_mae(&self) -> Option<f64> {
         self.val_mae
             .iter()
             .copied()
@@ -72,7 +73,7 @@ impl TrainHistory {
 pub fn train(
     net: &mut Sequential,
     loss: &dyn Loss,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     train_set: &Dataset,
     validation: Option<&Dataset>,
     cfg: &TrainConfig,
@@ -132,7 +133,6 @@ mod tests {
     use crate::init::Init;
     use crate::layers::{Dense, Relu};
     use crate::loss::Mse;
-    use crate::optimizer::Adam;
     use crate::tensor::Tensor;
 
     /// Regression task: y = 0.5·x0 − 0.25·x1 + 0.1.

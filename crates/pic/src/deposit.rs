@@ -90,7 +90,8 @@ pub fn add_uniform_background(rho: &mut [f64], density: f64) {
 }
 
 /// Net charge ∫ρ dx of a density array — zero for a neutralized plasma.
-pub fn net_charge(rho: &[f64], grid: &Grid1D) -> f64 {
+#[cfg(test)]
+fn net_charge(rho: &[f64], grid: &Grid1D) -> f64 {
     rho.iter().sum::<f64>() * grid.dx()
 }
 

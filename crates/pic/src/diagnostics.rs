@@ -44,7 +44,8 @@ pub fn field_mode_amplitude(e: &[f64], mode: usize) -> f64 {
 }
 
 /// Amplitudes of the first `count` modes (index 0 = mean).
-pub fn field_mode_spectrum(e: &[f64], count: usize) -> Vec<f64> {
+#[cfg(test)]
+fn field_mode_spectrum(e: &[f64], count: usize) -> Vec<f64> {
     let amps = dft::mode_amplitudes(e);
     amps.into_iter().take(count).collect()
 }

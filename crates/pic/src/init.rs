@@ -157,7 +157,8 @@ pub struct MultiBeamInit {
 impl MultiBeamInit {
     /// The bump-on-tail configuration: a bulk Maxwellian at rest plus a
     /// fast tenuous beam carrying `beam_fraction` of the density.
-    pub fn bump_on_tail(
+    #[cfg(test)]
+    fn bump_on_tail(
         bulk_vth: f64,
         beam_v: f64,
         beam_vth: f64,

@@ -151,6 +151,7 @@ impl PoissonSolver for SpectralPoisson {
 /// Discrete residual of the FD Poisson equation
 /// `max_j |(φ_{j-1} − 2φ_j + φ_{j+1})/dx² + (ρ_j − ρ̄)|` — a direct check
 /// that a solution satisfies the linear system it came from.
+// analyze:allow(pub-reach): reference oracle of the FD Poisson kernels, called by tests/solver_cross_checks.rs
 pub fn fd_residual(grid: &Grid1D, rho: &[f64], phi: &[f64]) -> f64 {
     let n = grid.ncells();
     let dx2 = grid.dx() * grid.dx();

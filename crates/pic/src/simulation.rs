@@ -312,6 +312,7 @@ impl<G: Geometry> Simulation<G> {
 
 /// Convenience: builds a two-stream config with the paper's grid and
 /// standard numerical parameters but a custom particle count.
+// analyze:allow(pub-reach): the paper-grid config tests/pic_generic.rs and tests/growth_rate.rs pin the 1-D driver with
 pub fn two_stream_config(init: TwoStreamInit, n_steps: usize) -> PicConfig {
     PicConfig {
         grid: Grid1D::paper(),

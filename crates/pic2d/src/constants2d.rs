@@ -15,7 +15,8 @@
 //! remain reachable through [`crate::grid2d::Grid2D::new`].
 
 /// Fundamental wavenumber along the streaming direction, as in the paper.
-pub const K1: f64 = dlpic_pic::constants::PAPER_K1;
+#[cfg(test)]
+const K1: f64 = dlpic_pic::constants::PAPER_K1;
 
 /// Default cells along `x`.
 pub const DEFAULT_NX: usize = 32;

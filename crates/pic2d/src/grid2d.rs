@@ -1,7 +1,5 @@
 //! The periodic two-dimensional field grid.
 
-use crate::constants2d;
-
 /// A uniform periodic grid on `[0, lx) × [0, ly)` with `nx × ny` cells.
 ///
 /// Field quantities (ρ, Φ, Ex, Ey) live on the nodes
@@ -41,14 +39,11 @@ impl Grid2D {
     }
 
     /// The default extension grid: 32×32 cells over the paper's box length
-    /// in both directions (see [`constants2d`]).
-    pub fn default_square() -> Self {
-        Self::new(
-            constants2d::DEFAULT_NX,
-            constants2d::DEFAULT_NY,
-            constants2d::box_length_x(),
-            constants2d::box_length_y(),
-        )
+    /// in both directions (see [`crate::constants2d`]).
+    #[cfg(test)]
+    pub(crate) fn default_square() -> Self {
+        use crate::constants2d::{box_length_x, box_length_y, DEFAULT_NX, DEFAULT_NY};
+        Self::new(DEFAULT_NX, DEFAULT_NY, box_length_x(), box_length_y())
     }
 
     /// Cells along `x`.
@@ -120,7 +115,8 @@ impl Grid2D {
 
     /// Wavenumber of periodic mode `m` along `y`: `ky_m = 2π·m/ly`.
     #[inline]
-    pub fn mode_wavenumber_y(&self, m: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mode_wavenumber_y(&self, m: usize) -> f64 {
         2.0 * std::f64::consts::PI * m as f64 / self.ly
     }
 
@@ -144,7 +140,8 @@ impl Grid2D {
 
     /// Wraps a position into `[0, ly)`.
     #[inline]
-    pub fn wrap_y(&self, y: f64) -> f64 {
+    #[cfg(test)]
+    fn wrap_y(&self, y: f64) -> f64 {
         wrap_periodic(y, self.ly)
     }
 

@@ -57,5 +57,5 @@ pub use fused2d::fused_gather_push_move;
 pub use grid2d::Grid2D;
 pub use init2d::TwoStream2DInit;
 pub use particles2d::Particles2D;
-pub use poisson2d::{Poisson2DSolver, SorPoisson2D, SpectralPoisson2D};
+pub use poisson2d::Poisson2DSolver;
 pub use solver2d::TraditionalSolver2D;

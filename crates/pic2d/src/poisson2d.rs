@@ -2,10 +2,10 @@
 //!
 //! Two backends, mirroring the 1-D crate's FD/spectral pair:
 //!
-//! * [`SpectralPoisson2D`] — exact modal inversion
+//! * `SpectralPoisson2D` — exact modal inversion
 //!   `Φ̂(k) = ρ̂(k)/|k|²` via the separable 2-D FFT. Requires power-of-two
 //!   grid dimensions.
-//! * [`SorPoisson2D`] — red–black successive over-relaxation on the
+//! * `SorPoisson2D` — red–black successive over-relaxation on the
 //!   5-point Laplacian; works for any grid size and is the "linear system"
 //!   route the paper's §II describes, generalized to 2-D.
 //!
@@ -39,7 +39,7 @@ pub enum Poisson2DKind {
 
 /// FFT-based periodic Poisson solver.
 #[derive(Debug, Default)]
-pub struct SpectralPoisson2D {
+struct SpectralPoisson2D {
     scratch: Vec<Complex64>,
     col: Vec<Complex64>,
 }
@@ -105,7 +105,7 @@ fn signed_wavenumber(m: usize, n: usize, length: f64) -> f64 {
 
 /// Red–black SOR solver for the 5-point periodic Laplacian.
 #[derive(Debug, Clone)]
-pub struct SorPoisson2D {
+struct SorPoisson2D {
     /// Convergence threshold on the max-norm residual of `∇²Φ + ρ`
     /// relative to the max-norm of `ρ`.
     pub tolerance: f64,

@@ -54,14 +54,14 @@ impl Backoff {
     }
 
     /// The sleep before reconnect attempt `attempt` (0-based).
-    pub fn delay(&self, attempt: usize) -> Duration {
+    fn delay(&self, attempt: usize) -> Duration {
         let factor = 1u32 << attempt.min(16) as u32;
         self.initial.saturating_mul(factor).min(self.max)
     }
 
     /// True for failures worth a reconnect: the connection died or timed
     /// out. A protocol rejection would fail identically on retry.
-    pub fn retryable(e: &ServeError) -> bool {
+    fn retryable(e: &ServeError) -> bool {
         matches!(
             e,
             ServeError::Io(_) | ServeError::Disconnected | ServeError::Timeout
@@ -147,7 +147,7 @@ impl Client {
 
     /// Replaces the underlying connection with a fresh one to the same
     /// address and deadlines (any half-read stream state is discarded).
-    pub fn reconnect(&mut self) -> Result<(), ServeError> {
+    fn reconnect(&mut self) -> Result<(), ServeError> {
         *self = Self::connect_with(&self.addr, self.timeout)?;
         Ok(())
     }

@@ -79,25 +79,6 @@ impl JobRequest {
         self
     }
 
-    /// Stops every run early once `stop` fires.
-    pub fn with_stop(mut self, stop: StopPolicy) -> Self {
-        self.stop = Some(stop);
-        self
-    }
-
-    /// Fails any run still unfinished after `steps` steps.
-    pub fn with_deadline_steps(mut self, steps: usize) -> Self {
-        self.deadline_steps = Some(steps);
-        self
-    }
-
-    /// Fails any active run once the job has been running `seconds` of
-    /// wall clock.
-    pub fn with_deadline_seconds(mut self, seconds: f64) -> Self {
-        self.deadline_seconds = Some(seconds);
-        self
-    }
-
     /// Expands the job into one validated spec per run, with the step
     /// budget applied.
     pub fn expand(&self) -> Result<Vec<ScenarioSpec>, ProtoError> {

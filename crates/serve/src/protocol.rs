@@ -23,6 +23,7 @@ use crate::job::JobRequest;
 /// line this long before parsing it — a shield against hostile peers.
 /// Responses are exempt: a `result` line legitimately embeds a full run
 /// history, and the client reads its trusted server without the cap.
+// analyze:allow(pub-reach): the wire limit `tests/protocol_hardening.rs` pins by sending lines just past it
 pub const MAX_LINE: usize = 1 << 20;
 
 /// Default per-subscriber watch queue capacity, in event lines. Bounded

@@ -534,9 +534,11 @@ mod tests {
     /// `run_failed` exactly for the failed ones.
     #[test]
     fn every_finaliser_numbers_each_run_once_and_names_failures() {
-        let config = ServeConfig::default()
-            .max_sessions(2)
-            .breaker(1, Duration::from_secs(600));
+        let config = ServeConfig {
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::from_secs(600),
+            ..ServeConfig::default().max_sessions(2)
+        };
         let mut s = scheduler(config);
         let inner = Arc::clone(&s.inner);
         let mut poison = two_stream(5);

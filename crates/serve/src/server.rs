@@ -148,13 +148,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the circuit-breaker trip threshold (0 disables) and cooldown.
-    pub fn breaker(mut self, threshold: usize, cooldown: Duration) -> Self {
-        self.breaker_threshold = threshold;
-        self.breaker_cooldown = cooldown;
-        self
-    }
-
     /// Keeps at most `jobs` finished jobs per tenant in spool/table.
     pub fn spool_retain(mut self, jobs: usize) -> Self {
         self.spool_retain = Some(jobs);

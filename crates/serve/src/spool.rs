@@ -84,12 +84,12 @@ impl Spool {
     }
 
     /// Path of a run's in-flight checkpoint.
-    pub fn checkpoint_path(&self, job: &str, run: usize) -> PathBuf {
+    fn checkpoint_path(&self, job: &str, run: usize) -> PathBuf {
         self.job_dir(job).join(format!("run-{run}.ckpt.json"))
     }
 
     /// Path of a run's finished-summary file.
-    pub fn done_path(&self, job: &str, run: usize) -> PathBuf {
+    fn done_path(&self, job: &str, run: usize) -> PathBuf {
         self.job_dir(job).join(format!("run-{run}.done.json"))
     }
 

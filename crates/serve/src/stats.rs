@@ -59,7 +59,7 @@ impl LatencyHistogram {
     /// reported as the upper edge of the matching bucket (a guaranteed
     /// upper bound, conservative by at most 2x). 0 when nothing was
     /// recorded.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
+    fn quantile_ms(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }

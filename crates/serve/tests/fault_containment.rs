@@ -120,9 +120,10 @@ fn deadline_steps_fails_the_run_with_partial_result() {
     let mut client = Client::connect(server.addr()).expect("connect");
 
     let sweep = SweepSpec::grid("two_stream", Scale::Smoke).seeds([1]);
-    let job = JobRequest::sweep(sweep, Backend::Traditional1D)
-        .with_steps(200_000)
-        .with_deadline_steps(6);
+    let job = JobRequest {
+        deadline_steps: Some(6),
+        ..JobRequest::sweep(sweep, Backend::Traditional1D).with_steps(200_000)
+    };
     let (id, _) = client.submit(&job, "alice").expect("submit");
     let results = client
         .wait_for(&id, Duration::from_millis(5))

@@ -240,7 +240,11 @@ fn tenant_quota_rejects_the_hog_but_not_the_neighbour() {
 fn breaker_quarantines_poison_spec_after_k_failures() {
     let plan = FaultPlan::new().rule("seed=13", FaultKind::Panic, 1);
     let server = Server::start_with_engine(
-        ServeConfig::default().breaker(2, Duration::from_secs(600)),
+        ServeConfig {
+            breaker_threshold: 2,
+            breaker_cooldown: Duration::from_secs(600),
+            ..ServeConfig::default()
+        },
         Engine::new().with_faults(plan),
     )
     .expect("start");
@@ -314,9 +318,11 @@ fn breaker_quarantines_poison_spec_after_k_failures() {
 fn breaker_half_opens_after_cooldown_and_sheds_queued_runs() {
     let plan = FaultPlan::new().rule("seed=13", FaultKind::Panic, 1);
     let server = Server::start_with_engine(
-        ServeConfig::default()
-            .max_sessions(1)
-            .breaker(1, Duration::from_secs(2)),
+        ServeConfig {
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::from_secs(2),
+            ..ServeConfig::default().max_sessions(1)
+        },
         Engine::new().with_faults(plan),
     )
     .expect("start");

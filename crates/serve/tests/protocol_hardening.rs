@@ -144,20 +144,24 @@ fn hostile_lines_get_structured_errors_and_the_server_keeps_serving() {
             "bad-job",
             format!(
                 r#"{{"op":"submit","job":{}}}"#,
-                job.clone()
-                    .with_deadline_steps(0)
-                    .to_json_value()
-                    .to_compact()
+                JobRequest {
+                    deadline_steps: Some(0),
+                    ..job.clone()
+                }
+                .to_json_value()
+                .to_compact()
             ),
         ),
         (
             "bad-job",
             format!(
                 r#"{{"op":"submit","job":{}}}"#,
-                job.clone()
-                    .with_deadline_seconds(-1.0)
-                    .to_json_value()
-                    .to_compact()
+                JobRequest {
+                    deadline_seconds: Some(-1.0),
+                    ..job.clone()
+                }
+                .to_json_value()
+                .to_compact()
             ),
         ),
     ];

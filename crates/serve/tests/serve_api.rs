@@ -169,8 +169,10 @@ fn time_stop_policy_ends_runs_early_with_stopped_state() {
     let server = Server::start(ServeConfig::default()).expect("start");
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    let job = JobRequest::scenario(spec("two_stream", 500, 1), Backend::Traditional1D)
-        .with_stop(StopPolicy::Time { t: 0.5 });
+    let job = JobRequest {
+        stop: Some(StopPolicy::Time { t: 0.5 }),
+        ..JobRequest::scenario(spec("two_stream", 500, 1), Backend::Traditional1D)
+    };
     let (id, _) = client.submit(&job, "alice").expect("submit");
     let results = client
         .wait_for(&id, Duration::from_millis(5))

@@ -28,6 +28,7 @@ pub struct VlasovConfig {
 impl VlasovConfig {
     /// A well-resolved default for the paper's box: 64×256 phase-space
     /// grid, `Δt = 0.05`.
+    // analyze:allow(pub-reach): the reference run tests/vlasov_consistency.rs pins the Vlasov backend with
     pub fn two_stream(v0: f64, vth: f64) -> Self {
         Self {
             grid: Grid1D::paper(),
@@ -110,7 +111,7 @@ impl VlasovSolver {
     }
 
     /// Velocity of cell-centre `iv`.
-    pub fn velocity(&self, iv: usize) -> f64 {
+    pub(crate) fn velocity(&self, iv: usize) -> f64 {
         -self.cfg.vmax + (iv as f64 + 0.5) * self.dv()
     }
 
@@ -167,11 +168,6 @@ impl VlasovSolver {
     /// Electrostatic field energy `½ ∫ E² dx`.
     pub fn field_energy(&self) -> f64 {
         0.5 * self.cfg.grid.dx() * self.e.iter().map(|e| e * e).sum::<f64>()
-    }
-
-    /// Kinetic + field energy.
-    pub fn total_energy(&self) -> f64 {
-        self.kinetic_energy() + self.field_energy()
     }
 
     /// Amplitude of field mode `m` (the `E1` diagnostic).

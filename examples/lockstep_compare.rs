@@ -13,15 +13,8 @@ use dlpic_repro::analytics::dispersion::TwoStreamDispersion;
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::{self, compare, Backend, EngineError, SpeciesSpec};
 
-fn scale_from_env() -> Scale {
-    std::env::var("DLPIC_SCALE")
-        .ok()
-        .and_then(|s| Scale::parse(&s))
-        .unwrap_or(Scale::Smoke)
-}
-
 fn main() -> Result<(), EngineError> {
-    let spec = engine::scenario("two_stream", scale_from_env())?;
+    let spec = engine::scenario("two_stream", Scale::from_env_or(Scale::Smoke))?;
     let backends = [Backend::Traditional1D, Backend::Dl1D, Backend::Vlasov];
     println!(
         "lockstep `{}`: {} steps on {:?}\n",

@@ -16,15 +16,8 @@
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::{self, Backend, Checkpoint, Engine, EngineError};
 
-fn scale_from_env() -> Scale {
-    std::env::var("DLPIC_SCALE")
-        .ok()
-        .and_then(|s| Scale::parse(&s))
-        .unwrap_or(Scale::Smoke)
-}
-
 fn main() -> Result<(), EngineError> {
-    let scale = scale_from_env();
+    let scale = Scale::from_env_or(Scale::Smoke);
     let mut spec = engine::scenario("two_stream", scale)?;
     // Give the controller headroom: saturation needs ~100 steps at this
     // box, and the point of early stopping is a generous budget.

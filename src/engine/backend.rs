@@ -28,8 +28,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Every backend family, with defaults for parameterized variants —
-    /// the iteration order used by [`compatible_backends`].
+    /// Every backend family, with defaults for parameterized variants.
     pub fn all() -> Vec<Backend> {
         vec![
             Backend::Traditional1D,
@@ -71,18 +70,6 @@ impl Backend {
                 (n_ranks > 0).then_some(Backend::Ddecomp { n_ranks })
             }
         }
-    }
-
-    /// True for the neural-network-backed field solvers.
-    pub fn is_dl(&self) -> bool {
-        matches!(self, Backend::Dl1D | Backend::Dl2D)
-    }
-
-    /// True for backends whose field solve conserves momentum to rounding
-    /// noise (matched-shape deposit/gather). DL backends trade exact
-    /// momentum conservation for noise-robustness, as the paper reports.
-    pub fn conserves_momentum(&self) -> bool {
-        !self.is_dl()
     }
 
     /// The dimensionality this backend simulates.
@@ -177,7 +164,8 @@ impl std::fmt::Display for Backend {
 }
 
 /// All backends (from [`Backend::all`]) this scenario can run on.
-pub fn compatible_backends(spec: &ScenarioSpec) -> Vec<Backend> {
+#[cfg(test)]
+pub(crate) fn compatible_backends(spec: &ScenarioSpec) -> Vec<Backend> {
     Backend::all()
         .into_iter()
         .filter(|b| b.supports(spec).is_ok())

@@ -115,23 +115,13 @@ impl ComparisonReport {
 }
 
 /// Runs `spec` on every backend in lockstep (no trained models — DL
-/// backends use the untrained fallback; bring models via
-/// [`lockstep_with`]). The first backend is the reference the residuals
-/// are measured against.
+/// backends use the untrained fallback). The first backend is the
+/// reference the residuals are measured against.
 pub fn lockstep(
     spec: &ScenarioSpec,
     backends: &[Backend],
 ) -> Result<ComparisonReport, EngineError> {
-    lockstep_with(&Engine::new(), spec, backends)
-}
-
-/// [`lockstep`] with a configured engine (trained models, numerics
-/// overrides) building every session.
-pub fn lockstep_with(
-    engine: &Engine,
-    spec: &ScenarioSpec,
-    backends: &[Backend],
-) -> Result<ComparisonReport, EngineError> {
+    let engine = Engine::new();
     let sessions = backends
         .iter()
         .map(|&b| engine.start(spec, b))
@@ -143,7 +133,7 @@ pub fn lockstep_with(
 /// scenario; the first is the reference). Steps every session through the
 /// spec's `n_steps` side by side, accumulating per-step residuals, then
 /// finishes each into its summary.
-pub fn lockstep_sessions(mut sessions: Vec<Session>) -> Result<ComparisonReport, EngineError> {
+fn lockstep_sessions(mut sessions: Vec<Session>) -> Result<ComparisonReport, EngineError> {
     let invalid = |what: String| EngineError::InvalidSpec {
         scenario: sessions
             .first()

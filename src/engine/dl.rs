@@ -229,6 +229,7 @@ pub fn quick_train_1d(scale: Scale, seed: u64) -> ModelBundle {
 /// Trains a 2-D DL field solver by harvesting a traditional 2-D run of the
 /// given scenario, then fitting the scale's MLP, frozen at `precision` for
 /// [`Engine::with_model_2d`](super::Engine::with_model_2d).
+// analyze:allow(pub-reach): tests/shared_weights.rs trains its 2-D models through it and must stay unchanged
 pub fn quick_train_2d(
     spec: &ScenarioSpec,
     seed: u64,
@@ -332,6 +333,7 @@ pub struct ModelRegistry {
 pub type SharedModelRegistry = Arc<Mutex<ModelRegistry>>;
 
 /// A fresh [`SharedModelRegistry`] with the given byte capacity.
+// analyze:allow(pub-reach): tests/shared_weights.rs builds its registry through it and must stay unchanged
 pub fn shared_registry(capacity_bytes: usize) -> SharedModelRegistry {
     Arc::new(Mutex::new(ModelRegistry::new(capacity_bytes)))
 }

@@ -7,7 +7,7 @@
 //! * [`SweepSpec`] expands a registry scenario into a grid of
 //!   [`ScenarioSpec`]s — cartesian parameter axes, explicit point lists,
 //!   and seed fans — using the registry's sweepable-parameter metadata
-//!   ([`registry::sweep_params`]).
+//!   ([`registry::sweepable_params`]).
 //! * [`Ensemble`] owns N sessions and steps them in **lockstep waves**.
 //!   Within a wave, sessions whose field solve is phase-split (the DL
 //!   backends) are grouped into cohorts: each session prepares its
@@ -67,7 +67,7 @@
 //! let sweep = SweepSpec::grid("two_stream", Scale::Smoke)
 //!     .axis("v0", [0.12, 0.16, 0.20])
 //!     .seeds([1, 2, 3, 4]);
-//! let mut ensemble = Engine::new().start_sweep(&sweep, Backend::Dl1D)?;
+//! let mut ensemble = Engine::new().start_ensemble(&sweep.specs()?, Backend::Dl1D)?;
 //! ensemble.run_to_end(dlpic_repro::core::pool::available_threads());
 //! for summary in ensemble.finish() {
 //!     println!("{}: γ = {:?}", summary.scenario, summary.growth_rate(1).map(|f| f.gamma));
@@ -102,11 +102,12 @@ enum SweepKind {
 /// A declarative description of a run fleet over one registry scenario:
 /// a parameter grid (cartesian axes or explicit points) crossed with a
 /// seed fan. [`SweepSpec::specs`] expands it into validated
-/// [`ScenarioSpec`]s; [`Engine::start_sweep`](super::Engine::start_sweep)
-/// turns those into a running [`Ensemble`].
+/// [`ScenarioSpec`]s;
+/// [`Engine::start_ensemble`](super::Engine::start_ensemble) turns those
+/// into a running [`Ensemble`].
 ///
 /// Parameter names come from the registry's sweepable-parameter metadata
-/// ([`registry::sweep_params`]); unknown names are rejected with the
+/// ([`registry::sweepable_params`]); unknown names are rejected with the
 /// known list.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
@@ -695,7 +696,7 @@ impl WaveBatch {
 
 /// A fleet of concurrently advancing sessions — the ensemble execution
 /// layer. Create with [`Engine::start_ensemble`](super::Engine::start_ensemble)
-/// or [`Engine::start_sweep`](super::Engine::start_sweep); drive with
+/// (a sweep's [`SweepSpec::specs`] or any spec list); drive with
 /// [`Self::step_wave`] (incremental) or [`Self::run_to_end`] (to the end,
 /// on a chosen number of threads); consume with [`Self::finish`].
 ///
@@ -818,6 +819,7 @@ impl Ensemble {
     /// weight_bytes)` where `weight_bytes` sums each shared allocation
     /// once (what the whole fleet actually holds in model weights).
     /// Sessions without weight storage contribute nothing.
+    // analyze:allow(pub-reach): the weight-sharing contract tests/shared_weights.rs pins, unchanged
     pub fn weight_footprint(&self) -> (usize, usize) {
         let mut seen: Vec<usize> = Vec::new();
         let mut bytes = 0usize;

@@ -38,7 +38,7 @@ impl FaultKind {
 /// One injection rule: runs whose spec name contains `name` trip `kind`
 /// when their step counter reaches `at_step`.
 #[derive(Debug, Clone)]
-pub struct FaultRule {
+struct FaultRule {
     /// Substring matched against the expanded spec name
     /// (`two_stream[v0=0.12]` matches rule name `v0=0.12`).
     pub name: String,
@@ -48,7 +48,7 @@ pub struct FaultRule {
     pub at_step: usize,
 }
 
-/// A set of [`FaultRule`]s an [`Engine`](super::Engine) applies when
+/// A set of `FaultRule`s an [`Engine`](super::Engine) applies when
 /// starting sessions; parseable from the `--inject` flag syntax
 /// `NAME=KIND@STEP[;NAME=KIND@STEP…]` where `KIND` is `panic`,
 /// `infer-panic` or `nan` (`NAME` may itself contain `=`; the split is at
@@ -109,7 +109,7 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Wraps `inner` in a [`FaultInjector`] when a rule matches
+    /// Wraps `inner` in a `FaultInjector` when a rule matches
     /// `spec_name`; hands it back untouched otherwise.
     pub fn wrap(&self, spec_name: &str, inner: Box<dyn BackendSession>) -> Box<dyn BackendSession> {
         match self
@@ -131,7 +131,7 @@ impl FaultPlan {
 /// wrapped session's step counter reaches `at_step`, and is transparent
 /// everywhere else (checkpoints, phase splitting, batched inference all
 /// delegate).
-pub struct FaultInjector {
+struct FaultInjector {
     inner: Box<dyn BackendSession>,
     kind: FaultKind,
     at_step: usize,

@@ -9,10 +9,8 @@
 //! stop-policy evaluator), so a wave scheduler can quarantine the run at
 //! the first bad row instead of letting NaNs poison a cohort batch or a
 //! downstream fit. A quarantined run keeps its partial history; the
-//! fault itself is a [`SessionFault`] and converts to the typed
-//! [`EngineError::Diverged`].
+//! fault itself is a [`SessionFault`].
 
-use super::error::EngineError;
 use super::observer::EnergyHistory;
 
 /// Why a session was quarantined mid-run.
@@ -31,21 +29,6 @@ pub enum SessionFault {
         /// Which quantity went non-finite, and how.
         diagnostic: String,
     },
-}
-
-impl SessionFault {
-    /// The typed engine error for a divergence fault; `None` for panics
-    /// (a panic payload has no engine-level error shape — use the
-    /// [`Display`](std::fmt::Display) form).
-    pub fn to_error(&self) -> Option<EngineError> {
-        match self {
-            Self::Panicked { .. } => None,
-            Self::Diverged { step, diagnostic } => Some(EngineError::Diverged {
-                step: *step,
-                diagnostic: diagnostic.clone(),
-            }),
-        }
-    }
 }
 
 impl std::fmt::Display for SessionFault {

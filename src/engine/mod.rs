@@ -27,14 +27,14 @@
 //! use dlpic_repro::core::Scale;
 //!
 //! // The paper's validation run on the traditional method…
-//! let trad = engine::run_scenario("two_stream", Scale::Scaled, Backend::Traditional1D)?;
+//! let spec = engine::scenario("two_stream", Scale::Scaled)?;
+//! let trad = engine::run(&spec, Backend::Traditional1D)?;
 //! // …and on the DL method: change one value.
-//! let dl = engine::run_scenario("two_stream", Scale::Scaled, Backend::Dl1D)?;
+//! let dl = engine::run(&spec, Backend::Dl1D)?;
 //! println!("ΔE: {:.2}% vs {:.2}%", trad.energy_variation() * 100.0,
 //!          dl.energy_variation() * 100.0);
 //!
 //! // Incrementally: step, watch, stop early, summarize.
-//! let spec = engine::scenario("two_stream", Scale::Scaled)?;
 //! let mut session = engine::start(&spec, Backend::Traditional1D)?;
 //! session.run_until(|sample| sample.field > 0.5 * sample.kinetic);
 //! let summary = session.finish();
@@ -62,19 +62,16 @@ pub mod runner;
 pub mod session;
 pub mod spec;
 
-pub use backend::{compatible_backends, Backend};
+pub use backend::Backend;
 pub use compare::{lockstep, ComparisonReport, LockstepDiff};
 pub use dl::{shared_registry, ModelRegistry, RegistryStats, SharedModelRegistry};
 pub use ensemble::{Ensemble, SweepSpec, WaveBatch};
 pub use error::EngineError;
-pub use fault::{FaultKind, FaultPlan, FaultRule};
+pub use fault::{FaultKind, FaultPlan};
 pub use health::{RunHealth, SessionFault};
-pub use observer::{EnergyHistory, Observer, PhaseSpace, ProgressPrinter, RunSummary, Sample};
-pub use registry::{
-    all_scenarios, apply_sweep_param, names, scenario, sweep_params, sweepable_params, SweepParam,
-    SCENARIO_NAMES,
-};
+pub use observer::{EnergyHistory, Observer, PhaseSpace, RunSummary, Sample};
+pub use registry::{apply_sweep_param, names, scenario, sweepable_params, SweepParam};
 pub use resources::{estimate_session, ResourceEstimate};
-pub use runner::{run, run_scenario, start, Engine, Numerics1D, WeightProfiler};
+pub use runner::{run, start, Engine, Numerics1D, WeightProfiler};
 pub use session::{BackendSession, Checkpoint, Session};
 pub use spec::{Dim, DomainSpec, LoadingSpec, ScenarioSpec, SpeciesSpec};

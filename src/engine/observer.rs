@@ -291,49 +291,6 @@ pub trait Observer: Send {
     }
 }
 
-/// Prints a one-line progress report every `every` steps.
-pub struct ProgressPrinter {
-    /// Reporting cadence in steps (0 disables step lines).
-    pub every: usize,
-}
-
-impl Observer for ProgressPrinter {
-    fn on_start(&mut self, spec: &ScenarioSpec, backend: &Backend) {
-        eprintln!(
-            "[engine] {} on {}: {} particles, {} steps, dt = {}",
-            spec.name,
-            backend.name(),
-            spec.n_particles(),
-            spec.n_steps,
-            spec.dt
-        );
-    }
-
-    fn on_sample(&mut self, sample: &Sample) {
-        if self.every > 0 && sample.step.is_multiple_of(self.every) {
-            eprintln!(
-                "[engine]   step {:>5}  t = {:>7.2}  E_tot = {:.6e}  p = {:+.3e}",
-                sample.step,
-                sample.time,
-                sample.total(),
-                sample.momentum
-            );
-        }
-    }
-
-    fn on_finish(&mut self, summary: &RunSummary) {
-        eprintln!(
-            "[engine] {} on {}: {} steps to t = {:.1} in {:.2}s (ΔE = {:.2}%)",
-            summary.scenario,
-            summary.backend,
-            summary.steps,
-            summary.t_end,
-            summary.wall_seconds,
-            summary.energy_variation() * 100.0
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,7 +16,7 @@
 //! ([`DomainSpec::paper_1d`], [`DomainSpec::default_2d`]) and the
 //! `pic`/`pic2d` loading machinery underneath.
 //!
-//! For parameter sweeps, [`sweep_params`] lists the numeric knobs each
+//! For parameter sweeps, [`sweepable_params`] lists the numeric knobs each
 //! scenario exposes and [`apply_sweep_param`] applies one by name —
 //! `engine::ensemble::SweepSpec` consumes both to expand grids of specs.
 
@@ -26,7 +26,7 @@ use crate::core::presets::Scale;
 use crate::pic::constants;
 
 /// Names this registry serves, in canonical order.
-pub const SCENARIO_NAMES: [&str; 8] = [
+const SCENARIO_NAMES: [&str; 8] = [
     "two_stream",
     "two_stream_2d",
     "landau_damping",
@@ -37,9 +37,8 @@ pub const SCENARIO_NAMES: [&str; 8] = [
     "ion_acoustic",
 ];
 
-/// The names this registry serves, as an enumerable slice — use this (or
-/// [`all_scenarios`]) to iterate the catalogue instead of guessing
-/// strings; [`EngineError::UnknownScenario`] carries the same list in its
+/// The names this registry serves, as an enumerable slice — use this to
+/// iterate the catalogue instead of guessing strings; [`EngineError::UnknownScenario`] carries the same list in its
 /// suggestions.
 pub fn names() -> &'static [&'static str] {
     &SCENARIO_NAMES
@@ -224,7 +223,8 @@ pub fn scenario(name: &str, scale: Scale) -> Result<ScenarioSpec, EngineError> {
 }
 
 /// Every registry scenario at the given scale.
-pub fn all_scenarios(scale: Scale) -> Vec<ScenarioSpec> {
+#[cfg(test)]
+fn all_scenarios(scale: Scale) -> Vec<ScenarioSpec> {
     SCENARIO_NAMES
         .iter()
         .map(|name| scenario(name, scale).expect("registry entries validate"))
@@ -279,12 +279,6 @@ pub fn sweepable_params(spec: &ScenarioSpec) -> Vec<SweepParam> {
         params.push(param("amplitude", "quiet-loading displacement amplitude"));
     }
     params
-}
-
-/// The sweepable knobs of a registry scenario by name (the metadata
-/// `SweepSpec` validates its axes against).
-pub fn sweep_params(name: &str) -> Result<Vec<SweepParam>, EngineError> {
-    Ok(sweepable_params(&scenario(name, Scale::Smoke)?))
 }
 
 /// Sets the named knob on `spec` (see [`sweepable_params`]); the caller
@@ -409,7 +403,7 @@ mod tests {
             SpeciesSpec::DriftingMaxwellian { .. }
         ));
         // Asymmetric drift: 1-D particle backends only, like bump-on-tail.
-        let names: Vec<&str> = crate::engine::compatible_backends(&ion)
+        let names: Vec<&str> = crate::engine::backend::compatible_backends(&ion)
             .iter()
             .map(|b| b.name())
             .collect();
@@ -419,7 +413,7 @@ mod tests {
     #[test]
     fn sweep_metadata_names_are_applicable() {
         for name in SCENARIO_NAMES {
-            let params = sweep_params(name).unwrap();
+            let params = sweepable_params(&scenario(name, Scale::Smoke).unwrap());
             assert!(params.iter().any(|p| p.name == "dt"), "{name}");
             let mut spec = scenario(name, Scale::Smoke).unwrap();
             for p in &params {

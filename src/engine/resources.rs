@@ -62,7 +62,8 @@ impl ResourceEstimate {
 
     /// Bytes a session costs when its model weights are already resident
     /// (a fleet member joining an existing cohort).
-    pub fn without_shared_weights(&self) -> usize {
+    #[cfg(test)]
+    fn without_shared_weights(&self) -> usize {
         self.total() - self.shared_weight_bytes
     }
 }

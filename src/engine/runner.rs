@@ -8,20 +8,19 @@
 //! diagnostics row (so a full run yields `n_steps + 1` samples, matching
 //! the solver crates' long-standing convention). The per-backend stepping
 //! logic lives in [`super::session`]; this module owns configuration
-//! (models, numerics, observers) and solver construction.
+//! (models, numerics, faults) and solver construction.
 
 use super::backend::Backend;
 use super::dl::{self, DlGeometry, ModelTier, SharedModelRegistry};
-use super::ensemble::{Ensemble, SweepSpec};
+use super::ensemble::Ensemble;
 use super::error::EngineError;
 use super::fault::FaultPlan;
-use super::observer::{Observer, RunSummary};
+use super::observer::RunSummary;
 use super::session::{
     BackendSession, Checkpoint, DdecompSession, PicSession, Session, VlasovSession,
 };
 use super::spec::ScenarioSpec;
 use crate::core::bundle::BundleError;
-use crate::core::presets::Scale;
 use crate::core::{DlFieldSolver, FrozenBundle, ModelBundle};
 use crate::pic::solver::{PoissonKind, TraditionalSolver};
 use crate::pic::{Grid1D, Shape};
@@ -66,7 +65,7 @@ impl Numerics1D {
     }
 }
 
-/// The facade entry point: holds optional DL models and observers, builds
+/// The facade entry point: holds optional DL models, builds
 /// [`Session`]s for any compatible scenario×backend pairing, and runs them
 /// to completion on request.
 ///
@@ -83,7 +82,6 @@ pub struct Engine {
     dl_2d: DlSlot<Grid2D>,
     registry: Option<SharedModelRegistry>,
     numerics_1d: Numerics1D,
-    observers: Vec<Box<dyn Observer>>,
     faults: FaultPlan,
 }
 
@@ -133,7 +131,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl Engine {
-    /// An engine with no models and no observers.
+    /// An engine with no models.
     pub fn new() -> Self {
         Self::default()
     }
@@ -153,6 +151,7 @@ impl Engine {
     /// Uses this trained 2-D model for `Backend::Dl2D` runs — e.g.
     /// `dl::quick_train_2d(&spec, seed, Precision::F32)?`, or a
     /// handle from [`ModelRegistry::model`](super::ModelRegistry::model).
+    // analyze:allow(pub-reach): tests/shared_weights.rs attaches its 2-D models through it and must stay unchanged
     pub fn with_model_2d(mut self, frozen: FrozenBundle<Grid2D>) -> Self {
         self.dl_2d.explicit = Some(Ok(frozen));
         self
@@ -162,6 +161,7 @@ impl Engine {
     /// model get-or-train through it instead of falling back to untrained
     /// networks, and sessions with equal (scenario, scale, seed) share
     /// one weight allocation.
+    // analyze:allow(pub-reach): tests/shared_weights.rs attaches its registry through it and must stay unchanged
     pub fn with_registry(mut self, registry: SharedModelRegistry) -> Self {
         self.registry = Some(registry);
         self
@@ -176,15 +176,6 @@ impl Engine {
     /// backend).
     pub fn with_numerics_1d(mut self, numerics: Numerics1D) -> Self {
         self.numerics_1d = numerics;
-        self
-    }
-
-    /// Registers a run monitor. Engine-held observers follow every
-    /// [`Self::run`]/[`Self::run_named`] call; sessions started with
-    /// [`Self::start`] attach their own via
-    /// [`Session::attach_observer`].
-    pub fn with_observer(mut self, observer: Box<dyn Observer>) -> Self {
-        self.observers.push(observer);
         self
     }
 
@@ -262,19 +253,10 @@ impl Engine {
         Ok(Ensemble::new(sessions))
     }
 
-    /// Expands a [`SweepSpec`] (parameter grid × seed fan) and starts the
-    /// resulting fleet — `start_ensemble` over [`SweepSpec::specs`].
-    pub fn start_sweep(
-        &self,
-        sweep: &SweepSpec,
-        backend: Backend,
-    ) -> Result<Ensemble, EngineError> {
-        self.start_ensemble(&sweep.specs()?, backend)
-    }
-
     /// Rebuilds a fleet from per-session checkpoints (the inverse of
     /// [`Ensemble::checkpoints`]); each run resumes bit-identically, and
     /// mixed backends are fine.
+    // analyze:allow(pub-reach): the fleet checkpoint round trip tests/ensemble_api.rs pins
     pub fn resume_ensemble(&self, checkpoints: &[Checkpoint]) -> Result<Ensemble, EngineError> {
         let sessions = checkpoints
             .iter()
@@ -283,31 +265,17 @@ impl Engine {
         Ok(Ensemble::new(sessions))
     }
 
-    /// Runs a registry scenario by name.
-    pub fn run_named(
-        &mut self,
-        name: &str,
-        scale: Scale,
-        backend: Backend,
-    ) -> Result<RunSummary, EngineError> {
-        let spec = super::registry::scenario(name, scale)?;
-        self.run(&spec, backend)
-    }
-
     /// Runs a scenario on a backend to completion: a thin wrapper that
-    /// starts a [`Session`], lends it the engine's observers, steps it to
-    /// `n_steps` and finishes it.
+    /// starts a [`Session`], steps it to `n_steps` and finishes it.
+    /// Attach observers to a session from [`Self::start`] instead.
     pub fn run(
         &mut self,
         spec: &ScenarioSpec,
         backend: Backend,
     ) -> Result<RunSummary, EngineError> {
         let mut session = self.start(spec, backend)?;
-        session.attach_observers(std::mem::take(&mut self.observers));
         session.run_to_end();
-        let (summary, observers) = session.finish_detach();
-        self.observers = observers;
-        Ok(summary)
+        Ok(session.finish())
     }
 
     /// A `Send + Sync` snapshot of the engine's weight-sharing
@@ -394,11 +362,6 @@ impl WeightProfiler {
 /// trained models (DL backends fall back to untrained networks).
 pub fn run(spec: &ScenarioSpec, backend: Backend) -> Result<RunSummary, EngineError> {
     Engine::new().run(spec, backend)
-}
-
-/// One-shot convenience: runs a registry scenario by name.
-pub fn run_scenario(name: &str, scale: Scale, backend: Backend) -> Result<RunSummary, EngineError> {
-    Engine::new().run_named(name, scale, backend)
 }
 
 /// One-shot convenience: starts a session with no observers and no

@@ -757,16 +757,13 @@ impl Session {
         }
     }
 
-    /// Attaches a run monitor; its `on_start` hook fires immediately.
-    pub fn attach_observer(&mut self, mut observer: Box<dyn Observer>) {
-        observer.on_start(&self.spec, &self.backend);
-        self.observers.push(observer);
-    }
-
-    /// Attaches several monitors (see [`Self::attach_observer`]).
+    /// Attaches run monitors; each one's `on_start` hook fires
+    /// immediately.
+    // analyze:allow(pub-reach): the session-monitor contract tests/{engine,session,ensemble}_api.rs pin
     pub fn attach_observers(&mut self, observers: Vec<Box<dyn Observer>>) {
-        for obs in observers {
-            self.attach_observer(obs);
+        for mut observer in observers {
+            observer.on_start(&self.spec, &self.backend);
+            self.observers.push(observer);
         }
     }
 
@@ -927,13 +924,7 @@ impl Session {
     /// (`steps_done + 1` samples — identical to [`super::Engine::run`]'s output
     /// for a full-length run, truncated-but-consistent after an early
     /// stop).
-    pub fn finish(self) -> RunSummary {
-        self.finish_detach().0
-    }
-
-    /// [`Self::finish`], additionally handing back the attached observers
-    /// (used by [`super::Engine::run`] to re-own its monitors across runs).
-    pub fn finish_detach(mut self) -> (RunSummary, Vec<Box<dyn Observer>>) {
+    pub fn finish(mut self) -> RunSummary {
         // A faulted session's solver is never advanced or sampled again:
         // a panicked stack may be mid-step, and a diverged one would only
         // append more garbage. Its summary is built from the rows already
@@ -960,11 +951,10 @@ impl Session {
             wall_seconds: self.wall_offset + self.started.elapsed().as_secs_f64(),
             extras: self.inner.extras(),
         };
-        let mut observers = self.observers;
-        for obs in &mut observers {
+        for obs in &mut self.observers {
             obs.on_finish(&summary);
         }
-        (summary, observers)
+        summary
     }
 
     /// Serializes the session — spec, backend, recorded history, wall

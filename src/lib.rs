@@ -17,8 +17,8 @@
 //! use dlpic_repro::engine::{self, Backend};
 //! use dlpic_repro::core::Scale;
 //!
-//! let summary = engine::run_scenario("two_stream", Scale::Smoke,
-//!                                    Backend::Traditional1D)?;
+//! let spec = engine::scenario("two_stream", Scale::Smoke)?;
+//! let summary = engine::run(&spec, Backend::Traditional1D)?;
 //! let gamma = summary.growth_rate(1)?.gamma;   // fitted E1 growth rate
 //! # Ok::<(), dlpic_repro::engine::EngineError>(())
 //! ```

@@ -8,7 +8,7 @@ use dlpic_repro::core::Scale;
 use dlpic_repro::dataset::generator::{generate, GeneratorConfig};
 use dlpic_repro::dataset::spec::SweepSpec;
 use dlpic_repro::dataset::split::{shuffle_split, SplitSizes};
-use dlpic_repro::dataset::{stats, store};
+use dlpic_repro::dataset::store;
 
 fn smoke_dataset() -> dlpic_repro::dataset::PhaseDataset {
     let mut cfg = GeneratorConfig::new(
@@ -26,13 +26,20 @@ fn generated_dataset_is_clean_and_complete() {
     assert_eq!(ds.len(), sweep.total_samples());
 
     // The paper's inspection step: no numerical artifacts.
-    let s = stats::compute(&ds);
-    assert!(s.all_finite, "non-finite values in dataset");
-    assert!(s.input_min >= 0.0, "negative histogram count");
+    let all_finite = ds
+        .inputs()
+        .iter()
+        .chain(ds.targets())
+        .all(|v| v.is_finite());
+    assert!(all_finite, "non-finite values in dataset");
     assert!(
-        s.max_abs_field > 0.0 && s.max_abs_field < 1.0,
-        "field scale implausible: {}",
-        s.max_abs_field
+        ds.inputs().iter().all(|&v| v >= 0.0),
+        "negative histogram count"
+    );
+    let max_abs_field = ds.targets().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    assert!(
+        max_abs_field > 0.0 && max_abs_field < 1.0,
+        "field scale implausible: {max_abs_field}"
     );
 
     // Histogram mass = particle count for every sample.

@@ -4,15 +4,12 @@
 //! conserved momentum.
 
 use dlpic_repro::core::Scale;
-use dlpic_repro::engine::{
-    self, compatible_backends, Backend, Engine, Observer, RunSummary, Sample, ScenarioSpec,
-    SCENARIO_NAMES,
-};
+use dlpic_repro::engine::{self, Backend, Observer, RunSummary, Sample, ScenarioSpec};
 
 #[test]
 fn every_registry_spec_round_trips_through_json() {
     for scale in [Scale::Smoke, Scale::Scaled, Scale::Paper] {
-        for name in SCENARIO_NAMES {
+        for name in engine::names() {
             let spec = engine::scenario(name, scale).unwrap();
             let json = spec.to_json();
             let round = ScenarioSpec::from_json(&json).unwrap();
@@ -23,9 +20,12 @@ fn every_registry_spec_round_trips_through_json() {
 
 #[test]
 fn every_compatible_pairing_runs_at_smoke_scale() {
-    for name in SCENARIO_NAMES {
+    for name in engine::names() {
         let spec = engine::scenario(name, Scale::Smoke).unwrap();
-        let backends = compatible_backends(&spec);
+        let backends: Vec<Backend> = Backend::all()
+            .into_iter()
+            .filter(|b| b.supports(&spec).is_ok())
+            .collect();
         assert!(!backends.is_empty(), "{name} has no compatible backend");
         for backend in backends {
             let summary =
@@ -46,7 +46,7 @@ fn every_compatible_pairing_runs_at_smoke_scale() {
                     "{name} on {backend}: mode {m} missing"
                 );
             }
-            if backend.conserves_momentum() {
+            if !matches!(backend, Backend::Dl1D | Backend::Dl2D) {
                 // Matched-shape deposit/gather (and the continuum solver)
                 // conserve total momentum; normalize by a momentum scale so
                 // the bound is meaningful for symmetric (p ≈ 0) loads too.
@@ -151,8 +151,10 @@ fn observers_stream_every_sample() {
     }));
     let mut spec = engine::scenario("thermal_noise", Scale::Smoke).unwrap();
     spec.n_steps = 7;
-    let mut eng = Engine::new().with_observer(Box::new(Shared(state.clone())));
-    eng.run(&spec, Backend::Traditional1D).unwrap();
+    let mut session = engine::start(&spec, Backend::Traditional1D).unwrap();
+    session.attach_observers(vec![Box::new(Shared(state.clone()))]);
+    session.run_to_end();
+    session.finish();
     let counter = state.lock().unwrap();
     assert_eq!(counter.started, 1);
     assert_eq!(counter.finished, 1);

@@ -286,9 +286,9 @@ fn a_panic_on_a_helper_during_prepare_quarantines_one_member() {
         let mut fleet = engine.start_ensemble(&specs, Backend::Dl1D).unwrap();
         fleet
             .session_mut(0)
-            .attach_observer(Box::new(StallDispatcher {
+            .attach_observers(vec![Box::new(StallDispatcher {
                 dispatcher: std::thread::current().id(),
-            }));
+            })]);
         fleet.run_to_end(2);
         assert!(fleet.is_complete());
         let faults = fleet.faults();
@@ -522,7 +522,7 @@ fn sweep_spec_expands_grids_seed_fans_and_rejects_unknown_params() {
     );
 
     // Sweepable-parameter metadata is exposed per scenario.
-    let params = engine::sweep_params("ion_acoustic").unwrap();
+    let params = engine::sweepable_params(&engine::scenario("ion_acoustic", Scale::Smoke).unwrap());
     let names: Vec<&str> = params.iter().map(|p| p.name).collect();
     assert!(names.contains(&"drift") && names.contains(&"amplitude"));
 }
@@ -531,7 +531,9 @@ fn sweep_spec_expands_grids_seed_fans_and_rejects_unknown_params() {
 fn sweep_drives_an_ensemble_end_to_end() {
     let sweep = SweepSpec::grid("two_stream", Scale::Smoke).axis("v0", [0.15, 0.2]);
     let engine = Engine::new();
-    let mut ensemble = engine.start_sweep(&sweep, Backend::Traditional1D).unwrap();
+    let mut ensemble = engine
+        .start_ensemble(&sweep.specs().unwrap(), Backend::Traditional1D)
+        .unwrap();
     // Trim the step budget for test speed.
     assert_eq!(ensemble.len(), 2);
     ensemble.run_to_end(2);
