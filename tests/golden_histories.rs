@@ -34,11 +34,18 @@ use dlpic_repro::dataset::spec::{SweepCombo, SweepSpec};
 use dlpic_repro::dataset::store;
 use dlpic_repro::dataset::vlasov_bridge::{generate_vlasov, VlasovDatasetConfig};
 use dlpic_repro::dataset::PhaseDataset;
-use dlpic_repro::engine::{self, Backend, EnergyHistory, Engine, Numerics1D};
+use dlpic_repro::engine::{
+    self, Backend, DomainSpec, EnergyHistory, Engine, LoadingSpec, Numerics1D,
+};
 use dlpic_repro::nn::metrics::{evaluate, per_output_mae};
 use dlpic_repro::nn::serialize::params_to_bytes;
 use dlpic_repro::nn::{train, Adam, Dataset, Mse, Sequential, TrainConfig};
+use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic::solver::PoissonKind;
+use dlpic_repro::pic::Shape;
+use dlpic_repro::pic2d::init2d::Loading2D;
+use dlpic_repro::pic2d::poisson2d::Poisson2DKind;
+use dlpic_repro::pic2d::{Grid2D, TraditionalSolver2D, TwoStream2DInit};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -67,6 +74,15 @@ const CASES: [Case; 8] = [
     ("ddecomp_2ranks", "two_stream", 1536, Numerics1D::default, Backend::Ddecomp { n_ranks: 2 }),
 ];
 
+/// The engine's 2-D backends deposit and gather with CIC only, so the
+/// other two shapes' 2-D kernels are pinned through `Simulation<Grid2D>`
+/// directly: the `traditional_2d` spec with `TraditionalSolver2D` on the
+/// spectral Poisson solve and the matching gather shape.
+const SHAPES_2D: [(&str, Shape); 2] = [
+    ("traditional_2d_ngp", Shape::Ngp),
+    ("traditional_2d_tsc", Shape::Tsc),
+];
+
 fn spectral() -> Numerics1D {
     Numerics1D {
         poisson: PoissonKind::Spectral,
@@ -84,6 +100,50 @@ fn run(&(stem, scenario, ppc, numerics, backend): &Case) -> EnergyHistory {
         .run(&spec, backend)
         .unwrap_or_else(|e| panic!("{stem}: {e}"))
         .history
+}
+
+/// The `traditional_2d` run at `shape`, as the engine would record it:
+/// `Simulation::run`'s steps plus final snapshot, the `(m, 0)` modes
+/// reported as mode `m`.
+fn run_2d(shape: Shape) -> EnergyHistory {
+    let mut spec = engine::scenario("two_stream_2d", Scale::Smoke).unwrap();
+    spec.ppc = 32;
+    spec.n_steps = STEPS;
+    let DomainSpec::TwoD { nx, ny, lx, ly } = spec.domain else {
+        unreachable!("two_stream_2d is 2-D")
+    };
+    let (v0, vth) = spec.species.as_two_stream().unwrap();
+    let loading = match spec.loading {
+        LoadingSpec::Random => Loading2D::Random,
+        LoadingSpec::Quiet { mode, amplitude } => Loading2D::Quiet { mode, amplitude },
+    };
+    let cfg = PicConfig {
+        grid: Grid2D::new(nx, ny, lx, ly),
+        init: Some(TwoStream2DInit {
+            v0,
+            vth,
+            n_particles: spec.n_particles(),
+            loading,
+            seed: spec.seed,
+        }),
+        dt: spec.dt,
+        n_steps: spec.n_steps,
+        gather_shape: shape,
+        tracked_modes: spec.tracked_modes.iter().map(|&m| (m, 0)).collect(),
+    };
+    let solver = TraditionalSolver2D::new(shape, Poisson2DKind::Spectral, 1.0);
+    let mut sim = Simulation::new(cfg, Box::new(solver));
+    sim.run();
+    let h = sim.history();
+    EnergyHistory {
+        times: h.times.clone(),
+        kinetic: h.kinetic.clone(),
+        field: h.field.clone(),
+        total: h.total.clone(),
+        momentum: h.momentum.clone(),
+        tracked_modes: spec.tracked_modes.clone(),
+        mode_amps: h.mode_amps.clone(),
+    }
 }
 
 /// The history as text: a `# series` header per column, then one 16-digit
@@ -259,6 +319,13 @@ fn every_backend_reproduces_its_golden_history() {
 }
 
 #[test]
+fn every_2d_shape_reproduces_its_golden_history() {
+    for (stem, shape) in SHAPES_2D {
+        assert_matches_golden(stem, &render(&run_2d(shape)));
+    }
+}
+
+#[test]
 fn dataset_generators_reproduce_their_golden_bytes() {
     assert_matches_golden("datasets", &render_datasets());
 }
@@ -322,6 +389,9 @@ fn never_occupied_bins_keep_their_initial_first_layer_rows() {
 fn regenerate() {
     for case in &CASES {
         std::fs::write(golden_path(case.0), render(&run(case))).unwrap();
+    }
+    for (stem, shape) in SHAPES_2D {
+        std::fs::write(golden_path(stem), render(&run_2d(shape))).unwrap();
     }
     std::fs::write(golden_path("datasets"), render_datasets()).unwrap();
     std::fs::write(golden_path("trained"), render_trained()).unwrap();
