@@ -4,46 +4,84 @@
 //! assignment functions, so the deposition weight of particle `p` on node
 //! `(i, j)` is `Wx_i(x_p/dx) · Wy_j(y_p/dy)` with the [`Shape`] hierarchy
 //! (NGP/CIC/TSC) of the 1-D crate reused per axis.
+//!
+//! The kernel body is written once over the shape's support `S` (a const
+//! generic) and picked by one `match` per call, so each shape's `S×S`
+//! stencil is straight-line code. [`axis_stencil`] and [`next_node`] are
+//! the per-axis half it shares with the fused push (`crate::fused2d`).
 
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
 use dlpic_pic::fused::wrap_cell;
 use dlpic_pic::shape::Shape;
 
+/// One axis of the tensor-product stencil of the shape whose support is
+/// `S` (1, 2, 3 for NGP, CIC, TSC) at normalized position `xdx = x/dx`:
+/// the first supporting node, wrapped into `[0, n)` by [`wrap_cell`], and
+/// the `S` weights in node order — [`Shape::assign`]'s arithmetic, with
+/// the shape fixed at compile time.
+#[inline(always)]
+pub(crate) fn axis_stencil<const S: usize>(xdx: f64, n: i64) -> (usize, [f64; S]) {
+    let shape = match S {
+        1 => Shape::Ngp,
+        2 => Shape::Cic,
+        _ => Shape::Tsc,
+    };
+    let a = shape.assign(xdx);
+    (wrap_cell(a.leftmost, n), std::array::from_fn(|k| a.w[k]))
+}
+
+/// The node after `j` on a periodic axis of `n` nodes: the stencil's
+/// later nodes wrap by one compare, not one [`wrap_cell`] each.
+#[inline(always)]
+pub(crate) fn next_node(j: usize, n: usize) -> usize {
+    if j + 1 == n {
+        0
+    } else {
+        j + 1
+    }
+}
+
 /// Deposits macro-particle charge onto the node array `rho`
 /// (units: charge / area — node density), sequentially in particle order.
-/// Node indices wrap by compare-and-fold ([`wrap_cell`]) — the same values
-/// `wrap_ix`/`wrap_iy` produce, without the per-node integer division.
+///
+/// `rho` is accumulated into. Every stencil term is added, the zero
+/// weights of a particle sitting on a node included: such a term is
+/// `±0.0`, which leaves any sum but `-0.0` unchanged, and a sum started
+/// from `+0.0` never becomes `-0.0` (`a + b` is `-0.0` only when both
+/// are).
 ///
 /// # Panics
 /// Panics if `rho` length differs from the grid node count.
 pub fn deposit_charge(particles: &Particles2D, grid: &Grid2D, shape: Shape, rho: &mut [f64]) {
     assert_eq!(rho.len(), grid.nodes(), "rho length mismatch");
+    match shape {
+        Shape::Ngp => deposit::<1>(particles, grid, rho),
+        Shape::Cic => deposit::<2>(particles, grid, rho),
+        Shape::Tsc => deposit::<3>(particles, grid, rho),
+    }
+}
+
+/// [`deposit_charge`]'s body for the shape of support `S`: `y` rows
+/// outer, `x` nodes inner, each term `q_over_area * wx * wy`.
+fn deposit<const S: usize>(particles: &Particles2D, grid: &Grid2D, rho: &mut [f64]) {
     let q_over_area = particles.charge() / grid.cell_area();
     let inv_dx = 1.0 / grid.dx();
     let inv_dy = 1.0 / grid.dy();
-    let nx = grid.nx();
-    let nxi = nx as i64;
-    let nyi = grid.ny() as i64;
-    let support = shape.support();
+    let (nx, ny) = (grid.nx(), grid.ny());
+    let (nxi, nyi) = (nx as i64, ny as i64);
 
     for (&x, &y) in particles.x.iter().zip(&particles.y) {
-        let ax = shape.assign(x * inv_dx);
-        let ay = shape.assign(y * inv_dy);
-        for jy in 0..support {
-            let wy = ay.w[jy];
-            if wy == 0.0 {
-                continue;
-            }
-            let row = wrap_cell(ay.leftmost + jy as i64, nyi) * nx;
-            for jx in 0..support {
-                let wx = ax.w[jx];
-                if wx == 0.0 {
-                    continue;
-                }
-                let ix = wrap_cell(ax.leftmost + jx as i64, nxi);
+        let (ix0, wxs) = axis_stencil::<S>(x * inv_dx, nxi);
+        let (mut iy, wys) = axis_stencil::<S>(y * inv_dy, nyi);
+        for wy in wys {
+            let row = iy * nx;
+            let mut ix = ix0;
+            for wx in wxs {
                 rho[row + ix] += q_over_area * wx * wy;
+                ix = next_node(ix, nx);
             }
+            iy = next_node(iy, ny);
         }
     }
 }
@@ -63,6 +101,73 @@ mod tests {
 
     fn single_particle(x: f64, y: f64, q: f64) -> Particles2D {
         Particles2D::new(vec![x], vec![y], vec![0.0], vec![0.0], q, 1.0)
+    }
+
+    /// The deposit as it was before the const-generic body: a runtime
+    /// `support` loop that skips zero weights and wraps every node.
+    fn generic_deposit(particles: &Particles2D, grid: &Grid2D, shape: Shape, rho: &mut [f64]) {
+        let q_over_area = particles.charge() / grid.cell_area();
+        let (inv_dx, inv_dy) = (1.0 / grid.dx(), 1.0 / grid.dy());
+        let (nxi, nyi) = (grid.nx() as i64, grid.ny() as i64);
+        for (&x, &y) in particles.x.iter().zip(&particles.y) {
+            let ax = shape.assign(x * inv_dx);
+            let ay = shape.assign(y * inv_dy);
+            for jy in 0..shape.support() {
+                let wy = ay.w[jy];
+                if wy == 0.0 {
+                    continue;
+                }
+                let row = wrap_cell(ay.leftmost + jy as i64, nyi) * grid.nx();
+                for jx in 0..shape.support() {
+                    let wx = ax.w[jx];
+                    if wx == 0.0 {
+                        continue;
+                    }
+                    let ix = wrap_cell(ax.leftmost + jx as i64, nxi);
+                    rho[row + ix] += q_over_area * wx * wy;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_shape_matches_the_generic_loop_bit_for_bit() {
+        // Power-of-two cell sizes (dx = 1/8, dy = 1/4) put `k·dx` exactly
+        // on node `k` after the `x * inv_dx` scaling.
+        let grid = Grid2D::new(16, 8, 2.0, 2.0);
+        let (dx, dy, lx, ly) = (grid.dx(), grid.dy(), grid.lx(), grid.ly());
+        let below = |l: f64| l - l * f64::EPSILON;
+        // On nodes (zero weights), half a cell off them (the other zero
+        // weights of TSC), the origin, and just below the far edges
+        // (wrap), then a scatter of interior points.
+        let mut pts = vec![
+            (0.0, 0.0),
+            (3.0 * dx, 5.0 * dy),
+            (15.0 * dx, 7.0 * dy),
+            (2.5 * dx, 0.5 * dy),
+            (below(lx), 0.0),
+            (0.0, below(ly)),
+            (below(lx), below(ly)),
+            (below(lx), 4.0 * dy),
+            (15.5 * dx, 7.5 * dy),
+        ];
+        pts.extend((0..200).map(|i| {
+            let t = i as f64;
+            (
+                (t * 0.618_033_988_75).fract() * lx,
+                (t * 0.414_213_562_37).fract() * ly,
+            )
+        }));
+        let (xs, ys): (Vec<f64>, Vec<f64>) = pts.into_iter().unzip();
+        let n = xs.len();
+        let p = Particles2D::electrons_normalized(xs, ys, vec![0.0; n], vec![0.0; n], grid.area());
+        for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
+            let (mut got, mut want) = (grid.zeros(), grid.zeros());
+            deposit_charge(&p, &grid, shape, &mut got);
+            generic_deposit(&p, &grid, shape, &mut want);
+            let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{shape:?}");
+        }
     }
 
     #[test]

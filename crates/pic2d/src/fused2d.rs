@@ -9,8 +9,11 @@
 //! [`gather_field`](crate::gather2d::gather_field) →
 //! [`push_velocities`](crate::mover2d::push_velocities) →
 //! [`push_positions`](crate::mover2d::push_positions); the grid wraps are
-//! computed by compare-and-fold (equal values, no integer division), so
-//! trajectories match the unfused oracle bit for bit. The kinetic-energy
+//! computed by compare-and-fold (equal values, no integer division), and
+//! the zero-weight terms the oracle skips add `±0.0` here, so
+//! trajectories match the unfused oracle bit for bit. As in
+//! [`deposit2d`](crate::deposit2d), the body is written once over the
+//! shape's support `S` and picked by one `match` per call. The kinetic-energy
 //! *sum* interleaves the x- and y-contributions per particle instead of
 //! summing all x-terms first, so that one diagnostic may differ from the
 //! unfused value by rounding (≪ 1e-15 relative); the per-component
@@ -19,9 +22,10 @@
 // analyze:hot — the fused per-particle loop is the 2-D stepping hot path;
 // loop bodies here must stay allocation-free (PR 3's single-pass win).
 
+use crate::deposit2d::{axis_stencil, next_node};
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
-use dlpic_pic::fused::{advance_position, wrap_cell, StepMoments};
+use dlpic_pic::fused::{advance_position, StepMoments};
 use dlpic_pic::shape::Shape;
 
 /// One fused step of the 2-D particle pipeline: gather `(ex, ey)` at
@@ -43,13 +47,29 @@ pub fn fused_gather_push_move(
 ) -> StepMoments {
     assert_eq!(ex.len(), grid.nodes(), "ex length mismatch");
     assert_eq!(ey.len(), grid.nodes(), "ey length mismatch");
+    match shape {
+        Shape::Ngp => fused::<1>(particles, grid, ex, ey, dt),
+        Shape::Cic => fused::<2>(particles, grid, ex, ey, dt),
+        Shape::Tsc => fused::<3>(particles, grid, ex, ey, dt),
+    }
+}
+
+/// [`fused_gather_push_move`]'s body for the shape of support `S`. The
+/// gather adds all `S×S` terms `w * e[node]`, `y` rows outer, from `+0.0`:
+/// a zero-weight term is `±0.0` added to a sum that is never `-0.0`, so
+/// it changes no bit for a finite field.
+fn fused<const S: usize>(
+    particles: &mut Particles2D,
+    grid: &Grid2D,
+    ex: &[f64],
+    ey: &[f64],
+    dt: f64,
+) -> StepMoments {
     let inv_dx = 1.0 / grid.dx();
     let inv_dy = 1.0 / grid.dy();
-    let nx = grid.nx();
-    let nxi = nx as i64;
-    let nyi = grid.ny() as i64;
+    let (nx, ny) = (grid.nx(), grid.ny());
+    let (nxi, nyi) = (nx as i64, ny as i64);
     let (lx, ly) = (grid.lx(), grid.ly());
-    let support = shape.support();
     let qm_dt = particles.charge_over_mass() * dt;
     let half_m = 0.5 * particles.mass();
     let mass = particles.mass();
@@ -64,25 +84,20 @@ pub fn fused_gather_push_move(
         .zip(particles.vx.iter_mut().zip(particles.vy.iter_mut()));
     for ((x, y), (vx, vy)) in iter {
         // Gather (same expressions as `gather_field`).
-        let ax = shape.assign(*x * inv_dx);
-        let ay = shape.assign(*y * inv_dy);
+        let (ix0, wxs) = axis_stencil::<S>(*x * inv_dx, nxi);
+        let (mut iy, wys) = axis_stencil::<S>(*y * inv_dy, nyi);
         let mut ex_acc = 0.0;
         let mut ey_acc = 0.0;
-        for jy in 0..support {
-            let wy = ay.w[jy];
-            if wy == 0.0 {
-                continue;
+        for wy in wys {
+            let row = iy * nx;
+            let mut ix = ix0;
+            for wx in wxs {
+                let w = wx * wy;
+                ex_acc += w * ex[row + ix];
+                ey_acc += w * ey[row + ix];
+                ix = next_node(ix, nx);
             }
-            let row = wrap_cell(ay.leftmost + jy as i64, nyi) * nx;
-            for jx in 0..support {
-                let w = ax.w[jx] * wy;
-                if w == 0.0 {
-                    continue;
-                }
-                let node = row + wrap_cell(ax.leftmost + jx as i64, nxi);
-                ex_acc += w * ex[node];
-                ey_acc += w * ey[node];
-            }
+            iy = next_node(iy, ny);
         }
         // Accelerate (same expressions as `push_velocities`).
         let vx_old = *vx;

@@ -3,10 +3,10 @@
 //! gather→accelerate→move kernel) must reproduce the trajectories of the
 //! unfused three-pass pipeline — `gather_field` → `push_velocities` →
 //! `push_positions` → field solve, the pre-fusion step structure kept as
-//! the oracle — to ≤ 1e-15 for NGP and CIC over several steps, in 1-D
-//! and 2-D. The kernels use identical per-particle expressions in the
-//! same order, so the match is in fact exact; the assertions still allow
-//! the issue's 1e-15 headroom.
+//! the oracle — over several steps, for NGP, CIC and TSC in 1-D and 2-D.
+//! The kernels use identical per-particle expressions in the same order,
+//! so the match is exact: the 2-D checks assert equal bit patterns, the
+//! 1-D ones still allow the original 1e-15 headroom.
 
 use dlpic_repro::pic::gather::gather_field;
 use dlpic_repro::pic::mover::{half_step_back, push_positions, push_velocities};
@@ -25,6 +25,18 @@ fn assert_close(label: &str, got: &[f64], want: &[f64]) {
         let tol = TOL * (1.0 + w.abs());
         assert!(
             (g - w).abs() <= tol,
+            "{label}[{i}]: fused {g} vs unfused {w}"
+        );
+    }
+}
+
+/// Asserts equal IEEE-754 bit patterns, element by element.
+fn assert_bits(label: &str, got: &[f64], want: &[f64]) {
+    assert_eq!(got.len(), want.len(), "{label} length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
             "{label}[{i}]: fused {g} vs unfused {w}"
         );
     }
@@ -83,7 +95,8 @@ fn check_1d(shape: Shape, n_steps: usize) {
 }
 
 /// 2-D: `Simulation<Grid2D>` (fused stepping) against the manual unfused
-/// driver.
+/// driver, bit for bit. The unfused gather skips zero weights and the
+/// fused one adds them as `±0.0`, which changes no bit.
 fn check_2d(shape: Shape, n_steps: usize) {
     let grid = Grid2D::new(16, 16, 2.0532, 2.0532);
     let init = TwoStream2DInit::quiet(0.2, 0.0, 4_096, 1e-3, 3);
@@ -130,19 +143,19 @@ fn check_2d(shape: Shape, n_steps: usize) {
     }
 
     let p = sim.particles();
-    assert_close("x", &p.x, &particles.x);
-    assert_close("y", &p.y, &particles.y);
-    assert_close("vx", &p.vx, &particles.vx);
-    assert_close("vy", &p.vy, &particles.vy);
+    assert_bits("x", &p.x, &particles.x);
+    assert_bits("y", &p.y, &particles.y);
+    assert_bits("vx", &p.vx, &particles.vx);
+    assert_bits("vy", &p.vy, &particles.vy);
     let (ex, ey) = e.split_at(grid.nodes());
-    assert_close("Ex", &sim.efield()[..grid.nodes()], ex);
-    assert_close("Ey", &sim.efield()[grid.nodes()..], ey);
-    assert_close(
+    assert_bits("Ex", &sim.efield()[..grid.nodes()], ex);
+    assert_bits("Ey", &sim.efield()[grid.nodes()..], ey);
+    assert_bits(
         "momentum_x",
         &sim.history().momentum[..n_steps],
         &momentum_x,
     );
-    assert_close(
+    assert_bits(
         "momentum_y",
         &sim.history().momentum_y[..n_steps],
         &momentum_y,
@@ -173,4 +186,9 @@ fn fused_step_matches_unfused_2d_ngp() {
 #[test]
 fn fused_step_matches_unfused_2d_cic() {
     check_2d(Shape::Cic, 15);
+}
+
+#[test]
+fn fused_step_matches_unfused_2d_tsc() {
+    check_2d(Shape::Tsc, 15);
 }
