@@ -210,6 +210,9 @@ impl Server {
                 ))
             })?;
             let (next_job, jobs) = spool.load_manifest()?;
+            // A kill between an atomic write and its rename leaves a
+            // `.tmp` behind; clear it before the first connection.
+            spool.gc(&jobs);
             shared.next_job = next_job;
             shared.jobs = jobs
                 .into_iter()

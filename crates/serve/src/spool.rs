@@ -161,11 +161,12 @@ impl Spool {
         let _ = std::fs::remove_file(self.done_path(job, run));
     }
 
-    /// Garbage-collects the spool against the manifest just written:
-    /// drops job directories the manifest no longer mentions, stray
-    /// `.tmp` files from interrupted atomic writes, and checkpoints of
-    /// runs that reached a final state (their `done` file, when one
-    /// exists, is the record). Best-effort — GC never fails a flush.
+    /// Garbage-collects the spool against the manifest just written, or
+    /// on `--resume` the one just loaded: drops job directories the
+    /// manifest no longer mentions, stray `.tmp` files from interrupted
+    /// atomic writes, and checkpoints of runs that reached a final state
+    /// (their `done` file, when one exists, is the record). Best-effort —
+    /// GC never fails a flush or a resume.
     pub fn gc(&self, jobs: &[SpoolJob]) {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;

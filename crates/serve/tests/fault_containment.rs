@@ -5,8 +5,9 @@
 //! healthy neighbour finishes bit-identical to a solo `Engine::run`.
 
 use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::json::Json;
@@ -799,11 +800,12 @@ fn sick_fleet_survives_sigkill_and_corrupt_checkpoint_end_to_end() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
-/// Spool-GC invariants that must hold at every rest point: the directory
-/// holds exactly the manifest plus one directory per manifest job (no
-/// orphans from pruned/cancelled work) and no leaked `.tmp` files from
-/// interrupted atomic writes.
-fn assert_spool_invariants(spool: &std::path::Path) {
+/// Spool-GC invariants that hold at every rest point, an uncoordinated
+/// kill's included: the directory holds exactly the manifest plus one
+/// directory per manifest job (no orphans from pruned/cancelled work).
+/// `.tmp` files are left to [`spool_temps`]: a kill between an atomic
+/// write and its rename leaves one by design, and `--resume` clears it.
+fn assert_spool_layout(spool: &Path) {
     let manifest = std::fs::read_to_string(spool.join("meta.json")).expect("manifest readable");
     let doc = Json::parse(&manifest).expect("manifest is JSON");
     let known: Vec<String> = doc
@@ -821,24 +823,41 @@ fn assert_spool_invariants(spool: &std::path::Path) {
     for entry in std::fs::read_dir(spool).expect("read spool") {
         let entry = entry.expect("entry");
         let name = entry.file_name().into_string().expect("utf-8 name");
-        assert!(!name.ends_with(".tmp"), "leaked atomic-write temp {name}");
         if entry.file_type().expect("file type").is_dir() {
             assert!(known.contains(&name), "orphan job dir {name} survived gc");
-            for file in std::fs::read_dir(entry.path()).expect("job dir") {
-                let file = file
-                    .expect("entry")
-                    .file_name()
-                    .into_string()
-                    .expect("utf-8");
-                assert!(
-                    !file.ends_with(".tmp"),
-                    "leaked atomic-write temp {name}/{file}"
-                );
-            }
-        } else {
+        } else if !name.ends_with(".tmp") {
             assert_eq!(name, "meta.json", "unexpected stray file {name}");
         }
     }
+}
+
+/// Every `.tmp` file in the spool and its job directories, with its
+/// modification time.
+fn spool_temps(spool: &Path) -> Vec<(PathBuf, SystemTime)> {
+    let mut dirs = vec![spool.to_path_buf()];
+    let mut temps = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("read spool dir") {
+            let path = entry.expect("entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "tmp") {
+                let modified = std::fs::metadata(&path)
+                    .and_then(|m| m.modified())
+                    .expect("temp mtime");
+                temps.push((path, modified));
+            }
+        }
+    }
+    temps
+}
+
+/// The rest point after a drain: the layout holds and no atomic write
+/// is left half done.
+fn assert_spool_invariants(spool: &Path) {
+    assert_spool_layout(spool);
+    let temps = spool_temps(spool);
+    assert!(temps.is_empty(), "leaked atomic-write temps {temps:?}");
 }
 
 /// The restart story under sustained abuse: a mixed healthy/sick fleet
@@ -904,7 +923,19 @@ fn five_sigkill_resume_cycles_compose_bit_identically() {
         daemon.kill();
 
         // At rest: the spool is consistent after an uncoordinated kill.
-        assert_spool_invariants(&spool);
+        // Any `.tmp` is a write the kill cut before its rename; plant two
+        // more, at names the daemon never writes, so every cycle checks
+        // that `--resume` clears them at both levels.
+        assert_spool_layout(&spool);
+        std::fs::create_dir_all(spool.join(&job)).expect("job dir");
+        let planted = [
+            spool.join("interrupted-write.tmp"),
+            spool.join(&job).join("interrupted-write.tmp"),
+        ];
+        for path in &planted {
+            std::fs::write(path, "{").expect("plant a temp");
+        }
+        let killed_temps = spool_temps(&spool);
 
         daemon = Daemon::spawn(&[
             "--resume",
@@ -914,6 +945,26 @@ fn five_sigkill_resume_cycles_compose_bit_identically() {
             "--spool-interval",
             "4",
         ]);
+        // Up means resumed: the kill's temps are gone. The new daemon may
+        // already be mid-write at the same path, so a temp counts as the
+        // kill's only while its modification time is unchanged.
+        for path in &planted {
+            assert!(
+                !path.exists(),
+                "cycle {cycle}: {} survived --resume",
+                path.display()
+            );
+        }
+        for (path, modified) in &killed_temps {
+            let kept = std::fs::metadata(path)
+                .and_then(|m| m.modified())
+                .is_ok_and(|t| t == *modified);
+            assert!(
+                !kept,
+                "cycle {cycle}: leaked atomic-write temp {}",
+                path.display()
+            );
+        }
         let mut client = Client::connect(&daemon.addr).expect("reconnect");
         let states = run_states(&mut client, &job);
         assert_eq!(
