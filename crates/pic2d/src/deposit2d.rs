@@ -7,8 +7,9 @@
 //!
 //! The kernel body is written once over the shape's support `S` (a const
 //! generic) and picked by one `match` per call, so each shape's `S×S`
-//! stencil is straight-line code. [`axis_stencil`] and [`next_node`] are
-//! the per-axis half it shares with the fused push (`crate::fused2d`).
+//! stencil is straight-line code. `axis_stencil` and `next_node` are
+//! the per-axis half it shares with the fused push
+//! ([`fused2d`](crate::fused2d)).
 
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;

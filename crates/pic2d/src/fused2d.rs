@@ -13,11 +13,11 @@
 //! the zero-weight terms the oracle skips add `±0.0` here, so
 //! trajectories match the unfused oracle bit for bit. As in
 //! [`deposit2d`](crate::deposit2d), the body is written once over the
-//! shape's support `S` and picked by one `match` per call. The kinetic-energy
-//! *sum* interleaves the x- and y-contributions per particle instead of
-//! summing all x-terms first, so that one diagnostic may differ from the
-//! unfused value by rounding (≪ 1e-15 relative); the per-component
-//! momentum sums keep the unfused order exactly.
+//! shape's support `S` and picked by one `match` per call. The
+//! kinetic-energy *sum* interleaves the x- and y-contributions per
+//! particle instead of summing all x-terms first, so that one diagnostic
+//! may differ from the unfused value by rounding (≪ 1e-15 relative); the
+//! per-component momentum sums keep the unfused order exactly.
 
 // analyze:hot — the fused per-particle loop is the 2-D stepping hot path;
 // loop bodies here must stay allocation-free (PR 3's single-pass win).
