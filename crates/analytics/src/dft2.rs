@@ -1,6 +1,6 @@
 //! Two-dimensional discrete Fourier transforms on row-major grids.
 //!
-//! Used by the 2-D Poisson solver of `dlpic-pic2d` (the paper's §VII
+//! Used by the 2-D Poisson solver of `dlpic-pic` (the paper's §VII
 //! "extend the method to study two- and three-dimensional systems") and by
 //! the 2-D field diagnostics. The transform is separable: a radix-2 FFT
 //! over every row followed by one over every column.

@@ -174,7 +174,6 @@ impl Config {
                     "crates/ddecomp/src/**",
                     "crates/nn/src/**",
                     "crates/pic/src/**",
-                    "crates/pic2d/src/**",
                     "crates/vlasov/src/**",
                 ],
             ),

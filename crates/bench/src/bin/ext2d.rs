@@ -17,11 +17,11 @@ use dlpic_bench::{out_dir, Cli};
 use dlpic_core::presets::Scale;
 use dlpic_core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
 use dlpic_nn::frozen::Precision;
+use dlpic_pic::grid2d::Grid2D;
+use dlpic_pic::init2d::TwoStream2DInit;
 use dlpic_pic::shape::Shape;
 use dlpic_pic::simulation::{PicConfig, Simulation};
-use dlpic_pic2d::grid2d::Grid2D;
-use dlpic_pic2d::init2d::TwoStream2DInit;
-use dlpic_pic2d::solver2d::TraditionalSolver2D;
+use dlpic_pic::solver::TraditionalSolver;
 
 /// Experiment sizes per scale: (cells per axis, particles, train seeds,
 /// hidden width, epochs).
@@ -104,7 +104,7 @@ fn main() {
         use dlpic_pic::solver::FieldSolver;
         let mut probe = Simulation::new(
             config(&grid, n_part, v0, vth, seed + 1),
-            Box::new(TraditionalSolver2D::default_config()),
+            Box::new(TraditionalSolver::default_config()),
         );
         let mut err_sum = 0.0f64;
         let mut count = 0usize;
@@ -129,7 +129,7 @@ fn main() {
     eprintln!("running traditional 2-D PIC (v0 = {v0}, vth = {vth})...");
     let mut trad = Simulation::new(
         config(&grid, n_part, v0, vth, seed),
-        Box::new(TraditionalSolver2D::default_config()),
+        Box::new(TraditionalSolver::default_config()),
     );
     trad.run();
     eprintln!("running DL-based 2-D PIC...");

@@ -32,10 +32,10 @@ use dlpic_nn::loss::Mse;
 use dlpic_nn::optimizer::adam::Adam;
 use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig, TrainHistory};
+use dlpic_pic::grid2d::Grid2D;
+use dlpic_pic::particles2d::Particles2D;
 use dlpic_pic::simulation::{PicConfig, Simulation};
-use dlpic_pic2d::grid2d::Grid2D;
-use dlpic_pic2d::particles2d::Particles2D;
-use dlpic_pic2d::solver2d::TraditionalSolver2D;
+use dlpic_pic::solver::TraditionalSolver;
 
 /// Binning order for the 2-D density histogram (mirrors the 1-D
 /// `BinningShape`).
@@ -129,7 +129,7 @@ pub fn harvest_2d(cfg: PicConfig<Grid2D>, binning: DensityBinning, stride: usize
     assert!(stride > 0, "stride must be positive");
     let n_steps = cfg.n_steps;
     let grid = cfg.grid.clone();
-    let mut sim = Simulation::new(cfg, Box::new(TraditionalSolver2D::default_config()));
+    let mut sim = Simulation::new(cfg, Box::new(TraditionalSolver::default_config()));
     let mut samples = Vec::with_capacity(n_steps / stride + 1);
     let mut hist = vec![0.0f32; grid.nodes()];
     for step in 0..n_steps {
@@ -248,9 +248,9 @@ mod tests {
     use crate::field_solver::DlFieldSolver;
     use dlpic_nn::network::PredictWorkspace;
     use dlpic_nn::tensor::Tensor;
+    use dlpic_pic::init2d::TwoStream2DInit;
     use dlpic_pic::shape::Shape;
     use dlpic_pic::solver::{FieldSolver, PhasedFieldSolver};
-    use dlpic_pic2d::init2d::TwoStream2DInit;
 
     fn tiny_grid() -> Grid2D {
         Grid2D::new(8, 8, 2.0532, 2.0532)

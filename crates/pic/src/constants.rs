@@ -33,6 +33,18 @@ pub const PAPER_VALIDATION_VTH: f64 = 0.025;
 /// Beam speed of the cold-beam stress test (paper §V, Fig. 6).
 pub const PAPER_COLD_BEAM_V0: f64 = 0.4;
 
+/// Cells along each axis of the 2-D extension's default grid (§VII).
+///
+/// The extension keeps the paper's box along `x` — the streaming
+/// direction — and uses a square box of [`paper_box_length`], so the
+/// `(1, 0)` mode carries the same physics as the paper's 1-D mode 1 and
+/// the 1-D linear theory applies unchanged. A faithful 2-D equivalent of
+/// the paper's 64 cells × 1000/cell would be 4.1 M particles, sized for
+/// the paper's 24-core node; 32² cells at 128/cell keeps every
+/// qualitative feature (growth, saturation, conservation behaviour) and is
+/// what the 2-D tests and benches use by default.
+pub const EXTENSION_2D_NCELLS: usize = 32;
+
 /// Box length `L = 2π/3.06 ≈ 2.0532`.
 pub fn paper_box_length() -> f64 {
     2.0 * std::f64::consts::PI / PAPER_K1

@@ -15,7 +15,7 @@ use crate::shape::Shape;
 ///
 /// `rho` is *accumulated into* (callers zero it or pre-fill with the ion
 /// background). Node indices are wrapped with the compare-and-fold of
-/// [`wrap_cell`] — the same values `Grid1D::wrap_index` produces, without
+/// `fused::wrap_cell` — the same values `Grid1D::wrap_index` produces, without
 /// the per-particle integer division.
 ///
 /// # Panics

@@ -3,7 +3,7 @@
 //! Two-dimensional shape functions factorize into products of the 1-D
 //! assignment functions, so the deposition weight of particle `p` on node
 //! `(i, j)` is `Wx_i(x_p/dx) · Wy_j(y_p/dy)` with the [`Shape`] hierarchy
-//! (NGP/CIC/TSC) of the 1-D crate reused per axis.
+//! (NGP/CIC/TSC) of the 1-D kernels reused per axis.
 //!
 //! The kernel body is written once over the shape's support `S` (a const
 //! generic) and picked by one `match` per call, so each shape's `S×S`
@@ -11,10 +11,10 @@
 //! the per-axis half it shares with the fused push
 //! ([`fused2d`](crate::fused2d)).
 
+use crate::fused::wrap_cell;
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
-use dlpic_pic::fused::wrap_cell;
-use dlpic_pic::shape::Shape;
+use crate::shape::Shape;
 
 /// One axis of the tensor-product stencil of the shape whose support is
 /// `S` (1, 2, 3 for NGP, CIC, TSC) at normalized position `xdx = x/dx`:
@@ -87,17 +87,10 @@ fn deposit<const S: usize>(particles: &Particles2D, grid: &Grid2D, rho: &mut [f6
     }
 }
 
-/// Adds the uniform neutralizing ion background (+1 in the paper's
-/// normalized units) to every node.
-pub fn add_uniform_background(rho: &mut [f64], background: f64) {
-    for r in rho.iter_mut() {
-        *r += background;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deposit::add_uniform_background;
     use proptest::prelude::*;
 
     fn single_particle(x: f64, y: f64, q: f64) -> Particles2D {

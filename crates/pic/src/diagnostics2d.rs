@@ -1,11 +1,11 @@
 //! Per-step diagnostics for the 2-D extension: energies, momentum
 //! components and 2-D field-mode amplitudes.
 
+use crate::diagnostics::EnergyReport;
 use crate::efield2d::field_energy;
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
 use dlpic_analytics::dft2;
-use dlpic_pic::diagnostics::EnergyReport;
 
 /// Computes an instantaneous report from the current state (used at
 /// `t = 0`; later steps use the mover's time-centred kinetic energy).

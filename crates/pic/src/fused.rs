@@ -45,7 +45,7 @@ pub struct StepMoments {
 /// only when the caller violates the position invariant) falls back to
 /// the full Euclidean wrap.
 #[inline(always)]
-pub fn wrap_cell(j: i64, n: i64) -> usize {
+pub(crate) fn wrap_cell(j: i64, n: i64) -> usize {
     let folded = if j >= n {
         j - n
     } else if j < 0 {
@@ -66,7 +66,7 @@ pub fn wrap_cell(j: i64, n: i64) -> usize {
 /// positions within one period; multi-period overshoots take the full
 /// `rem_euclid` path.
 #[inline(always)]
-pub fn advance_position(x: f64, v: f64, dt: f64, length: f64) -> f64 {
+pub(crate) fn advance_position(x: f64, v: f64, dt: f64, length: f64) -> f64 {
     let mut nx = x + v * dt;
     if nx < 0.0 || nx >= length {
         if nx >= length && nx - length < length {

@@ -1,5 +1,5 @@
 //! The fused 2-D gather→accelerate→move kernel: one pass over the
-//! particles per step, mirroring `dlpic_pic::fused` for the 2-D cycle.
+//! particles per step, mirroring [`crate::fused`] for the 2-D cycle.
 //!
 //! [`fused_gather_push_move`] interpolates `(Ex, Ey)` with the
 //! tensor-product weights, pushes both velocity components and both
@@ -23,10 +23,10 @@
 // loop bodies here must stay allocation-free (PR 3's single-pass win).
 
 use crate::deposit2d::{axis_stencil, next_node};
+use crate::fused::{advance_position, StepMoments};
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
-use dlpic_pic::fused::{advance_position, StepMoments};
-use dlpic_pic::shape::Shape;
+use crate::shape::Shape;
 
 /// One fused step of the 2-D particle pipeline: gather `(ex, ey)` at
 /// every particle, push both velocity components, push both position

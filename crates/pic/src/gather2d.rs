@@ -5,7 +5,7 @@
 
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
-use dlpic_pic::shape::Shape;
+use crate::shape::Shape;
 
 /// Interpolates both field components at every particle position.
 ///
@@ -151,13 +151,12 @@ mod tests {
             // Poisson solve and gathered back with the same shape, exerts
             // no net force on the particle (momentum conservation of the
             // scheme). Verified through the full traditional pipeline.
-            use crate::solver2d::TraditionalSolver2D;
-            use dlpic_pic::solver::FieldSolver;
+            use crate::solver::{FieldSolver, PoissonKind, TraditionalSolver};
             let grid = Grid2D::new(8, 8, 2.0, 2.0);
             let p = Particles2D::new(
                 vec![x], vec![y], vec![0.0], vec![0.0], -0.05, 0.05);
-            let mut solver = TraditionalSolver2D::new(
-                Shape::Cic, crate::poisson2d::Poisson2DKind::Spectral, 0.0125);
+            let mut solver = TraditionalSolver::<Grid2D>::new(
+                Shape::Cic, PoissonKind::Spectral, 0.0125);
             let mut e = vec![0.0; 2 * grid.nodes()];
             solver.solve(&p, &grid, &mut e);
             let (ex, ey) = e.split_at(grid.nodes());

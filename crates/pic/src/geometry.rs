@@ -1,11 +1,13 @@
 //! What the PIC cycle needs from a dimension.
 //!
 //! [`Simulation`](crate::simulation::Simulation), its config and history,
-//! the [`FieldSolver`](crate::solver::FieldSolver) seam, the DL solver in
-//! `dlpic-core` and the engine's PIC session are each written once over
+//! the [`FieldSolver`](crate::solver::FieldSolver) seam with its
+//! [`TraditionalSolver`](crate::solver::TraditionalSolver), the DL solver
+//! in `dlpic-core` and the engine's PIC session are each written once over
 //! [`Geometry`]; the kernels behind it (deposit, gather, mover, fused
-//! push, Poisson) stay specialised per dimension. [`Grid1D`] implements
-//! it here, `Grid2D` in `dlpic-pic2d`. Dispatch is static: the generic
+//! push, Poisson, gradient) stay specialised per dimension. [`Grid1D`]
+//! implements it here, [`Grid2D`](crate::grid2d::Grid2D) in
+//! [`geometry2d`](crate::geometry2d). Dispatch is static: the generic
 //! cycle monomorphises to the same kernel calls a hand-written one makes.
 //!
 //! The node field is one flat buffer of `FIELD_NAMES.len()` components
@@ -13,15 +15,18 @@
 //! `[Ex | Ey]` in 2-D — so solve, checkpoint and restore keep one
 //! signature in every dimension.
 
+use crate::deposit::deposit_charge;
 use crate::diagnostics::{field_mode_amplitude, instantaneous_report, EnergyReport};
-use crate::efield::field_energy;
+use crate::efield::{efield_from_phi, field_energy};
 use crate::fused::{fused_gather_push_move, StepMoments};
 use crate::gather::gather_field;
 use crate::grid::Grid1D;
 use crate::init::TwoStreamInit;
 use crate::mover::half_step_back;
 use crate::particles::Particles;
+use crate::poisson::{FdPoisson, PoissonSolver, SpectralPoisson};
 use crate::shape::Shape;
+use crate::solver::PoissonKind;
 use std::fmt;
 
 /// A periodic field grid together with the per-dimension kernels of the
@@ -37,6 +42,10 @@ pub trait Geometry: Clone + fmt::Debug + Send + 'static {
     /// Names of the field components, in the order they are stacked in
     /// the flat node field (and keyed in checkpoints).
     const FIELD_NAMES: &'static [&'static str];
+
+    /// The [`FieldSolver::name`](crate::solver::FieldSolver::name) of the
+    /// traditional solver on this grid (checkpoints record it).
+    const TRADITIONAL_NAME: &'static str;
 
     /// Nodes per field component.
     fn nodes(&self) -> usize;
@@ -57,6 +66,16 @@ pub trait Geometry: Clone + fmt::Debug + Send + 'static {
         e: &[f64],
         dt: f64,
     ) -> StepMoments;
+
+    /// Deposits the particles' charge density onto `rho` (one component,
+    /// [`Geometry::nodes`] long), accumulating into it.
+    fn deposit(&self, particles: &Self::Particles, shape: Shape, rho: &mut [f64]);
+
+    /// The periodic Poisson solver `kind` on this grid.
+    fn poisson(kind: PoissonKind) -> Box<dyn PoissonSolver<Self>>;
+
+    /// Writes `E = −∇Φ` of the potential `phi` into the stacked field `e`.
+    fn gradient(&self, phi: &[f64], e: &mut [f64]);
 
     /// Electrostatic energy of the stacked field.
     fn field_energy(&self, e: &[f64]) -> f64;
@@ -82,6 +101,7 @@ impl Geometry for Grid1D {
     type Init = TwoStreamInit;
 
     const FIELD_NAMES: &'static [&'static str] = &["e"];
+    const TRADITIONAL_NAME: &'static str = "traditional";
 
     fn nodes(&self) -> usize {
         self.ncells()
@@ -107,6 +127,21 @@ impl Geometry for Grid1D {
         dt: f64,
     ) -> StepMoments {
         fused_gather_push_move(particles, self, shape, e, dt)
+    }
+
+    fn deposit(&self, particles: &Particles, shape: Shape, rho: &mut [f64]) {
+        deposit_charge(particles, self, shape, rho);
+    }
+
+    fn poisson(kind: PoissonKind) -> Box<dyn PoissonSolver> {
+        match kind {
+            PoissonKind::FiniteDifference => Box::new(FdPoisson::new()),
+            PoissonKind::Spectral => Box::new(SpectralPoisson::new()),
+        }
+    }
+
+    fn gradient(&self, phi: &[f64], e: &mut [f64]) {
+        efield_from_phi(self, phi, e);
     }
 
     fn field_energy(&self, e: &[f64]) -> f64 {

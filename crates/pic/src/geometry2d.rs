@@ -1,24 +1,29 @@
-//! [`Grid2D`] as a [`Geometry`]: what makes `dlpic_pic`'s one PIC driver
+//! [`Grid2D`] as a [`Geometry`]: what makes the one PIC driver
 //! (`Simulation<Grid2D>`, `PicConfig<Grid2D>`, `History<(usize, usize)>`,
-//! `dyn FieldSolver<Grid2D>`) the 2-D cycle over this crate's kernels.
+//! `dyn FieldSolver<Grid2D>`, `TraditionalSolver<Grid2D>`) the 2-D cycle
+//! over the 2-D kernels.
 //!
 //! The node field is `[Ex | Ey]` stacked in one buffer; tracked modes are
 //! `(mx, my)` modes of `Ex`; `History::momentum` carries the `x` component
 //! and `History::momentum_y` the `y` component. Stepping and diagnostics
-//! conventions are the 1-D ones (see `dlpic_pic::simulation`).
+//! conventions are the 1-D ones (see [`crate::simulation`]).
 
+use crate::deposit2d::deposit_charge;
+use crate::diagnostics::EnergyReport;
 use crate::diagnostics2d::{field_mode_amplitude, instantaneous_report};
-use crate::efield2d::field_energy;
+use crate::efield2d::{efield_from_phi, field_energy};
+use crate::fused::StepMoments;
 use crate::fused2d::fused_gather_push_move;
 use crate::gather2d::gather_field;
+use crate::geometry::Geometry;
 use crate::grid2d::Grid2D;
 use crate::init2d::TwoStream2DInit;
 use crate::mover2d::half_step_back;
 use crate::particles2d::Particles2D;
-use dlpic_pic::diagnostics::EnergyReport;
-use dlpic_pic::fused::StepMoments;
-use dlpic_pic::geometry::Geometry;
-use dlpic_pic::shape::Shape;
+use crate::poisson::PoissonSolver;
+use crate::poisson2d::{SorPoisson2D, SpectralPoisson2D};
+use crate::shape::Shape;
+use crate::solver::PoissonKind;
 
 impl Geometry for Grid2D {
     type Particles = Particles2D;
@@ -26,6 +31,7 @@ impl Geometry for Grid2D {
     type Init = TwoStream2DInit;
 
     const FIELD_NAMES: &'static [&'static str] = &["ex", "ey"];
+    const TRADITIONAL_NAME: &'static str = "traditional-2d";
 
     fn nodes(&self) -> usize {
         Grid2D::nodes(self)
@@ -56,6 +62,22 @@ impl Geometry for Grid2D {
         fused_gather_push_move(particles, self, shape, ex, ey, dt)
     }
 
+    fn deposit(&self, particles: &Particles2D, shape: Shape, rho: &mut [f64]) {
+        deposit_charge(particles, self, shape, rho);
+    }
+
+    fn poisson(kind: PoissonKind) -> Box<dyn PoissonSolver<Grid2D>> {
+        match kind {
+            PoissonKind::FiniteDifference => Box::new(SorPoisson2D),
+            PoissonKind::Spectral => Box::new(SpectralPoisson2D::default()),
+        }
+    }
+
+    fn gradient(&self, phi: &[f64], e: &mut [f64]) {
+        let (ex, ey) = e.split_at_mut(self.nodes());
+        efield_from_phi(self, phi, ex, ey);
+    }
+
     fn field_energy(&self, e: &[f64]) -> f64 {
         let (ex, ey) = e.split_at(self.nodes());
         field_energy(self, ex, ey)
@@ -82,8 +104,8 @@ impl Geometry for Grid2D {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver2d::TraditionalSolver2D;
-    use dlpic_pic::simulation::{PicConfig, Simulation};
+    use crate::simulation::{PicConfig, Simulation};
+    use crate::solver::TraditionalSolver;
 
     fn small_sim(v0: f64, vth: f64, n_steps: usize) -> Simulation<Grid2D> {
         let cfg = PicConfig {
@@ -94,7 +116,7 @@ mod tests {
             gather_shape: Shape::Cic,
             tracked_modes: vec![(1, 0), (0, 1)],
         };
-        Simulation::new(cfg, Box::new(TraditionalSolver2D::default_config()))
+        Simulation::new(cfg, Box::new(TraditionalSolver::default_config()))
     }
 
     #[test]

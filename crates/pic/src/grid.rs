@@ -77,19 +77,26 @@ impl Grid1D {
     /// Wraps a position into `[0, length)`.
     #[inline]
     pub fn wrap_position(&self, x: f64) -> f64 {
-        let wrapped = x.rem_euclid(self.length);
-        // rem_euclid can return `length` itself when x is a tiny negative
-        // number; fold that back to 0.
-        if wrapped >= self.length {
-            0.0
-        } else {
-            wrapped
-        }
+        wrap_periodic(x, self.length)
     }
 
     /// Allocates a zeroed node-array.
     pub fn zeros(&self) -> Vec<f64> {
         vec![0.0; self.ncells]
+    }
+}
+
+/// Wraps a position into `[0, length)` — every grid axis's periodic
+/// wrap.
+#[inline]
+pub(crate) fn wrap_periodic(x: f64, length: f64) -> f64 {
+    let wrapped = x.rem_euclid(length);
+    // rem_euclid can return `length` itself when x is a tiny negative
+    // number; fold that back to 0.
+    if wrapped >= length {
+        0.0
+    } else {
+        wrapped
     }
 }
 

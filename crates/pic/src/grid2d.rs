@@ -1,5 +1,7 @@
 //! The periodic two-dimensional field grid.
 
+use crate::grid::wrap_periodic;
+
 /// A uniform periodic grid on `[0, lx) × [0, ly)` with `nx × ny` cells.
 ///
 /// Field quantities (ρ, Φ, Ex, Ey) live on the nodes
@@ -39,11 +41,12 @@ impl Grid2D {
     }
 
     /// The default extension grid: 32×32 cells over the paper's box length
-    /// in both directions (see [`crate::constants2d`]).
+    /// in both directions (see [`crate::constants`]).
     #[cfg(test)]
     pub(crate) fn default_square() -> Self {
-        use crate::constants2d::{box_length_x, box_length_y, DEFAULT_NX, DEFAULT_NY};
-        Self::new(DEFAULT_NX, DEFAULT_NY, box_length_x(), box_length_y())
+        use crate::constants::{paper_box_length, EXTENSION_2D_NCELLS};
+        let l = paper_box_length();
+        Self::new(EXTENSION_2D_NCELLS, EXTENSION_2D_NCELLS, l, l)
     }
 
     /// Cells along `x`.
@@ -151,17 +154,6 @@ impl Grid2D {
     }
 }
 
-#[inline]
-fn wrap_periodic(x: f64, length: f64) -> f64 {
-    let wrapped = x.rem_euclid(length);
-    // rem_euclid of a tiny negative number can land exactly on `length`.
-    if wrapped >= length {
-        0.0
-    } else {
-        wrapped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +167,8 @@ mod tests {
         assert!((g.lx() - 2.0532).abs() < 1e-3);
         assert!((g.dx() * 32.0 - g.lx()).abs() < 1e-12);
         assert_eq!(g.nodes(), 1024);
+        // A square box: the paper's length along both axes.
+        assert!((g.lx() - g.ly()).abs() < 1e-15);
     }
 
     #[test]

@@ -17,7 +17,8 @@ use crate::particles::Particles;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Particle loading strategy.
+/// Particle loading strategy, in either dimension (a 2-D quiet start is
+/// displaced along `x`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Loading {
     /// Uniform random positions; Gaussian velocities. The paper's choice.
@@ -269,7 +270,7 @@ impl MultiBeamInit {
 
 /// Standard normal deviate by Box–Muller (rand 0.8 does not ship Gaussian
 /// sampling without `rand_distr`; ten lines beat a dependency).
-pub fn gaussian<R: Rng>(rng: &mut R) -> f64 {
+pub(crate) fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen();
         if u1 > f64::MIN_POSITIVE {

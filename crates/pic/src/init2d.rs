@@ -4,24 +4,10 @@
 //! validation reference for the 2-D extension.
 
 use crate::grid2d::Grid2D;
+use crate::init::{gaussian, Loading};
 use crate::particles2d::Particles2D;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Particle loading strategy (mirrors the 1-D crate).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Loading2D {
-    /// Uniform random positions in the box; Gaussian velocities.
-    Random,
-    /// Deterministic lattice positions per beam with an optional
-    /// sinusoidal displacement along `x` seeding grid mode `mode`.
-    Quiet {
-        /// Seeded `x` grid mode (0 disables the perturbation).
-        mode: usize,
-        /// Displacement amplitude as a fraction of `lx`.
-        amplitude: f64,
-    },
-}
 
 /// Builder for two counter-streaming electron beams in a 2-D box.
 #[derive(Debug, Clone)]
@@ -32,8 +18,9 @@ pub struct TwoStream2DInit {
     pub vth: f64,
     /// Total number of macro-electrons (split evenly between beams).
     pub n_particles: usize,
-    /// Loading strategy.
-    pub loading: Loading2D,
+    /// Loading strategy; a quiet start is displaced along `x` and its
+    /// amplitude is a fraction of `lx`.
+    pub loading: Loading,
     /// RNG seed.
     pub seed: u64,
 }
@@ -45,7 +32,7 @@ impl TwoStream2DInit {
             v0,
             vth,
             n_particles,
-            loading: Loading2D::Random,
+            loading: Loading::Random,
             seed,
         }
     }
@@ -56,7 +43,7 @@ impl TwoStream2DInit {
             v0,
             vth,
             n_particles,
-            loading: Loading2D::Quiet { mode: 1, amplitude },
+            loading: Loading::Quiet { mode: 1, amplitude },
             seed,
         }
     }
@@ -80,7 +67,7 @@ impl TwoStream2DInit {
         let mut vy = Vec::with_capacity(n);
 
         match self.loading {
-            Loading2D::Random => {
+            Loading::Random => {
                 for i in 0..n {
                     x.push(rng.gen::<f64>() * grid.lx());
                     y.push(rng.gen::<f64>() * grid.ly());
@@ -89,7 +76,7 @@ impl TwoStream2DInit {
                     vy.push(self.vth * gaussian(&mut rng));
                 }
             }
-            Loading2D::Quiet { mode, amplitude } => {
+            Loading::Quiet { mode, amplitude } => {
                 let per_beam = n / 2;
                 // Lattice as close to square as divides per_beam evenly.
                 let (cols, rows) = lattice_dims(per_beam);
@@ -136,17 +123,6 @@ fn lattice_dims(n: usize) -> (usize, usize) {
     (n / cols, cols)
 }
 
-/// Standard normal via Box–Muller (same generator shape as the 1-D crate).
-fn gaussian(rng: &mut StdRng) -> f64 {
-    loop {
-        let u1: f64 = rng.gen();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.gen();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,8 +139,8 @@ mod tests {
     fn beams_balance_momentum() {
         let grid = Grid2D::default_square();
         for loading in [
-            Loading2D::Random,
-            Loading2D::Quiet {
+            Loading::Random,
+            Loading::Quiet {
                 mode: 1,
                 amplitude: 1e-3,
             },

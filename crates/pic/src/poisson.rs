@@ -21,17 +21,16 @@ use crate::grid::Grid1D;
 use dlpic_analytics::complex::Complex64;
 use dlpic_analytics::dft;
 
-/// A periodic Poisson solver: fills `phi` from `rho` with the convention
-/// `∇²Φ = −ρ` and zero-mean gauge.
-pub trait PoissonSolver: Send {
+/// A periodic Poisson solver on grid `G`: fills `phi` from `rho` with the
+/// convention `∇²Φ = −ρ` and zero-mean gauge. [`FdPoisson`] and
+/// [`SpectralPoisson`] solve on [`Grid1D`]; the 2-D pair is in
+/// [`poisson2d`](crate::poisson2d).
+pub trait PoissonSolver<G = Grid1D>: Send {
     /// Solves for the potential.
     ///
     /// # Panics
     /// Implementations panic if array lengths disagree with the grid.
-    fn solve(&mut self, grid: &Grid1D, rho: &[f64], phi: &mut [f64]);
-
-    /// Human-readable solver name (benchmarks, logs).
-    fn name(&self) -> &'static str;
+    fn solve(&mut self, grid: &G, rho: &[f64], phi: &mut [f64]);
 }
 
 /// Finite-difference solver (Thomas algorithm with gauge pinning).
@@ -89,10 +88,6 @@ impl PoissonSolver for FdPoisson {
             *p -= pmean;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "fd-thomas"
-    }
 }
 
 /// Spectral solver: `Φ_k = ρ_k / k²` (exact continuous inverse).
@@ -141,10 +136,6 @@ impl PoissonSolver for SpectralPoisson {
         for (p, z) in phi.iter_mut().zip(&self.spectrum) {
             *p = z.re;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "spectral-fft"
     }
 }
 
@@ -249,7 +240,7 @@ mod tests {
             let mut phi = vec![1.0; 64];
             solver.solve(&grid, &rho, &mut phi);
             for p in &phi {
-                assert!(p.abs() < 1e-12, "{}: phi = {p}", solver.name());
+                assert!(p.abs() < 1e-12, "phi = {p}");
             }
         }
     }

@@ -1,57 +1,33 @@
 //! Periodic 2-D Poisson solvers: `∇²Φ = −ρ/ε₀` with `ε₀ = 1`.
 //!
-//! Two backends, mirroring the 1-D crate's FD/spectral pair:
+//! Two backends, the 2-D pair behind
+//! [`PoissonKind`](crate::solver::PoissonKind):
 //!
-//! * `SpectralPoisson2D` — exact modal inversion
-//!   `Φ̂(k) = ρ̂(k)/|k|²` via the separable 2-D FFT. Requires power-of-two
-//!   grid dimensions.
-//! * `SorPoisson2D` — red–black successive over-relaxation on the
-//!   5-point Laplacian; works for any grid size and is the "linear system"
-//!   route the paper's §II describes, generalized to 2-D.
+//! * `SpectralPoisson2D` (`PoissonKind::Spectral`) — exact modal
+//!   inversion `Φ̂(k) = ρ̂(k)/|k|²` via the separable 2-D FFT. Requires
+//!   power-of-two grid dimensions.
+//! * `SorPoisson2D` (`PoissonKind::FiniteDifference`) — red–black
+//!   successive over-relaxation on the 5-point Laplacian; works for any
+//!   grid size and is the "linear system" route the paper's §II
+//!   describes, generalized to 2-D.
 //!
 //! Both gauge Φ to zero mean and require a compatible (zero-mean) charge
 //! density, which the neutralizing ion background guarantees.
 
 use crate::grid2d::Grid2D;
+use crate::poisson::PoissonSolver;
 use dlpic_analytics::complex::Complex64;
 use dlpic_analytics::dft::is_power_of_two;
 use dlpic_analytics::dft2::{fft2_in_place_scratch, ifft2_in_place_scratch};
 
-/// Common interface of the 2-D Poisson backends.
-pub trait Poisson2DSolver: Send {
-    /// Solves `∇²Φ = −ρ` on the grid, writing the zero-mean potential into
-    /// `phi`.
-    fn solve(&mut self, grid: &Grid2D, rho: &[f64], phi: &mut [f64]);
-
-    /// Backend name for logs and benches.
-    fn name(&self) -> &'static str;
-}
-
-/// Which 2-D Poisson backend a solver should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Poisson2DKind {
-    /// FFT-based exact modal inversion.
-    #[default]
-    Spectral,
-    /// Red–black SOR iteration on the 5-point stencil.
-    Sor,
-}
-
 /// FFT-based periodic Poisson solver.
 #[derive(Debug, Default)]
-struct SpectralPoisson2D {
+pub(crate) struct SpectralPoisson2D {
     scratch: Vec<Complex64>,
     col: Vec<Complex64>,
 }
 
-impl SpectralPoisson2D {
-    /// Creates a solver (scratch buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Poisson2DSolver for SpectralPoisson2D {
+impl PoissonSolver<Grid2D> for SpectralPoisson2D {
     fn solve(&mut self, grid: &Grid2D, rho: &[f64], phi: &mut [f64]) {
         let (nx, ny) = (grid.nx(), grid.ny());
         assert_eq!(rho.len(), grid.nodes(), "rho length mismatch");
@@ -86,10 +62,6 @@ impl Poisson2DSolver for SpectralPoisson2D {
             *out = c.re;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "spectral-2d"
-    }
 }
 
 /// Signed physical wavenumber of FFT bin `m` (bins above `n/2` are
@@ -103,53 +75,31 @@ fn signed_wavenumber(m: usize, n: usize, length: f64) -> f64 {
     2.0 * std::f64::consts::PI * m_signed / length
 }
 
+/// Convergence threshold of [`SorPoisson2D`] on the max-norm residual of
+/// `∇²Φ + ρ` relative to the max-norm of `ρ`.
+const SOR_TOLERANCE: f64 = 1e-10;
+
+/// Hard iteration cap of [`SorPoisson2D`].
+const SOR_MAX_ITERS: usize = 20_000;
+
 /// Red–black SOR solver for the 5-point periodic Laplacian.
-#[derive(Debug, Clone)]
-struct SorPoisson2D {
-    /// Convergence threshold on the max-norm residual of `∇²Φ + ρ`
-    /// relative to the max-norm of `ρ`.
-    pub tolerance: f64,
-    /// Hard iteration cap.
-    pub max_iters: usize,
-    /// Over-relaxation factor; `None` picks the optimal value for the
-    /// grid (`2/(1 + sin(π·h))` with `h = min(dx, dy)/max(lx, ly)`-style
-    /// estimate from the smallest resolved mode).
-    pub omega: Option<f64>,
+#[derive(Debug)]
+pub(crate) struct SorPoisson2D;
+
+/// The optimal over-relaxation factor for the grid: the classic estimate
+/// from the Jacobi spectral radius of the periodic 5-point stencil. The
+/// slowest mode is the fundamental, `ρ_J ≈ (cos(2π/nx) + cos(2π/ny))/2`
+/// for a square-cell grid; this is the general weighted form.
+fn sor_omega(grid: &Grid2D) -> f64 {
+    let (dx2, dy2) = (grid.dx() * grid.dx(), grid.dy() * grid.dy());
+    let denom = 2.0 * (1.0 / dx2 + 1.0 / dy2);
+    let cx = (2.0 * std::f64::consts::PI / grid.nx() as f64).cos();
+    let cy = (2.0 * std::f64::consts::PI / grid.ny() as f64).cos();
+    let rho_j = (2.0 / dx2 * cx + 2.0 / dy2 * cy) / denom;
+    2.0 / (1.0 + (1.0 - rho_j * rho_j).max(0.0).sqrt())
 }
 
-impl Default for SorPoisson2D {
-    fn default() -> Self {
-        Self {
-            tolerance: 1e-10,
-            max_iters: 20_000,
-            omega: None,
-        }
-    }
-}
-
-impl SorPoisson2D {
-    /// Creates a solver with default tolerance (1e-10) and iteration cap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn effective_omega(&self, grid: &Grid2D) -> f64 {
-        self.omega.unwrap_or_else(|| {
-            // Classic optimal SOR estimate from the Jacobi spectral
-            // radius of the periodic 5-point stencil: the slowest mode is
-            // the fundamental, ρ_J ≈ (cos(2π/nx) + cos(2π/ny))/2 for a
-            // square-cell grid; use the general weighted form.
-            let (dx2, dy2) = (grid.dx() * grid.dx(), grid.dy() * grid.dy());
-            let denom = 2.0 * (1.0 / dx2 + 1.0 / dy2);
-            let cx = (2.0 * std::f64::consts::PI / grid.nx() as f64).cos();
-            let cy = (2.0 * std::f64::consts::PI / grid.ny() as f64).cos();
-            let rho_j = (2.0 / dx2 * cx + 2.0 / dy2 * cy) / denom;
-            2.0 / (1.0 + (1.0 - rho_j * rho_j).max(0.0).sqrt())
-        })
-    }
-}
-
-impl Poisson2DSolver for SorPoisson2D {
+impl PoissonSolver<Grid2D> for SorPoisson2D {
     fn solve(&mut self, grid: &Grid2D, rho: &[f64], phi: &mut [f64]) {
         let (nx, ny) = (grid.nx(), grid.ny());
         assert_eq!(rho.len(), grid.nodes(), "rho length mismatch");
@@ -167,9 +117,9 @@ impl Poisson2DSolver for SorPoisson2D {
         phi.fill(0.0);
         let (dx2, dy2) = (grid.dx() * grid.dx(), grid.dy() * grid.dy());
         let diag = 2.0 * (1.0 / dx2 + 1.0 / dy2);
-        let omega = self.effective_omega(grid);
+        let omega = sor_omega(grid);
 
-        for _iter in 0..self.max_iters {
+        for _iter in 0..SOR_MAX_ITERS {
             // Red–black ordering keeps the sweep a proper SOR iteration
             // under periodic wrap.
             for color in 0..2 {
@@ -208,7 +158,7 @@ impl Poisson2DSolver for SorPoisson2D {
                     max_res = max_res.max(res.abs());
                 }
             }
-            if max_res <= self.tolerance * rho_scale {
+            if max_res <= SOR_TOLERANCE * rho_scale {
                 break;
             }
         }
@@ -219,23 +169,13 @@ impl Poisson2DSolver for SorPoisson2D {
             *p -= mean_phi;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "sor-2d"
-    }
-}
-
-/// Constructs the requested backend.
-pub fn make_solver(kind: Poisson2DKind) -> Box<dyn Poisson2DSolver> {
-    match kind {
-        Poisson2DKind::Spectral => Box::new(SpectralPoisson2D::new()),
-        Poisson2DKind::Sor => Box::new(SorPoisson2D::new()),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::Geometry;
+    use crate::solver::PoissonKind;
     use std::f64::consts::PI;
 
     /// Builds ρ = (kx² + ky²)·cos(kx·x)·cos(ky·y), whose exact solution is
@@ -263,7 +203,7 @@ mod tests {
         let grid = Grid2D::new(32, 32, 2.0, 3.0);
         let (rho, exact) = manufactured(&grid, 2, 1);
         let mut phi = grid.zeros();
-        SpectralPoisson2D::new().solve(&grid, &rho, &mut phi);
+        SpectralPoisson2D::default().solve(&grid, &rho, &mut phi);
         for (p, e) in phi.iter().zip(&exact) {
             assert!((p - e).abs() < 1e-10, "{p} vs {e}");
         }
@@ -274,7 +214,7 @@ mod tests {
         let grid = Grid2D::new(16, 16, 2.0, 2.0);
         let (rho, _) = manufactured(&grid, 1, 1);
         let mut phi = grid.zeros();
-        SorPoisson2D::new().solve(&grid, &rho, &mut phi);
+        SorPoisson2D.solve(&grid, &rho, &mut phi);
         // Verify against the *discrete* operator: the 5-point Laplacian of
         // the answer must equal −ρ to the solver tolerance.
         let (dx2, dy2) = (grid.dx() * grid.dx(), grid.dy() * grid.dy());
@@ -304,8 +244,8 @@ mod tests {
         let (rho, _) = manufactured(&grid, 1, 1);
         let mut phi_s = grid.zeros();
         let mut phi_f = grid.zeros();
-        SpectralPoisson2D::new().solve(&grid, &rho, &mut phi_s);
-        SorPoisson2D::new().solve(&grid, &rho, &mut phi_f);
+        SpectralPoisson2D::default().solve(&grid, &rho, &mut phi_s);
+        SorPoisson2D.solve(&grid, &rho, &mut phi_f);
         let scale = phi_s.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         for (a, b) in phi_s.iter().zip(&phi_f) {
             assert!((a - b).abs() < 0.01 * scale, "{a} vs {b}");
@@ -316,9 +256,9 @@ mod tests {
     fn zero_charge_gives_zero_potential() {
         let grid = Grid2D::new(16, 8, 1.0, 1.0);
         let rho = grid.zeros();
-        for kind in [Poisson2DKind::Spectral, Poisson2DKind::Sor] {
+        for kind in [PoissonKind::Spectral, PoissonKind::FiniteDifference] {
             let mut phi = vec![1.0; grid.nodes()];
-            make_solver(kind).solve(&grid, &rho, &mut phi);
+            Grid2D::poisson(kind).solve(&grid, &rho, &mut phi);
             assert!(phi.iter().all(|p| p.abs() < 1e-12), "{kind:?}");
         }
     }
@@ -334,9 +274,9 @@ mod tests {
                     (2.0 * PI * ix as f64 / 16.0).sin() + (2.0 * PI * iy as f64 / 16.0).cos();
             }
         }
-        for kind in [Poisson2DKind::Spectral, Poisson2DKind::Sor] {
+        for kind in [PoissonKind::Spectral, PoissonKind::FiniteDifference] {
             let mut phi = grid.zeros();
-            make_solver(kind).solve(&grid, &rho, &mut phi);
+            Grid2D::poisson(kind).solve(&grid, &rho, &mut phi);
             let mean = phi.iter().sum::<f64>() / phi.len() as f64;
             assert!(mean.abs() < 1e-10, "{kind:?}: mean {mean}");
         }
@@ -352,7 +292,7 @@ mod tests {
             *r += 5.0;
         }
         let mut phi = grid.zeros();
-        SorPoisson2D::new().solve(&grid, &rho, &mut phi);
+        SorPoisson2D.solve(&grid, &rho, &mut phi);
         assert!(phi.iter().all(|p| p.is_finite()));
         let peak = phi.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         assert!(peak > 1e-6, "compatible part was solved, peak {peak}");
@@ -364,6 +304,6 @@ mod tests {
         let grid = Grid2D::new(12, 8, 1.0, 1.0);
         let rho = grid.zeros();
         let mut phi = grid.zeros();
-        SpectralPoisson2D::new().solve(&grid, &rho, &mut phi);
+        SpectralPoisson2D::default().solve(&grid, &rho, &mut phi);
     }
 }

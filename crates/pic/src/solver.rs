@@ -8,17 +8,16 @@
 //! deposit→Poisson→gradient pipeline; the DL solver lives in `dlpic-core`
 //! and implements the same trait.
 //!
-//! Both traits are written once over a [`Geometry`] that defaults to
-//! [`Grid1D`]: `dyn FieldSolver` is the 1-D seam, `dyn FieldSolver<Grid2D>`
-//! the 2-D one (`dlpic-pic2d`), with the field one flat buffer of stacked
-//! components in either.
+//! Both traits and [`TraditionalSolver`] are written once over a
+//! [`Geometry`] that defaults to [`Grid1D`]: `dyn FieldSolver` is the 1-D
+//! seam, `dyn FieldSolver<Grid2D>` the 2-D one, with the field one flat
+//! buffer of stacked components in either.
 
-use crate::deposit::{add_uniform_background, deposit_charge};
-use crate::efield::efield_from_phi;
+use crate::deposit::add_uniform_background;
 use crate::geometry::Geometry;
 use crate::grid::Grid1D;
-use crate::particles::Particles;
-use crate::poisson::{FdPoisson, PoissonSolver, SpectralPoisson};
+use crate::grid2d::Grid2D;
+use crate::poisson::PoissonSolver;
 use crate::shape::Shape;
 
 /// Computes the node electric field from the particle state.
@@ -104,56 +103,40 @@ pub trait PhasedFieldSolver<G: Geometry = Grid1D> {
     fn apply_output(&mut self, row: &[f32], e: &mut [f64]);
 }
 
-/// Which Poisson backend a [`TraditionalSolver`] uses.
+/// Which Poisson backend a [`TraditionalSolver`] uses; each
+/// [`Geometry`] builds its own ([`Geometry::poisson`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoissonKind {
-    /// Finite-difference + Thomas (the paper's "linear system" route).
+    /// The paper's "linear system" route: finite differences + Thomas in
+    /// 1-D, red–black SOR on the 5-point stencil in 2-D.
     #[default]
     FiniteDifference,
-    /// FFT-based exact modal inversion.
+    /// FFT-based exact modal inversion (power-of-two grids only).
     Spectral,
 }
 
 /// The traditional field solver: deposit ρ, add the neutralizing ion
 /// background, solve Poisson for Φ, take E = −∇Φ.
-pub struct TraditionalSolver {
+pub struct TraditionalSolver<G: Geometry = Grid1D> {
     shape: Shape,
-    poisson: Box<dyn PoissonSolver>,
+    poisson: Box<dyn PoissonSolver<G>>,
     background: f64,
     rho: Vec<f64>,
     phi: Vec<f64>,
 }
 
-impl TraditionalSolver {
+impl<G: Geometry> TraditionalSolver<G> {
     /// Creates a solver with the given deposition shape and Poisson backend.
     /// `background` is the uniform ion charge density (+1 in the paper's
     /// normalized setup).
     pub fn new(shape: Shape, kind: PoissonKind, background: f64) -> Self {
-        let poisson: Box<dyn PoissonSolver> = match kind {
-            PoissonKind::FiniteDifference => Box::new(FdPoisson::new()),
-            PoissonKind::Spectral => Box::new(SpectralPoisson::new()),
-        };
         Self {
             shape,
-            poisson,
+            poisson: G::poisson(kind),
             background,
             rho: Vec::new(),
             phi: Vec::new(),
         }
-    }
-
-    /// The paper's defaults: CIC deposition, FD Poisson, unit ion
-    /// background.
-    pub fn paper_default() -> Self {
-        Self::new(Shape::Cic, PoissonKind::FiniteDifference, 1.0)
-    }
-
-    /// The "basic NGP scheme" of the paper's §II. This is the variant that
-    /// exhibits the cold-beam numerical instability of Fig. 6 most
-    /// clearly (NGP has the strongest aliasing/grid-heating of the shape
-    /// hierarchy); the figure binaries use it as the traditional baseline.
-    pub fn basic_ngp() -> Self {
-        Self::new(Shape::Ngp, PoissonKind::FiniteDifference, 1.0)
     }
 
     /// Most recent charge density (diagnostics; valid after a `solve`).
@@ -172,28 +155,96 @@ impl TraditionalSolver {
     }
 }
 
-impl FieldSolver for TraditionalSolver {
-    fn solve(&mut self, particles: &Particles, grid: &Grid1D, e: &mut [f64]) {
-        let n = grid.ncells();
-        assert_eq!(e.len(), n, "e length mismatch");
+impl TraditionalSolver {
+    /// The paper's defaults: CIC deposition, FD Poisson, unit ion
+    /// background.
+    pub fn paper_default() -> Self {
+        Self::new(Shape::Cic, PoissonKind::FiniteDifference, 1.0)
+    }
+}
+
+impl TraditionalSolver<Grid2D> {
+    /// The 2-D extension default: CIC deposition, spectral Poisson, unit
+    /// ion background.
+    pub fn default_config() -> Self {
+        Self::new(Shape::Cic, PoissonKind::Spectral, 1.0)
+    }
+}
+
+impl<G: Geometry> FieldSolver<G> for TraditionalSolver<G> {
+    fn solve(&mut self, particles: &G::Particles, grid: &G, e: &mut [f64]) {
+        let n = grid.nodes();
+        assert_eq!(
+            e.len(),
+            G::FIELD_NAMES.len() * n,
+            "stacked field length mismatch"
+        );
         self.rho.clear();
         self.rho.resize(n, 0.0);
         self.phi.clear();
         self.phi.resize(n, 0.0);
-        deposit_charge(particles, grid, self.shape, &mut self.rho);
+        grid.deposit(particles, self.shape, &mut self.rho);
         add_uniform_background(&mut self.rho, self.background);
         self.poisson.solve(grid, &self.rho, &mut self.phi);
-        efield_from_phi(grid, &self.phi, e);
+        grid.gradient(&self.phi, e);
     }
 
     fn name(&self) -> &'static str {
-        "traditional"
+        G::TRADITIONAL_NAME
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::particles::Particles;
+    use crate::particles2d::Particles2D;
+
+    /// An equispaced (quiet) 1-D electron load of `n` particles, displaced
+    /// by `amp·L·sin(k₁x)`.
+    fn beam(grid: &Grid1D, n: usize, amp: f64) -> Particles {
+        let l = grid.length();
+        let k = grid.mode_wavenumber(1);
+        let xs = (0..n)
+            .map(|i| {
+                let x0 = (i as f64 + 0.5) / n as f64 * l;
+                grid.wrap_position(x0 + amp * l * (k * x0).sin())
+            })
+            .collect();
+        Particles::electrons_normalized(xs, vec![0.0; n], l)
+    }
+
+    /// A quiet 2-D electron lattice of `per_axis²` particles, displaced
+    /// along `x` by `amp·lx·sin(kx·x)` and uniform in `y`.
+    fn lattice(grid: &Grid2D, per_axis: usize, amp: f64) -> Particles2D {
+        let k = grid.mode_wavenumber_x(1);
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for j in 0..per_axis {
+            for i in 0..per_axis {
+                let x0 = (i as f64 + 0.5) / per_axis as f64 * grid.lx();
+                xs.push(grid.wrap_x(x0 + amp * grid.lx() * (k * x0).sin()));
+                ys.push((j as f64 + 0.5) / per_axis as f64 * grid.ly());
+            }
+        }
+        let n = xs.len();
+        Particles2D::electrons_normalized(xs, ys, vec![0.0; n], vec![0.0; n], grid.area())
+    }
+
+    /// One solve into a fresh stacked field.
+    fn solve<G: Geometry>(
+        mut solver: TraditionalSolver<G>,
+        p: &G::Particles,
+        grid: &G,
+    ) -> Vec<f64> {
+        let mut e = vec![0.0; G::FIELD_NAMES.len() * grid.nodes()];
+        solver.solve(p, grid, &mut e);
+        e
+    }
+
+    fn peak(v: &[f64]) -> f64 {
+        v.iter().fold(0.0f64, |m, x| m.max(x.abs()))
+    }
 
     /// A sinusoidally displaced (quiet) electron population produces a
     /// first-harmonic E field with the amplitude linear theory predicts:
@@ -204,22 +255,11 @@ mod tests {
     #[test]
     fn displaced_beam_field_matches_gauss_law() {
         let grid = Grid1D::paper();
-        let n_p = 256_000;
         let amp = 1e-3; // displacement amplitude in box units
-        let l = grid.length();
-        let k = grid.mode_wavenumber(1);
-        let xs: Vec<f64> = (0..n_p)
-            .map(|i| {
-                let x0 = (i as f64 + 0.5) / n_p as f64 * l;
-                grid.wrap_position(x0 + amp * l * (k * x0).sin())
-            })
-            .collect();
-        let p = Particles::electrons_normalized(xs, vec![0.0; n_p], l);
-        let mut solver = TraditionalSolver::paper_default();
-        let mut e = grid.zeros();
-        solver.solve(&p, &grid, &mut e);
+        let p = beam(&grid, 256_000, amp);
+        let e = solve(TraditionalSolver::paper_default(), &p, &grid);
 
-        let expect_amp = amp * l; // ρ₀ = -1 electrons, ε₀ = 1
+        let expect_amp = amp * grid.length(); // ρ₀ = -1 electrons, ε₀ = 1
         let measured = dlpic_analytics::dft::mode_amplitude(&e, 1);
         assert!(
             (measured - expect_amp).abs() / expect_amp < 0.02,
@@ -227,21 +267,59 @@ mod tests {
         );
     }
 
+    /// The 2-D analogue: a lattice displaced along `x` produces the
+    /// Gauss-law field `Ex = A·lx·sin(kx·x)`, independent of `y`.
+    #[test]
+    fn displaced_lattice_field_matches_gauss_law() {
+        let grid = Grid2D::new(32, 32, 2.0532, 2.0532);
+        let amp = 1e-3;
+        let p = lattice(&grid, 192, amp);
+        let e = solve(TraditionalSolver::default_config(), &p, &grid);
+        let (ex, ey) = e.split_at(grid.nodes());
+
+        let expect = amp * grid.lx();
+        let measured = crate::diagnostics2d::field_mode_amplitude(ex, &grid, 1, 0);
+        assert!(
+            (measured - expect).abs() / expect < 0.02,
+            "Ex(1,0) = {measured}, expected ≈ {expect}"
+        );
+        // No y-dynamics: Ey stays at noise level.
+        assert!(peak(ey) < 0.05 * expect, "Ey peak {}", peak(ey));
+    }
+
+    /// No field from a uniform load, whichever Poisson backend solves.
+    fn uniform_plasma_has_no_field_on<G: Geometry>(p: &G::Particles, grid: &G) {
+        for kind in [PoissonKind::FiniteDifference, PoissonKind::Spectral] {
+            let e = solve(TraditionalSolver::new(Shape::Cic, kind, 1.0), p, grid);
+            assert!(peak(&e) < 1e-9, "{kind:?}: residual field {}", peak(&e));
+        }
+    }
+
     #[test]
     fn uniform_plasma_has_no_field() {
         let grid = Grid1D::paper();
-        let n_p = 64_000;
-        let xs: Vec<f64> = (0..n_p)
-            .map(|i| (i as f64 + 0.5) / n_p as f64 * grid.length())
-            .collect();
-        let p = Particles::electrons_normalized(xs, vec![0.0; n_p], grid.length());
-        for kind in [PoissonKind::FiniteDifference, PoissonKind::Spectral] {
-            let mut solver = TraditionalSolver::new(Shape::Cic, kind, 1.0);
-            let mut e = grid.zeros();
-            solver.solve(&p, &grid, &mut e);
-            let peak = e.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            assert!(peak < 1e-9, "{kind:?}: residual field {peak}");
-        }
+        uniform_plasma_has_no_field_on(&beam(&grid, 64_000, 0.0), &grid);
+    }
+
+    #[test]
+    fn uniform_plasma_has_no_field_2d() {
+        let grid = Grid2D::new(16, 16, 2.0, 2.0);
+        uniform_plasma_has_no_field_on(&lattice(&grid, 64, 0.0), &grid);
+    }
+
+    /// After a solve of a load that cancels the background to within
+    /// `tol`, ρ and Φ are exposed at the grid's 64 nodes.
+    fn solver_exposes_rho_and_phi_on<G: Geometry>(
+        mut solver: TraditionalSolver<G>,
+        p: &G::Particles,
+        grid: &G,
+        tol: f64,
+    ) {
+        solver.solve(p, grid, &mut vec![0.0; G::FIELD_NAMES.len() * grid.nodes()]);
+        assert_eq!(solver.rho().len(), 64);
+        assert_eq!(solver.phi().len(), 64);
+        // Neutralized: rho ≈ 0 everywhere for the uniform load.
+        assert!(solver.rho().iter().all(|r| r.abs() < tol));
     }
 
     #[test]
@@ -249,45 +327,40 @@ mod tests {
         let grid = Grid1D::paper();
         // 100 particles/cell: a whole multiple of the cell count, so the
         // equispaced load cancels the background exactly under CIC.
-        let n = 6_400;
-        let p = Particles::electrons_normalized(
-            (0..n)
-                .map(|i| (i as f64 + 0.5) / n as f64 * grid.length())
-                .collect(),
-            vec![0.0; n],
-            grid.length(),
-        );
-        let mut solver = TraditionalSolver::paper_default();
-        let mut e = grid.zeros();
-        solver.solve(&p, &grid, &mut e);
-        assert_eq!(solver.rho().len(), 64);
-        assert_eq!(solver.phi().len(), 64);
-        // Neutralized: rho ≈ 0 everywhere for the uniform load.
-        assert!(solver.rho().iter().all(|r| r.abs() < 1e-6));
+        let p = beam(&grid, 6_400, 0.0);
+        solver_exposes_rho_and_phi_on(TraditionalSolver::paper_default(), &p, &grid, 1e-6);
+    }
+
+    #[test]
+    fn solver_exposes_rho_and_phi_2d() {
+        let grid = Grid2D::new(8, 8, 2.0, 2.0);
+        let p = lattice(&grid, 32, 0.0);
+        solver_exposes_rho_and_phi_on(TraditionalSolver::default_config(), &p, &grid, 1e-9);
+    }
+
+    /// The first field component of the finite-difference and spectral
+    /// backends agrees to `rel` of its peak on a mildly non-uniform plasma.
+    fn fd_and_spectral_fields_agree<G: Geometry>(p: &G::Particles, grid: &G, rel: f64) {
+        let fd = TraditionalSolver::new(Shape::Cic, PoissonKind::FiniteDifference, 1.0);
+        let sp = TraditionalSolver::new(Shape::Cic, PoissonKind::Spectral, 1.0);
+        let (fd, sp) = (solve(fd, p, grid), solve(sp, p, grid));
+        let (fd, sp) = (&fd[..grid.nodes()], &sp[..grid.nodes()]);
+        let scale = peak(sp);
+        for (a, b) in fd.iter().zip(sp) {
+            assert!((a - b).abs() < rel * scale + 1e-12, "{a} vs {b}");
+        }
     }
 
     #[test]
     fn spectral_and_fd_solvers_give_close_fields() {
         let grid = Grid1D::paper();
-        // Mildly non-uniform plasma.
-        let n_p = 64_000;
-        let l = grid.length();
-        let k = grid.mode_wavenumber(1);
-        let xs: Vec<f64> = (0..n_p)
-            .map(|i| {
-                let x0 = (i as f64 + 0.5) / n_p as f64 * l;
-                grid.wrap_position(x0 + 2e-3 * l * (k * x0).sin())
-            })
-            .collect();
-        let p = Particles::electrons_normalized(xs, vec![0.0; n_p], l);
-        let mut e_fd = grid.zeros();
-        let mut e_sp = grid.zeros();
-        TraditionalSolver::new(Shape::Cic, PoissonKind::FiniteDifference, 1.0)
-            .solve(&p, &grid, &mut e_fd);
-        TraditionalSolver::new(Shape::Cic, PoissonKind::Spectral, 1.0).solve(&p, &grid, &mut e_sp);
-        let scale = e_sp.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for (a, b) in e_fd.iter().zip(&e_sp) {
-            assert!((a - b).abs() < 0.01 * scale + 1e-12);
-        }
+        fd_and_spectral_fields_agree(&beam(&grid, 64_000, 2e-3), &grid, 0.01);
+    }
+
+    /// In 2-D the finite-difference backend is red–black SOR.
+    #[test]
+    fn spectral_and_sor_fields_agree() {
+        let grid = Grid2D::new(16, 16, 2.0, 2.0);
+        fd_and_spectral_fields_agree(&lattice(&grid, 64, 2e-3), &grid, 0.02);
     }
 }

@@ -37,8 +37,8 @@ use crate::core::presets::Scale;
 use crate::core::twod::{arch_2d, harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
 use crate::core::{FrozenBundle, InputBinning, ModelBundle};
 use crate::nn::frozen::Precision;
+use crate::pic::Grid2D;
 use crate::pic::{Grid1D, PicConfig};
-use crate::pic2d::Grid2D;
 use std::any::Any;
 use std::sync::{Arc, Mutex};
 

@@ -44,8 +44,7 @@
 //!
 //! The old per-crate entry points (`pic::PicConfig<G>` for either
 //! dimension, `vlasov::VlasovConfig`, `ddecomp::DistConfig`) remain available but are
-//! implementation detail; new code should target this module. See the
-//! README for a migration table.
+//! implementation detail; new code should target this module.
 
 pub mod backend;
 pub mod compare;

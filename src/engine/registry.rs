@@ -14,7 +14,7 @@
 //!
 //! All entries reuse the paper's standard domains
 //! ([`DomainSpec::paper_1d`], [`DomainSpec::default_2d`]) and the
-//! `pic`/`pic2d` loading machinery underneath.
+//! `pic` loading machinery underneath.
 //!
 //! For parameter sweeps, [`sweepable_params`] lists the numeric knobs each
 //! scenario exposes and [`apply_sweep_param`] applies one by name —

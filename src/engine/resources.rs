@@ -20,7 +20,7 @@ use super::dl::DlGeometry;
 use super::session::vlasov_nv;
 use super::spec::{Dim, ScenarioSpec};
 use crate::pic::Grid1D;
-use crate::pic2d::Grid2D;
+use crate::pic::Grid2D;
 
 /// Bytes per f64 diagnostic/field/particle lane.
 const F64: usize = 8;

@@ -19,13 +19,15 @@ use super::observer::RunSummary;
 use super::session::{
     BackendSession, Checkpoint, DdecompSession, PicSession, Session, VlasovSession,
 };
-use super::spec::ScenarioSpec;
+use super::spec::{DomainSpec, ScenarioSpec};
 use crate::core::bundle::BundleError;
 use crate::core::{DlFieldSolver, FrozenBundle, ModelBundle};
 use crate::pic::solver::{PoissonKind, TraditionalSolver};
-use crate::pic::{Grid1D, Shape};
-use crate::pic2d::{Grid2D, TraditionalSolver2D};
+use crate::pic::{Grid1D, Grid2D, Shape};
 use std::sync::Mutex;
+
+/// The Poisson backend of the traditional 2-D solver.
+const POISSON_2D: PoissonKind = PoissonKind::Spectral;
 
 /// Numerical options of the 1-D particle backends that the paper's figure
 /// experiments vary; the scenario spec stays purely physical. Defaults
@@ -192,11 +194,32 @@ impl Engine {
     pub fn start(&self, spec: &ScenarioSpec, backend: Backend) -> Result<Session, EngineError> {
         spec.validate()?;
         backend.supports(spec)?;
+        // A spectral Poisson solve needs a power-of-two grid: refuse the
+        // pairing here instead of panicking inside the first solve.
+        let n = &self.numerics_1d;
+        let poisson = match backend {
+            Backend::Traditional1D => Some(n.poisson),
+            Backend::Traditional2D => Some(POISSON_2D),
+            _ => None,
+        };
+        let power_of_two = match spec.domain {
+            DomainSpec::OneD { ncells, .. } => ncells.is_power_of_two(),
+            DomainSpec::TwoD { nx, ny, .. } => nx.is_power_of_two() && ny.is_power_of_two(),
+        };
+        if poisson == Some(PoissonKind::Spectral) && !power_of_two {
+            return Err(EngineError::Incompatible {
+                scenario: spec.name.clone(),
+                backend: backend.name(),
+                why: format!(
+                    "a spectral Poisson solve needs a power-of-two grid, got {:?}",
+                    spec.domain
+                ),
+            });
+        }
         // Clock from before the build: wall_seconds includes solver-stack
         // construction, matching the pre-session Engine::run.
         // analyze:allow(no-wallclock-in-engine): feeds only the wall_seconds diagnostic in RunSummary, never simulation state — checkpoints exclude it
         let started = std::time::Instant::now();
-        let n = &self.numerics_1d;
         let inner: Box<dyn BackendSession> = match backend {
             Backend::Traditional1D => Box::new(PicSession::<Grid1D>::new(
                 spec,
@@ -210,7 +233,7 @@ impl Engine {
             )),
             Backend::Traditional2D => Box::new(PicSession::<Grid2D>::new(
                 spec,
-                Box::new(TraditionalSolver2D::default_config()),
+                Box::new(TraditionalSolver::new(Shape::Cic, POISSON_2D, 1.0)),
             )),
             Backend::Dl2D => Box::new(PicSession::<Grid2D>::new(
                 spec,

@@ -38,8 +38,8 @@ use crate::ddecomp::strategy::GatherScatter;
 use crate::pic::history::SampleRow;
 use crate::pic::simulation::{PicConfig, Simulation};
 use crate::pic::solver::FieldSolver;
+use crate::pic::Grid2D;
 use crate::pic::{Geometry, Grid1D, Shape};
-use crate::pic2d::Grid2D;
 use crate::vlasov::{VlasovConfig, VlasovSolver};
 
 /// Smallest thermal spread the continuum backend accepts: below this the

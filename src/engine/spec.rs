@@ -11,9 +11,7 @@ use super::error::EngineError;
 use super::json::{obj, Json};
 use crate::core::presets::Scale;
 use crate::pic::init::{BeamSpec, Loading, MultiBeamInit, TwoStreamInit};
-use crate::pic::Grid1D;
-use crate::pic2d::init2d::Loading2D;
-use crate::pic2d::{Grid2D, TwoStream2DInit};
+use crate::pic::{Grid1D, Grid2D, TwoStream2DInit};
 
 /// Spatial dimensionality of a scenario or backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,10 +67,10 @@ impl DomainSpec {
     /// wavelength per axis.
     pub fn default_2d() -> Self {
         Self::TwoD {
-            nx: crate::pic2d::constants2d::DEFAULT_NX,
-            ny: crate::pic2d::constants2d::DEFAULT_NY,
-            lx: crate::pic2d::constants2d::box_length_x(),
-            ly: crate::pic2d::constants2d::box_length_y(),
+            nx: crate::pic::constants::EXTENSION_2D_NCELLS,
+            ny: crate::pic::constants::EXTENSION_2D_NCELLS,
+            lx: crate::pic::constants::paper_box_length(),
+            ly: crate::pic::constants::paper_box_length(),
         }
     }
 
@@ -315,7 +313,7 @@ impl ScenarioSpec {
         }
     }
 
-    fn loading_1d(&self) -> Loading {
+    fn pic_loading(&self) -> Loading {
         match self.loading {
             LoadingSpec::Random => Loading::Random,
             LoadingSpec::Quiet { mode, amplitude } => Loading::Quiet { mode, amplitude },
@@ -330,7 +328,7 @@ impl ScenarioSpec {
             v0,
             vth,
             n_particles: self.n_particles(),
-            loading: self.loading_1d(),
+            loading: self.pic_loading(),
             seed: self.seed,
         })
     }
@@ -383,7 +381,7 @@ impl ScenarioSpec {
         MultiBeamInit {
             beams,
             n_particles: self.n_particles(),
-            loading: self.loading_1d(),
+            loading: self.pic_loading(),
             seed: self.seed,
         }
     }
@@ -391,15 +389,11 @@ impl ScenarioSpec {
     /// The 2-D init (symmetric species only).
     pub(crate) fn init_2d(&self) -> Option<TwoStream2DInit> {
         let (v0, vth) = self.species.as_two_stream()?;
-        let loading = match self.loading {
-            LoadingSpec::Random => Loading2D::Random,
-            LoadingSpec::Quiet { mode, amplitude } => Loading2D::Quiet { mode, amplitude },
-        };
         Some(TwoStream2DInit {
             v0,
             vth,
             n_particles: self.n_particles(),
-            loading,
+            loading: self.pic_loading(),
             seed: self.seed,
         })
     }

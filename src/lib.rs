@@ -43,11 +43,10 @@
 //! (lower-level) use:
 //!
 //! * [`pic`] — the traditional explicit electrostatic PIC method: the
-//!   1-D kernels, and the one driver (`Simulation<G>`, `FieldSolver<G>`,
-//!   `History<M>`) written over [`pic::Geometry`].
-//! * [`pic2d`] — the 2-D kernels and `impl Geometry for Grid2D` (paper
-//!   §VII's "two-dimensional systems" extension); its cycle is
-//!   `pic::Simulation<Grid2D>`.
+//!   1-D kernels, the 2-D kernels of paper §VII's "two-dimensional
+//!   systems" extension, and the one driver (`Simulation<G>`,
+//!   `FieldSolver<G>`, `TraditionalSolver<G>`, `History<M>`) written over
+//!   [`pic::Geometry`].
 //! * [`nn`] — the from-scratch neural-network library (MLP/CNN + Adam).
 //! * [`core`] — the DL-based PIC method (phase-space binning + DL field
 //!   solver), the paper's contribution; the solver is generic over the
@@ -63,8 +62,7 @@
 //!
 //! Their per-crate config structs (`pic::PicConfig<G>` — one for both
 //! dimensions — `vlasov::VlasovConfig`, `ddecomp::sim::DistConfig`) are implementation
-//! detail behind [`engine::ScenarioSpec`]; the README carries the
-//! migration table.
+//! detail behind [`engine::ScenarioSpec`].
 
 #![warn(missing_docs)]
 
@@ -76,5 +74,4 @@ pub use dlpic_dataset as dataset;
 pub use dlpic_ddecomp as ddecomp;
 pub use dlpic_nn as nn;
 pub use dlpic_pic as pic;
-pub use dlpic_pic2d as pic2d;
 pub use dlpic_vlasov as vlasov;

@@ -7,12 +7,12 @@ use dlpic_repro::analytics::dispersion::TwoStreamDispersion;
 use dlpic_repro::analytics::fit::{fit_growth_rate, GrowthFitOptions};
 use dlpic_repro::core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
 use dlpic_repro::nn::Precision;
+use dlpic_repro::pic::grid2d::Grid2D;
+use dlpic_repro::pic::init2d::TwoStream2DInit;
 use dlpic_repro::pic::shape::Shape;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic::solver::FieldSolver;
-use dlpic_repro::pic2d::grid2d::Grid2D;
-use dlpic_repro::pic2d::init2d::TwoStream2DInit;
-use dlpic_repro::pic2d::solver2d::TraditionalSolver2D;
+use dlpic_repro::pic::solver::TraditionalSolver;
 
 fn grid() -> Grid2D {
     Grid2D::new(16, 16, 2.0532, 2.0532)
@@ -103,7 +103,7 @@ fn dl_2d_field_error_is_small_against_traditional() {
     // Drive a traditional run and query both solvers on the same states.
     let mut sim = Simulation::new(
         config(0.2, 0.0, 120, 42),
-        Box::new(TraditionalSolver2D::default_config()),
+        Box::new(TraditionalSolver::<Grid2D>::default_config()),
     );
     let mut abs_err_sum = 0.0f64;
     let mut count = 0usize;

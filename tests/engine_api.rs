@@ -92,6 +92,48 @@ fn incompatible_pairings_error_cleanly() {
 }
 
 #[test]
+fn spectral_poisson_on_a_non_power_of_two_grid_is_incompatible() {
+    use dlpic_repro::engine::{DomainSpec, Engine, EngineError, Numerics1D};
+    use dlpic_repro::pic::solver::PoissonKind;
+
+    let incompatible = |engine: Engine, spec: &ScenarioSpec, backend: Backend| {
+        spec.validate().unwrap();
+        backend.supports(spec).unwrap();
+        match engine.start(spec, backend) {
+            Err(EngineError::Incompatible { why, .. }) => {
+                assert!(why.contains("power-of-two"), "{backend}: {why}")
+            }
+            Err(e) => panic!("{backend}: expected Incompatible, got {e}"),
+            Ok(_) => panic!("{backend}: a {:?} grid started", spec.domain),
+        }
+    };
+
+    // 2-D: the traditional solve is spectral.
+    let mut spec = engine::scenario("two_stream_2d", Scale::Smoke).unwrap();
+    let DomainSpec::TwoD { nx, ny, .. } = &mut spec.domain else {
+        panic!("two_stream_2d is 2-D");
+    };
+    (*nx, *ny) = (24, 24);
+    incompatible(Engine::new(), &spec, Backend::Traditional2D);
+
+    // 1-D: a spectral numerics override on 48 cells.
+    let mut spec = engine::scenario("two_stream", Scale::Smoke).unwrap();
+    let DomainSpec::OneD { ncells, .. } = &mut spec.domain else {
+        panic!("two_stream is 1-D");
+    };
+    *ncells = 48;
+    let spectral = Numerics1D {
+        poisson: PoissonKind::Spectral,
+        ..Numerics1D::default()
+    };
+    incompatible(
+        Engine::new().with_numerics_1d(spectral),
+        &spec,
+        Backend::Traditional1D,
+    );
+}
+
+#[test]
 fn ddecomp_matches_single_process_traditional() {
     // Same spec, same seed: the distributed backend must reproduce the
     // single-process physics (identical load, equivalent field solve).

@@ -195,17 +195,17 @@ fn solver_with_nan_weights_propagates_not_panics() {
 
 #[test]
 fn pic2d_single_particle_universe_runs() {
+    use dlpic_repro::pic::grid2d::Grid2D;
+    use dlpic_repro::pic::particles2d::Particles2D;
     use dlpic_repro::pic::shape::Shape;
     use dlpic_repro::pic::solver::FieldSolver;
-    use dlpic_repro::pic2d::grid2d::Grid2D;
-    use dlpic_repro::pic2d::particles2d::Particles2D;
-    use dlpic_repro::pic2d::solver2d::TraditionalSolver2D;
+    use dlpic_repro::pic::solver::TraditionalSolver;
 
     let grid = Grid2D::new(8, 8, 2.0, 2.0);
     let p = Particles2D::new(vec![1.0], vec![1.0], vec![0.0], vec![0.0], -0.1, 0.1);
-    let mut solver = TraditionalSolver2D::new(
+    let mut solver = TraditionalSolver::<Grid2D>::new(
         Shape::Cic,
-        dlpic_repro::pic2d::poisson2d::Poisson2DKind::Spectral,
+        dlpic_repro::pic::solver::PoissonKind::Spectral,
         0.1 / 4.0,
     );
     let mut e = vec![0.0; 2 * grid.nodes()];

@@ -9,13 +9,13 @@
 //! 1-D ones still allow the original 1e-15 headroom.
 
 use dlpic_repro::pic::gather::gather_field;
+use dlpic_repro::pic::gather2d;
 use dlpic_repro::pic::mover::{half_step_back, push_positions, push_velocities};
+use dlpic_repro::pic::mover2d;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic::solver::{FieldSolver, PoissonKind, TraditionalSolver};
 use dlpic_repro::pic::{Grid1D, Shape, TwoStreamInit};
-use dlpic_repro::pic2d::gather2d;
-use dlpic_repro::pic2d::mover2d;
-use dlpic_repro::pic2d::{Grid2D, TwoStream2DInit};
+use dlpic_repro::pic::{Grid2D, TwoStream2DInit};
 
 const TOL: f64 = 1e-15;
 
@@ -108,13 +108,7 @@ fn check_2d(shape: Shape, n_steps: usize) {
         gather_shape: shape,
         tracked_modes: vec![(1, 0)],
     };
-    let solver_for = || {
-        dlpic_repro::pic2d::TraditionalSolver2D::new(
-            shape,
-            dlpic_repro::pic2d::poisson2d::Poisson2DKind::Spectral,
-            1.0,
-        )
-    };
+    let solver_for = || TraditionalSolver::<Grid2D>::new(shape, PoissonKind::Spectral, 1.0);
     let mut sim = Simulation::new(cfg, Box::new(solver_for()));
 
     let mut solver = solver_for();

@@ -40,12 +40,11 @@ use dlpic_repro::engine::{
 use dlpic_repro::nn::metrics::{evaluate, per_output_mae};
 use dlpic_repro::nn::serialize::params_to_bytes;
 use dlpic_repro::nn::{train, Adam, Dataset, Mse, Sequential, TrainConfig};
+use dlpic_repro::pic::init::Loading;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
-use dlpic_repro::pic::solver::PoissonKind;
+use dlpic_repro::pic::solver::{PoissonKind, TraditionalSolver};
 use dlpic_repro::pic::Shape;
-use dlpic_repro::pic2d::init2d::Loading2D;
-use dlpic_repro::pic2d::poisson2d::Poisson2DKind;
-use dlpic_repro::pic2d::{Grid2D, TraditionalSolver2D, TwoStream2DInit};
+use dlpic_repro::pic::{Grid2D, TwoStream2DInit};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -76,7 +75,7 @@ const CASES: [Case; 8] = [
 
 /// The engine's 2-D backends deposit and gather with CIC only, so the
 /// other two shapes' 2-D kernels are pinned through `Simulation<Grid2D>`
-/// directly: the `traditional_2d` spec with `TraditionalSolver2D` on the
+/// directly: the `traditional_2d` spec with `TraditionalSolver<Grid2D>` on the
 /// spectral Poisson solve and the matching gather shape.
 const SHAPES_2D: [(&str, Shape); 2] = [
     ("traditional_2d_ngp", Shape::Ngp),
@@ -114,8 +113,8 @@ fn run_2d(shape: Shape) -> EnergyHistory {
     };
     let (v0, vth) = spec.species.as_two_stream().unwrap();
     let loading = match spec.loading {
-        LoadingSpec::Random => Loading2D::Random,
-        LoadingSpec::Quiet { mode, amplitude } => Loading2D::Quiet { mode, amplitude },
+        LoadingSpec::Random => Loading::Random,
+        LoadingSpec::Quiet { mode, amplitude } => Loading::Quiet { mode, amplitude },
     };
     let cfg = PicConfig {
         grid: Grid2D::new(nx, ny, lx, ly),
@@ -131,7 +130,7 @@ fn run_2d(shape: Shape) -> EnergyHistory {
         gather_shape: shape,
         tracked_modes: spec.tracked_modes.iter().map(|&m| (m, 0)).collect(),
     };
-    let solver = TraditionalSolver2D::new(shape, Poisson2DKind::Spectral, 1.0);
+    let solver = TraditionalSolver::<Grid2D>::new(shape, PoissonKind::Spectral, 1.0);
     let mut sim = Simulation::new(cfg, Box::new(solver));
     sim.run();
     let h = sim.history();

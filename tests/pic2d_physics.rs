@@ -5,11 +5,11 @@
 
 use dlpic_repro::analytics::dispersion::TwoStreamDispersion;
 use dlpic_repro::analytics::fit::{fit_growth_rate, GrowthFitOptions};
+use dlpic_repro::pic::grid2d::Grid2D;
+use dlpic_repro::pic::init2d::TwoStream2DInit;
 use dlpic_repro::pic::shape::Shape;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
-use dlpic_repro::pic2d::grid2d::Grid2D;
-use dlpic_repro::pic2d::init2d::TwoStream2DInit;
-use dlpic_repro::pic2d::solver2d::TraditionalSolver2D;
+use dlpic_repro::pic::solver::TraditionalSolver;
 
 fn two_stream_2d(v0: f64, vth: f64, n_steps: usize, seed: u64) -> Simulation<Grid2D> {
     let grid = Grid2D::new(32, 32, 2.0532, 2.0532);
@@ -21,7 +21,7 @@ fn two_stream_2d(v0: f64, vth: f64, n_steps: usize, seed: u64) -> Simulation<Gri
         gather_shape: Shape::Cic,
         tracked_modes: vec![(1, 0), (2, 0), (0, 1)],
     };
-    Simulation::new(cfg, Box::new(TraditionalSolver2D::default_config()))
+    Simulation::new(cfg, Box::new(TraditionalSolver::<Grid2D>::default_config()))
 }
 
 #[test]

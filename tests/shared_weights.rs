@@ -33,7 +33,7 @@ use dlpic_repro::engine::{
 };
 use dlpic_repro::nn::{FreezeError, Precision};
 use dlpic_repro::pic::Grid1D;
-use dlpic_repro::pic2d::Grid2D;
+use dlpic_repro::pic::Grid2D;
 
 /// One quick-trained smoke bundle shared by every test in this file:
 /// training dominates debug-mode runtime, so pay for it once.
