@@ -167,7 +167,19 @@ mod tests {
         assert!((g.lx() - 2.0532).abs() < 1e-3);
         assert!((g.dx() * 32.0 - g.lx()).abs() < 1e-12);
         assert_eq!(g.nodes(), 1024);
-        // A square box: the paper's length along both axes.
+    }
+
+    #[test]
+    fn mode_one_matches_paper_wavenumber() {
+        let g = Grid2D::default_square();
+        let k1 = 2.0 * std::f64::consts::PI / g.lx();
+        assert!((k1 - crate::constants::PAPER_K1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn default_grid_is_square() {
+        let g = Grid2D::default_square();
+        assert_eq!(g.nx(), g.ny());
         assert!((g.lx() - g.ly()).abs() < 1e-15);
     }
 
