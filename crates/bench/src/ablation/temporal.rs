@@ -40,7 +40,7 @@ pub struct TemporalTrace {
 pub fn harvest_trace(cfg: PicConfig, spec: &PhaseGridSpec, binning: BinningShape) -> TemporalTrace {
     let grid = cfg.grid.clone();
     let n_steps = cfg.n_steps;
-    let ncells = grid.ncells();
+    let ncells = grid.nx();
     let mut sim = Simulation::new(cfg, Box::new(TraditionalSolver::paper_default()));
     let mut trace = TemporalTrace {
         cells: spec.cells(),

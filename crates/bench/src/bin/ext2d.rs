@@ -17,11 +17,11 @@ use dlpic_bench::{out_dir, Cli};
 use dlpic_core::presets::Scale;
 use dlpic_core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
 use dlpic_nn::frozen::Precision;
-use dlpic_pic::grid2d::Grid2D;
 use dlpic_pic::init2d::TwoStream2DInit;
 use dlpic_pic::shape::Shape;
 use dlpic_pic::simulation::{PicConfig, Simulation};
 use dlpic_pic::solver::TraditionalSolver;
+use dlpic_pic::Grid2D;
 
 /// Experiment sizes per scale: (cells per axis, particles, train seeds,
 /// hidden width, epochs).

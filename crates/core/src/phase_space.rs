@@ -95,13 +95,14 @@ pub fn bin_phase_space(
 ) {
     assert_eq!(out.len(), spec.cells(), "phase-grid buffer size mismatch");
     out.fill(0.0);
-    let inv_dx = spec.nx as f64 / grid.length();
+    let inv_dx = spec.nx as f64 / grid.lx();
     let inv_dv = 1.0 / spec.dv();
     let (nx, nv) = (spec.nx, spec.nv);
+    let ([x], [v]) = (&particles.pos, &particles.vel);
 
     match shape {
         BinningShape::Ngp => {
-            for (&x, &v) in particles.x.iter().zip(&particles.v) {
+            for (&x, &v) in x.iter().zip(v) {
                 let ix = ((x * inv_dx) as usize).min(nx - 1);
                 let fv = (v - spec.vmin) * inv_dv;
                 let iv = (fv.max(0.0) as usize).min(nv - 1);
@@ -109,7 +110,7 @@ pub fn bin_phase_space(
             }
         }
         BinningShape::Cic => {
-            for (&x, &v) in particles.x.iter().zip(&particles.v) {
+            for (&x, &v) in x.iter().zip(v) {
                 // Position: periodic CIC on bin centers.
                 let fx = x * inv_dx - 0.5;
                 let ix0 = fx.floor();
@@ -151,7 +152,7 @@ mod tests {
 
     fn particles(xv: &[(f64, f64)], grid: &Grid1D) -> Particles {
         let (x, v): (Vec<f64>, Vec<f64>) = xv.iter().copied().unzip();
-        Particles::electrons_normalized(x, v, grid.length())
+        Particles::electrons_normalized([x], [v], grid.lx())
     }
 
     #[test]
@@ -159,7 +160,7 @@ mod tests {
         let grid = Grid1D::new(64, 2.0532);
         let spec = PhaseGridSpec::new(8, 8, -0.4, 0.4);
         // x in bin 2 of 8 (x/L = 0.3 → bin 2), v = 0.15 → (0.15+0.4)/0.1 = 5.5 → bin 5.
-        let p = particles(&[(0.3 * grid.length(), 0.15)], &grid);
+        let p = particles(&[(0.3 * grid.lx(), 0.15)], &grid);
         let h = phase_space_histogram(&p, &grid, &spec, BinningShape::Ngp);
         assert_eq!(h.iter().filter(|&&c| c > 0.0).count(), 1);
         assert_eq!(h[5 * 8 + 2], 1.0);
@@ -215,7 +216,7 @@ mod tests {
         let n = 1000;
         let xv: Vec<(f64, f64)> = (0..n)
             .map(|i| {
-                let x = (i as f64 + 0.5) / n as f64 * grid.length();
+                let x = (i as f64 + 0.5) / n as f64 * grid.lx();
                 (x, if i % 2 == 0 { 0.2 } else { -0.2 })
             })
             .collect();

@@ -32,10 +32,9 @@ use dlpic_nn::loss::Mse;
 use dlpic_nn::optimizer::adam::Adam;
 use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig, TrainHistory};
-use dlpic_pic::grid2d::Grid2D;
-use dlpic_pic::particles2d::Particles2D;
 use dlpic_pic::simulation::{PicConfig, Simulation};
 use dlpic_pic::solver::TraditionalSolver;
+use dlpic_pic::{Grid2D, Particles2D};
 
 /// Binning order for the 2-D density histogram (mirrors the 1-D
 /// `BinningShape`).
@@ -60,17 +59,18 @@ fn bin_density(particles: &Particles2D, grid: &Grid2D, shape: DensityBinning, ou
     let (nx, ny) = (grid.nx(), grid.ny());
     let inv_dx = 1.0 / grid.dx();
     let inv_dy = 1.0 / grid.dy();
+    let [x, y] = &particles.pos;
 
     match shape {
         DensityBinning::Ngp => {
-            for (&x, &y) in particles.x.iter().zip(&particles.y) {
+            for (&x, &y) in x.iter().zip(y) {
                 let ix = ((x * inv_dx + 0.5) as usize) % nx;
                 let iy = ((y * inv_dy + 0.5) as usize) % ny;
                 out[iy * nx + ix] += 1.0;
             }
         }
         DensityBinning::Cic => {
-            for (&x, &y) in particles.x.iter().zip(&particles.y) {
+            for (&x, &y) in x.iter().zip(y) {
                 let fx = x * inv_dx;
                 let ix0 = fx.floor();
                 let wx1 = fx - ix0;
@@ -286,10 +286,8 @@ mod tests {
     fn cic_density_of_node_centred_particle() {
         let grid = tiny_grid();
         let p = Particles2D::new(
-            vec![2.0 * grid.dx()],
-            vec![3.0 * grid.dy()],
-            vec![0.0],
-            vec![0.0],
+            [vec![2.0 * grid.dx()], vec![3.0 * grid.dy()]],
+            [vec![0.0], vec![0.0]],
             -1.0,
             1.0,
         );

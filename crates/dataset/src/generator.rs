@@ -49,7 +49,7 @@ fn harvest_run(cfg: &GeneratorConfig, combo_idx: usize, experiment: usize) -> Ph
     let combo = cfg.sweep.combos[combo_idx];
     let seed = cfg.sweep.run_seed(combo_idx, experiment);
     let pic_cfg = reduced_config(combo.v0, combo.vth, cfg.ppc, cfg.sweep.steps, seed);
-    let e_cells = pic_cfg.grid.ncells();
+    let e_cells = pic_cfg.grid.nx();
     let mut sim = Simulation::new(pic_cfg, Box::new(TraditionalSolver::paper_default()));
 
     let mut out = PhaseDataset::new(cfg.phase_spec, cfg.binning, e_cells);

@@ -59,7 +59,7 @@ pub fn deposit_local(
     let support = shape.support();
     let cpr = topo.cells_per_rank() as i64;
 
-    for &x in &particles.x {
+    for &x in &particles.pos[0] {
         let a = shape.assign(x * inv_dx);
         // Local index of the leftmost support node.
         let local = a.leftmost - start + HALO as i64;
@@ -159,7 +159,7 @@ mod tests {
     /// pipeline; returns the assembled global density.
     fn distributed_density(xs: &[f64], grid: &Grid1D, topo: &Topology, shape: Shape) -> Vec<f64> {
         let mut fabric = Fabric::new(topo.n_ranks());
-        let w = grid.length() / xs.len() as f64;
+        let w = grid.lx() / xs.len() as f64;
         let mut buffers: Vec<Vec<f64>> = Vec::new();
         for rank in topo.ranks() {
             let local: Vec<f64> = xs
@@ -168,13 +168,13 @@ mod tests {
                 .filter(|&x| topo.rank_of_position(x, grid) == rank)
                 .collect();
             let n = local.len();
-            let p = Particles::new(local, vec![0.0; n], -w, w);
+            let p = Particles::new([local], [vec![0.0; n]], -w, w);
             let mut ext = vec![0.0; ext_len(topo)];
             deposit_local(&p, grid, topo, rank, shape, &mut ext);
             buffers.push(ext);
         }
         reduce_halos(topo, &mut fabric, &mut buffers);
-        let mut global = vec![0.0; grid.ncells()];
+        let mut global = vec![0.0; grid.nx()];
         for rank in topo.ranks() {
             let start = topo.slab_start(rank);
             global[start..start + topo.cells_per_rank()]
@@ -192,9 +192,9 @@ mod tests {
     #[test]
     fn distributed_deposit_matches_global_deposit() {
         let grid = Grid1D::new(64, 2.0532);
-        let xs = scrambled_positions(4096, grid.length());
-        let w = grid.length() / xs.len() as f64;
-        let reference_particles = Particles::new(xs.clone(), vec![0.0; xs.len()], -w, w);
+        let xs = scrambled_positions(4096, grid.lx());
+        let w = grid.lx() / xs.len() as f64;
+        let reference_particles = Particles::new([xs.clone()], [vec![0.0; xs.len()]], -w, w);
         for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
             let mut reference = grid.zeros();
             deposit_charge(&reference_particles, &grid, shape, &mut reference);
@@ -227,9 +227,9 @@ mod tests {
         let grid = Grid1D::new(8, 2.0);
         let topo = Topology::new(1, 8);
         // One particle near the right edge: CIC spills onto wrapped node 0.
-        let xs = vec![grid.length() - 0.25 * grid.dx()];
+        let xs = vec![grid.lx() - 0.25 * grid.dx()];
         let dist = distributed_density(&xs, &grid, &topo, Shape::Cic);
-        let p = Particles::new(xs, vec![0.0], -grid.length(), grid.length());
+        let p = Particles::new([xs], [vec![0.0]], -grid.lx(), grid.lx());
         let mut reference = grid.zeros();
         deposit_charge(&p, &grid, Shape::Cic, &mut reference);
         for (j, (d, r)) in dist.iter().zip(&reference).enumerate() {
@@ -246,10 +246,10 @@ mod tests {
         let grid = Grid1D::new(8, 2.0);
         let topo = Topology::new(2, 8);
         let boundary = topo.slab_start(1) as f64 * grid.dx();
-        let xs = vec![boundary - 0.3 * grid.dx(), grid.length() - 0.3 * grid.dx()];
+        let xs = vec![boundary - 0.3 * grid.dx(), grid.lx() - 0.3 * grid.dx()];
         let dist = distributed_density(&xs, &grid, &topo, Shape::Tsc);
-        let w = grid.length() / 2.0;
-        let p = Particles::new(xs, vec![0.0; 2], -w, w);
+        let w = grid.lx() / 2.0;
+        let p = Particles::new([xs], [vec![0.0; 2]], -w, w);
         let mut reference = grid.zeros();
         deposit_charge(&p, &grid, Shape::Tsc, &mut reference);
         for (j, (d, r)) in dist.iter().zip(&reference).enumerate() {

@@ -32,15 +32,16 @@ pub fn send_leavers(
     let mut outbound: Vec<Vec<f64>> = vec![Vec::new(); n_ranks];
     let mut i = 0;
     let mut moved = 0;
-    while i < particles.x.len() {
-        let dest = topo.rank_of_position(particles.x[i], grid);
+    let ([x], [v]) = (&mut particles.pos, &mut particles.vel);
+    while i < x.len() {
+        let dest = topo.rank_of_position(x[i], grid);
         if dest == rank {
             i += 1;
         } else {
-            outbound[dest].push(particles.x[i]);
-            outbound[dest].push(particles.v[i]);
-            particles.x.swap_remove(i);
-            particles.v.swap_remove(i);
+            outbound[dest].push(x[i]);
+            outbound[dest].push(v[i]);
+            x.swap_remove(i);
+            v.swap_remove(i);
             moved += 1;
         }
     }
@@ -58,14 +59,15 @@ pub fn send_leavers(
 /// Call after *all* ranks have run [`send_leavers`] for the step.
 pub fn recv_arrivals(rank: usize, particles: &mut Particles, fabric: &mut Fabric) -> usize {
     let mut received = 0;
+    let ([x], [v]) = (&mut particles.pos, &mut particles.vel);
     while let Some((_from, payload)) = fabric.recv_any(rank) {
         assert!(
             payload.len() % 2 == 0,
             "migration payload must be (x, v) pairs"
         );
         for pair in payload.chunks_exact(2) {
-            particles.x.push(pair[0]);
-            particles.v.push(pair[1]);
+            x.push(pair[0]);
+            v.push(pair[1]);
             received += 1;
         }
     }
@@ -77,7 +79,7 @@ mod tests {
     use super::*;
 
     fn local(xs: Vec<f64>, vs: Vec<f64>) -> Particles {
-        Particles::new(xs, vs, -0.1, 0.1)
+        Particles::new([xs], [vs], -0.1, 0.1)
     }
 
     #[test]
@@ -92,15 +94,15 @@ mod tests {
         let moved = send_leavers(0, &mut p0, &grid, &topo, &mut fabric);
         assert_eq!(moved, 2);
         assert_eq!(p0.len(), 1);
-        assert!((p0.v[0] - 1.0).abs() < 1e-15);
+        assert!((p0.vel[0][0] - 1.0).abs() < 1e-15);
 
         let mut p1 = local(vec![], vec![]);
         assert_eq!(recv_arrivals(1, &mut p1, &mut fabric), 1);
-        assert!((p1.v[0] - 2.0).abs() < 1e-15);
+        assert!((p1.vel[0][0] - 2.0).abs() < 1e-15);
 
         let mut p3 = local(vec![], vec![]);
         assert_eq!(recv_arrivals(3, &mut p3, &mut fabric), 1);
-        assert!((p3.v[0] - 3.0).abs() < 1e-15);
+        assert!((p3.vel[0][0] - 3.0).abs() < 1e-15);
     }
 
     #[test]
@@ -121,7 +123,7 @@ mod tests {
         let mut fabric = Fabric::new(8);
         // Scatter particles everywhere and hand them all to rank 3.
         let xs: Vec<f64> = (0..500)
-            .map(|i| (i as f64 + 0.5) / 500.0 * grid.length())
+            .map(|i| (i as f64 + 0.5) / 500.0 * grid.lx())
             .collect();
         let vs: Vec<f64> = (0..500).map(|i| i as f64).collect();
         let mut holders: Vec<Particles> = (0..8).map(|_| local(vec![], vec![])).collect();
@@ -139,7 +141,7 @@ mod tests {
         // Every particle sits on its owner, with its (x, v) pair intact.
         let mut seen: Vec<(u64, u64)> = Vec::new();
         for rank in topo.ranks() {
-            for (x, v) in holders[rank].x.iter().zip(&holders[rank].v) {
+            for (x, v) in holders[rank].pos[0].iter().zip(&holders[rank].vel[0]) {
                 assert_eq!(topo.rank_of_position(*x, &grid), rank);
                 seen.push((x.to_bits(), v.to_bits()));
             }
@@ -160,7 +162,7 @@ mod tests {
         let topo = Topology::new(2, 64);
         let mut fabric = Fabric::new(2);
         // 10 particles on rank 0, all belonging to rank 1.
-        let xs = vec![grid.length() * 0.75; 10];
+        let xs = vec![grid.lx() * 0.75; 10];
         let mut p = local(xs, vec![0.0; 10]);
         send_leavers(0, &mut p, &grid, &topo, &mut fabric);
         let stats = fabric.phase_stats("migration");
@@ -193,9 +195,9 @@ mod property_tests {
             let n = xs.len();
             let vs: Vec<f64> = (0..n).map(|i| i as f64).collect();
             let mut ranks: Vec<Particles> = (0..n_ranks)
-                .map(|_| Particles::new(vec![], vec![], -0.1, 0.1))
+                .map(|_| Particles::new([vec![]], [vec![]], -0.1, 0.1))
                 .collect();
-            ranks[holder] = Particles::new(xs.clone(), vs, -0.1, 0.1);
+            ranks[holder] = Particles::new([xs.clone()], [vs], -0.1, 0.1);
 
             for r in topo.ranks() {
                 send_leavers(r, &mut ranks[r], &grid, &topo, &mut fabric);
@@ -208,7 +210,7 @@ mod property_tests {
             prop_assert_eq!(total, n);
             prop_assert_eq!(fabric.pending(), 0);
             for r in topo.ranks() {
-                for &x in &ranks[r].x {
+                for &x in &ranks[r].pos[0] {
                     prop_assert_eq!(topo.rank_of_position(x, &grid), r);
                 }
             }

@@ -76,7 +76,7 @@ fn gather_local(
     let start = topo.slab_start(rank) as i64;
     let support = shape.support();
 
-    for (i, &x) in particles.x.iter().enumerate() {
+    for (i, &x) in particles.pos[0].iter().enumerate() {
         let a = shape.assign(x * inv_dx);
         let local = a.leftmost - start + HALO as i64;
         debug_assert!(
@@ -137,7 +137,7 @@ impl DistSimulation {
     /// Panics if the rank count does not divide the cell count, or the
     /// slabs are narrower than the halo.
     pub fn new(cfg: DistConfig, strategy: Box<dyn DistFieldStrategy>) -> Self {
-        let topo = Topology::new(cfg.n_ranks, cfg.grid.ncells());
+        let topo = Topology::new(cfg.n_ranks, cfg.grid.nx());
         assert!(
             topo.cells_per_rank() >= 2 * HALO,
             "slabs must be at least {} cells wide",
@@ -151,7 +151,7 @@ impl DistSimulation {
         let (q, m) = (global.charge(), global.mass());
         let mut xs: Vec<Vec<f64>> = vec![Vec::new(); cfg.n_ranks];
         let mut vs: Vec<Vec<f64>> = vec![Vec::new(); cfg.n_ranks];
-        for (&x, &v) in global.x.iter().zip(&global.v) {
+        for (&x, &v) in global.pos[0].iter().zip(&global.vel[0]) {
             let owner = topo.rank_of_position(x, &cfg.grid);
             xs[owner].push(x);
             vs[owner].push(v);
@@ -160,7 +160,7 @@ impl DistSimulation {
             .into_iter()
             .zip(vs)
             .enumerate()
-            .map(|(rank, (x, v))| RankState::new(rank, Particles::new(x, v, q, m), &topo))
+            .map(|(rank, (x, v))| RankState::new(rank, Particles::new([x], [v], q, m), &topo))
             .collect();
 
         let mut sim = Self {
@@ -226,7 +226,7 @@ impl DistSimulation {
                 &mut state.e_part,
             );
             kinetic += push_velocities(&mut state.particles, &state.e_part, dt);
-            momentum += state.particles.total_momentum();
+            momentum += state.particles.total_momentum()[0];
         }
 
         self.history.push(
@@ -286,7 +286,7 @@ impl DistSimulation {
         let momentum: f64 = self
             .states
             .iter()
-            .map(|s| s.particles.total_momentum())
+            .map(|s| s.particles.total_momentum()[0])
             .sum();
         let fe = dlpic_pic::efield::field_energy(&self.cfg.grid, &self.e_diag);
         let amps: Vec<f64> = self
@@ -351,8 +351,8 @@ impl DistSimulation {
         let mut x = Vec::with_capacity(n);
         let mut v = Vec::with_capacity(n);
         for state in &self.states {
-            x.extend_from_slice(&state.particles.x);
-            v.extend_from_slice(&state.particles.v);
+            x.extend_from_slice(&state.particles.pos[0]);
+            v.extend_from_slice(&state.particles.vel[0]);
         }
         (x, v)
     }
@@ -405,7 +405,7 @@ impl DistSimulation {
     pub fn total_momentum(&self) -> f64 {
         self.states
             .iter()
-            .map(|s| s.particles.total_momentum())
+            .map(|s| s.particles.total_momentum()[0])
             .sum()
     }
 
@@ -419,8 +419,8 @@ impl DistSimulation {
                 .states
                 .iter()
                 .map(|s| RankStateSnapshot {
-                    x: s.particles.x.clone(),
-                    v: s.particles.v.clone(),
+                    x: s.particles.pos[0].clone(),
+                    v: s.particles.vel[0].clone(),
                     e_ext: s.e_ext.clone(),
                 })
                 .collect(),
@@ -452,7 +452,7 @@ impl DistSimulation {
                 "extended slab width mismatch"
             );
             let (q, m) = (rank.particles.charge(), rank.particles.mass());
-            rank.particles = Particles::new(snap.x.clone(), snap.v.clone(), q, m);
+            rank.particles = Particles::new([snap.x.clone()], [snap.v.clone()], q, m);
             rank.e_ext.copy_from_slice(&snap.e_ext);
         }
         self.time = state.time;
@@ -578,7 +578,7 @@ mod tests {
         let xs: Vec<f64> = (0..100)
             .map(|i| start + (i as f64 + 0.5) / 100.0 * width)
             .collect();
-        let p = Particles::new(xs, vec![0.0; 100], -1.0, 1.0);
+        let p = Particles::new([xs], [vec![0.0; 100]], -1.0, 1.0);
 
         let mut reference = vec![0.0; 100];
         gather_field(&p, &grid, Shape::Tsc, &e, &mut reference);
@@ -586,7 +586,7 @@ mod tests {
         let mut e_ext = vec![0.0; ext_len(&topo)];
         let s = topo.slab_start(2) as i64;
         for (i, v) in e_ext.iter_mut().enumerate() {
-            *v = e[grid.wrap_index(s - HALO as i64 + i as i64)];
+            *v = e[grid.wrap_ix(s - HALO as i64 + i as i64)];
         }
         let mut local = vec![0.0; 100];
         gather_local(&p, &grid, &topo, 2, Shape::Tsc, &e_ext, &mut local);

@@ -91,7 +91,7 @@ impl DistFieldStrategy for GatherScatter {
         fabric: &mut Fabric,
     ) {
         let cpr = topo.cells_per_rank();
-        let n = grid.ncells();
+        let n = grid.nx();
 
         // 1. Local deposition + halo reduction.
         for state in states.iter_mut() {
@@ -148,7 +148,7 @@ impl DistFieldStrategy for GatherScatter {
             let start = topo.slab_start(rank) as i64;
             let payload: Vec<f64> = (0..cpr + 2 * HALO)
                 .map(|i| {
-                    let j = grid.wrap_index(start - HALO as i64 + i as i64);
+                    let j = grid.wrap_ix(start - HALO as i64 + i as i64);
                     self.e_global[j]
                 })
                 .collect();
@@ -203,7 +203,7 @@ impl DistFieldStrategy for ReplicatedDl {
         let (spec, binning) = *self.solver.binner();
         let cells = spec.cells();
         let cpr = topo.cells_per_rank();
-        let n = grid.ncells();
+        let n = grid.nx();
 
         // 1. Local phase-space binning (particles only — no deposition).
         let total_mass: f64 = states.iter().map(|s| s.particles.len() as f64).sum();
@@ -247,7 +247,7 @@ impl DistFieldStrategy for ReplicatedDl {
                 .solve_from_raw_histogram(&hist, total_mass as f32, &mut self.e_global);
             let start = topo.slab_start(state.rank) as i64;
             for i in 0..cpr + 2 * HALO {
-                let j = grid.wrap_index(start - HALO as i64 + i as i64);
+                let j = grid.wrap_ix(start - HALO as i64 + i as i64);
                 state.e_ext[i] = self.e_global[j];
             }
         }
@@ -287,7 +287,7 @@ mod tests {
     }
 
     fn make_states(grid: &Grid1D, topo: &Topology, per_rank: usize) -> Vec<RankState> {
-        let w = grid.length() / (per_rank * topo.n_ranks()) as f64;
+        let w = grid.lx() / (per_rank * topo.n_ranks()) as f64;
         topo.ranks()
             .map(|rank| {
                 let start = topo.slab_start(rank) as f64 * grid.dx();
@@ -295,7 +295,7 @@ mod tests {
                 let xs: Vec<f64> = (0..per_rank)
                     .map(|i| start + (i as f64 + 0.5) / per_rank as f64 * width)
                     .collect();
-                let p = dlpic_pic::particles::Particles::new(xs, vec![0.0; per_rank], -w, w);
+                let p = dlpic_pic::particles::Particles::new([xs], [vec![0.0; per_rank]], -w, w);
                 RankState::new(rank, p, topo)
             })
             .collect()

@@ -141,7 +141,7 @@ mod tests {
         let topo = Topology::new(4, 64);
         assert_eq!(topo.rank_of_position(0.0, &grid), 0);
         // Just below the box end: last rank.
-        assert_eq!(topo.rank_of_position(grid.length() - 1e-12, &grid), 3);
+        assert_eq!(topo.rank_of_position(grid.lx() - 1e-12, &grid), 3);
         // A slab boundary belongs to the right slab.
         let boundary = grid.dx() * 16.0;
         assert_eq!(topo.rank_of_position(boundary, &grid), 1);

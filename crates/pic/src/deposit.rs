@@ -15,26 +15,27 @@ use crate::shape::Shape;
 ///
 /// `rho` is *accumulated into* (callers zero it or pre-fill with the ion
 /// background). Node indices are wrapped with the compare-and-fold of
-/// `fused::wrap_cell` — the same values `Grid1D::wrap_index` produces, without
+/// `fused::wrap_cell` — the same values `Grid::wrap_ix` produces, without
 /// the per-particle integer division.
 ///
 /// # Panics
 /// Panics if `rho` length differs from the grid node count.
 pub fn deposit_charge(particles: &Particles, grid: &Grid1D, shape: Shape, rho: &mut [f64]) {
-    assert_eq!(rho.len(), grid.ncells(), "rho length mismatch");
+    assert_eq!(rho.len(), grid.nx(), "rho length mismatch");
     let scale = particles.charge() / grid.dx();
     let inv_dx = 1.0 / grid.dx();
-    let n = grid.ncells();
+    let n = grid.nx();
     let ni = n as i64;
+    let [x] = &particles.pos;
     match shape {
         Shape::Ngp => {
-            for &x in &particles.x {
+            for &x in x {
                 let a = shape.assign(x * inv_dx);
                 rho[wrap_cell(a.leftmost, ni)] += scale;
             }
         }
         Shape::Cic => {
-            for &x in &particles.x {
+            for &x in x {
                 let a = shape.assign(x * inv_dx);
                 let j = wrap_cell(a.leftmost, ni);
                 let j1 = if j + 1 == n { 0 } else { j + 1 };
@@ -43,7 +44,7 @@ pub fn deposit_charge(particles: &Particles, grid: &Grid1D, shape: Shape, rho: &
             }
         }
         Shape::Tsc => {
-            for &x in &particles.x {
+            for &x in x {
                 let a = shape.assign(x * inv_dx);
                 for (o, w) in a.w.iter().enumerate() {
                     rho[wrap_cell(a.leftmost + o as i64, ni)] += scale * w;
@@ -102,7 +103,7 @@ mod tests {
 
     fn electrons_at(xs: Vec<f64>, grid: &Grid1D) -> Particles {
         let n = xs.len();
-        Particles::electrons_normalized(xs, vec![0.0; n], grid.length())
+        Particles::electrons_normalized([xs], [vec![0.0; n]], grid.lx())
     }
 
     #[test]
@@ -150,7 +151,7 @@ mod tests {
     fn scratch_variant_matches_plain_deposit() {
         let grid = Grid1D::new(16, 2.0532);
         let xs: Vec<f64> = (0..40_000)
-            .map(|i| (i as f64 * 0.618_033_988_749_894_9).fract() * grid.length())
+            .map(|i| (i as f64 * 0.618_033_988_749_894_9).fract() * grid.lx())
             .collect();
         let p = electrons_at(xs, &grid);
         let mut scratch = DepositScratch::new();
@@ -169,7 +170,7 @@ mod tests {
         let n = 64_000;
         // Exactly uniform particle positions.
         let xs: Vec<f64> = (0..n)
-            .map(|i| (i as f64 + 0.5) / n as f64 * grid.length())
+            .map(|i| (i as f64 + 0.5) / n as f64 * grid.lx())
             .collect();
         let p = electrons_at(xs, &grid);
         let mut rho = grid.zeros();
@@ -198,7 +199,7 @@ mod tests {
             let xs: Vec<f64> = (0..n)
                 .map(|i| {
                     let golden = 0.618_033_988_749_894_9_f64;
-                    (i as f64 * golden).fract() * grid.length()
+                    (i as f64 * golden).fract() * grid.lx()
                 })
                 .collect();
             electrons_at(xs, grid)
@@ -213,7 +214,7 @@ mod tests {
             xs in proptest::collection::vec(0.0f64..2.05, 1..200),
         ) {
             let grid = Grid1D::new(16, 2.0532);
-            let xs: Vec<f64> = xs.into_iter().map(|x| grid.wrap_position(x)).collect();
+            let xs: Vec<f64> = xs.into_iter().map(|x| grid.wrap_x(x)).collect();
             let p = electrons_at(xs, &grid);
             for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
                 let mut rho = grid.zeros();

@@ -12,8 +12,8 @@
 //! ([`fused2d`](crate::fused2d)).
 
 use crate::fused::wrap_cell;
-use crate::grid2d::Grid2D;
-use crate::particles2d::Particles2D;
+use crate::grid::Grid2D;
+use crate::particles::Particles2D;
 use crate::shape::Shape;
 
 /// One axis of the tensor-product stencil of the shape whose support is
@@ -66,13 +66,14 @@ pub fn deposit_charge(particles: &Particles2D, grid: &Grid2D, shape: Shape, rho:
 /// [`deposit_charge`]'s body for the shape of support `S`: `y` rows
 /// outer, `x` nodes inner, each term `q_over_area * wx * wy`.
 fn deposit<const S: usize>(particles: &Particles2D, grid: &Grid2D, rho: &mut [f64]) {
-    let q_over_area = particles.charge() / grid.cell_area();
+    let q_over_area = particles.charge() / grid.cell_volume();
     let inv_dx = 1.0 / grid.dx();
     let inv_dy = 1.0 / grid.dy();
     let (nx, ny) = (grid.nx(), grid.ny());
     let (nxi, nyi) = (nx as i64, ny as i64);
 
-    for (&x, &y) in particles.x.iter().zip(&particles.y) {
+    let [x, y] = &particles.pos;
+    for (&x, &y) in x.iter().zip(y) {
         let (ix0, wxs) = axis_stencil::<S>(x * inv_dx, nxi);
         let (mut iy, wys) = axis_stencil::<S>(y * inv_dy, nyi);
         for wy in wys {
@@ -94,16 +95,17 @@ mod tests {
     use proptest::prelude::*;
 
     fn single_particle(x: f64, y: f64, q: f64) -> Particles2D {
-        Particles2D::new(vec![x], vec![y], vec![0.0], vec![0.0], q, 1.0)
+        Particles2D::new([vec![x], vec![y]], [vec![0.0], vec![0.0]], q, 1.0)
     }
 
     /// The deposit as it was before the const-generic body: a runtime
     /// `support` loop that skips zero weights and wraps every node.
     fn generic_deposit(particles: &Particles2D, grid: &Grid2D, shape: Shape, rho: &mut [f64]) {
-        let q_over_area = particles.charge() / grid.cell_area();
+        let q_over_area = particles.charge() / grid.cell_volume();
         let (inv_dx, inv_dy) = (1.0 / grid.dx(), 1.0 / grid.dy());
         let (nxi, nyi) = (grid.nx() as i64, grid.ny() as i64);
-        for (&x, &y) in particles.x.iter().zip(&particles.y) {
+        let [x, y] = &particles.pos;
+        for (&x, &y) in x.iter().zip(y) {
             let ax = shape.assign(x * inv_dx);
             let ay = shape.assign(y * inv_dy);
             for jy in 0..shape.support() {
@@ -154,7 +156,11 @@ mod tests {
         }));
         let (xs, ys): (Vec<f64>, Vec<f64>) = pts.into_iter().unzip();
         let n = xs.len();
-        let p = Particles2D::electrons_normalized(xs, ys, vec![0.0; n], vec![0.0; n], grid.area());
+        let p = Particles2D::electrons_normalized(
+            [xs, ys],
+            [vec![0.0; n], vec![0.0; n]],
+            grid.volume(),
+        );
         for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
             let (mut got, mut want) = (grid.zeros(), grid.zeros());
             deposit_charge(&p, &grid, shape, &mut got);
@@ -170,10 +176,10 @@ mod tests {
         let mut rho = grid.zeros();
         let p = single_particle(2.0 * grid.dx(), 3.0 * grid.dy(), -1.0);
         deposit_charge(&p, &grid, Shape::Cic, &mut rho);
-        let expected = -1.0 / grid.cell_area();
+        let expected = -1.0 / grid.cell_volume();
         assert!((rho[grid.index(2, 3)] - expected).abs() < 1e-12);
         let total: f64 = rho.iter().sum();
-        assert!((total * grid.cell_area() + 1.0).abs() < 1e-12);
+        assert!((total * grid.cell_volume() + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -182,7 +188,7 @@ mod tests {
         let mut rho = grid.zeros();
         let p = single_particle(1.5 * grid.dx(), 2.5 * grid.dy(), -1.0);
         deposit_charge(&p, &grid, Shape::Cic, &mut rho);
-        let quarter = -0.25 / grid.cell_area();
+        let quarter = -0.25 / grid.cell_volume();
         for (ix, iy) in [(1, 2), (2, 2), (1, 3), (2, 3)] {
             assert!((rho[grid.index(ix, iy)] - quarter).abs() < 1e-12);
         }
@@ -202,9 +208,9 @@ mod tests {
         deposit_charge(&p, &grid, Shape::Cic, &mut rho);
         // The particle sits eps·dx short of the wrapped node in each axis,
         // so CIC puts weight (1−eps)² there.
-        let expect = -(1.0 - eps) * (1.0 - eps) / grid.cell_area();
+        let expect = -(1.0 - eps) * (1.0 - eps) / grid.cell_volume();
         assert!((rho[grid.index(0, 0)] - expect).abs() < 1e-12);
-        let total: f64 = rho.iter().sum::<f64>() * grid.cell_area();
+        let total: f64 = rho.iter().sum::<f64>() * grid.cell_volume();
         assert!((total + 1.0).abs() < 1e-12);
     }
 
@@ -222,7 +228,11 @@ mod tests {
             }
         }
         let n = xs.len();
-        let p = Particles2D::electrons_normalized(xs, ys, vec![0.0; n], vec![0.0; n], grid.area());
+        let p = Particles2D::electrons_normalized(
+            [xs, ys],
+            [vec![0.0; n], vec![0.0; n]],
+            grid.volume(),
+        );
         let mut rho = grid.zeros();
         deposit_charge(&p, &grid, Shape::Cic, &mut rho);
         add_uniform_background(&mut rho, 1.0);
@@ -243,12 +253,11 @@ mod tests {
             let xs = xs[..n].to_vec();
             let ys = ys[..n].to_vec();
             let grid = Grid2D::new(8, 16, 2.0, 2.0);
-            let p = Particles2D::electrons_normalized(
-                xs, ys, vec![0.0; n], vec![0.0; n], grid.area());
+            let p = Particles2D::electrons_normalized([xs, ys], [vec![0.0; n], vec![0.0; n]], grid.volume());
             for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
                 let mut rho = grid.zeros();
                 deposit_charge(&p, &grid, shape, &mut rho);
-                let total: f64 = rho.iter().sum::<f64>() * grid.cell_area();
+                let total: f64 = rho.iter().sum::<f64>() * grid.cell_volume();
                 prop_assert!((total - p.total_charge()).abs() < 1e-9,
                     "{shape:?}: deposited {total} vs {}", p.total_charge());
             }

@@ -1,7 +1,7 @@
 //! Per-step diagnostics: the quantities plotted in the paper's Figs. 4–6.
 
 use crate::efield::field_energy;
-use crate::grid::Grid1D;
+use crate::grid::Grid;
 use crate::particles::Particles;
 use dlpic_analytics::dft;
 
@@ -27,13 +27,18 @@ impl EnergyReport {
 
 /// Computes an instantaneous report from the current state (used at `t = 0`
 /// before the leap-frog stagger exists; later steps use the mover's
-/// time-centred kinetic energy instead).
-pub fn instantaneous_report(particles: &Particles, grid: &Grid1D, e: &[f64]) -> EnergyReport {
+/// time-centred kinetic energy instead). `e` is the stacked field.
+pub fn instantaneous_report<const D: usize>(
+    particles: &Particles<D>,
+    grid: &Grid<D>,
+    e: &[f64],
+) -> EnergyReport {
+    let momentum = particles.total_momentum();
     EnergyReport {
         kinetic: particles.kinetic_energy(),
         field: field_energy(grid, e),
-        momentum: particles.total_momentum(),
-        momentum_y: None,
+        momentum: momentum[0],
+        momentum_y: momentum.get(1).copied(),
     }
 }
 
@@ -53,11 +58,12 @@ fn field_mode_spectrum(e: &[f64], count: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Grid1D;
 
     #[test]
     fn report_totals_add_up() {
         let grid = Grid1D::new(8, 2.0);
-        let p = Particles::new(vec![0.0, 1.0], vec![1.0, -1.0], -1.0, 2.0);
+        let p = Particles::new([vec![0.0, 1.0]], [vec![1.0, -1.0]], -1.0, 2.0);
         let e = vec![0.5; 8];
         let r = instantaneous_report(&p, &grid, &e);
         assert!((r.kinetic - 2.0).abs() < 1e-15);

@@ -1,43 +1,75 @@
 //! Electric field from the potential: `E = −∇Φ` (paper Eq. 4), discretized
-//! with periodic second-order central differences.
+//! with periodic second-order central differences, plus the field-energy
+//! diagnostic — both written once over the grid's axes.
 
-use crate::grid::Grid1D;
+use crate::grid::Grid;
 
-/// Computes `E_j = −(Φ_{j+1} − Φ_{j-1}) / (2·dx)` with periodic wrap.
+/// Computes `E = −∇Φ` into the stacked field `e` (`[E]` in 1-D,
+/// `[Ex | Ey]` in 2-D): along axis `k`,
+/// `E_k[j] = −(Φ[j+1] − Φ[j−1]) / (2·h_k)` with periodic wrap.
 ///
 /// # Panics
-/// Panics if array lengths disagree with the grid.
-pub fn efield_from_phi(grid: &Grid1D, phi: &[f64], e: &mut [f64]) {
-    let n = grid.ncells();
-    assert_eq!(phi.len(), n, "phi length mismatch");
-    assert_eq!(e.len(), n, "e length mismatch");
-    assert!(n >= 2, "need at least two nodes");
-    let inv_2dx = 1.0 / (2.0 * grid.dx());
-    // Bulk (no wrap): vectorizable window loop.
-    for j in 1..n - 1 {
-        e[j] = -(phi[j + 1] - phi[j - 1]) * inv_2dx;
+/// Panics if array lengths disagree with the grid or an axis has fewer
+/// than two nodes.
+pub fn efield_from_phi<const D: usize>(grid: &Grid<D>, phi: &[f64], e: &mut [f64]) {
+    let nodes = grid.nodes();
+    assert_eq!(phi.len(), nodes, "phi length mismatch");
+    assert_eq!(e.len(), D * nodes, "e length mismatch");
+    let (cells, spacing) = (grid.cells(), grid.spacing());
+    assert!(
+        cells.iter().all(|&n| n >= 2),
+        "need at least two nodes per axis"
+    );
+    // Axis `k` of a node array is blocks of `n` slabs of `stride` nodes.
+    let mut stride = 1;
+    for (k, e_axis) in e.chunks_exact_mut(nodes).enumerate() {
+        let n = cells[k];
+        let inv_2h = 1.0 / (2.0 * spacing[k]);
+        let block = n * stride;
+        for (e_block, phi_block) in e_axis.chunks_exact_mut(block).zip(phi.chunks_exact(block)) {
+            for (j, e_slab) in e_block.chunks_exact_mut(stride).enumerate() {
+                let up = &phi_block[if j + 1 == n { 0 } else { j + 1 } * stride..][..stride];
+                let down = &phi_block[if j == 0 { n - 1 } else { j - 1 } * stride..][..stride];
+                for ((e, u), d) in e_slab.iter_mut().zip(up).zip(down) {
+                    *e = -(u - d) * inv_2h;
+                }
+            }
+        }
+        stride = block;
     }
-    e[0] = -(phi[1] - phi[n - 1]) * inv_2dx;
-    e[n - 1] = -(phi[0] - phi[n - 2]) * inv_2dx;
 }
 
-/// Field energy `½·ε₀·Σ E_j²·dx` (ε₀ = 1) — the electrostatic half of the
-/// paper's "Total Energy" plots (Figs. 5–6).
-pub fn field_energy(grid: &Grid1D, e: &[f64]) -> f64 {
-    assert_eq!(e.len(), grid.ncells(), "e length mismatch");
-    0.5 * grid.dx() * e.iter().map(|v| v * v).sum::<f64>()
+/// Field energy `½·ε₀·Σ |E|²·dV` (ε₀ = 1, `dV` the cell volume) of the
+/// stacked field — the electrostatic half of the paper's "Total Energy"
+/// plots (Figs. 5–6). Each node's `|E|²` adds its components in axis
+/// order.
+pub fn field_energy<const D: usize>(grid: &Grid<D>, e: &[f64]) -> f64 {
+    let nodes = grid.nodes();
+    assert_eq!(e.len(), D * nodes, "e length mismatch");
+    let sum: f64 = (0..nodes)
+        .map(|i| {
+            let mut e2 = e[i] * e[i];
+            for c in 1..D {
+                let v = e[c * nodes + i];
+                e2 += v * v;
+            }
+            e2
+        })
+        .sum();
+    0.5 * grid.cell_volume() * sum
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Grid1D;
     use proptest::prelude::*;
 
     #[test]
     fn gradient_of_cosine_potential() {
         let grid = Grid1D::paper();
         let k = grid.mode_wavenumber(1);
-        let n = grid.ncells();
+        let n = grid.nx();
         let phi: Vec<f64> = (0..n).map(|j| (k * grid.node_position(j)).cos()).collect();
         let mut e = grid.zeros();
         efield_from_phi(&grid, &phi, &mut e);

@@ -100,18 +100,19 @@ pub fn fused_gather_push_move(
     e: &[f64],
     dt: f64,
 ) -> StepMoments {
-    assert_eq!(e.len(), grid.ncells(), "field length mismatch");
+    assert_eq!(e.len(), grid.nx(), "field length mismatch");
     let inv_dx = 1.0 / grid.dx();
-    let n = grid.ncells();
+    let n = grid.nx();
     let ni = n as i64;
-    let length = grid.length();
+    let length = grid.lx();
     let qm_dt = particles.charge_over_mass() * dt;
     let half_m = 0.5 * particles.mass();
     let mass = particles.mass();
 
     let mut ke = 0.0f64;
     let mut mom = 0.0f64;
-    for (x, v) in particles.x.iter_mut().zip(particles.v.iter_mut()) {
+    let ([x], [v]) = (&mut particles.pos, &mut particles.vel);
+    for (x, v) in x.iter_mut().zip(v.iter_mut()) {
         // Gather (same expressions as `gather_field`).
         let a = shape.assign(*x * inv_dx);
         let ep = match shape {
@@ -161,7 +162,7 @@ mod tests {
         };
         let xs: Vec<f64> = (0..n).map(|_| next() * l).collect();
         let vs: Vec<f64> = (0..n).map(|_| next() * 0.8 - 0.4).collect();
-        Particles::electrons_normalized(xs, vs, l)
+        Particles::electrons_normalized([xs], [vs], l)
     }
 
     #[test]
@@ -176,23 +177,23 @@ mod tests {
     #[test]
     fn fused_step_is_bitwise_equal_to_three_passes() {
         let grid = Grid1D::paper();
-        let e: Vec<f64> = (0..grid.ncells())
+        let e: Vec<f64> = (0..grid.nx())
             .map(|j| 0.1 * (j as f64 * 0.37).sin())
             .collect();
         let dt = 0.2;
         for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
-            let mut pf = particles(3, 4_000, grid.length());
+            let mut pf = particles(3, 4_000, grid.lx());
             let mut pu = pf.clone();
             let moments = fused_gather_push_move(&mut pf, &grid, shape, &e, dt);
 
             let mut ep = vec![0.0; pu.len()];
             gather_field(&pu, &grid, shape, &e, &mut ep);
             let ke = push_velocities(&mut pu, &ep, dt);
-            let momentum = pu.total_momentum();
+            let [momentum] = pu.total_momentum();
             push_positions(&mut pu, &grid, dt);
 
-            assert_eq!(pf.x, pu.x, "{shape:?} positions");
-            assert_eq!(pf.v, pu.v, "{shape:?} velocities");
+            assert_eq!(pf.pos, pu.pos, "{shape:?} positions");
+            assert_eq!(pf.vel, pu.vel, "{shape:?} velocities");
             assert_eq!(moments.centred_kinetic, ke, "{shape:?} kinetic");
             assert_eq!(moments.momentum, momentum, "{shape:?} momentum");
         }
@@ -204,7 +205,7 @@ mod tests {
         // (the field solve is outside the kernel under test).
         let grid = Grid1D::new(16, 2.0532);
         let e: Vec<f64> = (0..16).map(|j| 0.05 * (j as f64 * 0.9).cos()).collect();
-        let mut pf = particles(17, 512, grid.length());
+        let mut pf = particles(17, 512, grid.lx());
         let mut pu = pf.clone();
         let mut ep = vec![0.0; pu.len()];
         for _ in 0..25 {
@@ -214,7 +215,7 @@ mod tests {
             assert_eq!(m.centred_kinetic, ke);
             push_positions(&mut pu, &grid, 0.2);
         }
-        assert_eq!(pf.x, pu.x);
-        assert_eq!(pf.v, pu.v);
+        assert_eq!(pf.pos, pu.pos);
+        assert_eq!(pf.vel, pu.vel);
     }
 }

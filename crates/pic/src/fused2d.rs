@@ -6,12 +6,12 @@
 //! position components in registers, and accumulates the step's
 //! diagnostics moments in the same pass. Per-particle arithmetic is
 //! identical to the three-pass pipeline
-//! [`gather_field`](crate::gather2d::gather_field) →
-//! [`push_velocities`](crate::mover2d::push_velocities) →
-//! [`push_positions`](crate::mover2d::push_positions); the grid wraps are
+//! [`gather_field`](crate::gather::gather_field) →
+//! [`push_velocities`](crate::mover::push_velocities) →
+//! [`push_positions`](crate::mover::push_positions); the grid wraps are
 //! computed by compare-and-fold (equal values, no integer division), and
-//! the zero-weight terms the oracle skips add `±0.0` here, so
-//! trajectories match the unfused oracle bit for bit. As in
+//! both add every stencil term from `+0.0`, so trajectories match the
+//! unfused oracle bit for bit. As in
 //! [`deposit2d`](crate::deposit2d), the body is written once over the
 //! shape's support `S` and picked by one `match` per call. The
 //! kinetic-energy *sum* interleaves the x- and y-contributions per
@@ -24,11 +24,12 @@
 
 use crate::deposit2d::{axis_stencil, next_node};
 use crate::fused::{advance_position, StepMoments};
-use crate::grid2d::Grid2D;
-use crate::particles2d::Particles2D;
+use crate::grid::Grid2D;
+use crate::particles::Particles2D;
 use crate::shape::Shape;
 
-/// One fused step of the 2-D particle pipeline: gather `(ex, ey)` at
+/// One fused step of the 2-D particle pipeline: gather the stacked field
+/// `e = [Ex | Ey]` at
 /// every particle, push both velocity components, push both position
 /// components with periodic wrap — a single pass, no per-particle field
 /// buffers. The moments are the time-centred kinetic energy
@@ -41,12 +42,11 @@ pub fn fused_gather_push_move(
     particles: &mut Particles2D,
     grid: &Grid2D,
     shape: Shape,
-    ex: &[f64],
-    ey: &[f64],
+    e: &[f64],
     dt: f64,
 ) -> StepMoments {
-    assert_eq!(ex.len(), grid.nodes(), "ex length mismatch");
-    assert_eq!(ey.len(), grid.nodes(), "ey length mismatch");
+    assert_eq!(e.len(), 2 * grid.nodes(), "field length mismatch");
+    let (ex, ey) = e.split_at(grid.nodes());
     match shape {
         Shape::Ngp => fused::<1>(particles, grid, ex, ey, dt),
         Shape::Cic => fused::<2>(particles, grid, ex, ey, dt),
@@ -77,11 +77,11 @@ fn fused<const S: usize>(
     let mut ke = 0.0f64;
     let mut mom_x = 0.0f64;
     let mut mom_y = 0.0f64;
-    let iter = particles
-        .x
+    let ([x, y], [vx, vy]) = (&mut particles.pos, &mut particles.vel);
+    let iter = x
         .iter_mut()
-        .zip(particles.y.iter_mut())
-        .zip(particles.vx.iter_mut().zip(particles.vy.iter_mut()));
+        .zip(y.iter_mut())
+        .zip(vx.iter_mut().zip(vy.iter_mut()));
     for ((x, y), (vx, vy)) in iter {
         // Gather (same expressions as `gather_field`).
         let (ix0, wxs) = axis_stencil::<S>(*x * inv_dx, nxi);
@@ -123,8 +123,8 @@ fn fused<const S: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gather2d::gather_field;
-    use crate::mover2d::{push_positions, push_velocities};
+    use crate::gather::gather_field;
+    use crate::mover::{push_positions, push_velocities};
 
     fn particles(seed: u64, n: usize, lx: f64, ly: f64) -> Particles2D {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -138,35 +138,31 @@ mod tests {
         let ys: Vec<f64> = (0..n).map(|_| next() * ly).collect();
         let vxs: Vec<f64> = (0..n).map(|_| next() * 0.8 - 0.4).collect();
         let vys: Vec<f64> = (0..n).map(|_| next() * 0.8 - 0.4).collect();
-        Particles2D::new(xs, ys, vxs, vys, -1.0, 1.0)
+        Particles2D::new([xs, ys], [vxs, vys], -1.0, 1.0)
     }
 
     #[test]
     fn fused_step_trajectories_bitwise_equal_to_three_passes() {
         let grid = Grid2D::new(16, 8, 2.0532, 1.3);
-        let ex: Vec<f64> = (0..grid.nodes())
+        // The stacked field `[Ex | Ey]`.
+        let e: Vec<f64> = (0..grid.nodes())
             .map(|i| 0.1 * (i as f64 * 0.37).sin())
-            .collect();
-        let ey: Vec<f64> = (0..grid.nodes())
-            .map(|i| 0.07 * (i as f64 * 0.91).cos())
+            .chain((0..grid.nodes()).map(|i| 0.07 * (i as f64 * 0.91).cos()))
             .collect();
         let dt = 0.2;
         for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
             let mut pf = particles(5, 2_000, grid.lx(), grid.ly());
             let mut pu = pf.clone();
-            let m = fused_gather_push_move(&mut pf, &grid, shape, &ex, &ey, dt);
+            let m = fused_gather_push_move(&mut pf, &grid, shape, &e, dt);
 
-            let mut gx = vec![0.0; pu.len()];
-            let mut gy = vec![0.0; pu.len()];
-            gather_field(&pu, &grid, shape, &ex, &ey, &mut gx, &mut gy);
-            let ke = push_velocities(&mut pu, &gx, &gy, dt);
-            let (px, py) = pu.total_momentum();
+            let mut e_part = vec![0.0; 2 * pu.len()];
+            gather_field(&pu, &grid, shape, &e, &mut e_part);
+            let ke = push_velocities(&mut pu, &e_part, dt);
+            let [px, py] = pu.total_momentum();
             push_positions(&mut pu, &grid, dt);
 
-            assert_eq!(pf.x, pu.x, "{shape:?} x");
-            assert_eq!(pf.y, pu.y, "{shape:?} y");
-            assert_eq!(pf.vx, pu.vx, "{shape:?} vx");
-            assert_eq!(pf.vy, pu.vy, "{shape:?} vy");
+            assert_eq!(pf.pos, pu.pos, "{shape:?} positions");
+            assert_eq!(pf.vel, pu.vel, "{shape:?} velocities");
             assert_eq!(m.momentum, px, "{shape:?} px");
             assert_eq!(m.momentum_y, Some(py), "{shape:?} py");
             // The KE sum interleaves x/y contributions per particle, so it

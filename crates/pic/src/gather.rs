@@ -3,71 +3,80 @@
 //! Uses the same shape function as the deposition — the combination that
 //! makes the explicit scheme momentum-conserving (no self-force; see the
 //! property tests at the bottom, which verify `Σ_p q·E(x_p) = 0` exactly
-//! for charge distributions deposited with the *same* shape).
+//! for charge distributions deposited with the *same* shape). In `D`
+//! dimensions the weights are the tensor product of the per-axis
+//! [`Shape`] weights.
+//!
+//! This is the reference gather: the stepping loop runs the fused kernels
+//! ([`crate::fused`], [`crate::fused2d`]), and `tests/fused_equivalence.rs`
+//! holds them to this function bit for bit.
 
-use crate::grid::Grid1D;
+use crate::grid::Grid;
 use crate::particles::Particles;
-use crate::shape::Shape;
+use crate::shape::{Assignment, Shape};
 
-/// Interpolates the grid field `e` to every particle position, writing into
-/// `e_part` (reused across steps to avoid per-step allocation).
+/// Interpolates the stacked grid field `e` (`[E]` in 1-D, `[Ex | Ey]` in
+/// 2-D, each component [`Grid::nodes`] long) to every particle position,
+/// writing the stacked per-particle components into `e_part` (each
+/// `particles.len()` long; reused across steps to avoid per-step
+/// allocation).
+///
+/// Each component adds every stencil term `w * e[node]` from `+0.0`, `x`
+/// fastest, with `w` the product of the axis weights in axis order. A
+/// zero-weight term is `±0.0` added to a sum that is never `-0.0`, so it
+/// changes no bit for a finite field.
 ///
 /// # Panics
 /// Panics if buffer sizes disagree with the particle count / grid.
-pub fn gather_field(
-    particles: &Particles,
-    grid: &Grid1D,
+pub fn gather_field<const D: usize>(
+    particles: &Particles<D>,
+    grid: &Grid<D>,
     shape: Shape,
     e: &[f64],
     e_part: &mut [f64],
 ) {
-    assert_eq!(e.len(), grid.ncells(), "field length mismatch");
-    assert_eq!(
-        e_part.len(),
-        particles.len(),
-        "per-particle buffer mismatch"
-    );
-    let inv_dx = 1.0 / grid.dx();
-    let n = grid.ncells();
+    let (nodes, n) = (grid.nodes(), particles.len());
+    assert_eq!(e.len(), D * nodes, "field length mismatch");
+    assert_eq!(e_part.len(), D * n, "per-particle buffer mismatch");
+    let cells = grid.cells();
+    let spacing = grid.spacing();
+    let inv_h: [f64; D] = std::array::from_fn(|k| 1.0 / spacing[k]);
+    let support = shape.support();
+    let stencil = support.pow(D as u32);
 
-    let gather_one = |x: f64| -> f64 {
-        let a = shape.assign(x * inv_dx);
-        match shape {
-            Shape::Ngp => e[wrap(a.leftmost, n)],
-            Shape::Cic => {
-                let j = wrap(a.leftmost, n);
-                let j1 = if j + 1 == n { 0 } else { j + 1 };
-                a.w[0] * e[j] + a.w[1] * e[j1]
+    for i in 0..n {
+        let a: [Assignment; D] =
+            std::array::from_fn(|k| shape.assign(particles.pos[k][i] * inv_h[k]));
+        let mut acc = [0.0; D];
+        for s in 0..stencil {
+            let (mut w, mut node, mut stride, mut rest) = (1.0, 0, 1, s);
+            for k in 0..D {
+                let o = rest % support;
+                rest /= support;
+                w *= a[k].w[o];
+                node += (a[k].leftmost + o as i64).rem_euclid(cells[k] as i64) as usize * stride;
+                stride *= cells[k];
             }
-            Shape::Tsc => {
-                let mut acc = 0.0;
-                for (o, w) in a.w.iter().enumerate() {
-                    acc += w * e[wrap(a.leftmost + o as i64, n)];
-                }
-                acc
+            for (c, acc) in acc.iter_mut().enumerate() {
+                *acc += w * e[c * nodes + node];
             }
         }
-    };
-
-    for (&x, ep) in particles.x.iter().zip(e_part.iter_mut()) {
-        *ep = gather_one(x);
+        for (c, acc) in acc.into_iter().enumerate() {
+            e_part[c * n + i] = acc;
+        }
     }
-}
-
-#[inline]
-fn wrap(j: i64, n: usize) -> usize {
-    j.rem_euclid(n as i64) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deposit::deposit_charge;
+    use crate::grid::Grid1D;
     use proptest::prelude::*;
 
     fn particles_at(xs: Vec<f64>, grid: &Grid1D) -> Particles {
         let n = xs.len();
-        Particles::electrons_normalized(xs, vec![0.0; n], grid.length())
+        Particles::electrons_normalized([xs], [vec![0.0; n]], grid.lx())
     }
 
     #[test]
@@ -96,7 +105,7 @@ mod tests {
     fn constant_field_gathers_exactly_for_all_shapes() {
         let grid = Grid1D::new(16, 2.0532);
         let e = vec![0.321; 16];
-        let xs: Vec<f64> = (0..100).map(|i| i as f64 / 100.0 * grid.length()).collect();
+        let xs: Vec<f64> = (0..100).map(|i| i as f64 / 100.0 * grid.lx()).collect();
         let p = particles_at(xs, &grid);
         let mut ep = vec![0.0; p.len()];
         for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {

@@ -4,11 +4,16 @@
 //! the [`FieldSolver`](crate::solver::FieldSolver) seam with its
 //! [`TraditionalSolver`](crate::solver::TraditionalSolver), the DL solver
 //! in `dlpic-core` and the engine's PIC session are each written once over
-//! [`Geometry`]; the kernels behind it (deposit, gather, mover, fused
-//! push, Poisson, gradient) stay specialised per dimension. [`Grid1D`]
-//! implements it here, [`Grid2D`](crate::grid2d::Grid2D) in
-//! [`geometry2d`](crate::geometry2d). Dispatch is static: the generic
-//! cycle monomorphises to the same kernel calls a hand-written one makes.
+//! [`Geometry`]. Dimension is data below it: one
+//! [`Grid<D>`](crate::grid::Grid) and one
+//! [`Particles<D>`](crate::particles::Particles), and the per-axis
+//! kernels (reference gather, leap-frog mover, `E = −∇Φ`, field energy,
+//! instantaneous report) are each written once over `D`. Loading,
+//! deposit, fused push and Poisson stay per dimension. [`Grid1D`]
+//! implements the trait here, [`Grid2D`](crate::grid::Grid2D) in
+//! [`geometry2d`](crate::geometry2d); each method is one call. Dispatch is
+//! static: the generic cycle monomorphises to the same kernel calls a
+//! hand-written one makes.
 //!
 //! The node field is one flat buffer of `FIELD_NAMES.len()` components
 //! stacked back to back, each [`Geometry::nodes`] long — `[E]` in 1-D,
@@ -20,7 +25,7 @@ use crate::diagnostics::{field_mode_amplitude, instantaneous_report, EnergyRepor
 use crate::efield::{efield_from_phi, field_energy};
 use crate::fused::{fused_gather_push_move, StepMoments};
 use crate::gather::gather_field;
-use crate::grid::Grid1D;
+use crate::grid::{Grid, Grid1D};
 use crate::init::TwoStreamInit;
 use crate::mover::half_step_back;
 use crate::particles::Particles;
@@ -95,6 +100,21 @@ pub trait Geometry: Clone + fmt::Debug + Send + 'static {
     fn columns_mut(particles: &mut Self::Particles) -> Vec<&mut [f64]>;
 }
 
+/// [`Geometry::half_step_back`] in every dimension. The per-particle
+/// buffer lives only for this set-up gather; the stepping loop is fused
+/// and needs none.
+pub(crate) fn gather_and_rewind<const D: usize>(
+    grid: &Grid<D>,
+    particles: &mut Particles<D>,
+    shape: Shape,
+    e: &[f64],
+    dt: f64,
+) {
+    let mut e_part = vec![0.0; D * particles.len()];
+    gather_field(particles, grid, shape, e, &mut e_part);
+    half_step_back(particles, &e_part, dt);
+}
+
 impl Geometry for Grid1D {
     type Particles = Particles;
     type Mode = usize;
@@ -104,7 +124,7 @@ impl Geometry for Grid1D {
     const TRADITIONAL_NAME: &'static str = "traditional";
 
     fn nodes(&self) -> usize {
-        self.ncells()
+        Grid::nodes(self)
     }
 
     fn load(&self, init: &TwoStreamInit) -> Particles {
@@ -112,11 +132,7 @@ impl Geometry for Grid1D {
     }
 
     fn half_step_back(&self, particles: &mut Particles, shape: Shape, e: &[f64], dt: f64) {
-        // The per-particle buffer lives only for this set-up gather; the
-        // stepping loop is fused and needs none.
-        let mut e_part = vec![0.0; particles.len()];
-        gather_field(particles, self, shape, e, &mut e_part);
-        half_step_back(particles, &e_part, dt);
+        gather_and_rewind(self, particles, shape, e, dt);
     }
 
     fn fused_push(
@@ -157,10 +173,10 @@ impl Geometry for Grid1D {
     }
 
     fn columns(particles: &Particles) -> Vec<(&'static str, &[f64])> {
-        vec![("x", &particles.x), ("v", &particles.v)]
+        ["x", "v"].into_iter().zip(particles.components()).collect()
     }
 
     fn columns_mut(particles: &mut Particles) -> Vec<&mut [f64]> {
-        vec![&mut particles.x, &mut particles.v]
+        particles.components_mut()
     }
 }

@@ -9,21 +9,19 @@
 //! conventions are the 1-D ones (see [`crate::simulation`]).
 
 use crate::deposit2d::deposit_charge;
-use crate::diagnostics::EnergyReport;
-use crate::diagnostics2d::{field_mode_amplitude, instantaneous_report};
-use crate::efield2d::{efield_from_phi, field_energy};
+use crate::diagnostics::{instantaneous_report, EnergyReport};
+use crate::efield::{efield_from_phi, field_energy};
 use crate::fused::StepMoments;
 use crate::fused2d::fused_gather_push_move;
-use crate::gather2d::gather_field;
-use crate::geometry::Geometry;
-use crate::grid2d::Grid2D;
+use crate::geometry::{gather_and_rewind, Geometry};
+use crate::grid::{Grid, Grid2D};
 use crate::init2d::TwoStream2DInit;
-use crate::mover2d::half_step_back;
-use crate::particles2d::Particles2D;
+use crate::particles::Particles2D;
 use crate::poisson::PoissonSolver;
 use crate::poisson2d::{SorPoisson2D, SpectralPoisson2D};
 use crate::shape::Shape;
 use crate::solver::PoissonKind;
+use dlpic_analytics::dft2;
 
 impl Geometry for Grid2D {
     type Particles = Particles2D;
@@ -34,7 +32,7 @@ impl Geometry for Grid2D {
     const TRADITIONAL_NAME: &'static str = "traditional-2d";
 
     fn nodes(&self) -> usize {
-        Grid2D::nodes(self)
+        Grid::nodes(self)
     }
 
     fn load(&self, init: &TwoStream2DInit) -> Particles2D {
@@ -42,13 +40,7 @@ impl Geometry for Grid2D {
     }
 
     fn half_step_back(&self, particles: &mut Particles2D, shape: Shape, e: &[f64], dt: f64) {
-        let (ex, ey) = e.split_at(self.nodes());
-        // The per-particle buffers live only for this set-up gather; the
-        // stepping loop is fused and needs none.
-        let mut ex_part = vec![0.0; particles.len()];
-        let mut ey_part = vec![0.0; particles.len()];
-        gather_field(particles, self, shape, ex, ey, &mut ex_part, &mut ey_part);
-        half_step_back(particles, &ex_part, &ey_part, dt);
+        gather_and_rewind(self, particles, shape, e, dt);
     }
 
     fn fused_push(
@@ -58,8 +50,7 @@ impl Geometry for Grid2D {
         e: &[f64],
         dt: f64,
     ) -> StepMoments {
-        let (ex, ey) = e.split_at(self.nodes());
-        fused_gather_push_move(particles, self, shape, ex, ey, dt)
+        fused_gather_push_move(particles, self, shape, e, dt)
     }
 
     fn deposit(&self, particles: &Particles2D, shape: Shape, rho: &mut [f64]) {
@@ -74,30 +65,30 @@ impl Geometry for Grid2D {
     }
 
     fn gradient(&self, phi: &[f64], e: &mut [f64]) {
-        let (ex, ey) = e.split_at_mut(self.nodes());
-        efield_from_phi(self, phi, ex, ey);
+        efield_from_phi(self, phi, e);
     }
 
     fn field_energy(&self, e: &[f64]) -> f64 {
-        let (ex, ey) = e.split_at(self.nodes());
-        field_energy(self, ex, ey)
+        field_energy(self, e)
     }
 
     fn mode_amplitude(&self, e: &[f64], (mx, my): (usize, usize)) -> f64 {
-        field_mode_amplitude(&e[..self.nodes()], self, mx, my)
+        dft2::mode_amplitude2(&e[..Grid::nodes(self)], self.nx(), self.ny(), mx, my)
     }
 
     fn instantaneous_report(&self, particles: &Particles2D, e: &[f64]) -> EnergyReport {
-        let (ex, ey) = e.split_at(self.nodes());
-        instantaneous_report(particles, self, ex, ey)
+        instantaneous_report(particles, self, e)
     }
 
     fn columns(p: &Particles2D) -> Vec<(&'static str, &[f64])> {
-        vec![("x", &p.x), ("y", &p.y), ("vx", &p.vx), ("vy", &p.vy)]
+        ["x", "y", "vx", "vy"]
+            .into_iter()
+            .zip(p.components())
+            .collect()
     }
 
     fn columns_mut(p: &mut Particles2D) -> Vec<&mut [f64]> {
-        vec![&mut p.x, &mut p.y, &mut p.vx, &mut p.vy]
+        p.components_mut()
     }
 }
 

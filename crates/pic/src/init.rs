@@ -85,7 +85,7 @@ impl TwoStreamInit {
             "particle count must be even to balance the two beams"
         );
         let n = self.n_particles;
-        let l = grid.length();
+        let l = grid.lx();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut x = Vec::with_capacity(n);
         let mut v = Vec::with_capacity(n);
@@ -108,7 +108,7 @@ impl TwoStreamInit {
                         // perfect charge cancellation artifacts.
                         let x0 = (i as f64 + 0.25 + 0.5 * b as f64) / per_beam as f64 * l;
                         let xp = if mode > 0 && amplitude != 0.0 {
-                            grid.wrap_position(x0 + amplitude * l * (k * x0).sin())
+                            grid.wrap_x(x0 + amplitude * l * (k * x0).sin())
                         } else {
                             x0
                         };
@@ -123,7 +123,7 @@ impl TwoStreamInit {
                 }
             }
         }
-        Particles::electrons_normalized(x, v, l)
+        Particles::electrons_normalized([x], [v], l)
     }
 }
 
@@ -232,7 +232,7 @@ impl MultiBeamInit {
             counts[largest] += self.n_particles - assigned;
         }
 
-        let l = grid.length();
+        let l = grid.lx();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut x = Vec::with_capacity(self.n_particles);
         let mut v = Vec::with_capacity(self.n_particles);
@@ -249,7 +249,7 @@ impl MultiBeamInit {
                     for i in 0..count {
                         let x0 = (i as f64 + 0.5) / count as f64 * l;
                         let xp = if mode > 0 && amplitude != 0.0 {
-                            grid.wrap_position(x0 + amplitude * l * (k * x0).sin())
+                            grid.wrap_x(x0 + amplitude * l * (k * x0).sin())
                         } else {
                             x0
                         };
@@ -264,7 +264,7 @@ impl MultiBeamInit {
                 }
             }
         }
-        Particles::electrons_normalized(x, v, l)
+        Particles::electrons_normalized([x], [v], l)
     }
 }
 
@@ -292,10 +292,10 @@ mod tests {
     fn random_loading_balances_beams() {
         let p = TwoStreamInit::random(0.2, 0.0, 10_000, 7).build(&grid());
         assert_eq!(p.len(), 10_000);
-        let plus = p.v.iter().filter(|v| **v > 0.0).count();
+        let plus = p.vel[0].iter().filter(|v| **v > 0.0).count();
         assert_eq!(plus, 5_000);
         // Cold beams: momentum exactly zero by construction.
-        assert!(p.total_momentum().abs() < 1e-12);
+        assert!(p.total_momentum()[0].abs() < 1e-12);
     }
 
     #[test]
@@ -316,8 +316,8 @@ mod tests {
                 seed: 3,
             };
             let p = init.build(&g);
-            for &x in &p.x {
-                assert!((0.0..g.length()).contains(&x), "x = {x}");
+            for &x in &p.pos[0] {
+                assert!((0.0..g.lx()).contains(&x), "x = {x}");
             }
         }
     }
@@ -327,7 +327,7 @@ mod tests {
         let vth = 0.01;
         let p = TwoStreamInit::random(0.2, vth, 200_000, 42).build(&grid());
         // Split by beam and check the spread of one beam.
-        let beam_plus: Vec<f64> = p.v.iter().copied().filter(|v| *v > 0.0).collect();
+        let beam_plus: Vec<f64> = p.vel[0].iter().copied().filter(|v| *v > 0.0).collect();
         let mean = beam_plus.iter().sum::<f64>() / beam_plus.len() as f64;
         let var = beam_plus
             .iter()
@@ -348,16 +348,16 @@ mod tests {
         let b = TwoStreamInit::random(0.2, 0.025, 1_000, 11).build(&grid());
         assert_eq!(a, b);
         let c = TwoStreamInit::random(0.2, 0.025, 1_000, 12).build(&grid());
-        assert_ne!(a.x, c.x);
+        assert_ne!(a.pos[0], c.pos[0]);
     }
 
     #[test]
     fn quiet_start_cold_beams_have_exact_velocities() {
         let p = TwoStreamInit::quiet(0.3, 0.0, 1_000, 0.0, 0).build(&grid());
-        for &v in &p.v {
+        for &v in &p.vel[0] {
             assert!((v.abs() - 0.3).abs() < 1e-15);
         }
-        assert!(p.total_momentum().abs() < 1e-12);
+        assert!(p.total_momentum()[0].abs() < 1e-12);
     }
 
     #[test]
@@ -365,18 +365,17 @@ mod tests {
         let g = grid();
         let flat = TwoStreamInit::quiet(0.2, 0.0, 2_000, 0.0, 0).build(&g);
         let pert = TwoStreamInit::quiet(0.2, 0.0, 2_000, 1e-2, 0).build(&g);
-        let max_shift = flat
-            .x
+        let max_shift = flat.pos[0]
             .iter()
-            .zip(&pert.x)
+            .zip(&pert.pos[0])
             .map(|(a, b)| {
                 let d = (a - b).abs();
-                d.min(g.length() - d)
+                d.min(g.lx() - d)
             })
             .fold(0.0f64, f64::max);
         assert!(max_shift > 1e-3, "perturbation had no effect");
         assert!(
-            max_shift < 0.05 * g.length(),
+            max_shift < 0.05 * g.lx(),
             "perturbation too large: {max_shift}"
         );
     }
@@ -405,21 +404,21 @@ mod tests {
         let p = init.build(&g);
         assert_eq!(p.len(), 30_000);
         // ~10% of particles in the fast beam around v = 0.3.
-        let beam = p.v.iter().filter(|v| **v > 0.2).count();
+        let beam = p.vel[0].iter().filter(|v| **v > 0.2).count();
         assert!(
             (beam as f64 / 30_000.0 - 0.1).abs() < 0.02,
             "beam fraction {}",
             beam as f64 / 30_000.0
         );
         // Net momentum equals the beam's drift contribution.
-        let p_total = p.total_momentum();
+        let [p_total] = p.total_momentum();
         let expected = 0.1 * 0.3 * p.mass() * 30_000.0;
         assert!(
             (p_total - expected).abs() / expected.abs() < 0.1,
             "momentum {p_total} vs expected {expected}"
         );
-        for &xi in &p.x {
-            assert!((0.0..g.length()).contains(&xi));
+        for &xi in &p.pos[0] {
+            assert!((0.0..g.lx()).contains(&xi));
         }
     }
 
@@ -447,8 +446,8 @@ mod tests {
         };
         let p = init.build(&g);
         assert_eq!(p.len(), 10_000);
-        assert!(p.total_momentum().abs() < 1e-12);
-        let plus = p.v.iter().filter(|v| **v > 0.0).count();
+        assert!(p.total_momentum()[0].abs() < 1e-12);
+        let plus = p.vel[0].iter().filter(|v| **v > 0.0).count();
         assert_eq!(plus, 5_000);
     }
 

@@ -3,9 +3,9 @@
 //! carry exactly the paper's 1-D physics, making the 1-D linear theory the
 //! validation reference for the 2-D extension.
 
-use crate::grid2d::Grid2D;
+use crate::grid::Grid2D;
 use crate::init::{gaussian, Loading};
-use crate::particles2d::Particles2D;
+use crate::particles::Particles2D;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,7 +80,7 @@ impl TwoStream2DInit {
                 let per_beam = n / 2;
                 // Lattice as close to square as divides per_beam evenly.
                 let (cols, rows) = lattice_dims(per_beam);
-                let k = grid.mode_wavenumber_x(mode.max(1));
+                let k = grid.mode_wavenumber(mode.max(1));
                 for b in 0..2 {
                     let sign = if b == 0 { 1.0 } else { -1.0 };
                     for i in 0..per_beam {
@@ -107,7 +107,7 @@ impl TwoStream2DInit {
                 }
             }
         }
-        Particles2D::electrons_normalized(x, y, vx, vy, grid.area())
+        Particles2D::electrons_normalized([x, y], [vx, vy], grid.volume())
     }
 }
 
@@ -153,7 +153,7 @@ mod tests {
                 seed: 7,
             };
             let p = init.build(&grid);
-            let (px, py) = p.total_momentum();
+            let [px, py] = p.total_momentum();
             assert!(px.abs() < 1e-10, "{loading:?}: px = {px}");
             assert!(py.abs() < 1e-10, "{loading:?}: py = {py}");
         }
@@ -163,19 +163,25 @@ mod tests {
     fn positions_live_in_box() {
         let grid = Grid2D::default_square();
         let p = TwoStream2DInit::random(0.2, 0.01, 2048, 3).build(&grid);
-        assert!(p.x.iter().all(|&x| (0.0..grid.lx()).contains(&x)));
-        assert!(p.y.iter().all(|&y| (0.0..grid.ly()).contains(&y)));
+        assert!(p.pos[0].iter().all(|&x| (0.0..grid.lx()).contains(&x)));
+        assert!(p.pos[1].iter().all(|&y| (0.0..grid.ly()).contains(&y)));
     }
 
     #[test]
     fn cold_quiet_start_has_exact_beam_speeds() {
         let grid = Grid2D::default_square();
         let p = TwoStream2DInit::quiet(0.3, 0.0, 1000, 0.0, 0).build(&grid);
-        let fast = p.vx.iter().filter(|v| (**v - 0.3).abs() < 1e-14).count();
-        let slow = p.vx.iter().filter(|v| (**v + 0.3).abs() < 1e-14).count();
+        let fast = p.vel[0]
+            .iter()
+            .filter(|v| (**v - 0.3).abs() < 1e-14)
+            .count();
+        let slow = p.vel[0]
+            .iter()
+            .filter(|v| (**v + 0.3).abs() < 1e-14)
+            .count();
         assert_eq!(fast, 500);
         assert_eq!(slow, 500);
-        assert!(p.vy.iter().all(|v| v.abs() < 1e-14));
+        assert!(p.vel[1].iter().all(|v| v.abs() < 1e-14));
     }
 
     #[test]
@@ -183,8 +189,8 @@ mod tests {
         let grid = Grid2D::default_square();
         let vth = 0.05;
         let p = TwoStream2DInit::random(0.0, vth, 20_000, 11).build(&grid);
-        let var_x: f64 = p.vx.iter().map(|v| v * v).sum::<f64>() / p.len() as f64;
-        let var_y: f64 = p.vy.iter().map(|v| v * v).sum::<f64>() / p.len() as f64;
+        let var_x: f64 = p.vel[0].iter().map(|v| v * v).sum::<f64>() / p.len() as f64;
+        let var_y: f64 = p.vel[1].iter().map(|v| v * v).sum::<f64>() / p.len() as f64;
         assert!(
             (var_x.sqrt() - vth).abs() < 0.1 * vth,
             "σx = {}",

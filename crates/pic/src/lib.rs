@@ -25,13 +25,19 @@
 //! The cycle itself ([`simulation::Simulation`], its config and
 //! [`history::History`], both solver traits and the
 //! [`TraditionalSolver`]) is written once over the
-//! [`geometry::Geometry`] of a grid and defaults to [`Grid1D`]. The
-//! kernels stay specialised per dimension: the 1-D ones above, and their
-//! 2-D counterparts over [`Grid2D`] in the `*2d` modules ([`gather2d`],
-//! [`mover2d`], [`deposit2d`], [`poisson2d`], [`efield2d`], [`fused2d`]),
-//! which [`geometry2d`] plugs into the same driver. 2-D node arrays are
-//! row-major with `x` fastest, `a[iy * nx + ix]`, and the 2-D field is
-//! `[Ex | Ey]` stacked in one flat buffer.
+//! [`geometry::Geometry`] of a grid and defaults to [`Grid1D`].
+//! Dimension is data below it: one [`Grid<D>`](Grid) whose cells,
+//! lengths and spacing are `[_; D]`, and one [`Particles<D>`](Particles)
+//! whose positions and velocities are `[Vec<f64>; D]` ([`Grid1D`],
+//! [`Grid2D`] and [`Particles2D`] are aliases). The reference gather, the
+//! mover, `E = −∇Φ`, the field energy and the instantaneous report are
+//! each written once over `D`, on stacked component buffers: the field is
+//! `[E]` in 1-D and `[Ex | Ey]` in 2-D. Where dimension is real the
+//! kernels stay per dimension: loading ([`init`], [`init2d`]), deposit
+//! ([`deposit`], [`deposit2d`]), the fused push ([`fused`], [`fused2d`])
+//! and Poisson ([`poisson`], [`poisson2d`]); [`geometry2d`] plugs the 2-D
+//! ones into the same driver. 2-D node arrays are row-major with `x`
+//! fastest, `a[iy * nx + ix]`.
 //!
 //! A two-stream configuration that is uniform in `y` must reproduce the
 //! 1-D physics exactly: the `(kx, ky) = (k₁, 0)` mode grows at the 1-D
@@ -51,24 +57,18 @@ pub mod constants;
 pub mod deposit;
 pub mod deposit2d;
 pub mod diagnostics;
-pub mod diagnostics2d;
 pub mod efield;
-pub mod efield2d;
 pub mod fused;
 pub mod fused2d;
 pub mod gather;
-pub mod gather2d;
 pub mod geometry;
 pub mod geometry2d;
 pub mod grid;
-pub mod grid2d;
 pub mod history;
 pub mod init;
 pub mod init2d;
 pub mod mover;
-pub mod mover2d;
 pub mod particles;
-pub mod particles2d;
 pub mod poisson;
 pub mod poisson2d;
 pub mod presets;
@@ -76,14 +76,34 @@ pub mod shape;
 pub mod simulation;
 pub mod solver;
 
+// The 2-D unit tests of the dimension-generic modules. One module per
+// 2-D case keeps each test's path (`grid2d::tests::…`) stable.
+#[cfg(test)]
+#[path = "tests2d/diagnostics2d.rs"]
+mod diagnostics2d;
+#[cfg(test)]
+#[path = "tests2d/efield2d.rs"]
+mod efield2d;
+#[cfg(test)]
+#[path = "tests2d/gather2d.rs"]
+mod gather2d;
+#[cfg(test)]
+#[path = "tests2d/grid2d.rs"]
+mod grid2d;
+#[cfg(test)]
+#[path = "tests2d/mover2d.rs"]
+mod mover2d;
+#[cfg(test)]
+#[path = "tests2d/particles2d.rs"]
+mod particles2d;
+
 pub use fused::{fused_gather_push_move, StepMoments};
 pub use geometry::Geometry;
-pub use grid::Grid1D;
-pub use grid2d::Grid2D;
+pub use grid::{Grid, Grid1D, Grid2D};
 pub use history::{History, SampleRow};
 pub use init::{BeamSpec, Loading, MultiBeamInit, TwoStreamInit};
 pub use init2d::TwoStream2DInit;
-pub use particles::Particles;
+pub use particles::{Particles, Particles2D};
 pub use poisson::{FdPoisson, PoissonSolver, SpectralPoisson};
 pub use shape::Shape;
 pub use simulation::{PicConfig, Simulation};

@@ -50,7 +50,7 @@ impl FdPoisson {
 
 impl PoissonSolver for FdPoisson {
     fn solve(&mut self, grid: &Grid1D, rho: &[f64], phi: &mut [f64]) {
-        let n = grid.ncells();
+        let n = grid.nx();
         assert_eq!(rho.len(), n, "rho length mismatch");
         assert_eq!(phi.len(), n, "phi length mismatch");
         assert!(n >= 3, "FD Poisson needs at least 3 nodes");
@@ -105,7 +105,7 @@ impl SpectralPoisson {
 
 impl PoissonSolver for SpectralPoisson {
     fn solve(&mut self, grid: &Grid1D, rho: &[f64], phi: &mut [f64]) {
-        let n = grid.ncells();
+        let n = grid.nx();
         assert_eq!(rho.len(), n, "rho length mismatch");
         assert_eq!(phi.len(), n, "phi length mismatch");
         assert!(
@@ -120,7 +120,7 @@ impl PoissonSolver for SpectralPoisson {
 
         // Divide by k² mode by mode; k=0 (the mean) is gauged away.
         self.spectrum[0] = Complex64::ZERO;
-        let two_pi_over_l = 2.0 * std::f64::consts::PI / grid.length();
+        let two_pi_over_l = 2.0 * std::f64::consts::PI / grid.lx();
         for m in 1..n {
             // Signed mode number: m > n/2 represents negative frequencies.
             let mode = if m <= n / 2 {
@@ -144,7 +144,7 @@ impl PoissonSolver for SpectralPoisson {
 /// that a solution satisfies the linear system it came from.
 // analyze:allow(pub-reach): reference oracle of the FD Poisson kernels, called by tests/solver_cross_checks.rs
 pub fn fd_residual(grid: &Grid1D, rho: &[f64], phi: &[f64]) -> f64 {
-    let n = grid.ncells();
+    let n = grid.nx();
     let dx2 = grid.dx() * grid.dx();
     let mean = rho.iter().sum::<f64>() / n as f64;
     let mut worst = 0.0f64;
@@ -165,7 +165,7 @@ mod tests {
     /// ρ(x) = A·cos(k_m x) has the analytic solution Φ = A·cos(k_m x)/k_m².
     fn cosine_rho(grid: &Grid1D, mode: usize, amp: f64) -> (Vec<f64>, Vec<f64>) {
         let k = grid.mode_wavenumber(mode);
-        let n = grid.ncells();
+        let n = grid.nx();
         let rho: Vec<f64> = (0..n)
             .map(|j| amp * (k * grid.node_position(j)).cos())
             .collect();
@@ -290,7 +290,7 @@ mod tests {
             a1 in -1.0f64..1.0, a2 in -1.0f64..1.0, a3 in -1.0f64..1.0,
         ) {
             let grid = Grid1D::new(128, 2.0532);
-            let n = grid.ncells();
+            let n = grid.nx();
             let rho: Vec<f64> = (0..n)
                 .map(|j| {
                     let x = grid.node_position(j);

@@ -14,7 +14,7 @@
 //! Both gauge Φ to zero mean and require a compatible (zero-mean) charge
 //! density, which the neutralizing ion background guarantees.
 
-use crate::grid2d::Grid2D;
+use crate::grid::Grid2D;
 use crate::poisson::PoissonSolver;
 use dlpic_analytics::complex::Complex64;
 use dlpic_analytics::dft::is_power_of_two;
@@ -181,7 +181,7 @@ mod tests {
     /// Builds ρ = (kx² + ky²)·cos(kx·x)·cos(ky·y), whose exact solution is
     /// Φ = cos(kx·x)·cos(ky·y).
     fn manufactured(grid: &Grid2D, mx: usize, my: usize) -> (Vec<f64>, Vec<f64>) {
-        let kx = grid.mode_wavenumber_x(mx);
+        let kx = grid.mode_wavenumber(mx);
         let ky = grid.mode_wavenumber_y(my);
         let k2 = kx * kx + ky * ky;
         let mut rho = grid.zeros();

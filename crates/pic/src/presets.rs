@@ -46,7 +46,7 @@ mod tests {
     #[test]
     fn paper_config_matches_section_iii() {
         let cfg = paper_config(0.2, 0.025, 0);
-        assert_eq!(cfg.grid.ncells(), 64);
+        assert_eq!(cfg.grid.nx(), 64);
         assert_eq!(cfg.init.as_ref().unwrap().n_particles, 64_000);
         assert!((cfg.dt - 0.2).abs() < 1e-15);
         assert_eq!(cfg.n_steps, 200);

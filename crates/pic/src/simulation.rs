@@ -367,7 +367,7 @@ mod tests {
         let mut sim = small_sim(0.3, 0.01, 30);
         sim.run();
         let (x, _) = sim.phase_space();
-        let l = sim.grid().length();
+        let l = sim.grid().lx();
         for &xi in x {
             assert!((0.0..l).contains(&xi), "escaped particle at {xi}");
         }

@@ -16,7 +16,7 @@
 use crate::deposit::add_uniform_background;
 use crate::geometry::Geometry;
 use crate::grid::Grid1D;
-use crate::grid2d::Grid2D;
+use crate::grid::Grid2D;
 use crate::poisson::PoissonSolver;
 use crate::shape::Shape;
 
@@ -198,26 +198,26 @@ impl<G: Geometry> FieldSolver<G> for TraditionalSolver<G> {
 mod tests {
     use super::*;
     use crate::particles::Particles;
-    use crate::particles2d::Particles2D;
+    use crate::particles::Particles2D;
 
     /// An equispaced (quiet) 1-D electron load of `n` particles, displaced
     /// by `amp·L·sin(k₁x)`.
     fn beam(grid: &Grid1D, n: usize, amp: f64) -> Particles {
-        let l = grid.length();
+        let l = grid.lx();
         let k = grid.mode_wavenumber(1);
         let xs = (0..n)
             .map(|i| {
                 let x0 = (i as f64 + 0.5) / n as f64 * l;
-                grid.wrap_position(x0 + amp * l * (k * x0).sin())
+                grid.wrap_x(x0 + amp * l * (k * x0).sin())
             })
             .collect();
-        Particles::electrons_normalized(xs, vec![0.0; n], l)
+        Particles::electrons_normalized([xs], [vec![0.0; n]], l)
     }
 
     /// A quiet 2-D electron lattice of `per_axis²` particles, displaced
     /// along `x` by `amp·lx·sin(kx·x)` and uniform in `y`.
     fn lattice(grid: &Grid2D, per_axis: usize, amp: f64) -> Particles2D {
-        let k = grid.mode_wavenumber_x(1);
+        let k = grid.mode_wavenumber(1);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for j in 0..per_axis {
@@ -228,7 +228,7 @@ mod tests {
             }
         }
         let n = xs.len();
-        Particles2D::electrons_normalized(xs, ys, vec![0.0; n], vec![0.0; n], grid.area())
+        Particles2D::electrons_normalized([xs, ys], [vec![0.0; n], vec![0.0; n]], grid.volume())
     }
 
     /// One solve into a fresh stacked field.
@@ -259,7 +259,7 @@ mod tests {
         let p = beam(&grid, 256_000, amp);
         let e = solve(TraditionalSolver::paper_default(), &p, &grid);
 
-        let expect_amp = amp * grid.length(); // ρ₀ = -1 electrons, ε₀ = 1
+        let expect_amp = amp * grid.lx(); // ρ₀ = -1 electrons, ε₀ = 1
         let measured = dlpic_analytics::dft::mode_amplitude(&e, 1);
         assert!(
             (measured - expect_amp).abs() / expect_amp < 0.02,
@@ -275,10 +275,10 @@ mod tests {
         let amp = 1e-3;
         let p = lattice(&grid, 192, amp);
         let e = solve(TraditionalSolver::default_config(), &p, &grid);
-        let (ex, ey) = e.split_at(grid.nodes());
+        let ey = &e[grid.nodes()..];
 
         let expect = amp * grid.lx();
-        let measured = crate::diagnostics2d::field_mode_amplitude(ex, &grid, 1, 0);
+        let measured = grid.mode_amplitude(&e, (1, 0));
         assert!(
             (measured - expect).abs() / expect < 0.02,
             "Ex(1,0) = {measured}, expected ≈ {expect}"

@@ -1,59 +1,22 @@
-//! Field gather: interpolate `(Ex, Ey)` from grid nodes to particle
-//! positions with the same tensor-product weights as the deposition
-//! (using identical scatter/gather weights is what keeps the explicit
-//! scheme free of self-forces).
+//! 2-D unit tests of the reference gather ([`crate::gather`]).
 
-use crate::grid2d::Grid2D;
-use crate::particles2d::Particles2D;
-use crate::shape::Shape;
+#[cfg(test)]
+use crate::{gather::gather_field, grid::Grid2D, particles::Particles2D, shape::Shape};
 
-/// Interpolates both field components at every particle position.
-///
-/// # Panics
-/// Panics if field arrays don't match the grid or output slices don't
-/// match the particle count.
-pub fn gather_field(
-    particles: &Particles2D,
+/// The gather of the stacked field `[ex | ey]`, split back into
+/// `(gx, gy)`.
+#[cfg(test)]
+fn gather(
+    p: &Particles2D,
     grid: &Grid2D,
     shape: Shape,
     ex: &[f64],
     ey: &[f64],
-    ex_part: &mut [f64],
-    ey_part: &mut [f64],
-) {
-    assert_eq!(ex.len(), grid.nodes(), "ex length mismatch");
-    assert_eq!(ey.len(), grid.nodes(), "ey length mismatch");
-    assert_eq!(ex_part.len(), particles.len(), "ex_part length mismatch");
-    assert_eq!(ey_part.len(), particles.len(), "ey_part length mismatch");
-    let inv_dx = 1.0 / grid.dx();
-    let inv_dy = 1.0 / grid.dy();
-    let nx = grid.nx();
-    let support = shape.support();
-
-    for (idx, (&x, &y)) in particles.x.iter().zip(&particles.y).enumerate() {
-        let ax = shape.assign(x * inv_dx);
-        let ay = shape.assign(y * inv_dy);
-        let mut ex_acc = 0.0;
-        let mut ey_acc = 0.0;
-        for jy in 0..support {
-            let wy = ay.w[jy];
-            if wy == 0.0 {
-                continue;
-            }
-            let row = grid.wrap_iy(ay.leftmost + jy as i64) * nx;
-            for jx in 0..support {
-                let w = ax.w[jx] * wy;
-                if w == 0.0 {
-                    continue;
-                }
-                let node = row + grid.wrap_ix(ax.leftmost + jx as i64);
-                ex_acc += w * ex[node];
-                ey_acc += w * ey[node];
-            }
-        }
-        ex_part[idx] = ex_acc;
-        ey_part[idx] = ey_acc;
-    }
+) -> (Vec<f64>, Vec<f64>) {
+    let mut gx = vec![0.0; 2 * p.len()];
+    gather_field(p, grid, shape, &[ex, ey].concat(), &mut gx);
+    let gy = gx.split_off(p.len());
+    (gx, gy)
 }
 
 #[cfg(test)]
@@ -62,7 +25,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn particle_at(x: f64, y: f64) -> Particles2D {
-        Particles2D::new(vec![x], vec![y], vec![0.0], vec![0.0], -1.0, 1.0)
+        Particles2D::new([vec![x], vec![y]], [vec![0.0], vec![0.0]], -1.0, 1.0)
     }
 
     #[test]
@@ -72,9 +35,7 @@ mod tests {
         let ey = vec![-0.3; grid.nodes()];
         for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
             let p = particle_at(0.37, 1.91);
-            let mut gx = vec![0.0];
-            let mut gy = vec![0.0];
-            gather_field(&p, &grid, shape, &ex, &ey, &mut gx, &mut gy);
+            let (gx, gy) = gather(&p, &grid, shape, &ex, &ey);
             assert!((gx[0] - 0.7).abs() < 1e-12, "{shape:?}: {gx:?}");
             assert!((gy[0] + 0.3).abs() < 1e-12, "{shape:?}: {gy:?}");
         }
@@ -88,9 +49,7 @@ mod tests {
         ex[grid.index(3, 5)] = 2.0;
         ey[grid.index(3, 5)] = -1.0;
         let p = particle_at(3.0 * grid.dx(), 5.0 * grid.dy());
-        let mut gx = vec![0.0];
-        let mut gy = vec![0.0];
-        gather_field(&p, &grid, Shape::Cic, &ex, &ey, &mut gx, &mut gy);
+        let (gx, gy) = gather(&p, &grid, Shape::Cic, &ex, &ey);
         assert!((gx[0] - 2.0).abs() < 1e-12);
         assert!((gy[0] + 1.0).abs() < 1e-12);
     }
@@ -111,9 +70,7 @@ mod tests {
         let ey = grid.zeros();
         let (x, y) = (0.613, 0.471);
         let p = particle_at(x, y);
-        let mut gx = vec![0.0];
-        let mut gy = vec![0.0];
-        gather_field(&p, &grid, Shape::Cic, &ex, &ey, &mut gx, &mut gy);
+        let (gx, _) = gather(&p, &grid, Shape::Cic, &ex, &ey);
         assert!((gx[0] - (a * x + b * y)).abs() < 1e-12);
     }
 
@@ -135,9 +92,7 @@ mod tests {
             let zero = grid.zeros();
             for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
                 let p = particle_at(x, y);
-                let mut gx = vec![0.0];
-                let mut gy = vec![0.0];
-                gather_field(&p, &grid, shape, &field, &zero, &mut gx, &mut gy);
+                let (gx, _) = gather(&p, &grid, shape, &field, &zero);
                 prop_assert!(gx[0] >= lo - 1e-12 && gx[0] <= hi + 1e-12,
                     "{shape:?}: {} outside [{lo}, {hi}]", gx[0]);
             }
@@ -153,16 +108,13 @@ mod tests {
             // scheme). Verified through the full traditional pipeline.
             use crate::solver::{FieldSolver, PoissonKind, TraditionalSolver};
             let grid = Grid2D::new(8, 8, 2.0, 2.0);
-            let p = Particles2D::new(
-                vec![x], vec![y], vec![0.0], vec![0.0], -0.05, 0.05);
+            let p = Particles2D::new([vec![x], vec![y]], [vec![0.0], vec![0.0]], -0.05, 0.05);
             let mut solver = TraditionalSolver::<Grid2D>::new(
                 Shape::Cic, PoissonKind::Spectral, 0.0125);
             let mut e = vec![0.0; 2 * grid.nodes()];
             solver.solve(&p, &grid, &mut e);
             let (ex, ey) = e.split_at(grid.nodes());
-            let mut gx = vec![0.0];
-            let mut gy = vec![0.0];
-            gather_field(&p, &grid, Shape::Cic, ex, ey, &mut gx, &mut gy);
+            let (gx, gy) = gather(&p, &grid, Shape::Cic, ex, ey);
             prop_assert!(gx[0].abs() < 1e-10, "self-force Ex = {}", gx[0]);
             prop_assert!(gy[0].abs() < 1e-10, "self-force Ey = {}", gy[0]);
         }
@@ -198,19 +150,16 @@ mod adjointness_tests {
             let ys: Vec<f64> = (0..n).map(|_| next() * grid.ly()).collect();
             let ex: Vec<f64> = (0..grid.nodes()).map(|_| next() * 2.0 - 1.0).collect();
             let ey: Vec<f64> = (0..grid.nodes()).map(|_| next() * 2.0 - 1.0).collect();
-            let p = Particles2D::new(
-                xs, ys, vec![0.0; n], vec![0.0; n], -0.37, 0.37);
+            let p = Particles2D::new([xs, ys], [vec![0.0; n], vec![0.0; n]], -0.37, 0.37);
 
             for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
                 let mut rho = grid.zeros();
                 deposit_charge(&p, &grid, shape, &mut rho);
-                let mut gx = vec![0.0; n];
-                let mut gy = vec![0.0; n];
-                gather_field(&p, &grid, shape, &ex, &ey, &mut gx, &mut gy);
+                let (gx, gy) = gather(&p, &grid, shape, &ex, &ey);
 
                 let force_particles: f64 =
                     p.charge() * (gx.iter().sum::<f64>() + gy.iter().sum::<f64>());
-                let force_grid: f64 = grid.cell_area()
+                let force_grid: f64 = grid.cell_volume()
                     * rho.iter().zip(ex.iter().zip(&ey))
                         .map(|(r, (fx, fy))| r * (fx + fy))
                         .sum::<f64>();

@@ -5,8 +5,6 @@
 //! uninterrupted solo runs. This is the crash-consistency story the spool
 //! exists for, exercised through the shipped binaries.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use dlpic_repro::core::{pool, Scale};
@@ -15,75 +13,10 @@ use dlpic_repro::engine::{Backend, EnergyHistory, Engine, SweepSpec};
 use dlpic_serve::client::Client;
 use dlpic_serve::job::JobRequest;
 
+mod common;
+use common::{cli, Daemon};
+
 const STEPS: usize = 300;
-
-/// Kills the daemon on drop so a failing assert can't leak a process.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn spawn(extra: &[&str]) -> Self {
-        Self::spawn_under(&[], extra).expect("spawn dlpic-serve")
-    }
-
-    /// [`Self::spawn`] with the daemon launched through a wrapper command
-    /// (`taskset -c 0`, say); `Err` when the wrapper cannot be run.
-    fn spawn_under(wrapper: &[&str], extra: &[&str]) -> std::io::Result<Self> {
-        let serve = env!("CARGO_BIN_EXE_dlpic-serve");
-        let mut command = match wrapper.split_first() {
-            Some((program, args)) => {
-                let mut command = Command::new(program);
-                command.args(args).arg(serve);
-                command
-            }
-            None => Command::new(serve),
-        };
-        let mut child = command
-            .args(["--listen", "127.0.0.1:0", "--spool-interval", "1"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .spawn()?;
-        let stdout = child.stdout.take().expect("stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read ready line");
-        let addr = line
-            .strip_prefix("listening ")
-            .unwrap_or_else(|| panic!("unexpected ready line {line:?}"))
-            .trim()
-            .to_string();
-        Ok(Self { child, addr })
-    }
-
-    fn kill(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn cli(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_dlpic-cli"))
-        .args(args)
-        .output()
-        .expect("run dlpic-cli");
-    assert!(
-        out.status.success(),
-        "dlpic-cli {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("cli output is UTF-8")
-}
 
 fn sweep_job() -> JobRequest {
     let sweep = SweepSpec::grid("two_stream", Scale::Smoke).axis("v0", [0.12, 0.16]);
@@ -272,24 +205,5 @@ fn served_histories_equal_direct_runs_on_the_team_and_on_one_core() {
         );
         client.drain().expect("drain");
         let _ = daemon.wait_timeout_drop();
-    }
-}
-
-trait WaitTimeout {
-    fn wait_timeout_drop(self) -> std::io::Result<()>;
-}
-
-impl WaitTimeout for Daemon {
-    /// Waits for a drained daemon to exit on its own, with a kill-backed
-    /// deadline so the test cannot hang.
-    fn wait_timeout_drop(mut self) -> std::io::Result<()> {
-        for _ in 0..200 {
-            if self.child.try_wait()?.is_some() {
-                std::mem::forget(self);
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        Ok(()) // Drop kills it.
     }
 }

@@ -4,30 +4,20 @@
 //! (or subscriber) that owns it, reported as structured state, and every
 //! healthy neighbour finishes bit-identical to a solo `Engine::run`.
 
-use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, SystemTime};
 
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::json::Json;
-use dlpic_repro::engine::{Backend, EnergyHistory, Engine, FaultKind, FaultPlan, SweepSpec};
+use dlpic_repro::engine::{Backend, Engine, FaultKind, FaultPlan, SweepSpec};
 use dlpic_serve::client::{Backoff, Client};
 use dlpic_serve::job::JobRequest;
 use dlpic_serve::protocol::WatchPolicy;
 use dlpic_serve::server::{ServeConfig, Server};
 use dlpic_serve::ServeError;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dlpic-fault-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn history_of(summary: &Json) -> EnergyHistory {
-    EnergyHistory::from_json_value(summary.field("history").expect("summary history"))
-        .expect("history parses")
-}
+mod common;
+use common::{cli, history_of, temp_dir, Daemon};
 
 fn run_states(client: &mut Client, job: &str) -> Vec<(String, usize, Option<String>)> {
     let doc = client.status(Some(job)).expect("status");
@@ -641,60 +631,6 @@ fn wait_for_retry_survives_a_server_restart() {
 // Process-level acceptance: the shipped binaries, a sick fleet, SIGKILL,
 // a corrupted checkpoint, and a `--resume` that puts it all back.
 // ---------------------------------------------------------------------
-
-/// Kills the daemon on drop so a failing assert can't leak a process.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn spawn(extra: &[&str]) -> Self {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_dlpic-serve"))
-            .args(["--listen", "127.0.0.1:0", "--spool-interval", "1"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn dlpic-serve");
-        let stdout = child.stdout.take().expect("stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read ready line");
-        let addr = line
-            .strip_prefix("listening ")
-            .unwrap_or_else(|| panic!("unexpected ready line {line:?}"))
-            .trim()
-            .to_string();
-        Self { child, addr }
-    }
-
-    fn kill(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn cli(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_dlpic-cli"))
-        .args(args)
-        .output()
-        .expect("run dlpic-cli");
-    assert!(
-        out.status.success(),
-        "dlpic-cli {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("cli output is UTF-8")
-}
 
 #[test]
 fn sick_fleet_survives_sigkill_and_corrupt_checkpoint_end_to_end() {

@@ -13,24 +13,14 @@ use std::time::Duration;
 
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::json::Json;
-use dlpic_repro::engine::{
-    estimate_session, Backend, EnergyHistory, Engine, FaultKind, FaultPlan, SweepSpec,
-};
+use dlpic_repro::engine::{estimate_session, Backend, Engine, FaultKind, FaultPlan, SweepSpec};
 use dlpic_serve::client::{Backoff, Client};
 use dlpic_serve::job::JobRequest;
 use dlpic_serve::server::{ServeConfig, Server};
 use dlpic_serve::ServeError;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dlpic-overload-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn history_of(summary: &Json) -> EnergyHistory {
-    EnergyHistory::from_json_value(summary.field("history").expect("summary history"))
-        .expect("history parses")
-}
+mod common;
+use common::{history_of, temp_dir};
 
 fn proto_code(err: &ServeError) -> String {
     match err {

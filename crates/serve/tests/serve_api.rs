@@ -9,11 +9,14 @@ use std::time::Duration;
 
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::json::Json;
-use dlpic_repro::engine::{self, Backend, EnergyHistory, Engine, SweepSpec};
+use dlpic_repro::engine::{self, Backend, Engine, SweepSpec};
 use dlpic_serve::client::Client;
 use dlpic_serve::job::{JobRequest, StopPolicy};
 use dlpic_serve::server::{ServeConfig, Server};
 use dlpic_serve::ServeError;
+
+mod common;
+use common::history_of;
 
 fn spec(scenario: &str, n_steps: usize, seed: u64) -> engine::ScenarioSpec {
     let mut spec = engine::scenario(scenario, Scale::Smoke).expect("registry");
@@ -21,11 +24,6 @@ fn spec(scenario: &str, n_steps: usize, seed: u64) -> engine::ScenarioSpec {
     spec.seed = seed;
     spec.name = format!("{scenario}[seed={seed}]");
     spec
-}
-
-fn history_of(summary: &Json) -> EnergyHistory {
-    EnergyHistory::from_json_value(summary.field("history").expect("summary history"))
-        .expect("history parses")
 }
 
 #[test]

@@ -54,12 +54,12 @@ impl VlasovHarvest {
     /// `Vec` and `efield.to_vec()` per sample).
     pub fn run_with(&self, mut sink: impl FnMut(&[f32], &[f64])) {
         let mut solver = VlasovSolver::new(self.config.clone());
-        let nx = self.config.grid.ncells();
+        let nx = self.config.grid.nx();
         let nv = self.config.nv;
         let cell_phase_volume = self.config.grid.dx() * solver.dv();
         // f integrates to L over the box; mass-per-histogram-count factor
         // turns the density into "macro-particles per phase cell".
-        let scale = self.total_mass / self.config.grid.length() * cell_phase_volume;
+        let scale = self.total_mass / self.config.grid.lx() * cell_phase_volume;
         let mut histogram = vec![0.0f32; nx * nv];
         for _ in 0..self.samples {
             for (h, &f) in histogram.iter_mut().zip(solver.distribution()) {
@@ -136,9 +136,9 @@ mod tests {
         let mut hist = vec![0.0f32; 64 * 64];
         // NGP binning without depending on dlpic-core (avoids a cycle):
         let (vmin, vmax) = (-0.8, 0.8);
-        let inv_dx = 64.0 / grid.length();
+        let inv_dx = 64.0 / grid.lx();
         let inv_dv = 64.0 / (vmax - vmin);
-        for (&x, &v) in p.x.iter().zip(&p.v) {
+        for (&x, &v) in p.pos[0].iter().zip(&p.vel[0]) {
             let ix = ((x * inv_dx) as usize).min(63);
             let iv = (((v - vmin) * inv_dv).max(0.0) as usize).min(63);
             hist[iv * 64 + ix] += 1.0;

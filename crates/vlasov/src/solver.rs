@@ -73,7 +73,7 @@ impl VlasovSolver {
             cfg.vmax > cfg.v0 + 4.0 * cfg.vth,
             "velocity window clips the beams"
         );
-        let nx = cfg.grid.ncells();
+        let nx = cfg.grid.nx();
         let nv = cfg.nv;
         let dv = 2.0 * cfg.vmax / nv as f64;
         let k1 = cfg.grid.mode_wavenumber(1);
@@ -143,7 +143,7 @@ impl VlasovSolver {
 
     /// Total momentum `∫∫ v·f dv dx` (electron mass 1 per unit density).
     pub fn momentum(&self) -> f64 {
-        let nx = self.cfg.grid.ncells();
+        let nx = self.cfg.grid.nx();
         let mut acc = 0.0;
         for iv in 0..self.cfg.nv {
             let v = self.velocity(iv);
@@ -155,7 +155,7 @@ impl VlasovSolver {
 
     /// Kinetic energy `½ ∫∫ v²·f dv dx`.
     pub fn kinetic_energy(&self) -> f64 {
-        let nx = self.cfg.grid.ncells();
+        let nx = self.cfg.grid.nx();
         let mut kinetic = 0.0;
         for iv in 0..self.cfg.nv {
             let v = self.velocity(iv);
@@ -191,7 +191,7 @@ impl VlasovSolver {
 
     /// Charge density `ρ = 1 − ∫f dv` and the resulting field.
     fn field_solve(&mut self) {
-        let nx = self.cfg.grid.ncells();
+        let nx = self.cfg.grid.nx();
         let dv = self.dv();
         self.rho.iter_mut().for_each(|r| *r = 1.0);
         for iv in 0..self.cfg.nv {
@@ -221,7 +221,7 @@ impl VlasovSolver {
     /// `(j − shift) − floor(j − shift)`, whose last-ulp rounding depends
     /// on `j` (see `advect_x_matches_reference_kernel`).
     fn advect_x(&mut self, dt: f64) {
-        let nx = self.cfg.grid.ncells();
+        let nx = self.cfg.grid.nx();
         let dx = self.cfg.grid.dx();
         for iv in 0..self.cfg.nv {
             let v = self.velocity(iv);
@@ -260,7 +260,7 @@ impl VlasovSolver {
     /// row segments. Arithmetic order per element is preserved up to the
     /// same row-constant-fraction rounding as `advect_x`.
     fn advect_v(&mut self, dt: f64) {
-        let nx = self.cfg.grid.ncells();
+        let nx = self.cfg.grid.nx();
         let nv = self.cfg.nv as i64;
         let dv = self.dv();
         // Per-column whole-cell offset and interpolation weights
@@ -308,7 +308,7 @@ impl VlasovSolver {
     /// `rem_euclid` wraps) — kept as the equivalence oracle.
     #[cfg(test)]
     fn advect_x_reference(&mut self, dt: f64) {
-        let nx = self.cfg.grid.ncells();
+        let nx = self.cfg.grid.nx();
         let dx = self.cfg.grid.dx();
         for iv in 0..self.cfg.nv {
             let v = self.velocity(iv);
@@ -336,7 +336,7 @@ impl VlasovSolver {
     /// the equivalence oracle.
     #[cfg(test)]
     fn advect_v_reference(&mut self, dt: f64) {
-        let nx = self.cfg.grid.ncells();
+        let nx = self.cfg.grid.nx();
         let nv = self.cfg.nv;
         let dv = self.dv();
         for ix in 0..nx {
@@ -421,7 +421,7 @@ mod tests {
     fn initial_state_is_neutral_and_normalized() {
         let s = VlasovSolver::new(small_cfg(0.2, 0.02));
         // ∫∫ f = L (density 1 over the box).
-        let l = s.cfg.grid.length();
+        let l = s.cfg.grid.lx();
         assert!((s.mass() - l).abs() / l < 1e-3, "mass {} vs {l}", s.mass());
         // Symmetric beams: zero momentum.
         assert!(s.momentum().abs() < 1e-10, "momentum {}", s.momentum());
@@ -474,7 +474,7 @@ mod tests {
             dt: 0.05,
             ..small_cfg(0.2, 0.02)
         });
-        let theory = TwoStreamDispersion::new(0.2).mode_growth_rate(1, s.cfg.grid.length());
+        let theory = TwoStreamDispersion::new(0.2).mode_growth_rate(1, s.cfg.grid.lx());
         let mut times = Vec::new();
         let mut amps = Vec::new();
         for _ in 0..500 {
@@ -529,7 +529,7 @@ mod tests {
         let v = s.velocity(iv);
         let dt = dx / v;
         s.advect_x(dt);
-        let nx = s.cfg.grid.ncells();
+        let nx = s.cfg.grid.nx();
         for j in 0..nx {
             let shifted = before[iv * nx + (j + nx - 1) % nx];
             let now = s.f[iv * nx + j];
@@ -618,7 +618,7 @@ mod tests {
         let mut s = VlasovSolver::new(small_cfg(0.2, 0.02));
         s.run(5);
         let before = s.f.clone();
-        let nx = s.cfg.grid.ncells();
+        let nx = s.cfg.grid.nx();
         let dx = s.cfg.grid.dx();
         let iv = s.cfg.nv / 2 + 10;
         let v = s.velocity(iv);

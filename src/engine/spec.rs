@@ -214,15 +214,16 @@ impl ScenarioSpec {
         if self.name.is_empty() {
             return fail("name must not be empty");
         }
+        let finite_positive = |l: f64| l > 0.0 && l.is_finite();
         match self.domain {
             DomainSpec::OneD { ncells, length } => {
-                if ncells < 2 || !(length > 0.0) {
-                    return fail("1-D domain needs ncells >= 2 and length > 0");
+                if ncells < 2 || !finite_positive(length) {
+                    return fail("1-D domain needs ncells >= 2 and a finite length > 0");
                 }
             }
             DomainSpec::TwoD { nx, ny, lx, ly } => {
-                if nx < 2 || ny < 2 || !(lx > 0.0) || !(ly > 0.0) {
-                    return fail("2-D domain needs nx, ny >= 2 and lx, ly > 0");
+                if nx < 2 || ny < 2 || !finite_positive(lx) || !finite_positive(ly) {
+                    return fail("2-D domain needs nx, ny >= 2 and finite lx, ly > 0");
                 }
             }
         }
@@ -263,6 +264,13 @@ impl ScenarioSpec {
         }
         if self.ppc == 0 {
             return fail("ppc must be positive");
+        }
+        let cells = match self.domain {
+            DomainSpec::OneD { ncells, .. } => Some(ncells),
+            DomainSpec::TwoD { nx, ny, .. } => nx.checked_mul(ny),
+        };
+        if cells.and_then(|c| c.checked_mul(self.ppc)).is_none() {
+            return fail("ppc × cells overflows the particle count");
         }
         if matches!(
             self.species,

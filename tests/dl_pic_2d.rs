@@ -7,12 +7,12 @@ use dlpic_repro::analytics::dispersion::TwoStreamDispersion;
 use dlpic_repro::analytics::fit::{fit_growth_rate, GrowthFitOptions};
 use dlpic_repro::core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
 use dlpic_repro::nn::Precision;
-use dlpic_repro::pic::grid2d::Grid2D;
 use dlpic_repro::pic::init2d::TwoStream2DInit;
 use dlpic_repro::pic::shape::Shape;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic::solver::FieldSolver;
 use dlpic_repro::pic::solver::TraditionalSolver;
+use dlpic_repro::pic::Grid2D;
 
 fn grid() -> Grid2D {
     Grid2D::new(16, 16, 2.0532, 2.0532)

@@ -71,7 +71,7 @@ fn dl_pic_runs_stably_and_tracks_the_instability() {
         "non-finite field"
     );
     let (x, v) = dl.phase_space();
-    let l = dl.grid().length();
+    let l = dl.grid().lx();
     assert!(
         x.iter().all(|&xi| (0.0..l).contains(&xi)),
         "particle escaped"

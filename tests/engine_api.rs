@@ -133,6 +133,85 @@ fn spectral_poisson_on_a_non_power_of_two_grid_is_incompatible() {
     );
 }
 
+/// Asserts an `InvalidSpec` error.
+fn assert_invalid_spec<T: std::fmt::Debug>(
+    result: Result<T, dlpic_repro::engine::EngineError>,
+    what: &str,
+) {
+    use dlpic_repro::engine::EngineError;
+    match result {
+        Err(EngineError::InvalidSpec { .. }) => {}
+        other => panic!("{what}: expected InvalidSpec, got {other:?}"),
+    }
+}
+
+/// Asserts that `spec` fails validation and that `engine::start` refuses
+/// it with `InvalidSpec` instead of building (or panicking in) anything.
+fn assert_unstartable(spec: &ScenarioSpec, backend: Backend) {
+    assert_invalid_spec(spec.validate(), "validate");
+    assert_invalid_spec(engine::start(spec, backend).map(drop), "start");
+}
+
+#[test]
+fn infinite_box_lengths_are_invalid_specs() {
+    use dlpic_repro::engine::DomainSpec;
+    // JSON has no infinity, but `1e999` parses to one.
+    let parse_with_infinite = |spec: &ScenarioSpec, length: f64| {
+        let (text, from) = (spec.to_json(), format!(": {length}"));
+        assert!(text.contains(&from), "{text} does not carry {from}");
+        ScenarioSpec::from_json(&text.replacen(&from, ": 1e999", 1))
+    };
+
+    let mut spec = engine::scenario("two_stream", Scale::Smoke).unwrap();
+    let DomainSpec::OneD { length, .. } = spec.domain else {
+        panic!("two_stream is 1-D");
+    };
+    assert_invalid_spec(parse_with_infinite(&spec, length), "1-D from_json");
+    spec.domain = DomainSpec::OneD {
+        ncells: spec.domain.cells(),
+        length: f64::INFINITY,
+    };
+    assert_unstartable(&spec, Backend::Traditional1D);
+
+    let base = engine::scenario("two_stream_2d", Scale::Smoke).unwrap();
+    let DomainSpec::TwoD { nx, ny, .. } = base.domain else {
+        panic!("two_stream_2d is 2-D");
+    };
+    for (lx, ly) in [(f64::INFINITY, 1.5), (1.5, f64::INFINITY)] {
+        let mut spec = base.clone();
+        spec.domain = DomainSpec::TwoD {
+            nx,
+            ny,
+            lx: 1.5,
+            ly: 1.5,
+        };
+        assert_invalid_spec(parse_with_infinite(&spec, 1.5), "2-D from_json");
+        spec.domain = DomainSpec::TwoD { nx, ny, lx, ly };
+        assert_unstartable(&spec, Backend::Traditional2D);
+    }
+}
+
+#[test]
+fn a_particle_count_that_overflows_is_an_invalid_spec() {
+    use dlpic_repro::engine::DomainSpec;
+    // (2^58 + 1) × 64 cells wraps to 64 particles in a release build.
+    let mut spec = engine::scenario("two_stream", Scale::Smoke).unwrap();
+    assert_eq!(spec.domain.cells(), 64);
+    spec.ppc = (1 << 58) + 1;
+    assert_unstartable(&spec, Backend::Traditional1D);
+
+    // JSON integers stay below 2^53, so through JSON it takes a larger
+    // grid: (2^52 + 1) × 4096 cells wraps to 4096 particles.
+    spec.ppc = (1 << 52) + 1;
+    spec.domain = DomainSpec::OneD {
+        ncells: 4096,
+        length: 2.0,
+    };
+    let json = spec.to_json();
+    assert!(json.contains(&spec.ppc.to_string()), "{json}");
+    assert_invalid_spec(ScenarioSpec::from_json(&json), "from_json");
+}
+
 #[test]
 fn ddecomp_matches_single_process_traditional() {
     // Same spec, same seed: the distributed backend must reproduce the

@@ -117,7 +117,7 @@ fn constant_histogram_normalizes_to_zero_not_nan() {
 #[test]
 fn binning_empty_particle_buffer_is_all_zero() {
     let grid = Grid1D::paper();
-    let p = Particles::new(vec![], vec![], -1.0, 1.0);
+    let p = Particles::new([vec![]], [vec![]], -1.0, 1.0);
     let spec = PhaseGridSpec::smoke();
     let mut hist = vec![7.0f32; spec.cells()];
     bin_phase_space(&p, &grid, &spec, BinningShape::Ngp, &mut hist);
@@ -132,7 +132,7 @@ fn binning_clamps_outliers_and_conserves_counts() {
     let spec = PhaseGridSpec::smoke(); // v window [-0.8, 0.8]
     let xs = vec![0.1, 0.5, 1.0, 1.5];
     let vs = vec![-100.0, 100.0, f64::MAX / 1e10, -5.0];
-    let p = Particles::new(xs, vs, -1.0, 1.0);
+    let p = Particles::new([xs], [vs], -1.0, 1.0);
     for shape in [BinningShape::Ngp, BinningShape::Cic] {
         let mut hist = vec![0.0f32; spec.cells()];
         bin_phase_space(&p, &grid, &spec, shape, &mut hist);
@@ -195,14 +195,14 @@ fn solver_with_nan_weights_propagates_not_panics() {
 
 #[test]
 fn pic2d_single_particle_universe_runs() {
-    use dlpic_repro::pic::grid2d::Grid2D;
-    use dlpic_repro::pic::particles2d::Particles2D;
     use dlpic_repro::pic::shape::Shape;
     use dlpic_repro::pic::solver::FieldSolver;
     use dlpic_repro::pic::solver::TraditionalSolver;
+    use dlpic_repro::pic::Grid2D;
+    use dlpic_repro::pic::Particles2D;
 
     let grid = Grid2D::new(8, 8, 2.0, 2.0);
-    let p = Particles2D::new(vec![1.0], vec![1.0], vec![0.0], vec![0.0], -0.1, 0.1);
+    let p = Particles2D::new([vec![1.0], vec![1.0]], [vec![0.0], vec![0.0]], -0.1, 0.1);
     let mut solver = TraditionalSolver::<Grid2D>::new(
         Shape::Cic,
         dlpic_repro::pic::solver::PoissonKind::Spectral,

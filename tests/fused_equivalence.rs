@@ -4,31 +4,16 @@
 //! unfused three-pass pipeline — `gather_field` → `push_velocities` →
 //! `push_positions` → field solve, the pre-fusion step structure kept as
 //! the oracle — over several steps, for NGP, CIC and TSC in 1-D and 2-D.
-//! The kernels use identical per-particle expressions in the same order,
-//! so the match is exact: the 2-D checks assert equal bit patterns, the
-//! 1-D ones still allow the original 1e-15 headroom.
+//! The oracle functions are written once over the dimension and the
+//! kernels use identical per-particle expressions in the same order, so
+//! the match is exact: every check asserts equal bit patterns.
 
 use dlpic_repro::pic::gather::gather_field;
-use dlpic_repro::pic::gather2d;
 use dlpic_repro::pic::mover::{half_step_back, push_positions, push_velocities};
-use dlpic_repro::pic::mover2d;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic::solver::{FieldSolver, PoissonKind, TraditionalSolver};
 use dlpic_repro::pic::{Grid1D, Shape, TwoStreamInit};
 use dlpic_repro::pic::{Grid2D, TwoStream2DInit};
-
-const TOL: f64 = 1e-15;
-
-fn assert_close(label: &str, got: &[f64], want: &[f64]) {
-    assert_eq!(got.len(), want.len(), "{label} length");
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        let tol = TOL * (1.0 + w.abs());
-        assert!(
-            (g - w).abs() <= tol,
-            "{label}[{i}]: fused {g} vs unfused {w}"
-        );
-    }
-}
 
 /// Asserts equal IEEE-754 bit patterns, element by element.
 fn assert_bits(label: &str, got: &[f64], want: &[f64]) {
@@ -81,22 +66,22 @@ fn check_1d(shape: Shape, n_steps: usize) {
         sim.step();
         gather_field(&particles, &grid, shape, &e, &mut e_part);
         kinetic.push(push_velocities(&mut particles, &e_part, 0.2));
-        momentum.push(particles.total_momentum());
+        momentum.push(particles.total_momentum()[0]);
         push_positions(&mut particles, &grid, 0.2);
         solver.solve(&particles, &grid, &mut e);
     }
 
     let (x, v) = sim.phase_space();
-    assert_close("x", x, &particles.x);
-    assert_close("v", v, &particles.v);
-    assert_close("E", sim.efield(), &e);
-    assert_close("kinetic", &sim.history().kinetic[..n_steps], &kinetic);
-    assert_close("momentum", &sim.history().momentum[..n_steps], &momentum);
+    assert_bits("x", x, &particles.pos[0]);
+    assert_bits("v", v, &particles.vel[0]);
+    assert_bits("E", sim.efield(), &e);
+    assert_bits("kinetic", &sim.history().kinetic[..n_steps], &kinetic);
+    assert_bits("momentum", &sim.history().momentum[..n_steps], &momentum);
 }
 
 /// 2-D: `Simulation<Grid2D>` (fused stepping) against the manual unfused
-/// driver, bit for bit. The unfused gather skips zero weights and the
-/// fused one adds them as `±0.0`, which changes no bit.
+/// driver, bit for bit. Both gathers add every stencil term from `+0.0`;
+/// the per-particle fields are stacked `[Ex | Ey]`.
 fn check_2d(shape: Shape, n_steps: usize) {
     let grid = Grid2D::new(16, 16, 2.0532, 2.0532);
     let init = TwoStream2DInit::quiet(0.2, 0.0, 4_096, 1e-3, 3);
@@ -113,34 +98,31 @@ fn check_2d(shape: Shape, n_steps: usize) {
 
     let mut solver = solver_for();
     let mut particles = init.build(&grid);
-    let n = particles.len();
     // The solver seam's field: `[Ex | Ey]` stacked.
     let mut e = vec![0.0; 2 * grid.nodes()];
-    let (mut ex_part, mut ey_part) = (vec![0.0; n], vec![0.0; n]);
+    let mut e_part = vec![0.0; 2 * particles.len()];
     solver.solve(&particles, &grid, &mut e);
-    let (ex, ey) = e.split_at(grid.nodes());
-    gather2d::gather_field(&particles, &grid, shape, ex, ey, &mut ex_part, &mut ey_part);
-    mover2d::half_step_back(&mut particles, &ex_part, &ey_part, 0.2);
+    gather_field(&particles, &grid, shape, &e, &mut e_part);
+    half_step_back(&mut particles, &e_part, 0.2);
 
     let mut momentum_x = Vec::new();
     let mut momentum_y = Vec::new();
     for _ in 0..n_steps {
         sim.step();
-        let (ex, ey) = e.split_at(grid.nodes());
-        gather2d::gather_field(&particles, &grid, shape, ex, ey, &mut ex_part, &mut ey_part);
-        mover2d::push_velocities(&mut particles, &ex_part, &ey_part, 0.2);
-        let (px, py) = particles.total_momentum();
+        gather_field(&particles, &grid, shape, &e, &mut e_part);
+        push_velocities(&mut particles, &e_part, 0.2);
+        let [px, py] = particles.total_momentum();
         momentum_x.push(px);
         momentum_y.push(py);
-        mover2d::push_positions(&mut particles, &grid, 0.2);
+        push_positions(&mut particles, &grid, 0.2);
         solver.solve(&particles, &grid, &mut e);
     }
 
     let p = sim.particles();
-    assert_bits("x", &p.x, &particles.x);
-    assert_bits("y", &p.y, &particles.y);
-    assert_bits("vx", &p.vx, &particles.vx);
-    assert_bits("vy", &p.vy, &particles.vy);
+    assert_bits("x", &p.pos[0], &particles.pos[0]);
+    assert_bits("y", &p.pos[1], &particles.pos[1]);
+    assert_bits("vx", &p.vel[0], &particles.vel[0]);
+    assert_bits("vy", &p.vel[1], &particles.vel[1]);
     let (ex, ey) = e.split_at(grid.nodes());
     assert_bits("Ex", &sim.efield()[..grid.nodes()], ex);
     assert_bits("Ey", &sim.efield()[grid.nodes()..], ey);

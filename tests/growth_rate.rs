@@ -17,7 +17,7 @@ fn two_stream_growth_rate_matches_linear_theory() {
     );
     sim.run();
 
-    let theory = TwoStreamDispersion::new(0.2).mode_growth_rate(1, sim.grid().length());
+    let theory = TwoStreamDispersion::new(0.2).mode_growth_rate(1, sim.grid().lx());
     assert!((theory - 0.3536).abs() < 1e-3, "theory value sanity");
 
     let e1 = sim.history().mode_series(1).expect("mode 1 tracked");

@@ -5,11 +5,11 @@
 
 use dlpic_repro::analytics::dispersion::TwoStreamDispersion;
 use dlpic_repro::analytics::fit::{fit_growth_rate, GrowthFitOptions};
-use dlpic_repro::pic::grid2d::Grid2D;
 use dlpic_repro::pic::init2d::TwoStream2DInit;
 use dlpic_repro::pic::shape::Shape;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic::solver::TraditionalSolver;
+use dlpic_repro::pic::Grid2D;
 
 fn two_stream_2d(v0: f64, vth: f64, n_steps: usize, seed: u64) -> Simulation<Grid2D> {
     let grid = Grid2D::new(32, 32, 2.0532, 2.0532);

@@ -14,22 +14,22 @@ use dlpic_repro::pic::{Grid1D, Particles, TwoStreamInit};
 /// configuration with a closed-form field, `E(x) = A·L·sin(kx)` for
 /// displacement `ξ = A·L·sin(kx)` (ρ₀ = −1, ε₀ = 1).
 fn displaced_plasma(grid: &Grid1D, n: usize, amp: f64, mode: usize) -> Particles {
-    let l = grid.length();
+    let l = grid.lx();
     let k = grid.mode_wavenumber(mode);
     let xs: Vec<f64> = (0..n)
         .map(|i| {
             let x0 = (i as f64 + 0.5) / n as f64 * l;
-            grid.wrap_position(x0 + amp * l * (k * x0).sin())
+            grid.wrap_x(x0 + amp * l * (k * x0).sin())
         })
         .collect();
-    Particles::electrons_normalized(xs, vec![0.0; n], l)
+    Particles::electrons_normalized([xs], [vec![0.0; n]], l)
 }
 
 #[test]
 fn full_solver_chain_reproduces_gauss_law_for_all_shapes() {
     let grid = Grid1D::paper();
     let p = displaced_plasma(&grid, 128_000, 2e-3, 1);
-    let expect_e1 = 2e-3 * grid.length();
+    let expect_e1 = 2e-3 * grid.lx();
     for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
         for kind in [PoissonKind::FiniteDifference, PoissonKind::Spectral] {
             let mut solver = TraditionalSolver::new(shape, kind, 1.0);
@@ -83,7 +83,7 @@ fn no_self_force_on_isolated_particle() {
     for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
         for kind in [PoissonKind::FiniteDifference, PoissonKind::Spectral] {
             // Position chosen off-node and off-midpoint.
-            let p = Particles::electrons_normalized(vec![0.7234], vec![0.0], grid.length());
+            let p = Particles::electrons_normalized([vec![0.7234]], [vec![0.0]], grid.lx());
             let mut solver = TraditionalSolver::new(shape, kind, 0.0);
             let mut e = grid.zeros();
             solver.solve(&p, &grid, &mut e);
