@@ -19,6 +19,11 @@
 //! max error, and `per_output_mae` — so the inference path (dense, relu,
 //! conv, max-pool, flatten, residual) is pinned bit for bit too.
 //!
+//! `dl_2d_trained.txt` pins the 2-D pipeline the same way: the bytes of a
+//! tiny 8×8 harvest (CIC density rows captured after each step) and the
+//! model trained on it, as its loss curve, reference mass and its output
+//! on every harvested row.
+//!
 //! The files hold IEEE-754 bit patterns as hex, one value per line, so a
 //! diff names the first sample that moved. They were recorded on x86-64
 //! Linux; the particle loaders call `sin`/`ln`, so another platform's libm
@@ -28,7 +33,8 @@
 //! `cargo test --release --test golden_histories -- --ignored regenerate`.
 
 use dlpic_repro::core::phase_space::PhaseGridSpec;
-use dlpic_repro::core::{ArchSpec, Scale};
+use dlpic_repro::core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
+use dlpic_repro::core::{ArchSpec, NormStats, Scale};
 use dlpic_repro::dataset::generator::{generate, GeneratorConfig};
 use dlpic_repro::dataset::spec::{SweepCombo, SweepSpec};
 use dlpic_repro::dataset::store;
@@ -39,7 +45,9 @@ use dlpic_repro::engine::{
 };
 use dlpic_repro::nn::metrics::{evaluate, per_output_mae};
 use dlpic_repro::nn::serialize::params_to_bytes;
-use dlpic_repro::nn::{train, Adam, Dataset, Mse, Sequential, TrainConfig};
+use dlpic_repro::nn::{
+    train, Adam, Dataset, Mse, Precision, PredictWorkspace, Sequential, Tensor, TrainConfig,
+};
 use dlpic_repro::pic::init::Loading;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic::solver::{PoissonKind, TraditionalSolver};
@@ -285,6 +293,70 @@ fn render_table_i() -> String {
     out
 }
 
+/// The 2-D pipeline at test size: two seeded 12-step runs of an 8×8
+/// two-stream, harvested as CIC density rows after each step, then a
+/// 64→16→128 MLP trained on them for three epochs. Lines: the harvest's
+/// bytes (every input row, then every `[Ex | Ey]` row, as f32 LE — the
+/// sample store's layout), the loss curve's f64 bits, the reference mass,
+/// and the frozen model's output on every harvested row (the frozen form
+/// does not expose its weights; at f32 it predicts the trained network's
+/// bits, so these pin them).
+fn render_dl_2d_trained() -> String {
+    let grid = Grid2D::new(8, 8, 2.0532, 2.0532);
+    let config = |seed| PicConfig {
+        grid: grid.clone(),
+        init: Some(TwoStream2DInit::quiet(0.2, 0.0, 2048, 1e-2, seed)),
+        dt: 0.2,
+        n_steps: 12,
+        gather_shape: Shape::Cic,
+        tracked_modes: vec![],
+    };
+    let mut samples = Vec::new();
+    for seed in [1, 2] {
+        samples.extend(harvest_2d(config(seed), DensityBinning::Cic, 1));
+    }
+    let inputs: Vec<f32> = samples.iter().flat_map(|s| s.hist.clone()).collect();
+    let targets: Vec<f32> = samples
+        .iter()
+        .flat_map(|s| s.ex.iter().chain(&s.ey).copied())
+        .collect();
+    let le = |values: &[f32]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    let harvest = [le(&inputs), le(&targets)].concat();
+
+    let tc = Train2DConfig {
+        hidden: vec![16],
+        learning_rate: 1e-3,
+        epochs: 3,
+        batch_size: 8,
+        seed: 5,
+    };
+    let (frozen, history) =
+        train_2d_solver(&grid, &samples, DensityBinning::Cic, &tc, Precision::F32);
+    let loss: Vec<u8> = history
+        .train_loss
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    let mass = frozen.solver().reference_mass();
+
+    let mut x = inputs;
+    NormStats::from_data(&x).apply(&mut x);
+    let rows = samples.len();
+    let x = Tensor::new(x, &[rows, grid.nodes()]);
+    let mut workspace = PredictWorkspace::new();
+    let predicted = le(frozen.model().predict_into(&x, &mut workspace).data());
+    format!(
+        "harvest {} {:016x}\nloss {} {:016x}\nreference_mass {:08x}\npredict {} {:016x}\n",
+        harvest.len(),
+        fnv1a(&harvest),
+        history.train_loss.len(),
+        fnv1a(&loss),
+        mass.to_bits(),
+        predicted.len(),
+        fnv1a(&predicted)
+    )
+}
+
 fn golden_path(stem: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -332,6 +404,11 @@ fn dataset_generators_reproduce_their_golden_bytes() {
 #[test]
 fn training_reproduces_its_golden_parameters() {
     assert_matches_golden("trained", &render_trained());
+}
+
+#[test]
+fn dl_2d_training_reproduces_its_golden_bits() {
+    assert_matches_golden("dl_2d_trained", &render_dl_2d_trained());
 }
 
 #[test]
@@ -395,4 +472,5 @@ fn regenerate() {
     std::fs::write(golden_path("datasets"), render_datasets()).unwrap();
     std::fs::write(golden_path("trained"), render_trained()).unwrap();
     std::fs::write(golden_path("table_i"), render_table_i()).unwrap();
+    std::fs::write(golden_path("dl_2d_trained"), render_dl_2d_trained()).unwrap();
 }
