@@ -12,75 +12,35 @@
 
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
+use dlpic_dataset::PhaseDataset;
 use dlpic_nn::network::Sequential;
 use dlpic_nn::tensor::Tensor;
 use dlpic_pic::grid::Grid1D;
 use dlpic_pic::particles::Particles;
-use dlpic_pic::simulation::{PicConfig, Simulation};
-use dlpic_pic::solver::{FieldSolver, TraditionalSolver};
+use dlpic_pic::solver::FieldSolver;
 
-/// Harvested time-ordered samples of one traditional run: consecutive
-/// (histogram, E-field) pairs, kept in step order so windows can be built.
-#[derive(Debug, Clone, Default)]
-pub struct TemporalTrace {
-    /// Histogram of each step, concatenated (`step * cells ..`).
-    pub histograms: Vec<f32>,
-    /// E-field of each step, concatenated (`step * ncells ..`).
-    pub efields: Vec<f32>,
-    /// Bins per histogram.
-    pub cells: usize,
-    /// Grid cells per field.
-    pub ncells: usize,
-    /// Number of steps recorded.
-    pub steps: usize,
-}
-
-/// Runs a traditional simulation and records every step's histogram and
-/// field in order.
-pub fn harvest_trace(cfg: PicConfig, spec: &PhaseGridSpec, binning: BinningShape) -> TemporalTrace {
-    let grid = cfg.grid.clone();
-    let n_steps = cfg.n_steps;
-    let ncells = grid.nx();
-    let mut sim = Simulation::new(cfg, Box::new(TraditionalSolver::paper_default()));
-    let mut trace = TemporalTrace {
-        cells: spec.cells(),
-        ncells,
-        ..Default::default()
-    };
-    let mut hist = vec![0.0f32; spec.cells()];
-    for _ in 0..n_steps {
-        sim.step();
-        bin_phase_space(sim.particles(), &grid, spec, binning, &mut hist);
-        trace.histograms.extend_from_slice(&hist);
-        trace.efields.extend(sim.efield().iter().map(|&v| v as f32));
-        trace.steps += 1;
-    }
-    trace
-}
-
-/// Builds windowed training pairs from traces: the input of step `t` is
-/// the concatenation `[h_{t-k+1} … h_t]` (oldest first), the target is
-/// `E_t`. The first `k − 1` steps of each trace are skipped, so windows
-/// never straddle two runs. Returns `(inputs, targets, n_samples)`.
+/// Builds windowed training pairs from runs harvested in step order (one
+/// store per run): the input of step `t` is the concatenation
+/// `[h_{t-k+1} … h_t]` (oldest first), the target is `E_t`. The first
+/// `k − 1` steps of each run are skipped, so windows never straddle two
+/// runs. Returns `(inputs, targets, n_samples)`.
 ///
 /// # Panics
-/// Panics for `window == 0` or traces with inconsistent geometry.
-pub fn windowed_pairs(traces: &[TemporalTrace], window: usize) -> (Vec<f32>, Vec<f32>, usize) {
+/// Panics for `window == 0` or runs with inconsistent geometry.
+pub fn windowed_pairs(runs: &[PhaseDataset], window: usize) -> (Vec<f32>, Vec<f32>, usize) {
     assert!(window > 0, "window must be at least 1");
-    assert!(!traces.is_empty(), "no traces");
-    let cells = traces[0].cells;
-    let ncells = traces[0].ncells;
+    assert!(!runs.is_empty(), "no runs");
     let mut inputs = Vec::new();
     let mut targets = Vec::new();
     let mut n = 0;
-    for trace in traces {
-        assert_eq!(trace.cells, cells, "inconsistent histogram geometry");
-        assert_eq!(trace.ncells, ncells, "inconsistent field geometry");
-        for t in (window - 1)..trace.steps {
+    for run in runs {
+        assert_eq!(run.spec, runs[0].spec, "inconsistent histogram geometry");
+        assert_eq!(run.e_cells, runs[0].e_cells, "inconsistent field geometry");
+        for t in (window - 1)..run.len() {
             for s in (t + 1 - window)..=t {
-                inputs.extend_from_slice(&trace.histograms[s * cells..(s + 1) * cells]);
+                inputs.extend_from_slice(run.input_row(s));
             }
-            targets.extend_from_slice(&trace.efields[t * ncells..(t + 1) * ncells]);
+            targets.extend_from_slice(run.target_row(t));
             n += 1;
         }
     }
@@ -176,8 +136,11 @@ impl FieldSolver for TemporalDlSolver {
 mod tests {
     use super::*;
     use dlpic_core::builder::ArchSpec;
+    use dlpic_dataset::{harvest, Capture};
     use dlpic_pic::init::TwoStreamInit;
     use dlpic_pic::shape::Shape;
+    use dlpic_pic::simulation::{PicConfig, Simulation};
+    use dlpic_pic::solver::TraditionalSolver;
 
     fn small_cfg(n_steps: usize, seed: u64) -> PicConfig {
         PicConfig {
@@ -190,48 +153,52 @@ mod tests {
         }
     }
 
+    /// One run's rows on the smoke phase grid, captured after each step.
+    fn trace(n_steps: usize, seed: u64) -> PhaseDataset {
+        let mut run = PhaseDataset::new(PhaseGridSpec::smoke(), BinningShape::Ngp, 64);
+        let solver = TraditionalSolver::paper_default();
+        harvest(
+            small_cfg(n_steps, seed),
+            solver,
+            Capture::AfterStep,
+            &mut run,
+        );
+        run
+    }
+
     #[test]
     fn trace_records_every_step() {
-        let spec = PhaseGridSpec::smoke();
-        let trace = harvest_trace(small_cfg(12, 1), &spec, BinningShape::Ngp);
-        assert_eq!(trace.steps, 12);
-        assert_eq!(trace.histograms.len(), 12 * spec.cells());
-        assert_eq!(trace.efields.len(), 12 * 64);
+        let trace = trace(12, 1);
+        assert_eq!(trace.len(), 12);
+        assert_eq!(trace.inputs().len(), 12 * PhaseGridSpec::smoke().cells());
+        assert_eq!(trace.targets().len(), 12 * 64);
     }
 
     #[test]
     fn window_one_reproduces_flat_samples() {
-        let spec = PhaseGridSpec::smoke();
-        let trace = harvest_trace(small_cfg(8, 2), &spec, BinningShape::Ngp);
+        let trace = trace(8, 2);
         let (inputs, targets, n) = windowed_pairs(std::slice::from_ref(&trace), 1);
         assert_eq!(n, 8);
-        assert_eq!(inputs, trace.histograms);
-        assert_eq!(targets, trace.efields);
+        assert_eq!(inputs, trace.inputs());
+        assert_eq!(targets, trace.targets());
     }
 
     #[test]
     fn window_k_stacks_consecutive_steps() {
-        let spec = PhaseGridSpec::smoke();
-        let cells = spec.cells();
-        let trace = harvest_trace(small_cfg(6, 3), &spec, BinningShape::Ngp);
+        let cells = PhaseGridSpec::smoke().cells();
+        let trace = trace(6, 3);
         let (inputs, targets, n) = windowed_pairs(std::slice::from_ref(&trace), 3);
         assert_eq!(n, 4); // steps 2..=5
         assert_eq!(inputs.len(), 4 * 3 * cells);
         // First window = steps [0, 1, 2]; target = E_2.
-        assert_eq!(&inputs[..cells], &trace.histograms[..cells]);
-        assert_eq!(
-            &inputs[2 * cells..3 * cells],
-            &trace.histograms[2 * cells..3 * cells]
-        );
-        assert_eq!(&targets[..64], &trace.efields[2 * 64..3 * 64]);
+        assert_eq!(&inputs[..cells], trace.input_row(0));
+        assert_eq!(&inputs[2 * cells..3 * cells], trace.input_row(2));
+        assert_eq!(&targets[..64], trace.target_row(2));
     }
 
     #[test]
     fn windows_do_not_straddle_traces() {
-        let spec = PhaseGridSpec::smoke();
-        let t1 = harvest_trace(small_cfg(5, 4), &spec, BinningShape::Ngp);
-        let t2 = harvest_trace(small_cfg(5, 5), &spec, BinningShape::Ngp);
-        let (_, _, n) = windowed_pairs(&[t1, t2], 3);
+        let (_, _, n) = windowed_pairs(&[trace(5, 4), trace(5, 5)], 3);
         assert_eq!(n, 2 * 3); // (5 − 2) per trace
     }
 

@@ -24,16 +24,17 @@
 use dlpic_analytics::series::Table;
 use dlpic_analytics::stats;
 use dlpic_bench::physics_loss::PhysicsInformedMse;
-use dlpic_bench::temporal::{harvest_trace, windowed_pairs, TemporalDlSolver};
+use dlpic_bench::temporal::{windowed_pairs, TemporalDlSolver};
 use dlpic_bench::{out_dir, prepare_data, train_arch, TrainedModel};
 use dlpic_core::builder::ArchSpec;
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::{BinningShape, PhaseGridSpec};
 use dlpic_core::presets::Scale;
-use dlpic_dataset::generator::{generate, GeneratorConfig};
+use dlpic_dataset::generator::{generate, harvest, Capture, GeneratorConfig};
 use dlpic_dataset::spec::SweepSpec;
 use dlpic_dataset::split::{shuffle_split, SplitSizes};
 use dlpic_dataset::vlasov_bridge::{generate_vlasov, VlasovDatasetConfig};
+use dlpic_dataset::PhaseDataset;
 use dlpic_nn::data::Dataset;
 use dlpic_nn::loss::Mse;
 use dlpic_nn::optimizer::Adam;
@@ -41,6 +42,7 @@ use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig};
 use dlpic_pic::presets::{paper_config, reduced_config};
 use dlpic_pic::simulation::Simulation;
+use dlpic_pic::solver::TraditionalSolver;
 
 fn parse_args() -> (Scale, Option<String>) {
     let mut scale = Scale::from_env();
@@ -180,13 +182,11 @@ fn ablation_grid(scale: Scale, out: &mut Vec<String>) {
         let mut cfg2 = GeneratorConfig::new(SweepSpec::test_set_ii_for(scale), spec);
         cfg2.ppc = scale.dataset_ppc();
         let test2 = generate(&cfg2);
-        let norm = train.input_norm_stats();
         let data = dlpic_bench::DataBundle {
             train,
             val,
             test1,
             test2,
-            norm,
         };
         let arch = ArchSpec::Mlp {
             input: spec.cells(),
@@ -227,14 +227,11 @@ fn ablation_data(scale: Scale, out: &mut Vec<String>) {
     let mut sweep = SweepSpec::training_for(scale);
     sweep.experiments_per_combo = 1; // Vlasov is deterministic
     let vcfg = VlasovDatasetConfig::new(sweep, scale.phase_spec(), total_mass);
-    let vlasov_train = generate_vlasov(&vcfg);
-    let norm = vlasov_train.input_norm_stats();
     let vlasov_data = dlpic_bench::DataBundle {
-        train: vlasov_train,
+        train: generate_vlasov(&vcfg),
         val: pic_data.val.clone(),
         test1: pic_data.test1.clone(),
         test2: pic_data.test2.clone(),
-        norm,
     };
 
     let mut table = Table::new(&[
@@ -281,19 +278,26 @@ fn ablation_temporal(scale: Scale, out: &mut Vec<String>) {
         Scale::Paper => (80, 1024),
     };
 
-    // Time-ordered traces: a small sweep for training, one unseen seed
-    // held out for evaluation.
+    // Time-ordered runs, one store each, captured after every step: a
+    // small sweep for training, one unseen seed held out for evaluation.
+    let trace = |v0, seed| {
+        let mut run = PhaseDataset::new(spec, binning, 64);
+        let cfg = reduced_config(v0, 0.005, ppc, 200, seed);
+        harvest(
+            cfg,
+            TraditionalSolver::paper_default(),
+            Capture::AfterStep,
+            &mut run,
+        );
+        run
+    };
     let mut train_traces = Vec::new();
     for &v0 in &[0.18, 0.2] {
         for seed in 0..2u64 {
-            train_traces.push(harvest_trace(
-                reduced_config(v0, 0.005, ppc, 200, seed),
-                &spec,
-                binning,
-            ));
+            train_traces.push(trace(v0, seed));
         }
     }
-    let test_trace = harvest_trace(reduced_config(0.2, 0.005, ppc, 200, 77), &spec, binning);
+    let test_trace = trace(0.2, 77);
 
     let mut table = Table::new(&[
         "window k",

@@ -15,8 +15,11 @@ use dlpic_analytics::series::{write_csv, Table, TimeSeries};
 use dlpic_analytics::stats;
 use dlpic_bench::{out_dir, Cli};
 use dlpic_core::presets::Scale;
-use dlpic_core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
+use dlpic_core::twod::{arch_2d, DensityBinning};
+use dlpic_dataset::{fit, harvest, Capture, PhaseDataset};
 use dlpic_nn::frozen::Precision;
+use dlpic_nn::loss::Mse;
+use dlpic_nn::trainer::TrainConfig;
 use dlpic_pic::init2d::TwoStream2DInit;
 use dlpic_pic::shape::Shape;
 use dlpic_pic::simulation::{PicConfig, Simulation};
@@ -61,31 +64,30 @@ fn main() {
     eprintln!(
         "harvesting 2-D training data ({n_seeds} seeds × 2 drift speeds × 2 thermal spreads)..."
     );
-    let mut samples = Vec::new();
+    let mut data = PhaseDataset::new(grid.clone(), DensityBinning::Cic, 2 * grid.nodes());
     for &v0 in &[0.18, 0.2] {
         for &vth in &[0.0, 0.01] {
             for seed in 0..n_seeds as u64 {
-                samples.extend(harvest_2d(
-                    config(&grid, n_part, v0, vth, seed),
-                    DensityBinning::Cic,
-                    1,
-                ));
+                let cfg = config(&grid, n_part, v0, vth, seed);
+                let solver = TraditionalSolver::default_config();
+                harvest(cfg, solver, Capture::AfterStep, &mut data);
             }
         }
     }
-    eprintln!("  {} samples harvested", samples.len());
+    eprintln!("  {} samples harvested", data.len());
 
     // 2. Train.
     eprintln!("training 2-D MLP ({hidden} hidden, {epochs} epochs)...");
-    let tc = Train2DConfig {
-        hidden: vec![hidden],
-        learning_rate: 1e-3,
+    let tc = TrainConfig {
         epochs,
         batch_size: 32,
-        seed: 7,
+        shuffle_seed: 7,
+        ..TrainConfig::default()
     };
-    let (frozen, history) =
-        train_2d_solver(&grid, &samples, DensityBinning::Cic, &tc, Precision::F32);
+    let arch = arch_2d(grid.nodes(), vec![hidden]);
+    let trained = fit(&arch, &data, &Mse, None, 1e-3, &tc);
+    let history = &trained.history;
+    let frozen = trained.freeze(DensityBinning::Cic, "dl-2d-mlp", Precision::F32);
     let mut solver = frozen.solver();
     eprintln!(
         "  final MSE {:.3e} ({:.1}s)",

@@ -34,17 +34,16 @@ pub mod temporal;
 
 use dlpic_core::builder::ArchSpec;
 use dlpic_core::bundle::ModelBundle;
-use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::BinningShape;
 use dlpic_core::presets::Scale;
+use dlpic_dataset::fit;
 use dlpic_dataset::generator::{generate, GeneratorConfig};
 use dlpic_dataset::sample::PhaseDataset;
 use dlpic_dataset::spec::SweepSpec;
 use dlpic_dataset::split::{shuffle_split, SplitSizes};
 use dlpic_nn::loss::Loss;
 use dlpic_nn::metrics::evaluate;
-use dlpic_nn::optimizer::Adam;
-use dlpic_nn::trainer::{train, TrainConfig, TrainHistory};
+use dlpic_nn::trainer::{TrainConfig, TrainHistory};
 use std::path::PathBuf;
 
 /// Parsed command-line options shared by all experiment binaries.
@@ -132,8 +131,6 @@ pub struct DataBundle {
     pub test1: PhaseDataset,
     /// Test Set II — parameters never seen in training.
     pub test2: PhaseDataset,
-    /// Input normalization statistics computed on the training portion.
-    pub norm: NormStats,
 }
 
 /// Generates the training sweep and Test Set II for a scale, with the
@@ -154,13 +151,11 @@ pub fn prepare_data(scale: Scale, binning: BinningShape, verbose: bool) -> DataB
     cfg2.verbose = verbose;
     let test2 = generate(&cfg2);
 
-    let norm = train.input_norm_stats();
     DataBundle {
         train,
         val,
         test1,
         test2,
-        norm,
     }
 }
 
@@ -192,38 +187,21 @@ pub fn train_arch(
     seed: u64,
     log_every: usize,
 ) -> TrainedModel {
-    let kind = arch.input_kind();
-    let train_set = data.train.to_nn_dataset(&data.norm, kind);
-    let val_set = data.val.to_nn_dataset(&data.norm, kind);
-    let test1_set = data.test1.to_nn_dataset(&data.norm, kind);
-    let test2_set = data.test2.to_nn_dataset(&data.norm, kind);
-
-    let mut net = arch.build(seed);
-    let mut opt = Adam::new(lr);
-    let cfg = TrainConfig {
+    let tc = TrainConfig {
         epochs,
-        batch_size: 64,
         shuffle_seed: seed,
         log_every,
+        ..TrainConfig::default()
     };
-    let history = train(&mut net, loss, &mut opt, &train_set, Some(&val_set), &cfg);
-
-    let (mae1, max1) = evaluate(&mut net, &test1_set, 64);
-    let (mae2, max2) = evaluate(&mut net, &test2_set, 64);
-    // A histogram's total mass equals the harvest particle count; record
-    // it so the solver can rescale out-of-distribution particle counts.
-    let reference_mass: f32 = data.train.input_row(0).iter().sum();
-    let bundle = ModelBundle::from_network(
-        &mut net,
-        arch.clone(),
-        data.train.spec,
-        data.train.binning,
-        data.norm,
-    )
-    .with_reference_mass(reference_mass);
+    let mut trained = fit(arch, &data.train, loss, Some(&data.val), lr, &tc);
+    let (norm, kind) = (trained.norm, arch.input_kind());
+    let mut score =
+        |set: &PhaseDataset| evaluate(&mut trained.net, &set.to_nn_dataset(&norm, kind), 64);
+    let (mae1, max1) = score(&data.test1);
+    let (mae2, max2) = score(&data.test2);
     TrainedModel {
-        bundle,
-        history,
+        bundle: trained.bundle(arch.clone(), &data.train),
+        history: trained.history,
         mae1,
         max1,
         mae2,

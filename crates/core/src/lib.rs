@@ -15,7 +15,7 @@
 //!    `dlpic_pic::solver::FieldSolver`, so the *same* simulation loop runs
 //!    both methods. The solver is generic over the geometry; its one
 //!    per-dimension piece is [`field_solver::InputBinning`], and [`twod`]
-//!    supplies the 2-D instantiation's binning and training. Its shareable
+//!    supplies the 2-D instantiation's binning and default architecture. Its shareable
 //!    form, [`FrozenBundle`], is what fleets run on in either dimension.
 //!
 //! [`builder`] constructs the paper's §IV.A architectures (MLP: 3×1024

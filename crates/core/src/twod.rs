@@ -17,23 +17,15 @@
 //! The rest of the method is unchanged: histograms are min–max normalized
 //! with the training-set statistics (paper Eq. 5), the network is an MLP
 //! with ReLU hidden layers and a linear output trained with Adam on MSE,
-//! and the solver is the one `DlFieldSolver`, instantiated at [`Grid2D`]:
-//! this module supplies its input binning (`bin_density` behind
-//! [`InputBinning`]) and the harvest/train pipeline, which ends in a
-//! `FrozenBundle<Grid2D>`; inference, normalization and the field write
-//! are the code the 1-D solver runs.
+//! and the solver is the one `DlFieldSolver`, instantiated at [`Grid2D`].
+//! This module keeps only what is 2-D: the input binning (`bin_density`
+//! behind [`InputBinning`]) and the default architecture, [`arch_2d`].
+//! Harvest and training are `dlpic-dataset`'s, written once for both
+//! dimensions; inference, normalization and the field write are the code
+//! the 1-D solver runs.
 
 use crate::builder::ArchSpec;
-use crate::field_solver::{FrozenBundle, InputBinning};
-use crate::normalize::NormStats;
-use dlpic_nn::data::Dataset;
-use dlpic_nn::frozen::Precision;
-use dlpic_nn::loss::Mse;
-use dlpic_nn::optimizer::adam::Adam;
-use dlpic_nn::tensor::Tensor;
-use dlpic_nn::trainer::{train, TrainConfig, TrainHistory};
-use dlpic_pic::simulation::{PicConfig, Simulation};
-use dlpic_pic::solver::TraditionalSolver;
+use crate::field_solver::InputBinning;
 use dlpic_pic::{Grid2D, Particles2D};
 
 /// Binning order for the 2-D density histogram (mirrors the 1-D
@@ -110,70 +102,6 @@ impl InputBinning for Grid2D {
     }
 }
 
-/// One training sample of the 2-D extension: a density histogram and the
-/// associated field components.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample2D {
-    /// Raw (unnormalized) density histogram, `nx·ny` counts.
-    pub hist: Vec<f32>,
-    /// `Ex` on the nodes.
-    pub ex: Vec<f32>,
-    /// `Ey` on the nodes.
-    pub ey: Vec<f32>,
-}
-
-/// Runs a traditional 2-D PIC simulation and harvests one sample every
-/// `stride` steps (stride 1 = every step), mirroring the paper's 1-D
-/// harvesting procedure.
-pub fn harvest_2d(cfg: PicConfig<Grid2D>, binning: DensityBinning, stride: usize) -> Vec<Sample2D> {
-    assert!(stride > 0, "stride must be positive");
-    let n_steps = cfg.n_steps;
-    let grid = cfg.grid.clone();
-    let mut sim = Simulation::new(cfg, Box::new(TraditionalSolver::default_config()));
-    let mut samples = Vec::with_capacity(n_steps / stride + 1);
-    let mut hist = vec![0.0f32; grid.nodes()];
-    for step in 0..n_steps {
-        sim.step();
-        if step % stride != 0 {
-            continue;
-        }
-        bin_density(sim.particles(), &grid, binning, &mut hist);
-        let (ex, ey) = sim.efield().split_at(grid.nodes());
-        samples.push(Sample2D {
-            hist: hist.clone(),
-            ex: ex.iter().map(|&v| v as f32).collect(),
-            ey: ey.iter().map(|&v| v as f32).collect(),
-        });
-    }
-    samples
-}
-
-/// Assembles an [`Dataset`] from samples: inputs are min–max normalized
-/// histograms (statistics returned for inference-time reuse), targets are
-/// `[Ex | Ey]` stacked per sample.
-///
-/// # Panics
-/// Panics on an empty sample list.
-fn build_dataset_2d(samples: &[Sample2D]) -> (Dataset, NormStats) {
-    assert!(!samples.is_empty(), "no samples");
-    let in_len = samples[0].hist.len();
-    let out_len = samples[0].ex.len() + samples[0].ey.len();
-    let mut all_inputs: Vec<f32> = Vec::with_capacity(samples.len() * in_len);
-    for s in samples {
-        all_inputs.extend_from_slice(&s.hist);
-    }
-    let norm = NormStats::from_data(&all_inputs);
-    norm.apply(&mut all_inputs);
-    let mut targets: Vec<f32> = Vec::with_capacity(samples.len() * out_len);
-    for s in samples {
-        targets.extend_from_slice(&s.ex);
-        targets.extend_from_slice(&s.ey);
-    }
-    let x = Tensor::new(all_inputs, &[samples.len(), in_len]);
-    let y = Tensor::new(targets, &[samples.len(), out_len]);
-    (Dataset::new(x, y), norm)
-}
-
 /// The default 2-D architecture: an MLP from `nodes` density bins to
 /// `2·nodes` field values, with the same ReLU-hidden / linear-output
 /// structure as the paper's 1-D MLP.
@@ -185,71 +113,17 @@ pub fn arch_2d(nodes: usize, hidden: Vec<usize>) -> ArchSpec {
     }
 }
 
-/// Configuration for [`train_2d_solver`].
-#[derive(Debug, Clone)]
-pub struct Train2DConfig {
-    /// Hidden-layer widths.
-    pub hidden: Vec<usize>,
-    /// Adam learning rate.
-    pub learning_rate: f32,
-    /// Epochs.
-    pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Weight-init / shuffle seed.
-    pub seed: u64,
-}
-
-impl Default for Train2DConfig {
-    fn default() -> Self {
-        Self {
-            hidden: vec![256, 256],
-            learning_rate: 1e-3,
-            epochs: 40,
-            batch_size: 32,
-            seed: 0,
-        }
-    }
-}
-
-/// Trains a 2-D DL field solver on harvested samples and freezes it at
-/// `precision`.
-///
-/// # Panics
-/// Panics on an empty sample list.
-pub fn train_2d_solver(
-    grid: &Grid2D,
-    samples: &[Sample2D],
-    binning: DensityBinning,
-    cfg: &Train2DConfig,
-    precision: Precision,
-) -> (FrozenBundle<Grid2D>, TrainHistory) {
-    let (dataset, norm) = build_dataset_2d(samples);
-    let arch = arch_2d(grid.nodes(), cfg.hidden.clone());
-    let mut net = arch.build(cfg.seed);
-    let mut opt = Adam::new(cfg.learning_rate);
-    let tc = TrainConfig {
-        epochs: cfg.epochs,
-        batch_size: cfg.batch_size,
-        shuffle_seed: cfg.seed,
-        log_every: 0,
-    };
-    let history = train(&mut net, &Mse, &mut opt, &dataset, None, &tc);
-    let reference_mass: f32 = samples[0].hist.iter().sum();
-    let frozen = FrozenBundle::from_network(&net, binning, norm, "dl-2d-mlp", precision)
-        .expect("the 2-D MLP has a frozen form")
-        .with_reference_mass(reference_mass);
-    (frozen, history)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::field_solver::DlFieldSolver;
+    use crate::field_solver::{DlFieldSolver, FrozenBundle};
+    use crate::normalize::NormStats;
+    use dlpic_nn::frozen::Precision;
     use dlpic_nn::network::PredictWorkspace;
     use dlpic_nn::tensor::Tensor;
     use dlpic_pic::init2d::TwoStream2DInit;
     use dlpic_pic::shape::Shape;
+    use dlpic_pic::simulation::{PicConfig, Simulation};
     use dlpic_pic::solver::{FieldSolver, PhasedFieldSolver};
 
     fn tiny_grid() -> Grid2D {
@@ -297,49 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn harvest_produces_expected_sample_count() {
-        let cfg = PicConfig {
-            grid: tiny_grid(),
-            init: Some(TwoStream2DInit::quiet(0.2, 0.0, 1024, 1e-3, 0)),
-            dt: 0.2,
-            n_steps: 10,
-            gather_shape: Shape::Cic,
-            tracked_modes: vec![],
-        };
-        let samples = harvest_2d(cfg, DensityBinning::Ngp, 2);
-        assert_eq!(samples.len(), 5);
-        assert!(samples.iter().all(|s| s.hist.len() == 64));
-        assert!(samples.iter().all(|s| s.ex.len() == 64 && s.ey.len() == 64));
-        assert!(samples
-            .iter()
-            .all(|s| s.ex.iter().chain(&s.ey).all(|v| v.is_finite())));
-    }
-
-    #[test]
-    fn dataset_shapes_and_normalization() {
-        let samples = vec![
-            Sample2D {
-                hist: vec![0.0, 4.0],
-                ex: vec![1.0, -1.0],
-                ey: vec![0.5, 0.0],
-            },
-            Sample2D {
-                hist: vec![2.0, 2.0],
-                ex: vec![0.0, 0.0],
-                ey: vec![0.0, 0.5],
-            },
-        ];
-        let (ds, norm) = build_dataset_2d(&samples);
-        assert_eq!(ds.len(), 2);
-        // Min 0, max 4 → normalized inputs within [0, 1].
-        assert!((norm.span() - 4.0).abs() < 1e-6);
-        let (x, y) = (&ds.x, &ds.y);
-        assert_eq!(x.shape(), &[2, 2]);
-        assert_eq!(y.shape(), &[2, 4]);
-        assert!(x.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
     fn untrained_solver_writes_finite_fields() {
         let grid = tiny_grid();
         let mut solver = tiny_frozen(0, DensityBinning::Ngp).solver();
@@ -347,37 +178,6 @@ mod tests {
         let mut e = vec![0.0; 2 * grid.nodes()];
         solver.solve(&p, &grid, &mut e);
         assert!(e.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn trained_solver_beats_untrained_on_training_data() {
-        // A minimal learning sanity check: after a few epochs the MSE on
-        // the training samples must drop well below the untrained level.
-        let grid = tiny_grid();
-        let cfg = PicConfig {
-            grid: grid.clone(),
-            init: Some(TwoStream2DInit::quiet(0.2, 0.0, 2048, 1e-2, 0)),
-            dt: 0.2,
-            n_steps: 30,
-            gather_shape: Shape::Cic,
-            tracked_modes: vec![],
-        };
-        let samples = harvest_2d(cfg, DensityBinning::Ngp, 1);
-        let tc = Train2DConfig {
-            hidden: vec![32],
-            learning_rate: 3e-3,
-            epochs: 30,
-            batch_size: 8,
-            seed: 1,
-        };
-        let (_, history) =
-            train_2d_solver(&grid, &samples, DensityBinning::Ngp, &tc, Precision::F32);
-        let first = history.train_loss.first().copied().unwrap();
-        let last = history.final_loss().unwrap();
-        assert!(
-            last < 0.5 * first,
-            "training did not reduce loss: {first} → {last}"
-        );
     }
 
     #[test]

@@ -1,20 +1,60 @@
-//! Harvesting training data from traditional PIC runs (paper Fig. 3 left).
+//! Harvesting training data from traditional PIC runs (paper Fig. 3
+//! left), in either dimension.
 //!
-//! For every run in a sweep the generator initializes a traditional PIC
-//! simulation and, at the start of every step, captures
-//!
-//! * the phase-space histogram of the *current* particle state, and
-//! * the electric field that is self-consistent with that state —
-//!
-//! exactly the pair the DL solver must map between at inference time
-//! inside the DL-PIC cycle.
+//! [`harvest`] is the one loop that steps a traditional simulation to
+//! record training rows: each step it bins the particle state into the
+//! store's input histogram and records the electric field self-consistent
+//! with that state — the pair the DL solver must map between inside the
+//! DL-PIC cycle. [`generate`] runs it over the paper's 1-D sweep.
 
-use crate::sample::PhaseDataset;
+use crate::sample::{InputGrid, PhaseDataset};
 use crate::spec::SweepSpec;
-use dlpic_core::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
+use dlpic_core::phase_space::{BinningShape, PhaseGridSpec};
+use dlpic_core::InputBinning;
+use dlpic_pic::constants::PAPER_NCELLS;
 use dlpic_pic::presets::reduced_config;
-use dlpic_pic::simulation::Simulation;
+use dlpic_pic::simulation::{PicConfig, Simulation};
 use dlpic_pic::solver::TraditionalSolver;
+
+/// Which state of each step a harvest records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Capture {
+    /// The state a step starts from: the loaded particles first, the last
+    /// step's push never (the paper's 1-D sweep).
+    BeforeStep,
+    /// The state a step ends in: the loaded particles never, the last
+    /// step's push always.
+    AfterStep,
+}
+
+/// Runs `cfg` for `cfg.n_steps` steps on `solver` and appends one row per
+/// step to `out`: the particles binned onto `out`'s grid, and the field the
+/// solver solved from them.
+///
+/// # Panics
+/// Panics if the binned row or the field is not as wide as `out`'s rows.
+pub fn harvest<S: InputGrid>(
+    cfg: PicConfig<S::Geometry>,
+    solver: TraditionalSolver<S::Geometry>,
+    capture: Capture,
+    out: &mut PhaseDataset<S>,
+) {
+    let binner = out.spec.binner(out.binning);
+    let steps = cfg.n_steps;
+    let mut sim = Simulation::new(cfg, Box::new(solver));
+    let mut row = vec![0.0f32; out.row_len()];
+    out.reserve(steps);
+    for _ in 0..steps {
+        if capture == Capture::AfterStep {
+            sim.step();
+        }
+        S::Geometry::bin(&binner, sim.particles(), sim.grid(), &mut row);
+        out.push(&row, sim.efield());
+        if capture == Capture::BeforeStep {
+            sim.step();
+        }
+    }
+}
 
 /// Generator configuration.
 #[derive(Debug, Clone)]
@@ -44,68 +84,38 @@ impl GeneratorConfig {
     }
 }
 
-/// Runs one harvest simulation and returns its samples.
-fn harvest_run(cfg: &GeneratorConfig, combo_idx: usize, experiment: usize) -> PhaseDataset {
-    let combo = cfg.sweep.combos[combo_idx];
-    let seed = cfg.sweep.run_seed(combo_idx, experiment);
-    let pic_cfg = reduced_config(combo.v0, combo.vth, cfg.ppc, cfg.sweep.steps, seed);
-    let e_cells = pic_cfg.grid.nx();
-    let mut sim = Simulation::new(pic_cfg, Box::new(TraditionalSolver::paper_default()));
-
-    let mut out = PhaseDataset::new(cfg.phase_spec, cfg.binning, e_cells);
-    out.reserve(cfg.sweep.steps);
-    let mut hist = vec![0.0f32; cfg.phase_spec.cells()];
-    for _ in 0..cfg.sweep.steps {
-        bin_phase_space(
-            sim.particles(),
-            sim.grid(),
-            &cfg.phase_spec,
-            cfg.binning,
-            &mut hist,
-        );
-        out.push(&hist, sim.efield());
-        sim.step();
+/// Generates the full dataset for a sweep: one [`harvest`] per run of the
+/// paper's reduced configuration, binned before each step, in sweep order.
+pub fn generate(cfg: &GeneratorConfig) -> PhaseDataset {
+    let sweep = &cfg.sweep;
+    let mut out = PhaseDataset::new(cfg.phase_spec, cfg.binning, PAPER_NCELLS);
+    out.reserve(sweep.total_samples());
+    for (c, e) in sweep.runs() {
+        let combo = sweep.combos[c];
+        let seed = sweep.run_seed(c, e);
+        let pic_cfg = reduced_config(combo.v0, combo.vth, cfg.ppc, sweep.steps, seed);
+        let solver = TraditionalSolver::paper_default();
+        harvest(pic_cfg, solver, Capture::BeforeStep, &mut out);
+        if cfg.verbose && e == 0 {
+            eprintln!(
+                "harvested combo {:>2}/{}: v0 = ±{:<5} vth = {:<6} ({} samples/run)",
+                c + 1,
+                sweep.combos.len(),
+                combo.v0,
+                combo.vth,
+                sweep.steps
+            );
+        }
     }
     out
-}
-
-/// Generates the full dataset for a sweep: independent runs, one after
-/// another, merged in sweep order.
-pub fn generate(cfg: &GeneratorConfig) -> PhaseDataset {
-    let harvested: Vec<PhaseDataset> = (0..cfg.sweep.combos.len())
-        .flat_map(|c| (0..cfg.sweep.experiments_per_combo).map(move |e| (c, e)))
-        .map(|(c, e)| {
-            let ds = harvest_run(cfg, c, e);
-            if cfg.verbose && e == 0 {
-                let combo = cfg.sweep.combos[c];
-                eprintln!(
-                    "harvested combo {:>2}/{}: v0 = ±{:<5} vth = {:<6} ({} samples/run)",
-                    c + 1,
-                    cfg.sweep.combos.len(),
-                    combo.v0,
-                    combo.vth,
-                    ds.len()
-                );
-            }
-            ds
-        })
-        .collect();
-
-    let mut merged = PhaseDataset::new(
-        cfg.phase_spec,
-        cfg.binning,
-        harvested.first().map_or(64, |d| d.e_cells),
-    );
-    for part in &harvested {
-        merged.extend(part);
-    }
-    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::SweepCombo;
+    use dlpic_core::DensityBinning;
+    use dlpic_pic::{Grid2D, Shape, TwoStream2DInit};
 
     fn tiny_cfg(steps: usize) -> GeneratorConfig {
         GeneratorConfig {
@@ -160,6 +170,30 @@ mod tests {
         let b = generate(&cfg);
         assert_eq!(a.inputs(), b.inputs());
         assert_eq!(a.targets(), b.targets());
+    }
+
+    #[test]
+    fn harvest_produces_expected_sample_count() {
+        // One 2-D run, captured after each of its ten steps.
+        let grid = Grid2D::new(8, 8, 2.0532, 2.0532);
+        let cfg = PicConfig {
+            grid: grid.clone(),
+            init: Some(TwoStream2DInit::quiet(0.2, 0.0, 1024, 1e-3, 0)),
+            dt: 0.2,
+            n_steps: 10,
+            gather_shape: Shape::Cic,
+            tracked_modes: vec![],
+        };
+        let mut ds = PhaseDataset::new(grid, DensityBinning::Ngp, 128);
+        harvest(
+            cfg,
+            TraditionalSolver::default_config(),
+            Capture::AfterStep,
+            &mut ds,
+        );
+        assert_eq!(ds.len(), 10);
+        assert_eq!(ds.inputs().len(), 10 * 64);
+        assert!(ds.targets().iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -1,29 +1,79 @@
-//! The in-memory dataset: phase-space histograms paired with electric
-//! fields.
+//! The in-memory sample store: input histograms paired with electric
+//! fields, in either dimension.
 
 use dlpic_core::builder::InputKind;
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::{BinningShape, PhaseGridSpec};
+use dlpic_core::twod::DensityBinning;
+use dlpic_core::InputBinning;
 use dlpic_nn::data::Dataset;
 use dlpic_nn::tensor::Tensor;
+use dlpic_pic::{Grid1D, Grid2D};
 
-/// A flat collection of (histogram, E-field) sample pairs.
+/// The grid a store's input rows are binned on, and what turns it into the
+/// binner its geometry's [`InputBinning::bin`] takes: the `(x, v)` phase
+/// grid in 1-D, the configuration grid itself in 2-D.
+pub trait InputGrid: Clone + PartialEq + std::fmt::Debug {
+    /// The PIC geometry whose particles bin onto this grid.
+    type Geometry: InputBinning;
+    /// The binning order.
+    type Binning: Copy + PartialEq + std::fmt::Debug;
+
+    /// `[rows, columns]` of one input row read as an image (columns
+    /// fastest).
+    fn image(&self) -> [usize; 2];
+
+    /// The binner that fills this grid's rows with `binning`.
+    fn binner(&self, binning: Self::Binning) -> <Self::Geometry as InputBinning>::Binner;
+}
+
+impl InputGrid for PhaseGridSpec {
+    type Geometry = Grid1D;
+    type Binning = BinningShape;
+
+    fn image(&self) -> [usize; 2] {
+        [self.nv, self.nx]
+    }
+
+    fn binner(&self, binning: BinningShape) -> (PhaseGridSpec, BinningShape) {
+        (*self, binning)
+    }
+}
+
+impl InputGrid for Grid2D {
+    type Geometry = Grid2D;
+    type Binning = DensityBinning;
+
+    fn image(&self) -> [usize; 2] {
+        [self.ny(), self.nx()]
+    }
+
+    fn binner(&self, binning: DensityBinning) -> DensityBinning {
+        binning
+    }
+}
+
+/// A flat collection of (input histogram, E-field) sample pairs. The
+/// default is the paper's 1-D store of phase-space histograms;
+/// `PhaseDataset<Grid2D>` holds 2-D density histograms with the stacked
+/// `[Ex | Ey]` field.
 #[derive(Debug, Clone)]
-pub struct PhaseDataset {
-    /// Histogram geometry.
-    pub spec: PhaseGridSpec,
+pub struct PhaseDataset<S: InputGrid = PhaseGridSpec> {
+    /// The grid the histograms are binned on.
+    pub spec: S,
     /// Binning order used to build the histograms.
-    pub binning: BinningShape,
-    /// Field-grid width (64 in the paper).
+    pub binning: S::Binning,
+    /// Field values per sample: grid cells × field components (64 in the
+    /// paper).
     pub e_cells: usize,
     inputs: Vec<f32>,
     targets: Vec<f32>,
     n: usize,
 }
 
-impl PhaseDataset {
+impl<S: InputGrid> PhaseDataset<S> {
     /// Creates an empty dataset.
-    pub fn new(spec: PhaseGridSpec, binning: BinningShape, e_cells: usize) -> Self {
+    pub fn new(spec: S, binning: S::Binning, e_cells: usize) -> Self {
         assert!(e_cells > 0, "field grid must have cells");
         Self {
             spec,
@@ -38,7 +88,7 @@ impl PhaseDataset {
     /// Pre-reserves room for `n` more samples (the generators know their
     /// harvest length up front; this keeps the push loop re-growth-free).
     pub fn reserve(&mut self, n: usize) {
-        self.inputs.reserve(n * self.spec.cells());
+        self.inputs.reserve(n * self.row_len());
         self.targets.reserve(n * self.e_cells);
     }
 
@@ -47,11 +97,7 @@ impl PhaseDataset {
     /// # Panics
     /// Panics if slice widths disagree with the dataset geometry.
     pub fn push(&mut self, histogram: &[f32], efield: &[f64]) {
-        assert_eq!(
-            histogram.len(),
-            self.spec.cells(),
-            "histogram width mismatch"
-        );
+        assert_eq!(histogram.len(), self.row_len(), "histogram width mismatch");
         assert_eq!(efield.len(), self.e_cells, "e-field width mismatch");
         self.inputs.extend_from_slice(histogram);
         self.targets.extend(efield.iter().map(|&v| v as f32));
@@ -62,7 +108,7 @@ impl PhaseDataset {
     ///
     /// # Panics
     /// Panics on geometry mismatch.
-    pub fn extend(&mut self, other: &PhaseDataset) {
+    pub fn extend(&mut self, other: &Self) {
         assert_eq!(self.spec, other.spec, "phase-grid mismatch");
         assert_eq!(self.binning, other.binning, "binning mismatch");
         assert_eq!(self.e_cells, other.e_cells, "field width mismatch");
@@ -81,7 +127,13 @@ impl PhaseDataset {
         self.n == 0
     }
 
-    /// Raw input block (`n × cells`).
+    /// Width of one input row.
+    pub fn row_len(&self) -> usize {
+        let [rows, columns] = self.spec.image();
+        rows * columns
+    }
+
+    /// Raw input block (`n × row_len`).
     pub fn inputs(&self) -> &[f32] {
         &self.inputs
     }
@@ -93,7 +145,7 @@ impl PhaseDataset {
 
     /// The histogram of sample `i`.
     pub fn input_row(&self, i: usize) -> &[f32] {
-        let w = self.spec.cells();
+        let w = self.row_len();
         &self.inputs[i * w..(i + 1) * w]
     }
 
@@ -116,7 +168,7 @@ impl PhaseDataset {
 
     /// Builds a new dataset with the rows given by `indices`.
     pub fn select(&self, indices: &[usize]) -> Self {
-        let mut out = Self::new(self.spec, self.binning, self.e_cells);
+        let mut out = Self::new(self.spec.clone(), self.binning, self.e_cells);
         for &i in indices {
             assert!(i < self.n, "index {i} out of range {}", self.n);
             out.inputs.extend_from_slice(self.input_row(i));
@@ -128,13 +180,14 @@ impl PhaseDataset {
 
     /// Converts into a trainable `dlpic_nn` dataset, applying the given
     /// normalization to the inputs and shaping them for the architecture
-    /// (`Flat` → `[n, cells]`, `Image` → `[n, 1, nv, nx]`).
+    /// (`Flat` → `[n, row_len]`, `Image` → `[n, 1, rows, columns]`).
     pub fn to_nn_dataset(&self, norm: &NormStats, kind: InputKind) -> Dataset {
         let mut x = self.inputs.clone();
         norm.apply(&mut x);
+        let [rows, columns] = self.spec.image();
         let x = match kind {
-            InputKind::Flat => Tensor::new(x, &[self.n, self.spec.cells()]),
-            InputKind::Image => Tensor::new(x, &[self.n, 1, self.spec.nv, self.spec.nx]),
+            InputKind::Flat => Tensor::new(x, &[self.n, rows * columns]),
+            InputKind::Image => Tensor::new(x, &[self.n, 1, rows, columns]),
         };
         let y = Tensor::new(self.targets.clone(), &[self.n, self.e_cells]);
         Dataset::new(x, y)
@@ -200,6 +253,22 @@ mod tests {
         a.extend(&b);
         assert_eq!(a.len(), 4);
         assert_eq!(a.input_row(2), b.input_row(0));
+    }
+
+    #[test]
+    fn dataset_shapes_and_normalization() {
+        // A 2-D store: two density bins, `[Ex | Ey]` over two nodes.
+        let mut ds = PhaseDataset::new(Grid2D::new(2, 1, 1.0, 1.0), DensityBinning::Ngp, 4);
+        ds.push(&[0.0, 4.0], &[1.0, -1.0, 0.5, 0.0]);
+        ds.push(&[2.0, 2.0], &[0.0, 0.0, 0.0, 0.5]);
+        assert_eq!(ds.len(), 2);
+        // Min 0, max 4 → normalized inputs within [0, 1].
+        let norm = ds.input_norm_stats();
+        assert!((norm.span() - 4.0).abs() < 1e-6);
+        let nn = ds.to_nn_dataset(&norm, InputKind::Flat);
+        assert_eq!(nn.x.shape(), &[2, 2]);
+        assert_eq!(nn.y.shape(), &[2, 4]);
+        assert!(nn.x.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
     #[test]

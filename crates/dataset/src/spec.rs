@@ -53,7 +53,7 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// Cartesian product of the given parameter lists.
-    fn cross(v0s: &[f64], vths: &[f64], experiments: usize, steps: usize, seed: u64) -> Self {
+    pub fn cross(v0s: &[f64], vths: &[f64], experiments: usize, steps: usize, seed: u64) -> Self {
         let mut combos = Vec::with_capacity(v0s.len() * vths.len());
         for &v0 in v0s {
             for &vth in vths {
@@ -99,6 +99,12 @@ impl SweepSpec {
     /// Total number of samples the sweep yields.
     pub fn total_samples(&self) -> usize {
         self.combos.len() * self.experiments_per_combo * self.steps
+    }
+
+    /// Every run of the sweep as `(combo index, experiment)`, combo-major:
+    /// the order the generators harvest in.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.combos.len()).flat_map(|c| (0..self.experiments_per_combo).map(move |e| (c, e)))
     }
 
     /// Deterministic seed of run (`combo_idx`, `experiment`).

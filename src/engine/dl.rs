@@ -16,11 +16,14 @@
 //! 1. **Bring a trained model** — `engine.with_model_1d(bundle)` with a
 //!    [`ModelBundle`] from `dlpic-bench` or [`quick_train_1d`];
 //!    `engine.with_model_2d(frozen)` with
-//!    `quick_train_2d(&spec, seed, Precision::F32)?`.
+//!    `quick_train_2d(&spec, seed, Precision::F32)?`. Both quick-trains
+//!    are one `dlpic-dataset` pipeline — sweep, harvest, sample store,
+//!    trainer — instantiated per dimension.
 //! 2. **Get-or-train through a registry** — `engine.with_registry(..)`:
 //!    [`ModelRegistry::model`] runs the quick-train pipeline (the full
 //!    harvest→train at the spec's scale, seconds at `Scale::Smoke`) once
-//!    per (scenario, scale, seed) and dimension.
+//!    per (scenario, scale, seed) and dimension. Its training runs never
+//!    carry the served seed.
 //! 3. **Untrained fallback** — with neither, the engine builds an
 //!    untrained network of the default architecture. The produced fields
 //!    are physically meaningless (finite, near-zero) but every plumbing
@@ -34,11 +37,15 @@ use crate::core::builder::ArchSpec;
 use crate::core::normalize::NormStats;
 use crate::core::phase_space::BinningShape;
 use crate::core::presets::Scale;
-use crate::core::twod::{arch_2d, harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
+use crate::core::twod::{arch_2d, DensityBinning};
 use crate::core::{FrozenBundle, InputBinning, ModelBundle};
+use crate::dataset::generator::{generate, harvest, Capture, GeneratorConfig};
+use crate::dataset::spec::SweepSpec;
+use crate::dataset::{fit, PhaseDataset};
 use crate::nn::frozen::Precision;
-use crate::pic::Grid2D;
-use crate::pic::{Grid1D, PicConfig};
+use crate::nn::{Mse, TrainConfig};
+use crate::pic::solver::TraditionalSolver;
+use crate::pic::{Grid1D, Grid2D, PicConfig, TwoStream2DInit};
 use std::any::Any;
 use std::sync::{Arc, Mutex};
 
@@ -190,44 +197,54 @@ pub(crate) fn weight_key<G: DlGeometry>(tier: ModelTier, spec: &ScenarioSpec) ->
 }
 
 /// Trains a 1-D MLP field solver from scratch at the given scale — the
-/// full paper pipeline (traditional-PIC harvest → shuffle/split →
-/// Adam/MSE training) with the scale's sweep and architecture. Seconds at
-/// `Scale::Smoke`; see `dlpic-bench` for cached, full-size training.
+/// full paper pipeline (traditional-PIC harvest → Adam/MSE training) with
+/// the scale's sweep and architecture. Seconds at `Scale::Smoke`; see
+/// `dlpic-bench` for cached, full-size training.
 pub fn quick_train_1d(scale: Scale, seed: u64) -> ModelBundle {
-    use crate::dataset::generator::{generate, GeneratorConfig};
-    use crate::dataset::spec::SweepSpec;
-    use crate::nn::optimizer::Adam;
-    use crate::nn::trainer::{train, TrainConfig};
-
     let mut cfg = GeneratorConfig::new(SweepSpec::training_for(scale), scale.phase_spec());
     cfg.ppc = scale.dataset_ppc();
     let data = generate(&cfg);
-    let norm = data.input_norm_stats();
     let arch = scale.mlp_arch();
-    let kind = arch.input_kind();
-    let mut net = arch.build(seed);
-    let mut opt = Adam::new(scale.learning_rate());
     let tc = TrainConfig {
         epochs: scale.mlp_epochs(),
-        batch_size: 64,
         shuffle_seed: seed,
-        log_every: 0,
+        ..TrainConfig::default()
     };
-    train(
-        &mut net,
-        &crate::nn::Mse,
-        &mut opt,
-        &data.to_nn_dataset(&norm, kind),
-        None,
-        &tc,
-    );
-    let reference_mass: f32 = data.input_row(0).iter().sum();
-    ModelBundle::from_network(&mut net, arch, data.spec, data.binning, norm)
-        .with_reference_mass(reference_mass)
+    fit(&arch, &data, &Mse, None, scale.learning_rate(), &tc).bundle(arch, &data)
 }
 
-/// Trains a 2-D DL field solver by harvesting a traditional 2-D run of the
-/// given scenario, then fitting the scale's MLP, frozen at `precision` for
+/// The traditional runs the 2-D quick-train harvests for `spec`: a
+/// one-combo [`SweepSpec`] of the scenario's `(v0, vth)` for its `n_steps`,
+/// with base seed `seed` and run seeds from [`SweepSpec::run_seed`], so no
+/// run carries the seed a session of `spec` serves.
+fn training_runs_2d(spec: &ScenarioSpec, seed: u64) -> Result<Vec<PicConfig<Grid2D>>, EngineError> {
+    let init = spec.init_2d().ok_or_else(|| EngineError::InvalidSpec {
+        scenario: spec.name.clone(),
+        what: "2-D training harvest needs a symmetric two-beam species".into(),
+    })?;
+    let sweep = SweepSpec::cross(&[init.v0], &[init.vth], 1, spec.n_steps, seed);
+    let run = |(c, e): (usize, usize)| {
+        let combo = sweep.combos[c];
+        PicConfig {
+            grid: spec.grid_2d(),
+            init: Some(TwoStream2DInit {
+                v0: combo.v0,
+                vth: combo.vth,
+                seed: sweep.run_seed(c, e),
+                ..init.clone()
+            }),
+            dt: spec.dt,
+            n_steps: sweep.steps,
+            gather_shape: crate::pic::Shape::Cic,
+            tracked_modes: vec![],
+        }
+    };
+    Ok(sweep.runs().map(run).collect())
+}
+
+/// Trains a 2-D DL field solver by harvesting traditional 2-D runs of the
+/// given scenario (`training_runs_2d`: never the run the spec serves), then
+/// fitting the scale's MLP, frozen at `precision` for
 /// [`Engine::with_model_2d`](super::Engine::with_model_2d).
 // analyze:allow(pub-reach): tests/shared_weights.rs trains its 2-D models through it and must stay unchanged
 pub fn quick_train_2d(
@@ -244,32 +261,29 @@ pub fn quick_train_2d(
             })
         }
     };
-    let init = spec.init_2d().ok_or_else(|| EngineError::InvalidSpec {
-        scenario: spec.name.clone(),
-        what: "2-D training harvest needs a symmetric two-beam species".into(),
-    })?;
-    let cfg = PicConfig {
-        grid: grid.clone(),
-        init: Some(init),
-        dt: spec.dt,
-        n_steps: spec.n_steps,
-        gather_shape: crate::pic::Shape::Cic,
-        tracked_modes: vec![],
-    };
     let binning = Grid2D::default_binner(spec);
-    let samples = harvest_2d(cfg, binning, 1);
-    let tc = Train2DConfig {
-        hidden: hidden_2d(spec.scale),
-        learning_rate: spec.scale.learning_rate().max(1e-3),
+    let mut data = PhaseDataset::new(grid.clone(), binning, 2 * grid.nodes());
+    for cfg in training_runs_2d(spec, seed)? {
+        harvest(
+            cfg,
+            TraditionalSolver::default_config(),
+            Capture::AfterStep,
+            &mut data,
+        );
+    }
+    let tc = TrainConfig {
         epochs: match spec.scale {
             Scale::Smoke => 10,
             Scale::Scaled => 40,
             Scale::Paper => 80,
         },
         batch_size: 32,
-        seed,
+        shuffle_seed: seed,
+        ..TrainConfig::default()
     };
-    Ok(train_2d_solver(&grid, &samples, binning, &tc, precision).0)
+    let lr = spec.scale.learning_rate().max(1e-3);
+    let trained = fit(&Grid2D::default_arch(spec), &data, &Mse, None, lr, &tc);
+    Ok(trained.freeze(binning, "dl-2d-mlp", precision))
 }
 
 /// Observable counters of a [`ModelRegistry`].
@@ -441,6 +455,28 @@ impl ModelRegistry {
                 .expect("entries is non-empty");
             self.entries.remove(oldest);
             self.evictions += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_2d_training_never_runs_the_served_seed() {
+        for scale in [Scale::Smoke, Scale::Scaled, Scale::Paper] {
+            let spec = crate::engine::scenario("two_stream_2d", scale).unwrap();
+            // `DlGeometry::quick_train` seeds the quick-train with the
+            // spec's own seed, the one its sessions then serve.
+            let runs = training_runs_2d(&spec, spec.seed).unwrap();
+            assert_eq!(runs.len(), 1, "{scale:?}: one training run per model");
+            for run in runs {
+                let init = run.init.unwrap();
+                assert_ne!(init.seed, spec.seed, "{scale:?}: trains on the served seed");
+                assert_eq!((init.v0, init.vth), spec.species.as_two_stream().unwrap());
+                assert_eq!(run.n_steps, spec.n_steps);
+            }
         }
     }
 }

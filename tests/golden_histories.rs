@@ -12,7 +12,8 @@
 //! Training has its own golden, `trained.txt`: the smoke MLP, ResMlp and
 //! CNN, each trained for two epochs of batch 64 on the smoke training
 //! sweep, as the length and hash of their `params_to_bytes` (after a line
-//! pinning the sweep's own bytes). Any kernel on the training path — the
+//! pinning the sweep's own bytes), through `dataset::fit`, the trainer the
+//! quick-trains and the bench share. Any kernel on the training path — the
 //! `tn`/`nt` GEMMs, the conv kernels, Adam — must leave it untouched.
 //! Beside it, `table_i.txt` holds the paper's Table I columns for the same
 //! three trained networks on the smoke set — `metrics::evaluate`'s MAE and
@@ -33,21 +34,19 @@
 //! `cargo test --release --test golden_histories -- --ignored regenerate`.
 
 use dlpic_repro::core::phase_space::PhaseGridSpec;
-use dlpic_repro::core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
-use dlpic_repro::core::{ArchSpec, NormStats, Scale};
+use dlpic_repro::core::twod::arch_2d;
+use dlpic_repro::core::{ArchSpec, DensityBinning, FrozenBundle, Scale};
 use dlpic_repro::dataset::generator::{generate, GeneratorConfig};
 use dlpic_repro::dataset::spec::{SweepCombo, SweepSpec};
 use dlpic_repro::dataset::store;
 use dlpic_repro::dataset::vlasov_bridge::{generate_vlasov, VlasovDatasetConfig};
-use dlpic_repro::dataset::PhaseDataset;
+use dlpic_repro::dataset::{fit, harvest, Capture, PhaseDataset};
 use dlpic_repro::engine::{
     self, Backend, DomainSpec, EnergyHistory, Engine, LoadingSpec, Numerics1D,
 };
 use dlpic_repro::nn::metrics::{evaluate, per_output_mae};
 use dlpic_repro::nn::serialize::params_to_bytes;
-use dlpic_repro::nn::{
-    train, Adam, Dataset, Mse, Precision, PredictWorkspace, Sequential, Tensor, TrainConfig,
-};
+use dlpic_repro::nn::{Dataset, Mse, Precision, PredictWorkspace, Sequential, TrainConfig};
 use dlpic_repro::pic::init::Loading;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic::solver::{PoissonKind, TraditionalSolver};
@@ -230,19 +229,15 @@ fn smoke_nn_set(arch: &ArchSpec, data: &PhaseDataset) -> Dataset {
 }
 
 /// `arch` at `TRAIN_SEED`, trained for two epochs of batch-64 Adam on
-/// `data`.
+/// `data` by the trainer every quick-train runs.
 fn train_smoke(arch: &ArchSpec, data: &PhaseDataset) -> Sequential {
-    let train_set = smoke_nn_set(arch, data);
-    let mut net = arch.build(TRAIN_SEED);
     let cfg = TrainConfig {
         epochs: 2,
         batch_size: 64,
         shuffle_seed: TRAIN_SEED,
         log_every: 0,
     };
-    let mut opt = Adam::new(Scale::Smoke.learning_rate());
-    train(&mut net, &Mse, &mut opt, &train_set, None, &cfg);
-    net
+    fit(arch, data, &Mse, None, Scale::Smoke.learning_rate(), &cfg).net
 }
 
 /// The smoke sweep's bytes, then each smoke architecture's trained
@@ -311,27 +306,25 @@ fn render_dl_2d_trained() -> String {
         gather_shape: Shape::Cic,
         tracked_modes: vec![],
     };
-    let mut samples = Vec::new();
+    let mut data = PhaseDataset::new(grid.clone(), DensityBinning::Cic, 2 * grid.nodes());
     for seed in [1, 2] {
-        samples.extend(harvest_2d(config(seed), DensityBinning::Cic, 1));
+        let solver = TraditionalSolver::default_config();
+        harvest(config(seed), solver, Capture::AfterStep, &mut data);
     }
-    let inputs: Vec<f32> = samples.iter().flat_map(|s| s.hist.clone()).collect();
-    let targets: Vec<f32> = samples
-        .iter()
-        .flat_map(|s| s.ex.iter().chain(&s.ey).copied())
-        .collect();
     let le = |values: &[f32]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
-    let harvest = [le(&inputs), le(&targets)].concat();
+    let harvest = [le(data.inputs()), le(data.targets())].concat();
 
-    let tc = Train2DConfig {
-        hidden: vec![16],
-        learning_rate: 1e-3,
+    let tc = TrainConfig {
         epochs: 3,
         batch_size: 8,
-        seed: 5,
+        shuffle_seed: 5,
+        log_every: 0,
     };
-    let (frozen, history) =
-        train_2d_solver(&grid, &samples, DensityBinning::Cic, &tc, Precision::F32);
+    let arch = arch_2d(grid.nodes(), vec![16]);
+    let trained = fit(&arch, &data, &Mse, None, 1e-3, &tc);
+    let frozen: FrozenBundle<Grid2D> =
+        trained.freeze(DensityBinning::Cic, "dl-2d-mlp", Precision::F32);
+    let history = &trained.history;
     let loss: Vec<u8> = history
         .train_loss
         .iter()
@@ -339,10 +332,7 @@ fn render_dl_2d_trained() -> String {
         .collect();
     let mass = frozen.solver().reference_mass();
 
-    let mut x = inputs;
-    NormStats::from_data(&x).apply(&mut x);
-    let rows = samples.len();
-    let x = Tensor::new(x, &[rows, grid.nodes()]);
+    let x = data.to_nn_dataset(&trained.norm, arch.input_kind()).x;
     let mut workspace = PredictWorkspace::new();
     let predicted = le(frozen.model().predict_into(&x, &mut workspace).data());
     format!(
