@@ -22,8 +22,9 @@
 //! 2. **Get-or-train through a registry** — `engine.with_registry(..)`:
 //!    [`ModelRegistry::model`] runs the quick-train pipeline (the full
 //!    harvest→train at the spec's scale, seconds at `Scale::Smoke`) once
-//!    per (scenario, scale, seed) and dimension. Its training runs never
-//!    carry the served seed.
+//!    per (scenario, scale, seed) and dimension. The 1-D model trains on the
+//!    scale's fixed sweep; the 2-D one on a run of the scenario seeded
+//!    apart from the seed its sessions serve.
 //! 3. **Untrained fallback** — with neither, the engine builds an
 //!    untrained network of the default architecture. The produced fields
 //!    are physically meaningless (finite, near-zero) but every plumbing
