@@ -81,19 +81,44 @@ fn stepwise_session_reproduces_engine_run_exactly() {
 
 #[test]
 fn session_sample_peeks_the_final_row() {
-    let spec = small_spec("two_stream", 6);
-    let mut session = engine::start(&spec, Backend::Traditional1D).unwrap();
-    for _ in 0..6 {
-        session.step();
+    // Every backend family, and the tracked-mode amplitudes too: the row
+    // `sample()` peeks is the row `finish()` records, bit for bit.
+    let mut spec_2d = small_spec("two_stream_2d", 4);
+    spec_2d.ppc = 4;
+    let cases = [
+        (small_spec("two_stream", 6), Backend::Traditional1D),
+        (small_spec("bump_on_tail", 6), Backend::Traditional1D),
+        (small_spec("two_stream", 6), Backend::Dl1D),
+        (spec_2d.clone(), Backend::Traditional2D),
+        (spec_2d, Backend::Dl2D),
+        (small_spec("two_stream", 6), Backend::Vlasov),
+        (small_spec("two_stream", 6), Backend::Ddecomp { n_ranks: 4 }),
+    ];
+    for (spec, backend) in cases {
+        let what = format!("{} on {backend}", spec.name);
+        let mut session = engine::start(&spec, backend).unwrap();
+        session.run_to_end();
+        let peek = session.sample();
+        let summary = session.finish();
+        let h = &summary.history;
+        assert!(!spec.tracked_modes.is_empty(), "{what}");
+        assert_eq!(peek.step, spec.n_steps, "{what}");
+        assert_eq!(h.len(), spec.n_steps + 1, "{what}");
+        let last = h.len() - 1;
+        let bits = |v: f64| v.to_bits();
+        assert_eq!(bits(peek.time), bits(h.times[last]), "{what}: time");
+        assert_eq!(bits(peek.kinetic), bits(h.kinetic[last]), "{what}: kinetic");
+        assert_eq!(bits(peek.field), bits(h.field[last]), "{what}: field");
+        assert_eq!(
+            bits(peek.momentum),
+            bits(h.momentum[last]),
+            "{what}: momentum"
+        );
+        assert_eq!(bits(peek.total()), bits(h.total[last]), "{what}: total");
+        let amps: Vec<u64> = h.mode_amps.iter().map(|s| bits(s[last])).collect();
+        let peeked: Vec<u64> = peek.mode_amps.iter().map(|&a| bits(a)).collect();
+        assert_eq!(peeked, amps, "{what}: mode amplitudes");
     }
-    let peek = session.sample();
-    let summary = session.finish();
-    let h = &summary.history;
-    assert_eq!(peek.step, 6);
-    assert_eq!(peek.time, *h.times.last().unwrap());
-    assert_eq!(peek.kinetic, *h.kinetic.last().unwrap());
-    assert_eq!(peek.field, *h.field.last().unwrap());
-    assert_eq!(peek.momentum, *h.momentum.last().unwrap());
 }
 
 /// The checkpoint/resume contract, exercised for one backend: run
