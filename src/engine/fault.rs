@@ -104,6 +104,9 @@ impl FaultPlan {
             let at_step = step
                 .parse()
                 .map_err(|_| bad(format!("step `{step}` is not a number")))?;
+            if name.trim().is_empty() {
+                return Err(bad("empty NAME matches no run".to_string()));
+            }
             plan = plan.rule(name.trim(), kind, at_step);
         }
         Ok(plan)

@@ -991,6 +991,15 @@ impl Session {
                 checkpoint.time
             )));
         }
+        // One row per completed step: a diverged run's checkpoint lacks
+        // its discarded bad row, and would resume one step off.
+        if checkpoint.history.len() != checkpoint.steps_done {
+            return Err(bad_checkpoint(format!(
+                "checkpoint holds {} history rows for {} steps (a quarantined run)",
+                checkpoint.history.len(),
+                checkpoint.steps_done
+            )));
+        }
         if checkpoint.history.tracked_modes != self.spec.tracked_modes {
             return Err(bad_checkpoint(
                 "checkpoint history tracks different modes than the spec",

@@ -342,6 +342,12 @@ mod supervision {
         let msg = err.to_string();
         assert!(msg.contains("segment 3"), "{msg}");
         assert!(msg.contains("`oops` is not a number"), "{msg}");
+
+        // An empty NAME would match no run and inject nothing.
+        let err = FaultPlan::parse("a=panic@1;=panic@3").unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("segment 2"), "{msg}");
+        assert!(msg.contains("=panic@3"), "{msg}");
     }
 }
 

@@ -7,7 +7,8 @@
 
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::{
-    Backend, EnergyHistory, Engine, FaultKind, FaultPlan, RunSummary, SessionFault, SweepSpec,
+    Backend, EnergyHistory, Engine, EngineError, FaultKind, FaultPlan, RunSummary, SessionFault,
+    SweepSpec,
 };
 
 fn sweep() -> SweepSpec {
@@ -108,4 +109,39 @@ fn vlasov_panic_is_quarantined_on_the_monolithic_path() {
 #[test]
 fn vlasov_nan_is_quarantined_on_the_monolithic_path() {
     check_nan(Backend::Vlasov);
+}
+
+/// A diverged run's checkpoint holds one row fewer than its completed
+/// steps (the bad row is discarded); resuming it would shift every later
+/// row by one step, so resume must refuse it.
+#[test]
+fn quarantined_checkpoint_does_not_resume_as_a_healthy_run() {
+    let specs = SweepSpec::grid("two_stream", Scale::Smoke)
+        .axis("v0", [0.10, 0.14])
+        .specs()
+        .unwrap();
+    let plan = FaultPlan::new().rule("v0=0.14", FaultKind::NanField, 5);
+    let mut fleet = Engine::new()
+        .with_faults(plan)
+        .start_ensemble(&specs, Backend::Traditional1D)
+        .unwrap();
+    fleet.run_to_end(1);
+    assert_eq!(fleet.faults().len(), 1);
+    let checkpoints = fleet.checkpoints();
+    let sick = &checkpoints[1];
+    assert_eq!(sick.history.len(), 5);
+    assert_eq!(sick.steps_done, 6);
+    let engine = Engine::new();
+    match engine.resume(sick) {
+        Err(EngineError::Checkpoint { what }) => {
+            assert!(what.contains("5 history rows"), "{what}");
+            assert!(what.contains("6 steps"), "{what}");
+        }
+        Err(other) => panic!("expected a checkpoint error, got {other}"),
+        Ok(_) => panic!("a quarantined run's checkpoint resumed"),
+    }
+    // The healthy neighbour's checkpoint still resumes and finishes whole.
+    let mut healthy = engine.resume(&checkpoints[0]).unwrap();
+    healthy.run_to_end();
+    assert_eq!(healthy.finish().history.len(), specs[0].n_steps + 1);
 }
