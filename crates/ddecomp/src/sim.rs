@@ -15,7 +15,7 @@ use crate::topology::Topology;
 use dlpic_analytics::dft;
 use dlpic_pic::diagnostics::EnergyReport;
 use dlpic_pic::grid::Grid1D;
-use dlpic_pic::history::History;
+use dlpic_pic::history::{History, Sample};
 use dlpic_pic::init::TwoStreamInit;
 use dlpic_pic::mover::{half_step_back, push_positions, push_velocities};
 use dlpic_pic::particles::Particles;
@@ -202,14 +202,7 @@ impl DistSimulation {
         let dt = self.cfg.dt;
 
         // Diagnostics on Eⁿ from the reassembled global field.
-        self.assemble_diag_field();
-        let fe = dlpic_pic::efield::field_energy(&grid, &self.e_diag);
-        let amps: Vec<f64> = self
-            .cfg
-            .tracked_modes
-            .iter()
-            .map(|&m| dft::mode_amplitude(&self.e_diag, m))
-            .collect();
+        let (fe, amps) = self.field_diagnostics();
 
         // Gather + velocity push on every rank.
         let mut kinetic = 0.0;
@@ -273,38 +266,57 @@ impl DistSimulation {
         self.finish();
     }
 
-    /// Appends the final diagnostics snapshot at the current time.
-    /// External step-by-step drivers (the engine facade) call this once at
-    /// the end to reproduce the `n + 1`-sample convention of [`Self::run`].
+    /// Appends the final diagnostics snapshot ([`Self::sample`]) at the
+    /// current time. External step-by-step drivers call this once at the
+    /// end to reproduce the `n + 1`-sample convention of [`Self::run`].
     pub fn finish(&mut self) {
+        let row = self.sample();
+        self.history.push(
+            row.time,
+            EnergyReport {
+                kinetic: row.kinetic,
+                field: row.field,
+                momentum: row.momentum,
+                momentum_y: None,
+            },
+            &row.mode_amps,
+        );
+    }
+
+    /// Instantaneous diagnostics of the current state — kinetic energy and
+    /// momentum summed across ranks, field energy and tracked-mode
+    /// amplitudes of the reassembled global E — without recording them.
+    pub fn sample(&mut self) -> Sample {
+        let (field, mode_amps) = self.field_diagnostics();
+        Sample {
+            step: self.steps_done,
+            time: self.time,
+            kinetic: self
+                .states
+                .iter()
+                .map(|s| s.particles.kinetic_energy())
+                .sum(),
+            field,
+            momentum: self
+                .states
+                .iter()
+                .map(|s| s.particles.total_momentum()[0])
+                .sum(),
+            mode_amps,
+        }
+    }
+
+    /// Field energy and tracked-mode amplitudes of the current global E.
+    fn field_diagnostics(&mut self) -> (f64, Vec<f64>) {
         self.assemble_diag_field();
-        let kinetic: f64 = self
-            .states
-            .iter()
-            .map(|s| s.particles.kinetic_energy())
-            .sum();
-        let momentum: f64 = self
-            .states
-            .iter()
-            .map(|s| s.particles.total_momentum()[0])
-            .sum();
         let fe = dlpic_pic::efield::field_energy(&self.cfg.grid, &self.e_diag);
-        let amps: Vec<f64> = self
+        let amps = self
             .cfg
             .tracked_modes
             .iter()
             .map(|&m| dft::mode_amplitude(&self.e_diag, m))
             .collect();
-        self.history.push(
-            self.time,
-            EnergyReport {
-                kinetic,
-                field: fe,
-                momentum,
-                momentum_y: None,
-            },
-            &amps,
-        );
+        (fe, amps)
     }
 
     /// Reassembles the global E from the owned slab centers (diagnostics
@@ -382,31 +394,9 @@ impl DistSimulation {
         self.time
     }
 
-    /// The globally reassembled field from the last diagnostics pass.
-    pub fn global_efield(&mut self) -> Vec<f64> {
-        self.assemble_diag_field();
-        self.e_diag.clone()
-    }
-
     /// The strategy name.
     pub fn strategy_name(&self) -> &'static str {
         self.strategy.name()
-    }
-
-    /// Instantaneous kinetic energy summed across ranks.
-    pub fn kinetic_energy(&self) -> f64 {
-        self.states
-            .iter()
-            .map(|s| s.particles.kinetic_energy())
-            .sum()
-    }
-
-    /// Instantaneous total momentum summed across ranks.
-    pub fn total_momentum(&self) -> f64 {
-        self.states
-            .iter()
-            .map(|s| s.particles.total_momentum()[0])
-            .sum()
     }
 
     /// Snapshot of the mutable distributed state — per-rank particles and

@@ -1,26 +1,36 @@
-//! Time-history recording of the diagnostics.
+//! Time-history recording of the diagnostics, and the one per-step
+//! diagnostics row ([`Sample`]) every solver family reports.
 
 use crate::diagnostics::EnergyReport;
 use dlpic_analytics::series::TimeSeries;
 use std::fmt;
 
 /// One recorded diagnostics row in the shape shared by every solver
-/// family (1-D, 2-D, distributed) — the common currency the engine
-/// facade's sessions consume, so per-backend adapters don't each re-spell
-/// the column-to-field mapping. A 2-D run reports its `x` momentum
-/// component here.
+/// family (1-D, 2-D, Vlasov, distributed) — the row the engine facade's
+/// sessions record, stream and return. A 2-D run reports its `x`
+/// momentum component here.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SampleRow {
-    /// Sample time.
+pub struct Sample {
+    /// Step index this row belongs to (`0..=n_steps`; the last row is the
+    /// final snapshot).
+    pub step: usize,
+    /// Simulation time.
     pub time: f64,
     /// Kinetic energy.
     pub kinetic: f64,
-    /// Field energy.
+    /// Electrostatic field energy.
     pub field: f64,
     /// Total momentum (the `x` component in 2-D).
     pub momentum: f64,
     /// Amplitudes of the tracked modes, in tracking order.
     pub mode_amps: Vec<f64>,
+}
+
+impl Sample {
+    /// Kinetic + field energy.
+    pub fn total(&self) -> f64 {
+        self.kinetic + self.field
+    }
 }
 
 /// Accumulated per-step diagnostics of one simulation run, keyed by the
@@ -106,11 +116,12 @@ impl<M: Copy + PartialEq + fmt::Debug> History<M> {
         self.times.is_empty()
     }
 
-    /// The most recently recorded row in the cross-solver [`SampleRow`]
-    /// shape, or `None` before the first sample.
-    pub fn last_sample(&self) -> Option<SampleRow> {
+    /// The most recently recorded row as the [`Sample`] of step `step`,
+    /// or `None` before the first sample.
+    pub fn last_sample(&self, step: usize) -> Option<Sample> {
         let i = self.len().checked_sub(1)?;
-        Some(SampleRow {
+        Some(Sample {
+            step,
             time: self.times[i],
             kinetic: self.kinetic[i],
             field: self.field[i],
@@ -165,11 +176,13 @@ mod tests {
         assert_eq!(e1.name, "E1");
         assert!(h.mode_series(3).is_none());
         assert_eq!(h.momentum_series("p").values, vec![0.0, -1e-3]);
-        let last = h.last_sample().unwrap();
+        let last = h.last_sample(1).unwrap();
+        assert_eq!(last.step, 1);
         assert_eq!(last.time, 0.2);
         assert_eq!(last.kinetic, 0.9);
         assert_eq!(last.mode_amps, vec![2e-4, 3e-5]);
-        assert!(History::new(vec![1]).last_sample().is_none());
+        assert_eq!(last.total(), 1.1);
+        assert!(History::new(vec![1]).last_sample(0).is_none());
     }
 
     #[test]

@@ -100,7 +100,7 @@ mod particles2d;
 pub use fused::{fused_gather_push_move, StepMoments};
 pub use geometry::Geometry;
 pub use grid::{Grid, Grid1D, Grid2D};
-pub use history::{History, SampleRow};
+pub use history::{History, Sample};
 pub use init::{BeamSpec, Loading, MultiBeamInit, TwoStreamInit};
 pub use init2d::TwoStream2DInit;
 pub use particles::{Particles, Particles2D};

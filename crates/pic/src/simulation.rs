@@ -27,7 +27,7 @@
 use crate::diagnostics::EnergyReport;
 use crate::geometry::Geometry;
 use crate::grid::Grid1D;
-use crate::history::{History, SampleRow};
+use crate::history::{History, Sample};
 use crate::init::TwoStreamInit;
 use crate::shape::Shape;
 use crate::solver::FieldSolver;
@@ -217,9 +217,10 @@ impl<G: Geometry> Simulation<G> {
 
     /// Instantaneous diagnostics of the current state — the row
     /// [`Self::finish`] would record right now — without recording it.
-    pub fn sample(&self) -> SampleRow {
+    pub fn sample(&self) -> Sample {
         let report = self.cfg.grid.instantaneous_report(&self.particles, &self.e);
-        SampleRow {
+        Sample {
+            step: self.steps_done,
             time: self.time,
             kinetic: report.kinetic,
             field: report.field,

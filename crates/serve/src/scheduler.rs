@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dlpic_repro::engine::json::{obj, Json};
-use dlpic_repro::engine::{EnergyHistory, Engine, RunSummary, Session, WaveBatch};
+use dlpic_repro::engine::{contained, EnergyHistory, Engine, RunSummary, Session, WaveBatch};
 
 use crate::admission::{admit, Admission};
 use crate::error::ServeError;
@@ -369,22 +369,6 @@ impl Scheduler {
         let _ = spool.save_manifest(sh.next_job, &jobs);
         spool.gc(&jobs);
     }
-}
-
-/// The panic payload as text, for fault records.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
-}
-
-/// Runs `f` with panics contained to an `Err(message)`.
-fn contained<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(panic_message)
 }
 
 fn sample_event(job: &str, run: usize, name: &str, history: &EnergyHistory, row: usize) -> String {

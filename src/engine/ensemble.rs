@@ -77,7 +77,7 @@
 
 use super::backend::Backend;
 use super::error::EngineError;
-use super::health::SessionFault;
+use super::health::{contained, SessionFault};
 use super::json::{obj, Json};
 use super::observer::RunSummary;
 use super::registry;
@@ -466,26 +466,6 @@ impl SessionSlot for &mut Session {
     fn session(&mut self) -> &mut Session {
         self
     }
-}
-
-/// Extracts a printable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
-}
-
-/// Runs `f` with unwinding contained: a panic becomes `Err(message)`
-/// instead of tearing down the wave (and with it every co-scheduled
-/// session). `AssertUnwindSafe` is sound here because every caller
-/// quarantines the touched session on `Err` — its possibly-inconsistent
-/// solver state is never stepped or sampled again.
-fn contained<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(panic_message)
 }
 
 /// One panel of a cohort's wave, start to finish on whichever team member

@@ -1,12 +1,18 @@
-//! Deterministic fault injection for supervision tests: wrap a built
-//! [`BackendSession`] so a chosen run panics or goes non-finite at a
-//! chosen step. `dlpic-serve --inject` and the containment tests use this
-//! to stage one sick run inside an otherwise healthy fleet without
-//! touching any solver code.
+//! Deterministic fault injection for supervision tests: a chosen run
+//! panics or goes non-finite at a chosen step. [`Engine::start`] hands a
+//! matching run's rule to its [`Session`], which trips it inside
+//! [`Session::step`], [`Session::step_prepare`] or
+//! [`Session::infer_batch`]. `dlpic-serve --inject` and the containment
+//! tests use this to stage one sick run inside an otherwise healthy fleet
+//! without touching any solver code.
+//!
+//! [`Engine::start`]: super::Engine::start
+//! [`Session`]: super::Session
+//! [`Session::step`]: super::Session::step
+//! [`Session::step_prepare`]: super::Session::step_prepare
+//! [`Session::infer_batch`]: super::Session::infer_batch
 
 use super::error::EngineError;
-use super::observer::Sample;
-use super::session::BackendSession;
 
 /// What an injected fault does when its step arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,111 +118,12 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Wraps `inner` in a `FaultInjector` when a rule matches
-    /// `spec_name`; hands it back untouched otherwise.
-    pub fn wrap(&self, spec_name: &str, inner: Box<dyn BackendSession>) -> Box<dyn BackendSession> {
-        match self
-            .rules
+    /// The `(kind, at_step)` of the first rule whose non-empty name
+    /// `spec_name` contains, if any.
+    pub(crate) fn rule_for(&self, spec_name: &str) -> Option<(FaultKind, usize)> {
+        self.rules
             .iter()
             .find(|r| !r.name.is_empty() && spec_name.contains(&r.name))
-        {
-            Some(rule) => Box::new(FaultInjector {
-                inner,
-                kind: rule.kind,
-                at_step: rule.at_step,
-            }),
-            None => inner,
-        }
-    }
-}
-
-/// A [`BackendSession`] decorator that trips its configured fault when the
-/// wrapped session's step counter reaches `at_step`, and is transparent
-/// everywhere else (checkpoints, phase splitting, batched inference all
-/// delegate).
-struct FaultInjector {
-    inner: Box<dyn BackendSession>,
-    kind: FaultKind,
-    at_step: usize,
-}
-
-impl FaultInjector {
-    fn maybe_panic(&self) {
-        if self.kind == FaultKind::Panic && self.inner.steps_done() == self.at_step {
-            panic!("injected fault: panic at step {}", self.at_step);
-        }
-    }
-
-    fn maybe_poison(&self, sample: &mut Sample) {
-        if self.kind == FaultKind::NanField && sample.step == self.at_step {
-            sample.field = f64::NAN;
-        }
-    }
-}
-
-impl BackendSession for FaultInjector {
-    fn step(&mut self) -> Sample {
-        self.maybe_panic();
-        let mut sample = self.inner.step();
-        self.maybe_poison(&mut sample);
-        sample
-    }
-
-    fn sample(&mut self) -> Sample {
-        self.inner.sample()
-    }
-
-    fn finish(&mut self) -> Sample {
-        self.inner.finish()
-    }
-
-    fn time(&self) -> f64 {
-        self.inner.time()
-    }
-
-    fn steps_done(&self) -> usize {
-        self.inner.steps_done()
-    }
-
-    fn phase_space(&self) -> Option<super::observer::PhaseSpace> {
-        self.inner.phase_space()
-    }
-
-    fn state_checkpoint(&self) -> super::json::Json {
-        self.inner.state_checkpoint()
-    }
-
-    fn restore(&mut self, state: &super::json::Json) -> Result<(), EngineError> {
-        self.inner.restore(state)
-    }
-
-    fn extras(&self) -> Vec<(String, f64)> {
-        self.inner.extras()
-    }
-
-    fn weight_storage(&self) -> Option<(usize, usize)> {
-        self.inner.weight_storage()
-    }
-
-    fn infer_shape(&mut self) -> Option<(usize, usize)> {
-        self.inner.infer_shape()
-    }
-
-    fn step_prepare(&mut self, input: &mut [f32]) -> Sample {
-        self.maybe_panic();
-        let mut sample = self.inner.step_prepare(input);
-        self.maybe_poison(&mut sample);
-        sample
-    }
-
-    fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]) {
-        if self.kind == FaultKind::InferPanic && self.inner.steps_done() == self.at_step {
-            panic!("injected fault: inference panic at step {}", self.at_step);
-        }
-        self.inner.infer_batch(input, rows, output);
-    }
-
-    fn step_apply(&mut self, output: &[f32]) {
-        self.inner.step_apply(output);
+            .map(|r| (r.kind, r.at_step))
     }
 }

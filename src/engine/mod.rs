@@ -67,7 +67,7 @@ pub use dl::{shared_registry, ModelRegistry, RegistryStats, SharedModelRegistry}
 pub use ensemble::{Ensemble, SweepSpec, WaveBatch};
 pub use error::EngineError;
 pub use fault::{FaultKind, FaultPlan};
-pub use health::{RunHealth, SessionFault};
+pub use health::{contained, SessionFault};
 pub use observer::{EnergyHistory, Observer, PhaseSpace, RunSummary, Sample};
 pub use registry::{apply_sweep_param, names, scenario, sweepable_params, SweepParam};
 pub use resources::{estimate_session, ResourceEstimate};

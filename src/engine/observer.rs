@@ -11,30 +11,10 @@ use crate::analytics::fit::{try_fit_growth_rate, GrowthFit, GrowthFitOptions};
 use crate::analytics::series::TimeSeries;
 use crate::analytics::stats;
 
-/// One recorded diagnostics row, identical in shape for every backend.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    /// Step index this row belongs to (`0..=n_steps`; the last row is the
-    /// final snapshot).
-    pub step: usize,
-    /// Simulation time.
-    pub time: f64,
-    /// Kinetic energy.
-    pub kinetic: f64,
-    /// Electrostatic field energy.
-    pub field: f64,
-    /// Total momentum (the `x` component in 2-D).
-    pub momentum: f64,
-    /// Amplitudes of the spec's tracked modes, in spec order.
-    pub mode_amps: Vec<f64>,
-}
-
-impl Sample {
-    /// Kinetic + field energy.
-    pub fn total(&self) -> f64 {
-        self.kinetic + self.field
-    }
-}
+/// One recorded diagnostics row, identical in shape for every backend
+/// (defined next to the solver crates' history, which records the same
+/// row).
+pub use crate::pic::history::Sample;
 
 /// Per-run diagnostics history in one shape for all backends — the
 /// common denominator of `pic::History<M>` (1-D and 2-D) and the

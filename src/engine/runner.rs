@@ -244,8 +244,8 @@ impl Engine {
                 Box::new(DdecompSession::new(spec, n_ranks, self.numerics_1d)?)
             }
         };
-        let inner = self.faults.wrap(&spec.name, inner);
-        Ok(Session::new(spec.clone(), backend, inner, started))
+        let inject = self.faults.rule_for(&spec.name);
+        Ok(Session::new(spec.clone(), backend, inner, started, inject))
     }
 
     /// Rebuilds a session from a [`Checkpoint`] (the solver stack is

@@ -24,10 +24,21 @@
 //!   [`super::compare::lockstep`] packages the per-step residuals.
 //!
 //! Backends plug in through the [`BackendSession`] trait; one
-//! implementation per solver family lives in this module.
+//! implementation per solver family lives in this module. A backend
+//! session only advances its solver stack and reports diagnostics rows:
+//! [`BackendSession::step`] (or the phase-split
+//! [`BackendSession::step_prepare`] → [`BackendSession::infer_batch`] →
+//! [`BackendSession::step_apply`]) returns the step's row, and
+//! [`BackendSession::sample`] the instantaneous row of the current state.
+//! Everything done with a row happens once, in [`Session`]: an injected
+//! fault ([`super::fault`]) trips or poisons it, the session's one record
+//! function appends it to the [`EnergyHistory`] and streams it to the
+//! observers — a step's row and, on [`Session::finish`], the final
+//! `sample()` row alike — and [`Session::check_health`] scans it.
 
 use super::backend::Backend;
 use super::error::EngineError;
+use super::fault::FaultKind;
 use super::health::{RunHealth, SessionFault};
 use super::json::{obj, Json};
 use super::observer::{EnergyHistory, Observer, PhaseSpace, RunSummary, Sample};
@@ -35,7 +46,6 @@ use super::spec::{LoadingSpec, ScenarioSpec};
 use crate::core::presets::Scale;
 use crate::ddecomp::sim::{DistConfig, DistSimulation, DistState, RankStateSnapshot};
 use crate::ddecomp::strategy::GatherScatter;
-use crate::pic::history::SampleRow;
 use crate::pic::simulation::{PicConfig, Simulation};
 use crate::pic::solver::FieldSolver;
 use crate::pic::Grid2D;
@@ -71,13 +81,10 @@ pub trait BackendSession: Send {
     /// step's *starting* time level (the solver crates' convention).
     fn step(&mut self) -> Sample;
 
-    /// Instantaneous diagnostics of the current state (the row
-    /// [`Self::finish`] would record), without advancing or recording.
+    /// Instantaneous diagnostics of the current state, without advancing
+    /// or recording; [`Session::finish`] records it as the final row,
+    /// completing the `n + 1`-samples convention.
     fn sample(&mut self) -> Sample;
-
-    /// Records the final snapshot row, completing the `n + 1`-samples
-    /// convention, and returns it.
-    fn finish(&mut self) -> Sample;
 
     /// Current simulation time.
     fn time(&self) -> f64;
@@ -160,18 +167,6 @@ pub trait BackendSession: Send {
     }
 }
 
-/// Converts a solver-crate history row into the engine sample for `step`.
-fn sample_from_row(step: usize, row: SampleRow) -> Sample {
-    Sample {
-        step,
-        time: row.time,
-        kinetic: row.kinetic,
-        field: row.field,
-        momentum: row.momentum,
-        mode_amps: row.mode_amps,
-    }
-}
-
 fn bad_checkpoint(what: impl Into<String>) -> EngineError {
     EngineError::Checkpoint { what: what.into() }
 }
@@ -250,8 +245,10 @@ impl PicSession<Grid2D> {
 
 impl<G: Geometry> PicSession<G> {
     fn last_row(&self, step: usize) -> Sample {
-        let row = self.sim.history().last_sample().expect("row just recorded");
-        sample_from_row(step, row)
+        self.sim
+            .history()
+            .last_sample(step)
+            .expect("row just recorded")
     }
 }
 
@@ -262,12 +259,7 @@ impl<G: Geometry> BackendSession for PicSession<G> {
     }
 
     fn sample(&mut self) -> Sample {
-        sample_from_row(self.sim.steps_done(), self.sim.sample())
-    }
-
-    fn finish(&mut self) -> Sample {
-        self.sim.finish();
-        self.last_row(self.sim.steps_done())
+        self.sim.sample()
     }
 
     fn time(&self) -> f64 {
@@ -417,8 +409,17 @@ impl VlasovSession {
             steps_done: 0,
         }
     }
+}
 
-    fn snapshot(&self) -> Sample {
+impl BackendSession for VlasovSession {
+    fn step(&mut self) -> Sample {
+        let sample = self.sample();
+        self.solver.step();
+        self.steps_done += 1;
+        sample
+    }
+
+    fn sample(&mut self) -> Sample {
         Sample {
             step: self.steps_done,
             time: self.solver.time(),
@@ -431,23 +432,6 @@ impl VlasovSession {
                 .map(|&m| self.solver.field_mode(m))
                 .collect(),
         }
-    }
-}
-
-impl BackendSession for VlasovSession {
-    fn step(&mut self) -> Sample {
-        let sample = self.snapshot();
-        self.solver.step();
-        self.steps_done += 1;
-        sample
-    }
-
-    fn sample(&mut self) -> Sample {
-        self.snapshot()
-    }
-
-    fn finish(&mut self) -> Sample {
-        self.snapshot()
     }
 
     fn time(&self) -> f64 {
@@ -494,7 +478,6 @@ impl BackendSession for VlasovSession {
 /// communication volume and migration counts as summary extras.
 pub struct DdecompSession {
     sim: DistSimulation,
-    tracked_modes: Vec<usize>,
     n_ranks: usize,
 }
 
@@ -533,7 +516,6 @@ impl DdecompSession {
                 cfg,
                 Box::new(GatherScatter::new(numerics.deposit_shape, 1.0)),
             ),
-            tracked_modes: spec.tracked_modes.clone(),
             n_ranks,
         })
     }
@@ -542,30 +524,15 @@ impl DdecompSession {
 impl BackendSession for DdecompSession {
     fn step(&mut self) -> Sample {
         self.sim.step();
-        let row = self.sim.history().last_sample().expect("row just recorded");
-        sample_from_row(self.sim.steps_done() - 1, row)
+        let step = self.sim.steps_done() - 1;
+        self.sim
+            .history()
+            .last_sample(step)
+            .expect("row just recorded")
     }
 
     fn sample(&mut self) -> Sample {
-        let e = self.sim.global_efield();
-        Sample {
-            step: self.sim.steps_done(),
-            time: self.sim.time(),
-            kinetic: self.sim.kinetic_energy(),
-            field: crate::pic::efield::field_energy(self.sim.grid(), &e),
-            momentum: self.sim.total_momentum(),
-            mode_amps: self
-                .tracked_modes
-                .iter()
-                .map(|&m| crate::analytics::dft::mode_amplitude(&e, m))
-                .collect(),
-        }
-    }
-
-    fn finish(&mut self) -> Sample {
-        self.sim.finish();
-        let row = self.sim.history().last_sample().expect("row just recorded");
-        sample_from_row(self.sim.steps_done(), row)
+        self.sim.sample()
     }
 
     fn time(&self) -> f64 {
@@ -730,6 +697,8 @@ pub struct Session {
     wall_offset: f64,
     health: RunHealth,
     fault: Option<SessionFault>,
+    /// The injected fault rule `(kind, at_step)` of this run, if any.
+    inject: Option<(FaultKind, usize)>,
 }
 
 impl Session {
@@ -737,11 +706,13 @@ impl Session {
     /// *before* the solver stack is built, so `wall_seconds` keeps
     /// counting construction (particle loading, initial field solve,
     /// model build) exactly as the pre-session `Engine::run` did.
+    /// `inject` is the run's injected fault rule `(kind, at_step)`.
     pub(crate) fn new(
         spec: ScenarioSpec,
         backend: Backend,
         inner: Box<dyn BackendSession>,
         started: std::time::Instant,
+        inject: Option<(FaultKind, usize)>,
     ) -> Self {
         let history = EnergyHistory::new(spec.tracked_modes.clone());
         Self {
@@ -752,8 +723,9 @@ impl Session {
             observers: Vec::new(),
             started,
             wall_offset: 0.0,
-            health: RunHealth::new(),
+            health: RunHealth::default(),
             fault: None,
+            inject,
         }
     }
 
@@ -856,7 +828,35 @@ impl Session {
     /// streaming it to the attached observers. Stepping past the spec's
     /// `n_steps` is permitted (the summary reports the count that ran).
     pub fn step(&mut self) -> Sample {
-        let sample = self.inner.step();
+        self.step_with(|inner| inner.step())
+    }
+
+    /// The injected fault kind due at the current step, if any.
+    fn injected(&self) -> Option<FaultKind> {
+        self.inject
+            .filter(|&(_, at_step)| at_step == self.inner.steps_done())
+            .map(|(kind, _)| kind)
+    }
+
+    /// One step through `advance` (a whole step or its first phase): an
+    /// injected `Panic` due at this step fires before it, an injected
+    /// `NanField` poisons the row it returns (the row of step `at_step`),
+    /// and the row is recorded.
+    fn step_with(&mut self, advance: impl FnOnce(&mut dyn BackendSession) -> Sample) -> Sample {
+        let injected = self.injected();
+        if injected == Some(FaultKind::Panic) {
+            panic!("injected fault: panic at step {}", self.inner.steps_done());
+        }
+        let mut sample = advance(self.inner.as_mut());
+        if injected == Some(FaultKind::NanField) {
+            sample.field = f64::NAN;
+        }
+        self.record(sample)
+    }
+
+    /// The one place a row is recorded: appended to the history and
+    /// streamed to the observers.
+    fn record(&mut self, sample: Sample) -> Sample {
         self.history.push(&sample);
         for obs in &mut self.observers {
             obs.on_sample(&sample);
@@ -879,18 +879,19 @@ impl Session {
     /// the ensemble scheduler pairs them around one batched
     /// [`Self::infer_batch`] shared by a whole cohort of sessions.
     pub fn step_prepare(&mut self, input: &mut [f32]) -> Sample {
-        let sample = self.inner.step_prepare(input);
-        self.history.push(&sample);
-        for obs in &mut self.observers {
-            obs.on_sample(&sample);
-        }
-        sample
+        self.step_with(|inner| inner.step_prepare(input))
     }
 
     /// Phase 2 of a split step: one inference over `rows` stacked input
     /// rows through this session's solver. The ensemble calls this on
     /// one cohort member for the whole batch.
     pub fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]) {
+        if self.injected() == Some(FaultKind::InferPanic) {
+            panic!(
+                "injected fault: inference panic at step {}",
+                self.inner.steps_done()
+            );
+        }
         self.inner.infer_batch(input, rows, output);
     }
 
@@ -930,11 +931,8 @@ impl Session {
         // append more garbage. Its summary is built from the rows already
         // recorded — the preserved partial history.
         if self.fault.is_none() {
-            let final_sample = self.inner.finish();
-            self.history.push(&final_sample);
-            for obs in &mut self.observers {
-                obs.on_sample(&final_sample);
-            }
+            let final_sample = self.inner.sample();
+            self.record(final_sample);
         }
         let summary = RunSummary {
             scenario: self.spec.name.clone(),
