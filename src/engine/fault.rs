@@ -102,6 +102,9 @@ impl FaultPlan {
             let (name, action) = part
                 .rsplit_once('=')
                 .ok_or_else(|| bad("not NAME=KIND@STEP".to_string()))?;
+            if name.trim().is_empty() {
+                return Err(bad("empty NAME matches no run".to_string()));
+            }
             let (kind, step) = action
                 .split_once('@')
                 .ok_or_else(|| bad(format!("action `{action}` is not KIND@STEP")))?;
@@ -110,9 +113,6 @@ impl FaultPlan {
             let at_step = step
                 .parse()
                 .map_err(|_| bad(format!("step `{step}` is not a number")))?;
-            if name.trim().is_empty() {
-                return Err(bad("empty NAME matches no run".to_string()));
-            }
             plan = plan.rule(name.trim(), kind, at_step);
         }
         Ok(plan)
