@@ -14,8 +14,15 @@
 //! §VII conjectures that "the usage of higher-order interpolation functions
 //! would likely improve the performance of the DL electric field solver" —
 //! the `ablation_binning` experiment tests exactly that.
+//!
+//! NGP counting has an AVX-512 body on `dlpic_pic::lanes`, bit-identical
+//! to its scalar twin; CIC binning is scalar.
+
+// analyze:hot — binning runs once per DL step over every particle; loop
+// bodies here must stay allocation-free.
 
 use dlpic_pic::grid::Grid1D;
+use dlpic_pic::lanes::{self, Body};
 use dlpic_pic::particles::Particles;
 
 /// Geometry of the phase-space histogram.
@@ -93,6 +100,19 @@ pub fn bin_phase_space(
     shape: BinningShape,
     out: &mut [f32],
 ) {
+    bin(Body::detect(), particles, grid, spec, shape, out);
+}
+
+/// [`bin_phase_space`] on `body` (NGP has an AVX-512 body; CIC is
+/// scalar on either).
+pub(crate) fn bin(
+    body: Body,
+    particles: &Particles,
+    grid: &Grid1D,
+    spec: &PhaseGridSpec,
+    shape: BinningShape,
+    out: &mut [f32],
+) {
     assert_eq!(out.len(), spec.cells(), "phase-grid buffer size mismatch");
     out.fill(0.0);
     let inv_dx = spec.nx as f64 / grid.lx();
@@ -102,12 +122,14 @@ pub fn bin_phase_space(
 
     match shape {
         BinningShape::Ngp => {
-            for (&x, &v) in x.iter().zip(v) {
-                let ix = ((x * inv_dx) as usize).min(nx - 1);
-                let fv = (v - spec.vmin) * inv_dv;
-                let iv = (fv.max(0.0) as usize).min(nv - 1);
-                out[iv * nx + ix] += 1.0;
-            }
+            let k = Ngp {
+                inv_dx,
+                inv_dv,
+                vmin: spec.vmin,
+                nx,
+                nv,
+            };
+            k.run(body, x, v, out);
         }
         BinningShape::Cic => {
             for (&x, &v) in x.iter().zip(v) {
@@ -129,6 +151,75 @@ pub fn bin_phase_space(
                 out[iv1 * nx + ix1] += (wv1 * wx1) as f32;
             }
         }
+    }
+}
+
+/// The per-call constants of NGP binning.
+struct Ngp {
+    inv_dx: f64,
+    inv_dv: f64,
+    vmin: f64,
+    nx: usize,
+    nv: usize,
+}
+
+impl Ngp {
+    /// Counts every particle into its bin, on `body`.
+    fn run(&self, body: Body, x: &[f64], v: &[f64], out: &mut [f32]) {
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `avx512f` and `avx512dq` were detected.
+            Body::Avx512 if lanes::avx512() => unsafe { self.lanes(x, v, out) },
+            _ => {
+                for (&x, &v) in x.iter().zip(v) {
+                    out[self.cell(x, v)] += 1.0;
+                }
+            }
+        }
+    }
+
+    /// The scalar body: one particle's bin. The position saturates into
+    /// the edge columns (as `as usize` and `min` do), the velocity into
+    /// the edge rows.
+    #[inline(always)]
+    fn cell(&self, x: f64, v: f64) -> usize {
+        let ix = ((x * self.inv_dx) as usize).min(self.nx - 1);
+        let fv = (v - self.vmin) * self.inv_dv;
+        let iv = (fv.max(0.0) as usize).min(self.nv - 1);
+        iv * self.nx + ix
+    }
+
+    /// [`Ngp::cell`] on eight particles per chunk. Every lane is exact
+    /// (the saturating casts are `lanes::x86::clamped_index`), so no
+    /// chunk falls back; adding `1.0` is exact up to `2^24` per bin and
+    /// order-free beyond, so the scatter's order does not matter either.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn lanes(&self, x: &[f64], v: &[f64], mut out: &mut [f32]) {
+        use dlpic_pic::lanes::x86::{clamped_index, load, to_indices};
+        use std::arch::x86_64::*;
+        assert_eq!(x.len(), v.len(), "particle column lengths differ");
+        let inv_dx = _mm512_set1_pd(self.inv_dx);
+        let inv_dv = _mm512_set1_pd(self.inv_dv);
+        let vmin = _mm512_set1_pd(self.vmin);
+        let nx = _mm512_set1_epi64(self.nx as i64);
+        let last_x = _mm512_set1_epi64(self.nx as i64 - 1);
+        let last_v = _mm512_set1_epi64(self.nv as i64 - 1);
+        let lanes = |out: &mut &mut [f32], i: usize| {
+            // SAFETY: `i + 8 <= x.len()`, and `v` is as long (asserted
+            // above).
+            let (x0, v0) = unsafe { (load(x.as_ptr().add(i)), load(v.as_ptr().add(i))) };
+            let ix = clamped_index(_mm512_mul_pd(x0, inv_dx), last_x);
+            let fv = _mm512_mul_pd(_mm512_sub_pd(v0, vmin), inv_dv);
+            let iv = clamped_index(fv, last_v);
+            for cell in to_indices(_mm512_add_epi64(_mm512_mullo_epi64(iv, nx), ix)) {
+                out[cell] += 1.0;
+            }
+            true
+        };
+        lanes::chunks(&mut out, x.len(), lanes, |out, p| {
+            out[self.cell(x[p], v[p])] += 1.0
+        });
     }
 }
 
@@ -227,6 +318,111 @@ mod tests {
             .filter(|&r| h[r * spec.nx..(r + 1) * spec.nx].iter().sum::<f32>() > 0.0)
             .count();
         assert_eq!(nonempty_rows, 2, "expected exactly the two beam rows");
+    }
+
+    /// `len` particles whose coordinates cycle through the edges of both
+    /// NGP casts: inside, `0.0`, the largest double below `L`, `L`
+    /// itself, negative, huge, infinite and NaN positions; velocities
+    /// on a bin edge, inside, below and above the window, infinite and
+    /// NaN.
+    fn edge_load(grid: &Grid1D, len: usize) -> Particles {
+        let l = grid.lx();
+        let xs = [
+            0.3 * l,
+            0.0,
+            f64::from_bits(l.to_bits() - 1),
+            l,
+            -0.1,
+            1e300,
+            -f64::INFINITY,
+            f64::NAN,
+        ];
+        let vs = [
+            -0.4,
+            0.15,
+            -5.0,
+            5.0,
+            0.399_999,
+            f64::INFINITY,
+            -0.4 - 1e-17,
+            f64::NAN,
+            1e300,
+        ];
+        let x = (0..len).map(|p| xs[p % xs.len()]).collect();
+        let v = (0..len).map(|p| vs[(p / 2) % vs.len()]).collect();
+        Particles::new([x], [v], -1.0, 1.0)
+    }
+
+    #[test]
+    fn avx512_ngp_binning_matches_portable() {
+        if !dlpic_pic::lanes::avx512() {
+            eprintln!("skipping: no avx512f + avx512dq on this machine");
+            return;
+        }
+        let grid = Grid1D::new(64, 2.0532);
+        let spec = PhaseGridSpec::new(16, 12, -0.4, 0.4);
+        let bits = |h: &[f32]| h.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for len in (1..=17).chain([64_001]) {
+            let p = edge_load(&grid, len);
+            let mut lanes = vec![0.0; spec.cells()];
+            let mut portable = vec![0.0; spec.cells()];
+            bin(
+                Body::Avx512,
+                &p,
+                &grid,
+                &spec,
+                BinningShape::Ngp,
+                &mut lanes,
+            );
+            bin(
+                Body::Portable,
+                &p,
+                &grid,
+                &spec,
+                BinningShape::Ngp,
+                &mut portable,
+            );
+            assert_eq!(bits(&lanes), bits(&portable), "{len} particles");
+        }
+    }
+
+    #[test]
+    fn portable_ngp_binning_saturates_into_the_edge_bins() {
+        let grid = Grid1D::new(64, 2.0);
+        let spec = PhaseGridSpec::new(4, 4, -1.0, 1.0);
+        let l = grid.lx();
+        // (x, v, column, row): saturating casts put a negative or NaN
+        // coordinate into the first bin and anything past the window into
+        // the last.
+        let cases = [
+            (0.0, -1.0, 0, 0),
+            (f64::from_bits(l.to_bits() - 1), 0.999, 3, 3),
+            (l, 0.0, 3, 2),
+            (-0.1, -5.0, 0, 0),
+            (1e300, 5.0, 3, 3),
+            (f64::NAN, f64::NAN, 0, 0),
+            (f64::INFINITY, f64::NEG_INFINITY, 3, 0),
+            (0.75, f64::INFINITY, 1, 3),
+        ];
+        for len in 1..=17 {
+            let x = (0..len).map(|p| cases[p % cases.len()].0).collect();
+            let v = (0..len).map(|p| cases[p % cases.len()].1).collect();
+            let p = Particles::new([x], [v], -1.0, 1.0);
+            let mut got = vec![0.0; spec.cells()];
+            bin(
+                Body::Portable,
+                &p,
+                &grid,
+                &spec,
+                BinningShape::Ngp,
+                &mut got,
+            );
+            let mut want = vec![0.0f32; spec.cells()];
+            for &(_, _, ix, iv) in cases.iter().cycle().take(len) {
+                want[iv * spec.nx + ix] += 1.0;
+            }
+            assert_eq!(got, want, "{len} particles");
+        }
     }
 
     proptest! {

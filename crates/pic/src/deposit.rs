@@ -4,10 +4,16 @@
 //! read-modify-write of shared grid nodes, so the order of the additions
 //! is part of the result: checkpoint/resume bit-identity and the
 //! distributed backend's equivalence with the single-process run rest on
-//! it being the particle order.
+//! it being the particle order. The AVX-512 body ([`crate::lanes`])
+//! computes eight particles' nodes and terms at once and still adds them
+//! one particle after the other.
 
-use crate::fused::wrap_cell;
+// analyze:hot — the deposit loop runs once per step over every particle;
+// loop bodies here must stay allocation-free.
+
+use crate::deposit2d::{axis_stencil, next_node};
 use crate::grid::Grid1D;
+use crate::lanes::{self, Body};
 use crate::particles::Particles;
 use crate::shape::Shape;
 
@@ -21,36 +27,103 @@ use crate::shape::Shape;
 /// # Panics
 /// Panics if `rho` length differs from the grid node count.
 pub fn deposit_charge(particles: &Particles, grid: &Grid1D, shape: Shape, rho: &mut [f64]) {
+    deposit(Body::detect(), particles, grid, shape, rho);
+}
+
+/// [`deposit_charge`] on `body`.
+pub(crate) fn deposit(
+    body: Body,
+    particles: &Particles,
+    grid: &Grid1D,
+    shape: Shape,
+    rho: &mut [f64],
+) {
     assert_eq!(rho.len(), grid.nx(), "rho length mismatch");
-    let scale = particles.charge() / grid.dx();
-    let inv_dx = 1.0 / grid.dx();
-    let n = grid.nx();
-    let ni = n as i64;
+    let k = Deposit {
+        scale: particles.charge() / grid.dx(),
+        inv_dx: 1.0 / grid.dx(),
+        n: grid.nx(),
+        length: grid.lx(),
+    };
     let [x] = &particles.pos;
     match shape {
-        Shape::Ngp => {
-            for &x in x {
-                let a = shape.assign(x * inv_dx);
-                rho[wrap_cell(a.leftmost, ni)] += scale;
-            }
-        }
-        Shape::Cic => {
-            for &x in x {
-                let a = shape.assign(x * inv_dx);
-                let j = wrap_cell(a.leftmost, ni);
-                let j1 = if j + 1 == n { 0 } else { j + 1 };
-                rho[j] += scale * a.w[0];
-                rho[j1] += scale * a.w[1];
-            }
-        }
-        Shape::Tsc => {
-            for &x in x {
-                let a = shape.assign(x * inv_dx);
-                for (o, w) in a.w.iter().enumerate() {
-                    rho[wrap_cell(a.leftmost + o as i64, ni)] += scale * w;
+        Shape::Ngp => k.run::<1>(body, x, rho),
+        Shape::Cic => k.run::<2>(body, x, rho),
+        Shape::Tsc => k.run::<3>(body, x, rho),
+    }
+}
+
+/// The per-call constants of the 1-D deposit.
+struct Deposit {
+    scale: f64,
+    inv_dx: f64,
+    n: usize,
+    length: f64,
+}
+
+impl Deposit {
+    /// The deposit of every particle for the shape of support `S`, on
+    /// `body`.
+    fn run<const S: usize>(&self, body: Body, x: &[f64], rho: &mut [f64]) {
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `avx512f` and `avx512dq` were detected.
+            Body::Avx512 if lanes::avx512() => unsafe { self.lanes::<S>(x, rho) },
+            _ => {
+                for &x in x {
+                    self.one::<S>(x, rho);
                 }
             }
         }
+    }
+
+    /// The scalar body: one particle's `S` terms `scale * w`, in node
+    /// order.
+    #[inline(always)]
+    fn one<const S: usize>(&self, x: f64, rho: &mut [f64]) {
+        let (mut j, w) = axis_stencil::<S>(x * self.inv_dx, self.n as i64);
+        for w in w {
+            rho[j] += self.scale * w;
+            j = next_node(j, self.n);
+        }
+    }
+
+    /// [`Deposit::one`] on eight particles per chunk: the lanes compute
+    /// the nodes and terms, one scalar loop adds them in particle order.
+    /// A chunk with a lane off the fast path runs [`Deposit::one`]
+    /// instead.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn lanes<const S: usize>(&self, x: &[f64], mut rho: &mut [f64]) {
+        use crate::lanes::x86::*;
+        use std::arch::x86_64::*;
+        let n = _mm512_set1_epi64(self.n as i64);
+        let inv_dx = _mm512_set1_pd(self.inv_dx);
+        let length = _mm512_set1_pd(self.length);
+        let scale = _mm512_set1_pd(self.scale);
+        let lanes = |rho: &mut &mut [f64], i: usize| {
+            // SAFETY: `i + 8 <= x.len()`.
+            let x0 = unsafe { load(x.as_ptr().add(i)) };
+            let a = axis::<S>(_mm512_mul_pd(x0, inv_dx), n);
+            if a.ok & in_box(x0, length) != ALL {
+                return false;
+            }
+            let mut nodes = [[0usize; 8]; S];
+            let mut terms = [[0.0; 8]; S];
+            let mut j = a.node;
+            for k in 0..S {
+                nodes[k] = to_indices(j);
+                terms[k] = to_array(_mm512_mul_pd(scale, a.w[k]));
+                j = next_node(j, n);
+            }
+            for p in 0..8 {
+                for k in 0..S {
+                    rho[nodes[k][p]] += terms[k][p];
+                }
+            }
+            true
+        };
+        lanes::chunks(&mut rho, x.len(), lanes, |rho, p| self.one::<S>(x[p], rho));
     }
 }
 

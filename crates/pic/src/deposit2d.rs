@@ -8,11 +8,16 @@
 //! The kernel body is written once over the shape's support `S` (a const
 //! generic) and picked by one `match` per call, so each shape's `S×S`
 //! stencil is straight-line code. `axis_stencil` and `next_node` are
-//! the per-axis half it shares with the fused push
-//! ([`fused2d`](crate::fused2d)).
+//! the per-axis half every particle kernel shares (the 1-D and 2-D
+//! deposits and fused pushes); [`crate::lanes`] holds their AVX-512
+//! twins, on which the 8-particle body of each kernel is built.
+
+// analyze:hot — the deposit loop runs once per step over every particle;
+// loop bodies here must stay allocation-free.
 
 use crate::fused::wrap_cell;
 use crate::grid::Grid2D;
+use crate::lanes::{self, Body};
 use crate::particles::Particles2D;
 use crate::shape::Shape;
 
@@ -55,36 +60,131 @@ pub(crate) fn next_node(j: usize, n: usize) -> usize {
 /// # Panics
 /// Panics if `rho` length differs from the grid node count.
 pub fn deposit_charge(particles: &Particles2D, grid: &Grid2D, shape: Shape, rho: &mut [f64]) {
+    deposit(Body::detect(), particles, grid, shape, rho);
+}
+
+/// [`deposit_charge`] on `body`.
+pub(crate) fn deposit(
+    body: Body,
+    particles: &Particles2D,
+    grid: &Grid2D,
+    shape: Shape,
+    rho: &mut [f64],
+) {
     assert_eq!(rho.len(), grid.nodes(), "rho length mismatch");
+    let k = Deposit {
+        q_over_area: particles.charge() / grid.cell_volume(),
+        inv_dx: 1.0 / grid.dx(),
+        inv_dy: 1.0 / grid.dy(),
+        nx: grid.nx(),
+        ny: grid.ny(),
+        lx: grid.lx(),
+        ly: grid.ly(),
+    };
+    let [x, y] = &particles.pos;
     match shape {
-        Shape::Ngp => deposit::<1>(particles, grid, rho),
-        Shape::Cic => deposit::<2>(particles, grid, rho),
-        Shape::Tsc => deposit::<3>(particles, grid, rho),
+        Shape::Ngp => k.run::<1>(body, x, y, rho),
+        Shape::Cic => k.run::<2>(body, x, y, rho),
+        Shape::Tsc => k.run::<3>(body, x, y, rho),
     }
 }
 
-/// [`deposit_charge`]'s body for the shape of support `S`: `y` rows
-/// outer, `x` nodes inner, each term `q_over_area * wx * wy`.
-fn deposit<const S: usize>(particles: &Particles2D, grid: &Grid2D, rho: &mut [f64]) {
-    let q_over_area = particles.charge() / grid.cell_volume();
-    let inv_dx = 1.0 / grid.dx();
-    let inv_dy = 1.0 / grid.dy();
-    let (nx, ny) = (grid.nx(), grid.ny());
-    let (nxi, nyi) = (nx as i64, ny as i64);
+/// The per-call constants of the 2-D deposit.
+struct Deposit {
+    q_over_area: f64,
+    inv_dx: f64,
+    inv_dy: f64,
+    nx: usize,
+    ny: usize,
+    lx: f64,
+    ly: f64,
+}
 
-    let [x, y] = &particles.pos;
-    for (&x, &y) in x.iter().zip(y) {
-        let (ix0, wxs) = axis_stencil::<S>(x * inv_dx, nxi);
-        let (mut iy, wys) = axis_stencil::<S>(y * inv_dy, nyi);
+impl Deposit {
+    /// The deposit of every particle for the shape of support `S`, on
+    /// `body`.
+    fn run<const S: usize>(&self, body: Body, x: &[f64], y: &[f64], rho: &mut [f64]) {
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `avx512f` and `avx512dq` were detected.
+            Body::Avx512 if lanes::avx512() => unsafe { self.lanes::<S>(x, y, rho) },
+            _ => {
+                for (&x, &y) in x.iter().zip(y) {
+                    self.one::<S>(x, y, rho);
+                }
+            }
+        }
+    }
+
+    /// The scalar body: one particle's `S×S` terms
+    /// `q_over_area * wx * wy`, `y` rows outer, `x` nodes inner.
+    #[inline(always)]
+    fn one<const S: usize>(&self, x: f64, y: f64, rho: &mut [f64]) {
+        let (nx, ny) = (self.nx, self.ny);
+        let (ix0, wxs) = axis_stencil::<S>(x * self.inv_dx, nx as i64);
+        let (mut iy, wys) = axis_stencil::<S>(y * self.inv_dy, ny as i64);
         for wy in wys {
             let row = iy * nx;
             let mut ix = ix0;
             for wx in wxs {
-                rho[row + ix] += q_over_area * wx * wy;
+                rho[row + ix] += self.q_over_area * wx * wy;
                 ix = next_node(ix, nx);
             }
             iy = next_node(iy, ny);
         }
+    }
+
+    /// [`Deposit::one`] on eight particles per chunk: the lanes compute
+    /// the nodes and terms, one scalar loop adds them in particle order.
+    /// A chunk with a lane off the fast path runs [`Deposit::one`]
+    /// instead.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn lanes<const S: usize>(&self, x: &[f64], y: &[f64], mut rho: &mut [f64]) {
+        use crate::lanes::x86::*;
+        use std::arch::x86_64::*;
+        assert_eq!(x.len(), y.len(), "particle column lengths differ");
+        let (nx, ny) = (
+            _mm512_set1_epi64(self.nx as i64),
+            _mm512_set1_epi64(self.ny as i64),
+        );
+        let (inv_dx, inv_dy) = (_mm512_set1_pd(self.inv_dx), _mm512_set1_pd(self.inv_dy));
+        let (lx, ly) = (_mm512_set1_pd(self.lx), _mm512_set1_pd(self.ly));
+        let q_over_area = _mm512_set1_pd(self.q_over_area);
+        let lanes = |rho: &mut &mut [f64], i: usize| {
+            // SAFETY: `i + 8 <= x.len()`, and `y` is as long (asserted
+            // above).
+            let (x0, y0) = unsafe { (load(x.as_ptr().add(i)), load(y.as_ptr().add(i))) };
+            let ax = axis::<S>(_mm512_mul_pd(x0, inv_dx), nx);
+            let ay = axis::<S>(_mm512_mul_pd(y0, inv_dy), ny);
+            if ax.ok & ay.ok & in_box(x0, lx) & in_box(y0, ly) != ALL {
+                return false;
+            }
+            let mut nodes = [[[0usize; 8]; S]; S];
+            let mut terms = [[[0.0; 8]; S]; S];
+            let mut iy = ay.node;
+            for (wy, (nodes, terms)) in ay.w.into_iter().zip(nodes.iter_mut().zip(&mut terms)) {
+                let row = _mm512_mullo_epi64(iy, nx);
+                let mut ix = ax.node;
+                for (wx, (node, term)) in ax.w.into_iter().zip(nodes.iter_mut().zip(terms)) {
+                    *node = to_indices(_mm512_add_epi64(row, ix));
+                    *term = to_array(_mm512_mul_pd(_mm512_mul_pd(q_over_area, wx), wy));
+                    ix = next_node(ix, nx);
+                }
+                iy = next_node(iy, ny);
+            }
+            for p in 0..8 {
+                for (nodes, terms) in nodes.iter().zip(&terms) {
+                    for (node, term) in nodes.iter().zip(terms) {
+                        rho[node[p]] += term[p];
+                    }
+                }
+            }
+            true
+        };
+        lanes::chunks(&mut rho, x.len(), lanes, |rho, p| {
+            self.one::<S>(x[p], y[p], rho)
+        });
     }
 }
 

@@ -17,11 +17,17 @@
 //! The kernel also accumulates the step's diagnostics moments (the
 //! time-centred kinetic energy and the post-push momentum) in the same
 //! pass, in the same per-particle summation order as the unfused code.
+//!
+//! As in [`deposit2d`](crate::deposit2d), the body is written once over
+//! the shape's support `S`, and it has an AVX-512 twin over eight
+//! particles per chunk ([`crate::lanes`]) that reproduces it bit for bit.
 
 // analyze:hot — the fused per-particle loop is the 1-D stepping hot path;
 // loop bodies here must stay allocation-free (PR 2's single-pass win).
 
+use crate::deposit2d::{axis_stencil, next_node};
 use crate::grid::Grid1D;
+use crate::lanes::{self, Body};
 use crate::particles::Particles;
 use crate::shape::Shape;
 
@@ -83,6 +89,51 @@ pub(crate) fn advance_position(x: f64, v: f64, dt: f64, length: f64) -> f64 {
     nx
 }
 
+/// The step's diagnostic sums in `D` dimensions, added in particle order
+/// whichever body computed the terms.
+#[derive(Debug)]
+pub(crate) struct Sums<const D: usize> {
+    ke: f64,
+    mom: [f64; D],
+}
+
+impl<const D: usize> Sums<D> {
+    /// Nothing added yet.
+    pub(crate) fn new() -> Self {
+        Self {
+            ke: 0.0,
+            mom: [0.0; D],
+        }
+    }
+
+    /// Adds one particle's kinetic term `Σ_k v⁻_k·v⁺_k` and its post-push
+    /// velocity.
+    #[inline(always)]
+    pub(crate) fn add(&mut self, ke: f64, v: [f64; D]) {
+        self.ke += ke;
+        for (m, v) in self.mom.iter_mut().zip(v) {
+            *m += v;
+        }
+    }
+
+    /// Adds a chunk's eight particles, in particle order.
+    #[inline(always)]
+    pub(crate) fn add_chunk(&mut self, ke: [f64; 8], v: [[f64; 8]; D]) {
+        for p in 0..8 {
+            self.add(ke[p], std::array::from_fn(|k| v[k][p]));
+        }
+    }
+
+    /// The moments of a species of macro-particle mass `mass`.
+    pub(crate) fn moments(&self, mass: f64) -> StepMoments {
+        StepMoments {
+            centred_kinetic: 0.5 * mass * self.ke,
+            momentum: mass * self.mom[0],
+            momentum_y: self.mom.get(1).map(|m| mass * m),
+        }
+    }
+}
+
 /// One fused step of the particle pipeline: gather `e` at every particle,
 /// push velocities by `(q/m)·E·Δt`, push positions by `v·Δt` with
 /// periodic wrap — a single pass, no intermediate buffer.
@@ -100,49 +151,153 @@ pub fn fused_gather_push_move(
     e: &[f64],
     dt: f64,
 ) -> StepMoments {
-    assert_eq!(e.len(), grid.nx(), "field length mismatch");
-    let inv_dx = 1.0 / grid.dx();
-    let n = grid.nx();
-    let ni = n as i64;
-    let length = grid.lx();
-    let qm_dt = particles.charge_over_mass() * dt;
-    let half_m = 0.5 * particles.mass();
-    let mass = particles.mass();
+    push(Body::detect(), particles, grid, shape, e, dt)
+}
 
-    let mut ke = 0.0f64;
-    let mut mom = 0.0f64;
+/// [`fused_gather_push_move`] on `body`.
+pub(crate) fn push(
+    body: Body,
+    particles: &mut Particles,
+    grid: &Grid1D,
+    shape: Shape,
+    e: &[f64],
+    dt: f64,
+) -> StepMoments {
+    assert_eq!(e.len(), grid.nx(), "field length mismatch");
+    let k = Push {
+        e,
+        inv_dx: 1.0 / grid.dx(),
+        n: grid.nx(),
+        length: grid.lx(),
+        qm_dt: particles.charge_over_mass() * dt,
+        dt,
+    };
+    let mass = particles.mass();
     let ([x], [v]) = (&mut particles.pos, &mut particles.vel);
-    for (x, v) in x.iter_mut().zip(v.iter_mut()) {
-        // Gather (same expressions as `gather_field`).
-        let a = shape.assign(*x * inv_dx);
-        let ep = match shape {
-            Shape::Ngp => e[wrap_cell(a.leftmost, ni)],
-            Shape::Cic => {
-                let j = wrap_cell(a.leftmost, ni);
-                let j1 = if j + 1 == n { 0 } else { j + 1 };
-                a.w[0] * e[j] + a.w[1] * e[j1]
+    let sums = match shape {
+        Shape::Ngp => k.run::<1>(body, x, v),
+        Shape::Cic => k.run::<2>(body, x, v),
+        Shape::Tsc => k.run::<3>(body, x, v),
+    };
+    sums.moments(mass)
+}
+
+/// The per-call constants of the 1-D push; `e` is `n` nodes long.
+struct Push<'a> {
+    e: &'a [f64],
+    inv_dx: f64,
+    n: usize,
+    length: f64,
+    qm_dt: f64,
+    dt: f64,
+}
+
+impl Push<'_> {
+    /// The push over all particles for the shape of support `S`, on
+    /// `body`.
+    fn run<const S: usize>(&self, body: Body, x: &mut [f64], v: &mut [f64]) -> Sums<1> {
+        let mut sums = Sums::new();
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `avx512f` and `avx512dq` were detected.
+            Body::Avx512 if lanes::avx512() => unsafe { self.lanes::<S>(x, v, &mut sums) },
+            _ => {
+                for (x, v) in x.iter_mut().zip(v) {
+                    let (ke, v_new) = self.one::<S>(x, v);
+                    sums.add(ke, [v_new]);
+                }
             }
-            Shape::Tsc => {
-                let mut acc = 0.0;
-                for (o, w) in a.w.iter().enumerate() {
-                    acc += w * e[wrap_cell(a.leftmost + o as i64, ni)];
+        }
+        sums
+    }
+
+    /// The scalar body: gather, accelerate and move one particle, with
+    /// the same expressions as `gather_field` → `push_velocities` →
+    /// `push_positions`. Returns its kinetic term `v⁻·v⁺` and `v⁺`.
+    #[inline(always)]
+    fn one<const S: usize>(&self, x: &mut f64, v: &mut f64) -> (f64, f64) {
+        let (e, n) = (self.e, self.n);
+        let (j, w) = axis_stencil::<S>(*x * self.inv_dx, n as i64);
+        let ep = match S {
+            1 => e[j],
+            2 => w[0] * e[j] + w[1] * e[next_node(j, n)],
+            _ => {
+                let (mut acc, mut j) = (0.0, j);
+                for w in w {
+                    acc += w * e[j];
+                    j = next_node(j, n);
                 }
                 acc
             }
         };
-        // Accelerate (same expressions as `push_velocities`).
         let v_old = *v;
-        let v_new = v_old + qm_dt * ep;
+        let v_new = v_old + self.qm_dt * ep;
         *v = v_new;
-        ke += v_old * v_new;
-        mom += v_new;
-        // Move (same expressions as `push_positions`).
-        *x = advance_position(*x, v_new, dt, length);
+        *x = advance_position(*x, v_new, self.dt, self.length);
+        (v_old * v_new, v_new)
     }
-    StepMoments {
-        centred_kinetic: half_m * ke,
-        momentum: mass * mom,
-        momentum_y: None,
+
+    /// [`Push::one`] on eight particles per chunk; a chunk with a lane
+    /// off the fast path runs [`Push::one`] instead.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn lanes<const S: usize>(&self, x: &mut [f64], v: &mut [f64], sums: &mut Sums<1>) {
+        use crate::lanes::x86::*;
+        use std::arch::x86_64::*;
+        assert_eq!(x.len(), v.len(), "particle column lengths differ");
+        assert_eq!(self.e.len(), self.n, "field length mismatch");
+        let n = _mm512_set1_epi64(self.n as i64);
+        let inv_dx = _mm512_set1_pd(self.inv_dx);
+        let length = _mm512_set1_pd(self.length);
+        let qm_dt = _mm512_set1_pd(self.qm_dt);
+        let dt = _mm512_set1_pd(self.dt);
+        let len = x.len();
+        let lanes = |(x, v, sums): &mut (&mut [f64], &mut [f64], &mut Sums<1>), i: usize| {
+            // SAFETY: `i + 8 <= len`, and both columns are `len` long
+            // (asserted above).
+            let (x0, v_old) = unsafe { (load(x.as_ptr().add(i)), load(v.as_ptr().add(i))) };
+            let a = axis::<S>(_mm512_mul_pd(x0, inv_dx), n);
+            if a.ok & in_box(x0, length) != ALL {
+                return false;
+            }
+            let e = self.e;
+            // SAFETY: every lane of `a.node` is in `[0, n)` (`a.ok`), and so
+            // is its `next_node`; `e` is `n` long (asserted above).
+            let ep = unsafe {
+                match S {
+                    1 => gather(e, a.node),
+                    2 => _mm512_add_pd(
+                        _mm512_mul_pd(a.w[0], gather(e, a.node)),
+                        _mm512_mul_pd(a.w[1], gather(e, next_node(a.node, n))),
+                    ),
+                    _ => {
+                        let (mut acc, mut j) = (_mm512_setzero_pd(), a.node);
+                        for w in a.w {
+                            acc = _mm512_add_pd(acc, _mm512_mul_pd(w, gather(e, j)));
+                            j = next_node(j, n);
+                        }
+                        acc
+                    }
+                }
+            };
+            let v_new = _mm512_add_pd(v_old, _mm512_mul_pd(qm_dt, ep));
+            let (x1, far) = advance(x0, v_new, dt, length);
+            if far != 0 {
+                return false;
+            }
+            // SAFETY: as for the loads.
+            unsafe {
+                store(x.as_mut_ptr().add(i), x1);
+                store(v.as_mut_ptr().add(i), v_new);
+            }
+            sums.add_chunk(to_array(_mm512_mul_pd(v_old, v_new)), [to_array(v_new)]);
+            true
+        };
+        let scalar = |(x, v, sums): &mut (&mut [f64], &mut [f64], &mut Sums<1>), p: usize| {
+            let (ke, v_new) = self.one::<S>(&mut x[p], &mut v[p]);
+            sums.add(ke, [v_new]);
+        };
+        lanes::chunks(&mut (x, v, sums), len, lanes, scalar);
     }
 }
 

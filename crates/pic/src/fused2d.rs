@@ -13,7 +13,8 @@
 //! both add every stencil term from `+0.0`, so trajectories match the
 //! unfused oracle bit for bit. As in
 //! [`deposit2d`](crate::deposit2d), the body is written once over the
-//! shape's support `S` and picked by one `match` per call. The
+//! shape's support `S` and picked by one `match` per call, and its
+//! AVX-512 twin ([`crate::lanes`]) reproduces it bit for bit. The
 //! kinetic-energy *sum* interleaves the x- and y-contributions per
 //! particle instead of summing all x-terms first, so that one diagnostic
 //! may differ from the unfused value by rounding (≪ 1e-15 relative); the
@@ -23,8 +24,9 @@
 // loop bodies here must stay allocation-free (PR 3's single-pass win).
 
 use crate::deposit2d::{axis_stencil, next_node};
-use crate::fused::{advance_position, StepMoments};
+use crate::fused::{advance_position, StepMoments, Sums};
 use crate::grid::Grid2D;
+use crate::lanes::{self, Body};
 use crate::particles::Particles2D;
 use crate::shape::Shape;
 
@@ -45,47 +47,97 @@ pub fn fused_gather_push_move(
     e: &[f64],
     dt: f64,
 ) -> StepMoments {
-    assert_eq!(e.len(), 2 * grid.nodes(), "field length mismatch");
-    let (ex, ey) = e.split_at(grid.nodes());
-    match shape {
-        Shape::Ngp => fused::<1>(particles, grid, ex, ey, dt),
-        Shape::Cic => fused::<2>(particles, grid, ex, ey, dt),
-        Shape::Tsc => fused::<3>(particles, grid, ex, ey, dt),
-    }
+    push(Body::detect(), particles, grid, shape, e, dt)
 }
 
-/// [`fused_gather_push_move`]'s body for the shape of support `S`. The
-/// gather adds all `S×S` terms `w * e[node]`, `y` rows outer, from `+0.0`:
-/// a zero-weight term is `±0.0` added to a sum that is never `-0.0`, so
-/// it changes no bit for a finite field.
-fn fused<const S: usize>(
+/// [`fused_gather_push_move`] on `body`.
+pub(crate) fn push(
+    body: Body,
     particles: &mut Particles2D,
     grid: &Grid2D,
-    ex: &[f64],
-    ey: &[f64],
+    shape: Shape,
+    e: &[f64],
     dt: f64,
 ) -> StepMoments {
-    let inv_dx = 1.0 / grid.dx();
-    let inv_dy = 1.0 / grid.dy();
-    let (nx, ny) = (grid.nx(), grid.ny());
-    let (nxi, nyi) = (nx as i64, ny as i64);
-    let (lx, ly) = (grid.lx(), grid.ly());
-    let qm_dt = particles.charge_over_mass() * dt;
-    let half_m = 0.5 * particles.mass();
+    assert_eq!(e.len(), 2 * grid.nodes(), "field length mismatch");
+    let (ex, ey) = e.split_at(grid.nodes());
+    let k = Push {
+        ex,
+        ey,
+        inv_dx: 1.0 / grid.dx(),
+        inv_dy: 1.0 / grid.dy(),
+        nx: grid.nx(),
+        ny: grid.ny(),
+        lx: grid.lx(),
+        ly: grid.ly(),
+        qm_dt: particles.charge_over_mass() * dt,
+        dt,
+    };
     let mass = particles.mass();
+    let sums = match shape {
+        Shape::Ngp => k.run::<1>(body, particles),
+        Shape::Cic => k.run::<2>(body, particles),
+        Shape::Tsc => k.run::<3>(body, particles),
+    };
+    sums.moments(mass)
+}
 
-    let mut ke = 0.0f64;
-    let mut mom_x = 0.0f64;
-    let mut mom_y = 0.0f64;
-    let ([x, y], [vx, vy]) = (&mut particles.pos, &mut particles.vel);
-    let iter = x
-        .iter_mut()
-        .zip(y.iter_mut())
-        .zip(vx.iter_mut().zip(vy.iter_mut()));
-    for ((x, y), (vx, vy)) in iter {
-        // Gather (same expressions as `gather_field`).
-        let (ix0, wxs) = axis_stencil::<S>(*x * inv_dx, nxi);
-        let (mut iy, wys) = axis_stencil::<S>(*y * inv_dy, nyi);
+/// The per-call constants of the 2-D push; `ex` and `ey` are
+/// `nx·ny` nodes long.
+struct Push<'a> {
+    ex: &'a [f64],
+    ey: &'a [f64],
+    inv_dx: f64,
+    inv_dy: f64,
+    nx: usize,
+    ny: usize,
+    lx: f64,
+    ly: f64,
+    qm_dt: f64,
+    dt: f64,
+}
+
+impl Push<'_> {
+    /// The push over all particles for the shape of support `S`, on
+    /// `body`.
+    fn run<const S: usize>(&self, body: Body, particles: &mut Particles2D) -> Sums<2> {
+        let mut sums = Sums::new();
+        let ([x, y], [vx, vy]) = (&mut particles.pos, &mut particles.vel);
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `avx512f` and `avx512dq` were detected.
+            Body::Avx512 if lanes::avx512() => unsafe {
+                self.lanes::<S>([x, y, vx, vy], &mut sums)
+            },
+            _ => {
+                let iter = x
+                    .iter_mut()
+                    .zip(y.iter_mut())
+                    .zip(vx.iter_mut().zip(vy.iter_mut()));
+                for ((x, y), (vx, vy)) in iter {
+                    let (ke, v_new) = self.one::<S>([x, y], [vx, vy]);
+                    sums.add(ke, v_new);
+                }
+            }
+        }
+        sums
+    }
+
+    /// The scalar body: gather, accelerate and move one particle, with
+    /// the same expressions as `gather_field` → `push_velocities` →
+    /// `push_positions`. The gather adds all `S×S` terms `w * e[node]`,
+    /// `y` rows outer, from `+0.0`: a zero-weight term is `±0.0` added to
+    /// a sum that is never `-0.0`, so it changes no bit for a finite
+    /// field. Returns the kinetic term `vx⁻·vx⁺ + vy⁻·vy⁺` and `v⁺`.
+    #[inline(always)]
+    fn one<const S: usize>(
+        &self,
+        [x, y]: [&mut f64; 2],
+        [vx, vy]: [&mut f64; 2],
+    ) -> (f64, [f64; 2]) {
+        let (nx, ny) = (self.nx, self.ny);
+        let (ix0, wxs) = axis_stencil::<S>(*x * self.inv_dx, nx as i64);
+        let (mut iy, wys) = axis_stencil::<S>(*y * self.inv_dy, ny as i64);
         let mut ex_acc = 0.0;
         let mut ey_acc = 0.0;
         for wy in wys {
@@ -93,30 +145,100 @@ fn fused<const S: usize>(
             let mut ix = ix0;
             for wx in wxs {
                 let w = wx * wy;
-                ex_acc += w * ex[row + ix];
-                ey_acc += w * ey[row + ix];
+                ex_acc += w * self.ex[row + ix];
+                ey_acc += w * self.ey[row + ix];
                 ix = next_node(ix, nx);
             }
             iy = next_node(iy, ny);
         }
-        // Accelerate (same expressions as `push_velocities`).
         let vx_old = *vx;
-        let vx_new = vx_old + qm_dt * ex_acc;
+        let vx_new = vx_old + self.qm_dt * ex_acc;
         *vx = vx_new;
         let vy_old = *vy;
-        let vy_new = vy_old + qm_dt * ey_acc;
+        let vy_new = vy_old + self.qm_dt * ey_acc;
         *vy = vy_new;
-        ke += vx_old * vx_new + vy_old * vy_new;
-        mom_x += vx_new;
-        mom_y += vy_new;
-        // Move (same expressions as `push_positions`).
-        *x = advance_position(*x, vx_new, dt, lx);
-        *y = advance_position(*y, vy_new, dt, ly);
+        *x = advance_position(*x, vx_new, self.dt, self.lx);
+        *y = advance_position(*y, vy_new, self.dt, self.ly);
+        (vx_old * vx_new + vy_old * vy_new, [vx_new, vy_new])
     }
-    StepMoments {
-        centred_kinetic: half_m * ke,
-        momentum: mass * mom_x,
-        momentum_y: Some(mass * mom_y),
+
+    /// [`Push::one`] on eight particles per chunk, over the columns
+    /// `[x, y, vx, vy]`; a chunk with a lane off the fast path runs
+    /// [`Push::one`] instead.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn lanes<const S: usize>(&self, cols: [&mut [f64]; 4], sums: &mut Sums<2>) {
+        use crate::lanes::x86::*;
+        use std::arch::x86_64::*;
+        let len = cols[0].len();
+        assert!(
+            cols.iter().all(|c| c.len() == len),
+            "particle column lengths differ"
+        );
+        let nodes = self.nx * self.ny;
+        assert!(
+            self.ex.len() == nodes && self.ey.len() == nodes,
+            "field length mismatch"
+        );
+        let (nx, ny) = (
+            _mm512_set1_epi64(self.nx as i64),
+            _mm512_set1_epi64(self.ny as i64),
+        );
+        let (inv_dx, inv_dy) = (_mm512_set1_pd(self.inv_dx), _mm512_set1_pd(self.inv_dy));
+        let (lx, ly) = (_mm512_set1_pd(self.lx), _mm512_set1_pd(self.ly));
+        let qm_dt = _mm512_set1_pd(self.qm_dt);
+        let dt = _mm512_set1_pd(self.dt);
+        let lanes = |(cols, sums): &mut ([&mut [f64]; 4], &mut Sums<2>), i: usize| {
+            let [x0, y0, vx_old, vy_old] = cols.each_ref().map(|c| {
+                // SAFETY: `i + 8 <= len`, and all four columns are `len`
+                // long (asserted above).
+                unsafe { load(c.as_ptr().add(i)) }
+            });
+            let ax = axis::<S>(_mm512_mul_pd(x0, inv_dx), nx);
+            let ay = axis::<S>(_mm512_mul_pd(y0, inv_dy), ny);
+            if ax.ok & ay.ok & in_box(x0, lx) & in_box(y0, ly) != ALL {
+                return false;
+            }
+            let mut ex_acc = _mm512_setzero_pd();
+            let mut ey_acc = _mm512_setzero_pd();
+            let mut iy = ay.node;
+            for wy in ay.w {
+                let row = _mm512_mullo_epi64(iy, nx);
+                let mut ix = ax.node;
+                for wx in ax.w {
+                    let w = _mm512_mul_pd(wx, wy);
+                    let node = _mm512_add_epi64(row, ix);
+                    // SAFETY: `ix` and `iy` are in `[0, nx)` and `[0, ny)`
+                    // (`ok`, then `next_node`), so `node` indexes `ex` and
+                    // `ey` (both `nx·ny` long, asserted above).
+                    let (ex, ey) = unsafe { (gather(self.ex, node), gather(self.ey, node)) };
+                    ex_acc = _mm512_add_pd(ex_acc, _mm512_mul_pd(w, ex));
+                    ey_acc = _mm512_add_pd(ey_acc, _mm512_mul_pd(w, ey));
+                    ix = next_node(ix, nx);
+                }
+                iy = next_node(iy, ny);
+            }
+            let vx_new = _mm512_add_pd(vx_old, _mm512_mul_pd(qm_dt, ex_acc));
+            let vy_new = _mm512_add_pd(vy_old, _mm512_mul_pd(qm_dt, ey_acc));
+            let (x1, far_x) = advance(x0, vx_new, dt, lx);
+            let (y1, far_y) = advance(y0, vy_new, dt, ly);
+            if far_x | far_y != 0 {
+                return false;
+            }
+            for (c, new) in cols.iter_mut().zip([x1, y1, vx_new, vy_new]) {
+                // SAFETY: as for the loads.
+                unsafe { store(c.as_mut_ptr().add(i), new) };
+            }
+            let ke = _mm512_add_pd(_mm512_mul_pd(vx_old, vx_new), _mm512_mul_pd(vy_old, vy_new));
+            sums.add_chunk(to_array(ke), [to_array(vx_new), to_array(vy_new)]);
+            true
+        };
+        let scalar = |(cols, sums): &mut ([&mut [f64]; 4], &mut Sums<2>), p: usize| {
+            let [x, y, vx, vy] = cols.each_mut().map(|c| &mut c[p]);
+            let (ke, v_new) = self.one::<S>([x, y], [vx, vy]);
+            sums.add(ke, v_new);
+        };
+        lanes::chunks(&mut (cols, sums), len, lanes, scalar);
     }
 }
 

@@ -55,6 +55,10 @@ pub trait Geometry: Clone + fmt::Debug + Send + 'static {
     /// Nodes per field component.
     fn nodes(&self) -> usize;
 
+    /// Box length along position axis `axis` (`0` is `x`): a particle's
+    /// coordinate on it lies in `[0, length)`.
+    fn box_length(&self, axis: usize) -> f64;
+
     /// Loads `init` on this grid.
     fn load(&self, init: &Self::Init) -> Self::Particles;
 
@@ -125,6 +129,10 @@ impl Geometry for Grid1D {
 
     fn nodes(&self) -> usize {
         Grid::nodes(self)
+    }
+
+    fn box_length(&self, axis: usize) -> f64 {
+        self.lengths()[axis]
     }
 
     fn load(&self, init: &TwoStreamInit) -> Particles {

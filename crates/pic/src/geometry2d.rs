@@ -35,6 +35,10 @@ impl Geometry for Grid2D {
         Grid::nodes(self)
     }
 
+    fn box_length(&self, axis: usize) -> f64 {
+        self.lengths()[axis]
+    }
+
     fn load(&self, init: &TwoStream2DInit) -> Particles2D {
         init.build(self)
     }

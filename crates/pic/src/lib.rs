@@ -67,6 +67,7 @@ pub mod grid;
 pub mod history;
 pub mod init;
 pub mod init2d;
+pub mod lanes;
 pub mod mover;
 pub mod particles;
 pub mod poisson;

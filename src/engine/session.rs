@@ -332,8 +332,11 @@ impl<G: Geometry> BackendSession for PicSession<G> {
 
     fn restore(&mut self, state: &Json) -> Result<(), EngineError> {
         check_solver_name(state, self.sim.solver_name())?;
+        let live = G::columns(self.sim.particles());
+        // Positions first, then velocities: one column of each per axis.
+        let axes = live.len() / 2;
         let mut columns = Vec::new();
-        for (name, live) in G::columns(self.sim.particles()) {
+        for (k, (name, live)) in live.into_iter().enumerate() {
             let column = state.field(name)?.as_f64_vec()?;
             if column.len() != live.len() {
                 return Err(bad_checkpoint(format!(
@@ -341,6 +344,15 @@ impl<G: Geometry> BackendSession for PicSession<G> {
                     column.len(),
                     live.len()
                 )));
+            }
+            if k < axes {
+                let length = self.sim.grid().box_length(k);
+                if let Some(i) = column.iter().position(|x| !(0.0..length).contains(x)) {
+                    return Err(bad_checkpoint(format!(
+                        "state column `{name}` holds {} at index {i}, outside the box [0, {length})",
+                        column[i]
+                    )));
+                }
             }
             columns.push(column);
         }

@@ -239,6 +239,19 @@ fn truncate_array(text: &str, key: &str) -> String {
     format!("{}{}", &text[..last_comma], &text[close..])
 }
 
+/// `text` with the first value of its `key` array replaced by `value`.
+fn set_first(text: &str, key: &str, value: &str) -> String {
+    let pattern = format!("\"{key}\": [");
+    assert_eq!(
+        text.matches(&pattern).count(),
+        1,
+        "`{key}` is not one array"
+    );
+    let start = text.find(&pattern).unwrap() + pattern.len();
+    let end = start + text[start..].find([',', ']']).unwrap();
+    format!("{}{value}{}", &text[..start], &text[end..])
+}
+
 fn expect_checkpoint_error(result: Result<engine::Session, EngineError>, case: &str) {
     match result {
         Err(EngineError::Checkpoint { .. }) => {}
@@ -260,10 +273,17 @@ fn checkpoint_rejects_state_spec_mismatches() {
             Backend::Traditional1D,
             "traditional",
             "e",
+            &["x"][..],
         ),
-        (spec_2d, Backend::Traditional2D, "traditional-2d", "ey"),
+        (
+            spec_2d,
+            Backend::Traditional2D,
+            "traditional-2d",
+            "ey",
+            &["x", "y"][..],
+        ),
     ];
-    for (spec, backend, solver, field) in cases {
+    for (spec, backend, solver, field, positions) in cases {
         let mut session = engine::start(&spec, backend).unwrap();
         session.step();
         let mut checkpoint = session.checkpoint();
@@ -306,6 +326,23 @@ fn checkpoint_rejects_state_spec_mismatches() {
             }
             Err(other) => panic!("expected a checkpoint error, got {other}"),
             Ok(_) => panic!("foreign-solver checkpoint was accepted"),
+        }
+
+        // A particle outside the box, on either side or far out, is
+        // refused by name and index (the particle kernels' fast path
+        // assumes `0 ≤ x < L`).
+        for column in positions {
+            for value in ["-5.0", "1e300", "-1e300", "123456.0"] {
+                let moved = Checkpoint::from_json(&set_first(&text, column, value)).unwrap();
+                match Engine::new().resume(&moved) {
+                    Err(EngineError::Checkpoint { what }) => assert!(
+                        what.contains(&format!("`{column}`")) && what.contains("index 0"),
+                        "{backend}: unhelpful message: {what}"
+                    ),
+                    Err(other) => panic!("{backend}: expected a checkpoint error, got {other}"),
+                    Ok(_) => panic!("{backend}: {column}[0] = {value} was accepted"),
+                }
+            }
         }
     }
 
