@@ -1,14 +1,13 @@
-//! The analysis driver: walk the tree, run the configured rules per
-//! file, apply inline suppressions and the baseline, and assemble the
-//! sorted [`Report`].
+//! The analysis driver: walk the tree, run the rules in scope per file,
+//! apply inline suppressions, and assemble the sorted [`Report`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::config::{Config, Level};
+use crate::config::Config;
 use crate::reach::ReachIndex;
-use crate::report::{Baseline, Finding, Report};
-use crate::rules::run_rule;
+use crate::report::{Finding, Report};
+use crate::rules::MALFORMED_SUPPRESSION;
 use crate::source::SourceFile;
 
 /// Recursively collects every `.rs` file under `root` that the config
@@ -55,61 +54,32 @@ fn relative(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Runs the configured rules on one file and files the surviving hits in
-/// `report`; `reach` is the tree's identifier index for `pub-reach`.
-fn check_file(
-    file: &SourceFile,
-    reach: &ReachIndex,
-    config: &Config,
-    baseline: &Baseline,
-    report: &mut Report,
-) {
-    let rules = config.rules_for(&file.path);
-    let mut hits = Vec::new();
-    for (rule, _) in &rules {
-        run_rule(rule, file, reach, &mut hits);
-    }
-    // A typo'd `analyze:allow` must not silently disable anything.
-    for &line in &file.malformed_allows {
-        hits.push(crate::rules::RuleHit {
-            rule: "malformed-suppression",
-            line,
-            message: "unparseable `analyze:allow` — the syntax is \
-                      `// analyze:allow(rule-name): reason` with a non-empty reason"
-                .to_string(),
-        });
-    }
-    for hit in hits {
-        if file.is_allowed(hit.rule, hit.line) {
-            report.suppressed += 1;
-            continue;
+/// Runs the rules in scope, and the malformed-suppression check, on one
+/// file and files the surviving hits in `report`; `reach` is the tree's
+/// identifier index for `pub-reach`.
+fn check_file(file: &SourceFile, reach: &ReachIndex, config: &Config, report: &mut Report) {
+    for rule in config.rules_for(&file.path).chain([&MALFORMED_SUPPRESSION]) {
+        let mut hits = Vec::new();
+        (rule.check)(file, reach, &mut hits);
+        for hit in hits {
+            if file.is_allowed(rule.name, hit.line) {
+                report.suppressed += 1;
+                continue;
+            }
+            report.findings.push(Finding {
+                rule: rule.name,
+                path: file.path.clone(),
+                line: hit.line,
+                message: hit.message,
+                snippet: file.snippet(hit.line).to_string(),
+            });
         }
-        let level = if hit.rule == "malformed-suppression" {
-            Level::Deny
-        } else {
-            rules
-                .iter()
-                .find(|(r, _)| *r == hit.rule)
-                .map(|(_, l)| *l)
-                .unwrap_or(Level::Warn)
-        };
-        let snippet = file.snippet(hit.line).to_string();
-        let baselined = baseline.covers(hit.rule, &file.path, &snippet);
-        report.findings.push(Finding {
-            rule: hit.rule.to_string(),
-            level,
-            path: file.path.clone(),
-            line: hit.line,
-            message: hit.message,
-            snippet,
-            baselined,
-        });
     }
 }
 
 /// Analyzes the whole tree under `root`: every rule, `pub-reach` included
 /// (its identifier index is built over all scanned files first).
-pub fn analyze_tree(root: &Path, config: &Config, baseline: &Baseline) -> Result<Report, String> {
+pub fn analyze_tree(root: &Path, config: &Config) -> Result<Report, String> {
     let mut files = Vec::new();
     for rel in collect_files(root, config)? {
         let abs = root.join(&rel);
@@ -120,12 +90,12 @@ pub fn analyze_tree(root: &Path, config: &Config, baseline: &Baseline) -> Result
     let reach = ReachIndex::build(&files);
     let mut report = Report::default();
     for file in &files {
-        check_file(file, &reach, config, baseline, &mut report);
+        check_file(file, &reach, config, &mut report);
         report.files_scanned += 1;
     }
     report
         .findings
-        .sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
+        .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(report)
 }
 
@@ -143,37 +113,15 @@ mod tests {
         let file = SourceFile::parse("state.rs", src);
         let cfg = Config::all_paths();
         let mut report = Report::default();
-        check_file(
-            &file,
-            &ReachIndex::default(),
-            &cfg,
-            &Baseline::default(),
-            &mut report,
-        );
+        check_file(&file, &ReachIndex::default(), &cfg, &mut report);
         // Line 1 fires, line 3 is suppressed, line 4 is malformed.
         assert_eq!(report.suppressed, 1);
-        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
+        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
         assert_eq!(
             rules,
             vec!["no-hashmap-iter-in-state", "malformed-suppression"],
             "{:?}",
             report.findings
         );
-        assert_eq!(report.deny_count(), 2);
-    }
-
-    #[test]
-    fn baseline_downgrades_known_findings() {
-        let src = "use std::collections::HashMap;\n";
-        let file = SourceFile::parse("state.rs", src);
-        let cfg = Config::all_paths();
-        let baseline =
-            Baseline::parse("no-hashmap-iter-in-state\tstate.rs\tuse std::collections::HashMap;\n")
-                .unwrap();
-        let mut report = Report::default();
-        check_file(&file, &ReachIndex::default(), &cfg, &baseline, &mut report);
-        assert_eq!(report.findings.len(), 1);
-        assert!(report.findings[0].baselined);
-        assert_eq!(report.deny_count(), 0);
     }
 }

@@ -6,24 +6,18 @@
 //! `// SAFETY:` discipline around the explicit-SIMD kernels — are runtime
 //! properties that a single careless line can silently break long before
 //! any test notices. This crate turns them into machine-checked rules on
-//! every commit:
+//! every commit. The rules are the rows of [`rules::RULES`]
+//! (`dlpic-analyze --list-rules` prints them); each row holds a rule's
+//! name, description, path scope and check function.
 //!
-//! | rule | contract it protects |
-//! |------|----------------------|
-//! | `no-hashmap-iter-in-state` | byte-deterministic checkpoint/spool/status output |
-//! | `no-wallclock-in-engine` | checkpoint/resume bit-identity of engine state |
-//! | `no-panic-in-request-path` | hostile requests become errors, not daemon crashes |
-//! | `safety-comment-required` | every `unsafe` carries its justification |
-//! | `no-alloc-in-hot-loop` | the allocation-free stepping wins stay won |
-//! | `phase-constants-only` | `KNOWN_PHASES` can never drift from emitters |
-//! | `pub-reach` | every `pub` item is named by some other file's non-test code |
-//!
-//! The implementation is a lightweight token scanner ([`lexer`]) plus a
-//! rule engine ([`rules`], [`engine`]) with per-rule allow/warn/deny
-//! levels ([`config`]), inline `// analyze:allow(rule): reason`
-//! suppressions ([`source`]), a committed baseline, and text + SARIF-lite
-//! output ([`report`]). Std-only by design: the build container is
-//! offline, so no external parser crates.
+//! The implementation is a lightweight token scanner ([`lexer`]), the
+//! rule table ([`rules`], with the cross-file `pub-reach` in [`reach`]),
+//! a driver ([`engine`]) and text + SARIF-lite output ([`report`]). Every
+//! finding fails the run. The one way to silence a finding is an inline
+//! `// analyze:allow(rule): reason` on its line or the line above
+//! ([`source`]); an allow that does not parse, names no rule or gives no
+//! reason is itself a `malformed-suppression` finding. Std-only by
+//! design: the build container is offline, so no external parser crates.
 
 pub mod config;
 pub mod engine;
@@ -32,8 +26,3 @@ pub mod reach;
 pub mod report;
 pub mod rules;
 pub mod source;
-
-pub use config::{Config, Level};
-pub use engine::analyze_tree;
-pub use report::{Baseline, Finding, Report};
-pub use source::SourceFile;

@@ -1,150 +1,65 @@
 //! CLI for the repo's static analysis pass.
 //!
 //! ```text
-//! dlpic-analyze [--root DIR] [--deny] [--format text|json]
-//!               [--config FILE] [--set rule.attr=value]…
-//!               [--baseline FILE] [--write-baseline FILE] [--list-rules]
+//! dlpic-analyze [--root DIR] [--format text|json] [--list-rules]
 //! ```
 //!
-//! Exit codes: 0 clean (or findings without `--deny`), 1 usage/config
-//! error, 2 deny-level findings under `--deny`.
+//! Exit codes: 0 clean, 1 usage or I/O error, 2 findings.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dlpic_analyze::config::{rule_description, Config, RULE_NAMES};
-use dlpic_analyze::report::Baseline;
+use dlpic_analyze::config::Config;
+use dlpic_analyze::engine::analyze_tree;
+use dlpic_analyze::rules::RULES;
 
-struct Args {
-    root: PathBuf,
-    deny: bool,
-    json: bool,
-    config_file: Option<PathBuf>,
-    sets: Vec<(String, String)>,
-    baseline_file: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    list_rules: bool,
-}
+const USAGE: &str = "usage: dlpic-analyze [--root DIR] [--format text|json] [--list-rules]";
 
-fn usage() -> String {
-    "usage: dlpic-analyze [--root DIR] [--deny] [--format text|json] \
-     [--config FILE] [--set rule.attr=value] [--baseline FILE] \
-     [--write-baseline FILE] [--list-rules]"
-        .to_string()
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut out = Args {
-        root: PathBuf::from("."),
-        deny: false,
-        json: false,
-        config_file: None,
-        sets: Vec::new(),
-        baseline_file: None,
-        write_baseline: None,
-        list_rules: false,
-    };
+fn run() -> Result<ExitCode, String> {
+    let mut root = PathBuf::from(".");
+    let mut json = false;
+    let mut list_rules = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
             args.next()
-                .ok_or_else(|| format!("{flag} needs a value\n{}", usage()))
+                .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
         };
         match arg.as_str() {
-            "--root" => out.root = PathBuf::from(value("--root")?),
-            "--deny" => out.deny = true,
+            "--root" => root = PathBuf::from(value("--root")?),
             "--format" => {
-                out.json = match value("--format")?.as_str() {
+                json = match value("--format")?.as_str() {
                     "json" => true,
                     "text" => false,
-                    other => return Err(format!("unknown format `{other}` (text|json)")),
+                    other => return Err(format!("unknown format `{other}` (text|json)\n{USAGE}")),
                 }
             }
-            "--config" => out.config_file = Some(PathBuf::from(value("--config")?)),
-            "--set" => {
-                let kv = value("--set")?;
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("--set wants rule.attr=value, got `{kv}`"))?;
-                out.sets.push((k.trim().to_string(), v.trim().to_string()));
-            }
-            "--baseline" => out.baseline_file = Some(PathBuf::from(value("--baseline")?)),
-            "--write-baseline" => {
-                out.write_baseline = Some(PathBuf::from(value("--write-baseline")?))
-            }
-            "--list-rules" => out.list_rules = true,
+            "--list-rules" => list_rules = true,
             "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
+                println!("{USAGE}");
+                return Ok(ExitCode::SUCCESS);
             }
-            other => return Err(format!("unknown argument `{other}`\n{}", usage())),
+            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    Ok(out)
-}
-
-fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
-
-    if args.list_rules {
-        for rule in RULE_NAMES {
-            println!("{rule}\n    {}", rule_description(rule));
+    if list_rules {
+        for rule in &RULES {
+            println!("{}\n    {}", rule.name, rule.description);
         }
         return Ok(ExitCode::SUCCESS);
     }
 
-    let mut config = Config::repo_default();
-    if let Some(path) = &args.config_file {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("read config {}: {e}", path.display()))?;
-        config
-            .apply_file(&text)
-            .map_err(|e| format!("config {}: {e}", path.display()))?;
-    }
-    for (k, v) in &args.sets {
-        config.set(k, v)?;
-    }
-
-    // Baseline: an explicit --baseline must exist; the default
-    // `analyze-baseline.txt` under the root is optional.
-    let baseline = match &args.baseline_file {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("read baseline {}: {e}", path.display()))?;
-            Baseline::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))?
-        }
-        None => {
-            let default = args.root.join("analyze-baseline.txt");
-            match std::fs::read_to_string(&default) {
-                Ok(text) => Baseline::parse(&text)
-                    .map_err(|e| format!("baseline {}: {e}", default.display()))?,
-                Err(_) => Baseline::default(),
-            }
-        }
-    };
-
-    let report = dlpic_analyze::analyze_tree(&args.root, &config, &baseline)?;
-
-    if let Some(path) = &args.write_baseline {
-        let text = Baseline::render(&report.findings);
-        std::fs::write(path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
-        eprintln!(
-            "dlpic-analyze: wrote {} baseline entrie(s) to {}",
-            report.findings.len(),
-            path.display()
-        );
-    }
-
-    if args.json {
+    let report = analyze_tree(&root, &Config::repo_default())?;
+    if json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.to_text());
     }
-
-    if args.deny && report.deny_count() > 0 {
-        return Ok(ExitCode::from(2));
-    }
-    Ok(ExitCode::SUCCESS)
+    Ok(if report.findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(2)
+    })
 }
 
 fn main() -> ExitCode {

@@ -107,7 +107,6 @@ impl ReachIndex {
                 Reach::Nowhere => "no other file names it",
             };
             out.push(RuleHit {
-                rule: "pub-reach",
                 line: item.line,
                 message: format!(
                     "`pub {} {}`: {why} — narrow it to private or \

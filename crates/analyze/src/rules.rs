@@ -1,33 +1,170 @@
-//! The shipped rules. Each rule scans a [`SourceFile`]'s token stream
-//! (test-masked and comment tokens already excluded) and emits findings;
-//! the engine applies levels, inline suppressions, and the baseline.
+//! The rule table. Each rule is one [`Rule`] row of [`RULES`]: its name,
+//! description, path scope and check function. A check scans a
+//! [`SourceFile`]'s token stream (test-masked and comment tokens already
+//! excluded) and emits hits; the engine tags them with the row's name and
+//! applies inline suppressions.
 
 use crate::reach::ReachIndex;
 use crate::source::SourceFile;
 
-/// A raw rule hit, before suppression/baseline filtering.
+/// A raw rule hit, before suppression filtering.
 #[derive(Debug, Clone)]
 pub struct RuleHit {
-    pub rule: &'static str,
     pub line: usize,
     pub message: String,
 }
 
-/// Runs `rule` (by name) against `file`; `reach` indexes the whole tree
-/// for `pub-reach`. Unknown names produce nothing — the config layer
-/// validates names before this is reached.
-pub fn run_rule(rule: &str, file: &SourceFile, reach: &ReachIndex, out: &mut Vec<RuleHit>) {
-    match rule {
-        "no-hashmap-iter-in-state" => no_hashmap_in_state(file, out),
-        "no-wallclock-in-engine" => no_wallclock(file, out),
-        "no-panic-in-request-path" => no_panic_in_request_path(file, out),
-        "safety-comment-required" => safety_comment_required(file, out),
-        "no-alloc-in-hot-loop" => no_alloc_in_hot_loop(file, out),
-        "phase-constants-only" => phase_constants_only(file, out),
-        "no-weight-clone" => no_weight_clone(file, out),
-        "no-unbounded-spin" => no_unbounded_spin(file, out),
-        "pub-reach" => reach.check(file, out),
-        _ => {}
+/// One rule: everything the analyzer knows about it.
+#[derive(Clone, Copy)]
+pub struct Rule {
+    pub name: &'static str,
+    /// One-line description (for `--list-rules` and JSON output).
+    pub description: &'static str,
+    /// Glob patterns (workspace-relative, `/`-separated) selecting the
+    /// files the rule applies to. `**` spans path segments, `*` and `?`
+    /// stay within one segment.
+    pub paths: &'static [&'static str],
+    /// The check; `ReachIndex` indexes the whole tree for `pub-reach`.
+    pub check: fn(&SourceFile, &ReachIndex, &mut Vec<RuleHit>),
+}
+
+/// Every shipped rule, in listing order. Adding a rule is one row here,
+/// its check function, and a fixture pair under `tests/fixtures/<name>/`.
+pub static RULES: [Rule; 9] = [
+    Rule {
+        name: "no-hashmap-iter-in-state",
+        description: "state-serialization paths must not use HashMap/HashSet: their \
+                      iteration order is nondeterministic, which breaks byte-identical \
+                      checkpoint/spool/status output — use BTreeMap/BTreeSet or sort keys",
+        // Serialization paths that feed checkpoint files, the spool, or
+        // wire-visible status documents, and the serve modules that hold
+        // or order the control-plane state behind them.
+        paths: &[
+            "crates/serve/src/spool.rs",
+            "crates/serve/src/server.rs",
+            "crates/serve/src/table.rs",
+            "crates/serve/src/admission.rs",
+            "crates/serve/src/scheduler.rs",
+            "crates/serve/src/handlers.rs",
+            "crates/serve/src/resume.rs",
+            "crates/serve/src/stats.rs",
+            "crates/serve/src/protocol.rs",
+            "src/engine/session.rs",
+            "src/engine/json.rs",
+            "src/engine/ensemble.rs",
+        ],
+        check: no_hashmap_in_state,
+    },
+    Rule {
+        name: "no-wallclock-in-engine",
+        description: "engine and solver code must not read the wall clock \
+                      (Instant::now/SystemTime::now): time-dependent state breaks \
+                      checkpoint/resume bit-identity — thread timing in from the caller",
+        // Engine + solver crates (their integration tests under
+        // crates/*/tests may time things freely).
+        paths: &[
+            "src/engine/**",
+            "crates/analytics/src/**",
+            "crates/core/src/**",
+            "crates/dataset/src/**",
+            "crates/ddecomp/src/**",
+            "crates/nn/src/**",
+            "crates/pic/src/**",
+            "crates/vlasov/src/**",
+        ],
+        check: no_wallclock,
+    },
+    Rule {
+        name: "no-panic-in-request-path",
+        description: "serve request-path modules must not unwrap/expect/panic: a \
+                      hostile or malformed request must become a structured error, \
+                      never a daemon crash (Mutex/Condvar poisoning propagation is exempt)",
+        // The serve library modules handle hostile input; the bins (CLI
+        // arg parsing) legitimately exit loudly.
+        paths: &["crates/serve/src/*.rs"],
+        check: no_panic_in_request_path,
+    },
+    Rule {
+        name: "safety-comment-required",
+        description: "every `unsafe` must be justified by a `// SAFETY:` comment or a \
+                      `# Safety` doc section directly above it",
+        paths: &["**"],
+        check: safety_comment_required,
+    },
+    Rule {
+        name: "no-alloc-in-hot-loop",
+        description: "files opting in with `// analyze:hot` must not allocate inside \
+                      loop bodies (Vec::new/vec!/to_vec/clone/format!/collect/…) — \
+                      the allocation-free stepping depends on it",
+        paths: &["**"],
+        check: no_alloc_in_hot_loop,
+    },
+    Rule {
+        name: "phase-constants-only",
+        description: "every `fabric.send(..)` emission must tag its phase with a \
+                      `comm::PHASE_*` constant, so KNOWN_PHASES can never drift from \
+                      the emitters",
+        // The rank fabric's emission sites.
+        paths: &["crates/ddecomp/src/**"],
+        check: phase_constants_only,
+    },
+    Rule {
+        name: "no-weight-clone",
+        description: "engine and serve code must not `.clone()` bundles/models/\
+                      networks: one cloned weight set per session erases the \
+                      shared-fleet memory budget — share an `Arc<FrozenModel>` and \
+                      take handles with `Arc::clone`",
+        // The fleet-facing layers, where one stray clone multiplies
+        // resident weight bytes by the session count.
+        paths: &["src/engine/**", "crates/serve/src/**"],
+        check: no_weight_clone,
+    },
+    Rule {
+        name: "no-unbounded-spin",
+        description: "a `spin_loop()` must sit in a loop with an iteration bound \
+                      (`for`) or a park fallback (`park`/`wait`/`sleep` in the same \
+                      `while`/`loop` body): an unbounded poll turns a descheduled \
+                      partner — a withheld vCPU — into a stall that also steals the \
+                      core the partner needs",
+        // The worker team and everything stacked on it.
+        paths: &["crates/core/src/**", "crates/nn/src/**", "src/engine/**"],
+        check: no_unbounded_spin,
+    },
+    Rule {
+        name: "pub-reach",
+        description: "a `pub` item must be named by another file's non-test code \
+                      (`pub use` re-exports do not count; `benchmark/src` does): \
+                      narrow the rest to private or `pub(crate)`, move test-only \
+                      items into `#[cfg(test)]`, or delete them",
+        // Every product crate's non-test code. The index that decides
+        // reach spans src, crates, tests, examples and benchmark/src.
+        paths: &["src/**", "crates/*/src/**"],
+        check: |file, reach, out| reach.check(file, out),
+    },
+];
+
+/// The engine's own finding, outside [`RULES`]: an `analyze:allow` that
+/// does not parse, names no row of the table, or gives no reason. It runs
+/// on every file and no allow can name it.
+pub static MALFORMED_SUPPRESSION: Rule = Rule {
+    name: "malformed-suppression",
+    description: "an `analyze:allow` must read `// analyze:allow(rule-name): reason`, \
+                  name a rule from `--list-rules` and give a non-empty reason",
+    paths: &["**"],
+    check: malformed_suppression,
+};
+
+/// The row of [`RULES`] named `name`.
+pub fn find(name: &str) -> Option<&'static Rule> {
+    RULES.iter().find(|rule| rule.name == name)
+}
+
+fn malformed_suppression(file: &SourceFile, _: &ReachIndex, out: &mut Vec<RuleHit>) {
+    for &line in &file.malformed_allows {
+        out.push(RuleHit {
+            line,
+            message: MALFORMED_SUPPRESSION.description.to_string(),
+        });
     }
 }
 
@@ -35,12 +172,11 @@ pub fn run_rule(rule: &str, file: &SourceFile, reach: &ReachIndex, out: &mut Vec
 /// must not mention `HashMap`/`HashSet` at all. Banning the type rather
 /// than chasing `.iter()` call sites is deliberate: if the type never
 /// enters the module, no refactor can reintroduce order-dependent output.
-fn no_hashmap_in_state(file: &SourceFile, out: &mut Vec<RuleHit>) {
+fn no_hashmap_in_state(file: &SourceFile, _: &ReachIndex, out: &mut Vec<RuleHit>) {
     for &i in &file.code_indices() {
         let t = &file.tokens[i];
         if t.is_ident("HashMap") || t.is_ident("HashSet") {
             out.push(RuleHit {
-                rule: "no-hashmap-iter-in-state",
                 line: t.line,
                 message: format!(
                     "`{}` in a state-serialization path: its iteration order is \
@@ -54,7 +190,7 @@ fn no_hashmap_in_state(file: &SourceFile, out: &mut Vec<RuleHit>) {
 }
 
 /// `no-wallclock-in-engine`: flags `Instant::now` / `SystemTime::now`.
-fn no_wallclock(file: &SourceFile, out: &mut Vec<RuleHit>) {
+fn no_wallclock(file: &SourceFile, _: &ReachIndex, out: &mut Vec<RuleHit>) {
     let code = file.code_indices();
     for w in code.windows(4) {
         let [a, b, c, d] = [w[0], w[1], w[2], w[3]];
@@ -65,7 +201,6 @@ fn no_wallclock(file: &SourceFile, out: &mut Vec<RuleHit>) {
             && file.tokens[d].is_ident("now")
         {
             out.push(RuleHit {
-                rule: "no-wallclock-in-engine",
                 line: clock.line,
                 message: format!(
                     "`{}::now()` in engine/solver code: wall-clock reads in \
@@ -85,7 +220,7 @@ fn no_wallclock(file: &SourceFile, out: &mut Vec<RuleHit>) {
 /// or `wait_timeout(..)` — propagating Mutex/Condvar poisoning is itself
 /// the panic-containment strategy (a poisoned lock means a handler
 /// already panicked; limping on would serve corrupt state).
-fn no_panic_in_request_path(file: &SourceFile, out: &mut Vec<RuleHit>) {
+fn no_panic_in_request_path(file: &SourceFile, _: &ReachIndex, out: &mut Vec<RuleHit>) {
     let code = file.code_indices();
     for k in 0..code.len() {
         let t = &file.tokens[code[k]];
@@ -98,7 +233,6 @@ fn no_panic_in_request_path(file: &SourceFile, out: &mut Vec<RuleHit>) {
                 || t.is_ident("unimplemented"))
         {
             out.push(RuleHit {
-                rule: "no-panic-in-request-path",
                 line: t.line,
                 message: format!(
                     "`{}!` in a request-path module: a malformed or hostile \
@@ -120,7 +254,6 @@ fn no_panic_in_request_path(file: &SourceFile, out: &mut Vec<RuleHit>) {
                 continue;
             }
             out.push(RuleHit {
-                rule: "no-panic-in-request-path",
                 line: t.line,
                 message: format!(
                     "`.{}(…)` in a request-path module: convert the failure \
@@ -168,7 +301,7 @@ fn poison_exempt_receiver(file: &SourceFile, code: &[usize], dot: usize) -> bool
 /// `safety-comment-required`: every `unsafe` token must have a
 /// `// SAFETY:` comment or a `# Safety` doc section in the comment /
 /// attribute block directly above it (or on its own line).
-fn safety_comment_required(file: &SourceFile, out: &mut Vec<RuleHit>) {
+fn safety_comment_required(file: &SourceFile, _: &ReachIndex, out: &mut Vec<RuleHit>) {
     for &i in &file.code_indices() {
         let t = &file.tokens[i];
         if !t.is_ident("unsafe") {
@@ -178,7 +311,6 @@ fn safety_comment_required(file: &SourceFile, out: &mut Vec<RuleHit>) {
             continue;
         }
         out.push(RuleHit {
-            rule: "safety-comment-required",
             line: t.line,
             message: "`unsafe` without a justification: put a `// SAFETY: …` \
                       comment (or a `/// # Safety` doc section) directly above \
@@ -279,7 +411,7 @@ fn loop_bodies(file: &SourceFile, code: &[usize]) -> Vec<LoopBody> {
 
 /// `no-alloc-in-hot-loop`: in files opted in with `// analyze:hot`,
 /// flags allocation-shaped calls inside `for`/`while`/`loop` bodies.
-fn no_alloc_in_hot_loop(file: &SourceFile, out: &mut Vec<RuleHit>) {
+fn no_alloc_in_hot_loop(file: &SourceFile, _: &ReachIndex, out: &mut Vec<RuleHit>) {
     if !file.hot {
         return;
     }
@@ -322,7 +454,6 @@ fn no_alloc_in_hot_loop(file: &SourceFile, out: &mut Vec<RuleHit>) {
         }
         if let Some(what) = hit {
             out.push(RuleHit {
-                rule: "no-alloc-in-hot-loop",
                 line: t.line,
                 message: format!(
                     "`{what}` inside a loop body of an `analyze:hot` file: \
@@ -358,7 +489,7 @@ fn for_is_a_loop(file: &SourceFile, code: &[usize], k: usize) -> bool {
 
 /// `phase-constants-only`: every `.send(from, to, phase, payload)` call
 /// must pass a `PHASE_*` constant as its third argument.
-fn phase_constants_only(file: &SourceFile, out: &mut Vec<RuleHit>) {
+fn phase_constants_only(file: &SourceFile, _: &ReachIndex, out: &mut Vec<RuleHit>) {
     let code = file.code_indices();
     for k in 0..code.len() {
         let t = &file.tokens[code[k]];
@@ -403,7 +534,6 @@ fn phase_constants_only(file: &SourceFile, out: &mut Vec<RuleHit>) {
         let total_args = if arg_count == 0 { 0 } else { arg + 1 };
         if total_args < 3 || !phase_ok {
             out.push(RuleHit {
-                rule: "phase-constants-only",
                 line: t.line,
                 message: "`.send(…)` without a `comm::PHASE_*` constant as the \
                           phase argument: ad-hoc phase strings drift from \
@@ -431,7 +561,7 @@ const WEIGHT_NAMES: [&str; 3] = ["bundle", "model", "network"];
 /// (path syntax, no `.`) is the sanctioned way to take another handle and
 /// is structurally exempt; so is cloning a `FrozenBundle` — one `Arc` bump
 /// plus a few words of metadata — which is why those are called `frozen`.
-fn no_weight_clone(file: &SourceFile, out: &mut Vec<RuleHit>) {
+fn no_weight_clone(file: &SourceFile, _: &ReachIndex, out: &mut Vec<RuleHit>) {
     let code = file.code_indices();
     for k in 2..code.len() {
         let t = &file.tokens[code[k]];
@@ -451,7 +581,6 @@ fn no_weight_clone(file: &SourceFile, out: &mut Vec<RuleHit>) {
             continue;
         }
         out.push(RuleHit {
-            rule: "no-weight-clone",
             line: t.line,
             message: format!(
                 "`{}.clone()` duplicates a full weight allocation: freeze \
@@ -479,7 +608,7 @@ const PARK_CALLS: [&str; 6] = [
 /// `no-unbounded-spin`: flags a `spin_loop()` whose innermost enclosing
 /// loop is a `while`/`loop` with no park call in its body. A `for` is an
 /// iteration bound; a `spin_loop()` outside any loop is one pause.
-fn no_unbounded_spin(file: &SourceFile, out: &mut Vec<RuleHit>) {
+fn no_unbounded_spin(file: &SourceFile, _: &ReachIndex, out: &mut Vec<RuleHit>) {
     let code = file.code_indices();
     let bodies = loop_bodies(file, &code);
     for k in 0..code.len() {
@@ -500,7 +629,6 @@ fn no_unbounded_spin(file: &SourceFile, out: &mut Vec<RuleHit>) {
             .any(|&i| PARK_CALLS.iter().any(|p| file.tokens[i].is_ident(p)));
         if !body.is_for && !parks {
             out.push(RuleHit {
-                rule: "no-unbounded-spin",
                 line: t.line,
                 message: "`spin_loop()` in a loop with no iteration bound and no park \
                           fallback: if the thread it waits for is descheduled, this \
@@ -520,7 +648,7 @@ mod tests {
     fn hits(rule: &str, src: &str) -> Vec<RuleHit> {
         let f = SourceFile::parse("x.rs", src);
         let mut out = Vec::new();
-        run_rule(rule, &f, &ReachIndex::default(), &mut out);
+        (find(rule).unwrap().check)(&f, &ReachIndex::default(), &mut out);
         out
     }
 

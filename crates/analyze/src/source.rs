@@ -3,15 +3,16 @@
 //! suppressions, and the `// analyze:hot` opt-in marker.
 
 use crate::lexer::{lex, Token};
+use crate::rules::find;
 
 /// An inline suppression parsed from a comment.
 #[derive(Debug, Clone)]
 struct AllowAnnotation {
     /// Line of the comment.
     line: usize,
-    /// The suppressed rule name (its mandatory reason is checked at
-    /// parse time and not kept).
-    rule: String,
+    /// The suppressed rule, a row of the rule table (its mandatory
+    /// reason is checked at parse time and not kept).
+    rule: &'static str,
 }
 
 /// A file ready for rule checks.
@@ -30,8 +31,9 @@ pub struct SourceFile {
     pub test_mask: Vec<bool>,
     /// Parsed `analyze:allow` suppressions.
     allows: Vec<AllowAnnotation>,
-    /// Comments containing `analyze:allow` that did not parse — reported
-    /// so a typo'd suppression cannot silently reopen a hole.
+    /// Lines of `analyze:allow` comments that did not parse or name no
+    /// rule — reported so a typo'd suppression cannot silently reopen a
+    /// hole.
     pub malformed_allows: Vec<usize>,
     /// True when any comment contains `analyze:hot`.
     pub hot: bool,
@@ -109,19 +111,20 @@ fn directive(comment: &str) -> Option<&str> {
     body.starts_with("analyze:").then_some(body)
 }
 
-/// Parses `analyze:allow(rule-name): reason`, requiring a non-empty
-/// reason — an unjustified suppression is a malformed one.
-fn parse_allow(text: &str) -> Option<String> {
+/// Parses `analyze:allow(rule-name): reason`, requiring a rule of the
+/// table and a non-empty reason — an unjustified suppression, or one that
+/// names no rule, is a malformed one.
+fn parse_allow(text: &str) -> Option<&'static str> {
     let rest = text.strip_prefix("analyze:allow")?.trim_start();
     let rest = rest.strip_prefix('(')?;
     let close = rest.find(')')?;
     let rule = rest[..close].trim();
     let after = rest[close + 1..].trim_start();
     let reason = after.strip_prefix(':')?.trim();
-    if rule.is_empty() || reason.is_empty() {
+    if reason.is_empty() {
         return None;
     }
-    Some(rule.to_string())
+    find(rule).map(|r| r.name)
 }
 
 /// Marks every token inside `#[cfg(test)]` items with a body (`mod`,
@@ -318,13 +321,14 @@ mod tests {
     fn allow_annotations_parse_and_match() {
         let src = "// analyze:allow(no-wallclock-in-engine): diagnostics only\n\
                    let t = Instant::now();\n\
-                   // analyze:allow(broken-no-reason):\n\
-                   // analyze:hot\n";
+                   // analyze:allow(no-wallclock-in-engine):\n\
+                   // analyze:hot\n\
+                   // analyze:allow(no-wallclok-in-engine): misspelled\n";
         let f = SourceFile::parse("x.rs", src);
         assert!(f.is_allowed("no-wallclock-in-engine", 2));
         assert!(!f.is_allowed("no-wallclock-in-engine", 4));
-        assert!(!f.is_allowed("other-rule", 2));
-        assert_eq!(f.malformed_allows, vec![3]);
+        assert!(!f.is_allowed("no-panic-in-request-path", 2));
+        assert_eq!(f.malformed_allows, vec![3, 5]);
         assert!(f.hot);
     }
 }

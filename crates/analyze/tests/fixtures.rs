@@ -9,27 +9,28 @@
 
 use std::path::PathBuf;
 
-use dlpic_analyze::analyze_tree;
-use dlpic_analyze::config::{Config, Level, RULE_NAMES};
-use dlpic_analyze::report::{Baseline, Report};
+use dlpic_analyze::config::Config;
+use dlpic_analyze::engine::analyze_tree;
+use dlpic_analyze::report::Report;
+use dlpic_analyze::rules::{Rule, RULES};
 
-/// Every shipped rule at `deny` on every path, nothing excluded.
-fn all_paths() -> Config {
-    let mut cfg = Config::repo_default();
-    for rc in cfg.rules.values_mut() {
-        rc.paths = vec!["**".to_string()];
-    }
-    cfg.exclude.clear();
-    cfg
-}
-
-/// Analyzes fixture case `which` (`bad` or `good`) of `dir` under `cfg`:
-/// the tree `tests/fixtures/<dir>/<which>/` when it exists, else the
-/// file `tests/fixtures/<dir>/<which>.rs` alone.
-fn analyze_case(dir: &str, which: &str, mut cfg: Config, baseline: &Baseline) -> Report {
+/// Analyzes fixture case `which` (`bad` or `good`) of `dir` with `rules`,
+/// each scoped to every path: the tree `tests/fixtures/<dir>/<which>/`
+/// when it exists, else the file `tests/fixtures/<dir>/<which>.rs` alone.
+fn analyze_case(dir: &str, which: &str, rules: &[Rule]) -> Report {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(dir);
+    let mut cfg = Config {
+        rules: rules
+            .iter()
+            .map(|&rule| Rule {
+                paths: &["**"],
+                ..rule
+            })
+            .collect(),
+        exclude: Vec::new(),
+    };
     let tree = dir.join(which);
     let root = if tree.is_dir() {
         tree
@@ -38,23 +39,18 @@ fn analyze_case(dir: &str, which: &str, mut cfg: Config, baseline: &Baseline) ->
         cfg.exclude = vec![format!("{other}.rs"), format!("{other}/**")];
         dir
     };
-    analyze_tree(&root, &cfg, baseline).unwrap_or_else(|e| panic!("{}: {e}", root.display()))
+    analyze_tree(&root, &cfg).unwrap_or_else(|e| panic!("{}: {e}", root.display()))
 }
 
-/// Analyzes a fixture case with only `rule` active (every other rule at
-/// allow); pass `None` to run the full rule set.
+/// Analyzes a fixture case with only `rule` in scope; pass `None` to run
+/// the full table.
 fn analyze(dir: &str, which: &str, only: Option<&str>) -> Report {
-    let mut cfg = all_paths();
-    if let Some(rule) = only {
-        for (name, rc) in cfg.rules.iter_mut() {
-            rc.level = if name == rule {
-                Level::Deny
-            } else {
-                Level::Allow
-            };
-        }
-    }
-    analyze_case(dir, which, cfg, &Baseline::default())
+    let rules: Vec<Rule> = RULES
+        .iter()
+        .filter(|rule| only.is_none_or(|name| rule.name == name))
+        .copied()
+        .collect();
+    analyze_case(dir, which, &rules)
 }
 
 /// Expected finding count of each rule's `bad` case.
@@ -75,7 +71,7 @@ fn expected_hits(rule: &str) -> usize {
 
 #[test]
 fn every_rule_fires_on_its_bad_fixture() {
-    for rule in RULE_NAMES {
+    for rule in RULES.map(|r| r.name) {
         let report = analyze(rule, "bad", Some(rule));
         assert_eq!(
             report.findings.len(),
@@ -88,13 +84,12 @@ fn every_rule_fires_on_its_bad_fixture() {
             "{rule}/bad.rs produced foreign findings:\n{}",
             report.to_text()
         );
-        assert_eq!(report.deny_count(), expected_hits(rule));
     }
 }
 
 #[test]
 fn every_good_fixture_is_silent_under_its_rule() {
-    for rule in RULE_NAMES {
+    for rule in RULES.map(|r| r.name) {
         let report = analyze(rule, "good", Some(rule));
         assert!(
             report.findings.is_empty(),
@@ -108,11 +103,10 @@ fn every_good_fixture_is_silent_under_its_rule() {
 fn good_fixtures_survive_the_full_rule_set() {
     // Cross-rule interference check: a negative case for one rule must
     // not trip any *other* rule either.
-    for rule in RULE_NAMES {
+    for rule in RULES.map(|r| r.name) {
         let report = analyze(rule, "good", None);
-        assert_eq!(
-            report.deny_count(),
-            0,
+        assert!(
+            report.findings.is_empty(),
             "{rule}/good.rs fails under the full rule set:\n{}",
             report.to_text()
         );
@@ -138,44 +132,16 @@ fn pub_reach_good_fixture_is_suppressed_not_unflagged() {
 
 #[test]
 fn malformed_suppressions_are_deny_findings() {
-    // Even with every rule switched off, a typo'd `analyze:allow` is a
-    // deny-level finding — it can never silently suppress nothing.
-    let mut cfg = all_paths();
-    for rc in cfg.rules.values_mut() {
-        rc.level = Level::Allow;
-    }
-    let report = analyze_case("malformed-suppression", "bad", cfg, &Baseline::default());
-    assert_eq!(report.findings.len(), 2, "{}", report.to_text());
+    // Even with no rule in scope, a typo'd `analyze:allow` — bad syntax,
+    // no reason, or a rule name the table does not have — is a finding:
+    // it can never silently suppress nothing.
+    let report = analyze_case("malformed-suppression", "bad", &[]);
+    assert_eq!(report.findings.len(), 3, "{}", report.to_text());
     assert!(report
         .findings
         .iter()
         .all(|f| f.rule == "malformed-suppression"));
-    assert_eq!(report.deny_count(), 2);
 
     let good = analyze("malformed-suppression", "good", None);
-    assert_eq!(good.deny_count(), 0, "{}", good.to_text());
-}
-
-#[test]
-fn baseline_covers_bad_fixture_findings() {
-    // Round-trip: render a baseline from the hashmap fixture's findings,
-    // re-analyze against it, and the same findings stop counting toward
-    // --deny while still being reported.
-    let rule = "no-hashmap-iter-in-state";
-    let first = analyze(rule, "bad", Some(rule));
-    let baseline = Baseline::parse(&Baseline::render(&first.findings)).expect("round-trip");
-    assert_eq!(baseline.len(), first.findings.len());
-
-    let mut cfg = all_paths();
-    for (name, rc) in cfg.rules.iter_mut() {
-        rc.level = if name == rule {
-            Level::Deny
-        } else {
-            Level::Allow
-        };
-    }
-    let second = analyze_case(rule, "bad", cfg, &baseline);
-    assert_eq!(second.findings.len(), first.findings.len());
-    assert!(second.findings.iter().all(|f| f.baselined));
-    assert_eq!(second.deny_count(), 0);
+    assert!(good.findings.is_empty(), "{}", good.to_text());
 }

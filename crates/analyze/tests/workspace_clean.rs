@@ -1,54 +1,23 @@
-//! The gate the CI `static-analysis` job enforces, as a plain test:
-//! the workspace itself must be clean under the repo-default config and
-//! the committed baseline.
+//! The gate the CI `static-analysis` job enforces, as a plain test: the
+//! workspace itself must have no findings under the repo-default rules.
 
-use std::fs;
 use std::path::PathBuf;
 
-use dlpic_analyze::{analyze_tree, Baseline, Config};
-
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
+use dlpic_analyze::config::Config;
+use dlpic_analyze::engine::analyze_tree;
 
 #[test]
 fn workspace_is_clean() {
-    let root = workspace_root();
-    let config = Config::repo_default();
-    let baseline_text = fs::read_to_string(root.join("analyze-baseline.txt")).unwrap_or_default();
-    let baseline = Baseline::parse(&baseline_text).expect("committed baseline parses");
-
-    let report = analyze_tree(&root, &config, &baseline).expect("workspace scan");
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let report = analyze_tree(&root, &Config::repo_default()).expect("workspace scan");
     assert!(
         report.files_scanned > 100,
         "scan looks truncated: only {} files (wrong root?)",
         report.files_scanned
     );
-    assert_eq!(
-        report.deny_count(),
-        0,
-        "workspace has deny findings:\n{}",
+    assert!(
+        report.findings.is_empty(),
+        "workspace has findings:\n{}",
         report.to_text()
     );
-}
-
-#[test]
-fn baseline_carries_no_safety_or_phase_debt() {
-    // The ISSUE's acceptance bar: unsafe-hygiene and phase-constant
-    // violations may never be baselined away — they must be fixed or
-    // justified inline. Today the committed baseline is empty outright;
-    // this test keeps anyone from quietly parking those two rules in it.
-    let text = fs::read_to_string(workspace_root().join("analyze-baseline.txt"))
-        .expect("analyze-baseline.txt is committed");
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let rule = line.split('\t').next().unwrap_or("");
-        assert!(
-            rule != "safety-comment-required" && rule != "phase-constants-only",
-            "`{rule}` findings must not be baselined: {line}"
-        );
-    }
 }

@@ -89,7 +89,10 @@ fn parse_args(mut args: std::env::Args) -> Args {
                 out.timeout = if secs <= 0.0 {
                     None
                 } else {
-                    Some(Duration::from_secs_f64(secs))
+                    Some(Duration::try_from_secs_f64(secs).unwrap_or_else(|_| {
+                        eprintln!("--timeout needs seconds");
+                        usage()
+                    }))
                 };
             }
             "--retries" => {

@@ -37,7 +37,7 @@ fn parse_bytes(text: &str) -> Option<usize> {
         b'G' | b'g' => (&text[..text.len() - 1], 1 << 30),
         _ => (text, 1),
     };
-    digits.parse::<usize>().ok().map(|n| n * factor)
+    digits.parse::<usize>().ok()?.checked_mul(factor)
 }
 
 fn main() {
@@ -88,7 +88,8 @@ fn main() {
                 let secs: f64 = value("--breaker-cooldown")
                     .parse()
                     .unwrap_or_else(|_| usage());
-                config.breaker_cooldown = std::time::Duration::from_secs_f64(secs.max(0.0));
+                config.breaker_cooldown =
+                    std::time::Duration::try_from_secs_f64(secs).unwrap_or_else(|_| usage());
             }
             "--inject" => {
                 faults = FaultPlan::parse(&value("--inject")).unwrap_or_else(|e| {

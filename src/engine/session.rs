@@ -612,10 +612,12 @@ impl BackendSession for DdecompSession {
                 self.n_ranks
             )));
         }
-        let ext = crate::ddecomp::halo::ext_len(self.sim.topology());
+        let topology = self.sim.topology();
+        let grid = self.sim.grid();
+        let ext = crate::ddecomp::halo::ext_len(topology);
         let mut total_particles = 0usize;
         let mut ranks = Vec::with_capacity(rank_docs.len());
-        for doc in rank_docs {
+        for (rank, doc) in rank_docs.iter().enumerate() {
             let snap = RankStateSnapshot {
                 x: doc.field("x")?.as_f64_vec()?,
                 v: doc.field("v")?.as_f64_vec()?,
@@ -628,6 +630,17 @@ impl BackendSession for DdecompSession {
                 return Err(bad_checkpoint(format!(
                     "rank slab has {} nodes but the topology needs {ext}",
                     snap.e_ext.len()
+                )));
+            }
+            // The slab kernels index the rank's own cells: a particle
+            // outside the box, or inside another rank's slab, would gather
+            // out of bounds on the first step.
+            if let Some(i) = snap.x.iter().position(|&x| {
+                !(0.0..grid.lx()).contains(&x) || topology.rank_of_position(x, grid) != rank
+            }) {
+                return Err(bad_checkpoint(format!(
+                    "rank {rank} holds x = {} at index {i}, outside its slab",
+                    snap.x[i]
                 )));
             }
             total_particles += snap.x.len();

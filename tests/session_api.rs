@@ -351,6 +351,42 @@ fn checkpoint_rejects_state_spec_mismatches() {
     assert!(Checkpoint::from_json("{\"format\": \"other\"}").is_err());
 }
 
+/// The span of the first value of rank `rank`'s `x` array in a pretty
+/// Ddecomp checkpoint document.
+fn rank_first_x(text: &str, rank: usize) -> std::ops::Range<usize> {
+    let pattern = "\"x\": [";
+    let (at, _) = text
+        .match_indices(pattern)
+        .nth(rank)
+        .unwrap_or_else(|| panic!("no `x` array for rank {rank}"));
+    let start = at + pattern.len();
+    start..start + text[start..].find([',', ']']).unwrap()
+}
+
+#[test]
+fn ddecomp_checkpoint_rejects_out_of_slab_particles() {
+    // Each rank's slab kernels index only its own cells, so a particle
+    // outside the box, or inside the other rank's slab, must be refused
+    // by rank and index instead of panicking on the first step.
+    let spec = small_spec("two_stream", 8);
+    let mut session = engine::start(&spec, Backend::Ddecomp { n_ranks: 2 }).unwrap();
+    session.step();
+    let text = session.checkpoint().to_json();
+    let first = rank_first_x(&text, 0);
+    let neighbour = text[rank_first_x(&text, 1)].trim().to_string();
+    for value in ["-5.0", "1e300", "-1e300", "123456.0", neighbour.as_str()] {
+        let moved = format!("{}{value}{}", &text[..first.start], &text[first.end..]);
+        match Engine::new().resume(&Checkpoint::from_json(&moved).unwrap()) {
+            Err(EngineError::Checkpoint { what }) => assert!(
+                what.contains("rank 0") && what.contains("index 0"),
+                "unhelpful message: {what}"
+            ),
+            Err(other) => panic!("expected a checkpoint error, got {other}"),
+            Ok(_) => panic!("rank 0's x[0] = {value} was accepted"),
+        }
+    }
+}
+
 #[test]
 fn lockstep_comparison_preserves_each_backends_physics() {
     let spec = small_spec("two_stream", 15);
