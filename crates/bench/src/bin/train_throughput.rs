@@ -7,9 +7,11 @@
 //! Two more sections are reported and never gated: the batch-1 inference
 //! layer on a dense input and on a phase-space histogram (the live-row
 //! kernel's record), and `paper_setup`, the DL workloads' set-up recipe
-//! (`benchmark/src/model.rs`) timed stage by stage, with the trained
+//! (`benchmark/src/model.rs`) timed stage by stage on the worker team as
+//! the benchmark runs it, with the team's member count and the trained
 //! parameters' FNV-1a so a "same bits" claim can be checked on any
-//! machine.
+//! machine. Everything gated runs on one core: the training epochs under
+//! `team::with_limit(1, …)`, the rest on kernels that never dispatch.
 //!
 //! Usage:
 //!
@@ -33,6 +35,7 @@ use dlpic_bench::gate::{calibration_gflops, fill, indent_block, median};
 use dlpic_core::builder::ArchSpec;
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
+use dlpic_core::pool;
 use dlpic_core::presets::Scale;
 use dlpic_core::ModelBundle;
 use dlpic_dataset::{generate, GeneratorConfig, SweepSpec};
@@ -155,6 +158,8 @@ struct PaperSetup {
     /// Length and FNV-1a of the trained `params_to_bytes`.
     params_bytes: usize,
     params_fnv: u64,
+    /// Members of the worker team that init and training ran on.
+    members: usize,
 }
 
 impl PaperSetup {
@@ -227,6 +232,7 @@ fn bench_paper_setup(reps: usize) -> PaperSetup {
                 load_s,
                 params_bytes: bundle.params.len(),
                 params_fnv: fnv1a(&bundle.params),
+                members: pool::team().members(),
             }
         })
         .collect();
@@ -243,6 +249,7 @@ fn bench_paper_setup(reps: usize) -> PaperSetup {
         load_s: stage(|r| r.load_s),
         params_bytes: runs[0].params_bytes,
         params_fnv: runs[0].params_fnv,
+        members: runs[0].members,
     }
 }
 
@@ -315,25 +322,28 @@ fn synth_dataset(n: usize, in_shape: &[usize], out_w: usize, seed: u64) -> Datas
 }
 
 /// Samples/second of full training epochs (shuffle + batching + forward +
-/// loss + backward + Adam) of `arch` on `data`.
+/// loss + backward + Adam) of `arch` on `data`, on this thread alone: the
+/// gate times one core's kernels, not how many cores the host lends.
 fn bench_epoch(arch: &ArchSpec, data: &Dataset, epochs: usize, reps: usize) -> Throughput {
-    let times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let mut net = arch.build(7);
-            let mut opt = Adam::new(1e-3);
-            let cfg = TrainConfig {
-                epochs,
-                batch_size: 64,
-                shuffle_seed: 3,
-                log_every: 0,
-            };
-            let t0 = Instant::now();
-            let hist = train(&mut net, &Mse, &mut opt, data, None, &cfg);
-            let dt = t0.elapsed().as_secs_f64();
-            std::hint::black_box(hist.final_loss());
-            dt
-        })
-        .collect();
+    let times: Vec<f64> = pool::with_limit(1, || {
+        (0..reps)
+            .map(|_| {
+                let mut net = arch.build(7);
+                let mut opt = Adam::new(1e-3);
+                let cfg = TrainConfig {
+                    epochs,
+                    batch_size: 64,
+                    shuffle_seed: 3,
+                    log_every: 0,
+                };
+                let t0 = Instant::now();
+                let hist = train(&mut net, &Mse, &mut opt, data, None, &cfg);
+                let dt = t0.elapsed().as_secs_f64();
+                std::hint::black_box(hist.final_loss());
+                dt
+            })
+            .collect()
+    });
     Throughput::new(data.len() * epochs, median(times))
 }
 
@@ -589,7 +599,7 @@ fn measurement_json(m: &Measurement, indent: &str) -> String {
     );
     let s = &m.setup;
     let setup = format!(
-        "{{\n{indent}    \"generate_s\": {:.4},\n{indent}    \"init_s\": {:.4},\n{indent}    \"train_loop_s\": {:.4},\n{indent}    \"capture_s\": {:.4},\n{indent}    \"load_freeze_s\": {:.4},\n{indent}    \"total_s\": {:.4},\n{indent}    \"params_bytes\": {},\n{indent}    \"params_fnv1a\": \"{:016x}\"\n{indent}  }}",
+        "{{\n{indent}    \"generate_s\": {:.4},\n{indent}    \"init_s\": {:.4},\n{indent}    \"train_loop_s\": {:.4},\n{indent}    \"capture_s\": {:.4},\n{indent}    \"load_freeze_s\": {:.4},\n{indent}    \"total_s\": {:.4},\n{indent}    \"params_bytes\": {},\n{indent}    \"params_fnv1a\": \"{:016x}\",\n{indent}    \"team_members\": {}\n{indent}  }}",
         s.generate_s,
         s.init_s,
         s.train_loop_s,
@@ -598,6 +608,7 @@ fn measurement_json(m: &Measurement, indent: &str) -> String {
         s.total_s(),
         s.params_bytes,
         s.params_fnv,
+        s.members,
     );
     format!(
         "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"simd\": \"{}\",\n{indent}  \"conv2d\": {},\n{indent}  \"mlp_epoch\": {},\n{indent}  \"cnn_epoch\": {},\n{indent}  \"vlasov\": {},\n{indent}  \"gemm\": {gemm},\n{indent}  \"infer_b1\": {infer},\n{indent}  \"bf16\": {bf16},\n{indent}  \"paper_setup\": {setup}\n{indent}}}",
@@ -648,13 +659,14 @@ fn print_human(m: &Measurement) {
     let s = &m.setup;
     println!(
         "paper set-up   : {:.3}s = generate {:.3} + init {:.3} + train loop {:.3} + capture {:.3} \
-         + load/freeze {:.3} (ungated); trained params {} B, FNV-1a {:016x}",
+         + load/freeze {:.3} (ungated, {} team members); trained params {} B, FNV-1a {:016x}",
         s.total_s(),
         s.generate_s,
         s.init_s,
         s.train_loop_s,
         s.capture_s,
         s.load_s,
+        s.members,
         s.params_bytes,
         s.params_fnv
     );
@@ -827,7 +839,7 @@ fn main() {
             .map(|(name, r)| format!("    \"{name}\": {r:.3}"))
             .collect();
         let json = format!(
-            "{{\n  \"bench\": \"train_throughput\",\n  \"note\": \"single-core; compare the speedup ratios, not cross-machine absolutes; infer_b1 and paper_setup are reported, not gated\",\n  \"baseline\": {},\n  \"current\": {},\n  \"speedup\": {{\n{}\n  }}\n}}\n",
+            "{{\n  \"bench\": \"train_throughput\",\n  \"note\": \"gated entries single-core; compare the speedup ratios, not cross-machine absolutes; infer_b1 and paper_setup (on the worker team) are reported, not gated\",\n  \"baseline\": {},\n  \"current\": {},\n  \"speedup\": {{\n{}\n  }}\n}}\n",
             indent_block(baseline.trim_end()),
             measurement_json(&m, "  "),
             speedup_json.join(",\n"),

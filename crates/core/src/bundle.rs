@@ -286,6 +286,12 @@ impl ModelBundle {
     /// frozen straight from the parameter bytes, each tensor decoded once
     /// and, at f32, moved into its frozen layer as it is. Predictions are
     /// bit-identical to the captured network's `Sequential::predict_into`.
+    ///
+    /// A non-finite parameter is refused as [`Self::decode`] refuses it
+    /// (`Malformed("non-finite parameter")`), checked in the same decode
+    /// pass: the kernels skip dead weight rows on the premise that every
+    /// weight is finite, and a bundle made in memory
+    /// ([`Self::from_network`]) never went through the file door.
     pub fn freeze(&self) -> Result<FrozenBundle, BundleError> {
         let table = self.arch.layers(None);
         // Refused by the architecture alone, before a byte is decoded.
@@ -303,11 +309,15 @@ impl ModelBundle {
         }
         let mut tensors = tensors_from_bytes(&self.params, &self.arch.param_lens())
             .map_err(BundleError::Params)?;
+        let mut finite = true;
         let mut next = || {
-            tensors
+            let values: Vec<f32> = tensors
                 .next()
                 .expect("tensor lengths checked against the table")
-                .collect()
+                .collect();
+            // A fold, not `all`: no early exit, so the scan vectorizes.
+            finite &= values.iter().fold(true, |ok, v| ok & v.is_finite());
+            values
         };
         let layers = table
             .into_iter()
@@ -320,6 +330,9 @@ impl ModelBundle {
                 other => unreachable!("`{}` was refused above", other.name()),
             })
             .collect();
+        if !finite {
+            return Err(BundleError::Malformed("non-finite parameter"));
+        }
         Ok(FrozenBundle {
             model: Arc::new(FrozenModel::from_layers(layers, self.precision)),
             binner: (self.spec, self.binning),
@@ -634,16 +647,27 @@ mod tests {
             ModelBundle::decode(&blob),
             Err(BundleError::Malformed(_))
         ));
-        // A non-finite weight or bias anywhere is refused by name.
+        // A non-finite weight or bias anywhere is refused by name, at the
+        // file door and by a freeze of the bundle made in memory: the
+        // first two weights (after the 12-byte blob header and the first
+        // tensor's 8-byte length) and the last bias.
         for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut bundle = tiny_bundle();
-            let params = Arc::make_mut(&mut bundle.params);
-            let at = params.len() - 4;
-            params[at..].copy_from_slice(&poison.to_le_bytes());
-            assert!(matches!(
-                ModelBundle::decode(&bundle.encode()),
-                Err(BundleError::Malformed("non-finite parameter"))
-            ));
+            for at in [20, 24, tiny_bundle().params.len() - 4] {
+                let mut bundle = tiny_bundle();
+                let params = Arc::make_mut(&mut bundle.params);
+                params[at..at + 4].copy_from_slice(&poison.to_le_bytes());
+                assert!(matches!(
+                    ModelBundle::decode(&bundle.encode()),
+                    Err(BundleError::Malformed("non-finite parameter"))
+                ));
+                assert!(
+                    matches!(
+                        bundle.freeze(),
+                        Err(BundleError::Malformed("non-finite parameter"))
+                    ),
+                    "{poison} at byte {at}"
+                );
+            }
         }
         // So is an infinite velocity window: `dv` would be infinite.
         for (vmin, vmax) in [(f64::NEG_INFINITY, f64::INFINITY), (-1.0, f64::INFINITY)] {

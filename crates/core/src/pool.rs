@@ -1,7 +1,8 @@
 //! The workspace's one multi-core path: the worker **team**.
 //!
-//! Particle kernels, dataset generation and training are single-threaded.
-//! Everything that uses a second core goes through the one persistent,
+//! Particle kernels and dataset generation are single-threaded.
+//! Everything that uses a second core — the ensemble wave, the serve
+//! scheduler and `nn`'s training step — goes through the one persistent,
 //! parked team of `dlpic_nn::team` (its docs cover the helpers' lifecycle,
 //! panics and the inline fallback). This module is the team's front door
 //! for the layers above `nn`: [`team`] (with [`Team::for_each`], "do this

@@ -3,7 +3,8 @@
 use crate::frozen::{FrozenLayer, Precision};
 use crate::init::Init;
 use crate::layer::{cache_input, Layer};
-use crate::linalg::{add_bias, col_sums_into, matmul_nt, matmul_tn, nn, Weight};
+use crate::linalg::{add_bias, col_sums_into, matmul_nt, nn, tn_rows, Weight, RUN_ROWS};
+use crate::team;
 use crate::tensor::Tensor;
 
 /// Dense inference, `out = X·W + b` (resized in place) for weights stored
@@ -11,8 +12,15 @@ use crate::tensor::Tensor;
 /// frozen dense layer run, over f32 weights or bf16 ones (`W = u16`)
 /// through the same `nn` kernel.
 pub(crate) fn infer<W: Weight>(input: &Tensor, w: &[W], b: &[f32], out: &mut Tensor) {
-    let (batch, n) = (input.batch(), b.len());
-    let k = w.len() / n;
+    let (batch, k, n) = size_output(input, w.len(), b.len(), out);
+    nn(input.data(), w, out.data_mut(), batch, k, n);
+    add_bias(out.data_mut(), b, batch, n);
+}
+
+/// Checks `input` against a `k×n` layer of `w_len` weights and `n`
+/// biases and sizes `out` for it; returns `(batch, k, n)`.
+fn size_output(input: &Tensor, w_len: usize, n: usize, out: &mut Tensor) -> (usize, usize, usize) {
+    let (batch, k) = (input.batch(), w_len / n);
     assert_eq!(
         input.row_len(),
         k,
@@ -20,8 +28,7 @@ pub(crate) fn infer<W: Weight>(input: &Tensor, w: &[W], b: &[f32], out: &mut Ten
         input.shape()
     );
     out.resize_in_place(&[batch, n]);
-    nn(input.data(), w, out.data_mut(), batch, k, n);
-    add_bias(out.data_mut(), b, batch, n);
+    (batch, k, n)
 }
 
 /// A dense (fully connected) layer with weights stored `[in, out]`
@@ -88,22 +95,23 @@ impl Dense {
         );
 
         // dW += Xᵀ·dY (accumulate: stage into the reusable scratch, then
-        // sum). matmul_tn overwrites every element, so the scratch only
-        // needs sizing, not zeroing.
+        // sum), on the team: each member takes runs of `dW`'s rows through
+        // the ranged kernel and adds its own staged rows. The kernel
+        // overwrites every element, so the scratch only needs sizing.
         if self.dw_step.len() != self.w.len() {
             self.dw_step.resize(self.w.len(), 0.0);
         }
-        matmul_tn(
-            input.data(),
-            grad_out.data(),
-            &mut self.dw_step,
-            self.in_features,
-            batch,
-            self.out_features,
-        );
-        for (d, s) in self.dw.iter_mut().zip(&self.dw_step) {
-            *d += s;
-        }
+        let (m, n) = (self.in_features, self.out_features);
+        let (x, dy) = (input.data(), grad_out.data());
+        let team = team::global();
+        let run = team.share(m, RUN_ROWS) * n;
+        let runs = self.dw_step.chunks_mut(run).zip(self.dw.chunks_mut(run));
+        team.for_each_item(runs.enumerate(), |(p, (stage, dw))| {
+            tn_rows(x, dy, stage, m, batch, n, p * run / n);
+            for (d, s) in dw.iter_mut().zip(stage.iter()) {
+                *d += s;
+            }
+        });
         // db += column sums of dY.
         col_sums_into(grad_out.data(), &mut self.db, batch, self.out_features);
     }
@@ -114,24 +122,37 @@ impl Layer for Dense {
         infer(input, &self.w, &self.b, out);
     }
 
+    /// [`infer`] on the team: runs of the batch's rows, one per member —
+    /// the same bits as one call, the `nn` kernel being row-stable.
     fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        infer(input, &self.w, &self.b, out);
+        let (batch, k, n) = size_output(input, self.w.len(), self.b.len(), out);
+        let (x, w, b) = (input.data(), &self.w[..], &self.b[..]);
+        let team = team::global();
+        let run = team.share(batch, RUN_ROWS);
+        let runs = out.data_mut().chunks_mut(run * n);
+        team.for_each_item(runs.enumerate(), |(p, c)| {
+            let (i0, rows) = (p * run, c.len() / n);
+            nn(&x[i0 * k..(i0 + rows) * k], w, c, rows, k, n);
+            add_bias(c, b, rows, n);
+        });
         cache_input(&mut self.cached_input, input);
     }
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
         self.param_grads(grad_out);
-        // dX = dY·Wᵀ.
+        // dX = dY·Wᵀ on the team, runs of the batch's rows cut at even
+        // rows, where `nt`'s 2-row tiles keep every element's chain.
         let batch = grad_out.batch();
-        grad_in.resize_in_place(&[batch, self.in_features]);
-        matmul_nt(
-            grad_out.data(),
-            &self.w,
-            grad_in.data_mut(),
-            batch,
-            self.out_features,
-            self.in_features,
-        );
+        let (k, n) = (self.out_features, self.in_features);
+        grad_in.resize_in_place(&[batch, n]);
+        let (dy, w) = (grad_out.data(), &self.w[..]);
+        let team = team::global();
+        let run = team.share(batch, RUN_ROWS);
+        let runs = grad_in.data_mut().chunks_mut(run * n);
+        team.for_each_item(runs.enumerate(), |(p, c)| {
+            let (i0, rows) = (p * run, c.len() / n);
+            matmul_nt(&dy[i0 * k..(i0 + rows) * k], w, c, rows, k, n);
+        });
     }
 
     /// `dW`/`db` only: no `dX = dY·Wᵀ` — for the paper MLP's first layer

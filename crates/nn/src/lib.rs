@@ -27,12 +27,15 @@
 //!
 //! The GEMM kernels in [`linalg`] are hand-tiled — explicit AVX-512
 //! register tiles where the machine has them, portable tiles LLVM
-//! vectorizes elsewhere — and serial: training and every single
-//! [`FrozenModel`] inference run on the calling thread. A frozen model
-//! is immutable and `Sync`, though, and its kernels are row-stable, so a
-//! fleet uses every core by giving each member of the worker [`team`]
-//! whole rows of the cohort to take through the one shared model —
-//! bit-identical to the whole batch on one thread. Activations and
+//! vectorizes elsewhere — and serial: every single [`FrozenModel`]
+//! inference runs on the calling thread. A frozen model is immutable and
+//! `Sync`, though, and its kernels are row-stable, so a fleet uses every
+//! core by giving each member of the worker [`team`] whole rows of the
+//! cohort to take through the one shared model — bit-identical to the
+//! whole batch on one thread. Training uses the team the same way: a
+//! dense layer's training GEMMs are cut into runs of output rows and
+//! Adam's update into runs of parameters, each element computed as on
+//! one thread, so the trained bits do not depend on the team's size. Activations and
 //! accumulation are `f32` throughout (weights optionally [`bf16`]),
 //! matching common DL-framework defaults.
 

@@ -311,35 +311,75 @@ pub(crate) fn nn_portable<W: Weight>(
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
 pub fn matmul_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(c.len(), m * n, "C size");
+    tn_rows(a, b, c, m, k, n, 0);
+}
+
+/// Rows of a training GEMM's output that one team member's run spans a
+/// multiple of (but for the last run, which ends at `m`): the AVX-512
+/// `tn` tile height, a multiple of the portable `tn` tile's and of
+/// [`matmul_nt`]'s 2-row tile, so every element of a run is computed in
+/// the form the whole call gives it.
+pub(crate) const RUN_ROWS: usize = 8;
+
+/// Rows `r0 .. r0 + c_rows.len() / n` of [`matmul_tn`]'s `C`, written to
+/// `c_rows`: the ranged form a team member runs on its own rows of `dW`.
+/// The AVX-512/portable choice and the tiling are those of the whole
+/// `m`-row call, so every element is bit-identical to it.
+///
+/// # Panics
+/// Panics if slice lengths disagree with the dimensions, or if the rows
+/// do not start at a multiple of [`RUN_ROWS`] and end at one or at `m`.
+pub(crate) fn tn_rows(
+    a: &[f32],
+    b: &[f32],
+    c_rows: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    r0: usize,
+) {
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
     if n == 0 || m == 0 {
         return;
     }
+    let r1 = r0 + c_rows.len() / n;
+    assert_eq!(c_rows.len(), (r1 - r0) * n, "C rows size");
+    assert!(
+        r0.is_multiple_of(RUN_ROWS) && (r1.is_multiple_of(RUN_ROWS) || r1 == m) && r1 <= m,
+        "rows {r0}..{r1} of {m} are not a run of whole tiles"
+    );
     #[cfg(target_arch = "x86_64")]
     if m >= 8 && n >= 16 && avx512_available() {
-        // SAFETY: avx512f was detected and the slice sizes were asserted.
-        unsafe { avx512::tn_main(a, b, c, m, k, n) };
         let (m8, n16) = (m - m % 8, n - n % 16);
-        if n16 < n {
-            for i in 0..m8 {
-                axpy_rows_tn(a, b, &mut c[i * n..(i + 1) * n], i, 1, m, k, n, n16);
+        let main_end = r1.min(m8);
+        if r0 < main_end {
+            // SAFETY: avx512f was detected, the slice sizes were asserted
+            // and rows `r0..main_end` are whole 8-row tiles inside `m8`.
+            unsafe { avx512::tn_main(a, b, &mut c_rows[..(main_end - r0) * n], m, k, n, r0) };
+            if n16 < n {
+                for (i, c_row) in (r0..main_end).zip(c_rows.chunks_mut(n)) {
+                    axpy_rows_tn(a, b, c_row, i, 1, m, k, n, n16);
+                }
             }
         }
-        if m8 < m {
-            axpy_rows_tn(a, b, &mut c[m8 * n..], m8, m - m8, m, k, n, 0);
+        let edge = r0.max(m8);
+        if edge < r1 {
+            let edge_rows = &mut c_rows[(edge - r0) * n..];
+            axpy_rows_tn(a, b, edge_rows, edge, r1 - edge, m, k, n, 0);
         }
         return;
     }
-    matmul_tn_portable(a, b, c, m, k, n);
+    tn_rows_portable(a, b, c_rows, m, k, n, r0);
 }
 
-/// The portable register-tiled path of [`matmul_tn`] — public so
+/// The portable register-tiled path of [`matmul_tn`] — kept apart so
 /// equivalence tests can pin the AVX-512 path against it.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
+#[cfg(test)]
 fn matmul_tn_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
@@ -347,9 +387,23 @@ fn matmul_tn_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     if n == 0 || m == 0 {
         return;
     }
+    tn_rows_portable(a, b, c, m, k, n, 0);
+}
+
+/// The portable form of [`tn_rows`]: `MR`-row tiles from `r0`, a multiple
+/// of `MR`, so they are the whole call's tiles.
+fn tn_rows_portable(
+    a: &[f32],
+    b: &[f32],
+    c_rows: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    r0: usize,
+) {
     let main_n = n - n % NR;
-    let mut i0 = 0;
-    for c_block in c.chunks_mut(MR * n) {
+    let mut i0 = r0;
+    for c_block in c_rows.chunks_mut(MR * n) {
         let rows = c_block.len() / n;
         // A's tile rows over all of `k`, as `k` rows of `MR`, `m` apart.
         if rows == MR && live_mask(&a[i0..], k, m, 0, MR) == 0 {
@@ -421,6 +475,14 @@ fn axpy_rows_tn(
 /// This is the input-gradient kernel: `dX[batch, in] = dY[batch, out]·Wᵀ`
 /// with `W` stored `[in, out]` passed via its transpose-free rows.
 ///
+/// An element of rows `0..m - m % 2` and columns `0..n - n % 4` (a 2×4
+/// tile) keeps eight lane accumulators over `k` in steps of 8, each step
+/// a rounded multiply, then a rounded add; the `k % 8` tail goes into
+/// lane 0, and the lanes are summed in lane order. Every other element
+/// is the edge [`dot`]. The AVX-512 form computes exactly these chains,
+/// two columns' lanes to a zmm, so both forms agree bit for bit — and a
+/// call on rows cut at even boundaries is bitwise the whole call's rows.
+///
 /// # Panics
 /// Panics if slice lengths disagree with the dimensions.
 pub fn matmul_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
@@ -430,64 +492,84 @@ pub fn matmul_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     if n == 0 || m == 0 {
         return;
     }
-    const DR: usize = 2; // output rows per tile
-    const DC: usize = 4; // output cols per tile
-    let main_n = n - n % DC;
+    #[cfg(target_arch = "x86_64")]
+    if avx512_available() {
+        // SAFETY: avx512f was detected and the slice sizes were asserted.
+        unsafe { avx512::nt_tiles(a, b, c, m, k, n) };
+        nt_edges(a, b, c, m, k, n);
+        return;
+    }
+    nt_tiles_portable(a, b, c, k, n);
+    nt_edges(a, b, c, m, k, n);
+}
+
+/// Output rows per `nt` tile.
+const NT_ROWS: usize = 2;
+/// Output columns per `nt` tile.
+const NT_COLS: usize = 4;
+
+/// The 2×4 tiles of [`matmul_nt`] in portable code: eight 8-lane
+/// accumulators per tile, so the reduction over `k` stays vectorized
+/// without reassociation flags.
+fn nt_tiles_portable(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    let main_n = n - n % NT_COLS;
     let main_k = k - k % LANES;
-    let mut i0 = 0;
-    for c_block in c.chunks_mut(DR * n) {
-        let rows = c_block.len() / n;
-        if rows == DR {
-            let a0 = &a[i0 * k..(i0 + 1) * k];
-            let a1 = &a[(i0 + 1) * k..(i0 + 2) * k];
-            let mut j0 = 0;
-            while j0 < main_n {
-                // Eight 8-lane accumulators: the reduction over k stays
-                // vectorized without reassociation flags.
-                let mut acc = [[[0.0f32; LANES]; DC]; DR];
-                let [acc0, acc1] = &mut acc;
-                let mut kb = 0;
-                while kb < main_k {
-                    let av0: &[f32; LANES] = a0[kb..kb + LANES].try_into().unwrap();
-                    let av1: &[f32; LANES] = a1[kb..kb + LANES].try_into().unwrap();
-                    for (cdx, (c0, c1)) in acc0.iter_mut().zip(acc1.iter_mut()).enumerate() {
-                        let p = (j0 + cdx) * k + kb;
-                        let bv: &[f32; LANES] = b[p..p + LANES].try_into().unwrap();
-                        for l in 0..LANES {
-                            c0[l] += av0[l] * bv[l];
-                            c1[l] += av1[l] * bv[l];
-                        }
-                    }
-                    kb += LANES;
-                }
-                for kk in main_k..k {
-                    for (cdx, (c0, c1)) in acc0.iter_mut().zip(acc1.iter_mut()).enumerate() {
-                        let bv = b[(j0 + cdx) * k + kk];
-                        c0[0] += a0[kk] * bv;
-                        c1[0] += a1[kk] * bv;
+    for (pair, c_block) in c.chunks_exact_mut(NT_ROWS * n).enumerate() {
+        let i0 = pair * NT_ROWS;
+        let a0 = &a[i0 * k..(i0 + 1) * k];
+        let a1 = &a[(i0 + 1) * k..(i0 + 2) * k];
+        let mut j0 = 0;
+        while j0 < main_n {
+            let mut acc = [[[0.0f32; LANES]; NT_COLS]; NT_ROWS];
+            let [acc0, acc1] = &mut acc;
+            let mut kb = 0;
+            while kb < main_k {
+                let av0: &[f32; LANES] = a0[kb..kb + LANES].try_into().unwrap();
+                let av1: &[f32; LANES] = a1[kb..kb + LANES].try_into().unwrap();
+                for (cdx, (c0, c1)) in acc0.iter_mut().zip(acc1.iter_mut()).enumerate() {
+                    let p = (j0 + cdx) * k + kb;
+                    let bv: &[f32; LANES] = b[p..p + LANES].try_into().unwrap();
+                    for l in 0..LANES {
+                        c0[l] += av0[l] * bv[l];
+                        c1[l] += av1[l] * bv[l];
                     }
                 }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    for (cdx, lanes) in acc_row.iter().enumerate() {
-                        c_block[r * n + j0 + cdx] = lanes.iter().sum();
-                    }
-                }
-                j0 += DC;
+                kb += LANES;
             }
-            for j in main_n..n {
-                let b_row = &b[j * k..(j + 1) * k];
-                c_block[j] = dot(a0, b_row);
-                c_block[n + j] = dot(a1, b_row);
-            }
-        } else {
-            for r in 0..rows {
+            for (r, acc_row) in acc.iter_mut().enumerate() {
                 let a_row = &a[(i0 + r) * k..(i0 + r + 1) * k];
-                for (j, cv) in c_block[r * n..(r + 1) * n].iter_mut().enumerate() {
-                    *cv = dot(a_row, &b[j * k..(j + 1) * k]);
+                for (cdx, lanes) in acc_row.iter_mut().enumerate() {
+                    c_block[r * n + j0 + cdx] =
+                        nt_finish(lanes, a_row, &b[(j0 + cdx) * k..], main_k);
                 }
             }
+            j0 += NT_COLS;
         }
-        i0 += rows;
+    }
+}
+
+/// One tile element of [`matmul_nt`] from its lane accumulators: the
+/// `k % 8` tail `a[kk]·b[kk]` added into lane 0, then the lanes summed in
+/// lane order. `a` is the element's A row, `b` starts at its B row.
+#[inline]
+fn nt_finish(lanes: &mut [f32; LANES], a: &[f32], b: &[f32], main_k: usize) -> f32 {
+    for kk in main_k..a.len() {
+        lanes[0] += a[kk] * b[kk];
+    }
+    lanes.iter().sum()
+}
+
+/// The elements of [`matmul_nt`] outside its 2×4 tiles — the `n % 4`
+/// columns of the paired rows and, for odd `m`, all of the last row —
+/// each one edge [`dot`].
+fn nt_edges(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    let (main_m, main_n) = (m - m % NT_ROWS, n - n % NT_COLS);
+    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[i * k..(i + 1) * k];
+        let first = if i < main_m { main_n } else { 0 };
+        for (j, cv) in c_row.iter_mut().enumerate().skip(first) {
+            *cv = dot(a_row, &b[j * k..(j + 1) * k]);
+        }
     }
 }
 
@@ -943,15 +1025,18 @@ mod avx512 {
         }
     }
 
-    /// `C = Aᵀ·B` main region (A stored `k×m`): rows `0..m - m%8`,
-    /// columns `0..n - n%16`, in 8×32 (and one trailing 8×16) zmm tiles
-    /// with `k` innermost. An 8-row tile whose A entries are `±0.0` for
-    /// every `k` ([`super::live_mask`] over the tile's `k` rows of 8 is
-    /// empty) writes `+0.0` and runs no FMA.
+    /// `C = Aᵀ·B` main region (A stored `k×m`) over the rows of `c`, the
+    /// whole 8-row tiles from row `r0` on, and columns `0..n - n%16`, in
+    /// 8×32 (and one trailing 8×16) zmm tiles with `k` innermost. An
+    /// 8-row tile whose A entries are `±0.0` for every `k`
+    /// ([`super::live_mask`] over the tile's `k` rows of 8 is empty)
+    /// writes `+0.0` and runs no FMA.
     ///
     /// # Safety
-    /// `avx512f` must be available and the slices must satisfy the
-    /// [`super::matmul_tn`] size contract.
+    /// `avx512f` must be available, A and B must satisfy the
+    /// [`super::matmul_tn`] size contract, and `c` must hold whole rows
+    /// `r0..r0 + c.len() / n` of C, a run of whole 8-row tiles with
+    /// `r0 + c.len() / n <= m`.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn tn_main(
         a: &[f32],
@@ -960,18 +1045,18 @@ mod avx512 {
         m: usize,
         k: usize,
         n: usize,
+        r0: usize,
     ) {
-        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        let (m8, n16, n32) = (m - m % 8, n - n % 16, n - n % 32);
-        let mut i0 = 0;
-        while i0 < m8 {
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let (n16, n32) = (n - n % 16, n - n % 32);
+        for (tile, c_tile) in c.chunks_exact_mut(8 * n).enumerate() {
+            let (i0, cp) = (r0 + 8 * tile, c_tile.as_mut_ptr());
             // In bounds: `i0 + 8 <= m`, so the tile's `k` rows of 8 at
-            // `a + kk·m + i0` lie in A and its C rows' first `n16` in C.
+            // `a + kk·m + i0` lie in A, and its 8 C rows are `c_tile`.
             if live_mask(ap.add(i0), k, m, 8) == 0 {
                 for r in 0..8 {
-                    std::ptr::write_bytes(cp.add((i0 + r) * n), 0, n16);
+                    std::ptr::write_bytes(cp.add(r * n), 0, n16);
                 }
-                i0 += 8;
                 continue;
             }
             let mut j0 = 0;
@@ -988,8 +1073,8 @@ mod avx512 {
                     }
                 }
                 for r in 0..8 {
-                    _mm512_storeu_ps(cp.add((i0 + r) * n + j0), acc0[r]);
-                    _mm512_storeu_ps(cp.add((i0 + r) * n + j0 + 16), acc1[r]);
+                    _mm512_storeu_ps(cp.add(r * n + j0), acc0[r]);
+                    _mm512_storeu_ps(cp.add(r * n + j0 + 16), acc1[r]);
                 }
                 j0 += 32;
             }
@@ -1003,10 +1088,92 @@ mod avx512 {
                     }
                 }
                 for (r, ac) in acc.iter().enumerate() {
-                    _mm512_storeu_ps(cp.add((i0 + r) * n + j0), *ac);
+                    _mm512_storeu_ps(cp.add(r * n + j0), *ac);
                 }
             }
-            i0 += 8;
+        }
+    }
+
+    /// [`super::matmul_nt`]'s 2×4 tiles — rows `0..m - m%2`, columns
+    /// `0..n - n%4` — as the portable form computes them: each zmm holds
+    /// two output columns' eight lane accumulators (`mul` then `add`, no
+    /// FMA), and [`super::nt_finish`] adds the `k % 8` tail into lane 0
+    /// and sums the lanes in order. A column group's four B rows stay in
+    /// L1 while row blocks of up to eight rows stream past them.
+    ///
+    /// # Safety
+    /// `avx512f` must be available and the slices must satisfy the
+    /// [`super::matmul_nt`] size contract.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn nt_tiles(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let (main_m, main_n) = (m - m % 2, n - n % 4);
+        let mut j0 = 0;
+        while j0 < main_n {
+            let mut i0 = 0;
+            while i0 < main_m {
+                let rows = (main_m - i0).min(8);
+                // In bounds: rows `i0..i0 + rows` of A and C and B rows
+                // `j0..j0 + 4` lie inside the asserted slices.
+                let (at, bt) = (&a[i0 * k..(i0 + rows) * k], &b[j0 * k..(j0 + 4) * k]);
+                let ct = c.as_mut_ptr().add(i0 * n + j0);
+                match rows {
+                    2 => nt_block::<2>(at, bt, ct, k, n),
+                    4 => nt_block::<4>(at, bt, ct, k, n),
+                    6 => nt_block::<6>(at, bt, ct, k, n),
+                    _ => nt_block::<8>(at, bt, ct, k, n),
+                }
+                i0 += rows;
+            }
+            j0 += 4;
+        }
+    }
+
+    /// An R×4 block of [`nt_tiles`]: `a` holds the block's R rows of A,
+    /// `b` its four rows of B, and `c` points at its first C element.
+    ///
+    /// # Safety
+    /// `avx512f` must be available, `a.len() == R·k`, `b.len() == 4·k`,
+    /// and R rows of 4 elements, `n` apart, must be writable at `c`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn nt_block<const R: usize>(a: &[f32], b: &[f32], c: *mut f32, k: usize, n: usize) {
+        let main_k = k - k % 8;
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        // Lanes 0..8 column `2q`, lanes 8..16 column `2q + 1`.
+        let pair = |p: *const f32, q: *const f32| {
+            let lo = _mm512_castpd256_pd512(_mm256_loadu_pd(p.cast()));
+            _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_loadu_pd(q.cast())))
+        };
+        let mut acc = [[_mm512_setzero_ps(); 2]; R];
+        let mut kb = 0;
+        while kb < main_k {
+            let b01 = pair(bp.add(kb), bp.add(k + kb));
+            let b23 = pair(bp.add(2 * k + kb), bp.add(3 * k + kb));
+            for (r, [c01, c23]) in acc.iter_mut().enumerate() {
+                // Eight A lanes, the same in both halves.
+                let av = _mm512_castpd_ps(_mm512_broadcast_f64x4(_mm256_loadu_pd(
+                    ap.add(r * k + kb).cast(),
+                )));
+                *c01 = _mm512_add_ps(*c01, _mm512_mul_ps(av, b01));
+                *c23 = _mm512_add_ps(*c23, _mm512_mul_ps(av, b23));
+            }
+            kb += 8;
+        }
+        for (r, halves) in acc.iter().enumerate() {
+            let mut lanes = [[0.0f32; 8]; 4];
+            _mm512_storeu_ps(lanes.as_mut_ptr().cast(), halves[0]);
+            _mm512_storeu_ps(lanes.as_mut_ptr().add(2).cast(), halves[1]);
+            let a_row = &a[r * k..(r + 1) * k];
+            for (cdx, col) in lanes.iter_mut().enumerate() {
+                *c.add(r * n + cdx) = super::nt_finish(col, a_row, &b[cdx * k..], main_k);
+            }
         }
     }
 
@@ -1641,6 +1808,182 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// `matmul_nt` as it was before its AVX-512 form, verbatim: the
+    /// reference the kernel's every element is pinned to.
+    fn matmul_nt_before_avx512(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        assert_eq!(a.len(), m * k, "A size");
+        assert_eq!(b.len(), n * k, "B size");
+        assert_eq!(c.len(), m * n, "C size");
+        if n == 0 || m == 0 {
+            return;
+        }
+        const DR: usize = 2; // output rows per tile
+        const DC: usize = 4; // output cols per tile
+        let main_n = n - n % DC;
+        let main_k = k - k % LANES;
+        let mut i0 = 0;
+        for c_block in c.chunks_mut(DR * n) {
+            let rows = c_block.len() / n;
+            if rows == DR {
+                let a0 = &a[i0 * k..(i0 + 1) * k];
+                let a1 = &a[(i0 + 1) * k..(i0 + 2) * k];
+                let mut j0 = 0;
+                while j0 < main_n {
+                    // Eight 8-lane accumulators: the reduction over k stays
+                    // vectorized without reassociation flags.
+                    let mut acc = [[[0.0f32; LANES]; DC]; DR];
+                    let [acc0, acc1] = &mut acc;
+                    let mut kb = 0;
+                    while kb < main_k {
+                        let av0: &[f32; LANES] = a0[kb..kb + LANES].try_into().unwrap();
+                        let av1: &[f32; LANES] = a1[kb..kb + LANES].try_into().unwrap();
+                        for (cdx, (c0, c1)) in acc0.iter_mut().zip(acc1.iter_mut()).enumerate() {
+                            let p = (j0 + cdx) * k + kb;
+                            let bv: &[f32; LANES] = b[p..p + LANES].try_into().unwrap();
+                            for l in 0..LANES {
+                                c0[l] += av0[l] * bv[l];
+                                c1[l] += av1[l] * bv[l];
+                            }
+                        }
+                        kb += LANES;
+                    }
+                    for kk in main_k..k {
+                        for (cdx, (c0, c1)) in acc0.iter_mut().zip(acc1.iter_mut()).enumerate() {
+                            let bv = b[(j0 + cdx) * k + kk];
+                            c0[0] += a0[kk] * bv;
+                            c1[0] += a1[kk] * bv;
+                        }
+                    }
+                    for (r, acc_row) in acc.iter().enumerate() {
+                        for (cdx, lanes) in acc_row.iter().enumerate() {
+                            c_block[r * n + j0 + cdx] = lanes.iter().sum();
+                        }
+                    }
+                    j0 += DC;
+                }
+                for j in main_n..n {
+                    let b_row = &b[j * k..(j + 1) * k];
+                    c_block[j] = dot(a0, b_row);
+                    c_block[n + j] = dot(a1, b_row);
+                }
+            } else {
+                for r in 0..rows {
+                    let a_row = &a[(i0 + r) * k..(i0 + r + 1) * k];
+                    for (j, cv) in c_block[r * n..(r + 1) * n].iter_mut().enumerate() {
+                        *cv = dot(a_row, &b[j * k..(j + 1) * k]);
+                    }
+                }
+            }
+            i0 += rows;
+        }
+    }
+
+    /// The portable form of [`matmul_nt`], whatever the machine.
+    fn matmul_nt_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        nt_tiles_portable(a, b, c, k, n);
+        nt_edges(a, b, c, m, k, n);
+    }
+
+    /// Batch sizes of the `nt` sweep: every `m` up to [`M_MAX`], or only
+    /// the odd [`M_MAX`] (paired rows and an edge row) on the paper shapes,
+    /// where a debug build's scalar reference takes seconds per call.
+    fn nt_batches(k: usize) -> std::ops::RangeInclusive<usize> {
+        if k >= 1024 {
+            M_MAX..=M_MAX
+        } else {
+            1..=M_MAX
+        }
+    }
+
+    /// Both forms of `matmul_nt` — the zmm tiles where the machine has
+    /// AVX-512 — compute every element exactly as the kernel did before
+    /// it had an AVX-512 form: the same 2×4-tile or edge-`dot` chain,
+    /// over odd `m`, `k % 8 ≠ 0` and `n % 4 ≠ 0`, with `±0.0`, subnormal
+    /// and dense activations.
+    #[test]
+    fn nt_is_the_pre_avx512_kernel_bit_for_bit() {
+        type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        for (k, n, case, a) in bitwise_cases() {
+            let b = gen(n * k, 7);
+            for m in nt_batches(k) {
+                let mut want = vec![f32::NAN; m * n];
+                matmul_nt_before_avx512(&a[..m * k], &b, &mut want, m, k, n);
+                for (form, kernel) in [
+                    ("dispatched", matmul_nt as Kernel),
+                    ("portable", matmul_nt_portable as Kernel),
+                ] {
+                    let mut c = vec![f32::NAN; m * n];
+                    kernel(&a[..m * k], &b, &mut c, m, k, n);
+                    assert_bits_eq(&c, &want, &format!("{form} {case} k={k} n={n} m={m}"));
+                }
+            }
+        }
+    }
+
+    /// `0..len` cut into runs of `run` (the last one shorter), last run
+    /// first: the order no team would pick.
+    fn runs_reversed(len: usize, run: usize) -> Vec<std::ops::Range<usize>> {
+        let mut runs: Vec<_> = (0..len)
+            .step_by(run)
+            .map(|r0| r0..(r0 + run).min(len))
+            .collect();
+        runs.reverse();
+        runs
+    }
+
+    /// What lets the trainer cut its GEMMs among team members: each
+    /// kernel run over disjoint row runs of its output — the finest cut
+    /// into [`RUN_ROWS`] and a two-member cut, the parts in reverse order
+    /// on this thread — reproduces the whole call bit for bit. The
+    /// forward `nn` and the input gradient `nt` run on runs of the batch's
+    /// rows, the weight gradient `tn` through its ranged form on runs of
+    /// `dW`'s rows.
+    #[test]
+    fn training_kernels_are_partition_invariant() {
+        for (k, n, case, a) in bitwise_cases() {
+            let m = M_MAX;
+            let a = &a[..m * k];
+            let w = gen(k * n, 7);
+            let dy = gen(m * n, 9);
+            let mut whole_nn = vec![f32::NAN; m * n];
+            matmul_nn(a, &w, &mut whole_nn, m, k, n);
+            let mut whole_nt = vec![f32::NAN; m * n];
+            matmul_nt(a, &w, &mut whole_nt, m, k, n);
+            // dW = Xᵀ·dY with X the batch of `m` rows of `k` features.
+            let mut whole_tn = vec![f32::NAN; k * n];
+            matmul_tn(a, &dy, &mut whole_tn, k, m, n);
+            for run in [RUN_ROWS, 2 * RUN_ROWS] {
+                let what = |kernel: &str| format!("{kernel} {case} k={k} n={n} runs of {run}");
+                let mut parts = vec![f32::NAN; m * n];
+                for rows in runs_reversed(m, run) {
+                    let c = &mut parts[rows.start * n..rows.end * n];
+                    matmul_nn(&a[rows.start * k..rows.end * k], &w, c, rows.len(), k, n);
+                }
+                assert_bits_eq(&parts, &whole_nn, &what("nn"));
+                let mut parts = vec![f32::NAN; m * n];
+                for rows in runs_reversed(m, run) {
+                    let c = &mut parts[rows.start * n..rows.end * n];
+                    matmul_nt(&a[rows.start * k..rows.end * k], &w, c, rows.len(), k, n);
+                }
+                assert_bits_eq(&parts, &whole_nt, &what("nt"));
+                let mut parts = vec![f32::NAN; k * n];
+                for rows in runs_reversed(k, run) {
+                    let c = &mut parts[rows.start * n..rows.end * n];
+                    tn_rows(a, &dy, c, k, m, n, rows.start);
+                }
+                assert_bits_eq(&parts, &whole_tn, &what("tn"));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a run of whole tiles")]
+    fn tn_rows_refuses_a_run_off_the_tile_grid() {
+        let (m, k, n) = (24, 3, 16);
+        let mut c = vec![0.0; 8 * n];
+        tn_rows(&gen(k * m, 1), &gen(k * n, 2), &mut c, m, k, n, 4);
     }
 
     /// `live_mask` is the any-row rule, `±0.0` dead and subnormals live.

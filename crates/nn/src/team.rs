@@ -10,10 +10,13 @@
 //! [`available_threads`]; through `dlpic_core::pool` the ensemble wave
 //! and the serve scheduler run on it, so no layer spawns threads per
 //! call and no two layers ever oversubscribe the machine. It lives in
-//! this crate, the lowest of the workspace, so that the inference
-//! kernels can be handed to it as well; today they are serial and a
-//! wave gives each member whole rows of the cohort to take through
-//! [`crate::FrozenModel`] on its own.
+//! this crate, the lowest of the workspace, so that the kernels can be
+//! handed to it as well: the inference kernels are serial and a wave
+//! gives each member whole rows of the cohort to take through
+//! [`crate::FrozenModel`] on its own, while [`crate::trainer::train`]
+//! hands the team runs of each training GEMM's output rows, of Adam's
+//! parameters and of the He init's Box–Muller transforms
+//! ([`Team::for_each_item`]).
 //!
 //! # Lifecycle of a helper
 //!
@@ -307,6 +310,36 @@ impl Team {
         });
     }
 
+    /// [`Self::run`] over a work list: every member takes the next item
+    /// under a lock and runs `work` on it until none are left, so each
+    /// item goes to exactly one member, in no particular order. Items
+    /// that write disjoint outputs — the runs of a `chunks_mut`, say —
+    /// share an output out without any unsafe code at the call site.
+    pub fn for_each_item<I>(&self, items: I, work: impl Fn(I::Item) + Sync)
+    where
+        I: ExactSizeIterator + Send,
+        I::Item: Send,
+    {
+        let parts = items.len();
+        let queue = Mutex::new(items);
+        self.run(parts, |_| loop {
+            let next = lock(&queue).next();
+            match next {
+                Some(item) => work(item),
+                None => return,
+            }
+        });
+    }
+
+    /// The run length that cuts `len` items into one run of whole
+    /// `unit`s per member ([`Self::members`]), as evenly as whole units
+    /// allow: the chunk size for [`Self::for_each_item`] over a list
+    /// whose runs re-read a shared operand, so that more runs than
+    /// members would cost a read each. At least one unit.
+    pub fn share(&self, len: usize, unit: usize) -> usize {
+        len.div_ceil(unit).div_ceil(self.members()).max(1) * unit
+    }
+
     /// Tops the helper list up to `wanted` threads; a failed spawn leaves
     /// the team smaller, never broken.
     fn spawn_helpers(&self, helpers: &mut Vec<JoinHandle<()>>, wanted: usize) {
@@ -541,6 +574,32 @@ mod tests {
                 .collect();
             assert_eq!(items, want, "size {size}");
         }
+    }
+
+    #[test]
+    fn for_each_item_hands_every_item_to_one_member() {
+        for size in [1usize, 2, 3] {
+            let team = Team::new(size);
+            for len in [0usize, 1, 2, 37] {
+                let mut items = vec![0u32; len];
+                team.for_each_item(items.chunks_mut(5).enumerate(), |(p, run)| {
+                    run.iter_mut().for_each(|v| *v += 1 + p as u32);
+                });
+                let want: Vec<u32> = (0..len).map(|i| 1 + (i / 5) as u32).collect();
+                assert_eq!(items, want, "size {size}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn share_cuts_one_run_of_whole_units_per_member() {
+        let team = Team::new(2);
+        assert_eq!(team.share(64, 8), 32);
+        assert_eq!(team.share(19, 8), 16);
+        assert_eq!(team.share(5, 8), 8);
+        assert_eq!(team.share(0, 8), 8);
+        with_limit(1, || assert_eq!(team.share(64, 8), 64));
+        assert_eq!(Team::new(3).share(64, 8), 24);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::loss::Loss;
 use crate::metrics::evaluate;
 use crate::network::{Sequential, TrainWorkspace};
 use crate::optimizer::Adam;
+use crate::team;
 use crate::tensor::Tensor;
 
 /// Training-loop configuration (the paper trains with batch 64; 150 epochs
@@ -70,6 +71,11 @@ impl TrainHistory {
 /// into two reused tensors, and forward/loss/backward run through a
 /// reused [`TrainWorkspace`]. Batch composition is identical to the
 /// historical copy-the-dataset implementation.
+///
+/// The step runs on the global [`team`]: dense layers cut their forward
+/// pass, weight gradient and input gradient into runs of output rows and
+/// Adam its tensors into runs of parameters, each element computed as on
+/// one thread — the trained bits do not depend on the team's size.
 pub fn train(
     net: &mut Sequential,
     loss: &dyn Loss,
@@ -87,6 +93,9 @@ pub fn train(
     let mut bx = Tensor::zeros(&[0]);
     let mut by = Tensor::zeros(&[0]);
     let mut workspace = TrainWorkspace::new();
+    // The step dispatches to the team back to back: keep its helpers
+    // polling between dispatches instead of parking.
+    let _hold = team::global().hold();
 
     for epoch in 0..cfg.epochs {
         shuffle_permutation(
@@ -204,6 +213,47 @@ mod tests {
             train(&mut net, &Mse, &mut opt, &data, None, &cfg).train_loss
         };
         assert_eq!(run(), run());
+    }
+
+    /// The trained bits do not depend on the team: a net initialised and
+    /// trained on this thread alone equals one initialised and trained on
+    /// the global team, with layers, batch and Adam tensors big enough to
+    /// be cut into runs, an odd batch and inputs zero in whole feature
+    /// tiles. (Under the parallel test harness the global team may be
+    /// busy and run every part inline; `linalg`'s partition tests are
+    /// what prove the cut changes nothing.)
+    #[test]
+    fn training_on_the_team_is_bit_identical_to_one_thread() {
+        use crate::serialize::params_to_bytes;
+        let (n, width) = (150, 300);
+        let xs = (0..n * width)
+            .map(|i| match i % width {
+                0..=15 => 0.0,
+                f if (i / width + f) % 3 == 0 => 0.0,
+                _ => ((i * 37 % 101) as f32 / 50.0) - 1.0,
+            })
+            .collect();
+        let ys = (0..n * 5).map(|i| (i % 7) as f32 / 7.0).collect();
+        let data = Dataset::new(Tensor::new(xs, &[n, width]), Tensor::new(ys, &[n, 5]));
+        let run = || {
+            let mut net = Sequential::new()
+                .push(Dense::new(width, 64, Init::HeNormal, 1))
+                .push(Relu::new())
+                .push(Dense::new(64, 33, Init::HeNormal, 2))
+                .push(Relu::new())
+                .push(Dense::new(33, 5, Init::GlorotUniform, 3));
+            let mut opt = Adam::new(1e-3);
+            let cfg = TrainConfig {
+                epochs: 2,
+                batch_size: 19,
+                shuffle_seed: 4,
+                log_every: 0,
+            };
+            train(&mut net, &Mse, &mut opt, &data, None, &cfg);
+            params_to_bytes(&mut net)
+        };
+        let alone = team::with_limit(1, run);
+        assert!(alone == run(), "team-trained parameters differ");
     }
 
     #[test]

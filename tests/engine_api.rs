@@ -299,3 +299,35 @@ fn two_stream_grows_on_the_traditional_backend() {
         Err(e) => panic!("expected a growth fit, got: {e}"),
     }
 }
+
+/// A model made in memory with non-finite weights never reached the
+/// file door's check; its freeze makes the same one, so every `Dl1D`
+/// start refuses it by name. Other backends still run.
+#[test]
+fn a_non_finite_model_is_refused_at_dl_start() {
+    use dlpic_repro::core::{BinningShape, BundleError, ModelBundle, NormStats};
+    use dlpic_repro::engine::{Engine, EngineError};
+    let arch = Scale::Smoke.mlp_arch();
+    let mut net = arch.build(1);
+    let mut first = true;
+    net.visit_params(&mut |w, _| {
+        if std::mem::take(&mut first) {
+            w[0] = f32::NAN;
+            w[1] = f32::INFINITY;
+        }
+    });
+    let bundle = ModelBundle::from_network(
+        &mut net,
+        arch,
+        Scale::Smoke.phase_spec(),
+        BinningShape::Cic,
+        NormStats::identity(),
+    );
+    let spec = engine::scenario("two_stream", Scale::Smoke).unwrap();
+    let engine = Engine::new().with_model_1d(bundle);
+    match engine.start(&spec, Backend::Dl1D).err() {
+        Some(EngineError::Bundle(BundleError::Malformed("non-finite parameter"))) => {}
+        other => panic!("expected the non-finite parameter refusal, got {other:?}"),
+    }
+    assert!(engine.start(&spec, Backend::Traditional1D).is_ok());
+}
