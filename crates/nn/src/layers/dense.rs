@@ -122,8 +122,8 @@ impl Layer for Dense {
         infer(input, &self.w, &self.b, out);
     }
 
-    /// [`infer`] on the team: runs of the batch's rows, one per member —
-    /// the same bits as one call, the `nn` kernel being row-stable.
+    /// Dense inference on the team, in runs of the batch's rows, one per
+    /// member: the bits of one call, the `nn` kernel being row-stable.
     fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
         let (batch, k, n) = size_output(input, self.w.len(), self.b.len(), out);
         let (x, w, b) = (input.data(), &self.w[..], &self.b[..]);

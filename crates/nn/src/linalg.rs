@@ -15,7 +15,7 @@
 //! * [`conv_dw_accum`] — the weight-gradient correlation `dW += dY·colsᵀ`
 //!   against the same virtual patch matrix.
 //!
-//! The `nn`/`tn`/conv kernels each have a **portable** form (4×16 tiles
+//! The `nn`/`tn`/`nt`/conv kernels each have a **portable** form (tiles
 //! of scalar accumulators, vectorized by LLVM at whatever width the
 //! target offers) and an **AVX-512** form (x86-64, runtime-detected via
 //! `avx512f`) in explicit zmm tiles — LLVM stops at 256-bit ymm even on
@@ -63,9 +63,11 @@
 //! starting from `+0.0`; storing a partial sum to `C` and reloading it
 //! changes no bits. The AVX-512 form fuses each step (`fmadd`), the
 //! portable form rounds after the multiply, so the two agree to normal
-//! f32 tolerance but not bitwise. `nt` keeps eight 8-wide lane
-//! accumulators per 2×4 output tile so the dot-product reduction
-//! vectorizes without `-ffast-math`.
+//! f32 tolerance but not bitwise. `nt` is the exception: it keeps eight
+//! 8-wide lane accumulators per 2×4 output tile so the dot-product
+//! reduction vectorizes without `-ffast-math`, and both of its forms
+//! multiply, then add — they agree bit for bit, which lets the trainer
+//! hand its row runs to the worker team on any machine.
 //!
 //! Leaving out the steps whose activation is `±0.0` changes no bit of
 //! that chain, on one premise: **the weights are finite**. The product
@@ -479,7 +481,7 @@ fn axpy_rows_tn(
 /// tile) keeps eight lane accumulators over `k` in steps of 8, each step
 /// a rounded multiply, then a rounded add; the `k % 8` tail goes into
 /// lane 0, and the lanes are summed in lane order. Every other element
-/// is the edge [`dot`]. The AVX-512 form computes exactly these chains,
+/// is the edge `dot`. The AVX-512 form computes exactly these chains,
 /// two columns' lanes to a zmm, so both forms agree bit for bit — and a
 /// call on rows cut at even boundaries is bitwise the whole call's rows.
 ///
@@ -860,7 +862,8 @@ pub fn conv_dw_accum(
 /// docs for why auto-vectorization is not enough on this hardware). Every
 /// kernel computes each output element as one sequential FMA chain over
 /// `k` in the same order as the portable path — the only numerical
-/// difference is FMA contraction.
+/// difference is FMA contraction — except `nt`, whose lane chains are the
+/// portable form's exactly.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{set_bits, Weight, KB};
