@@ -302,7 +302,7 @@ impl ModelBundle {
             )
         });
         if let Some(layer_index) = unfrozen {
-            return Err(BundleError::Freeze(FreezeError {
+            return Err(BundleError::Freeze(FreezeError::NoFrozenForm {
                 layer_index,
                 layer_name: table[layer_index].name(),
             }));
@@ -612,7 +612,13 @@ mod tests {
             // What freezing the built network reports, as the load did
             // when it went through one.
             let want = net.freeze(Precision::F32).unwrap_err();
-            assert_eq!((want.layer_index, want.layer_name), (index, name));
+            assert_eq!(
+                want,
+                FreezeError::NoFrozenForm {
+                    layer_index: index,
+                    layer_name: name
+                }
+            );
             let bundle = ModelBundle::from_network(
                 &mut net,
                 arch,

@@ -6,7 +6,7 @@ use dlpic_core::builder::ArchSpec;
 use dlpic_core::bundle::ModelBundle;
 use dlpic_core::field_solver::{FrozenBundle, InputBinning};
 use dlpic_core::normalize::NormStats;
-use dlpic_nn::frozen::Precision;
+use dlpic_nn::frozen::{FreezeError, Precision};
 use dlpic_nn::loss::Loss;
 use dlpic_nn::network::Sequential;
 use dlpic_nn::optimizer::adam::Adam;
@@ -35,19 +35,19 @@ impl Trained {
     }
 
     /// Freezes the network at `precision` into the bundle a
-    /// `DlFieldSolver<G>` runs, binning with `binner`.
-    ///
-    /// # Panics
-    /// Panics for a network without a frozen form (a CNN or residual MLP).
+    /// `DlFieldSolver<G>` runs, binning with `binner`. Errs, naming the
+    /// layer, for a network without a frozen form (a CNN or residual MLP)
+    /// or with a non-finite parameter (a diverged training).
     pub fn freeze<G: InputBinning>(
         &self,
         binner: G::Binner,
         name: &'static str,
         precision: Precision,
-    ) -> FrozenBundle<G> {
-        FrozenBundle::from_network(&self.net, binner, self.norm, name, precision)
-            .expect("the trained MLP has a frozen form")
-            .with_reference_mass(self.reference_mass)
+    ) -> Result<FrozenBundle<G>, FreezeError> {
+        Ok(
+            FrozenBundle::from_network(&self.net, binner, self.norm, name, precision)?
+                .with_reference_mass(self.reference_mass),
+        )
     }
 }
 
@@ -132,7 +132,9 @@ mod tests {
             last < 0.5 * first,
             "training did not reduce loss: {first} → {last}"
         );
-        let frozen = trained.freeze::<Grid2D>(DensityBinning::Ngp, "dl-2d", Precision::F32);
+        let frozen = trained
+            .freeze::<Grid2D>(DensityBinning::Ngp, "dl-2d", Precision::F32)
+            .expect("a finite MLP freezes");
         assert_eq!(frozen.model().output_len(), Some(2 * grid.nodes()));
     }
 }

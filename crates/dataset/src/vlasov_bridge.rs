@@ -6,7 +6,7 @@
 //! This module runs `dlpic-vlasov` harvests over a sweep and packs the
 //! (noise-free) histograms into a [`PhaseDataset`] of exactly the same
 //! shape as a PIC harvest, so training and the DL-PIC loop are agnostic to
-//! the data source. The `ablation_data` study in `dlpic-bench` compares
+//! the data source. The `ablation-data` row of the `repro` binary compares
 //! the two.
 
 use crate::sample::PhaseDataset;

@@ -34,6 +34,7 @@
 
 use crate::bf16::encode_bf16;
 use crate::layers::{dense, flatten, relu};
+use crate::linalg::Weight;
 use crate::network::PredictWorkspace;
 use crate::tensor::Tensor;
 
@@ -95,6 +96,26 @@ pub enum FrozenLayer {
 }
 
 impl FrozenLayer {
+    /// True when every stored weight and bias is finite — checked on the
+    /// storage the kernels read, so a finite f32 that rounds to a bf16
+    /// infinity counts as infinite.
+    pub(crate) fn is_finite(&self) -> bool {
+        // Folds, not `all`: no early exit, so the scans vectorize.
+        fn finite<W: Weight>(v: &[W]) -> bool {
+            v.iter().fold(true, |ok, x| ok & x.to_f32().is_finite())
+        }
+        match self {
+            Self::Dense { w, b, .. } => {
+                finite(b)
+                    && match w {
+                        DenseWeights::F32(w) => finite(w),
+                        DenseWeights::Bf16(w) => finite(w),
+                    }
+            }
+            Self::Relu | Self::Flatten => true,
+        }
+    }
+
     /// A frozen dense layer over its weight/bias buffers: at
     /// [`Precision::F32`] the weights move in as they are, without a copy.
     pub fn dense(
@@ -160,22 +181,44 @@ impl FrozenLayer {
     }
 }
 
-/// A layer cannot be frozen (it has no immutable inference form).
+/// Why a network cannot be frozen, naming the offending layer by its
+/// index in the network and its [`crate::Layer::name`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FreezeError {
-    /// Index of the offending layer in the network.
-    pub layer_index: usize,
-    /// Its [`crate::Layer::name`].
-    pub layer_name: &'static str,
+pub enum FreezeError {
+    /// The layer has no immutable inference form (conv, pooling,
+    /// residual blocks).
+    NoFrozenForm {
+        /// Index of the layer in the network.
+        layer_index: usize,
+        /// Its [`crate::Layer::name`].
+        layer_name: &'static str,
+    },
+    /// A weight or bias of the layer is NaN or infinite as stored: the
+    /// kernels skip dead weight rows on the premise that every weight is
+    /// finite, so such a model could hide its NaN.
+    NonFinite {
+        /// Index of the layer in the network.
+        layer_index: usize,
+        /// Its [`crate::Layer::name`].
+        layer_name: &'static str,
+    },
 }
 
 impl std::fmt::Display for FreezeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "layer {} (`{}`) has no frozen inference form",
-            self.layer_index, self.layer_name
-        )
+        let (Self::NoFrozenForm {
+            layer_index,
+            layer_name,
+        }
+        | Self::NonFinite {
+            layer_index,
+            layer_name,
+        }) = self;
+        let what = match self {
+            Self::NoFrozenForm { .. } => "has no frozen inference form",
+            Self::NonFinite { .. } => "has a non-finite parameter",
+        };
+        write!(f, "layer {layer_index} (`{layer_name}`) {what}")
     }
 }
 
@@ -455,8 +498,13 @@ mod tests {
             .push(Conv2d::new(1, 2, 3, Init::HeNormal, 1))
             .push(Relu::new());
         let err = net.freeze(Precision::F32).unwrap_err();
-        assert_eq!(err.layer_index, 0);
-        assert_eq!(err.layer_name, "conv2d");
+        assert_eq!(
+            err,
+            FreezeError::NoFrozenForm {
+                layer_index: 0,
+                layer_name: "conv2d"
+            }
+        );
         assert!(err.to_string().contains("conv2d"));
     }
 

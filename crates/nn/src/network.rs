@@ -207,19 +207,24 @@ impl Sequential {
     ///
     /// Fails on the first layer without a frozen form (conv / pooling /
     /// residual blocks), naming it: such a network runs only through
-    /// [`Self::predict_into`], never inside a DL field solver.
+    /// [`Self::predict_into`], never inside a DL field solver. Fails as
+    /// well, naming the layer, on a NaN or infinite weight or bias: every
+    /// freeze of a trained network (1-D or 2-D) comes through here.
     pub fn freeze(&self, precision: Precision) -> Result<FrozenModel, FreezeError> {
         let mut layers = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate() {
-            match layer.freeze(precision) {
-                Some(frozen) => layers.push(frozen),
-                None => {
-                    return Err(FreezeError {
-                        layer_index: i,
-                        layer_name: layer.name(),
-                    })
-                }
+        for (layer_index, layer) in self.layers.iter().enumerate() {
+            let layer_name = layer.name();
+            let frozen = layer.freeze(precision).ok_or(FreezeError::NoFrozenForm {
+                layer_index,
+                layer_name,
+            })?;
+            if !frozen.is_finite() {
+                return Err(FreezeError::NonFinite {
+                    layer_index,
+                    layer_name,
+                });
             }
+            layers.push(frozen);
         }
         Ok(FrozenModel::from_layers(layers, precision))
     }
@@ -297,6 +302,48 @@ mod tests {
         }
         let last = net.compute_gradients(&loss, &x, &y);
         assert!(last < first * 0.05, "loss {first} -> {last}");
+    }
+
+    /// A NaN or infinite weight or bias is refused by name at either
+    /// precision, in the layer that holds it; a finite net freezes.
+    #[test]
+    fn freeze_refuses_a_non_finite_parameter() {
+        assert!(tiny_net().freeze(Precision::F32).is_ok());
+        // (parameter slice in visit order, index, value, layer index)
+        for (slice, at, value, layer_index) in [
+            (0, 0, f32::NAN, 0),
+            (1, 3, f32::INFINITY, 0),
+            (2, 1, f32::NEG_INFINITY, 2),
+            (3, 0, f32::NAN, 2),
+        ] {
+            let mut net = tiny_net();
+            let mut seen = 0;
+            net.visit_params(&mut |p, _| {
+                if seen == slice {
+                    p[at] = value;
+                }
+                seen += 1;
+            });
+            for precision in [Precision::F32, Precision::Bf16] {
+                assert_eq!(
+                    net.freeze(precision).err(),
+                    Some(FreezeError::NonFinite {
+                        layer_index,
+                        layer_name: "dense"
+                    }),
+                    "slice {slice} = {value} at {precision:?}"
+                );
+            }
+        }
+        // A finite f32 that rounds to a bf16 infinity is non-finite as
+        // stored; at f32 it is kept.
+        let mut net = tiny_net();
+        net.visit_params(&mut |p, _| p[0] = f32::MAX);
+        assert!(net.freeze(Precision::F32).is_ok());
+        assert!(matches!(
+            net.freeze(Precision::Bf16),
+            Err(FreezeError::NonFinite { .. })
+        ));
     }
 
     /// Every (parameter, gradient) pair as bit patterns, in visit order.

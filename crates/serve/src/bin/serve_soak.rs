@@ -89,7 +89,7 @@ fn sibling(name: &str) -> PathBuf {
     let path = path.join(name);
     assert!(
         path.exists(),
-        "{} not found — build the workspace first (cargo build --release)",
+        "{} not found — build the daemon first (cargo build --release -p dlpic-serve)",
         path.display()
     );
     path

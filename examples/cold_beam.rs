@@ -105,7 +105,7 @@ fn main() -> Result<(), EngineError> {
         }
         None => {
             println!("\n(no trained model found — run `--example train_field_solver` or");
-            println!(" `cargo run -p dlpic-bench --release --bin fig6` for the DL comparison)");
+            println!(" `cargo run --release --bin repro -- --rows fig6` for the DL comparison)");
         }
     }
     Ok(())

@@ -104,6 +104,6 @@ fn main() -> Result<(), EngineError> {
         trad.momentum_drift(),
         dl.momentum_drift()
     );
-    println!("\n(the paper's full-scale version of this comparison: `cargo run -p dlpic-bench --release --bin fig4`)");
+    println!("\n(the paper's full-scale version of this comparison: `cargo run --release --bin repro -- --rows fig4`)");
     Ok(())
 }

@@ -85,16 +85,6 @@ impl TemporalDlSolver {
             scratch: Vec::new(),
         }
     }
-
-    /// The window length.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Clears the ring buffer (e.g. between runs).
-    pub fn reset(&mut self) {
-        self.history.clear();
-    }
 }
 
 impl FieldSolver for TemporalDlSolver {

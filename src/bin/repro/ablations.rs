@@ -1,42 +1,26 @@
-//! **Ablation studies** of the design choices the paper leaves open or
-//! proposes as future work (§VII):
+//! **Ablation rows**: the design choices the paper leaves open or
+//! proposes as future work (§VII), one row each.
 //!
-//! * `binning`  — NGP vs CIC phase-space binning ("higher-order
-//!   interpolation functions would likely improve the performance of the
-//!   DL electric field solver").
-//! * `physics`  — plain MSE vs the physics-informed loss (PINN
-//!   suggestion): effect on accuracy *and* on DL-PIC momentum drift.
-//! * `arch`     — MLP vs CNN vs residual MLP (ResNet suggestion).
-//! * `grid`     — phase-grid resolution sweep.
-//! * `data`     — PIC-harvested vs Vlasov-harvested training data ("more
-//!   accurate training data sets can be obtained by running Vlasov
-//!   codes").
-//! * `temporal` — single-step vs stacked-history inputs ("neural networks
-//!   fit to encode time sequences … might be a better fit").
-//!
-//! Run: `cargo run -p dlpic-bench --release --bin ablations -- [--scale ...] [--only NAME]`
-//!
-//! Each study retrains models, so the full suite at `scaled` takes tens of
-//! minutes on one core; `--only` selects a single study and the default
-//! scale for this binary is `smoke` unless `--scale`/`DLPIC_SCALE` says
-//! otherwise.
+//! Each study retrains its own models (the NGP dataset is the shared
+//! one), so all six at `scaled` take tens of minutes on one core. Each
+//! row appends its section to `out/ablations-{scale}.csv`.
 
+use crate::physics_loss::PhysicsInformedMse;
+use crate::temporal::{windowed_pairs, TemporalDlSolver};
+use crate::{prepare_data, score, train_arch, Ctx, DataBundle};
 use dlpic_analytics::series::Table;
 use dlpic_analytics::stats;
-use dlpic_bench::physics_loss::PhysicsInformedMse;
-use dlpic_bench::temporal::{windowed_pairs, TemporalDlSolver};
-use dlpic_bench::{out_dir, prepare_data, train_arch, TrainedModel};
 use dlpic_core::builder::ArchSpec;
+use dlpic_core::bundle::ModelBundle;
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::{BinningShape, PhaseGridSpec};
 use dlpic_core::presets::Scale;
-use dlpic_dataset::generator::{generate, harvest, Capture, GeneratorConfig};
+use dlpic_dataset::generator::{harvest, Capture};
 use dlpic_dataset::spec::SweepSpec;
-use dlpic_dataset::split::{shuffle_split, SplitSizes};
 use dlpic_dataset::vlasov_bridge::{generate_vlasov, VlasovDatasetConfig};
 use dlpic_dataset::PhaseDataset;
 use dlpic_nn::data::Dataset;
-use dlpic_nn::loss::Mse;
+use dlpic_nn::loss::{Loss, Mse};
 use dlpic_nn::optimizer::Adam;
 use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig};
@@ -44,57 +28,30 @@ use dlpic_pic::presets::{paper_config, reduced_config};
 use dlpic_pic::simulation::Simulation;
 use dlpic_pic::solver::TraditionalSolver;
 
-fn parse_args() -> (Scale, Option<String>) {
-    let mut scale = Scale::from_env();
-    let mut only = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = Scale::parse(args.get(i).map(String::as_str).unwrap_or("")).unwrap_or_else(
-                    || {
-                        eprintln!("unknown scale; use smoke|scaled|paper");
-                        std::process::exit(2);
-                    },
-                );
-            }
-            "--only" => {
-                i += 1;
-                only = args.get(i).cloned();
-            }
-            other => {
-                eprintln!("unknown option `{other}` (use --scale, --only)");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    (scale, only)
-}
-
-fn run_dl_pic_momentum_drift(model: &TrainedModel) -> f64 {
-    let solver = model.bundle.freeze().expect("an MLP freezes").solver();
+fn run_dl_pic_momentum_drift(model: &ModelBundle) -> f64 {
+    let solver = model.freeze().expect("an MLP freezes").solver();
     let mut sim = Simulation::new(paper_config(0.2, 0.025, 99), Box::new(solver));
     sim.run();
     stats::max_drift(&sim.history().momentum)
 }
 
-fn ablation_binning(scale: Scale, out: &mut Vec<String>) {
+/// The scale's paper MLP trained on `data` with `loss`, its shuffles
+/// seeded by `seed`.
+fn mlp(scale: Scale, data: &DataBundle, loss: &dyn Loss, seed: u64) -> ModelBundle {
+    let (arch, epochs, lr) = (scale.mlp_arch(), scale.mlp_epochs(), scale.learning_rate());
+    train_arch(&arch, data, loss, epochs, lr, seed, 0)
+}
+
+/// Phase-space binning order: NGP vs CIC ("higher-order interpolation
+/// functions would likely improve the performance of the DL electric
+/// field solver").
+pub fn binning(ctx: &Ctx) {
+    let scale = ctx.scale;
     println!("-- ablation: phase-space binning order (NGP vs CIC) --");
     let mut table = Table::new(&["binning", "MAE set I", "MAE set II", "max err I"]);
-    for binning in [BinningShape::Ngp, BinningShape::Cic] {
-        let data = prepare_data(scale, binning, false);
-        let m = train_arch(
-            &scale.mlp_arch(),
-            &data,
-            &Mse,
-            scale.mlp_epochs(),
-            scale.learning_rate(),
-            0xAB1,
-            0,
-        );
+    let cic = prepare_data(scale, scale.phase_spec(), BinningShape::Cic, false);
+    for (binning, data) in [(BinningShape::Ngp, ctx.data()), (BinningShape::Cic, &cic)] {
+        let m = score(&mlp(scale, data, &Mse, 0xAB1), data);
         table.row(&[
             format!("{binning:?}"),
             format!("{:.5}", m.mae1),
@@ -103,48 +60,36 @@ fn ablation_binning(scale: Scale, out: &mut Vec<String>) {
         ]);
     }
     println!("{}", table.render());
-    out.push(format!("binning:\n{}", table.to_csv()));
+    ctx.ablation_csv(format!("binning:\n{}", table.to_csv()));
 }
 
-fn ablation_physics(scale: Scale, out: &mut Vec<String>) {
+/// Plain MSE vs the physics-informed loss (the paper's PINN suggestion):
+/// the effect on accuracy *and* on DL-PIC momentum drift.
+pub fn physics(ctx: &Ctx) {
+    let (scale, data) = (ctx.scale, ctx.data());
     println!("-- ablation: MSE vs physics-informed loss (paper §VII PINN path) --");
-    let data = prepare_data(scale, BinningShape::Ngp, false);
     let mut table = Table::new(&["loss", "MAE set I", "MAE set II", "DL-PIC momentum drift"]);
-    let mse_model = train_arch(
-        &scale.mlp_arch(),
-        &data,
-        &Mse,
-        scale.mlp_epochs(),
-        scale.learning_rate(),
-        0xAB2,
-        0,
-    );
     let pi = PhysicsInformedMse::new(5.0, 1.0);
-    let pi_model = train_arch(
-        &scale.mlp_arch(),
-        &data,
-        &pi,
-        scale.mlp_epochs(),
-        scale.learning_rate(),
-        0xAB2,
-        0,
-    );
-    for (name, m) in [("mse", &mse_model), ("physics-informed", &pi_model)] {
+    let losses: [(&str, &dyn Loss); 2] = [("mse", &Mse), ("physics-informed", &pi)];
+    for (name, loss) in losses {
+        let model = mlp(scale, data, loss, 0xAB2);
+        let m = score(&model, data);
         table.row(&[
             name.into(),
             format!("{:.5}", m.mae1),
             format!("{:.5}", m.mae2),
-            format!("{:.4e}", run_dl_pic_momentum_drift(m)),
+            format!("{:.4e}", run_dl_pic_momentum_drift(&model)),
         ]);
     }
     println!("{}", table.render());
     println!("(the paper predicts the physics-informed variant improves conservation)\n");
-    out.push(format!("physics:\n{}", table.to_csv()));
+    ctx.ablation_csv(format!("physics:\n{}", table.to_csv()));
 }
 
-fn ablation_arch(scale: Scale, out: &mut Vec<String>) {
+/// MLP vs CNN vs residual MLP (the paper's ResNet suggestion).
+pub fn arch(ctx: &Ctx) {
+    let (scale, data) = (ctx.scale, ctx.data());
     println!("-- ablation: architecture (MLP vs CNN vs residual MLP) --");
-    let data = prepare_data(scale, BinningShape::Ngp, false);
     let mut table = Table::new(&["architecture", "params", "MAE set I", "MAE set II"]);
     let arches: [(&str, ArchSpec, usize); 3] = [
         ("mlp", scale.mlp_arch(), scale.mlp_epochs()),
@@ -152,20 +97,22 @@ fn ablation_arch(scale: Scale, out: &mut Vec<String>) {
         ("resmlp", scale.resmlp_arch(), scale.mlp_epochs()),
     ];
     for (name, arch, epochs) in arches {
-        let m = train_arch(&arch, &data, &Mse, epochs, scale.learning_rate(), 0xAB3, 0);
-        let params = arch.build(0).param_count();
+        let model = train_arch(&arch, data, &Mse, epochs, scale.learning_rate(), 0xAB3, 0);
+        let m = score(&model, data);
         table.row(&[
             name.into(),
-            params.to_string(),
+            arch.param_count().to_string(),
             format!("{:.5}", m.mae1),
             format!("{:.5}", m.mae2),
         ]);
     }
     println!("{}", table.render());
-    out.push(format!("arch:\n{}", table.to_csv()));
+    ctx.ablation_csv(format!("arch:\n{}", table.to_csv()));
 }
 
-fn ablation_grid(scale: Scale, out: &mut Vec<String>) {
+/// Phase-grid resolution sweep.
+pub fn grid(ctx: &Ctx) {
+    let scale = ctx.scale;
     println!("-- ablation: phase-grid resolution --");
     let mut table = Table::new(&["phase grid", "MAE set I", "MAE set II"]);
     let sizes: &[usize] = match scale {
@@ -174,20 +121,7 @@ fn ablation_grid(scale: Scale, out: &mut Vec<String>) {
     };
     for &n in sizes {
         let spec = PhaseGridSpec::new(n, n, -0.8, 0.8);
-        let mut cfg = GeneratorConfig::new(SweepSpec::training_for(scale), spec);
-        cfg.ppc = scale.dataset_ppc();
-        let full = generate(&cfg);
-        let sizes_split = SplitSizes::paper_proportions(full.len());
-        let (train, val, test1) = shuffle_split(&full, sizes_split, 0xA11CE);
-        let mut cfg2 = GeneratorConfig::new(SweepSpec::test_set_ii_for(scale), spec);
-        cfg2.ppc = scale.dataset_ppc();
-        let test2 = generate(&cfg2);
-        let data = dlpic_bench::DataBundle {
-            train,
-            val,
-            test1,
-            test2,
-        };
+        let data = prepare_data(scale, spec, BinningShape::Ngp, false);
         let arch = ArchSpec::Mlp {
             input: spec.cells(),
             hidden: match scale {
@@ -196,15 +130,8 @@ fn ablation_grid(scale: Scale, out: &mut Vec<String>) {
             },
             output: 64,
         };
-        let m = train_arch(
-            &arch,
-            &data,
-            &Mse,
-            scale.mlp_epochs(),
-            scale.learning_rate(),
-            0xAB4,
-            0,
-        );
+        let (epochs, lr) = (scale.mlp_epochs(), scale.learning_rate());
+        let m = score(&train_arch(&arch, &data, &Mse, epochs, lr, 0xAB4, 0), &data);
         table.row(&[
             format!("{n}x{n}"),
             format!("{:.5}", m.mae1),
@@ -212,13 +139,16 @@ fn ablation_grid(scale: Scale, out: &mut Vec<String>) {
         ]);
     }
     println!("{}", table.render());
-    out.push(format!("grid:\n{}", table.to_csv()));
+    ctx.ablation_csv(format!("grid:\n{}", table.to_csv()));
 }
 
-fn ablation_data(scale: Scale, out: &mut Vec<String>) {
+/// PIC-harvested vs Vlasov-harvested training data ("more accurate
+/// training data sets can be obtained by running Vlasov codes").
+pub fn data(ctx: &Ctx) {
+    let scale = ctx.scale;
     println!("-- ablation: PIC-noise vs Vlasov (noise-free) training data --");
     // Baseline: the normal PIC-harvested data at this scale.
-    let pic_data = prepare_data(scale, BinningShape::Ngp, false);
+    let pic_data = ctx.data();
 
     // Vlasov-sourced training set over the same sweep and geometry, but
     // evaluated on the SAME PIC test sets — inference always sees PIC
@@ -227,7 +157,7 @@ fn ablation_data(scale: Scale, out: &mut Vec<String>) {
     let mut sweep = SweepSpec::training_for(scale);
     sweep.experiments_per_combo = 1; // Vlasov is deterministic
     let vcfg = VlasovDatasetConfig::new(sweep, scale.phase_spec(), total_mass);
-    let vlasov_data = dlpic_bench::DataBundle {
+    let vlasov_data = DataBundle {
         train: generate_vlasov(&vcfg),
         val: pic_data.val.clone(),
         test1: pic_data.test1.clone(),
@@ -242,32 +172,28 @@ fn ablation_data(scale: Scale, out: &mut Vec<String>) {
         "DL-PIC momentum drift",
     ]);
     for (name, data) in [
-        ("pic (noisy)", &pic_data),
+        ("pic (noisy)", pic_data),
         ("vlasov (noise-free)", &vlasov_data),
     ] {
-        let m = train_arch(
-            &scale.mlp_arch(),
-            data,
-            &Mse,
-            scale.mlp_epochs(),
-            scale.learning_rate(),
-            0xAB5,
-            0,
-        );
+        let model = mlp(scale, data, &Mse, 0xAB5);
+        let m = score(&model, data);
         table.row(&[
             name.into(),
             data.train.len().to_string(),
             format!("{:.5}", m.mae1),
             format!("{:.5}", m.mae2),
-            format!("{:.4e}", run_dl_pic_momentum_drift(&m)),
+            format!("{:.4e}", run_dl_pic_momentum_drift(&model)),
         ]);
     }
     println!("{}", table.render());
     println!("(evaluation is on PIC-generated test sets in both rows — the\n inference-time distribution; paper SVII conjectures the Vlasov route)\n");
-    out.push(format!("data:\n{}", table.to_csv()));
+    ctx.ablation_csv(format!("data:\n{}", table.to_csv()));
 }
 
-fn ablation_temporal(scale: Scale, out: &mut Vec<String>) {
+/// Single-step vs stacked-history inputs ("neural networks fit to encode
+/// time sequences … might be a better fit").
+pub fn temporal(ctx: &Ctx) {
+    let scale = ctx.scale;
     println!("-- ablation: time-sequence inputs (paper SVII ResNet conjecture) --");
     let spec = scale.phase_spec();
     let binning = BinningShape::Ngp;
@@ -358,33 +284,5 @@ fn ablation_temporal(scale: Scale, out: &mut Vec<String>) {
     }
     println!("{}", table.render());
     println!("(k = 1 is the paper's method; larger k feeds the network history)\n");
-    out.push(format!("temporal:\n{}", table.to_csv()));
-}
-
-fn main() {
-    let (scale, only) = parse_args();
-    println!("== ablation studies [{} scale] ==\n", scale.name());
-    let mut csv_chunks = Vec::new();
-    let want = |name: &str| only.as_deref().map(|o| o == name).unwrap_or(true);
-    if want("binning") {
-        ablation_binning(scale, &mut csv_chunks);
-    }
-    if want("physics") {
-        ablation_physics(scale, &mut csv_chunks);
-    }
-    if want("arch") {
-        ablation_arch(scale, &mut csv_chunks);
-    }
-    if want("grid") {
-        ablation_grid(scale, &mut csv_chunks);
-    }
-    if want("data") {
-        ablation_data(scale, &mut csv_chunks);
-    }
-    if want("temporal") {
-        ablation_temporal(scale, &mut csv_chunks);
-    }
-    let path = out_dir().join(format!("ablations-{}.csv", scale.name()));
-    std::fs::write(&path, csv_chunks.join("\n")).expect("write CSV");
-    println!("wrote {}", path.display());
+    ctx.ablation_csv(format!("temporal:\n{}", table.to_csv()));
 }

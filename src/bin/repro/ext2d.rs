@@ -1,19 +1,17 @@
 //! **Extension: 2-D systems** — the paper's §VII names "two- and
 //! three-dimensional systems" as the next step for the DL-PIC method.
-//! This binary runs the full pipeline in 2-D: harvest training data from
+//! This row runs the full pipeline in 2-D: harvest training data from
 //! traditional 2-D PIC runs across a small (v0, seed) sweep, train the
 //! 2-D DL field solver (density histogram → `[Ex | Ey]`), and compare the
 //! DL-based and traditional 2-D PIC on the two-stream validation run —
 //! the 2-D analogue of the paper's Figs. 4–5.
-//!
-//! Run: `cargo run -p dlpic-bench --release --bin ext2d [--scale ...]`
 
+use crate::{out_dir, Ctx};
 use dlpic_analytics::dispersion::TwoStreamDispersion;
 use dlpic_analytics::fit::{fit_growth_rate, GrowthFitOptions};
 use dlpic_analytics::plot::{line_plot, PlotOptions};
 use dlpic_analytics::series::{write_csv, Table, TimeSeries};
 use dlpic_analytics::stats;
-use dlpic_bench::{out_dir, Cli};
 use dlpic_core::presets::Scale;
 use dlpic_core::twod::{arch_2d, DensityBinning};
 use dlpic_dataset::{fit, harvest, Capture, PhaseDataset};
@@ -50,13 +48,12 @@ fn config(grid: &Grid2D, n_part: usize, v0: f64, vth: f64, seed: u64) -> PicConf
     }
 }
 
-fn main() {
-    let cli = Cli::parse();
-    let (n_axis, n_part, n_seeds, hidden, epochs) = sizing(cli.scale);
+pub fn run(ctx: &Ctx) {
+    let (n_axis, n_part, n_seeds, hidden, epochs) = sizing(ctx.scale);
     let grid = Grid2D::new(n_axis, n_axis, 2.0532, 2.0532);
     println!(
         "== Extension: 2-D DL-PIC [{} scale: {n_axis}²(cells) {n_part} particles] ==\n",
-        cli.scale.name()
+        ctx.scale.name()
     );
 
     // 1. Harvest training data: a small sweep over v0 × seeds (the same
@@ -87,7 +84,9 @@ fn main() {
     let arch = arch_2d(grid.nodes(), vec![hidden]);
     let trained = fit(&arch, &data, &Mse, None, 1e-3, &tc);
     let history = &trained.history;
-    let frozen = trained.freeze(DensityBinning::Cic, "dl-2d-mlp", Precision::F32);
+    let frozen = trained
+        .freeze(DensityBinning::Cic, "dl-2d-mlp", Precision::F32)
+        .expect("a finite 2-D MLP freezes");
     let mut solver = frozen.solver();
     eprintln!(
         "  final MSE {:.3e} ({:.1}s)",
@@ -205,7 +204,7 @@ fn main() {
     ]);
     println!("{}", table.render());
 
-    let path = out_dir().join(format!("ext2d-{}.csv", cli.scale.name()));
+    let path = out_dir().join(format!("ext2d-{}.csv", ctx.scale.name()));
     let tot_trad = TimeSeries::from_data(
         "energy-traditional",
         trad.history().times.clone(),

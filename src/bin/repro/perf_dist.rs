@@ -1,7 +1,7 @@
 //! **§VII distributed-memory discussion** — the paper argues the DL field
 //! solver "does not need communication when running … on distributed
 //! memory systems as all neural networks can be loaded on each process",
-//! unlike the traditional method's global linear system. This binary puts
+//! unlike the traditional method's global linear system. This row puts
 //! numbers on that claim: it runs the domain-decomposed PIC
 //! (`dlpic-ddecomp`) under both field-solve strategies at 1–8 ranks and
 //! tabulates the *measured* per-step communication volume by traffic
@@ -17,11 +17,9 @@
 //!   field-grid size; there is *no* E-field exchange at all.
 //! * **migration** is common to both and dominated by physics
 //!   (beam speed), not by the solver choice.
-//!
-//! Run: `cargo run -p dlpic-bench --release --bin perf_dist [--scale ...]`
 
+use crate::{out_dir, Ctx};
 use dlpic_analytics::series::Table;
-use dlpic_bench::{get_or_train_mlp, out_dir, Cli};
 use dlpic_core::builder::ArchSpec;
 use dlpic_core::field_solver::FrozenBundle;
 use dlpic_core::normalize::NormStats;
@@ -44,11 +42,7 @@ fn sizing(scale: Scale) -> (usize, usize) {
     }
 }
 
-fn config(n_ranks: usize, n_part: usize, n_steps: usize) -> DistConfig {
-    config_on(Grid1D::paper(), n_ranks, n_part, n_steps)
-}
-
-fn config_on(grid: Grid1D, n_ranks: usize, n_part: usize, n_steps: usize) -> DistConfig {
+fn config(grid: Grid1D, n_ranks: usize, n_part: usize, n_steps: usize) -> DistConfig {
     DistConfig {
         grid,
         init: TwoStreamInit::quiet(0.2, 0.025, n_part, 1e-3, 11),
@@ -70,13 +64,13 @@ struct RunResult {
     ms_per_step: f64,
 }
 
-fn run(
+fn measure(
     n_ranks: usize,
     n_part: usize,
     n_steps: usize,
     make: impl Fn() -> Box<dyn DistFieldStrategy>,
 ) -> RunResult {
-    let mut sim = DistSimulation::new(config(n_ranks, n_part, n_steps), make());
+    let mut sim = DistSimulation::new(config(Grid1D::paper(), n_ranks, n_part, n_steps), make());
     let start = Instant::now();
     sim.run();
     let elapsed = start.elapsed().as_secs_f64();
@@ -100,30 +94,27 @@ fn run(
     }
 }
 
-fn main() {
-    let cli = Cli::parse();
-    let (n_part, n_steps) = sizing(cli.scale);
+pub fn run(ctx: &Ctx) {
+    let (n_part, n_steps) = sizing(ctx.scale);
     println!(
         "== §VII distributed-memory: communication per step [{} scale: {n_part} particles, {n_steps} steps] ==\n",
-        cli.scale.name()
+        ctx.scale.name()
     );
 
     // The DL strategy runs the real trained model of the 1-D experiments
     // so its histogram size matches the published pipeline.
-    let frozen = get_or_train_mlp(cli.scale, cli.retrain, true)
-        .freeze()
-        .expect("the 1-D MLP freezes");
-    let hist_cells = cli.scale.phase_spec().cells();
+    let frozen = ctx.mlp().freeze().expect("the 1-D MLP freezes");
+    let hist_cells = ctx.scale.phase_spec().cells();
     eprintln!("model loaded ({hist_cells}-bin histogram all-reduce)\n");
 
     let mut results = Vec::new();
     for n_ranks in [1usize, 2, 4, 8] {
         eprintln!("ranks = {n_ranks}: gather-scatter...");
-        results.push(run(n_ranks, n_part, n_steps, || {
+        results.push(measure(n_ranks, n_part, n_steps, || {
             Box::new(GatherScatter::new(Shape::Cic, 1.0))
         }));
         eprintln!("ranks = {n_ranks}: replicated-dl...");
-        results.push(run(n_ranks, n_part, n_steps, || {
+        results.push(measure(n_ranks, n_part, n_steps, || {
             Box::new(ReplicatedDl::new(frozen.solver()))
         }));
     }
@@ -164,7 +155,7 @@ fn main() {
          for the per-rank compute a real machine would see."
     );
 
-    let path = out_dir().join(format!("perf-dist-{}.csv", cli.scale.name()));
+    let path = out_dir().join(format!("perf-dist-{}.csv", ctx.scale.name()));
     let csv = table.to_csv();
     std::fs::write(&path, csv).expect("write csv");
     println!("\ntable written to {}", path.display());
@@ -184,12 +175,12 @@ fn main() {
     let sweep_steps = 10usize;
     for ncells in [64usize, 128, 256, 512, 1024, 2048, 4096, 8192] {
         let field_bytes = |dl: bool| -> f64 {
-            let cfg = config_on(Grid1D::new(ncells, 2.0532), 4, 8_000, sweep_steps);
+            let cfg = config(Grid1D::new(ncells, 2.0532), 4, 8_000, sweep_steps);
             let strat: Box<dyn DistFieldStrategy> = if dl {
                 // Width-matched network per grid size (untrained is fine:
                 // the traffic does not depend on the weights, only on the
                 // histogram geometry, which stays that of the real model).
-                let spec = cli.scale.phase_spec();
+                let spec = ctx.scale.phase_spec();
                 let arch = ArchSpec::Mlp {
                     input: spec.cells(),
                     hidden: vec![16],
@@ -233,7 +224,7 @@ fn main() {
         ]);
     }
     println!("{}", sweep.render());
-    let sweep_path = out_dir().join(format!("perf-dist-sweep-{}.csv", cli.scale.name()));
+    let sweep_path = out_dir().join(format!("perf-dist-sweep-{}.csv", ctx.scale.name()));
     std::fs::write(&sweep_path, sweep.to_csv()).expect("write csv");
     println!("sweep written to {}", sweep_path.display());
 }

@@ -31,7 +31,6 @@
 //!   rescaled to this machine by the `matmul_naive` calibration anchor;
 //!   the bf16 ratio needs no anchor, both sides are timed live.
 
-use dlpic_bench::gate::{calibration_gflops, fill, indent_block, median};
 use dlpic_core::builder::ArchSpec;
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
@@ -43,7 +42,7 @@ use dlpic_nn::data::Dataset;
 use dlpic_nn::init::Init;
 use dlpic_nn::layer::Layer;
 use dlpic_nn::layers::Conv2d;
-use dlpic_nn::linalg::{live_mask, matmul_nn, matmul_nt, matmul_tn, KB};
+use dlpic_nn::linalg::{live_mask, matmul_naive, matmul_nn, matmul_nt, matmul_tn, KB};
 use dlpic_nn::loss::Mse;
 use dlpic_nn::optimizer::Adam;
 use dlpic_nn::tensor::Tensor;
@@ -55,6 +54,54 @@ use dlpic_repro::engine::json::Json;
 use dlpic_repro::engine::Engine;
 use dlpic_vlasov::solver::{VlasovConfig, VlasovSolver};
 use std::time::Instant;
+
+/// Median of the samples (ties to the upper middle).
+///
+/// # Panics
+/// Panics on an empty input.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.total_cmp(b));
+    xs[xs.len() / 2]
+}
+
+/// Deterministic pseudo-random fill in [-1, 1).
+fn fill(buf: &mut [f32], mut seed: u64) {
+    for v in buf.iter_mut() {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *v = ((seed >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0;
+    }
+}
+
+/// Machine-speed anchor: GFLOP/s of the fixed-shape f64 `matmul_naive`
+/// oracle. The oracle is the property-test reference and never part of
+/// the optimized kernels, so its throughput tracks only the machine (the
+/// CPU and the codegen flags), not the repo's performance work. Every
+/// gated figure is rescaled by this one implementation.
+fn calibration_gflops(reps: usize) -> f64 {
+    let n = 192;
+    let mut a = vec![0.0f32; n * n];
+    let mut b = vec![0.0f32; n * n];
+    fill(&mut a, 3);
+    fill(&mut b, 5);
+    std::hint::black_box(matmul_naive(&a, &b, n, n, n));
+    let flops = 2.0 * (n * n * n) as f64;
+    let times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(matmul_naive(&a, &b, n, n, n));
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    flops / median(times) / 1e9
+}
+
+/// Re-indents a captured measurement JSON by two spaces for embedding as
+/// a `baseline` section.
+fn indent_block(block: &str) -> String {
+    block.lines().collect::<Vec<_>>().join("\n  ")
+}
 
 /// bf16 weight storage exists to beat f32 on the memory-bound solo
 /// inference; below this ratio it no longer pays for its precision loss.
@@ -865,7 +912,7 @@ mod tests {
     /// tier-1, rather than in CI's perf step.
     #[test]
     fn committed_bench_train_has_every_entry_the_check_reads() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_train.json");
         let text = std::fs::read_to_string(path).expect("BENCH_train.json at the repo root");
         let committed = Committed::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
         assert!(committed.calibration > 0.0);

@@ -14,7 +14,8 @@
 //! this order:
 //!
 //! 1. **Bring a trained model** — `engine.with_model_1d(bundle)` with a
-//!    [`ModelBundle`] from `dlpic-bench` or [`quick_train_1d`];
+//!    [`ModelBundle`] from the `repro` binary's model cache
+//!    (`out/models/`) or [`quick_train_1d`];
 //!    `engine.with_model_2d(frozen)` with
 //!    `quick_train_2d(&spec, seed, Precision::F32)?`. Both quick-trains
 //!    are one `dlpic-dataset` pipeline — sweep, harvest, sample store,
@@ -39,7 +40,7 @@ use crate::core::normalize::NormStats;
 use crate::core::phase_space::BinningShape;
 use crate::core::presets::Scale;
 use crate::core::twod::{arch_2d, DensityBinning};
-use crate::core::{FrozenBundle, InputBinning, ModelBundle};
+use crate::core::{BundleError, FrozenBundle, InputBinning, ModelBundle};
 use crate::dataset::generator::{generate, harvest, Capture, GeneratorConfig};
 use crate::dataset::spec::SweepSpec;
 use crate::dataset::{fit, PhaseDataset};
@@ -200,7 +201,7 @@ pub(crate) fn weight_key<G: DlGeometry>(tier: ModelTier, spec: &ScenarioSpec) ->
 /// Trains a 1-D MLP field solver from scratch at the given scale — the
 /// full paper pipeline (traditional-PIC harvest → Adam/MSE training) with
 /// the scale's sweep and architecture. Seconds at `Scale::Smoke`; see
-/// `dlpic-bench` for cached, full-size training.
+/// the `repro` binary for cached, full-size training.
 pub fn quick_train_1d(scale: Scale, seed: u64) -> ModelBundle {
     let mut cfg = GeneratorConfig::new(SweepSpec::training_for(scale), scale.phase_spec());
     cfg.ppc = scale.dataset_ppc();
@@ -284,7 +285,10 @@ pub fn quick_train_2d(
     };
     let lr = spec.scale.learning_rate().max(1e-3);
     let trained = fit(&Grid2D::default_arch(spec), &data, &Mse, None, lr, &tc);
-    Ok(trained.freeze(binning, "dl-2d-mlp", precision))
+    // A diverged training (NaN weights) is refused by name, not run.
+    trained
+        .freeze(binning, "dl-2d-mlp", precision)
+        .map_err(|e| EngineError::Bundle(BundleError::Freeze(e)))
 }
 
 /// Observable counters of a [`ModelRegistry`].

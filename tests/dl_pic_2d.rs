@@ -45,7 +45,9 @@ fn train_2d(seeds: &[u64], n_steps: usize, epochs: usize, train_seed: u64) -> Tr
 }
 
 fn freeze(trained: &Trained) -> FrozenBundle<Grid2D> {
-    trained.freeze(DensityBinning::Cic, "dl-2d-mlp", Precision::F32)
+    trained
+        .freeze(DensityBinning::Cic, "dl-2d-mlp", Precision::F32)
+        .expect("a finite MLP freezes")
 }
 
 fn config(v0: f64, vth: f64, n_steps: usize, seed: u64) -> PicConfig<Grid2D> {

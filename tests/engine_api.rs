@@ -331,3 +331,63 @@ fn a_non_finite_model_is_refused_at_dl_start() {
     }
     assert!(engine.start(&spec, Backend::Traditional1D).is_ok());
 }
+
+/// The trained-network door to a solver makes the same refusal in both
+/// dimensions: `FrozenBundle::from_network` and `Trained::freeze` go
+/// through `Sequential::freeze`, which names the poisoned layer instead
+/// of freezing a NaN the kernels' dead-row elision could hide.
+#[test]
+fn a_non_finite_network_is_refused_by_every_freeze_from_a_network() {
+    use dlpic_repro::core::twod::arch_2d;
+    use dlpic_repro::core::{BinningShape, DensityBinning, FrozenBundle, NormStats};
+    use dlpic_repro::dataset::Trained;
+    use dlpic_repro::nn::{FreezeError, Precision, Sequential, TrainHistory};
+    use dlpic_repro::pic::{Grid1D, Grid2D};
+    let poisoned = |mut net: Sequential| {
+        let mut first = true;
+        net.visit_params(&mut |w, _| {
+            if std::mem::take(&mut first) {
+                w[0] = f32::NAN;
+                w[1] = f32::INFINITY;
+            }
+        });
+        net
+    };
+    let refusal = Some(FreezeError::NonFinite {
+        layer_index: 0,
+        layer_name: "dense",
+    });
+    let net_1d = poisoned(Scale::Smoke.mlp_arch().build(1));
+    let binner_1d = (Scale::Smoke.phase_spec(), BinningShape::Ngp);
+    let frozen_1d = FrozenBundle::<Grid1D>::from_network(
+        &net_1d,
+        binner_1d,
+        NormStats::identity(),
+        "dl-mlp",
+        Precision::F32,
+    );
+    assert_eq!(frozen_1d.err(), refusal);
+
+    let trained = Trained {
+        net: poisoned(arch_2d(8 * 8, vec![16]).build(1)),
+        norm: NormStats::identity(),
+        history: TrainHistory::default(),
+        reference_mass: 1.0,
+    };
+    for precision in [Precision::F32, Precision::Bf16] {
+        let direct = FrozenBundle::<Grid2D>::from_network(
+            &trained.net,
+            DensityBinning::Cic,
+            NormStats::identity(),
+            "dl-2d-mlp",
+            precision,
+        );
+        assert_eq!(direct.err(), refusal, "from_network at {precision:?}");
+        let via_trained = trained.freeze::<Grid2D>(DensityBinning::Cic, "dl-2d-mlp", precision);
+        assert_eq!(
+            via_trained.err(),
+            refusal,
+            "Trained::freeze at {precision:?}"
+        );
+    }
+}

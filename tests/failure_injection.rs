@@ -147,16 +147,14 @@ fn binning_clamps_outliers_and_conserves_counts() {
 
 #[test]
 fn solver_with_nan_weights_propagates_not_panics() {
-    // A poisoned model must not crash the simulation loop — NaN shows up
-    // in the diagnostics where the user can see it. The first element of
-    // every tensor is poisoned, biases too, and the bias is what makes it
-    // visible: the kernel skips a weight row whose activation is zero (a
-    // NaN there can hide behind an empty phase-space bin), while a bias is
-    // added to every output unconditionally.
+    // A poisoned model must not crash the simulation loop, and must not
+    // hide its NaN: the kernel skips a weight row whose activation is zero,
+    // so a NaN weight inside a solver could sit behind an empty phase-space
+    // bin and never show. The poison propagates to the caller instead, as
+    // a typed error naming the layer, at the freeze that would mint the
+    // solver. The first element of every tensor is poisoned, biases too.
     use dlpic_repro::core::field_solver::FrozenBundle;
-    use dlpic_repro::nn::Precision;
-    use dlpic_repro::pic::init::TwoStreamInit;
-    use dlpic_repro::pic::solver::FieldSolver;
+    use dlpic_repro::nn::{FreezeError, Precision};
 
     let spec = PhaseGridSpec::smoke();
     let arch = ArchSpec::Mlp {
@@ -170,23 +168,23 @@ fn solver_with_nan_weights_propagates_not_panics() {
             *first = f32::NAN;
         }
     });
-    let mut solver = FrozenBundle::from_network(
-        &net,
-        (spec, BinningShape::Ngp),
-        NormStats::identity(),
-        "poisoned",
-        Precision::F32,
-    )
-    .unwrap()
-    .solver();
-    let grid = Grid1D::paper();
-    let p = TwoStreamInit::random(0.2, 0.0, 1_000, 0).build(&grid);
-    let mut e = grid.zeros();
-    FieldSolver::solve(&mut solver, &p, &grid, &mut e);
-    assert!(
-        e.iter().any(|v| v.is_nan()),
-        "poison must be visible downstream"
-    );
+    for precision in [Precision::F32, Precision::Bf16] {
+        let frozen = FrozenBundle::<Grid1D>::from_network(
+            &net,
+            (spec, BinningShape::Ngp),
+            NormStats::identity(),
+            "poisoned",
+            precision,
+        );
+        assert_eq!(
+            frozen.err(),
+            Some(FreezeError::NonFinite {
+                layer_index: 0,
+                layer_name: "dense"
+            }),
+            "{precision:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -322,8 +322,9 @@ fn render_dl_2d_trained() -> String {
     };
     let arch = arch_2d(grid.nodes(), vec![16]);
     let trained = fit(&arch, &data, &Mse, None, 1e-3, &tc);
-    let frozen: FrozenBundle<Grid2D> =
-        trained.freeze(DensityBinning::Cic, "dl-2d-mlp", Precision::F32);
+    let frozen: FrozenBundle<Grid2D> = trained
+        .freeze(DensityBinning::Cic, "dl-2d-mlp", Precision::F32)
+        .expect("a finite MLP freezes");
     let history = &trained.history;
     let loss: Vec<u8> = history
         .train_loss

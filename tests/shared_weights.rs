@@ -373,7 +373,7 @@ fn weight_profiler_keys_name_what_sessions_share() {
         match refused {
             Some(EngineError::Bundle(BundleError::Freeze(e))) => assert_eq!(
                 e,
-                FreezeError {
+                FreezeError::NoFrozenForm {
                     layer_index: 0,
                     layer_name: "conv2d"
                 }
