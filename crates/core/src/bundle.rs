@@ -198,9 +198,7 @@ impl ModelBundle {
             min: buf.get_f32_le(),
             max: buf.get_f32_le(),
         };
-        // A non-finite bound turns every normalized input into NaN or 0,
-        // and ReLU maps NaN to 0: the model would ignore the plasma.
-        if !(norm.min.is_finite() && norm.max.is_finite()) {
+        if !norm.is_finite() {
             return Err(BundleError::Malformed("bad normalization"));
         }
         let reference_mass = buf.get_f32_le();
@@ -287,12 +285,16 @@ impl ModelBundle {
     /// and, at f32, moved into its frozen layer as it is. Predictions are
     /// bit-identical to the captured network's `Sequential::predict_into`.
     ///
-    /// A non-finite parameter is refused as [`Self::decode`] refuses it
-    /// (`Malformed("non-finite parameter")`), checked in the same decode
-    /// pass: the kernels skip dead weight rows on the premise that every
-    /// weight is finite, and a bundle made in memory
+    /// A non-finite parameter or normalization bound is refused as
+    /// [`Self::decode`] refuses it (`Malformed("non-finite parameter")`,
+    /// `Malformed("bad normalization")`), the parameters checked in the
+    /// same decode pass: the kernels skip dead weight rows on the premise
+    /// that every weight is finite, and a bundle made in memory
     /// ([`Self::from_network`]) never went through the file door.
     pub fn freeze(&self) -> Result<FrozenBundle, BundleError> {
+        if !self.norm.is_finite() {
+            return Err(BundleError::Malformed("bad normalization"));
+        }
         let table = self.arch.layers(None);
         // Refused by the architecture alone, before a byte is decoded.
         let unfrozen = table.iter().position(|layer| {
@@ -688,33 +690,46 @@ mod tests {
                 "[{vmin}, {vmax}]"
             );
         }
-        // So is a non-finite normalization bound: every input would
-        // normalize to NaN or 0.
-        for norm in [
-            NormStats {
-                min: f32::NAN,
-                max: 37.5,
-            },
-            NormStats {
-                min: f32::NEG_INFINITY,
-                max: 37.5,
-            },
-            NormStats {
-                min: 0.0,
-                max: f32::INFINITY,
-            },
-        ] {
-            let bundle = ModelBundle {
-                norm,
-                ..tiny_bundle()
-            };
-            assert!(
-                matches!(
-                    ModelBundle::decode(&bundle.encode()),
-                    Err(BundleError::Malformed("bad normalization"))
-                ),
-                "{norm:?}"
-            );
+        // So is a non-finite normalization bound, at the file door and at
+        // both in-memory doors to a solver: every input would normalize to
+        // NaN or 0.
+        let net = tiny_bundle().arch.build(77);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for norm in [
+                NormStats { min: bad, max: 1.0 },
+                NormStats { min: 0.0, max: bad },
+            ] {
+                let bundle = ModelBundle {
+                    norm,
+                    ..tiny_bundle()
+                };
+                assert!(
+                    matches!(
+                        ModelBundle::decode(&bundle.encode()),
+                        Err(BundleError::Malformed("bad normalization"))
+                    ),
+                    "decode with {norm:?}"
+                );
+                assert!(
+                    matches!(
+                        bundle.freeze(),
+                        Err(BundleError::Malformed("bad normalization"))
+                    ),
+                    "ModelBundle::freeze with {norm:?}"
+                );
+                let direct = FrozenBundle::<Grid1D>::from_network(
+                    &net,
+                    (bundle.spec, bundle.binning),
+                    norm,
+                    "dl-mlp",
+                    Precision::F32,
+                );
+                assert_eq!(
+                    direct.err(),
+                    Some(FreezeError::NonFiniteNormalization),
+                    "FrozenBundle::from_network with {norm:?}"
+                );
+            }
         }
     }
 }

@@ -155,7 +155,10 @@ impl<G: InputBinning> FrozenBundle<G> {
     /// Freezes a trained network at `precision`. `norm` must be the
     /// statistics of the network's *training* inputs, and `binner` must
     /// produce the flat input row the network reads. Errs, naming the
-    /// layer, on a network without a frozen inference form.
+    /// layer, on a network without a frozen inference form or with a
+    /// non-finite parameter, and with
+    /// [`FreezeError::NonFiniteNormalization`] on a NaN or infinite bound
+    /// in `norm`.
     pub fn from_network(
         net: &Sequential,
         binner: G::Binner,
@@ -163,6 +166,9 @@ impl<G: InputBinning> FrozenBundle<G> {
         name: &'static str,
         precision: Precision,
     ) -> Result<Self, FreezeError> {
+        if !norm.is_finite() {
+            return Err(FreezeError::NonFiniteNormalization);
+        }
         Ok(Self {
             model: Arc::new(net.freeze(precision)?),
             binner,

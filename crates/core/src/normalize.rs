@@ -39,6 +39,13 @@ impl NormStats {
         Self { min, max }
     }
 
+    /// Whether both bounds are finite. A NaN or infinite bound turns every
+    /// normalized input into NaN or 0, and ReLU maps NaN to 0: a model fed
+    /// through it would ignore the plasma, so no solver is built over one.
+    pub(crate) fn is_finite(&self) -> bool {
+        self.min.is_finite() && self.max.is_finite()
+    }
+
     /// The span `max - min`.
     pub fn span(&self) -> f32 {
         self.max - self.min

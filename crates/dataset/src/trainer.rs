@@ -37,7 +37,8 @@ impl Trained {
     /// Freezes the network at `precision` into the bundle a
     /// `DlFieldSolver<G>` runs, binning with `binner`. Errs, naming the
     /// layer, for a network without a frozen form (a CNN or residual MLP)
-    /// or with a non-finite parameter (a diverged training).
+    /// or with a non-finite parameter (a diverged training), and on a
+    /// non-finite normalization bound.
     pub fn freeze<G: InputBinning>(
         &self,
         binner: G::Binner,

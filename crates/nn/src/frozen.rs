@@ -182,7 +182,8 @@ impl FrozenLayer {
 }
 
 /// Why a network cannot be frozen, naming the offending layer by its
-/// index in the network and its [`crate::Layer::name`].
+/// index in the network and its [`crate::Layer::name`], or the input
+/// normalization frozen beside it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FreezeError {
     /// The layer has no immutable inference form (conv, pooling,
@@ -202,23 +203,33 @@ pub enum FreezeError {
         /// Its [`crate::Layer::name`].
         layer_name: &'static str,
     },
+    /// A bound of the input normalization the model is frozen with is NaN
+    /// or infinite: every normalized input becomes NaN or 0, and ReLU maps
+    /// NaN to 0, so the model would answer without reading its input.
+    NonFiniteNormalization,
 }
 
 impl std::fmt::Display for FreezeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (Self::NoFrozenForm {
-            layer_index,
-            layer_name,
+        match self {
+            Self::NoFrozenForm {
+                layer_index,
+                layer_name,
+            } => write!(
+                f,
+                "layer {layer_index} (`{layer_name}`) has no frozen inference form"
+            ),
+            Self::NonFinite {
+                layer_index,
+                layer_name,
+            } => write!(
+                f,
+                "layer {layer_index} (`{layer_name}`) has a non-finite parameter"
+            ),
+            Self::NonFiniteNormalization => {
+                f.write_str("the input normalization has a non-finite bound")
+            }
         }
-        | Self::NonFinite {
-            layer_index,
-            layer_name,
-        }) = self;
-        let what = match self {
-            Self::NoFrozenForm { .. } => "has no frozen inference form",
-            Self::NonFinite { .. } => "has a non-finite parameter",
-        };
-        write!(f, "layer {layer_index} (`{layer_name}`) {what}")
     }
 }
 

@@ -265,18 +265,6 @@ impl Team {
         }
     }
 
-    /// [`Self::run`] over a list: `work(i, &mut items[i])` once for every
-    /// item, each item handed to exactly one member.
-    pub fn for_each<T: Send>(&self, items: &mut [T], work: impl Fn(usize, &mut T) + Sync) {
-        let base = ListPtr::new(items);
-        self.run(items.len(), |i| {
-            // SAFETY: `i < items.len()`, `items` is exclusively borrowed
-            // until `run` returns, and `run` hands out each part index
-            // once, so this is the only reference to item `i`.
-            work(i, unsafe { &mut *base.get().add(i) });
-        });
-    }
-
     /// [`Self::run`] over consecutive runs of a list, each with a state of
     /// its own: `work(p, &mut items[bounds[p]..bounds[p + 1]], &mut
     /// state[p])` once for every `p < state.len()`. `bounds` must ascend
@@ -535,19 +523,6 @@ mod tests {
                     "size {size}, parts {parts}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn for_each_hands_every_item_to_one_member() {
-        for size in [1usize, 2, 3] {
-            let team = Team::new(size);
-            let mut items: Vec<(usize, u32)> = (0..37).map(|i| (i, 0)).collect();
-            team.for_each(&mut items, |i, item| {
-                assert_eq!(item.0, i);
-                item.1 += 1;
-            });
-            assert!(items.iter().all(|item| item.1 == 1), "size {size}");
         }
     }
 

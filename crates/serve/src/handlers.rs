@@ -118,20 +118,27 @@ pub(crate) fn submit(
         )
         .with_retry_after(remaining.as_millis() as u64));
     }
-    // 2. A single run that cannot fit the whole budget can never be
-    //    admitted — permanent rejection, no retry advice. The check uses
+    // 2. A single run that cannot fit the whole budget — on an
+    //    unbudgeted daemon, the host's physical memory — can never be
+    //    admitted: permanent rejection, no retry advice. The check uses
     //    the solo cost (private estimate plus its own weight copy): a
     //    run is only cheaper when its weights are already resident, which
     //    cannot be relied on at submit time.
-    if let Some(budget) = inner.config.memory_budget {
+    let ceiling = match inner.config.memory_budget {
+        Some(budget) => Some((budget, "the memory budget")),
+        None => inner
+            .host_memory
+            .map(|bytes| (bytes, "the host's physical memory")),
+    };
+    if let Some((limit, what)) = ceiling {
         if let Some(a) = estimates
             .iter()
-            .find(|a| a.est_bytes + a.weight_bytes > budget)
+            .find(|a| a.est_bytes + a.weight_bytes > limit)
         {
             let est = a.est_bytes + a.weight_bytes;
             return Err(ProtoError::new(
                 "quota-exceeded",
-                format!("run needs ~{est} bytes but the memory budget is {budget} bytes"),
+                format!("run needs ~{est} bytes but {what} is {limit} bytes"),
             ));
         }
     }

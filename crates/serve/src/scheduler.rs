@@ -435,6 +435,7 @@ mod tests {
             wake: Condvar::new(),
             spool: None,
             profiler: engine.weight_profiler(),
+            host_memory: None,
             conns: Mutex::new(Vec::new()),
         });
         Scheduler::new(inner, engine)

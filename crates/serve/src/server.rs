@@ -59,7 +59,8 @@ pub struct ServeConfig {
     pub spool_interval: usize,
     /// Budgeted admission: upper bound (bytes) on the summed resource
     /// estimate of concurrently *stepping* runs. `None` disables the
-    /// budget and admission is capped by `max_sessions` alone.
+    /// budget and admission is capped by `max_sessions` alone; `submit`
+    /// then refuses only a run larger than the host's physical memory.
     pub memory_budget: Option<usize>,
     /// Backlog cap: at most this many runs may sit queued across all
     /// tenants; past it `submit` sheds load with a structured
@@ -168,6 +169,10 @@ pub(crate) struct Inner {
     /// handlers account submissions without the engine (which the
     /// scheduler thread owns).
     pub(crate) profiler: WeightProfiler,
+    /// The host's physical memory in bytes, read once at start (`None`
+    /// where it cannot be read): on an unbudgeted daemon, `submit`
+    /// refuses a run that could never fit in it.
+    pub(crate) host_memory: Option<usize>,
     /// A handle on every open client connection, by accept order, so a
     /// drain can hang up on them: handler threads are detached and would
     /// otherwise outlive the server, answering for a scheduler that is
@@ -226,6 +231,7 @@ impl Server {
             wake: Condvar::new(),
             spool,
             profiler,
+            host_memory: host_memory(),
             conns: Mutex::new(Vec::new()),
         });
 
@@ -258,6 +264,21 @@ impl Server {
             let _ = t.join();
         }
     }
+}
+
+/// `MemTotal` of `/proc/meminfo` in bytes; `None` where the file or the
+/// line cannot be read.
+fn host_memory() -> Option<usize> {
+    let meminfo = std::fs::read_to_string("/proc/meminfo").ok()?;
+    let kib = meminfo
+        .lines()
+        .find_map(|line| line.strip_prefix("MemTotal:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim_end()
+        .parse::<usize>()
+        .ok()?;
+    kib.checked_mul(1024)
 }
 
 // ---------------------------------------------------------------------

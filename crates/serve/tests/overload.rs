@@ -181,6 +181,35 @@ fn run_larger_than_the_whole_budget_is_permanently_rejected() {
     server.wait();
 }
 
+/// An unbudgeted daemon still refuses a run that could never fit in the
+/// host's physical memory — `ppc = 2^34` asks for 8 TiB of particle
+/// positions — with the same permanent `quota-exceeded`, instead of
+/// dying on the allocation, and goes on serving ordinary jobs.
+#[test]
+fn unbudgeted_daemon_refuses_a_run_larger_than_the_host() {
+    let server = Server::start(ServeConfig::default()).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut huge = dl_job(1, 10).expand().expect("expand").remove(0);
+    huge.ppc = 1 << 34;
+    let err = client
+        .submit(&JobRequest::scenario(huge, Backend::Traditional1D), "alice")
+        .expect_err("2^34 particles per cell fit no host");
+    assert_eq!(proto_code(&err), "quota-exceeded");
+    assert!(
+        err.retry_after_ms().is_none(),
+        "a permanent rejection must not advise retrying"
+    );
+
+    let (id, _) = client.submit(&dl_job(2, 10), "alice").expect("submit");
+    let results = client
+        .wait_for(&id, Duration::from_millis(2))
+        .expect("wait");
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].state, "done");
+    client.drain().expect("drain");
+    server.wait();
+}
+
 /// Tenant quotas isolate noisy neighbours: one tenant filling its queue
 /// gets `quota-exceeded` while another tenant still submits freely.
 #[test]

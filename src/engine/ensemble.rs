@@ -764,7 +764,7 @@ impl Ensemble {
                 .iter_mut()
                 .filter_map(|s| s.batched_infer_shape().is_none().then_some(s))
                 .collect();
-            pool::team().for_each(&mut monolithic, |_, session| {
+            pool::team().for_each_item(monolithic.iter_mut(), |session| {
                 while !session.is_complete() && session.is_healthy() {
                     step_solo(session);
                 }
