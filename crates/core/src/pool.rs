@@ -2,7 +2,9 @@
 //!
 //! Particle kernels and dataset generation are single-threaded.
 //! Everything that uses a second core — the ensemble wave, the serve
-//! scheduler and `nn`'s training step — goes through the one persistent,
+//! scheduler, a solo DL solve's one-row inference (each member a window
+//! of a large layer's output columns) and `nn`'s training step — goes
+//! through the one persistent,
 //! parked team of `dlpic_nn::team` (its docs cover the helpers' lifecycle,
 //! panics and the inline fallback). This module is the team's front door
 //! for the layers above `nn`: [`team`] (with [`Team::for_each_item`], "do
@@ -24,7 +26,9 @@
 //! the cohort was cut either, because the inference kernels are
 //! row-stable: every output element is one sequential multiply-add chain
 //! over ascending `k` from `+0.0` whatever batch its row is computed in,
-//! so the partition decides who computes a row, never how.
+//! so the partition decides who computes a row, never how. The column
+//! windows of a one-row pass hold to the same rule: the live mask is per
+//! row tile, so a window keeps every element's chain.
 
 pub use dlpic_nn::team::{available_threads, with_limit, Team};
 

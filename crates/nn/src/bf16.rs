@@ -105,7 +105,7 @@ fn matmul_nn_bf16(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n: us
 /// Panics if slice lengths disagree with the dimensions.
 #[cfg(test)]
 fn matmul_nn_bf16_portable(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n: usize) {
-    nn_portable(a, b, c, m, k, n);
+    nn_portable(a, b, c, m, k, n, 0);
 }
 
 #[cfg(test)]

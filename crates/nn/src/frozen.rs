@@ -327,13 +327,17 @@ impl FrozenModel {
 /// wrote and writes the other, and the last output is returned (a copy of
 /// `input` when there are no layers). Generic over the layer type, so the
 /// frozen loop calls [`FrozenLayer`]'s inference with no `dyn` dispatch;
-/// once the two buffers are warm it allocates nothing.
+/// once the two buffers are warm it allocates nothing. A one-row pass
+/// holds the team ([`crate::team::Team::hold`]): the layers it cuts into
+/// column windows dispatch back to back, so it pays at most one helper
+/// wake-up. A batch does not, so no helper polls beside its GEMMs.
 pub(crate) fn ping_pong<'w, L>(
     layers: impl IntoIterator<Item = L>,
     input: &Tensor,
     workspace: &'w mut PredictWorkspace,
     mut infer: impl FnMut(L, &Tensor, &mut Tensor),
 ) -> &'w Tensor {
+    let _hold = (input.shape().first() == Some(&1)).then(|| crate::team::global().hold());
     let PredictWorkspace { a, b } = workspace;
     let mut layers = layers.into_iter();
     let Some(first) = layers.next() else {

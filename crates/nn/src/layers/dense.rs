@@ -3,17 +3,42 @@
 use crate::frozen::{FrozenLayer, Precision};
 use crate::init::Init;
 use crate::layer::{cache_input, Layer};
-use crate::linalg::{add_bias, col_sums_into, matmul_nt, nn, tn_rows, Weight, RUN_ROWS};
+use crate::linalg::{add_bias, col_sums_into, matmul_nt, nn, nn_cols, tn_rows, Weight, RUN_ROWS};
 use crate::team;
 use crate::tensor::Tensor;
+
+/// Weight bytes from which a one-row pass is cut into column windows, one
+/// per team member. The paper MLP's 16 and 4 MB layers are; its 256 KiB
+/// output layer, a few microseconds of work, is not.
+const SPLIT_BYTES: usize = 1 << 20;
+
+/// Columns a window spans a multiple of: one zmm of outputs.
+const WINDOW_COLS: usize = 16;
 
 /// Dense inference, `out = X·W + b` (resized in place) for weights stored
 /// `[in, out]` row-major: the one implementation that [`Dense`] and a
 /// frozen dense layer run, over f32 weights or bf16 ones (`W = u16`)
 /// through the same `nn` kernel.
+///
+/// A one-row pass over at least [`SPLIT_BYTES`] of weights gives each
+/// team member a window of the output columns ([`nn_cols`], bias
+/// included): the bits of one call, each element keeping its one chain.
+/// One row's windows are disjoint runs of the output row. With one
+/// member, or inside another dispatch, the windows run inline in order.
 pub(crate) fn infer<W: Weight>(input: &Tensor, w: &[W], b: &[f32], out: &mut Tensor) {
     let (batch, k, n) = size_output(input, w.len(), b.len(), out);
-    nn(input.data(), w, out.data_mut(), batch, k, n);
+    let x = input.data();
+    let team = team::global();
+    let width = team.share(n, WINDOW_COLS);
+    if batch == 1 && width < n && std::mem::size_of_val(w) >= SPLIT_BYTES {
+        team.for_each_item(out.data_mut().chunks_mut(width).enumerate(), |(p, c)| {
+            let j0 = p * width;
+            nn_cols(x, w, c, 1, k, n, j0);
+            add_bias(c, &b[j0..j0 + c.len()], 1, c.len());
+        });
+        return;
+    }
+    nn(x, w, out.data_mut(), batch, k, n);
     add_bias(out.data_mut(), b, batch, n);
 }
 

@@ -57,6 +57,15 @@
 //! for its FMAs as for its weight pass, the two not yet overlapped —
 //! README's roofline table has the measured numbers, before and after.
 //!
+//! The same loop runs on a window of the columns: `nn_cols` computes
+//! columns `j0 .. j0 + w` of the product into an `m×w` block, reading
+//! the weights where they are (`n` apart). A one-row pass over a large
+//! layer gives each worker-team member one window
+//! (`layers::dense::infer`), so the pass is bound by two cores' read
+//! bandwidth instead of one's. No element's chain depends on the column
+//! tile it lands in, and the live mask is per row tile, so any cut of
+//! the columns gives the whole call's bits.
+//!
 //! # Numerics
 //!
 //! Every C element is one sequential product-sum over ascending `k`
@@ -178,7 +187,7 @@ fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
 /// A weight-matrix element the `nn` kernels can stream as the B operand:
 /// `f32` as stored, or bf16 (`u16`, see [`crate::bf16`]) decoded on the
 /// fly. Both forms of the kernel are written once over this trait.
-pub(crate) trait Weight: Copy + Default {
+pub(crate) trait Weight: Copy + Default + Sync {
     /// The element as f32 (exact).
     fn to_f32(self) -> f32;
 
@@ -220,16 +229,59 @@ pub fn matmul_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 /// [`matmul_nn`] over either weight type: the AVX-512 kernel when the
 /// machine has it, the portable one otherwise.
 pub(crate) fn nn<W: Weight>(a: &[f32], b: &[W], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
+    nn_cols(a, b, c, m, k, n, 0);
+}
+
+/// Columns `j0 .. j0 + w` of [`nn`]'s `m×n` product, written to `c` as an
+/// `m×w` block (`w = c.len() / m`): the window of a layer's outputs one
+/// team member computes. B is read where it is, `n` apart. Every element
+/// is the whole call's bit for bit, for any cut of the columns into
+/// windows: its chain does not depend on the column tile it lands in, and
+/// the live mask is per row tile, so a window cannot change it.
+///
+/// # Panics
+/// Panics if slice lengths disagree with the dimensions or the window
+/// ends past column `n`.
+pub(crate) fn nn_cols<W: Weight>(
+    a: &[f32],
+    b: &[W],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    j0: usize,
+) {
+    let w = window(a.len(), b.len(), c.len(), m, k, n, j0);
     #[cfg(target_arch = "x86_64")]
     if avx512_available() {
-        // SAFETY: avx512f was detected and the slice sizes were asserted.
-        unsafe { avx512::nn(a, b, c, m, k, n) };
+        if w > 0 {
+            // SAFETY: avx512f was detected and `window` checked that A is
+            // `m×k`, B `k×n` and C `m×w` with `j0 + w <= n`.
+            unsafe { avx512::nn(a, b, c, m, k, n, j0) };
+        }
         return;
     }
-    nn_portable(a, b, c, m, k, n);
+    nn_portable(a, b, c, m, k, n, j0);
+}
+
+/// Checks the operands of an `nn` call on the columns of `C` from `j0`
+/// and returns the window's width, `c_len / m` (0 for `m = 0`).
+fn window(
+    a_len: usize,
+    b_len: usize,
+    c_len: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    j0: usize,
+) -> usize {
+    assert_eq!(a_len, m * k, "A size");
+    assert_eq!(b_len, k * n, "B size");
+    let w = c_len.checked_div(m).unwrap_or(0);
+    assert_eq!(c_len, m * w, "C size");
+    assert!(j0 + w <= n, "columns {j0}..{} of {n}", j0 + w);
+    w
 }
 
 /// The portable form of [`matmul_nn`] — public so equivalence tests can
@@ -239,10 +291,11 @@ pub(crate) fn nn<W: Weight>(a: &[f32], b: &[W], c: &mut [f32], m: usize, k: usiz
 /// Panics if slice lengths disagree with the dimensions.
 #[cfg(test)]
 fn matmul_nn_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    nn_portable(a, b, c, m, k, n);
+    assert_eq!(c.len(), m * n, "C size");
+    nn_portable(a, b, c, m, k, n, 0);
 }
 
-/// The portable `nn` kernel in the module docs' loop order: full 4×16
+/// The portable [`nn_cols`] in the module docs' loop order: full 4×16
 /// tiles hold their accumulators in scalars LLVM vectorizes; edge rows
 /// and columns update `C` in place in the axpy form, the same chain.
 /// Both walk the tile's [`live_mask`] and nothing else.
@@ -253,30 +306,30 @@ pub(crate) fn nn_portable<W: Weight>(
     m: usize,
     k: usize,
     n: usize,
+    j0: usize,
 ) {
-    assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
-    if n == 0 || m == 0 {
+    let w = window(a.len(), b.len(), c.len(), m, k, n, j0);
+    if w == 0 {
         return;
     }
     c.fill(0.0);
     for k0 in (0..k).step_by(KB) {
         let kb = KB.min(k - k0);
-        for (tile, c_rows) in c.chunks_mut(MR * n).enumerate() {
-            let (i0, rows) = (tile * MR, c_rows.len() / n);
+        for (tile, c_rows) in c.chunks_mut(MR * w).enumerate() {
+            let (i0, rows) = (tile * MR, c_rows.len() / w);
             let live = live_mask(&a[i0 * k..], rows, k, k0, kb);
             if live == 0 {
                 continue;
             }
-            let mut j0 = 0;
-            while rows == MR && j0 + NR <= n {
+            let mut jj = 0;
+            while rows == MR && jj + NR <= w {
                 let mut acc = [[0.0f32; NR]; MR];
                 for (r, acc_row) in acc.iter_mut().enumerate() {
-                    acc_row.copy_from_slice(&c_rows[r * n + j0..r * n + j0 + NR]);
+                    acc_row.copy_from_slice(&c_rows[r * w + jj..r * w + jj + NR]);
                 }
                 for kk in set_bits(live).map(|kk| k0 + kk) {
-                    let braw: &[W; NR] = b[kk * n + j0..kk * n + j0 + NR].try_into().unwrap();
+                    let at = kk * n + j0 + jj;
+                    let braw: &[W; NR] = b[at..at + NR].try_into().unwrap();
                     let bb = braw.map(W::to_f32);
                     for (r, acc_row) in acc.iter_mut().enumerate() {
                         let av = a[(i0 + r) * k + kk];
@@ -286,14 +339,15 @@ pub(crate) fn nn_portable<W: Weight>(
                     }
                 }
                 for (r, acc_row) in acc.iter().enumerate() {
-                    c_rows[r * n + j0..r * n + j0 + NR].copy_from_slice(acc_row);
+                    c_rows[r * w + jj..r * w + jj + NR].copy_from_slice(acc_row);
                 }
-                j0 += NR;
+                jj += NR;
             }
-            for (r, c_row) in c_rows.chunks_mut(n).enumerate() {
+            for (r, c_row) in c_rows.chunks_mut(w).enumerate() {
                 for kk in set_bits(live).map(|kk| k0 + kk) {
                     let av = a[(i0 + r) * k + kk];
-                    for (cv, &bv) in c_row[j0..].iter_mut().zip(&b[kk * n + j0..(kk + 1) * n]) {
+                    let b_row = &b[kk * n + j0 + jj..kk * n + j0 + w];
+                    for (cv, &bv) in c_row[jj..].iter_mut().zip(b_row) {
                         *cv += av * bv.to_f32();
                     }
                 }
@@ -869,16 +923,25 @@ mod avx512 {
     use super::{set_bits, Weight, KB};
     use std::arch::x86_64::*;
 
-    /// [`super::matmul_nn`], all of it, in the module docs' loop order:
-    /// `k`-blocks outermost, then row tiles of 8 (the `m % 8` remainder
-    /// as one narrower tile), then column tiles.
+    /// [`super::nn_cols`], all of its window, in the module docs' loop
+    /// order: `k`-blocks outermost, then row tiles of 8 (the `m % 8`
+    /// remainder as one narrower tile), then column tiles.
     ///
     /// # Safety
-    /// `avx512f` must be available and the slices must satisfy the
-    /// [`super::matmul_nn`] size contract.
+    /// `avx512f` must be available, A must be `m×k`, B `k×n`, and `c` an
+    /// `m×w` block with `0 < w`, `j0 + w <= n`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn nn<W: Weight>(a: &[f32], b: &[W], c: &mut [f32], m: usize, k: usize, n: usize) {
+    pub unsafe fn nn<W: Weight>(
+        a: &[f32],
+        b: &[W],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        j0: usize,
+    ) {
         c.fill(0.0);
+        let w = c.len() / m;
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
         let mut k0 = 0;
         while k0 < k {
@@ -886,18 +949,18 @@ mod avx512 {
             let mut i0 = 0;
             while i0 < m {
                 let rows = (m - i0).min(8);
-                let (at, bt, ct) = (ap.add(i0 * k + k0), bp.add(k0 * n), cp.add(i0 * n));
+                let (at, bt, ct) = (ap.add(i0 * k + k0), bp.add(k0 * n + j0), cp.add(i0 * w));
                 let live = live_mask(at, rows, k, kb);
                 match rows {
                     _ if live == 0 => {}
-                    1 => nn_rows::<W, 1>(at, bt, ct, live, k, n),
-                    2 => nn_rows::<W, 2>(at, bt, ct, live, k, n),
-                    3 => nn_rows::<W, 3>(at, bt, ct, live, k, n),
-                    4 => nn_rows::<W, 4>(at, bt, ct, live, k, n),
-                    5 => nn_rows::<W, 5>(at, bt, ct, live, k, n),
-                    6 => nn_rows::<W, 6>(at, bt, ct, live, k, n),
-                    7 => nn_rows::<W, 7>(at, bt, ct, live, k, n),
-                    _ => nn_rows::<W, 8>(at, bt, ct, live, k, n),
+                    1 => nn_rows::<W, 1>(at, bt, ct, live, k, n, w),
+                    2 => nn_rows::<W, 2>(at, bt, ct, live, k, n, w),
+                    3 => nn_rows::<W, 3>(at, bt, ct, live, k, n, w),
+                    4 => nn_rows::<W, 4>(at, bt, ct, live, k, n, w),
+                    5 => nn_rows::<W, 5>(at, bt, ct, live, k, n, w),
+                    6 => nn_rows::<W, 6>(at, bt, ct, live, k, n, w),
+                    7 => nn_rows::<W, 7>(at, bt, ct, live, k, n, w),
+                    _ => nn_rows::<W, 8>(at, bt, ct, live, k, n, w),
                 }
                 i0 += 8;
             }
@@ -930,13 +993,16 @@ mod avx512 {
     /// one or two rows, 64 up to four, 32 up to eight — the fewer the
     /// rows, the longer each visit to a weight row, which is what lets
     /// the bandwidth-bound small-`m` passes stream), then narrower tiles
-    /// for what is left and one masked tile for the `n % 16` columns.
+    /// for what is left and one masked tile for the `w % 16` columns.
     ///
     /// # Safety
     /// As [`nn`]; `a`, `b`, `c` point at the panel's first A element,
-    /// the block's first B row and the panel's first C row, with
-    /// `R` rows and every block row that has a bit in `live` in bounds.
+    /// the block's first B row at the window's first column and the
+    /// panel's first C row, with `R` rows of `w` columns (B rows `n`
+    /// apart, C rows `w` apart) and every block row that has a bit in
+    /// `live` in bounds.
     #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
     unsafe fn nn_rows<W: Weight, const R: usize>(
         a: *const f32,
         b: *const W,
@@ -944,13 +1010,14 @@ mod avx512 {
         live: u32,
         k: usize,
         n: usize,
+        w: usize,
     ) {
         let mut j0 = 0;
         macro_rules! tiles {
             ($v:literal) => {
                 if R * $v <= 16 {
-                    while j0 + 16 * $v <= n {
-                        nn_tile::<W, R, $v, false>(a, b.add(j0), c.add(j0), live, k, n, 16);
+                    while j0 + 16 * $v <= w {
+                        nn_tile::<W, R, $v, false>(a, b.add(j0), c.add(j0), live, k, n, w, 16);
                         j0 += 16 * $v;
                     }
                 }
@@ -960,16 +1027,17 @@ mod avx512 {
         tiles!(4);
         tiles!(2);
         tiles!(1);
-        if j0 < n {
-            nn_tile::<W, R, 1, true>(a, b.add(j0), c.add(j0), live, k, n, n - j0);
+        if j0 < w {
+            nn_tile::<W, R, 1, true>(a, b.add(j0), c.add(j0), live, k, n, w, w - j0);
         }
     }
 
     /// One R×(16·V) register tile (R·V ≤ 16 accumulator registers plus
     /// V B vectors): loads the partial sums from `C`, runs one FMA step
-    /// per set bit of `live`, ascending, stores them back. With `TAIL`
-    /// the last vector covers only `last` < 16 columns: `C` is accessed
-    /// under a mask and the B lanes past the row end read as zero.
+    /// per set bit of `live`, ascending, stores them back. B rows are
+    /// `n` apart, C rows `ldc`. With `TAIL` the last vector covers only
+    /// `last` < 16 columns: `C` is accessed under a mask and the B lanes
+    /// past the window read as zero.
     ///
     /// # Safety
     /// As [`nn_rows`], with the tile's columns in bounds.
@@ -983,13 +1051,14 @@ mod avx512 {
         live: u32,
         k: usize,
         n: usize,
+        ldc: usize,
         last: usize,
     ) {
         let mask: __mmask16 = if TAIL { (1u16 << last) - 1 } else { !0 };
         let mut acc = [[_mm512_setzero_ps(); V]; R];
         for (r, row) in acc.iter_mut().enumerate() {
             for (v, ac) in row.iter_mut().enumerate() {
-                let p = c.add(r * n + 16 * v);
+                let p = c.add(r * ldc + 16 * v);
                 *ac = if TAIL {
                     _mm512_maskz_loadu_ps(mask, p)
                 } else {
@@ -1018,7 +1087,7 @@ mod avx512 {
         }
         for (r, row) in acc.iter().enumerate() {
             for (v, &ac) in row.iter().enumerate() {
-                let p = c.add(r * n + 16 * v);
+                let p = c.add(r * ldc + 16 * v);
                 if TAIL {
                     _mm512_mask_storeu_ps(p, mask, ac);
                 } else {
@@ -1746,6 +1815,60 @@ pub(crate) mod tests {
                     assert_bits_eq(&c, &solo[..m * n], &what);
                 }
             }
+        }
+    }
+
+    /// The column windows a team member computes ([`nn_cols`]) against
+    /// the whole call: cut into windows of 16, 48 or half the columns
+    /// (rounded up to 16: the cut two members make, and the only one
+    /// tried on the paper shapes), the last one taking the tail, every window
+    /// gives its columns of the whole product bit for bit, in either
+    /// form, over f32 and bf16 weights and every `m` up to 17.
+    #[test]
+    fn column_windows_are_the_whole_call_bit_for_bit() {
+        fn check<W: Weight>(b: &[W], a: &[f32], k: usize, n: usize, what: &str) {
+            type Kernel<W> = fn(&[f32], &[W], &mut [f32], usize, usize, usize, usize);
+            for (name, kernel) in [
+                ("dispatched", nn_cols::<W> as Kernel<W>),
+                ("portable", nn_portable::<W> as Kernel<W>),
+            ] {
+                for m in 1..=M_MAX {
+                    let mut whole = vec![f32::NAN; m * n];
+                    kernel(&a[..m * k], b, &mut whole, m, k, n, 0);
+                    // The paper shapes take the two-member cut alone.
+                    let half = n.div_ceil(32).max(1) * 16;
+                    let cuts = if k * n > 1 << 16 {
+                        &[half][..]
+                    } else {
+                        &[16, 48, half]
+                    };
+                    for &width in cuts {
+                        for j0 in (0..n).step_by(width) {
+                            let w = width.min(n - j0);
+                            let mut c = vec![f32::NAN; m * w];
+                            kernel(&a[..m * k], b, &mut c, m, k, n, j0);
+                            let want: Vec<f32> = whole
+                                .chunks(n)
+                                .flat_map(|row| &row[j0..j0 + w])
+                                .copied()
+                                .collect();
+                            let at = format!("{name} {what} k={k} n={n} m={m} cols {j0}+{w}");
+                            assert_bits_eq(&c, &want, &at);
+                        }
+                    }
+                }
+            }
+        }
+        for (k, n, case, a) in bitwise_cases() {
+            let b = gen(k * n, 7);
+            check(&b, &a, k, n, &format!("f32 {case}"));
+            check(
+                &crate::bf16::encode_bf16(&b),
+                &a,
+                k,
+                n,
+                &format!("bf16 {case}"),
+            );
         }
     }
 

@@ -11,12 +11,12 @@
 //! and the serve scheduler run on it, so no layer spawns threads per
 //! call and no two layers ever oversubscribe the machine. It lives in
 //! this crate, the lowest of the workspace, so that the kernels can be
-//! handed to it as well: the inference kernels are serial and a wave
-//! gives each member whole rows of the cohort to take through
-//! [`crate::FrozenModel`] on its own, while [`crate::trainer::train`]
-//! hands the team runs of each training GEMM's output rows, of Adam's
-//! parameters and of the He init's Box–Muller transforms
-//! ([`Team::for_each_item`]).
+//! handed to it as well: a wave gives each member whole rows of the
+//! cohort to take through [`crate::FrozenModel`] on its own, a one-row
+//! inference gives each member a window of every large layer's output
+//! columns, and [`crate::trainer::train`] hands the team runs of each
+//! training GEMM's output rows, of Adam's parameters and of the He
+//! init's Box–Muller transforms ([`Team::for_each_item`]).
 //!
 //! # Lifecycle of a helper
 //!
@@ -25,14 +25,16 @@
 //! second thread. Between dispatches a helper **parks** on a condition
 //! variable: a finished job with nothing announced behind it sends it
 //! straight back to sleep. Polling happens only where the partner is
-//! known to be running, and always under a bound (`POLL_ROUNDS`
-//! `spin_loop` rounds, microseconds) with the parked wait as fallback:
+//! known to be running, and always under a bound with the parked wait
+//! as fallback:
 //!
 //! * the dispatcher, out of parts, polls for the helpers still inside
-//!   their last part;
+//!   their last part (`POLL_ROUNDS` `spin_loop` rounds, microseconds);
 //! * a helper, out of parts while a caller has announced more dispatches
-//!   ([`Team::hold`] — the waves of one fleet run), polls for the next
-//!   one.
+//!   ([`Team::hold`] — the waves of one fleet run, the steps of one DL
+//!   session), polls for the next one (`HELD_POLL_ROUNDS`, about a
+//!   millisecond: one DL step's serial push lies between two of its
+//!   dispatches), and stops the moment the last hold drops.
 //!
 //! Parking a thread here means halting a vCPU, and getting it back costs
 //! the waker ≈ 35 µs and the sleeper ≈ 100 µs on the dev VM — a tenth of
@@ -67,6 +69,14 @@ use std::thread::JoinHandle;
 /// parks: at ≈ 11 ns a round on the dev machine, about 45 µs — the
 /// imbalance two members of one wave typically finish with.
 const POLL_ROUNDS: usize = 4096;
+
+/// `spin_loop` rounds a helper polls for the next job while a caller
+/// holds the team ([`Team::hold`]): 0.7–1.6 ms at the 11–24 ns a round
+/// the dev machines take, longer than one paper-scale DL step (≈ 0.75 ms
+/// on two members), whose serial push (≈ 220 µs) lies between its last
+/// dispatch and the next step's first. With [`POLL_ROUNDS`] here the
+/// helper parked once a step.
+const HELD_POLL_ROUNDS: usize = 1 << 16;
 
 /// Number of threads the machine can usefully run —
 /// `std::thread::available_parallelism`, with a serial fallback when the
@@ -224,7 +234,8 @@ impl Team {
     }
 
     /// Announces that the caller is about to dispatch several jobs back to
-    /// back (the waves of one fleet run): until
+    /// back (the waves of one fleet run, the steps of one DL session):
+    /// until
     /// the returned guard drops, a helper that runs out of parts polls
     /// briefly for the next job instead of parking at once. Purely a
     /// latency hint — results never depend on it — and free when no helper
@@ -493,7 +504,7 @@ fn helper_loop(shared: &Shared) {
         }
         // More work announced: the dispatcher is on its way here, poll
         // for it; otherwise (or past the bound) park at the top.
-        for _ in 0..POLL_ROUNDS {
+        for _ in 0..HELD_POLL_ROUNDS {
             if shared.holds.load(Ordering::Relaxed) == 0
                 || shared.epoch.load(Ordering::Acquire) != seen
             {

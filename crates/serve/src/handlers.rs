@@ -133,9 +133,9 @@ pub(crate) fn submit(
     if let Some((limit, what)) = ceiling {
         if let Some(a) = estimates
             .iter()
-            .find(|a| a.est_bytes + a.weight_bytes > limit)
+            .find(|a| a.est_bytes.saturating_add(a.weight_bytes) > limit)
         {
-            let est = a.est_bytes + a.weight_bytes;
+            let est = a.est_bytes.saturating_add(a.weight_bytes);
             return Err(ProtoError::new(
                 "quota-exceeded",
                 format!("run needs ~{est} bytes but {what} is {limit} bytes"),

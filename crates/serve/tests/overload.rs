@@ -13,7 +13,9 @@ use std::time::Duration;
 
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::json::Json;
-use dlpic_repro::engine::{estimate_session, Backend, Engine, FaultKind, FaultPlan, SweepSpec};
+use dlpic_repro::engine::{
+    estimate_session, Backend, DomainSpec, Engine, FaultKind, FaultPlan, SweepSpec,
+};
 use dlpic_serve::client::{Backoff, Client};
 use dlpic_serve::job::JobRequest;
 use dlpic_serve::server::{ServeConfig, Server};
@@ -199,6 +201,39 @@ fn unbudgeted_daemon_refuses_a_run_larger_than_the_host() {
         err.retry_after_ms().is_none(),
         "a permanent rejection must not advise retrying"
     );
+
+    let (id, _) = client.submit(&dl_job(2, 10), "alice").expect("submit");
+    let results = client
+        .wait_for(&id, Duration::from_millis(2))
+        .expect("wait");
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].state, "done");
+    client.drain().expect("drain");
+    server.wait();
+}
+
+/// A spec whose size does not fit in a byte count — `2^52` particles per
+/// cell over 1024 cells pass validation (and stay exact on the wire,
+/// below `2^53`), but their particle bytes overflow `usize` — reads as an
+/// impossible size: the unbudgeted daemon refuses it with the permanent
+/// `quota-exceeded` instead of wrapping the estimate to a few bytes and
+/// starting the session, and goes on serving ordinary jobs.
+#[test]
+fn unbudgeted_daemon_refuses_a_spec_too_large_to_count() {
+    let server = Server::start(ServeConfig::default()).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut huge = dl_job(1, 10).expand().expect("expand").remove(0);
+    let DomainSpec::OneD { ncells, .. } = &mut huge.domain else {
+        unreachable!("two_stream is 1-D")
+    };
+    *ncells = 1 << 10;
+    huge.ppc = 1 << 52;
+    huge.validate().expect("the spec itself is valid");
+    let err = client
+        .submit(&JobRequest::scenario(huge, Backend::Traditional1D), "alice")
+        .expect_err("2^57 particles per cell fit no host");
+    assert_eq!(proto_code(&err), "quota-exceeded", "{err}");
+    assert!(err.retry_after_ms().is_none());
 
     let (id, _) = client.submit(&dl_job(2, 10), "alice").expect("submit");
     let results = client

@@ -10,8 +10,9 @@
 //! (`benchmark/src/model.rs`) timed stage by stage on the worker team as
 //! the benchmark runs it, with the team's member count and the trained
 //! parameters' FNV-1a so a "same bits" claim can be checked on any
-//! machine. Everything gated runs on one core: the training epochs under
-//! `team::with_limit(1, …)`, the rest on kernels that never dispatch.
+//! machine. Everything gated runs on one core: the training epochs and
+//! the bf16 pairs under `team::with_limit(1, …)`, the rest on kernels
+//! that never dispatch.
 //!
 //! Usage:
 //!
@@ -537,7 +538,10 @@ fn bench_infer_b1(iters: usize, reps: usize) -> InferB1 {
 /// bf16 against f32 on the untrained paper MLP and a dense input:
 /// [`BF16_PAIRS`] pairs, each timing a batch of f32 calls and then a batch
 /// of bf16 calls, so that a slow phase of the host lands on both sides of
-/// one ratio; the speedup is the median of the per-pair ratios.
+/// one ratio; the speedup is the median of the per-pair ratios. Both run
+/// on this thread alone: a one-row pass would otherwise cut its large
+/// layers into column windows for the team, and the floor compares two
+/// single-core kernels.
 fn bench_bf16() -> Bf16 {
     const ITERS: usize = 20;
     let arch = Scale::Paper.mlp_arch();
@@ -560,12 +564,14 @@ fn bench_bf16() -> Bf16 {
         }
         t0.elapsed().as_secs_f64()
     };
-    // Warm-up.
-    time(&f32_model);
-    time(&bf16_model);
-    let (f32_times, bf16_times): (Vec<f64>, Vec<f64>) = (0..BF16_PAIRS)
-        .map(|_| (time(&f32_model), time(&bf16_model)))
-        .unzip();
+    let (f32_times, bf16_times): (Vec<f64>, Vec<f64>) = pool::with_limit(1, || {
+        // Warm-up.
+        time(&f32_model);
+        time(&bf16_model);
+        (0..BF16_PAIRS)
+            .map(|_| (time(&f32_model), time(&bf16_model)))
+            .unzip()
+    });
     let speedup = median(
         f32_times
             .iter()

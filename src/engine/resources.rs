@@ -55,9 +55,12 @@ pub struct ResourceEstimate {
 
 impl ResourceEstimate {
     /// Total estimated bytes for a session that owns everything —
-    /// the solo admission figure.
+    /// the solo admission figure. Saturates like every figure here.
     pub fn total(&self) -> usize {
-        self.particle_bytes + self.grid_bytes + self.model_bytes + self.history_bytes
+        self.particle_bytes
+            .saturating_add(self.grid_bytes)
+            .saturating_add(self.model_bytes)
+            .saturating_add(self.history_bytes)
     }
 
     /// Bytes a session costs when its model weights are already resident
@@ -70,7 +73,9 @@ impl ResourceEstimate {
 
 /// Estimates the memory a [`Session`](super::Session) for `spec` on
 /// `backend` holds while running. See the module docs for what the
-/// figure covers.
+/// figure covers. Every product and sum saturates: a spec too large to
+/// count in bytes (a `ppc` of `2^57` passes validation) reads as
+/// `usize::MAX` bytes, which no budget and no host admits.
 pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstimate {
     let cells = spec.domain.cells();
     let n_particles = spec.n_particles();
@@ -84,7 +89,7 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
     let particle_bytes = match backend {
         // The continuum solver carries no particles.
         Backend::Vlasov => 0,
-        _ => n_particles * particle_lanes * F64,
+        _ => n_particles.saturating_mul(particle_lanes * F64),
     };
 
     // Grid buffers: density, potential, field components and solver
@@ -93,10 +98,14 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
     let grid_bytes = match backend {
         // Distribution f(x, v) plus the semi-Lagrangian advection
         // scratch, on top of the field arrays.
-        Backend::Vlasov => cells * vlasov_nv(spec.scale) * F64 * 2 + cells * grid_arrays * F64,
+        Backend::Vlasov => cells
+            .saturating_mul(vlasov_nv(spec.scale) * F64 * 2)
+            .saturating_add(cells.saturating_mul(grid_arrays * F64)),
         // Every rank owns halo-padded slab copies of the field arrays.
-        Backend::Ddecomp { n_ranks } => cells * grid_arrays * F64 * (n_ranks + 1),
-        _ => cells * grid_arrays * F64,
+        Backend::Ddecomp { n_ranks } => cells
+            .saturating_mul(grid_arrays * F64)
+            .saturating_mul(n_ranks.saturating_add(1)),
+        _ => cells.saturating_mul(grid_arrays * F64),
     };
 
     // DL weights (f32) doubled for the inference workspace, plus the
@@ -121,7 +130,8 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
 
     // One diagnostics row per step plus the initial sample: time,
     // kinetic, field, momentum and each tracked mode.
-    let history_bytes = (spec.n_steps + 1) * (4 + spec.tracked_modes.len()) * F64;
+    let history_bytes =
+        (spec.n_steps.saturating_add(1)).saturating_mul((4 + spec.tracked_modes.len()) * F64);
 
     ResourceEstimate {
         particle_bytes,
@@ -180,6 +190,23 @@ mod tests {
             spec.n_particles() * 3 * 8,
             "1-D particles are three f64 lanes"
         );
+    }
+
+    #[test]
+    fn a_spec_too_large_to_count_saturates() {
+        let mut huge = registry::scenario("two_stream", Scale::Smoke).unwrap();
+        huge.ppc = 1 << 57;
+        huge.validate()
+            .expect("2^57 particles per cell pass validation");
+        for backend in [Backend::Traditional1D, Backend::Dl1D] {
+            let est = estimate_session(&huge, backend);
+            assert_eq!(est.particle_bytes, usize::MAX, "{backend}");
+            assert_eq!(est.total(), usize::MAX, "{backend}");
+        }
+        let mut endless = registry::scenario("two_stream", Scale::Smoke).unwrap();
+        endless.n_steps = usize::MAX;
+        let est = estimate_session(&endless, Backend::Traditional1D);
+        assert_eq!((est.history_bytes, est.total()), (usize::MAX, usize::MAX));
     }
 
     #[test]

@@ -43,6 +43,7 @@ use super::health::{RunHealth, SessionFault};
 use super::json::{obj, Json};
 use super::observer::{EnergyHistory, Observer, PhaseSpace, RunSummary, Sample};
 use super::spec::{LoadingSpec, ScenarioSpec};
+use crate::core::pool;
 use crate::core::presets::Scale;
 use crate::ddecomp::sim::{DistConfig, DistSimulation, DistState, RankStateSnapshot};
 use crate::ddecomp::strategy::GatherScatter;
@@ -928,15 +929,19 @@ impl Session {
 
     /// Runs until the spec's `n_steps` have completed.
     pub fn run_to_end(&mut self) {
-        while !self.is_complete() {
-            self.step();
-        }
+        self.run_until(|_| false);
     }
 
     /// The early-stop controller: steps until `stop` returns `true` for a
     /// recorded sample or the spec's `n_steps` complete, whichever comes
     /// first. Returns whether the predicate fired.
+    ///
+    /// The loop holds the worker team ([`pool::Team::hold`]): a DL step
+    /// dispatches its inference's column windows, and the hold keeps the
+    /// helper polling through the serial binning and push between one
+    /// step's inference and the next instead of parking.
     pub fn run_until(&mut self, mut stop: impl FnMut(&Sample) -> bool) -> bool {
+        let _hold = pool::team().hold();
         while !self.is_complete() {
             let sample = self.step();
             if stop(&sample) {

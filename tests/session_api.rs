@@ -560,3 +560,49 @@ fn checkpoint_file_roundtrip_is_atomic_and_exact() {
     // A missing file surfaces as an error, not a panic.
     assert!(Checkpoint::read_file(dir.join("dlpic-no-such-checkpoint.json")).is_err());
 }
+
+/// Every series of a history as bit patterns, so `-0.0` and `+0.0` (or
+/// two NaNs) cannot compare equal by value.
+fn history_bits(h: &EnergyHistory) -> Vec<u64> {
+    [&h.times, &h.kinetic, &h.field, &h.total, &h.momentum]
+        .into_iter()
+        .chain(&h.mode_amps)
+        .flatten()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// A paper-scale DL session (64 000 particles, the 25 MB MLP; the
+/// untrained fallback is enough) cuts its NGP binning into particle runs
+/// and every one-row pass of its large layers into column windows, one
+/// per team member: its history is the same bits with one member, two
+/// or three allowed, and through the phase-split path.
+#[test]
+fn paper_scale_dl_history_is_the_same_at_any_team_size() {
+    use dlpic_repro::core::pool;
+    let mut spec = engine::scenario("two_stream", Scale::Paper).expect("registry");
+    spec.n_steps = 3;
+    let mut engine = Engine::new();
+    let mut run = |limit| {
+        pool::with_limit(limit, || {
+            engine
+                .run(&spec, Backend::Dl1D)
+                .expect("paper-scale DL run")
+                .history
+        })
+    };
+    let one = history_bits(&run(1));
+    for limit in [2, 3] {
+        assert_eq!(history_bits(&run(limit)), one, "limit {limit}");
+    }
+
+    let mut split = engine.start(&spec, Backend::Dl1D).expect("start");
+    let (in_w, out_w) = split.batched_infer_shape().expect("phase-split");
+    let (mut input, mut output) = (vec![0.0f32; in_w], vec![0.0f32; out_w]);
+    while !split.is_complete() {
+        split.step_prepare(&mut input);
+        split.infer_batch(&input, 1, &mut output);
+        split.step_apply(&output);
+    }
+    assert_eq!(history_bits(&split.finish().history), one, "phase split");
+}
