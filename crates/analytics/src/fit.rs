@@ -238,6 +238,65 @@ pub fn try_fit_growth_rate(
     })
 }
 
+/// The envelope of a damped oscillation, as [`fit_damping`] measures it.
+#[derive(Debug, Clone, Copy)]
+pub struct DampingFit {
+    /// Damping rate: the slope of `log` peak amplitude against time
+    /// (negative for a damped wave).
+    pub gamma: f64,
+    /// Angular frequency, `π /` the mean peak spacing (`|E|` peaks twice
+    /// per period).
+    pub omega: f64,
+    /// Envelope peaks the fit used.
+    pub n_peaks: usize,
+}
+
+/// Envelope peaks [`fit_damping`] skips: the initial perturbation is not a
+/// pure eigenmode, and its ballistic transient decays faster than the
+/// least-damped root.
+const DAMPING_SKIP: usize = 3;
+/// Most peaks [`fit_damping`] uses after the skipped ones, so the fit
+/// stops before the numerical floor.
+const DAMPING_PEAKS: usize = 10;
+/// Fewest peaks [`fit_damping`] needs after the skipped ones.
+const DAMPING_MIN_PEAKS: usize = 5;
+
+/// Fits the envelope of a damped oscillation `|E|(t) ≈ A·e^{γt}·|cos(ωt)|`
+/// (Landau damping's mode-1 history): the local maxima above `1e-12`
+/// are the envelope; after the first three, up to ten of them give `γ`
+/// as the least-squares slope of their logarithm against time and `ω`
+/// from their mean spacing.
+///
+/// Fewer than eight peaks is [`FitError::TooFewPoints`].
+pub fn fit_damping(times: &[f64], amps: &[f64]) -> Result<DampingFit, FitError> {
+    if times.len() != amps.len() {
+        return Err(FitError::LengthMismatch {
+            xs: times.len(),
+            ys: amps.len(),
+        });
+    }
+    let peaks: Vec<(f64, f64)> = (1..amps.len().saturating_sub(1))
+        .filter(|&i| amps[i] > amps[i - 1] && amps[i] >= amps[i + 1] && amps[i] > 1e-12)
+        .map(|i| (times[i], amps[i].ln()))
+        .collect();
+    let need = DAMPING_SKIP + DAMPING_MIN_PEAKS;
+    if peaks.len() < need {
+        return Err(FitError::TooFewPoints {
+            have: peaks.len(),
+            need,
+        });
+    }
+    let used = &peaks[DAMPING_SKIP..peaks.len().min(DAMPING_SKIP + DAMPING_PEAKS)];
+    let (ts, logs): (Vec<f64>, Vec<f64>) = used.iter().copied().unzip();
+    let line = try_linear_fit(&ts, &logs)?;
+    let spacing = (ts[ts.len() - 1] - ts[0]) / (ts.len() - 1) as f64;
+    Ok(DampingFit {
+        gamma: line.slope,
+        omega: std::f64::consts::PI / spacing,
+        n_peaks: used.len(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,6 +414,57 @@ mod tests {
         let idx = t.iter().position(|&x| x >= mid).unwrap();
         let rel = (fit.amplitude_at(t[idx]) - a[idx]).abs() / a[idx];
         assert!(rel < 0.5, "fitted curve should track data, rel err {rel}");
+    }
+
+    /// `A·e^{γt}·|cos(ωt)|` sampled at `dt = 0.01` up to `t = 35`.
+    fn damped_wave(gamma: f64, omega: f64) -> (Vec<f64>, Vec<f64>) {
+        let times: Vec<f64> = (0..3500).map(|i| i as f64 * 0.01).collect();
+        let amps = times
+            .iter()
+            .map(|&t| 1e-3 * (gamma * t).exp() * (omega * t).cos().abs())
+            .collect();
+        (times, amps)
+    }
+
+    #[test]
+    fn damping_fit_recovers_gamma_and_omega() {
+        for (gamma, omega) in [(-0.1533, 1.4156), (-0.05, 2.0), (0.02, 2.5)] {
+            let (t, a) = damped_wave(gamma, omega);
+            let fit = fit_damping(&t, &a).unwrap();
+            assert_eq!(fit.n_peaks, 10);
+            assert!(
+                (fit.gamma - gamma).abs() < 0.01 * gamma.abs(),
+                "γ = {} vs {gamma}",
+                fit.gamma
+            );
+            assert!(
+                (fit.omega - omega).abs() < 0.01 * omega,
+                "ω = {} vs {omega}",
+                fit.omega
+            );
+        }
+    }
+
+    #[test]
+    fn damping_fit_without_enough_peaks_is_an_error() {
+        // Seven peaks: the three skipped ones leave four, one short.
+        let (t, a) = damped_wave(-0.1533, 1.4156);
+        let cut = (7.5 * std::f64::consts::PI / 1.4156 / 0.01) as usize;
+        assert_eq!(
+            fit_damping(&t[..cut], &a[..cut]).err(),
+            Some(FitError::TooFewPoints { have: 7, need: 8 })
+        );
+        assert_eq!(
+            fit_damping(&[], &[]).err(),
+            Some(FitError::TooFewPoints { have: 0, need: 8 })
+        );
+        assert_eq!(
+            fit_damping(&t, &a[1..]).err(),
+            Some(FitError::LengthMismatch {
+                xs: t.len(),
+                ys: t.len() - 1
+            })
+        );
     }
 
     proptest! {

@@ -18,7 +18,8 @@
 //!   Fig. 4 and the stability boundary used by the cold-beam experiment of
 //!   Fig. 6.
 //! * [`fit`] — log-linear growth-rate fitting with automatic selection of
-//!   the exponential-growth window.
+//!   the exponential-growth window, and the damping rate and frequency of
+//!   a damped oscillation's envelope.
 //! * [`series`] — time-series recording and CSV export.
 //! * [`stats`] — small statistics helpers (MAE, max error, variation).
 //! * [`plot`] — ASCII line plots / scatter densities / heatmaps used by the

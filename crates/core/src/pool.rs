@@ -8,8 +8,8 @@
 //! parked team of `dlpic_nn::team` (its docs cover the helpers' lifecycle,
 //! panics and the inline fallback). This module is the team's front door
 //! for the layers above `nn`: [`team`] (with [`Team::for_each_item`], "do
-//! this to every item of a list, each item to one member", and
-//! [`Team::for_each_run`], one part per consecutive run of the list) for
+//! this to every item of a list, each item to one member" — the engine's
+//! wave hands it one consecutive run of the session list per panel) for
 //! the engine's waves, and [`with_limit`] to cap how many members a
 //! caller's dispatches may use.
 //!

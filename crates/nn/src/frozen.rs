@@ -452,7 +452,16 @@ mod tests {
                     let mut rows: Vec<Vec<f32>> =
                         batch.data().chunks(in_w).map(Vec::from).collect();
                     let mut parts: Vec<_> = (0..size).map(|_| PredictWorkspace::new()).collect();
-                    team.for_each_run(&mut rows, &bounds, &mut parts, |_, run, ws| {
+                    let mut rest = &mut rows[..];
+                    let runs: Vec<&mut [Vec<f32>]> = bounds
+                        .windows(2)
+                        .map(|w| {
+                            let (run, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+                            rest = tail;
+                            run
+                        })
+                        .collect();
+                    team.for_each_item(runs.into_iter().zip(&mut parts), |(run, ws)| {
                         if run.is_empty() {
                             return;
                         }

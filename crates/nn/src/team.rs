@@ -276,39 +276,6 @@ impl Team {
         }
     }
 
-    /// [`Self::run`] over consecutive runs of a list, each with a state of
-    /// its own: `work(p, &mut items[bounds[p]..bounds[p + 1]], &mut
-    /// state[p])` once for every `p < state.len()`. `bounds` must ascend
-    /// and end inside `items`; items before `bounds[0]` and after the
-    /// last bound are left alone.
-    pub fn for_each_run<T: Send, U: Send>(
-        &self,
-        items: &mut [T],
-        bounds: &[usize],
-        state: &mut [U],
-        work: impl Fn(usize, &mut [T], &mut U) + Sync,
-    ) {
-        assert_eq!(bounds.len(), state.len() + 1, "one run per state");
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "bounds ascend");
-        assert!(bounds[state.len()] <= items.len(), "bounds end in the list");
-        let (base, states) = (ListPtr::new(items), ListPtr::new(state));
-        self.run(state.len(), |p| {
-            // SAFETY: both lists are exclusively borrowed until `run`
-            // returns and `run` hands out each part index once; the
-            // bounds were checked to ascend inside `items`, so the runs
-            // of distinct parts are disjoint and in bounds, and
-            // `p < state.len()`.
-            let (run, state) = unsafe {
-                let run = base.get().add(bounds[p]);
-                (
-                    std::slice::from_raw_parts_mut(run, bounds[p + 1] - bounds[p]),
-                    &mut *states.get().add(p),
-                )
-            };
-            work(p, run, state);
-        });
-    }
-
     /// [`Self::run`] over a work list: every member takes the next item
     /// under a lock and runs `work` on it until none are left, so each
     /// item goes to exactly one member, in no particular order. Items
@@ -420,24 +387,6 @@ impl Team {
     }
 }
 
-/// The base pointer of a list whose elements the parts of one job share
-/// out between them.
-struct ListPtr<T>(*mut T);
-
-// SAFETY: the pointer is only used to hand each element to the one
-// member that runs its part, which needs `T: Send`, no more.
-unsafe impl<T: Send> Sync for ListPtr<T> {}
-
-impl<T> ListPtr<T> {
-    fn new(items: &mut [T]) -> Self {
-        Self(items.as_mut_ptr())
-    }
-
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
 /// The guard of [`Team::hold`].
 pub struct Hold<'a> {
     team: &'a Team,
@@ -538,31 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_run_hands_every_run_and_its_state_to_one_member() {
-        for size in [1usize, 2, 3] {
-            let team = Team::new(size);
-            let mut items = vec![0u32; 20];
-            // Runs 2..5, 5..5 (empty), 5..17; items 0..2 and 17.. untouched.
-            let bounds = [2usize, 5, 5, 17];
-            let mut sums = [0usize; 3];
-            team.for_each_run(&mut items, &bounds, &mut sums, |p, run, sum| {
-                assert_eq!(run.len(), bounds[p + 1] - bounds[p]);
-                run.iter_mut().for_each(|v| *v += 1 + p as u32);
-                *sum += run.len();
-            });
-            assert_eq!(sums, [3, 0, 12], "size {size}");
-            let want: Vec<u32> = (0..20)
-                .map(|i| match i {
-                    2..=4 => 1,
-                    5..=16 => 3,
-                    _ => 0,
-                })
-                .collect();
-            assert_eq!(items, want, "size {size}");
-        }
-    }
-
-    #[test]
     fn for_each_item_hands_every_item_to_one_member() {
         for size in [1usize, 2, 3] {
             let team = Team::new(size);
@@ -586,12 +510,6 @@ mod tests {
         assert_eq!(team.share(0, 8), 8);
         with_limit(1, || assert_eq!(team.share(64, 8), 64));
         assert_eq!(Team::new(3).share(64, 8), 24);
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds ascend")]
-    fn for_each_run_rejects_overlapping_runs() {
-        Team::new(2).for_each_run(&mut [0u8; 8], &[0, 5, 3], &mut [(), ()], |_, _, _| {});
     }
 
     #[test]

@@ -92,9 +92,15 @@ mod tests {
     use dlpic_pic::grid::Grid1D;
 
     fn tiny_harvest() -> VlasovHarvest {
-        let mut cfg = VlasovConfig::two_stream(0.2, 0.02);
-        cfg.nv = 64;
-        cfg.dt = 0.1;
+        let cfg = VlasovConfig {
+            grid: Grid1D::paper(),
+            nv: 64,
+            vmax: 0.8,
+            dt: 0.1,
+            v0: 0.2,
+            vth: 0.02,
+            perturbation: 1e-3,
+        };
         VlasovHarvest::new(cfg, 5, 64_000.0)
     }
 

@@ -25,23 +25,6 @@ pub struct VlasovConfig {
     pub perturbation: f64,
 }
 
-impl VlasovConfig {
-    /// A well-resolved default for the paper's box: 64×256 phase-space
-    /// grid, `Δt = 0.05`.
-    // analyze:allow(pub-reach): the reference run tests/vlasov_consistency.rs pins the Vlasov backend with
-    pub fn two_stream(v0: f64, vth: f64) -> Self {
-        Self {
-            grid: Grid1D::paper(),
-            nv: 256,
-            vmax: 0.8,
-            dt: 0.05,
-            v0,
-            vth: vth.max(0.01),
-            perturbation: 1e-3,
-        }
-    }
-}
-
 /// The running solver: owns `f(x, v)` (row-major `[nv][nx]`) and the
 /// self-consistent field.
 pub struct VlasovSolver {

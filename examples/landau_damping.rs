@@ -14,6 +14,7 @@
 //! cargo run --release --example landau_damping
 //! ```
 
+use dlpic_repro::analytics::fit::fit_damping;
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::{self, Backend, EngineError};
 
@@ -49,32 +50,10 @@ fn main() -> Result<(), EngineError> {
     // The envelope: local maxima of |E1|(t). |E| peaks twice per wave
     // period, so ω = π / (peak spacing); γ is the slope of ln(peaks).
     let e1 = summary.history.mode_series(1).expect("mode 1 tracked");
-    let (times, amps) = (&e1.times, &e1.values);
-    let peaks: Vec<(f64, f64)> = (1..amps.len() - 1)
-        .filter(|&i| amps[i] > amps[i - 1] && amps[i] >= amps[i + 1] && amps[i] > 1e-12)
-        .map(|i| (times[i], amps[i]))
-        .collect();
-    assert!(peaks.len() >= 6, "too few envelope peaks: {}", peaks.len());
+    let fit = fit_damping(&e1.times, &e1.values)?;
+    let (gamma, omega) = (fit.gamma, fit.omega);
 
-    // Skip the first few peaks (the cosine perturbation is not a pure
-    // eigenmode; its ballistic transient decays faster than the Landau
-    // root) and stop before the numerical floor.
-    let skip = 3.min(peaks.len() - 6);
-    let used = &peaks[skip..peaks.len().min(skip + 10)];
-    let n = used.len() as f64;
-    let (mut st, mut sy, mut stt, mut sty) = (0.0, 0.0, 0.0, 0.0);
-    for &(t, p) in used {
-        let y = p.ln();
-        st += t;
-        sy += y;
-        stt += t * t;
-        sty += t * y;
-    }
-    let gamma = (n * sty - st * sy) / (n * stt - st * st);
-    let mean_spacing = (used.last().unwrap().0 - used[0].0) / (used.len() as f64 - 1.0);
-    let omega = std::f64::consts::PI / mean_spacing;
-
-    println!("measured from the E1 envelope ({} peaks):", used.len());
+    println!("measured from the E1 envelope ({} peaks):", fit.n_peaks);
     println!(
         "  damping rate γ = {gamma:.4}   (theory {GAMMA_THEORY:.4}, {:+.1}%)",
         100.0 * (gamma - GAMMA_THEORY) / GAMMA_THEORY.abs()

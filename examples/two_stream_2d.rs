@@ -6,7 +6,7 @@
 //! `(kx, ky) = (1, 0)` mode must grow at the 1-D linear-theory rate — the
 //! cleanest way to validate a 2-D PIC against closed-form theory. (The
 //! transverse-quiescence check — nothing grows in `ky` — lives in the
-//! `pic2d_physics` integration tests.)
+//! physics verification table, `tests/physics.rs`.)
 //!
 //! ```sh
 //! cargo run --release --example two_stream_2d

@@ -402,7 +402,8 @@ struct WaveScratch {
     /// One per panel of the widest cohort seen so far.
     panels: Vec<PanelScratch>,
     /// Where in the session list each panel's run starts (and the last
-    /// one ends): what [`pool::Team::for_each_run`] cuts the list at.
+    /// one ends): where the wave cuts the list into the runs it hands to
+    /// [`pool::Team::for_each_item`].
     bounds: Vec<usize>,
 }
 
@@ -631,7 +632,15 @@ fn step_wave<S: SessionSlot + Send>(sessions: &mut [S], scratch: &mut WaveScratc
         scratch.bounds.extend((0..parts).map(|p| members[first(p)]));
         scratch.bounds.push(sessions.len());
         let (bounds, panels) = (&scratch.bounds, &mut scratch.panels[..parts]);
-        pool::team().for_each_run(sessions, bounds, panels, |p, run, panel| {
+        // The runs are consecutive: each is cut off the front of what the
+        // runs before it left.
+        let mut rest = &mut sessions[bounds[0]..];
+        let runs = panels.iter_mut().enumerate().map(move |(p, panel)| {
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(bounds[p + 1] - bounds[p]);
+            rest = tail;
+            (p, run, panel)
+        });
+        pool::team().for_each_item(runs, |(p, run, panel)| {
             let mine = &members[first(p)..first(p + 1)];
             step_panel(run, bounds[p], mine, key.2, panel);
         });

@@ -204,13 +204,22 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Relative peak-to-peak variation of the total energy.
+    /// Relative peak-to-peak variation of the total energy; `NaN` when
+    /// the history holds no row (a run quarantined at its first step).
     pub fn energy_variation(&self) -> f64 {
+        if self.history.is_empty() {
+            return f64::NAN;
+        }
         stats::relative_variation(&self.history.total)
     }
 
-    /// Maximum drift of the total momentum from its initial value.
+    /// Maximum drift of the total momentum from its initial value; `NaN`
+    /// when the history holds no row (a run quarantined at its first
+    /// step).
     pub fn momentum_drift(&self) -> f64 {
+        if self.history.is_empty() {
+            return f64::NAN;
+        }
         stats::max_drift(&self.history.momentum)
     }
 

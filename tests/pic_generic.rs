@@ -1,13 +1,11 @@
 //! Contracts of the geometry-generic PIC driver, each written once over
 //! `G: Geometry` and instantiated at both dimensions: a restored
-//! simulation resumes bit-identically, the split step
-//! (pre-solve → external solve → post-solve) is exactly `step`, and the
-//! traditional solver conserves momentum for every matched shape.
+//! simulation resumes bit-identically, and the split step
+//! (pre-solve → external solve → post-solve) is exactly `step`. Momentum
+//! conservation per shape is a physics claim: `tests/physics.rs`.
 
-use dlpic_repro::analytics::stats;
 use dlpic_repro::pic::simulation::{two_stream_config, PicConfig, Simulation};
-use dlpic_repro::pic::solver::PoissonKind;
-use dlpic_repro::pic::{Geometry, Grid1D, Shape, TraditionalSolver, TwoStreamInit};
+use dlpic_repro::pic::{Geometry, Shape, TraditionalSolver, TwoStreamInit};
 use dlpic_repro::pic::{Grid2D, TwoStream2DInit};
 
 const STEPS: usize = 20;
@@ -118,59 +116,4 @@ fn momentum_y_rides_only_in_2d() {
     two.run();
     assert!(one.history().momentum_y.is_empty());
     assert_eq!(two.history().momentum_y.len(), STEPS + 1);
-}
-
-/// Runs `cfg` with the deposit shape matched to its gather shape on the
-/// spectral Poisson solve and checks that no momentum component of the
-/// history drifts by `tol` or more from its initial value: matched deposit
-/// and gather weights cancel the self-force, so the scheme conserves
-/// momentum to round-off.
-fn momentum_is_conserved<G: Geometry>(cfg: PicConfig<G>, tol: f64) {
-    let shape = cfg.gather_shape;
-    let solver = TraditionalSolver::<G>::new(shape, PoissonKind::Spectral, 1.0);
-    let mut sim = Simulation::new(cfg, Box::new(solver));
-    sim.run();
-    let h = sim.history();
-    for (axis, series) in [("x", &h.momentum), ("y", &h.momentum_y)] {
-        let drift = if series.is_empty() {
-            0.0
-        } else {
-            stats::max_drift(series)
-        };
-        let dim = G::FIELD_NAMES.len();
-        assert!(
-            drift < tol,
-            "{dim}-D {shape:?}: {axis} momentum drift {drift}"
-        );
-    }
-}
-
-#[test]
-fn momentum_is_conserved_for_every_shape_1d() {
-    for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
-        let cfg = PicConfig {
-            grid: Grid1D::paper(),
-            init: Some(TwoStreamInit::random(0.2, 0.025, 6_400, 5)),
-            dt: 0.2,
-            n_steps: 100,
-            gather_shape: shape,
-            tracked_modes: vec![1],
-        };
-        momentum_is_conserved(cfg, 1e-10);
-    }
-}
-
-#[test]
-fn momentum_is_conserved_for_every_shape_2d() {
-    for shape in [Shape::Ngp, Shape::Cic, Shape::Tsc] {
-        let cfg = PicConfig {
-            grid: Grid2D::new(16, 16, 2.0532, 2.0532),
-            init: Some(TwoStream2DInit::random(0.2, 0.025, 8_192, 5)),
-            dt: 0.2,
-            n_steps: 100,
-            gather_shape: shape,
-            tracked_modes: vec![(1, 0)],
-        };
-        momentum_is_conserved(cfg, 1e-9);
-    }
 }

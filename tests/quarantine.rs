@@ -7,8 +7,8 @@
 
 use dlpic_repro::core::Scale;
 use dlpic_repro::engine::{
-    Backend, EnergyHistory, Engine, EngineError, FaultKind, FaultPlan, RunSummary, SessionFault,
-    SweepSpec,
+    scenario, Backend, EnergyHistory, Engine, EngineError, FaultKind, FaultPlan, RunSummary,
+    SessionFault, SweepSpec,
 };
 
 fn sweep() -> SweepSpec {
@@ -144,4 +144,27 @@ fn quarantined_checkpoint_does_not_resume_as_a_healthy_run() {
     let mut healthy = engine.resume(&checkpoints[0]).unwrap();
     healthy.run_to_end();
     assert_eq!(healthy.finish().history.len(), specs[0].n_steps + 1);
+}
+
+/// A run quarantined at its first step keeps no row at all; its summary's
+/// conservation figures read `NaN` instead of panicking on the empty
+/// history.
+#[test]
+fn a_run_quarantined_at_its_first_row_summarizes_to_nan() {
+    let spec = scenario("two_stream", Scale::Smoke).unwrap();
+    let plan = FaultPlan::new().rule("two_stream", FaultKind::NanField, 0);
+    let mut fleet = Engine::new()
+        .with_faults(plan)
+        .start_ensemble(&[spec], Backend::Traditional1D)
+        .unwrap();
+    fleet.run_to_end(1);
+    let faults = fleet.faults();
+    assert!(
+        matches!(faults[..], [(0, SessionFault::Diverged { step: 0, .. })]),
+        "{faults:?}"
+    );
+    let summary = &fleet.finish()[0];
+    assert!(summary.history.is_empty());
+    assert!(summary.energy_variation().is_nan());
+    assert!(summary.momentum_drift().is_nan());
 }
