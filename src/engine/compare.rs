@@ -132,7 +132,8 @@ pub fn lockstep(
 /// The core lockstep driver over pre-built sessions (they must share one
 /// scenario; the first is the reference). Steps every session through the
 /// spec's `n_steps` side by side, accumulating per-step residuals, then
-/// finishes each into its summary.
+/// finishes each into its summary. A member quarantined on the way ends
+/// the comparison with [`EngineError::Quarantined`].
 fn lockstep_sessions(mut sessions: Vec<Session>) -> Result<ComparisonReport, EngineError> {
     let invalid = |what: String| EngineError::InvalidSpec {
         scenario: sessions
@@ -177,7 +178,12 @@ fn lockstep_sessions(mut sessions: Vec<Session>) -> Result<ComparisonReport, Eng
         }
     };
     for _ in 0..spec.n_steps {
-        let samples: Vec<Sample> = sessions.iter_mut().map(|s| s.step()).collect();
+        let mut samples = Vec::with_capacity(sessions.len());
+        for session in &mut sessions {
+            let sample = session.step();
+            session.ensure_healthy()?;
+            samples.extend(sample);
+        }
         record(&samples, &mut times, &mut diffs);
     }
     let reference = sessions[0].backend().to_string();

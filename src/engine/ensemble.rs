@@ -415,7 +415,7 @@ struct PanelScratch {
     /// Panel members whose prepare phase survived this wave (a faulted
     /// member's row slot is reused by the next survivor).
     live: Vec<usize>,
-    /// Members that completed the step.
+    /// Members that completed the step and stayed healthy.
     stepped: usize,
 }
 
@@ -476,14 +476,14 @@ impl SessionSlot for &mut Session {
 ///
 /// Phase 1: every member prepares its row (and records its diagnostics
 /// sample, exactly as a monolithic step would); a member whose prepare
-/// panics is quarantined and its row slot is reused by the next survivor.
-/// Phase 2: ONE inference for the panel, through its first survivor's
-/// solver (identical weights across members by construction; row-stable
-/// kernels make each row bit-equal to a solo solve). If that shared
-/// inference panics, fall back to per-member 1-row inference —
+/// panics quarantines itself and its row slot is reused by the next
+/// survivor. Phase 2: ONE inference for the panel, through its first
+/// survivor's solver (identical weights across members by construction;
+/// row-stable kernels make each row bit-equal to a solo solve). If that
+/// shared inference panics, fall back to per-member 1-row inference —
 /// bit-identical rows again — so only the member whose own network panics
-/// is lost. Phase 3: scatter the rows back, then divergence-check the
-/// step's recorded diagnostics.
+/// is lost. Phase 3: scatter the rows back; each member's apply completes
+/// its step and checks its row.
 fn step_panel<S: SessionSlot>(
     run: &mut [S],
     base: usize,
@@ -504,12 +504,8 @@ fn step_panel<S: SessionSlot>(
     for &i in members {
         let r = live.len();
         let row = &mut input[r * in_w..(r + 1) * in_w];
-        let session = run[i - base].session();
-        match contained(|| {
-            session.step_prepare(row);
-        }) {
-            Ok(()) => live.push(i),
-            Err(message) => session.set_fault(SessionFault::Panicked { message }),
+        if run[i - base].session().step_prepare(row).is_some() {
+            live.push(i);
         }
     }
     let m = live.len();
@@ -537,42 +533,15 @@ fn step_panel<S: SessionSlot>(
         }
     }
     for (r, &i) in live.iter().enumerate() {
-        let session = run[i - base].session();
-        if !session.is_healthy() {
-            continue;
-        }
-        match contained(|| {
-            session.step_apply(&output[r * out_w..(r + 1) * out_w]);
-        }) {
-            Ok(()) => {
-                *stepped += 1;
-                session.check_health();
-            }
-            Err(message) => session.set_fault(SessionFault::Panicked { message }),
-        }
-    }
-}
-
-/// One whole step of a session that does not batch, panics contained and
-/// the history divergence-checked. Returns whether the step ran.
-fn step_solo(session: &mut Session) -> bool {
-    match contained(|| {
-        session.step();
-    }) {
-        Ok(()) => {
-            session.check_health();
-            true
-        }
-        Err(message) => {
-            session.set_fault(SessionFault::Panicked { message });
-            false
-        }
+        let row = &output[r * out_w..(r + 1) * out_w];
+        *stepped += usize::from(run[i - base].session().step_apply(row));
     }
 }
 
 /// Steps every unfinished, healthy session in `sessions` once:
 /// phase-split sessions in batched cohorts on the worker team, the rest
-/// solo on the calling thread. Returns how many sessions advanced.
+/// solo on the calling thread. Returns how many sessions completed a step
+/// and stayed healthy.
 ///
 /// A cohort is cut into [`panel_count`] panels of consecutive members and
 /// the wave is ONE dispatch to the team: each panel is prepared, inferred
@@ -580,15 +549,15 @@ fn step_solo(session: &mut Session) -> bool {
 /// share) and applied by the member that claimed it ([`step_panel`]), so
 /// the wave's only synchronization is the barrier at its end.
 ///
-/// Fault containment: each session's prepare/apply/solo step runs with
-/// panics contained, and its history is divergence-checked after the
-/// step ([`Session::check_health`]). A faulted session is quarantined —
-/// dropped from this and every later wave with its partial history
-/// intact — and cannot perturb its cohort: surviving rows compact down
-/// (row-stable inference makes every row bit-identical at any batch
-/// height), and if a panel's *shared* batched inference itself panics,
-/// that panel degrades to per-member 1-row inference so one poisoned
-/// network only takes down its own run.
+/// Fault containment: each session supervises its own prepare, apply and
+/// whole step (panics contained, the completed step's row checked; see
+/// [`Session::step`]). A faulted session is quarantined — dropped from
+/// this and every later wave with its partial history intact — and
+/// cannot perturb its cohort: surviving rows compact down (row-stable
+/// inference makes every row bit-identical at any batch height). The one
+/// decision left to the wave is the cohort's: if a panel's *shared*
+/// batched inference panics, that panel degrades to per-member 1-row
+/// inference so one poisoned network only takes down its own run.
 fn step_wave<S: SessionSlot + Send>(sessions: &mut [S], scratch: &mut WaveScratch) -> usize {
     for (_, members) in &mut scratch.cohorts {
         members.clear();
@@ -596,7 +565,7 @@ fn step_wave<S: SessionSlot + Send>(sessions: &mut [S], scratch: &mut WaveScratc
     scratch.solo.clear();
     for (i, slot) in sessions.iter_mut().enumerate() {
         let session = slot.session();
-        if session.is_complete() || !session.is_healthy() {
+        if session.is_complete() || session.fault().is_some() {
             continue;
         }
         match session.batched_infer_shape() {
@@ -647,7 +616,7 @@ fn step_wave<S: SessionSlot + Send>(sessions: &mut [S], scratch: &mut WaveScratc
         stepped += panels.iter().map(|panel| panel.stepped).sum::<usize>();
     }
     for &i in &scratch.solo {
-        stepped += usize::from(step_solo(sessions[i].session()));
+        stepped += usize::from(sessions[i].session().step().is_some());
     }
     stepped
 }
@@ -676,8 +645,8 @@ impl WaveBatch {
     }
 
     /// Steps every unfinished session once (batched DL cohorts + solo
-    /// monolithic steps); returns how many advanced (0 when all are
-    /// complete).
+    /// monolithic steps); returns how many completed a healthy step (0
+    /// once every session is complete or quarantined).
     pub fn step_wave(&mut self, sessions: &mut [&mut Session]) -> usize {
         step_wave(sessions, &mut self.scratch)
     }
@@ -733,7 +702,7 @@ impl Ensemble {
     pub fn is_complete(&self) -> bool {
         self.sessions
             .iter()
-            .all(|s| s.is_complete() || !s.is_healthy())
+            .all(|s| s.is_complete() || s.fault().is_some())
     }
 
     /// Quarantined runs as `(session index, fault)` pairs. Healthy
@@ -751,7 +720,8 @@ impl Ensemble {
     /// Advances every unfinished run by one step — DL cohorts share one
     /// batched inference per wave (per panel, on the worker team, when
     /// the cohort is wide enough to be cut up). Returns how many runs
-    /// advanced (0 when complete). The incremental form of
+    /// completed a healthy step (0 once every run is complete or
+    /// quarantined). The incremental form of
     /// [`Self::run_to_end`]; between waves the caller may sample
     /// histories, checkpoint, or stop early.
     pub fn step_wave(&mut self) -> usize {
@@ -763,7 +733,8 @@ impl Ensemble {
     /// natural argument; 1 keeps everything on the calling thread).
     /// Phase-split (DL) sessions advance in lockstep waves, the team
     /// under each wave; sessions that do not batch share nothing with
-    /// anyone, so each runs to its end as one part of a single dispatch.
+    /// anyone, so each runs to its end ([`Session::run_to_end`], which
+    /// stops at a quarantine) as one part of a single dispatch.
     /// Per-run results are bit-identical to solo runs at any thread count
     /// (see the module docs).
     pub fn run_to_end(&mut self, threads: usize) {
@@ -773,11 +744,7 @@ impl Ensemble {
                 .iter_mut()
                 .filter_map(|s| s.batched_infer_shape().is_none().then_some(s))
                 .collect();
-            pool::team().for_each_item(monolithic.iter_mut(), |session| {
-                while !session.is_complete() && session.is_healthy() {
-                    step_solo(session);
-                }
-            });
+            pool::team().for_each_item(monolithic.iter_mut(), |session| session.run_to_end());
             // The waves follow each other without a pause: keep the
             // helpers from parking between one wave and the next.
             let _hold = pool::team().hold();

@@ -1,8 +1,10 @@
 //! The engine's error type: every failure mode of the facade — invalid
 //! scenario specifications, incompatible scenario×backend pairings,
-//! (de)serialization problems and the analytics/model/dataset errors of
-//! the underlying crates — surfaces as one [`EngineError`].
+//! (de)serialization problems, a run quarantined before it completed and
+//! the analytics/model/dataset errors of the underlying crates — surfaces
+//! as one [`EngineError`].
 
+use super::health::SessionFault;
 use super::json::JsonError;
 use crate::analytics::fit::FitError;
 use crate::core::bundle::BundleError;
@@ -40,15 +42,11 @@ pub enum EngineError {
         /// What is wrong.
         what: String,
     },
-    /// A run's diagnostics went non-finite — the solver left the physical
+    /// A run was quarantined before it completed: its solver panicked, or
+    /// its diagnostics went non-finite — the solver left the physical
     /// regime (for DL backends: the surrogate was driven off its training
-    /// distribution). The run's history up to `step` remains valid.
-    Diverged {
-        /// Index of the first non-finite diagnostics row.
-        step: usize,
-        /// Which quantity went non-finite, and how.
-        diagnostic: String,
-    },
+    /// distribution).
+    Quarantined(SessionFault),
     /// Spec (de)serialization failed.
     Json(JsonError),
     /// A growth-rate/line fit failed.
@@ -81,9 +79,7 @@ impl std::fmt::Display for EngineError {
                 write!(f, "unknown scenario `{name}`; known: {}", known.join(", "))
             }
             Self::Checkpoint { what } => write!(f, "checkpoint: {what}"),
-            Self::Diverged { step, diagnostic } => {
-                write!(f, "run diverged at step {step}: {diagnostic}")
-            }
+            Self::Quarantined(fault) => fault.fmt(f),
             Self::Json(e) => write!(f, "scenario spec: {e}"),
             Self::Fit(e) => write!(f, "fit: {e}"),
             Self::Bundle(e) => write!(f, "model bundle: {e}"),

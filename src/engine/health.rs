@@ -1,19 +1,16 @@
-//! Run supervision: panic containment, divergence detection over
-//! recorded diagnostics, and the fault state a quarantined session
-//! carries.
+//! Run supervision: the fault a quarantined session carries, the panic
+//! containment that produces one, and the divergence check over recorded
+//! diagnostics rows.
 //!
 //! The DL field solve can silently leave the physical regime the moment
 //! its inputs drift off the training distribution — the first observable
-//! symptom is a non-finite diagnostics row (field energy, kinetic energy
-//! or a tracked mode amplitude). [`Session::check_health`] scans each new
-//! history row incrementally (the same consume-new-rows pattern as the
-//! server's stop-policy evaluator), so a wave scheduler can quarantine
-//! the run at the first bad row instead of letting NaNs poison a cohort
-//! batch or a downstream fit; [`contained`] turns a panicking step into
-//! the same quarantine. A quarantined run keeps its partial history; the
-//! fault itself is a [`SessionFault`].
+//! symptom is a non-finite diagnostics row (field energy, kinetic energy,
+//! momentum or a tracked mode amplitude). [`Session`] applies both checks
+//! to every step, whoever drives it (see [`super::session`]); a
+//! quarantined run keeps its partial history, and the fault itself is a
+//! [`SessionFault`].
 //!
-//! [`Session::check_health`]: super::Session::check_health
+//! [`Session`]: super::Session
 
 use super::observer::EnergyHistory;
 
@@ -26,8 +23,8 @@ pub enum SessionFault {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A diagnostics row went non-finite (see
-    /// [`Session::check_health`](super::Session::check_health)).
+    /// A completed step's diagnostics row went non-finite; the row is
+    /// dropped, so the history holds the `step` rows before it.
     Diverged {
         /// Index of the first non-finite row.
         step: usize,
@@ -62,54 +59,40 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// instead of tearing down the caller (a wave, and with it every
 /// co-scheduled session, or the server's scheduler thread).
 /// `AssertUnwindSafe` is sound because every caller discards what `f`
-/// touched on `Err`: the ensemble quarantines the session, whose
-/// possibly-inconsistent solver state is never stepped or sampled again,
-/// and the server fails the run whose build panicked.
+/// touched on `Err`: a session (or the ensemble, for a cohort's shared
+/// inference) quarantines itself, and its possibly-inconsistent solver
+/// state is never stepped or sampled again; the server fails the run
+/// whose build panicked.
 pub fn contained<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(panic_message)
 }
 
-/// Incremental divergence guard over a run's [`EnergyHistory`]: fed the
-/// history after each step, it scans only the rows recorded since the
-/// last call and reports the first non-finite kinetic energy, field
-/// energy, momentum or tracked-mode amplitude.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RunHealth {
-    rows_checked: usize,
+/// The first non-finite kinetic energy, field energy, momentum or
+/// tracked-mode amplitude among `history`'s rows `from..`, as
+/// `(row index, diagnostic)`.
+pub(crate) fn first_non_finite(history: &EnergyHistory, from: usize) -> Option<(usize, String)> {
+    (from..history.len()).find_map(|i| row_fault(history, i).map(|diagnostic| (i, diagnostic)))
 }
 
-impl RunHealth {
-    /// Forgets all scanned rows (after a checkpoint restore replaces the
-    /// history, the restored rows are re-validated on the next check).
-    pub(crate) fn reset(&mut self) {
-        self.rows_checked = 0;
+/// What in row `i` of `history` is non-finite, and how.
+fn row_fault(history: &EnergyHistory, i: usize) -> Option<String> {
+    let scalars = [
+        ("kinetic energy", history.kinetic[i]),
+        ("field energy", history.field[i]),
+        ("momentum", history.momentum[i]),
+    ];
+    for (what, v) in scalars {
+        if !v.is_finite() {
+            return Some(format!("{what} is {v}"));
+        }
     }
-
-    /// Consumes rows recorded since the last call; on the first
-    /// non-finite value returns `(row index, diagnostic)`.
-    pub(crate) fn check(&mut self, history: &EnergyHistory) -> Option<(usize, String)> {
-        while self.rows_checked < history.len() {
-            let i = self.rows_checked;
-            self.rows_checked += 1;
-            let scalars = [
-                ("kinetic energy", history.kinetic[i]),
-                ("field energy", history.field[i]),
-                ("momentum", history.momentum[i]),
-            ];
-            for (what, v) in scalars {
-                if !v.is_finite() {
-                    return Some((i, format!("{what} is {v}")));
-                }
-            }
-            for (slot, series) in history.mode_amps.iter().enumerate() {
-                if let Some(&a) = series.get(i) {
-                    if !a.is_finite() {
-                        let mode = history.tracked_modes.get(slot).copied().unwrap_or(slot);
-                        return Some((i, format!("mode {mode} amplitude is {a}")));
-                    }
-                }
+    for (slot, series) in history.mode_amps.iter().enumerate() {
+        if let Some(&a) = series.get(i) {
+            if !a.is_finite() {
+                let mode = history.tracked_modes.get(slot).copied().unwrap_or(slot);
+                return Some(format!("mode {mode} amplitude is {a}"));
             }
         }
-        None
     }
+    None
 }

@@ -289,8 +289,10 @@ impl Engine {
     }
 
     /// Runs a scenario on a backend to completion: a thin wrapper that
-    /// starts a [`Session`], steps it to `n_steps` and finishes it.
-    /// Attach observers to a session from [`Self::start`] instead.
+    /// starts a [`Session`], steps it to `n_steps` and finishes it — or
+    /// returns [`EngineError::Quarantined`] when the run panicked or
+    /// diverged on the way. Attach observers to a session from
+    /// [`Self::start`] instead.
     pub fn run(
         &mut self,
         spec: &ScenarioSpec,
@@ -298,6 +300,7 @@ impl Engine {
     ) -> Result<RunSummary, EngineError> {
         let mut session = self.start(spec, backend)?;
         session.run_to_end();
+        session.ensure_healthy()?;
         Ok(session.finish())
     }
 

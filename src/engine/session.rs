@@ -34,12 +34,26 @@
 //! fault ([`super::fault`]) trips or poisons it, the session's one record
 //! function appends it to the [`EnergyHistory`] and streams it to the
 //! observers — a step's row and, on [`Session::finish`], the final
-//! `sample()` row alike — and [`Session::check_health`] scans it.
+//! `sample()` row alike — and the step that completes it checks it.
+//!
+//! **Supervision.** A session supervises itself, so every driver gets the
+//! same quarantine ([`super::health`]): [`Session::step`],
+//! [`Session::step_prepare`] and [`Session::step_apply`] each run their
+//! phase with panics contained, and a panic quarantines the session as
+//! [`SessionFault::Panicked`]. When a step completes (the end of `step`,
+//! or of `step_apply`), its recorded row is checked; a non-finite row is
+//! dropped and the session quarantined as [`SessionFault::Diverged`], so
+//! a diverged run holds one row fewer than its completed steps. Once
+//! quarantined, the stepping calls return `None`/`false` without touching
+//! the solver, [`Session::run_until`] stops, and [`Engine::run`] and
+//! [`super::compare::lockstep`] return [`EngineError::Quarantined`].
+//!
+//! [`Engine::run`]: super::Engine::run
 
 use super::backend::Backend;
 use super::error::EngineError;
 use super::fault::FaultKind;
-use super::health::{RunHealth, SessionFault};
+use super::health::{self, contained, SessionFault};
 use super::json::{obj, Json};
 use super::observer::{EnergyHistory, Observer, PhaseSpace, RunSummary, Sample};
 use super::spec::{LoadingSpec, ScenarioSpec};
@@ -721,7 +735,6 @@ pub struct Session {
     observers: Vec<Box<dyn Observer>>,
     started: std::time::Instant,
     wall_offset: f64,
-    health: RunHealth,
     fault: Option<SessionFault>,
     /// The injected fault rule `(kind, at_step)` of this run, if any.
     inject: Option<(FaultKind, usize)>,
@@ -749,7 +762,6 @@ impl Session {
             observers: Vec::new(),
             started,
             wall_offset: 0.0,
-            health: RunHealth::default(),
             fault: None,
             inject,
         }
@@ -809,39 +821,62 @@ impl Session {
         &self.history
     }
 
-    /// Why this session was quarantined, when it was (a wave scheduler
-    /// stops stepping a faulted session; see [`super::health`]).
+    /// Why this session was quarantined, when it was (see the module
+    /// docs' supervision paragraph); a quarantined session never steps
+    /// again.
     pub fn fault(&self) -> Option<&SessionFault> {
         self.fault.as_ref()
     }
 
-    /// True while the session has neither panicked nor diverged.
-    pub fn is_healthy(&self) -> bool {
+    /// Quarantines the session unless it already is (the ensemble records
+    /// the panic of a cohort member's own one-row inference this way).
+    pub(crate) fn set_fault(&mut self, fault: SessionFault) {
+        self.fault.get_or_insert(fault);
+    }
+
+    /// `Err` carrying the fault once the session is quarantined: how a
+    /// driver that owes its caller a whole run ([`super::Engine::run`],
+    /// [`super::compare::lockstep`]) reports it.
+    pub(crate) fn ensure_healthy(&self) -> Result<(), EngineError> {
+        match &self.fault {
+            Some(fault) => Err(EngineError::Quarantined(fault.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Runs one stepping phase with panics contained: a panic quarantines
+    /// the session as [`SessionFault::Panicked`]. `None` when the session
+    /// is quarantined, before the call (the phase does not run) or by it.
+    fn contain<R>(&mut self, phase: impl FnOnce(&mut Self) -> R) -> Option<R> {
+        if self.fault.is_some() {
+            return None;
+        }
+        match contained(|| phase(self)) {
+            Ok(r) => Some(r),
+            Err(message) => {
+                self.fault = Some(SessionFault::Panicked { message });
+                None
+            }
+        }
+    }
+
+    /// The row check, over rows `from..` of the history: at the first
+    /// non-finite row, that row and everything after it are dropped and
+    /// the session is quarantined as [`SessionFault::Diverged`] — the
+    /// preserved partial history is entirely finite, so it survives a
+    /// JSON round-trip (non-finite numbers serialize as `null`). Returns
+    /// whether the session is healthy.
+    fn check_rows(&mut self, from: usize) -> bool {
+        if let Some((step, diagnostic)) = health::first_non_finite(&self.history, from) {
+            self.history.truncate(step);
+            self.set_fault(SessionFault::Diverged { step, diagnostic });
+        }
         self.fault.is_none()
     }
 
-    /// Quarantines the session (a wave scheduler records the panic it
-    /// caught; a faulted session is never stepped again).
-    pub fn set_fault(&mut self, fault: SessionFault) {
-        if self.fault.is_none() {
-            self.fault = Some(fault);
-        }
-    }
-
-    /// Scans history rows recorded since the last call for non-finite
-    /// diagnostics and quarantines the session at the first bad row. The
-    /// bad row and everything after it are discarded — the preserved
-    /// partial history is entirely finite, so it survives a JSON
-    /// round-trip (non-finite numbers serialize as `null`). Returns the
-    /// (possibly pre-existing) fault.
-    pub fn check_health(&mut self) -> Option<&SessionFault> {
-        if self.fault.is_none() {
-            if let Some((step, diagnostic)) = self.health.check(&self.history) {
-                self.history.truncate(step);
-                self.fault = Some(SessionFault::Diverged { step, diagnostic });
-            }
-        }
-        self.fault.as_ref()
+    /// The row check over the row of the step just completed.
+    fn check_last_row(&mut self) -> bool {
+        self.check_rows(self.history.len().saturating_sub(1))
     }
 
     /// Instantaneous diagnostics of the current state without advancing
@@ -853,8 +888,11 @@ impl Session {
     /// Advances one step; records and returns the step's diagnostics row,
     /// streaming it to the attached observers. Stepping past the spec's
     /// `n_steps` is permitted (the summary reports the count that ran).
-    pub fn step(&mut self) -> Sample {
-        self.step_with(|inner| inner.step())
+    /// `None` when the session is quarantined — already, or by this step's
+    /// panic or non-finite row (see the module docs).
+    pub fn step(&mut self) -> Option<Sample> {
+        let sample = self.step_with(|inner| inner.step())?;
+        self.check_last_row().then_some(sample)
     }
 
     /// The injected fault kind due at the current step, if any.
@@ -864,20 +902,26 @@ impl Session {
             .map(|(kind, _)| kind)
     }
 
-    /// One step through `advance` (a whole step or its first phase): an
-    /// injected `Panic` due at this step fires before it, an injected
-    /// `NanField` poisons the row it returns (the row of step `at_step`),
-    /// and the row is recorded.
-    fn step_with(&mut self, advance: impl FnOnce(&mut dyn BackendSession) -> Sample) -> Sample {
+    /// One step through `advance` (a whole step or its first phase),
+    /// contained: an injected `Panic` due at this step fires before it,
+    /// an injected `NanField` poisons the row it returns (the row of step
+    /// `at_step`), and the row is recorded — observers included, so a
+    /// panicking observer quarantines the session too.
+    fn step_with(
+        &mut self,
+        advance: impl FnOnce(&mut dyn BackendSession) -> Sample,
+    ) -> Option<Sample> {
         let injected = self.injected();
-        if injected == Some(FaultKind::Panic) {
-            panic!("injected fault: panic at step {}", self.inner.steps_done());
-        }
-        let mut sample = advance(self.inner.as_mut());
-        if injected == Some(FaultKind::NanField) {
-            sample.field = f64::NAN;
-        }
-        self.record(sample)
+        self.contain(|session| {
+            if injected == Some(FaultKind::Panic) {
+                panic!("injected fault: panic at step {}", session.steps_done());
+            }
+            let mut sample = advance(session.inner.as_mut());
+            if injected == Some(FaultKind::NanField) {
+                sample.field = f64::NAN;
+            }
+            session.record(sample)
+        })
     }
 
     /// The one place a row is recorded: appended to the history and
@@ -901,16 +945,18 @@ impl Session {
     /// [`BackendSession::step_prepare`]): advances everything up to the
     /// field-solve inference, writes the inference input into `input`,
     /// and records/streams the step's diagnostics row exactly as
-    /// [`Self::step`] would. Must be completed with [`Self::step_apply`];
-    /// the ensemble scheduler pairs them around one batched
-    /// [`Self::infer_batch`] shared by a whole cohort of sessions.
-    pub fn step_prepare(&mut self, input: &mut [f32]) -> Sample {
+    /// [`Self::step`] would. Must be completed with [`Self::step_apply`],
+    /// which checks the row; the ensemble scheduler pairs them around one
+    /// batched [`Self::infer_batch`] shared by a whole cohort of sessions.
+    /// `None` when the session is quarantined, already or by a panic here.
+    pub fn step_prepare(&mut self, input: &mut [f32]) -> Option<Sample> {
         self.step_with(|inner| inner.step_prepare(input))
     }
 
     /// Phase 2 of a split step: one inference over `rows` stacked input
     /// rows through this session's solver. The ensemble calls this on
-    /// one cohort member for the whole batch.
+    /// one cohort member for the whole batch, and contains it itself: a
+    /// panic of the shared batch must not blame its leader.
     pub fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]) {
         if self.injected() == Some(FaultKind::InferPanic) {
             panic!(
@@ -921,10 +967,14 @@ impl Session {
         self.inner.infer_batch(input, rows, output);
     }
 
-    /// Phase 3 of a split step: applies this session's output row and
-    /// completes the step begun by [`Self::step_prepare`].
-    pub fn step_apply(&mut self, output: &[f32]) {
-        self.inner.step_apply(output);
+    /// Phase 3 of a split step: applies this session's output row,
+    /// completes the step begun by [`Self::step_prepare`] and checks its
+    /// row. `true` when the step completed and the session is healthy;
+    /// `false` when it is quarantined, already or by this phase.
+    pub fn step_apply(&mut self, output: &[f32]) -> bool {
+        self.contain(|session| session.inner.step_apply(output))
+            .is_some()
+            && self.check_last_row()
     }
 
     /// Runs until the spec's `n_steps` have completed.
@@ -933,8 +983,9 @@ impl Session {
     }
 
     /// The early-stop controller: steps until `stop` returns `true` for a
-    /// recorded sample or the spec's `n_steps` complete, whichever comes
-    /// first. Returns whether the predicate fired.
+    /// recorded sample, the spec's `n_steps` complete or the session is
+    /// quarantined, whichever comes first. Returns whether the predicate
+    /// fired.
     ///
     /// The loop holds the worker team ([`pool::Team::hold`]): a DL step
     /// dispatches its inference's column windows, and the hold keeps the
@@ -943,7 +994,9 @@ impl Session {
     pub fn run_until(&mut self, mut stop: impl FnMut(&Sample) -> bool) -> bool {
         let _hold = pool::team().hold();
         while !self.is_complete() {
-            let sample = self.step();
+            let Some(sample) = self.step() else {
+                return false;
+            };
             if stop(&sample) {
                 return true;
             }
@@ -1035,9 +1088,9 @@ impl Session {
         }
         self.history = checkpoint.history.clone();
         self.wall_offset = checkpoint.wall_seconds;
-        // Re-validate the restored rows on the next health check — a
-        // checkpoint of an already-diverged run must not resume silently.
-        self.health.reset();
+        // The restored rows pass the same check as a step's: a checkpoint
+        // holding a non-finite row resumes quarantined, never silently.
+        self.check_rows(0);
         Ok(())
     }
 }

@@ -64,7 +64,7 @@ rows! {
     two_stream_2d_growth: box_2d(32, 0.2, 0.0, 1e-4, 200, 11), Pic2D, [Growth { rel: 0.2, r2: 0.9 }];
     vlasov_growth: vlasov(0.2, 600), Vlasov, [Growth { rel: 0.2, r2: 0.0 }];
     dl_two_stream_2d_growth: box_2d(16, 0.2, 0.0, 1e-3, 160, 99), Dl2D,
-        [Finite, Growth { rel: 0.35, r2: 0.9 }];
+        [Finite, Growth { rel: 0.2, r2: 0.9 }];
     // Stable where theory says stable (the premise of Fig. 6).
     cold_beam_stable: paper(0.4, 0.0, 321), CIC_FD, [Stable(20.0)];
     cold_beam_stable_seed_11: paper(0.4, 0.0, 11), CIC_FD, [Stable(20.0)];

@@ -63,7 +63,7 @@ fn stepwise_session_reproduces_engine_run_exactly() {
     assert_eq!(session.remaining(), 20);
     let mut steps_seen = Vec::new();
     while !session.is_complete() {
-        steps_seen.push(session.step().step);
+        steps_seen.push(session.step().expect("healthy step").step);
     }
     assert_eq!(steps_seen, (0..20).collect::<Vec<_>>());
     let via_session = session.finish();
