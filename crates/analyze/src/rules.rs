@@ -70,6 +70,7 @@ pub static RULES: [Rule; 9] = [
             "crates/ddecomp/src/**",
             "crates/nn/src/**",
             "crates/pic/src/**",
+            "crates/team/src/**",
             "crates/vlasov/src/**",
         ],
         check: no_wallclock,
@@ -127,7 +128,13 @@ pub static RULES: [Rule; 9] = [
                       partner — a withheld vCPU — into a stall that also steals the \
                       core the partner needs",
         // The worker team and everything stacked on it.
-        paths: &["crates/core/src/**", "crates/nn/src/**", "src/engine/**"],
+        paths: &[
+            "crates/core/src/**",
+            "crates/nn/src/**",
+            "crates/pic/src/**",
+            "crates/team/src/**",
+            "src/engine/**",
+        ],
         check: no_unbounded_spin,
     },
     Rule {

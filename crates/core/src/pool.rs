@@ -1,11 +1,12 @@
 //! The workspace's one multi-core path: the worker **team**.
 //!
-//! Particle kernels and dataset generation are single-threaded.
+//! Dataset generation and the phase-space binning are single-threaded.
 //! Everything that uses a second core — the ensemble wave, the serve
 //! scheduler, a solo DL solve's one-row inference (each member a window
-//! of a large layer's output columns) and `nn`'s training step — goes
-//! through the one persistent,
-//! parked team of `dlpic_nn::team` (its docs cover the helpers' lifecycle,
+//! of a large layer's output columns), a large particle push and charge
+//! deposit while a caller holds the team (two parts: `dlpic_pic`'s
+//! `split`) and `nn`'s training step — goes through the one persistent,
+//! parked team of `dlpic_team` (its docs cover the helpers' lifecycle,
 //! panics and the inline fallback). This module is the team's front door
 //! for the layers above `nn`: [`team`] (with [`Team::for_each_item`], "do
 //! this to every item of a list, each item to one member" — the engine's
@@ -28,14 +29,18 @@
 //! over ascending `k` from `+0.0` whatever batch its row is computed in,
 //! so the partition decides who computes a row, never how. The column
 //! windows of a one-row pass hold to the same rule: the live mask is per
-//! row tile, so a window keeps every element's chain.
+//! row tile, so a window keeps every element's chain. So do the two parts
+//! of a split particle push and deposit: the push's diagnostic sums stay
+//! one chain in particle order, which the later part continues from the
+//! earlier part's hand-over, and each deposit part owns the nodes of one
+//! parity, adding their terms in particle order.
 
-pub use dlpic_nn::team::{available_threads, with_limit, Team};
+pub use dlpic_team::{available_threads, with_limit, Team};
 
 /// The process-wide team ([`available_threads`] members; helpers are
 /// spawned by the first dispatch that uses more than one).
 pub fn team() -> &'static Team {
-    dlpic_nn::team::global()
+    dlpic_team::global()
 }
 
 #[cfg(test)]

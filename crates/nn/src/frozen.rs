@@ -328,7 +328,7 @@ impl FrozenModel {
 /// `input` when there are no layers). Generic over the layer type, so the
 /// frozen loop calls [`FrozenLayer`]'s inference with no `dyn` dispatch;
 /// once the two buffers are warm it allocates nothing. A one-row pass
-/// holds the team ([`crate::team::Team::hold`]): the layers it cuts into
+/// holds the team ([`dlpic_team::Team::hold`]): the layers it cuts into
 /// column windows dispatch back to back, so it pays at most one helper
 /// wake-up. A batch does not, so no helper polls beside its GEMMs.
 pub(crate) fn ping_pong<'w, L>(
@@ -337,7 +337,7 @@ pub(crate) fn ping_pong<'w, L>(
     workspace: &'w mut PredictWorkspace,
     mut infer: impl FnMut(L, &Tensor, &mut Tensor),
 ) -> &'w Tensor {
-    let _hold = (input.shape().first() == Some(&1)).then(|| crate::team::global().hold());
+    let _hold = (input.shape().first() == Some(&1)).then(|| dlpic_team::global().hold());
     let PredictWorkspace { a, b } = workspace;
     let mut layers = layers.into_iter();
     let Some(first) = layers.next() else {
@@ -428,14 +428,14 @@ mod tests {
     }
 
     /// What a fleet wave on the worker team stands on: members of a
-    /// [`Team`](crate::team::Team) that each take a run of the batch's
+    /// [`Team`](dlpic_team::Team) that each take a run of the batch's
     /// rows through the one shared model, at once and with a workspace of
     /// their own, reproduce the whole-batch inference bit for bit — at
     /// every team size, for every row-tile remainder and a multi-panel
     /// batch, in both precisions.
     #[test]
     fn row_runs_on_a_team_reproduce_the_whole_batch_bit_for_bit() {
-        use crate::team::Team;
+        use dlpic_team::Team;
         let (in_w, out_w) = (12, 7);
         for precision in [Precision::F32, Precision::Bf16] {
             let model = mlp(11).freeze(precision).unwrap();

@@ -7,7 +7,6 @@
 //! ReLU-activated hidden layers, which trains slightly faster and makes no
 //! qualitative difference).
 
-use crate::team;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,7 +42,7 @@ impl Init {
             Init::Zeros => buf.fill(0.0),
             Init::HeNormal => {
                 let std = (2.0 / fan_in.max(1) as f64).sqrt();
-                let team = team::global();
+                let team = dlpic_team::global();
                 let mut draws = Vec::with_capacity(DRAW_BATCH.min(buf.len()));
                 for batch in buf.chunks_mut(DRAW_BATCH) {
                     draws.clear();

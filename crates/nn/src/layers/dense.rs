@@ -4,7 +4,6 @@ use crate::frozen::{FrozenLayer, Precision};
 use crate::init::Init;
 use crate::layer::{cache_input, Layer};
 use crate::linalg::{add_bias, col_sums_into, matmul_nt, nn, nn_cols, tn_rows, Weight, RUN_ROWS};
-use crate::team;
 use crate::tensor::Tensor;
 
 /// Weight bytes from which a one-row pass is cut into column windows, one
@@ -28,7 +27,7 @@ const WINDOW_COLS: usize = 16;
 pub(crate) fn infer<W: Weight>(input: &Tensor, w: &[W], b: &[f32], out: &mut Tensor) {
     let (batch, k, n) = size_output(input, w.len(), b.len(), out);
     let x = input.data();
-    let team = team::global();
+    let team = dlpic_team::global();
     let width = team.share(n, WINDOW_COLS);
     if batch == 1 && width < n && std::mem::size_of_val(w) >= SPLIT_BYTES {
         team.for_each_item(out.data_mut().chunks_mut(width).enumerate(), |(p, c)| {
@@ -128,7 +127,7 @@ impl Dense {
         }
         let (m, n) = (self.in_features, self.out_features);
         let (x, dy) = (input.data(), grad_out.data());
-        let team = team::global();
+        let team = dlpic_team::global();
         let run = team.share(m, RUN_ROWS) * n;
         let runs = self.dw_step.chunks_mut(run).zip(self.dw.chunks_mut(run));
         team.for_each_item(runs.enumerate(), |(p, (stage, dw))| {
@@ -152,7 +151,7 @@ impl Layer for Dense {
     fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
         let (batch, k, n) = size_output(input, self.w.len(), self.b.len(), out);
         let (x, w, b) = (input.data(), &self.w[..], &self.b[..]);
-        let team = team::global();
+        let team = dlpic_team::global();
         let run = team.share(batch, RUN_ROWS);
         let runs = out.data_mut().chunks_mut(run * n);
         team.for_each_item(runs.enumerate(), |(p, c)| {
@@ -171,7 +170,7 @@ impl Layer for Dense {
         let (k, n) = (self.out_features, self.in_features);
         grad_in.resize_in_place(&[batch, n]);
         let (dy, w) = (grad_out.data(), &self.w[..]);
-        let team = team::global();
+        let team = dlpic_team::global();
         let run = team.share(batch, RUN_ROWS);
         let runs = grad_in.data_mut().chunks_mut(run * n);
         team.for_each_item(runs.enumerate(), |(p, c)| {

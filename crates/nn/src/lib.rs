@@ -30,7 +30,7 @@
 //! vectorizes elsewhere — and serial: every single [`FrozenModel`]
 //! inference runs on the calling thread. A frozen model is immutable and
 //! `Sync`, though, and its kernels are row-stable, so a fleet uses every
-//! core by giving each member of the worker [`team`] whole rows of the
+//! core by giving each member of the worker team ([`dlpic_team`]) whole rows of the
 //! cohort to take through the one shared model — bit-identical to the
 //! whole batch on one thread. Training uses the team the same way: a
 //! dense layer's training GEMMs are cut into runs of output rows and
@@ -55,7 +55,6 @@ pub mod metrics;
 pub mod network;
 pub mod optimizer;
 pub mod serialize;
-pub mod team;
 pub mod tensor;
 pub mod trainer;
 

@@ -3,7 +3,6 @@
 //! of 0.0001" (§IV.A).
 
 use crate::network::Sequential;
-use crate::team;
 
 /// Parameters per run of an Adam step on the team (the smallest run one
 /// member takes): a bias vector stays on the calling thread.
@@ -68,7 +67,7 @@ impl Adam {
             step_size: self.lr / (1.0 - b1.powi(self.t as i32)),
             inv_bc2: 1.0 / (1.0 - b2.powi(self.t as i32)),
         };
-        let team = team::global();
+        let team = dlpic_team::global();
         let mut idx = 0;
         let moments = &mut self.moments;
         net.visit_params(&mut |p, g| {

@@ -5,7 +5,6 @@ use crate::loss::Loss;
 use crate::metrics::evaluate;
 use crate::network::{Sequential, TrainWorkspace};
 use crate::optimizer::Adam;
-use crate::team;
 use crate::tensor::Tensor;
 
 /// Training-loop configuration (the paper trains with batch 64; 150 epochs
@@ -72,7 +71,7 @@ impl TrainHistory {
 /// reused [`TrainWorkspace`]. Batch composition is identical to the
 /// historical copy-the-dataset implementation.
 ///
-/// The step runs on the global [`team`]: dense layers cut their forward
+/// The step runs on the global [`dlpic_team`] team: dense layers cut their forward
 /// pass, weight gradient and input gradient into runs of output rows and
 /// Adam its tensors into runs of parameters, each element computed as on
 /// one thread — the trained bits do not depend on the team's size.
@@ -95,7 +94,7 @@ pub fn train(
     let mut workspace = TrainWorkspace::new();
     // The step dispatches to the team back to back: keep its helpers
     // polling between dispatches instead of parking.
-    let _hold = team::global().hold();
+    let _hold = dlpic_team::global().hold();
 
     for epoch in 0..cfg.epochs {
         shuffle_permutation(
@@ -252,7 +251,7 @@ mod tests {
             train(&mut net, &Mse, &mut opt, &data, None, &cfg);
             params_to_bytes(&mut net)
         };
-        let alone = team::with_limit(1, run);
+        let alone = dlpic_team::with_limit(1, run);
         assert!(alone == run(), "team-trained parameters differ");
     }
 

@@ -1,12 +1,15 @@
 //! Charge deposition (particles → grid), paper Fig. 1 third phase.
 //!
-//! One sequential scatter in particle order. A deposit is a
-//! read-modify-write of shared grid nodes, so the order of the additions
-//! is part of the result: checkpoint/resume bit-identity and the
-//! distributed backend's equivalence with the single-process run rest on
-//! it being the particle order. The AVX-512 body ([`crate::lanes`])
+//! A scatter in particle order. A deposit is a read-modify-write of
+//! shared grid nodes, so the order of the additions is part of the
+//! result: checkpoint/resume bit-identity and the distributed backend's
+//! equivalence with the single-process run rest on every node's terms
+//! being added in particle order. The AVX-512 body ([`crate::lanes`])
 //! computes eight particles' nodes and terms at once and still adds them
-//! one particle after the other.
+//! one particle after the other. A large CIC deposit on an even node
+//! count, while a caller holds the worker team, runs as two parts that
+//! each own the nodes of one parity (`split`): every node still gets its
+//! terms in particle order, from the one part that owns it.
 
 // analyze:hot — the deposit loop runs once per step over every particle;
 // loop bodies here must stay allocation-free.
@@ -16,6 +19,8 @@ use crate::grid::Grid1D;
 use crate::lanes::{self, Body};
 use crate::particles::Particles;
 use crate::shape::Shape;
+use crate::split;
+use dlpic_team::Team;
 
 /// Deposits particle charge density onto grid nodes: `ρ_j += Σ_p q·W/dx`.
 ///
@@ -27,12 +32,16 @@ use crate::shape::Shape;
 /// # Panics
 /// Panics if `rho` length differs from the grid node count.
 pub fn deposit_charge(particles: &Particles, grid: &Grid1D, shape: Shape, rho: &mut [f64]) {
-    deposit(Body::detect(), particles, grid, shape, rho);
+    let team =
+        split::team(particles.len()).filter(|_| split::deposit_splits(shape.support(), grid.nx()));
+    deposit(Body::detect(), team, particles, grid, shape, rho);
 }
 
-/// [`deposit_charge`] on `body`.
+/// [`deposit_charge`] on `body`, split over `team` by node parity if one
+/// is given ([`crate::split`]), whatever the stencil.
 pub(crate) fn deposit(
     body: Body,
+    team: Option<&Team>,
     particles: &Particles,
     grid: &Grid1D,
     shape: Shape,
@@ -47,9 +56,9 @@ pub(crate) fn deposit(
     };
     let [x] = &particles.pos;
     match shape {
-        Shape::Ngp => k.run::<1>(body, x, rho),
-        Shape::Cic => k.run::<2>(body, x, rho),
-        Shape::Tsc => k.run::<3>(body, x, rho),
+        Shape::Ngp => k.drive::<1>(body, team, x, rho),
+        Shape::Cic => k.drive::<2>(body, team, x, rho),
+        Shape::Tsc => k.drive::<3>(body, team, x, rho),
     }
 }
 
@@ -62,6 +71,17 @@ struct Deposit {
 }
 
 impl Deposit {
+    /// The deposit of every particle for the shape of support `S`, on
+    /// `body`: split over `team` by node parity, or serial without one.
+    fn drive<const S: usize>(&self, body: Body, team: Option<&Team>, x: &[f64], rho: &mut [f64]) {
+        match team {
+            Some(team) => split::deposit(team, rho, |owner, acc| {
+                self.run_owned::<S>(body, x, owner, acc);
+            }),
+            None => self.run::<S>(body, x, rho),
+        }
+    }
+
     /// The deposit of every particle for the shape of support `S`, on
     /// `body`.
     fn run<const S: usize>(&self, body: Body, x: &[f64], rho: &mut [f64]) {
@@ -84,6 +104,46 @@ impl Deposit {
         let (mut j, w) = axis_stencil::<S>(x * self.inv_dx, self.n as i64);
         for w in w {
             rho[j] += self.scale * w;
+            j = next_node(j, self.n);
+        }
+    }
+
+    /// The terms of every particle that land on nodes of parity `owner`,
+    /// added to `acc` in the order [`Self::run`] adds them: one part of a
+    /// split deposit.
+    fn run_owned<const S: usize>(&self, body: Body, x: &[f64], owner: usize, acc: &mut [f64]) {
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `avx512f` and `avx512dq` were detected.
+            Body::Avx512 if lanes::avx512() => unsafe { self.lanes_owned::<S>(x, owner, acc) },
+            _ => {
+                for &x in x {
+                    self.one_owned::<S>(x, owner, acc);
+                }
+            }
+        }
+    }
+
+    /// [`Deposit::one`]'s terms that land on nodes of parity `owner`. On a
+    /// CIC stencil over an even node count that is exactly one of the two,
+    /// picked without a branch.
+    #[inline(always)]
+    fn one_owned<const S: usize>(&self, x: f64, owner: usize, acc: &mut [f64]) {
+        let (mut j, w) = axis_stencil::<S>(x * self.inv_dx, self.n as i64);
+        if split::deposit_splits(S, self.n) {
+            let next = next_node(j, self.n);
+            let (node, w) = if j % 2 == owner {
+                (j, w[0])
+            } else {
+                (next, w[S - 1])
+            };
+            acc[node] += self.scale * w;
+            return;
+        }
+        for w in w {
+            if j % 2 == owner {
+                acc[j] += self.scale * w;
+            }
             j = next_node(j, self.n);
         }
     }
@@ -124,6 +184,64 @@ impl Deposit {
             true
         };
         lanes::chunks(&mut rho, x.len(), lanes, |rho, p| self.one::<S>(x[p], rho));
+    }
+
+    /// [`Deposit::one_owned`] on eight particles per chunk, as
+    /// [`Deposit::lanes`] is [`Deposit::one`]: the lanes compute the nodes
+    /// and terms (on a split CIC stencil, the one owned of each particle),
+    /// one scalar loop adds those of parity `owner` in particle order.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn lanes_owned<const S: usize>(&self, x: &[f64], owner: usize, mut acc: &mut [f64]) {
+        use crate::lanes::x86::*;
+        use std::arch::x86_64::*;
+        let n = _mm512_set1_epi64(self.n as i64);
+        let inv_dx = _mm512_set1_pd(self.inv_dx);
+        let length = _mm512_set1_pd(self.length);
+        let scale = _mm512_set1_pd(self.scale);
+        let one = _mm512_set1_epi64(1);
+        let parity = _mm512_set1_epi64(owner as i64);
+        let pick = split::deposit_splits(S, self.n);
+        let lanes = |acc: &mut &mut [f64], i: usize| {
+            // SAFETY: `i + 8 <= x.len()`.
+            let x0 = unsafe { load(x.as_ptr().add(i)) };
+            let a = axis::<S>(_mm512_mul_pd(x0, inv_dx), n);
+            if a.ok & in_box(x0, length) != ALL {
+                return false;
+            }
+            if pick {
+                // The first node where it has the owner's parity, else the
+                // next one — which then has it.
+                let first = _mm512_cmpeq_epi64_mask(_mm512_and_si512(a.node, one), parity);
+                let node = _mm512_mask_blend_epi64(first, next_node(a.node, n), a.node);
+                let w = _mm512_mask_blend_pd(first, a.w[S - 1], a.w[0]);
+                let nodes = to_indices(node);
+                let terms = to_array(_mm512_mul_pd(scale, w));
+                for p in 0..8 {
+                    acc[nodes[p]] += terms[p];
+                }
+                return true;
+            }
+            let mut nodes = [[0usize; 8]; S];
+            let mut terms = [[0.0; 8]; S];
+            let mut j = a.node;
+            for k in 0..S {
+                nodes[k] = to_indices(j);
+                terms[k] = to_array(_mm512_mul_pd(scale, a.w[k]));
+                j = next_node(j, n);
+            }
+            for p in 0..8 {
+                for k in 0..S {
+                    if nodes[k][p] % 2 == owner {
+                        acc[nodes[k][p]] += terms[k][p];
+                    }
+                }
+            }
+            true
+        };
+        lanes::chunks(&mut acc, x.len(), lanes, |acc, p| {
+            self.one_owned::<S>(x[p], owner, acc)
+        });
     }
 }
 

@@ -11,6 +11,11 @@
 //! the per-axis half every particle kernel shares (the 1-D and 2-D
 //! deposits and fused pushes); [`crate::lanes`] holds their AVX-512
 //! twins, on which the 8-particle body of each kernel is built.
+//!
+//! A large CIC deposit on an even row length splits over a held worker
+//! team as the 1-D one does (`split`): each part owns the nodes of one
+//! flat-index parity — one column parity — and adds their terms in
+//! particle order.
 
 // analyze:hot — the deposit loop runs once per step over every particle;
 // loop bodies here must stay allocation-free.
@@ -20,6 +25,8 @@ use crate::grid::Grid2D;
 use crate::lanes::{self, Body};
 use crate::particles::Particles2D;
 use crate::shape::Shape;
+use crate::split;
+use dlpic_team::Team;
 
 /// One axis of the tensor-product stencil of the shape whose support is
 /// `S` (1, 2, 3 for NGP, CIC, TSC) at normalized position `xdx = x/dx`:
@@ -60,12 +67,16 @@ pub(crate) fn next_node(j: usize, n: usize) -> usize {
 /// # Panics
 /// Panics if `rho` length differs from the grid node count.
 pub fn deposit_charge(particles: &Particles2D, grid: &Grid2D, shape: Shape, rho: &mut [f64]) {
-    deposit(Body::detect(), particles, grid, shape, rho);
+    let team =
+        split::team(particles.len()).filter(|_| split::deposit_splits(shape.support(), grid.nx()));
+    deposit(Body::detect(), team, particles, grid, shape, rho);
 }
 
-/// [`deposit_charge`] on `body`.
+/// [`deposit_charge`] on `body`, split over `team` by node parity if one
+/// is given ([`crate::split`]), whatever the stencil.
 pub(crate) fn deposit(
     body: Body,
+    team: Option<&Team>,
     particles: &Particles2D,
     grid: &Grid2D,
     shape: Shape,
@@ -83,9 +94,9 @@ pub(crate) fn deposit(
     };
     let [x, y] = &particles.pos;
     match shape {
-        Shape::Ngp => k.run::<1>(body, x, y, rho),
-        Shape::Cic => k.run::<2>(body, x, y, rho),
-        Shape::Tsc => k.run::<3>(body, x, y, rho),
+        Shape::Ngp => k.drive::<1>(body, team, x, y, rho),
+        Shape::Cic => k.drive::<2>(body, team, x, y, rho),
+        Shape::Tsc => k.drive::<3>(body, team, x, y, rho),
     }
 }
 
@@ -101,6 +112,25 @@ struct Deposit {
 }
 
 impl Deposit {
+    /// The deposit of every particle for the shape of support `S`, on
+    /// `body`: split over `team` by the parity of the flat node index, or
+    /// serial without one.
+    fn drive<const S: usize>(
+        &self,
+        body: Body,
+        team: Option<&Team>,
+        x: &[f64],
+        y: &[f64],
+        rho: &mut [f64],
+    ) {
+        match team {
+            Some(team) => split::deposit(team, rho, |owner, acc| {
+                self.run_owned::<S>(body, x, y, owner, acc);
+            }),
+            None => self.run::<S>(body, x, y, rho),
+        }
+    }
+
     /// The deposit of every particle for the shape of support `S`, on
     /// `body`.
     fn run<const S: usize>(&self, body: Body, x: &[f64], y: &[f64], rho: &mut [f64]) {
@@ -128,6 +158,64 @@ impl Deposit {
             let mut ix = ix0;
             for wx in wxs {
                 rho[row + ix] += self.q_over_area * wx * wy;
+                ix = next_node(ix, nx);
+            }
+            iy = next_node(iy, ny);
+        }
+    }
+
+    /// The terms of every particle that land on nodes of flat-index parity
+    /// `owner`, added to `acc` in the order [`Self::run`] adds them: one
+    /// part of a split deposit.
+    fn run_owned<const S: usize>(
+        &self,
+        body: Body,
+        x: &[f64],
+        y: &[f64],
+        owner: usize,
+        acc: &mut [f64],
+    ) {
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `avx512f` and `avx512dq` were detected.
+            Body::Avx512 if lanes::avx512() => unsafe { self.lanes_owned::<S>(x, y, owner, acc) },
+            _ => {
+                for (&x, &y) in x.iter().zip(y) {
+                    self.one_owned::<S>(x, y, owner, acc);
+                }
+            }
+        }
+    }
+
+    /// [`Deposit::one`]'s terms that land on nodes of parity `owner`. With
+    /// an even row length a node's parity is its column's, so on a CIC
+    /// stencil each row has exactly one owned term: the same column in
+    /// both, picked without a branch.
+    #[inline(always)]
+    fn one_owned<const S: usize>(&self, x: f64, y: f64, owner: usize, acc: &mut [f64]) {
+        let (nx, ny) = (self.nx, self.ny);
+        let (ix0, wxs) = axis_stencil::<S>(x * self.inv_dx, nx as i64);
+        let (mut iy, wys) = axis_stencil::<S>(y * self.inv_dy, ny as i64);
+        if split::deposit_splits(S, nx) {
+            let next = next_node(ix0, nx);
+            let (ix, wx) = if ix0 % 2 == owner {
+                (ix0, wxs[0])
+            } else {
+                (next, wxs[S - 1])
+            };
+            for wy in wys {
+                acc[iy * nx + ix] += self.q_over_area * wx * wy;
+                iy = next_node(iy, ny);
+            }
+            return;
+        }
+        for wy in wys {
+            let row = iy * nx;
+            let mut ix = ix0;
+            for wx in wxs {
+                if (row + ix) % 2 == owner {
+                    acc[row + ix] += self.q_over_area * wx * wy;
+                }
                 ix = next_node(ix, nx);
             }
             iy = next_node(iy, ny);
@@ -184,6 +272,85 @@ impl Deposit {
         };
         lanes::chunks(&mut rho, x.len(), lanes, |rho, p| {
             self.one::<S>(x[p], y[p], rho)
+        });
+    }
+
+    /// [`Deposit::one_owned`] on eight particles per chunk, as
+    /// [`Deposit::lanes`] is [`Deposit::one`]: the lanes compute the nodes
+    /// and terms (on a split CIC stencil, the owned column's two), one
+    /// scalar loop adds those of parity `owner` in particle order.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn lanes_owned<const S: usize>(&self, x: &[f64], y: &[f64], owner: usize, mut acc: &mut [f64]) {
+        use crate::lanes::x86::*;
+        use std::arch::x86_64::*;
+        assert_eq!(x.len(), y.len(), "particle column lengths differ");
+        let (nx, ny) = (
+            _mm512_set1_epi64(self.nx as i64),
+            _mm512_set1_epi64(self.ny as i64),
+        );
+        let (inv_dx, inv_dy) = (_mm512_set1_pd(self.inv_dx), _mm512_set1_pd(self.inv_dy));
+        let (lx, ly) = (_mm512_set1_pd(self.lx), _mm512_set1_pd(self.ly));
+        let q_over_area = _mm512_set1_pd(self.q_over_area);
+        let one = _mm512_set1_epi64(1);
+        let parity = _mm512_set1_epi64(owner as i64);
+        let pick = split::deposit_splits(S, self.nx);
+        let lanes = |acc: &mut &mut [f64], i: usize| {
+            // SAFETY: `i + 8 <= x.len()`, and `y` is as long (asserted
+            // above).
+            let (x0, y0) = unsafe { (load(x.as_ptr().add(i)), load(y.as_ptr().add(i))) };
+            let ax = axis::<S>(_mm512_mul_pd(x0, inv_dx), nx);
+            let ay = axis::<S>(_mm512_mul_pd(y0, inv_dy), ny);
+            if ax.ok & ay.ok & in_box(x0, lx) & in_box(y0, ly) != ALL {
+                return false;
+            }
+            if pick {
+                // The first column where it has the owner's parity, else
+                // the next one — which then has it.
+                let first = _mm512_cmpeq_epi64_mask(_mm512_and_si512(ax.node, one), parity);
+                let ix = _mm512_mask_blend_epi64(first, next_node(ax.node, nx), ax.node);
+                let wx = _mm512_mask_blend_pd(first, ax.w[S - 1], ax.w[0]);
+                let mut nodes = [[0usize; 8]; S];
+                let mut terms = [[0.0; 8]; S];
+                let mut iy = ay.node;
+                for (wy, (node, term)) in ay.w.into_iter().zip(nodes.iter_mut().zip(&mut terms)) {
+                    *node = to_indices(_mm512_add_epi64(_mm512_mullo_epi64(iy, nx), ix));
+                    *term = to_array(_mm512_mul_pd(_mm512_mul_pd(q_over_area, wx), wy));
+                    iy = next_node(iy, ny);
+                }
+                for p in 0..8 {
+                    for (node, term) in nodes.iter().zip(&terms) {
+                        acc[node[p]] += term[p];
+                    }
+                }
+                return true;
+            }
+            let mut nodes = [[[0usize; 8]; S]; S];
+            let mut terms = [[[0.0; 8]; S]; S];
+            let mut iy = ay.node;
+            for (wy, (nodes, terms)) in ay.w.into_iter().zip(nodes.iter_mut().zip(&mut terms)) {
+                let row = _mm512_mullo_epi64(iy, nx);
+                let mut ix = ax.node;
+                for (wx, (node, term)) in ax.w.into_iter().zip(nodes.iter_mut().zip(terms)) {
+                    *node = to_indices(_mm512_add_epi64(row, ix));
+                    *term = to_array(_mm512_mul_pd(_mm512_mul_pd(q_over_area, wx), wy));
+                    ix = next_node(ix, nx);
+                }
+                iy = next_node(iy, ny);
+            }
+            for p in 0..8 {
+                for (nodes, terms) in nodes.iter().zip(&terms) {
+                    for (node, term) in nodes.iter().zip(terms) {
+                        if node[p] % 2 == owner {
+                            acc[node[p]] += term[p];
+                        }
+                    }
+                }
+            }
+            true
+        };
+        lanes::chunks(&mut acc, x.len(), lanes, |acc, p| {
+            self.one_owned::<S>(x[p], y[p], owner, acc)
         });
     }
 }

@@ -17,6 +17,9 @@
 //! The kernel also accumulates the step's diagnostics moments (the
 //! time-centred kinetic energy and the post-push momentum) in the same
 //! pass, in the same per-particle summation order as the unfused code.
+//! A large push, while a caller holds the worker team, runs as two parts
+//! (`split`) whose sums are still that one chain: the later part records
+//! its terms and continues the chain from the earlier part's sums.
 //!
 //! As in [`deposit2d`](crate::deposit2d), the body is written once over
 //! the shape's support `S`, and it has an AVX-512 twin over eight
@@ -30,6 +33,8 @@ use crate::grid::Grid1D;
 use crate::lanes::{self, Body};
 use crate::particles::Particles;
 use crate::shape::Shape;
+use crate::split;
+use dlpic_team::Team;
 
 /// Diagnostics moments accumulated by the fused pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,11 +95,23 @@ pub(crate) fn advance_position(x: f64, v: f64, dt: f64, length: f64) -> f64 {
 }
 
 /// The step's diagnostic sums in `D` dimensions, added in particle order
-/// whichever body computed the terms.
+/// whichever body computed the terms — and, for a push split over the
+/// worker team ([`crate::split`]), whichever member did.
 #[derive(Debug)]
 pub(crate) struct Sums<const D: usize> {
     ke: f64,
     mom: [f64; D],
+}
+
+/// Where a push run puts each particle's diagnostic terms, in particle
+/// order: straight into the [`Sums`] chain, or into a [`Terms`] record
+/// for a later [`Sums::replay`].
+pub(crate) trait Tally<const D: usize> {
+    /// One particle's kinetic term `Σ_k v⁻_k·v⁺_k` and post-push velocity.
+    fn add(&mut self, ke: f64, v: [f64; D]);
+
+    /// A chunk's eight particles, in particle order.
+    fn add_chunk(&mut self, ke: [f64; 8], v: [[f64; 8]; D]);
 }
 
 impl<const D: usize> Sums<D> {
@@ -106,21 +123,12 @@ impl<const D: usize> Sums<D> {
         }
     }
 
-    /// Adds one particle's kinetic term `Σ_k v⁻_k·v⁺_k` and its post-push
-    /// velocity.
-    #[inline(always)]
-    pub(crate) fn add(&mut self, ke: f64, v: [f64; D]) {
-        self.ke += ke;
-        for (m, v) in self.mom.iter_mut().zip(v) {
-            *m += v;
-        }
-    }
-
-    /// Adds a chunk's eight particles, in particle order.
-    #[inline(always)]
-    pub(crate) fn add_chunk(&mut self, ke: [f64; 8], v: [[f64; 8]; D]) {
-        for p in 0..8 {
-            self.add(ke[p], std::array::from_fn(|k| v[k][p]));
+    /// Continues the chain over particles whose kinetic terms a [`Terms`]
+    /// recorded as `ke` and whose post-push velocities are `v`: the same
+    /// additions, in the same order, as if they had been added as pushed.
+    pub(crate) fn replay(&mut self, ke: &[f64], v: [&[f64]; D]) {
+        for (p, &ke) in ke.iter().enumerate() {
+            self.add(ke, std::array::from_fn(|k| v[k][p]));
         }
     }
 
@@ -132,6 +140,48 @@ impl<const D: usize> Sums<D> {
             momentum_y: self.mom.get(1).map(|m| mass * m),
         }
     }
+}
+
+impl<const D: usize> Tally<D> for Sums<D> {
+    #[inline(always)]
+    fn add(&mut self, ke: f64, v: [f64; D]) {
+        self.ke += ke;
+        for (m, v) in self.mom.iter_mut().zip(v) {
+            *m += v;
+        }
+    }
+
+    #[inline(always)]
+    fn add_chunk(&mut self, ke: [f64; 8], v: [[f64; 8]; D]) {
+        for p in 0..8 {
+            self.add(ke[p], std::array::from_fn(|k| v[k][p]));
+        }
+    }
+}
+
+/// Records the kinetic terms of a run whose chain cannot start yet (the
+/// later part of a split push); its velocities are re-read from the
+/// pushed particles when [`Sums::replay`] adds them.
+pub(crate) struct Terms<'a>(pub(crate) &'a mut Vec<f64>);
+
+impl<const D: usize> Tally<D> for Terms<'_> {
+    #[inline(always)]
+    fn add(&mut self, ke: f64, _: [f64; D]) {
+        self.0.push(ke);
+    }
+
+    #[inline(always)]
+    fn add_chunk(&mut self, ke: [f64; 8], _: [[f64; 8]; D]) {
+        self.0.extend_from_slice(&ke);
+    }
+}
+
+/// A push over one run of particles in `D` dimensions, giving each
+/// particle's terms to a [`Tally`] in particle order: the unit
+/// [`crate::split::push`] cuts a push into.
+pub(crate) trait PushRun<const D: usize>: Sync {
+    /// Pushes the particles of the run `x`, `v` (one column per axis).
+    fn run<T: Tally<D>>(&self, x: [&mut [f64]; D], v: [&mut [f64]; D], tally: &mut T);
 }
 
 /// One fused step of the particle pipeline: gather `e` at every particle,
@@ -151,12 +201,15 @@ pub fn fused_gather_push_move(
     e: &[f64],
     dt: f64,
 ) -> StepMoments {
-    push(Body::detect(), particles, grid, shape, e, dt)
+    let team = split::team(particles.len());
+    push(Body::detect(), team, particles, grid, shape, e, dt)
 }
 
-/// [`fused_gather_push_move`] on `body`.
+/// [`fused_gather_push_move`] on `body`, split over `team` if one is
+/// given ([`crate::split`]).
 pub(crate) fn push(
     body: Body,
+    team: Option<&Team>,
     particles: &mut Particles,
     grid: &Grid1D,
     shape: Shape,
@@ -174,12 +227,23 @@ pub(crate) fn push(
     };
     let mass = particles.mass();
     let ([x], [v]) = (&mut particles.pos, &mut particles.vel);
+    let (x, v) = ([x.as_mut_slice()], [v.as_mut_slice()]);
     let sums = match shape {
-        Shape::Ngp => k.run::<1>(body, x, v),
-        Shape::Cic => k.run::<2>(body, x, v),
-        Shape::Tsc => k.run::<3>(body, x, v),
+        Shape::Ngp => split::push(team, &Shaped::<1>(&k, body), x, v),
+        Shape::Cic => split::push(team, &Shaped::<2>(&k, body), x, v),
+        Shape::Tsc => split::push(team, &Shaped::<3>(&k, body), x, v),
     };
     sums.moments(mass)
+}
+
+/// The 1-D push for the shape of support `S`, on one body: the unit of
+/// a split push.
+struct Shaped<'a, const S: usize>(&'a Push<'a>, Body);
+
+impl<const S: usize> PushRun<1> for Shaped<'_, S> {
+    fn run<T: Tally<1>>(&self, [x]: [&mut [f64]; 1], [v]: [&mut [f64]; 1], tally: &mut T) {
+        self.0.run::<S, T>(self.1, x, v, tally);
+    }
 }
 
 /// The per-call constants of the 1-D push; `e` is `n` nodes long.
@@ -193,22 +257,26 @@ struct Push<'a> {
 }
 
 impl Push<'_> {
-    /// The push over all particles for the shape of support `S`, on
-    /// `body`.
-    fn run<const S: usize>(&self, body: Body, x: &mut [f64], v: &mut [f64]) -> Sums<1> {
-        let mut sums = Sums::new();
+    /// The push over the particles `x`, `v` for the shape of support
+    /// `S`, on `body`, their terms given to `tally`.
+    fn run<const S: usize, T: Tally<1>>(
+        &self,
+        body: Body,
+        x: &mut [f64],
+        v: &mut [f64],
+        tally: &mut T,
+    ) {
         match body {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `avx512f` and `avx512dq` were detected.
-            Body::Avx512 if lanes::avx512() => unsafe { self.lanes::<S>(x, v, &mut sums) },
+            Body::Avx512 if lanes::avx512() => unsafe { self.lanes::<S, T>(x, v, tally) },
             _ => {
                 for (x, v) in x.iter_mut().zip(v) {
                     let (ke, v_new) = self.one::<S>(x, v);
-                    sums.add(ke, [v_new]);
+                    tally.add(ke, [v_new]);
                 }
             }
         }
-        sums
     }
 
     /// The scalar body: gather, accelerate and move one particle, with
@@ -241,7 +309,7 @@ impl Push<'_> {
     /// off the fast path runs [`Push::one`] instead.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq")]
-    fn lanes<const S: usize>(&self, x: &mut [f64], v: &mut [f64], sums: &mut Sums<1>) {
+    fn lanes<const S: usize, T: Tally<1>>(&self, x: &mut [f64], v: &mut [f64], tally: &mut T) {
         use crate::lanes::x86::*;
         use std::arch::x86_64::*;
         assert_eq!(x.len(), v.len(), "particle column lengths differ");
@@ -252,7 +320,7 @@ impl Push<'_> {
         let qm_dt = _mm512_set1_pd(self.qm_dt);
         let dt = _mm512_set1_pd(self.dt);
         let len = x.len();
-        let lanes = |(x, v, sums): &mut (&mut [f64], &mut [f64], &mut Sums<1>), i: usize| {
+        let lanes = |(x, v, tally): &mut (&mut [f64], &mut [f64], &mut T), i: usize| {
             // SAFETY: `i + 8 <= len`, and both columns are `len` long
             // (asserted above).
             let (x0, v_old) = unsafe { (load(x.as_ptr().add(i)), load(v.as_ptr().add(i))) };
@@ -290,14 +358,14 @@ impl Push<'_> {
                 store(x.as_mut_ptr().add(i), x1);
                 store(v.as_mut_ptr().add(i), v_new);
             }
-            sums.add_chunk(to_array(_mm512_mul_pd(v_old, v_new)), [to_array(v_new)]);
+            tally.add_chunk(to_array(_mm512_mul_pd(v_old, v_new)), [to_array(v_new)]);
             true
         };
-        let scalar = |(x, v, sums): &mut (&mut [f64], &mut [f64], &mut Sums<1>), p: usize| {
+        let scalar = |(x, v, tally): &mut (&mut [f64], &mut [f64], &mut T), p: usize| {
             let (ke, v_new) = self.one::<S>(&mut x[p], &mut v[p]);
-            sums.add(ke, [v_new]);
+            tally.add(ke, [v_new]);
         };
-        lanes::chunks(&mut (x, v, sums), len, lanes, scalar);
+        lanes::chunks(&mut (x, v, tally), len, lanes, scalar);
     }
 }
 

@@ -19,16 +19,20 @@
 //! particle instead of summing all x-terms first, so that one diagnostic
 //! may differ from the unfused value by rounding (≪ 1e-15 relative); the
 //! per-component momentum sums keep the unfused order exactly.
+//! A large push splits over a held worker team as the 1-D one does
+//! (`split`), its three sums still one chain each in particle order.
 
 // analyze:hot — the fused per-particle loop is the 2-D stepping hot path;
 // loop bodies here must stay allocation-free (PR 3's single-pass win).
 
 use crate::deposit2d::{axis_stencil, next_node};
-use crate::fused::{advance_position, StepMoments, Sums};
+use crate::fused::{advance_position, PushRun, StepMoments, Tally};
 use crate::grid::Grid2D;
 use crate::lanes::{self, Body};
 use crate::particles::Particles2D;
 use crate::shape::Shape;
+use crate::split;
+use dlpic_team::Team;
 
 /// One fused step of the 2-D particle pipeline: gather the stacked field
 /// `e = [Ex | Ey]` at
@@ -47,12 +51,15 @@ pub fn fused_gather_push_move(
     e: &[f64],
     dt: f64,
 ) -> StepMoments {
-    push(Body::detect(), particles, grid, shape, e, dt)
+    let team = split::team(particles.len());
+    push(Body::detect(), team, particles, grid, shape, e, dt)
 }
 
-/// [`fused_gather_push_move`] on `body`.
+/// [`fused_gather_push_move`] on `body`, split over `team` if one is
+/// given ([`crate::split`]).
 pub(crate) fn push(
     body: Body,
+    team: Option<&Team>,
     particles: &mut Particles2D,
     grid: &Grid2D,
     shape: Shape,
@@ -74,12 +81,24 @@ pub(crate) fn push(
         dt,
     };
     let mass = particles.mass();
+    let ([x, y], [vx, vy]) = (&mut particles.pos, &mut particles.vel);
+    let (pos, vel) = ([x.as_mut_slice(), y], [vx.as_mut_slice(), vy]);
     let sums = match shape {
-        Shape::Ngp => k.run::<1>(body, particles),
-        Shape::Cic => k.run::<2>(body, particles),
-        Shape::Tsc => k.run::<3>(body, particles),
+        Shape::Ngp => split::push(team, &Shaped::<1>(&k, body), pos, vel),
+        Shape::Cic => split::push(team, &Shaped::<2>(&k, body), pos, vel),
+        Shape::Tsc => split::push(team, &Shaped::<3>(&k, body), pos, vel),
     };
     sums.moments(mass)
+}
+
+/// The 2-D push for the shape of support `S`, on one body: the unit of
+/// a split push.
+struct Shaped<'a, const S: usize>(&'a Push<'a>, Body);
+
+impl<const S: usize> PushRun<2> for Shaped<'_, S> {
+    fn run<T: Tally<2>>(&self, pos: [&mut [f64]; 2], vel: [&mut [f64]; 2], tally: &mut T) {
+        self.0.run::<S, T>(self.1, pos, vel, tally);
+    }
 }
 
 /// The per-call constants of the 2-D push; `ex` and `ey` are
@@ -98,17 +117,19 @@ struct Push<'a> {
 }
 
 impl Push<'_> {
-    /// The push over all particles for the shape of support `S`, on
-    /// `body`.
-    fn run<const S: usize>(&self, body: Body, particles: &mut Particles2D) -> Sums<2> {
-        let mut sums = Sums::new();
-        let ([x, y], [vx, vy]) = (&mut particles.pos, &mut particles.vel);
+    /// The push over the particles `[x, y]`, `[vx, vy]` for the shape of
+    /// support `S`, on `body`, their terms given to `tally`.
+    fn run<const S: usize, T: Tally<2>>(
+        &self,
+        body: Body,
+        [x, y]: [&mut [f64]; 2],
+        [vx, vy]: [&mut [f64]; 2],
+        tally: &mut T,
+    ) {
         match body {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `avx512f` and `avx512dq` were detected.
-            Body::Avx512 if lanes::avx512() => unsafe {
-                self.lanes::<S>([x, y, vx, vy], &mut sums)
-            },
+            Body::Avx512 if lanes::avx512() => unsafe { self.lanes::<S, T>([x, y, vx, vy], tally) },
             _ => {
                 let iter = x
                     .iter_mut()
@@ -116,11 +137,10 @@ impl Push<'_> {
                     .zip(vx.iter_mut().zip(vy.iter_mut()));
                 for ((x, y), (vx, vy)) in iter {
                     let (ke, v_new) = self.one::<S>([x, y], [vx, vy]);
-                    sums.add(ke, v_new);
+                    tally.add(ke, v_new);
                 }
             }
         }
-        sums
     }
 
     /// The scalar body: gather, accelerate and move one particle, with
@@ -167,7 +187,7 @@ impl Push<'_> {
     /// [`Push::one`] instead.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq")]
-    fn lanes<const S: usize>(&self, cols: [&mut [f64]; 4], sums: &mut Sums<2>) {
+    fn lanes<const S: usize, T: Tally<2>>(&self, cols: [&mut [f64]; 4], tally: &mut T) {
         use crate::lanes::x86::*;
         use std::arch::x86_64::*;
         let len = cols[0].len();
@@ -188,7 +208,7 @@ impl Push<'_> {
         let (lx, ly) = (_mm512_set1_pd(self.lx), _mm512_set1_pd(self.ly));
         let qm_dt = _mm512_set1_pd(self.qm_dt);
         let dt = _mm512_set1_pd(self.dt);
-        let lanes = |(cols, sums): &mut ([&mut [f64]; 4], &mut Sums<2>), i: usize| {
+        let lanes = |(cols, tally): &mut ([&mut [f64]; 4], &mut T), i: usize| {
             let [x0, y0, vx_old, vy_old] = cols.each_ref().map(|c| {
                 // SAFETY: `i + 8 <= len`, and all four columns are `len`
                 // long (asserted above).
@@ -230,15 +250,15 @@ impl Push<'_> {
                 unsafe { store(c.as_mut_ptr().add(i), new) };
             }
             let ke = _mm512_add_pd(_mm512_mul_pd(vx_old, vx_new), _mm512_mul_pd(vy_old, vy_new));
-            sums.add_chunk(to_array(ke), [to_array(vx_new), to_array(vy_new)]);
+            tally.add_chunk(to_array(ke), [to_array(vx_new), to_array(vy_new)]);
             true
         };
-        let scalar = |(cols, sums): &mut ([&mut [f64]; 4], &mut Sums<2>), p: usize| {
+        let scalar = |(cols, tally): &mut ([&mut [f64]; 4], &mut T), p: usize| {
             let [x, y, vx, vy] = cols.each_mut().map(|c| &mut c[p]);
             let (ke, v_new) = self.one::<S>([x, y], [vx, vy]);
-            sums.add(ke, v_new);
+            tally.add(ke, v_new);
         };
-        lanes::chunks(&mut (cols, sums), len, lanes, scalar);
+        lanes::chunks(&mut (cols, tally), len, lanes, scalar);
     }
 }
 

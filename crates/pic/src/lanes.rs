@@ -287,7 +287,7 @@ pub mod x86 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fused::StepMoments;
     use crate::gather::gather_field;
@@ -298,7 +298,7 @@ mod tests {
     use crate::{deposit, deposit2d, fused, fused2d};
 
     const SHAPES: [Shape; 3] = [Shape::Ngp, Shape::Cic, Shape::Tsc];
-    const DT: f64 = 0.2;
+    pub(crate) const DT: f64 = 0.2;
 
     /// One dimension's push and deposit, on a chosen body.
     struct Kernels<const D: usize> {
@@ -307,12 +307,12 @@ mod tests {
     }
 
     const KERNELS_1D: Kernels<1> = Kernels {
-        push: fused::push,
-        deposit: deposit::deposit,
+        push: |body, p, grid, shape, e, dt| fused::push(body, None, p, grid, shape, e, dt),
+        deposit: |body, p, grid, shape, rho| deposit::deposit(body, None, p, grid, shape, rho),
     };
     const KERNELS_2D: Kernels<2> = Kernels {
-        push: fused2d::push,
-        deposit: deposit2d::deposit,
+        push: |body, p, grid, shape, e, dt| fused2d::push(body, None, p, grid, shape, e, dt),
+        deposit: |body, p, grid, shape, rho| deposit2d::deposit(body, None, p, grid, shape, rho),
     };
 
     /// A grid whose nodes `k·dx` are exact doubles, and one whose box
@@ -333,7 +333,7 @@ mod tests {
     /// `p % 5`, at `0.0`, on node 3, at the largest double below `L`, on
     /// the last node, or anywhere; particles 12 and 13 move 3.5 and −2.5
     /// periods per step (the scalar fallback's `rem_euclid`).
-    fn load<const D: usize>(grid: &Grid<D>, len: usize) -> Particles<D> {
+    pub(crate) fn load<const D: usize>(grid: &Grid<D>, len: usize) -> Particles<D> {
         let (cells, lengths, spacing) = (grid.cells(), grid.lengths(), grid.spacing());
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut uniform = || {

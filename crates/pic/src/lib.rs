@@ -76,6 +76,7 @@ pub mod presets;
 pub mod shape;
 pub mod simulation;
 pub mod solver;
+mod split;
 
 // The 2-D unit tests of the dimension-generic modules. One module per
 // 2-D case keeps each test's path (`grid2d::tests::…`) stable.
@@ -109,3 +110,4 @@ pub use poisson::{FdPoisson, PoissonSolver, SpectralPoisson};
 pub use shape::Shape;
 pub use simulation::{PicConfig, Simulation};
 pub use solver::{FieldSolver, TraditionalSolver};
+pub use split::split_scratch_bytes;

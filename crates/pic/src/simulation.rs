@@ -195,8 +195,11 @@ impl<G: Geometry> Simulation<G> {
     }
 
     /// Runs the configured number of steps and appends a final snapshot at
-    /// `t_end`.
+    /// `t_end`. The loop holds the worker team, so a large push and
+    /// deposit split over it (see `split`) with its helper polling
+    /// between them.
     pub fn run(&mut self) {
+        let _hold = dlpic_team::global().hold();
         for _ in 0..self.cfg.n_steps {
             self.step();
         }

@@ -1,62 +1,4 @@
-//! One persistent worker **team** for every multi-core path in the
-//! workspace.
-//!
-//! A [`Team`] of size `T` is the dispatching thread plus `T − 1` helper
-//! threads. [`Team::run`] hands the team a job of `parts` independent
-//! parts; every member — the dispatcher included — claims part indices
-//! from one atomic counter until none are left, so a member the host
-//! has descheduled costs the job the one part it holds, never a fixed
-//! share. The process-wide team ([`global`]) has `T =`
-//! [`available_threads`]; through `dlpic_core::pool` the ensemble wave
-//! and the serve scheduler run on it, so no layer spawns threads per
-//! call and no two layers ever oversubscribe the machine. It lives in
-//! this crate, the lowest of the workspace, so that the kernels can be
-//! handed to it as well: a wave gives each member whole rows of the
-//! cohort to take through [`crate::FrozenModel`] on its own, a one-row
-//! inference gives each member a window of every large layer's output
-//! columns, and [`crate::trainer::train`] hands the team runs of each
-//! training GEMM's output rows, of Adam's parameters and of the He
-//! init's Box–Muller transforms ([`Team::for_each_item`]).
-//!
-//! # Lifecycle of a helper
-//!
-//! Helpers are spawned lazily by the first dispatch that wants more than
-//! one member — a process that never runs a DL fleet wave never has a
-//! second thread. Between dispatches a helper **parks** on a condition
-//! variable: a finished job with nothing announced behind it sends it
-//! straight back to sleep. Polling happens only where the partner is
-//! known to be running, and always under a bound with the parked wait
-//! as fallback:
-//!
-//! * the dispatcher, out of parts, polls for the helpers still inside
-//!   their last part (`POLL_ROUNDS` `spin_loop` rounds, microseconds);
-//! * a helper, out of parts while a caller has announced more dispatches
-//!   ([`Team::hold`] — the waves of one fleet run, the steps of one DL
-//!   session), polls for the next one (`HELD_POLL_ROUNDS`, about a
-//!   millisecond: one DL step's serial push lies between two of its
-//!   dispatches), and stops the moment the last hold drops.
-//!
-//! Parking a thread here means halting a vCPU, and getting it back costs
-//! the waker ≈ 35 µs and the sleeper ≈ 100 µs on the dev VM — a tenth of
-//! a whole wave — which is why the barriers poll at all. Nothing polls
-//! without a bound, so a withheld vCPU costs a wake-up, not a stall.
-//!
-//! # Who runs what, and why results cannot depend on it
-//!
-//! Which member runs which part is not deterministic and must not matter:
-//! callers hand out parts that write disjoint outputs and whose
-//! arithmetic does not depend on the partition (see `dlpic_core::pool`).
-//! A dispatch that cannot have the team — it is already running a job
-//! (nested or concurrent dispatch), the calling thread is limited to one
-//! member ([`with_limit`]), or no helper could be spawned — runs every
-//! part inline on the caller, in order: same parts, same bits.
-//!
-//! # Panics
-//!
-//! A panic inside a part is caught on the member that ran it; the job
-//! stops handing out parts, every member leaves, and the first payload is
-//! re-raised on the dispatching thread — exactly where it would have
-//! surfaced had the job run inline.
+//! The team itself; see the crate docs.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -73,8 +15,8 @@ const POLL_ROUNDS: usize = 4096;
 /// `spin_loop` rounds a helper polls for the next job while a caller
 /// holds the team ([`Team::hold`]): 0.7–1.6 ms at the 11–24 ns a round
 /// the dev machines take, longer than one paper-scale DL step (≈ 0.75 ms
-/// on two members), whose serial push (≈ 220 µs) lies between its last
-/// dispatch and the next step's first. With [`POLL_ROUNDS`] here the
+/// on two members), whose serial phase-space binning lies between its
+/// last dispatch and the next step's first. With [`POLL_ROUNDS`] here the
 /// helper parked once a step.
 const HELD_POLL_ROUNDS: usize = 1 << 16;
 
@@ -98,6 +40,25 @@ pub fn global() -> &'static Team {
 thread_local! {
     /// Upper bound on the members a dispatch from this thread may use.
     static LIMIT: Cell<usize> = const { Cell::new(usize::MAX) };
+    /// Whether this thread is running a part of a job shared with
+    /// helpers (whose nested dispatches run inline).
+    static IN_PART: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the thread as inside a part of a shared job
+/// ([`Team::held_members`]) until dropped, then restores the old mark.
+struct InPart(bool);
+
+impl InPart {
+    fn enter() -> Self {
+        Self(IN_PART.with(|p| p.replace(true)))
+    }
+}
+
+impl Drop for InPart {
+    fn drop(&mut self) {
+        IN_PART.with(|p| p.set(self.0));
+    }
 }
 
 /// Runs `f` with dispatches from this thread limited to `limit` team
@@ -135,6 +96,7 @@ struct Job<'a> {
 impl Job<'_> {
     /// Claims and runs parts until none are left or one has panicked.
     fn drain(&self) {
+        let _in_part = InPart::enter();
         loop {
             let part = self.next.fetch_add(1, Ordering::Relaxed);
             if part >= self.parts || self.poisoned.load(Ordering::Relaxed) {
@@ -231,6 +193,22 @@ impl Team {
     /// team size under the thread's [`with_limit`].
     pub fn members(&self) -> usize {
         self.size.min(LIMIT.with(Cell::get))
+    }
+
+    /// Members a short dispatch from the calling thread gets without
+    /// waking a parked helper: [`Self::members`] while a [`Hold`] is live
+    /// (its helpers poll between dispatches) and the thread is not inside
+    /// a part of a job shared with helpers (whose nested dispatch runs
+    /// inline), 1 otherwise.
+    /// A kernel of a few hundred microseconds splits only when this is
+    /// above 1: a parked helper costs more to wake than it would save.
+    pub fn held_members(&self) -> usize {
+        let held = self.shared.holds.load(Ordering::Relaxed) > 0;
+        if held && !IN_PART.with(Cell::get) {
+            self.members()
+        } else {
+            1
+        }
     }
 
     /// Announces that the caller is about to dispatch several jobs back to
@@ -406,6 +384,87 @@ impl Drop for Team {
         for handle in helpers.drain(..) {
             // A helper only runs caught parts; it has no panic to report.
             let _ = handle.join();
+        }
+    }
+}
+
+/// A value one part of a job hands to a **later** part of the same job
+/// (module docs): the earlier part gives it with [`Handoff::give_with`],
+/// the later one waits for it with [`Handoff::take`]. The wait is
+/// bounded like the team's own barriers — `POLL_ROUNDS` rounds of
+/// polling, then a parked wait — and cannot deadlock, because the
+/// earlier part was claimed first and so is already running, or done.
+pub struct Handoff<T> {
+    /// Set once the slot is filled: the lock-free fast path of
+    /// [`Self::is_given`] and the poll in [`Self::take`].
+    given: AtomicBool,
+    /// `None` until given; then `Some(None)` if the giving part unwound
+    /// (or the value was taken), else `Some(Some(value))`.
+    slot: Mutex<Option<Option<T>>>,
+    /// Where [`Self::take`] parks.
+    filled: Condvar,
+}
+
+impl<T> Default for Handoff<T> {
+    fn default() -> Self {
+        Self {
+            given: AtomicBool::new(false),
+            slot: Mutex::new(None),
+            filled: Condvar::new(),
+        }
+    }
+}
+
+impl<T> Handoff<T> {
+    /// Runs `make` and hands its value over. If `make` unwinds, the
+    /// handoff is abandoned instead: [`Self::take`] returns `None`, and
+    /// the panic reaches the dispatcher as every part's does.
+    pub fn give_with(&self, make: impl FnOnce() -> T) {
+        struct Abandon<'a, T>(&'a Handoff<T>);
+        impl<T> Drop for Abandon<'_, T> {
+            fn drop(&mut self) {
+                self.0.fill(None);
+            }
+        }
+        let abandon = Abandon(self);
+        let value = make();
+        std::mem::forget(abandon);
+        self.fill(Some(value));
+    }
+
+    /// Fills the slot once and wakes a parked taker.
+    fn fill(&self, value: Option<T>) {
+        let mut slot = lock(&self.slot);
+        if slot.is_none() {
+            *slot = Some(value);
+            // Release: pairs with the Acquire loads of `is_given` and
+            // `take`'s poll; the slot itself is read under the lock.
+            self.given.store(true, Ordering::Release);
+            self.filled.notify_all();
+        }
+    }
+
+    /// Whether the value has been given (or abandoned): a [`Self::take`]
+    /// now returns at once.
+    pub fn is_given(&self) -> bool {
+        self.given.load(Ordering::Acquire)
+    }
+
+    /// Waits for the value and takes it; `None` if the giving part unwound
+    /// or the value was already taken.
+    pub fn take(&self) -> Option<T> {
+        for _ in 0..POLL_ROUNDS {
+            if self.is_given() {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        let mut slot = lock(&self.slot);
+        loop {
+            if let Some(value) = slot.as_mut() {
+                return value.take();
+            }
+            slot = self.filled.wait(slot).unwrap_or_else(|p| p.into_inner());
         }
     }
 }
@@ -614,5 +673,67 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 3 * 200 * 5);
+    }
+
+    #[test]
+    fn held_members_counts_a_hold_outside_parts_only() {
+        let team = Team::new(2);
+        assert_eq!(team.held_members(), 1, "no hold");
+        let hold = team.hold();
+        assert_eq!(team.held_members(), 2);
+        with_limit(1, || assert_eq!(team.held_members(), 1));
+        let inside = Mutex::new(Vec::new());
+        team.run(2, |_| lock(&inside).push(team.held_members()));
+        assert_eq!(inside.into_inner().unwrap(), [1, 1], "nested dispatch");
+        drop(hold);
+        assert_eq!(team.held_members(), 1);
+    }
+
+    /// A later part waits for an earlier one whichever members claim
+    /// them: inline the value is there already, on the team the taker
+    /// polls or parks until it is given.
+    #[test]
+    fn a_handoff_reaches_the_later_part_in_every_claim_order() {
+        for size in [1usize, 2, 3] {
+            let team = Team::new(size);
+            for _ in 0..50 {
+                let handoff = Handoff::default();
+                let got = Mutex::new(None);
+                team.run(2, |part| match part {
+                    0 => handoff.give_with(|| 42u64),
+                    _ => *lock(&got) = handoff.take(),
+                });
+                assert_eq!(got.into_inner().unwrap(), Some(42), "size {size}");
+            }
+        }
+        // The taker first, and long enough to park.
+        let handoff = Handoff::default();
+        std::thread::scope(|scope| {
+            let taker = scope.spawn(|| handoff.take());
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!handoff.is_given());
+            handoff.give_with(|| 7u8);
+            assert_eq!(taker.join().unwrap(), Some(7));
+        });
+        assert!(handoff.is_given());
+        assert_eq!(handoff.take(), None, "taken once");
+    }
+
+    #[test]
+    fn a_giving_part_that_panics_abandons_the_handoff() {
+        let team = Team::new(2);
+        let handoff = Handoff::<u32>::default();
+        let got = Mutex::new(Some(0));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            team.run(2, |part| match part {
+                0 => handoff.give_with(|| panic!("earlier part failed")),
+                _ => *lock(&got) = handoff.take(),
+            });
+        }));
+        assert!(caught.is_err());
+        // The later part saw the abandonment, or was never run.
+        assert!(matches!(*lock(&got), None | Some(0)));
+        assert!(handoff.is_given());
+        assert_eq!(handoff.take(), None);
     }
 }

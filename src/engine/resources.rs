@@ -19,8 +19,7 @@ use super::backend::Backend;
 use super::dl::DlGeometry;
 use super::session::vlasov_nv;
 use super::spec::{Dim, ScenarioSpec};
-use crate::pic::Grid1D;
-use crate::pic::Grid2D;
+use crate::pic::{split_scratch_bytes, Grid1D, Grid2D};
 
 /// Bytes per f64 diagnostic/field/particle lane.
 const F64: usize = 8;
@@ -32,8 +31,9 @@ const F32: usize = 4;
 /// against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceEstimate {
-    /// Particle phase-space arrays (positions, velocities, per-particle
-    /// field scratch).
+    /// Particle phase-space arrays (positions and velocities) and, for a
+    /// run large enough to split its push and deposit over the worker
+    /// team, the split's scratch.
     pub particle_bytes: usize,
     /// Grid-resident buffers: density, potential, fields and solver
     /// scratch — for Vlasov, the full phase-space distribution.
@@ -80,16 +80,25 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
     let cells = spec.domain.cells();
     let n_particles = spec.n_particles();
 
-    // Phase-space lanes per particle: position + velocity + gathered
-    // field per axis.
+    // Phase-space lanes per particle: position + velocity per axis (the
+    // fused push gathers the field in registers, into no buffer). A run
+    // stepped on the worker team adds its split's scratch, charged to
+    // every session as the most its stepping thread then holds.
     let particle_lanes = match spec.dim() {
-        Dim::OneD => 3,
-        Dim::TwoD => 6,
+        Dim::OneD => 2,
+        Dim::TwoD => 4,
+    };
+    let split_scratch = match backend {
+        // The decomposed backend steps its ranks with its own kernels.
+        Backend::Vlasov | Backend::Ddecomp { .. } => 0,
+        _ => split_scratch_bytes(n_particles, cells),
     };
     let particle_bytes = match backend {
         // The continuum solver carries no particles.
         Backend::Vlasov => 0,
-        _ => n_particles.saturating_mul(particle_lanes * F64),
+        _ => n_particles
+            .saturating_mul(particle_lanes * F64)
+            .saturating_add(split_scratch),
     };
 
     // Grid buffers: density, potential, field components and solver
@@ -187,9 +196,41 @@ mod tests {
         assert_eq!(est.model_bytes, 0);
         assert_eq!(
             est.particle_bytes,
-            spec.n_particles() * 3 * 8,
-            "1-D particles are three f64 lanes"
+            spec.n_particles() * 2 * 8,
+            "1-D particles are two f64 lanes"
         );
+        // Below the particle count at which the push and deposit split.
+        let mut twod = registry::scenario("two_stream_2d", Scale::Smoke).unwrap();
+        twod.ppc = 8;
+        assert_eq!(
+            estimate_session(&twod, Backend::Traditional2D).particle_bytes,
+            twod.n_particles() * 4 * 8,
+            "2-D particles are four f64 lanes"
+        );
+    }
+
+    /// A paper-scale run splits its push and deposit over the team: the
+    /// later push part's record (55 % of the particles, one f64 each, up
+    /// to a chunk more) and two padded node-sized accumulators come on top
+    /// of its lanes.
+    #[test]
+    fn a_split_run_is_charged_its_scratch() {
+        for (name, backends, lanes) in [
+            ("two_stream", [Backend::Traditional1D, Backend::Dl1D], 2),
+            ("two_stream_2d", [Backend::Traditional2D, Backend::Dl2D], 4),
+        ] {
+            let spec = registry::scenario(name, Scale::Paper).unwrap();
+            let (n, nodes) = (spec.n_particles(), spec.domain.cells());
+            let record = n * 55 / 100 * 8;
+            for backend in backends {
+                let est = estimate_session(&spec, backend);
+                let scratch = est.particle_bytes - n * lanes * 8;
+                assert!(
+                    scratch >= record && scratch <= record + (8 + 2 * nodes + 80) * 8,
+                    "{name} on {backend}: {scratch} bytes of split scratch"
+                );
+            }
+        }
     }
 
     #[test]

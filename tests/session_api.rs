@@ -573,7 +573,7 @@ fn history_bits(h: &EnergyHistory) -> Vec<u64> {
 }
 
 /// A paper-scale DL session (64 000 particles, the 25 MB MLP; the
-/// untrained fallback is enough) cuts its NGP binning into particle runs
+/// untrained fallback is enough) splits its fused push into two parts
 /// and every one-row pass of its large layers into column windows, one
 /// per team member: its history is the same bits with one member, two
 /// or three allowed, and through the phase-split path.
@@ -605,4 +605,37 @@ fn paper_scale_dl_history_is_the_same_at_any_team_size() {
         split.step_apply(&output);
     }
     assert_eq!(history_bits(&split.finish().history), one, "phase split");
+}
+
+/// A paper-scale 1-D traditional run (64 000 particles, CIC on 64 nodes)
+/// and a scaled 2-D one (65 536 particles on 32×32 nodes) split their
+/// fused push and charge deposit over the worker team while
+/// `Engine::run` holds it: the later push part continues the first
+/// part's diagnostic sums, and each deposit part adds the terms of one
+/// node parity. Their histories are the same bits with one member, two
+/// or three allowed.
+#[test]
+fn paper_scale_traditional_history_is_the_same_at_any_team_size() {
+    use dlpic_repro::core::pool;
+    let one_d = engine::scenario("two_stream", Scale::Paper).expect("registry");
+    let mut two_d = engine::scenario("two_stream_2d", Scale::Scaled).expect("registry");
+    two_d.n_steps = 40;
+    let mut engine = Engine::new();
+    for (spec, backend) in [
+        (one_d, Backend::Traditional1D),
+        (two_d, Backend::Traditional2D),
+    ] {
+        let mut run = |limit| {
+            pool::with_limit(limit, || {
+                engine
+                    .run(&spec, backend)
+                    .expect("large traditional run")
+                    .history
+            })
+        };
+        let one = history_bits(&run(1));
+        for limit in [2, 3] {
+            assert_eq!(history_bits(&run(limit)), one, "{backend}, limit {limit}");
+        }
+    }
 }
