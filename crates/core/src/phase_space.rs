@@ -17,6 +17,18 @@
 //!
 //! NGP counting has an AVX-512 body on `dlpic_pic::lanes`, bit-identical
 //! to its scalar twin; CIC binning is scalar.
+//!
+//! While a caller holds the worker team, NGP counting of a large run
+//! splits into two parts on it, cut where `dlpic_pic`'s split push cuts
+//! ([`dlpic_pic::split`]), so each member bins the particles it has just
+//! pushed. Each part counts its run into its own histogram: the first
+//! into the caller's row, the later into a scratch histogram on line
+//! pairs of its own. The two are then added bin by bin. Every count is an
+//! integer below `2^24`, exact in `f32`, so the sum is the serial
+//! kernel's row bit for bit, whoever runs which part. CIC binning (its
+//! fractional weights would re-associate), runs below the split
+//! threshold or of `2^24` particles and more, and calls while no caller
+//! holds the team stay serial.
 
 // analyze:hot — binning runs once per DL step over every particle; loop
 // bodies here must stay allocation-free.
@@ -24,6 +36,26 @@
 use dlpic_pic::grid::Grid1D;
 use dlpic_pic::lanes::{self, Body};
 use dlpic_pic::particles::Particles;
+use dlpic_pic::{Split, SPLIT_PARTICLES};
+use dlpic_team::Team;
+use std::cell::RefCell;
+
+/// Particles from which NGP binning stays serial whatever the hold: below
+/// it every count of a part, and their sum, is an integer under `2^24`,
+/// which `f32` holds exactly. The serial kernel saturates a bin at
+/// `2^24`; the sum of two parts would not.
+const EXACT_COUNTS: usize = 1 << 24;
+
+/// Bytes the L2 spatial prefetcher moves as one unit: an aligned pair of
+/// 64-byte cache lines.
+const PAIR: usize = 128;
+
+thread_local! {
+    /// The later part's histogram of a split NGP binning, reused from call
+    /// to call by the dispatching thread and lent to whichever member runs
+    /// that part.
+    static SECOND: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Geometry of the phase-space histogram.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,13 +132,36 @@ pub fn bin_phase_space(
     shape: BinningShape,
     out: &mut [f32],
 ) {
-    bin(Body::detect(), particles, grid, spec, shape, out);
+    let team = match shape {
+        BinningShape::Ngp => ngp_split(particles.len()).map(|split| split.team),
+        BinningShape::Cic => None,
+    };
+    bin(Body::detect(), team, particles, grid, spec, shape, out);
+}
+
+/// How NGP binning of `particles` particles runs: in two parts where
+/// `dlpic_pic`'s push would split ([`dlpic_pic::split`]) and below
+/// [`EXACT_COUNTS`], serially (`None`) otherwise.
+fn ngp_split(particles: usize) -> Option<Split<'static>> {
+    dlpic_pic::split(particles).filter(|_| particles < EXACT_COUNTS)
+}
+
+/// Bytes of scratch a split NGP binning of `particles` particles into
+/// `spec`'s histogram makes its dispatching thread hold: the later part's
+/// padded histogram. Zero for a run that never splits.
+pub fn split_scratch_bytes(particles: usize, spec: &PhaseGridSpec) -> usize {
+    if !(SPLIT_PARTICLES..EXACT_COUNTS).contains(&particles) {
+        return 0;
+    }
+    padded_len(spec.cells()) * std::mem::size_of::<f32>()
 }
 
 /// [`bin_phase_space`] on `body` (NGP has an AVX-512 body; CIC is
-/// scalar on either).
+/// scalar on either), NGP split over `team` if one is given (module
+/// docs), whatever the run's length.
 pub(crate) fn bin(
     body: Body,
+    team: Option<&Team>,
     particles: &Particles,
     grid: &Grid1D,
     spec: &PhaseGridSpec,
@@ -114,7 +169,6 @@ pub(crate) fn bin(
     out: &mut [f32],
 ) {
     assert_eq!(out.len(), spec.cells(), "phase-grid buffer size mismatch");
-    out.fill(0.0);
     let inv_dx = spec.nx as f64 / grid.lx();
     let inv_dv = 1.0 / spec.dv();
     let (nx, nv) = (spec.nx, spec.nv);
@@ -129,9 +183,13 @@ pub(crate) fn bin(
                 nx,
                 nv,
             };
-            k.run(body, x, v, out);
+            match team {
+                Some(team) => k.split(body, Split::new(team, x.len()), x, v, out),
+                None => k.run(body, x, v, out),
+            }
         }
         BinningShape::Cic => {
+            out.fill(0.0);
             for (&x, &v) in x.iter().zip(v) {
                 // Position: periodic CIC on bin centers.
                 let fx = x * inv_dx - 0.5;
@@ -164,8 +222,24 @@ struct Ngp {
 }
 
 impl Ngp {
-    /// Counts every particle into its bin, on `body`.
+    /// Counts the particles before `split.at` into `out` and the rest into
+    /// the later part's histogram, as two parts on `split.team`, then adds
+    /// that histogram into `out` bin by bin.
+    fn split(&self, body: Body, split: Split<'_>, x: &[f64], v: &[f64], out: &mut [f32]) {
+        SECOND.with_borrow_mut(|buffer| {
+            let second = padded(buffer, out.len());
+            let parts = parts(split.at, x, v, out, second);
+            split
+                .team
+                .for_each_item(parts.into_iter(), |(x, v, hist)| self.run(body, x, v, hist));
+            merge(out, second);
+        });
+    }
+
+    /// Counts every particle into its bin of `out` (overwritten), on
+    /// `body`.
     fn run(&self, body: Body, x: &[f64], v: &[f64], out: &mut [f32]) {
+        out.fill(0.0);
         match body {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `avx512f` and `avx512dq` were detected.
@@ -221,6 +295,52 @@ impl Ngp {
             out[self.cell(x[p], v[p])] += 1.0
         });
     }
+}
+
+/// One part of a split NGP binning: a run of particles (positions,
+/// velocities) and the histogram it is counted into.
+type Part<'a> = (&'a [f64], &'a [f64], &'a mut [f32]);
+
+/// The two parts of a split NGP binning of `x`, `v` cut at `at`: the
+/// earlier run into `out`, the later into `second`.
+fn parts<'a>(
+    at: usize,
+    x: &'a [f64],
+    v: &'a [f64],
+    out: &'a mut [f32],
+    second: &'a mut [f32],
+) -> [Part<'a>; 2] {
+    let (x, x_rest) = x.split_at(at);
+    let (v, v_rest) = v.split_at(at);
+    [(x, v, out), (x_rest, v_rest, second)]
+}
+
+/// Adds the later part's counts into the earlier part's, bin by bin:
+/// integers below `2^24`, so every sum is exact.
+fn merge(out: &mut [f32], second: &[f32]) {
+    for (count, more) in out.iter_mut().zip(second) {
+        *count += *more;
+    }
+}
+
+/// A histogram of `cells` bins carved from `buffer`, starting on a line
+/// pair of its own with a free pair on each side, so the member filling
+/// it shares no pair with the caller's row or any other data: the
+/// prefetcher would bounce such a pair between the two cores and lose
+/// most of the split.
+fn padded(buffer: &mut Vec<f32>, cells: usize) -> &mut [f32] {
+    let per_pair = PAIR / std::mem::size_of::<f32>();
+    buffer.resize(padded_len(cells), 0.0);
+    let start = buffer.as_ptr().align_offset(PAIR).min(per_pair) + per_pair;
+    &mut buffer[start..start + cells]
+}
+
+/// The length of the buffer [`padded`] carves `cells` bins from: the
+/// bins in whole line pairs, a pair of slack to align the start, and the
+/// free pair on each side.
+fn padded_len(cells: usize) -> usize {
+    let per_pair = PAIR / std::mem::size_of::<f32>();
+    cells.next_multiple_of(per_pair) + 3 * per_pair
 }
 
 /// Convenience wrapper returning a fresh histogram.
@@ -368,6 +488,7 @@ mod tests {
             let mut portable = vec![0.0; spec.cells()];
             bin(
                 Body::Avx512,
+                None,
                 &p,
                 &grid,
                 &spec,
@@ -376,6 +497,7 @@ mod tests {
             );
             bin(
                 Body::Portable,
+                None,
                 &p,
                 &grid,
                 &spec,
@@ -383,6 +505,176 @@ mod tests {
                 &mut portable,
             );
             assert_eq!(bits(&lanes), bits(&portable), "{len} particles");
+        }
+    }
+
+    fn bodies() -> Vec<Body> {
+        if dlpic_pic::lanes::avx512() {
+            vec![Body::Portable, Body::Avx512]
+        } else {
+            eprintln!("no avx512f + avx512dq on this machine: portable body only");
+            vec![Body::Portable]
+        }
+    }
+
+    /// The NGP histogram of `p` on `body`, split over `team` if given, as
+    /// bits (written over a NaN-filled row).
+    fn ngp_bits(
+        body: Body,
+        team: Option<&Team>,
+        p: &Particles,
+        grid: &Grid1D,
+        spec: &PhaseGridSpec,
+    ) -> Vec<u32> {
+        let mut out = vec![f32::NAN; spec.cells()];
+        bin(body, team, p, grid, spec, BinningShape::Ngp, &mut out);
+        out.iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// The split NGP binning against the serial kernel: a split forced at
+    /// lengths from none to a few chunks (the first part empty up to 17),
+    /// just below, at and above the split threshold and the paper's
+    /// 64 000; the edge load (positions at 0 and just below `L`,
+    /// velocities beyond the window) and every particle in one bin; both
+    /// bodies; teams of one (both parts inline, in order), two and three
+    /// members; the later part counted first, then both at once; and the
+    /// global team held under `with_limit` 1, 2 and 3, through the
+    /// public entry point.
+    #[test]
+    fn split_ngp_binning_matches_the_serial_one_at_any_team_size() {
+        let grid = Grid1D::new(64, 2.0532);
+        let spec = PhaseGridSpec::new(16, 12, -0.4, 0.4);
+        let teams = [1, 2, 3].map(Team::new);
+        for len in [
+            0,
+            1,
+            7,
+            9,
+            17,
+            100,
+            SPLIT_PARTICLES - 1,
+            SPLIT_PARTICLES,
+            SPLIT_PARTICLES + 3,
+            64_000,
+        ] {
+            let one_bin =
+                Particles::new([vec![0.3 * grid.lx(); len]], [vec![0.15; len]], -1.0, 1.0);
+            for p in [edge_load(&grid, len), one_bin] {
+                for body in bodies() {
+                    let serial = ngp_bits(body, None, &p, &grid, &spec);
+                    for team in &teams {
+                        let split = ngp_bits(body, Some(team), &p, &grid, &spec);
+                        assert!(
+                            split == serial,
+                            "{len} particles, {body:?}, team of {}",
+                            team.size()
+                        );
+                    }
+                    let later_first = driven(&p, &grid, &spec, |k, [first, rest]| {
+                        for (x, v, hist) in [rest, first] {
+                            k.run(body, x, v, hist);
+                        }
+                    });
+                    assert!(later_first == serial, "later part first, {len}, {body:?}");
+                    let together = driven(&p, &grid, &spec, |k, [first, rest]| {
+                        let start = std::sync::Barrier::new(2);
+                        std::thread::scope(|scope| {
+                            scope.spawn(|| {
+                                start.wait();
+                                k.run(body, rest.0, rest.1, rest.2);
+                            });
+                            start.wait();
+                            k.run(body, first.0, first.1, first.2);
+                        });
+                    });
+                    assert!(together == serial, "both at once, {len}, {body:?}");
+                }
+                let serial = ngp_bits(Body::detect(), None, &p, &grid, &spec);
+                for limit in [1, 2, 3] {
+                    let held = dlpic_team::with_limit(limit, || {
+                        let _hold = dlpic_team::global().hold();
+                        let mut out = vec![f32::NAN; spec.cells()];
+                        bin_phase_space(&p, &grid, &spec, BinningShape::Ngp, &mut out);
+                        out.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
+                    });
+                    assert!(held == serial, "{len} particles held at limit {limit}");
+                }
+            }
+        }
+    }
+
+    /// The rule splits NGP binning exactly where the push splits, up to
+    /// `2^24` particles, from which the serial kernel's saturation at
+    /// `2^24` per bin is the row's; CIC never splits.
+    #[test]
+    fn ngp_binning_splits_with_the_push_below_exact_counts() {
+        let team = dlpic_team::global();
+        let _hold = team.hold();
+        let on_team = team.held_members() > 1;
+        for (len, splits) in [
+            (SPLIT_PARTICLES - 1, false),
+            (SPLIT_PARTICLES, on_team),
+            (EXACT_COUNTS - 1, on_team),
+            (EXACT_COUNTS, false),
+            (usize::MAX, false),
+        ] {
+            let rule = ngp_split(len);
+            assert_eq!(rule.is_some(), splits, "{len} particles");
+            if let Some(rule) = rule {
+                assert_eq!(Some(rule.at), dlpic_pic::split(len).map(|push| push.at));
+            }
+        }
+        dlpic_team::with_limit(1, || assert!(ngp_split(SPLIT_PARTICLES).is_none()));
+        let cells = PhaseGridSpec::paper();
+        assert_eq!(split_scratch_bytes(SPLIT_PARTICLES - 1, &cells), 0);
+        assert_eq!(split_scratch_bytes(EXACT_COUNTS, &cells), 0);
+        assert!(split_scratch_bytes(EXACT_COUNTS - 1, &cells) >= cells.cells() * 4);
+    }
+
+    /// The merged histogram of `p` with the two parts of its split, cut
+    /// where the push cuts, run by `drive`.
+    fn driven(
+        p: &Particles,
+        grid: &Grid1D,
+        spec: &PhaseGridSpec,
+        drive: impl FnOnce(&Ngp, [Part; 2]),
+    ) -> Vec<u32> {
+        let ([x], [v]) = (&p.pos, &p.vel);
+        let k = Ngp {
+            inv_dx: spec.nx as f64 / grid.lx(),
+            inv_dv: 1.0 / spec.dv(),
+            vmin: spec.vmin,
+            nx: spec.nx,
+            nv: spec.nv,
+        };
+        let at = Split::new(&Team::new(1), x.len()).at;
+        let mut out = vec![f32::NAN; spec.cells()];
+        let mut second = vec![f32::NAN; spec.cells()];
+        drive(&k, parts(at, x, v, &mut out, &mut second));
+        merge(&mut out, &second);
+        out.iter().map(|c| c.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_later_part_has_line_pairs_of_its_own() {
+        let mut buffer = Vec::new();
+        for cells in [1, 31, 32, 33, 4096] {
+            let hist = padded(&mut buffer, cells);
+            assert_eq!(hist.len(), cells);
+            let start = hist.as_ptr() as usize;
+            let end = start + cells * 4;
+            let base = buffer.as_ptr() as usize;
+            let top = base + buffer.len() * 4;
+            assert_eq!(start % PAIR, 0, "{cells} bins");
+            assert!(start - base >= PAIR, "{cells} bins: no free pair before");
+            assert!(
+                top >= end.next_multiple_of(PAIR) + PAIR,
+                "{cells} bins: no free pair after"
+            );
+            assert!(
+                split_scratch_bytes(SPLIT_PARTICLES, &PhaseGridSpec::new(cells, 1, 0.0, 1.0))
+                    >= buffer.len() * 4
+            );
         }
     }
 
@@ -411,6 +703,7 @@ mod tests {
             let mut got = vec![0.0; spec.cells()];
             bin(
                 Body::Portable,
+                None,
                 &p,
                 &grid,
                 &spec,

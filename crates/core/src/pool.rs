@@ -1,11 +1,12 @@
 //! The workspace's one multi-core path: the worker **team**.
 //!
-//! Dataset generation and the phase-space binning are single-threaded.
-//! Everything that uses a second core — the ensemble wave, the serve
-//! scheduler, a solo DL solve's one-row inference (each member a window
-//! of a large layer's output columns), a large particle push and charge
-//! deposit while a caller holds the team (two parts: `dlpic_pic`'s
-//! `split`) and `nn`'s training step — goes through the one persistent,
+//! Dataset generation, CIC phase-space binning and the 2-D density
+//! binning are single-threaded. Everything that uses a second core — the
+//! ensemble wave, the serve scheduler, a solo DL solve's one-row
+//! inference (each member a window of a large layer's output columns), a
+//! large particle push, charge deposit and NGP phase-space binning while
+//! a caller holds the team (two parts each: `dlpic_pic`'s `split`, and
+//! [`crate::phase_space`]'s) and `nn`'s training step — goes through the one persistent,
 //! parked team of `dlpic_team` (its docs cover the helpers' lifecycle,
 //! panics and the inline fallback). This module is the team's front door
 //! for the layers above `nn`: [`team`] (with [`Team::for_each_item`], "do
@@ -33,7 +34,9 @@
 //! of a split particle push and deposit: the push's diagnostic sums stay
 //! one chain in particle order, which the later part continues from the
 //! earlier part's hand-over, and each deposit part owns the nodes of one
-//! parity, adding their terms in particle order.
+//! parity, adding their terms in particle order. The two parts of a split
+//! NGP binning count integers below `2^24` into two histograms, so their
+//! bin-by-bin sum is exact in any order.
 
 pub use dlpic_team::{available_threads, with_limit, Team};
 

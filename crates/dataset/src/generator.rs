@@ -31,6 +31,12 @@ pub enum Capture {
 /// step to `out`: the particles binned onto `out`'s grid, and the field the
 /// solver solved from them.
 ///
+/// The loop holds the worker team ([`dlpic_core::pool::Team::hold`]), as
+/// `Simulation::run` does: a run of at least 16 384 particles (the paper's
+/// 64 000) splits its push, its charge deposit and its NGP phase-space
+/// binning into two parts on the team, bit for bit the serial kernels, so
+/// the rows do not depend on the team's size.
+///
 /// # Panics
 /// Panics if the binned row or the field is not as wide as `out`'s rows.
 pub fn harvest<S: InputGrid>(
@@ -44,6 +50,7 @@ pub fn harvest<S: InputGrid>(
     let mut sim = Simulation::new(cfg, Box::new(solver));
     let mut row = vec![0.0f32; out.row_len()];
     out.reserve(steps);
+    let _hold = dlpic_core::pool::team().hold();
     for _ in 0..steps {
         if capture == Capture::AfterStep {
             sim.step();
@@ -170,6 +177,24 @@ mod tests {
         let b = generate(&cfg);
         assert_eq!(a.inputs(), b.inputs());
         assert_eq!(a.targets(), b.targets());
+    }
+
+    /// A sweep of runs large enough to split their push, deposit and NGP
+    /// binning over the held team gives the bits of the one-member team.
+    #[test]
+    fn generate_is_the_same_at_any_team_size() {
+        let cfg = GeneratorConfig {
+            ppc: 300,
+            ..tiny_cfg(3)
+        };
+        assert!(cfg.ppc * PAPER_NCELLS >= dlpic_pic::SPLIT_PARTICLES);
+        let bits = |ds: &PhaseDataset| {
+            let inputs = ds.inputs().iter().map(|c| c.to_bits());
+            let targets = ds.targets().iter().map(|e| e.to_bits());
+            (inputs.collect::<Vec<_>>(), targets.collect::<Vec<_>>())
+        };
+        let one = bits(&dlpic_core::pool::with_limit(1, || generate(&cfg)));
+        assert!(bits(&generate(&cfg)) == one);
     }
 
     #[test]

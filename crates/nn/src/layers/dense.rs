@@ -65,8 +65,10 @@ pub struct Dense {
     dw: Vec<f32>,
     db: Vec<f32>,
     cached_input: Option<Tensor>,
-    // Per-step weight-gradient staging buffer, reused across calls.
-    dw_step: Vec<f32>,
+    /// `dw` holds no gradient since the last [`Layer::zero_grads`]: its
+    /// memory is stale, and the next backward pass writes it instead of
+    /// adding to it.
+    dw_clear: bool,
 }
 
 impl Dense {
@@ -86,7 +88,7 @@ impl Dense {
             dw: vec![0.0; in_features * out_features],
             db: vec![0.0; out_features],
             cached_input: None,
-            dw_step: Vec::new(),
+            dw_clear: true,
         }
     }
 
@@ -118,24 +120,30 @@ impl Dense {
             "grad_out shape"
         );
 
-        // dW += Xᵀ·dY (accumulate: stage into the reusable scratch, then
-        // sum), on the team: each member takes runs of `dW`'s rows through
-        // the ranged kernel and adds its own staged rows. The kernel
-        // overwrites every element, so the scratch only needs sizing.
-        if self.dw_step.len() != self.w.len() {
-            self.dw_step.resize(self.w.len(), 0.0);
-        }
+        // dW += Xᵀ·dY on the team: each member takes runs of `dW`'s rows
+        // through the ranged kernel. A cleared `dW` is written in place:
+        // `tn_rows`' chains start at `+0.0`, so `0.0 + s` would be `s` but
+        // for the `-0.0` of an all-underflow chain (`linalg`'s numerics),
+        // which Adam steps as it does `+0.0` — a zero gradient adds a zero
+        // to `β₁·m`, and `g·g` is `+0.0` for either sign. A second
+        // backward pass before `zero_grads` stages its rows and adds them.
         let (m, n) = (self.in_features, self.out_features);
         let (x, dy) = (input.data(), grad_out.data());
         let team = dlpic_team::global();
         let run = team.share(m, RUN_ROWS) * n;
-        let runs = self.dw_step.chunks_mut(run).zip(self.dw.chunks_mut(run));
-        team.for_each_item(runs.enumerate(), |(p, (stage, dw))| {
-            tn_rows(x, dy, stage, m, batch, n, p * run / n);
-            for (d, s) in dw.iter_mut().zip(stage.iter()) {
-                *d += s;
-            }
-        });
+        if std::mem::take(&mut self.dw_clear) {
+            team.for_each_item(self.dw.chunks_mut(run).enumerate(), |(p, dw)| {
+                tn_rows(x, dy, dw, m, batch, n, p * run / n);
+            });
+        } else {
+            team.for_each_item(self.dw.chunks_mut(run).enumerate(), |(p, dw)| {
+                let mut stage = vec![0.0; dw.len()];
+                tn_rows(x, dy, &mut stage, m, batch, n, p * run / n);
+                for (d, s) in dw.iter_mut().zip(&stage) {
+                    *d += s;
+                }
+            });
+        }
         // db += column sums of dY.
         col_sums_into(grad_out.data(), &mut self.db, batch, self.out_features);
     }
@@ -196,12 +204,17 @@ impl Layer for Dense {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        if std::mem::take(&mut self.dw_clear) {
+            self.dw.fill(0.0);
+        }
         f(&mut self.w, &mut self.dw);
         f(&mut self.b, &mut self.db);
     }
 
+    /// Zeros `db` and marks `dW` clear: the next backward pass writes it
+    /// whole, and a visit before that sees it zero-filled.
     fn zero_grads(&mut self) {
-        self.dw.fill(0.0);
+        self.dw_clear = true;
         self.db.fill(0.0);
     }
 
@@ -260,9 +273,15 @@ mod tests {
         let _ = train_forward(&mut d, &x);
         let _ = backward(&mut d, &gy);
         assert_eq!(&d.db, &[2.0, 2.0, 2.0]);
+        assert_eq!(&d.dw, &[2.0, 2.0, 2.0, 0.0, 0.0, 0.0]);
         d.zero_grads();
-        assert!(d.db.iter().all(|&g| g == 0.0));
-        assert!(d.dw.iter().all(|&g| g == 0.0));
+        let mut grads = Vec::new();
+        d.visit_params(&mut |_, g| grads.extend_from_slice(g));
+        assert!(grads.iter().all(|&g| g == 0.0), "{grads:?}");
+        // After the visit, a backward pass adds onto the zeros it saw.
+        let _ = train_forward(&mut d, &x);
+        let _ = backward(&mut d, &gy);
+        assert_eq!(&d.dw, &[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -67,8 +67,9 @@ pub(crate) fn next_node(j: usize, n: usize) -> usize {
 /// # Panics
 /// Panics if `rho` length differs from the grid node count.
 pub fn deposit_charge(particles: &Particles2D, grid: &Grid2D, shape: Shape, rho: &mut [f64]) {
-    let team =
-        split::team(particles.len()).filter(|_| split::deposit_splits(shape.support(), grid.nx()));
+    let team = split::split(particles.len())
+        .filter(|_| split::deposit_splits(shape.support(), grid.nx()))
+        .map(|s| s.team);
     deposit(Body::detect(), team, particles, grid, shape, rho);
 }
 

@@ -201,7 +201,7 @@ pub fn fused_gather_push_move(
     e: &[f64],
     dt: f64,
 ) -> StepMoments {
-    let team = split::team(particles.len());
+    let team = split::split(particles.len()).map(|s| s.team);
     push(Body::detect(), team, particles, grid, shape, e, dt)
 }
 

@@ -110,4 +110,4 @@ pub use poisson::{FdPoisson, PoissonSolver, SpectralPoisson};
 pub use shape::Shape;
 pub use simulation::{PicConfig, Simulation};
 pub use solver::{FieldSolver, TraditionalSolver};
-pub use split::split_scratch_bytes;
+pub use split::{split, split_scratch_bytes, Split, SPLIT_PARTICLES};

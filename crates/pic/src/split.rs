@@ -30,6 +30,11 @@
 //! particles, and calls while no caller holds the team (so its helper
 //! would have to be woken: [`dlpic_team::Team::held_members`]), run the
 //! serial kernel.
+//!
+//! That decision and the push's cut are one rule, [`split`]: the push
+//! and deposit here take it, and so does `dlpic_core`'s NGP phase-space
+//! binning, which cuts its particles where the push did so that each
+//! member bins the particles it has just pushed.
 
 // analyze:hot — the parts run the particle kernels' loops; loop bodies
 // here must stay allocation-free.
@@ -40,11 +45,11 @@ use dlpic_team::{Handoff, Team};
 use std::cell::RefCell;
 use std::sync::{Mutex, PoisonError};
 
-/// Particles from which a push or deposit splits: paper-scale runs
+/// Particles from which a particle kernel splits: paper-scale runs
 /// (64 000 in 1-D, 65 536 on the scaled 2-D grid) split, small runs such
 /// as the benchmark fleets' members (3 200 and 3 840) keep the serial
 /// kernel, whose few tens of microseconds a hand-over would eat.
-pub(crate) const SPLIT_PARTICLES: usize = 16_384;
+pub const SPLIT_PARTICLES: usize = 16_384;
 
 /// The first part's share of a split push, in percent: the later part
 /// also replays its record, so it takes the smaller run of pushes.
@@ -63,11 +68,36 @@ thread_local! {
     static ACCUMULATORS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The team to split a kernel over `particles` on: the global team when
-/// the run is large enough and a split would find a polling helper.
-pub(crate) fn team(particles: usize) -> Option<&'static Team> {
+/// A particle kernel's two parts on the worker team: the first part
+/// takes the particles before `at`, the later part the rest.
+#[derive(Clone, Copy)]
+pub struct Split<'t> {
+    /// The team the two parts run on.
+    pub team: &'t Team,
+    /// The first particle of the later part: 45 % of the run, down to
+    /// whole chunks of the eight AVX-512 lanes.
+    pub at: usize,
+}
+
+impl<'t> Split<'t> {
+    /// The split of a run of `particles` on `team`, whatever its length
+    /// and whoever holds the team.
+    pub fn new(team: &'t Team, particles: usize) -> Self {
+        Self {
+            team,
+            at: cut(particles),
+        }
+    }
+}
+
+/// How a particle kernel over `particles` runs: in two parts on the
+/// global team when the run has at least [`SPLIT_PARTICLES`] particles
+/// and a split would find a polling helper (a caller holds the team and
+/// this thread is not inside a part of a shared job), serially (`None`)
+/// otherwise.
+pub fn split(particles: usize) -> Option<Split<'static>> {
     let team = dlpic_team::global();
-    (particles >= SPLIT_PARTICLES && team.held_members() > 1).then_some(team)
+    (particles >= SPLIT_PARTICLES && team.held_members() > 1).then(|| Split::new(team, particles))
 }
 
 /// Bytes of split scratch a run of `particles` on `nodes` grid nodes makes

@@ -580,10 +580,16 @@ fn wait_for_retry_survives_a_server_restart() {
             std::thread::sleep(Duration::from_millis(2));
         }
 
-        let (waiter_listen, waiter_id) = (listen.clone(), id.clone());
+        // The waiter connects here, while the server is surely up; once
+        // moved to its thread it rides out the restart by reconnecting.
+        let mut waiter_client = Client::connect(&listen).expect("waiter connect");
+        let waiter_id = id.clone();
         let waiter = std::thread::spawn(move || {
-            let mut client = Client::connect(&waiter_listen).expect("waiter connect");
-            client.wait_for_retry(&waiter_id, Duration::from_millis(10), Backoff::attempts(30))
+            waiter_client.wait_for_retry(
+                &waiter_id,
+                Duration::from_millis(10),
+                Backoff::attempts(30),
+            )
         });
 
         // Take the server down mid-poll, then bring it back on the same

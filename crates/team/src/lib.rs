@@ -17,7 +17,8 @@
 //! hands the team runs of each training GEMM's output rows, of Adam's
 //! parameters and of the He init's Box–Muller transforms
 //! ([`Team::for_each_item`]), and `dlpic_pic` splits a large push and
-//! charge deposit, 1-D or 2-D, into two parts while the team is held
+//! charge deposit, 1-D or 2-D, and `dlpic_core` a large NGP phase-space
+//! binning, into two parts while the team is held
 //! ([`Team::held_members`]).
 //!
 //! # Lifecycle of a helper
@@ -35,8 +36,10 @@
 //! * a helper, out of parts while a caller has announced more dispatches
 //!   ([`Team::hold`] — the waves of one fleet run, the steps of one
 //!   session), polls for the next one (`HELD_POLL_ROUNDS`, about a
-//!   millisecond: one DL step's serial binning lies between two of its
-//!   dispatches; a traditional step's push and deposit follow each
+//!   millisecond, longer than a whole DL step: its push, binning and
+//!   inference dispatch back to back, with only serial stretches of
+//!   microseconds — the merge, the normalization, the field write —
+//!   between them; a traditional step's push and deposit follow each
 //!   other), and stops the moment the last hold drops;
 //! * a part that waits on an earlier part of its job ([`Handoff::take`])
 //!   polls `POLL_ROUNDS` rounds, then parks until the value is given.

@@ -14,10 +14,13 @@ const POLL_ROUNDS: usize = 4096;
 
 /// `spin_loop` rounds a helper polls for the next job while a caller
 /// holds the team ([`Team::hold`]): 0.7–1.6 ms at the 11–24 ns a round
-/// the dev machines take, longer than one paper-scale DL step (≈ 0.75 ms
-/// on two members), whose serial phase-space binning lies between its
-/// last dispatch and the next step's first. With [`POLL_ROUNDS`] here the
-/// helper parked once a step.
+/// the dev machines take, longer than one paper-scale DL step (≈ 0.65 ms
+/// on two members), so a step whose split push, binning and inference
+/// are apart by serial stretches of microseconds (the binning's merge,
+/// the normalization, the field write and diagnostics) never parks the
+/// helper, nor does a caller's own work between two steps. With
+/// [`POLL_ROUNDS`] here the helper parked once a step while the
+/// phase-space binning was still serial.
 const HELD_POLL_ROUNDS: usize = 1 << 16;
 
 /// Number of threads the machine can usefully run —

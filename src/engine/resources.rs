@@ -19,11 +19,12 @@ use super::backend::Backend;
 use super::dl::DlGeometry;
 use super::session::vlasov_nv;
 use super::spec::{Dim, ScenarioSpec};
+use crate::core::phase_space;
 use crate::pic::{split_scratch_bytes, Grid1D, Grid2D};
 
 /// Bytes per f64 diagnostic/field/particle lane.
 const F64: usize = 8;
-/// Bytes per f32 network parameter.
+/// Bytes per f32 network parameter or histogram bin.
 const F32: usize = 4;
 
 /// The estimated memory footprint of one session, split by what owns it.
@@ -32,8 +33,9 @@ const F32: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceEstimate {
     /// Particle phase-space arrays (positions and velocities) and, for a
-    /// run large enough to split its push and deposit over the worker
-    /// team, the split's scratch.
+    /// run large enough to split its push and deposit (and, on the 1-D DL
+    /// backend, its phase-space binning) over the worker team, the
+    /// split's scratch.
     pub particle_bytes: usize,
     /// Grid-resident buffers: density, potential, fields and solver
     /// scratch — for Vlasov, the full phase-space distribution.
@@ -91,6 +93,10 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
     let split_scratch = match backend {
         // The decomposed backend steps its ranks with its own kernels.
         Backend::Vlasov | Backend::Ddecomp { .. } => 0,
+        // The later binning part's histogram comes on top.
+        Backend::Dl1D => split_scratch_bytes(n_particles, cells).saturating_add(
+            phase_space::split_scratch_bytes(n_particles, &spec.scale.phase_spec()),
+        ),
         _ => split_scratch_bytes(n_particles, cells),
     };
     let particle_bytes = match backend {
@@ -118,7 +124,7 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
     };
 
     // DL weights (f32) doubled for the inference workspace, plus the
-    // phase-space deposit image the 1-D surrogate consumes. One of the
+    // phase-space histogram row (f32) the 1-D surrogate consumes. One of the
     // two weight-sized slices is the parameter allocation itself — the
     // slice an `Arc`-shared frozen model amortizes across a cohort. Sized
     // by the architecture the engine would build for this spec.
@@ -131,7 +137,7 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
     let model_bytes = match backend {
         Backend::Dl1D => {
             let phase = spec.scale.phase_spec();
-            shared_weight_bytes * 2 + phase.nx * phase.nv * F64
+            shared_weight_bytes * 2 + phase.cells() * F32
         }
         Backend::Dl2D => shared_weight_bytes * 2,
         _ => 0,
@@ -212,7 +218,9 @@ mod tests {
     /// A paper-scale run splits its push and deposit over the team: the
     /// later push part's record (55 % of the particles, one f64 each, up
     /// to a chunk more) and two padded node-sized accumulators come on top
-    /// of its lanes.
+    /// of its lanes. The 1-D DL run also splits its NGP binning: the later
+    /// part's histogram (one f32 per bin, padded by up to four line pairs)
+    /// comes on top of that, and its model charge holds the f32 input row.
     #[test]
     fn a_split_run_is_charged_its_scratch() {
         for (name, backends, lanes) in [
@@ -224,13 +232,34 @@ mod tests {
             let record = n * 55 / 100 * 8;
             for backend in backends {
                 let est = estimate_session(&spec, backend);
-                let scratch = est.particle_bytes - n * lanes * 8;
+                let mut scratch = est.particle_bytes - n * lanes * 8;
+                if backend == Backend::Dl1D {
+                    let bins = spec.scale.phase_spec().cells();
+                    let histogram = scratch - split_scratch_bytes(n, nodes);
+                    assert!(
+                        histogram >= bins * 4 && histogram <= bins * 4 + 4 * 128,
+                        "{name} on {backend}: {histogram} bytes of binning scratch"
+                    );
+                    assert_eq!(
+                        est.model_bytes - 2 * est.shared_weight_bytes,
+                        bins * 4,
+                        "{name} on {backend}: the input row is f32"
+                    );
+                    scratch -= histogram;
+                }
                 assert!(
                     scratch >= record && scratch <= record + (8 + 2 * nodes + 80) * 8,
                     "{name} on {backend}: {scratch} bytes of split scratch"
                 );
             }
         }
+        // Below the split, the binning keeps no second histogram.
+        let smoke = registry::scenario("two_stream", Scale::Smoke).unwrap();
+        assert!(smoke.n_particles() < crate::pic::SPLIT_PARTICLES);
+        assert_eq!(
+            estimate_session(&smoke, Backend::Dl1D).particle_bytes,
+            smoke.n_particles() * 2 * 8
+        );
     }
 
     #[test]

@@ -987,10 +987,11 @@ impl Session {
     /// quarantined, whichever comes first. Returns whether the predicate
     /// fired.
     ///
-    /// The loop holds the worker team ([`pool::Team::hold`]): a DL step
-    /// dispatches its inference's column windows, and the hold keeps the
-    /// helper polling through the serial binning and push between one
-    /// step's inference and the next instead of parking.
+    /// The loop holds the worker team ([`pool::Team::hold`]): a large
+    /// step dispatches its push, its NGP binning and its inference's
+    /// column windows in parts, and the hold lets them split and keeps
+    /// the helper polling through the short serial stretches between them
+    /// instead of parking.
     pub fn run_until(&mut self, mut stop: impl FnMut(&Sample) -> bool) -> bool {
         let _hold = pool::team().hold();
         while !self.is_complete() {

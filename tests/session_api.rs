@@ -573,10 +573,11 @@ fn history_bits(h: &EnergyHistory) -> Vec<u64> {
 }
 
 /// A paper-scale DL session (64 000 particles, the 25 MB MLP; the
-/// untrained fallback is enough) splits its fused push into two parts
-/// and every one-row pass of its large layers into column windows, one
-/// per team member: its history is the same bits with one member, two
-/// or three allowed, and through the phase-split path.
+/// untrained fallback is enough) splits its fused push and its NGP
+/// phase-space binning into two parts each and every one-row pass of its
+/// large layers into column windows, one per team member: its history is
+/// the same bits with one member, two or three allowed, and through the
+/// phase-split path.
 #[test]
 fn paper_scale_dl_history_is_the_same_at_any_team_size() {
     use dlpic_repro::core::pool;
